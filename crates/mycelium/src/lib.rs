@@ -28,6 +28,9 @@
 //!   shared by the direct and simulated execution paths.
 //! * [`exec`] — the encrypted query executor (device, origin, and
 //!   aggregator logic) with Byzantine-behaviour injection.
+//! * [`aggcore`] — the aggregation plane's protocol state and transitions
+//!   (intake, shard roots, committee tail, certificate), written once with
+//!   no I/O; the simulated and the real-process round both drive it.
 //! * [`simround`] — the same round re-hosted as message-passing actors on
 //!   the deterministic simnet, with fault injection and round metrics.
 //! * [`session`] — the multi-query session: a privacy-budget ledger
@@ -50,6 +53,7 @@
 //!   the same round spec yields bit-identical ciphertexts (and
 //!   byte-identical round certificates) everywhere.
 
+pub mod aggcore;
 pub mod committee;
 pub mod costs;
 pub mod decode;

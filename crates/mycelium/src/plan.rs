@@ -531,10 +531,20 @@ pub fn combine_origin<R: Rng + ?Sized>(
 /// is what lets the round certificate commit a canonical aggregate digest.
 pub const AGGREGATION_LEVEL: usize = 1;
 
-/// Aggregator side (§4.2): aligns levels to [`AGGREGATION_LEVEL`], builds
-/// the verifiable summation tree, audits inclusion paths and random
-/// interior nodes, and returns the root sum.
+/// Aggregator side (§4.2): [`seal_shard_root`] over every origin, keeping
+/// only the root sum.
 pub fn aggregate_and_audit(origin_cts: Vec<Ciphertext>) -> Result<Ciphertext, ExecError> {
+    Ok(seal_shard_root(origin_cts)?.sum)
+}
+
+/// Aligns the origin ciphertexts to [`AGGREGATION_LEVEL`] (the one
+/// canonical level, so a partition into shards never shows in the bytes),
+/// builds the verifiable summation tree, audits inclusion paths and random
+/// interior nodes, and seals the root — the hub's global aggregate, or a
+/// shard's partial root for shipment to the coordinator.
+pub fn seal_shard_root(
+    origin_cts: Vec<Ciphertext>,
+) -> Result<crate::summation::PartialRoot, ExecError> {
     let aligned: Vec<Ciphertext> =
         par::map(&origin_cts, |_, ct| ct.mod_switch_to(AGGREGATION_LEVEL))
             .into_iter()
@@ -549,25 +559,6 @@ pub fn aggregate_and_audit(origin_cts: Vec<Ciphertext>) -> Result<Ciphertext, Ex
     }
     tree.spot_check_random(0xA0D1, 8)
         .expect("honest aggregator's partial sums verify");
-    Ok(tree.root().sum.clone())
-}
-
-/// Shard side of the sharded aggregation plane: aligns the shard's owned
-/// origin ciphertexts to [`AGGREGATION_LEVEL`] (the same canonical level
-/// the hub uses, so the partition never shows in the bytes), builds its
-/// partial summation tree, audits it, and seals the root for shipment to
-/// the coordinator.
-pub fn seal_shard_root(
-    origin_cts: Vec<Ciphertext>,
-) -> Result<crate::summation::PartialRoot, ExecError> {
-    let aligned: Vec<Ciphertext> =
-        par::map(&origin_cts, |_, ct| ct.mod_switch_to(AGGREGATION_LEVEL))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-    drop(origin_cts);
-    let tree = crate::summation::SummationTree::build(aligned)?;
-    tree.spot_check_random(0xA0D2, 8)
-        .expect("honest shard's partial sums verify");
     Ok(tree.seal_root())
 }
 

@@ -13,13 +13,15 @@
 //!   and submit. A contribution that never arrives by the origin's
 //!   deadline defaults to the neutral `Enc(x^0)` (§4.4), so device
 //!   drop-outs degrade the answer instead of wedging the round.
-//! * **The aggregator actor** (id `n`) verifies each contribution's
-//!   proof — substituting `Enc(x^0)` for offenders (§4.7), which is how
-//!   Byzantine payload substitution injected through the simnet
-//!   [`FaultPlan`] is caught — forwards verified ciphertexts to origins,
-//!   sums submissions through the verifiable summation tree, and drives
-//!   the committee: ping → pick `t+1` live members → collect decryption
-//!   shares, reselecting once if a chosen member crashes mid-phase.
+//! * **The aggregator actor** (id `n`) drives the aggregation core
+//!   ([`crate::aggcore`]): each contribution's proof is verified —
+//!   `Enc(x^0)` substituted for offenders (§4.7), which is how Byzantine
+//!   payload substitution injected through the simnet [`FaultPlan`] is
+//!   caught — verified ciphertexts are forwarded to origins, submissions
+//!   summed through the verifiable summation tree, and the committee
+//!   driven: ping → pick `t+1` live members → collect decryption shares,
+//!   reselecting once if a chosen member crashes mid-phase. The actor
+//!   itself only adds messaging, retries, timers and phase metrics.
 //! * **Committee actors** (ids `n+1..=n+c`) answer pings with their
 //!   liveness (and joint-noise seed) and compute decryption shares
 //!   against the participant set the aggregator announces — Lagrange
@@ -33,14 +35,10 @@
 //! any `MYC_THREADS` setting.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
-use mycelium_cert::{
-    build_segments, commit_origin, noise_commitment, sign_transcript, verify_transcript_sig,
-    CertSpec, CommitteeSig, OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
-};
+use mycelium_bgv::{Ciphertext, KeySet};
+use mycelium_cert::{sign_transcript, OriginCommit};
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
@@ -49,20 +47,17 @@ use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_query::ast::Query;
 use mycelium_query::eval::PlainResult;
 use mycelium_sharing::committee::elect;
-use mycelium_sharing::threshold::{
-    combine, decryption_share, derive_joint_noise, DecryptionShare, KeyShareSet,
-};
+use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
 use mycelium_simnet::{
     ActorId, Ctx, FaultPlan, LinkModel, Payload, Process, Retrier, RoundMetrics, Simulation, Tick,
 };
 
+use crate::aggcore::{CommitteeTail, CoreError, Intake, RoundCtx};
 use crate::committee::CommitteeError;
-use crate::decode::decode_aggregate;
-use crate::exec::{release_noisy, ExecError, ExecStats, MaliciousBehavior, NoisyGroup};
+use crate::exec::{ExecError, ExecStats, MaliciousBehavior, NoisyGroup};
 use crate::params::SystemParams;
 use crate::plan::{
-    aggregate_and_audit, ciphertext_digest, combine_origin, combine_shard_roots, origin_work,
-    seal_shard_root, OriginWork, QueryPlan, SignedContribution,
+    combine_origin, combine_shard_roots, origin_work, OriginWork, QueryPlan, SignedContribution,
 };
 use crate::streams;
 use crate::summation::{shard_of, PartialRoot};
@@ -102,8 +97,7 @@ pub struct SimNetConfig {
     /// Aggregation shards. `1` is the classic single-hub topology; `N > 1`
     /// splits intake across `N` shard actors (devices hash-routed by
     /// [`shard_of`]) that each seal a partial summation-tree root and ship
-    /// it to the coordinator — mirroring the real transport plane's
-    /// sharded layout.
+    /// it to the coordinator.
     pub agg_shards: usize,
 }
 
@@ -512,313 +506,237 @@ impl Process<RoundMsg> for DeviceActor {
     }
 }
 
-/// Shared slot the aggregator writes the round result into.
+/// Shared slot the aggregation actors write the round result into.
 #[derive(Default)]
 struct AggOutcome {
-    plaintext: Option<Plaintext>,
-    noise: Vec<i64>,
+    released: Option<(PlainResult, Vec<NoisyGroup>)>,
     rejected: Vec<VertexId>,
     certificate: Option<Vec<u8>>,
     error: Option<SimRoundError>,
 }
 
-struct AggregatorActor {
+/// The round inputs every aggregation actor hands the core.
+struct AggShared {
     plan: Rc<QueryPlan>,
     keys: Rc<KeySet>,
-    query: Rc<Query>,
-    spec_seed: u64,
-    with_proofs: bool,
-    n_devices: usize,
-    committee_size: usize,
-    threshold: usize,
+    query: Query,
+    seed: u64,
     noise_scale: f64,
     charged_epsilon: f64,
-    deadline: Tick,
-    // Contribution forwarding.
-    seen_contribs: BTreeSet<(VertexId, u32)>,
+}
+
+impl AggShared {
+    fn ctx(&self) -> RoundCtx<'_> {
+        RoundCtx {
+            plan: &self.plan,
+            keys: &self.keys,
+            query: &self.query,
+            seed: self.seed,
+            noise_scale: self.noise_scale,
+            charged_epsilon: self.charged_epsilon,
+        }
+    }
+}
+
+/// A core failure as the round's typed error; `None` for a malformed
+/// message, which is dropped rather than failing the round.
+fn sim_error(e: CoreError) -> Option<SimRoundError> {
+    Some(match e {
+        CoreError::CommitteeUnavailable { alive, need } => {
+            SimRoundError::CommitteeUnavailable { alive, need }
+        }
+        CoreError::Bgv(e) => ExecError::from(e).into(),
+        CoreError::Exec(_, e) => e.into(),
+        CoreError::Threshold(e) => ExecError::Committee(CommitteeError::Threshold(e)).into(),
+        CoreError::Invalid(_) => return None,
+    })
+}
+
+/// The messaging half of per-origin intake, shared by the aggregator and
+/// the shard actors: ack every delivery, run the core transition, and push
+/// each verified (or substituted) contribution to its origin until acked.
+struct IntakePort {
+    intake: Intake,
     next_fwd_id: u64,
+}
+
+impl IntakePort {
+    /// Handles `Contrib` and `Submission`; `true` when a new submission
+    /// landed.
+    fn on_message(
+        &mut self,
+        shared: &AggShared,
+        retrier: &mut Retrier<RoundMsg>,
+        ctx: &mut Ctx<RoundMsg>,
+        from: ActorId,
+        msg: RoundMsg,
+    ) -> bool {
+        match msg {
+            RoundMsg::Contrib {
+                msg_id,
+                origin,
+                slot,
+                sc,
+            } => {
+                ctx.send(from, RoundMsg::ContribAck { msg_id });
+                let shared = shared.ctx();
+                let verified =
+                    self.intake
+                        .accept_contribution(origin, slot, sc, &shared, ctx.rng());
+                if let Ok(Some(ct)) = verified {
+                    let msg_id = self.next_fwd_id;
+                    self.next_fwd_id += 1;
+                    let deliver = RoundMsg::OriginDeliver { msg_id, slot, ct };
+                    retrier.send(ctx, msg_id, origin as ActorId, deliver);
+                }
+                false
+            }
+            RoundMsg::Submission { msg_id, origin, ct } => {
+                ctx.send(from, RoundMsg::SubmissionAck { msg_id });
+                let fresh = matches!(self.intake.accept_submission(origin, ct), Ok(true));
+                if fresh {
+                    ctx.phase_done("submit");
+                }
+                fresh
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The hub (intake + committee tail) or, in the sharded topology, the
+/// coordinator (shard roots + committee tail). Protocol state and
+/// transitions live in [`crate::aggcore`]; this actor adds the messaging
+/// pattern (push with retries), virtual-time deadlines and phase metrics.
+struct AggregatorActor {
+    shared: Rc<AggShared>,
+    n_devices: usize,
+    deadline: Tick,
     retrier: Retrier<RoundMsg>,
-    // Submissions (hub topology).
-    submissions: Vec<Option<Ciphertext>>,
-    got_submissions: usize,
-    // Sealed shard roots (sharded topology; empty at `agg_shards <= 1`).
-    agg_shards: usize,
-    shard_roots: Vec<Option<PartialRoot>>,
-    got_roots: usize,
-    aggregated: bool,
+    /// Per-origin intake: every origin on the hub, none on the coordinator
+    /// (devices route to their owning shard; a stray delivery is dropped).
+    port: IntakePort,
+    /// The shards' sealed roots (the coordinator only).
+    roots: Option<Vec<Option<PartialRoot>>>,
     aggregate: Option<Ciphertext>,
-    // Committee phase.
-    pongs: Vec<Option<[u8; 32]>>,
-    share_phase: bool,
-    round: u32,
-    reselected: bool,
-    participants: Vec<u64>,
-    shares: Vec<Option<DecryptionShare>>,
+    tail: CommitteeTail,
+    /// The result is decided (or the round failed); only certificate
+    /// signing may still be in flight.
     finished: bool,
-    // Certificate plane: per-slot intake outcomes (hub topology), frozen
-    // per-origin commitments (all topologies), and the signing phase.
-    slot_map: Rc<Vec<Vec<VertexId>>>,
-    statuses: BTreeMap<(VertexId, u32), SlotStatus>,
-    commits: Vec<Option<OriginCommit>>,
-    cert_rejected: Vec<VertexId>,
-    cert: Option<RoundCertificate>,
-    cert_sigs: Vec<Option<[u8; 64]>>,
     outcome: Rc<RefCell<AggOutcome>>,
 }
 
 impl AggregatorActor {
-    fn member_actor(&self, member: u64) -> ActorId {
-        self.n_devices + member as usize
-    }
-
-    fn fail(&mut self, ctx: &mut Ctx<RoundMsg>, err: SimRoundError) {
+    fn fail(&mut self, ctx: &mut Ctx<RoundMsg>, err: CoreError) {
+        let Some(err) = sim_error(err) else { return };
         self.finished = true;
         self.outcome.borrow_mut().error = Some(err);
         ctx.halt();
     }
 
-    /// Freezes the hub's per-origin certificate commitments from the slot
-    /// statuses recorded at intake. Runs *before* the aggregate is sealed
-    /// — the commitment-then-seal ordering the WAL journals in the net
-    /// executor — so late contributions can no longer move the tree.
-    fn freeze_commits(&mut self) {
-        for v in 0..self.n_devices {
-            let slots: Vec<(u32, SlotStatus)> = self.slot_map[v]
-                .iter()
-                .enumerate()
-                .map(|(s, &d)| {
-                    let status = self
-                        .statuses
-                        .get(&(v as VertexId, s as u32))
-                        .copied()
-                        .unwrap_or(SlotStatus::Missing);
-                    if matches!(status, SlotStatus::Rejected) && !self.cert_rejected.contains(&d) {
-                        self.cert_rejected.push(d);
-                    }
-                    (d, status)
-                })
-                .collect();
-            self.commits[v] = Some(commit_origin(v as u32, &slots));
+    /// Whether certificate signatures are still being collected.
+    fn signing(&self) -> bool {
+        self.tail.cert.is_some() && !self.tail.sealed
+    }
+
+    /// Copies the round result into the shared outcome slot.
+    fn publish(&self) {
+        let mut out = self.outcome.borrow_mut();
+        out.released = self.tail.released.clone();
+        out.certificate = self.tail.cert_bytes.clone();
+        out.rejected = self.port.intake.plane.rejected.clone();
+    }
+
+    /// Sends `msg(m)` to every committee member under retrier id
+    /// `base + m`.
+    fn broadcast(&mut self, ctx: &mut Ctx<RoundMsg>, base: u64, msg: impl Fn(u64) -> RoundMsg) {
+        for m in 1..=self.tail.pongs.len() as u64 {
+            let dst = self.n_devices + m as usize;
+            self.retrier.send(ctx, base + m, dst, msg(base + m));
         }
     }
 
     fn start_aggregate(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.aggregated {
+        if self.aggregate.is_some() || self.finished {
             return;
         }
-        self.aggregated = true;
-        if self.agg_shards <= 1 {
-            self.freeze_commits();
-        }
-        let aggregate = if self.agg_shards > 1 {
-            // Coordinator: every shard root is present (the coordinator
-            // never deadlines out of intake — it waits, bounded by the
-            // round's virtual-time budget). Graft them into the top tree.
-            let parts: Vec<PartialRoot> = self
-                .shard_roots
-                .iter()
-                .map(|r| r.clone().expect("all shard roots collected"))
-                .collect();
-            match combine_shard_roots(parts) {
-                Ok(ct) => ct,
-                Err(e) => return self.fail(ctx, e.into()),
+        let intake = &mut self.port.intake;
+        let sealed = match &self.roots {
+            None => {
+                let root = intake.seal(&self.shared.ctx(), ctx.rng());
+                root.map(|root| root.sum)
             }
-        } else {
-            // Origins that never submitted (crashed devices) contribute
-            // the additive-neutral Enc(0).
-            let (n_ring, t_pt) = (self.plan.n_ring, self.plan.t_pt);
-            let cts: Result<Vec<Ciphertext>, ExecError> = self
-                .submissions
-                .iter()
-                .map(|s| match s {
-                    Some(ct) => Ok(ct.clone()),
-                    None => Ok(Ciphertext::encrypt(
-                        &self.keys.public,
-                        &Plaintext::zero(n_ring, t_pt),
-                        ctx.rng(),
-                    )?),
-                })
-                .collect();
-            match cts.and_then(aggregate_and_audit) {
-                Ok(ct) => ct,
-                Err(e) => return self.fail(ctx, e.into()),
+            Some(roots) => {
+                // Every shard root is present: the coordinator never
+                // deadlines out of intake — it waits, bounded by the
+                // round's virtual-time budget. Graft them into the top
+                // tree.
+                intake.freeze_commits();
+                let collected = |r: &Option<PartialRoot>| r.clone().expect("all roots collected");
+                combine_shard_roots(roots.iter().map(collected).collect())
+                    .map_err(|e| CoreError::Exec("aggregation", e))
             }
         };
-        self.aggregate = Some(aggregate);
+        match sealed {
+            Ok(ct) => self.aggregate = Some(ct),
+            Err(e) => return self.fail(ctx, e),
+        }
         ctx.phase_done("aggregate");
         // Committee phase: probe liveness first — the participant set
         // must be agreed before shares are computed.
-        for m in 1..=self.committee_size as u64 {
-            let dst = self.member_actor(m);
-            self.retrier.send(
-                ctx,
-                PING_BASE + m,
-                dst,
-                RoundMsg::Ping {
-                    msg_id: PING_BASE + m,
-                },
-            );
-        }
+        self.broadcast(ctx, PING_BASE, |msg_id| RoundMsg::Ping { msg_id });
         ctx.set_timer(self.deadline, PING_DEADLINE_KEY);
     }
 
-    fn alive_members(&self) -> Vec<u64> {
-        (1..=self.committee_size as u64)
-            .filter(|&m| self.pongs[m as usize - 1].is_some())
-            .collect()
-    }
-
-    fn select_participants(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        self.share_phase = true;
-        let alive = self.alive_members();
-        let need = self.threshold + 1;
-        if alive.len() < need {
-            return self.fail(
-                ctx,
-                SimRoundError::CommitteeUnavailable {
-                    alive: alive.len(),
-                    need,
-                },
-            );
+    /// After a (re)selection: asks every participant for its share.
+    fn request_shares(&mut self, ctx: &mut Ctx<RoundMsg>, selected: Result<(), CoreError>) {
+        if let Err(e) = selected {
+            return self.fail(ctx, e);
         }
-        self.round += 1;
-        self.participants = alive[..need].to_vec();
-        self.shares = vec![None; self.committee_size + 1];
-        let aggregate = self.aggregate.clone().expect("aggregated");
-        for &m in &self.participants.clone() {
-            let msg_id = SHARE_BASE + ((self.round as u64) << 20) + m;
-            let dst = self.member_actor(m);
-            self.retrier.send(
-                ctx,
+        let round = self.tail.share_round;
+        let aggregate = self
+            .aggregate
+            .as_ref()
+            .expect("selection follows the aggregate");
+        for &m in &self.tail.participants {
+            let msg_id = SHARE_BASE + ((round as u64) << 20) + m;
+            let request = RoundMsg::ShareRequest {
                 msg_id,
-                dst,
-                RoundMsg::ShareRequest {
-                    msg_id,
-                    round: self.round,
-                    participants: self.participants.clone(),
-                    ct: aggregate.clone(),
-                },
-            );
+                round,
+                participants: self.tail.participants.clone(),
+                ct: aggregate.clone(),
+            };
+            self.retrier
+                .send(ctx, msg_id, self.n_devices + m as usize, request);
         }
-        ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + self.round as u64);
+        ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + round as u64);
     }
 
-    fn finish_committee(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.finished {
-            return;
-        }
+    /// The result is decided; what remains is collecting committee
+    /// signatures over the certificate transcript, so the halt is
+    /// deferred to `seal_cert`.
+    fn start_cert(&mut self, ctx: &mut Ctx<RoundMsg>) {
         self.finished = true;
-        let aggregate = self.aggregate.as_ref().expect("aggregated");
-        let shares: Vec<DecryptionShare> = self
-            .participants
-            .iter()
-            .map(|&m| self.shares[m as usize].clone().expect("share collected"))
-            .collect();
-        let plaintext = match combine(aggregate, &shares, self.threshold) {
-            Ok(pt) => pt,
-            Err(e) => {
-                return self.fail(
-                    ctx,
-                    ExecError::Committee(CommitteeError::Threshold(e)).into(),
-                )
-            }
-        };
-        // Joint noise from the seeds of every member that proved alive,
-        // in member order (commit-then-combine elided, as in the direct
-        // path).
-        let seeds: Vec<[u8; 32]> = self.pongs.iter().filter_map(|p| *p).collect();
-        let noise = derive_joint_noise(&seeds, self.noise_scale, self.plan.released_values());
-        let exact = decode_aggregate(&plaintext, &self.query, &self.plan.analysis);
-        let released = release_noisy(&exact, &noise, self.plan.released_len);
-        {
-            let mut out = self.outcome.borrow_mut();
-            out.plaintext = Some(plaintext);
-            out.noise = noise;
-        }
+        self.publish();
         ctx.phase_done("committee");
-        // The round result is durable; what remains is collecting
-        // committee signatures over the certificate transcript, so the
-        // halt is deferred to `seal_cert`.
-        self.start_cert(ctx, &released, &seeds);
-    }
-
-    /// Assembles the round certificate and asks every committee member to
-    /// sign its transcript.
-    fn start_cert(&mut self, ctx: &mut Ctx<RoundMsg>, released: &[NoisyGroup], seeds: &[[u8; 32]]) {
-        let commits: Vec<OriginCommit> = self
-            .commits
-            .iter()
-            .map(|c| {
-                c.clone()
-                    .expect("every origin commitment frozen before sealing")
-            })
-            .collect();
-        let leaves: Vec<[u8; 32]> = commits.iter().map(|c| c.leaf).collect();
-        let counts: Vec<(u32, u32)> = commits.iter().map(|c| (c.accepted, c.rejected)).collect();
-        let (segments, contrib_root) = build_segments(&leaves, &counts);
-        let mut rejected: Vec<u32> = self.cert_rejected.to_vec();
-        rejected.sort_unstable();
-        rejected.dedup();
-        let spec = CertSpec {
-            seed: self.spec_seed,
-            devices: self.n_devices as u32,
-            query: self.query.name.clone(),
-            with_proofs: self.with_proofs,
+        let Some(cert) = &self.tail.cert else {
+            return self.seal_cert(ctx);
         };
-        let mut cert = RoundCertificate {
-            spec_digest: spec.digest(),
-            spec,
-            committee: self.committee_size as u32,
-            threshold: self.threshold as u32,
-            share_round: self.round,
-            participants: self.participants.iter().map(|&m| m as u32).collect(),
-            leaves,
-            segments,
-            contrib_root,
-            rejected,
-            aggregate_digest: ciphertext_digest(self.aggregate.as_ref().expect("aggregated")),
-            noise_commitment: noise_commitment(seeds),
-            charged_epsilon_bits: self.charged_epsilon.to_bits(),
-            released: released
-                .iter()
-                .map(|g| ReleasedGroup {
-                    label: g.label.clone(),
-                    histogram: g.histogram.clone(),
-                })
-                .collect(),
-            transcript: [0u8; 32],
-            signatures: Vec::new(),
-        };
-        cert.transcript = cert.compute_transcript();
-        for m in 1..=self.committee_size as u64 {
-            let dst = self.member_actor(m);
-            self.retrier.send(
-                ctx,
-                CERT_BASE + m,
-                dst,
-                RoundMsg::CertSignReq {
-                    msg_id: CERT_BASE + m,
-                    transcript: cert.transcript,
-                },
-            );
-        }
+        let transcript = cert.transcript;
+        self.broadcast(ctx, CERT_BASE, |msg_id| RoundMsg::CertSignReq {
+            msg_id,
+            transcript,
+        });
         ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
-        self.cert = Some(cert);
     }
 
     /// Attaches whatever valid signatures arrived and halts the round.
-    /// Fewer than `t + 1` signatures means no certificate — the round
-    /// result stands, but it is not independently checkable.
     fn seal_cert(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        let Some(mut cert) = self.cert.take() else {
+        if self.tail.sealed || self.tail.released.is_none() {
             return;
-        };
-        cert.signatures = (1..=self.committee_size as u64)
-            .filter_map(|m| self.cert_sigs[m as usize].map(|sig| CommitteeSig { member: m, sig }))
-            .collect();
-        if cert.signatures.len() > self.threshold {
-            self.outcome.borrow_mut().certificate = Some(cert.encode());
         }
+        self.tail.seal();
+        self.publish();
         ctx.phase_done("certify");
         ctx.halt();
     }
@@ -833,68 +751,15 @@ impl Process<RoundMsg> for AggregatorActor {
 
     fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
         match msg {
-            RoundMsg::Contrib {
-                msg_id,
-                origin,
-                slot,
-                sc,
-            } => {
-                ctx.send(from, RoundMsg::ContribAck { msg_id });
-                if !self.seen_contribs.insert((origin, slot)) {
-                    return;
+            RoundMsg::Contrib { .. } | RoundMsg::Submission { .. } => {
+                let port = &mut self.port;
+                let landed = port.on_message(&self.shared, &mut self.retrier, ctx, from, msg);
+                if landed && port.intake.is_complete() {
+                    self.start_aggregate(ctx);
                 }
-                // §4.6–§4.7: verify the well-formedness proof; discard
-                // offenders, substituting the neutral Enc(x^0). The slot
-                // outcome is recorded for the certificate commitment —
-                // accepted slots with the digest of the ciphertext *as
-                // verified*, before any substitution.
-                let ct = if self.plan.verify_contribution(&sc) {
-                    self.statuses.insert(
-                        (origin, slot),
-                        SlotStatus::Accepted(ciphertext_digest(&sc.ct)),
-                    );
-                    sc.ct
-                } else {
-                    self.statuses.insert((origin, slot), SlotStatus::Rejected);
-                    let mut out = self.outcome.borrow_mut();
-                    if !out.rejected.contains(&sc.device) {
-                        out.rejected.push(sc.device);
-                    }
-                    drop(out);
-                    self.plan
-                        .neutral_ct(&self.keys, ctx.rng())
-                        .expect("neutral encryption")
-                };
-                let fwd_id = self.next_fwd_id;
-                self.next_fwd_id += 1;
-                self.retrier.send(
-                    ctx,
-                    fwd_id,
-                    origin as ActorId,
-                    RoundMsg::OriginDeliver {
-                        msg_id: fwd_id,
-                        slot,
-                        ct,
-                    },
-                );
             }
             RoundMsg::OriginAck { msg_id } => {
                 self.retrier.ack(msg_id);
-            }
-            RoundMsg::Submission { msg_id, origin, ct } => {
-                ctx.send(from, RoundMsg::SubmissionAck { msg_id });
-                let slot = origin as usize;
-                // A coordinator holds no per-origin slots (devices route
-                // submissions to their owning shard), so a stray
-                // submission is acked and dropped.
-                if slot < self.submissions.len() && self.submissions[slot].is_none() {
-                    self.submissions[slot] = Some(ct);
-                    self.got_submissions += 1;
-                    ctx.phase_done("submit");
-                    if self.got_submissions == self.n_devices {
-                        self.start_aggregate(ctx);
-                    }
-                }
             }
             RoundMsg::ShardRootMsg {
                 msg_id,
@@ -906,34 +771,17 @@ impl Process<RoundMsg> for AggregatorActor {
                 ct,
             } => {
                 ctx.send(from, RoundMsg::ShardRootAck { msg_id });
-                let s = shard as usize;
-                if s >= self.shard_roots.len() || self.shard_roots[s].is_some() {
+                let Some(roots) = &mut self.roots else {
                     return;
-                }
-                {
-                    let mut out = self.outcome.borrow_mut();
-                    for w in rejected {
-                        if !out.rejected.contains(&w) {
-                            out.rejected.push(w);
-                        }
-                        if !self.cert_rejected.contains(&w) {
-                            self.cert_rejected.push(w);
-                        }
-                    }
-                }
-                for cmt in commits {
-                    let o = cmt.origin as usize;
-                    if o < self.commits.len() && self.commits[o].is_none() {
-                        self.commits[o] = Some(cmt);
-                    }
-                }
-                self.shard_roots[s] = Some(PartialRoot {
+                };
+                let root = PartialRoot {
                     sum: ct,
                     commitment,
                     leaf_count: leaves as usize,
-                });
-                self.got_roots += 1;
-                if self.got_roots == self.agg_shards {
+                };
+                let intake = &mut self.port.intake;
+                let landed = intake.accept_root(roots, shard, root, rejected, commits);
+                if matches!(landed, Ok(true)) && roots.iter().all(Option::is_some) {
                     self.start_aggregate(ctx);
                 }
             }
@@ -943,15 +791,14 @@ impl Process<RoundMsg> for AggregatorActor {
                 seed,
             } => {
                 self.retrier.ack(msg_id);
-                if self.share_phase {
+                // Once selection ran, a pong is a stale probe reply.
+                if self.finished || self.tail.share_round > 0 {
                     return;
                 }
-                let idx = member as usize - 1;
-                if self.pongs[idx].is_none() {
-                    self.pongs[idx] = Some(seed);
-                    if self.alive_members().len() == self.committee_size {
-                        self.select_participants(ctx);
-                    }
+                let fresh = matches!(self.tail.check_in(member, seed), Ok(true));
+                if fresh && self.tail.alive().len() == self.tail.pongs.len() {
+                    let selected = self.tail.select();
+                    self.request_shares(ctx, selected);
                 }
             }
             RoundMsg::Share {
@@ -961,19 +808,16 @@ impl Process<RoundMsg> for AggregatorActor {
                 share,
             } => {
                 self.retrier.ack(msg_id);
-                if self.finished || round != self.round || !self.participants.contains(&member) {
+                let (false, Some(aggregate)) = (self.finished, &self.aggregate) else {
                     return;
-                }
-                if self.shares[member as usize].is_none() {
-                    self.shares[member as usize] = Some(share);
-                    let got = self
-                        .participants
-                        .iter()
-                        .filter(|&&m| self.shares[m as usize].is_some())
-                        .count();
-                    if got == self.participants.len() {
-                        self.finish_committee(ctx);
-                    }
+                };
+                let (plane, shared) = (&self.port.intake.plane, self.shared.ctx());
+                let tail = &mut self.tail;
+                let decided = tail.accept_share(member, round, share, aggregate, plane, &shared);
+                match decided {
+                    Ok(true) => self.start_cert(ctx),
+                    Ok(false) => {}
+                    Err(e) => self.fail(ctx, e),
                 }
             }
             RoundMsg::CertSig {
@@ -982,18 +826,8 @@ impl Process<RoundMsg> for AggregatorActor {
                 sig,
             } => {
                 self.retrier.ack(msg_id);
-                let Some(cert) = &self.cert else { return };
-                let idx = member as usize;
-                if idx == 0 || idx > self.committee_size || self.cert_sigs[idx].is_some() {
-                    return;
-                }
-                // A forged or corrupted signature is simply not counted;
-                // the deadline decides whether the quorum was reached.
-                if !verify_transcript_sig(self.spec_seed, member, &cert.transcript, &sig) {
-                    return;
-                }
-                self.cert_sigs[idx] = Some(sig);
-                if (1..=self.committee_size).all(|m| self.cert_sigs[m].is_some()) {
+                let counted = self.tail.accept_sig(member, sig, self.shared.seed);
+                if matches!(counted, Ok(true)) && self.tail.all_signed() {
                     self.seal_cert(ctx);
                 }
             }
@@ -1008,108 +842,75 @@ impl Process<RoundMsg> for AggregatorActor {
         // unacknowledged and re-arm the deadline of the phase the
         // journal replay landed us in.
         if self.finished {
-            if self.cert.is_some() {
+            if self.signing() {
                 self.retrier.resend_all(ctx);
                 ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
             }
             return;
         }
         self.retrier.resend_all(ctx);
-        if !self.aggregated {
+        if self.aggregate.is_none() {
             ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        } else if !self.share_phase {
+        } else if self.tail.share_round == 0 {
             ctx.set_timer(self.deadline, PING_DEADLINE_KEY);
         } else {
-            ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + self.round as u64);
+            ctx.set_timer(
+                self.deadline,
+                SHARE_DEADLINE_BASE + self.tail.share_round as u64,
+            );
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<RoundMsg>, key: u64) {
         if key == CERT_DEADLINE_KEY {
-            self.seal_cert(ctx);
-            return;
+            return self.seal_cert(ctx);
         }
         if self.finished {
             // Only certificate-sign retries stay live after the result is
             // durable; everything else died with the round.
-            if self.cert.is_some() {
+            if self.signing() {
                 let _ = self.retrier.on_timer(ctx, key);
             }
             return;
         }
+        let round = self.tail.share_round;
         if key == SUBMIT_DEADLINE_KEY {
             // A coordinator never substitutes for a missing shard — it
             // keeps waiting (a crashed shard replays and retries), bounded
             // by the round's virtual-time budget.
-            if self.agg_shards <= 1 {
+            if self.roots.is_none() {
                 self.start_aggregate(ctx);
             }
-            return;
+        } else if key == PING_DEADLINE_KEY {
+            if round == 0 {
+                let selected = self.tail.select();
+                self.request_shares(ctx, selected);
+            }
+        } else if key == SHARE_DEADLINE_BASE + round as u64 && round > 0 {
+            // A chosen member crashed between pong and share: declare the
+            // non-responders dead and reselect (the core allows it once).
+            if !self.tail.stragglers().is_empty() {
+                let selected = self.tail.reselect();
+                self.request_shares(ctx, selected);
+            }
+        } else {
+            let _ = self.retrier.on_timer(ctx, key);
         }
-        if key == PING_DEADLINE_KEY {
-            if !self.share_phase {
-                self.select_participants(ctx);
-            }
-            return;
-        }
-        if key == SHARE_DEADLINE_BASE + self.round as u64 && self.round > 0 {
-            // A chosen member crashed between pong and share. Mark the
-            // non-responders dead and reselect once.
-            let missing: Vec<u64> = self
-                .participants
-                .iter()
-                .copied()
-                .filter(|&m| self.shares[m as usize].is_none())
-                .collect();
-            if missing.is_empty() {
-                return;
-            }
-            if self.reselected {
-                let alive = self.alive_members().len();
-                return self.fail(
-                    ctx,
-                    SimRoundError::CommitteeUnavailable {
-                        alive,
-                        need: self.threshold + 1,
-                    },
-                );
-            }
-            self.reselected = true;
-            for m in missing {
-                self.pongs[m as usize - 1] = None;
-            }
-            self.select_participants(ctx);
-            return;
-        }
-        let _ = self.retrier.on_timer(ctx, key);
     }
 }
 
-/// One aggregation shard of the sharded topology: plays the hub's intake
-/// role (verify proofs, forward to origins, collect submissions) for the
-/// origins it owns, then seals its partial summation-tree root and ships
-/// it to the coordinator.
+/// One aggregation shard of the sharded topology: per-origin intake for
+/// the origins it owns, then its sealed partial summation-tree root —
+/// with the frozen commitments and reject set — shipped to the
+/// coordinator.
 struct ShardActor {
     shard: u32,
     coord: ActorId,
-    plan: Rc<QueryPlan>,
-    keys: Rc<KeySet>,
-    /// `owned[v]`: whether this shard owns origin `v`.
-    owned: Vec<bool>,
-    owned_count: usize,
+    shared: Rc<AggShared>,
     deadline: Tick,
-    seen_contribs: BTreeSet<(VertexId, u32)>,
-    next_fwd_id: u64,
     retrier: Retrier<RoundMsg>,
-    submissions: Vec<Option<Ciphertext>>,
-    got_submissions: usize,
+    port: IntakePort,
     sealed: bool,
-    rejected: Vec<VertexId>,
-    /// `slot_map[o][s]`: the device expected to fill origin `o`'s slot
-    /// `s` — the shape of the certificate commitment leaves.
-    slot_map: Rc<Vec<Vec<VertexId>>>,
-    /// Per-slot intake outcomes, frozen into commitment leaves at seal.
-    statuses: BTreeMap<(VertexId, u32), SlotStatus>,
     outcome: Rc<RefCell<AggOutcome>>,
 }
 
@@ -1119,152 +920,49 @@ impl ShardActor {
             return;
         }
         self.sealed = true;
-        // Owned origins that never submitted contribute the
-        // additive-neutral Enc(0), exactly like the hub; a shard that
-        // owns no origins at all seals a single Enc(0) so the
-        // coordinator's tree stays total over shards.
-        let (n_ring, t_pt) = (self.plan.n_ring, self.plan.t_pt);
-        let mut cts: Result<Vec<Ciphertext>, ExecError> = self
-            .submissions
-            .iter()
-            .zip(&self.owned)
-            .filter(|(_, &o)| o)
-            .map(|(s, _)| match s {
-                Some(ct) => Ok(ct.clone()),
-                None => Ok(Ciphertext::encrypt(
-                    &self.keys.public,
-                    &Plaintext::zero(n_ring, t_pt),
-                    ctx.rng(),
-                )?),
-            })
-            .collect();
-        if let Ok(v) = &cts {
-            if v.is_empty() {
-                cts = Ciphertext::encrypt(&self.keys.public, &Plaintext::zero(n_ring, t_pt), {
-                    ctx.rng()
-                })
-                .map(|ct| vec![ct])
-                .map_err(Into::into);
-            }
-        }
-        let part = match cts.and_then(seal_shard_root) {
-            Ok(p) => p,
+        let intake = &mut self.port.intake;
+        let part = match intake.seal(&self.shared.ctx(), ctx.rng()) {
+            Ok(part) => part,
             Err(e) => {
-                self.outcome.borrow_mut().error = Some(e.into());
-                ctx.halt();
-                return;
+                self.outcome.borrow_mut().error = sim_error(e);
+                return ctx.halt();
             }
         };
         ctx.phase_done("seal");
-        // Freeze the per-origin certificate commitments for the owned
-        // origins — before the root ships, mirroring the net shard's
-        // journal ordering.
-        let commits: Vec<OriginCommit> = self
-            .owned
-            .iter()
-            .enumerate()
-            .filter(|&(_, &o)| o)
-            .map(|(v, _)| {
-                let slots: Vec<(u32, SlotStatus)> = self.slot_map[v]
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &d)| {
-                        let status = self
-                            .statuses
-                            .get(&(v as VertexId, s as u32))
-                            .copied()
-                            .unwrap_or(SlotStatus::Missing);
-                        (d, status)
-                    })
-                    .collect();
-                commit_origin(v as u32, &slots)
-            })
-            .collect();
         let msg = RoundMsg::ShardRootMsg {
             msg_id: SUBMIT_MSG_ID,
             shard: self.shard,
-            rejected: std::mem::take(&mut self.rejected),
+            rejected: intake.plane.certified().to_vec(),
             commitment: part.commitment,
             leaves: part.leaf_count as u32,
-            commits,
+            commits: intake.plane.commits.iter().flatten().cloned().collect(),
             ct: part.sum,
         };
-        let coord = self.coord;
-        self.retrier.send(ctx, SUBMIT_MSG_ID, coord, msg);
+        self.retrier.send(ctx, SUBMIT_MSG_ID, self.coord, msg);
     }
 }
 
 impl Process<RoundMsg> for ShardActor {
     fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
         ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        if self.owned_count == 0 {
+        if self.port.intake.is_complete() {
             self.seal(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
         match msg {
-            RoundMsg::Contrib {
-                msg_id,
-                origin,
-                slot,
-                sc,
-            } => {
-                ctx.send(from, RoundMsg::ContribAck { msg_id });
-                if !self.seen_contribs.insert((origin, slot)) {
-                    return;
-                }
-                // §4.6–§4.7, per shard: verify the well-formedness proof;
-                // discard offenders, substituting the neutral Enc(x^0).
-                // Slot outcomes are recorded for the certificate
-                // commitment, with accepted digests taken pre-substitution.
-                let ct = if self.plan.verify_contribution(&sc) {
-                    self.statuses.insert(
-                        (origin, slot),
-                        SlotStatus::Accepted(ciphertext_digest(&sc.ct)),
-                    );
-                    sc.ct
-                } else {
-                    self.statuses.insert((origin, slot), SlotStatus::Rejected);
-                    if !self.rejected.contains(&sc.device) {
-                        self.rejected.push(sc.device);
-                    }
-                    self.plan
-                        .neutral_ct(&self.keys, ctx.rng())
-                        .expect("neutral encryption")
-                };
-                let fwd_id = self.next_fwd_id;
-                self.next_fwd_id += 1;
-                self.retrier.send(
-                    ctx,
-                    fwd_id,
-                    origin as ActorId,
-                    RoundMsg::OriginDeliver {
-                        msg_id: fwd_id,
-                        slot,
-                        ct,
-                    },
-                );
-            }
             RoundMsg::OriginAck { msg_id } | RoundMsg::ShardRootAck { msg_id } => {
                 self.retrier.ack(msg_id);
             }
-            RoundMsg::Submission { msg_id, origin, ct } => {
-                ctx.send(from, RoundMsg::SubmissionAck { msg_id });
-                let slot = origin as usize;
-                if !self.owned.get(slot).copied().unwrap_or(false) {
-                    return;
-                }
-                if self.submissions[slot].is_none() {
-                    self.submissions[slot] = Some(ct);
-                    self.got_submissions += 1;
-                    ctx.phase_done("submit");
-                    if self.got_submissions == self.owned_count {
-                        self.seal(ctx);
-                    }
+            msg => {
+                let landed = self
+                    .port
+                    .on_message(&self.shared, &mut self.retrier, ctx, from, msg);
+                if landed && self.port.intake.is_complete() {
+                    self.seal(ctx);
                 }
             }
-            _ => {}
         }
     }
 
@@ -1415,13 +1113,18 @@ pub fn run_query_simulated(
     }
     // The certificate commitment's leaf shape: which device fills each of
     // an origin's contribution slots.
-    let slot_map: Rc<Vec<Vec<VertexId>>> = Rc::new(
-        works
-            .iter()
-            .map(|w| w.requests.iter().map(|&(d, _)| d).collect())
-            .collect(),
-    );
-    let query_rc = Rc::new(query.clone());
+    let slot_map: Vec<Vec<VertexId>> = works
+        .iter()
+        .map(|w| w.requests.iter().map(|&(d, _)| d).collect())
+        .collect();
+    let shared = Rc::new(AggShared {
+        plan: Rc::clone(&plan),
+        keys: Rc::clone(&keys),
+        query: query.clone(),
+        seed: cfg.seed,
+        noise_scale: plan.analysis.sensitivity / params.epsilon,
+        charged_epsilon: params.epsilon,
+    });
 
     let outcome = Rc::new(RefCell::new(AggOutcome::default()));
     let mut sim: Simulation<RoundMsg> = Simulation::new(cfg.seed)
@@ -1476,41 +1179,20 @@ pub fn run_query_simulated(
             retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
         }));
     }
-    sim.add_actor(Box::new(AggregatorActor {
-        plan: Rc::clone(&plan),
-        keys: Rc::clone(&keys),
-        query: Rc::clone(&query_rc),
-        spec_seed: cfg.seed,
-        with_proofs,
-        n_devices: n,
-        committee_size: c,
-        threshold: t,
-        noise_scale: plan.analysis.sensitivity / params.epsilon,
-        charged_epsilon: params.epsilon,
-        deadline: cfg.deadline,
-        seen_contribs: BTreeSet::new(),
+    let port = |owns: &dyn Fn(VertexId) -> bool| IntakePort {
+        intake: Intake::new(slot_map.clone(), owns),
         next_fwd_id: 0,
+    };
+    sim.add_actor(Box::new(AggregatorActor {
+        shared: Rc::clone(&shared),
+        n_devices: n,
+        deadline: cfg.deadline,
         retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-        submissions: vec![None; if shards > 1 { 0 } else { n }],
-        got_submissions: 0,
-        agg_shards: shards,
-        shard_roots: vec![None; if shards > 1 { shards } else { 0 }],
-        got_roots: 0,
-        aggregated: false,
+        port: port(&|_| shards == 1),
+        roots: (shards > 1).then(|| vec![None; shards]),
         aggregate: None,
-        pongs: vec![None; c],
-        share_phase: false,
-        round: 0,
-        reselected: false,
-        participants: Vec::new(),
-        shares: vec![None; c + 1],
+        tail: CommitteeTail::new(c, t),
         finished: false,
-        slot_map: Rc::clone(&slot_map),
-        statuses: BTreeMap::new(),
-        commits: vec![None; n],
-        cert_rejected: Vec::new(),
-        cert: None,
-        cert_sigs: vec![None; c + 1],
         outcome: Rc::clone(&outcome),
     }));
     for m in 1..=c as u64 {
@@ -1524,27 +1206,14 @@ pub fn run_query_simulated(
     }
     if shards > 1 {
         for s in 0..shards {
-            let owned: Vec<bool> = (0..n)
-                .map(|v| shard_of(v as VertexId, shards) == s)
-                .collect();
-            let owned_count = owned.iter().filter(|&&o| o).count();
             sim.add_actor(Box::new(ShardActor {
                 shard: s as u32,
                 coord: n,
-                plan: Rc::clone(&plan),
-                keys: Rc::clone(&keys),
-                owned,
-                owned_count,
+                shared: Rc::clone(&shared),
                 deadline: cfg.deadline,
-                seen_contribs: BTreeSet::new(),
-                next_fwd_id: 0,
                 retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-                submissions: vec![None; n],
-                got_submissions: 0,
+                port: port(&|v| shard_of(v, shards) == s),
                 sealed: false,
-                rejected: Vec::new(),
-                slot_map: Rc::clone(&slot_map),
-                statuses: BTreeMap::new(),
                 outcome: Rc::clone(&outcome),
             }));
         }
@@ -1555,13 +1224,11 @@ pub fn run_query_simulated(
     if let Some(err) = agg_out.error.take() {
         return Err(err);
     }
-    let Some(plaintext) = agg_out.plaintext.take() else {
+    let Some((exact, released)) = agg_out.released.take() else {
         return Err(SimRoundError::NotConverged {
             elapsed: report.elapsed,
         });
     };
-    let exact = decode_aggregate(&plaintext, query, &plan.analysis);
-    let released = release_noisy(&exact, &agg_out.noise, plan.released_len);
     let mut rejected_devices = agg_out.rejected.clone();
     rejected_devices.sort_unstable();
     Ok(SimRoundOutcome {

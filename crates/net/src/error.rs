@@ -138,6 +138,14 @@ impl From<AeadError> for NetError {
     }
 }
 
+/// A protocol-core rejection of a request is a typed decode failure
+/// carrying the core's canonical message.
+impl From<mycelium::aggcore::CoreError> for NetError {
+    fn from(e: mycelium::aggcore::CoreError) -> Self {
+        NetError::Decode(e.to_string())
+    }
+}
+
 impl From<JournalError> for NetError {
     fn from(e: JournalError) -> Self {
         NetError::Journal(e)

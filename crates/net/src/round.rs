@@ -53,26 +53,22 @@
 //! the client layer's at-least-once retry is safe — including across
 //! aggregator respawns.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mycelium::decode::decode_aggregate;
-use mycelium::exec::{release_noisy, ExecStats, NoisyGroup};
+use mycelium::aggcore::{CommitteeTail, CoreError, Intake, RoundCtx, Slot};
+use mycelium::exec::{ExecStats, NoisyGroup};
 use mycelium::params::SystemParams;
 use mycelium::plan::{
     aggregate_and_audit, ciphertext_digest, combine_origin, origin_work, OriginWork, QueryPlan,
 };
-use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
+use mycelium_bgv::{Ciphertext, KeySet};
 use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
-use mycelium_cert::{
-    build_segments, commit_origin, noise_commitment, render_json, sign_transcript,
-    verify_transcript_sig, CertSpec, CommitteeSig, OriginCommit, ReleasedGroup, RoundCertificate,
-    SlotStatus,
-};
+use mycelium_cert::{render_json, sign_transcript, RoundCertificate, SlotStatus};
 use mycelium_crypto::sha256::{sha256, Digest};
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
@@ -83,9 +79,7 @@ use mycelium_query::analyze::cost_report;
 use mycelium_query::ast::Query;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::PlainResult;
-use mycelium_sharing::threshold::{
-    combine, decryption_share, derive_joint_noise, DecryptionShare, KeyShareSet,
-};
+use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
 
 use crate::channel::Identity;
 use crate::chaos::Supervised;
@@ -426,6 +420,13 @@ impl RoundSetup {
         r
     }
 
+    /// `slot_map[o][s]`: the device expected to fill origin `o`'s
+    /// contribution slot `s` (the certificate commitment's leaf shape).
+    pub fn slot_map(&self) -> Vec<Vec<VertexId>> {
+        let devices = |w: &OriginWork| w.requests.iter().map(|&(d, _)| d).collect();
+        self.works.iter().map(devices).collect()
+    }
+
     /// Aggregation shard `s`'s transport identity.
     pub fn shard_identity(&self, shard: usize) -> Identity {
         Identity::derive(self.spec.seed, role::SHARD_BASE + shard as u32)
@@ -625,73 +626,36 @@ pub struct AggFaults {
     pub die_mid_journal: Option<u32>,
 }
 
-/// Which role in the aggregation plane an [`AggState`] is playing.
+/// One aggregation-plane process's entire state. The protocol state and
+/// every transition live in [`mycelium::aggcore`]; the three layouts are
+/// compositions of its parts:
 ///
-/// The refactor's pivot: the old single-hub aggregator state is the
-/// *union* of per-origin intake state and committee protocol state, so
-/// instead of two divergent copies, one state machine runs in three
-/// modes that each enable a subset of the message set. `Hub` (the
-/// one-shard layout) enables everything and is bit-identical — digest,
-/// journal, and stderr included — to the pre-refactor aggregator.
-pub enum AggMode {
-    /// Classic single hub: intake + committee protocol in one process.
-    Hub,
-    /// One of `agg_shards` intake shards: verifies ZKPs and builds a
-    /// partial summation tree over the origins it owns
-    /// (`shard_of(v) == shard`); no committee state.
-    Shard {
-        /// This shard's index.
-        shard: u32,
-        /// `owned[v]`: whether origin `v` hashes to this shard.
-        owned: Vec<bool>,
-        /// Number of owned origins (the intake-complete target).
-        owned_count: usize,
-    },
-    /// The thin coordinator: collects sealed shard roots (its
-    /// "submissions" are per-shard partial aggregates, not per-origin
-    /// rows), homomorphically combines them, and drives committee
-    /// selection / threshold decryption exactly like the hub.
-    Coordinator {
-        /// Total shard count (the intake-complete target).
-        shards: u32,
-    },
-}
-
-/// The aggregator's entire protocol state. Crash-durable: every
-/// mutation is journaled before the reply, and [`AggState::recover`]
-/// rebuilds an identical state from the journal.
+/// * hub — intake over every origin, committee tail;
+/// * intake shard — intake over its own origins; its tail is a committee
+///   of zero, so every member index is out of range;
+/// * coordinator — shard roots, committee tail; its intake owns no origin
+///   but holds the commitment plane the roots fill.
+///
+/// This type adds what the real-process driver needs on top: `NetMsg` ⇄
+/// transition mapping, wall-clock deadlines, the budget ledger, and
+/// durability — every mutation is journaled before the reply, and
+/// [`AggState::recover`] rebuilds an identical state from the journal.
 pub struct AggState {
     setup: Arc<RoundSetup>,
-    mode: AggMode,
+    intake: Intake,
+    roots: Option<Vec<Option<Ciphertext>>>,
+    tail: CommitteeTail,
+    shard: Option<u32>,
     who: String,
     started: Instant,
-    // Contribution phase: verified per-(origin, slot) ciphertexts.
+    // Verified per-(origin, slot) ciphertexts, parked until the origin
+    // pulls them (empty on the coordinator).
     contribs: Vec<Vec<Option<Ciphertext>>>,
-    seen: BTreeSet<(u32, u32)>,
-    rejected: Vec<VertexId>,
-    // Submission phase.
-    submissions: Vec<Option<Ciphertext>>,
-    got_submissions: usize,
     aggregate: Option<Ciphertext>,
-    // Committee phase.
-    pongs: Vec<Option<[u8; 32]>>,
-    share_round: u32,
-    participants: Vec<u64>,
-    reselected: bool,
-    shares: Vec<Option<DecryptionShare>>,
     share_deadline: Option<Instant>,
-    // Certificate plane: per-slot intake outcomes, frozen per-origin
-    // commitments, and the signed round certificate.
-    statuses: BTreeMap<(u32, u32), SlotStatus>,
-    commits: Vec<Option<OriginCommit>>,
-    commits_frozen: bool,
-    cert: Option<RoundCertificate>,
-    cert_sigs: Vec<Option<[u8; 64]>>,
-    cert_sealed: bool,
-    cert_bytes: Option<Vec<u8>>,
     cert_since: Option<Instant>,
-    // Privacy budget (None when the round runs unmetered or in a
-    // Shard-mode process, which never meters).
+    // Privacy budget (None when the round runs unmetered or on a shard,
+    // which never meters).
     ledger: Option<Ledger>,
     budget_wal: Option<Journal>,
     session_ops: BTreeSet<Vec<u8>>,
@@ -718,92 +682,72 @@ pub struct AggState {
     die_mid_journal: Option<u32>,
 }
 
+/// The core's view of the round: immutable inputs derived from the setup.
+fn round_ctx(setup: &RoundSetup, charged_epsilon: f64) -> RoundCtx<'_> {
+    RoundCtx {
+        plan: &setup.plan,
+        keys: &setup.keys,
+        query: &setup.query,
+        seed: setup.spec.seed,
+        noise_scale: setup.plan.analysis.sensitivity / setup.params.epsilon,
+        charged_epsilon,
+    }
+}
+
 impl AggState {
     /// Fresh (empty) state for this round's aggregation-plane hub
     /// process: the classic single hub at one shard, the coordinator
     /// above that.
     pub fn new(setup: Arc<RoundSetup>) -> Self {
-        let mode = if setup.spec.agg_shards > 1 {
-            AggMode::Coordinator {
-                shards: setup.spec.agg_shards as u32,
-            }
-        } else {
-            AggMode::Hub
-        };
-        Self::with_mode(setup, mode)
+        let shards = setup.spec.agg_shards;
+        let roots = (shards > 1).then(|| vec![None; shards]);
+        Self::compose(setup, |_| shards <= 1, roots, None)
     }
 
     /// Fresh (empty) state for aggregation shard `shard`.
     pub fn new_shard(setup: Arc<RoundSetup>, shard: u32) -> Self {
-        let n = setup.pop.graph.len();
         let shards = setup.spec.agg_shards;
-        let owned: Vec<bool> = (0..n)
-            .map(|v| shard_of(v as VertexId, shards) == shard as usize)
-            .collect();
-        let owned_count = owned.iter().filter(|&&b| b).count();
-        Self::with_mode(
-            setup,
-            AggMode::Shard {
-                shard,
-                owned,
-                owned_count,
-            },
-        )
+        let owns = |v| shard_of(v, shards) == shard as usize;
+        Self::compose(setup, owns, None, Some(shard))
     }
 
-    fn with_mode(setup: Arc<RoundSetup>, mode: AggMode) -> Self {
-        let n = setup.pop.graph.len();
-        let c = setup.committee_size;
-        // The coordinator's "submissions" are one sealed root per
-        // shard; everyone else collects one row per origin.
-        let (contribs, submissions): (Vec<Vec<Option<Ciphertext>>>, Vec<Option<Ciphertext>>) =
-            match &mode {
-                AggMode::Coordinator { shards } => (Vec::new(), vec![None; *shards as usize]),
-                _ => (
-                    setup
-                        .works
-                        .iter()
-                        .map(|w| vec![None; w.requests.len()])
-                        .collect(),
-                    vec![None; n],
-                ),
-            };
-        let (who, rng_stream) = match &mode {
-            AggMode::Shard { shard, .. } => (
-                format!("agg-shard-{shard}"),
-                stream::AGGREGATOR + 1 + *shard as u64,
+    fn compose(
+        setup: Arc<RoundSetup>,
+        owns: impl Fn(VertexId) -> bool,
+        roots: Option<Vec<Option<Ciphertext>>>,
+        shard: Option<u32>,
+    ) -> Self {
+        // A shard draws from its own stream and seats a committee of zero.
+        let (who, rng_stream, c, t) = match shard {
+            Some(s) => (
+                format!("agg-shard-{s}"),
+                stream::AGGREGATOR + 1 + s as u64,
+                0,
+                0,
             ),
-            _ => ("aggregator".to_string(), stream::AGGREGATOR),
+            None => {
+                let (c, t) = (setup.committee_size, setup.threshold);
+                ("aggregator".to_string(), stream::AGGREGATOR, c, t)
+            }
         };
-        let ledger = match &mode {
-            AggMode::Shard { .. } => None,
-            _ => setup.spec.budget.as_ref().and_then(|cfg| cfg.ledger().ok()),
+        let budget = setup.spec.budget.as_ref().filter(|_| shard.is_none());
+        let slot_map = setup.slot_map();
+        let contribs = match roots {
+            None => slot_map.iter().map(|d| vec![None; d.len()]).collect(),
+            Some(_) => Vec::new(),
         };
         AggState {
-            mode,
+            intake: Intake::new(slot_map, owns),
+            roots,
+            tail: CommitteeTail::new(c, t),
+            shard,
             who,
             started: Instant::now(),
             contribs,
-            seen: BTreeSet::new(),
-            rejected: Vec::new(),
-            submissions,
-            got_submissions: 0,
             aggregate: None,
-            pongs: vec![None; c],
-            share_round: 0,
-            participants: Vec::new(),
-            reselected: false,
-            shares: vec![None; c + 1],
             share_deadline: None,
-            statuses: BTreeMap::new(),
-            commits: vec![None; n],
-            commits_frozen: false,
-            cert: None,
-            cert_sigs: vec![None; c + 1],
-            cert_sealed: false,
-            cert_bytes: None,
             cert_since: None,
-            ledger,
+            ledger: budget.and_then(|cfg| cfg.ledger().ok()),
             budget_wal: None,
             session_ops: BTreeSet::new(),
             round_budget_ops: Vec::new(),
@@ -858,7 +802,7 @@ impl AggState {
         // Wall-clock deadlines do not survive a crash: restart them so
         // straggler detection (and the one reselect) still fires.
         st.started = Instant::now();
-        if !st.participants.is_empty() && st.outcome.is_none() {
+        if !st.tail.participants.is_empty() && st.outcome.is_none() {
             st.share_deadline = Some(Instant::now() + st.share_wait());
         }
         if !records.is_empty() {
@@ -881,69 +825,63 @@ impl AggState {
     ///
     /// Wall-clock fields (`started`, `share_deadline`) and liveness
     /// bookkeeping (`finished_seen`, `driver_seen`) are excluded — they
-    /// are legitimately different after a restart.
+    /// are legitimately different after a restart. The field order is the
+    /// journal's checkpoint format and must not change.
     pub fn digest(&self) -> Digest {
         let mut w = Writer::new();
-        let put_opt_ct = |w: &mut Writer, ct: &Option<Ciphertext>| match ct {
-            None => w.put_u8(0),
-            Some(ct) => {
-                w.put_u8(1);
-                w.put_bytes(&ciphertext_digest(ct));
-            }
-        };
-        for slots in &self.contribs {
-            for s in slots {
-                put_opt_ct(&mut w, s);
+        fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
+            w.put_u8(v.is_some() as u8);
+            if let Some(v) = v {
+                put(w, v);
             }
         }
-        w.put_u32(self.seen.len() as u32);
-        for &(o, s) in &self.seen {
+        let put_ct = |w: &mut Writer, ct: &Ciphertext| w.put_bytes(&ciphertext_digest(ct));
+        // A shard (a committee of zero) digests as the round's idle committee:
+        // that is what its checkpoints have always recorded.
+        let idle = CommitteeTail::new(self.setup.committee_size, self.setup.threshold);
+        let tail = if self.shard.is_some() {
+            &idle
+        } else {
+            &self.tail
+        };
+        let plane = &self.intake.plane;
+        let (statuses, rejected) = (&self.intake.statuses, &plane.rejected);
+        let rows = self.roots.as_ref().unwrap_or(&self.intake.submissions);
+        for s in self.contribs.iter().flatten() {
+            put_opt(&mut w, s, put_ct);
+        }
+        // The set of written slots (once kept as a separate `seen` set).
+        w.put_u32(statuses.len() as u32);
+        for &(o, s) in statuses.keys() {
             w.put_u32(o);
             w.put_u32(s);
         }
-        w.put_u32(self.rejected.len() as u32);
-        for &v in &self.rejected {
+        w.put_u32(rejected.len() as u32);
+        for &v in rejected {
             w.put_u32(v);
         }
-        for s in &self.submissions {
-            put_opt_ct(&mut w, s);
+        for s in rows {
+            put_opt(&mut w, s, put_ct);
         }
-        w.put_u64(self.got_submissions as u64);
-        put_opt_ct(&mut w, &self.aggregate);
-        for p in &self.pongs {
-            match p {
-                None => w.put_u8(0),
-                Some(seed) => {
-                    w.put_u8(1);
-                    w.put_bytes(seed);
-                }
-            }
+        w.put_u64(rows.iter().flatten().count() as u64);
+        put_opt(&mut w, &self.aggregate, put_ct);
+        for p in &tail.pongs {
+            put_opt(&mut w, p, |w, seed| w.put_bytes(seed));
         }
-        w.put_u32(self.share_round);
-        w.put_u32(self.participants.len() as u32);
-        for &m in &self.participants {
+        w.put_u32(tail.share_round);
+        w.put_u32(tail.participants.len() as u32);
+        for &m in &tail.participants {
             w.put_u64(m);
         }
-        w.put_u8(self.reselected as u8);
-        for s in &self.shares {
-            match s {
-                None => w.put_u8(0),
-                Some(share) => {
-                    w.put_u8(1);
-                    encode_share(&mut w, share);
-                }
-            }
+        w.put_u8(tail.reselected as u8);
+        for s in &tail.shares {
+            put_opt(&mut w, s, encode_share);
         }
-        match &self.outcome {
-            None => w.put_u8(0),
-            Some(out) => {
-                w.put_u8(1);
-                let bytes = encode_outcome(out);
-                w.put_bytes(&bytes);
-            }
-        }
-        w.put_u32(self.statuses.len() as u32);
-        for (&(o, s), status) in &self.statuses {
+        put_opt(&mut w, &self.outcome, |w, out| {
+            w.put_bytes(&encode_outcome(out))
+        });
+        w.put_u32(statuses.len() as u32);
+        for (&(o, s), status) in statuses {
             w.put_u32(o);
             w.put_u32(s);
             match status {
@@ -955,32 +893,16 @@ impl AggState {
                 }
             }
         }
-        w.put_u8(self.commits_frozen as u8);
+        w.put_u8(plane.frozen.is_some() as u8);
         w.put_bytes(&self.commit_digest());
-        match &self.cert {
-            None => w.put_u8(0),
-            Some(cert) => {
-                w.put_u8(1);
-                w.put_bytes(&cert.transcript);
-            }
+        put_opt(&mut w, &tail.cert, |w, cert| w.put_bytes(&cert.transcript));
+        for s in &tail.cert_sigs {
+            put_opt(&mut w, s, |w, sig| w.put_bytes(sig));
         }
-        for s in &self.cert_sigs {
-            match s {
-                None => w.put_u8(0),
-                Some(sig) => {
-                    w.put_u8(1);
-                    w.put_bytes(sig);
-                }
-            }
-        }
-        w.put_u8(self.cert_sealed as u8);
-        match &self.cert_bytes {
-            None => w.put_u8(0),
-            Some(bytes) => {
-                w.put_u8(1);
-                w.put_bytes(&sha256(bytes));
-            }
-        }
+        w.put_u8(tail.sealed as u8);
+        put_opt(&mut w, &tail.cert_bytes, |w, bytes| {
+            w.put_bytes(&sha256(bytes))
+        });
         // Ledger state rides the same digest chain: a replay that
         // re-derives a different budget decision is a typed divergence,
         // exactly like any other protocol-state mismatch. Absent ledger
@@ -997,9 +919,10 @@ impl AggState {
     /// body): replay re-derives the commitments from the journaled
     /// intake and must land on the same tree.
     fn commit_digest(&self) -> Digest {
+        let commits = &self.intake.plane.commits;
         let mut w = Writer::new();
-        w.put_u32(self.commits.len() as u32);
-        for cmt in &self.commits {
+        w.put_u32(commits.len() as u32);
+        for cmt in commits {
             match cmt {
                 None => w.put_u8(0),
                 Some(cm) => {
@@ -1019,10 +942,6 @@ impl AggState {
             .spec
             .contrib_deadline
             .max(Duration::from_secs(10))
-    }
-
-    fn contrib_deadline_passed(&self) -> bool {
-        self.started.elapsed() >= self.setup.spec.contrib_deadline
     }
 
     fn fail(&mut self, msg: String) {
@@ -1121,14 +1040,14 @@ impl AggState {
                 })?;
             }
             rec::AGGREGATE => self.do_aggregate(),
-            rec::SELECT => self.do_select(),
-            rec::RESELECT => self.do_reselect(),
+            rec::SELECT => self.do_select(false),
+            rec::RESELECT => self.do_select(true),
             rec::COMMIT => {
                 let want: Digest = body.try_into().map_err(|_| JournalError::Replay {
                     seq,
                     why: format!("commitment freeze of {} bytes", body.len()),
                 })?;
-                self.do_commit();
+                self.intake.freeze_commits();
                 let got = self.commit_digest();
                 if got != want {
                     return Err(JournalError::StateDiverged {
@@ -1237,7 +1156,7 @@ impl AggState {
         let Some(cfg) = self.setup.spec.budget.clone() else {
             return Ok(());
         };
-        if matches!(self.mode, AggMode::Shard { .. }) {
+        if self.shard.is_some() {
             return Ok(());
         }
         let budget_err = |e: BudgetError| NetError::Decode(format!("budget: {e}"));
@@ -1347,265 +1266,91 @@ impl AggState {
 
     // --- phase transitions ----------------------------------------------
 
-    /// Freezes the per-origin certificate commitments from the slot
-    /// statuses recorded at intake. Runs right before the aggregate is
-    /// sealed (and is journaled before it), so late contributions can no
-    /// longer move the tree. The coordinator's commitments arrive inside
-    /// `ShardRoot` requests instead; its freeze just pins whatever the
-    /// shards delivered by intake-done.
-    fn do_commit(&mut self) {
-        if self.commits_frozen {
-            return;
-        }
-        self.commits_frozen = true;
-        let setup = Arc::clone(&self.setup);
-        let mine: Vec<usize> = match &self.mode {
-            AggMode::Hub => (0..setup.pop.graph.len()).collect(),
-            AggMode::Shard { owned, .. } => owned
-                .iter()
-                .enumerate()
-                .filter(|&(_, &own)| own)
-                .map(|(v, _)| v)
-                .collect(),
-            AggMode::Coordinator { .. } => Vec::new(),
-        };
-        for v in mine {
-            let slots: Vec<(u32, SlotStatus)> = setup.works[v]
-                .requests
-                .iter()
-                .enumerate()
-                .map(|(s, &(d, _))| {
-                    let status = self
-                        .statuses
-                        .get(&(v as u32, s as u32))
-                        .copied()
-                        .unwrap_or(SlotStatus::Missing);
-                    (d, status)
-                })
-                .collect();
-            self.commits[v] = Some(commit_origin(v as u32, &slots));
-        }
-    }
-
-    /// Assembles the round certificate once the outcome is decided.
-    /// Mirrors the simulated executor's construction field for field —
-    /// the two executors must emit byte-identical certificates for the
-    /// same round spec.
-    fn build_certificate(&mut self) {
-        let Some(Ok(out)) = &self.outcome else { return };
-        if !self.commits_frozen || self.commits.iter().any(|c| c.is_none()) {
-            if !self.replaying {
-                eprintln!(
-                    "{}: certificate skipped: incomplete commitment plane",
-                    self.who
-                );
-            }
-            return;
-        }
-        let leaves: Vec<Digest> = self
-            .commits
-            .iter()
-            .map(|c| c.as_ref().expect("checked").leaf)
-            .collect();
-        let counts: Vec<(u32, u32)> = self
-            .commits
-            .iter()
-            .map(|c| {
-                let c = c.as_ref().expect("checked");
-                (c.accepted, c.rejected)
-            })
-            .collect();
-        let (segments, contrib_root) = build_segments(&leaves, &counts);
-        let mut rejected: Vec<u32> = out.rejected.clone();
-        rejected.sort_unstable();
-        rejected.dedup();
-        let spec = CertSpec {
-            seed: self.setup.spec.seed,
-            devices: self.setup.pop.graph.len() as u32,
-            query: self.setup.spec.query.clone(),
-            with_proofs: self.setup.spec.with_proofs,
-        };
-        let seeds: Vec<[u8; 32]> = self.pongs.iter().filter_map(|p| *p).collect();
-        let mut cert = RoundCertificate {
-            spec_digest: spec.digest(),
-            spec,
-            committee: self.setup.committee_size as u32,
-            threshold: self.setup.threshold as u32,
-            share_round: self.share_round,
-            participants: self.participants.iter().map(|&m| m as u32).collect(),
-            leaves,
-            segments,
-            contrib_root,
-            rejected,
-            aggregate_digest: ciphertext_digest(self.aggregate.as_ref().expect("aggregated")),
-            noise_commitment: noise_commitment(&seeds),
-            charged_epsilon_bits: self.charged_epsilon.to_bits(),
-            released: out
-                .released
-                .iter()
-                .map(|g| ReleasedGroup {
-                    label: g.label.clone(),
-                    histogram: g.histogram.clone(),
-                })
-                .collect(),
-            transcript: [0u8; 32],
-            signatures: Vec::new(),
-        };
-        cert.transcript = cert.compute_transcript();
-        self.cert = Some(cert);
-    }
-
-    /// Attaches whatever valid committee signatures arrived and seals
-    /// the certificate. Fewer than `t + 1` signatures means no
-    /// certificate bytes — the round result stands, but it is not
-    /// independently checkable.
+    /// Closes certificate-signature collection (see
+    /// [`CommitteeTail::seal`]).
     fn do_seal(&mut self) {
-        if self.cert_sealed {
+        let tail = &mut self.tail;
+        if tail.sealed {
             return;
         }
-        self.cert_sealed = true;
-        let threshold = self.setup.threshold;
-        let Some(cert) = self.cert.as_mut() else {
-            return;
-        };
-        cert.signatures = (1..=self.setup.committee_size as u64)
-            .filter_map(|m| self.cert_sigs[m as usize].map(|sig| CommitteeSig { member: m, sig }))
-            .collect();
-        if cert.signatures.len() > threshold {
-            self.cert_bytes = Some(cert.encode());
-        } else if !self.replaying {
+        if tail.seal().is_none() && tail.cert.is_some() && !self.replaying {
             eprintln!(
                 "{}: certificate unsigned: {} of {} needed signatures",
                 self.who,
-                cert.signatures.len(),
-                threshold + 1
+                tail.cert_sigs.iter().flatten().count(),
+                self.setup.threshold + 1
             );
         }
     }
 
-    /// Forms this process's aggregate.
-    ///
-    /// * Hub: sum over every origin row, missing origins contribute
-    ///   `Enc(0)`.
-    /// * Shard: partial summation tree over the *owned* origins only
-    ///   (same `Enc(0)` substitution — homomorphic addition is
-    ///   associative, so the per-shard grouping cannot change the sum).
-    /// * Coordinator: sum of the sealed shard roots; `tick` only fires
-    ///   this once every root arrived, so a missing shard delays the
-    ///   combine rather than silently contributing zero.
+    /// Forms this process's aggregate: the sealed summation tree over the
+    /// owned origins (hub, shard), or the sum of the sealed shard roots
+    /// (coordinator — `tick` only fires this once every root arrived, so a
+    /// missing shard delays the combine rather than contributing zero).
+    /// The coordinator sums bare roots because `ShardRoot` carries no tree
+    /// commitment on the wire; see DESIGN.md "Aggregation core".
     fn do_aggregate(&mut self) {
         if self.aggregate.is_some() {
             return;
         }
-        let (n_ring, t_pt) = (self.setup.plan.n_ring, self.setup.plan.t_pt);
-        let keys = &self.setup.keys;
-        let rng = &mut self.rng;
-        let mut enc_zero = |s: &Option<Ciphertext>| match s {
-            Some(ct) => Ok(ct.clone()),
-            None => Ciphertext::encrypt(&keys.public, &Plaintext::zero(n_ring, t_pt), rng),
-        };
-        let cts: Result<Vec<Ciphertext>, String> = match &self.mode {
-            AggMode::Hub => self
-                .submissions
-                .iter()
-                .map(&mut enc_zero)
-                .collect::<Result<_, _>>()
-                .map_err(|e| format!("substitute encryption failed: {e}")),
-            AggMode::Shard { owned, .. } => {
-                let mut cts = self
-                    .submissions
-                    .iter()
-                    .zip(owned.iter())
-                    .filter(|(_, &own)| own)
-                    .map(|(s, _)| enc_zero(s))
-                    .collect::<Result<Vec<_>, _>>();
-                // A shard that owns no origins still seals one neutral
-                // Enc(0) so the coordinator's tree stays total over shards.
-                if matches!(&cts, Ok(v) if v.is_empty()) {
-                    cts = enc_zero(&None).map(|ct| vec![ct]);
-                }
-                cts.map_err(|e| format!("substitute encryption failed: {e}"))
+        let sealed = match &self.roots {
+            None => {
+                let ctx = round_ctx(&self.setup, self.charged_epsilon);
+                let root = self.intake.seal(&ctx, &mut self.rng);
+                root.map(|root| root.sum)
             }
-            AggMode::Coordinator { .. } => self
-                .submissions
-                .iter()
-                .enumerate()
-                .map(|(s, ct)| ct.clone().ok_or(format!("shard {s} root missing")))
-                .collect(),
+            Some(roots) => {
+                let root = |(s, ct): (usize, &Option<Ciphertext>)| {
+                    ct.clone()
+                        .ok_or_else(|| CoreError::Invalid(format!("shard {s} root missing")))
+                };
+                let roots: Result<Vec<_>, _> = roots.iter().enumerate().map(root).collect();
+                roots.and_then(|cts| {
+                    aggregate_and_audit(cts).map_err(|e| CoreError::Exec("aggregation", e))
+                })
+            }
         };
-        match cts.and_then(|cts| {
-            aggregate_and_audit(cts).map_err(|e| format!("aggregation failed: {e}"))
-        }) {
+        match sealed {
             Ok(agg) => self.aggregate = Some(agg),
-            Err(e) => self.fail(e),
+            Err(e) => self.fail(e.to_string()),
         }
     }
 
-    /// Picks the first `t + 1` alive members as decryption participants.
-    fn do_select(&mut self) {
-        let alive = self.alive_members();
-        let need = self.setup.threshold + 1;
-        if alive.len() < need {
-            return self.fail(format!(
-                "committee unavailable: {} alive, {need} needed",
-                alive.len()
-            ));
+    /// Selects the decryption participants (`again`: after declaring the
+    /// stragglers dead) and arms the share deadline, or fails the round
+    /// with the core's typed error.
+    fn do_select(&mut self, again: bool) {
+        let tail = &mut self.tail;
+        match if again {
+            tail.reselect()
+        } else {
+            tail.select()
+        } {
+            Ok(()) => self.share_deadline = Some(Instant::now() + self.share_wait()),
+            Err(e) => self.fail(e.to_string()),
         }
-        self.share_round += 1;
-        self.participants = alive[..need].to_vec();
-        self.shares = vec![None; self.setup.committee_size + 1];
-        self.share_deadline = Some(Instant::now() + self.share_wait());
     }
 
-    /// Drops the straggling participants' pongs and selects again.
-    fn do_reselect(&mut self) {
-        self.reselected = true;
-        let missing: Vec<u64> = self
-            .participants
-            .iter()
-            .copied()
-            .filter(|&m| self.shares[m as usize].is_none())
-            .collect();
-        for m in missing {
-            self.pongs[m as usize - 1] = None;
-        }
-        self.do_select();
-    }
-
-    fn alive_members(&self) -> Vec<u64> {
-        (1..=self.setup.committee_size as u64)
-            .filter(|&m| self.pongs[m as usize - 1].is_some())
-            .collect()
-    }
-
+    /// The last share arrived and the core decided the round: record the
+    /// outcome. Runs inside the journaled request that delivered the
+    /// share, so replay re-derives it (and the certificate) identically.
     fn finish_committee(&mut self) {
-        let aggregate = self.aggregate.as_ref().expect("aggregated");
-        let shares: Vec<DecryptionShare> = self
-            .participants
-            .iter()
-            .map(|&m| self.shares[m as usize].clone().expect("share collected"))
-            .collect();
-        let plaintext = match combine(aggregate, &shares, self.setup.threshold) {
-            Ok(pt) => pt,
-            Err(e) => return self.fail(format!("threshold combine failed: {e}")),
+        let Some((exact, released)) = self.tail.released.clone() else {
+            return;
         };
-        let exact = decode_aggregate(&plaintext, &self.setup.query, &self.setup.plan.analysis);
-        let seeds: Vec<[u8; 32]> = self.pongs.iter().filter_map(|p| *p).collect();
-        let noise_scale = self.setup.plan.analysis.sensitivity / self.setup.params.epsilon;
-        let noise = derive_joint_noise(&seeds, noise_scale, self.setup.plan.released_values());
-        let released = release_noisy(&exact, &noise, self.setup.plan.released_len);
-        let mut rejected = self.rejected.clone();
+        let mut rejected = self.intake.plane.rejected.clone();
         rejected.sort_unstable();
         self.outcome = Some(Ok(RoundOutcome {
             exact,
             released,
             rejected,
         }));
-        // The result is decided; what remains is collecting committee
-        // signatures over the certificate transcript. Building the
-        // certificate here — inside the journaled request that delivered
-        // the last share — makes replay re-derive it bit-identically.
-        self.build_certificate();
+        if self.tail.cert.is_none() && !self.replaying {
+            eprintln!(
+                "{}: certificate skipped: incomplete commitment plane",
+                self.who
+            );
+        }
     }
 
     /// Lazy wall-clock phase transitions, run around every request and
@@ -1628,28 +1373,24 @@ impl AggState {
     /// participant selection, reselect-or-fail.
     fn tick_round(&mut self) -> Result<(), NetError> {
         // Aggregate once every expected input arrived — origin rows for
-        // the hub / a shard, sealed roots for the coordinator. Hub and
-        // shard also fire on the extended deadline (missing origins
+        // the hub / a shard, sealed roots for the coordinator. Per-origin
+        // intake also fires on the extended deadline (missing origins
         // contribute Enc(0)); the coordinator never does: a shard root
         // is a whole subpopulation, so it waits (bounded by the round
         // timeout) for the chaos supervisor to respawn the shard.
         let submit_deadline = self.setup.spec.contrib_deadline * 2;
-        let intake_done = match &self.mode {
-            AggMode::Hub => {
-                self.got_submissions == self.setup.pop.graph.len()
-                    || self.started.elapsed() >= submit_deadline
-            }
-            AggMode::Shard { owned_count, .. } => {
-                self.got_submissions == *owned_count || self.started.elapsed() >= submit_deadline
-            }
-            AggMode::Coordinator { shards } => self.got_submissions == *shards as usize,
+        let intake_done = match &self.roots {
+            None => self.intake.is_complete() || self.started.elapsed() >= submit_deadline,
+            Some(roots) => roots.iter().all(Option::is_some),
         };
         if self.aggregate.is_none() && intake_done {
             // Commitment-then-seal: freeze (and journal) the per-origin
             // certificate commitments before the aggregate exists, so
-            // nothing that arrives later can move the committed tree.
-            if !self.commits_frozen {
-                self.do_commit();
+            // nothing that arrives later can move the committed tree. (The
+            // coordinator's intake owns no origin: its freeze just pins
+            // what the shards delivered inside their `ShardRoot`s.)
+            if self.intake.plane.frozen.is_none() {
+                self.intake.freeze_commits();
                 let mut record = Vec::with_capacity(33);
                 record.push(rec::COMMIT);
                 record.extend_from_slice(&self.commit_digest());
@@ -1660,41 +1401,34 @@ impl AggState {
             self.do_aggregate();
         }
         // A shard's round ends at its sealed root: no committee phases.
-        if matches!(self.mode, AggMode::Shard { .. }) {
+        if self.shard.is_some() {
             return Ok(());
         }
+        let tail = &self.tail;
         // Select participants once the aggregate exists and the whole
         // committee checked in (or the grace period expires).
-        if self.outcome.is_none() && self.aggregate.is_some() && self.participants.is_empty() {
-            let alive = self.alive_members();
-            let all_in = alive.len() == self.setup.committee_size;
+        if self.outcome.is_none() && self.aggregate.is_some() && tail.participants.is_empty() {
+            let all_in = tail.alive().len() == self.setup.committee_size;
             let grace_over = self.started.elapsed() >= submit_deadline + Duration::from_secs(5);
             if all_in || grace_over {
                 self.append_mark(rec::SELECT)?;
-                self.do_select();
+                self.do_select(false);
             }
         }
-        // Reselect once if a chosen member never delivered its share.
-        if let Some(deadline) = self.share_deadline {
-            if self.outcome.is_none() && Instant::now() >= deadline {
-                let missing = self
-                    .participants
-                    .iter()
-                    .any(|&m| self.shares[m as usize].is_none());
-                if missing {
-                    if self.reselected {
-                        let msg = format!(
-                            "committee unavailable: {} alive, {} needed",
-                            self.alive_members().len(),
-                            self.setup.threshold + 1
-                        );
-                        self.append_fail(&msg)?;
-                        self.fail(msg);
-                    } else {
-                        self.append_mark(rec::RESELECT)?;
-                        self.do_reselect();
-                    }
-                }
+        // Reselect once if a chosen member never delivered its share; a
+        // second straggler round is the typed committee failure.
+        let Some(deadline) = self.share_deadline else {
+            return Ok(());
+        };
+        let tail = &self.tail;
+        if self.outcome.is_none() && Instant::now() >= deadline && !tail.stragglers().is_empty() {
+            if tail.reselected {
+                let msg = tail.unavailable().to_string();
+                self.append_fail(&msg)?;
+                self.fail(msg);
+            } else {
+                self.append_mark(rec::RESELECT)?;
+                self.do_select(true);
             }
         }
         Ok(())
@@ -1704,11 +1438,11 @@ impl AggState {
     /// committee member signed its transcript, or once the grace period
     /// expires (quorum then decides whether certificate bytes exist).
     fn tick_cert(&mut self) -> Result<(), NetError> {
-        if self.cert_sealed || self.cert.is_none() || !matches!(self.outcome, Some(Ok(_))) {
+        let tail = &self.tail;
+        if tail.sealed || tail.cert.is_none() || !matches!(self.outcome, Some(Ok(_))) {
             return Ok(());
         }
-        let c = self.setup.committee_size;
-        let all_signed = (1..=c).all(|m| self.cert_sigs[m].is_some());
+        let all_signed = tail.all_signed();
         let since = *self.cert_since.get_or_insert_with(Instant::now);
         if all_signed || since.elapsed() >= self.share_wait() {
             self.append_mark(rec::SEAL)?;
@@ -1725,22 +1459,32 @@ impl AggState {
         match &self.outcome {
             None => false,
             Some(Err(_)) => true,
-            Some(Ok(_)) => self.cert.is_none() || self.cert_sealed,
+            Some(Ok(_)) => self.tail.cert.is_none() || self.tail.sealed,
         }
     }
 
-    /// Whether this process accepts intake traffic for origin `v`.
-    fn owns_origin(&self, origin: u32) -> bool {
-        match &self.mode {
-            AggMode::Hub => true,
-            AggMode::Shard { owned, .. } => owned.get(origin as usize).copied().unwrap_or(false),
-            AggMode::Coordinator { .. } => false,
+    /// The first-write-wins slot `msg` targets, as the core sees it right
+    /// now; `None` for polls, for requests this process's composition
+    /// does not serve, and for out-of-range requests.
+    fn slot(&self, msg: &NetMsg) -> Option<Slot> {
+        let (intake, tail) = (&self.intake, &self.tail);
+        match msg {
+            NetMsg::PushContrib { origin, slot, .. } => intake.contribution_slot(*origin, *slot),
+            NetMsg::SubmitOrigin { origin, .. } => intake.submission_slot(*origin),
+            NetMsg::ShardRoot {
+                shard,
+                rejected,
+                commits,
+                ..
+            } => intake.root_slot(self.roots.as_ref()?, *shard, rejected, commits),
+            NetMsg::CommitteeCheckIn { member, .. } => tail.pong_slot(*member),
+            NetMsg::PushShare { member, round, .. } => tail.share_slot(*member, *round),
+            NetMsg::PushCertSig { member, sig } => {
+                tail.sig_slot(*member, sig, self.setup.spec.seed)
+            }
+            _ => return None,
         }
-    }
-
-    /// Whether this process runs the committee protocol (shards don't).
-    fn committee_enabled(&self) -> bool {
-        !matches!(self.mode, AggMode::Shard { .. })
+        .ok()
     }
 
     /// Whether `msg` would mutate protocol state right now — the
@@ -1748,93 +1492,22 @@ impl AggState {
     /// (`finished_seen`, `finished_shards`, `driver_seen`) does not
     /// count: it is not replayed state.
     fn mutates(&self, msg: &NetMsg) -> bool {
-        let n = self.setup.pop.graph.len() as u32;
-        let c = self.setup.committee_size as u64;
-        match msg {
-            NetMsg::PushContrib { origin, slot, .. } => {
+        let wanted = match msg {
+            NetMsg::PushContrib { .. } | NetMsg::SubmitOrigin { .. } | NetMsg::ShardRoot { .. } => {
                 !self.round_done()
-                    && *origin < n
-                    && self.owns_origin(*origin)
-                    && (*slot as usize) < self.contribs[*origin as usize].len()
-                    && !self.seen.contains(&(*origin, *slot))
             }
-            NetMsg::SubmitOrigin { origin, .. } => {
-                !self.round_done()
-                    && *origin < n
-                    && self.owns_origin(*origin)
-                    && self.submissions[*origin as usize].is_none()
-            }
-            NetMsg::ShardRoot { shard, .. } => {
-                !self.round_done()
-                    && matches!(&self.mode, AggMode::Coordinator { shards } if *shard < *shards)
-                    && self.submissions[*shard as usize].is_none()
-            }
-            NetMsg::CommitteeCheckIn { member, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && self.pongs[*member as usize - 1].is_none()
-            }
-            NetMsg::PushShare { member, round, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && self.outcome.is_none()
-                    && *round == self.share_round
-                    && self.participants.contains(member)
-                    && self.shares[*member as usize].is_none()
-            }
-            NetMsg::PushCertSig { member, sig } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && !self.cert_sealed
-                    && self.cert_sigs[*member as usize].is_none()
-                    && self.cert.as_ref().is_some_and(|cert| {
-                        verify_transcript_sig(self.setup.spec.seed, *member, &cert.transcript, sig)
-                    })
-            }
-            _ => false,
-        }
+            NetMsg::PushShare { .. } => self.outcome.is_none(),
+            _ => true,
+        };
+        wanted && self.slot(msg) == Some(Slot::Open)
     }
 
     /// Whether `msg` is a *redelivery* of a write this state already
-    /// holds — the complement of [`AggState::mutates`] restricted to
-    /// "the first copy landed". Out-of-range or invalid requests are
-    /// not duplicates; neither are the always-idempotent polls.
+    /// holds. Out-of-range or invalid requests are not duplicates;
+    /// neither are the always-idempotent polls — `CommitteeCheckIn`
+    /// included: members re-poll it by design.
     fn is_duplicate(&self, msg: &NetMsg) -> bool {
-        let n = self.setup.pop.graph.len() as u32;
-        let c = self.setup.committee_size as u64;
-        match msg {
-            NetMsg::PushContrib { origin, slot, .. } => {
-                *origin < n && self.owns_origin(*origin) && self.seen.contains(&(*origin, *slot))
-            }
-            NetMsg::SubmitOrigin { origin, .. } => {
-                *origin < n
-                    && self.owns_origin(*origin)
-                    && self.submissions[*origin as usize].is_some()
-            }
-            NetMsg::ShardRoot { shard, .. } => {
-                matches!(&self.mode, AggMode::Coordinator { shards } if *shard < *shards)
-                    && self.submissions[*shard as usize].is_some()
-            }
-            // CommitteeCheckIn is deliberately absent: members re-poll
-            // it by design, so a repeat is a poll, not a redelivery.
-            NetMsg::PushShare { member, round, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && *round == self.share_round
-                    && self.shares[*member as usize].is_some()
-            }
-            NetMsg::PushCertSig { member, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && self.cert_sigs[*member as usize].is_some()
-            }
-            _ => false,
-        }
+        !matches!(msg, NetMsg::CommitteeCheckIn { .. }) && self.slot(msg) == Some(Slot::Filled)
     }
 
     /// Duplicate writes absorbed so far (see `duplicates_suppressed`).
@@ -1844,63 +1517,37 @@ impl AggState {
 
     /// Applies one request to the state and computes the reply. Pure
     /// protocol logic: no journaling, no wall-clock reads — this is the
-    /// function journal replay re-runs.
+    /// function journal replay re-runs. Range and composition checks are
+    /// the core's typed errors.
     fn apply(&mut self, msg: NetMsg) -> Result<NetMsg, NetError> {
-        let n = self.setup.pop.graph.len() as u32;
-        let c = self.setup.committee_size as u64;
+        let setup = Arc::clone(&self.setup);
+        let ctx = round_ctx(&setup, self.charged_epsilon);
+        let done = self.round_done();
+        let (intake, tail) = (&mut self.intake, &mut self.tail);
         Ok(match msg {
             NetMsg::PushContrib { origin, slot, sc } => {
-                if origin >= n
-                    || !self.owns_origin(origin)
-                    || slot as usize >= self.contribs[origin as usize].len()
-                {
-                    return Err(NetError::Decode(format!(
-                        "contribution for origin {origin} slot {slot} out of range"
-                    )));
-                }
+                intake.contribution_slot(origin, slot)?;
                 // A decided round (including a budget-refused one)
                 // takes no more intake: tell the client to stand down.
-                if self.round_done() {
+                if done {
                     return Ok(NetMsg::Finished);
                 }
-                if self.seen.insert((origin, slot)) {
-                    // §4.6–§4.7: verify the proof; substitute the neutral
-                    // Enc(x^0) for offenders and remember them. The slot
-                    // outcome is recorded for the certificate commitment
-                    // — accepted slots with the digest of the ciphertext
-                    // *as verified*, before any substitution.
-                    let ct = if self.setup.plan.verify_contribution(&sc) {
-                        self.statuses.insert(
-                            (origin, slot),
-                            SlotStatus::Accepted(ciphertext_digest(&sc.ct)),
-                        );
-                        sc.ct
-                    } else {
-                        self.statuses.insert((origin, slot), SlotStatus::Rejected);
-                        if !self.rejected.contains(&sc.device) {
-                            self.rejected.push(sc.device);
-                        }
-                        self.setup
-                            .plan
-                            .neutral_ct(&self.setup.keys, &mut self.rng)
-                            .map_err(|e| {
-                                NetError::Decode(format!("neutral encryption failed: {e}"))
-                            })?
-                    };
+                let verified =
+                    intake.accept_contribution(origin, slot, *sc, &ctx, &mut self.rng)?;
+                if let Some(ct) = verified {
                     self.contribs[origin as usize][slot as usize] = Some(ct);
                 }
                 NetMsg::Ack
             }
             NetMsg::PullOrigin { origin } => {
-                if origin >= n || !self.owns_origin(origin) {
-                    return Err(NetError::Decode(format!("origin {origin} out of range")));
-                }
-                if self.round_done() {
+                intake.submission_slot(origin)?;
+                if done {
                     return Ok(NetMsg::Finished);
                 }
                 let slots = &self.contribs[origin as usize];
                 let have = slots.iter().filter(|s| s.is_some()).count();
-                if have == slots.len() || (!self.replaying && self.contrib_deadline_passed()) {
+                let deadline_passed = self.started.elapsed() >= setup.spec.contrib_deadline;
+                if have == slots.len() || (!self.replaying && deadline_passed) {
                     NetMsg::OriginJob { cts: slots.clone() }
                 } else {
                     NetMsg::OriginPending {
@@ -1910,46 +1557,34 @@ impl AggState {
                 }
             }
             NetMsg::SubmitOrigin { origin, ct } => {
-                if origin >= n || !self.owns_origin(origin) {
-                    return Err(NetError::Decode(format!("origin {origin} out of range")));
-                }
-                if self.round_done() {
+                intake.submission_slot(origin)?;
+                if done {
                     return Ok(NetMsg::Finished);
                 }
-                if self.submissions[origin as usize].is_none() {
-                    self.submissions[origin as usize] = Some(*ct);
-                    self.got_submissions += 1;
-                }
+                intake.accept_submission(origin, *ct)?;
                 NetMsg::Ack
             }
             NetMsg::CommitteeCheckIn { member, seed } => {
-                if !self.committee_enabled() || member < 1 || member > c {
-                    return Err(NetError::Decode(format!("member {member} out of range")));
-                }
-                if self.pongs[member as usize - 1].is_none() {
-                    self.pongs[member as usize - 1] = Some(seed);
-                }
-                if self.round_done() {
+                tail.check_in(member, seed)?;
+                if done {
                     if !self.replaying {
                         self.finished_seen.insert(member);
                     }
                     NetMsg::Finished
-                } else if let (Some(Ok(_)), Some(cert)) = (&self.outcome, &self.cert) {
+                } else if let (Some(Ok(_)), Some(cert)) = (&self.outcome, &tail.cert) {
                     // The result is decided; the only thing left to
                     // collect is this member's certificate signature.
-                    if self.cert_sigs[member as usize].is_none() {
+                    if tail.cert_sigs[member as usize].is_none() {
                         NetMsg::CertSignTask {
                             transcript: cert.transcript,
                         }
                     } else {
                         NetMsg::CommitteeWait
                     }
-                } else if self.participants.contains(&member)
-                    && self.shares[member as usize].is_none()
-                {
+                } else if tail.stragglers().contains(&member) {
                     NetMsg::CommitteeShareTask {
-                        round: self.share_round,
-                        participants: self.participants.clone(),
+                        round: tail.share_round,
+                        participants: tail.participants.clone(),
                         ct: Box::new(self.aggregate.clone().expect("selection implies aggregate")),
                     }
                 } else {
@@ -1961,27 +1596,19 @@ impl AggState {
                 round,
                 share,
             } => {
-                if !self.committee_enabled() || member < 1 || member > c {
-                    return Err(NetError::Decode(format!("member {member} out of range")));
-                }
-                if self.outcome.is_none()
-                    && round == self.share_round
-                    && self.participants.contains(&member)
-                    && self.shares[member as usize].is_none()
-                {
-                    self.shares[member as usize] = Some(*share);
-                    let done = self
-                        .participants
-                        .iter()
-                        .all(|&m| self.shares[m as usize].is_some());
-                    if done {
-                        self.finish_committee();
+                tail.share_slot(member, round)?;
+                if let (None, Some(aggregate)) = (&self.outcome, &self.aggregate) {
+                    let plane = &intake.plane;
+                    match tail.accept_share(member, round, *share, aggregate, plane, &ctx) {
+                        Ok(true) => self.finish_committee(),
+                        Ok(false) => {}
+                        Err(e) => self.fail(e.to_string()),
                     }
                 }
                 NetMsg::Ack
             }
             NetMsg::PullStatus => {
-                if self.round_done() {
+                if done {
                     if !self.replaying {
                         self.driver_seen = true;
                     }
@@ -1991,24 +1618,9 @@ impl AggState {
                 }
             }
             NetMsg::PushCertSig { member, sig } => {
-                if !self.committee_enabled() || member < 1 || member > c {
-                    return Err(NetError::Decode(format!("member {member} out of range")));
-                }
-                if let Some(cert) = &self.cert {
-                    // A forged or corrupted signature is simply not
-                    // counted; the seal grace decides the quorum.
-                    if !self.cert_sealed
-                        && self.cert_sigs[member as usize].is_none()
-                        && verify_transcript_sig(
-                            self.setup.spec.seed,
-                            member,
-                            &cert.transcript,
-                            &sig,
-                        )
-                    {
-                        self.cert_sigs[member as usize] = Some(sig);
-                    }
-                }
+                // A forged or corrupted signature is simply not counted;
+                // the seal grace decides the quorum.
+                tail.accept_sig(member, sig, setup.spec.seed)?;
                 NetMsg::Ack
             }
             NetMsg::ShardRoot {
@@ -2017,67 +1629,41 @@ impl AggState {
                 commits,
                 root,
             } => {
-                let AggMode::Coordinator { shards } = &self.mode else {
-                    return Err(NetError::Decode(
-                        "shard root pushed at a non-coordinator".into(),
-                    ));
-                };
-                let shards = *shards;
-                if shard >= shards {
-                    return Err(NetError::Decode(format!("shard {shard} out of range")));
+                let roots = self.roots.as_mut().ok_or_else(|| {
+                    CoreError::Invalid("shard root pushed at a non-coordinator".into())
+                })?;
+                intake.root_slot(roots, shard, &rejected, &commits)?;
+                if !done {
+                    intake.accept_root(roots, shard, *root, rejected, commits)?;
                 }
-                if rejected.iter().any(|&v| v >= n) {
-                    return Err(NetError::Decode(format!(
-                        "shard {shard} rejected a device outside the population"
-                    )));
-                }
-                if commits.iter().any(|c| c.origin >= n) {
-                    return Err(NetError::Decode(format!(
-                        "shard {shard} committed an origin outside the population"
-                    )));
-                }
-                if self.round_done() {
-                    if !self.replaying {
-                        self.finished_shards.insert(shard);
-                    }
-                    return Ok(NetMsg::Finished);
-                }
-                if self.submissions[shard as usize].is_none() {
-                    self.submissions[shard as usize] = Some(*root);
-                    self.got_submissions += 1;
-                    for v in rejected {
-                        if !self.rejected.contains(&v) {
-                            self.rejected.push(v);
-                        }
-                    }
-                    for cmt in commits {
-                        let o = cmt.origin as usize;
-                        if self.commits[o].is_none() {
-                            self.commits[o] = Some(cmt);
-                        }
-                    }
-                }
-                if self.round_done() {
-                    if !self.replaying {
-                        self.finished_shards.insert(shard);
-                    }
-                    NetMsg::Finished
-                } else {
-                    NetMsg::Ack
-                }
+                self.shard_status(shard, NetMsg::Ack)
             }
             NetMsg::PullShardStatus { shard } => {
-                if self.round_done() {
-                    if !self.replaying {
-                        self.finished_shards.insert(shard);
+                // Only a coordinator tracks shards, and only its own: a
+                // stray id must never count towards "every shard saw
+                // Finished" (nor stall it forever).
+                match &self.roots {
+                    Some(roots) if (shard as usize) < roots.len() => {}
+                    _ => {
+                        return Err(CoreError::Invalid(format!("shard {shard} out of range")).into())
                     }
-                    NetMsg::Finished
-                } else {
-                    NetMsg::CommitteeWait
                 }
+                self.shard_status(shard, NetMsg::CommitteeWait)
             }
             _ => return Err(NetError::Decode("request expected, got a reply".into())),
         })
+    }
+
+    /// `Finished` (noting that shard `shard` observed it) once the round
+    /// is over, `waiting` before that.
+    fn shard_status(&mut self, shard: u32, waiting: NetMsg) -> NetMsg {
+        if !self.round_done() {
+            return waiting;
+        }
+        if !self.replaying {
+            self.finished_shards.insert(shard);
+        }
+        NetMsg::Finished
     }
 
     /// Handles one live request: runs due transitions, journals the
@@ -2110,29 +1696,18 @@ impl AggState {
     }
 
     /// The shard's sealed `ShardRoot` message once the partial tree is
-    /// formed (`None` before that, and always in the other modes).
+    /// formed (`None` before that, and always off a shard): the root plus
+    /// the reject set and commitments frozen right before it sealed.
     pub fn shard_root_msg(&self) -> Option<NetMsg> {
-        let AggMode::Shard { shard, owned, .. } = &self.mode else {
-            return None;
-        };
-        self.aggregate.as_ref().map(|root| {
-            let mut rejected = self.rejected.clone();
-            rejected.sort_unstable();
-            // The aggregate only exists after the commitment freeze, so
-            // every owned origin's commitment is present.
-            let commits: Vec<OriginCommit> = self
-                .commits
-                .iter()
-                .zip(owned.iter())
-                .filter(|(_, &own)| own)
-                .map(|(c, _)| c.clone().expect("commits freeze before the root seals"))
-                .collect();
-            NetMsg::ShardRoot {
-                shard: *shard,
-                rejected,
-                commits,
-                root: Box::new(root.clone()),
-            }
+        let (shard, root) = (self.shard?, self.aggregate.as_ref()?);
+        let plane = &self.intake.plane;
+        let mut rejected = plane.certified().to_vec();
+        rejected.sort_unstable();
+        Some(NetMsg::ShardRoot {
+            shard,
+            rejected,
+            commits: plane.commits.iter().flatten().cloned().collect(),
+            root: Box::new(root.clone()),
         })
     }
 
@@ -2140,7 +1715,7 @@ impl AggState {
     /// happened and the signature quorum was reached (`None` before the
     /// seal, below quorum, and always on shards).
     pub fn certificate(&self) -> Option<&[u8]> {
-        self.cert_bytes.as_deref()
+        self.tail.cert_bytes.as_deref()
     }
 
     /// The sealed certificate rendered as the `ROUND_cert.json` artifact
@@ -2153,12 +1728,14 @@ impl AggState {
         })
     }
 
+    /// The decided outcome (the released result, or the typed failure).
+    pub fn outcome(&self) -> Option<&Result<RoundOutcome, String>> {
+        self.outcome.as_ref()
+    }
+
     /// A typed terminal failure, if the round recorded one.
     pub fn failure(&self) -> Option<String> {
-        match &self.outcome {
-            Some(Err(e)) => Some(e.clone()),
-            _ => None,
-        }
+        self.outcome()?.as_ref().err().cloned()
     }
 }
 
@@ -2225,10 +1802,6 @@ fn write_named_addr_file(out_dir: &Path, name: &str, addr: SocketAddr) -> Result
     Ok(())
 }
 
-fn write_addr_file(out_dir: &Path, addr: SocketAddr) -> Result<(), NetError> {
-    write_named_addr_file(out_dir, files::AGG_ADDR, addr)
-}
-
 /// Reads a published server address by file name, if any.
 pub fn read_named_addr_file(out_dir: &Path, name: &str) -> Option<SocketAddr> {
     let s = std::fs::read_to_string(out_dir.join(name)).ok()?;
@@ -2240,11 +1813,136 @@ pub fn read_addr_file(out_dir: &Path) -> Option<SocketAddr> {
     read_named_addr_file(out_dir, files::AGG_ADDR)
 }
 
+/// One served aggregation-plane process (the aggregator or an intake
+/// shard): its journaled state behind the listening server, plus the
+/// fault-injecting proxy when the round runs under a net-chaos profile.
+struct Served {
+    name: String,
+    state: Arc<Mutex<AggState>>,
+    server: Server,
+    proxy: Option<crate::netchaos::ChaosProxy>,
+}
+
+impl Served {
+    /// Serves `st` under the transport identity its composition implies:
+    /// every request is decoded, handled (journaled + fsync'd) and answered
+    /// — or, under the `die_after` chaos knob, handled and then *not*
+    /// answered, so the client must retry into the respawned process's
+    /// idempotent path. Publishes the dialable address via the role's
+    /// address file and a `LISTENING` banner on stdout.
+    fn spawn(
+        st: AggState,
+        setup: &Arc<RoundSetup>,
+        faults: &AggFaults,
+        out_dir: &Path,
+    ) -> Result<Self, NetError> {
+        let spec = &setup.spec;
+        // One worker per intake client, plus slack; the aggregator also
+        // serves the committee and the shards.
+        let intake_workers = spec.device_shards + spec.origin_shards + 3;
+        let (name, role_id, workers, server_seed, addr_file) = match st.shard {
+            None => (
+                "aggregator".to_string(),
+                role::AGGREGATOR,
+                intake_workers + setup.committee_size + spec.agg_shards,
+                spec.seed,
+                files::AGG_ADDR.to_string(),
+            ),
+            Some(s) => (
+                format!("shard-{s}"),
+                role::SHARD_BASE + s,
+                intake_workers,
+                spec.seed ^ (0x5a5a + s as u64),
+                files::shard_addr(s as usize),
+            ),
+        };
+        let who = st.who().to_string();
+        let state = Arc::new(Mutex::new(st));
+        let (handler_state, handler_setup) = (Arc::clone(&state), Arc::clone(setup));
+        let die_after = faults.die_after.clone();
+        let die_count = Mutex::new(0u32);
+        let handler = Arc::new(
+            move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
+                let msg = NetMsg::decode(request, &handler_setup.cc)?;
+                let kind = msg.kind();
+                let reply = lock_recover(&handler_state).handle(msg, request)?;
+                if let Some((k, n)) = die_after.as_ref().filter(|(k, _)| kind == k.as_str()) {
+                    let mut count = lock_recover(&die_count);
+                    *count += 1;
+                    if *count == *n {
+                        eprintln!("{who}: chaos kill after {n} {k}");
+                        std::process::abort();
+                    }
+                }
+                Ok(reply.encode())
+            },
+        );
+        let config = ServerConfig {
+            workers,
+            roster: Some(setup.roster()),
+            ..ServerConfig::default()
+        };
+        let identity = Identity::derive(setup.spec.seed, role_id);
+        let server = Server::spawn("127.0.0.1:0", identity, config, handler, server_seed)?;
+        // Under a net-chaos profile every client dials the fault-injecting
+        // proxy, not the server: publish the proxy's address everywhere
+        // the real one would go.
+        let proxy = match &setup.spec.net {
+            Some(profile) => Some(crate::netchaos::ChaosProxy::spawn(
+                server.local_addr(),
+                role_id,
+                crate::netchaos::NetFaultPlan::derive(profile, setup),
+                setup,
+            )?),
+            None => None,
+        };
+        let public_addr = proxy
+            .as_ref()
+            .map_or(server.local_addr(), |p| p.local_addr());
+        write_named_addr_file(out_dir, &addr_file, public_addr)?;
+        println!("LISTENING {public_addr}");
+        use std::io::Write as _;
+        std::io::stdout().flush()?;
+        Ok(Served {
+            name,
+            state,
+            server,
+            proxy,
+        })
+    }
+
+    /// Runs the due wall-clock transitions; a journal failure fails the
+    /// round rather than the process.
+    fn tick(&self) -> std::sync::MutexGuard<'_, AggState> {
+        let mut s = lock_recover(&self.state);
+        if let Err(e) = s.tick().and_then(|_| s.flush()) {
+            s.fail(format!("journal failure: {e}"));
+        }
+        s
+    }
+
+    /// Writes this process's metrics (merged with its client half's, if
+    /// any) and fault ledger, and stops serving.
+    fn finish(self, out_dir: &Path, client_half: Option<NetMetrics>) -> Result<(), NetError> {
+        let mut metrics = lock_recover(&self.server.metrics()).clone();
+        if let Some(m) = &client_half {
+            metrics.merge(m);
+        }
+        metrics.duplicates_suppressed += lock_recover(&self.state).duplicates_suppressed();
+        write_metrics(out_dir, &self.name, &metrics)?;
+        if let Some(p) = self.proxy {
+            std::fs::write(out_dir.join(files::netfaults(&self.name)), p.ledger_json())?;
+            p.shutdown();
+        }
+        self.server.shutdown();
+        Ok(())
+    }
+}
+
 /// Runs the aggregator: recovers state from the journal (fresh on the
-/// first incarnation), binds a loopback port, publishes it via the
-/// `agg.addr` file and a `LISTENING <addr>` banner on stdout, serves
-/// the round, writes the outcome and its metrics into `out_dir`, and
-/// exits once the round is over and observed.
+/// first incarnation), serves the round on a loopback port published via
+/// the `agg.addr` file, writes the outcome and its metrics into
+/// `out_dir`, and exits once the round is over and observed.
 pub fn run_aggregator(
     spec: &RoundSpec,
     out_dir: &Path,
@@ -2261,76 +1959,13 @@ pub fn run_aggregator(
             .unwrap_or_else(|| out_dir.join(files::BUDGET_WAL));
         st.install_budget(&wal_path)?;
     }
-    let state = Arc::new(Mutex::new(st));
-    let handler_state = Arc::clone(&state);
-    let handler_setup = Arc::clone(&setup);
-    let die_after = faults.die_after.clone();
-    let die_count = Arc::new(Mutex::new(0u32));
-    let handler = Arc::new(
-        move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
-            let msg = NetMsg::decode(request, &handler_setup.cc)?;
-            let kind = msg.kind();
-            let reply = lock_recover(&handler_state).handle(msg, request)?;
-            if let Some((k, n)) = &die_after {
-                if kind == k.as_str() {
-                    let mut count = lock_recover(&die_count);
-                    *count += 1;
-                    if *count == *n {
-                        // Chaos: the mutation is journaled and fsync'd but
-                        // the client never sees the reply — it must retry
-                        // into the respawned aggregator's idempotent path.
-                        eprintln!("aggregator: chaos kill after {n} {k}");
-                        std::process::abort();
-                    }
-                }
-            }
-            Ok(reply.encode())
-        },
-    );
-    let config = ServerConfig {
-        workers: spec.device_shards
-            + spec.origin_shards
-            + setup.committee_size
-            + spec.agg_shards
-            + 3,
-        roster: Some(setup.roster()),
-        ..ServerConfig::default()
-    };
-    let server = Server::spawn(
-        "127.0.0.1:0",
-        setup.aggregator_identity(),
-        config,
-        handler,
-        spec.seed,
-    )?;
-    // Under a net-chaos profile every client dials the fault-injecting
-    // proxy, not the server: publish the proxy's address everywhere the
-    // real one would go.
-    let proxy = match &spec.net {
-        Some(profile) => Some(crate::netchaos::ChaosProxy::spawn(
-            server.local_addr(),
-            role::AGGREGATOR,
-            crate::netchaos::NetFaultPlan::derive(profile, &setup),
-            &setup,
-        )?),
-        None => None,
-    };
-    let public_addr = proxy
-        .as_ref()
-        .map_or(server.local_addr(), |p| p.local_addr());
-    write_addr_file(out_dir, public_addr)?;
-    println!("LISTENING {public_addr}");
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
+    let served = Served::spawn(st, &setup, faults, out_dir)?;
 
     let started = Instant::now();
     let mut outcome_since: Option<Instant> = None;
     let (result, cert_json) = loop {
         std::thread::sleep(Duration::from_millis(20));
-        let mut s = lock_recover(&state);
-        if let Err(e) = s.tick().and_then(|_| s.flush()) {
-            s.fail(format!("journal failure: {e}"));
-        }
+        let mut s = served.tick();
         if s.round_done() {
             let since = *outcome_since.get_or_insert_with(Instant::now);
             // Committee members (and shards) that died after the
@@ -2368,17 +2003,7 @@ pub fn run_aggregator(
         std::fs::write(out_dir.join(files::CERT_JSON), json)?;
     }
     std::fs::write(out_dir.join(files::OUTCOME), encode_outcome(&result))?;
-    let mut metrics = lock_recover(&server.metrics()).clone();
-    metrics.duplicates_suppressed += lock_recover(&state).duplicates_suppressed();
-    write_metrics(out_dir, "aggregator", &metrics)?;
-    if let Some(p) = proxy {
-        std::fs::write(
-            out_dir.join(files::netfaults("aggregator")),
-            p.ledger_json(),
-        )?;
-        p.shutdown();
-    }
-    server.shutdown();
+    served.finish(out_dir, None)?;
     match result {
         Ok(_) => Ok(()),
         Err(e) => Err(NetError::Decode(format!("round failed: {e}"))),
@@ -2386,9 +2011,8 @@ pub fn run_aggregator(
 }
 
 /// Runs aggregation shard `shard`: recovers its own WAL partition,
-/// binds a loopback port published via `shard-N.addr` (plus a
-/// `LISTENING` banner for the piped supervisor), serves intake for the
-/// origins it owns, pushes its sealed root to the coordinator at
+/// serves intake for the origins it owns on a loopback port published
+/// via `shard-N.addr`, pushes its sealed root to the coordinator at
 /// `addr`, and lingers — acking late client retries — until the
 /// coordinator reports the round finished (or the outcome file appears,
 /// covering a coordinator that exited before this shard's poll).
@@ -2407,71 +2031,18 @@ pub fn run_shard(
         &out_dir.join(files::shard_journal(shard)),
     )?;
     st.set_faults(faults);
-    let who = st.who().to_string();
-    let state = Arc::new(Mutex::new(st));
-    let handler_state = Arc::clone(&state);
-    let handler_setup = Arc::clone(&setup);
-    let die_after = faults.die_after.clone();
-    let die_count = Arc::new(Mutex::new(0u32));
-    let handler = Arc::new(
-        move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
-            let msg = NetMsg::decode(request, &handler_setup.cc)?;
-            let kind = msg.kind();
-            let reply = lock_recover(&handler_state).handle(msg, request)?;
-            if let Some((k, n)) = &die_after {
-                if kind == k.as_str() {
-                    let mut count = lock_recover(&die_count);
-                    *count += 1;
-                    if *count == *n {
-                        eprintln!("{who}: chaos kill after {n} {k}");
-                        std::process::abort();
-                    }
-                }
-            }
-            Ok(reply.encode())
-        },
-    );
-    let config = ServerConfig {
-        workers: spec.device_shards + spec.origin_shards + 3,
-        roster: Some(setup.roster()),
-        ..ServerConfig::default()
-    };
-    let server = Server::spawn(
-        "127.0.0.1:0",
-        setup.shard_identity(shard),
-        config,
-        handler,
-        spec.seed ^ (0x5a5a + shard as u64),
-    )?;
-    let proxy = match &spec.net {
-        Some(profile) => Some(crate::netchaos::ChaosProxy::spawn(
-            server.local_addr(),
-            role::SHARD_BASE + shard as u32,
-            crate::netchaos::NetFaultPlan::derive(profile, &setup),
-            &setup,
-        )?),
-        None => None,
-    };
-    let public_addr = proxy
-        .as_ref()
-        .map_or(server.local_addr(), |p| p.local_addr());
-    write_named_addr_file(out_dir, &files::shard_addr(shard), public_addr)?;
-    println!("LISTENING {public_addr}");
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
+    let served = Served::spawn(st, &setup, faults, out_dir)?;
 
     // Client half towards the coordinator.
-    let mut coord = HubClient::new(&setup, role::SHARD_BASE + shard as u32, addr, out_dir);
+    let role_id = role::SHARD_BASE + shard as u32;
+    let mut coord = HubClient::new(&setup, role_id, addr, out_dir);
     let started = Instant::now();
     let mut root_msg: Option<NetMsg> = None;
     let mut root_acked = false;
     let result = loop {
         std::thread::sleep(Duration::from_millis(20));
         {
-            let mut s = lock_recover(&state);
-            if let Err(e) = s.tick().and_then(|_| s.flush()) {
-                s.fail(format!("journal failure: {e}"));
-            }
+            let s = served.tick();
             if let Some(e) = s.failure() {
                 break Err(NetError::Decode(format!("shard {shard} failed: {e}")));
             }
@@ -2511,18 +2082,7 @@ pub fn run_shard(
             )));
         }
     };
-    let mut metrics = lock_recover(&server.metrics()).clone();
-    metrics.merge(&coord.metrics());
-    metrics.duplicates_suppressed += lock_recover(&state).duplicates_suppressed();
-    write_metrics(out_dir, &format!("shard-{shard}"), &metrics)?;
-    if let Some(p) = proxy {
-        std::fs::write(
-            out_dir.join(files::netfaults(&format!("shard-{shard}"))),
-            p.ledger_json(),
-        )?;
-        p.shutdown();
-    }
-    server.shutdown();
+    served.finish(out_dir, Some(coord.metrics()))?;
     result
 }
 
@@ -2604,30 +2164,16 @@ impl HubClient {
         // (re)spawned after the aggregator already moved ports.
         let addr = read_addr_file(out_dir).unwrap_or(addr);
         let server_pub = setup.aggregator_identity().public;
-        HubClient {
-            client: round_client(setup, role_id, addr, server_pub),
+        let deadline = Instant::now() + setup.spec.round_timeout;
+        Self::connect(
+            setup,
             role_id,
-            out_dir: out_dir.to_path_buf(),
-            addr_file: files::AGG_ADDR.to_string(),
-            server_pub,
             addr,
-            deadline: Instant::now() + setup.spec.round_timeout,
-            poll: setup.spec.poll_interval.max(Duration::from_millis(50)),
-            span_attempts: 0,
-            span_budget: Self::span_budget(),
-            jitter_rng: Self::jitter_rng(setup, role_id),
-        }
-    }
-
-    /// The spanning retry budget: 64 outer attempts, each already worth
-    /// the inner client's full short schedule, caps a persistently
-    /// unreachable hub at a typed failure well inside the round timeout.
-    fn span_budget() -> crate::BackoffPolicy {
-        crate::BackoffPolicy::new(50, 64)
-    }
-
-    fn jitter_rng(setup: &RoundSetup, role_id: u32) -> StdRng {
-        StdRng::seed_from_u64(setup.spec.seed ^ 0xbac0ff).with_stream(role_id as u64)
+            server_pub,
+            files::AGG_ADDR.to_string(),
+            out_dir,
+            deadline,
+        )
     }
 
     /// A client of aggregation shard `shard`. Shards publish their
@@ -2654,7 +2200,23 @@ impl HubClient {
             std::thread::sleep(Duration::from_millis(20));
         };
         let server_pub = setup.shard_identity(shard).public;
-        Ok(HubClient {
+        Ok(Self::connect(
+            setup, role_id, addr, server_pub, addr_file, out_dir, deadline,
+        ))
+    }
+
+    /// A client of the server at `addr` (identity `server_pub`) that
+    /// re-resolves `addr_file` in `out_dir` when its retries exhaust.
+    fn connect(
+        setup: &RoundSetup,
+        role_id: u32,
+        addr: SocketAddr,
+        server_pub: [u8; 32],
+        addr_file: String,
+        out_dir: &Path,
+        deadline: Instant,
+    ) -> Self {
+        HubClient {
             client: round_client(setup, role_id, addr, server_pub),
             role_id,
             out_dir: out_dir.to_path_buf(),
@@ -2664,9 +2226,13 @@ impl HubClient {
             deadline,
             poll: setup.spec.poll_interval.max(Duration::from_millis(50)),
             span_attempts: 0,
-            span_budget: Self::span_budget(),
-            jitter_rng: Self::jitter_rng(setup, role_id),
-        })
+            // 64 outer attempts, each already worth the inner client's
+            // full short schedule, cap a persistently unreachable hub at a
+            // typed failure well inside the round timeout.
+            span_budget: crate::BackoffPolicy::new(50, 64),
+            jitter_rng: StdRng::seed_from_u64(setup.spec.seed ^ 0xbac0ff)
+                .with_stream(role_id as u64),
+        }
     }
 
     /// One request attempt (the inner client's short retry schedule
