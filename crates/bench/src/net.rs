@@ -5,13 +5,16 @@
 //! through framing, AEAD sealing, the kernel socket path, and back —
 //! and measures per-exchange latency plus the cost of a full
 //! authenticated handshake, and the interposition overhead of an idle
-//! zero-fault [`ChaosProxy`] — what every `--net-seed 0` run pays. The
-//! emitted `BENCH_net.json` has a fixed field order and precision so
-//! diffs stay readable.
+//! zero-fault [`ChaosProxy`] — what every `--net-seed 0` run pays — and
+//! the AEAD alone at the same payload sizes, so a frame's sealing cost can
+//! be read off beside its socket cost. The emitted `BENCH_net.json` has a
+//! fixed field order and precision so diffs stay readable.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use mycelium_crypto::aead::{open_with_aad, seal_with_aad};
+use mycelium_crypto::chacha20::active_tier;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
@@ -56,6 +59,42 @@ pub struct ProxyOverhead {
     pub proxied_micros: PhaseSeries,
 }
 
+/// The AEAD alone on one payload size: what sealing and opening one frame
+/// of it costs, sockets and framing aside.
+pub struct AeadSample {
+    /// Plaintext bytes.
+    pub payload: usize,
+    /// `seal_with_aad` throughput (plaintext MB/s).
+    pub seal_mbytes_per_sec: f64,
+    /// `open_with_aad` throughput (plaintext MB/s).
+    pub open_mbytes_per_sec: f64,
+}
+
+/// Seals and opens `payload`-byte frames (20-byte header as associated
+/// data, like the channel's) for `budget_secs` each.
+fn aead_sample(payload: usize, budget_secs: f64) -> AeadSample {
+    let (key, header, body) = ([0xbe; 32], [0x5a; 20], vec![0x5au8; payload]);
+    let mbytes_per_sec = |op: &mut dyn FnMut()| {
+        let (start, mut ops) = (Instant::now(), 0u64);
+        while start.elapsed().as_secs_f64() < budget_secs {
+            op();
+            ops += 1;
+        }
+        (payload as u64 * ops) as f64 / start.elapsed().as_secs_f64() / 1e6
+    };
+    let sealed = seal_with_aad(&key, 1, &header, &body);
+    AeadSample {
+        payload,
+        seal_mbytes_per_sec: mbytes_per_sec(&mut || {
+            std::hint::black_box(seal_with_aad(&key, 1, &header, std::hint::black_box(&body)));
+        }),
+        open_mbytes_per_sec: mbytes_per_sec(&mut || {
+            let plain = open_with_aad(&key, 1, &header, std::hint::black_box(&sealed));
+            std::hint::black_box(plain.expect("own seal opens"));
+        }),
+    }
+}
+
 /// The full benchmark result.
 pub struct NetBench {
     /// One sample per swept payload size.
@@ -64,6 +103,8 @@ pub struct NetBench {
     pub handshake_micros: PhaseSeries,
     /// Direct vs. idle-proxy latency at a mid-size payload.
     pub proxy: ProxyOverhead,
+    /// The AEAD alone, one sample per swept payload size.
+    pub aead: Vec<AeadSample>,
 }
 
 fn echo_server() -> (Server, [u8; 32]) {
@@ -174,7 +215,22 @@ pub fn run(smoke: bool) -> NetBench {
     );
     proxy.shutdown();
     server.shutdown();
+    let aead_budget = if smoke { 0.05 } else { 0.3 };
+    let aead: Vec<AeadSample> = PAYLOAD_SIZES
+        .iter()
+        .map(|&payload| aead_sample(payload, aead_budget))
+        .collect();
+    for s in &aead {
+        eprintln!(
+            "  aead ({})  {:>8} B  seal {:>8.2} MB/s, open {:>8.2} MB/s",
+            active_tier().name,
+            s.payload,
+            s.seal_mbytes_per_sec,
+            s.open_mbytes_per_sec,
+        );
+    }
     NetBench {
+        aead,
         samples,
         handshake_micros,
         proxy: ProxyOverhead {
@@ -226,7 +282,20 @@ pub fn to_json(bench: &NetBench) -> String {
             .p50()
             .saturating_sub(bench.proxy.direct_micros.p50()),
     ));
-    out.push_str("}\n}\n");
+    out.push_str(&format!(
+        "}},\n  \"aead\": {{\"tier\": \"{}\", \"payloads\": [\n",
+        active_tier().name
+    ));
+    for (i, s) in bench.aead.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"bytes\": {}, \"seal_mbytes_per_sec\": {:.2}, \"open_mbytes_per_sec\": {:.2}}}{}\n",
+            s.payload,
+            s.seal_mbytes_per_sec,
+            s.open_mbytes_per_sec,
+            if i + 1 == bench.aead.len() { "" } else { "," },
+        ));
+    }
+    out.push_str("  ]}\n}\n");
     out
 }
 
@@ -258,6 +327,11 @@ mod tests {
                 direct_micros,
                 proxied_micros,
             },
+            aead: vec![AeadSample {
+                payload: 1024,
+                seal_mbytes_per_sec: 1234.5,
+                open_mbytes_per_sec: 1200.0,
+            }],
         };
         let json = to_json(&bench);
         assert!(json.contains("\"bytes\": 1024"));
@@ -265,6 +339,8 @@ mod tests {
         assert!(json.contains("\"p99_micros\": 30"));
         assert!(json.contains("\"idle_proxy\": {\"bytes\": 65536, \"iters\": 1"));
         assert!(json.contains("\"overhead_p50_micros\": 15"));
-        assert!(json.ends_with("}\n}\n"));
+        assert!(json.contains("\"overhead_p50_micros\": 15},\n  \"aead\": {\"tier\": \""));
+        assert!(json.contains("{\"bytes\": 1024, \"seal_mbytes_per_sec\": 1234.50, \"open_mbytes_per_sec\": 1200.00}\n"));
+        assert!(json.ends_with("  ]}\n}\n"));
     }
 }

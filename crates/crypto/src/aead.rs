@@ -6,7 +6,7 @@
 //! which both endpoints know out of band.
 
 use crate::chacha20::{chacha20_block, chacha20_xor, round_nonce, KEY_LEN, NONCE_LEN};
-use crate::poly1305::{poly1305, tags_equal, TAG_LEN};
+use crate::poly1305::{tags_equal, Poly1305, TAG_LEN};
 
 /// Authenticated-encryption failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,34 +28,62 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-fn poly_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
+/// RFC 8439 §2.8: the tag, under the one-time key that keystream block 0
+/// yields, of `aad ‖ pad16 ‖ ct ‖ pad16 ‖ len(aad) ‖ len(ct)`.
+fn tag(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
     let block = chacha20_block(key, 0, nonce);
-    let mut pk = [0u8; 32];
-    pk.copy_from_slice(&block[..32]);
-    pk
+    let mut mac = Poly1305::new(block[..32].try_into().expect("half a block"));
+    mac.update_padded(aad);
+    mac.update_padded(ct);
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ct.len() as u64).to_le_bytes());
+    mac.finalize()
 }
 
-fn mac_data(aad: &[u8], ciphertext: &[u8]) -> Vec<u8> {
-    // RFC 8439 §2.8: aad || pad16 || ct || pad16 || len(aad) || len(ct).
-    let mut data = Vec::with_capacity(aad.len() + ciphertext.len() + 32);
-    data.extend_from_slice(aad);
-    data.extend_from_slice(&[0u8; 16][..(16 - aad.len() % 16) % 16]);
-    data.extend_from_slice(ciphertext);
-    data.extend_from_slice(&[0u8; 16][..(16 - ciphertext.len() % 16) % 16]);
-    data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    data.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
-    data
+/// Encrypts `data` in place under `key` with the implicit round-number
+/// nonce and returns the tag over `aad` and the ciphertext.
+pub fn seal_in_place(
+    key: &[u8; KEY_LEN],
+    round: u64,
+    aad: &[u8],
+    data: &mut [u8],
+) -> [u8; TAG_LEN] {
+    let nonce = round_nonce(round);
+    chacha20_xor(key, 1, &nonce, data);
+    tag(key, &nonce, aad, data)
 }
 
 /// Encrypts and authenticates `plaintext` under `key` with the implicit
 /// round-number nonce. The output is `ciphertext || tag` (no nonce).
 pub fn seal_with_aad(key: &[u8; KEY_LEN], round: u64, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+    let mut sealed = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    sealed.extend_from_slice(plaintext);
+    let tag = seal_in_place(key, round, aad, &mut sealed);
+    sealed.extend_from_slice(&tag);
+    sealed
+}
+
+/// Verifies a `ciphertext || tag` buffer against `aad`, then decrypts it
+/// where it lies and shortens it to the plaintext. On an error `sealed` is
+/// left as it was.
+pub fn open_in_place(
+    key: &[u8; KEY_LEN],
+    round: u64,
+    aad: &[u8],
+    sealed: &mut Vec<u8>,
+) -> Result<(), AeadError> {
+    let Some(ct_len) = sealed.len().checked_sub(TAG_LEN) else {
+        return Err(AeadError::TooShort);
+    };
     let nonce = round_nonce(round);
-    let mut ct = plaintext.to_vec();
-    chacha20_xor(key, 1, &nonce, &mut ct);
-    let tag = poly1305(&poly_key(key, &nonce), &mac_data(aad, &ct));
-    ct.extend_from_slice(&tag);
-    ct
+    let (ct, expect) = sealed.split_at_mut(ct_len);
+    let expect: &[u8; TAG_LEN] = (&*expect).try_into().expect("split length checked");
+    if !tags_equal(&tag(key, &nonce, aad, ct), expect) {
+        return Err(AeadError::TagMismatch);
+    }
+    chacha20_xor(key, 1, &nonce, ct);
+    sealed.truncate(ct_len);
+    Ok(())
 }
 
 /// Decrypts and verifies a `ciphertext || tag` produced by
@@ -66,19 +94,9 @@ pub fn open_with_aad(
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>, AeadError> {
-    if sealed.len() < TAG_LEN {
-        return Err(AeadError::TooShort);
-    }
-    let nonce = round_nonce(round);
-    let (ct, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
-    let expect = poly1305(&poly_key(key, &nonce), &mac_data(aad, ct));
-    let tag: [u8; TAG_LEN] = tag_bytes.try_into().expect("split length checked");
-    if !tags_equal(&expect, &tag) {
-        return Err(AeadError::TagMismatch);
-    }
-    let mut pt = ct.to_vec();
-    chacha20_xor(key, 1, &nonce, &mut pt);
-    Ok(pt)
+    let mut plain = sealed.to_vec();
+    open_in_place(key, round, aad, &mut plain)?;
+    Ok(plain)
 }
 
 /// [`seal_with_aad`] with empty associated data.
@@ -164,7 +182,7 @@ mod tests {
         let mut ct = plaintext.to_vec();
         chacha20_xor(&key, 1, &nonce, &mut ct);
         assert_eq!(&ct[..8], &[0xd3, 0x1a, 0x8d, 0x34, 0x64, 0x8e, 0x60, 0xdb]);
-        let tag = poly1305(&poly_key(&key, &nonce), &mac_data(&aad, &ct));
+        let tag = tag(&key, &nonce, &aad, &ct);
         let expect_tag: [u8; 16] = [
             0x1a, 0xe1, 0x0b, 0x59, 0x4f, 0x09, 0xe2, 0x6a, 0x7e, 0x90, 0x2e, 0xcb, 0xd0, 0x60,
             0x06, 0x91,

@@ -1,169 +1,133 @@
 //! Poly1305 one-time authenticator (RFC 8439).
 //!
-//! Used by the AEAD construction in [`crate::aead`]. Arithmetic is performed
-//! modulo `2^130 - 5` with five 26-bit limbs.
+//! Used by the AEAD construction in [`crate::aead`]. The accumulator lives
+//! in base 2^64 — two full limbs and a few bits of a third — so one block
+//! costs four 64×64→128 multiplications, and input is absorbed as it
+//! arrives instead of from one contiguous copy of the message.
 
 /// Tag size in bytes.
 pub const TAG_LEN: usize = 16;
+const BLOCK: usize = 16;
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// Incremental Poly1305: `h = Σ blockᵢ · r^(n−i) mod 2^130 − 5`, tag `h + s`.
+#[derive(Clone)]
+pub struct Poly1305 {
+    /// The clamped multiplier `r = r0 + 2^64·r1`; `s1 = 5·r1/4`, exact
+    /// because clamping clears `r1`'s low two bits, folds `2^128·r1` back.
+    r0: u64,
+    r1: u64,
+    s1: u64,
+    /// The accumulator `h0 + 2^64·h1 + 2^128·h2`, partially reduced (`h2 ≤ 4`).
+    h: [u64; 3],
+    /// The final addend `s`.
+    pad: [u64; 2],
+    /// A partial block waiting for more input.
+    buffer: [u8; BLOCK],
+    buffered: usize,
+}
+
+impl Poly1305 {
+    /// A fresh authenticator under the 32-byte one-time `key` (`r ‖ s`).
+    pub fn new(key: &[u8; 32]) -> Self {
+        let r0 = le_u64(&key[0..8]) & 0x0fff_fffc_0fff_ffff;
+        let r1 = le_u64(&key[8..16]) & 0x0fff_fffc_0fff_fffc;
+        Poly1305 {
+            r0,
+            r1,
+            s1: r1 + (r1 >> 2),
+            h: [0; 3],
+            pad: [le_u64(&key[16..24]), le_u64(&key[24..32])],
+            buffer: [0; BLOCK],
+            buffered: 0,
+        }
+    }
+
+    /// `h = (h + block + high·2^128) · r`, for each 16-byte block of `blocks`.
+    fn absorb(&mut self, blocks: &[u8], high: u64) {
+        let (r0, r1, s1) = (self.r0 as u128, self.r1 as u128, self.s1 as u128);
+        let [mut h0, mut h1, mut h2] = self.h;
+        for block in blocks.chunks_exact(BLOCK) {
+            let (t0, c0) = h0.overflowing_add(le_u64(&block[..8]));
+            let (t1, c1) = h1.overflowing_add(le_u64(&block[8..]));
+            let (t1, c2) = t1.overflowing_add(c0 as u64);
+            let t2 = h2 + high + c1 as u64 + c2 as u64;
+            // r0, r1 < 2^60 and t2 < 2^4: no sum below overflows 128 bits.
+            let d0 = t0 as u128 * r0 + t1 as u128 * s1;
+            let d1 = t0 as u128 * r1 + t1 as u128 * r0 + t2 as u128 * s1 + (d0 >> 64);
+            let d2 = t2 * self.r0 + (d1 >> 64) as u64;
+            // Fold everything from bit 130 up back in, times five.
+            let (lo, c0) = (d0 as u64).overflowing_add((d2 >> 2) * 5);
+            let (mid, c1) = (d1 as u64).overflowing_add(c0 as u64);
+            (h0, h1, h2) = (lo, mid, (d2 & 3) + c1 as u64);
+        }
+        self.h = [h0, h1, h2];
+    }
+
+    /// Absorbs more of the message.
+    pub fn update(&mut self, mut data: &[u8]) {
+        if self.buffered > 0 {
+            let take = (BLOCK - self.buffered).min(data.len());
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < BLOCK {
+                return;
+            }
+            let block = self.buffer;
+            self.absorb(&block, 1);
+            self.buffered = 0;
+        }
+        let bulk = data.len() / BLOCK * BLOCK;
+        self.absorb(&data[..bulk], 1);
+        let rest = &data[bulk..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// [`Poly1305::update`], then zeros up to the next 16-byte boundary of
+    /// the message so far (the AEAD's `pad16`).
+    pub fn update_padded(&mut self, data: &[u8]) {
+        self.update(data);
+        if self.buffered > 0 {
+            self.update(&[0u8; BLOCK][self.buffered..]);
+        }
+    }
+
+    /// The tag of everything absorbed.
+    pub fn finalize(mut self) -> [u8; TAG_LEN] {
+        if self.buffered > 0 {
+            // A short last block carries its own terminating 1 bit.
+            let mut block = [0u8; BLOCK];
+            block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+            block[self.buffered] = 1;
+            self.absorb(&block, 0);
+        }
+        let [h0, h1, h2] = self.h;
+        // h < 2^130 + 2^66: it is ≥ p = 2^130 − 5 exactly when h + 5 reaches
+        // bit 130, and then h − p ≡ h + 5 (mod 2^128).
+        let (g0, c0) = h0.overflowing_add(5);
+        let (g1, c1) = h1.overflowing_add(c0 as u64);
+        let reduce = (h2 + c1 as u64) >> 2 != 0;
+        let mask = (reduce as u64).wrapping_neg();
+        let (h0, h1) = (h0 ^ ((h0 ^ g0) & mask), h1 ^ ((h1 ^ g1) & mask));
+        let (t0, carry) = h0.overflowing_add(self.pad[0]);
+        let t1 = h1.wrapping_add(self.pad[1]).wrapping_add(carry as u64);
+        let mut tag = [0u8; TAG_LEN];
+        tag[..8].copy_from_slice(&t0.to_le_bytes());
+        tag[8..].copy_from_slice(&t1.to_le_bytes());
+        tag
+    }
+}
 
 /// Computes the Poly1305 tag of `message` under the 32-byte one-time `key`.
 pub fn poly1305(key: &[u8; 32], message: &[u8]) -> [u8; TAG_LEN] {
-    // Clamp r per the spec.
-    let t0 = u32::from_le_bytes(key[0..4].try_into().unwrap());
-    let t1 = u32::from_le_bytes(key[4..8].try_into().unwrap());
-    let t2 = u32::from_le_bytes(key[8..12].try_into().unwrap());
-    let t3 = u32::from_le_bytes(key[12..16].try_into().unwrap());
-
-    let r0 = (t0 & 0x3ffffff) as u64;
-    let r1 = ((t0 >> 26 | t1 << 6) & 0x3ffff03) as u64;
-    let r2 = ((t1 >> 20 | t2 << 12) & 0x3ffc0ff) as u64;
-    let r3 = ((t2 >> 14 | t3 << 18) & 0x3f03fff) as u64;
-    let r4 = ((t3 >> 8) & 0x00fffff) as u64;
-
-    let s1 = r1 * 5;
-    let s2 = r2 * 5;
-    let s3 = r3 * 5;
-    let s4 = r4 * 5;
-
-    let mut h0 = 0u64;
-    let mut h1 = 0u64;
-    let mut h2 = 0u64;
-    let mut h3 = 0u64;
-    let mut h4 = 0u64;
-
-    let mut chunks = message.chunks(16).peekable();
-    while let Some(chunk) = chunks.next() {
-        let mut block = [0u8; 17];
-        block[..chunk.len()].copy_from_slice(chunk);
-        block[chunk.len()] = 1; // The "high bit" of the block.
-        let b0 = u32::from_le_bytes(block[0..4].try_into().unwrap()) as u64;
-        let b1 = u32::from_le_bytes(block[4..8].try_into().unwrap()) as u64;
-        let b2 = u32::from_le_bytes(block[8..12].try_into().unwrap()) as u64;
-        let b3 = u32::from_le_bytes(block[12..16].try_into().unwrap()) as u64;
-        let b4 = block[16] as u64;
-
-        h0 += b0 & 0x3ffffff;
-        h1 += (b0 >> 26 | b1 << 6) & 0x3ffffff;
-        h2 += (b1 >> 20 | b2 << 12) & 0x3ffffff;
-        h3 += (b2 >> 14 | b3 << 18) & 0x3ffffff;
-        h4 += (b3 >> 8) | (b4 << 24);
-
-        // h *= r (mod 2^130 - 5).
-        let d0 = h0 as u128 * r0 as u128
-            + h1 as u128 * s4 as u128
-            + h2 as u128 * s3 as u128
-            + h3 as u128 * s2 as u128
-            + h4 as u128 * s1 as u128;
-        let d1 = h0 as u128 * r1 as u128
-            + h1 as u128 * r0 as u128
-            + h2 as u128 * s4 as u128
-            + h3 as u128 * s3 as u128
-            + h4 as u128 * s2 as u128;
-        let d2 = h0 as u128 * r2 as u128
-            + h1 as u128 * r1 as u128
-            + h2 as u128 * r0 as u128
-            + h3 as u128 * s4 as u128
-            + h4 as u128 * s3 as u128;
-        let d3 = h0 as u128 * r3 as u128
-            + h1 as u128 * r2 as u128
-            + h2 as u128 * r1 as u128
-            + h3 as u128 * r0 as u128
-            + h4 as u128 * s4 as u128;
-        let d4 = h0 as u128 * r4 as u128
-            + h1 as u128 * r3 as u128
-            + h2 as u128 * r2 as u128
-            + h3 as u128 * r1 as u128
-            + h4 as u128 * r0 as u128;
-
-        // Carry propagation.
-        let mut c: u128;
-        c = d0 >> 26;
-        h0 = (d0 & 0x3ffffff) as u64;
-        let d1 = d1 + c;
-        c = d1 >> 26;
-        h1 = (d1 & 0x3ffffff) as u64;
-        let d2 = d2 + c;
-        c = d2 >> 26;
-        h2 = (d2 & 0x3ffffff) as u64;
-        let d3 = d3 + c;
-        c = d3 >> 26;
-        h3 = (d3 & 0x3ffffff) as u64;
-        let d4 = d4 + c;
-        c = d4 >> 26;
-        h4 = (d4 & 0x3ffffff) as u64;
-        h0 += (c as u64) * 5;
-        let c2 = h0 >> 26;
-        h0 &= 0x3ffffff;
-        h1 += c2;
-        let _ = chunks.peek();
-    }
-
-    // Final reduction: fully carry, then conditionally subtract p.
-    let mut c = h1 >> 26;
-    h1 &= 0x3ffffff;
-    h2 += c;
-    c = h2 >> 26;
-    h2 &= 0x3ffffff;
-    h3 += c;
-    c = h3 >> 26;
-    h3 &= 0x3ffffff;
-    h4 += c;
-    c = h4 >> 26;
-    h4 &= 0x3ffffff;
-    h0 += c * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ffffff;
-    h1 += c;
-
-    // Compute h + -p = h - (2^130 - 5).
-    let mut g0 = h0.wrapping_add(5);
-    c = g0 >> 26;
-    g0 &= 0x3ffffff;
-    let mut g1 = h1.wrapping_add(c);
-    c = g1 >> 26;
-    g1 &= 0x3ffffff;
-    let mut g2 = h2.wrapping_add(c);
-    c = g2 >> 26;
-    g2 &= 0x3ffffff;
-    let mut g3 = h3.wrapping_add(c);
-    c = g3 >> 26;
-    g3 &= 0x3ffffff;
-    let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
-
-    // Select h if h < p, else g.
-    let mask = (g4 >> 63).wrapping_sub(1); // All ones if g4 did not underflow.
-    g0 = (g0 & mask) | (h0 & !mask);
-    g1 = (g1 & mask) | (h1 & !mask);
-    g2 = (g2 & mask) | (h2 & !mask);
-    g3 = (g3 & mask) | (h3 & !mask);
-    let g4 = (g4 & mask) | (h4 & !mask);
-
-    // h = h % 2^128, then add s.
-    let f0 = (g0 | g1 << 26) as u128 & 0xffffffff;
-    let f1 = (g1 >> 6 | g2 << 20) as u128 & 0xffffffff;
-    let f2 = (g2 >> 12 | g3 << 14) as u128 & 0xffffffff;
-    let f3 = (g3 >> 18 | g4 << 8) as u128 & 0xffffffff;
-
-    let s0 = u32::from_le_bytes(key[16..20].try_into().unwrap()) as u128;
-    let s1k = u32::from_le_bytes(key[20..24].try_into().unwrap()) as u128;
-    let s2k = u32::from_le_bytes(key[24..28].try_into().unwrap()) as u128;
-    let s3k = u32::from_le_bytes(key[28..32].try_into().unwrap()) as u128;
-
-    let mut acc = f0 + s0;
-    let o0 = acc as u32;
-    acc = (acc >> 32) + f1 + s1k;
-    let o1 = acc as u32;
-    acc = (acc >> 32) + f2 + s2k;
-    let o2 = acc as u32;
-    acc = (acc >> 32) + f3 + s3k;
-    let o3 = acc as u32;
-
-    let mut tag = [0u8; 16];
-    tag[0..4].copy_from_slice(&o0.to_le_bytes());
-    tag[4..8].copy_from_slice(&o1.to_le_bytes());
-    tag[8..12].copy_from_slice(&o2.to_le_bytes());
-    tag[12..16].copy_from_slice(&o3.to_le_bytes());
-    tag
+    let mut mac = Poly1305::new(key);
+    mac.update(message);
+    mac.finalize()
 }
 
 /// Constant-time tag comparison.

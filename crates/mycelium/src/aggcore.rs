@@ -14,6 +14,7 @@ use mycelium_cert::{
     build_segments, commit_origin, noise_commitment, verify_transcript_sig, CertSpec, CommitteeSig,
     OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
 };
+use mycelium_crypto::sha256::Digest;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::rng::Rng;
 use mycelium_query::ast::Query;
@@ -80,6 +81,37 @@ impl Slot {
     }
 }
 
+/// A ciphertext the plane holds, beside its [`ciphertext_digest`] — taken
+/// once, when the ciphertext was accepted. Everything that later needs the
+/// digest (the proof check, the slot status, a driver's state checkpoint, the
+/// certificate) reads this one value, so holding more never costs more
+/// hashing. The fields are private: the digest is always the ciphertext's.
+#[derive(Debug, Clone)]
+pub struct Parked {
+    ct: Ciphertext,
+    digest: Digest,
+}
+
+impl Parked {
+    /// Hashes `ct`; nothing downstream does again.
+    pub fn new(ct: Ciphertext) -> Self {
+        let digest = ciphertext_digest(&ct);
+        Parked { ct, digest }
+    }
+
+    pub fn ct(&self) -> &Ciphertext {
+        &self.ct
+    }
+
+    pub fn digest(&self) -> &Digest {
+        &self.digest
+    }
+
+    pub fn into_ct(self) -> Ciphertext {
+        self.ct
+    }
+}
+
 /// The round's immutable inputs, borrowed by every transition.
 pub struct RoundCtx<'a> {
     /// The query plan (its circuit decides whether proofs are checked).
@@ -121,7 +153,7 @@ pub struct Intake {
     /// Outcome of every contribution slot written so far.
     pub statuses: BTreeMap<(u32, u32), SlotStatus>,
     /// `submissions[v]`: origin `v`'s combined ciphertext.
-    pub submissions: Vec<Option<Ciphertext>>,
+    pub submissions: Vec<Option<Parked>>,
     /// This process's commitment plane (coordinator: see [`Intake::accept_root`]).
     pub plane: Commitments,
 }
@@ -141,7 +173,7 @@ impl Intake {
         }
     }
 
-    fn rows(&self) -> impl Iterator<Item = (usize, &Vec<VertexId>, &Option<Ciphertext>)> {
+    fn rows(&self) -> impl Iterator<Item = (usize, &Vec<VertexId>, &Option<Parked>)> {
         let all = self.slot_map.iter().zip(&self.submissions).enumerate();
         all.filter_map(|(v, (devices, row))| Some((v, devices.as_ref()?, row)))
     }
@@ -163,7 +195,9 @@ impl Intake {
 
     /// §4.6–§4.7: verifies the proof and returns what the origin gets: the
     /// contribution (slot outcome: its digest *as verified*), or a neutral
-    /// `Enc(x^0)` for an offender, who joins the reject set.
+    /// `Enc(x^0)` for an offender, who joins the reject set. The contribution
+    /// is hashed once; the proof check, the slot outcome and the parked pair
+    /// all use that digest.
     pub fn accept_contribution<R: Rng + ?Sized>(
         &mut self,
         origin: u32,
@@ -171,21 +205,24 @@ impl Intake {
         sc: SignedContribution,
         ctx: &RoundCtx,
         rng: &mut R,
-    ) -> Result<Option<Ciphertext>, CoreError> {
+    ) -> Result<Option<Parked>, CoreError> {
         if self.contribution_slot(origin, slot)? != Slot::Open {
             return Ok(None);
         }
-        if ctx.plan.verify_contribution(&sc) {
-            let status = SlotStatus::Accepted(ciphertext_digest(&sc.ct));
+        let SignedContribution { device, ct, proof } = sc;
+        let parked = Parked::new(ct);
+        if ctx.plan.verify_proof(parked.digest(), proof.as_ref()) {
+            let status = SlotStatus::Accepted(*parked.digest());
             self.statuses.insert((origin, slot), status);
-            return Ok(Some(sc.ct));
+            return Ok(Some(parked));
         }
         self.statuses.insert((origin, slot), SlotStatus::Rejected);
-        if !self.plane.rejected.contains(&sc.device) {
-            self.plane.rejected.push(sc.device);
+        if !self.plane.rejected.contains(&device) {
+            self.plane.rejected.push(device);
         }
-        let neutral = ctx.plan.neutral_ct(ctx.keys, rng).map(Some);
-        neutral.map_err(|e| CoreError::Exec("neutral encryption", e))
+        let neutral = ctx.plan.neutral_ct(ctx.keys, rng);
+        let neutral = neutral.map_err(|e| CoreError::Exec("neutral encryption", e))?;
+        Ok(Some(Parked::new(neutral)))
     }
 
     /// State of origin `origin`'s submission slot.
@@ -198,8 +235,11 @@ impl Intake {
 
     /// Records `origin`'s combined ciphertext; `false` on a redelivery.
     pub fn accept_submission(&mut self, origin: u32, ct: Ciphertext) -> Result<bool, CoreError> {
-        let slot = self.submission_slot(origin)?;
-        Ok(slot.fill(&mut self.submissions[origin as usize], ct))
+        if self.submission_slot(origin)? != Slot::Open {
+            return Ok(false);
+        }
+        self.submissions[origin as usize] = Some(Parked::new(ct));
+        Ok(true)
     }
 
     /// Freezes the owned origins' commitments (unwritten slots: `Missing`).
@@ -231,8 +271,8 @@ impl Intake {
         if rows.is_empty() {
             rows.push(None);
         }
-        let fill = |row: Option<&Ciphertext>| match row {
-            Some(ct) => Ok(ct.clone()),
+        let fill = |row: Option<&Parked>| match row {
+            Some(parked) => Ok(parked.ct().clone()),
             None => Ciphertext::encrypt(&ctx.keys.public, &zero, &mut *rng).map_err(CoreError::Bgv),
         };
         let cts = rows.into_iter().map(fill).collect::<Result<Vec<_>, _>>()?;
@@ -396,7 +436,7 @@ impl CommitteeTail {
         member: u64,
         round: u32,
         share: DecryptionShare,
-        aggregate: &Ciphertext,
+        aggregate: &Parked,
         plane: &Commitments,
         ctx: &RoundCtx,
     ) -> Result<bool, CoreError> {
@@ -406,7 +446,8 @@ impl CommitteeTail {
         }
         let held = |m: &u64| self.shares[*m as usize].clone().expect("no stragglers");
         let got: Vec<DecryptionShare> = self.participants.iter().map(held).collect();
-        let plaintext = combine(aggregate, &got, self.threshold).map_err(CoreError::Threshold)?;
+        let plaintext =
+            combine(aggregate.ct(), &got, self.threshold).map_err(CoreError::Threshold)?;
         let exact = decode_aggregate(&plaintext, ctx.query, &ctx.plan.analysis);
         let seeds: Vec<[u8; 32]> = self.pongs.iter().flatten().copied().collect();
         let noise = derive_joint_noise(&seeds, ctx.noise_scale, ctx.plan.released_values());
@@ -419,7 +460,7 @@ impl CommitteeTail {
     /// The unsigned certificate; `None` while any commitment is missing.
     fn build_certificate(
         &self,
-        aggregate: &Ciphertext,
+        aggregate: &Parked,
         plane: &Commitments,
         seeds: &[[u8; 32]],
         released: &[NoisyGroup],
@@ -453,7 +494,7 @@ impl CommitteeTail {
             segments,
             contrib_root,
             rejected,
-            aggregate_digest: ciphertext_digest(aggregate),
+            aggregate_digest: *aggregate.digest(),
             noise_commitment: noise_commitment(seeds),
             charged_epsilon_bits: ctx.charged_epsilon.to_bits(),
             released: released.iter().map(group).collect(),

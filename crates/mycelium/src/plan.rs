@@ -209,10 +209,19 @@ impl QueryPlan {
     /// Aggregator side: checks a contribution's well-formedness proof
     /// against the ciphertext digest. Always true when proofs are off.
     pub fn verify_contribution(&self, sc: &SignedContribution) -> bool {
-        match (&self.circuit, &sc.proof) {
+        // Only a proof that is both wanted and present needs the digest.
+        self.circuit.is_none()
+            || sc.proof.is_some()
+                && self.verify_proof(&ciphertext_digest(&sc.ct), sc.proof.as_ref())
+    }
+
+    /// [`QueryPlan::verify_contribution`] for a caller that already holds
+    /// the contribution's [`ciphertext_digest`] as `statement`.
+    pub fn verify_proof(&self, statement: &Digest, proof: Option<&Proof>) -> bool {
+        match (&self.circuit, proof) {
             (None, _) => true,
             (Some(_), None) => false,
-            (Some(c), Some(proof)) => argument::verify(&c.cs, &ciphertext_digest(&sc.ct), proof),
+            (Some(c), Some(proof)) => argument::verify(&c.cs, statement, proof),
         }
     }
 }

@@ -52,7 +52,7 @@ use mycelium_simnet::{
     ActorId, Ctx, FaultPlan, LinkModel, Payload, Process, Retrier, RoundMetrics, Simulation, Tick,
 };
 
-use crate::aggcore::{CommitteeTail, CoreError, Intake, RoundCtx};
+use crate::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx};
 use crate::committee::CommitteeError;
 use crate::exec::{ExecError, ExecStats, MaliciousBehavior, NoisyGroup};
 use crate::params::SystemParams;
@@ -583,9 +583,10 @@ impl IntakePort {
                 let verified =
                     self.intake
                         .accept_contribution(origin, slot, sc, &shared, ctx.rng());
-                if let Ok(Some(ct)) = verified {
+                if let Ok(Some(parked)) = verified {
                     let msg_id = self.next_fwd_id;
                     self.next_fwd_id += 1;
+                    let ct = parked.into_ct();
                     let deliver = RoundMsg::OriginDeliver { msg_id, slot, ct };
                     retrier.send(ctx, msg_id, origin as ActorId, deliver);
                 }
@@ -618,7 +619,7 @@ struct AggregatorActor {
     port: IntakePort,
     /// The shards' sealed roots (the coordinator only).
     roots: Option<Vec<Option<PartialRoot>>>,
-    aggregate: Option<Ciphertext>,
+    aggregate: Option<Parked>,
     tail: CommitteeTail,
     /// The result is decided (or the round failed); only certificate
     /// signing may still be in flight.
@@ -678,7 +679,7 @@ impl AggregatorActor {
             }
         };
         match sealed {
-            Ok(ct) => self.aggregate = Some(ct),
+            Ok(ct) => self.aggregate = Some(Parked::new(ct)),
             Err(e) => return self.fail(ctx, e),
         }
         ctx.phase_done("aggregate");
@@ -704,7 +705,7 @@ impl AggregatorActor {
                 msg_id,
                 round,
                 participants: self.tail.participants.clone(),
-                ct: aggregate.clone(),
+                ct: aggregate.ct().clone(),
             };
             self.retrier
                 .send(ctx, msg_id, self.n_devices + m as usize, request);

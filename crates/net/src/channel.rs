@@ -37,7 +37,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mycelium_crypto::aead::{open_with_aad, seal_with_aad, OVERHEAD};
+use mycelium_crypto::aead::{open_in_place, seal_in_place, OVERHEAD};
 use mycelium_crypto::ed25519::{x25519, x25519_public_key};
 use mycelium_crypto::kdf::{hkdf_expand, hkdf_extract};
 use mycelium_crypto::sha256;
@@ -169,7 +169,7 @@ impl SecureChannel {
     /// request under load, and the channel stays frame-aligned so the
     /// client can back off and re-send on the same connection.
     pub fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        let (header, sealed) = read_frame(&mut &self.stream, self.max_payload + OVERHEAD)?;
+        let (header, mut payload) = read_frame(&mut &self.stream, self.max_payload + OVERHEAD)?;
         if header.frame_type != FrameType::Data && header.frame_type != FrameType::Busy {
             return Err(NetError::Handshake(
                 "non-data frame on established channel".into(),
@@ -182,21 +182,18 @@ impl SecureChannel {
             });
         }
         let aad = header_bytes(header.frame_type, header.seq, header.len);
-        let plain = match open_with_aad(&self.recv_key, header.seq, &aad, &sealed) {
-            Ok(p) => p,
-            Err(e) => {
-                lock_recover(&self.metrics).aead_rejects += 1;
-                return Err(e.into());
-            }
-        };
+        if let Err(e) = open_in_place(&self.recv_key, header.seq, &aad, &mut payload) {
+            lock_recover(&self.metrics).aead_rejects += 1;
+            return Err(e.into());
+        }
         self.recv_seq += 1;
         let mut m = lock_recover(&self.metrics);
         m.frames_recv += 1;
-        m.bytes_recv += (HEADER_LEN + sealed.len()) as u64;
+        m.bytes_recv += (HEADER_LEN + header.len as usize) as u64;
         if header.frame_type == FrameType::Busy {
             return Err(NetError::Overloaded);
         }
-        Ok(plain)
+        Ok(payload)
     }
 
     /// Seals and writes one overload rejection (empty [`FrameType::Busy`]
@@ -233,14 +230,16 @@ impl WriteFrameBytes for TcpStream {
     }
 }
 
-/// Builds a complete sealed frame (header ‖ ciphertext ‖ tag).
+/// Builds a complete sealed frame (header ‖ ciphertext ‖ tag) in the one
+/// buffer that goes to the socket.
 fn sealed_frame(key: &[u8; 32], ty: FrameType, seq: u64, payload: &[u8]) -> Vec<u8> {
     let len = (payload.len() + OVERHEAD) as u32;
     let header = header_bytes(ty, seq, len);
-    let sealed = seal_with_aad(key, seq, &header, payload);
-    let mut wire = Vec::with_capacity(HEADER_LEN + sealed.len());
+    let mut wire = Vec::with_capacity(HEADER_LEN + len as usize);
     wire.extend_from_slice(&header);
-    wire.extend_from_slice(&sealed);
+    wire.extend_from_slice(payload);
+    let tag = seal_in_place(key, seq, &header, &mut wire[HEADER_LEN..]);
+    wire.extend_from_slice(&tag);
     wire
 }
 
@@ -255,14 +254,14 @@ fn confirm_exchange(
         stream.write_frame_bytes(&wire)
     };
     let recv_confirm = |stream: &mut TcpStream, key: &[u8; 32]| -> Result<(), NetError> {
-        let (header, sealed) = read_frame(&mut &*stream, 64 + OVERHEAD)?;
+        let (header, mut plain) = read_frame(&mut &*stream, 64 + OVERHEAD)?;
         if header.frame_type != FrameType::Confirm || header.seq != 0 {
             return Err(NetError::Handshake(
                 "expected key-confirmation frame".into(),
             ));
         }
         let aad = header_bytes(FrameType::Confirm, 0, header.len);
-        let plain = open_with_aad(key, 0, &aad, &sealed)
+        open_in_place(key, 0, &aad, &mut plain)
             .map_err(|e| NetError::Handshake(format!("key confirmation failed: {e}")))?;
         if plain != transcript {
             return Err(NetError::Handshake("transcript mismatch".into()));

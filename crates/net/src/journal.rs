@@ -142,6 +142,32 @@ fn record_checksum(seq: u64, payload: &[u8]) -> Digest {
     sha256_concat(&[&seq.to_le_bytes(), payload])
 }
 
+/// The valid records of an opened journal, in order: slices of the one
+/// buffer the file was read into. Drop it once replayed — it is the size
+/// of the journal.
+#[derive(Debug, Default)]
+pub struct Records {
+    bytes: Vec<u8>,
+    payloads: Vec<std::ops::Range<usize>>,
+}
+
+impl Records {
+    /// How many records there are.
+    pub fn len(&self) -> usize {
+        self.payloads.len()
+    }
+
+    /// Whether there are none (a fresh journal).
+    pub fn is_empty(&self) -> bool {
+        self.payloads.is_empty()
+    }
+
+    /// The record payloads, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.payloads.iter().map(|at| &self.bytes[at.clone()])
+    }
+}
+
 /// An append-only, checksummed, fsync'd write-ahead journal.
 #[derive(Debug)]
 pub struct Journal {
@@ -183,7 +209,7 @@ impl Journal {
     ///
     /// A torn tail (incomplete final record) is truncated away; a
     /// complete record with a bad checksum is [`JournalError::Corrupt`].
-    pub fn open(path: &Path, binding: &Digest) -> Result<(Self, Vec<Vec<u8>>), JournalError> {
+    pub fn open(path: &Path, binding: &Digest) -> Result<(Self, Records), JournalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
@@ -211,7 +237,7 @@ impl Journal {
             });
         }
 
-        let mut records = Vec::new();
+        let mut payloads = Vec::new();
         let mut pos = HEADER_BYTES;
         let mut valid_end = pos;
         loop {
@@ -220,7 +246,7 @@ impl Journal {
                 break;
             }
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let seq = records.len() as u64;
+            let seq = payloads.len() as u64;
             if len > MAX_RECORD_BYTES {
                 // A length this absurd is corruption of the prefix
                 // itself, not a torn write: typed error, no truncation.
@@ -235,7 +261,7 @@ impl Journal {
             if record_checksum(seq, payload) != sum {
                 return Err(JournalError::Corrupt { seq });
             }
-            records.push(payload.to_vec());
+            payloads.push(pos + 4..pos + 4 + len);
             pos += 4 + len + 32;
             valid_end = pos;
         }
@@ -249,23 +275,20 @@ impl Journal {
         Ok((
             Self {
                 file,
-                records: records.len() as u64,
+                records: payloads.len() as u64,
                 torn_write: None,
             },
-            records,
+            Records { bytes, payloads },
         ))
     }
 
     /// Opens `path` if it exists, otherwise creates it. Returns the
     /// journal plus any replayable records (empty for a fresh file).
-    pub fn open_or_create(
-        path: &Path,
-        binding: &Digest,
-    ) -> Result<(Self, Vec<Vec<u8>>), JournalError> {
+    pub fn open_or_create(path: &Path, binding: &Digest) -> Result<(Self, Records), JournalError> {
         if path.exists() {
             Self::open(path, binding)
         } else {
-            Ok((Self::create(path, binding)?, Vec::new()))
+            Ok((Self::create(path, binding)?, Records::default()))
         }
     }
 
@@ -276,12 +299,21 @@ impl Journal {
 
     /// Appends one record. Not durable until [`Journal::commit`].
     pub fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        assert!(payload.len() <= MAX_RECORD_BYTES, "record too large");
-        let seq = self.records;
-        let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&record_checksum(seq, payload));
+        self.append_parts(&[payload])
+    }
+
+    /// [`Journal::append`] of the record whose payload is `parts`
+    /// concatenated: they are copied once, straight into the bytes written.
+    pub fn append_parts(&mut self, parts: &[&[u8]]) -> Result<(), JournalError> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        assert!(len <= MAX_RECORD_BYTES, "record too large");
+        let mut rec = Vec::with_capacity(RECORD_OVERHEAD + len);
+        rec.extend_from_slice(&(len as u32).to_le_bytes());
+        for part in parts {
+            rec.extend_from_slice(part);
+        }
+        let sum = record_checksum(self.records, &rec[4..]);
+        rec.extend_from_slice(&sum);
         if let Some(n) = self.torn_write.take() {
             // Simulated mid-write crash: persist a prefix of the record
             // and stop there. The caller aborts right after.
@@ -322,20 +354,24 @@ mod tests {
         [7u8; 32]
     }
 
+    fn payloads(records: &Records) -> Vec<&[u8]> {
+        records.iter().collect()
+    }
+
     #[test]
     fn round_trips_records_across_reopen() {
         let path = tmp("roundtrip");
-        let payloads: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![0xAB; 1000]];
+        let all: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![0xAB; 1000]];
         {
             let mut j = Journal::create(&path, &binding()).unwrap();
-            for p in &payloads {
+            for p in &all {
                 j.append(p).unwrap();
             }
             j.commit().unwrap();
             assert_eq!(j.record_count(), 3);
         }
         let (j, recovered) = Journal::open(&path, &binding()).unwrap();
-        assert_eq!(recovered, payloads);
+        assert_eq!(payloads(&recovered), all);
         assert_eq!(j.record_count(), 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -355,7 +391,7 @@ mod tests {
             j.commit().unwrap();
         }
         let (_, rec) = Journal::open(&path, &binding()).unwrap();
-        assert_eq!(rec, vec![b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(payloads(&rec), [&b"first"[..], b"second"]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -438,7 +474,7 @@ mod tests {
         for cut in rec2_start + 1..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let (mut j, rec) = Journal::open(&path, &binding()).unwrap();
-            assert_eq!(rec, vec![b"complete one".to_vec()], "cut at {cut}");
+            assert_eq!(payloads(&rec), [b"complete one"], "cut at {cut}");
             j.append(b"complete two").unwrap();
             j.commit().unwrap();
             let (_, rec) = Journal::open(&path, &binding()).unwrap();
@@ -460,7 +496,7 @@ mod tests {
             // Process "dies" here: no commit, partial bytes on disk.
         }
         let (_, rec) = Journal::open(&path, &binding()).unwrap();
-        assert_eq!(rec, vec![b"durable".to_vec()], "torn record truncated");
+        assert_eq!(payloads(&rec), [b"durable"], "torn record truncated");
         let _ = std::fs::remove_file(&path);
     }
 

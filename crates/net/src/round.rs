@@ -60,12 +60,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mycelium::aggcore::{CommitteeTail, CoreError, Intake, RoundCtx, Slot};
+use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
 use mycelium::exec::{ExecStats, NoisyGroup};
 use mycelium::params::SystemParams;
-use mycelium::plan::{
-    aggregate_and_audit, ciphertext_digest, combine_origin, origin_work, OriginWork, QueryPlan,
-};
+use mycelium::plan::{aggregate_and_audit, combine_origin, origin_work, OriginWork, QueryPlan};
 use mycelium_bgv::{Ciphertext, KeySet};
 use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
 use mycelium_cert::{render_json, sign_transcript, RoundCertificate, SlotStatus};
@@ -643,15 +641,17 @@ pub struct AggFaults {
 pub struct AggState {
     setup: Arc<RoundSetup>,
     intake: Intake,
-    roots: Option<Vec<Option<Ciphertext>>>,
+    roots: Option<Vec<Option<Parked>>>,
     tail: CommitteeTail,
     shard: Option<u32>,
     who: String,
     started: Instant,
     // Verified per-(origin, slot) ciphertexts, parked until the origin
-    // pulls them (empty on the coordinator).
-    contribs: Vec<Vec<Option<Ciphertext>>>,
-    aggregate: Option<Ciphertext>,
+    // pulls them (empty on the coordinator). Like every ciphertext this
+    // state holds, each sits beside the digest taken when it was accepted,
+    // which is what `digest()` reads.
+    contribs: Vec<Vec<Option<Parked>>>,
+    aggregate: Option<Parked>,
     share_deadline: Option<Instant>,
     cert_since: Option<Instant>,
     // Privacy budget (None when the round runs unmetered or on a shard,
@@ -714,7 +714,7 @@ impl AggState {
     fn compose(
         setup: Arc<RoundSetup>,
         owns: impl Fn(VertexId) -> bool,
-        roots: Option<Vec<Option<Ciphertext>>>,
+        roots: Option<Vec<Option<Parked>>>,
         shard: Option<u32>,
     ) -> Self {
         // A shard draws from its own stream and seats a committee of zero.
@@ -797,6 +797,10 @@ impl AggState {
         for (seq, record) in records.iter().enumerate() {
             st.apply_record(record, seq as u64)?;
         }
+        // The journal's bytes are replayed into state: do not also carry
+        // them through the round.
+        let replayed = records.len();
+        drop(records);
         st.replaying = false;
         st.journal = Some(journal);
         // Wall-clock deadlines do not survive a crash: restart them so
@@ -805,8 +809,8 @@ impl AggState {
         if !st.tail.participants.is_empty() && st.outcome.is_none() {
             st.share_deadline = Some(Instant::now() + st.share_wait());
         }
-        if !records.is_empty() {
-            eprintln!("{}: replayed {} journal records", st.who, records.len());
+        if replayed > 0 {
+            eprintln!("{}: replayed {replayed} journal records", st.who);
         }
         Ok(st)
     }
@@ -827,15 +831,20 @@ impl AggState {
     /// bookkeeping (`finished_seen`, `driver_seen`) are excluded — they
     /// are legitimately different after a restart. The field order is the
     /// journal's checkpoint format and must not change.
+    ///
+    /// Every held ciphertext enters as its 32-byte [`Parked::digest`], so
+    /// a checkpoint costs a few dozen bytes per slot however much is parked.
     pub fn digest(&self) -> Digest {
-        let mut w = Writer::new();
+        // A written slot appears three times: digest, key, status (82 bytes).
+        let slots: usize = self.contribs.iter().map(Vec::len).sum();
+        let mut w = Writer::with_capacity(4096 + 82 * slots);
         fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
             w.put_u8(v.is_some() as u8);
             if let Some(v) = v {
                 put(w, v);
             }
         }
-        let put_ct = |w: &mut Writer, ct: &Ciphertext| w.put_bytes(&ciphertext_digest(ct));
+        let put_ct = |w: &mut Writer, ct: &Parked| w.put_bytes(ct.digest());
         // A shard (a committee of zero) digests as the round's idle committee:
         // that is what its checkpoints have always recorded.
         let idle = CommitteeTail::new(self.setup.committee_size, self.setup.threshold);
@@ -920,7 +929,7 @@ impl AggState {
     /// intake and must land on the same tree.
     fn commit_digest(&self) -> Digest {
         let commits = &self.intake.plane.commits;
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(4 + 45 * commits.len());
         w.put_u32(commits.len() as u32);
         for cmt in commits {
             match cmt {
@@ -952,8 +961,9 @@ impl AggState {
 
     // --- journaling ------------------------------------------------------
 
-    /// Appends one record (not yet durable; see [`AggState::flush`]).
-    fn append_record(&mut self, record: &[u8]) -> Result<(), NetError> {
+    /// Appends the record `tag ‖ body` (not yet durable; see
+    /// [`AggState::flush`]).
+    fn append_record(&mut self, tag: u8, body: &[u8]) -> Result<(), NetError> {
         if self.replaying {
             return Ok(());
         }
@@ -965,38 +975,29 @@ impl AggState {
             // Chaos: die mid-write(2). Persist a record prefix, then
             // abort without flushing anything else — the next
             // incarnation must truncate the torn tail.
-            j.arm_torn_write(record.len() / 2 + 2);
-            let _ = j.append(record);
+            let record_len = 1 + body.len();
+            j.arm_torn_write(record_len / 2 + 2);
+            let _ = j.append_parts(&[&[tag], body]);
             eprintln!(
                 "{}: chaos kill mid-journal-write (record {})",
                 self.who, self.mutating_appends
             );
             std::process::abort();
         }
-        j.append(record)?;
+        j.append_parts(&[&[tag], body])?;
         self.dirty = true;
         self.undigested += 1;
         Ok(())
     }
 
-    fn append_req(&mut self, raw: &[u8]) -> Result<(), NetError> {
-        let mut record = Vec::with_capacity(1 + raw.len());
-        record.push(rec::REQ);
-        record.extend_from_slice(raw);
-        self.append_record(&record)
-    }
-
     fn append_mark(&mut self, tag: u8) -> Result<(), NetError> {
         self.digest_due = true;
-        self.append_record(&[tag])
+        self.append_record(tag, &[])
     }
 
     fn append_fail(&mut self, msg: &str) -> Result<(), NetError> {
-        let mut record = Vec::with_capacity(1 + msg.len());
-        record.push(rec::FAIL);
-        record.extend_from_slice(msg.as_bytes());
         self.digest_due = true;
-        self.append_record(&record)
+        self.append_record(rec::FAIL, msg.as_bytes())
     }
 
     /// Makes every appended record durable, inserting a state-digest
@@ -1008,10 +1009,7 @@ impl AggState {
             return Ok(());
         }
         if self.digest_due || self.undigested >= DIGEST_EVERY {
-            let mut record = Vec::with_capacity(33);
-            record.push(rec::DIGEST);
-            record.extend_from_slice(&self.digest());
-            self.append_record(&record)?;
+            self.append_record(rec::DIGEST, &self.digest())?;
             self.undigested = 0;
             self.digest_due = false;
         }
@@ -1135,11 +1133,8 @@ impl AggState {
     /// record forces a digest checkpoint, so replay divergence in the
     /// ledger is caught at the very next flush.
     fn record_budget_op(&mut self, bytes: &[u8]) -> Result<(), NetError> {
-        let mut record = Vec::with_capacity(1 + bytes.len());
-        record.push(rec::BUDGET);
-        record.extend_from_slice(bytes);
         self.digest_due = true;
-        self.append_record(&record)?;
+        self.append_record(rec::BUDGET, bytes)?;
         self.round_budget_ops.push(bytes.to_vec());
         Ok(())
     }
@@ -1171,10 +1166,10 @@ impl AggState {
             // Replay the session WAL into a scratch ledger purely to
             // reject a corrupt or foreign log with a typed error.
             let mut session = cfg.ledger().map_err(budget_err)?;
-            for bytes in &records {
+            for bytes in records.iter() {
                 let op = LedgerOp::decode(bytes).map_err(budget_err)?;
                 session.apply(&op).map_err(budget_err)?;
-                session_ops.insert(bytes.clone());
+                session_ops.insert(bytes.to_vec());
             }
         }
         // Ops this round journaled that the WAL lost (crash between the
@@ -1190,7 +1185,7 @@ impl AggState {
         // has not seen: seed them in, journaled, so replay of this
         // round's journal stays self-contained.
         let round_ops: BTreeSet<Vec<u8>> = self.round_budget_ops.iter().cloned().collect();
-        for bytes in &records {
+        for bytes in records.iter() {
             if round_ops.contains(bytes) {
                 continue;
             }
@@ -1300,9 +1295,9 @@ impl AggState {
                 root.map(|root| root.sum)
             }
             Some(roots) => {
-                let root = |(s, ct): (usize, &Option<Ciphertext>)| {
-                    ct.clone()
-                        .ok_or_else(|| CoreError::Invalid(format!("shard {s} root missing")))
+                let root = |(s, root): (usize, &Option<Parked>)| {
+                    let ct = root.as_ref().map(|root| root.ct().clone());
+                    ct.ok_or_else(|| CoreError::Invalid(format!("shard {s} root missing")))
                 };
                 let roots: Result<Vec<_>, _> = roots.iter().enumerate().map(root).collect();
                 roots.and_then(|cts| {
@@ -1311,7 +1306,7 @@ impl AggState {
             }
         };
         match sealed {
-            Ok(agg) => self.aggregate = Some(agg),
+            Ok(agg) => self.aggregate = Some(Parked::new(agg)),
             Err(e) => self.fail(e.to_string()),
         }
     }
@@ -1391,11 +1386,8 @@ impl AggState {
             // what the shards delivered inside their `ShardRoot`s.)
             if self.intake.plane.frozen.is_none() {
                 self.intake.freeze_commits();
-                let mut record = Vec::with_capacity(33);
-                record.push(rec::COMMIT);
-                record.extend_from_slice(&self.commit_digest());
                 self.digest_due = true;
-                self.append_record(&record)?;
+                self.append_record(rec::COMMIT, &self.commit_digest())?;
             }
             self.append_mark(rec::AGGREGATE)?;
             self.do_aggregate();
@@ -1534,8 +1526,8 @@ impl AggState {
                 }
                 let verified =
                     intake.accept_contribution(origin, slot, *sc, &ctx, &mut self.rng)?;
-                if let Some(ct) = verified {
-                    self.contribs[origin as usize][slot as usize] = Some(ct);
+                if let Some(parked) = verified {
+                    self.contribs[origin as usize][slot as usize] = Some(parked);
                 }
                 NetMsg::Ack
             }
@@ -1548,7 +1540,10 @@ impl AggState {
                 let have = slots.iter().filter(|s| s.is_some()).count();
                 let deadline_passed = self.started.elapsed() >= setup.spec.contrib_deadline;
                 if have == slots.len() || (!self.replaying && deadline_passed) {
-                    NetMsg::OriginJob { cts: slots.clone() }
+                    let ct = |s: &Option<Parked>| s.as_ref().map(|p| p.ct().clone());
+                    NetMsg::OriginJob {
+                        cts: slots.iter().map(ct).collect(),
+                    }
                 } else {
                     NetMsg::OriginPending {
                         have: have as u32,
@@ -1585,7 +1580,13 @@ impl AggState {
                     NetMsg::CommitteeShareTask {
                         round: tail.share_round,
                         participants: tail.participants.clone(),
-                        ct: Box::new(self.aggregate.clone().expect("selection implies aggregate")),
+                        ct: Box::new(
+                            self.aggregate
+                                .as_ref()
+                                .expect("selection implies aggregate")
+                                .ct()
+                                .clone(),
+                        ),
                     }
                 } else {
                     NetMsg::CommitteeWait
@@ -1632,9 +1633,9 @@ impl AggState {
                 let roots = self.roots.as_mut().ok_or_else(|| {
                     CoreError::Invalid("shard root pushed at a non-coordinator".into())
                 })?;
-                intake.root_slot(roots, shard, &rejected, &commits)?;
-                if !done {
-                    intake.accept_root(roots, shard, *root, rejected, commits)?;
+                let slot = intake.root_slot(roots, shard, &rejected, &commits)?;
+                if !done && slot == Slot::Open {
+                    intake.accept_root(roots, shard, Parked::new(*root), rejected, commits)?;
                 }
                 self.shard_status(shard, NetMsg::Ack)
             }
@@ -1674,7 +1675,7 @@ impl AggState {
     pub fn handle(&mut self, msg: NetMsg, raw: &[u8]) -> Result<NetMsg, NetError> {
         self.tick()?;
         if self.mutates(&msg) {
-            self.append_req(raw)?;
+            self.append_record(rec::REQ, raw)?;
         } else if self.is_duplicate(&msg) {
             self.duplicates_suppressed += 1;
         }
@@ -1707,7 +1708,7 @@ impl AggState {
             shard,
             rejected,
             commits: plane.commits.iter().flatten().cloned().collect(),
-            root: Box::new(root.clone()),
+            root: Box::new(root.ct().clone()),
         })
     }
 

@@ -10,7 +10,10 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use mycelium_crypto::aead::{open_with_aad, seal_with_aad, OVERHEAD};
+use mycelium_crypto::aead::{open_in_place, open_with_aad, seal_in_place, seal_with_aad, OVERHEAD};
+use mycelium_crypto::chacha20::{self, chacha20_block, chacha20_xor, round_nonce, Tier};
+use mycelium_crypto::poly1305::{poly1305, Poly1305};
+use mycelium_crypto::sha256::Sha256;
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_net::channel::{client_handshake, server_handshake, Identity};
 use mycelium_net::error::NetError;
@@ -80,6 +83,260 @@ fn wrong_nonce_key_or_aad_rejected() {
     assert!(
         open_with_aad(&key(3), 9, b"Aad", &sealed).is_err(),
         "wrong aad"
+    );
+}
+
+/// Deterministic test bytes, distinct per `salt`.
+fn pattern(len: usize, salt: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31) ^ (i >> 8) as u8 ^ salt)
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The payload lengths the kernels are compared at: everything up to two
+/// AVX2 groups and a ragged tail, then the frame sizes the transport bench
+/// sweeps, one byte either side of the 64 KiB one.
+fn matrix_lengths() -> impl Iterator<Item = usize> {
+    (0..=1100).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1, 1 << 20])
+}
+
+/// RFC 8439 §2.8 written out from the one-shot primitives on `tier`: what
+/// `seal_with_aad` must produce whatever kernel the process dispatched to.
+fn seal_by_the_book(
+    tier: &Tier,
+    key: &[u8; 32],
+    nonce: &[u8; 12],
+    aad: &[u8],
+    pt: &[u8],
+) -> Vec<u8> {
+    let mut otk = [0u8; 64];
+    tier.xor(key, 0, nonce, &mut otk);
+    let mut ct = pt.to_vec();
+    tier.xor(key, 1, nonce, &mut ct);
+    let mut mac = aad.to_vec();
+    mac.resize(aad.len().next_multiple_of(16), 0);
+    mac.extend_from_slice(&ct);
+    mac.resize(mac.len().next_multiple_of(16), 0);
+    mac.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+    mac.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+    ct.extend_from_slice(&poly1305(otk[..32].try_into().unwrap(), &mac));
+    ct
+}
+
+#[test]
+fn rfc8439_vectors() {
+    let sunscreen = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
+    // §2.4.2, on every tier.
+    let key: [u8; 32] = std::array::from_fn(|i| i as u8);
+    let nonce = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
+    for tier in chacha20::tiers() {
+        let mut data = sunscreen.to_vec();
+        tier.xor(&key, 1, &nonce, &mut data);
+        assert_eq!(hex(&data[..16]), "6e2e359a2568f98041ba0728dd0d6981");
+        assert_eq!(hex(&data[106..]), "8eedf2785e42874d", "{}", tier.name);
+    }
+    // §2.5.2.
+    let key: [u8; 32] = [
+        0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5, 0x06,
+        0xa8, 0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
+        0xf5, 0x1b,
+    ];
+    let tag = poly1305(&key, b"Cryptographic Forum Research Group");
+    assert_eq!(hex(&tag), "a8061dc1305136c6c22b8baf0c0127a9");
+    // §2.8.2 (its nonce has a constant part the round-number nonce cannot
+    // carry, so the composition is the written-out one).
+    let key: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
+    let nonce = [7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
+    let aad = [
+        0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
+    ];
+    for tier in chacha20::tiers() {
+        let sealed = seal_by_the_book(&tier, &key, &nonce, &aad, sunscreen);
+        assert_eq!(hex(&sealed[..8]), "d31a8d34648e60db");
+        let tag = &sealed[sunscreen.len()..];
+        assert_eq!(
+            hex(tag),
+            "1ae10b594f09e26a7e902ecbd0600691",
+            "{}",
+            tier.name
+        );
+    }
+}
+
+#[test]
+fn every_keystream_tier_matches_the_portable_one() {
+    let tiers = chacha20::tiers();
+    assert_eq!(tiers[0].name, "portable");
+    let (key, nonce) = (key(0x5a), round_nonce(0x0102_0304_0506_0708));
+    // The counter wraps mod 2^32 inside a block group, at every lane of it,
+    // and in the ragged tail behind the last whole group.
+    let counters = [0, 1].into_iter().chain((0..=20).map(|k| u32::MAX - k));
+    let cases = matrix_lengths()
+        .map(|len| (1, len))
+        .chain(counters.flat_map(|c| [640, 1100, 4096 + 77].map(|len| (c, len))));
+    for (counter, len) in cases {
+        let plain = pattern(len, counter as u8);
+        let mut want = plain.clone();
+        tiers[0].xor(&key, counter, &nonce, &mut want);
+        if len >= 64 {
+            // The portable tier itself: block `i` of a long message is block 0
+            // of the message that starts at counter + i.
+            let at = (len / 64 - 1) * 64;
+            let block = chacha20_block(&key, counter.wrapping_add(at as u32 / 64), &nonce);
+            let alone: Vec<u8> = plain[at..at + 64]
+                .iter()
+                .zip(block)
+                .map(|(p, k)| p ^ k)
+                .collect();
+            assert_eq!(
+                want[at..at + 64],
+                alone[..],
+                "portable, counter {counter}, len {len}"
+            );
+        }
+        for tier in &tiers[1..] {
+            let mut got = plain.clone();
+            tier.xor(&key, counter, &nonce, &mut got);
+            assert!(
+                got == want,
+                "{} differs: counter {counter}, len {len}",
+                tier.name
+            );
+        }
+        let mut dispatched = plain;
+        chacha20_xor(&key, counter, &nonce, &mut dispatched);
+        assert!(
+            dispatched == want,
+            "dispatched differs: counter {counter}, len {len}"
+        );
+    }
+}
+
+#[test]
+fn myc_no_simd_forces_the_portable_tier() {
+    let forced = std::env::var("MYC_NO_SIMD").is_ok_and(|v| v.trim() == "1");
+    let widest = chacha20::tiers().last().unwrap().name;
+    let want = if forced { "portable" } else { widest };
+    assert_eq!(chacha20::active_tier().name, want);
+}
+
+#[test]
+fn sealing_matches_the_written_out_composition_at_every_length() {
+    let portable = chacha20::tiers()[0];
+    let k = key(0x33);
+    let check = |round: u64, aad: &[u8], pt: &[u8]| {
+        let want = seal_by_the_book(&portable, &k, &round_nonce(round), aad, pt);
+        let sealed = seal_with_aad(&k, round, aad, pt);
+        assert!(sealed == want, "aad {}, len {}", aad.len(), pt.len());
+        // In place: the same bytes out, and the same bytes back.
+        let mut buf = pt.to_vec();
+        let tag = seal_in_place(&k, round, aad, &mut buf);
+        buf.extend_from_slice(&tag);
+        assert!(
+            buf == sealed,
+            "in place: aad {}, len {}",
+            aad.len(),
+            pt.len()
+        );
+        open_in_place(&k, round, aad, &mut buf).unwrap();
+        assert!(
+            buf == pt,
+            "opened in place: aad {}, len {}",
+            aad.len(),
+            pt.len()
+        );
+        assert!(open_with_aad(&k, round, aad, &sealed).unwrap() == pt);
+    };
+    let aad = pattern(20, 0xa0);
+    for len in matrix_lengths() {
+        check(len as u64, &aad, &pattern(len, 1));
+    }
+    for aad_len in 0..=33 {
+        for len in [0, 1, 15, 16, 17, 255, 256, 511, 512, 513, 1100] {
+            check(9, &pattern(aad_len, 0xa1), &pattern(len, 2));
+        }
+    }
+}
+
+#[test]
+fn a_failed_open_in_place_leaves_the_buffer_alone() {
+    let mut sealed = seal_with_aad(&key(6), 4, b"hdr", &pattern(700, 3));
+    sealed[350] ^= 1;
+    let before = sealed.clone();
+    assert!(open_in_place(&key(6), 4, b"hdr", &mut sealed).is_err());
+    assert_eq!(sealed, before);
+    let mut short = vec![0u8; OVERHEAD - 1];
+    assert!(open_in_place(&key(6), 4, b"hdr", &mut short).is_err());
+}
+
+#[test]
+fn incremental_poly1305_equals_one_shot_at_every_split() {
+    let otk: [u8; 32] = pattern(32, 0x77).try_into().unwrap();
+    let msg = pattern(263, 4);
+    for len in [0, 1, 15, 16, 17, 31, 32, 33, 263] {
+        let want = poly1305(&otk, &msg[..len]);
+        for split in 0..=len {
+            let mut mac = Poly1305::new(&otk);
+            mac.update(&msg[..split]);
+            mac.update(&msg[split..len]);
+            assert_eq!(mac.finalize(), want, "len {len} split {split}");
+        }
+        // Byte at a time.
+        let mut mac = Poly1305::new(&otk);
+        msg[..len].iter().for_each(|b| mac.update(&[*b]));
+        assert_eq!(mac.finalize(), want, "len {len} bytewise");
+    }
+    // The accumulator's top limb at its extremes: all-ones blocks under the
+    // largest clamped r.
+    let mut otk = [0xffu8; 32];
+    otk[16..].fill(0);
+    let want = poly1305(&otk, &[0xff; 256]);
+    let mut mac = Poly1305::new(&otk);
+    [0xffu8; 256].chunks(7).for_each(|c| mac.update(c));
+    assert_eq!(mac.finalize(), want);
+}
+
+/// Sealed bytes are pinned: the transport's frames for a given key,
+/// sequence number and payload are what they were before the kernels were
+/// vectorized. (The constant was produced by the scalar implementation
+/// this one replaced.)
+#[test]
+fn sealed_bytes_are_pinned() {
+    let mut all = Sha256::new();
+    for len in [
+        0,
+        1,
+        63,
+        64,
+        65,
+        255,
+        256,
+        257,
+        511,
+        512,
+        513,
+        1100,
+        65535,
+        65536,
+        65537,
+        1 << 20,
+    ] {
+        let k: [u8; 32] = pattern(32, len as u8).try_into().unwrap();
+        let sealed = seal_with_aad(
+            &k,
+            0x0102_0304_0506_0708 + len as u64,
+            &pattern(20, 9),
+            &pattern(len, 5),
+        );
+        all.update(&sealed);
+    }
+    assert_eq!(
+        hex(&all.finalize()),
+        "0af0ad07a650d013300be5c8955757ae32216cbc3f8f9373d2c014cab50dda18"
     );
 }
 

@@ -3,7 +3,7 @@
 //! simulator. Both executors are drivers over exactly this code, so what
 //! holds here holds for the simulated and the real-process round alike.
 
-use mycelium::aggcore::{CommitteeTail, CoreError, Intake, RoundCtx, Slot};
+use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
 use mycelium::plan::{aggregate_and_audit, ciphertext_digest, AGGREGATION_LEVEL};
 use mycelium_bgv::{Ciphertext, Plaintext};
 use mycelium_cert::{sign_transcript, verify_bytes, RoundCertificate, SlotStatus};
@@ -99,6 +99,7 @@ fn certify(
 ) -> (CommitteeTail, Option<Vec<u8>>) {
     let mut tail = CommitteeTail::new(setup.committee_size, setup.threshold);
     let shares = select_and_share(&mut tail, setup, aggregate);
+    let aggregate = &Parked::new(aggregate.clone());
     let last = shares.len() - 1;
     for (i, (m, share)) in shares.into_iter().enumerate() {
         let (round, plane) = (tail.share_round, &intake.plane);
@@ -130,7 +131,9 @@ fn duplicate_contribution_is_first_write_wins() {
     let digest = ciphertext_digest(&first.ct);
     assert_eq!(intake.contribution_slot(origin, slot), Ok(Slot::Open));
     let got = intake.accept_contribution(origin, slot, first, &ctx(&setup), &mut rng);
-    assert_eq!(ciphertext_digest(&got.unwrap().unwrap()), digest);
+    let got = got.unwrap().unwrap();
+    assert_eq!(ciphertext_digest(got.ct()), digest);
+    assert_eq!(*got.digest(), digest, "parked beside its own digest");
     assert_eq!(intake.contribution_slot(origin, slot), Ok(Slot::Filled));
     // A different ciphertext for the same slot is a redelivery: ignored.
     let again = intake.accept_contribution(origin, slot, second, &ctx(&setup), &mut rng);
@@ -171,11 +174,8 @@ fn forged_proof_is_rejected_neutralised_and_attributed_once() {
         let handed = handed
             .unwrap()
             .expect("a substitute is handed to the origin");
-        assert_ne!(
-            ciphertext_digest(&handed),
-            forged,
-            "neutral Enc(x^0) substituted"
-        );
+        assert_ne!(*handed.digest(), forged, "neutral Enc(x^0) substituted");
+        assert_eq!(*handed.digest(), ciphertext_digest(handed.ct()));
         assert_eq!(intake.statuses[&at], SlotStatus::Rejected);
     }
     assert_eq!(
@@ -304,9 +304,10 @@ fn forged_signature_is_not_counted_and_below_quorum_seals_no_bytes() {
 
     let mut tail = CommitteeTail::new(setup.committee_size, setup.threshold);
     let shares = select_and_share(&mut tail, &setup, &root.sum);
+    let aggregate = Parked::new(root.sum.clone());
     for (m, share) in shares {
         let (round, plane) = (tail.share_round, &intake.plane);
-        tail.accept_share(m, round, share, &root.sum, plane, &ctx(&setup))
+        tail.accept_share(m, round, share, &aggregate, plane, &ctx(&setup))
             .unwrap();
     }
     let transcript = tail.cert.as_ref().unwrap().transcript;
