@@ -1,0 +1,120 @@
+//! The fault schedules the CI matrices explore, pinned.
+//!
+//! `chaos_round chaos` and `chaos_round netchaos` derive every kill
+//! schedule and link-fault plan from a seed, so a refactor of the fault
+//! plane that shifts one rng draw silently swaps the explored schedules
+//! for different ones. Each pin below is the sha256 of the `Debug`
+//! rendering of what the CI jobs derive (seeds 1..=8 at 1 and 4
+//! aggregation shards, plus the fixed drills). No process is spawned.
+
+use std::time::Duration;
+
+use mycelium_net::chaos::ChaosPlan;
+use mycelium_net::netchaos::{NetFaultPlan, NetProfile};
+use mycelium_net::round::{build_setup, RoundSpec};
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[track_caller]
+fn assert_pinned(what: &str, rendering: &str, want: &str) {
+    let got = hex(&mycelium_crypto::sha256(rendering.as_bytes()));
+    assert_eq!(got, want, "{what} moved; it now derives:\n{rendering}");
+}
+
+fn spec(agg_shards: usize) -> RoundSpec {
+    RoundSpec {
+        agg_shards,
+        ..RoundSpec::default()
+    }
+}
+
+/// The eight schedules `f` derives for seeds 1..=8, one per line.
+fn seeds(f: impl Fn(u64) -> String) -> String {
+    (1..=8u64)
+        .map(|s| format!("seed {s}: {}\n", f(s)))
+        .collect()
+}
+
+#[test]
+fn seeded_kill_schedules_are_pinned() {
+    for (shards, want) in [
+        (
+            1,
+            "d60de53ea830d0e88315909c2829863d984846db08df2bfe28b43bdeaa926fa2",
+        ),
+        (
+            4,
+            "8c81a1ea5c40eef44bd3f49bb2e71627d15575e332c02a93d2967e97ff8c22ee",
+        ),
+    ] {
+        // `chaos_round chaos` runs seed N over the spec reseeded to N.
+        let plans = seeds(|seed| {
+            let spec = RoundSpec {
+                seed,
+                ..spec(shards)
+            };
+            format!("{:?}", ChaosPlan::derive(seed, &spec))
+        });
+        assert_pinned(
+            &format!("ChaosPlan::derive at {shards} shard(s)"),
+            &plans,
+            want,
+        );
+    }
+}
+
+#[test]
+fn kill_drills_are_pinned() {
+    assert_pinned(
+        "ChaosPlan::drill",
+        &format!("{:?}", ChaosPlan::drill()),
+        "aff4ad4fa4c70cd620a9865c632a71264f512fefbaad60a51469ba374ceeb2fb",
+    );
+    assert_pinned(
+        "ChaosPlan::drill_sharded",
+        &format!("{:?}", ChaosPlan::drill_sharded()),
+        "8d5b73d29deabe27fa7c91f07ad4f522c693fe139c2483d38aaed42e04584c11",
+    );
+}
+
+#[test]
+fn link_fault_plans_are_pinned() {
+    for (shards, want_seeded, want_drill) in [
+        (
+            1,
+            "1ef9bd0f4721e0caa82e6f2088c1d7e2a2be195019a90c5c22abc11c7c258a3d",
+            "85f997e0e40f132e50b40280b7595ee60718edf80c13ae10077cae09dba07e6e",
+        ),
+        (
+            4,
+            "1492a0b279ef0472afeec6d2b51daa876062178068a39f47902bcb94f45e0ebd",
+            "b5c3ed1696bda8a702ac9dd42ed53e36e86fb32c22c7118c89ee18546ab24d97",
+        ),
+    ] {
+        // `chaos_round netchaos` tightens the default I/O deadline to 3 s,
+        // and stall faults hold for that deadline plus a second.
+        let setup = build_setup(&RoundSpec {
+            io_timeout: Duration::from_secs(3),
+            ..spec(shards)
+        })
+        .expect("setup");
+        let plans = seeds(|seed| {
+            format!(
+                "{:?}",
+                NetFaultPlan::derive(&NetProfile::Seeded(seed), &setup)
+            )
+        });
+        assert_pinned(
+            &format!("NetFaultPlan::derive(Seeded) at {shards} shard(s)"),
+            &plans,
+            want_seeded,
+        );
+        assert_pinned(
+            &format!("NetFaultPlan::derive(Drill) at {shards} shard(s)"),
+            &format!("{:?}", NetFaultPlan::derive(&NetProfile::Drill, &setup)),
+            want_drill,
+        );
+    }
+}
