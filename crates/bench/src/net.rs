@@ -19,7 +19,7 @@ use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
 use mycelium_net::netchaos::{ChaosProxy, NetFaultPlan};
-use mycelium_net::round::{build_setup, role, RoundSpec};
+use mycelium_net::round::role;
 use mycelium_net::server::{Handler, Server, ServerConfig};
 use mycelium_net::Identity;
 use mycelium_simnet::PhaseSeries;
@@ -175,18 +175,8 @@ pub fn run(smoke: bool) -> NetBench {
         });
     }
     // Idle-proxy overhead: the same echo exchange, direct vs. fronted
-    // by a zero-fault ChaosProxy. The RoundSetup only supplies the
-    // pubkey→role map the proxy relays by — at seed 0xbe the bench
-    // identities are exactly the round's aggregator (server) and
-    // device shard 0 (client).
-    let setup = build_setup(&RoundSpec {
-        seed: 0xbe,
-        n: 12,
-        device_shards: 3,
-        origin_shards: 2,
-        ..RoundSpec::default()
-    })
-    .expect("proxy bench setup");
+    // by a zero-fault ChaosProxy (empty plan, so no link to attribute
+    // and no roster needed).
     let payload = PAYLOAD_SIZES[1];
     let body = vec![0x5au8; payload];
     let iters = if smoke { 40 } else { 400 };
@@ -197,7 +187,7 @@ pub fn run(smoke: bool) -> NetBench {
         client.request("bench", &body).expect("direct exchange");
         direct_micros.record(t.elapsed().as_micros() as u64);
     }
-    let proxy = ChaosProxy::spawn(addr, role::AGGREGATOR, NetFaultPlan::default(), &setup)
+    let proxy = ChaosProxy::spawn(addr, role::AGGREGATOR, &NetFaultPlan::default(), &[])
         .expect("idle proxy spawns");
     let mut proxied = Client::new(proxy.local_addr(), client_cfg(), StdRng::seed_from_u64(9));
     proxied.request("warm", &body).expect("proxied warm-up");

@@ -1,11 +1,14 @@
-//! Chaos supervisor for the transport plane.
+//! The fault-injection plane of the transport: supervision, launch,
+//! runners and report.
 //!
-//! Runs the full multi-process loopback round while killing and
-//! respawning processes — **any** role, the aggregator included — at
-//! randomized protocol steps, and checks the paper's robustness
-//! invariant: every run must end in either the bit-identical released
-//! histogram or a typed failure. Never a hang, never a silently wrong
-//! answer.
+//! Runs the full multi-process loopback round under two fault sources
+//! — scheduled process kills (a [`ChaosPlan`], this module) and link
+//! faults (a [`NetFaultPlan`] replayed by the
+//! [`ChaosProxy`](crate::netchaos::ChaosProxy) in front of every
+//! server) — and checks the paper's robustness invariant: every run
+//! must end in the bit-identical released histogram with a valid
+//! certificate, or a typed failure. Never a hang, never a silently
+//! wrong answer. Both sources report through one [`ChaosOutcome`].
 //!
 //! Three kill mechanisms cover the interesting crash points:
 //!
@@ -19,12 +22,14 @@
 //! * plain `SIGKILL` of device / origin / committee processes at
 //!   scheduled wall-clock offsets.
 //!
-//! [`Supervised`] is the *single* restart mechanism: the ordinary
-//! driver's origin watchdog and this chaos supervisor both respawn
-//! crashed children through it.
+//! [`Supervised`] is the *single* restart mechanism and [`RoundTree`]
+//! the single launcher: the ordinary driver and the chaos supervisor
+//! both spawn, name and respawn the round's children through them.
 
+use std::io::BufRead;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use mycelium::exec::NoisyGroup;
@@ -34,27 +39,15 @@ use mycelium_query::eval::{evaluate, PlainResult};
 use mycelium_sharing::threshold::derive_joint_noise;
 
 use crate::error::NetError;
+use crate::netchaos::{reconcile, FaultLedger, NetFaultPlan, NetProfile};
 use crate::proto::NetMsg;
 use crate::round::{
-    build_setup, decode_outcome, files, read_agg_banner, role, stream, HubClient, RoundSetup,
-    RoundSpec,
+    build_setup, decode_outcome, files, role, stream, HubClient, RoundSetup, RoundSpec,
 };
 
 // ---------------------------------------------------------------------------
 // Supervised children
 // ---------------------------------------------------------------------------
-
-/// What [`Supervised::watch`] observed on one poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchEvent {
-    /// The child is still running.
-    Running,
-    /// The child exited (successfully, or with no respawn budget left);
-    /// its status is collected by [`Supervised::wait`].
-    Exited,
-    /// The child had crashed and was respawned.
-    Respawned,
-}
 
 /// A supervised child process: spawn, non-blocking crash detection, and
 /// budgeted respawn. This is the one restart mechanism in the transport
@@ -63,12 +56,10 @@ pub enum WatchEvent {
 pub struct Supervised {
     /// Role label used in supervision messages (`origin-1`, …).
     pub name: String,
-    /// How many times this child has been (re)spawned beyond the first.
-    pub respawns: u32,
     exe: PathBuf,
     child: Child,
     piped: bool,
-    respawn_args: Option<Vec<String>>,
+    respawn_args: Vec<String>,
     budget: u32,
     done: bool,
 }
@@ -80,11 +71,10 @@ impl Supervised {
         let child = Self::launch(exe, &args, piped)?;
         Ok(Supervised {
             name: name.to_string(),
-            respawns: 0,
             exe: exe.to_path_buf(),
             child,
             piped,
-            respawn_args: None,
+            respawn_args: Vec::new(),
             budget: 0,
             done: false,
         })
@@ -102,14 +92,35 @@ impl Supervised {
     /// Arms automatic respawn: a crashed (nonzero-exit) child is
     /// relaunched with `args`, at most `budget` times.
     pub fn with_respawn(mut self, args: Vec<String>, budget: u32) -> Self {
-        self.respawn_args = Some(args);
+        self.respawn_args = args;
         self.budget = budget;
         self
     }
 
-    /// Takes the piped stdout handle (for banner reading).
-    pub fn take_stdout(&mut self) -> Option<ChildStdout> {
-        self.child.stdout.take()
+    /// Reads the `LISTENING <addr>` banner from a piped server child
+    /// and keeps draining the pipe so the child can never block on
+    /// stdout.
+    pub fn read_banner(&mut self) -> Result<SocketAddr, NetError> {
+        let stdout =
+            self.child.stdout.take().ok_or_else(|| {
+                NetError::Supervision(format!("{} stdout was not piped", self.name))
+            })?;
+        let mut reader = std::io::BufReader::new(stdout);
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        let addr: SocketAddr = line
+            .trim()
+            .strip_prefix("LISTENING ")
+            .ok_or_else(|| NetError::Decode(format!("bad {} banner: {line:?}", self.name)))?
+            .parse()
+            .map_err(|e| NetError::Decode(format!("bad {} address: {e}", self.name)))?;
+        std::thread::spawn(move || {
+            let mut sink = String::new();
+            while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
+                sink.clear();
+            }
+        });
+        Ok(addr)
     }
 
     /// Non-blocking exit probe of the current incarnation.
@@ -119,14 +130,12 @@ impl Supervised {
 
     /// Replaces the current incarnation (killing it if still alive)
     /// with a fresh launch under different arguments. The chaos
-    /// supervisor uses this to arm each aggregator incarnation with the
+    /// supervisor uses this to arm each server incarnation with the
     /// next scheduled kill.
-    pub fn respawn_with_args(&mut self, args: Vec<String>, piped: bool) -> Result<(), NetError> {
+    pub fn respawn_with_args(&mut self, args: Vec<String>) -> Result<(), NetError> {
         let _ = self.child.kill();
         let _ = self.child.wait();
-        self.piped = piped;
-        self.child = Self::launch(&self.exe, &args, piped)?;
-        self.respawns += 1;
+        self.child = Self::launch(&self.exe, &args, self.piped)?;
         self.done = false;
         Ok(())
     }
@@ -142,39 +151,134 @@ impl Supervised {
         Ok(true)
     }
 
-    /// One watchdog poll: detects a crash and respawns within budget.
-    pub fn watch(&mut self) -> Result<WatchEvent, NetError> {
+    /// One watchdog poll: respawns a crashed child within its budget.
+    /// An exited child's status is collected by [`Supervised::wait`].
+    pub fn watch(&mut self) -> Result<(), NetError> {
         if self.done {
-            return Ok(WatchEvent::Exited);
+            return Ok(());
         }
-        match self.child.try_wait()? {
-            None => Ok(WatchEvent::Running),
-            Some(status) if status.success() => {
-                self.done = true;
-                Ok(WatchEvent::Exited)
-            }
-            Some(status) => {
-                if self.budget == 0 || self.respawn_args.is_none() {
-                    self.done = true;
-                    return Ok(WatchEvent::Exited);
-                }
-                self.budget -= 1;
-                eprintln!(
-                    "driver: {} exited with {status}, respawning once",
-                    self.name
-                );
-                let args = self.respawn_args.clone().expect("checked");
-                self.child = Self::launch(&self.exe, &args, self.piped)?;
-                self.respawns += 1;
-                Ok(WatchEvent::Respawned)
-            }
+        let Some(status) = self.child.try_wait()? else {
+            return Ok(());
+        };
+        if status.success() || self.budget == 0 {
+            self.done = true;
+            return Ok(());
         }
+        self.budget -= 1;
+        eprintln!(
+            "driver: {} exited with {status}, respawning once",
+            self.name
+        );
+        self.child = Self::launch(&self.exe, &self.respawn_args, self.piped)?;
+        Ok(())
     }
 
     /// Blocks until the current incarnation exits (cached status if it
     /// already has).
     pub fn wait(&mut self) -> Result<ExitStatus, NetError> {
         Ok(self.child.wait()?)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The process tree
+// ---------------------------------------------------------------------------
+
+/// The round's client children — device shards, origin shards,
+/// committee members — by name, in launch order.
+fn client_names(spec: &RoundSpec, committee_size: usize) -> Vec<String> {
+    let devices = (0..spec.device_shards).map(|i| format!("device-{i}"));
+    let origins = (0..spec.origin_shards).map(|j| format!("origin-{j}"));
+    let committee = (1..=committee_size).map(|m| format!("committee-{m}"));
+    devices.chain(origins).chain(committee).collect()
+}
+
+/// Spells the driver → child command lines.
+pub(crate) struct ChildArgs {
+    /// What every command line ends with: the spec, then `--out DIR`.
+    tail: Vec<String>,
+    /// The aggregator's address, once its banner has announced it.
+    addr: Option<SocketAddr>,
+}
+
+impl ChildArgs {
+    /// The command line of child `name` (`aggregator`, `shard-2`,
+    /// `device-0`, `committee-3`, …) followed by `extra`: the role word,
+    /// for an indexed child its index under its role's flag and the
+    /// aggregator address it dials, and the shared tail.
+    pub fn of(&self, name: &str, extra: Vec<String>) -> Vec<String> {
+        let (role, index) = name.split_once('-').unwrap_or((name, ""));
+        let mut args = vec![role.to_string()];
+        if !index.is_empty() {
+            let flag = if role == "committee" {
+                "--member"
+            } else {
+                "--shard"
+            };
+            let addr = self.addr.expect("the aggregator is launched first");
+            args.extend([flag, index, "--addr", &addr.to_string()].map(String::from));
+        }
+        args.extend(self.tail.iter().cloned());
+        args.extend(extra);
+        args
+    }
+}
+
+/// The round's process tree: the one place that names the children of
+/// a [`RoundSpec`] and spawns them.
+pub(crate) struct RoundTree {
+    /// The children's command lines (for respawns under new arguments).
+    pub cmd: ChildArgs,
+    /// The aggregator's banner address, which every other child dials.
+    pub addr: SocketAddr,
+    /// The journaled servers: the aggregator (hub or coordinator)
+    /// first, then the intake shards of a sharded layout — which
+    /// publish their own addresses via `shard-N.addr` files that device
+    /// and origin clients wait on, so everyone can start concurrently.
+    pub servers: Vec<Supervised>,
+    /// Device shards, origin shards and committee members.
+    pub clients: Vec<Supervised>,
+}
+
+impl RoundTree {
+    /// Spawns the whole tree, the aggregator first: its stdout announces
+    /// the bound port. `first(name)` gives a child's extra first-launch
+    /// arguments and how often [`Supervised::watch`] may respawn a
+    /// crashed incarnation without them.
+    pub fn launch(
+        exe: &Path,
+        setup: &RoundSetup,
+        out_dir: &Path,
+        first: impl Fn(&str) -> (Vec<String>, u32),
+    ) -> Result<Self, NetError> {
+        let spec = &setup.spec;
+        let mut tail = spec.to_args();
+        tail.extend(["--out".to_string(), out_dir.display().to_string()]);
+        let mut cmd = ChildArgs { tail, addr: None };
+        let spawn = |cmd: &ChildArgs, name: &str, piped: bool| -> Result<Supervised, NetError> {
+            let (extra, budget) = first(name);
+            let child = Supervised::spawn(exe, name, cmd.of(name, extra), piped)?;
+            Ok(child.with_respawn(cmd.of(name, Vec::new()), budget))
+        };
+        let mut agg = spawn(&cmd, "aggregator", true)?;
+        let addr = agg.read_banner()?;
+        cmd.addr = Some(addr);
+        let mut servers = vec![agg];
+        if spec.agg_shards > 1 {
+            for s in 0..spec.agg_shards {
+                servers.push(spawn(&cmd, &format!("shard-{s}"), false)?);
+            }
+        }
+        let clients = client_names(spec, setup.committee_size)
+            .iter()
+            .map(|name| spawn(&cmd, name, false))
+            .collect::<Result<_, _>>()?;
+        Ok(RoundTree {
+            cmd,
+            addr,
+            servers,
+            clients,
+        })
     }
 }
 
@@ -339,17 +443,7 @@ impl ChaosPlan {
                 });
             }
         }
-        let committee = SystemParams::simulation().committee_size;
-        let mut names: Vec<String> = Vec::new();
-        for i in 0..spec.device_shards {
-            names.push(format!("device-{i}"));
-        }
-        for j in 0..spec.origin_shards {
-            names.push(format!("origin-{j}"));
-        }
-        for m in 1..=committee {
-            names.push(format!("committee-{m}"));
-        }
+        let names = client_names(spec, SystemParams::simulation().committee_size);
         let mut role_kills = Vec::new();
         for _ in 0..rng.gen_range(0..=2u64) {
             role_kills.push(RoleKill {
@@ -390,6 +484,17 @@ impl ChaosPlan {
             role_kills,
             shard_kills,
         }
+    }
+
+    /// The deaths scheduled for child `name`, in arming order: none
+    /// unless it is a journaled server (`aggregator`, `shard-N`).
+    fn kills_for(&self, name: &str) -> Vec<AggKill> {
+        if name == "aggregator" {
+            return self.agg_kills.clone();
+        }
+        let shard = name.strip_prefix("shard-").and_then(|s| s.parse().ok());
+        let on_shard = self.shard_kills.iter().filter(|(s, _)| Some(*s) == shard);
+        on_shard.map(|(_, kill)| kill.clone()).collect()
     }
 }
 
@@ -439,47 +544,66 @@ impl std::fmt::Display for ChaosVerdict {
     }
 }
 
-/// The per-seed chaos report (`CHAOS_report.json` entry).
+/// One run's report entry — the same shape in `CHAOS_report.json`
+/// (process kills) and `CHAOS_net.json` (link faults). Deliberately
+/// holds no wall-clock fields: rerunning a link-fault seed must produce
+/// a byte-identical entry.
 #[derive(Debug, Clone)]
 pub struct ChaosOutcome {
-    /// The schedule seed.
+    /// The schedule seed (the round seed, for a drill).
     pub seed: u64,
+    /// Whether the plan was a fixed drill rather than seed-derived
+    /// (rendered as `"plan": "drill" | "seeded"`).
+    pub drill: bool,
+    /// Aggregation-plane shard count of the run.
+    pub shards: usize,
     /// How the run ended.
     pub verdict: ChaosVerdict,
     /// How many aggregator incarnations the run took (1 = never died).
     pub agg_incarnations: u32,
     /// Human-readable log of every kill and respawn that fired.
     pub kills: Vec<String>,
-    /// Wall-clock duration of the run.
-    pub elapsed_ms: u64,
+    /// The link faults the run's plan scheduled, by kind.
+    pub injected: FaultLedger,
+    /// `"ok"`, `"skipped"` (non-exact verdict, or kills in play), or a
+    /// `"mismatch: …"` listing.
+    pub reconciled: String,
 }
 
 impl ChaosOutcome {
+    /// Whether the run kept the plane's invariant: exact or typed, and
+    /// reconciled where reconciliation ran.
+    pub fn ok(&self) -> bool {
+        self.verdict.ok() && !self.reconciled.starts_with("mismatch")
+    }
+
     /// Renders one run as a JSON object.
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
-        let kills: Vec<String> = self
-            .kills
-            .iter()
-            .map(|k| format!("\"{}\"", k.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
+        let quote = |s: &String| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+        let kills: Vec<String> = self.kills.iter().map(quote).collect();
         format!(
-            "{pad}{{\n{pad}  \"seed\": {},\n{pad}  \"verdict\": \"{}\",\n\
+            "{pad}{{\n{pad}  \"seed\": {},\n{pad}  \"plan\": \"{}\",\n\
+             {pad}  \"shards\": {},\n{pad}  \"verdict\": \"{}\",\n\
              {pad}  \"agg_incarnations\": {},\n{pad}  \"kills\": [{}],\n\
-             {pad}  \"elapsed_ms\": {}\n{pad}}}",
+             {pad}  \"injected\": {},\n{pad}  \"reconciled\": {}\n{pad}}}",
             self.seed,
+            if self.drill { "drill" } else { "seeded" },
+            self.shards,
             self.verdict,
             self.agg_incarnations,
             kills.join(", "),
-            self.elapsed_ms,
+            self.injected.to_json(),
+            quote(&self.reconciled),
         )
     }
 }
 
-/// Renders a full seed-matrix report (the `CHAOS_report.json` artifact).
+/// Renders a full matrix report (the `CHAOS_report.json` and
+/// `CHAOS_net.json` artifacts).
 pub fn report_json(outcomes: &[ChaosOutcome]) -> String {
     let runs: Vec<String> = outcomes.iter().map(|o| o.to_json(4)).collect();
-    let violations = outcomes.iter().filter(|o| !o.verdict.ok()).count();
+    let violations = outcomes.iter().filter(|o| !o.ok()).count();
     format!(
         "{{\n  \"runs\": [\n{}\n  ],\n  \"invariant_violations\": {}\n}}\n",
         runs.join(",\n"),
@@ -496,7 +620,7 @@ pub fn report_json(outcomes: &[ChaosOutcome]) -> String {
 /// (committee seeds are a pure function of the round seed, so the
 /// *noised* release is reproducible too — decryption is exact and
 /// contributes no randomness).
-pub(crate) fn reference_result(setup: &RoundSetup) -> (PlainResult, Vec<NoisyGroup>) {
+fn reference_result(setup: &RoundSetup) -> (PlainResult, Vec<NoisyGroup>) {
     let exact = evaluate(
         &setup.query,
         &setup.plan.analysis,
@@ -517,11 +641,9 @@ pub(crate) fn reference_result(setup: &RoundSetup) -> (PlainResult, Vec<NoisyGro
     (exact, released)
 }
 
-pub(crate) fn judge_outcome(
-    out_dir: &Path,
-    want_exact: &PlainResult,
-    want_released: &[NoisyGroup],
-) -> ChaosVerdict {
+/// Judges the end state a finished run left in `out_dir` against the
+/// fault-free reference.
+fn judge_outcome(out_dir: &Path, setup: &RoundSetup) -> ChaosVerdict {
     let Ok(bytes) = std::fs::read(out_dir.join(files::OUTCOME)) else {
         return ChaosVerdict::Hang;
     };
@@ -531,6 +653,7 @@ pub(crate) fn judge_outcome(
     let Ok(outcome) = outcome else {
         return ChaosVerdict::TypedFailure;
     };
+    let (want_exact, want_released) = reference_result(setup);
     let exact_ok = outcome.exact.groups.len() == want_exact.groups.len()
         && outcome
             .exact
@@ -542,7 +665,7 @@ pub(crate) fn judge_outcome(
         && outcome
             .released
             .iter()
-            .zip(want_released)
+            .zip(&want_released)
             .all(|(a, b)| a.label == b.label && a.histogram == b.histogram);
     if !(exact_ok && released_ok) {
         return ChaosVerdict::WrongAnswer;
@@ -562,141 +685,65 @@ pub(crate) fn judge_outcome(
     ChaosVerdict::Exact
 }
 
+/// The link-fault plan the spec's profile stands for (the empty plan
+/// without one) — what every server's proxy replays.
+fn link_plan(setup: &RoundSetup) -> NetFaultPlan {
+    let profile = setup.spec.net.unwrap_or(NetProfile::Seeded(0));
+    NetFaultPlan::derive(&profile, setup)
+}
+
 /// Runs one chaos round: executes the full multi-process round under
-/// the plan's kill schedule, respawning every victim (the aggregator
-/// recovers by journal replay; other roles recover by re-pulling and
-/// idempotent re-pushing), and judges the end state against the
-/// fault-free reference.
+/// the plan's kill schedule, respawning every victim (a server recovers
+/// by journal replay; other roles recover by re-pulling and idempotent
+/// re-pushing), and judges the end state against the fault-free
+/// reference.
 pub fn run_chaos(
     exe: &Path,
     spec: &RoundSpec,
     out_dir: &Path,
     plan: &ChaosPlan,
+    drill: bool,
 ) -> Result<ChaosOutcome, NetError> {
     // A chaos run is always a fresh round: stale journal or address
     // files from a previous run would be replayed as protocol state.
     let _ = std::fs::remove_dir_all(out_dir);
     std::fs::create_dir_all(out_dir)?;
     let setup = build_setup(spec)?;
-    let (want_exact, want_released) = reference_result(&setup);
     let started = Instant::now();
     let mut kills: Vec<String> = Vec::new();
 
-    let out_arg = out_dir.display().to_string();
-    let base = spec.to_args();
-    let with_base = |mut v: Vec<String>| -> Vec<String> {
-        v.extend(base.iter().cloned());
-        v.extend(["--out".to_string(), out_arg.clone()]);
-        v
+    // Each server's incarnation i (1-based) is armed with its i-th
+    // planned kill; every other crashed role is respawned clean.
+    let mut tree = RoundTree::launch(exe, &setup, out_dir, |name| {
+        let first_kill = plan.kills_for(name).first().map(AggKill::to_args);
+        (first_kill.unwrap_or_default(), 8)
+    })?;
+    // How the kill log names a server's incarnations: bare for the
+    // aggregator, `shard N ` for a shard.
+    let log_prefix = |server: &str| match server.strip_prefix("shard-") {
+        Some(shard) => format!("shard {shard} "),
+        None => String::new(),
     };
-    let agg_args = |kill: Option<&AggKill>| -> Vec<String> {
-        let mut a = with_base(vec!["aggregator".into()]);
-        if let Some(kill) = kill {
-            a.extend(kill.to_args());
+    let mut armed: Vec<(Vec<AggKill>, u32)> = Vec::new();
+    for server in &tree.servers {
+        let planned = plan.kills_for(&server.name);
+        if let Some(kill) = planned.first() {
+            let who = log_prefix(&server.name);
+            kills.push(format!("{who}incarnation 1 armed: {kill}"));
         }
-        a
-    };
-
-    // Incarnation i (1-based) is armed with plan.agg_kills[i - 1].
-    let mut incarnations: u32 = 1;
-    let mut agg = Supervised::spawn(exe, "aggregator", agg_args(plan.agg_kills.first()), true)?;
-    if let Some(kill) = plan.agg_kills.first() {
-        kills.push(format!("incarnation 1 armed: {kill}"));
-    }
-    let addr = read_agg_banner(&mut agg)?;
-
-    let addr_arg = addr.to_string();
-
-    // Aggregation shards (sharded layout only): supervised like the
-    // coordinator — each crashed incarnation is respawned with its next
-    // scheduled kill armed, and recovers by replaying its own WAL
-    // partition.
-    struct ShardSup {
-        sup: Supervised,
-        shard: usize,
-        incarnations: u32,
-        planned: Vec<AggKill>,
-    }
-    let shard_args = |shard: usize, kill: Option<&AggKill>| -> Vec<String> {
-        let mut a = with_base(vec![
-            "shard".into(),
-            "--shard".into(),
-            shard.to_string(),
-            "--addr".into(),
-            addr_arg.clone(),
-        ]);
-        if let Some(kill) = kill {
-            a.extend(kill.to_args());
-        }
-        a
-    };
-    let mut shard_sups: Vec<ShardSup> = Vec::new();
-    if spec.agg_shards > 1 {
-        for s in 0..spec.agg_shards {
-            let planned: Vec<AggKill> = plan
-                .shard_kills
-                .iter()
-                .filter(|(sh, _)| *sh == s)
-                .map(|(_, k)| k.clone())
-                .collect();
-            if let Some(kill) = planned.first() {
-                kills.push(format!("shard {s} incarnation 1 armed: {kill}"));
-            }
-            shard_sups.push(ShardSup {
-                sup: Supervised::spawn(
-                    exe,
-                    &format!("shard-{s}"),
-                    shard_args(s, planned.first()),
-                    false,
-                )?,
-                shard: s,
-                incarnations: 1,
-                planned,
-            });
-        }
-    }
-
-    let mut children: Vec<Supervised> = Vec::new();
-    let mut spawn_child = |name: String, mut head: Vec<String>| -> Result<(), NetError> {
-        head.extend(["--addr".to_string(), addr_arg.clone()]);
-        let args = with_base(head);
-        children.push(Supervised::spawn(exe, &name, args.clone(), false)?.with_respawn(args, 8));
-        Ok(())
-    };
-    for i in 0..spec.device_shards {
-        spawn_child(
-            format!("device-{i}"),
-            vec!["device".into(), "--shard".into(), i.to_string()],
-        )?;
-    }
-    for j in 0..spec.origin_shards {
-        spawn_child(
-            format!("origin-{j}"),
-            vec!["origin".into(), "--shard".into(), j.to_string()],
-        )?;
-    }
-    for m in 1..=setup.committee_size as u64 {
-        spawn_child(
-            format!("committee-{m}"),
-            vec!["committee".into(), "--member".into(), m.to_string()],
-        )?;
+        armed.push((planned, 1));
     }
 
     enum Exit {
         AggDone,
-        AggGaveUp,
-        ShardGaveUp,
+        GaveUp,
         Timeout,
     }
 
     let mut role_fired = vec![false; plan.role_kills.len()];
-    // An incarnation that keeps dying on recovery (a typed replay
-    // failure, say) must not respawn forever: a small allowance past
-    // the scheduled kills turns persistent death into a typed verdict.
-    let max_incarnations = plan.agg_kills.len() as u32 + 4;
-    let mut driver = HubClient::new(&setup, role::DRIVER, addr, out_dir);
+    let mut driver = HubClient::new(&setup, role::DRIVER, tree.addr, out_dir);
     let mut finished = false;
-    let exit = loop {
+    let exit = 'round: loop {
         if started.elapsed() >= spec.round_timeout {
             break Exit::Timeout;
         }
@@ -704,7 +751,7 @@ pub fn run_chaos(
         for (idx, rk) in plan.role_kills.iter().enumerate() {
             if !role_fired[idx] && started.elapsed() >= rk.at {
                 role_fired[idx] = true;
-                if let Some(cp) = children.iter_mut().find(|c| c.name == rk.name) {
+                if let Some(cp) = tree.clients.iter_mut().find(|c| c.name == rk.name) {
                     if cp.kill()? {
                         kills.push(format!("SIGKILL {} at {:?}", rk.name, rk.at));
                     } else {
@@ -713,77 +760,52 @@ pub fn run_chaos(
                 }
             }
         }
-        // Aggregator supervision: a dead incarnation is respawned with
-        // the next scheduled kill armed (clean once the plan runs out);
-        // recovery is journal replay inside the new process.
-        if let Some(status) = agg.try_exit()? {
-            if status.success() {
-                break Exit::AggDone;
-            }
-            if incarnations >= max_incarnations {
-                kills.push(format!(
-                    "giving up: incarnation {incarnations} died with {status}"
-                ));
-                break Exit::AggGaveUp;
-            }
-            let next = plan.agg_kills.get(incarnations as usize);
-            incarnations += 1;
-            kills.push(match next {
-                Some(kill) => {
-                    format!("incarnation {incarnations} respawned after {status}, armed: {kill}")
-                }
-                None => format!("incarnation {incarnations} respawned after {status}, clean"),
-            });
-            agg.respawn_with_args(agg_args(next), true)?;
-            read_agg_banner(&mut agg)?;
-            // `driver_seen` is liveness state, not journaled: a fresh
-            // incarnation needs to observe our poll again before it can
-            // exit.
-            finished = false;
-        }
-        // Shard supervision mirrors the coordinator's: a crashed shard
-        // incarnation is respawned with its next scheduled kill armed
-        // and recovers by replaying its own WAL partition. A shard that
-        // exits cleanly stays down — the coordinator already holds its
-        // sealed root.
-        let mut shard_gave_up = false;
-        for ss in shard_sups.iter_mut() {
-            let Some(status) = ss.sup.try_exit()? else {
+        // Server supervision: a dead incarnation — coordinator or shard
+        // — is respawned with its next scheduled kill armed (clean once
+        // its plan runs out) and recovers by replaying its own journal.
+        // A shard that exits cleanly stays down: the coordinator
+        // already holds its sealed root.
+        for (server, (planned, incarnations)) in tree.servers.iter_mut().zip(&mut armed) {
+            let Some(status) = server.try_exit()? else {
                 continue;
             };
+            let is_agg = server.name == "aggregator";
             if status.success() {
+                if is_agg {
+                    break 'round Exit::AggDone;
+                }
                 continue;
             }
-            let max = ss.planned.len() as u32 + 4;
-            if ss.incarnations >= max {
+            let who = log_prefix(&server.name);
+            // An incarnation that keeps dying on recovery (a typed
+            // replay failure, say) must not respawn forever: a small
+            // allowance past the scheduled kills turns persistent death
+            // into a typed verdict.
+            if *incarnations >= planned.len() as u32 + 4 {
                 kills.push(format!(
-                    "giving up: shard {} incarnation {} died with {status}",
-                    ss.shard, ss.incarnations
+                    "giving up: {who}incarnation {incarnations} died with {status}"
                 ));
-                shard_gave_up = true;
-                break;
+                break 'round Exit::GaveUp;
             }
-            let next = ss.planned.get(ss.incarnations as usize);
-            ss.incarnations += 1;
-            kills.push(match next {
-                Some(kill) => format!(
-                    "shard {} incarnation {} respawned after {status}, armed: {kill}",
-                    ss.shard, ss.incarnations
-                ),
-                None => format!(
-                    "shard {} incarnation {} respawned after {status}, clean",
-                    ss.shard, ss.incarnations
-                ),
-            });
-            ss.sup
-                .respawn_with_args(shard_args(ss.shard, next), false)?;
-        }
-        if shard_gave_up {
-            break Exit::ShardGaveUp;
+            let next = planned.get(*incarnations as usize);
+            *incarnations += 1;
+            let arming = next.map_or("clean".to_string(), |kill| format!("armed: {kill}"));
+            kills.push(format!(
+                "{who}incarnation {incarnations} respawned after {status}, {arming}"
+            ));
+            let kill_args = next.map(AggKill::to_args).unwrap_or_default();
+            server.respawn_with_args(tree.cmd.of(&server.name, kill_args))?;
+            if is_agg {
+                server.read_banner()?;
+                // `driver_seen` is liveness state, not journaled: a
+                // fresh incarnation needs to observe our poll again
+                // before it can exit.
+                finished = false;
+            }
         }
         // Every other crashed role is respawned through the same
         // mechanism the ordinary driver uses.
-        for cp in children.iter_mut() {
+        for cp in tree.clients.iter_mut() {
             cp.watch()?;
         }
         // Single-attempt status poll (never blocks: this loop must keep
@@ -803,38 +825,147 @@ pub fn run_chaos(
     // Drain: give children a grace window to exit on their own, then
     // reap whatever is left so the run never leaks processes.
     let grace = Instant::now() + Duration::from_secs(15);
-    let abandon = matches!(exit, Exit::Timeout | Exit::AggGaveUp | Exit::ShardGaveUp);
+    let abandon = matches!(exit, Exit::Timeout | Exit::GaveUp);
     loop {
         let mut alive = false;
-        for cp in children.iter_mut() {
+        for cp in tree.clients.iter_mut().chain(&mut tree.servers[1..]) {
             alive |= cp.try_exit()?.is_none();
-        }
-        for ss in shard_sups.iter_mut() {
-            alive |= ss.sup.try_exit()?.is_none();
         }
         if !alive || Instant::now() >= grace || abandon {
             break;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-    for cp in children.iter_mut() {
+    for cp in tree.clients.iter_mut().chain(tree.servers.iter_mut().rev()) {
         let _ = cp.kill();
     }
-    for ss in shard_sups.iter_mut() {
-        let _ = ss.sup.kill();
-    }
-    let _ = agg.kill();
 
     let verdict = match exit {
         Exit::Timeout => ChaosVerdict::Hang,
-        Exit::AggGaveUp | Exit::ShardGaveUp => ChaosVerdict::TypedFailure,
-        Exit::AggDone => judge_outcome(out_dir, &want_exact, &want_released),
+        Exit::GaveUp => ChaosVerdict::TypedFailure,
+        Exit::AggDone => judge_outcome(out_dir, &setup),
     };
     Ok(ChaosOutcome {
         seed: plan.seed,
+        drill,
+        shards: spec.agg_shards,
         verdict,
-        agg_incarnations: incarnations,
+        agg_incarnations: armed[0].1,
         kills,
-        elapsed_ms: started.elapsed().as_millis() as u64,
+        injected: link_plan(&setup).injected(),
+        // Kills cost retries of their own, so the link-fault identities
+        // only hold on runs without them.
+        reconciled: "skipped".into(),
     })
+}
+
+/// Runs one net-chaos round: spawns the ordinary driver (every server
+/// self-wraps in a [`ChaosProxy`](crate::netchaos::ChaosProxy) because
+/// the profile rides in the spec's CLI rendering), watchdogs it against
+/// the round timeout, and judges the end state exactly as
+/// [`run_chaos`] does — then reconciles fired faults against transport
+/// counters on exact runs. `spec.net` must be set.
+pub fn run_netchaos(
+    exe: &Path,
+    spec: &RoundSpec,
+    out_dir: &Path,
+) -> Result<ChaosOutcome, NetError> {
+    let profile = spec
+        .net
+        .ok_or_else(|| NetError::Supervision("run_netchaos needs spec.net".into()))?;
+    // Always a fresh round: stale journals or address files would be
+    // replayed as protocol state.
+    let _ = std::fs::remove_dir_all(out_dir);
+    std::fs::create_dir_all(out_dir)?;
+    let setup = build_setup(spec)?;
+    let plan = link_plan(&setup);
+
+    let mut args = vec!["driver".to_string()];
+    args.extend(spec.to_args());
+    args.extend(["--out".to_string(), out_dir.display().to_string()]);
+    let mut driver = Supervised::spawn(exe, "net-driver", args, false)?;
+    let deadline = Instant::now() + spec.round_timeout + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = driver.try_exit()? {
+            break Some(status);
+        }
+        if Instant::now() >= deadline {
+            let _ = driver.kill();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let verdict = match status {
+        None => ChaosVerdict::Hang,
+        Some(status) => {
+            let v = judge_outcome(out_dir, &setup);
+            if v == ChaosVerdict::Hang && !status.success() {
+                // The driver exited nonzero before an outcome landed:
+                // a typed failure surfaced through the process tree,
+                // not a hang.
+                ChaosVerdict::TypedFailure
+            } else {
+                v
+            }
+        }
+    };
+    let reconciled = if verdict == ChaosVerdict::Exact {
+        reconcile(out_dir, spec, &plan)
+    } else {
+        "skipped".into()
+    };
+    Ok(ChaosOutcome {
+        seed: match profile {
+            NetProfile::Seeded(seed) => seed,
+            NetProfile::Drill => spec.seed,
+        },
+        drill: profile == NetProfile::Drill,
+        shards: spec.agg_shards,
+        verdict,
+        agg_incarnations: 1,
+        kills: Vec::new(),
+        injected: plan.injected(),
+        reconciled,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_journaled_servers_are_armed_with_kills() {
+        let plan = ChaosPlan::drill_sharded();
+        assert_eq!(plan.kills_for("aggregator").len(), 2);
+        assert_eq!(plan.kills_for("shard-0").len(), 1);
+        assert!(plan.kills_for("shard-1").is_empty());
+        assert!(plan.kills_for("device-0").is_empty());
+    }
+
+    #[test]
+    fn report_is_deterministic_and_flags_mismatches() {
+        let outcome = ChaosOutcome {
+            seed: 3,
+            drill: false,
+            shards: 1,
+            verdict: ChaosVerdict::Exact,
+            agg_incarnations: 1,
+            kills: Vec::new(),
+            injected: FaultLedger {
+                resets: 2,
+                reply_drops: 1,
+                ..FaultLedger::default()
+            },
+            reconciled: "ok".into(),
+        };
+        let a = report_json(std::slice::from_ref(&outcome));
+        let b = report_json(std::slice::from_ref(&outcome));
+        assert_eq!(a, b);
+        assert!(a.contains("\"invariant_violations\": 0"));
+        let bad = ChaosOutcome {
+            reconciled: "mismatch: retries 3 != 2".into(),
+            ..outcome
+        };
+        assert!(report_json(&[bad]).contains("\"invariant_violations\": 1"));
+    }
 }

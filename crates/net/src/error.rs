@@ -77,6 +77,10 @@ pub enum NetError {
     /// The write-ahead journal failed (I/O, corruption, or a replay
     /// that did not reproduce the pre-crash state).
     Journal(JournalError),
+    /// Supervising the round's process tree failed: a child crashed, the
+    /// status poll never saw the round finish, or the launcher was
+    /// misused. Not a wire failure.
+    Supervision(String),
     /// A handler thread panicked while holding the hub state lock; the
     /// guard was recovered ([`PoisonError::into_inner`]
     /// (std::sync::PoisonError::into_inner)) but the triggering request
@@ -115,6 +119,7 @@ impl std::fmt::Display for NetError {
                 write!(f, "gave up after {attempts} attempts: {last}")
             }
             NetError::Journal(e) => write!(f, "journal failure: {e}"),
+            NetError::Supervision(e) => write!(f, "round supervision failed: {e}"),
             NetError::Poisoned => write!(f, "hub state lock was poisoned by a panic"),
         }
     }

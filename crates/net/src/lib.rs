@@ -27,22 +27,22 @@
 //! * [`round`] — the multi-process round itself: aggregator server,
 //!   device/origin/committee client roles, and the driver that spawns
 //!   and supervises them.
-//! * [`chaos`] — the seeded kill/respawn supervisor ([`Supervised`],
-//!   [`ChaosPlan`]) behind the `chaos_round` binary: murders roles at
-//!   derived protocol steps and verifies the round still ends in a
-//!   bit-identical histogram or a typed failure.
+//! * [`chaos`] — the fault-injection plane behind the `chaos_round`
+//!   binary: the process-tree launcher and kill/respawn supervisor
+//!   ([`Supervised`], [`ChaosPlan`]), the runners for both fault
+//!   sources, and the one verdict and report ([`ChaosOutcome`]) that
+//!   check the round still ends in a bit-identical histogram or a typed
+//!   failure.
 //! * [`cli`] — flag parsing and role dispatch shared by the
 //!   `net_round` and `chaos_round` binaries.
 //! * [`metrics`] — per-kind wire counters and latency series, merged
 //!   across processes and reconciled against the analytical cost model
 //!   in `mycelium::costs`.
-//! * [`tamper`] — a frame-aware byte-flipping relay used by adversarial
-//!   tests to prove tampering yields typed AEAD errors, not panics.
-//! * [`netchaos`] — the deterministic link-fault plane behind
-//!   `chaos_round netchaos`: every server fronts itself with a seeded
-//!   [`ChaosProxy`](netchaos::ChaosProxy) replaying resets, dropped
-//!   replies, slow-loris stalls, latency, and healing partitions, and
-//!   the runner reconciles injected faults against transport counters.
+//! * [`netchaos`] — the plane's link-fault source: every server fronts
+//!   itself with a seeded [`ChaosProxy`](netchaos::ChaosProxy)
+//!   replaying resets, dropped replies, slow-loris stalls, bit flips,
+//!   latency, and healing partitions, with a fired-fault ledger that
+//!   reconciles against the transport counters.
 
 pub mod channel;
 pub mod chaos;
@@ -57,7 +57,6 @@ pub mod netchaos;
 pub mod proto;
 pub mod round;
 pub mod server;
-pub mod tamper;
 pub mod wire;
 
 pub use channel::{Identity, SecureChannel, HANDSHAKE_WIRE_BYTES};
@@ -69,7 +68,6 @@ pub use metrics::NetMetrics;
 pub use netchaos::{ChaosProxy, NetFaultPlan, NetProfile};
 pub use round::{RoundSetup, RoundSpec};
 pub use server::{Handler, Server, ServerConfig};
-pub use tamper::TamperProxy;
 
 // Re-exported so doc links and downstream users name one source of truth.
 pub use mycelium_simnet::BackoffPolicy;

@@ -1,11 +1,11 @@
 //! Deterministic link-fault injection on the real loopback transport.
 //!
-//! Where [`crate::chaos`] murders *processes*, this module murders
-//! *links*: every server in the multi-process round fronts itself with
-//! a [`ChaosProxy`] — a frame-aware TCP relay that replays a per-link
-//! fault plan sharing the simulated network's fault vocabulary
-//! ([`Partition`], [`LinkModel`] latency) plus the byte-level faults
-//! only a real wire has:
+//! The link half of the fault-injection plane ([`crate::chaos`] holds
+//! the process half, the runners and the report): every server in the
+//! multi-process round fronts itself with a [`ChaosProxy`] — a
+//! frame-aware TCP relay that replays a per-link fault plan sharing the
+//! simulated network's fault vocabulary ([`Partition`], [`LinkModel`]
+//! latency) plus the byte-level faults only a real wire has:
 //!
 //! * **connection resets mid-frame** — the request is torn at an
 //!   arbitrary byte boundary and both sides are closed;
@@ -16,6 +16,9 @@
 //! * **slow-loris stalls** — a few reply bytes dribble out and then
 //!   nothing, until the client's per-request deadline converts the
 //!   stall into a typed timeout;
+//! * **bit flips** — the request arrives with one payload bit inverted;
+//!   the server's AEAD rejects it, nothing is applied, and the client
+//!   retries over a fresh connection;
 //! * **asymmetric partitions with scheduled healing** — whole role
 //!   groups are cut off from one server during a wall-clock window.
 //!
@@ -25,16 +28,15 @@
 //! of a run are byte-reproducible: rerunning a seed yields an identical
 //! `CHAOS_net.json` entry.
 //!
-//! The degraded-mode invariant is the same as the process-chaos one,
-//! with a reconciliation twist: every seed must end in the bit-exact
-//! histogram (with a valid certificate) or a typed failure — never a
-//! hang, never a wrong answer — **and**, on exact runs, the injected
-//! faults must be visible in the transport counters:
+//! On top of the plane's one invariant (exact with a valid certificate,
+//! or a typed failure), an exact run must show its injected faults in
+//! the transport counters ([`reconcile`]):
 //!
 //! ```text
-//! retries            == resets + reply_drops + stalls + partition kills
+//! retries            == resets + reply_drops + stalls + partition kills + flips
 //! deadline_expiries  == stalls
 //! duplicates         == dropped replies + stalled replies (device links)
+//! aead_rejects       == flips
 //! ```
 //!
 //! A zero-fault plan (`--net-seed 0`) relays every byte untouched, so a
@@ -44,20 +46,18 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_simnet::{LinkModel, Partition};
 
-use crate::channel::Identity;
-use crate::chaos::{judge_outcome, reference_result, ChaosVerdict, Supervised};
 use crate::error::NetError;
 use crate::frame::HEADER_LEN;
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::round::{build_setup, files, role, shard_of, RoundSetup, RoundSpec};
+use crate::round::{files, role, shard_of, RoundSetup, RoundSpec};
 
 // ---------------------------------------------------------------------------
 // Profiles and plans
@@ -68,9 +68,9 @@ use crate::round::{build_setup, files, role, shard_of, RoundSetup, RoundSpec};
 pub enum NetProfile {
     /// Seed-derived plan; `Seeded(0)` is the empty (pass-through) plan.
     Seeded(u64),
-    /// The fixed three-phase drill: a partition during contribution
-    /// intake, a request stall during origin summation, and a reset
-    /// storm during committee decryption.
+    /// The fixed three-phase drill: a partition and a bit flip during
+    /// contribution intake, a request stall during origin summation,
+    /// and a reset storm during committee decryption.
     Drill,
 }
 
@@ -116,6 +116,10 @@ pub enum FaultKind {
         /// How long to hold the silent connection before closing.
         hold_ms: u64,
     },
+    /// Deliver the request with one bit flipped mid-payload and relay
+    /// whatever the server answers. Its AEAD must reject the frame, so
+    /// no write is applied and the retry is not a duplicate.
+    Flip,
 }
 
 /// Per-link fault schedule: ordinal-keyed faults plus optional latency.
@@ -137,28 +141,6 @@ pub struct NetFaultPlan {
     pub links: BTreeMap<(u32, u32), LinkPlan>,
     /// Scheduled partitions (role ids as actor ids, ms as ticks).
     pub partitions: Vec<Partition>,
-}
-
-/// Plan-derived injected-fault counts — deterministic per seed, so the
-/// `CHAOS_net.json` entry is byte-reproducible.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InjectedCounts {
-    /// Mid-frame connection resets.
-    pub resets: u64,
-    /// Swallowed replies.
-    pub reply_drops: u64,
-    /// Slow-loris reply stalls.
-    pub stall_replies: u64,
-    /// Swallowed-and-stalled requests.
-    pub stall_requests: u64,
-    /// Retries that redeliver an applied write (`reply_drops +
-    /// stall_replies`; both are scheduled on device links only, where
-    /// every request is a mutating push).
-    pub dup_targets: u64,
-    /// Links with injected latency.
-    pub latency_links: u64,
-    /// Scheduled partition windows.
-    pub partition_windows: u64,
 }
 
 /// One link the plan may schedule faults on.
@@ -374,9 +356,10 @@ impl NetFaultPlan {
     }
 
     /// The fixed drill: devices 0–3 partitioned from the intake front
-    /// during `[250 ms, 1250 ms)` (contribution intake), a swallowed
-    /// origin request mid-summation, and a reset storm — three torn
-    /// frames — across the first committee links during decryption.
+    /// during `[250 ms, 1250 ms)` and the first push on the last device
+    /// link bit-flipped (contribution intake), a swallowed origin
+    /// request mid-summation, and a reset storm — three torn frames —
+    /// across the first committee links during decryption.
     fn drill(setup: &RoundSetup) -> NetFaultPlan {
         let spec = &setup.spec;
         let hold = Self::hold_ms(setup);
@@ -395,53 +378,35 @@ impl NetFaultPlan {
             from: 250,
             until: 1250,
         });
-        plan.links
-            .entry((front, role::ORIGIN_BASE))
-            .or_default()
-            .faults
-            .push(LinkFault {
-                ordinal: 1,
-                kind: FaultKind::StallRequest { hold_ms: hold },
-            });
+        let mut schedule = |key: (u32, u32), ordinal: u64, kind: FaultKind| {
+            let faults = &mut plan.links.entry(key).or_default().faults;
+            faults.push(LinkFault { ordinal, kind });
+        };
+        if let Some(link) = link_inventory(setup).iter().rfind(|l| l.device) {
+            schedule((link.server, link.client), 1, FaultKind::Flip);
+        }
+        schedule(
+            (front, role::ORIGIN_BASE),
+            1,
+            FaultKind::StallRequest { hold_ms: hold },
+        );
         for (m, tear) in (1..=setup.committee_size.min(3) as u32).zip([0u64, 7, 1000]) {
-            plan.links
-                .entry((role::AGGREGATOR, role::COMMITTEE_BASE + m))
-                .or_default()
-                .faults
-                .push(LinkFault {
-                    ordinal: m as u64,
-                    kind: FaultKind::Reset { tear },
-                });
+            let key = (role::AGGREGATOR, role::COMMITTEE_BASE + m);
+            schedule(key, m as u64, FaultKind::Reset { tear });
         }
         plan
     }
 
-    /// The plan's deterministic injected-fault counts.
-    pub fn injected(&self) -> InjectedCounts {
-        let mut c = InjectedCounts {
-            partition_windows: self.partitions.len() as u64,
-            ..InjectedCounts::default()
-        };
-        for plan in self.links.values() {
-            if plan.latency.is_some() {
-                c.latency_links += 1;
-            }
-            for f in &plan.faults {
-                match f.kind {
-                    FaultKind::Reset { .. } => c.resets += 1,
-                    FaultKind::DropReply => {
-                        c.reply_drops += 1;
-                        c.dup_targets += 1;
-                    }
-                    FaultKind::StallReply { .. } => {
-                        c.stall_replies += 1;
-                        c.dup_targets += 1;
-                    }
-                    FaultKind::StallRequest { .. } => c.stall_requests += 1,
-                }
-            }
+    /// How many faults of each kind the plan schedules — deterministic
+    /// per seed, so the `CHAOS_net.json` entry is byte-reproducible. The
+    /// timing-dependent counters (partition kills, delayed requests)
+    /// cannot be known ahead of a run and stay zero.
+    pub fn injected(&self) -> FaultLedger {
+        let mut scheduled = FaultLedger::default();
+        for fault in self.links.values().flat_map(|link| &link.faults) {
+            *scheduled.of(&fault.kind) += 1;
         }
-        c
+        scheduled
     }
 
     /// The subset of links this plan schedules for server `server_role`.
@@ -458,82 +423,95 @@ impl NetFaultPlan {
 // The fault ledger
 // ---------------------------------------------------------------------------
 
-/// Counters of the faults a [`ChaosProxy`] actually fired, written as
-/// the `netfaults-<server>.json` artifact and reconciled against the
-/// merged transport metrics.
-#[derive(Debug, Default)]
+/// Fault counts by kind: what a [`ChaosProxy`] actually fired (the
+/// `netfaults-<server>.json` artifact, reconciled against the merged
+/// transport metrics), or what a plan schedules
+/// ([`NetFaultPlan::injected`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultLedger {
-    /// Mid-frame resets delivered.
-    pub resets: AtomicU64,
-    /// Replies swallowed.
-    pub reply_drops: AtomicU64,
-    /// Replies stalled.
-    pub stall_replies: AtomicU64,
-    /// Requests swallowed and stalled.
-    pub stall_requests: AtomicU64,
+    /// Requests delivered with a flipped bit.
+    pub flips: u64,
+    /// Requests delayed by link latency (timing-dependent on poll links).
+    pub latency_injections: u64,
     /// Connections or requests killed by an active partition window
     /// (timing-dependent: each kill costs the client exactly one retry).
-    pub partition_rejects: AtomicU64,
-    /// Requests delayed by link latency (timing-dependent on poll links).
-    pub latency_injections: AtomicU64,
+    pub partition_rejects: u64,
+    /// Replies swallowed.
+    pub reply_drops: u64,
+    /// Mid-frame resets delivered.
+    pub resets: u64,
+    /// Replies stalled.
+    pub stall_replies: u64,
+    /// Requests swallowed and stalled.
+    pub stall_requests: u64,
 }
 
 impl FaultLedger {
+    /// Every counter under its JSON key, in key order: the one list the
+    /// artifact's writer and reader share.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 7] {
+        [
+            ("flips", &mut self.flips),
+            ("latency_injections", &mut self.latency_injections),
+            ("partition_rejects", &mut self.partition_rejects),
+            ("reply_drops", &mut self.reply_drops),
+            ("resets", &mut self.resets),
+            ("stall_replies", &mut self.stall_replies),
+            ("stall_requests", &mut self.stall_requests),
+        ]
+    }
+
+    /// The counter faults of `kind` are tallied under.
+    fn of(&mut self, kind: &FaultKind) -> &mut u64 {
+        match kind {
+            FaultKind::Reset { .. } => &mut self.resets,
+            FaultKind::DropReply => &mut self.reply_drops,
+            FaultKind::StallReply { .. } => &mut self.stall_replies,
+            FaultKind::StallRequest { .. } => &mut self.stall_requests,
+            FaultKind::Flip => &mut self.flips,
+        }
+    }
+
+    /// Retries that redeliver an applied write: dropped and stalled
+    /// replies, both scheduled on device links only, where every request
+    /// is a mutating push.
+    pub fn dup_targets(&self) -> u64 {
+        self.reply_drops + self.stall_replies
+    }
+
     /// Renders the ledger as a flat, key-sorted JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"latency_injections\": {}, \"partition_rejects\": {}, \"reply_drops\": {}, \
-             \"resets\": {}, \"stall_replies\": {}, \"stall_requests\": {}}}\n",
-            self.latency_injections.load(Ordering::SeqCst),
-            self.partition_rejects.load(Ordering::SeqCst),
-            self.reply_drops.load(Ordering::SeqCst),
-            self.resets.load(Ordering::SeqCst),
-            self.stall_replies.load(Ordering::SeqCst),
-            self.stall_requests.load(Ordering::SeqCst),
-        )
+    pub fn to_json(mut self) -> String {
+        let fields = self
+            .fields()
+            .map(|(key, count)| format!("\"{key}\": {count}"));
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    /// Adds every counter of a rendered ledger to this one (a key the
+    /// text lacks adds nothing).
+    fn absorb(&mut self, text: &str) {
+        let body = text.trim().trim_start_matches('{').trim_end_matches('}');
+        for (key, value) in body.split(',').filter_map(|pair| pair.split_once(':')) {
+            let key = key.trim().trim_matches('"');
+            let slot = self.fields().into_iter().find(|(k, _)| *k == key);
+            if let (Some((_, slot)), Ok(count)) = (slot, value.trim().parse::<u64>()) {
+                *slot += count;
+            }
+        }
     }
 }
 
-/// Extracts `"key": value` from a flat JSON object (the ledger format).
-fn json_u64(text: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    text.find(&pat)
-        .map(|at| {
-            text[at + pat.len()..]
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-        })
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 /// The fired-fault counts of one run, summed over every server ledger.
-#[derive(Debug, Default, Clone, Copy)]
-struct FiredCounts {
-    resets: u64,
-    reply_drops: u64,
-    stall_replies: u64,
-    stall_requests: u64,
-    partition_rejects: u64,
-}
-
-fn read_ledgers(out_dir: &Path, spec: &RoundSpec) -> FiredCounts {
+fn read_ledgers(out_dir: &Path, spec: &RoundSpec) -> FaultLedger {
     let mut names = vec!["aggregator".to_string()];
     if spec.agg_shards > 1 {
         names.extend((0..spec.agg_shards).map(|s| format!("shard-{s}")));
     }
-    let mut sum = FiredCounts::default();
+    let mut sum = FaultLedger::default();
     for name in names {
-        let Ok(text) = std::fs::read_to_string(out_dir.join(files::netfaults(&name))) else {
-            continue;
-        };
-        sum.resets += json_u64(&text, "resets");
-        sum.reply_drops += json_u64(&text, "reply_drops");
-        sum.stall_replies += json_u64(&text, "stall_replies");
-        sum.stall_requests += json_u64(&text, "stall_requests");
-        sum.partition_rejects += json_u64(&text, "partition_rejects");
+        if let Ok(text) = std::fs::read_to_string(out_dir.join(files::netfaults(&name))) {
+            sum.absorb(&text);
+        }
     }
     sum
 }
@@ -558,7 +536,7 @@ struct ProxyCtx {
     /// Latency jitter source (timing-plane only; never affects which
     /// faults fire).
     rng: Mutex<StdRng>,
-    ledger: FaultLedger,
+    ledger: Mutex<FaultLedger>,
 }
 
 impl ProxyCtx {
@@ -584,43 +562,26 @@ pub struct ChaosProxy {
 
 impl ChaosProxy {
     /// Starts a proxy for `server_role` (listening on an ephemeral
-    /// loopback port) relaying to `upstream` under `plan`.
+    /// loopback port) relaying to `upstream` under `plan`. `roster`
+    /// names the clients whose links the plan keys — `(static key, role
+    /// id)` pairs, e.g. [`RoundSetup::link_roster`]; a client outside it
+    /// is relayed untouched.
     pub fn spawn(
         upstream: SocketAddr,
         server_role: u32,
-        plan: NetFaultPlan,
-        setup: &RoundSetup,
+        plan: &NetFaultPlan,
+        roster: &[([u8; 32], u32)],
     ) -> Result<ChaosProxy, NetError> {
-        let spec = &setup.spec;
-        let mut role_of = BTreeMap::new();
-        let mut insert = |r: u32| {
-            role_of.insert(Identity::derive(spec.seed, r).public, r);
-        };
-        for i in 0..spec.device_shards {
-            insert(role::DEVICE_BASE + i as u32);
-        }
-        for j in 0..spec.origin_shards {
-            insert(role::ORIGIN_BASE + j as u32);
-        }
-        for m in 1..=setup.committee_size as u32 {
-            insert(role::COMMITTEE_BASE + m);
-        }
-        for s in 0..spec.agg_shards {
-            insert(role::SHARD_BASE + s as u32);
-        }
-        insert(role::DRIVER);
         let ctx = Arc::new(ProxyCtx {
             upstream,
             server_role,
-            role_of,
+            role_of: roster.iter().copied().collect(),
             links: plan.for_server(server_role),
             partitions: plan.partitions.clone(),
             started: Instant::now(),
             ordinals: Mutex::new(BTreeMap::new()),
-            rng: Mutex::new(
-                StdRng::seed_from_u64(spec.seed ^ 0x1a7e_9c1e).with_stream(server_role as u64),
-            ),
-            ledger: FaultLedger::default(),
+            rng: Mutex::new(StdRng::seed_from_u64(0x1a7e_9c1e).with_stream(server_role as u64)),
+            ledger: Mutex::new(FaultLedger::default()),
         });
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -649,9 +610,9 @@ impl ChaosProxy {
         self.addr
     }
 
-    /// The fired-fault ledger as its JSON artifact.
-    pub fn ledger_json(&self) -> String {
-        self.ctx.ledger.to_json()
+    /// The faults fired so far.
+    pub fn ledger(&self) -> FaultLedger {
+        *lock_recover(&self.ctx.ledger)
     }
 
     /// Stops accepting (live relays drain with their connections).
@@ -684,11 +645,22 @@ fn close_both(client: &TcpStream, server: Option<&TcpStream>) {
 
 fn relay_chaos(mut client: TcpStream, ctx: &ProxyCtx) {
     client.set_nodelay(true).ok();
+    let mut server = None;
+    let _ = relay_link(&mut client, &mut server, ctx);
+    close_both(&client, server.as_ref());
+}
+
+/// Relays one client connection, frame by frame, until either side — or
+/// a fault — ends it: `None` is the only way out. `upstream` holds the
+/// server-side socket once dialed, for the caller to close.
+fn relay_link(
+    client: &mut TcpStream,
+    upstream: &mut Option<TcpStream>,
+    ctx: &ProxyCtx,
+) -> Option<()> {
     // The ClientHello carries the client's static public key in the
     // clear at the head of its payload — that is the link identifier.
-    let Some(hello) = read_frame(&mut client) else {
-        return;
-    };
+    let hello = read_frame(client)?;
     let client_role = hello
         .get(HEADER_LEN..HEADER_LEN + 32)
         .and_then(|pk| {
@@ -698,48 +670,33 @@ fn relay_chaos(mut client: TcpStream, ctx: &ProxyCtx) {
         .copied();
     // Partition check at accept: a connection across an active cut dies
     // before the server ever sees it (one failed attempt = one retry).
-    if let Some(role) = client_role {
-        if ctx.severed(role) {
-            ctx.ledger.partition_rejects.fetch_add(1, Ordering::SeqCst);
-            close_both(&client, None);
-            return;
-        }
+    if client_role.is_some_and(|role| ctx.severed(role)) {
+        lock_recover(&ctx.ledger).partition_rejects += 1;
+        return None;
     }
-    let Ok(mut server) = TcpStream::connect(ctx.upstream) else {
-        close_both(&client, None);
-        return;
-    };
+    let server = upstream.insert(TcpStream::connect(ctx.upstream).ok()?);
     server.set_nodelay(true).ok();
-    if server.write_all(&hello).is_err() {
-        close_both(&client, Some(&server));
-        return;
-    }
+    server.write_all(&hello).ok()?;
     // ServerHello, client Confirm, server Confirm — strict ping-pong.
     for client_sends in [false, true, false] {
         let (from, to) = if client_sends {
-            (&mut client, &mut server)
+            (&mut *client, &mut *server)
         } else {
-            (&mut server, &mut client)
+            (&mut *server, &mut *client)
         };
-        let Some(frame) = read_frame(from) else {
-            close_both(&client, Some(&server));
-            return;
-        };
-        if to.write_all(&frame).is_err() {
-            close_both(&client, Some(&server));
-            return;
-        }
+        to.write_all(&read_frame(from)?).ok()?;
     }
     let link = client_role.and_then(|r| ctx.links.get(&r));
-    while let Some(request) = read_frame(&mut client) {
+    loop {
+        let mut request = read_frame(client)?;
         if let Some(role) = client_role {
             // Partition recheck per request: a window that opened after
             // the handshake still severs the link. Killed requests do
             // not consume ordinals, so scheduled faults stay on
             // schedule whatever the window's timing.
             if ctx.severed(role) {
-                ctx.ledger.partition_rejects.fetch_add(1, Ordering::SeqCst);
-                break;
+                lock_recover(&ctx.ledger).partition_rejects += 1;
+                return None;
             }
             let ordinal = {
                 let mut ords = lock_recover(&ctx.ordinals);
@@ -747,127 +704,62 @@ fn relay_chaos(mut client: TcpStream, ctx: &ProxyCtx) {
                 *e += 1;
                 *e
             };
-            if let Some(link) = link {
-                if let Some(model) = &link.latency {
-                    let jitter = lock_recover(&ctx.rng).gen_range(0..=model.jitter);
-                    std::thread::sleep(Duration::from_millis((model.base + jitter).max(1)));
-                    ctx.ledger.latency_injections.fetch_add(1, Ordering::SeqCst);
-                }
-                if let Some(fault) = link.faults.iter().find(|f| f.ordinal == ordinal) {
-                    match &fault.kind {
-                        FaultKind::Reset { tear } => {
-                            let cut = (*tear % request.len() as u64) as usize;
-                            let _ = server.write_all(&request[..cut]);
-                            ctx.ledger.resets.fetch_add(1, Ordering::SeqCst);
-                            break;
+            if let Some(model) = link.and_then(|l| l.latency.as_ref()) {
+                let jitter = lock_recover(&ctx.rng).gen_range(0..=model.jitter);
+                std::thread::sleep(Duration::from_millis((model.base + jitter).max(1)));
+                lock_recover(&ctx.ledger).latency_injections += 1;
+            }
+            let fault = link.and_then(|l| l.faults.iter().find(|f| f.ordinal == ordinal));
+            if let Some(fault) = fault {
+                *lock_recover(&ctx.ledger).of(&fault.kind) += 1;
+                match &fault.kind {
+                    FaultKind::Reset { tear } => {
+                        let cut = (*tear % request.len() as u64) as usize;
+                        let _ = server.write_all(&request[..cut]);
+                        return None;
+                    }
+                    FaultKind::DropReply => {
+                        server.write_all(&request).ok()?;
+                        let _ = read_frame(server);
+                        return None;
+                    }
+                    FaultKind::StallReply { hold_ms, dribble } => {
+                        let delivered = server.write_all(&request).ok();
+                        if let Some(reply) = delivered.and_then(|()| read_frame(server)) {
+                            let cut = (*dribble).min(reply.len().saturating_sub(1));
+                            let _ = client.write_all(&reply[..cut]);
                         }
-                        FaultKind::DropReply => {
-                            if server.write_all(&request).is_ok() {
-                                let _ = read_frame(&mut server);
-                            }
-                            ctx.ledger.reply_drops.fetch_add(1, Ordering::SeqCst);
-                            break;
-                        }
-                        FaultKind::StallReply { hold_ms, dribble } => {
-                            if server.write_all(&request).is_ok() {
-                                if let Some(reply) = read_frame(&mut server) {
-                                    let cut = (*dribble).min(reply.len().saturating_sub(1));
-                                    let _ = client.write_all(&reply[..cut]);
-                                }
-                            }
-                            ctx.ledger.stall_replies.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(Duration::from_millis(*hold_ms));
-                            break;
-                        }
-                        FaultKind::StallRequest { hold_ms } => {
-                            ctx.ledger.stall_requests.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(Duration::from_millis(*hold_ms));
-                            break;
+                        std::thread::sleep(Duration::from_millis(*hold_ms));
+                        return None;
+                    }
+                    FaultKind::StallRequest { hold_ms } => {
+                        std::thread::sleep(Duration::from_millis(*hold_ms));
+                        return None;
+                    }
+                    FaultKind::Flip => {
+                        let mid = HEADER_LEN + (request.len() - HEADER_LEN) / 2;
+                        if let Some(byte) = request.get_mut(mid) {
+                            *byte ^= 0x01;
                         }
                     }
                 }
             }
         }
-        if server.write_all(&request).is_err() {
-            break;
-        }
-        let Some(reply) = read_frame(&mut server) else {
-            break;
-        };
-        if client.write_all(&reply).is_err() {
-            break;
-        }
-    }
-    close_both(&client, Some(&server));
-}
-
-// ---------------------------------------------------------------------------
-// The net-chaos runner
-// ---------------------------------------------------------------------------
-
-/// One net-chaos run's report entry (`CHAOS_net.json`). Deliberately
-/// holds no wall-clock fields: rerunning the same seed must produce a
-/// byte-identical entry.
-#[derive(Debug, Clone)]
-pub struct NetChaosOutcome {
-    /// `"drill"` or the fault seed rendered as a number.
-    pub label: String,
-    /// Aggregation-plane shard count of the run.
-    pub shards: usize,
-    /// How the run ended.
-    pub verdict: ChaosVerdict,
-    /// The plan's deterministic injected-fault counts.
-    pub injected: InjectedCounts,
-    /// `"ok"`, `"skipped"` (non-exact verdict), or a mismatch listing.
-    pub reconciled: String,
-}
-
-impl NetChaosOutcome {
-    /// Renders one run as a JSON object.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let i = &self.injected;
-        format!(
-            "{pad}{{\n{pad}  \"seed\": {},\n{pad}  \"shards\": {},\n\
-             {pad}  \"verdict\": \"{}\",\n\
-             {pad}  \"injected\": {{\"dup_targets\": {}, \"latency_links\": {}, \
-             \"partition_windows\": {}, \"reply_drops\": {}, \"resets\": {}, \
-             \"stall_replies\": {}, \"stall_requests\": {}}},\n\
-             {pad}  \"reconciled\": \"{}\"\n{pad}}}",
-            self.label,
-            self.shards,
-            self.verdict,
-            i.dup_targets,
-            i.latency_links,
-            i.partition_windows,
-            i.reply_drops,
-            i.resets,
-            i.stall_replies,
-            i.stall_requests,
-            self.reconciled.replace('\\', "\\\\").replace('"', "\\\""),
-        )
+        server.write_all(&request).ok()?;
+        client.write_all(&read_frame(server)?).ok()?;
     }
 }
 
-/// Renders the full matrix report (the `CHAOS_net.json` artifact).
-pub fn report_json(outcomes: &[NetChaosOutcome]) -> String {
-    let runs: Vec<String> = outcomes.iter().map(|o| o.to_json(4)).collect();
-    let violations = outcomes
-        .iter()
-        .filter(|o| !o.verdict.ok() || o.reconciled.starts_with("mismatch"))
-        .count();
-    format!(
-        "{{\n  \"runs\": [\n{}\n  ],\n  \"invariant_violations\": {}\n}}\n",
-        runs.join(",\n"),
-        violations
-    )
-}
+// ---------------------------------------------------------------------------
+// Reconciliation
+// ---------------------------------------------------------------------------
 
 /// Reconciles the merged transport counters of an exact run against the
-/// fired-fault ledgers and the plan. Every identity failing here means
-/// either a fault silently failed to fire (the plan scheduled past a
-/// link's guaranteed floor) or the client/server hardening miscounted.
-fn reconcile(out_dir: &Path, spec: &RoundSpec, plan: &NetFaultPlan) -> String {
+/// fired-fault ledgers and the plan: `"ok"`, or a `"mismatch: …"`
+/// listing. Every identity failing here means either a fault silently
+/// failed to fire (the plan scheduled past a link's guaranteed floor)
+/// or the client/server hardening miscounted.
+pub(crate) fn reconcile(out_dir: &Path, spec: &RoundSpec, plan: &NetFaultPlan) -> String {
     let merged = std::fs::read(out_dir.join(files::METRICS_MERGED))
         .ok()
         .and_then(|b| NetMetrics::decode(&b).ok());
@@ -876,36 +768,37 @@ fn reconcile(out_dir: &Path, spec: &RoundSpec, plan: &NetFaultPlan) -> String {
     };
     let fired = read_ledgers(out_dir, spec);
     let want = plan.injected();
+    // What a plan cannot schedule (it leaves those counters zero) is
+    // checked through `retries` alone.
+    let scheduled = FaultLedger {
+        partition_rejects: 0,
+        latency_injections: 0,
+        ..fired
+    };
     let mut bad: Vec<String> = Vec::new();
-    let mut check = |name: &str, got: u64, wanted: u64| {
+    if scheduled != want {
+        bad.push(format!(
+            "fired {} != {}",
+            scheduled.to_json(),
+            want.to_json()
+        ));
+    }
+    let stalls = fired.stall_replies + fired.stall_requests;
+    let retried = fired.resets + fired.reply_drops + stalls + fired.partition_rejects + fired.flips;
+    for (name, got, wanted) in [
+        ("retries", merged.retries, retried),
+        ("deadline_expiries", merged.deadline_expiries, stalls),
+        (
+            "duplicates_suppressed",
+            merged.duplicates_suppressed,
+            want.dup_targets(),
+        ),
+        ("aead_rejects", merged.aead_rejects, fired.flips),
+    ] {
         if got != wanted {
             bad.push(format!("{name} {got} != {wanted}"));
         }
-    };
-    check("fired resets", fired.resets, want.resets);
-    check("fired reply_drops", fired.reply_drops, want.reply_drops);
-    check(
-        "fired stall_replies",
-        fired.stall_replies,
-        want.stall_replies,
-    );
-    check(
-        "fired stall_requests",
-        fired.stall_requests,
-        want.stall_requests,
-    );
-    let stalls = fired.stall_replies + fired.stall_requests;
-    check(
-        "retries",
-        merged.retries,
-        fired.resets + fired.reply_drops + stalls + fired.partition_rejects,
-    );
-    check("deadline_expiries", merged.deadline_expiries, stalls);
-    check(
-        "duplicates_suppressed",
-        merged.duplicates_suppressed,
-        want.dup_targets,
-    );
+    }
     if bad.is_empty() {
         "ok".into()
     } else {
@@ -913,105 +806,13 @@ fn reconcile(out_dir: &Path, spec: &RoundSpec, plan: &NetFaultPlan) -> String {
     }
 }
 
-/// Runs one net-chaos round: spawns the ordinary driver (every server
-/// self-wraps in a [`ChaosProxy`] because the profile rides in the
-/// spec's CLI rendering), watchdogs it against the round timeout, and
-/// judges the end state exactly as the process-chaos supervisor does —
-/// then reconciles fired faults against transport counters on exact
-/// runs. `spec.net` must be set.
-pub fn run_netchaos(
-    exe: &Path,
-    spec: &RoundSpec,
-    out_dir: &Path,
-) -> Result<NetChaosOutcome, NetError> {
-    let profile = spec
-        .net
-        .ok_or_else(|| NetError::Decode("run_netchaos needs spec.net".into()))?;
-    // Always a fresh round: stale journals or address files would be
-    // replayed as protocol state.
-    let _ = std::fs::remove_dir_all(out_dir);
-    std::fs::create_dir_all(out_dir)?;
-    let setup = build_setup(spec)?;
-    let (want_exact, want_released) = reference_result(&setup);
-    let plan = NetFaultPlan::derive(&profile, &setup);
-    let label = match profile {
-        NetProfile::Drill => "\"drill\"".to_string(),
-        NetProfile::Seeded(s) => s.to_string(),
-    };
-
-    let mut args = vec!["driver".to_string()];
-    args.extend(spec.to_args());
-    args.extend(["--out".to_string(), out_dir.display().to_string()]);
-    let mut driver = Supervised::spawn(exe, "net-driver", args, false)?;
-    let deadline = Instant::now() + spec.round_timeout + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = driver.try_exit()? {
-            break Some(status);
-        }
-        if Instant::now() >= deadline {
-            let _ = driver.kill();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    let verdict = match status {
-        None => ChaosVerdict::Hang,
-        Some(status) => {
-            let v = judge_outcome(out_dir, &want_exact, &want_released);
-            if v == ChaosVerdict::Hang && !status.success() {
-                // The driver exited nonzero before an outcome landed:
-                // a typed failure surfaced through the process tree,
-                // not a hang.
-                ChaosVerdict::TypedFailure
-            } else {
-                v
-            }
-        }
-    };
-    let reconciled = if verdict == ChaosVerdict::Exact {
-        reconcile(out_dir, spec, &plan)
-    } else {
-        "skipped".into()
-    };
-    Ok(NetChaosOutcome {
-        label,
-        shards: spec.agg_shards,
-        verdict,
-        injected: plan.injected(),
-        reconciled,
-    })
-}
-
-/// Runs the seed matrix under one base spec, writing `CHAOS_net.json`
-/// into `out_root`. Rerunning the same seeds over the same spec must
-/// reproduce the artifact byte for byte.
-pub fn run_netchaos_matrix(
-    exe: &Path,
-    base: &RoundSpec,
-    seeds: &[u64],
-    out_root: &Path,
-) -> Result<Vec<NetChaosOutcome>, NetError> {
-    std::fs::create_dir_all(out_root)?;
-    let mut outcomes = Vec::new();
-    for &seed in seeds {
-        let mut spec = base.clone();
-        spec.net = Some(NetProfile::Seeded(seed));
-        let dir = out_root.join(format!("net-seed-{seed}"));
-        eprintln!("netchaos: seed {seed} (shards {})", spec.agg_shards);
-        let outcome = run_netchaos(exe, &spec, &dir)?;
-        eprintln!(
-            "netchaos: seed {seed}: verdict {}, reconciled {}",
-            outcome.verdict, outcome.reconciled
-        );
-        outcomes.push(outcome);
-    }
-    std::fs::write(out_root.join(files::CHAOS_NET_JSON), report_json(&outcomes))?;
-    Ok(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Identity;
+    use crate::client::{Client, ClientConfig};
+    use crate::round::build_setup;
+    use crate::server::{Handler, Server, ServerConfig};
 
     fn small_setup() -> RoundSetup {
         let spec = RoundSpec {
@@ -1042,7 +843,7 @@ mod tests {
         let plan = NetFaultPlan::derive(&NetProfile::Seeded(0), &setup);
         assert!(plan.links.is_empty());
         assert!(plan.partitions.is_empty());
-        assert_eq!(plan.injected(), InjectedCounts::default());
+        assert_eq!(plan.injected(), FaultLedger::default());
     }
 
     #[test]
@@ -1098,82 +899,75 @@ mod tests {
     }
 
     #[test]
-    fn drill_has_partition_stall_and_reset_storm() {
+    fn drill_has_partition_flip_stall_and_reset_storm() {
         let setup = small_setup();
         let plan = NetFaultPlan::derive(&NetProfile::Drill, &setup);
         let inj = plan.injected();
-        assert_eq!(inj.partition_windows, 1);
+        assert_eq!(plan.partitions.len(), 1);
+        assert_eq!(inj.flips, 1);
         assert_eq!(inj.stall_requests, 1);
         assert_eq!(inj.resets, 3);
-        assert_eq!(inj.dup_targets, 0);
-    }
-
-    #[test]
-    fn ledger_json_roundtrips_through_the_extractor() {
-        let ledger = FaultLedger::default();
-        ledger.resets.store(3, Ordering::SeqCst);
-        ledger.partition_rejects.store(17, Ordering::SeqCst);
-        let text = ledger.to_json();
-        assert_eq!(json_u64(&text, "resets"), 3);
-        assert_eq!(json_u64(&text, "partition_rejects"), 17);
-        assert_eq!(json_u64(&text, "reply_drops"), 0);
-        assert_eq!(json_u64(&text, "missing_key"), 0);
-    }
-
-    #[test]
-    fn report_is_deterministic_and_flags_mismatches() {
-        let outcome = NetChaosOutcome {
-            label: "3".into(),
-            shards: 1,
-            verdict: ChaosVerdict::Exact,
-            injected: InjectedCounts {
-                resets: 2,
-                dup_targets: 1,
-                reply_drops: 1,
-                ..InjectedCounts::default()
-            },
-            reconciled: "ok".into(),
+        assert_eq!(inj.dup_targets(), 0);
+        // The flip sits on a device link, where every request is a push.
+        let flipped = |link: &LinkPlan| {
+            link.faults
+                .iter()
+                .any(|f| matches!(f.kind, FaultKind::Flip))
         };
-        let a = report_json(std::slice::from_ref(&outcome));
-        let b = report_json(std::slice::from_ref(&outcome));
-        assert_eq!(a, b);
-        assert!(a.contains("\"invariant_violations\": 0"));
-        let bad = NetChaosOutcome {
-            reconciled: "mismatch: retries 3 != 2".into(),
-            ..outcome
-        };
-        assert!(report_json(&[bad]).contains("\"invariant_violations\": 1"));
+        let ((_, client), _) = plan.links.iter().find(|(_, l)| flipped(l)).unwrap();
+        assert!((role::DEVICE_BASE..role::ORIGIN_BASE).contains(client));
     }
 
     #[test]
-    fn proxy_passthrough_is_byte_transparent() {
-        use crate::client::{Client, ClientConfig};
-        use crate::server::{Handler, Server, ServerConfig};
-        let setup = small_setup();
-        let spec = &setup.spec;
-        let identity = setup.aggregator_identity();
+    fn ledger_json_roundtrips_through_the_reader() {
+        let ledger = FaultLedger {
+            resets: 3,
+            partition_rejects: 17,
+            ..FaultLedger::default()
+        };
+        let mut read = FaultLedger::default();
+        read.absorb(&ledger.to_json());
+        assert_eq!(read, ledger);
+        assert_eq!(read.reply_drops, 0);
+        // Ledgers sum; absent and unknown keys add nothing.
+        read.absorb("{\"resets\": 2, \"missing_key\": 9}\n");
+        assert_eq!(read.resets, 5);
+        assert_eq!(read.partition_rejects, 17);
+    }
+
+    /// An echo server and a driver-role client dialing it through a
+    /// proxy replaying `faults` on that one link.
+    fn proxied_echo(seed: u64, faults: Vec<LinkFault>) -> (Server, ChaosProxy, Client) {
+        let identity = Identity::derive(seed, role::AGGREGATOR);
         let server_pub = identity.public;
         let handler: Arc<dyn Handler> =
             Arc::new(|_peer: [u8; 32], req: &[u8]| -> Result<Vec<u8>, NetError> {
                 Ok(req.to_vec())
             });
-        let config = ServerConfig {
-            roster: Some(setup.roster()),
-            ..ServerConfig::default()
-        };
-        let server = Server::spawn("127.0.0.1:0", identity, config, handler, spec.seed).unwrap();
-        let proxy = ChaosProxy::spawn(
-            server.local_addr(),
-            role::AGGREGATOR,
-            NetFaultPlan::default(),
-            &setup,
+        let server = Server::spawn(
+            "127.0.0.1:0",
+            identity,
+            ServerConfig::default(),
+            handler,
+            seed,
         )
         .unwrap();
-        let mut client = Client::new(
-            proxy.local_addr(),
-            ClientConfig::new(Identity::derive(spec.seed, role::DRIVER), Some(server_pub)),
-            StdRng::seed_from_u64(5),
-        );
+        let driver = Identity::derive(seed, role::DRIVER);
+        let mut plan = NetFaultPlan::default();
+        let link = (role::AGGREGATOR, role::DRIVER);
+        plan.links.entry(link).or_default().faults = faults;
+        let roster = [(driver.public, role::DRIVER)];
+        let proxy =
+            ChaosProxy::spawn(server.local_addr(), role::AGGREGATOR, &plan, &roster).unwrap();
+        let mut config = ClientConfig::new(driver, Some(server_pub));
+        config.backoff = mycelium_simnet::BackoffPolicy::new(1, 4);
+        let client = Client::new(proxy.local_addr(), config, StdRng::seed_from_u64(seed + 2));
+        (server, proxy, client)
+    }
+
+    #[test]
+    fn proxy_passthrough_is_byte_transparent() {
+        let (server, proxy, mut client) = proxied_echo(7, Vec::new());
         assert_eq!(
             client.request("Echo", b"through the proxy").unwrap(),
             b"through the proxy"
@@ -1185,9 +979,9 @@ mod tests {
         assert_eq!(m.handshakes, 1);
         drop(m);
         assert_eq!(
-            proxy.ledger_json(),
-            "{\"latency_injections\": 0, \"partition_rejects\": 0, \"reply_drops\": 0, \
-             \"resets\": 0, \"stall_replies\": 0, \"stall_requests\": 0}\n"
+            proxy.ledger().to_json(),
+            "{\"flips\": 0, \"latency_injections\": 0, \"partition_rejects\": 0, \
+             \"reply_drops\": 0, \"resets\": 0, \"stall_replies\": 0, \"stall_requests\": 0}"
         );
         proxy.shutdown();
         server.shutdown();
@@ -1195,35 +989,11 @@ mod tests {
 
     #[test]
     fn proxy_reset_fault_is_absorbed_by_the_retry_loop() {
-        use crate::client::{Client, ClientConfig};
-        use crate::server::{Handler, Server, ServerConfig};
-        let setup = small_setup();
-        let spec = &setup.spec;
-        let identity = setup.aggregator_identity();
-        let server_pub = identity.public;
-        let handler: Arc<dyn Handler> =
-            Arc::new(|_peer: [u8; 32], req: &[u8]| -> Result<Vec<u8>, NetError> {
-                Ok(req.to_vec())
-            });
-        let config = ServerConfig {
-            roster: Some(setup.roster()),
-            ..ServerConfig::default()
+        let reset = LinkFault {
+            ordinal: 2,
+            kind: FaultKind::Reset { tear: 11 },
         };
-        let server = Server::spawn("127.0.0.1:0", identity, config, handler, spec.seed).unwrap();
-        let mut plan = NetFaultPlan::default();
-        plan.links
-            .entry((role::AGGREGATOR, role::DRIVER))
-            .or_default()
-            .faults
-            .push(LinkFault {
-                ordinal: 2,
-                kind: FaultKind::Reset { tear: 11 },
-            });
-        let proxy = ChaosProxy::spawn(server.local_addr(), role::AGGREGATOR, plan, &setup).unwrap();
-        let mut config =
-            ClientConfig::new(Identity::derive(spec.seed, role::DRIVER), Some(server_pub));
-        config.backoff = mycelium_simnet::BackoffPolicy::new(1, 4);
-        let mut client = Client::new(proxy.local_addr(), config, StdRng::seed_from_u64(9));
+        let (server, proxy, mut client) = proxied_echo(7, vec![reset]);
         assert_eq!(client.request("Echo", b"one").unwrap(), b"one");
         // Ordinal 2 is torn mid-frame; the retry (ordinal 3) succeeds.
         assert_eq!(client.request("Echo", b"two").unwrap(), b"two");
@@ -1232,7 +1002,7 @@ mod tests {
         assert_eq!(m.retries, 1, "the reset cost exactly one retry");
         assert_eq!(m.handshakes, 2, "the retry redialed through the proxy");
         drop(m);
-        assert_eq!(json_u64(&proxy.ledger_json(), "resets"), 1);
+        assert_eq!(proxy.ledger().resets, 1);
         proxy.shutdown();
         server.shutdown();
     }

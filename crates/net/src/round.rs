@@ -54,7 +54,6 @@
 //! aggregator respawns.
 
 use std::collections::BTreeSet;
-use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -80,7 +79,7 @@ use mycelium_query::eval::PlainResult;
 use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
 
 use crate::channel::Identity;
-use crate::chaos::Supervised;
+use crate::chaos::RoundTree;
 use crate::client::{Client, ClientConfig};
 use crate::codec::{decode_plain_result, encode_plain_result, encode_share, CodecCtx};
 use crate::error::NetError;
@@ -396,26 +395,30 @@ impl RoundSetup {
         Identity::derive(self.spec.seed, role::AGGREGATOR)
     }
 
+    /// Every client of the round as a `(static key, role id)` pair:
+    /// device shards, origin shards, committee members, the driver, and
+    /// — as clients of the coordinator — the shards of a sharded layout.
+    pub fn link_roster(&self) -> Vec<([u8; 32], u32)> {
+        let spec = &self.spec;
+        let shard_count = if spec.agg_shards > 1 {
+            spec.agg_shards
+        } else {
+            0
+        };
+        let devices = (0..spec.device_shards as u32).map(|i| role::DEVICE_BASE + i);
+        let origins = (0..spec.origin_shards as u32).map(|j| role::ORIGIN_BASE + j);
+        let committee = (1..=self.committee_size as u32).map(|m| role::COMMITTEE_BASE + m);
+        let shards = (0..shard_count as u32).map(|s| role::SHARD_BASE + s);
+        let roles = devices.chain(origins).chain(committee).chain(shards);
+        roles
+            .chain([role::DRIVER])
+            .map(|r| (Identity::derive(spec.seed, r).public, r))
+            .collect()
+    }
+
     /// The full client roster (device, origin, committee, driver keys).
     pub fn roster(&self) -> std::collections::HashSet<[u8; 32]> {
-        let mut r = std::collections::HashSet::new();
-        for i in 0..self.spec.device_shards {
-            r.insert(Identity::derive(self.spec.seed, role::DEVICE_BASE + i as u32).public);
-        }
-        for j in 0..self.spec.origin_shards {
-            r.insert(Identity::derive(self.spec.seed, role::ORIGIN_BASE + j as u32).public);
-        }
-        for m in 1..=self.committee_size as u32 {
-            r.insert(Identity::derive(self.spec.seed, role::COMMITTEE_BASE + m).public);
-        }
-        if self.spec.agg_shards > 1 {
-            // Shards are clients of the coordinator.
-            for s in 0..self.spec.agg_shards {
-                r.insert(Identity::derive(self.spec.seed, role::SHARD_BASE + s as u32).public);
-            }
-        }
-        r.insert(Identity::derive(self.spec.seed, role::DRIVER).public);
-        r
+        self.link_roster().into_iter().map(|(key, _)| key).collect()
     }
 
     /// `slot_map[o][s]`: the device expected to fill origin `o`'s
@@ -1892,8 +1895,8 @@ impl Served {
             Some(profile) => Some(crate::netchaos::ChaosProxy::spawn(
                 server.local_addr(),
                 role_id,
-                crate::netchaos::NetFaultPlan::derive(profile, setup),
-                setup,
+                &crate::netchaos::NetFaultPlan::derive(profile, setup),
+                &setup.link_roster(),
             )?),
             None => None,
         };
@@ -1932,7 +1935,8 @@ impl Served {
         metrics.duplicates_suppressed += lock_recover(&self.state).duplicates_suppressed();
         write_metrics(out_dir, &self.name, &metrics)?;
         if let Some(p) = self.proxy {
-            std::fs::write(out_dir.join(files::netfaults(&self.name)), p.ledger_json())?;
+            let ledger = p.ledger().to_json() + "\n";
+            std::fs::write(out_dir.join(files::netfaults(&self.name)), ledger)?;
             p.shutdown();
         }
         self.server.shutdown();
@@ -2563,36 +2567,12 @@ pub struct DriverOpts {
     pub crash_origin: Option<(usize, usize)>,
 }
 
-/// Reads the `LISTENING <addr>` banner from a piped aggregator child
-/// and keeps draining the pipe so the child can never block on stdout.
-pub(crate) fn read_agg_banner(agg: &mut Supervised) -> Result<SocketAddr, NetError> {
-    let stdout = agg
-        .take_stdout()
-        .ok_or_else(|| NetError::Decode("aggregator stdout was not piped".into()))?;
-    let mut reader = std::io::BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let addr: SocketAddr = line
-        .trim()
-        .strip_prefix("LISTENING ")
-        .ok_or_else(|| NetError::Decode(format!("bad aggregator banner: {line:?}")))?
-        .parse()
-        .map_err(|e| NetError::Decode(format!("bad aggregator address: {e}")))?;
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    Ok(addr)
-}
-
 /// Orchestrates the whole multi-process round: spawns the aggregator,
 /// device/origin shards, and committee members as child processes of
 /// `exe` (normally `current_exe()`), watches for crashed origins and
-/// respawns each once (through the shared [`Supervised`] restart
-/// mechanism the chaos supervisor also uses), waits for completion, and
-/// merges all metrics files into `NET_round.json`.
+/// respawns each once (through the shared [`RoundTree`] launcher and
+/// `Supervised` restart mechanism the chaos supervisor also uses), waits
+/// for completion, and merges all metrics files into `NET_round.json`.
 pub fn run_driver(
     exe: &Path,
     spec: &RoundSpec,
@@ -2601,93 +2581,30 @@ pub fn run_driver(
 ) -> Result<(), NetError> {
     std::fs::create_dir_all(out_dir)?;
     let setup = build_setup(spec)?;
-    let out_arg = out_dir.display().to_string();
-    let base = spec.to_args();
-    let with_base = |mut v: Vec<String>| -> Vec<String> {
-        v.extend(base.iter().cloned());
-        v.extend(["--out".to_string(), out_arg.clone()]);
-        v
-    };
-
-    // Aggregator first; its stdout announces the bound port.
-    let mut agg = Supervised::spawn(
-        exe,
-        "aggregator",
-        with_base(vec!["aggregator".into()]),
-        true,
-    )?;
-    let addr = read_agg_banner(&mut agg)?;
-
-    let addr_arg = addr.to_string();
-    let mut children: Vec<Supervised> = Vec::new();
-    // Aggregation shards next (sharded layout only): they publish their
-    // own addresses via `shard-N.addr` files, which device and origin
-    // clients wait on, so everyone can start concurrently.
-    if spec.agg_shards > 1 {
-        for s in 0..spec.agg_shards {
-            let args = with_base(vec![
-                "shard".into(),
-                "--shard".into(),
-                s.to_string(),
-                "--addr".into(),
-                addr_arg.clone(),
-            ]);
-            children.push(Supervised::spawn(exe, &format!("shard-{s}"), args, false)?);
-        }
-    }
-    for i in 0..spec.device_shards {
-        let args = with_base(vec![
-            "device".into(),
-            "--shard".into(),
-            i.to_string(),
-            "--addr".into(),
-            addr_arg.clone(),
-        ]);
-        children.push(Supervised::spawn(exe, &format!("device-{i}"), args, false)?);
-    }
-    for j in 0..spec.origin_shards {
-        let mut args = with_base(vec![
-            "origin".into(),
-            "--shard".into(),
-            j.to_string(),
-            "--addr".into(),
-            addr_arg.clone(),
-        ]);
-        let respawn = args.clone();
-        if let Some((shard, after)) = opts.crash_origin {
-            if shard == j {
-                args.extend(["--crash-after".into(), after.to_string()]);
+    let crash = opts
+        .crash_origin
+        .map(|(shard, after)| (format!("origin-{shard}"), after));
+    let mut tree = RoundTree::launch(exe, &setup, out_dir, |name| {
+        // Only origins are respawned, once; the armed one is told to
+        // crash itself on its first launch.
+        let crash_args = match &crash {
+            Some((victim, after)) if victim == name => {
+                vec!["--crash-after".to_string(), after.to_string()]
             }
-        }
-        children.push(
-            Supervised::spawn(exe, &format!("origin-{j}"), args, false)?.with_respawn(respawn, 1),
-        );
-    }
-    for m in 1..=setup.committee_size as u64 {
-        let args = with_base(vec![
-            "committee".into(),
-            "--member".into(),
-            m.to_string(),
-            "--addr".into(),
-            addr_arg.clone(),
-        ]);
-        children.push(Supervised::spawn(
-            exe,
-            &format!("committee-{m}"),
-            args,
-            false,
-        )?);
-    }
+            _ => Vec::new(),
+        };
+        (crash_args, name.starts_with("origin-") as u32)
+    })?;
 
     // Watchdog + status poll until the aggregator reports Finished.
-    let mut driver = HubClient::new(&setup, role::DRIVER, addr, out_dir);
+    let mut driver = HubClient::new(&setup, role::DRIVER, tree.addr, out_dir);
     let started = Instant::now();
     let finished = loop {
         if started.elapsed() >= spec.round_timeout {
             break false;
         }
         // Respawn crashed origins (nonzero exit before completion).
-        for cp in children.iter_mut() {
+        for cp in tree.clients.iter_mut() {
             cp.watch()?;
         }
         match driver.request_msg(&setup, &NetMsg::PullStatus) {
@@ -2700,17 +2617,15 @@ pub fn run_driver(
         std::thread::sleep(spec.poll_interval.max(Duration::from_millis(50)));
     };
 
-    // Drain every child, then the aggregator itself.
+    // Drain every child — shards, then clients — then the aggregator
+    // itself.
     let mut failures: Vec<String> = Vec::new();
-    for cp in children.iter_mut() {
+    let (agg, shards) = tree.servers.split_first_mut().expect("the aggregator");
+    for cp in shards.iter_mut().chain(&mut tree.clients).chain([agg]) {
         let status = cp.wait()?;
         if !status.success() {
             failures.push(format!("{} exited with {status}", cp.name));
         }
-    }
-    let agg_status = agg.wait()?;
-    if !agg_status.success() {
-        failures.push(format!("aggregator exited with {agg_status}"));
     }
     if !finished {
         failures.push("driver status poll never saw Finished".into());
@@ -2739,6 +2654,6 @@ pub fn run_driver(
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(NetError::Decode(failures.join("; ")))
+        Err(NetError::Supervision(failures.join("; ")))
     }
 }

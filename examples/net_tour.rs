@@ -5,16 +5,17 @@
 //! ```
 //!
 //! Mirrors `simnet_tour`, one layer lower: instead of simulated actors
-//! on a virtual clock, real sockets on loopback. Three stops:
+//! on a virtual clock, real sockets on loopback. Two stops:
 //!
 //! 1. an authenticated-encryption channel (x25519 handshake, sealed
 //!    frames) carrying an echo exchange;
 //! 2. a miniature encrypted-aggregation service — BGV ciphertexts
 //!    encoded with the wire codec, homomorphically summed server-side —
-//!    the histogram trick of §4.3 over actual TCP;
-//! 3. an adversary in the middle flipping one ciphertext byte, and the
-//!    AEAD + retry machinery absorbing it.
+//!    the histogram trick of §4.3 over actual TCP.
 //!
+//! What the channel does under an adversary in the middle — torn
+//! frames, swallowed acks, a flipped ciphertext bit — is
+//! `netchaos_tour`'s subject.
 //! The full multi-process query round (device/origin/committee/driver
 //! processes) lives in the `net_round` binary:
 //! `cargo run --release --bin net_round -- driver --n 24 --out /tmp/nr`.
@@ -28,10 +29,8 @@ use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::codec::{decode_ciphertext, encode_ciphertext, CodecCtx};
 use mycelium_net::error::NetError;
 use mycelium_net::server::{Handler, Server, ServerConfig};
-use mycelium_net::tamper::TamperProxy;
 use mycelium_net::wire::{Reader, Writer};
 use mycelium_net::{Identity, FRAME_OVERHEAD, HANDSHAKE_WIRE_BYTES};
-use mycelium_simnet::BackoffPolicy;
 
 fn main() {
     // ---- Stop 1: the channel itself.
@@ -123,40 +122,6 @@ fn main() {
         m.sent["Push"].frames, m.sent["Push"].payload_bytes, m.sent["Push"].wire_bytes
     );
     drop(m);
-    server.shutdown();
-
-    // ---- Stop 3: an adversary in the middle.
-    println!();
-    println!("adversary in the middle: one ciphertext byte flipped in flight");
-    let digest_id = Identity::derive(seed, 2);
-    let digest_pub = digest_id.public;
-    let digest: Arc<dyn Handler> =
-        Arc::new(|_peer: [u8; 32], req: &[u8]| -> Result<Vec<u8>, NetError> {
-            Ok(mycelium_crypto::sha256(req).to_vec())
-        });
-    let server = Server::spawn(
-        "127.0.0.1:0",
-        digest_id,
-        ServerConfig::default(),
-        digest,
-        seed,
-    )
-    .expect("digest server");
-    let proxy = TamperProxy::spawn(server.local_addr(), 1 << 10).expect("proxy");
-    let mut config = ClientConfig::new(Identity::derive(seed, 102), Some(digest_pub));
-    config.backoff = BackoffPolicy::new(1, 6);
-    let mut client = Client::new(proxy.local_addr(), config, StdRng::seed_from_u64(4));
-    let payload = vec![0x42u8; 32 << 10];
-    let reply = client.request("Digest", &payload).unwrap();
-    assert_eq!(reply, mycelium_crypto::sha256(&payload).to_vec());
-    println!(
-        "  {} frame tampered, server counted {} AEAD rejection(s), \
-         client recovered with {} reconnect(s) — reply intact",
-        proxy.tampered(),
-        server.metrics().lock().unwrap().aead_rejects,
-        client.metrics().lock().unwrap().reconnects,
-    );
-    proxy.shutdown();
     server.shutdown();
     println!();
     println!("tour complete");

@@ -4,7 +4,7 @@
 //! cargo run --release --example netchaos_tour
 //! ```
 //!
-//! Three stops, all over real loopback sockets:
+//! Four stops, all over real loopback sockets:
 //!
 //! 1. a seeded fault plan, printed — the same derivation every run, so
 //!    every fault a seed fires is known before a single byte moves;
@@ -12,7 +12,9 @@
 //!    ordinal, and the client's typed retry machinery absorbing it;
 //! 3. a dropped reply — the classic "applied write, lost ack" window —
 //!    and the server's first-write-wins dedup suppressing the retry's
-//!    duplicate, with both sides' counters reconciling exactly.
+//!    duplicate, with both sides' counters reconciling exactly;
+//! 4. an adversary in the middle flipping one bit of a sealed request:
+//!    the server's AEAD rejects it typed, and the retry recovers.
 //!
 //! The full seed-matrix runner (every server proxied, verdict judged
 //! against the plaintext oracle, fault counts reconciled against the
@@ -50,8 +52,8 @@ fn main() {
             injected.resets,
             injected.reply_drops,
             injected.stall_replies + injected.stall_requests,
-            injected.latency_links,
-            injected.partition_windows,
+            plan.links.values().filter(|l| l.latency.is_some()).count(),
+            plan.partitions.len(),
             plan.links.len(),
         );
     }
@@ -81,12 +83,18 @@ fn main() {
                 kind: FaultKind::Reset { tear: 9 },
             },
             LinkFault {
-                ordinal: 4,
+                // Request 2's retry was the link's ordinal 3.
+                ordinal: 5,
                 kind: FaultKind::DropReply,
             },
+            LinkFault {
+                ordinal: 7,
+                kind: FaultKind::Flip,
+            },
         ]);
+    let roster = setup.link_roster();
     let proxy =
-        ChaosProxy::spawn(server.local_addr(), role::AGGREGATOR, plan, &setup).expect("proxy");
+        ChaosProxy::spawn(server.local_addr(), role::AGGREGATOR, &plan, &roster).expect("proxy");
     let mut config = ClientConfig::new(Identity::derive(spec.seed, role::DRIVER), Some(server_pub));
     config.backoff = BackoffPolicy::new(10, 4);
     let mut client = Client::new(proxy.local_addr(), config, StdRng::seed_from_u64(7));
@@ -116,16 +124,26 @@ fn main() {
     let metrics = client.metrics();
     let m = metrics.lock().unwrap();
     println!(
-        "  dropped reply at link ordinal 4: the retry redelivered an already-applied \
+        "  dropped reply at link ordinal 5: the retry redelivered an already-applied \
          write ({} total retries)",
         m.retries
     );
     drop(m);
-    println!();
-    println!("  proxy fault ledger: {}", proxy.ledger_json().trim_end());
+
+    // ---- Stop 4: one flipped bit.
+    let sealed = b"request 5: one bit flipped in flight, rejected by the AEAD, retried";
+    assert_eq!(client.request("Echo", sealed).unwrap(), sealed);
     println!(
-        "  reconciliation: ledger resets + reply drops == client retries, \
-         exactly — the identity CHAOS_net.json enforces per seed"
+        "  flipped bit at link ordinal 7: server counted {} AEAD rejection(s), nothing \
+         applied — the retry got the reply intact",
+        server.metrics().lock().unwrap().aead_rejects
+    );
+    println!();
+    println!("  proxy fault ledger: {}", proxy.ledger().to_json());
+    println!(
+        "  reconciliation: ledger resets + reply drops + flips == client retries ({}), \
+         exactly — the identity CHAOS_net.json enforces per seed",
+        metrics.lock().unwrap().retries
     );
     proxy.shutdown();
     server.shutdown();

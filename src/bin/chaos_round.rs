@@ -30,24 +30,49 @@
 //! writes `CHAOS_net.json`, reconciling injected fault counts against
 //! the merged transport metrics on every exact run. `netchaos` runs the
 //! seed matrix (`--seeds`, default 1..=8); `netdrill` runs the fixed
-//! drill — partition during intake, stall during summation, reset storm
-//! during committee decryption — and must end exact.
+//! drill — partition and bit flip during intake, stall during
+//! summation, reset storm during committee decryption — and must end
+//! exact.
+//!
+//! All four are one matrix loop over one report shape (DESIGN.md
+//! "Fault injection"); wall-clock durations go to stderr, never into
+//! the artifacts.
 //!
 //! Any other role word (`aggregator`, `device`, …) dispatches through
 //! the shared CLI layer — the supervisor re-execs this same binary for
 //! every child process.
 
-use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use mycelium_net::chaos::{report_json, run_chaos, ChaosOutcome, ChaosPlan, ChaosVerdict};
+use mycelium_net::chaos::{report_json, run_chaos, run_netchaos, ChaosPlan, ChaosVerdict};
 use mycelium_net::cli::{self, Args};
-use mycelium_net::netchaos::{self, NetProfile};
+use mycelium_net::netchaos::NetProfile;
 use mycelium_net::round::files;
 
-fn run_matrix(args: &Args, drill: bool) -> Result<(), String> {
+/// Which fault source a matrix injects.
+#[derive(Clone, Copy, PartialEq)]
+enum Source {
+    /// Scheduled process kills (`CHAOS_report.json`).
+    Kills,
+    /// Proxied link faults (`CHAOS_net.json`).
+    Links,
+}
+
+/// Runs one round per seed under `source`'s seed-derived plan — or, for
+/// a `drill`, one round under its fixed plan, which must end exact
+/// rather than merely typed — and writes the source's report artifact.
+fn run_matrix(args: &Args, source: Source, drill: bool) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
+    let mut base = args.spec.clone();
+    // Stall faults hold a connection just past the per-request I/O
+    // deadline, so the deployment-default 20 s deadline would cost each
+    // stall ~21 s of wall clock. Tighten it unless the caller already
+    // chose one — the deadline is a timing knob, outside the binding
+    // digest, so this never perturbs the protocol state.
+    if source == Source::Links && base.io_timeout == mycelium_net::RoundSpec::default().io_timeout {
+        base.io_timeout = Duration::from_secs(3);
+    }
     let seeds: Vec<u64> = if drill {
         vec![args.spec.seed]
     } else if args.seeds.is_empty() {
@@ -55,49 +80,75 @@ fn run_matrix(args: &Args, drill: bool) -> Result<(), String> {
     } else {
         args.seeds.clone()
     };
-    let mut outcomes: Vec<ChaosOutcome> = Vec::new();
+    let mut outcomes = Vec::new();
     for &seed in &seeds {
-        let mut spec = args.spec.clone();
-        spec.seed = seed;
-        let plan = if drill {
-            let mut p = if spec.agg_shards > 1 {
-                ChaosPlan::drill_sharded()
-            } else {
-                ChaosPlan::drill()
-            };
-            p.seed = seed;
-            p
-        } else {
-            ChaosPlan::derive(seed, &spec)
-        };
-        let dir = args.out.join(format!("seed-{seed}"));
+        let mut spec = base.clone();
+        let started = Instant::now();
+        let outcome = match source {
+            Source::Kills => {
+                spec.seed = seed;
+                let plan = match (drill, spec.agg_shards > 1) {
+                    (false, _) => ChaosPlan::derive(seed, &spec),
+                    (true, sharded) => ChaosPlan {
+                        seed,
+                        ..if sharded {
+                            ChaosPlan::drill_sharded()
+                        } else {
+                            ChaosPlan::drill()
+                        }
+                    },
+                };
+                eprintln!(
+                    "chaos_round: seed {seed}: {} aggregator kill(s), {} role kill(s), {} shard \
+                     kill(s)",
+                    plan.agg_kills.len(),
+                    plan.role_kills.len(),
+                    plan.shard_kills.len()
+                );
+                run_chaos(
+                    &exe,
+                    &spec,
+                    &args.out.join(format!("seed-{seed}")),
+                    &plan,
+                    drill,
+                )
+            }
+            Source::Links => {
+                let (profile, dir) = if drill {
+                    (NetProfile::Drill, "net-drill".to_string())
+                } else {
+                    (NetProfile::Seeded(seed), format!("net-seed-{seed}"))
+                };
+                spec.net = Some(profile);
+                eprintln!(
+                    "chaos_round: {dir} ({} shard(s)): {:?}",
+                    spec.agg_shards, profile
+                );
+                run_netchaos(&exe, &spec, &args.out.join(dir))
+            }
+        }
+        .map_err(|e| e.to_string())?;
         eprintln!(
-            "chaos_round: seed {seed}: {} aggregator kill(s), {} role kill(s), {} shard kill(s)",
-            plan.agg_kills.len(),
-            plan.role_kills.len(),
-            plan.shard_kills.len()
-        );
-        let outcome = run_chaos(&exe, &spec, &dir, &plan).map_err(|e| e.to_string())?;
-        eprintln!(
-            "chaos_round: seed {seed}: verdict {} after {} aggregator incarnation(s) in {} ms",
-            outcome.verdict, outcome.agg_incarnations, outcome.elapsed_ms
+            "chaos_round: seed {seed}: verdict {} after {} aggregator incarnation(s) in {} ms, \
+             reconciled {}",
+            outcome.verdict,
+            outcome.agg_incarnations,
+            started.elapsed().as_millis(),
+            outcome.reconciled
         );
         outcomes.push(outcome);
     }
     let report = report_json(&outcomes);
-    let report_path = args.out.join(files::CHAOS_JSON);
+    let report_path = args.out.join(match source {
+        Source::Kills => files::CHAOS_JSON,
+        Source::Links => files::CHAOS_NET_JSON,
+    });
     std::fs::write(&report_path, &report).map_err(|e| e.to_string())?;
     println!("{report}");
     let bad: Vec<String> = outcomes
         .iter()
-        .filter(|o| {
-            if drill {
-                o.verdict != ChaosVerdict::Exact
-            } else {
-                !o.verdict.ok()
-            }
-        })
-        .map(|o| format!("seed {}: {}", o.seed, o.verdict))
+        .filter(|o| !o.ok() || (drill && o.verdict != ChaosVerdict::Exact))
+        .map(|o| format!("seed {}: {} ({})", o.seed, o.verdict, o.reconciled))
         .collect();
     if bad.is_empty() {
         Ok(())
@@ -105,82 +156,19 @@ fn run_matrix(args: &Args, drill: bool) -> Result<(), String> {
         Err(format!(
             "chaos invariant violated ({}); see {}",
             bad.join(", "),
-            Path::new(&report_path).display()
+            report_path.display()
         ))
     }
-}
-
-fn run_net_matrix(args: &Args, drill: bool) -> Result<(), String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let mut base = args.spec.clone();
-    // Stall faults hold a connection just past the per-request I/O
-    // deadline, so the deployment-default 20 s deadline would cost each
-    // stall ~21 s of wall clock. Tighten it unless the caller already
-    // chose one — the deadline is a timing knob, outside the binding
-    // digest, so this never perturbs the protocol state.
-    if base.io_timeout == mycelium_net::RoundSpec::default().io_timeout {
-        base.io_timeout = Duration::from_secs(3);
-    }
-    let outcomes = if drill {
-        let mut spec = base;
-        spec.net = Some(NetProfile::Drill);
-        std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-        let dir = args.out.join("net-drill");
-        eprintln!("chaos_round: netdrill (shards {})", spec.agg_shards);
-        let outcome = netchaos::run_netchaos(&exe, &spec, &dir).map_err(|e| e.to_string())?;
-        eprintln!(
-            "chaos_round: netdrill: verdict {}, reconciled {}",
-            outcome.verdict, outcome.reconciled
-        );
-        let outcomes = vec![outcome];
-        std::fs::write(args.out.join(files::CHAOS_NET_JSON), report_net(&outcomes))
-            .map_err(|e| e.to_string())?;
-        outcomes
-    } else {
-        let seeds: Vec<u64> = if args.seeds.is_empty() {
-            (1..=8).collect()
-        } else {
-            args.seeds.clone()
-        };
-        netchaos::run_netchaos_matrix(&exe, &base, &seeds, &args.out).map_err(|e| e.to_string())?
-    };
-    let report_path = args.out.join(files::CHAOS_NET_JSON);
-    println!("{}", report_net(&outcomes));
-    let bad: Vec<String> = outcomes
-        .iter()
-        .filter(|o| {
-            let verdict_ok = if drill {
-                o.verdict == ChaosVerdict::Exact
-            } else {
-                o.verdict.ok()
-            };
-            !verdict_ok || o.reconciled.starts_with("mismatch")
-        })
-        .map(|o| format!("seed {}: {} ({})", o.label, o.verdict, o.reconciled))
-        .collect();
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "net-chaos invariant violated ({}); see {}",
-            bad.join(", "),
-            Path::new(&report_path).display()
-        ))
-    }
-}
-
-fn report_net(outcomes: &[mycelium_net::netchaos::NetChaosOutcome]) -> String {
-    mycelium_net::netchaos::report_json(outcomes)
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let role = argv.get(1).cloned().unwrap_or_default();
     let result = cli::parse_args(&argv[2..]).and_then(|args| match role.as_str() {
-        "chaos" => run_matrix(&args, false),
-        "drill" => run_matrix(&args, true),
-        "netchaos" => run_net_matrix(&args, false),
-        "netdrill" => run_net_matrix(&args, true),
+        "chaos" => run_matrix(&args, Source::Kills, false),
+        "drill" => run_matrix(&args, Source::Kills, true),
+        "netchaos" => run_matrix(&args, Source::Links, false),
+        "netdrill" => run_matrix(&args, Source::Links, true),
         other => cli::dispatch(other, &args).unwrap_or_else(|| {
             Err(format!(
                 "usage: chaos_round <chaos|drill|netchaos|netdrill|aggregator|device|origin|\

@@ -85,12 +85,12 @@ fn link_fault_plans_are_pinned() {
         (
             1,
             "1ef9bd0f4721e0caa82e6f2088c1d7e2a2be195019a90c5c22abc11c7c258a3d",
-            "85f997e0e40f132e50b40280b7595ee60718edf80c13ae10077cae09dba07e6e",
+            "687c69f2cd37d9d29317a3f0b26f2761dfb605a5a0fa547d5e01390f34325ce7",
         ),
         (
             4,
             "1492a0b279ef0472afeec6d2b51daa876062178068a39f47902bcb94f45e0ebd",
-            "b5c3ed1696bda8a702ac9dd42ed53e36e86fb32c22c7118c89ee18546ab24d97",
+            "03ea5f817f04bb0fef5f373478bccb471d01827c87a1a66caeb128835e618156",
         ),
     ] {
         // `chaos_round netchaos` tightens the default I/O deadline to 3 s,

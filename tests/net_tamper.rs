@@ -17,8 +17,8 @@ use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
 use mycelium_net::frame::HEADER_LEN;
+use mycelium_net::netchaos::{ChaosProxy, FaultKind, LinkFault, NetFaultPlan};
 use mycelium_net::server::{Handler, Server, ServerConfig};
-use mycelium_net::tamper::TamperProxy;
 use mycelium_net::Identity;
 use mycelium_simnet::BackoffPolicy;
 
@@ -65,16 +65,29 @@ fn checksum_server(seed: u64) -> (Server, [u8; 32]) {
     (server, public)
 }
 
+/// A [`ChaosProxy`] in front of `server` (role 0) replaying `faults` on
+/// the link of client role 100 under `seed`.
+fn link_proxy(server: &Server, seed: u64, faults: Vec<LinkFault>) -> ChaosProxy {
+    let mut plan = NetFaultPlan::default();
+    plan.links.entry((0, 100)).or_default().faults = faults;
+    let roster = [(Identity::derive(seed, 100).public, 100)];
+    ChaosProxy::spawn(server.local_addr(), 0, &plan, &roster).expect("proxy spawns")
+}
+
 #[test]
 fn tampered_frame_is_rejected_and_retry_recovers() {
     let (server, server_pub) = checksum_server(31);
-    let proxy = TamperProxy::spawn(server.local_addr(), 1 << 10).expect("proxy spawns");
+    let flip = LinkFault {
+        ordinal: 1,
+        kind: FaultKind::Flip,
+    };
+    let proxy = link_proxy(&server, 31, vec![flip]);
 
     let mut config = ClientConfig::new(Identity::derive(31, 100), Some(server_pub));
     config.backoff = BackoffPolicy::new(1, 6);
     let mut client = Client::new(proxy.local_addr(), config, StdRng::seed_from_u64(44));
 
-    // Big enough to be the proxy's tampering target.
+    // The link's first request is the proxy's tampering target.
     let payload = vec![0xabu8; 64 << 10];
     let reply = client.request("Sum", &payload).expect("retry must recover");
     assert_eq!(reply, mycelium_crypto::sha256(&payload).to_vec());
@@ -82,7 +95,7 @@ fn tampered_frame_is_rejected_and_retry_recovers() {
     // The proxy tampered exactly one frame; the server's AEAD rejected
     // it (typed, counted — the process is alive, so it didn't panic),
     // and the client went through at least one reconnect to recover.
-    assert_eq!(proxy.tampered(), 1);
+    assert_eq!(proxy.ledger().flips, 1);
     assert!(client.metrics().lock().unwrap().reconnects >= 1);
     assert!(server.metrics().lock().unwrap().aead_rejects >= 1);
 
@@ -98,8 +111,8 @@ fn tampered_frame_is_rejected_and_retry_recovers() {
 #[test]
 fn small_frames_pass_untampered() {
     let (server, server_pub) = checksum_server(37);
-    // min_len larger than anything we send: the proxy is a pure relay.
-    let proxy = TamperProxy::spawn(server.local_addr(), 1 << 20).expect("proxy spawns");
+    // The empty plan: the proxy is a pure relay.
+    let proxy = link_proxy(&server, 37, Vec::new());
     let mut client = Client::new(
         proxy.local_addr(),
         ClientConfig::new(Identity::derive(37, 100), Some(server_pub)),
@@ -112,7 +125,7 @@ fn small_frames_pass_untampered() {
             mycelium_crypto::sha256(&msg).to_vec()
         );
     }
-    assert_eq!(proxy.tampered(), 0);
+    assert_eq!(proxy.ledger().flips, 0);
     assert_eq!(client.metrics().lock().unwrap().reconnects, 0);
     proxy.shutdown();
     server.shutdown();
