@@ -7,10 +7,13 @@
 //! authenticated handshake, and the interposition overhead of an idle
 //! zero-fault [`ChaosProxy`] — what every `--net-seed 0` run pays — and
 //! the AEAD alone at the same payload sizes, so a frame's sealing cost can
-//! be read off beside its socket cost. The emitted `BENCH_net.json` has a
-//! fixed field order and precision so diffs stay readable.
+//! be read off beside its socket cost. Two rows cover the serving plane's
+//! end-of-round and durability mechanisms: how long [`Server::shutdown`]
+//! takes with an idle session open, and what the journal's group commit
+//! makes of 1, 2 and 4 concurrent writers. The emitted `BENCH_net.json`
+//! has a fixed field order and precision so diffs stay readable.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mycelium_crypto::aead::{open_with_aad, seal_with_aad};
@@ -18,6 +21,7 @@ use mycelium_crypto::chacha20::active_tier;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
+use mycelium_net::journal::Journal;
 use mycelium_net::netchaos::{ChaosProxy, NetFaultPlan};
 use mycelium_net::round::role;
 use mycelium_net::server::{Handler, Server, ServerConfig};
@@ -95,6 +99,74 @@ fn aead_sample(payload: usize, budget_secs: f64) -> AeadSample {
     }
 }
 
+/// Concurrent writers swept by the group-commit row.
+pub const GROUP_COMMIT_WRITERS: [usize; 3] = [1, 2, 4];
+
+/// The journal's group commit under `writers` threads, each appending a
+/// 96 KiB record under the journal's lock and waiting for its durability
+/// outside it — what the aggregator's workers do per durable request.
+pub struct GroupCommitSample {
+    /// Concurrent writer threads.
+    pub writers: usize,
+    /// Records appended and waited durable, all writers together.
+    pub acks: u64,
+    /// Wall seconds for all of them.
+    pub secs: f64,
+    /// `fsync`s the journal issued for them.
+    pub syncs: u64,
+}
+
+fn group_commit_sample(writers: usize, acks: u64) -> GroupCommitSample {
+    let path = std::env::temp_dir().join(format!(
+        "myc-bench-group-commit-{}-{writers}.bin",
+        std::process::id()
+    ));
+    let journal = Mutex::new(Journal::create(&path, &[0xbe; 32]).expect("bench journal"));
+    let record = vec![0x5au8; 96 << 10];
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..writers {
+            scope.spawn(|| {
+                for _ in 0..acks / writers as u64 {
+                    let pending = {
+                        let mut j = journal.lock().expect("no writer panics");
+                        j.append(&record).expect("append");
+                        j.pending()
+                    };
+                    pending.wait().expect("fsync");
+                }
+            });
+        }
+    });
+    let secs = start.elapsed().as_secs_f64();
+    let journal = journal.into_inner().expect("no writer panics");
+    let sample = GroupCommitSample {
+        writers,
+        acks: journal.record_count(),
+        secs,
+        syncs: journal.sync_stats().syncs,
+    };
+    let _ = std::fs::remove_file(&path);
+    sample
+}
+
+/// Times [`Server::shutdown`] of an echo server on which one client
+/// shook hands, exchanged a request and then went quiet — the state
+/// every role's connection is in when a round ends.
+fn shutdown_micros(iters: u64) -> PhaseSeries {
+    let mut micros = PhaseSeries::default();
+    for i in 0..iters {
+        let (server, server_pub) = echo_server();
+        let config = ClientConfig::new(Identity::derive(0xbe, 100), Some(server_pub));
+        let mut idle = Client::new(server.local_addr(), config, StdRng::seed_from_u64(i));
+        idle.request("hs", b"x").expect("idle session opens");
+        let start = Instant::now();
+        server.shutdown();
+        micros.record(start.elapsed().as_micros() as u64);
+    }
+    micros
+}
+
 /// The full benchmark result.
 pub struct NetBench {
     /// One sample per swept payload size.
@@ -105,6 +177,10 @@ pub struct NetBench {
     pub proxy: ProxyOverhead,
     /// The AEAD alone, one sample per swept payload size.
     pub aead: Vec<AeadSample>,
+    /// `Server::shutdown` with one idle session open (microseconds).
+    pub shutdown_micros: PhaseSeries,
+    /// The journal's group commit, one sample per writer count.
+    pub group_commit: Vec<GroupCommitSample>,
 }
 
 fn echo_server() -> (Server, [u8; 32]) {
@@ -219,8 +295,28 @@ pub fn run(smoke: bool) -> NetBench {
             s.open_mbytes_per_sec,
         );
     }
+    let shutdown_micros = shutdown_micros(if smoke { 5 } else { 20 });
+    eprintln!(
+        "  shutdown (one idle session)  p50 {} us, p99 {} us",
+        shutdown_micros.p50(),
+        shutdown_micros.p99(),
+    );
+    let group_commit: Vec<GroupCommitSample> = GROUP_COMMIT_WRITERS
+        .iter()
+        .map(|&writers| group_commit_sample(writers, if smoke { 128 } else { 512 }))
+        .collect();
+    for g in &group_commit {
+        eprintln!(
+            "  group commit  {} writer(s)  {:>8.0} acks/s, {:.2} fsyncs/ack",
+            g.writers,
+            g.acks as f64 / g.secs,
+            g.syncs as f64 / g.acks as f64,
+        );
+    }
     NetBench {
         aead,
+        shutdown_micros,
+        group_commit,
         samples,
         handshake_micros,
         proxy: ProxyOverhead {
@@ -285,7 +381,24 @@ pub fn to_json(bench: &NetBench) -> String {
             if i + 1 == bench.aead.len() { "" } else { "," },
         ));
     }
-    out.push_str("  ]}\n}\n");
+    out.push_str(&format!(
+        "  ]}},\n  \"shutdown\": {{\"iters\": {}, \"p50_micros\": {}, \"p99_micros\": {}}},\n",
+        bench.shutdown_micros.count(),
+        bench.shutdown_micros.p50(),
+        bench.shutdown_micros.p99(),
+    ));
+    out.push_str("  \"group_commit\": [\n");
+    for (i, g) in bench.group_commit.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"writers\": {}, \"acks\": {}, \"acks_per_sec\": {:.0}, \"fsyncs_per_ack\": {:.2}}}{}\n",
+            g.writers,
+            g.acks,
+            g.acks as f64 / g.secs,
+            g.syncs as f64 / g.acks as f64,
+            if i + 1 == bench.group_commit.len() { "" } else { "," },
+        ));
+    }
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -304,6 +417,8 @@ mod tests {
         direct_micros.record(40);
         let mut proxied_micros = PhaseSeries::default();
         proxied_micros.record(55);
+        let mut shutdown_micros = PhaseSeries::default();
+        shutdown_micros.record(900);
         let bench = NetBench {
             samples: vec![NetSample {
                 payload: 1024,
@@ -322,6 +437,13 @@ mod tests {
                 seal_mbytes_per_sec: 1234.5,
                 open_mbytes_per_sec: 1200.0,
             }],
+            shutdown_micros,
+            group_commit: vec![GroupCommitSample {
+                writers: 2,
+                acks: 100,
+                secs: 0.05,
+                syncs: 60,
+            }],
         };
         let json = to_json(&bench);
         assert!(json.contains("\"bytes\": 1024"));
@@ -331,6 +453,11 @@ mod tests {
         assert!(json.contains("\"overhead_p50_micros\": 15"));
         assert!(json.contains("\"overhead_p50_micros\": 15},\n  \"aead\": {\"tier\": \""));
         assert!(json.contains("{\"bytes\": 1024, \"seal_mbytes_per_sec\": 1234.50, \"open_mbytes_per_sec\": 1200.00}\n"));
-        assert!(json.ends_with("  ]}\n}\n"));
+        assert!(json.contains(
+            "  ]},\n  \"shutdown\": {\"iters\": 1, \"p50_micros\": 900, \"p99_micros\": 900},\n"
+        ));
+        assert!(json.ends_with(
+            "  \"group_commit\": [\n    {\"writers\": 2, \"acks\": 100, \"acks_per_sec\": 2000, \"fsyncs_per_ack\": 0.60}\n  ]\n}\n"
+        ));
     }
 }

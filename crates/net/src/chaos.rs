@@ -808,15 +808,14 @@ pub fn run_chaos(
         for cp in tree.clients.iter_mut() {
             cp.watch()?;
         }
-        // Single-attempt status poll (never blocks: this loop must keep
+        // Single-attempt status poll (a live aggregator holds it for at
+        // most a poll period, a dead one fails it: this loop must keep
         // supervising while the aggregator is down). Once the round
-        // reports finished the poller hangs up and goes quiet — the
-        // aggregator joins its workers on exit, and an open, chattering
-        // connection would keep one busy forever.
+        // reports finished the poller goes quiet; the aggregator closes
+        // the idle session when it exits.
         if !finished {
             if let Ok(NetMsg::Finished) = driver.poll_once(&setup, &NetMsg::PullStatus) {
                 finished = true;
-                driver.hangup();
             }
         }
         std::thread::sleep(Duration::from_millis(30));

@@ -31,15 +31,28 @@
 //!   process died mid-write — recovering the longest valid prefix.
 //!   A *complete but corrupt* record (bit flip) is a typed
 //!   [`JournalError::Corrupt`], never a panic or silent divergence.
-//! * [`Journal::commit`] flushes and `fsync`s; the aggregator calls it
-//!   after appending each accepted request and before replying, so an
-//!   acknowledged mutation is always on disk.
+//! * Durability is a **group commit**. Appending needs the journal
+//!   (`&mut`, so the aggregator appends under its state lock); waiting
+//!   for the `fsync` does not: [`Journal::pending`] hands out a claim on
+//!   "everything appended so far" that any thread can [`Pending::wait`]
+//!   on after it let the lock go. The first waiter whose records are not
+//!   yet on disk becomes the leader and issues one `sync_all`, which
+//!   covers every record appended before it started; the waiters queued
+//!   behind it find their records covered and return without touching
+//!   the disk. The aggregator waits before every reply, so an
+//!   acknowledged mutation is always on disk and no reply exposes state
+//!   that is not. [`Journal::commit`] is append-then-wait in one call.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use mycelium_crypto::sha256::{sha256_concat, Digest};
+
+use crate::lock_recover;
 
 /// File magic: identifies a Mycelium write-ahead log, version 1.
 pub const MAGIC: &[u8; 8] = b"MYCWALv1";
@@ -168,11 +181,70 @@ impl Records {
     }
 }
 
+/// The durability half of a journal, shared with every thread waiting
+/// on it. LSNs count records: LSN `n` is "the first `n` records".
+#[derive(Debug)]
+struct Syncer {
+    file: File,
+    /// Records written so far. Stored (`Release`) after the record's
+    /// `write(2)` returned and loaded (`Acquire`) by a leader before its
+    /// `fsync`, so the sync covers every record the count includes.
+    appended: AtomicU64,
+    /// Records known to be on disk. Stored (`Release`) under `leader`
+    /// after the `fsync` returned; the lock-free load in
+    /// [`Pending::wait`] pairs with it.
+    durable: AtomicU64,
+    /// Held by the leader across its `fsync`: followers queue here and
+    /// re-check `durable` once they own it.
+    leader: Mutex<SyncStats>,
+}
+
+/// What the group commit did so far (see [`Journal::sync_stats`]).
+#[derive(Debug, Clone, Default)]
+pub struct SyncStats {
+    /// `fsync`s issued by leaders.
+    pub syncs: u64,
+    /// How long each waiter that found its records not yet durable
+    /// waited, microseconds — leaders (their own `fsync`) and followers
+    /// (somebody else's) alike.
+    pub wait_micros: Vec<u64>,
+}
+
+/// A claim on durability: [`Pending::wait`] returns once every record
+/// appended before [`Journal::pending`] handed it out is on disk.
+#[derive(Debug)]
+#[must_use = "records are durable only after wait()"]
+pub struct Pending {
+    sync: Arc<Syncer>,
+    lsn: u64,
+}
+
+impl Pending {
+    /// Blocks until the claimed records are durable: at most one
+    /// `fsync` by this thread, none if a concurrent waiter's covered
+    /// them.
+    pub fn wait(self) -> Result<(), JournalError> {
+        let sync = &*self.sync;
+        if sync.durable.load(Ordering::Acquire) >= self.lsn {
+            return Ok(());
+        }
+        let started = Instant::now();
+        let mut stats = lock_recover(&sync.leader);
+        if sync.durable.load(Ordering::Acquire) < self.lsn {
+            let covered = sync.appended.load(Ordering::Acquire);
+            sync.file.sync_all()?;
+            sync.durable.store(covered, Ordering::Release);
+            stats.syncs += 1;
+        }
+        stats.wait_micros.push(started.elapsed().as_micros() as u64);
+        Ok(())
+    }
+}
+
 /// An append-only, checksummed, fsync'd write-ahead journal.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    records: u64,
+    sync: Arc<Syncer>,
     /// When `Some(n)`, the next append writes only the first `n` bytes
     /// of the encoded record and then reports success — a deterministic
     /// stand-in for a crash mid-`write(2)`, used by the chaos drill to
@@ -196,11 +268,23 @@ impl Journal {
         header.extend_from_slice(binding);
         file.write_all(&header)?;
         file.sync_all()?;
-        Ok(Self {
-            file,
-            records: 0,
+        Ok(Self::over(file, 0))
+    }
+
+    /// A journal appending to `file`, which holds `records` records and
+    /// is positioned after the last. None of them counts as durable yet:
+    /// a predecessor that died may have written them without syncing, so
+    /// the first wait of this incarnation syncs them too.
+    fn over(file: File, records: u64) -> Self {
+        Journal {
+            sync: Arc::new(Syncer {
+                file,
+                appended: AtomicU64::new(records),
+                durable: AtomicU64::new(0),
+                leader: Mutex::default(),
+            }),
             torn_write: None,
-        })
+        }
     }
 
     /// Opens an existing journal, verifies the header against `binding`,
@@ -272,14 +356,8 @@ impl Journal {
             file.sync_all()?;
         }
         file.seek(SeekFrom::Start(valid_end as u64))?;
-        Ok((
-            Self {
-                file,
-                records: payloads.len() as u64,
-                torn_write: None,
-            },
-            Records { bytes, payloads },
-        ))
+        let journal = Self::over(file, payloads.len() as u64);
+        Ok((journal, Records { bytes, payloads }))
     }
 
     /// Opens `path` if it exists, otherwise creates it. Returns the
@@ -294,10 +372,16 @@ impl Journal {
 
     /// Number of records written (or recovered) so far.
     pub fn record_count(&self) -> u64 {
-        self.records
+        self.sync.appended.load(Ordering::Relaxed)
     }
 
-    /// Appends one record. Not durable until [`Journal::commit`].
+    /// How many of them this process has made durable.
+    pub fn durable_count(&self) -> u64 {
+        self.sync.durable.load(Ordering::Acquire)
+    }
+
+    /// Appends one record. Not durable until [`Journal::commit`], or a
+    /// wait on a later [`Journal::pending`], returns.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
         self.append_parts(&[payload])
     }
@@ -312,25 +396,40 @@ impl Journal {
         for part in parts {
             rec.extend_from_slice(part);
         }
-        let sum = record_checksum(self.records, &rec[4..]);
+        let seq = self.record_count();
+        let sum = record_checksum(seq, &rec[4..]);
         rec.extend_from_slice(&sum);
+        let mut file = &self.sync.file;
         if let Some(n) = self.torn_write.take() {
             // Simulated mid-write crash: persist a prefix of the record
             // and stop there. The caller aborts right after.
             let n = n.min(rec.len().saturating_sub(1)).max(1);
-            self.file.write_all(&rec[..n])?;
-            let _ = self.file.sync_all();
+            file.write_all(&rec[..n])?;
+            let _ = file.sync_all();
             return Ok(());
         }
-        self.file.write_all(&rec)?;
-        self.records += 1;
+        file.write_all(&rec)?;
+        self.sync.appended.store(seq + 1, Ordering::Release);
         Ok(())
     }
 
-    /// Makes everything appended so far durable (`fsync`).
+    /// A claim on the durability of everything appended so far, for a
+    /// thread to wait on once it no longer needs the journal.
+    pub fn pending(&self) -> Pending {
+        Pending {
+            sync: Arc::clone(&self.sync),
+            lsn: self.record_count(),
+        }
+    }
+
+    /// Makes everything appended so far durable.
     pub fn commit(&mut self) -> Result<(), JournalError> {
-        self.file.sync_all()?;
-        Ok(())
+        self.pending().wait()
+    }
+
+    /// The group commit's counters so far.
+    pub fn sync_stats(&self) -> SyncStats {
+        lock_recover(&self.sync.leader).clone()
     }
 
     /// Arms a simulated torn write: the **next** [`Journal::append`]
@@ -497,6 +596,79 @@ mod tests {
         }
         let (_, rec) = Journal::open(&path, &binding()).unwrap();
         assert_eq!(payloads(&rec), [b"durable"], "torn record truncated");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn group_commit_covers_every_waiter_with_one_sync() {
+        use std::sync::{Barrier, Mutex};
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 64;
+        let path = tmp("group");
+        let journal = Mutex::new(Journal::create(&path, &binding()).unwrap());
+        let order = Mutex::new(Vec::new());
+        // Each round, every thread appends before any waits, so whoever
+        // leads finds all four records appended: one sync per round.
+        let appended = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (journal, order, appended) = (&journal, &order, &appended);
+                scope.spawn(move || {
+                    for i in 0..ROUNDS {
+                        let mut payload = vec![t as u8; 96 << 10];
+                        payload[1] = i as u8;
+                        let pending = {
+                            let mut j = journal.lock().unwrap();
+                            j.append(&payload).unwrap();
+                            order.lock().unwrap().push((t as u8, i as u8));
+                            j.pending()
+                        };
+                        appended.wait();
+                        let (sync, lsn) = (Arc::clone(&pending.sync), pending.lsn);
+                        pending.wait().unwrap();
+                        assert!(sync.durable.load(Ordering::Acquire) >= lsn);
+                        // Nobody appends the next round's record under a
+                        // waiter of this one.
+                        appended.wait();
+                    }
+                });
+            }
+        });
+        let journal = journal.into_inner().unwrap();
+        let stats = journal.sync_stats();
+        assert_eq!(journal.record_count(), (THREADS * ROUNDS) as u64);
+        assert_eq!(journal.durable_count(), journal.record_count());
+        assert_eq!(stats.syncs, ROUNDS as u64, "one leader per round");
+        assert!(stats.wait_micros.len() >= ROUNDS);
+        drop(journal);
+
+        let (_, rec) = Journal::open(&path, &binding()).unwrap();
+        let read: Vec<(u8, u8)> = rec.iter().map(|p| (p[0], p[1])).collect();
+        assert_eq!(read, order.into_inner().unwrap(), "append order");
+        assert!(rec.iter().all(|p| p.len() == 96 << 10));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn commit_syncs_only_what_is_not_yet_durable() {
+        let path = tmp("commit");
+        let mut j = Journal::create(&path, &binding()).unwrap();
+        j.commit().unwrap();
+        assert_eq!(j.sync_stats().syncs, 0, "nothing appended");
+        j.append(b"one").unwrap();
+        j.append(b"two").unwrap();
+        let early = j.pending();
+        assert_eq!(j.durable_count(), 0);
+        j.commit().unwrap();
+        early.wait().unwrap();
+        j.commit().unwrap();
+        assert_eq!((j.durable_count(), j.sync_stats().syncs), (2, 1));
+        drop(j);
+        // A reopened journal does not take its predecessor's word for it.
+        let (mut j, rec) = Journal::open(&path, &binding()).unwrap();
+        assert_eq!((rec.len(), j.durable_count()), (2, 0));
+        j.commit().unwrap();
+        assert_eq!((j.durable_count(), j.sync_stats().syncs), (2, 1));
         let _ = std::fs::remove_file(&path);
     }
 

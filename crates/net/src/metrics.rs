@@ -66,6 +66,13 @@ pub struct NetMetrics {
     pub overload_backoffs: u64,
     /// Half-open sessions a server reaped after the idle deadline.
     pub sessions_reaped: u64,
+    /// Journal `fsync`s a server issued. Group commit lets one cover
+    /// several requests, so this over the durable requests received is
+    /// the commit ratio.
+    pub wal_syncs: u64,
+    /// How long a request handler that found its records not yet on disk
+    /// waited for them, outside the state lock, microseconds.
+    pub sync_wait_micros: PhaseSeries,
     /// Encrypted data frames written.
     pub frames_sent: u64,
     /// Encrypted data frames read.
@@ -126,6 +133,10 @@ impl NetMetrics {
         self.overload_rejections += other.overload_rejections;
         self.overload_backoffs += other.overload_backoffs;
         self.sessions_reaped += other.sessions_reaped;
+        self.wal_syncs += other.wal_syncs;
+        self.sync_wait_micros
+            .completions
+            .extend_from_slice(&other.sync_wait_micros.completions);
         self.frames_sent += other.frames_sent;
         self.frames_recv += other.frames_recv;
         self.bytes_sent += other.bytes_sent;
@@ -159,6 +170,8 @@ impl NetMetrics {
         w.put_u64(self.overload_rejections);
         w.put_u64(self.overload_backoffs);
         w.put_u64(self.sessions_reaped);
+        w.put_u64(self.wal_syncs);
+        w.put_u64_slice(&self.sync_wait_micros.completions);
         w.put_u64(self.frames_sent);
         w.put_u64(self.frames_recv);
         w.put_u64(self.bytes_sent);
@@ -196,6 +209,10 @@ impl NetMetrics {
             overload_rejections: r.get_u64()?,
             overload_backoffs: r.get_u64()?,
             sessions_reaped: r.get_u64()?,
+            wal_syncs: r.get_u64()?,
+            sync_wait_micros: PhaseSeries {
+                completions: r.get_u64_vec()?,
+            },
             frames_sent: r.get_u64()?,
             frames_recv: r.get_u64()?,
             bytes_sent: r.get_u64()?,
@@ -240,7 +257,9 @@ impl NetMetrics {
              {inner}\"aead_rejects\": {},\n{inner}\"retries\": {},\n\
              {inner}\"deadline_expiries\": {},\n{inner}\"duplicates_suppressed\": {},\n\
              {inner}\"overload_rejections\": {},\n{inner}\"overload_backoffs\": {},\n\
-             {inner}\"sessions_reaped\": {},\n{inner}\"frames_sent\": {},\n\
+             {inner}\"sessions_reaped\": {},\n{inner}\"wal_syncs\": {},\n\
+             {inner}\"sync_waits\": {},\n{inner}\"sync_wait_p50_micros\": {},\n\
+             {inner}\"sync_wait_p99_micros\": {},\n{inner}\"frames_sent\": {},\n\
              {inner}\"frames_recv\": {},\n{inner}\"bytes_sent\": {},\n\
              {inner}\"bytes_recv\": {},\n",
             self.handshakes,
@@ -254,6 +273,10 @@ impl NetMetrics {
             self.overload_rejections,
             self.overload_backoffs,
             self.sessions_reaped,
+            self.wal_syncs,
+            self.sync_wait_micros.count(),
+            self.sync_wait_micros.p50(),
+            self.sync_wait_micros.p99(),
             self.frames_sent,
             self.frames_recv,
             self.bytes_sent,
@@ -320,6 +343,8 @@ mod tests {
         m.overload_rejections = 4;
         m.overload_backoffs = 4;
         m.sessions_reaped = 1;
+        m.wal_syncs = 5;
+        m.sync_wait_micros.record(480);
         m.frames_sent = 10;
         m.bytes_sent = 4096;
         m.note_sent("PushContrib", 1000, 1036);
@@ -340,6 +365,8 @@ mod tests {
         assert_eq!(d.overload_rejections, 4);
         assert_eq!(d.overload_backoffs, 4);
         assert_eq!(d.sessions_reaped, 1);
+        assert_eq!(d.wal_syncs, 5);
+        assert_eq!(d.sync_wait_micros, m.sync_wait_micros);
         assert_eq!(d.sent, m.sent);
         assert_eq!(d.recv, m.recv);
         assert_eq!(d.latency["PushContrib"].completions, vec![250]);
@@ -355,6 +382,8 @@ mod tests {
         assert_eq!(a.retries, 6);
         assert_eq!(a.duplicates_suppressed, 4);
         assert_eq!(a.sessions_reaped, 2);
+        assert_eq!(a.wal_syncs, 10);
+        assert_eq!(a.sync_wait_micros.count(), 2);
         assert_eq!(a.sent["PushContrib"].frames, 2);
         assert_eq!(a.latency["PushContrib"].count(), 2);
     }

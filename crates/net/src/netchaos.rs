@@ -47,7 +47,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
@@ -537,6 +537,30 @@ struct ProxyCtx {
     /// faults fire).
     rng: Mutex<StdRng>,
     ledger: Mutex<FaultLedger>,
+    /// Requests a relay has taken from its client and not yet answered
+    /// or dropped; `drained` is notified when it returns to zero.
+    in_flight: Mutex<usize>,
+    drained: Condvar,
+}
+
+/// One request's entry in [`ProxyCtx::in_flight`].
+struct InFlight<'a>(&'a ProxyCtx);
+
+impl<'a> InFlight<'a> {
+    fn new(ctx: &'a ProxyCtx) -> Self {
+        *lock_recover(&ctx.in_flight) += 1;
+        InFlight(ctx)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut n = lock_recover(&self.0.in_flight);
+        *n -= 1;
+        if *n == 0 {
+            self.0.drained.notify_all();
+        }
+    }
 }
 
 impl ProxyCtx {
@@ -582,6 +606,8 @@ impl ChaosProxy {
             ordinals: Mutex::new(BTreeMap::new()),
             rng: Mutex::new(StdRng::seed_from_u64(0x1a7e_9c1e).with_stream(server_role as u64)),
             ledger: Mutex::new(FaultLedger::default()),
+            in_flight: Mutex::new(0),
+            drained: Condvar::new(),
         });
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -615,13 +641,28 @@ impl ChaosProxy {
         *lock_recover(&self.ctx.ledger)
     }
 
-    /// Stops accepting (live relays drain with their connections).
-    pub fn shutdown(mut self) {
+    /// Stops accepting, lets the exchanges in flight through, and
+    /// returns the final ledger (idle relays end with their
+    /// connections). Shut the server behind down first: it has then
+    /// answered or hung up on every request, so nothing in flight waits
+    /// for more than a relay's own forwarding — and a reply the server
+    /// wrote as its last act reaches its client before the process exits
+    /// under the relay. A fault holding a request past that is left
+    /// behind after a second.
+    pub fn shutdown(mut self) -> FaultLedger {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
+        let in_flight = lock_recover(&self.ctx.in_flight);
+        let grace = Duration::from_secs(1);
+        drop(
+            self.ctx
+                .drained
+                .wait_timeout_while(in_flight, grace, |n| *n > 0),
+        );
+        self.ledger()
     }
 }
 
@@ -689,6 +730,7 @@ fn relay_link(
     let link = client_role.and_then(|r| ctx.links.get(&r));
     loop {
         let mut request = read_frame(client)?;
+        let _in_flight = InFlight::new(ctx);
         if let Some(role) = client_role {
             // Partition recheck per request: a window that opened after
             // the handshake still severs the link. Killed requests do

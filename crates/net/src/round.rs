@@ -33,7 +33,8 @@
 //!
 //! The aggregator's [`AggState`] is crash-durable: every accepted,
 //! state-mutating request and every wall-clock phase transition is
-//! logged to a write-ahead [`Journal`] (fsync'd before the reply goes
+//! logged to a write-ahead [`Journal`] (made durable — one group-commit
+//! `fsync` covers every handler waiting on it — before the reply goes
 //! out), so a `kill -9` at any protocol step loses nothing. A respawned
 //! aggregator replays the journal, rebuilds bit-identical state
 //! (verified against embedded state-digest checkpoints), rebinds a
@@ -56,7 +57,7 @@
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
@@ -83,11 +84,11 @@ use crate::chaos::RoundTree;
 use crate::client::{Client, ClientConfig};
 use crate::codec::{decode_plain_result, encode_plain_result, encode_share, CodecCtx};
 use crate::error::NetError;
-use crate::journal::{Journal, JournalError};
+use crate::journal::{Journal, JournalError, Pending, SyncStats};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
 use crate::proto::NetMsg;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Handler, Server, ServerConfig};
 use crate::wire::{Reader, Writer};
 
 /// Transport role ids (feed [`Identity::derive`]).
@@ -231,6 +232,14 @@ impl Default for RoundSpec {
 }
 
 impl RoundSpec {
+    /// The period of the driver's status poll: how long a server holds a
+    /// poll that only waits for the end of the round before answering
+    /// "not yet", and how long a client that lost its server waits before
+    /// it redials.
+    pub fn status_poll(&self) -> Duration {
+        self.poll_interval.max(Duration::from_millis(50))
+    }
+
     /// Renders the spec as CLI arguments (the driver → child interface).
     pub fn to_args(&self) -> Vec<String> {
         let mut args = vec![
@@ -613,13 +622,16 @@ const DIGEST_EVERY: u32 = 8;
 /// How long a finished aggregator waits for committee members to observe
 /// `Finished` before giving up on stragglers and exiting anyway.
 const FINISH_GRACE: Duration = Duration::from_secs(10);
+/// How often a serving process's main loop re-runs the wall-clock
+/// transitions when no handled request wakes it first.
+const TICK: Duration = Duration::from_millis(20);
 
 /// Deterministic fault injection knobs for [`run_aggregator`] — the
 /// chaos drill's way of dying at an exact protocol step.
 #[derive(Debug, Clone, Default)]
 pub struct AggFaults {
     /// Abort (a `kill -9` stand-in: no cleanup, no flush) right after
-    /// the `N`th successfully handled — journaled, applied, fsync'd,
+    /// the `N`th successfully handled — journaled, applied, durable,
     /// but **not yet answered** — message of the given kind.
     pub die_after: Option<(String, u32)>,
     /// Abort mid-`write(2)` of the `N`th journaled record, leaving a
@@ -678,11 +690,16 @@ pub struct AggState {
     // Durability.
     journal: Option<Journal>,
     replaying: bool,
-    dirty: bool,
     undigested: u32,
     digest_due: bool,
     mutating_appends: u32,
     die_mid_journal: Option<u32>,
+}
+
+/// Waits until the records `pending` claims are on disk (at once where
+/// there is no journal to claim anything of).
+fn settle(pending: Option<Pending>) -> Result<(), NetError> {
+    pending.map_or(Ok(()), |pending| Ok(pending.wait()?))
 }
 
 /// The core's view of the round: immutable inputs derived from the setup.
@@ -763,7 +780,6 @@ impl AggState {
             rng: StdRng::seed_from_u64(setup.spec.seed).with_stream(rng_stream),
             journal: None,
             replaying: false,
-            dirty: false,
             undigested: 0,
             digest_due: false,
             mutating_appends: 0,
@@ -965,7 +981,7 @@ impl AggState {
     // --- journaling ------------------------------------------------------
 
     /// Appends the record `tag ‖ body` (not yet durable; see
-    /// [`AggState::flush`]).
+    /// [`AggState::pending`]).
     fn append_record(&mut self, tag: u8, body: &[u8]) -> Result<(), NetError> {
         if self.replaying {
             return Ok(());
@@ -988,7 +1004,6 @@ impl AggState {
             std::process::abort();
         }
         j.append_parts(&[&[tag], body])?;
-        self.dirty = true;
         self.undigested += 1;
         Ok(())
     }
@@ -1003,24 +1018,25 @@ impl AggState {
         self.append_record(rec::FAIL, msg.as_bytes())
     }
 
-    /// Makes every appended record durable, inserting a state-digest
-    /// checkpoint at phase transitions and every [`DIGEST_EVERY`]
-    /// records. Called once per handled request — one fsync covers the
-    /// request plus any transitions it unlocked.
-    fn flush(&mut self) -> Result<(), NetError> {
-        if self.replaying || !self.dirty {
-            return Ok(());
-        }
+    /// Closes one handled request's run of records: appends a
+    /// state-digest checkpoint if a phase transition is among them or
+    /// [`DIGEST_EVERY`] records went by without one. (Both conditions are
+    /// only ever raised beside an append, so a request that appended
+    /// nothing checkpoints nothing.)
+    fn checkpoint(&mut self) -> Result<(), NetError> {
         if self.digest_due || self.undigested >= DIGEST_EVERY {
             self.append_record(rec::DIGEST, &self.digest())?;
             self.undigested = 0;
             self.digest_due = false;
         }
-        if let Some(j) = self.journal.as_mut() {
-            j.commit()?;
-        }
-        self.dirty = false;
         Ok(())
+    }
+
+    /// A claim on the durability of every record appended so far (`None`
+    /// without a journal). Taken under the state lock, waited on outside
+    /// it ([`settle`]).
+    fn pending(&self) -> Option<Pending> {
+        self.journal.as_ref().map(Journal::pending)
     }
 
     /// Replays one journal record during [`AggState::recover`].
@@ -1221,7 +1237,8 @@ impl AggState {
             wal.append(&bytes)?;
         }
         wal.commit()?;
-        self.flush()?;
+        self.checkpoint()?;
+        settle(self.pending())?;
         self.budget_wal = Some(wal);
         self.session_ops = session_ops;
         Ok(())
@@ -1670,12 +1687,29 @@ impl AggState {
         NetMsg::Finished
     }
 
-    /// Handles one live request: runs due transitions, journals the
-    /// request if it mutates state, applies it, journals any transition
-    /// it unlocked, and fsyncs everything **before** the reply goes
-    /// out — an acknowledged mutation is always on disk. `raw` is the
-    /// request's wire encoding (what the journal stores).
+    /// Handles one live request and makes it durable **before**
+    /// returning the reply — an acknowledged mutation is always on disk.
+    /// `raw` is the request's wire encoding (what the journal stores).
+    /// A caller sharing this state with other threads uses
+    /// [`AggState::handle_deferred`] and waits outside its lock.
     pub fn handle(&mut self, msg: NetMsg, raw: &[u8]) -> Result<NetMsg, NetError> {
+        let (reply, pending) = self.handle_deferred(msg, raw)?;
+        settle(pending)?;
+        Ok(reply)
+    }
+
+    /// The part of [`AggState::handle`] that needs the state: runs due
+    /// transitions, journals the request if it mutates state, applies it,
+    /// journals any transition it unlocked and the checkpoint they call
+    /// for. The reply must not leave the process before the returned
+    /// claim has been waited on: it covers this request's records and
+    /// every earlier one the reply may reflect, so no reply exposes state
+    /// that is not yet on disk.
+    pub fn handle_deferred(
+        &mut self,
+        msg: NetMsg,
+        raw: &[u8],
+    ) -> Result<(NetMsg, Option<Pending>), NetError> {
         self.tick()?;
         if self.mutates(&msg) {
             self.append_record(rec::REQ, raw)?;
@@ -1684,8 +1718,37 @@ impl AggState {
         }
         let reply = self.apply(msg)?;
         self.tick()?;
-        self.flush()?;
-        Ok(reply)
+        self.checkpoint()?;
+        Ok((reply, self.pending()))
+    }
+
+    /// Whether `msg` is a poll that has nothing to learn but the end of
+    /// the round: the driver's status poll, and the check-in of a
+    /// committee member whose certificate signature is already in.
+    fn awaits_end(&self, msg: &NetMsg) -> bool {
+        match msg {
+            NetMsg::PullStatus => true,
+            NetMsg::CommitteeCheckIn { member, .. } => {
+                let sigs = &self.tail.cert_sigs;
+                matches!(self.outcome, Some(Ok(_)))
+                    && sigs.get(*member as usize).is_some_and(Option::is_some)
+            }
+            _ => false,
+        }
+    }
+
+    /// What a thread sleeping on this state can be waiting for: the
+    /// sealed root or aggregate, the end of the round, and who has
+    /// observed it. [`SharedAgg`] wakes its sleepers when a request moves
+    /// any of them.
+    fn milestones(&self) -> (bool, bool, usize, usize, bool) {
+        (
+            self.aggregate.is_some(),
+            self.round_done(),
+            self.finished_seen.len(),
+            self.finished_shards.len(),
+            self.driver_seen,
+        )
     }
 
     /// Whether the round has produced an outcome (success or typed
@@ -1697,6 +1760,18 @@ impl AggState {
     /// How many records the journal currently holds (tests).
     pub fn journal_records(&self) -> u64 {
         self.journal.as_ref().map_or(0, Journal::record_count)
+    }
+
+    /// How many of them this process has made durable (tests).
+    pub fn durable_records(&self) -> u64 {
+        self.journal.as_ref().map_or(0, Journal::durable_count)
+    }
+
+    /// The journal's group-commit counters.
+    pub fn sync_stats(&self) -> SyncStats {
+        self.journal
+            .as_ref()
+            .map_or_else(SyncStats::default, Journal::sync_stats)
     }
 
     /// The shard's sealed `ShardRoot` message once the partial tree is
@@ -1817,23 +1892,121 @@ pub fn read_addr_file(out_dir: &Path) -> Option<SocketAddr> {
     read_named_addr_file(out_dir, files::AGG_ADDR)
 }
 
+/// An [`AggState`] as its process shares it: the server's workers handle
+/// requests on it, and the process's main loop runs its wall-clock
+/// transitions and sleeps until the round reaches the point it waits for.
+///
+/// As a [`Handler`] it decodes a request, handles it under the state lock
+/// (journal → apply → checkpoint), lets the lock go, and only then waits
+/// for the journal's group commit — so other requests are verified,
+/// applied and answered during the disk wait — before it encodes the
+/// reply. Under the `die_after` chaos knob a request is handled, made
+/// durable and then *not* answered, so the client must retry into the
+/// respawned process's idempotent path.
+pub struct SharedAgg {
+    state: Mutex<AggState>,
+    /// Notified when a handled request moved one of
+    /// [`AggState::milestones`]. Everything that sleeps on it sleeps with
+    /// a timeout, so wall-clock deadlines fire regardless.
+    moved: Condvar,
+    setup: Arc<RoundSetup>,
+    die_after: Option<(String, u32)>,
+    die_count: Mutex<u32>,
+}
+
+impl SharedAgg {
+    /// Shares `st`, to be served with the chaos knobs in `faults`.
+    pub fn new(st: AggState, setup: &Arc<RoundSetup>, faults: &AggFaults) -> Arc<Self> {
+        Arc::new(SharedAgg {
+            state: Mutex::new(st),
+            moved: Condvar::new(),
+            setup: Arc::clone(setup),
+            die_after: faults.die_after.clone(),
+            die_count: Mutex::new(0),
+        })
+    }
+
+    /// The state, locked.
+    pub fn lock(&self) -> MutexGuard<'_, AggState> {
+        lock_recover(&self.state)
+    }
+
+    /// Sleeps (the state unlocked) until a request moves a milestone or
+    /// `timeout` passes, whichever is first.
+    fn wait<'a>(&self, s: MutexGuard<'a, AggState>, timeout: Duration) -> MutexGuard<'a, AggState> {
+        let woken = self.moved.wait_timeout(s, timeout);
+        woken.unwrap_or_else(PoisonError::into_inner).0
+    }
+
+    /// Runs the due wall-clock transitions; a journal failure fails the
+    /// round rather than the process. What they append is made durable
+    /// by whoever next waits on the journal — the next handled request,
+    /// or the main loop before it acts on what it saw ([`Self::sync`]).
+    fn tick(&self, s: &mut AggState) {
+        if let Err(e) = s.tick().and_then(|_| s.checkpoint()) {
+            s.fail(format!("journal failure: {e}"));
+        }
+    }
+
+    /// Unlocks the state and waits until everything it journaled is on
+    /// disk.
+    fn sync(&self, s: MutexGuard<'_, AggState>) -> Result<(), NetError> {
+        let pending = s.pending();
+        drop(s);
+        settle(pending)
+    }
+}
+
+impl Handler for SharedAgg {
+    fn handle(&self, _peer: [u8; 32], request: &[u8]) -> Result<Vec<u8>, NetError> {
+        let msg = NetMsg::decode(request, &self.setup.cc)?;
+        let kind = msg.kind();
+        let mut s = self.lock();
+        if s.awaits_end(&msg) {
+            // Instead of answering "not yet" at once and having the
+            // client sleep a poll period before it asks again, hold the
+            // request for that period, and answer the moment the round is
+            // over if that comes first.
+            let period = self.setup.spec.status_poll();
+            let parked = self
+                .moved
+                .wait_timeout_while(s, period, |s| !s.round_done());
+            s = parked.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        let before = s.milestones();
+        let handled = s.handle_deferred(msg, request);
+        if s.milestones() != before {
+            self.moved.notify_all();
+        }
+        drop(s);
+        let (reply, pending) = handled?;
+        settle(pending)?;
+        if let Some((k, n)) = self.die_after.as_ref().filter(|(k, _)| kind == k.as_str()) {
+            let mut count = lock_recover(&self.die_count);
+            *count += 1;
+            if *count == *n {
+                eprintln!("{}: chaos kill after {n} {k}", self.lock().who());
+                std::process::abort();
+            }
+        }
+        Ok(reply.encode())
+    }
+}
+
 /// One served aggregation-plane process (the aggregator or an intake
 /// shard): its journaled state behind the listening server, plus the
 /// fault-injecting proxy when the round runs under a net-chaos profile.
 struct Served {
     name: String,
-    state: Arc<Mutex<AggState>>,
+    shared: Arc<SharedAgg>,
     server: Server,
     proxy: Option<crate::netchaos::ChaosProxy>,
 }
 
 impl Served {
-    /// Serves `st` under the transport identity its composition implies:
-    /// every request is decoded, handled (journaled + fsync'd) and answered
-    /// — or, under the `die_after` chaos knob, handled and then *not*
-    /// answered, so the client must retry into the respawned process's
-    /// idempotent path. Publishes the dialable address via the role's
-    /// address file and a `LISTENING` banner on stdout.
+    /// Serves `st` under the transport identity its composition implies.
+    /// Publishes the dialable address via the role's address file and a
+    /// `LISTENING` banner on stdout.
     fn spawn(
         st: AggState,
         setup: &Arc<RoundSetup>,
@@ -1860,33 +2033,14 @@ impl Served {
                 files::shard_addr(s as usize),
             ),
         };
-        let who = st.who().to_string();
-        let state = Arc::new(Mutex::new(st));
-        let (handler_state, handler_setup) = (Arc::clone(&state), Arc::clone(setup));
-        let die_after = faults.die_after.clone();
-        let die_count = Mutex::new(0u32);
-        let handler = Arc::new(
-            move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
-                let msg = NetMsg::decode(request, &handler_setup.cc)?;
-                let kind = msg.kind();
-                let reply = lock_recover(&handler_state).handle(msg, request)?;
-                if let Some((k, n)) = die_after.as_ref().filter(|(k, _)| kind == k.as_str()) {
-                    let mut count = lock_recover(&die_count);
-                    *count += 1;
-                    if *count == *n {
-                        eprintln!("{who}: chaos kill after {n} {k}");
-                        std::process::abort();
-                    }
-                }
-                Ok(reply.encode())
-            },
-        );
+        let shared = SharedAgg::new(st, setup, faults);
         let config = ServerConfig {
             workers,
             roster: Some(setup.roster()),
             ..ServerConfig::default()
         };
         let identity = Identity::derive(setup.spec.seed, role_id);
+        let handler: Arc<dyn Handler> = shared.clone();
         let server = Server::spawn("127.0.0.1:0", identity, config, handler, server_seed)?;
         // Under a net-chaos profile every client dials the fault-injecting
         // proxy, not the server: publish the proxy's address everywhere
@@ -1909,38 +2063,35 @@ impl Served {
         std::io::stdout().flush()?;
         Ok(Served {
             name,
-            state,
+            shared,
             server,
             proxy,
         })
     }
 
-    /// Runs the due wall-clock transitions; a journal failure fails the
-    /// round rather than the process.
-    fn tick(&self) -> std::sync::MutexGuard<'_, AggState> {
-        let mut s = lock_recover(&self.state);
-        if let Err(e) = s.tick().and_then(|_| s.flush()) {
-            s.fail(format!("journal failure: {e}"));
-        }
-        s
-    }
-
-    /// Writes this process's metrics (merged with its client half's, if
-    /// any) and fault ledger, and stops serving.
+    /// Stops serving, then writes this process's metrics (merged with its
+    /// client half's, if any) and fault ledger. In that order: the main
+    /// loop can get here while the request that let it go is still being
+    /// answered, and only a stopped server has sent — and counted — its
+    /// last reply.
     fn finish(self, out_dir: &Path, client_half: Option<NetMetrics>) -> Result<(), NetError> {
-        let mut metrics = lock_recover(&self.server.metrics()).clone();
+        let server_metrics = self.server.metrics();
+        self.server.shutdown();
+        if let Some(p) = self.proxy {
+            let ledger = p.shutdown().to_json() + "\n";
+            std::fs::write(out_dir.join(files::netfaults(&self.name)), ledger)?;
+        }
+        let mut metrics = lock_recover(&server_metrics).clone();
         if let Some(m) = &client_half {
             metrics.merge(m);
         }
-        metrics.duplicates_suppressed += lock_recover(&self.state).duplicates_suppressed();
-        write_metrics(out_dir, &self.name, &metrics)?;
-        if let Some(p) = self.proxy {
-            let ledger = p.ledger().to_json() + "\n";
-            std::fs::write(out_dir.join(files::netfaults(&self.name)), ledger)?;
-            p.shutdown();
-        }
-        self.server.shutdown();
-        Ok(())
+        let s = self.shared.lock();
+        metrics.duplicates_suppressed += s.duplicates_suppressed();
+        let stats = s.sync_stats();
+        metrics.wal_syncs += stats.syncs;
+        let waits = &mut metrics.sync_wait_micros.completions;
+        waits.extend(stats.wait_micros);
+        write_metrics(out_dir, &self.name, &metrics)
     }
 }
 
@@ -1968,9 +2119,10 @@ pub fn run_aggregator(
 
     let started = Instant::now();
     let mut outcome_since: Option<Instant> = None;
+    let shared = &served.shared;
+    let mut s = shared.lock();
     let (result, cert_json) = loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let mut s = served.tick();
+        shared.tick(&mut s);
         if s.round_done() {
             let since = *outcome_since.get_or_insert_with(Instant::now);
             // Committee members (and shards) that died after the
@@ -2000,7 +2152,9 @@ pub fn run_aggregator(
                 json,
             );
         }
+        s = shared.wait(s, TICK);
     };
+    shared.sync(s)?;
     // The certificate lands on disk *before* the outcome file: the
     // outcome is the durable end-of-round signal lingering roles watch,
     // so nobody can observe a finished round with a missing certificate.
@@ -2044,47 +2198,58 @@ pub fn run_shard(
     let started = Instant::now();
     let mut root_msg: Option<NetMsg> = None;
     let mut root_acked = false;
-    let result = loop {
-        std::thread::sleep(Duration::from_millis(20));
-        {
-            let s = served.tick();
+    // The loop sleeps on the state: the request that seals the root wakes
+    // it, so the root goes to the coordinator at once; a failed push and
+    // the linger poll after the ack repeat every [`TICK`].
+    let result = {
+        let shared = &served.shared;
+        let mut s = shared.lock();
+        loop {
+            shared.tick(&mut s);
             if let Some(e) = s.failure() {
                 break Err(NetError::Decode(format!("shard {shard} failed: {e}")));
             }
             if root_msg.is_none() && !root_acked {
                 root_msg = s.shard_root_msg();
             }
-        }
-        if let Some(msg) = &root_msg {
-            match coord.poll_once(&setup, msg) {
-                Ok(NetMsg::Ack) => {
-                    root_acked = true;
-                    root_msg = None;
+            if root_msg.is_some() || root_acked {
+                // Talk to the coordinator with the state unlocked, and only
+                // about a root that is on disk.
+                if let Err(e) = shared.sync(s) {
+                    break Err(e);
                 }
-                Ok(NetMsg::Finished) => break Ok(()),
-                _ => {}
+                if let Some(msg) = &root_msg {
+                    match coord.poll_once(&setup, msg) {
+                        Ok(NetMsg::Ack) => {
+                            root_acked = true;
+                            root_msg = None;
+                        }
+                        Ok(NetMsg::Finished) => break Ok(()),
+                        _ => {}
+                    }
+                } else {
+                    let status = NetMsg::PullShardStatus {
+                        shard: shard as u32,
+                    };
+                    if let Ok(NetMsg::Finished) = coord.poll_once(&setup, &status) {
+                        break Ok(());
+                    }
+                    // The coordinator may have exited (finish grace elapsed)
+                    // before this shard's poll saw Finished; the outcome file
+                    // is the durable end-of-round signal.
+                    if out_dir.join(files::OUTCOME).exists() {
+                        break Ok(());
+                    }
+                }
+                s = shared.lock();
             }
-        } else if root_acked {
-            if let Ok(NetMsg::Finished) = coord.poll_once(
-                &setup,
-                &NetMsg::PullShardStatus {
-                    shard: shard as u32,
-                },
-            ) {
-                break Ok(());
+            if started.elapsed() >= spec.round_timeout {
+                break Err(NetError::Decode(format!(
+                    "shard {shard} round did not converge within {:?}",
+                    spec.round_timeout
+                )));
             }
-            // The coordinator may have exited (finish grace elapsed)
-            // before this shard's poll saw Finished; the outcome file
-            // is the durable end-of-round signal.
-            if out_dir.join(files::OUTCOME).exists() {
-                break Ok(());
-            }
-        }
-        if started.elapsed() >= spec.round_timeout {
-            break Err(NetError::Decode(format!(
-                "shard {shard} round did not converge within {:?}",
-                spec.round_timeout
-            )));
+            s = shared.wait(s, TICK);
         }
     };
     served.finish(out_dir, Some(coord.metrics()))?;
@@ -2229,7 +2394,7 @@ impl HubClient {
             server_pub,
             addr,
             deadline,
-            poll: setup.spec.poll_interval.max(Duration::from_millis(50)),
+            poll: setup.spec.status_poll(),
             span_attempts: 0,
             // 64 outer attempts, each already worth the inner client's
             // full short schedule, cap a persistently unreachable hub at a
@@ -2312,11 +2477,6 @@ impl HubClient {
 
     pub(crate) fn metrics(&self) -> NetMetrics {
         lock_recover(&self.client.metrics()).clone()
-    }
-
-    /// Closes the underlying connection (the next request redials).
-    pub(crate) fn hangup(&mut self) {
-        self.client.disconnect();
     }
 }
 
@@ -2607,14 +2767,16 @@ pub fn run_driver(
         for cp in tree.clients.iter_mut() {
             cp.watch()?;
         }
+        // The aggregator holds the poll for a poll period or until the
+        // round is over, so an answered poll is followed by the next at
+        // once.
         match driver.request_msg(&setup, &NetMsg::PullStatus) {
             Ok(NetMsg::Finished) => break true,
             Ok(_) => {}
             // The aggregator may be briefly unreachable while saturated;
             // the client already retried, so just keep polling.
-            Err(_) => {}
+            Err(_) => std::thread::sleep(spec.status_poll()),
         }
-        std::thread::sleep(spec.poll_interval.max(Duration::from_millis(50)));
     };
 
     // Drain every child — shards, then clients — then the aggregator

@@ -13,9 +13,21 @@
 //! handler, write one sealed reply. Handlers must therefore be
 //! *idempotent* — a client that times out re-sends the same request over
 //! a fresh connection, so the server may see a request twice.
+//!
+//! Nothing here waits out a timer to stop. The server keeps a second
+//! handle on every connection a worker holds, and
+//! [`Server::shutdown`] shuts the read half of those sockets down: a
+//! worker blocked reading an idle session sees end-of-stream at once
+//! (one in the middle of a request answers it first), and an idle worker
+//! blocked on the queue sees it disconnect when the accept thread goes.
+//! The worker then drops the connection, so the session's peer reads a
+//! typed error on its next exchange. The read timeouts
+//! ([`ServerConfig::idle_timeout`], [`ServerConfig::handshake_timeout`])
+//! bound what a *peer* can make a worker wait; shutdown does not depend
+//! on them.
 
-use std::collections::HashSet;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, HashSet};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -53,8 +65,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest accepted application payload.
     pub max_payload: usize,
-    /// How long a worker blocks on an idle connection before polling the
-    /// shutdown flag.
+    /// How long a worker blocks on an idle connection between checks of
+    /// its age against [`idle_reap`](Self::idle_reap).
     pub idle_timeout: Duration,
     /// Deadline on the server-side handshake: a peer that connects and
     /// then stalls is cut loose instead of parking a worker forever.
@@ -85,11 +97,41 @@ impl Default for ServerConfig {
 /// and the client's normal retry path takes over.
 const MAX_OVERFLOW_RESPONDERS: usize = 8;
 
+/// The connections workers currently hold, by connection number: a
+/// second handle on each socket, so that [`Server::shutdown`] can close
+/// them under the workers.
+type LiveConns = Mutex<HashMap<u64, TcpStream>>;
+
+/// One worker's entry in [`LiveConns`], removed when the worker is done
+/// with the connection however it ends.
+struct Registered<'a> {
+    live: &'a LiveConns,
+    conn: u64,
+}
+
+impl<'a> Registered<'a> {
+    fn new(live: &'a LiveConns, conn: u64, stream: &TcpStream) -> Self {
+        // A socket that cannot be duplicated is served all the same; it
+        // is then bounded by its read timeouts alone.
+        if let Ok(handle) = stream.try_clone() {
+            lock_recover(live).insert(conn, handle);
+        }
+        Registered { live, conn }
+    }
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        lock_recover(self.live).remove(&self.conn);
+    }
+}
+
 /// A running server; dropping it without [`shutdown`](Server::shutdown)
 /// leaks the threads until process exit.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    live: Arc<LiveConns>,
     threads: Vec<std::thread::JoinHandle<()>>,
     metrics: Arc<Mutex<NetMetrics>>,
 }
@@ -108,6 +150,7 @@ impl Server {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
+        let live = Arc::new(LiveConns::default());
         let metrics = NetMetrics::shared();
         let conn_counter = Arc::new(AtomicU64::new(0));
         let (tx, rx) = sync_channel::<TcpStream>(config.workers * 2);
@@ -120,6 +163,7 @@ impl Server {
             let config = config.clone();
             let handler = Arc::clone(&handler);
             let shutdown = Arc::clone(&shutdown);
+            let live = Arc::clone(&live);
             let metrics = Arc::clone(&metrics);
             let conn_counter = Arc::clone(&conn_counter);
             threads.push(std::thread::spawn(move || {
@@ -129,6 +173,7 @@ impl Server {
                     &config,
                     handler.as_ref(),
                     &shutdown,
+                    &live,
                     &metrics,
                     &conn_counter,
                     seed,
@@ -173,6 +218,7 @@ impl Server {
         Ok(Server {
             addr,
             shutdown,
+            live,
             threads,
             metrics,
         })
@@ -188,11 +234,22 @@ impl Server {
         Arc::clone(&self.metrics)
     }
 
-    /// Stops accepting, drains the workers, and joins every thread.
+    /// Stops accepting, ends every open session, and joins every thread.
+    /// A request a handler is working on is finished and answered first;
+    /// nothing else is waited for.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
+        // Wake the blocking accept with a throwaway connection; the
+        // accept thread takes the queue's sender with it, which wakes
+        // the idle workers.
         let _ = TcpStream::connect(self.addr);
+        // Only the read half: a worker waiting for the next request
+        // reads end-of-stream now, and one that is answering a request
+        // still gets its reply out and reads end-of-stream after. A worker
+        // that registers after this pass sees the flag instead.
+        for stream in lock_recover(&self.live).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -250,24 +307,25 @@ fn worker_loop(
     config: &ServerConfig,
     handler: &dyn Handler,
     shutdown: &AtomicBool,
+    live: &LiveConns,
     metrics: &Arc<Mutex<NetMetrics>>,
     conn_counter: &AtomicU64,
     seed: u64,
 ) {
     loop {
-        let stream = {
-            let guard = lock_recover(rx);
-            match guard.recv_timeout(Duration::from_millis(100)) {
-                Ok(s) => Some(s),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-            }
+        // One idle worker waits on the queue and the rest wait for their
+        // turn; a dropped sender (the accept thread is gone) releases
+        // them one after the other.
+        let Ok(stream) = lock_recover(rx).recv() else {
+            return;
         };
+        let conn = conn_counter.fetch_add(1, Ordering::SeqCst);
+        let _registered = Registered::new(live, conn, &stream);
+        // Registered first, so either `shutdown` found the socket or this
+        // load finds the flag.
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Some(stream) = stream else { continue };
-        let conn = conn_counter.fetch_add(1, Ordering::SeqCst);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_c0de).with_stream(conn);
         // A peer that connects and then stalls mid-handshake must not
         // park this worker: the handshake runs under its own deadline.
@@ -297,11 +355,15 @@ fn worker_loop(
                         Ok(r) => r,
                         Err(_) => break,
                     };
-                    if channel.send(&reply).is_err() {
+                    // A peer that keeps sending must not keep this worker
+                    // from a shutdown that began meanwhile.
+                    if channel.send(&reply).is_err() || shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                 }
                 Err(NetError::Timeout) => {
+                    // Only a socket `shutdown` could not reach (one that
+                    // could not be duplicated) learns of it here.
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
@@ -359,6 +421,63 @@ mod tests {
         assert_eq!(channel.recv().unwrap(), b"zyx");
         drop(channel);
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_idle_timeout() {
+        let identity = Identity::derive(5, 0);
+        let server_pub = identity.public;
+        let handler = Arc::new(|_peer: [u8; 32], req: &[u8]| -> Result<Vec<u8>, NetError> {
+            Ok(req.to_vec())
+        });
+        // Workers block five seconds on a quiet session before they look
+        // up: a shutdown that waited for that would take as long.
+        let config = ServerConfig {
+            idle_timeout: Duration::from_secs(5),
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn("127.0.0.1:0", identity, config, handler, 5).unwrap();
+        let addr = server.local_addr();
+        let connect = |role: u32| {
+            let mut rng = StdRng::seed_from_u64(role as u64);
+            let id = Identity::derive(5, role);
+            let stream = TcpStream::connect(addr).unwrap();
+            let channel = client_handshake(
+                stream,
+                &id,
+                Some(server_pub),
+                &mut rng,
+                1 << 20,
+                NetMetrics::shared(),
+            )
+            .unwrap();
+            channel
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            channel
+        };
+        // One session that only ever shook hands, one that has exchanged
+        // requests and sits between two of them.
+        let mut idle = connect(100);
+        let mut mid_session = connect(101);
+        mid_session.send(b"ping").unwrap();
+        assert_eq!(mid_session.recv().unwrap(), b"ping");
+
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        // Both peers learn of it as a typed error, well inside their own
+        // read timeout.
+        for channel in [&mut idle, &mut mid_session] {
+            let _ = channel.send(b"anyone?");
+            let reply = channel.recv();
+            assert!(
+                matches!(reply, Err(NetError::Io(_) | NetError::PeerClosed)),
+                "got {reply:?}"
+            );
+        }
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

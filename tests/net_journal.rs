@@ -10,11 +10,15 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mycelium_bgv::{Ciphertext, Plaintext};
 use mycelium_cert::{sign_transcript, verify_bytes};
 use mycelium_net::proto::NetMsg;
-use mycelium_net::round::{build_setup, files, AggState, BudgetCfg, RoundSetup, RoundSpec};
+use mycelium_net::round::{
+    build_setup, files, AggFaults, AggState, BudgetCfg, RoundSetup, RoundSpec, SharedAgg,
+};
+use mycelium_net::server::Handler;
 use mycelium_net::{JournalError, NetError};
 use mycelium_sharing::threshold::decryption_share;
 
@@ -523,5 +527,96 @@ fn journal_bound_to_a_different_round_is_rejected() {
         matches!(err, NetError::Journal(JournalError::BindingMismatch { .. })),
         "expected BindingMismatch, got {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn handle_returns_only_after_its_records_are_durable() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("durable");
+    let path = dir.join(files::JOURNAL);
+    let raws = mutating_requests(&setup, 9, 0);
+    let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+
+    // `handle` is append *and* wait: every record it appended — the
+    // digest checkpoint after the 8th included — is on disk when it
+    // returns, at one fsync per request.
+    for raw in &raws[..8] {
+        feed(&mut st, &setup, raw);
+        assert_eq!(st.durable_records(), st.journal_records());
+    }
+    assert_eq!((st.journal_records(), st.sync_stats().syncs), (9, 8));
+    // A poll appends nothing and waits for nothing.
+    request(&mut st, &setup, &NetMsg::PullStatus);
+    assert_eq!(st.sync_stats().syncs, 8);
+
+    // The deferred half leaves the wait to the caller: the record is in
+    // the journal, the claim on its durability is still open.
+    let msg = NetMsg::decode(&raws[8], &setup.cc).unwrap();
+    let (reply, pending) = st.handle_deferred(msg, &raws[8]).unwrap();
+    assert!(matches!(reply, NetMsg::Ack));
+    assert_eq!((st.journal_records(), st.durable_records()), (10, 9));
+    pending.expect("a journaled state").wait().unwrap();
+    assert_eq!((st.durable_records(), st.sync_stats().syncs), (10, 9));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parked_status_wakes_on_finish() {
+    // A poll period long enough to tell "woken by the seal" from "timed
+    // out and asked again".
+    let period = Duration::from_millis(400);
+    let spec = RoundSpec {
+        poll_interval: period,
+        ..test_spec()
+    };
+    let setup = Arc::new(build_setup(&spec).unwrap());
+    assert_eq!(spec.status_poll(), period);
+    let c = setup.committee_size as u64;
+    let dir = journal_dir("parked");
+    let mut st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+    // Decided, and signed by everyone but the last member: one signature
+    // short of the seal that ends the round.
+    drive_to_outcome(&mut st, &setup);
+    for m in 1..c {
+        push_cert_sig(&mut st, &setup, m);
+    }
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let ask = |msg: &NetMsg| {
+        let reply = shared.handle([0; 32], &msg.encode()).unwrap();
+        NetMsg::decode(&reply, &setup.cc).unwrap()
+    };
+
+    // Nothing happens: the poll is held for one period, then answered
+    // with its ordinary status.
+    let asked = Instant::now();
+    assert!(matches!(ask(&NetMsg::PullStatus), NetMsg::CommitteeWait));
+    let held = asked.elapsed();
+    assert!(held >= period && held < 3 * period, "held {held:?}");
+
+    // The round ends under a parked poll: answered `Finished` at once,
+    // not when its period runs out.
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| (ask(&NetMsg::PullStatus), Instant::now()));
+        // Let the poll reach the server. (Were it late, it would be
+        // answered `Finished` unparked and the test would pass idly.)
+        std::thread::sleep(period / 8);
+        let seed = [c as u8; 32];
+        let task = ask(&NetMsg::CommitteeCheckIn { member: c, seed });
+        let NetMsg::CertSignTask { transcript } = task else {
+            panic!("expected a sign task, got {}", task.kind());
+        };
+        let sig = sign_transcript(setup.spec.seed, c, &transcript);
+        assert!(matches!(
+            ask(&NetMsg::PushCertSig { member: c, sig }),
+            NetMsg::Ack
+        ));
+        let sealed = Instant::now();
+        let (reply, answered) = parked.join().unwrap();
+        assert!(matches!(reply, NetMsg::Finished));
+        let lag = answered.saturating_duration_since(sealed);
+        assert!(lag < period / 4, "answered {lag:?} after the seal");
+    });
+    assert!(shared.lock().certificate().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
