@@ -293,9 +293,11 @@ pub fn sharded_aggregator_cores(
 /// call.
 ///
 /// A key switch at chain level `l` decomposes the degree-2 component
-/// into `l` gadget digits, lifts each digit to all `l` limbs (`l²`
-/// forward NTTs per node) and multiply-accumulates each lifted digit
-/// against both key components (`2·l²` kernel calls per node). Batching
+/// into `l` gadget digits, lifts each digit to the `l − 1` other limbs
+/// (`l·(l−1)` forward NTTs per node: at its own limb a digit's transform
+/// is the NTT-domain input times a scalar) and multiply-accumulates each
+/// lifted digit against both key components in one fused two-row pass
+/// (`l²` kernel calls per node). Batching
 /// shares the *decomposition pass*: one pass covers every node in the
 /// level instead of one pass per node. The live counters in
 /// `mycelium_math::rns::ks_stats` meter the real kernels;
@@ -306,7 +308,7 @@ pub struct KeySwitchOps {
     pub decompose_passes: u64,
     /// Forward NTTs of lifted digits.
     pub digit_ntts: u64,
-    /// Shoup multiply-accumulate kernel invocations.
+    /// Two-row Shoup multiply-accumulate kernel invocations.
     pub accumulates: u64,
 }
 
@@ -322,16 +324,17 @@ impl KeySwitchOps {
 }
 
 /// One batched key switch over `nodes` same-level ciphertexts at chain
-/// level `level`: a single shared decomposition pass, `nodes·level²`
-/// digit NTTs, `2·nodes·level²` accumulates. Zero nodes cost nothing.
+/// level `level`: a single shared decomposition pass,
+/// `nodes·level·(level−1)` digit NTTs, `nodes·level²` two-row accumulates.
+/// Zero nodes cost nothing.
 pub fn key_switch_ops_batched(nodes: u64, level: u64) -> KeySwitchOps {
     if nodes == 0 {
         return KeySwitchOps::default();
     }
     KeySwitchOps {
         decompose_passes: 1,
-        digit_ntts: nodes * level * level,
-        accumulates: nodes * 2 * level * level,
+        digit_ntts: nodes * level * (level - 1),
+        accumulates: nodes * level * level,
     }
 }
 
@@ -508,8 +511,8 @@ mod tests {
         let batched = key_switch_ops_batched(nodes, level);
         // NTT and accumulate work is per node either way …
         assert_eq!(batched.digit_ntts, serial.digit_ntts);
-        assert_eq!(batched.digit_ntts, nodes * level * level);
-        assert_eq!(batched.accumulates, 2 * batched.digit_ntts);
+        assert_eq!(batched.digit_ntts, nodes * level * (level - 1));
+        assert_eq!(batched.accumulates, nodes * level * level);
         // … but the decomposition pass amortizes across the batch.
         assert_eq!(serial.decompose_passes, nodes);
         assert_eq!(batched.decompose_passes, 1);
@@ -517,7 +520,7 @@ mod tests {
         // Summing per-tree-level batches composes component-wise.
         let two = key_switch_ops_batched(3, 4).merge(key_switch_ops_batched(5, 4));
         assert_eq!(two.decompose_passes, 2);
-        assert_eq!(two.digit_ntts, (3 + 5) * 16);
+        assert_eq!(two.digit_ntts, (3 + 5) * 12);
     }
 
     #[test]
