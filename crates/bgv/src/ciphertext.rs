@@ -18,7 +18,7 @@ use mycelium_math::rng::Rng;
 use mycelium_math::rns::{
     key_switch_assign, key_switch_batch, Representation, RnsContext, RnsPoly, ShoupPrecomp,
 };
-use mycelium_math::{ew, par, sample};
+use mycelium_math::{ew, par, sample, scratch};
 
 use crate::keys::{PublicKey, RelinKey, SecretKey};
 use crate::params::BgvParams;
@@ -220,29 +220,64 @@ impl Ciphertext {
             level >= 1 && level <= ctx.max_level(),
             "encryption level out of range"
         );
-        let t = pk.params.plaintext_modulus;
-        let mut u = sample::ternary_rns(ctx, level, rng);
-        u.to_ntt();
-        let mut e0 = sample::gaussian_rns(ctx, level, pk.params.sigma, rng);
-        e0.to_ntt();
-        e0.scalar_mul_assign(t);
-        let mut e1 = sample::gaussian_rns(ctx, level, pk.params.sigma, rng);
-        e1.to_ntt();
-        e1.scalar_mul_assign(t);
-        let mut m = RnsPoly::from_signed(Arc::clone(ctx), level, &pt.centered());
-        m.to_ntt();
-        // c0 = b·u + t·e0 + m ; c1 = a·u + t·e1 — built in place against
-        // the Shoup-precomputed key components: the only allocation is the
-        // clone of u for the first output.
-        let mut c0 = u.clone();
-        c0.mul_shoup_assign_prefix(pk.b());
-        c0.add_assign(&e0);
-        c0.add_assign(&m);
-        let mut c1 = u;
-        c1.mul_shoup_assign_prefix(pk.a());
-        c1.add_assign(&e1);
+        // c0 = b·u + t·e0 + m ; c1 = a·u + t·e1. The three random elements
+        // are drawn once, as small signed coefficients, in the order u, e0,
+        // e1; `t·e0 + m` and `t·e1` are formed on those small values (the
+        // NTT is linear and its output canonical, so transforming the sum
+        // equals summing the transforms, residue for residue; they stay far
+        // below q < 2^62 for any parameters that decrypt, so the i64
+        // arithmetic is exact). Each limb then runs lift → three transforms
+        // → one fused multiply-add that reads û once, its working set
+        // staying in L1 from lift to store.
+        let t = pk.params.plaintext_modulus as i64;
+        let u = sample::ternary_coeffs(n, rng);
+        let mut w0 = sample::gaussian_coeffs(n, pk.params.sigma, rng);
+        let mut w1 = sample::gaussian_coeffs(n, pk.params.sigma, rng);
+        let pt_mod = pt.modulus();
+        let (mut bound0, mut bound1) = (0u64, 0u64);
+        for (e, &m) in w0.iter_mut().zip(pt.coeffs()) {
+            // The centered lift of the message, as `Plaintext::centered`.
+            let centered = if m > pt_mod / 2 {
+                m as i64 - pt_mod as i64
+            } else {
+                m as i64
+            };
+            *e = t * *e + centered;
+            bound0 = bound0.max(e.unsigned_abs());
+        }
+        for e in w1.iter_mut() {
+            *e *= t;
+            bound1 = bound1.max(e.unsigned_abs());
+        }
+        let (b, a) = (pk.b(), pk.a());
+        let rows = par::map_indices(level, |i| {
+            let m = &ctx.moduli()[i];
+            let table = &ctx.tables()[i];
+            let mut u_hat = scratch::take(n);
+            ew::lift_signed(m, &mut u_hat, &u, 1);
+            table.forward(&mut u_hat);
+            let mut c0 = vec![0u64; n];
+            ew::lift_signed(m, &mut c0, &w0, bound0);
+            table.forward(&mut c0);
+            let mut c1 = vec![0u64; n];
+            ew::lift_signed(m, &mut c1, &w1, bound1);
+            table.forward(&mut c1);
+            ew::mul_shoup_add2(
+                m,
+                &mut c0,
+                &mut c1,
+                &u_hat,
+                (b.residue(i), b.shoup_residue(i)),
+                (a.residue(i), a.shoup_residue(i)),
+            );
+            (c0, c1)
+        });
+        let (c0, c1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         Ok(Self {
-            parts: vec![c0, c1],
+            parts: vec![
+                RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, c0),
+                RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, c1),
+            ],
             noise_log2: pk.params.fresh_noise_log2(),
             params: pk.params.clone(),
         })
@@ -426,8 +461,12 @@ impl Ciphertext {
     /// group's coefficient window.
     ///
     /// For NTT-domain components (the normal case) this is a pointwise
-    /// multiply by the transform of `±x^{k mod N}` — one forward NTT total,
-    /// instead of an inverse + forward round-trip per component.
+    /// multiply by the transform of `±x^{k mod N}`, whose values *and*
+    /// Shoup constants are read off each limb's twiddle table
+    /// ([`NttTable::monomial_shoup_into`](mycelium_math::ntt::NttTable::monomial_shoup_into))
+    /// — no transform and no division, where building a
+    /// [`ShoupPrecomp`] of the monomial cost one of each per value to
+    /// serve two or three products.
     pub fn mul_monomial(&self, k: usize) -> Self {
         let ctx = self.parts[0].context().clone();
         let n = ctx.degree();
@@ -436,14 +475,28 @@ impl Ciphertext {
             return self.clone();
         }
         let parts = if self.parts[0].representation() == Representation::Ntt {
-            let mono = ShoupPrecomp::new(ntt_monomial(&ctx, self.level(), k));
-            self.parts
-                .iter()
-                .map(|p| {
-                    let mut r = p.clone();
-                    r.mul_shoup_assign(&mono);
-                    r
-                })
+            let rows = par::map_indices(self.level(), |i| {
+                let (mut w, mut ws) = (scratch::take(n), scratch::take(n));
+                ctx.tables()[i].monomial_shoup_into(k, &mut w, &mut ws);
+                self.parts
+                    .iter()
+                    .map(|p| {
+                        let mut r = vec![0u64; n];
+                        ew::mul_shoup_into(&ctx.moduli()[i], &mut r, &p.residues()[i], &w, &ws);
+                        r
+                    })
+                    .collect::<Vec<_>>()
+            });
+            // rows[limb][part] → one residue list per part.
+            let mut residues: Vec<Vec<Vec<u64>>> = vec![Vec::new(); self.parts.len()];
+            for row in rows {
+                for (part, r) in residues.iter_mut().zip(row) {
+                    part.push(r);
+                }
+            }
+            residues
+                .into_iter()
+                .map(|r| RnsPoly::from_residues(ctx.clone(), Representation::Ntt, r))
                 .collect()
         } else {
             self.parts.iter().map(|p| rotate_negacyclic(p, k)).collect()
@@ -537,13 +590,13 @@ impl Ciphertext {
         let keys = rk
             .at_level(level)
             .ok_or(BgvError::MissingRelinKey { level })?;
-        let c2 = self.parts[2].coeff();
         let mut c0 = self.parts[0].clone();
         let mut c1 = self.parts[1].clone();
-        // Fused gadget key switch: decomposition digits are lifted,
-        // transformed, and multiply-accumulated limb by limb against the
-        // Shoup-precomputed keys without materializing digit polynomials.
-        key_switch_assign(&mut c0, &mut c1, &c2, keys);
+        // Fused gadget key switch: decomposition digits are read off the
+        // NTT-domain c2, lifted, transformed, and multiply-accumulated limb
+        // by limb against the Shoup-precomputed keys without materializing
+        // digit polynomials.
+        key_switch_assign(&mut c0, &mut c1, &self.parts[2], keys);
         // Key-switching noise: t · Σ_j |d_j·e_j| ≤ t · L · (q/2) · 6σ · N.
         let p = &self.params;
         let ks_noise = (p.plaintext_modulus as f64).log2()
@@ -570,8 +623,8 @@ impl Ciphertext {
     /// [`Ciphertext::relinearize`] calls.
     pub fn relinearize_batch(cts: &[Self], rk: &RelinKey) -> Result<Vec<Self>, BgvError> {
         let mut out: Vec<Option<Self>> = vec![None; cts.len()];
-        // (input index, c0, c1, decomposed c2) for each degree-2 input.
-        let mut work: Vec<(usize, RnsPoly, RnsPoly, RnsPoly)> = Vec::new();
+        // (input index, c0, c1) for each degree-2 input.
+        let mut work: Vec<(usize, RnsPoly, RnsPoly)> = Vec::new();
         let mut level: Option<usize> = None;
         for (idx, ct) in cts.iter().enumerate() {
             match ct.parts.len() {
@@ -587,12 +640,7 @@ impl Ciphertext {
                         }
                         Some(_) => {}
                     }
-                    work.push((
-                        idx,
-                        ct.parts[0].clone(),
-                        ct.parts[1].clone(),
-                        ct.parts[2].coeff(),
-                    ));
+                    work.push((idx, ct.parts[0].clone(), ct.parts[1].clone()));
                 }
                 parts => return Err(BgvError::UnexpectedDegree { parts }),
             }
@@ -603,10 +651,10 @@ impl Ciphertext {
                 .ok_or(BgvError::MissingRelinKey { level })?;
             let mut jobs: Vec<(&mut RnsPoly, &mut RnsPoly, &RnsPoly)> = work
                 .iter_mut()
-                .map(|(_, c0, c1, c2)| (&mut *c0, &mut *c1, &*c2))
+                .map(|(idx, c0, c1)| (&mut *c0, &mut *c1, &cts[*idx].parts[2]))
                 .collect();
             key_switch_batch(&mut jobs, keys);
-            for (idx, c0, c1, _) in work {
+            for (idx, c0, c1) in work {
                 let src = &cts[idx];
                 let p = &src.params;
                 // Same bound as `relinearize`: t · L · (q/2) · 6σ · N.
@@ -635,13 +683,9 @@ impl Ciphertext {
         }
         let t = self.params.plaintext_modulus;
         // Each part is independent: rescale them in parallel (the inner
-        // per-residue loops then run serially under the nesting guard).
-        let parts: Vec<RnsPoly> = par::map(&self.parts, |_, p| {
-            let mut c = p.coeff();
-            c.mod_switch_down_in_place(t);
-            c.to_ntt();
-            c
-        });
+        // per-residue loops then run serially under the nesting guard),
+        // in the NTT domain — only the dropped limb is inverse-transformed.
+        let parts: Vec<RnsPoly> = par::map(&self.parts, |_, p| p.mod_switch_ntt(1, t));
         // New noise: old/q_l plus the rounding term ≈ t·(1+N)/2 per part.
         let p = &self.params;
         let switched = self.noise_log2 - p.prime_bits as f64;
@@ -655,13 +699,13 @@ impl Ciphertext {
 
     /// Mod-switches down to the target level.
     ///
-    /// Fused: each part converts to the coefficient domain **once**, runs
-    /// all `level − target` rescale steps there, and transforms back once
-    /// — instead of paying a full inverse+forward NTT round trip per
-    /// dropped prime. The round trip is exact on canonical residues, so
-    /// the result is bit-identical to chained
-    /// [`Ciphertext::mod_switch_down`] calls; the tracked noise bound
-    /// replays the identical per-step f64 updates.
+    /// Fused ([`RnsPoly::mod_switch_ntt`]): only the `level − target`
+    /// dropped limbs of each part are inverse-transformed, their
+    /// corrections are combined per kept limb in the coefficient domain,
+    /// and each kept limb pays a single forward transform — instead of a
+    /// full inverse+forward round trip per dropped prime. The result is
+    /// bit-identical to chained [`Ciphertext::mod_switch_down`] calls; the
+    /// tracked noise bound replays the identical per-step f64 updates.
     pub fn mod_switch_to(&self, target: usize) -> Result<Self, BgvError> {
         if target < 1 || target > self.level() {
             return Err(BgvError::BottomOfChain);
@@ -671,14 +715,7 @@ impl Ciphertext {
             return Ok(self.clone());
         }
         let t = self.params.plaintext_modulus;
-        let parts: Vec<RnsPoly> = par::map(&self.parts, |_, p| {
-            let mut c = p.coeff();
-            for _ in 0..steps {
-                c.mod_switch_down_in_place(t);
-            }
-            c.to_ntt();
-            c
-        });
+        let parts: Vec<RnsPoly> = par::map(&self.parts, |_, p| p.mod_switch_ntt(steps, t));
         let p = &self.params;
         let rounding = (t as f64 * (1.0 + p.n as f64) / 2.0 * self.parts.len() as f64).log2();
         let mut noise = self.noise_log2;
@@ -749,25 +786,6 @@ fn log2_sum(a: f64, b: f64) -> f64 {
     hi + (1.0 + 2f64.powf(lo - hi)).log2()
 }
 
-/// The NTT transform of `x^k` in `R_{Q_l}` (with `x^{k} = -x^{k-N}` for
-/// `k ≥ N`). `k` must be in `(0, 2N)`.
-fn ntt_monomial(ctx: &Arc<RnsContext>, level: usize, k: usize) -> RnsPoly {
-    let n = ctx.degree();
-    debug_assert!(k > 0 && k < 2 * n);
-    let (idx, negate) = if k < n { (k, false) } else { (k - n, true) };
-    let residues: Vec<Vec<u64>> = ctx.moduli()[..level]
-        .iter()
-        .map(|m| {
-            let mut r = vec![0u64; n];
-            r[idx] = if negate { m.neg(1) } else { 1 };
-            r
-        })
-        .collect();
-    let mut p = RnsPoly::from_residues(ctx.clone(), Representation::Coefficient, residues);
-    p.to_ntt();
-    p
-}
-
 /// Negacyclic rotation: multiplies a coefficient-domain polynomial by `x^k`.
 fn rotate_negacyclic(p: &RnsPoly, k: usize) -> RnsPoly {
     let ctx = p.context().clone();
@@ -802,6 +820,7 @@ mod tests {
     use super::*;
     use crate::keys::KeySet;
     use mycelium_math::rng::{SeedableRng, StdRng};
+    use mycelium_math::sample;
 
     fn setup() -> (BgvParams, KeySet, StdRng) {
         let params = BgvParams::test_small();
@@ -1047,6 +1066,154 @@ mod tests {
         // Shifting by N negates everything: x^4 · x^N = -x^4.
         let negated = ct.mul_monomial(params.n).decrypt(&ks.secret);
         assert_eq!(negated.coeffs()[4], t - 1);
+    }
+
+    /// Encryption written with the generic `RnsPoly` operations, one
+    /// whole-polynomial pass per step: what `encrypt_at_level` fuses.
+    fn encrypt_reference(
+        pk: &PublicKey,
+        pt: &Plaintext,
+        level: usize,
+        rng: &mut StdRng,
+    ) -> Vec<RnsPoly> {
+        let ctx = pk.context();
+        let (n, t) = (ctx.degree(), pk.params.plaintext_modulus);
+        let u = RnsPoly::from_signed(Arc::clone(ctx), level, &sample::ternary_coeffs(n, rng)).ntt();
+        let e0 = sample::gaussian_rns(ctx, level, pk.params.sigma, rng).ntt();
+        let e1 = sample::gaussian_rns(ctx, level, pk.params.sigma, rng).ntt();
+        let m = RnsPoly::from_signed(Arc::clone(ctx), level, &pt.centered()).ntt();
+        // The key's residue prefix is its image at the lower level.
+        let b = pk.b().poly().truncate_level(level);
+        let a = pk.a().poly().truncate_level(level);
+        vec![
+            u.mul(&b).add(&e0.scalar_mul(t)).add(&m),
+            u.mul(&a).add(&e1.scalar_mul(t)),
+        ]
+    }
+
+    #[test]
+    fn fused_encrypt_matches_generic_reference_and_rng_position() {
+        use mycelium_math::rng::RngCore;
+        let (params, ks, _) = setup();
+        let t = params.plaintext_modulus;
+        for seed in 0..100u64 {
+            // A dense plaintext with both signs of the centered lift.
+            let coeffs: Vec<u64> = (0..params.n as u64)
+                .map(|i| (i * (seed + 3) + seed) % t)
+                .collect();
+            let pt = Plaintext::new(coeffs, t).unwrap();
+            for level in 1..=params.levels {
+                let mut rng = StdRng::seed_from_u64(seed).with_stream(level as u64);
+                let mut rng_ref = rng.clone();
+                let got = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+                let want = encrypt_reference(&ks.public, &pt, level, &mut rng_ref);
+                assert_eq!(got.parts(), &want[..], "seed {seed} level {level}");
+                assert_eq!(
+                    rng.next_u64(),
+                    rng_ref.next_u64(),
+                    "seed {seed} level {level}"
+                );
+            }
+        }
+    }
+
+    /// Chained coefficient-domain oracle steps on every part.
+    fn mod_switch_oracle(ct: &Ciphertext, target: usize) -> Vec<RnsPoly> {
+        let t = ct.params().plaintext_modulus;
+        ct.parts()
+            .iter()
+            .map(|p| {
+                let mut c = p.coeff();
+                for _ in target..ct.level() {
+                    c = c.mod_switch_down(t);
+                }
+                c.ntt()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mod_switch_matches_coefficient_oracle_for_every_level_pair() {
+        // Power-of-two and odd plaintext moduli; 2-part (fresh) and 3-part
+        // (unrelinearized product) ciphertexts; every (level, target).
+        for t in [1u64 << 10, 257] {
+            let params = BgvParams {
+                n: 64,
+                plaintext_modulus: t,
+                prime_bits: 40,
+                levels: 6,
+                sigma: 3.2,
+            };
+            let mut rng = StdRng::seed_from_u64(t);
+            let ks = KeySet::generate(&params, &mut rng);
+            let pt = monomial(params.n, t, 5);
+            for level in 2..=params.levels {
+                let a = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+                let b = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+                for ct in [a.clone(), a.mul(&b).unwrap()] {
+                    let down = ct.mod_switch_down().unwrap();
+                    assert_eq!(down.parts(), &mod_switch_oracle(&ct, level - 1)[..]);
+                    let mut chained = ct.clone();
+                    for target in (1..level).rev() {
+                        chained = chained.mod_switch_down().unwrap();
+                        let direct = ct.mod_switch_to(target).unwrap();
+                        assert_eq!(
+                            direct.parts(),
+                            &mod_switch_oracle(&ct, target)[..],
+                            "t={t} parts={} {level}→{target}",
+                            ct.parts().len()
+                        );
+                        assert_eq!(direct.parts(), chained.parts());
+                        assert_eq!(direct.noise_log2(), chained.noise_log2());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn monomial_shift_matches_coefficient_rotation() {
+        let (params, ks, mut rng) = setup();
+        let (n, t) = (params.n, params.plaintext_modulus);
+        let pt = monomial(n, t, 3);
+        for level in 1..=params.levels {
+            let a = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+            let b = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+            for ct in [a.clone(), a.mul(&b).unwrap()] {
+                for k in [0, 1, n - 1, n, 2 * n - 1] {
+                    let want: Vec<RnsPoly> = ct
+                        .parts()
+                        .iter()
+                        .map(|p| rotate_negacyclic(&p.coeff(), k).ntt())
+                        .collect();
+                    assert_eq!(ct.mul_monomial(k).parts(), &want[..], "level {level} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relinearize_batch_matches_single_at_every_level() {
+        let (params, ks, mut rng) = setup();
+        let pt = monomial(params.n, params.plaintext_modulus, 2);
+        for level in 1..=params.levels {
+            let prods: Vec<Ciphertext> = (0..3)
+                .map(|_| {
+                    let a = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+                    let b = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
+                    a.mul(&b).unwrap()
+                })
+                .collect();
+            let batch = Ciphertext::relinearize_batch(&prods, &ks.relin).unwrap();
+            for (ct, got) in prods.iter().zip(&batch) {
+                let want = ct.relinearize(&ks.relin).unwrap();
+                assert_eq!(got.parts(), want.parts(), "level {level}");
+                if level == params.levels {
+                    // (A product has no noise budget left at the low levels.)
+                    assert_eq!(got.decrypt(&ks.secret).coeffs()[4], 1);
+                }
+            }
+        }
     }
 
     #[test]

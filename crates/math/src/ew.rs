@@ -8,22 +8,33 @@
 //!
 //! # Dispatch
 //!
-//! The multiplication-heavy kernels are split in two: a `*_scalar` body
-//! (the bit-exact oracle, also the tail/fallback used by the vector
-//! tiers) and a thin public front that routes through the process-wide
-//! [`crate::simd::Kernels`] vtable selected once at startup. Additive
-//! kernels (`add_assign`, `sub_assign`, `neg_assign`) stay plain scalar
-//! loops: they are memory-bound and the compiler autovectorizes them.
-//! Every vector tier produces canonical outputs bit-identical to the
-//! scalar oracle (see `crate::simd` for the per-kernel argument), so the
-//! choice of tier is invisible to everything above this module.
+//! Every kernel is split in two: a `*_scalar` body (the bit-exact oracle,
+//! also the tail/fallback used by the vector tiers) and a thin public
+//! front that routes through the process-wide [`crate::simd::Kernels`]
+//! vtable selected once at startup. That includes the additive and lifting
+//! kernels: the baseline `x86_64` target has no 64-bit unsigned compare,
+//! so left to the compiler they stay scalar loops five to eight times
+//! slower than one vector add + min. Every vector tier produces canonical
+//! outputs bit-identical to the scalar oracle (see `crate::simd` for the
+//! per-kernel argument), so the choice of tier is invisible to everything
+//! above this module.
 
 use crate::simd;
 use crate::zq::Modulus;
 
+/// A Shoup-precomputed operand row: the values and their
+/// `floor(w·2^64/q)` constants.
+pub type ShoupRow<'a> = (&'a [u64], &'a [u64]);
+
 /// `a[i] = (a[i] + b[i]) mod q`.
 #[inline]
 pub fn add_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
+    (simd::kernels().add_assign)(m, a, b)
+}
+
+/// Scalar oracle for [`add_assign`].
+#[inline]
+pub fn add_assign_scalar(m: &Modulus, a: &mut [u64], b: &[u64]) {
     debug_assert_eq!(a.len(), b.len());
     for (x, &y) in a.iter_mut().zip(b) {
         *x = m.add(*x, y);
@@ -33,6 +44,12 @@ pub fn add_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
 /// `a[i] = (a[i] - b[i]) mod q`.
 #[inline]
 pub fn sub_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
+    (simd::kernels().sub_assign)(m, a, b)
+}
+
+/// Scalar oracle for [`sub_assign`].
+#[inline]
+pub fn sub_assign_scalar(m: &Modulus, a: &mut [u64], b: &[u64]) {
     debug_assert_eq!(a.len(), b.len());
     for (x, &y) in a.iter_mut().zip(b) {
         *x = m.sub(*x, y);
@@ -42,8 +59,64 @@ pub fn sub_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
 /// `a[i] = -a[i] mod q`.
 #[inline]
 pub fn neg_assign(m: &Modulus, a: &mut [u64]) {
+    (simd::kernels().neg_assign)(m, a)
+}
+
+/// Scalar oracle for [`neg_assign`].
+#[inline]
+pub fn neg_assign_scalar(m: &Modulus, a: &mut [u64]) {
     for x in a.iter_mut() {
         *x = m.neg(*x);
+    }
+}
+
+/// `out[i] = src[i] mod q` for signed values with `|src[i]| ≤ bound` — the
+/// coefficient-domain lift of secrets, noise and mod-switch corrections.
+/// When `bound < q` (always, for the small values this stack lifts) that is
+/// one conditional add per element on the active tier; otherwise it is the
+/// full Euclidean reduction.
+#[inline]
+pub fn lift_signed(m: &Modulus, out: &mut [u64], src: &[i64], bound: u64) {
+    debug_assert!(src.iter().all(|c| c.unsigned_abs() <= bound));
+    if bound < m.value() {
+        (simd::kernels().lift_signed)(m, out, src)
+    } else {
+        debug_assert_eq!(out.len(), src.len());
+        for (o, &c) in out.iter_mut().zip(src) {
+            *o = m.from_signed(c);
+        }
+    }
+}
+
+/// Scalar oracle for the small-value case of [`lift_signed`]
+/// (`|src[i]| < q`).
+#[inline]
+pub fn lift_signed_scalar(m: &Modulus, out: &mut [u64], src: &[i64]) {
+    debug_assert_eq!(out.len(), src.len());
+    let q = m.value();
+    for (o, &c) in out.iter_mut().zip(src) {
+        debug_assert!(c.unsigned_abs() < q);
+        // Two's complement: a negative c plus q wraps into [0, q).
+        let x = c as u64;
+        *o = x.min(x.wrapping_add(q));
+    }
+}
+
+/// `out[i] = src[i] mod q` for `src[i] < 2q` — the lift of a gadget digit
+/// from one chain prime to another of the same bit width.
+#[inline]
+pub fn reduce_once_into(m: &Modulus, out: &mut [u64], src: &[u64]) {
+    (simd::kernels().reduce_once_into)(m, out, src)
+}
+
+/// Scalar oracle for [`reduce_once_into`].
+#[inline]
+pub fn reduce_once_into_scalar(m: &Modulus, out: &mut [u64], src: &[u64]) {
+    debug_assert_eq!(out.len(), src.len());
+    let q = m.value();
+    for (o, &x) in out.iter_mut().zip(src) {
+        debug_assert!(x < 2 * q);
+        *o = x.min(x.wrapping_sub(q));
     }
 }
 
@@ -185,47 +258,111 @@ pub fn mul_shoup_into_scalar(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64],
     }
 }
 
-/// `acc[i] = (acc[i] + a[i] * b[i]) mod q` with Shoup constants for `b` —
-/// the fused relinearization kernel.
+/// Two-row fused multiply-add against Shoup-precomputed rows, canonical:
+/// `acc0[i] = (acc0[i] + a[i]·k0[i]) mod q`, `acc1[i] = (acc1[i] +
+/// a[i]·k1[i]) mod q`. `a` is read once for both rows — the closing kernel
+/// of encryption (`c0 = b ⊙ û + ·`, `c1 = a ⊙ û + ·`) and the wide-prime
+/// fallback of key switching.
 #[inline]
-pub fn mul_shoup_add_assign(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-    (simd::kernels().mul_shoup_add_assign)(m, acc, a, b, bs)
+pub fn mul_shoup_add2(
+    m: &Modulus,
+    acc0: &mut [u64],
+    acc1: &mut [u64],
+    a: &[u64],
+    k0: ShoupRow,
+    k1: ShoupRow,
+) {
+    (simd::kernels().mul_shoup_add2)(m, acc0, acc1, a, k0, k1)
 }
 
-/// Scalar oracle for [`mul_shoup_add_assign`].
-#[inline]
-pub fn mul_shoup_add_assign_scalar(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-    debug_assert_eq!(acc.len(), a.len());
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(b.len(), bs.len());
-    for ((o, &x), (&y, &ys)) in acc.iter_mut().zip(a).zip(b.iter().zip(bs)) {
-        *o = m.add(*o, m.mul_shoup(x, y, ys));
+/// Scalar oracle for [`mul_shoup_add2`].
+pub fn mul_shoup_add2_scalar(
+    m: &Modulus,
+    acc0: &mut [u64],
+    acc1: &mut [u64],
+    a: &[u64],
+    k0: ShoupRow,
+    k1: ShoupRow,
+) {
+    let n = a.len();
+    debug_assert!([
+        acc0.len(),
+        acc1.len(),
+        k0.0.len(),
+        k0.1.len(),
+        k1.0.len(),
+        k1.1.len()
+    ]
+    .iter()
+    .all(|&len| len == n));
+    let q = m.value();
+    // acc < q plus a lazy product < 2q, canonicalized by two min-of-wrapped-
+    // difference steps (conditional moves: a compare-and-branch here
+    // mispredicts on every other element).
+    let fold = |acc: u64, p: u64| {
+        let s = acc + p;
+        let s = s.min(s.wrapping_sub(q << 1));
+        s.min(s.wrapping_sub(q))
+    };
+    for i in 0..n {
+        let x = a[i];
+        acc0[i] = fold(acc0[i], m.mul_shoup_lazy(x, k0.0[i], k0.1[i]));
+        acc1[i] = fold(acc1[i], m.mul_shoup_lazy(x, k1.0[i], k1.1[i]));
     }
 }
 
-/// `acc[i] += a[i] * b[i]` with Shoup constants for `b`, where the product
-/// stays **lazy** in `[0, 2q)` and the accumulator is a plain wrapping
-/// add with **no** reduction — the streaming kernel behind batched
-/// key-switch accumulation. The caller owns the overflow budget: after
-/// `l` accumulates into an accumulator that started `< q`, the values are
-/// bounded by `(2l+1)·q`, so this is only sound while `(2l+1)·q < 2^64`
-/// (checked by the caller; see `RnsContext::key_switch_batch`). Finish
-/// with [`reduce_lazy_pow2`] to canonicalize.
+/// Two-row **lazy** fused multiply-add: `acc0[i] += a[i]·k0[i]`,
+/// `acc1[i] += a[i]·k1[i]`, each product a representative in `[0, 2q)` and
+/// each accumulate a plain wrapping add with **no** reduction — the
+/// streaming kernel of key switching, one pass over each transformed digit
+/// for both output rows. The caller owns the overflow budget: after `l`
+/// accumulates into an accumulator that started `< q`, the values are below
+/// `(2l+1)·q`, so this is only sound while `(2l+1)·q < 2^64` (checked by
+/// the caller; see `rns::key_switch_batch`). Finish with
+/// [`reduce_lazy_pow2`] to canonicalize.
+///
+/// Which representative of `a[i]·k[i]` a tier adds is its own business
+/// (the IFMA tier estimates the quotient against `2^52`, the others
+/// against `2^64`): accumulators are congruent across tiers and inside the
+/// same bound, and equal once reduced.
 #[inline]
-pub fn mul_shoup_add_lazy(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-    (simd::kernels().mul_shoup_add_lazy)(m, acc, a, b, bs)
+pub fn mul_shoup_add_lazy2(
+    m: &Modulus,
+    acc0: &mut [u64],
+    acc1: &mut [u64],
+    a: &[u64],
+    k0: ShoupRow,
+    k1: ShoupRow,
+) {
+    (simd::kernels().mul_shoup_add_lazy2)(m, acc0, acc1, a, k0, k1)
 }
 
-/// Scalar oracle for [`mul_shoup_add_lazy`].
-#[inline]
-pub fn mul_shoup_add_lazy_scalar(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-    debug_assert_eq!(acc.len(), a.len());
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(b.len(), bs.len());
-    for ((o, &x), (&y, &ys)) in acc.iter_mut().zip(a).zip(b.iter().zip(bs)) {
-        // mul_shoup_lazy is valid for any u64 multiplicand and lands in
-        // [0, 2q); the wrapping add is exact under the caller's budget.
-        *o = o.wrapping_add(m.mul_shoup_lazy(x, y, ys));
+/// Scalar oracle for [`mul_shoup_add_lazy2`].
+pub fn mul_shoup_add_lazy2_scalar(
+    m: &Modulus,
+    acc0: &mut [u64],
+    acc1: &mut [u64],
+    a: &[u64],
+    k0: ShoupRow,
+    k1: ShoupRow,
+) {
+    let n = a.len();
+    debug_assert!([
+        acc0.len(),
+        acc1.len(),
+        k0.0.len(),
+        k0.1.len(),
+        k1.0.len(),
+        k1.1.len()
+    ]
+    .iter()
+    .all(|&len| len == n));
+    for i in 0..n {
+        // mul_shoup_lazy lands in [0, 2q); the wrapping add is exact under
+        // the caller's budget.
+        let x = a[i];
+        acc0[i] = acc0[i].wrapping_add(m.mul_shoup_lazy(x, k0.0[i], k0.1[i]));
+        acc1[i] = acc1[i].wrapping_add(m.mul_shoup_lazy(x, k1.0[i], k1.1[i]));
     }
 }
 
@@ -245,6 +382,67 @@ pub fn mul_shoup_scalar_into_scalar(m: &Modulus, out: &mut [u64], a: &[u64], w: 
     }
 }
 
+/// `acc[i] = (acc[i] + a[i] * w) mod q` for one broadcast Shoup scalar —
+/// the closing kernel of NTT-domain modulus switching
+/// (`x·P + NTT(rescale(0))`).
+#[inline]
+pub fn mul_shoup_scalar_add_assign(m: &Modulus, acc: &mut [u64], a: &[u64], w: u64, ws: u64) {
+    (simd::kernels().mul_shoup_scalar_add_assign)(m, acc, a, w, ws)
+}
+
+/// Scalar oracle for [`mul_shoup_scalar_add_assign`].
+#[inline]
+pub fn mul_shoup_scalar_add_assign_scalar(
+    m: &Modulus,
+    acc: &mut [u64],
+    a: &[u64],
+    w: u64,
+    ws: u64,
+) {
+    debug_assert_eq!(acc.len(), a.len());
+    let q = m.value();
+    for (o, &x) in acc.iter_mut().zip(a) {
+        let s = *o + m.mul_shoup_lazy(x, w, ws); // < 3q
+        let s = s.min(s.wrapping_sub(q << 1));
+        *o = s.min(s.wrapping_sub(q));
+    }
+}
+
+/// One BGV modulus-switching step on a coefficient-domain residue:
+/// `y[i] = ((y[i] − d[i])·inv − w[i]) mod q`, where `d` is the centered
+/// residue of the dropped prime, `w` the centered plaintext-preserving
+/// multiple (`δ = d + q_l·w`, so `(y − δ)·q_l^{-1} = (y − d)·q_l^{-1} −
+/// w`) and `inv = q_l^{-1} mod q` with its Shoup constant.
+///
+/// Requires `|d[i]| < q` and `|w[i]| < q` (the caller's chain primes share
+/// a bit width and `t ≪ q`), so both signed lifts are conditional adds.
+#[inline]
+pub fn rescale_step(m: &Modulus, y: &mut [u64], d: &[i64], w: &[i64], inv: u64, inv_shoup: u64) {
+    (simd::kernels().rescale_step)(m, y, d, w, inv, inv_shoup)
+}
+
+/// Scalar oracle for [`rescale_step`].
+pub fn rescale_step_scalar(
+    m: &Modulus,
+    y: &mut [u64],
+    d: &[i64],
+    w: &[i64],
+    inv: u64,
+    inv_shoup: u64,
+) {
+    debug_assert_eq!(y.len(), d.len());
+    debug_assert_eq!(y.len(), w.len());
+    let q = m.value();
+    let lift = |c: i64| {
+        debug_assert!(c.unsigned_abs() < q);
+        let x = c as u64;
+        x.min(x.wrapping_add(q))
+    };
+    for (x, (&d, &w)) in y.iter_mut().zip(d.iter().zip(w)) {
+        *x = m.sub(m.mul_shoup(m.sub(*x, lift(d)), inv, inv_shoup), lift(w));
+    }
+}
+
 /// `a[i] = (a[i] * s) mod q` for a scalar already reduced mod q.
 ///
 /// `s` is fixed across the slice, so one Shoup constant up front turns the
@@ -252,20 +450,39 @@ pub fn mul_shoup_scalar_into_scalar(m: &Modulus, out: &mut [u64], a: &[u64], w: 
 /// both compute the canonical residue of the same product).
 #[inline]
 pub fn scalar_mul_assign(m: &Modulus, a: &mut [u64], s: u64) {
-    let ss = m.shoup(s);
+    (simd::kernels().scale_assign)(m.value(), a, s, m.shoup(s))
+}
+
+/// Scalar oracle for [`scalar_mul_assign`] and the `n^{-1}` fold that
+/// closes an inverse NTT: `a[i] = (a[i] * w) mod q` for any `a[i] < 2^64`
+/// on the 64-bit tiers (`< 2^52` on the IFMA tier), canonical out. Takes
+/// the bare modulus so the NTT drivers can call it from an
+/// [`crate::simd::NttShape`].
+#[inline]
+pub fn scale_assign_scalar(q: u64, a: &mut [u64], w: u64, ws: u64) {
     for x in a.iter_mut() {
-        *x = m.mul_shoup(*x, s, ss);
+        let hi = ((*x as u128 * ws as u128) >> 64) as u64;
+        let r = x.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));
+        *x = r.min(r.wrapping_sub(q));
     }
 }
 
 /// Canonicalizes lazy accumulator values known to lie in `[0, q·2^k)`
 /// with `k` conditional subtractions per element (`q·2^{k-1}`, …, `2q`,
-/// `q`). This is the closing pass after [`mul_shoup_add_lazy`] streams:
-/// deterministic, branch-light, and bit-identical to having reduced after
-/// every accumulate (both paths produce the unique canonical
-/// representative of the same residue class).
+/// `q`). This is the closing pass after [`mul_shoup_add_lazy2`] streams
+/// (and, with `k = 2`, of every forward NTT): deterministic, branch-free,
+/// and bit-identical to having reduced after every accumulate (both paths
+/// produce the unique canonical representative of the same residue class).
+#[inline]
 pub fn reduce_lazy_pow2(m: &Modulus, a: &mut [u64], k: u32) {
-    let q = m.value();
+    (simd::kernels().reduce_lazy_pow2)(m.value(), a, k)
+}
+
+/// Scalar oracle for [`reduce_lazy_pow2`] (bare modulus: the NTT drivers
+/// call it from an [`crate::simd::NttShape`]). The min-of-wrapped-difference
+/// form compiles to a conditional move: a compare-and-branch here
+/// mispredicts on every fresh input.
+pub fn reduce_lazy_pow2_scalar(q: u64, a: &mut [u64], k: u32) {
     debug_assert!(
         k == 0 || (q as u128) << (k - 1) < 1u128 << 64,
         "reduce_lazy_pow2 bound q·2^{k} exceeds u64"
@@ -275,10 +492,7 @@ pub fn reduce_lazy_pow2(m: &Modulus, a: &mut [u64], k: u32) {
         let mut s = k;
         while s > 0 {
             s -= 1;
-            let b = q << s;
-            if v >= b {
-                v -= b;
-            }
+            v = v.min(v.wrapping_sub(q << s));
         }
         debug_assert!(
             v < q,
@@ -345,12 +559,6 @@ mod tests {
         mul_shoup_into(&m, &mut got_into, &a0, &b, &bs);
         assert_eq!(got_into, want);
 
-        let mut want_acc = a0.clone();
-        mul_add_assign_scalar(&m, &mut want_acc, &a0, &b);
-        let mut got_acc = a0.clone();
-        mul_shoup_add_assign(&m, &mut got_acc, &a0, &b, &bs);
-        assert_eq!(got_acc, want_acc);
-
         let mut got_bcast = vec![0u64; 32];
         mul_shoup_scalar_into(&m, &mut got_bcast, &a0, b[3], bs[3]);
         let want_bcast: Vec<u64> = a0.iter().map(|&x| m.mul(x, b[3])).collect();
@@ -393,25 +601,70 @@ mod tests {
         let digits: Vec<Vec<u64>> = (0..l as u64)
             .map(|d| (0..n as u64).map(|i| (i + d * 7919) % q).collect())
             .collect();
-        let keys: Vec<Vec<u64>> = (0..l as u64)
+        let keys: Vec<Vec<u64>> = (0..2 * l as u64)
             .map(|d| (0..n as u64).map(|i| q - 1 - (i * 31 + d) % q).collect())
             .collect();
         let keys_shoup: Vec<Vec<u64>> = keys
             .iter()
             .map(|k| k.iter().map(|&w| m.shoup(w)).collect())
             .collect();
+        let row = |r: usize| -> ShoupRow { (&keys[r], &keys_shoup[r]) };
 
-        let mut lazy = a.clone();
-        for d in 0..l {
-            mul_shoup_add_lazy(&m, &mut lazy, &digits[d], &keys[d], &keys_shoup[d]);
+        let (mut lazy0, mut lazy1) = (a.clone(), a.clone());
+        let (mut canon0, mut canon1) = (a.clone(), a.clone());
+        for (d, digit) in digits.iter().enumerate() {
+            mul_shoup_add_lazy2(&m, &mut lazy0, &mut lazy1, digit, row(d), row(l + d));
+            mul_shoup_add2(&m, &mut canon0, &mut canon1, digit, row(d), row(l + d));
         }
         let k = (2 * l as u64 + 1).next_power_of_two().trailing_zeros();
-        reduce_lazy_pow2(&m, &mut lazy, k);
+        reduce_lazy_pow2(&m, &mut lazy0, k);
+        reduce_lazy_pow2(&m, &mut lazy1, k);
 
-        let mut canon = a.clone();
-        for d in 0..l {
-            mul_shoup_add_assign_scalar(&m, &mut canon, &digits[d], &keys[d], &keys_shoup[d]);
+        let (mut want0, mut want1) = (a.clone(), a.clone());
+        for (d, digit) in digits.iter().enumerate() {
+            mul_add_assign_scalar(&m, &mut want0, digit, &keys[d]);
+            mul_add_assign_scalar(&m, &mut want1, digit, &keys[l + d]);
         }
-        assert_eq!(lazy, canon);
+        assert_eq!((lazy0, lazy1), (want0.clone(), want1.clone()));
+        assert_eq!((canon0, canon1), (want0, want1));
+    }
+
+    #[test]
+    fn lifts_and_rescale_step_match_plain_modular_arithmetic() {
+        let m = Modulus::new_prime((1 << 40) - 87).unwrap();
+        let q = m.value();
+        let src: Vec<i64> = vec![0, 1, -1, 20, -20, (q / 2) as i64, -((q / 2) as i64), 511];
+        let mut out = vec![0u64; src.len()];
+        lift_signed(&m, &mut out, &src, q / 2);
+        let want: Vec<u64> = src.iter().map(|&c| m.from_signed(c)).collect();
+        assert_eq!(out, want);
+        // A bound at or past q takes the Euclidean path.
+        let wide = [q as i64 + 3, -(q as i64) - 3];
+        let mut out = [0u64; 2];
+        lift_signed(&m, &mut out, &wide, q + 3);
+        assert_eq!(out, [3, q - 3]);
+
+        let twice: Vec<u64> = vec![0, q - 1, q, 2 * q - 1];
+        let mut out = vec![0u64; 4];
+        reduce_once_into(&m, &mut out, &twice);
+        assert_eq!(out, [0, q - 1, 0, q - 1]);
+
+        let inv = m.inv(12345).unwrap();
+        let y0: Vec<u64> = (0..src.len() as u64)
+            .map(|i| (i * 0x1234_5678_9ABC) % q)
+            .collect();
+        let w: Vec<i64> = (0..src.len() as i64).map(|i| i * 37 - 100).collect();
+        let mut y = y0.clone();
+        rescale_step(&m, &mut y, &src, &w, inv, m.shoup(inv));
+        for i in 0..src.len() {
+            let num = m.sub(y0[i], m.from_signed(src[i]));
+            assert_eq!(y[i], m.sub(m.mul(num, inv), m.from_signed(w[i])), "i={i}");
+        }
+
+        let mut acc = y0.clone();
+        mul_shoup_scalar_add_assign(&m, &mut acc, &want, inv, m.shoup(inv));
+        for i in 0..src.len() {
+            assert_eq!(acc[i], m.add(y0[i], m.mul(want[i], inv)));
+        }
     }
 }

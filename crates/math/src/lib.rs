@@ -16,6 +16,8 @@
 //! * [`sample`] — the samplers lattice cryptography needs (uniform, ternary,
 //!   discrete Gaussian) plus the Laplace samplers used for differential
 //!   privacy.
+//! * [`chacha`] — the ChaCha20 keystream kernels, shared by [`rng`] and
+//!   `mycelium-crypto`'s cipher.
 //! * [`rng`] — the in-tree deterministic random number generator (ChaCha20
 //!   keystream) and the `Rng`/`SeedableRng` traits the whole workspace uses
 //!   instead of an external crate.
@@ -26,6 +28,7 @@
 //!   keeps the RNS/BGV hot path allocation-free.
 
 pub mod bigint;
+pub mod chacha;
 pub mod ew;
 pub mod ntt;
 pub mod par;

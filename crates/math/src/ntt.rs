@@ -56,16 +56,10 @@ pub struct NttTable {
     roots_fwd: Vec<u64>,
     /// Shoup constants for `roots_fwd`.
     roots_fwd_shoup: Vec<u64>,
-    /// Radix-2^52 Shoup constants for `roots_fwd` (IFMA tier); empty when
-    /// `4q > 2^52`, which tells the kernel layer the tier does not apply.
-    roots_fwd_shoup52: Vec<u64>,
     /// Powers of psi^{-1} in bit-reversed order, for the inverse GS.
     roots_inv: Vec<u64>,
     /// Shoup constants for `roots_inv`.
     roots_inv_shoup: Vec<u64>,
-    /// Radix-2^52 Shoup constants for `roots_inv` (IFMA tier); empty when
-    /// `4q > 2^52`.
-    roots_inv_shoup52: Vec<u64>,
     /// n^{-1} mod q, folded into the inverse transform.
     n_inv: u64,
     /// Shoup constant for `n_inv`.
@@ -97,17 +91,6 @@ impl NttTable {
         }
         let roots_fwd_shoup = roots_fwd.iter().map(|&w| modulus.shoup(w)).collect();
         let roots_inv_shoup = roots_inv.iter().map(|&w| modulus.shoup(w)).collect();
-        // The IFMA butterfly's quotient estimate needs every lazy operand
-        // below 2^52, i.e. 4q ≤ 2^52; outside that range the tables stay
-        // empty and the IFMA tier falls back to the 64-bit kernels.
-        let (roots_fwd_shoup52, roots_inv_shoup52) = if modulus.value() <= 1u64 << 50 {
-            (
-                roots_fwd.iter().map(|&w| modulus.shoup52(w)).collect(),
-                roots_inv.iter().map(|&w| modulus.shoup52(w)).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let n_inv = modulus.inv(n as u64)?;
         let n_inv_shoup = modulus.shoup(n_inv);
         Some(Self {
@@ -115,10 +98,8 @@ impl NttTable {
             n,
             roots_fwd,
             roots_fwd_shoup,
-            roots_fwd_shoup52,
             roots_inv,
             roots_inv_shoup,
-            roots_inv_shoup52,
             n_inv,
             n_inv_shoup,
         })
@@ -169,7 +150,6 @@ impl NttTable {
             q: self.modulus.value(),
             roots: &self.roots_fwd,
             shoup: &self.roots_fwd_shoup,
-            shoup52: &self.roots_fwd_shoup52,
             n_inv: 0,
             n_inv_shoup: 0,
         }
@@ -181,7 +161,6 @@ impl NttTable {
             q: self.modulus.value(),
             roots: &self.roots_inv,
             shoup: &self.roots_inv_shoup,
-            shoup52: &self.roots_inv_shoup52,
             n_inv: self.n_inv,
             n_inv_shoup: self.n_inv_shoup,
         }
@@ -212,6 +191,39 @@ impl NttTable {
     pub fn inverse_with(&self, k: &simd::Kernels, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch in NTT");
         (k.ntt_inv)(&self.inv_shape(), a)
+    }
+
+    /// Writes the transform of the monomial `x^k` (`k < 2n`, with
+    /// `x^k = −x^{k−n}` past `n`) into `w`, and the Shoup constants of
+    /// those values into `ws`, without running a transform: output slot
+    /// `i` of the forward transform is the evaluation at
+    /// `ψ^{2·rev(i)+1}`, so the value there is `ψ^{(2·rev(i)+1)·k}` — a
+    /// signed lookup into the twiddle table, whose Shoup constants are
+    /// already there too (`⌊(q−w)·2^64/q⌋ = !⌊w·2^64/q⌋` for `0 < w < q`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k ≥ 2n` or a buffer's length differs from the degree.
+    pub fn monomial_shoup_into(&self, k: usize, w: &mut [u64], ws: &mut [u64]) {
+        let n = self.n;
+        assert!(k < 2 * n, "monomial exponent out of range");
+        assert_eq!(w.len(), n, "length mismatch in NTT");
+        assert_eq!(ws.len(), n, "length mismatch in NTT");
+        let q = self.modulus.value();
+        let shift = usize::BITS - n.trailing_zeros();
+        let rev = |x: usize| x.reverse_bits() >> shift;
+        // e = (2p+1)·k mod 2n for p = 0, 1, …; slot rev(p) gets ψ^e (n is
+        // a power of two: the reductions are masks).
+        let mut e = k;
+        for p in 0..n {
+            let (slot, root) = (rev(p), rev(e & (n - 1)));
+            (w[slot], ws[slot]) = if e < n {
+                (self.roots_fwd[root], self.roots_fwd_shoup[root])
+            } else {
+                (q - self.roots_fwd[root], !self.roots_fwd_shoup[root])
+            };
+            e = (e + 2 * k) & (2 * n - 1);
+        }
     }
 
     /// In-place negacyclic convolution: `a ← a * b`.
@@ -385,6 +397,24 @@ mod tests {
             t.forward(&mut lazy);
             t.forward_reference(&mut strict);
             assert_eq!(lazy, strict, "worst-case forward n={n}");
+        }
+    }
+
+    #[test]
+    fn monomial_evaluation_matches_the_transform() {
+        for n in [2usize, 16, 1024] {
+            let t = table(n);
+            let q = t.modulus();
+            for k in [0, 1, 2, n / 2, n - 1, n, n + 1, 2 * n - 1] {
+                let mut want = vec![0u64; n];
+                want[k % n] = if k < n { 1 } else { q.value() - 1 };
+                t.forward(&mut want);
+                let (mut w, mut ws) = (vec![0u64; n], vec![0u64; n]);
+                t.monomial_shoup_into(k, &mut w, &mut ws);
+                assert_eq!(w, want, "n={n} k={k}");
+                let shoup: Vec<u64> = w.iter().map(|&x| q.shoup(x)).collect();
+                assert_eq!(ws, shoup, "n={n} k={k}");
+            }
         }
     }
 

@@ -4,15 +4,16 @@
 //! provides the small surface the codebase actually uses: a [`RngCore`]
 //! source trait, an ergonomic [`Rng`] extension (ranges, floats, bools,
 //! byte-filling), a [`SeedableRng`] constructor trait, and [`StdRng`] — a
-//! ChaCha20-keystream generator (the same permutation as
-//! `mycelium-crypto`'s RFC 8439 cipher, reimplemented here because `math`
-//! sits below `crypto` in the dependency graph).
+//! ChaCha20-keystream generator on the kernels of [`crate::chacha`], the
+//! same ones `mycelium-crypto`'s RFC 8439 cipher runs.
 //!
 //! Determinism is load-bearing: the executor derives one RNG *stream* per
 //! device from a master seed (`StdRng::from_seed(SHA256(seed ‖ id))`), so
 //! parallel runs are bit-identical at any thread count.
 
 use std::ops::{Range, RangeInclusive};
+
+use crate::chacha;
 
 /// A source of uniform random words and bytes.
 pub trait RngCore {
@@ -200,59 +201,61 @@ pub trait SeedableRng: Sized {
     }
 }
 
-/// The ChaCha20 quarter round (RFC 8439).
-#[inline]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
-}
+/// Blocks one refill computes: one group of the widest keystream kernel.
+const BUF_BLOCKS: usize = chacha::WIDE;
+/// Bytes one refill buffers.
+const BUF_LEN: usize = BUF_BLOCKS * chacha::BLOCK;
 
-/// One 64-byte ChaCha20 block with a 64-bit counter and 64-bit stream id
-/// (the original djb layout, not the IETF 32/96 split — the counter never
-/// wraps for any realistic keystream length).
-fn chacha20_block(key: &[u32; 8], counter: u64, stream: u64) -> [u8; 64] {
+/// Writes the [`BUF_BLOCKS`] keystream blocks `counter..` of `(key,
+/// stream)` into `out`: 64-bit block counter in words 12–13 and 64-bit
+/// stream id in words 14–15 (the original djb layout, not the IETF 32/96
+/// split — the counter never wraps for any realistic keystream length).
+fn keystream(tier: &chacha::Tier, key: &[u32; 8], counter: u64, stream: u64, out: &mut [u8]) {
+    debug_assert_eq!(out.len(), BUF_LEN);
     let mut state = [0u32; 16];
-    state[0] = 0x6170_7865;
-    state[1] = 0x3320_646e;
-    state[2] = 0x7962_2d32;
-    state[3] = 0x6b20_6574;
+    state[..4].copy_from_slice(&chacha::SIGMA);
     state[4..12].copy_from_slice(key);
-    state[12] = counter as u32;
-    state[13] = (counter >> 32) as u32;
     state[14] = stream as u32;
     state[15] = (stream >> 32) as u32;
-    let mut working = state;
-    for _ in 0..10 {
-        quarter_round(&mut working, 0, 4, 8, 12);
-        quarter_round(&mut working, 1, 5, 9, 13);
-        quarter_round(&mut working, 2, 6, 10, 14);
-        quarter_round(&mut working, 3, 7, 11, 15);
-        quarter_round(&mut working, 0, 5, 10, 15);
-        quarter_round(&mut working, 1, 6, 11, 12);
-        quarter_round(&mut working, 2, 7, 8, 13);
-        quarter_round(&mut working, 3, 4, 9, 14);
+    out.fill(0);
+    // The kernels count blocks in word 12 alone. One call covers the whole
+    // buffer unless the low counter word would wrap inside it (once per
+    // 256 GiB of keystream); then each block gets its own carried counter.
+    let whole = (counter as u32)
+        .checked_add(BUF_BLOCKS as u32 - 1)
+        .is_some();
+    let step = if whole { BUF_LEN } else { chacha::BLOCK };
+    for (b, blocks) in out.chunks_mut(step).enumerate() {
+        let at = counter.wrapping_add((b * step / chacha::BLOCK) as u64);
+        state[12] = at as u32;
+        state[13] = (at >> 32) as u32;
+        (tier.xor)(&mut state, blocks);
     }
-    let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = working[i].wrapping_add(state[i]);
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
-    }
-    out
 }
 
-/// The workspace's standard deterministic generator: a ChaCha20 keystream.
+/// The tier [`StdRng`] refills on, chosen once per process: the widest the
+/// CPU offers, or the portable one under `MYC_NO_SIMD`. Every tier
+/// produces the same keystream.
+fn active_tier() -> &'static chacha::Tier {
+    static ACTIVE: std::sync::OnceLock<chacha::Tier> = std::sync::OnceLock::new();
+    ACTIVE.get_or_init(|| {
+        let tiers = chacha::tiers();
+        if crate::simd::simd_disabled_by_env() {
+            tiers[0]
+        } else {
+            *tiers.last().expect("the portable tier is always there")
+        }
+    })
+}
+
+/// The workspace's standard deterministic generator: a ChaCha20 keystream,
+/// refilled [`BUF_BLOCKS`] blocks at a time.
 #[derive(Debug, Clone)]
 pub struct StdRng {
     key: [u32; 8],
     stream: u64,
     counter: u64,
-    buf: [u8; 64],
+    buf: [u8; BUF_LEN],
     idx: usize,
 }
 
@@ -264,13 +267,19 @@ impl StdRng {
     pub fn with_stream(mut self, stream: u64) -> Self {
         self.stream = stream;
         self.counter = 0;
-        self.idx = 64;
+        self.idx = BUF_LEN;
         self
     }
 
     fn refill(&mut self) {
-        self.buf = chacha20_block(&self.key, self.counter, self.stream);
-        self.counter = self.counter.wrapping_add(1);
+        keystream(
+            active_tier(),
+            &self.key,
+            self.counter,
+            self.stream,
+            &mut self.buf,
+        );
+        self.counter = self.counter.wrapping_add(BUF_BLOCKS as u64);
         self.idx = 0;
     }
 }
@@ -287,15 +296,22 @@ impl SeedableRng for StdRng {
             key,
             stream: 0,
             counter: 0,
-            buf: [0; 64],
-            idx: 64,
+            buf: [0; BUF_LEN],
+            idx: BUF_LEN,
         }
     }
 }
 
 impl RngCore for StdRng {
     fn next_u64(&mut self) -> u64 {
-        if self.idx + 8 > 64 {
+        // A word never straddles two keystream blocks: what a byte-wise
+        // read left of the current block is skipped, as when every refill
+        // was one block.
+        let used = self.idx % chacha::BLOCK;
+        if used + 8 > chacha::BLOCK {
+            self.idx += chacha::BLOCK - used;
+        }
+        if self.idx >= BUF_LEN {
             self.refill();
         }
         let v = u64::from_le_bytes(self.buf[self.idx..self.idx + 8].try_into().unwrap());
@@ -306,10 +322,10 @@ impl RngCore for StdRng {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut filled = 0;
         while filled < dest.len() {
-            if self.idx >= 64 {
+            if self.idx >= BUF_LEN {
                 self.refill();
             }
-            let take = (64 - self.idx).min(dest.len() - filled);
+            let take = (BUF_LEN - self.idx).min(dest.len() - filled);
             dest[filled..filled + take].copy_from_slice(&self.buf[self.idx..self.idx + take]);
             self.idx += take;
             filled += take;
@@ -320,6 +336,142 @@ impl RngCore for StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One 64-byte block, the textbook way: the reference the wide refill
+    /// is pinned to.
+    fn reference_block(key: &[u32; 8], counter: u64, stream: u64) -> [u8; 64] {
+        fn quarter_round(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+            x[a] = x[a].wrapping_add(x[b]);
+            x[d] = (x[d] ^ x[a]).rotate_left(16);
+            x[c] = x[c].wrapping_add(x[d]);
+            x[b] = (x[b] ^ x[c]).rotate_left(12);
+            x[a] = x[a].wrapping_add(x[b]);
+            x[d] = (x[d] ^ x[a]).rotate_left(8);
+            x[c] = x[c].wrapping_add(x[d]);
+            x[b] = (x[b] ^ x[c]).rotate_left(7);
+        }
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&chacha::SIGMA);
+        state[4..12].copy_from_slice(key);
+        state[12] = counter as u32;
+        state[13] = (counter >> 32) as u32;
+        state[14] = stream as u32;
+        state[15] = (stream >> 32) as u32;
+        let mut x = state;
+        for _ in 0..10 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        let mut out = [0u8; 64];
+        for i in 0..16 {
+            out[4 * i..4 * i + 4].copy_from_slice(&x[i].wrapping_add(state[i]).to_le_bytes());
+        }
+        out
+    }
+
+    /// The generator as it was when every refill was one block.
+    struct OneBlockRng {
+        key: [u32; 8],
+        stream: u64,
+        counter: u64,
+        buf: [u8; 64],
+        idx: usize,
+    }
+
+    impl OneBlockRng {
+        fn like(rng: &StdRng) -> Self {
+            assert_eq!(rng.idx, BUF_LEN, "mirror a generator before its first draw");
+            Self {
+                key: rng.key,
+                stream: rng.stream,
+                counter: rng.counter,
+                buf: [0; 64],
+                idx: 64,
+            }
+        }
+        fn refill(&mut self) {
+            self.buf = reference_block(&self.key, self.counter, self.stream);
+            self.counter = self.counter.wrapping_add(1);
+            self.idx = 0;
+        }
+    }
+
+    impl RngCore for OneBlockRng {
+        fn next_u64(&mut self) -> u64 {
+            if self.idx + 8 > 64 {
+                self.refill();
+            }
+            let v = u64::from_le_bytes(self.buf[self.idx..self.idx + 8].try_into().unwrap());
+            self.idx += 8;
+            v
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for b in dest.iter_mut() {
+                if self.idx >= 64 {
+                    self.refill();
+                }
+                *b = self.buf[self.idx];
+                self.idx += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn wide_refill_is_the_one_block_keystream() {
+        for seed in [0u64, 42, 0xDEAD_BEEF_F00D] {
+            for stream in [0u64, 1, u64::MAX - 7] {
+                let mut rng = StdRng::seed_from_u64(seed).with_stream(stream);
+                let mut want = OneBlockRng::like(&rng);
+                for i in 0..10_000 {
+                    assert_eq!(rng.next_u64(), want.next_u64(), "word {i}");
+                }
+                // Odd-length byte reads between words: a word never
+                // straddles a 64-byte block, bytes run on without gaps.
+                for len in [1usize, 3, 7, 13, 61, 64, 65, 127, 509, 1031] {
+                    let (mut got, mut exp) = (vec![0u8; len], vec![0u8; len]);
+                    rng.fill_bytes(&mut got);
+                    want.fill_bytes(&mut exp);
+                    assert_eq!(got, exp, "fill_bytes({len})");
+                    for _ in 0..9 {
+                        assert_eq!(rng.next_u64(), want.next_u64(), "after fill_bytes({len})");
+                    }
+                }
+                // A clone taken mid-buffer continues the same stream.
+                let mut twin = rng.clone();
+                for _ in 0..200 {
+                    let w = want.next_u64();
+                    assert_eq!(rng.next_u64(), w);
+                    assert_eq!(twin.next_u64(), w);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_keystream_tier_matches_the_reference_blocks() {
+        let key: [u32; 8] = std::array::from_fn(|i| 0x0101_0101u32.wrapping_mul(i as u32 + 3));
+        // Plain counters, and the three ways the low counter word can wrap
+        // inside or at the edge of one refill.
+        let wrap = 1u64 << 32;
+        for counter in [0u64, 8, wrap - 8, wrap - 7, wrap - 1, wrap, 5 * wrap - 3] {
+            for stream in [0u64, 9, u64::MAX] {
+                let want: Vec<u8> = (0..BUF_BLOCKS as u64)
+                    .flat_map(|b| reference_block(&key, counter + b, stream))
+                    .collect();
+                for tier in chacha::tiers() {
+                    let mut got = vec![0xA5u8; BUF_LEN];
+                    keystream(&tier, &key, counter, stream, &mut got);
+                    assert_eq!(got, want, "{} counter={counter:#x}", tier.name);
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_from_seed() {

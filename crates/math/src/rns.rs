@@ -215,23 +215,16 @@ impl RnsPoly {
     pub fn from_signed(ctx: Arc<RnsContext>, level: usize, coeffs: &[i64]) -> Self {
         assert_eq!(coeffs.len(), ctx.degree(), "coefficient count mismatch");
         assert!(level >= 1 && level <= ctx.max_level(), "invalid level");
+        // Secrets and noise are tiny, so per prime the lift is one
+        // conditional add per coefficient (`ew::lift_signed` falls back to
+        // the full Euclidean reduction when the bound does not hold).
+        let bound = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
         let residues = ctx.moduli[..level]
             .iter()
             .map(|m| {
-                let qi = m.value() as i64;
-                coeffs
-                    .iter()
-                    .map(|&c| {
-                        // Secrets and noise are tiny, so the lift is almost
-                        // always a single conditional add; fall back to the
-                        // full Euclidean reduction otherwise.
-                        if -qi < c && c < qi {
-                            (if c < 0 { c + qi } else { c }) as u64
-                        } else {
-                            m.from_signed(c)
-                        }
-                    })
-                    .collect()
+                let mut r = vec![0u64; coeffs.len()];
+                ew::lift_signed(m, &mut r, coeffs, bound);
+                r
             })
             .collect();
         Self {
@@ -506,7 +499,10 @@ impl RnsPoly {
     /// t)`, and `|δ| ≤ q_l·(t+1)/2`. For a BGV ciphertext component this
     /// divides the noise by ≈`q_l` while keeping decryption correct.
     ///
-    /// The operand must be in coefficient representation.
+    /// The operand must be in coefficient representation. This is the
+    /// textbook one-step form, kept as the oracle the NTT-domain
+    /// [`RnsPoly::mod_switch_ntt`] (what ciphertexts actually run) is tested
+    /// against.
     ///
     /// # Panics
     ///
@@ -514,20 +510,6 @@ impl RnsPoly {
     /// sharing a factor with `q_l` (impossible for odd primes and any `t`
     /// that is a power of two or smaller prime).
     pub fn mod_switch_down(&self, t: u64) -> Self {
-        let mut out = self.clone();
-        out.mod_switch_down_in_place(t);
-        out
-    }
-
-    /// In-place variant of [`RnsPoly::mod_switch_down`]: rescales the first
-    /// `l-1` residues in their existing storage and drops the last one, so
-    /// the only transient memory is two pooled scratch buffers for the
-    /// per-coefficient `(d, w)` correction terms.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`RnsPoly::mod_switch_down`].
-    pub fn mod_switch_down_in_place(&mut self, t: u64) {
         assert!(self.level >= 2, "cannot drop below level 1");
         assert_eq!(
             self.rep,
@@ -535,114 +517,119 @@ impl RnsPoly {
             "mod_switch_down requires coefficient representation"
         );
         let l = self.level;
-        let ctx = self.ctx.clone();
-        let pre = ctx.level(l);
-        let qlast = ctx.moduli[l - 1];
-        let qlast_inv_t = inv_mod_u64(qlast.value() % t, t)
-            .expect("q_l must be invertible modulo the plaintext modulus");
-        let n = ctx.degree();
-        // Precompute delta = d + q_l * w per coefficient, where d is the
-        // centered residue mod q_l and w ≡ -d·q_l^{-1} (mod t), centered.
-        // The signed values ride in pooled u64 buffers via bit-cast.
-        let mut dbuf = scratch::take(n);
-        let mut wbuf = scratch::take(n);
-        if t.is_power_of_two() && t <= 1 << 32 {
-            // Power-of-two t (the common plaintext modulus): both
-            // reductions mod t are masks — `d mod 2^k` of a two's-complement
-            // value is just its low bits, and the product of two values
-            // below 2^32 cannot overflow a u64. Bit-identical to the
-            // general path below.
-            let mask = t - 1;
-            for ((db, wb), &r) in dbuf
-                .iter_mut()
-                .zip(wbuf.iter_mut())
-                .zip(&self.residues[l - 1])
-            {
-                let d = qlast.to_signed(r);
-                let d_mod_t = (d as u64) & mask;
-                let w = (t - ((d_mod_t * qlast_inv_t) & mask)) & mask; // -d·q_l^{-1} mod t.
-                let w_c = if w > t / 2 {
-                    w as i64 - t as i64
-                } else {
-                    w as i64
-                };
-                *db = d as u64;
-                *wb = w_c as u64;
-            }
-        } else {
-            for ((db, wb), &r) in dbuf
-                .iter_mut()
-                .zip(wbuf.iter_mut())
-                .zip(&self.residues[l - 1])
-            {
-                let d = qlast.to_signed(r);
-                // w = [-d * q_l^{-1}] mod t, centered into (-t/2, t/2].
-                let d_mod_t = (d.rem_euclid(t as i64)) as u64;
-                let w = (d_mod_t as u128 * qlast_inv_t as u128 % t as u128) as u64;
-                let w = (t - w) % t; // -d·q_l^{-1} mod t.
-                let w_c = if w > t / 2 {
-                    w as i64 - t as i64
-                } else {
-                    w as i64
-                };
-                *db = d as u64;
-                *wb = w_c as u64;
-            }
+        let pre = self.ctx.level(l);
+        let qlast = self.ctx.moduli[l - 1];
+        let n = self.ctx.degree();
+        let (mut d, mut w) = (vec![0i64; n], vec![0i64; n]);
+        switch_correction(&qlast, t, &self.residues[l - 1], &mut d, &mut w);
+        let residues = self.residues[..l - 1]
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let m = &self.ctx.moduli[i];
+                let ql_mod = m.reduce(qlast.value());
+                r.iter()
+                    .zip(d.iter().zip(&w))
+                    .map(|(&x, (&d, &w))| {
+                        // δ mod q_i = d + q_l·w; x ← (x − δ)·q_l^{-1}.
+                        let delta = m.add(m.from_signed(d), m.mul(ql_mod, m.from_signed(w)));
+                        m.mul(m.sub(x, delta), pre.qlast_inv[i])
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            ctx: self.ctx.clone(),
+            level: l - 1,
+            rep: Representation::Coefficient,
+            residues,
         }
-        let (head, _last) = self.residues.split_at_mut(l - 1);
-        par::for_each_mut(head, |i, r| {
+    }
+
+    /// BGV modulus switching of an **NTT-domain** element by `steps` chain
+    /// primes at once: bit-identical to `steps` chained
+    /// [`RnsPoly::mod_switch_down`] calls wrapped in an inverse and a
+    /// forward transform of every limb, at `steps` inverse and
+    /// `level − steps` forward transforms instead of `level` and
+    /// `level − steps` (and those per step, when chained).
+    ///
+    /// One step is affine in the element: `(c − δ)·q_l^{-1} = c·q_l^{-1} +
+    /// R(0)`, where `R(0) = −δ·q_l^{-1}` depends only on the dropped limb.
+    /// Steps compose, so the whole switch is `c·P + R_k(0)` with
+    /// `P = Π q_s^{-1}`, and the NTT is linear with a unique canonical
+    /// output: `NTT(c·P + R_k(0)) = ĉ·P + NTT(R_k(0))` residue for residue.
+    /// So only the dropped limbs are inverse-transformed (each later one
+    /// takes the earlier steps in the coefficient domain, where its own
+    /// correction `(d, w)` is then read off), and every kept limb builds
+    /// `R_k(0)` from zero with one [`ew::rescale_step`] per step, transforms
+    /// it once, and adds `ĉ·P` in one fused pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics in coefficient representation, if `steps` is zero or would
+    /// drop below level 1, or under [`RnsPoly::mod_switch_down`]'s
+    /// condition on `t`.
+    pub fn mod_switch_ntt(&self, steps: usize, t: u64) -> Self {
+        assert_eq!(
+            self.rep,
+            Representation::Ntt,
+            "mod_switch_ntt requires NTT representation"
+        );
+        assert!(
+            steps >= 1 && steps < self.level,
+            "cannot drop below level 1"
+        );
+        let l = self.level;
+        let keep = l - steps;
+        let ctx = &self.ctx;
+        let n = ctx.degree();
+        // One step on one coefficient-domain limb `i`, dropping prime `j`.
+        let step = |i: usize, j: usize, y: &mut [u64], d: &[i64], w: &[i64]| {
             let m = &ctx.moduli[i];
-            let qi = m.value();
-            let inv = pre.qlast_inv[i];
-            let ql_mod = m.reduce(qlast.value());
-            // Rescale kernel: x ← (x − d − q_l·w)·q_l^{-1} mod q_i.
-            //
-            // Fast path — |d| ≤ q_l/2 and |w| ≤ t/2 both below q_i (always
-            // true for same-bit-width chain primes and t ≪ q): the signed
-            // lifts become single conditional adds and the two
-            // fixed-multiplier products take the Shoup route (the final
-            // one through the SIMD broadcast kernel), so the loop runs
-            // division-free. Outputs are canonical either way, so the two
-            // paths are bit-identical.
-            if qlast.value() / 2 < qi && t / 2 < qi {
-                let inv_shoup = m.shoup(inv);
-                let ql_shoup = m.shoup(ql_mod);
-                let mut wm = scratch::take(n);
-                let mut qlw = scratch::take(n);
-                for (o, &wb) in wm.iter_mut().zip(wbuf.iter()) {
-                    let w = wb as i64;
-                    *o = if w < 0 {
-                        (qi as i64 + w) as u64
-                    } else {
-                        w as u64
-                    };
-                }
-                ew::mul_shoup_scalar_into(m, &mut qlw, &wm, ql_mod, ql_shoup);
-                for ((o, &x), (&db, &p)) in
-                    wm.iter_mut().zip(r.iter()).zip(dbuf.iter().zip(qlw.iter()))
-                {
-                    let d = db as i64;
-                    let dm = if d < 0 {
-                        (qi as i64 + d) as u64
-                    } else {
-                        d as u64
-                    };
-                    *o = m.sub(x, m.add(dm, p));
-                }
-                ew::mul_shoup_scalar_into(m, r, &wm, inv, inv_shoup);
+            let inv = ctx.level(j + 1).qlast_inv[i];
+            // |d| ≤ q_j/2 and |w| ≤ t/2 both below q_i — always, for
+            // same-bit-width chain primes and t ≪ q — is the kernel's
+            // precondition; anything else takes the Euclidean lifts.
+            if ctx.moduli[j].value() / 2 < m.value() && t / 2 < m.value() {
+                ew::rescale_step(m, y, d, w, inv, m.shoup(inv));
             } else {
-                for (x, (&db, &wb)) in r.iter_mut().zip(dbuf.iter().zip(wbuf.iter())) {
-                    // delta mod q_i = d + q_l * w (all small, centered).
-                    let dm = m.from_signed(db as i64);
-                    let wm = m.from_signed(wb as i64);
-                    let delta = m.add(dm, m.mul(ql_mod, wm));
-                    let num = m.sub(*x, delta);
-                    *x = m.mul(num, inv);
+                for (x, (&d, &w)) in y.iter_mut().zip(d.iter().zip(w)) {
+                    let num = m.sub(*x, m.from_signed(d));
+                    *x = m.sub(m.mul(num, inv), m.from_signed(w));
                 }
             }
+        };
+        let mut dropped: Vec<Vec<u64>> = self.residues[keep..].to_vec();
+        par::for_each_mut(&mut dropped, |jj, r| ctx.tables[keep + jj].inverse(r));
+        // corrections[s] = (d, w) of the step that drops prime l−1−s.
+        let mut corrections: Vec<(Vec<i64>, Vec<i64>)> = Vec::with_capacity(steps);
+        for s in 0..steps {
+            let j = l - 1 - s;
+            let last = dropped.pop().expect("one dropped limb per step");
+            let (mut d, mut w) = (vec![0i64; n], vec![0i64; n]);
+            switch_correction(&ctx.moduli[j], t, &last, &mut d, &mut w);
+            par::for_each_mut(&mut dropped, |jj, y| step(keep + jj, j, y, &d, &w));
+            corrections.push((d, w));
+        }
+        let residues = par::map_indices(keep, |i| {
+            let m = &ctx.moduli[i];
+            let mut y = vec![0u64; n];
+            let mut p = 1u64;
+            for (s, (d, w)) in corrections.iter().enumerate() {
+                let j = l - 1 - s;
+                step(i, j, &mut y, d, w);
+                p = m.mul(p, ctx.level(j + 1).qlast_inv[i]);
+            }
+            ctx.tables[i].forward(&mut y);
+            ew::mul_shoup_scalar_add_assign(m, &mut y, &self.residues[i], p, m.shoup(p));
+            y
         });
-        self.residues.pop();
-        self.level = l - 1;
+        Self {
+            ctx: self.ctx.clone(),
+            level: keep,
+            rep: Representation::Ntt,
+            residues,
+        }
     }
 
     /// CRT-reconstructs each coefficient as a centered integer and reduces
@@ -714,7 +701,9 @@ impl RnsPoly {
     /// `Σ_j d_j · (Q/q_j) ≡ c (mod Q)` makes `Σ_j d_j ⊙ ksk_j` a key-switched
     /// ciphertext, with each `d_j` bounded by `q_j`.
     ///
-    /// The operand must be in coefficient representation.
+    /// The operand must be in coefficient representation. This is the
+    /// materializing form, kept as the oracle the fused
+    /// [`key_switch_batch`] is tested against.
     pub fn rns_decompose(&self) -> Vec<Self> {
         assert_eq!(
             self.rep,
@@ -722,27 +711,20 @@ impl RnsPoly {
             "decomposition requires coefficient representation"
         );
         let l = self.level;
-        let n = self.ctx.degree();
+        let pre = self.ctx.level(l);
         // One independent digit polynomial per active prime: compute, lift,
         // and forward-transform each on its own thread.
         par::map_indices(l, |j| {
             // d_j coefficients as integers in [0, q_j).
-            let mut dj = scratch::take(n);
-            self.rns_digit_into(j, &mut dj);
+            let mj = &self.ctx.moduli[j];
+            let dj: Vec<u64> = self.residues[j]
+                .iter()
+                .map(|&x| mj.mul(x, pre.qhat_inv[j]))
+                .collect();
             // Lift to every active prime (a copy where q_i = q_j).
-            let qj = self.ctx.moduli[j].value();
             let residues: Vec<Vec<u64>> = self.ctx.moduli[..l]
                 .iter()
-                .enumerate()
-                .map(|(i, mi)| {
-                    if i == j {
-                        dj.to_vec()
-                    } else {
-                        let mut out = vec![0u64; n];
-                        lift_residues(mi, qj, &mut out, &dj);
-                        out
-                    }
-                })
+                .map(|mi| dj.iter().map(|&x| mi.reduce(x)).collect())
                 .collect();
             let mut p = Self {
                 ctx: self.ctx.clone(),
@@ -753,34 +735,6 @@ impl RnsPoly {
             p.to_ntt();
             p
         })
-    }
-
-    /// Writes the `j`-th RNS gadget digit `d_j = [c · (Q/q_j)^{-1}]_{q_j}`
-    /// (values in `[0, q_j)`, coefficient domain) into `out` without
-    /// allocating. The building block behind [`RnsPoly::rns_decompose`] and
-    /// the fused [`key_switch_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in NTT representation, if `j` is not an active prime index,
-    /// or if `out.len()` differs from the ring degree.
-    pub fn rns_digit_into(&self, j: usize, out: &mut [u64]) {
-        assert_eq!(
-            self.rep,
-            Representation::Coefficient,
-            "decomposition requires coefficient representation"
-        );
-        assert!(j < self.level, "digit index out of range");
-        assert_eq!(out.len(), self.ctx.degree(), "digit buffer length mismatch");
-        let pre = self.ctx.level(self.level);
-        let mj = &self.ctx.moduli[j];
-        ew::mul_shoup_scalar_into(
-            mj,
-            out,
-            &self.residues[j],
-            pre.qhat_inv[j],
-            pre.qhat_inv_shoup[j],
-        );
     }
 
     fn crt_coeff(&self, j: usize, pre: &LevelPrecomp) -> BigUint {
@@ -808,41 +762,6 @@ impl RnsPoly {
     ///
     /// Panics on level/representation/context mismatch or coefficient
     /// representation.
-    /// Like [`RnsPoly::mul_shoup_assign`], but the precomputed operand may
-    /// sit at a *higher* level: only its first `self.level` residues
-    /// participate. This is what lets a ciphertext be encrypted directly
-    /// at a low level against the top-level public key — the prefix of an
-    /// RNS element at level `L` is exactly its image at the lower level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is below `self`'s level, on context mismatch, or
-    /// in coefficient representation.
-    pub fn mul_shoup_assign_prefix(&mut self, other: &ShoupPrecomp) {
-        assert!(
-            other.poly.level >= self.level,
-            "prefix operand must cover the target level"
-        );
-        assert!(
-            Arc::ptr_eq(&self.ctx, &other.poly.ctx),
-            "operands belong to different contexts"
-        );
-        assert_eq!(
-            self.rep,
-            Representation::Ntt,
-            "ring multiplication requires NTT representation"
-        );
-        assert_eq!(
-            other.poly.rep,
-            Representation::Ntt,
-            "ring multiplication requires NTT representation"
-        );
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::mul_shoup_assign(&ctx.moduli[i], r, other.residue(i), other.shoup_residue(i));
-        });
-    }
-
     pub fn mul_shoup_assign(&mut self, other: &ShoupPrecomp) {
         self.check_compat(&other.poly);
         assert_eq!(
@@ -853,32 +772,6 @@ impl RnsPoly {
         let ctx = self.ctx.clone();
         par::for_each_mut(&mut self.residues, |i, r| {
             ew::mul_shoup_assign(&ctx.moduli[i], r, other.residue(i), other.shoup_residue(i));
-        });
-    }
-
-    /// Fused multiply-add against a Shoup-precomputed operand:
-    /// `self += a ⊙ b`, all in NTT representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on level/representation mismatch or coefficient representation.
-    pub fn mul_shoup_add_assign(&mut self, a: &Self, b: &ShoupPrecomp) {
-        self.check_compat(a);
-        self.check_compat(&b.poly);
-        assert_eq!(
-            self.rep,
-            Representation::Ntt,
-            "fused multiply-add requires NTT representation"
-        );
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::mul_shoup_add_assign(
-                &ctx.moduli[i],
-                r,
-                &a.residues[i],
-                b.residue(i),
-                b.shoup_residue(i),
-            );
         });
     }
 
@@ -948,18 +841,51 @@ impl ShoupPrecomp {
     }
 }
 
-/// Lifts residues from `Z_{q_j}` (values `< src_bound = q_j`) into
-/// `Z_{q_i}`. Chain primes share a bit width, so `q_j < 2·q_i` almost
-/// always holds and the lift is one auto-vectorizable conditional
-/// subtraction per value instead of a hardware division — the difference
-/// is the entire digit-lift cost of a key switch (`l²·n` reductions).
-#[inline]
-fn lift_residues(mi: &Modulus, src_bound: u64, out: &mut [u64], src: &[u64]) {
-    let qi = mi.value();
-    if src_bound <= qi << 1 {
-        for (o, &x) in out.iter_mut().zip(src.iter()) {
-            *o = if x >= qi { x - qi } else { x };
+/// The correction of one modulus-switching step, per coefficient, from the
+/// coefficient-domain residue `r` of the dropped prime `q_l`: `d` is the
+/// centered residue and `w ≡ −d·q_l^{-1} (mod t)`, centered into
+/// `(−t/2, t/2]`, so that `δ = d + q_l·w` satisfies `δ ≡ c (mod q_l)` and
+/// `δ ≡ 0 (mod t)`.
+fn switch_correction(qlast: &Modulus, t: u64, r: &[u64], d: &mut [i64], w: &mut [i64]) {
+    let qlast_inv_t = inv_mod_u64(qlast.value() % t, t)
+        .expect("q_l must be invertible modulo the plaintext modulus");
+    let (q, half_q, half_t) = (qlast.value(), qlast.value() / 2, t / 2);
+    // Both centerings are selects on uniformly distributed values: written
+    // as mask arithmetic so they cannot compile to a (mispredicting)
+    // compare-and-branch. `over(x, h)` is all-ones iff x > h, for values
+    // below 2^63.
+    let over = |x: u64, h: u64| ((h.wrapping_sub(x) as i64) >> 63) as u64;
+    let center = |x: u64, m: u64, half: u64| x.wrapping_sub(m & over(x, half)) as i64;
+    if t.is_power_of_two() && t <= 1 << 32 {
+        // Power-of-two t (the common plaintext modulus): both reductions
+        // mod t are masks — `d mod 2^k` of a two's-complement value is
+        // just its low bits, and the product of two values below 2^32
+        // cannot overflow a u64. Bit-identical to the general path below.
+        let mask = t - 1;
+        for ((d, w), &r) in d.iter_mut().zip(w.iter_mut()).zip(r) {
+            *d = center(r, q, half_q);
+            let d_mod_t = (*d as u64) & mask;
+            let neg = (t - ((d_mod_t * qlast_inv_t) & mask)) & mask; // −d·q_l^{-1} mod t
+            *w = center(neg, t, half_t);
         }
+    } else {
+        for ((d, w), &r) in d.iter_mut().zip(w.iter_mut()).zip(r) {
+            *d = center(r, q, half_q);
+            let d_mod_t = d.rem_euclid(t as i64) as u64;
+            let pos = (d_mod_t as u128 * qlast_inv_t as u128 % t as u128) as u64;
+            *w = center((t - pos) % t, t, half_t);
+        }
+    }
+}
+
+/// Lifts a gadget digit from `Z_{q_j}` (values `< qj`) into `Z_{q_i}`.
+/// Chain primes share a bit width, so `q_j < 2·q_i` almost always holds and
+/// the lift is one vector conditional subtraction per lane group instead of
+/// a hardware division per value.
+#[inline]
+fn lift_digit(mi: &Modulus, qj: u64, out: &mut [u64], src: &[u64]) {
+    if qj <= mi.value() << 1 {
+        ew::reduce_once_into(mi, out, src);
     } else {
         for (o, &x) in out.iter_mut().zip(src.iter()) {
             *o = mi.reduce(x);
@@ -968,23 +894,13 @@ fn lift_residues(mi: &Modulus, src_bound: u64, out: &mut [u64], src: &[u64]) {
 }
 
 /// Fused RNS-gadget key switch: `(c0, c1) += Σ_j NTT(d_j) ⊙ keys[j]` where
-/// `d_j` is the `j`-th gadget digit of the coefficient-domain `c2`.
-///
-/// This is relinearization's inner loop, restructured so that each RNS limb
-/// is one unit of parallel work: for limb `i`, every digit is lifted to
-/// `q_i` and forward-transformed in a single pooled scratch buffer, then
-/// multiply-accumulated against both key components with their Shoup
-/// constants. Compared to `rns_decompose` + per-digit `mul_add_assign`,
-/// this materializes no digit polynomials (`l` base-digit buffers and one
-/// transform buffer per limb, all pooled) and runs the `l` limbs — not the
-/// `l` digits — in parallel, with digits accumulated in ascending order per
-/// limb so results are bit-identical at any thread count.
+/// `d_j` is the `j`-th gadget digit of `c2`. See [`key_switch_batch`], of
+/// which this is the one-job case.
 ///
 /// # Panics
 ///
-/// Panics if `c0`/`c1` are not NTT-domain polynomials at the same level
-/// and context, if `c2` is not coefficient-domain at that level, or if
-/// `keys.len()` differs from the level.
+/// Panics if `c0`/`c1`/`c2` are not NTT-domain polynomials at the same
+/// level and context, or if `keys.len()` differs from the level.
 pub fn key_switch_assign(
     c0: &mut RnsPoly,
     c1: &mut RnsPoly,
@@ -994,29 +910,35 @@ pub fn key_switch_assign(
     key_switch_batch(&mut [(c0, c1, c2)], keys)
 }
 
-/// Batched fused key switch: for every job `(c0, c1, c2)`,
-/// `(c0, c1) += Σ_j NTT(d_j) ⊙ keys[j]` with `d_j` the `j`-th gadget digit
-/// of that job's coefficient-domain `c2`.
+/// Batched fused key switch: for every job `(c0, c1, c2)`, all three in
+/// NTT representation, `(c0, c1) += Σ_j NTT(d_j) ⊙ keys[j]` with
+/// `d_j = [c2 · (Q/q_j)^{-1}]_{q_j}` the `j`-th gadget digit of that job's
+/// `c2`, lifted to every limb. Bit-identical to
+/// [`RnsPoly::rns_decompose`] + per-digit `mul_add_assign`.
 ///
 /// All jobs must share one context, level, and key set — exactly the shape
 /// of one summation-tree level, where every degree-2 node relinearizes
-/// against the same relinearization key. Compared to per-node
-/// [`key_switch_assign`] calls this amortizes three costs across the
-/// fan-in:
+/// against the same relinearization key. Relinearization's inner loop runs
+/// limb-major, each `(job, limb)` one unit of parallel work over `l²`
+/// transforms per job instead of the `l + l²` of "inverse everything, then
+/// transform every lifted digit":
 ///
-/// * **one digit-decomposition pass** runs `rns_digit_into` for every
-///   (job, digit) pair up front instead of re-entering the scratch pool
-///   and precomp lookups per node;
-/// * **one parallel region** covers all `jobs × limbs` units, so thread
-///   startup/teardown is paid once per tree level, not once per node, and
-///   narrow levels stop serializing on a single node's `l` limbs;
-/// * **lazy accumulation**: per limb, the `2l` Shoup products stream into
-///   the accumulators wrapping-lazily ([`ew::mul_shoup_add_lazy`]) and are
+/// * **digits straight from the NTT domain**: `d_j` is the inverse
+///   transform of `ĉ2_j · (Q/q_j)^{-1}` (one fused scalar pass, then `l`
+///   inverse transforms per job, in one parallel region for the batch);
+/// * **no transform on the diagonal**: at its own limb `j`, `NTT(d_j)` *is*
+///   `ĉ2_j · (Q/q_j)^{-1}` — the transform is linear and canonical — so
+///   only the `l·(l−1)` off-diagonal digits are lifted
+///   ([`ew::reduce_once_into`]) and forward-transformed;
+/// * **one pass per digit for both rows**: the transformed digit is read
+///   once and multiply-accumulated against both key components
+///   ([`ew::mul_shoup_add_lazy2`]), wrapping-lazily, and the two rows are
 ///   canonicalized once at the end ([`ew::reduce_lazy_pow2`]) — sound
-///   whenever `(2l+1)·q_i < 2^64` (checked per limb; wider primes fall
-///   back to canonical accumulation). Both paths produce the unique
-///   canonical representative, so results are bit-identical to the
-///   per-node path at any thread count, SIMD on or off.
+///   whenever `(2l+1)·q_i < 2^64` (checked per limb; wider primes
+///   accumulate canonically through [`ew::mul_shoup_add2`]). Digits are
+///   accumulated in ascending order per limb and both paths produce the
+///   unique canonical representative, so results are bit-identical at any
+///   thread count, SIMD on or off.
 ///
 /// Live counters for every batch are recorded in [`ks_stats`] so the
 /// analytical cost model can be reconciled against actual kernel traffic.
@@ -1037,38 +959,44 @@ pub fn key_switch_batch(
     assert_eq!(keys.len(), l, "one key pair per active prime");
     for (c0, c1, c2) in jobs.iter() {
         c0.check_compat(c1);
+        c0.check_compat(c2);
         assert_eq!(
             c0.rep,
             Representation::Ntt,
-            "key switch accumulates in NTT representation"
-        );
-        assert_eq!(
-            c2.rep,
-            Representation::Coefficient,
-            "key switch decomposes a coefficient-domain polynomial"
+            "key switch runs in NTT representation"
         );
         assert_eq!(c0.level, l, "all batch jobs must share one level");
-        assert_eq!(c2.level, l, "RNS level mismatch");
         assert!(Arc::ptr_eq(&c0.ctx, &ctx), "context mismatch");
-        assert!(Arc::ptr_eq(&c2.ctx, &ctx), "context mismatch");
     }
     let n = ctx.degree();
-    let b = jobs.len();
-    ks_stats::record(b as u64, l as u64);
+    let pre = ctx.level(l);
+    ks_stats::record(jobs.len() as u64, l as u64);
+    let c2s: Vec<&RnsPoly> = jobs.iter().map(|(_, _, c2)| *c2).collect();
+    // The diagonal digit transform ĉ2_j · (Q/q_j)^{-1}, which at limb j is
+    // NTT(d_j) itself.
+    let diagonal = |job: usize, j: usize, out: &mut [u64]| {
+        ew::mul_shoup_scalar_into(
+            &ctx.moduli[j],
+            out,
+            &c2s[job].residues[j],
+            pre.qhat_inv[j],
+            pre.qhat_inv_shoup[j],
+        );
+    };
     // One decomposition pass for the whole batch: base digits d_j in
-    // [0, q_j), pooled, indexed [job][digit].
-    let digits: Vec<Vec<scratch::ScratchBuf>> = jobs
-        .iter()
-        .map(|(_, _, c2)| {
-            (0..l)
-                .map(|j| {
-                    let mut buf = scratch::take(n);
-                    c2.rns_digit_into(j, &mut buf);
-                    buf
-                })
-                .collect()
+    // [0, q_j), coefficient domain, pooled, indexed [job · l + digit]. (At
+    // level 1 the only digit is diagonal: nothing to lift.)
+    let digits: Vec<scratch::ScratchBuf> = if l == 1 {
+        Vec::new()
+    } else {
+        par::map_indices(jobs.len() * l, |u| {
+            let j = u % l;
+            let mut buf = scratch::take(n);
+            diagonal(u / l, j, &mut buf);
+            ctx.tables[j].inverse(&mut buf);
+            buf
         })
-        .collect();
+    };
     // Flatten (job, limb) into one parallel region; rows are moved out and
     // back to satisfy the borrow checker.
     let mut rows: Vec<(Vec<u64>, Vec<u64>)> = jobs
@@ -1084,27 +1012,25 @@ pub fn key_switch_batch(
         let job = u / l;
         let i = u % l;
         let mi = &ctx.moduli[i];
-        // Lazy budget: accumulator starts < q and gains 2l products < 2q
-        // each, so values stay < (2l+1)·q. Stream wrapping-lazily while
-        // that fits u64; otherwise reduce canonically per product (both
-        // yield the identical canonical output).
+        // Lazy budget: each accumulator starts < q and gains l products
+        // < 2q each, so values stay < (2l+1)·q. Stream wrapping-lazily
+        // while that fits u64; otherwise reduce canonically per product
+        // (both yield the identical canonical output).
         let lazy_ok = (2 * l as u128 + 1) * mi.value() as u128 <= u64::MAX as u128;
         let mut tmp = scratch::take(n);
-        for (j, dj) in digits[job].iter().enumerate() {
-            // Lift d_j to Z_{q_i} (a plain copy where q_i = q_j).
+        for (j, (kb, ka)) in keys.iter().enumerate() {
             if i == j {
-                tmp.copy_from_slice(dj);
+                diagonal(job, i, &mut tmp);
             } else {
-                lift_residues(mi, ctx.moduli[j].value(), &mut tmp, dj);
+                lift_digit(mi, ctx.moduli[j].value(), &mut tmp, &digits[job * l + j]);
+                ctx.tables[i].forward(&mut tmp);
             }
-            ctx.tables[i].forward(&mut tmp);
-            let (kb, ka) = &keys[j];
+            let kb = (kb.residue(i), kb.shoup_residue(i));
+            let ka = (ka.residue(i), ka.shoup_residue(i));
             if lazy_ok {
-                ew::mul_shoup_add_lazy(mi, r0, &tmp, kb.residue(i), kb.shoup_residue(i));
-                ew::mul_shoup_add_lazy(mi, r1, &tmp, ka.residue(i), ka.shoup_residue(i));
+                ew::mul_shoup_add_lazy2(mi, r0, r1, &tmp, kb, ka);
             } else {
-                ew::mul_shoup_add_assign(mi, r0, &tmp, kb.residue(i), kb.shoup_residue(i));
-                ew::mul_shoup_add_assign(mi, r1, &tmp, ka.residue(i), ka.shoup_residue(i));
+                ew::mul_shoup_add2(mi, r0, r1, &tmp, kb, ka);
             }
         }
         if lazy_ok {
@@ -1145,9 +1071,11 @@ pub mod ks_stats {
         pub jobs: u64,
         /// Digit-decomposition passes (one per batch, however many jobs).
         pub decompose_passes: u64,
-        /// Forward NTTs of lifted digits (`jobs · level²`).
+        /// Forward NTTs of lifted digits (`jobs · level · (level − 1)`: the
+        /// diagonal digit of every limb needs none).
         pub digit_ntts: u64,
-        /// Shoup multiply-accumulate kernel calls (`jobs · 2 · level²`).
+        /// Two-row Shoup multiply-accumulate passes (`jobs · level²`: one
+        /// per limb and digit, feeding both output rows).
         pub accumulates: u64,
     }
 
@@ -1155,8 +1083,8 @@ pub mod ks_stats {
         BATCH_CALLS.fetch_add(1, Ordering::Relaxed);
         JOBS.fetch_add(jobs, Ordering::Relaxed);
         DECOMPOSE_PASSES.fetch_add(1, Ordering::Relaxed);
-        DIGIT_NTTS.fetch_add(jobs * level * level, Ordering::Relaxed);
-        ACCUMULATES.fetch_add(jobs * 2 * level * level, Ordering::Relaxed);
+        DIGIT_NTTS.fetch_add(jobs * level * (level - 1), Ordering::Relaxed);
+        ACCUMULATES.fetch_add(jobs * level * level, Ordering::Relaxed);
     }
 
     /// Zeroes all counters (test setup).
@@ -1389,63 +1317,135 @@ mod tests {
         let mut got = a.clone();
         got.mul_shoup_assign(&bp);
         assert_eq!(got, want);
+    }
 
-        let acc0 = pseudo_poly(&c, 3, 3).ntt();
-        let mut want_acc = acc0.clone();
-        want_acc.mul_add_assign(&a, &b.ntt());
-        let mut got_acc = acc0;
-        got_acc.mul_shoup_add_assign(&a, &bp);
-        assert_eq!(got_acc, want_acc);
+    fn pseudo_keys(c: &Arc<RnsContext>, level: usize) -> Vec<(ShoupPrecomp, ShoupPrecomp)> {
+        (0..level as u64)
+            .map(|j| {
+                (
+                    ShoupPrecomp::new(pseudo_poly(c, level, 20 + j)),
+                    ShoupPrecomp::new(pseudo_poly(c, level, 40 + j)),
+                )
+            })
+            .collect()
     }
 
     #[test]
-    fn key_switch_matches_decompose_path() {
-        let c = ctx(16, 3);
-        let c2 = pseudo_poly(&c, 3, 10);
-        let keys: Vec<(ShoupPrecomp, ShoupPrecomp)> = (0..3)
-            .map(|j| {
-                (
-                    ShoupPrecomp::new(pseudo_poly(&c, 3, 20 + j)),
-                    ShoupPrecomp::new(pseudo_poly(&c, 3, 40 + j)),
-                )
-            })
-            .collect();
-        // Reference: decompose into digit polynomials, then mul-add.
-        let mut want0 = pseudo_poly(&c, 3, 60).ntt();
-        let mut want1 = pseudo_poly(&c, 3, 61).ntt();
-        let mut got0 = want0.clone();
-        let mut got1 = want1.clone();
+    fn key_switch_matches_decompose_oracle_at_every_level_and_batch_size() {
+        let c = ctx(16, 6);
+        for level in 1..=6 {
+            let keys = pseudo_keys(&c, level);
+            for batch in [1usize, 3] {
+                let c2: Vec<RnsPoly> = (0..batch as u64)
+                    .map(|b| pseudo_poly(&c, level, 10 + b))
+                    .collect();
+                let mut want: Vec<(RnsPoly, RnsPoly)> = (0..batch as u64)
+                    .map(|b| {
+                        (
+                            pseudo_poly(&c, level, 60 + b).ntt(),
+                            pseudo_poly(&c, level, 70 + b).ntt(),
+                        )
+                    })
+                    .collect();
+                let mut got = want.clone();
+                // Oracle: decompose into digit polynomials, then mul-add.
+                for ((w0, w1), c2) in want.iter_mut().zip(&c2) {
+                    for (d, (kb, ka)) in c2.rns_decompose().iter().zip(&keys) {
+                        w0.mul_add_assign(d, kb.poly());
+                        w1.mul_add_assign(d, ka.poly());
+                    }
+                }
+                let c2_ntt: Vec<RnsPoly> = c2.iter().map(RnsPoly::ntt).collect();
+                let mut jobs: Vec<(&mut RnsPoly, &mut RnsPoly, &RnsPoly)> = got
+                    .iter_mut()
+                    .zip(&c2_ntt)
+                    .map(|((g0, g1), c2)| (g0, g1, c2))
+                    .collect();
+                key_switch_batch(&mut jobs, &keys);
+                assert_eq!(got, want, "level {level} batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn key_switch_wide_primes_take_the_canonical_accumulate() {
+        // 61-bit primes leave no room for (2l+1)·q in a u64 at l = 4, so
+        // the per-limb budget check routes through `mul_shoup_add2`.
+        let c = RnsContext::with_primes(16, 61, 4).unwrap();
+        let keys = pseudo_keys(&c, 4);
+        let c2 = pseudo_poly(&c, 4, 5);
+        let mut want0 = pseudo_poly(&c, 4, 6).ntt();
+        let mut want1 = pseudo_poly(&c, 4, 7).ntt();
+        let (mut got0, mut got1) = (want0.clone(), want1.clone());
         for (d, (kb, ka)) in c2.rns_decompose().iter().zip(&keys) {
             want0.mul_add_assign(d, kb.poly());
             want1.mul_add_assign(d, ka.poly());
         }
-        key_switch_assign(&mut got0, &mut got1, &c2, &keys);
-        assert_eq!(got0, want0);
-        assert_eq!(got1, want1);
+        key_switch_assign(&mut got0, &mut got1, &c2.ntt(), &keys);
+        assert_eq!((got0, got1), (want0, want1));
+    }
+
+    /// `steps` chained coefficient-domain oracle steps around one inverse
+    /// and one forward transform.
+    fn mod_switch_oracle(p: &RnsPoly, steps: usize, t: u64) -> RnsPoly {
+        let mut c = p.coeff();
+        for _ in 0..steps {
+            c = c.mod_switch_down(t);
+        }
+        c.ntt()
     }
 
     #[test]
-    fn mod_switch_in_place_matches_cloning_variant() {
-        let c = ctx(16, 3);
-        let t = 257u64;
-        let p = pseudo_poly(&c, 3, 77);
-        let want = p.mod_switch_down(t);
-        let mut got = p;
-        got.mod_switch_down_in_place(t);
-        assert_eq!(got, want);
-        assert_eq!(got.level(), 2);
+    fn mod_switch_ntt_matches_coefficient_oracle_for_every_level_pair() {
+        let c = ctx(16, 6);
+        // Power-of-two and odd plaintext moduli (the mask and the general
+        // branch of the correction).
+        for t in [1u64 << 10, 257, 2, 65_537] {
+            for level in 2..=6 {
+                let p = pseudo_poly(&c, level, 7 * level as u64 + t).ntt();
+                for target in 1..level {
+                    let steps = level - target;
+                    let got = p.mod_switch_ntt(steps, t);
+                    assert_eq!(got.level(), target);
+                    assert_eq!(got.representation(), Representation::Ntt);
+                    assert_eq!(
+                        got,
+                        mod_switch_oracle(&p, steps, t),
+                        "t={t} level {level} → {target}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn rns_digit_into_matches_decompose_base_digit() {
-        let c = ctx(16, 2);
-        let p = pseudo_poly(&c, 2, 5);
-        let digits = p.rns_decompose();
-        for (j, digit) in digits.iter().enumerate() {
-            let mut out = vec![0u64; 16];
-            p.rns_digit_into(j, &mut out);
-            // The j-th digit polynomial's j-th residue is d_j itself.
-            assert_eq!(digit.coeff().residues()[j], out);
+    fn mod_switch_ntt_worst_case_residues() {
+        // All-(q−1) and all-zero inputs, and mixed-width primes that fail
+        // the kernel's |d| < q_i precondition (the Euclidean branch).
+        let c = ctx(16, 4);
+        for fill in [0u64, u64::MAX] {
+            let residues: Vec<Vec<u64>> = c
+                .moduli()
+                .iter()
+                .map(|m| vec![fill.min(m.value() - 1); 16])
+                .collect();
+            let p = RnsPoly::from_residues(c.clone(), Representation::Ntt, residues);
+            for steps in 1..4 {
+                assert_eq!(
+                    p.mod_switch_ntt(steps, 1 << 10),
+                    mod_switch_oracle(&p, steps, 1 << 10)
+                );
+            }
+        }
+        let small = zq::ntt_primes(30, 16, 2);
+        let big = zq::ntt_primes(50, 16, 2);
+        let mixed = RnsContext::new(16, &[small[0], big[0], small[1], big[1]]).unwrap();
+        let p = pseudo_poly(&mixed, 4, 3).ntt();
+        for steps in 1..4 {
+            assert_eq!(
+                p.mod_switch_ntt(steps, 257),
+                mod_switch_oracle(&p, steps, 257)
+            );
         }
     }
 

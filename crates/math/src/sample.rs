@@ -32,22 +32,44 @@ pub fn uniform_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, level: usize, rng: &m
 /// coefficient — the sampler is on the encrypt hot path, so it avoids the
 /// one-word-per-coefficient cost of `gen_range`.
 pub fn ternary_coeffs<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
-    let mut out = Vec::with_capacity(n);
+    // Candidates go a byte (four of them) at a time: `TERNARY_BYTES[b]`
+    // holds how many of byte b's 2-bit fields survive the rejection and
+    // their values, low field first. The stream consumed and the
+    // coefficients produced are those of the field-by-field loop; the
+    // fields of the last word past the n-th coefficient are dropped, as
+    // there.
+    let mut out = Vec::with_capacity(n + 4);
     while out.len() < n {
-        let mut w = rng.next_u64();
-        for _ in 0..32 {
-            let b = w & 3;
-            w >>= 2;
-            if b != 3 {
-                out.push(b as i64 - 1);
-                if out.len() == n {
-                    break;
-                }
-            }
+        for b in rng.next_u64().to_le_bytes() {
+            let (kept, vals) = TERNARY_BYTES[b as usize];
+            out.extend(vals.iter().map(|&v| v as i64));
+            out.truncate(out.len() - (4 - kept as usize));
         }
     }
+    out.truncate(n);
     out
 }
+
+/// Per byte of keystream: the number of 2-bit fields that are not `11`,
+/// and those fields minus one, in order, zero-padded.
+static TERNARY_BYTES: [(u8, [i8; 4]); 256] = {
+    let mut table = [(0u8, [0i8; 4]); 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut field = 0;
+        while field < 4 {
+            let bits = (b >> (2 * field)) & 3;
+            if bits != 3 {
+                let kept = table[b].0 as usize;
+                table[b].1[kept] = bits as i8 - 1;
+                table[b].0 += 1;
+            }
+            field += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Samples discrete Gaussian coefficients distributed as the *rounding* of
 /// a continuous Gaussian of standard deviation `sigma` (the common approach
@@ -55,22 +77,27 @@ pub fn ternary_coeffs<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
 /// onto `±cut` exactly as a round-then-clamp would).
 ///
 /// Implemented by inverting a cumulative distribution table (one uniform
-/// word and a short binary search per coefficient) rather than running
-/// Box–Muller per sample: the distribution is identical, but the hot
-/// encrypt path pays no transcendentals. Tables are cached per `sigma`.
+/// word, one guide-table lookup and a short scan per coefficient) rather
+/// than running Box–Muller per sample: the distribution is identical, but
+/// the hot encrypt path pays no transcendentals. Tables are cached per
+/// `sigma`.
 pub fn gaussian_coeffs<R: Rng + ?Sized>(n: usize, sigma: f64, rng: &mut R) -> Vec<i64> {
     let table = gaussian_table(sigma);
-    let cut = (table.cdf.len() as i64 - 1) / 2;
+    let cdf = &table.cdf[..];
+    let cut = (cdf.len() as i64 - 1) / 2;
     (0..n)
         .map(|_| {
             let r = rng.next_u64();
-            // Smallest k with r < cdf[k]; the min() folds the probability-
-            // 2^-64 draw r = u64::MAX onto the top bucket.
-            let k = table
-                .cdf
-                .partition_point(|&threshold| threshold <= r)
-                .min(table.cdf.len() - 1);
-            k as i64 - cut
+            // Smallest k with r < cdf[k], i.e. the number of thresholds
+            // ≤ r: those at or below r's top byte come from the guide
+            // table, the handful inside it (usually none) from a short
+            // scan. The min() folds the probability-2^-64 draw
+            // r = u64::MAX onto the top bucket.
+            let mut k = table.guide[(r >> 56) as usize] as usize;
+            while k < cdf.len() && cdf[k] <= r {
+                k += 1;
+            }
+            k.min(cdf.len() - 1) as i64 - cut
         })
         .collect()
 }
@@ -81,6 +108,9 @@ pub fn gaussian_coeffs<R: Rng + ?Sized>(n: usize, sigma: f64, rng: &mut R) -> Ve
 /// every draw lands in range.
 struct GaussianTable {
     cdf: Vec<u64>,
+    /// `guide[b]` = number of thresholds `≤ b·2^56`: where the inversion of
+    /// a draw with top byte `b` starts.
+    guide: [u16; 256],
 }
 
 fn gaussian_table(sigma: f64) -> Arc<GaussianTable> {
@@ -108,7 +138,8 @@ fn gaussian_table(sigma: f64) -> Arc<GaussianTable> {
         let scaled = (p * 18_446_744_073_709_551_616.0).min(u64::MAX as f64);
         cdf.push(if k == cut { u64::MAX } else { scaled as u64 });
     }
-    let table = Arc::new(GaussianTable { cdf });
+    let guide = std::array::from_fn(|b| cdf.partition_point(|&x| x <= (b as u64) << 56) as u16);
+    let table = Arc::new(GaussianTable { cdf, guide });
     guard.push((key, Arc::clone(&table)));
     table
 }
@@ -124,13 +155,6 @@ fn erf(x: f64) -> f64 {
             + t * (-0.284_496_736
                 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
     sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Samples a ternary secret directly as an [`RnsPoly`] in coefficient
-/// representation at the given level.
-pub fn ternary_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, level: usize, rng: &mut R) -> RnsPoly {
-    let coeffs = ternary_coeffs(ctx.degree(), rng);
-    RnsPoly::from_signed(ctx.clone(), level, &coeffs)
 }
 
 /// Samples Gaussian noise directly as an [`RnsPoly`] in coefficient

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernel tiers for the polynomial hot path.
 //!
-//! Every multiplication-heavy element-wise kernel ([`crate::ew`]) and both
-//! NTT butterfly passes ([`crate::ntt`]) route through a process-wide
+//! Every element-wise kernel ([`crate::ew`]) and both NTT butterfly passes
+//! ([`crate::ntt`]) route through a process-wide
 //! [`Kernels`] vtable selected exactly once, at first use:
 //!
 //! * `x86_64` with AVX-512 IFMA → 8-lane tier on the 52×52→104-bit
@@ -18,29 +18,34 @@
 //!
 //! # Bit-identity contract
 //!
-//! The hard invariant: every tier produces outputs **bit-identical** to
-//! the scalar oracle, on any CPU, at any `MYC_THREADS`. Two mechanisms:
+//! The hard invariant: every tier produces **canonical outputs**
+//! bit-identical to the scalar oracle, on any CPU, at any `MYC_THREADS`.
+//! Lazy intermediates are *not* part of the contract: a tier may hold a
+//! different representative of the same residue class inside a kernel (or
+//! in a lazy accumulator it hands back) as long as it is congruent mod `q`
+//! and inside the documented bound, because the canonical representative
+//! every consumer eventually stores is unique.
 //!
-//! * The Shoup kernels evaluate the *same integer formula* per element
-//!   (`a·w − ⌊a·w_s/2^64⌋·q`, wrapping), so the lazy intermediates — not
-//!   just the canonical outputs — match the scalar path exactly. (The
-//!   IFMA tier therefore does **not** override `mul_shoup_*`: its radix
-//!   would change the lazy representatives, and `mul_shoup_add_lazy`'s
-//!   contract exposes them.)
+//! * The Shoup kernels compute `a·w − ⌊a·w_s/β⌋·q` with `β = 2^64` on the
+//!   64-bit tiers and `β = 2^52` on the IFMA tier (for `q ≤ 2^50`; the
+//!   52-bit constant is `w_s >> 12`, exactly `⌊w·2^52/q⌋`, so no second
+//!   table exists). Either estimate lands in `[0, 2q)`; the two can differ
+//!   by `q`, which the closing conditional subtraction erases.
+//! * The lazy two-row accumulate (`mul_shoup_add_lazy2`) therefore hands
+//!   back accumulators that are congruent to the scalar oracle's and below
+//!   the same `(2l+1)·q` bound, not lane-for-lane equal to it; they are
+//!   equal after [`crate::ew::reduce_lazy_pow2`] — the NTT tiers' contract.
 //! * The Barrett product kernels (`mul_assign`, `tensor3`, …) are
 //!   replaced by Montgomery REDC in the vector tiers (64-bit Barrett
 //!   needs a 128-bit high product per element; REDC needs only 64-bit
-//!   mulhi/mullo, which SIMD has). The lazy `[0, 2q)` intermediates
-//!   differ from Barrett's, but each output is canonicalized before it is
-//!   stored, and the canonical representative of a residue class is
-//!   unique — so the stored bytes are identical.
+//!   mulhi/mullo, which SIMD has). Each output is canonicalized before it
+//!   is stored.
 //! * The NTT is canonical-in, canonical-out: both drivers end with a full
-//!   `mod q` canonicalization, and every butterfly formula used here is
-//!   congruent to the reference butterfly mod `q` with lazy bounds that
-//!   never overflow. So a tier may use a *different* quotient estimate
-//!   inside the transform (the IFMA butterflies estimate against `2^52`
-//!   instead of `2^64`, which can shift a lazy intermediate by `q`) and
-//!   still emit bit-identical transforms.
+//!   `mod q` canonicalization (a vector pass of the tier — a scalar
+//!   compare-and-branch loop there mispredicts on every fresh input and
+//!   once doubled the cost of a transform inside key switching), and
+//!   every butterfly formula used here is congruent to the reference
+//!   butterfly mod `q` with lazy bounds that never overflow.
 //!
 //! Non-multiple-of-lane-width tails always fall back to the scalar oracle
 //! for the remaining elements.
@@ -52,7 +57,8 @@
 //! | NTT forward pass | `[0, 4q)` | `[0, 4q)` | `[0, q)` after final pass |
 //! | NTT inverse pass | `[0, 2q)` | `[0, 2q)` | `[0, q)` after `n^{-1}` fold |
 //! | `mul_shoup_*` | canonical | `[0, 2q)` | canonical |
-//! | `mul_shoup_add_lazy` | canonical | `[0, (2l+1)q)` | caller reduces |
+//! | `mul_shoup_add_lazy2` | canonical | `[0, (2l+1)q)` | caller reduces |
+//! | `rescale_step` | canonical, `|d|, |w| < q` | `[0, 3q)` | canonical |
 //! | Montgomery products | canonical | `[0, 2q)` | canonical |
 //!
 //! Debug builds assert the stage ranges (see `debug_check_range`), so a
@@ -61,6 +67,7 @@
 
 use std::sync::OnceLock;
 
+use crate::ew::ShoupRow;
 use crate::zq::Modulus;
 
 /// Cache block size for NTT passes, in 64-bit elements (32 KiB — half a
@@ -81,11 +88,6 @@ pub struct NttShape<'a> {
     pub roots: &'a [u64],
     /// Shoup constants `floor(w·2^64/q)` matching `roots`.
     pub shoup: &'a [u64],
-    /// Radix-2^52 Shoup constants `floor(w·2^52/q)` matching `roots`, for
-    /// the AVX-512 IFMA butterflies. Empty when `4q > 2^52` (the table
-    /// owner only builds them inside the IFMA-sound range); the IFMA tier
-    /// checks for emptiness and falls back to the 64-bit kernels.
-    pub shoup52: &'a [u64],
     /// `n^{-1} mod q` (inverse direction only; 0 for forward).
     pub n_inv: u64,
     /// Shoup constant for `n_inv` (inverse direction only).
@@ -96,9 +98,24 @@ pub struct NttShape<'a> {
 /// `a[0]`, using twiddles `roots[root_base + chunk_index]`.
 pub type NttPass = fn(&NttShape, &mut [u64], usize, usize, usize);
 
-/// Signature shared by the three-operand Shoup kernels
-/// (`mul_shoup_{into, add_assign, add_lazy}`): `(m, out, a, b, b_shoup)`.
+/// Signature of `mul_shoup_into`: `(m, out, a, b, b_shoup)`.
 pub type ShoupTernaryFn = fn(&Modulus, &mut [u64], &[u64], &[u64], &[u64]);
+
+/// Signature of the two-row fused multiply-adds
+/// (`mul_shoup_add2`, `mul_shoup_add_lazy2`): `(m, acc0, acc1, a, k0, k1)`.
+pub type ShoupAdd2Fn = fn(&Modulus, &mut [u64], &mut [u64], &[u64], ShoupRow, ShoupRow);
+
+/// One modulus-switching step: `(m, y, d, w, inv, inv_shoup)`, see
+/// [`crate::ew::rescale_step`].
+pub type RescaleFn = fn(&Modulus, &mut [u64], &[i64], &[i64], u64, u64);
+
+/// Closing pass of a forward NTT: `(q, a, k)`, see
+/// [`crate::ew::reduce_lazy_pow2`].
+pub type ReduceFn = fn(u64, &mut [u64], u32);
+
+/// Closing pass of an inverse NTT: `(q, a, w, w_shoup)`, see
+/// [`crate::ew::scale_assign_scalar`].
+pub type ScaleFn = fn(u64, &mut [u64], u64, u64);
 
 /// The kernel vtable: one function pointer per hot kernel, selected once
 /// per process. All entries share the signatures of their scalar oracles
@@ -111,6 +128,16 @@ pub struct Kernels {
     pub ntt_fwd: fn(&NttShape, &mut [u64]),
     /// Full inverse negacyclic NTT: canonical in, canonical out.
     pub ntt_inv: fn(&NttShape, &mut [u64]),
+    /// `a[i] = a[i] + b[i] mod q`.
+    pub add_assign: fn(&Modulus, &mut [u64], &[u64]),
+    /// `a[i] = a[i] − b[i] mod q`.
+    pub sub_assign: fn(&Modulus, &mut [u64], &[u64]),
+    /// `a[i] = −a[i] mod q`.
+    pub neg_assign: fn(&Modulus, &mut [u64]),
+    /// `out[i] = src[i] mod q` for signed `|src[i]| < q`.
+    pub lift_signed: fn(&Modulus, &mut [u64], &[i64]),
+    /// `out[i] = src[i] mod q` for `src[i] < 2q`.
+    pub reduce_once_into: fn(&Modulus, &mut [u64], &[u64]),
     /// `a[i] = a[i]·b[i] mod q`.
     pub mul_assign: fn(&Modulus, &mut [u64], &[u64]),
     /// `out[i] = a[i]·b[i] mod q`.
@@ -125,12 +152,21 @@ pub struct Kernels {
     pub mul_shoup_assign: fn(&Modulus, &mut [u64], &[u64], &[u64]),
     /// `out[i] = a[i]·b[i] mod q` with Shoup constants for `b`.
     pub mul_shoup_into: ShoupTernaryFn,
-    /// `acc[i] += a[i]·b[i] mod q` with Shoup constants for `b`.
-    pub mul_shoup_add_assign: ShoupTernaryFn,
-    /// Lazy streaming accumulate; see [`crate::ew::mul_shoup_add_lazy`].
-    pub mul_shoup_add_lazy: ShoupTernaryFn,
+    /// Two-row canonical accumulate; see [`crate::ew::mul_shoup_add2`].
+    pub mul_shoup_add2: ShoupAdd2Fn,
+    /// Two-row lazy accumulate; see [`crate::ew::mul_shoup_add_lazy2`].
+    pub mul_shoup_add_lazy2: ShoupAdd2Fn,
     /// `out[i] = a[i]·w mod q` for one broadcast Shoup scalar.
     pub mul_shoup_scalar_into: fn(&Modulus, &mut [u64], &[u64], u64, u64),
+    /// `acc[i] += a[i]·w mod q` for one broadcast Shoup scalar.
+    pub mul_shoup_scalar_add_assign: fn(&Modulus, &mut [u64], &[u64], u64, u64),
+    /// One modulus-switching step; see [`crate::ew::rescale_step`].
+    pub rescale_step: RescaleFn,
+    /// `a[i] = a[i]·w mod q` in place, any lazy input the tier's
+    /// multiplier accepts; also the `n^{-1}` fold of the inverse NTT.
+    pub scale_assign: ScaleFn,
+    /// `[0, q·2^k) → [0, q)`; also the closing pass of the forward NTT.
+    pub reduce_lazy_pow2: ReduceFn,
 }
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
@@ -266,11 +302,11 @@ pub(crate) fn debug_check_range(a: &[u64], bound: u64, stage: &str) {
 /// region is driven to completion. Butterfly order changes, butterfly
 /// *inputs* do not (stages within a region only read that region once its
 /// prior stages are complete), so outputs are bit-identical to the
-/// unblocked loop. Ends with the single `[0, 4q) → [0, q)` pass.
-pub(crate) fn fwd_driver(s: &NttShape, a: &mut [u64], pass: NttPass) {
+/// unblocked loop. Ends with the single `[0, 4q) → [0, q)` pass, `reduce`
+/// with `k = 2`.
+pub(crate) fn fwd_driver(s: &NttShape, a: &mut [u64], pass: NttPass, reduce: ReduceFn) {
     let n = a.len();
     let q = s.q;
-    let two_q = q << 1;
     let block = NTT_BLOCK.min(n);
     let mut m = 1usize;
     let mut t = n / 2;
@@ -297,22 +333,13 @@ pub(crate) fn fwd_driver(s: &NttShape, a: &mut [u64], pass: NttPass) {
             debug_check_range(reg, 4 * q, "forward local stages");
         }
     }
-    for x in a.iter_mut() {
-        let mut v = *x;
-        if v >= two_q {
-            v -= two_q;
-        }
-        if v >= q {
-            v -= q;
-        }
-        *x = v;
-    }
+    reduce(q, a, 2);
 }
 
 /// Inverse GS mirror of [`fwd_driver`]: local stages first (while chunks
 /// fit a block), then the global stages, then the `n^{-1}` fold +
-/// canonicalization.
-pub(crate) fn inv_driver(s: &NttShape, a: &mut [u64], pass: NttPass) {
+/// canonicalization (`scale`, on `[0, 2q)` inputs).
+pub(crate) fn inv_driver(s: &NttShape, a: &mut [u64], pass: NttPass, scale: ScaleFn) {
     let n = a.len();
     let q = s.q;
     let block = NTT_BLOCK.min(n);
@@ -343,13 +370,7 @@ pub(crate) fn inv_driver(s: &NttShape, a: &mut [u64], pass: NttPass) {
         t *= 2;
         m = h;
     }
-    for x in a.iter_mut() {
-        // reduce_lazy(mul_shoup_lazy(x, n_inv)) — inlined so the shape
-        // does not need the full Modulus.
-        let hi = ((*x as u128 * s.n_inv_shoup as u128) >> 64) as u64;
-        let r = x.wrapping_mul(s.n_inv).wrapping_sub(hi.wrapping_mul(q));
-        *x = if r >= q { r - q } else { r };
-    }
+    scale(q, a, s.n_inv, s.n_inv_shoup);
 }
 
 // ---------------------------------------------------------------------------
@@ -370,10 +391,7 @@ pub(crate) mod scalar {
             let ws = s.shoup[root_base + i];
             let (lo, hi) = chunk.split_at_mut(t);
             for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let mut u = *x;
-                if u >= two_q {
-                    u -= two_q;
-                }
+                let u = if *x >= two_q { *x - two_q } else { *x };
                 // mul_shoup_lazy inlined against the shape's q.
                 let yh = ((*y as u128 * ws as u128) >> 64) as u64;
                 let v = y.wrapping_mul(w).wrapping_sub(yh.wrapping_mul(q)); // < 2q
@@ -405,26 +423,488 @@ pub(crate) mod scalar {
     }
 
     fn ntt_fwd(s: &NttShape, a: &mut [u64]) {
-        fwd_driver(s, a, fwd_pass);
+        fwd_driver(s, a, fwd_pass, ew::reduce_lazy_pow2_scalar);
     }
 
     fn ntt_inv(s: &NttShape, a: &mut [u64]) {
-        inv_driver(s, a, inv_pass);
+        inv_driver(s, a, inv_pass, ew::scale_assign_scalar);
     }
 
     pub(crate) static KERNELS: Kernels = Kernels {
         name: "scalar",
         ntt_fwd,
         ntt_inv,
+        add_assign: ew::add_assign_scalar,
+        sub_assign: ew::sub_assign_scalar,
+        neg_assign: ew::neg_assign_scalar,
+        lift_signed: ew::lift_signed_scalar,
+        reduce_once_into: ew::reduce_once_into_scalar,
         mul_assign: ew::mul_assign_scalar,
         mul_into: ew::mul_into_scalar,
         mul_add_assign: ew::mul_add_assign_scalar,
         tensor3: ew::tensor3_scalar,
         mul_shoup_assign: ew::mul_shoup_assign_scalar,
         mul_shoup_into: ew::mul_shoup_into_scalar,
-        mul_shoup_add_assign: ew::mul_shoup_add_assign_scalar,
-        mul_shoup_add_lazy: ew::mul_shoup_add_lazy_scalar,
+        mul_shoup_add2: ew::mul_shoup_add2_scalar,
+        mul_shoup_add_lazy2: ew::mul_shoup_add_lazy2_scalar,
         mul_shoup_scalar_into: ew::mul_shoup_scalar_into_scalar,
+        mul_shoup_scalar_add_assign: ew::mul_shoup_scalar_add_assign_scalar,
+        rescale_step: ew::rescale_step_scalar,
+        scale_assign: ew::scale_assign_scalar,
+        reduce_lazy_pow2: ew::reduce_lazy_pow2_scalar,
+    };
+}
+
+// ---------------------------------------------------------------------------
+// The Shoup / additive kernel family shared by every vector tier.
+// ---------------------------------------------------------------------------
+
+/// The vtable of a vector tier, from the kernel functions in scope.
+macro_rules! tier_kernels {
+    ($name:literal) => {
+        Kernels {
+            name: $name,
+            ntt_fwd,
+            ntt_inv,
+            add_assign,
+            sub_assign,
+            neg_assign,
+            lift_signed,
+            reduce_once_into,
+            mul_assign,
+            mul_into,
+            mul_add_assign,
+            tensor3,
+            mul_shoup_assign,
+            mul_shoup_into,
+            mul_shoup_add2,
+            mul_shoup_add_lazy2,
+            mul_shoup_scalar_into,
+            mul_shoup_scalar_add_assign,
+            rescale_step,
+            scale_assign,
+            reduce_lazy_pow2,
+        }
+    };
+}
+
+/// The Shoup-multiplier, additive and lifting kernels of a vector tier,
+/// written once against the tier's primitive ops (`V`, `LANES`, `splat`,
+/// `loadv`, `storev`, `addv`, `subv`, `cond_sub`) and its lazy Shoup
+/// product `shoup_lazy_v(a, w, ws, qv) ∈ [0, 2q)` — the 64-bit
+/// `mulhi`/`mullo` form on the generic tiers, the 52-bit IFMA form on
+/// `avx512ifma`. `$fits(q)` says whether the tier's multiplier is sound
+/// for the modulus; where it is not, the kernel forwards to `$fallback`.
+macro_rules! shoup_family {
+    ($feat:literal, $fits:expr, $fallback:expr) => {
+        #[target_feature(enable = $feat)]
+        unsafe fn add_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            debug_assert_eq!(a.len(), b.len());
+            let qv = splat(m.value());
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let s = addv(loadv(a.as_ptr().add(i)), loadv(b.as_ptr().add(i)));
+                storev(a.as_mut_ptr().add(i), cond_sub(s, qv));
+                i += LANES;
+            }
+            crate::ew::add_assign_scalar(m, &mut a[head..], &b[head..]);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn sub_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            debug_assert_eq!(a.len(), b.len());
+            let qv = splat(m.value());
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                // a + q − b ∈ (0, 2q).
+                let d = subv(addv(loadv(a.as_ptr().add(i)), qv), loadv(b.as_ptr().add(i)));
+                storev(a.as_mut_ptr().add(i), cond_sub(d, qv));
+                i += LANES;
+            }
+            crate::ew::sub_assign_scalar(m, &mut a[head..], &b[head..]);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn neg_assign_impl(m: &Modulus, a: &mut [u64]) {
+            let qv = splat(m.value());
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                // q − a ∈ (0, q]; the conditional subtract maps q to 0.
+                let d = subv(qv, loadv(a.as_ptr().add(i)));
+                storev(a.as_mut_ptr().add(i), cond_sub(d, qv));
+                i += LANES;
+            }
+            crate::ew::neg_assign_scalar(m, &mut a[head..]);
+        }
+
+        /// Two's-complement lift of `|c| < q`: `c + q` wraps a negative
+        /// `c` into `[0, q)` and pushes a non-negative one to `[q, 2q)`,
+        /// where the conditional subtract takes the `q` back off.
+        #[target_feature(enable = $feat)]
+        #[inline]
+        unsafe fn lift_v(c: V, qv: V) -> V {
+            cond_sub(addv(c, qv), qv)
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn lift_signed_impl(m: &Modulus, out: &mut [u64], src: &[i64]) {
+            debug_assert_eq!(out.len(), src.len());
+            let qv = splat(m.value());
+            let head = out.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let c = loadv(src.as_ptr().add(i).cast());
+                storev(out.as_mut_ptr().add(i), lift_v(c, qv));
+                i += LANES;
+            }
+            crate::ew::lift_signed_scalar(m, &mut out[head..], &src[head..]);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn reduce_once_into_impl(m: &Modulus, out: &mut [u64], src: &[u64]) {
+            debug_assert_eq!(out.len(), src.len());
+            let qv = splat(m.value());
+            let head = out.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                storev(
+                    out.as_mut_ptr().add(i),
+                    cond_sub(loadv(src.as_ptr().add(i)), qv),
+                );
+                i += LANES;
+            }
+            crate::ew::reduce_once_into_scalar(m, &mut out[head..], &src[head..]);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn reduce_lazy_pow2_impl(q: u64, a: &mut [u64], k: u32) {
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let mut v = loadv(a.as_ptr().add(i));
+                let mut s = k;
+                while s > 0 {
+                    s -= 1;
+                    v = cond_sub(v, splat(q << s));
+                }
+                storev(a.as_mut_ptr().add(i), v);
+                i += LANES;
+            }
+            crate::ew::reduce_lazy_pow2_scalar(q, &mut a[head..], k);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn scale_assign_impl(q: u64, a: &mut [u64], w: u64, ws: u64) {
+            let qv = splat(q);
+            let wv = splat(w);
+            let wsv = splat(ws);
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let r = shoup_lazy_v(loadv(a.as_ptr().add(i)), wv, wsv, qv);
+                storev(a.as_mut_ptr().add(i), cond_sub(r, qv));
+                i += LANES;
+            }
+            crate::ew::scale_assign_scalar(q, &mut a[head..], w, ws);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn mul_shoup_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
+            debug_assert_eq!(a.len(), b.len());
+            debug_assert_eq!(b.len(), bs.len());
+            let qv = splat(m.value());
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let r = shoup_lazy_v(
+                    loadv(a.as_ptr().add(i)),
+                    loadv(b.as_ptr().add(i)),
+                    loadv(bs.as_ptr().add(i)),
+                    qv,
+                );
+                storev(a.as_mut_ptr().add(i), cond_sub(r, qv));
+                i += LANES;
+            }
+            crate::ew::mul_shoup_assign_scalar(m, &mut a[head..], &b[head..], &bs[head..]);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn mul_shoup_into_impl(
+            m: &Modulus,
+            out: &mut [u64],
+            a: &[u64],
+            b: &[u64],
+            bs: &[u64],
+        ) {
+            debug_assert_eq!(out.len(), a.len());
+            debug_assert_eq!(a.len(), b.len());
+            debug_assert_eq!(b.len(), bs.len());
+            let qv = splat(m.value());
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let r = shoup_lazy_v(
+                    loadv(a.as_ptr().add(i)),
+                    loadv(b.as_ptr().add(i)),
+                    loadv(bs.as_ptr().add(i)),
+                    qv,
+                );
+                storev(out.as_mut_ptr().add(i), cond_sub(r, qv));
+                i += LANES;
+            }
+            crate::ew::mul_shoup_into_scalar(
+                m,
+                &mut out[head..],
+                &a[head..],
+                &b[head..],
+                &bs[head..],
+            );
+        }
+
+        /// Both two-row accumulates: `a` is loaded once per lane group,
+        /// each row adds its lazy product; `LAZY` leaves the wrapped sum,
+        /// otherwise `acc + p < 3q` is canonicalized.
+        #[target_feature(enable = $feat)]
+        unsafe fn mul_shoup_add2_impl<const LAZY: bool>(
+            m: &Modulus,
+            acc0: &mut [u64],
+            acc1: &mut [u64],
+            a: &[u64],
+            k0: ShoupRow,
+            k1: ShoupRow,
+        ) {
+            let n = a.len();
+            debug_assert!([
+                acc0.len(),
+                acc1.len(),
+                k0.0.len(),
+                k0.1.len(),
+                k1.0.len(),
+                k1.1.len()
+            ]
+            .iter()
+            .all(|&len| len == n));
+            let qv = splat(m.value());
+            let tqv = splat(m.value() << 1);
+            let head = n / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let av = loadv(a.as_ptr().add(i));
+                let p0 = shoup_lazy_v(
+                    av,
+                    loadv(k0.0.as_ptr().add(i)),
+                    loadv(k0.1.as_ptr().add(i)),
+                    qv,
+                );
+                let p1 = shoup_lazy_v(
+                    av,
+                    loadv(k1.0.as_ptr().add(i)),
+                    loadv(k1.1.as_ptr().add(i)),
+                    qv,
+                );
+                let mut s0 = addv(loadv(acc0.as_ptr().add(i)), p0);
+                let mut s1 = addv(loadv(acc1.as_ptr().add(i)), p1);
+                if !LAZY {
+                    s0 = cond_sub(cond_sub(s0, tqv), qv);
+                    s1 = cond_sub(cond_sub(s1, tqv), qv);
+                }
+                storev(acc0.as_mut_ptr().add(i), s0);
+                storev(acc1.as_mut_ptr().add(i), s1);
+                i += LANES;
+            }
+            let tail = if LAZY {
+                crate::ew::mul_shoup_add_lazy2_scalar
+            } else {
+                crate::ew::mul_shoup_add2_scalar
+            };
+            tail(
+                m,
+                &mut acc0[head..],
+                &mut acc1[head..],
+                &a[head..],
+                (&k0.0[head..], &k0.1[head..]),
+                (&k1.0[head..], &k1.1[head..]),
+            );
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn mul_shoup_scalar_into_impl(
+            m: &Modulus,
+            out: &mut [u64],
+            a: &[u64],
+            w: u64,
+            ws: u64,
+        ) {
+            debug_assert_eq!(out.len(), a.len());
+            let qv = splat(m.value());
+            let wv = splat(w);
+            let wsv = splat(ws);
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let r = shoup_lazy_v(loadv(a.as_ptr().add(i)), wv, wsv, qv);
+                storev(out.as_mut_ptr().add(i), cond_sub(r, qv));
+                i += LANES;
+            }
+            crate::ew::mul_shoup_scalar_into_scalar(m, &mut out[head..], &a[head..], w, ws);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn mul_shoup_scalar_add_assign_impl(
+            m: &Modulus,
+            acc: &mut [u64],
+            a: &[u64],
+            w: u64,
+            ws: u64,
+        ) {
+            debug_assert_eq!(acc.len(), a.len());
+            let qv = splat(m.value());
+            let tqv = splat(m.value() << 1);
+            let wv = splat(w);
+            let wsv = splat(ws);
+            let head = a.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let p = shoup_lazy_v(loadv(a.as_ptr().add(i)), wv, wsv, qv);
+                let s = addv(loadv(acc.as_ptr().add(i)), p); // < 3q
+                storev(acc.as_mut_ptr().add(i), cond_sub(cond_sub(s, tqv), qv));
+                i += LANES;
+            }
+            crate::ew::mul_shoup_scalar_add_assign_scalar(m, &mut acc[head..], &a[head..], w, ws);
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn rescale_step_impl(
+            m: &Modulus,
+            y: &mut [u64],
+            d: &[i64],
+            w: &[i64],
+            inv: u64,
+            inv_shoup: u64,
+        ) {
+            debug_assert_eq!(y.len(), d.len());
+            debug_assert_eq!(y.len(), w.len());
+            let qv = splat(m.value());
+            let tqv = splat(m.value() << 1);
+            let iv = splat(inv);
+            let isv = splat(inv_shoup);
+            let head = y.len() / LANES * LANES;
+            let mut i = 0usize;
+            while i < head {
+                let dv = lift_v(loadv(d.as_ptr().add(i).cast()), qv);
+                let wv = lift_v(loadv(w.as_ptr().add(i).cast()), qv);
+                // y − d, canonical, then the lazy product < 2q.
+                let x = cond_sub(subv(addv(loadv(y.as_ptr().add(i)), qv), dv), qv);
+                let p = shoup_lazy_v(x, iv, isv, qv);
+                // p + q − w ∈ (0, 3q).
+                let r = addv(p, subv(qv, wv));
+                storev(y.as_mut_ptr().add(i), cond_sub(cond_sub(r, tqv), qv));
+                i += LANES;
+            }
+            crate::ew::rescale_step_scalar(
+                m,
+                &mut y[head..],
+                &d[head..],
+                &w[head..],
+                inv,
+                inv_shoup,
+            );
+        }
+
+        // SAFETY (all wrappers below): these function pointers are only
+        // published through `select()` / `all_available()`, which gate
+        // this module behind runtime detection of exactly the features
+        // named in the `#[target_feature]` attributes above.
+        fn add_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            unsafe { add_assign_impl(m, a, b) }
+        }
+        fn sub_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
+            unsafe { sub_assign_impl(m, a, b) }
+        }
+        fn neg_assign(m: &Modulus, a: &mut [u64]) {
+            unsafe { neg_assign_impl(m, a) }
+        }
+        fn lift_signed(m: &Modulus, out: &mut [u64], src: &[i64]) {
+            unsafe { lift_signed_impl(m, out, src) }
+        }
+        fn reduce_once_into(m: &Modulus, out: &mut [u64], src: &[u64]) {
+            unsafe { reduce_once_into_impl(m, out, src) }
+        }
+        fn reduce_lazy_pow2(q: u64, a: &mut [u64], k: u32) {
+            unsafe { reduce_lazy_pow2_impl(q, a, k) }
+        }
+        fn scale_assign(q: u64, a: &mut [u64], w: u64, ws: u64) {
+            if !($fits)(q) {
+                return ($fallback.scale_assign)(q, a, w, ws);
+            }
+            unsafe { scale_assign_impl(q, a, w, ws) }
+        }
+        fn mul_shoup_assign(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
+            if !($fits)(m.value()) {
+                return ($fallback.mul_shoup_assign)(m, a, b, bs);
+            }
+            unsafe { mul_shoup_assign_impl(m, a, b, bs) }
+        }
+        fn mul_shoup_into(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
+            if !($fits)(m.value()) {
+                return ($fallback.mul_shoup_into)(m, out, a, b, bs);
+            }
+            unsafe { mul_shoup_into_impl(m, out, a, b, bs) }
+        }
+        fn mul_shoup_add2(
+            m: &Modulus,
+            acc0: &mut [u64],
+            acc1: &mut [u64],
+            a: &[u64],
+            k0: ShoupRow,
+            k1: ShoupRow,
+        ) {
+            if !($fits)(m.value()) {
+                return ($fallback.mul_shoup_add2)(m, acc0, acc1, a, k0, k1);
+            }
+            unsafe { mul_shoup_add2_impl::<false>(m, acc0, acc1, a, k0, k1) }
+        }
+        fn mul_shoup_add_lazy2(
+            m: &Modulus,
+            acc0: &mut [u64],
+            acc1: &mut [u64],
+            a: &[u64],
+            k0: ShoupRow,
+            k1: ShoupRow,
+        ) {
+            if !($fits)(m.value()) {
+                return ($fallback.mul_shoup_add_lazy2)(m, acc0, acc1, a, k0, k1);
+            }
+            unsafe { mul_shoup_add2_impl::<true>(m, acc0, acc1, a, k0, k1) }
+        }
+        fn mul_shoup_scalar_into(m: &Modulus, out: &mut [u64], a: &[u64], w: u64, ws: u64) {
+            if !($fits)(m.value()) {
+                return ($fallback.mul_shoup_scalar_into)(m, out, a, w, ws);
+            }
+            unsafe { mul_shoup_scalar_into_impl(m, out, a, w, ws) }
+        }
+        fn mul_shoup_scalar_add_assign(m: &Modulus, acc: &mut [u64], a: &[u64], w: u64, ws: u64) {
+            if !($fits)(m.value()) {
+                return ($fallback.mul_shoup_scalar_add_assign)(m, acc, a, w, ws);
+            }
+            unsafe { mul_shoup_scalar_add_assign_impl(m, acc, a, w, ws) }
+        }
+        fn rescale_step(
+            m: &Modulus,
+            y: &mut [u64],
+            d: &[i64],
+            w: &[i64],
+            inv: u64,
+            inv_shoup: u64,
+        ) {
+            if !($fits)(m.value()) {
+                return ($fallback.rescale_step)(m, y, d, w, inv, inv_shoup);
+            }
+            unsafe { rescale_step_impl(m, y, d, w, inv, inv_shoup) }
+        }
     };
 }
 
@@ -527,152 +1007,7 @@ macro_rules! vector_tier_body {
             }
         }
 
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_shoup_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-            debug_assert_eq!(a.len(), b.len());
-            debug_assert_eq!(b.len(), bs.len());
-            let qv = splat(m.value());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let r = shoup_lazy_v(
-                    loadv(a.as_ptr().add(i)),
-                    loadv(b.as_ptr().add(i)),
-                    loadv(bs.as_ptr().add(i)),
-                    qv,
-                );
-                storev(a.as_mut_ptr().add(i), cond_sub(r, qv));
-                i += LANES;
-            }
-            crate::ew::mul_shoup_assign_scalar(m, &mut a[head..], &b[head..], &bs[head..]);
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_shoup_into_impl(
-            m: &Modulus,
-            out: &mut [u64],
-            a: &[u64],
-            b: &[u64],
-            bs: &[u64],
-        ) {
-            debug_assert_eq!(out.len(), a.len());
-            debug_assert_eq!(a.len(), b.len());
-            debug_assert_eq!(b.len(), bs.len());
-            let qv = splat(m.value());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let r = shoup_lazy_v(
-                    loadv(a.as_ptr().add(i)),
-                    loadv(b.as_ptr().add(i)),
-                    loadv(bs.as_ptr().add(i)),
-                    qv,
-                );
-                storev(out.as_mut_ptr().add(i), cond_sub(r, qv));
-                i += LANES;
-            }
-            crate::ew::mul_shoup_into_scalar(
-                m,
-                &mut out[head..],
-                &a[head..],
-                &b[head..],
-                &bs[head..],
-            );
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_shoup_add_assign_impl(
-            m: &Modulus,
-            acc: &mut [u64],
-            a: &[u64],
-            b: &[u64],
-            bs: &[u64],
-        ) {
-            debug_assert_eq!(acc.len(), a.len());
-            debug_assert_eq!(a.len(), b.len());
-            debug_assert_eq!(b.len(), bs.len());
-            let qv = splat(m.value());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let p = cond_sub(
-                    shoup_lazy_v(
-                        loadv(a.as_ptr().add(i)),
-                        loadv(b.as_ptr().add(i)),
-                        loadv(bs.as_ptr().add(i)),
-                        qv,
-                    ),
-                    qv,
-                );
-                let s = addv(loadv(acc.as_ptr().add(i)), p); // both < q, so < 2q
-                storev(acc.as_mut_ptr().add(i), cond_sub(s, qv));
-                i += LANES;
-            }
-            crate::ew::mul_shoup_add_assign_scalar(
-                m,
-                &mut acc[head..],
-                &a[head..],
-                &b[head..],
-                &bs[head..],
-            );
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_shoup_add_lazy_impl(
-            m: &Modulus,
-            acc: &mut [u64],
-            a: &[u64],
-            b: &[u64],
-            bs: &[u64],
-        ) {
-            debug_assert_eq!(acc.len(), a.len());
-            debug_assert_eq!(a.len(), b.len());
-            debug_assert_eq!(b.len(), bs.len());
-            let qv = splat(m.value());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let p = shoup_lazy_v(
-                    loadv(a.as_ptr().add(i)),
-                    loadv(b.as_ptr().add(i)),
-                    loadv(bs.as_ptr().add(i)),
-                    qv,
-                );
-                // Wrapping accumulate; the caller owns the (2l+1)q < 2^64
-                // budget. Identical to the scalar oracle's wrapping_add.
-                storev(acc.as_mut_ptr().add(i), addv(loadv(acc.as_ptr().add(i)), p));
-                i += LANES;
-            }
-            crate::ew::mul_shoup_add_lazy_scalar(
-                m,
-                &mut acc[head..],
-                &a[head..],
-                &b[head..],
-                &bs[head..],
-            );
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_shoup_scalar_into_impl(
-            m: &Modulus,
-            out: &mut [u64],
-            a: &[u64],
-            w: u64,
-            ws: u64,
-        ) {
-            debug_assert_eq!(out.len(), a.len());
-            let qv = splat(m.value());
-            let wv = splat(w);
-            let wsv = splat(ws);
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let r = shoup_lazy_v(loadv(a.as_ptr().add(i)), wv, wsv, qv);
-                storev(out.as_mut_ptr().add(i), cond_sub(r, qv));
-                i += LANES;
-            }
-            crate::ew::mul_shoup_scalar_into_scalar(m, &mut out[head..], &a[head..], w, ws);
-        }
+        shoup_family!($feat, |_q: u64| true, crate::simd::scalar::KERNELS);
 
         #[target_feature(enable = $feat)]
         unsafe fn mul_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64]) {
@@ -805,10 +1140,10 @@ macro_rules! vector_tier_body {
             unsafe { inv_pass_impl(s, a, root_base, chunks, t) }
         }
         fn ntt_fwd(s: &NttShape, a: &mut [u64]) {
-            crate::simd::fwd_driver(s, a, fwd_pass)
+            crate::simd::fwd_driver(s, a, fwd_pass, reduce_lazy_pow2)
         }
         fn ntt_inv(s: &NttShape, a: &mut [u64]) {
-            crate::simd::inv_driver(s, a, inv_pass)
+            crate::simd::inv_driver(s, a, inv_pass, scale_assign)
         }
         fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
             unsafe { mul_assign_impl(m, a, b) }
@@ -827,36 +1162,8 @@ macro_rules! vector_tier_body {
         ) {
             unsafe { tensor3_impl(m, x, y, out) }
         }
-        fn mul_shoup_assign(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-            unsafe { mul_shoup_assign_impl(m, a, b, bs) }
-        }
-        fn mul_shoup_into(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-            unsafe { mul_shoup_into_impl(m, out, a, b, bs) }
-        }
-        fn mul_shoup_add_assign(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-            unsafe { mul_shoup_add_assign_impl(m, acc, a, b, bs) }
-        }
-        fn mul_shoup_add_lazy(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-            unsafe { mul_shoup_add_lazy_impl(m, acc, a, b, bs) }
-        }
-        fn mul_shoup_scalar_into(m: &Modulus, out: &mut [u64], a: &[u64], w: u64, ws: u64) {
-            unsafe { mul_shoup_scalar_into_impl(m, out, a, w, ws) }
-        }
 
-        pub(crate) static KERNELS: Kernels = Kernels {
-            name: $name,
-            ntt_fwd,
-            ntt_inv,
-            mul_assign,
-            mul_into,
-            mul_add_assign,
-            tensor3,
-            mul_shoup_assign,
-            mul_shoup_into,
-            mul_shoup_add_assign,
-            mul_shoup_add_lazy,
-            mul_shoup_scalar_into,
-        };
+        pub(crate) static KERNELS: Kernels = tier_kernels!($name);
     };
 }
 
@@ -866,6 +1173,7 @@ macro_rules! vector_tier_body {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use super::{Kernels, NttShape};
+    use crate::ew::ShoupRow;
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
 
@@ -954,6 +1262,7 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use super::{Kernels, NttShape};
+    use crate::ew::ShoupRow;
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
 
@@ -1035,23 +1344,21 @@ pub(crate) mod avx512 {
 ///
 /// That bound holds for this workspace's chain primes whenever
 /// `4q ≤ 2^52` (the lazy NTT domain is `[0, 4q)`), so each kernel gates
-/// on [`MAX_Q`] — for the NTT, equivalently on the presence of the
-/// radix-2^52 twiddle tables — and falls back to the 64-bit AVX-512 tier
-/// outside it.
+/// on [`MAX_Q`] and falls back to the 64-bit AVX-512 tier outside it.
 ///
-/// Bit-identity: the butterflies estimate quotients against `2^52`
-/// instead of `2^64`, which can shift a *lazy intermediate* by `q`
-/// relative to the scalar oracle — but every intermediate stays congruent
-/// mod `q` within the same overflow-free ranges, and the NTT drivers end
-/// with a full canonicalization, so the *transforms* are bit-identical
-/// (see the module-level contract). The product kernels are Montgomery
-/// REDC at radix 2^52; their outputs are canonicalized, hence identical.
-/// The `mul_shoup_*` kernels delegate to the 64-bit AVX-512 tier
-/// unconditionally because `mul_shoup_add_lazy` exposes its lazy
-/// accumulator, whose bytes are contractually the scalar 2^64-radix ones.
+/// Bit-identity: the butterflies and the Shoup kernels estimate quotients
+/// against `2^52` instead of `2^64`, which can shift a *lazy intermediate*
+/// by `q` relative to the scalar oracle — but every intermediate stays
+/// congruent mod `q` within the same overflow-free ranges, and every
+/// stored output is canonicalized, so outputs are bit-identical (see the
+/// module-level contract). The product kernels are Montgomery REDC at
+/// radix 2^52. Neither the butterflies nor the Shoup family need a table
+/// of their own: the 52-bit constant of a 64-bit Shoup constant
+/// `w_s = ⌊w·2^64/q⌋` is `w_s >> 12`, exactly `⌊w·2^52/q⌋`.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512ifma {
     use super::{Kernels, NttShape};
+    use crate::ew::ShoupRow;
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
 
@@ -1110,8 +1417,9 @@ pub(crate) mod avx512ifma {
 
     /// Radix-2^52 Shoup lazy product: `a·w − ⌊a·ws52/2^52⌋·q`, computed
     /// mod 2^52 and masked back. Exact (the true value is in `[0, 2q)`
-    /// ⊂ `[0, 2^52)`) when `a < 2^52` and `ws52 = ⌊w·2^52/q⌋` — the
-    /// twiddle-table owner guarantees both via the `4q ≤ 2^52` gate.
+    /// ⊂ `[0, 2^52)`) when `a < 2^52` and `ws52 = ⌊w·2^52/q⌋` (a 64-bit
+    /// Shoup constant shifted right by 12) — every caller sits behind the
+    /// `4q ≤ 2^52` gate.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     #[inline]
     unsafe fn shoup52_lazy_v(a: V, w: V, ws52: V, qv: V, zero: V, m52: V) -> V {
@@ -1132,6 +1440,29 @@ pub(crate) mod avx512ifma {
         let m = mad52lo(zero, lo, qinv52);
         addv(addv(hi, mad52hi(zero, m, qv)), carry_nonzero(lo))
     }
+
+    /// The family's lazy Shoup product on the 52-bit multiplier, from the
+    /// ordinary 64-bit constant: `⌊⌊w·2^64/q⌋ / 2^12⌋ = ⌊w·2^52/q⌋`.
+    /// Needs `a < 2^52` — canonical inputs and the `[0, 2q)` values of the
+    /// inverse NTT qualify under the `q ≤ 2^50` gate.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    #[inline]
+    unsafe fn shoup_lazy_v(a: V, w: V, ws: V, qv: V) -> V {
+        shoup52_lazy_v(
+            a,
+            w,
+            _mm512_srli_epi64::<12>(ws),
+            qv,
+            _mm512_setzero_si512(),
+            splat((1u64 << 52) - 1),
+        )
+    }
+
+    shoup_family!(
+        "avx512f,avx512dq,avx512ifma",
+        |q: u64| q <= MAX_Q,
+        super::avx512::KERNELS
+    );
 
     /// Harvey CT butterfly on whole vectors: `[0,4q) → [0,4q)`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
@@ -1198,7 +1529,7 @@ pub(crate) mod avx512ifma {
                     let x = _mm512_permutex2var_epi64(v0, idx_x, v1);
                     let y = _mm512_permutex2var_epi64(v0, idx_y, v1);
                     let w = $tw(s.roots.as_ptr().add(root_base + c));
-                    let ws = $tw(s.shoup52.as_ptr().add(root_base + c));
+                    let ws = _mm512_srli_epi64::<12>($tw(s.shoup.as_ptr().add(root_base + c)));
                     let (xo, yo) = $bfly(x, y, w, ws, qv, tqv, zero, m52);
                     storev(p, _mm512_permutex2var_epi64(xo, idx_s0, yo));
                     storev(p.add(LANES), _mm512_permutex2var_epi64(xo, idx_s1, yo));
@@ -1282,7 +1613,7 @@ pub(crate) mod avx512ifma {
         t: usize,
     ) {
         debug_assert_eq!(a.len(), chunks * 2 * t);
-        debug_assert!(!s.shoup52.is_empty(), "IFMA pass needs the 2^52 tables");
+        debug_assert!(s.q <= MAX_Q, "IFMA pass needs 4q ≤ 2^52");
         if t < LANES {
             // Each specialized stage consumes 16 elements per iteration,
             // so it needs the chunk count to cover whole vector pairs.
@@ -1300,7 +1631,7 @@ pub(crate) mod avx512ifma {
         let m52 = splat((1u64 << 52) - 1);
         for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
             let wv = splat(s.roots[root_base + i]);
-            let wsv = splat(s.shoup52[root_base + i]);
+            let wsv = splat(s.shoup[root_base + i] >> 12);
             let (lo, hi) = chunk.split_at_mut(t);
             let mut j = 0usize;
             while j < t {
@@ -1324,7 +1655,7 @@ pub(crate) mod avx512ifma {
         t: usize,
     ) {
         debug_assert_eq!(a.len(), chunks * 2 * t);
-        debug_assert!(!s.shoup52.is_empty(), "IFMA pass needs the 2^52 tables");
+        debug_assert!(s.q <= MAX_Q, "IFMA pass needs 4q ≤ 2^52");
         if t < LANES {
             match t {
                 4 if chunks.is_multiple_of(2) => return inv_t4(s, a, root_base, chunks),
@@ -1340,7 +1671,7 @@ pub(crate) mod avx512ifma {
         let m52 = splat((1u64 << 52) - 1);
         for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
             let wv = splat(s.roots[root_base + i]);
-            let wsv = splat(s.shoup52[root_base + i]);
+            let wsv = splat(s.shoup[root_base + i] >> 12);
             let (lo, hi) = chunk.split_at_mut(t);
             let mut j = 0usize;
             while j < t {
@@ -1483,16 +1814,16 @@ pub(crate) mod avx512ifma {
         unsafe { inv_pass_impl(s, a, root_base, chunks, t) }
     }
     fn ntt_fwd(s: &NttShape, a: &mut [u64]) {
-        if s.shoup52.is_empty() {
+        if s.q > MAX_Q {
             return (super::avx512::KERNELS.ntt_fwd)(s, a);
         }
-        crate::simd::fwd_driver(s, a, fwd_pass)
+        crate::simd::fwd_driver(s, a, fwd_pass, reduce_lazy_pow2)
     }
     fn ntt_inv(s: &NttShape, a: &mut [u64]) {
-        if s.shoup52.is_empty() {
+        if s.q > MAX_Q {
             return (super::avx512::KERNELS.ntt_inv)(s, a);
         }
-        crate::simd::inv_driver(s, a, inv_pass)
+        crate::simd::inv_driver(s, a, inv_pass, scale_assign)
     }
     fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
         if !fits52(m) {
@@ -1523,36 +1854,8 @@ pub(crate) mod avx512ifma {
         }
         unsafe { tensor3_impl(m, x, y, out) }
     }
-    fn mul_shoup_assign(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-        (super::avx512::KERNELS.mul_shoup_assign)(m, a, b, bs)
-    }
-    fn mul_shoup_into(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-        (super::avx512::KERNELS.mul_shoup_into)(m, out, a, b, bs)
-    }
-    fn mul_shoup_add_assign(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-        (super::avx512::KERNELS.mul_shoup_add_assign)(m, acc, a, b, bs)
-    }
-    fn mul_shoup_add_lazy(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
-        (super::avx512::KERNELS.mul_shoup_add_lazy)(m, acc, a, b, bs)
-    }
-    fn mul_shoup_scalar_into(m: &Modulus, out: &mut [u64], a: &[u64], w: u64, ws: u64) {
-        (super::avx512::KERNELS.mul_shoup_scalar_into)(m, out, a, w, ws)
-    }
 
-    pub(crate) static KERNELS: Kernels = Kernels {
-        name: "avx512ifma",
-        ntt_fwd,
-        ntt_inv,
-        mul_assign,
-        mul_into,
-        mul_add_assign,
-        tensor3,
-        mul_shoup_assign,
-        mul_shoup_into,
-        mul_shoup_add_assign,
-        mul_shoup_add_lazy,
-        mul_shoup_scalar_into,
-    };
+    pub(crate) static KERNELS: Kernels = tier_kernels!("avx512ifma");
 }
 
 /// NEON tier: 2 × u64 lanes; 64-bit products from `vmull_u32` 32×32
@@ -1560,6 +1863,7 @@ pub(crate) mod avx512ifma {
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
     use super::{Kernels, NttShape};
+    use crate::ew::ShoupRow;
     use crate::zq::Modulus;
     use core::arch::aarch64::*;
 
@@ -1641,18 +1945,6 @@ pub(crate) mod neon {
 mod tests {
     use super::*;
 
-    fn pseudo(seed: u64, q: u64, n: usize) -> Vec<u64> {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s % q
-            })
-            .collect()
-    }
-
     #[test]
     fn selection_is_stable_and_scalar_always_available() {
         assert_eq!(kernels().name, kernels().name);
@@ -1660,85 +1952,5 @@ mod tests {
         assert_eq!(tiers[0].name, "scalar");
         // The active tier must be one of the available tiers.
         assert!(tiers.iter().any(|t| t.name == kernels().name));
-    }
-
-    #[test]
-    fn every_tier_matches_scalar_on_every_kernel() {
-        // Odd length exercises the scalar tail of every lane width; the
-        // worst-case all-(q-1) block exercises the lazy-domain bounds.
-        for bits in [30u32, 45, 55] {
-            let q = crate::zq::ntt_primes(bits, 1 << 10, 1)[0];
-            let m = Modulus::new_prime(q).unwrap();
-            let n = 67;
-            let mut a0 = pseudo(1, q, n);
-            let b = {
-                let mut b = pseudo(2, q, n);
-                for x in b.iter_mut().take(8) {
-                    *x = q - 1;
-                }
-                b
-            };
-            a0[0] = q - 1;
-            let bs: Vec<u64> = b.iter().map(|&w| m.shoup(w)).collect();
-            let c = pseudo(3, q, n);
-
-            for k in all_available() {
-                let name = k.name;
-
-                let mut want = a0.clone();
-                crate::ew::mul_assign_scalar(&m, &mut want, &b);
-                let mut got = a0.clone();
-                (k.mul_assign)(&m, &mut got, &b);
-                assert_eq!(got, want, "{name} mul_assign bits={bits}");
-
-                let mut want = vec![0; n];
-                crate::ew::mul_into_scalar(&m, &mut want, &a0, &b);
-                let mut got = vec![0; n];
-                (k.mul_into)(&m, &mut got, &a0, &b);
-                assert_eq!(got, want, "{name} mul_into bits={bits}");
-
-                let mut want = c.clone();
-                crate::ew::mul_add_assign_scalar(&m, &mut want, &a0, &b);
-                let mut got = c.clone();
-                (k.mul_add_assign)(&m, &mut got, &a0, &b);
-                assert_eq!(got, want, "{name} mul_add_assign bits={bits}");
-
-                let (mut w0, mut w1, mut w2) = (vec![0; n], vec![0; n], vec![0; n]);
-                crate::ew::tensor3_scalar(&m, (&a0, &b), (&c, &a0), (&mut w0, &mut w1, &mut w2));
-                let (mut g0, mut g1, mut g2) = (vec![0; n], vec![0; n], vec![0; n]);
-                (k.tensor3)(&m, (&a0, &b), (&c, &a0), (&mut g0, &mut g1, &mut g2));
-                assert_eq!((g0, g1, g2), (w0, w1, w2), "{name} tensor3 bits={bits}");
-
-                let mut want = a0.clone();
-                crate::ew::mul_shoup_assign_scalar(&m, &mut want, &b, &bs);
-                let mut got = a0.clone();
-                (k.mul_shoup_assign)(&m, &mut got, &b, &bs);
-                assert_eq!(got, want, "{name} mul_shoup_assign bits={bits}");
-
-                let mut want = vec![0; n];
-                crate::ew::mul_shoup_into_scalar(&m, &mut want, &a0, &b, &bs);
-                let mut got = vec![0; n];
-                (k.mul_shoup_into)(&m, &mut got, &a0, &b, &bs);
-                assert_eq!(got, want, "{name} mul_shoup_into bits={bits}");
-
-                let mut want = c.clone();
-                crate::ew::mul_shoup_add_assign_scalar(&m, &mut want, &a0, &b, &bs);
-                let mut got = c.clone();
-                (k.mul_shoup_add_assign)(&m, &mut got, &a0, &b, &bs);
-                assert_eq!(got, want, "{name} mul_shoup_add_assign bits={bits}");
-
-                let mut want = c.clone();
-                crate::ew::mul_shoup_add_lazy_scalar(&m, &mut want, &a0, &b, &bs);
-                let mut got = c.clone();
-                (k.mul_shoup_add_lazy)(&m, &mut got, &a0, &b, &bs);
-                assert_eq!(got, want, "{name} mul_shoup_add_lazy bits={bits}");
-
-                let mut want = vec![0; n];
-                crate::ew::mul_shoup_scalar_into_scalar(&m, &mut want, &a0, b[0], bs[0]);
-                let mut got = vec![0; n];
-                (k.mul_shoup_scalar_into)(&m, &mut got, &a0, b[0], bs[0]);
-                assert_eq!(got, want, "{name} mul_shoup_scalar_into bits={bits}");
-            }
-        }
     }
 }

@@ -186,16 +186,6 @@ impl Modulus {
         (((w as u128) << 64) / self.q as u128) as u64
     }
 
-    /// Radix-2^52 Shoup precomputation: `floor(w · 2^52 / q)`, the twiddle
-    /// companion constant for the AVX-512 IFMA butterfly (52×52→104-bit
-    /// multiplier). Only sound as a quotient estimate when the lazy operand
-    /// stays below 2^52, i.e. when `4q ≤ 2^52`.
-    #[inline]
-    pub(crate) fn shoup52(&self, w: u64) -> u64 {
-        debug_assert!(w < self.q);
-        (((w as u128) << 52) / self.q as u128) as u64
-    }
-
     /// Shoup multiplication with a *lazy* result in `[0, 2q)`.
     ///
     /// `w` must be reduced and `w_shoup` must be [`Modulus::shoup`]`(w)`;
