@@ -18,7 +18,7 @@ use mycelium_math::rng::Rng;
 use mycelium_math::rns::{
     key_switch_assign, key_switch_batch, Representation, RnsContext, RnsPoly, ShoupPrecomp,
 };
-use mycelium_math::{ew, par, sample, scratch};
+use mycelium_math::{ew, sample, scratch};
 
 use crate::keys::{PublicKey, RelinKey, SecretKey};
 use crate::params::BgvParams;
@@ -250,7 +250,7 @@ impl Ciphertext {
             bound1 = bound1.max(e.unsigned_abs());
         }
         let (b, a) = (pk.b(), pk.a());
-        let rows = par::map_indices(level, |i| {
+        let row = |i: usize| {
             let m = &ctx.moduli()[i];
             let table = &ctx.tables()[i];
             let mut u_hat = scratch::take(n);
@@ -271,8 +271,8 @@ impl Ciphertext {
                 (a.residue(i), a.shoup_residue(i)),
             );
             (c0, c1)
-        });
-        let (c0, c1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        };
+        let (c0, c1): (Vec<_>, Vec<_>) = (0..level).map(row).unzip();
         Ok(Self {
             parts: vec![
                 RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, c0),
@@ -404,10 +404,8 @@ impl Ciphertext {
     /// Homomorphic multiplication (tensor product). Both operands must be
     /// degree-1; the result is degree-2 until relinearized.
     ///
-    /// The three output components are computed in one fused pass: each
-    /// residue is one unit of work producing `(c0, c1, c2)` rows together,
-    /// so the whole tensor product is a single parallel region with no
-    /// intermediate allocations.
+    /// The three output components are computed in one fused pass per
+    /// residue, with no intermediate allocations.
     pub fn mul(&self, other: &Self) -> Result<Self, BgvError> {
         self.check_level(other)?;
         if self.parts.len() != 2 || other.parts.len() != 2 {
@@ -419,7 +417,10 @@ impl Ciphertext {
         let level = self.level();
         let (a0, a1) = (&self.parts[0], &self.parts[1]);
         let (b0, b1) = (&other.parts[0], &other.parts[1]);
-        let rows = par::map_indices(level, |i| {
+        let mut c0 = Vec::with_capacity(level);
+        let mut c1 = Vec::with_capacity(level);
+        let mut c2 = Vec::with_capacity(level);
+        for i in 0..level {
             let m = &ctx.moduli()[i];
             let (x0, x1) = (&a0.residues()[i], &a1.residues()[i]);
             let (y0, y1) = (&b0.residues()[i], &b1.residues()[i]);
@@ -431,12 +432,6 @@ impl Ciphertext {
             // four partial products stay in the lazy domain until each
             // output's single canonicalization (see ew::tensor3).
             ew::tensor3(m, (x0, x1), (y0, y1), (&mut r0, &mut r1, &mut r2));
-            (r0, r1, r2)
-        });
-        let mut c0 = Vec::with_capacity(level);
-        let mut c1 = Vec::with_capacity(level);
-        let mut c2 = Vec::with_capacity(level);
-        for (r0, r1, r2) in rows {
             c0.push(r0);
             c1.push(r1);
             c2.push(r2);
@@ -475,23 +470,14 @@ impl Ciphertext {
             return self.clone();
         }
         let parts = if self.parts[0].representation() == Representation::Ntt {
-            let rows = par::map_indices(self.level(), |i| {
-                let (mut w, mut ws) = (scratch::take(n), scratch::take(n));
-                ctx.tables()[i].monomial_shoup_into(k, &mut w, &mut ws);
-                self.parts
-                    .iter()
-                    .map(|p| {
-                        let mut r = vec![0u64; n];
-                        ew::mul_shoup_into(&ctx.moduli()[i], &mut r, &p.residues()[i], &w, &ws);
-                        r
-                    })
-                    .collect::<Vec<_>>()
-            });
-            // rows[limb][part] → one residue list per part.
             let mut residues: Vec<Vec<Vec<u64>>> = vec![Vec::new(); self.parts.len()];
-            for row in rows {
-                for (part, r) in residues.iter_mut().zip(row) {
-                    part.push(r);
+            let (mut w, mut ws) = (scratch::take(n), scratch::take(n));
+            for i in 0..self.level() {
+                ctx.tables()[i].monomial_shoup_into(k, &mut w, &mut ws);
+                for (out, p) in residues.iter_mut().zip(&self.parts) {
+                    let mut r = vec![0u64; n];
+                    ew::mul_shoup_into(&ctx.moduli()[i], &mut r, &p.residues()[i], &w, &ws);
+                    out.push(r);
                 }
             }
             residues
@@ -682,10 +668,9 @@ impl Ciphertext {
             return Err(BgvError::BottomOfChain);
         }
         let t = self.params.plaintext_modulus;
-        // Each part is independent: rescale them in parallel (the inner
-        // per-residue loops then run serially under the nesting guard),
-        // in the NTT domain — only the dropped limb is inverse-transformed.
-        let parts: Vec<RnsPoly> = par::map(&self.parts, |_, p| p.mod_switch_ntt(1, t));
+        // Each part rescales in the NTT domain: only the dropped limb is
+        // inverse-transformed.
+        let parts: Vec<RnsPoly> = self.parts.iter().map(|p| p.mod_switch_ntt(1, t)).collect();
         // New noise: old/q_l plus the rounding term ≈ t·(1+N)/2 per part.
         let p = &self.params;
         let switched = self.noise_log2 - p.prime_bits as f64;
@@ -715,7 +700,8 @@ impl Ciphertext {
             return Ok(self.clone());
         }
         let t = self.params.plaintext_modulus;
-        let parts: Vec<RnsPoly> = par::map(&self.parts, |_, p| p.mod_switch_ntt(steps, t));
+        let switch = |p: &RnsPoly| p.mod_switch_ntt(steps, t);
+        let parts: Vec<RnsPoly> = self.parts.iter().map(switch).collect();
         let p = &self.params;
         let rounding = (t as f64 * (1.0 + p.n as f64) / 2.0 * self.parts.len() as f64).log2();
         let mut noise = self.noise_log2;

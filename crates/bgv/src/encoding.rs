@@ -56,23 +56,11 @@ pub fn encode_one(n: usize, t: u64) -> Plaintext {
     encode_monomial(0, n, t).expect("0 < n")
 }
 
-/// Encodes the additive identity (the all-zero plaintext, used when a
-/// `self` predicate fails at final processing, §4.4).
-pub fn encode_zero(n: usize, t: u64) -> Plaintext {
-    Plaintext::zero(n, t)
-}
-
 /// Encodes the constant `c` at coefficient zero.
 pub fn encode_constant(c: u64, n: usize, t: u64) -> Result<Plaintext, BgvError> {
     let mut coeffs = vec![0u64; n];
     coeffs[0] = c % t;
     Plaintext::new(coeffs, t)
-}
-
-/// Reads the decrypted histogram: coefficient `i` is the number of origin
-/// vertices whose local result was `i`.
-pub fn decode_histogram(pt: &Plaintext, max_value: usize) -> Vec<u64> {
-    pt.coeffs()[..max_value.min(pt.coeffs().len())].to_vec()
 }
 
 /// Sums histogram counts into the caller's (half-open) bins, e.g.

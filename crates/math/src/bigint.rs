@@ -95,11 +95,6 @@ impl BigUint {
         r
     }
 
-    /// Adds a single word.
-    pub fn add_u64(&self, v: u64) -> Self {
-        self.add(&Self::from_u64(v))
-    }
-
     /// Subtraction; returns `None` if `other > self`.
     pub fn checked_sub(&self, other: &Self) -> Option<Self> {
         if self.cmp_big(other) == Ordering::Less {

@@ -55,12 +55,6 @@ impl Poly {
         &self.coeffs
     }
 
-    /// Returns a mutable coefficient slice.
-    #[inline]
-    pub fn coeffs_mut(&mut self) -> &mut [u64] {
-        &mut self.coeffs
-    }
-
     /// Returns the modulus.
     #[inline]
     pub fn modulus(&self) -> Modulus {

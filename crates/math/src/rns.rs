@@ -299,14 +299,14 @@ impl RnsPoly {
         &self.residues
     }
 
-    /// Converts to NTT representation (no-op if already there). One forward
-    /// transform per residue, fanned out across threads.
+    /// Converts to NTT representation (no-op if already there).
     pub fn to_ntt(&mut self) {
         if self.rep == Representation::Ntt {
             return;
         }
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| ctx.tables[i].forward(r));
+        for (r, table) in self.residues.iter_mut().zip(&self.ctx.tables) {
+            table.forward(r);
+        }
         self.rep = Representation::Ntt;
     }
 
@@ -315,8 +315,9 @@ impl RnsPoly {
         if self.rep == Representation::Coefficient {
             return;
         }
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| ctx.tables[i].inverse(r));
+        for (r, table) in self.residues.iter_mut().zip(&self.ctx.tables) {
+            table.inverse(r);
+        }
         self.rep = Representation::Coefficient;
     }
 
@@ -342,10 +343,9 @@ impl RnsPoly {
     /// Panics on level or representation mismatch.
     pub fn add_assign(&mut self, other: &Self) {
         self.check_compat(other);
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::add_assign(&ctx.moduli[i], r, &other.residues[i]);
-        });
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            ew::add_assign(&self.ctx.moduli[i], r, &other.residues[i]);
+        }
     }
 
     /// Element-wise addition.
@@ -366,10 +366,9 @@ impl RnsPoly {
     /// Panics on level or representation mismatch.
     pub fn sub_assign(&mut self, other: &Self) {
         self.check_compat(other);
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::sub_assign(&ctx.moduli[i], r, &other.residues[i]);
-        });
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            ew::sub_assign(&self.ctx.moduli[i], r, &other.residues[i]);
+        }
     }
 
     /// Element-wise subtraction.
@@ -385,10 +384,9 @@ impl RnsPoly {
 
     /// In-place negation.
     pub fn neg_assign(&mut self) {
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::neg_assign(&ctx.moduli[i], r);
-        });
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            ew::neg_assign(&self.ctx.moduli[i], r);
+        }
     }
 
     /// Negation.
@@ -412,10 +410,9 @@ impl RnsPoly {
             Representation::Ntt,
             "ring multiplication requires NTT representation"
         );
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::mul_assign(&ctx.moduli[i], r, &other.residues[i]);
-        });
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            ew::mul_assign(&self.ctx.moduli[i], r, &other.residues[i]);
+        }
     }
 
     /// Ring multiplication; both operands must be in NTT representation.
@@ -446,20 +443,18 @@ impl RnsPoly {
             Representation::Ntt,
             "fused multiply-add requires NTT representation"
         );
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::mul_add_assign(&ctx.moduli[i], r, &a.residues[i], &b.residues[i]);
-        });
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            ew::mul_add_assign(&self.ctx.moduli[i], r, &a.residues[i], &b.residues[i]);
+        }
     }
 
     /// In-place multiplication by an integer scalar (reduced per prime).
     /// Works in either representation.
     pub fn scalar_mul_assign(&mut self, s: u64) {
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            let m = &ctx.moduli[i];
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            let m = &self.ctx.moduli[i];
             ew::scalar_mul_assign(m, r, m.reduce(s));
-        });
+        }
     }
 
     /// Multiplies by an integer scalar (reduced per prime). Works in either
@@ -600,7 +595,9 @@ impl RnsPoly {
             }
         };
         let mut dropped: Vec<Vec<u64>> = self.residues[keep..].to_vec();
-        par::for_each_mut(&mut dropped, |jj, r| ctx.tables[keep + jj].inverse(r));
+        for (r, table) in dropped.iter_mut().zip(&ctx.tables[keep..]) {
+            table.inverse(r);
+        }
         // corrections[s] = (d, w) of the step that drops prime l−1−s.
         let mut corrections: Vec<(Vec<i64>, Vec<i64>)> = Vec::with_capacity(steps);
         for s in 0..steps {
@@ -608,10 +605,12 @@ impl RnsPoly {
             let last = dropped.pop().expect("one dropped limb per step");
             let (mut d, mut w) = (vec![0i64; n], vec![0i64; n]);
             switch_correction(&ctx.moduli[j], t, &last, &mut d, &mut w);
-            par::for_each_mut(&mut dropped, |jj, y| step(keep + jj, j, y, &d, &w));
+            for (jj, y) in dropped.iter_mut().enumerate() {
+                step(keep + jj, j, y, &d, &w);
+            }
             corrections.push((d, w));
         }
-        let residues = par::map_indices(keep, |i| {
+        let residue = |i: usize| {
             let m = &ctx.moduli[i];
             let mut y = vec![0u64; n];
             let mut p = 1u64;
@@ -623,12 +622,12 @@ impl RnsPoly {
             ctx.tables[i].forward(&mut y);
             ew::mul_shoup_scalar_add_assign(m, &mut y, &self.residues[i], p, m.shoup(p));
             y
-        });
+        };
         Self {
             ctx: self.ctx.clone(),
             level: keep,
             rep: Representation::Ntt,
-            residues,
+            residues: (0..keep).map(residue).collect(),
         }
     }
 
@@ -713,8 +712,8 @@ impl RnsPoly {
         let l = self.level;
         let pre = self.ctx.level(l);
         // One independent digit polynomial per active prime: compute, lift,
-        // and forward-transform each on its own thread.
-        par::map_indices(l, |j| {
+        // and forward-transform.
+        let digit = |j: usize| {
             // d_j coefficients as integers in [0, q_j).
             let mj = &self.ctx.moduli[j];
             let dj: Vec<u64> = self.residues[j]
@@ -734,7 +733,8 @@ impl RnsPoly {
             };
             p.to_ntt();
             p
-        })
+        };
+        (0..l).map(digit).collect()
     }
 
     fn crt_coeff(&self, j: usize, pre: &LevelPrecomp) -> BigUint {
@@ -769,10 +769,10 @@ impl RnsPoly {
             Representation::Ntt,
             "ring multiplication requires NTT representation"
         );
-        let ctx = self.ctx.clone();
-        par::for_each_mut(&mut self.residues, |i, r| {
-            ew::mul_shoup_assign(&ctx.moduli[i], r, other.residue(i), other.shoup_residue(i));
-        });
+        for (i, r) in self.residues.iter_mut().enumerate() {
+            let m = &self.ctx.moduli[i];
+            ew::mul_shoup_assign(m, r, other.residue(i), other.shoup_residue(i));
+        }
     }
 
     fn check_compat(&self, other: &Self) {

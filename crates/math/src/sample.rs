@@ -169,17 +169,6 @@ pub fn gaussian_rns<R: Rng + ?Sized>(
     RnsPoly::from_signed(ctx.clone(), level, &coeffs)
 }
 
-/// Samples a standard normal via the Box–Muller transform.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        let u2: f64 = rng.gen::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-    }
-}
-
 /// Samples continuous Laplace noise with scale `b` (density
 /// `exp(-|x|/b) / 2b`), the Laplace-mechanism primitive.
 ///

@@ -31,6 +31,9 @@
 //! * [`aggcore`] — the aggregation plane's protocol state and transitions
 //!   (intake, shard roots, committee tail, certificate), written once with
 //!   no I/O; the simulated and the real-process round both drive it.
+//! * [`roles`] — the client half, written once the same way: what a device,
+//!   an origin and a committee member compute, and the order each draws its
+//!   randomness in.
 //! * [`simround`] — the same round re-hosted as message-passing actors on
 //!   the deterministic simnet, with fault injection and round metrics.
 //! * [`session`] — the multi-query session: a privacy-budget ledger
@@ -60,6 +63,7 @@ pub mod decode;
 pub mod exec;
 pub mod params;
 pub mod plan;
+pub mod roles;
 pub mod session;
 pub mod simbudget;
 pub mod simcost;

@@ -38,27 +38,25 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mycelium_bgv::{Ciphertext, KeySet};
-use mycelium_cert::{sign_transcript, OriginCommit};
+use mycelium_cert::OriginCommit;
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
-use mycelium_math::par;
-use mycelium_math::rng::{Rng, SeedableRng, StdRng};
+use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_query::ast::Query;
 use mycelium_query::eval::PlainResult;
 use mycelium_sharing::committee::elect;
-use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
+use mycelium_sharing::threshold::{DecryptionShare, KeyShareSet};
 use mycelium_simnet::{
     ActorId, Ctx, FaultPlan, LinkModel, Payload, Process, Retrier, RoundMetrics, Simulation, Tick,
 };
 
 use crate::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx};
 use crate::committee::CommitteeError;
-use crate::exec::{ExecError, ExecStats, MaliciousBehavior, NoisyGroup};
+use crate::exec::{ExecError, MaliciousBehavior, NoisyGroup};
 use crate::params::SystemParams;
-use crate::plan::{
-    combine_origin, combine_shard_roots, origin_work, OriginWork, QueryPlan, SignedContribution,
-};
+use crate::plan::{combine_shard_roots, OriginWork, QueryPlan, SignedContribution};
+use crate::roles::{self, Duty, Member};
 use crate::streams;
 use crate::summation::{shard_of, PartialRoot};
 
@@ -366,19 +364,9 @@ impl Payload for RoundMsg {
     }
 }
 
-/// One outgoing contribution duty of a device.
-#[derive(Debug, Clone)]
-struct Duty {
-    origin: VertexId,
-    slot: u32,
-    exp: usize,
-}
-
 struct DeviceActor {
     vertex: VertexId,
-    /// The round spec seed; all protocol randomness derives from it via
-    /// the canonical [`streams`] bases, matching the net executor
-    /// bit-for-bit.
+    /// The round spec seed [`roles`] derives this vertex's streams from.
     spec_seed: u64,
     agg: ActorId,
     agg_shards: usize,
@@ -391,7 +379,6 @@ struct DeviceActor {
     dropped_out: bool,
     deadline: Tick,
     received: Vec<Option<Ciphertext>>,
-    filled: usize,
     combined: bool,
     retrier: Retrier<RoundMsg>,
 }
@@ -412,28 +399,9 @@ impl DeviceActor {
             return;
         }
         self.combined = true;
-        // Origin randomness comes from the canonical per-vertex stream —
-        // neutral substitutions in slot order, then the combine, off the
-        // same rng — exactly the net executor's consumption pattern.
-        let mut rng =
-            StdRng::seed_from_u64(self.spec_seed).with_stream(streams::ORIGIN + self.vertex as u64);
-        // Missing contributions default to the neutral Enc(x^0) (§4.4).
-        let cts: Vec<Ciphertext> = self
-            .received
-            .iter()
-            .map(|slot| match slot {
-                Some(ct) => ct.clone(),
-                None => self
-                    .plan
-                    .neutral_ct(&self.keys, &mut rng)
-                    .expect("neutral encryption"),
-            })
-            .collect();
-        let mut stats = ExecStats::default();
-        let out = combine_origin(
-            &self.plan, &self.keys, &self.work, &cts, &mut stats, &mut rng,
-        )
-        .expect("origin combine");
+        let slots = std::mem::take(&mut self.received);
+        let out = roles::submission(&self.plan, &self.keys, self.spec_seed, &self.work, slots)
+            .expect("origin combine");
         ctx.phase_done("contrib");
         let msg = RoundMsg::Submission {
             msg_id: SUBMIT_MSG_ID,
@@ -449,25 +417,18 @@ impl Process<RoundMsg> for DeviceActor {
     fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
         ctx.set_timer(self.deadline, ORIGIN_DEADLINE_KEY);
         if !self.dropped_out {
-            // Contribution randomness from the canonical per-vertex
-            // stream, consumed in duty order — the net device does the
-            // same, so honest ciphertexts are bit-identical.
-            let mut rng = StdRng::seed_from_u64(self.spec_seed)
-                .with_stream(streams::CONTRIB + self.vertex as u64);
-            for i in 0..self.duties.len() {
-                let duty = self.duties[i].clone();
-                let sc = self
-                    .plan
-                    .build_contribution(&self.keys, self.vertex, duty.exp, self.cheating, &mut rng)
-                    .expect("contribution encryption");
+            let (seed, v, duties) = (self.spec_seed, self.vertex, &self.duties);
+            let built =
+                roles::contributions(&self.plan, &self.keys, seed, v, duties, self.cheating);
+            for (msg_id, (duty, sc)) in (0u64..).zip(duties.iter().zip(built)) {
                 let msg = RoundMsg::Contrib {
-                    msg_id: i as u64,
+                    msg_id,
                     origin: duty.origin,
                     slot: duty.slot,
-                    sc,
+                    sc: sc.expect("contribution encryption"),
                 };
                 let dst = self.intake_actor(duty.origin);
-                self.retrier.send(ctx, i as u64, dst, msg);
+                self.retrier.send(ctx, msg_id, dst, msg);
             }
         }
         if self.work.requests.is_empty() {
@@ -483,10 +444,9 @@ impl Process<RoundMsg> for DeviceActor {
             RoundMsg::OriginDeliver { msg_id, slot, ct } => {
                 ctx.send(from, RoundMsg::OriginAck { msg_id });
                 let slot = slot as usize;
-                if self.received[slot].is_none() {
+                if !self.combined && self.received[slot].is_none() {
                     self.received[slot] = Some(ct);
-                    self.filled += 1;
-                    if self.filled == self.received.len() {
+                    if self.received.iter().all(Option::is_some) {
                         self.combine_and_submit(ctx);
                     }
                 }
@@ -520,21 +480,21 @@ struct AggShared {
     plan: Rc<QueryPlan>,
     keys: Rc<KeySet>,
     query: Query,
+    params: SystemParams,
     seed: u64,
-    noise_scale: f64,
-    charged_epsilon: f64,
 }
 
 impl AggShared {
     fn ctx(&self) -> RoundCtx<'_> {
-        RoundCtx {
-            plan: &self.plan,
-            keys: &self.keys,
-            query: &self.query,
-            seed: self.seed,
-            noise_scale: self.noise_scale,
-            charged_epsilon: self.charged_epsilon,
-        }
+        let (params, seed) = (&self.params, self.seed);
+        roles::round_ctx(
+            &self.plan,
+            &self.keys,
+            &self.query,
+            params,
+            seed,
+            params.epsilon,
+        )
     }
 }
 
@@ -987,75 +947,49 @@ impl Process<RoundMsg> for ShardActor {
 
 struct CommitteeActor {
     member: u64,
-    /// The round spec seed, under which this member's certificate signing
-    /// key is derived (hermetic stand-in for deployed PKI).
-    spec_seed: u64,
+    me: Member,
     key_shares: Rc<KeyShareSet>,
-    seed: [u8; 32],
-    /// Canonical per-member randomness stream (`COMMITTEE + m`): fills the
-    /// joint-noise seed, then feeds share smudging — the same consumption
-    /// order as the net committee member.
-    rng: StdRng,
 }
 
 impl Process<RoundMsg> for CommitteeActor {
-    fn on_start(&mut self, _ctx: &mut Ctx<RoundMsg>) {
-        self.rng.fill(&mut self.seed);
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
-        match msg {
+        let (member, me) = (self.member, &mut self.me);
+        let reply = match msg {
             RoundMsg::Ping { msg_id } => {
-                ctx.send(
-                    from,
-                    RoundMsg::Pong {
-                        msg_id,
-                        member: self.member,
-                        seed: self.seed,
-                    },
-                );
+                let seed = me.noise_seed();
+                RoundMsg::Pong {
+                    msg_id,
+                    member,
+                    seed,
+                }
             }
             RoundMsg::ShareRequest {
                 msg_id,
                 round,
                 participants,
                 ct,
-            } => {
-                if !participants.contains(&self.member) {
-                    return;
+            } if participants.contains(&member) => {
+                let share = me
+                    .share(&self.key_shares, round, &participants, &ct)
+                    .expect("share computation on relinearized aggregate");
+                RoundMsg::Share {
+                    msg_id,
+                    round,
+                    member,
+                    share,
                 }
-                let share = decryption_share(
-                    &ct,
-                    &self.key_shares,
-                    self.member,
-                    &participants,
-                    1 << 10,
-                    &mut self.rng,
-                )
-                .expect("share computation on relinearized aggregate");
-                ctx.send(
-                    from,
-                    RoundMsg::Share {
-                        msg_id,
-                        round,
-                        member: self.member,
-                        share,
-                    },
-                );
             }
             RoundMsg::CertSignReq { msg_id, transcript } => {
-                let sig = sign_transcript(self.spec_seed, self.member, &transcript);
-                ctx.send(
-                    from,
-                    RoundMsg::CertSig {
-                        msg_id,
-                        member: self.member,
-                        sig,
-                    },
-                );
+                let sig = me.sign(&transcript);
+                RoundMsg::CertSig {
+                    msg_id,
+                    member,
+                    sig,
+                }
             }
-            _ => {}
-        }
+            _ => return,
+        };
+        ctx.send(from, reply);
     }
 }
 
@@ -1097,34 +1031,16 @@ pub fn run_query_simulated(
     let key_shares = Rc::new(KeyShareSet::deal(&keys.secret, t, c, &mut setup_rng));
     let keys = Rc::new(keys.clone());
 
-    // Plan every origin's work (pure, thread-count-invariant), then
-    // invert it into per-device contribution duties.
-    let works: Vec<OriginWork> =
-        par::map_indices(n, |v| origin_work(&plan, query, params, pop, v as VertexId));
+    let works = roles::works(&plan, query, params, pop);
+    let mut duties = roles::duties(&works);
+    let slot_map = roles::slot_map(&works);
     let plan = Rc::new(plan);
-    let mut duties: Vec<Vec<Duty>> = vec![Vec::new(); n];
-    for work in &works {
-        for (slot, &(w, exp)) in work.requests.iter().enumerate() {
-            duties[w as usize].push(Duty {
-                origin: work.origin,
-                slot: slot as u32,
-                exp,
-            });
-        }
-    }
-    // The certificate commitment's leaf shape: which device fills each of
-    // an origin's contribution slots.
-    let slot_map: Vec<Vec<VertexId>> = works
-        .iter()
-        .map(|w| w.requests.iter().map(|&(d, _)| d).collect())
-        .collect();
     let shared = Rc::new(AggShared {
         plan: Rc::clone(&plan),
         keys: Rc::clone(&keys),
         query: query.clone(),
+        params: params.clone(),
         seed: cfg.seed,
-        noise_scale: plan.analysis.sensitivity / params.epsilon,
-        charged_epsilon: params.epsilon,
     });
 
     let outcome = Rc::new(RefCell::new(AggOutcome::default()));
@@ -1175,7 +1091,6 @@ pub fn run_query_simulated(
             dropped_out: MaliciousBehavior::dropped_out(behaviors, v as VertexId),
             deadline: cfg.deadline,
             received: vec![None; slots],
-            filled: 0,
             combined: false,
             retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
         }));
@@ -1199,10 +1114,8 @@ pub fn run_query_simulated(
     for m in 1..=c as u64 {
         sim.add_actor(Box::new(CommitteeActor {
             member: m,
-            spec_seed: cfg.seed,
+            me: Member::new(cfg.seed, m),
             key_shares: Rc::clone(&key_shares),
-            seed: [0u8; 32],
-            rng: StdRng::seed_from_u64(cfg.seed).with_stream(streams::COMMITTEE + m),
         }));
     }
     if shards > 1 {

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use mycelium::exec::NoisyGroup;
 use mycelium::params::SystemParams;
+use mycelium::roles::Member;
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_query::eval::{evaluate, PlainResult};
 use mycelium_sharing::threshold::derive_joint_noise;
@@ -41,9 +42,7 @@ use mycelium_sharing::threshold::derive_joint_noise;
 use crate::error::NetError;
 use crate::netchaos::{reconcile, FaultLedger, NetFaultPlan, NetProfile};
 use crate::proto::NetMsg;
-use crate::round::{
-    build_setup, decode_outcome, files, role, stream, HubClient, RoundSetup, RoundSpec,
-};
+use crate::round::{build_setup, decode_outcome, files, role, HubClient, RoundSetup, RoundSpec};
 
 // ---------------------------------------------------------------------------
 // Supervised children
@@ -628,12 +627,7 @@ fn reference_result(setup: &RoundSetup) -> (PlainResult, Vec<NoisyGroup>) {
         &setup.pop,
     );
     let seeds: Vec<[u8; 32]> = (1..=setup.committee_size as u64)
-        .map(|m| {
-            let mut rng = StdRng::seed_from_u64(setup.spec.seed).with_stream(stream::COMMITTEE + m);
-            let mut s = [0u8; 32];
-            rng.fill(&mut s);
-            s
-        })
+        .map(|m| Member::new(setup.spec.seed, m).noise_seed())
         .collect();
     let b = setup.plan.analysis.sensitivity / setup.params.epsilon;
     let noise = derive_joint_noise(&seeds, b, setup.plan.released_values());

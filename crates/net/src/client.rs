@@ -199,12 +199,6 @@ impl Client {
         channel.send(payload)?;
         channel.recv()
     }
-
-    /// Wire bytes one request/response exchange costs, excluding the
-    /// handshake (request payload + reply payload, each framed+sealed).
-    pub fn exchange_wire_cost(request_len: usize, reply_len: usize) -> usize {
-        SecureChannel::wire_cost(request_len) + SecureChannel::wire_cost(reply_len)
-    }
 }
 
 /// Per-frame overhead (header + AEAD tag) — the exact delta the

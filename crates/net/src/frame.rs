@@ -193,11 +193,6 @@ pub fn read_frame(
     Ok((parsed, payload))
 }
 
-/// Total bytes one frame occupies on the wire for a given payload size.
-pub fn frame_wire_bytes(payload_len: usize) -> usize {
-    HEADER_LEN + payload_len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,23 +10,22 @@
 //! ## Topology
 //!
 //! The **aggregator** is the only server (a hub). Devices, origins,
-//! committee members, and the driver are polling clients:
+//! committee members, and the driver are its clients; what each role
+//! computes is [`mycelium::roles`], this module is the messaging. A client
+//! never sleeps between asks: a request whose answer is "not yet" is held
+//! by the server ([`PARK`]) until the answer exists.
 //!
-//! * **Device processes** shard the per-vertex contribution duties:
-//!   each encrypts its vertices' `x^e` monomials and pushes them
-//!   (`PushContrib`) until acked, then exits.
-//! * **Origin processes** shard the per-vertex origin work: each polls
-//!   `PullOrigin` until the aggregator hands over the verified slot
-//!   ciphertexts (or the contribution deadline passes and missing slots
-//!   come back empty — the origin substitutes the neutral `Enc(x^0)`,
-//!   §4.4), combines them, and submits.
-//! * **Committee processes** poll `CommitteeCheckIn` (carrying their
-//!   joint-noise seed); once the aggregate exists and the participant
-//!   set is agreed, members receive a `CommitteeShareTask` and push
-//!   their threshold decryption share.
+//! * **Device processes** shard the per-vertex contribution duties and
+//!   push each (`PushContrib`) until acked, then exit.
+//! * **Origin processes** shard the per-vertex origin work: `PullOrigin`
+//!   hands over the verified slot ciphertexts (with holes once the
+//!   contribution deadline passed, §4.4); they combine and submit.
+//! * **Committee processes** ask `CommitteeCheckIn` (carrying their
+//!   joint-noise seed) and are handed a `CommitteeShareTask` once the
+//!   participant set is agreed, then a `CertSignTask`.
 //! * **The driver** spawns everyone, watches child exits (respawning a
 //!   crashed origin once — all protocol state lives at the aggregator,
-//!   so a respawned origin recovers by re-pulling), polls `PullStatus`,
+//!   so a respawned origin recovers by re-pulling), asks `PullStatus`,
 //!   and merges every process's wire metrics into one JSON artifact.
 //!
 //! ## Durability
@@ -61,12 +60,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
-use mycelium::exec::{ExecStats, NoisyGroup};
+use mycelium::exec::NoisyGroup;
 use mycelium::params::SystemParams;
-use mycelium::plan::{aggregate_and_audit, combine_origin, origin_work, OriginWork, QueryPlan};
-use mycelium_bgv::{Ciphertext, KeySet};
+use mycelium::plan::{aggregate_and_audit, OriginWork, QueryPlan};
+use mycelium::roles;
+use mycelium::streams as stream;
+use mycelium_bgv::KeySet;
 use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
-use mycelium_cert::{render_json, sign_transcript, RoundCertificate, SlotStatus};
+use mycelium_cert::{render_json, RoundCertificate, SlotStatus};
 use mycelium_crypto::sha256::{sha256, Digest};
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
@@ -77,7 +78,7 @@ use mycelium_query::analyze::cost_report;
 use mycelium_query::ast::Query;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::PlainResult;
-use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
+use mycelium_sharing::threshold::KeyShareSet;
 
 use crate::channel::Identity;
 use crate::chaos::RoundTree;
@@ -107,14 +108,6 @@ pub mod role {
     /// devices/origins, client towards the coordinator).
     pub const SHARD_BASE: u32 = 500;
 }
-
-/// Rng stream bases (`StdRng::seed_from_u64(seed).with_stream(...)`).
-///
-/// Re-exported from [`mycelium::streams`]: the canonical stream layout is
-/// shared with the simulated executor so both derive bit-identical
-/// contributions, origin combines, and committee randomness — which is
-/// what makes their round certificates byte-identical.
-pub(crate) use mycelium::streams as stream;
 
 /// The privacy-budget configuration of a multi-round session. Every
 /// round of a session shares the same dataset, capacity, and
@@ -195,8 +188,6 @@ pub struct RoundSpec {
     pub budget_wal: Option<PathBuf>,
     /// How long origins may wait for missing contributions.
     pub contrib_deadline: Duration,
-    /// Client poll interval.
-    pub poll_interval: Duration,
     /// Hard wall-clock cap on the whole round.
     pub round_timeout: Duration,
     /// Per-request client I/O deadline (read/handshake). A stalled peer
@@ -223,7 +214,6 @@ impl Default for RoundSpec {
             budget: None,
             budget_wal: None,
             contrib_deadline: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(25),
             round_timeout: Duration::from_secs(600),
             io_timeout: Duration::from_secs(20),
             net: None,
@@ -232,14 +222,6 @@ impl Default for RoundSpec {
 }
 
 impl RoundSpec {
-    /// The period of the driver's status poll: how long a server holds a
-    /// poll that only waits for the end of the round before answering
-    /// "not yet", and how long a client that lost its server waits before
-    /// it redials.
-    pub fn status_poll(&self) -> Duration {
-        self.poll_interval.max(Duration::from_millis(50))
-    }
-
     /// Renders the spec as CLI arguments (the driver → child interface).
     pub fn to_args(&self) -> Vec<String> {
         let mut args = vec![
@@ -259,8 +241,6 @@ impl RoundSpec {
             (self.with_proofs as u8).to_string(),
             "--contrib-ms".into(),
             self.contrib_deadline.as_millis().to_string(),
-            "--poll-ms".into(),
-            self.poll_interval.as_millis().to_string(),
             "--timeout-ms".into(),
             self.round_timeout.as_millis().to_string(),
             "--io-ms".into(),
@@ -298,7 +278,7 @@ impl RoundSpec {
     }
 
     /// Digest binding a write-ahead journal to this round's *state*
-    /// configuration. Timing knobs (deadlines, poll interval) are
+    /// configuration. Timing knobs (deadlines, timeouts) are
     /// deliberately excluded: a respawn may retune them without
     /// invalidating the journaled protocol state.
     pub fn binding_digest(&self) -> Digest {
@@ -359,17 +339,6 @@ impl RoundSpec {
 
 pub use mycelium::summation::shard_of;
 
-/// One outgoing contribution duty of a device vertex.
-#[derive(Debug, Clone)]
-pub struct Duty {
-    /// The origin the contribution is addressed to.
-    pub origin: VertexId,
-    /// Slot in that origin's request list.
-    pub slot: u32,
-    /// The monomial exponent to encrypt.
-    pub exp: usize,
-}
-
 /// Deterministically derived shared state.
 pub struct RoundSetup {
     /// The spec everything is derived from.
@@ -389,7 +358,7 @@ pub struct RoundSetup {
     /// Per-vertex origin work.
     pub works: Vec<OriginWork>,
     /// Per-vertex contribution duties (inverse of `works`).
-    pub duties: Vec<Vec<Duty>>,
+    pub duties: Vec<Vec<roles::Duty>>,
     /// Codec context for the plan's parameters.
     pub cc: CodecCtx,
     /// Committee size `c`.
@@ -433,8 +402,7 @@ impl RoundSetup {
     /// `slot_map[o][s]`: the device expected to fill origin `o`'s
     /// contribution slot `s` (the certificate commitment's leaf shape).
     pub fn slot_map(&self) -> Vec<Vec<VertexId>> {
-        let devices = |w: &OriginWork| w.requests.iter().map(|&(d, _)| d).collect();
-        self.works.iter().map(devices).collect()
+        roles::slot_map(&self.works)
     }
 
     /// Aggregation shard `s`'s transport identity.
@@ -475,24 +443,12 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     let keys = KeySet::generate(&params.bgv, &mut keys_rng);
     let c = params.committee_size;
     let t = c / 2;
-    let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(u64::MAX);
+    let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
     let key_shares = KeyShareSet::deal(&keys.secret, t, c, &mut deal_rng);
     let plan = QueryPlan::new(&query, &pop, &params, spec.with_proofs)
         .map_err(|e| NetError::Decode(format!("query planning failed: {e}")))?;
-    let n = pop.graph.len();
-    let works: Vec<OriginWork> = (0..n)
-        .map(|v| origin_work(&plan, &query, &params, &pop, v as VertexId))
-        .collect();
-    let mut duties: Vec<Vec<Duty>> = vec![Vec::new(); n];
-    for work in &works {
-        for (slot, &(w, exp)) in work.requests.iter().enumerate() {
-            duties[w as usize].push(Duty {
-                origin: work.origin,
-                slot: slot as u32,
-                exp,
-            });
-        }
-    }
+    let works = roles::works(&plan, &query, &params, &pop);
+    let duties = roles::duties(&works);
     // The codec must decode into the *same* RNS context the keys carry:
     // `RnsPoly` arithmetic requires pointer-identical contexts.
     let cc = CodecCtx::with_context(Arc::clone(keys.public.context()), &params.bgv);
@@ -625,6 +581,12 @@ const FINISH_GRACE: Duration = Duration::from_secs(10);
 /// How often a serving process's main loop re-runs the wall-clock
 /// transitions when no handled request wakes it first.
 const TICK: Duration = Duration::from_millis(20);
+/// The one way to wait: how long a server holds a request whose answer is
+/// still "not yet" (`OriginPending`, `CommitteeWait`) before saying so — it
+/// answers the moment the awaited milestone moves, so a client asks again
+/// at once and never sleeps. Also how long a client that lost its server
+/// waits, at most, before it redials.
+pub const PARK: Duration = Duration::from_millis(50);
 
 /// Deterministic fault injection knobs for [`run_aggregator`] — the
 /// chaos drill's way of dying at an exact protocol step.
@@ -666,6 +628,9 @@ pub struct AggState {
     // state holds, each sits beside the digest taken when it was accepted,
     // which is what `digest()` reads.
     contribs: Vec<Vec<Option<Parked>>>,
+    // How many rows of `contribs` are full (derived; what a held
+    // `PullOrigin` waits for).
+    rows_complete: usize,
     aggregate: Option<Parked>,
     share_deadline: Option<Instant>,
     cert_since: Option<Instant>,
@@ -704,14 +669,15 @@ fn settle(pending: Option<Pending>) -> Result<(), NetError> {
 
 /// The core's view of the round: immutable inputs derived from the setup.
 fn round_ctx(setup: &RoundSetup, charged_epsilon: f64) -> RoundCtx<'_> {
-    RoundCtx {
-        plan: &setup.plan,
-        keys: &setup.keys,
-        query: &setup.query,
-        seed: setup.spec.seed,
-        noise_scale: setup.plan.analysis.sensitivity / setup.params.epsilon,
+    let (params, seed) = (&setup.params, setup.spec.seed);
+    roles::round_ctx(
+        &setup.plan,
+        &setup.keys,
+        &setup.query,
+        params,
+        seed,
         charged_epsilon,
-    }
+    )
 }
 
 impl AggState {
@@ -764,6 +730,7 @@ impl AggState {
             who,
             started: Instant::now(),
             contribs,
+            rows_complete: 0,
             aggregate: None,
             share_deadline: None,
             cert_since: None,
@@ -1547,7 +1514,9 @@ impl AggState {
                 let verified =
                     intake.accept_contribution(origin, slot, *sc, &ctx, &mut self.rng)?;
                 if let Some(parked) = verified {
-                    self.contribs[origin as usize][slot as usize] = Some(parked);
+                    let row = &mut self.contribs[origin as usize];
+                    row[slot as usize] = Some(parked);
+                    self.rows_complete += row.iter().all(Option::is_some) as usize;
                 }
                 NetMsg::Ack
             }
@@ -1722,32 +1691,23 @@ impl AggState {
         Ok((reply, self.pending()))
     }
 
-    /// Whether `msg` is a poll that has nothing to learn but the end of
-    /// the round: the driver's status poll, and the check-in of a
-    /// committee member whose certificate signature is already in.
-    fn awaits_end(&self, msg: &NetMsg) -> bool {
-        match msg {
-            NetMsg::PullStatus => true,
-            NetMsg::CommitteeCheckIn { member, .. } => {
-                let sigs = &self.tail.cert_sigs;
-                matches!(self.outcome, Some(Ok(_)))
-                    && sigs.get(*member as usize).is_some_and(Option::is_some)
-            }
-            _ => false,
-        }
-    }
-
-    /// What a thread sleeping on this state can be waiting for: the
-    /// sealed root or aggregate, the end of the round, and who has
-    /// observed it. [`SharedAgg`] wakes its sleepers when a request moves
-    /// any of them.
-    fn milestones(&self) -> (bool, bool, usize, usize, bool) {
+    /// What a thread sleeping on this state can be waiting for. The main
+    /// loop: the sealed root or aggregate, the end of the round, and who
+    /// has observed it. A held request: an origin's row completing
+    /// (`PullOrigin`), the share round opening or the certificate awaiting
+    /// signatures (`CommitteeCheckIn`), the end of the round (every poll).
+    /// [`SharedAgg`] wakes its sleepers when any of them moves — never per
+    /// request.
+    fn milestones(&self) -> impl PartialEq {
         (
             self.aggregate.is_some(),
             self.round_done(),
             self.finished_seen.len(),
             self.finished_shards.len(),
             self.driver_seen,
+            self.rows_complete,
+            self.tail.share_round,
+            self.tail.cert.is_some(),
         )
     }
 
@@ -1938,14 +1898,27 @@ impl SharedAgg {
         woken.unwrap_or_else(PoisonError::into_inner).0
     }
 
+    /// Runs `step` on the state and wakes every sleeper if it moved a
+    /// milestone.
+    fn observe<T>(&self, s: &mut AggState, step: impl FnOnce(&mut AggState) -> T) -> T {
+        let before = s.milestones();
+        let out = step(s);
+        if s.milestones() != before {
+            self.moved.notify_all();
+        }
+        out
+    }
+
     /// Runs the due wall-clock transitions; a journal failure fails the
     /// round rather than the process. What they append is made durable
     /// by whoever next waits on the journal — the next handled request,
     /// or the main loop before it acts on what it saw ([`Self::sync`]).
     fn tick(&self, s: &mut AggState) {
-        if let Err(e) = s.tick().and_then(|_| s.checkpoint()) {
-            s.fail(format!("journal failure: {e}"));
-        }
+        self.observe(s, |s| {
+            if let Err(e) = s.tick().and_then(|_| s.checkpoint()) {
+                s.fail(format!("journal failure: {e}"));
+            }
+        })
     }
 
     /// Unlocks the state and waits until everything it journaled is on
@@ -1959,27 +1932,27 @@ impl SharedAgg {
 
 impl Handler for SharedAgg {
     fn handle(&self, _peer: [u8; 32], request: &[u8]) -> Result<Vec<u8>, NetError> {
-        let msg = NetMsg::decode(request, &self.setup.cc)?;
+        let mut msg = NetMsg::decode(request, &self.setup.cc)?;
         let kind = msg.kind();
+        let asked = Instant::now();
         let mut s = self.lock();
-        if s.awaits_end(&msg) {
-            // Instead of answering "not yet" at once and having the
-            // client sleep a poll period before it asks again, hold the
-            // request for that period, and answer the moment the round is
-            // over if that comes first.
-            let period = self.setup.spec.status_poll();
-            let parked = self
-                .moved
-                .wait_timeout_while(s, period, |s| !s.round_done());
-            s = parked.unwrap_or_else(PoisonError::into_inner).0;
-        }
-        let before = s.milestones();
-        let handled = s.handle_deferred(msg, request);
-        if s.milestones() != before {
-            self.moved.notify_all();
-        }
+        // A reply that says "not yet" is held (the state unlocked) and the
+        // request handled again whenever a milestone moves, until its answer
+        // exists or one park period has passed.
+        let (reply, pending) = loop {
+            let handled = self.observe(&mut s, |s| s.handle_deferred(msg, request))?;
+            let left = PARK.saturating_sub(asked.elapsed());
+            let not_yet = matches!(
+                handled.0,
+                NetMsg::OriginPending { .. } | NetMsg::CommitteeWait
+            );
+            if !not_yet || left.is_zero() {
+                break handled;
+            }
+            s = self.wait(s, left);
+            msg = NetMsg::decode(request, &self.setup.cc)?;
+        };
         drop(s);
-        let (reply, pending) = handled?;
         settle(pending)?;
         if let Some((k, n)) = self.die_after.as_ref().filter(|(k, _)| kind == k.as_str()) {
             let mut count = lock_recover(&self.die_count);
@@ -2256,20 +2229,11 @@ pub fn run_shard(
     result
 }
 
+/// A role's transport client, accumulating into `metrics` — the
+/// [`HubClient`] replaces its inner client on every address re-resolution
+/// and must not lose the counters (retries, deadline expiries) gathered so
+/// far.
 fn round_client(
-    setup: &RoundSetup,
-    role_id: u32,
-    addr: SocketAddr,
-    server_pub: [u8; 32],
-) -> Client {
-    round_client_with(setup, role_id, addr, server_pub, NetMetrics::shared())
-}
-
-/// Like [`round_client`], but accumulating into an existing metrics
-/// handle — the [`HubClient`] replaces its inner client on every
-/// address re-resolution and must not lose the counters (retries,
-/// deadline expiries) gathered so far.
-fn round_client_with(
     setup: &RoundSetup,
     role_id: u32,
     addr: SocketAddr,
@@ -2291,14 +2255,14 @@ fn round_client_with(
     )
 }
 
-fn expect_ack(reply: &NetMsg) -> Result<(), NetError> {
-    match reply {
-        NetMsg::Ack => Ok(()),
-        other => Err(NetError::Decode(format!(
-            "expected Ack, got {}",
-            other.kind()
-        ))),
-    }
+/// A reply `request` cannot be answered with.
+fn unexpected(request: &str, reply: &NetMsg) -> NetError {
+    NetError::Decode(format!("unexpected {request} reply {}", reply.kind()))
+}
+
+/// A step of [`mycelium::roles`] that failed on well-formed input.
+fn role_failed(step: &str, e: impl std::fmt::Display) -> NetError {
+    NetError::Decode(format!("{step}: {e}"))
 }
 
 fn request_msg(client: &mut Client, cc: &CodecCtx, msg: &NetMsg) -> Result<NetMsg, NetError> {
@@ -2319,7 +2283,6 @@ pub(crate) struct HubClient {
     server_pub: [u8; 32],
     addr: SocketAddr,
     deadline: Instant,
-    poll: Duration,
     // One retry budget *spanning* reconnects and address re-resolutions
     // (the inner client's schedule restarts from zero on every redial;
     // this one does not). Reset only by a successful exchange.
@@ -2335,14 +2298,9 @@ impl HubClient {
         let addr = read_addr_file(out_dir).unwrap_or(addr);
         let server_pub = setup.aggregator_identity().public;
         let deadline = Instant::now() + setup.spec.round_timeout;
+        let addr_file = files::AGG_ADDR.to_string();
         Self::connect(
-            setup,
-            role_id,
-            addr,
-            server_pub,
-            files::AGG_ADDR.to_string(),
-            out_dir,
-            deadline,
+            setup, role_id, addr, server_pub, addr_file, out_dir, deadline,
         )
     }
 
@@ -2387,14 +2345,13 @@ impl HubClient {
         deadline: Instant,
     ) -> Self {
         HubClient {
-            client: round_client(setup, role_id, addr, server_pub),
+            client: round_client(setup, role_id, addr, server_pub, NetMetrics::shared()),
             role_id,
             out_dir: out_dir.to_path_buf(),
             addr_file,
             server_pub,
             addr,
             deadline,
-            poll: setup.spec.status_poll(),
             span_attempts: 0,
             // 64 outer attempts, each already worth the inner client's
             // full short schedule, cap a persistently unreachable hub at a
@@ -2415,26 +2372,28 @@ impl HubClient {
         setup: &RoundSetup,
         msg: &NetMsg,
     ) -> Result<NetMsg, NetError> {
-        match request_msg(&mut self.client, &setup.cc, msg) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                match read_named_addr_file(&self.out_dir, &self.addr_file) {
-                    Some(new_addr) if new_addr != self.addr => {
-                        self.addr = new_addr;
-                        self.recreate_client(setup, new_addr);
-                    }
-                    _ => self.client.disconnect(),
-                }
-                Err(e)
-            }
+        let reply = request_msg(&mut self.client, &setup.cc, msg);
+        if reply.is_err() {
+            self.re_resolve(setup);
         }
+        reply
     }
 
-    /// Replaces the inner client (after an address re-resolution),
-    /// carrying the accumulated metrics over to the replacement.
-    fn recreate_client(&mut self, setup: &RoundSetup, addr: SocketAddr) {
-        let metrics = self.client.metrics();
-        self.client = round_client_with(setup, self.role_id, addr, self.server_pub, metrics);
+    /// After a failed exchange: re-reads the published address. If the
+    /// server moved, replaces the inner client (its metrics carried over)
+    /// and says so; otherwise only drops the broken connection.
+    fn re_resolve(&mut self, setup: &RoundSetup) -> bool {
+        let published = read_named_addr_file(&self.out_dir, &self.addr_file);
+        let moved = published.filter(|addr| *addr != self.addr);
+        match moved {
+            Some(addr) => {
+                let metrics = self.client.metrics();
+                self.addr = addr;
+                self.client = round_client(setup, self.role_id, addr, self.server_pub, metrics);
+            }
+            None => self.client.disconnect(),
+        }
+        moved.is_some()
     }
 
     fn request_msg(&mut self, setup: &RoundSetup, msg: &NetMsg) -> Result<NetMsg, NetError> {
@@ -2455,20 +2414,13 @@ impl HubClient {
                         });
                     }
                     self.span_attempts += 1;
-                    if let Some(new_addr) = read_named_addr_file(&self.out_dir, &self.addr_file) {
-                        if new_addr != self.addr {
-                            self.addr = new_addr;
-                            self.recreate_client(setup, new_addr);
-                            continue;
-                        }
+                    if !self.re_resolve(setup) {
+                        // Full jitter over the park period decorrelates
+                        // the re-poll storm when every client loses the
+                        // same server at once.
+                        let wait = self.jitter_rng.gen_range(1..=PARK.as_millis() as u64);
+                        std::thread::sleep(Duration::from_millis(wait));
                     }
-                    self.client.disconnect();
-                    // Full jitter over the poll interval decorrelates
-                    // the re-poll storm when every client loses the
-                    // same server at once.
-                    let cap = (self.poll.as_millis() as u64).max(1);
-                    let wait = self.jitter_rng.gen_range(1..=cap);
-                    std::thread::sleep(Duration::from_millis(wait));
                 }
                 Err(e) => return Err(e),
             }
@@ -2533,22 +2485,15 @@ pub fn run_device(
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
     let mut hubs = ShardedHub::new(role::DEVICE_BASE + shard as u32, addr, out_dir);
-    'vertices: for v in 0..setup.pop.graph.len() {
-        if v % spec.device_shards != shard {
-            continue;
-        }
-        // Per-vertex randomness streams make the ciphertexts independent
-        // of how vertices shard across processes.
-        let mut rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::CONTRIB + v as u64);
-        for duty in &setup.duties[v] {
-            let sc = setup
-                .plan
-                .build_contribution(&setup.keys, v as VertexId, duty.exp, false, &mut rng)
-                .map_err(|e| NetError::Decode(format!("contribution encryption: {e}")))?;
+    let (plan, keys) = (&setup.plan, &setup.keys);
+    'vertices: for v in (shard..setup.pop.graph.len()).step_by(spec.device_shards) {
+        let duties = &setup.duties[v];
+        let built = roles::contributions(plan, keys, spec.seed, v as VertexId, duties, false);
+        for (duty, sc) in duties.iter().zip(built) {
             let msg = NetMsg::PushContrib {
                 origin: duty.origin,
                 slot: duty.slot,
-                sc: Box::new(sc),
+                sc: Box::new(sc.map_err(|e| role_failed("contribution encryption", e))?),
             };
             let hub = hubs.for_origin(&setup, duty.origin)?;
             match hub.request_msg(&setup, &msg)? {
@@ -2556,17 +2501,11 @@ pub fn run_device(
                 // The round is over (possibly refused by the budget
                 // ledger before any intake): nothing left to push.
                 NetMsg::Finished => break 'vertices,
-                other => {
-                    return Err(NetError::Decode(format!(
-                        "unexpected PushContrib reply {}",
-                        other.kind()
-                    )))
-                }
+                other => return Err(unexpected("PushContrib", &other)),
             }
         }
     }
-    write_metrics(out_dir, &format!("device-{shard}"), &hubs.metrics())?;
-    Ok(())
+    write_metrics(out_dir, &format!("device-{shard}"), &hubs.metrics())
 }
 
 /// Runs one origin process: for each vertex in its shard, polls the
@@ -2585,46 +2524,30 @@ pub fn run_origin(
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
     let mut hubs = ShardedHub::new(role::ORIGIN_BASE + shard as u32, addr, out_dir);
-    let mut submitted = 0usize;
-    'vertices: for v in 0..setup.pop.graph.len() {
-        if v % spec.origin_shards != shard {
-            continue;
-        }
+    let mine = (shard..setup.pop.graph.len()).step_by(spec.origin_shards);
+    'vertices: for (submitted, v) in mine.enumerate() {
         if crash_after == Some(submitted) {
             std::process::exit(17);
         }
         let hub = hubs.for_origin(&setup, v as VertexId)?;
         let slots = loop {
+            // Held by the server until the row is complete (or one park
+            // period passed): a pending reply is followed by the next ask.
             match hub.request_msg(&setup, &NetMsg::PullOrigin { origin: v as u32 })? {
                 NetMsg::OriginJob { cts } => break cts,
-                NetMsg::OriginPending { .. } => std::thread::sleep(spec.poll_interval),
+                NetMsg::OriginPending { .. } => {}
                 // The round is over (possibly refused by the budget
                 // ledger): no origin work left to do.
                 NetMsg::Finished => break 'vertices,
-                other => {
-                    return Err(NetError::Decode(format!(
-                        "unexpected PullOrigin reply {}",
-                        other.kind()
-                    )))
-                }
+                other => return Err(unexpected("PullOrigin", &other)),
             }
         };
         let work = &setup.works[v];
         if slots.len() != work.requests.len() {
             return Err(NetError::Decode("origin job slot count mismatch".into()));
         }
-        let mut rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::ORIGIN + v as u64);
-        let cts: Vec<Ciphertext> = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(ct) => Ok(ct),
-                None => setup.plan.neutral_ct(&setup.keys, &mut rng),
-            })
-            .collect::<Result<_, _>>()
-            .map_err(|e| NetError::Decode(format!("neutral encryption: {e}")))?;
-        let mut stats = ExecStats::default();
-        let out = combine_origin(&setup.plan, &setup.keys, work, &cts, &mut stats, &mut rng)
-            .map_err(|e| NetError::Decode(format!("origin combine: {e}")))?;
+        let out = roles::submission(&setup.plan, &setup.keys, spec.seed, work, slots)
+            .map_err(|e| role_failed("origin combine", e))?;
         let msg = NetMsg::SubmitOrigin {
             origin: v as u32,
             ct: Box::new(out),
@@ -2632,17 +2555,10 @@ pub fn run_origin(
         match hub.request_msg(&setup, &msg)? {
             NetMsg::Ack => {}
             NetMsg::Finished => break 'vertices,
-            other => {
-                return Err(NetError::Decode(format!(
-                    "unexpected SubmitOrigin reply {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("SubmitOrigin", &other)),
         }
-        submitted += 1;
     }
-    write_metrics(out_dir, &format!("origin-{shard}"), &hubs.metrics())?;
-    Ok(())
+    write_metrics(out_dir, &format!("origin-{shard}"), &hubs.metrics())
 }
 
 /// Runs one committee member: polls check-ins (carrying its joint-noise
@@ -2656,63 +2572,40 @@ pub fn run_committee(
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
     let mut hub = HubClient::new(&setup, role::COMMITTEE_BASE + member as u32, addr, out_dir);
-    let mut rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::COMMITTEE + member);
-    let mut seed = [0u8; 32];
-    rng.fill(&mut seed);
-    let mut computed: std::collections::HashMap<u32, DecryptionShare> =
-        std::collections::HashMap::new();
+    let mut me = roles::Member::new(spec.seed, member);
+    let seed = me.noise_seed();
     loop {
-        let reply = hub.request_msg(&setup, &NetMsg::CommitteeCheckIn { member, seed })?;
-        match reply {
+        // Held by the server while there is nothing for this member to do.
+        let push = match hub.request_msg(&setup, &NetMsg::CommitteeCheckIn { member, seed })? {
             NetMsg::Finished => break,
-            NetMsg::CommitteeWait => std::thread::sleep(spec.poll_interval),
+            NetMsg::CommitteeWait => continue,
             NetMsg::CommitteeShareTask {
                 round,
                 participants,
                 ct,
             } => {
-                if !participants.contains(&member) {
-                    return Err(NetError::Decode(
-                        "share task for a set excluding this member".into(),
-                    ));
-                }
-                if let std::collections::hash_map::Entry::Vacant(slot) = computed.entry(round) {
-                    let share = decryption_share(
-                        &ct,
-                        &setup.key_shares,
-                        member,
-                        &participants,
-                        setup.plan.t_pt as i64,
-                        &mut rng,
-                    )
-                    .map_err(|e| NetError::Decode(format!("share computation: {e}")))?;
-                    slot.insert(share);
-                }
-                let msg = NetMsg::PushShare {
+                let share = me
+                    .share(&setup.key_shares, round, &participants, &ct)
+                    .map_err(|e| role_failed("share computation", e))?;
+                let share = Box::new(share);
+                NetMsg::PushShare {
                     member,
                     round,
-                    share: Box::new(computed[&round].clone()),
-                };
-                expect_ack(&hub.request_msg(&setup, &msg)?)?;
+                    share,
+                }
             }
             NetMsg::CertSignTask { transcript } => {
-                // Endorse the round certificate: a detached ed25519
-                // signature over its transcript digest. Deterministic,
-                // so a respawned member re-signs identically.
-                let sig = sign_transcript(spec.seed, member, &transcript);
-                let msg = NetMsg::PushCertSig { member, sig };
-                expect_ack(&hub.request_msg(&setup, &msg)?)?;
+                let sig = me.sign(&transcript);
+                NetMsg::PushCertSig { member, sig }
             }
-            other => {
-                return Err(NetError::Decode(format!(
-                    "unexpected check-in reply {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("check-in", &other)),
+        };
+        match hub.request_msg(&setup, &push)? {
+            NetMsg::Ack => {}
+            other => return Err(unexpected(push.kind(), &other)),
         }
     }
-    write_metrics(out_dir, &format!("committee-{member}"), &hub.metrics())?;
-    Ok(())
+    write_metrics(out_dir, &format!("committee-{member}"), &hub.metrics())
 }
 
 // ---------------------------------------------------------------------------
@@ -2767,15 +2660,14 @@ pub fn run_driver(
         for cp in tree.clients.iter_mut() {
             cp.watch()?;
         }
-        // The aggregator holds the poll for a poll period or until the
-        // round is over, so an answered poll is followed by the next at
-        // once.
+        // The aggregator holds the poll for [`PARK`] or until the round
+        // is over, so an answered poll is followed by the next at once.
         match driver.request_msg(&setup, &NetMsg::PullStatus) {
             Ok(NetMsg::Finished) => break true,
             Ok(_) => {}
             // The aggregator may be briefly unreachable while saturated;
             // the client already retried, so just keep polling.
-            Err(_) => std::thread::sleep(spec.status_poll()),
+            Err(_) => std::thread::sleep(PARK),
         }
     };
 

@@ -255,11 +255,6 @@ impl<M: Payload> Simulation<M> {
         id
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> Tick {
         self.clock

@@ -16,7 +16,7 @@ use mycelium_bgv::{Ciphertext, Plaintext};
 use mycelium_cert::{sign_transcript, verify_bytes};
 use mycelium_net::proto::NetMsg;
 use mycelium_net::round::{
-    build_setup, files, AggFaults, AggState, BudgetCfg, RoundSetup, RoundSpec, SharedAgg,
+    build_setup, files, AggFaults, AggState, BudgetCfg, RoundSetup, RoundSpec, SharedAgg, PARK,
 };
 use mycelium_net::server::Handler;
 use mycelium_net::{JournalError, NetError};
@@ -563,15 +563,11 @@ fn handle_returns_only_after_its_records_are_durable() {
 
 #[test]
 fn parked_status_wakes_on_finish() {
-    // A poll period long enough to tell "woken by the seal" from "timed
-    // out and asked again".
-    let period = Duration::from_millis(400);
-    let spec = RoundSpec {
-        poll_interval: period,
-        ..test_spec()
-    };
-    let setup = Arc::new(build_setup(&spec).unwrap());
-    assert_eq!(spec.status_poll(), period);
+    // The park period is long enough to tell "woken by the seal" from
+    // "timed out and asked again".
+    let period = PARK;
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    assert_eq!(period, Duration::from_millis(50));
     let c = setup.committee_size as u64;
     let dir = journal_dir("parked");
     let mut st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
@@ -618,5 +614,127 @@ fn parked_status_wakes_on_finish() {
         assert!(lag < period / 4, "answered {lag:?} after the seal");
     });
     assert!(shared.lock().certificate().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One request through the shared state's server-side handler.
+fn ask(shared: &SharedAgg, setup: &RoundSetup, msg: &NetMsg) -> NetMsg {
+    let reply = shared.handle([0; 32], &msg.encode()).unwrap();
+    NetMsg::decode(&reply, &setup.cc).unwrap()
+}
+
+/// Asks as a role process does — a "not yet" is followed by the next ask at
+/// once — and reports the answer with the instant it came.
+fn ask_until_answered(shared: &SharedAgg, setup: &RoundSetup, msg: &NetMsg) -> (NetMsg, Instant) {
+    loop {
+        let reply = ask(shared, setup, msg);
+        if !matches!(reply, NetMsg::OriginPending { .. } | NetMsg::CommitteeWait) {
+            return (reply, Instant::now());
+        }
+    }
+}
+
+#[test]
+fn held_pull_origin_wakes_on_the_last_contribution() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("held-pull");
+    let mut st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+    // An origin that waits for several contributions; all but one land.
+    let work = setup.works.iter().find(|w| w.requests.len() >= 2).unwrap();
+    let (origin, need) = (work.origin, work.requests.len() as u32);
+    let mut row: Vec<NetMsg> = Vec::new();
+    for (slot, &(device, exp)) in work.requests.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(4000 + slot as u64);
+        let sc = setup
+            .plan
+            .build_contribution(&setup.keys, device, exp, false, &mut rng)
+            .unwrap();
+        row.push(NetMsg::PushContrib {
+            origin,
+            slot: slot as u32,
+            sc: Box::new(sc),
+        });
+    }
+    let last = row.pop().unwrap();
+    for msg in &row {
+        assert!(matches!(request(&mut st, &setup, msg), NetMsg::Ack));
+    }
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let pull = NetMsg::PullOrigin { origin };
+
+    // Nothing lands: held for one park period, then told how far the row is.
+    let asked = Instant::now();
+    let reply = ask(&shared, &setup, &pull);
+    let held = asked.elapsed();
+    let NetMsg::OriginPending { have, need: wanted } = reply else {
+        panic!("expected OriginPending, got {}", reply.kind());
+    };
+    assert_eq!((have, wanted), (need - 1, need));
+    assert!(held >= PARK && held < 3 * PARK, "held {held:?}");
+
+    // The row completes under a held pull: the job is handed over then,
+    // not when the park period runs out.
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| ask_until_answered(&shared, &setup, &pull));
+        std::thread::sleep(PARK / 8);
+        assert!(matches!(ask(&shared, &setup, &last), NetMsg::Ack));
+        let landed = Instant::now();
+        let (reply, answered) = parked.join().unwrap();
+        let NetMsg::OriginJob { cts } = reply else {
+            panic!("expected the origin's job, got {}", reply.kind());
+        };
+        assert!(cts.iter().all(Option::is_some) && cts.len() == need as usize);
+        let lag = answered.saturating_duration_since(landed);
+        assert!(lag < PARK / 4, "answered {lag:?} after the row completed");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn held_check_in_wakes_on_selection() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let c = setup.committee_size as u64;
+    let dir = journal_dir("held-checkin");
+    let mut st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+    // Mid-intake: every origin but the last has submitted, and the whole
+    // committee has checked in with nothing to do yet.
+    let submit = |v: u32| {
+        let mut rng = StdRng::seed_from_u64(2000 + v as u64);
+        let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
+        let ct = Ciphertext::encrypt(&setup.keys.public, &zero, &mut rng).unwrap();
+        NetMsg::SubmitOrigin {
+            origin: v,
+            ct: Box::new(ct),
+        }
+    };
+    let last = setup.pop.graph.len() as u32 - 1;
+    for v in 0..last {
+        assert!(matches!(request(&mut st, &setup, &submit(v)), NetMsg::Ack));
+    }
+    let check_in = |member: u64| NetMsg::CommitteeCheckIn {
+        member,
+        seed: [member as u8; 32],
+    };
+    for m in 1..=c {
+        let reply = request(&mut st, &setup, &check_in(m));
+        assert!(matches!(reply, NetMsg::CommitteeWait));
+    }
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+
+    // The last submission seals the aggregate and, everyone being in,
+    // selects: member 1's held check-in comes back with its share task.
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| ask_until_answered(&shared, &setup, &check_in(1)));
+        std::thread::sleep(PARK / 8);
+        assert!(matches!(ask(&shared, &setup, &submit(last)), NetMsg::Ack));
+        let selected = Instant::now();
+        let (reply, answered) = parked.join().unwrap();
+        let NetMsg::CommitteeShareTask { participants, .. } = reply else {
+            panic!("expected a share task, got {}", reply.kind());
+        };
+        assert!(participants.contains(&1));
+        let lag = answered.saturating_duration_since(selected);
+        assert!(lag < PARK / 4, "answered {lag:?} after selection");
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
