@@ -3,9 +3,11 @@
 //! for the missing, pick `t + 1` live committee members, threshold-decrypt, add joint
 //! noise, certify. Plain state and transitions — randomness, plan and keys passed in; no
 //! clock, file, socket, thread, journal or simulator — driven by [`crate::simround`] and
-//! `mycelium_net::round`. Hub = [`Intake`] over every origin + [`CommitteeTail`]; shard =
-//! [`Intake`] over its origins; coordinator = shard-root slots ([`Intake::accept_root`]) +
-//! the tail. Every write is first-write-wins beside a non-mutating [`Slot`] predicate.
+//! `mycelium_net::round`. A process's [`Round`] is composed of the parts: hub = [`Intake`]
+//! over every origin + [`CommitteeTail`]; shard = [`Intake`] over its origins + a committee
+//! of zero; coordinator = shard-root slots ([`Intake::accept_root`]) + the tail. Every write
+//! is first-write-wins beside a non-mutating [`Slot`] predicate; *when* a phase transition
+//! fires is [`Round::due`], told only which [`Timeout`]s have passed.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +25,8 @@ use mycelium_sharing::threshold::{combine, derive_joint_noise, DecryptionShare, 
 
 use crate::decode::decode_aggregate;
 use crate::exec::{release_noisy, ExecError, NoisyGroup};
-use crate::plan::{ciphertext_digest, seal_shard_root, QueryPlan, SignedContribution};
+use crate::plan::{aggregate_and_audit, ciphertext_digest, combine_shard_roots, seal_shard_root};
+use crate::plan::{QueryPlan, SignedContribution};
 use crate::summation::PartialRoot;
 
 /// The core's one typed failure; `Display` is the canonical message.
@@ -536,5 +539,207 @@ impl CommitteeTail {
             }
         }
         self.cert_bytes.as_deref()
+    }
+}
+
+/// A deadline a driver reports as passed — all the core is ever told about time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timeout {
+    /// The wait for origin submissions.
+    Intake,
+    /// The wait for committee check-ins.
+    CheckIn,
+    /// The wait for the current selection round's shares.
+    Shares,
+    /// The wait for certificate signatures.
+    Cert,
+}
+
+/// A phase transition of the round — the journal's mark records, one to one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Mark {
+    /// Freeze the commitment plane (always before [`Mark::Aggregate`]).
+    Commit,
+    /// Form the aggregate: the sealed tree over the owned origins, or the shard roots' sum.
+    Aggregate,
+    /// Pick the first `t + 1` live members.
+    Select,
+    /// Declare the share stragglers dead and pick again.
+    Reselect,
+    /// End the round in a typed failure.
+    Fail(CoreError),
+    /// Close signature collection on the certificate.
+    Seal,
+}
+
+/// A sealed shard root as a driver's wire carries it: the simulated message has room
+/// for the shard tree's commitment, the real one ships the bare sum.
+pub trait ShardRoot: Clone {
+    /// The global aggregate over every shard's root.
+    fn combine(roots: Vec<Self>) -> Result<Ciphertext, ExecError>;
+}
+
+impl ShardRoot for PartialRoot {
+    fn combine(roots: Vec<Self>) -> Result<Ciphertext, ExecError> {
+        combine_shard_roots(roots)
+    }
+}
+
+impl ShardRoot for Parked {
+    fn combine(roots: Vec<Self>) -> Result<Ciphertext, ExecError> {
+        aggregate_and_audit(roots.into_iter().map(Parked::into_ct).collect())
+    }
+}
+
+/// One aggregation-plane process's round: its parts, and the one statement of when each
+/// phase transition fires ([`Round::due`]) and what it does ([`Round::apply`]).
+pub struct Round<R> {
+    pub intake: Intake,
+    /// The shards' sealed roots (`Some` on the coordinator only).
+    pub roots: Option<Vec<Option<R>>>,
+    pub aggregate: Option<Parked>,
+    /// Commitment and leaf count of the tree [`Mark::Aggregate`] sealed over the owned
+    /// origins: what a shard's root message carries beside the sum, where it has room.
+    pub tree: Option<([u8; 32], usize)>,
+    pub tail: CommitteeTail,
+    /// The typed failure the round ended in.
+    pub failed: Option<CoreError>,
+}
+
+impl<R: ShardRoot> Round<R> {
+    pub fn new(intake: Intake, roots: Option<Vec<Option<R>>>, tail: CommitteeTail) -> Self {
+        Round {
+            intake,
+            roots,
+            aggregate: None,
+            tree: None,
+            tail,
+            failed: None,
+        }
+    }
+
+    /// The decided outcome: the exact result beside its noised release, or the failure.
+    pub fn outcome(&self) -> Option<Result<&(PlainResult, Vec<NoisyGroup>), &CoreError>> {
+        match &self.failed {
+            Some(e) => Some(Err(e)),
+            None => self.tail.released.as_ref().map(Ok),
+        }
+    }
+
+    /// Whether certificate signatures are still being collected.
+    pub fn signing(&self) -> bool {
+        self.tail.cert.is_some() && !self.tail.sealed
+    }
+
+    /// Whether the round is over for its clients: decided, and no signature still wanted.
+    pub fn is_over(&self) -> bool {
+        self.outcome().is_some() && !self.signing()
+    }
+
+    /// The transition that is due now, given which deadlines `expired` says have passed.
+    pub fn due(&self, expired: impl Fn(Timeout) -> bool) -> Option<Mark> {
+        let tail = &self.tail;
+        if self.outcome().is_some() {
+            let seal = self.signing() && (tail.all_signed() || expired(Timeout::Cert));
+            return seal.then_some(Mark::Seal);
+        }
+        if self.aggregate.is_none() {
+            // A missing origin adds `Enc(0)` once the deadline passes; a missing shard
+            // root is a whole subpopulation, so the coordinator waits for every one.
+            let ready = match &self.roots {
+                None => self.intake.is_complete() || expired(Timeout::Intake),
+                Some(roots) => roots.iter().all(Option::is_some),
+            };
+            let frozen = self.intake.plane.frozen.is_some();
+            return ready.then_some(if frozen {
+                Mark::Aggregate
+            } else {
+                Mark::Commit
+            });
+        }
+        if tail.pongs.is_empty() {
+            // A committee of zero: a shard's round ends at its sealed root.
+            return None;
+        }
+        if tail.participants.is_empty() {
+            let all_in = tail.alive().len() == tail.pongs.len();
+            return (all_in || expired(Timeout::CheckIn)).then_some(Mark::Select);
+        }
+        if tail.stragglers().is_empty() || !expired(Timeout::Shares) {
+            return None;
+        }
+        // One reselection; a second round of stragglers is the typed failure.
+        Some(match tail.reselected {
+            false => Mark::Reselect,
+            true => Mark::Fail(tail.unavailable()),
+        })
+    }
+
+    /// Applies `mark`; a transition that cannot complete ends the round in its error.
+    pub fn apply<G: Rng + ?Sized>(&mut self, mark: &Mark, ctx: &RoundCtx, rng: &mut G) {
+        let applied = match mark {
+            Mark::Commit => {
+                self.intake.freeze_commits();
+                Ok(())
+            }
+            Mark::Aggregate => self.form_aggregate(ctx, rng),
+            Mark::Select => self.tail.select(),
+            Mark::Reselect => self.tail.reselect(),
+            Mark::Fail(e) => Err(e.clone()),
+            Mark::Seal => {
+                self.tail.seal();
+                Ok(())
+            }
+        };
+        if let (Err(e), None) = (applied, self.outcome()) {
+            self.failed = Some(e);
+        }
+    }
+
+    fn form_aggregate<G: Rng + ?Sized>(
+        &mut self,
+        ctx: &RoundCtx,
+        rng: &mut G,
+    ) -> Result<(), CoreError> {
+        if self.aggregate.is_some() {
+            return Ok(());
+        }
+        let sum = match &self.roots {
+            None => {
+                let root = self.intake.seal(ctx, rng)?;
+                self.tree = Some((root.commitment, root.leaf_count));
+                root.sum
+            }
+            Some(roots) => {
+                let roots: Option<Vec<R>> = roots.iter().cloned().collect();
+                let roots = roots.ok_or_else(|| CoreError::Invalid("shard root missing".into()))?;
+                R::combine(roots).map_err(|e| CoreError::Exec("aggregation", e))?
+            }
+        };
+        self.aggregate = Some(Parked::new(sum));
+        Ok(())
+    }
+
+    /// Records a share ([`CommitteeTail::accept_share`]); `true` when it decided the
+    /// round — released, or failed in the combine.
+    pub fn accept_share(
+        &mut self,
+        member: u64,
+        round: u32,
+        share: DecryptionShare,
+        ctx: &RoundCtx,
+    ) -> Result<bool, CoreError> {
+        self.tail.share_slot(member, round)?;
+        let (None, Some(aggregate)) = (self.outcome(), &self.aggregate) else {
+            return Ok(false);
+        };
+        let plane = &self.intake.plane;
+        let decided = self
+            .tail
+            .accept_share(member, round, share, aggregate, plane, ctx);
+        decided.or_else(|e| {
+            self.failed = Some(e);
+            Ok(true)
+        })
     }
 }

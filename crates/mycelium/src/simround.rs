@@ -13,15 +13,16 @@
 //!   and submit. A contribution that never arrives by the origin's
 //!   deadline defaults to the neutral `Enc(x^0)` (§4.4), so device
 //!   drop-outs degrade the answer instead of wedging the round.
-//! * **The aggregator actor** (id `n`) drives the aggregation core
-//!   ([`crate::aggcore`]): each contribution's proof is verified —
-//!   `Enc(x^0)` substituted for offenders (§4.7), which is how Byzantine
-//!   payload substitution injected through the simnet [`FaultPlan`] is
-//!   caught — verified ciphertexts are forwarded to origins, submissions
-//!   summed through the verifiable summation tree, and the committee
-//!   driven: ping → pick `t+1` live members → collect decryption shares,
-//!   reselecting once if a chosen member crashes mid-phase. The actor
-//!   itself only adds messaging, retries, timers and phase metrics.
+//! * **The aggregation actor** (id `n`; sharded, also one per intake
+//!   shard) drives the aggregation core ([`crate::aggcore`]): each
+//!   contribution's proof is verified — `Enc(x^0)` substituted for
+//!   offenders (§4.7), which is how Byzantine payload substitution injected
+//!   through the simnet [`FaultPlan`] is caught — verified ciphertexts are
+//!   forwarded to origins, submissions summed through the verifiable
+//!   summation tree, and the committee driven: ping → pick `t+1` live
+//!   members → collect decryption shares, reselecting once if a chosen
+//!   member crashes mid-phase. The actor itself only adds messaging,
+//!   retries, which deadline timer fired, and phase metrics.
 //! * **Committee actors** (ids `n+1..=n+c`) answer pings with their
 //!   liveness (and joint-noise seed) and compute decryption shares
 //!   against the participant set the aggregator announces — Lagrange
@@ -51,11 +52,11 @@ use mycelium_simnet::{
     ActorId, Ctx, FaultPlan, LinkModel, Payload, Process, Retrier, RoundMetrics, Simulation, Tick,
 };
 
-use crate::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx};
+use crate::aggcore::{CommitteeTail, CoreError, Intake, Mark, Round, RoundCtx, Timeout};
 use crate::committee::CommitteeError;
 use crate::exec::{ExecError, MaliciousBehavior, NoisyGroup};
 use crate::params::SystemParams;
-use crate::plan::{combine_shard_roots, OriginWork, QueryPlan, SignedContribution};
+use crate::plan::{OriginWork, QueryPlan, SignedContribution};
 use crate::roles::{self, Duty, Member};
 use crate::streams;
 use crate::summation::{shard_of, PartialRoot};
@@ -466,15 +467,6 @@ impl Process<RoundMsg> for DeviceActor {
     }
 }
 
-/// Shared slot the aggregation actors write the round result into.
-#[derive(Default)]
-struct AggOutcome {
-    released: Option<(PlainResult, Vec<NoisyGroup>)>,
-    rejected: Vec<VertexId>,
-    certificate: Option<Vec<u8>>,
-    error: Option<SimRoundError>,
-}
-
 /// The round inputs every aggregation actor hands the core.
 struct AggShared {
     plan: Rc<QueryPlan>,
@@ -512,25 +504,166 @@ fn sim_error(e: CoreError) -> Option<SimRoundError> {
     })
 }
 
-/// The messaging half of per-origin intake, shared by the aggregator and
-/// the shard actors: ack every delivery, run the core transition, and push
-/// each verified (or substituted) contribution to its origin until acked.
-struct IntakePort {
-    intake: Intake,
+/// A simulated aggregation-plane process's round; the shard roots travel
+/// with their tree commitment.
+type SimRound = Round<PartialRoot>;
+
+/// An aggregation-plane process: the hub or, in the sharded topology, the
+/// coordinator or an intake shard — whichever its [`Round`] is composed as.
+/// Protocol state, the transitions and when each is due live in
+/// [`crate::aggcore`]; this actor adds the messaging pattern (push with
+/// retries), says which virtual-time deadline fired, and the phase metrics.
+struct AggregatorActor {
+    shared: Rc<AggShared>,
+    n_devices: usize,
+    deadline: Tick,
+    retrier: Retrier<RoundMsg>,
+    /// A shard's index (it ships its sealed root to the coordinator, the
+    /// actor right after the devices).
+    shard: Option<u32>,
+    /// Shared with [`run_query_simulated`], which reads the result off it.
+    round: Rc<RefCell<SimRound>>,
     next_fwd_id: u64,
 }
 
-impl IntakePort {
-    /// Handles `Contrib` and `Submission`; `true` when a new submission
-    /// landed.
-    fn on_message(
+impl AggregatorActor {
+    /// Delay and timer key of `timeout` (the share wait is keyed by the
+    /// selection round it belongs to).
+    fn timer(&self, timeout: Timeout, share_round: u32) -> (Tick, u64) {
+        match timeout {
+            // Origins substitute at `deadline`, then combine and submit;
+            // give the submissions one more deadline on top.
+            Timeout::Intake => (self.deadline * 2, SUBMIT_DEADLINE_KEY),
+            Timeout::CheckIn => (self.deadline, PING_DEADLINE_KEY),
+            Timeout::Shares => (self.deadline, SHARE_DEADLINE_BASE + share_round as u64),
+            Timeout::Cert => (self.deadline, CERT_DEADLINE_KEY),
+        }
+    }
+
+    fn arm(&self, ctx: &mut Ctx<RoundMsg>, round: &SimRound, timeout: Timeout) {
+        let (delay, key) = self.timer(timeout, round.tail.share_round);
+        ctx.set_timer(delay, key);
+    }
+
+    /// Sends `msg(id)` to each of the `members` committee members under
+    /// retrier id `base + m`.
+    fn broadcast(
         &mut self,
-        shared: &AggShared,
-        retrier: &mut Retrier<RoundMsg>,
         ctx: &mut Ctx<RoundMsg>,
-        from: ActorId,
-        msg: RoundMsg,
-    ) -> bool {
+        members: usize,
+        base: u64,
+        msg: impl Fn(u64) -> RoundMsg,
+    ) {
+        for m in 1..=members as u64 {
+            let dst = self.n_devices + m as usize;
+            self.retrier.send(ctx, base + m, dst, msg(base + m));
+        }
+    }
+
+    /// While the core says a transition is due — `fired` being the deadline
+    /// timer that just went off, if one did — applies it, then reacts; the
+    /// reactions are only messaging.
+    fn step(&mut self, ctx: &mut Ctx<RoundMsg>, round: &mut SimRound, fired: Option<u64>) {
+        loop {
+            let expired = |t| fired == Some(self.timer(t, round.tail.share_round).1);
+            let Some(mark) = round.due(expired) else {
+                return;
+            };
+            round.apply(&mark, &self.shared.ctx(), ctx.rng());
+            if round.failed.is_some() {
+                return ctx.halt();
+            }
+            match mark {
+                Mark::Aggregate => self.ship_or_ping(ctx, round),
+                Mark::Select | Mark::Reselect => self.request_shares(ctx, round),
+                Mark::Seal => {
+                    ctx.phase_done("certify");
+                    ctx.halt();
+                }
+                Mark::Commit | Mark::Fail(_) => {}
+            }
+        }
+    }
+
+    /// After the aggregate: a shard ships its sealed root — with the frozen
+    /// commitments and reject set — to the coordinator; the hub and the
+    /// coordinator open the committee phase by probing liveness (the
+    /// participant set must be agreed before shares are computed).
+    fn ship_or_ping(&mut self, ctx: &mut Ctx<RoundMsg>, round: &SimRound) {
+        let Some(shard) = self.shard else {
+            ctx.phase_done("aggregate");
+            let members = round.tail.pongs.len();
+            self.broadcast(ctx, members, PING_BASE, |msg_id| RoundMsg::Ping { msg_id });
+            return self.arm(ctx, round, Timeout::CheckIn);
+        };
+        ctx.phase_done("seal");
+        let (plane, root) = (&round.intake.plane, round.aggregate.as_ref());
+        let (commitment, leaves) = round.tree.expect("a shard seals its own tree");
+        let msg = RoundMsg::ShardRootMsg {
+            msg_id: SUBMIT_MSG_ID,
+            shard,
+            rejected: plane.certified().to_vec(),
+            commitment,
+            leaves: leaves as u32,
+            commits: plane.commits.iter().flatten().cloned().collect(),
+            ct: root.expect("just sealed").ct().clone(),
+        };
+        self.retrier.send(ctx, SUBMIT_MSG_ID, self.n_devices, msg);
+    }
+
+    /// After a (re)selection: asks every participant for its share.
+    fn request_shares(&mut self, ctx: &mut Ctx<RoundMsg>, round: &SimRound) {
+        let (tail, aggregate) = (&round.tail, round.aggregate.as_ref());
+        let aggregate = aggregate.expect("selection follows the aggregate");
+        for &m in &tail.participants {
+            let msg_id = SHARE_BASE + ((tail.share_round as u64) << 20) + m;
+            let request = RoundMsg::ShareRequest {
+                msg_id,
+                round: tail.share_round,
+                participants: tail.participants.clone(),
+                ct: aggregate.ct().clone(),
+            };
+            self.retrier
+                .send(ctx, msg_id, self.n_devices + m as usize, request);
+        }
+        self.arm(ctx, round, Timeout::Shares);
+    }
+
+    /// The deciding share landed: collects committee signatures over the
+    /// certificate transcript (the halt waits for the seal), or — failed, or
+    /// nothing to sign — ends the round here.
+    fn after_decision(&mut self, ctx: &mut Ctx<RoundMsg>, round: &SimRound) {
+        if round.failed.is_some() {
+            return ctx.halt();
+        }
+        ctx.phase_done("committee");
+        let Some(cert) = &round.tail.cert else {
+            ctx.phase_done("certify");
+            return ctx.halt();
+        };
+        let (members, transcript) = (round.tail.pongs.len(), cert.transcript);
+        self.broadcast(ctx, members, CERT_BASE, |msg_id| RoundMsg::CertSignReq {
+            msg_id,
+            transcript,
+        });
+        self.arm(ctx, round, Timeout::Cert);
+    }
+}
+
+impl Process<RoundMsg> for AggregatorActor {
+    fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
+        let cell = Rc::clone(&self.round);
+        let round = &mut *cell.borrow_mut();
+        self.arm(ctx, round, Timeout::Intake);
+        self.step(ctx, round, None);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
+        let cell = Rc::clone(&self.round);
+        let round = &mut *cell.borrow_mut();
+        let shared = self.shared.ctx();
+        // Every delivery is acked; a request the process's composition does
+        // not serve is the core's typed error and dropped.
         match msg {
             RoundMsg::Contrib {
                 msg_id,
@@ -539,187 +672,25 @@ impl IntakePort {
                 sc,
             } => {
                 ctx.send(from, RoundMsg::ContribAck { msg_id });
-                let shared = shared.ctx();
-                let verified =
-                    self.intake
-                        .accept_contribution(origin, slot, sc, &shared, ctx.rng());
+                let intake = &mut round.intake;
+                let verified = intake.accept_contribution(origin, slot, sc, &shared, ctx.rng());
+                // Push the verified (or substituted) contribution to its
+                // origin until acked.
                 if let Ok(Some(parked)) = verified {
                     let msg_id = self.next_fwd_id;
                     self.next_fwd_id += 1;
                     let ct = parked.into_ct();
                     let deliver = RoundMsg::OriginDeliver { msg_id, slot, ct };
-                    retrier.send(ctx, msg_id, origin as ActorId, deliver);
+                    self.retrier.send(ctx, msg_id, origin as ActorId, deliver);
                 }
-                false
             }
             RoundMsg::Submission { msg_id, origin, ct } => {
                 ctx.send(from, RoundMsg::SubmissionAck { msg_id });
-                let fresh = matches!(self.intake.accept_submission(origin, ct), Ok(true));
-                if fresh {
+                if let Ok(true) = round.intake.accept_submission(origin, ct) {
                     ctx.phase_done("submit");
                 }
-                fresh
             }
-            _ => false,
-        }
-    }
-}
-
-/// The hub (intake + committee tail) or, in the sharded topology, the
-/// coordinator (shard roots + committee tail). Protocol state and
-/// transitions live in [`crate::aggcore`]; this actor adds the messaging
-/// pattern (push with retries), virtual-time deadlines and phase metrics.
-struct AggregatorActor {
-    shared: Rc<AggShared>,
-    n_devices: usize,
-    deadline: Tick,
-    retrier: Retrier<RoundMsg>,
-    /// Per-origin intake: every origin on the hub, none on the coordinator
-    /// (devices route to their owning shard; a stray delivery is dropped).
-    port: IntakePort,
-    /// The shards' sealed roots (the coordinator only).
-    roots: Option<Vec<Option<PartialRoot>>>,
-    aggregate: Option<Parked>,
-    tail: CommitteeTail,
-    /// The result is decided (or the round failed); only certificate
-    /// signing may still be in flight.
-    finished: bool,
-    outcome: Rc<RefCell<AggOutcome>>,
-}
-
-impl AggregatorActor {
-    fn fail(&mut self, ctx: &mut Ctx<RoundMsg>, err: CoreError) {
-        let Some(err) = sim_error(err) else { return };
-        self.finished = true;
-        self.outcome.borrow_mut().error = Some(err);
-        ctx.halt();
-    }
-
-    /// Whether certificate signatures are still being collected.
-    fn signing(&self) -> bool {
-        self.tail.cert.is_some() && !self.tail.sealed
-    }
-
-    /// Copies the round result into the shared outcome slot.
-    fn publish(&self) {
-        let mut out = self.outcome.borrow_mut();
-        out.released = self.tail.released.clone();
-        out.certificate = self.tail.cert_bytes.clone();
-        out.rejected = self.port.intake.plane.rejected.clone();
-    }
-
-    /// Sends `msg(m)` to every committee member under retrier id
-    /// `base + m`.
-    fn broadcast(&mut self, ctx: &mut Ctx<RoundMsg>, base: u64, msg: impl Fn(u64) -> RoundMsg) {
-        for m in 1..=self.tail.pongs.len() as u64 {
-            let dst = self.n_devices + m as usize;
-            self.retrier.send(ctx, base + m, dst, msg(base + m));
-        }
-    }
-
-    fn start_aggregate(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.aggregate.is_some() || self.finished {
-            return;
-        }
-        let intake = &mut self.port.intake;
-        let sealed = match &self.roots {
-            None => {
-                let root = intake.seal(&self.shared.ctx(), ctx.rng());
-                root.map(|root| root.sum)
-            }
-            Some(roots) => {
-                // Every shard root is present: the coordinator never
-                // deadlines out of intake — it waits, bounded by the
-                // round's virtual-time budget. Graft them into the top
-                // tree.
-                intake.freeze_commits();
-                let collected = |r: &Option<PartialRoot>| r.clone().expect("all roots collected");
-                combine_shard_roots(roots.iter().map(collected).collect())
-                    .map_err(|e| CoreError::Exec("aggregation", e))
-            }
-        };
-        match sealed {
-            Ok(ct) => self.aggregate = Some(Parked::new(ct)),
-            Err(e) => return self.fail(ctx, e),
-        }
-        ctx.phase_done("aggregate");
-        // Committee phase: probe liveness first — the participant set
-        // must be agreed before shares are computed.
-        self.broadcast(ctx, PING_BASE, |msg_id| RoundMsg::Ping { msg_id });
-        ctx.set_timer(self.deadline, PING_DEADLINE_KEY);
-    }
-
-    /// After a (re)selection: asks every participant for its share.
-    fn request_shares(&mut self, ctx: &mut Ctx<RoundMsg>, selected: Result<(), CoreError>) {
-        if let Err(e) = selected {
-            return self.fail(ctx, e);
-        }
-        let round = self.tail.share_round;
-        let aggregate = self
-            .aggregate
-            .as_ref()
-            .expect("selection follows the aggregate");
-        for &m in &self.tail.participants {
-            let msg_id = SHARE_BASE + ((round as u64) << 20) + m;
-            let request = RoundMsg::ShareRequest {
-                msg_id,
-                round,
-                participants: self.tail.participants.clone(),
-                ct: aggregate.ct().clone(),
-            };
-            self.retrier
-                .send(ctx, msg_id, self.n_devices + m as usize, request);
-        }
-        ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + round as u64);
-    }
-
-    /// The result is decided; what remains is collecting committee
-    /// signatures over the certificate transcript, so the halt is
-    /// deferred to `seal_cert`.
-    fn start_cert(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        self.finished = true;
-        self.publish();
-        ctx.phase_done("committee");
-        let Some(cert) = &self.tail.cert else {
-            return self.seal_cert(ctx);
-        };
-        let transcript = cert.transcript;
-        self.broadcast(ctx, CERT_BASE, |msg_id| RoundMsg::CertSignReq {
-            msg_id,
-            transcript,
-        });
-        ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
-    }
-
-    /// Attaches whatever valid signatures arrived and halts the round.
-    fn seal_cert(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.tail.sealed || self.tail.released.is_none() {
-            return;
-        }
-        self.tail.seal();
-        self.publish();
-        ctx.phase_done("certify");
-        ctx.halt();
-    }
-}
-
-impl Process<RoundMsg> for AggregatorActor {
-    fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        // Origins substitute at `deadline`, then combine and submit; give
-        // the submissions one more deadline on top.
-        ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
-        match msg {
-            RoundMsg::Contrib { .. } | RoundMsg::Submission { .. } => {
-                let port = &mut self.port;
-                let landed = port.on_message(&self.shared, &mut self.retrier, ctx, from, msg);
-                if landed && port.intake.is_complete() {
-                    self.start_aggregate(ctx);
-                }
-            }
-            RoundMsg::OriginAck { msg_id } => {
+            RoundMsg::OriginAck { msg_id } | RoundMsg::ShardRootAck { msg_id } => {
                 self.retrier.ack(msg_id);
             }
             RoundMsg::ShardRootMsg {
@@ -732,18 +703,14 @@ impl Process<RoundMsg> for AggregatorActor {
                 ct,
             } => {
                 ctx.send(from, RoundMsg::ShardRootAck { msg_id });
-                let Some(roots) = &mut self.roots else {
-                    return;
-                };
                 let root = PartialRoot {
                     sum: ct,
                     commitment,
                     leaf_count: leaves as usize,
                 };
-                let intake = &mut self.port.intake;
-                let landed = intake.accept_root(roots, shard, root, rejected, commits);
-                if matches!(landed, Ok(true)) && roots.iter().all(Option::is_some) {
-                    self.start_aggregate(ctx);
+                if let Some(roots) = &mut round.roots {
+                    let intake = &mut round.intake;
+                    let _ = intake.accept_root(roots, shard, root, rejected, commits);
                 }
             }
             RoundMsg::Pong {
@@ -753,32 +720,19 @@ impl Process<RoundMsg> for AggregatorActor {
             } => {
                 self.retrier.ack(msg_id);
                 // Once selection ran, a pong is a stale probe reply.
-                if self.finished || self.tail.share_round > 0 {
-                    return;
-                }
-                let fresh = matches!(self.tail.check_in(member, seed), Ok(true));
-                if fresh && self.tail.alive().len() == self.tail.pongs.len() {
-                    let selected = self.tail.select();
-                    self.request_shares(ctx, selected);
+                if round.outcome().is_none() && round.tail.share_round == 0 {
+                    let _ = round.tail.check_in(member, seed);
                 }
             }
             RoundMsg::Share {
                 msg_id,
-                round,
+                round: share_round,
                 member,
                 share,
             } => {
                 self.retrier.ack(msg_id);
-                let (false, Some(aggregate)) = (self.finished, &self.aggregate) else {
-                    return;
-                };
-                let (plane, shared) = (&self.port.intake.plane, self.shared.ctx());
-                let tail = &mut self.tail;
-                let decided = tail.accept_share(member, round, share, aggregate, plane, &shared);
-                match decided {
-                    Ok(true) => self.start_cert(ctx),
-                    Ok(false) => {}
-                    Err(e) => self.fail(ctx, e),
+                if let Ok(true) = round.accept_share(member, share_round, share, &shared) {
+                    self.after_decision(ctx, round);
                 }
             }
             RoundMsg::CertSig {
@@ -787,13 +741,11 @@ impl Process<RoundMsg> for AggregatorActor {
                 sig,
             } => {
                 self.retrier.ack(msg_id);
-                let counted = self.tail.accept_sig(member, sig, self.shared.seed);
-                if matches!(counted, Ok(true)) && self.tail.all_signed() {
-                    self.seal_cert(ctx);
-                }
+                let _ = round.tail.accept_sig(member, sig, self.shared.seed);
             }
             _ => {}
         }
+        self.step(ctx, round, None);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<RoundMsg>) {
@@ -802,146 +754,39 @@ impl Process<RoundMsg> for AggregatorActor {
         // in-flight send died with the process. Re-send everything
         // unacknowledged and re-arm the deadline of the phase the
         // journal replay landed us in.
-        if self.finished {
-            if self.signing() {
-                self.retrier.resend_all(ctx);
-                ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
-            }
+        let cell = Rc::clone(&self.round);
+        let round = &*cell.borrow();
+        if round.is_over() {
             return;
         }
         self.retrier.resend_all(ctx);
-        if self.aggregate.is_none() {
-            ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        } else if self.tail.share_round == 0 {
-            ctx.set_timer(self.deadline, PING_DEADLINE_KEY);
+        let waits_on = if round.outcome().is_some() {
+            Timeout::Cert
+        } else if round.aggregate.is_none() {
+            Timeout::Intake
+        } else if self.shard.is_some() {
+            return;
+        } else if round.tail.share_round == 0 {
+            Timeout::CheckIn
         } else {
-            ctx.set_timer(
-                self.deadline,
-                SHARE_DEADLINE_BASE + self.tail.share_round as u64,
-            );
-        }
+            Timeout::Shares
+        };
+        self.arm(ctx, round, waits_on);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<RoundMsg>, key: u64) {
-        if key == CERT_DEADLINE_KEY {
-            return self.seal_cert(ctx);
+        let cell = Rc::clone(&self.round);
+        let round = &mut *cell.borrow_mut();
+        if key >= SUBMIT_DEADLINE_KEY {
+            // A control key: a deadline of the round fired.
+            return self.step(ctx, round, Some(key));
         }
-        if self.finished {
-            // Only certificate-sign retries stay live after the result is
-            // durable; everything else died with the round.
-            if self.signing() {
-                let _ = self.retrier.on_timer(ctx, key);
-            }
-            return;
-        }
-        let round = self.tail.share_round;
-        if key == SUBMIT_DEADLINE_KEY {
-            // A coordinator never substitutes for a missing shard — it
-            // keeps waiting (a crashed shard replays and retries), bounded
-            // by the round's virtual-time budget.
-            if self.roots.is_none() {
-                self.start_aggregate(ctx);
-            }
-        } else if key == PING_DEADLINE_KEY {
-            if round == 0 {
-                let selected = self.tail.select();
-                self.request_shares(ctx, selected);
-            }
-        } else if key == SHARE_DEADLINE_BASE + round as u64 && round > 0 {
-            // A chosen member crashed between pong and share: declare the
-            // non-responders dead and reselect (the core allows it once).
-            if !self.tail.stragglers().is_empty() {
-                let selected = self.tail.reselect();
-                self.request_shares(ctx, selected);
-            }
-        } else {
+        // Only certificate-sign retries stay live after the result is
+        // decided; everything else died with the round. (Exhausted retries:
+        // the receiving side's deadline takes over.)
+        if round.outcome().is_none() || round.signing() {
             let _ = self.retrier.on_timer(ctx, key);
         }
-    }
-}
-
-/// One aggregation shard of the sharded topology: per-origin intake for
-/// the origins it owns, then its sealed partial summation-tree root —
-/// with the frozen commitments and reject set — shipped to the
-/// coordinator.
-struct ShardActor {
-    shard: u32,
-    coord: ActorId,
-    shared: Rc<AggShared>,
-    deadline: Tick,
-    retrier: Retrier<RoundMsg>,
-    port: IntakePort,
-    sealed: bool,
-    outcome: Rc<RefCell<AggOutcome>>,
-}
-
-impl ShardActor {
-    fn seal(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.sealed {
-            return;
-        }
-        self.sealed = true;
-        let intake = &mut self.port.intake;
-        let part = match intake.seal(&self.shared.ctx(), ctx.rng()) {
-            Ok(part) => part,
-            Err(e) => {
-                self.outcome.borrow_mut().error = sim_error(e);
-                return ctx.halt();
-            }
-        };
-        ctx.phase_done("seal");
-        let msg = RoundMsg::ShardRootMsg {
-            msg_id: SUBMIT_MSG_ID,
-            shard: self.shard,
-            rejected: intake.plane.certified().to_vec(),
-            commitment: part.commitment,
-            leaves: part.leaf_count as u32,
-            commits: intake.plane.commits.iter().flatten().cloned().collect(),
-            ct: part.sum,
-        };
-        self.retrier.send(ctx, SUBMIT_MSG_ID, self.coord, msg);
-    }
-}
-
-impl Process<RoundMsg> for ShardActor {
-    fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        if self.port.intake.is_complete() {
-            self.seal(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
-        match msg {
-            RoundMsg::OriginAck { msg_id } | RoundMsg::ShardRootAck { msg_id } => {
-                self.retrier.ack(msg_id);
-            }
-            msg => {
-                let landed = self
-                    .port
-                    .on_message(&self.shared, &mut self.retrier, ctx, from, msg);
-                if landed && self.port.intake.is_complete() {
-                    self.seal(ctx);
-                }
-            }
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        // The simnet model of the WAL-journaled shard: state survives,
-        // timers and in-flight sends do not.
-        self.retrier.resend_all(ctx);
-        if !self.sealed {
-            ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<RoundMsg>, key: u64) {
-        if key == SUBMIT_DEADLINE_KEY {
-            self.seal(ctx);
-            return;
-        }
-        let _ = self.retrier.on_timer(ctx, key);
     }
 }
 
@@ -1043,7 +888,6 @@ pub fn run_query_simulated(
         seed: cfg.seed,
     });
 
-    let outcome = Rc::new(RefCell::new(AggOutcome::default()));
     let mut sim: Simulation<RoundMsg> = Simulation::new(cfg.seed)
         .with_latency(cfg.latency)
         .with_fault_plan(cfg.fault.clone());
@@ -1095,22 +939,26 @@ pub fn run_query_simulated(
             retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
         }));
     }
-    let port = |owns: &dyn Fn(VertexId) -> bool| IntakePort {
-        intake: Intake::new(slot_map.clone(), owns),
-        next_fwd_id: 0,
+    let composed = |owns: &dyn Fn(VertexId) -> bool, roots, tail| {
+        let intake = Intake::new(slot_map.clone(), owns);
+        Rc::new(RefCell::new(SimRound::new(intake, roots, tail)))
     };
-    sim.add_actor(Box::new(AggregatorActor {
-        shared: Rc::clone(&shared),
-        n_devices: n,
-        deadline: cfg.deadline,
-        retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-        port: port(&|_| shards == 1),
-        roots: (shards > 1).then(|| vec![None; shards]),
-        aggregate: None,
-        tail: CommitteeTail::new(c, t),
-        finished: false,
-        outcome: Rc::clone(&outcome),
-    }));
+    let actor = |round: &Rc<RefCell<SimRound>>, shard| {
+        Box::new(AggregatorActor {
+            shared: Rc::clone(&shared),
+            n_devices: n,
+            deadline: cfg.deadline,
+            retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
+            shard,
+            round: Rc::clone(round),
+            next_fwd_id: 0,
+        })
+    };
+    // Hub, or coordinator: no origin of its own (devices route to their
+    // owning shard), the shards' roots instead.
+    let roots = (shards > 1).then(|| vec![None; shards]);
+    let hub = composed(&|_| shards == 1, roots, CommitteeTail::new(c, t));
+    sim.add_actor(actor(&hub, None));
     for m in 1..=c as u64 {
         sim.add_actor(Box::new(CommitteeActor {
             member: m,
@@ -1118,32 +966,28 @@ pub fn run_query_simulated(
             key_shares: Rc::clone(&key_shares),
         }));
     }
-    if shards > 1 {
-        for s in 0..shards {
-            sim.add_actor(Box::new(ShardActor {
-                shard: s as u32,
-                coord: n,
-                shared: Rc::clone(&shared),
-                deadline: cfg.deadline,
-                retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-                port: port(&|v| shard_of(v, shards) == s),
-                sealed: false,
-                outcome: Rc::clone(&outcome),
-            }));
-        }
+    let mut rounds = vec![Rc::clone(&hub)];
+    let shard_actors = if shards > 1 { shards } else { 0 };
+    for s in 0..shard_actors {
+        // A shard: its own origins, a committee of zero.
+        let owns = |v| shard_of(v, shards) == s;
+        let shard = composed(&owns, None, CommitteeTail::new(0, 0));
+        sim.add_actor(actor(&shard, Some(s as u32)));
+        rounds.push(shard);
     }
 
     let report = sim.run(cfg.max_ticks);
-    let mut agg_out = outcome.borrow_mut();
-    if let Some(err) = agg_out.error.take() {
+    let failed = |round: &Rc<RefCell<SimRound>>| round.borrow().failed.clone().and_then(sim_error);
+    if let Some(err) = rounds.iter().find_map(failed) {
         return Err(err);
     }
-    let Some((exact, released)) = agg_out.released.take() else {
+    let mut hub = hub.borrow_mut();
+    let Some((exact, released)) = hub.tail.released.take() else {
         return Err(SimRoundError::NotConverged {
             elapsed: report.elapsed,
         });
     };
-    let mut rejected_devices = agg_out.rejected.clone();
+    let mut rejected_devices = std::mem::take(&mut hub.intake.plane.rejected);
     rejected_devices.sort_unstable();
     Ok(SimRoundOutcome {
         exact,
@@ -1152,6 +996,6 @@ pub fn run_query_simulated(
         members,
         metrics: sim.metrics.clone(),
         elapsed: report.elapsed,
-        certificate: agg_out.certificate.take(),
+        certificate: hub.tail.cert_bytes.take(),
     })
 }

@@ -59,10 +59,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
+use mycelium::aggcore::{
+    CommitteeTail, CoreError, Intake, Mark, Parked, Round, RoundCtx, Slot, Timeout,
+};
 use mycelium::exec::NoisyGroup;
 use mycelium::params::SystemParams;
-use mycelium::plan::{aggregate_and_audit, OriginWork, QueryPlan};
+use mycelium::plan::{OriginWork, QueryPlan};
 use mycelium::roles;
 use mycelium::streams as stream;
 use mycelium_bgv::KeySet;
@@ -543,7 +545,8 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<Result<RoundOutcome, String>, NetE
 // Aggregator
 // ---------------------------------------------------------------------------
 
-/// Journal record tags (first payload byte of every record).
+/// Journal record tags (first payload byte of every record). The six
+/// wall-clock transitions are the core's [`Mark`]s ([`mark_tag`], [`mark_of`]).
 mod rec {
     /// An accepted state-mutating request (body = `NetMsg` encoding).
     pub const REQ: u8 = 1;
@@ -601,9 +604,9 @@ pub struct AggFaults {
     pub die_mid_journal: Option<u32>,
 }
 
-/// One aggregation-plane process's entire state. The protocol state and
-/// every transition live in [`mycelium::aggcore`]; the three layouts are
-/// compositions of its parts:
+/// One aggregation-plane process's entire state. The protocol state, every
+/// transition and when each is due live in [`mycelium::aggcore`]; the three
+/// layouts are compositions of a [`Round`]:
 ///
 /// * hub — intake over every origin, committee tail;
 /// * intake shard — intake over its own origins; its tail is a committee
@@ -612,14 +615,12 @@ pub struct AggFaults {
 ///   but holds the commitment plane the roots fill.
 ///
 /// This type adds what the real-process driver needs on top: `NetMsg` ⇄
-/// transition mapping, wall-clock deadlines, the budget ledger, and
-/// durability — every mutation is journaled before the reply, and
-/// [`AggState::recover`] rebuilds an identical state from the journal.
+/// transition mapping, which wall-clock deadline has passed, the budget
+/// ledger, and durability — every mutation is journaled before the reply,
+/// and [`AggState::recover`] rebuilds an identical state from the journal.
 pub struct AggState {
     setup: Arc<RoundSetup>,
-    intake: Intake,
-    roots: Option<Vec<Option<Parked>>>,
-    tail: CommitteeTail,
+    round: Round<Parked>,
     shard: Option<u32>,
     who: String,
     started: Instant,
@@ -631,7 +632,6 @@ pub struct AggState {
     // How many rows of `contribs` are full (derived; what a held
     // `PullOrigin` waits for).
     rows_complete: usize,
-    aggregate: Option<Parked>,
     share_deadline: Option<Instant>,
     cert_since: Option<Instant>,
     // Privacy budget (None when the round runs unmetered or on a shard,
@@ -641,7 +641,8 @@ pub struct AggState {
     session_ops: BTreeSet<Vec<u8>>,
     round_budget_ops: Vec<Vec<u8>>,
     charged_epsilon: f64,
-    // Result.
+    // The core's decision as this plane reports it, rendered when it was
+    // made: the reject list is the one known then.
     outcome: Option<Result<RoundOutcome, String>>,
     finished_seen: BTreeSet<u64>,
     finished_shards: BTreeSet<u32>,
@@ -665,6 +666,35 @@ pub struct AggState {
 /// there is no journal to claim anything of).
 fn settle(pending: Option<Pending>) -> Result<(), NetError> {
     pending.map_or(Ok(()), |pending| Ok(pending.wait()?))
+}
+
+/// The journal tag of a phase transition.
+fn mark_tag(mark: &Mark) -> u8 {
+    match mark {
+        Mark::Commit => rec::COMMIT,
+        Mark::Aggregate => rec::AGGREGATE,
+        Mark::Select => rec::SELECT,
+        Mark::Reselect => rec::RESELECT,
+        Mark::Fail(_) => rec::FAIL,
+        Mark::Seal => rec::SEAL,
+    }
+}
+
+/// The phase transition a replayed record of `tag` stands for; a failure
+/// comes back as its journaled rendering.
+fn mark_of(tag: u8, body: &[u8]) -> Option<Mark> {
+    let fail = Mark::Fail(CoreError::Invalid(
+        String::from_utf8_lossy(body).into_owned(),
+    ));
+    let marks = [
+        Mark::Commit,
+        Mark::Aggregate,
+        Mark::Select,
+        Mark::Reselect,
+        fail,
+        Mark::Seal,
+    ];
+    marks.into_iter().find(|mark| mark_tag(mark) == tag)
 }
 
 /// The core's view of the round: immutable inputs derived from the setup.
@@ -722,16 +752,14 @@ impl AggState {
             None => slot_map.iter().map(|d| vec![None; d.len()]).collect(),
             Some(_) => Vec::new(),
         };
+        let round = Round::new(Intake::new(slot_map, owns), roots, CommitteeTail::new(c, t));
         AggState {
-            intake: Intake::new(slot_map, owns),
-            roots,
-            tail: CommitteeTail::new(c, t),
+            round,
             shard,
             who,
             started: Instant::now(),
             contribs,
             rows_complete: 0,
-            aggregate: None,
             share_deadline: None,
             cert_since: None,
             ledger: budget.and_then(|cfg| cfg.ledger().ok()),
@@ -792,7 +820,7 @@ impl AggState {
         // Wall-clock deadlines do not survive a crash: restart them so
         // straggler detection (and the one reselect) still fires.
         st.started = Instant::now();
-        if !st.tail.participants.is_empty() && st.outcome.is_none() {
+        if !st.round.tail.participants.is_empty() && st.outcome.is_none() {
             st.share_deadline = Some(Instant::now() + st.share_wait());
         }
         if replayed > 0 {
@@ -834,14 +862,15 @@ impl AggState {
         // A shard (a committee of zero) digests as the round's idle committee:
         // that is what its checkpoints have always recorded.
         let idle = CommitteeTail::new(self.setup.committee_size, self.setup.threshold);
+        let Round { intake, roots, .. } = &self.round;
         let tail = if self.shard.is_some() {
             &idle
         } else {
-            &self.tail
+            &self.round.tail
         };
-        let plane = &self.intake.plane;
-        let (statuses, rejected) = (&self.intake.statuses, &plane.rejected);
-        let rows = self.roots.as_ref().unwrap_or(&self.intake.submissions);
+        let plane = &intake.plane;
+        let (statuses, rejected) = (&intake.statuses, &plane.rejected);
+        let rows = roots.as_ref().unwrap_or(&intake.submissions);
         for s in self.contribs.iter().flatten() {
             put_opt(&mut w, s, put_ct);
         }
@@ -859,7 +888,7 @@ impl AggState {
             put_opt(&mut w, s, put_ct);
         }
         w.put_u64(rows.iter().flatten().count() as u64);
-        put_opt(&mut w, &self.aggregate, put_ct);
+        put_opt(&mut w, &self.round.aggregate, put_ct);
         for p in &tail.pongs {
             put_opt(&mut w, p, |w, seed| w.put_bytes(seed));
         }
@@ -914,7 +943,7 @@ impl AggState {
     /// body): replay re-derives the commitments from the journaled
     /// intake and must land on the same tree.
     fn commit_digest(&self) -> Digest {
-        let commits = &self.intake.plane.commits;
+        let commits = &self.round.intake.plane.commits;
         let mut w = Writer::with_capacity(4 + 45 * commits.len());
         w.put_u32(commits.len() as u32);
         for cmt in commits {
@@ -939,10 +968,10 @@ impl AggState {
             .max(Duration::from_secs(10))
     }
 
+    /// Ends the round in a failure only this driver can meet (a refused
+    /// budget, a failed journal), unjournaled: `msg` is its whole rendering.
     fn fail(&mut self, msg: String) {
-        if self.outcome.is_none() {
-            self.outcome = Some(Err(msg));
-        }
+        self.apply_mark(&Mark::Fail(CoreError::Invalid(msg)));
     }
 
     // --- journaling ------------------------------------------------------
@@ -973,16 +1002,6 @@ impl AggState {
         j.append_parts(&[&[tag], body])?;
         self.undigested += 1;
         Ok(())
-    }
-
-    fn append_mark(&mut self, tag: u8) -> Result<(), NetError> {
-        self.digest_due = true;
-        self.append_record(tag, &[])
-    }
-
-    fn append_fail(&mut self, msg: &str) -> Result<(), NetError> {
-        self.digest_due = true;
-        self.append_record(rec::FAIL, msg.as_bytes())
     }
 
     /// Closes one handled request's run of records: appends a
@@ -1023,26 +1042,6 @@ impl AggState {
                     why: e.to_string(),
                 })?;
             }
-            rec::AGGREGATE => self.do_aggregate(),
-            rec::SELECT => self.do_select(false),
-            rec::RESELECT => self.do_select(true),
-            rec::COMMIT => {
-                let want: Digest = body.try_into().map_err(|_| JournalError::Replay {
-                    seq,
-                    why: format!("commitment freeze of {} bytes", body.len()),
-                })?;
-                self.intake.freeze_commits();
-                let got = self.commit_digest();
-                if got != want {
-                    return Err(JournalError::StateDiverged {
-                        at_records: seq,
-                        want,
-                        got,
-                    }
-                    .into());
-                }
-            }
-            rec::SEAL => self.do_seal(),
             rec::BUDGET => {
                 let op = LedgerOp::decode(body).map_err(|e| JournalError::Replay {
                     seq,
@@ -1055,16 +1054,20 @@ impl AggState {
                     })?;
                 self.round_budget_ops.push(body.to_vec());
             }
-            rec::FAIL => {
-                let msg = String::from_utf8_lossy(body).into_owned();
-                self.fail(msg);
-            }
-            rec::DIGEST => {
+            // A checkpoint of the whole state, or — the freeze's record —
+            // of the commitment plane the replayed freeze must re-derive.
+            rec::DIGEST | rec::COMMIT => {
                 let want: Digest = body.try_into().map_err(|_| JournalError::Replay {
                     seq,
-                    why: format!("digest checkpoint of {} bytes", body.len()),
+                    why: format!("digest record of {} bytes", body.len()),
                 })?;
-                let got = self.digest();
+                let got = match tag {
+                    rec::DIGEST => self.digest(),
+                    _ => {
+                        self.apply_mark(&Mark::Commit);
+                        self.commit_digest()
+                    }
+                };
                 if got != want {
                     return Err(JournalError::StateDiverged {
                         at_records: seq,
@@ -1074,13 +1077,16 @@ impl AggState {
                     .into());
                 }
             }
-            other => {
-                return Err(JournalError::Replay {
-                    seq,
-                    why: format!("unknown record tag {other}"),
+            tag => match mark_of(tag, body) {
+                Some(mark) => self.apply_mark(&mark),
+                None => {
+                    return Err(JournalError::Replay {
+                        seq,
+                        why: format!("unknown record tag {tag}"),
+                    }
+                    .into())
                 }
-                .into())
-            }
+            },
         }
         Ok(())
     }
@@ -1248,86 +1254,47 @@ impl AggState {
 
     // --- phase transitions ----------------------------------------------
 
-    /// Closes certificate-signature collection (see
-    /// [`CommitteeTail::seal`]).
-    fn do_seal(&mut self) {
-        let tail = &mut self.tail;
-        if tail.sealed {
-            return;
-        }
-        if tail.seal().is_none() && tail.cert.is_some() && !self.replaying {
-            eprintln!(
-                "{}: certificate unsigned: {} of {} needed signatures",
-                self.who,
-                tail.cert_sigs.iter().flatten().count(),
-                self.setup.threshold + 1
-            );
-        }
-    }
-
-    /// Forms this process's aggregate: the sealed summation tree over the
-    /// owned origins (hub, shard), or the sum of the sealed shard roots
-    /// (coordinator — `tick` only fires this once every root arrived, so a
-    /// missing shard delays the combine rather than contributing zero).
-    /// The coordinator sums bare roots because `ShardRoot` carries no tree
-    /// commitment on the wire; see DESIGN.md "Aggregation core".
-    fn do_aggregate(&mut self) {
-        if self.aggregate.is_some() {
-            return;
-        }
-        let sealed = match &self.roots {
-            None => {
-                let ctx = round_ctx(&self.setup, self.charged_epsilon);
-                let root = self.intake.seal(&ctx, &mut self.rng);
-                root.map(|root| root.sum)
+    /// Applies a phase transition (live and in replay alike) and adds this
+    /// driver's reactions: a selection starts the share wait, and a decision
+    /// is rendered as the outcome.
+    fn apply_mark(&mut self, mark: &Mark) {
+        let setup = Arc::clone(&self.setup);
+        let ctx = round_ctx(&setup, self.charged_epsilon);
+        self.round.apply(mark, &ctx, &mut self.rng);
+        let tail = &self.round.tail;
+        match mark {
+            Mark::Select | Mark::Reselect if self.round.failed.is_none() => {
+                self.share_deadline = Some(Instant::now() + self.share_wait());
             }
-            Some(roots) => {
-                let root = |(s, root): (usize, &Option<Parked>)| {
-                    let ct = root.as_ref().map(|root| root.ct().clone());
-                    ct.ok_or_else(|| CoreError::Invalid(format!("shard {s} root missing")))
-                };
-                let roots: Result<Vec<_>, _> = roots.iter().enumerate().map(root).collect();
-                roots.and_then(|cts| {
-                    aggregate_and_audit(cts).map_err(|e| CoreError::Exec("aggregation", e))
-                })
+            Mark::Seal if tail.cert.is_some() && tail.cert_bytes.is_none() && !self.replaying => {
+                eprintln!(
+                    "{}: certificate unsigned: {} of {} needed signatures",
+                    self.who,
+                    tail.cert_sigs.iter().flatten().count(),
+                    self.setup.threshold + 1
+                );
             }
-        };
-        match sealed {
-            Ok(agg) => self.aggregate = Some(Parked::new(agg)),
-            Err(e) => self.fail(e.to_string()),
+            _ => {}
         }
+        self.note_outcome();
     }
 
-    /// Selects the decryption participants (`again`: after declaring the
-    /// stragglers dead) and arms the share deadline, or fails the round
-    /// with the core's typed error.
-    fn do_select(&mut self, again: bool) {
-        let tail = &mut self.tail;
-        match if again {
-            tail.reselect()
-        } else {
-            tail.select()
-        } {
-            Ok(()) => self.share_deadline = Some(Instant::now() + self.share_wait()),
-            Err(e) => self.fail(e.to_string()),
-        }
-    }
-
-    /// The last share arrived and the core decided the round: record the
-    /// outcome. Runs inside the journaled request that delivered the
-    /// share, so replay re-derives it (and the certificate) identically.
-    fn finish_committee(&mut self) {
-        let Some((exact, released)) = self.tail.released.clone() else {
+    /// Renders the core's decision, once, as the outcome this plane reports.
+    /// A deciding share runs inside its journaled request, so replay
+    /// re-derives the outcome (and the certificate) identically.
+    fn note_outcome(&mut self) {
+        let (None, Some(decided)) = (&self.outcome, self.round.outcome()) else {
             return;
         };
-        let mut rejected = self.intake.plane.rejected.clone();
+        let mut rejected = self.round.intake.plane.rejected.clone();
         rejected.sort_unstable();
-        self.outcome = Some(Ok(RoundOutcome {
-            exact,
-            released,
+        let rendered = |(exact, released): &(PlainResult, Vec<NoisyGroup>)| RoundOutcome {
+            exact: exact.clone(),
+            released: released.clone(),
             rejected,
-        }));
-        if self.tail.cert.is_none() && !self.replaying {
+        };
+        self.outcome = Some(decided.map(rendered).map_err(CoreError::to_string));
+        if self.round.failed.is_none() && self.round.tail.cert.is_none() && !self.replaying {
             eprintln!(
                 "{}: certificate skipped: incomplete commitment plane",
                 self.who
@@ -1335,110 +1302,56 @@ impl AggState {
         }
     }
 
-    /// Lazy wall-clock phase transitions, run around every request and
-    /// by the server's idle loop. Each transition is journaled as a
-    /// mark record *before* it is applied, so replay re-applies it at
-    /// the same point in the event order instead of re-evaluating
-    /// wall-clock conditions.
+    /// The one function in which this state asks what time it is: whether
+    /// the core's `timeout` has passed or — `None`, a matter between this
+    /// driver and its origins (§4.4) — the contribution deadline.
+    fn expired(&self, timeout: Option<Timeout>) -> bool {
+        let now = Instant::now();
+        let wait = self.setup.spec.contrib_deadline;
+        let since = |t0: Option<Instant>, wait| t0.is_some_and(|t0| now >= t0 + wait);
+        match timeout {
+            None => since(Some(self.started), wait),
+            // Origins substitute at the contribution deadline, then combine
+            // and submit: the submissions get as long again.
+            Some(Timeout::Intake) => since(Some(self.started), wait * 2),
+            Some(Timeout::CheckIn) => since(Some(self.started), wait * 2 + Duration::from_secs(5)),
+            Some(Timeout::Shares) => since(self.share_deadline, Duration::ZERO),
+            Some(Timeout::Cert) => since(self.cert_since, self.share_wait()),
+        }
+    }
+
+    /// Lazy wall-clock phase transitions, run around every request and by
+    /// the server's idle loop: while the core says a transition is due, it
+    /// is journaled as a mark record *before* it is applied, so replay
+    /// re-applies it at the same point in the event order instead of
+    /// re-evaluating wall-clock conditions. A decision settles the budget
+    /// before anything else is journaled.
     fn tick(&mut self) -> Result<(), NetError> {
         if self.replaying {
             return Ok(());
         }
-        if self.outcome.is_none() {
-            self.tick_round()?;
-        }
-        self.settle_budget()?;
-        self.tick_cert()
-    }
-
-    /// The pre-outcome transitions: commitment freeze, aggregate,
-    /// participant selection, reselect-or-fail.
-    fn tick_round(&mut self) -> Result<(), NetError> {
-        // Aggregate once every expected input arrived — origin rows for
-        // the hub / a shard, sealed roots for the coordinator. Per-origin
-        // intake also fires on the extended deadline (missing origins
-        // contribute Enc(0)); the coordinator never does: a shard root
-        // is a whole subpopulation, so it waits (bounded by the round
-        // timeout) for the chaos supervisor to respawn the shard.
-        let submit_deadline = self.setup.spec.contrib_deadline * 2;
-        let intake_done = match &self.roots {
-            None => self.intake.is_complete() || self.started.elapsed() >= submit_deadline,
-            Some(roots) => roots.iter().all(Option::is_some),
-        };
-        if self.aggregate.is_none() && intake_done {
-            // Commitment-then-seal: freeze (and journal) the per-origin
-            // certificate commitments before the aggregate exists, so
-            // nothing that arrives later can move the committed tree. (The
-            // coordinator's intake owns no origin: its freeze just pins
-            // what the shards delivered inside their `ShardRoot`s.)
-            if self.intake.plane.frozen.is_none() {
-                self.intake.freeze_commits();
-                self.digest_due = true;
-                self.append_record(rec::COMMIT, &self.commit_digest())?;
+        loop {
+            self.settle_budget()?;
+            if self.cert_since.is_none() && self.round.signing() {
+                self.cert_since = Some(Instant::now());
             }
-            self.append_mark(rec::AGGREGATE)?;
-            self.do_aggregate();
-        }
-        // A shard's round ends at its sealed root: no committee phases.
-        if self.shard.is_some() {
-            return Ok(());
-        }
-        let tail = &self.tail;
-        // Select participants once the aggregate exists and the whole
-        // committee checked in (or the grace period expires).
-        if self.outcome.is_none() && self.aggregate.is_some() && tail.participants.is_empty() {
-            let all_in = tail.alive().len() == self.setup.committee_size;
-            let grace_over = self.started.elapsed() >= submit_deadline + Duration::from_secs(5);
-            if all_in || grace_over {
-                self.append_mark(rec::SELECT)?;
-                self.do_select(false);
-            }
-        }
-        // Reselect once if a chosen member never delivered its share; a
-        // second straggler round is the typed committee failure.
-        let Some(deadline) = self.share_deadline else {
-            return Ok(());
-        };
-        let tail = &self.tail;
-        if self.outcome.is_none() && Instant::now() >= deadline && !tail.stragglers().is_empty() {
-            if tail.reselected {
-                let msg = tail.unavailable().to_string();
-                self.append_fail(&msg)?;
-                self.fail(msg);
-            } else {
-                self.append_mark(rec::RESELECT)?;
-                self.do_select(true);
-            }
-        }
-        Ok(())
-    }
-
-    /// The post-outcome transition: seal the certificate once every
-    /// committee member signed its transcript, or once the grace period
-    /// expires (quorum then decides whether certificate bytes exist).
-    fn tick_cert(&mut self) -> Result<(), NetError> {
-        let tail = &self.tail;
-        if tail.sealed || tail.cert.is_none() || !matches!(self.outcome, Some(Ok(_))) {
-            return Ok(());
-        }
-        let all_signed = tail.all_signed();
-        let since = *self.cert_since.get_or_insert_with(Instant::now);
-        if all_signed || since.elapsed() >= self.share_wait() {
-            self.append_mark(rec::SEAL)?;
-            self.do_seal();
-        }
-        Ok(())
-    }
-
-    /// Whether the round is fully over from a client's point of view:
-    /// the outcome exists *and* the certificate (when one was built) is
-    /// sealed. `Finished` replies wait for this, so no role can exit
-    /// while its certificate signature is still wanted.
-    fn round_done(&self) -> bool {
-        match &self.outcome {
-            None => false,
-            Some(Err(_)) => true,
-            Some(Ok(_)) => self.tail.cert.is_none() || self.tail.sealed,
+            let Some(mark) = self.round.due(|t| self.expired(Some(t))) else {
+                return Ok(());
+            };
+            let body = match &mark {
+                // The freeze's record carries the digest of what it froze
+                // (see [`rec::COMMIT`]), so it alone is applied first; the
+                // second application below finds the plane frozen.
+                Mark::Commit => {
+                    self.apply_mark(&mark);
+                    self.commit_digest().to_vec()
+                }
+                Mark::Fail(e) => e.to_string().into_bytes(),
+                _ => Vec::new(),
+            };
+            self.digest_due = true;
+            self.append_record(mark_tag(&mark), &body)?;
+            self.apply_mark(&mark);
         }
     }
 
@@ -1446,7 +1359,7 @@ impl AggState {
     /// now; `None` for polls, for requests this process's composition
     /// does not serve, and for out-of-range requests.
     fn slot(&self, msg: &NetMsg) -> Option<Slot> {
-        let (intake, tail) = (&self.intake, &self.tail);
+        let Round { intake, tail, .. } = &self.round;
         match msg {
             NetMsg::PushContrib { origin, slot, .. } => intake.contribution_slot(*origin, *slot),
             NetMsg::SubmitOrigin { origin, .. } => intake.submission_slot(*origin),
@@ -1455,7 +1368,7 @@ impl AggState {
                 rejected,
                 commits,
                 ..
-            } => intake.root_slot(self.roots.as_ref()?, *shard, rejected, commits),
+            } => intake.root_slot(self.round.roots.as_ref()?, *shard, rejected, commits),
             NetMsg::CommitteeCheckIn { member, .. } => tail.pong_slot(*member),
             NetMsg::PushShare { member, round, .. } => tail.share_slot(*member, *round),
             NetMsg::PushCertSig { member, sig } => {
@@ -1473,9 +1386,9 @@ impl AggState {
     fn mutates(&self, msg: &NetMsg) -> bool {
         let wanted = match msg {
             NetMsg::PushContrib { .. } | NetMsg::SubmitOrigin { .. } | NetMsg::ShardRoot { .. } => {
-                !self.round_done()
+                !self.round.is_over()
             }
-            NetMsg::PushShare { .. } => self.outcome.is_none(),
+            NetMsg::PushShare { .. } => self.round.outcome().is_none(),
             _ => true,
         };
         wanted && self.slot(msg) == Some(Slot::Open)
@@ -1501,8 +1414,9 @@ impl AggState {
     fn apply(&mut self, msg: NetMsg) -> Result<NetMsg, NetError> {
         let setup = Arc::clone(&self.setup);
         let ctx = round_ctx(&setup, self.charged_epsilon);
-        let done = self.round_done();
-        let (intake, tail) = (&mut self.intake, &mut self.tail);
+        let done = self.round.is_over();
+        let round = &mut self.round;
+        let (intake, tail) = (&mut round.intake, &mut round.tail);
         Ok(match msg {
             NetMsg::PushContrib { origin, slot, sc } => {
                 intake.contribution_slot(origin, slot)?;
@@ -1527,8 +1441,7 @@ impl AggState {
                 }
                 let slots = &self.contribs[origin as usize];
                 let have = slots.iter().filter(|s| s.is_some()).count();
-                let deadline_passed = self.started.elapsed() >= setup.spec.contrib_deadline;
-                if have == slots.len() || (!self.replaying && deadline_passed) {
+                if have == slots.len() || (!self.replaying && self.expired(None)) {
                     let ct = |s: &Option<Parked>| s.as_ref().map(|p| p.ct().clone());
                     NetMsg::OriginJob {
                         cts: slots.iter().map(ct).collect(),
@@ -1555,7 +1468,7 @@ impl AggState {
                         self.finished_seen.insert(member);
                     }
                     NetMsg::Finished
-                } else if let (Some(Ok(_)), Some(cert)) = (&self.outcome, &tail.cert) {
+                } else if let Some(cert) = &tail.cert {
                     // The result is decided; the only thing left to
                     // collect is this member's certificate signature.
                     if tail.cert_sigs[member as usize].is_none() {
@@ -1566,16 +1479,12 @@ impl AggState {
                         NetMsg::CommitteeWait
                     }
                 } else if tail.stragglers().contains(&member) {
+                    let aggregate = round.aggregate.as_ref();
+                    let aggregate = aggregate.expect("selection implies aggregate");
                     NetMsg::CommitteeShareTask {
                         round: tail.share_round,
                         participants: tail.participants.clone(),
-                        ct: Box::new(
-                            self.aggregate
-                                .as_ref()
-                                .expect("selection implies aggregate")
-                                .ct()
-                                .clone(),
-                        ),
+                        ct: Box::new(aggregate.ct().clone()),
                     }
                 } else {
                     NetMsg::CommitteeWait
@@ -1586,14 +1495,8 @@ impl AggState {
                 round,
                 share,
             } => {
-                tail.share_slot(member, round)?;
-                if let (None, Some(aggregate)) = (&self.outcome, &self.aggregate) {
-                    let plane = &intake.plane;
-                    match tail.accept_share(member, round, *share, aggregate, plane, &ctx) {
-                        Ok(true) => self.finish_committee(),
-                        Ok(false) => {}
-                        Err(e) => self.fail(e.to_string()),
-                    }
+                if self.round.accept_share(member, round, *share, &ctx)? {
+                    self.note_outcome();
                 }
                 NetMsg::Ack
             }
@@ -1619,7 +1522,7 @@ impl AggState {
                 commits,
                 root,
             } => {
-                let roots = self.roots.as_mut().ok_or_else(|| {
+                let roots = round.roots.as_mut().ok_or_else(|| {
                     CoreError::Invalid("shard root pushed at a non-coordinator".into())
                 })?;
                 let slot = intake.root_slot(roots, shard, &rejected, &commits)?;
@@ -1632,7 +1535,7 @@ impl AggState {
                 // Only a coordinator tracks shards, and only its own: a
                 // stray id must never count towards "every shard saw
                 // Finished" (nor stall it forever).
-                match &self.roots {
+                match &round.roots {
                     Some(roots) if (shard as usize) < roots.len() => {}
                     _ => {
                         return Err(CoreError::Invalid(format!("shard {shard} out of range")).into())
@@ -1647,7 +1550,7 @@ impl AggState {
     /// `Finished` (noting that shard `shard` observed it) once the round
     /// is over, `waiting` before that.
     fn shard_status(&mut self, shard: u32, waiting: NetMsg) -> NetMsg {
-        if !self.round_done() {
+        if !self.round.is_over() {
             return waiting;
         }
         if !self.replaying {
@@ -1700,14 +1603,14 @@ impl AggState {
     /// request.
     fn milestones(&self) -> impl PartialEq {
         (
-            self.aggregate.is_some(),
-            self.round_done(),
+            self.round.aggregate.is_some(),
+            self.round.is_over(),
             self.finished_seen.len(),
             self.finished_shards.len(),
             self.driver_seen,
             self.rows_complete,
-            self.tail.share_round,
-            self.tail.cert.is_some(),
+            self.round.tail.share_round,
+            self.round.tail.cert.is_some(),
         )
     }
 
@@ -1738,8 +1641,8 @@ impl AggState {
     /// formed (`None` before that, and always off a shard): the root plus
     /// the reject set and commitments frozen right before it sealed.
     pub fn shard_root_msg(&self) -> Option<NetMsg> {
-        let (shard, root) = (self.shard?, self.aggregate.as_ref()?);
-        let plane = &self.intake.plane;
+        let (shard, root) = (self.shard?, self.round.aggregate.as_ref()?);
+        let plane = &self.round.intake.plane;
         let mut rejected = plane.certified().to_vec();
         rejected.sort_unstable();
         Some(NetMsg::ShardRoot {
@@ -1754,7 +1657,7 @@ impl AggState {
     /// happened and the signature quorum was reached (`None` before the
     /// seal, below quorum, and always on shards).
     pub fn certificate(&self) -> Option<&[u8]> {
-        self.tail.cert_bytes.as_deref()
+        self.round.tail.cert_bytes.as_deref()
     }
 
     /// The sealed certificate rendered as the `ROUND_cert.json` artifact
@@ -2096,7 +1999,7 @@ pub fn run_aggregator(
     let mut s = shared.lock();
     let (result, cert_json) = loop {
         shared.tick(&mut s);
-        if s.round_done() {
+        if s.round.is_over() {
             let since = *outcome_since.get_or_insert_with(Instant::now);
             // Committee members (and shards) that died after the
             // outcome formed can never poll `Finished`; a grace period

@@ -387,3 +387,327 @@ fn hub_and_one_shard_plus_coordinator_seal_the_same_certificate() {
     assert_eq!(cert.rejected, vec![cheater]);
     assert_eq!(cert.leaves.len(), n);
 }
+
+// --- the phase policy: `Round::due` / `Round::apply` -----------------------
+
+use mycelium::aggcore::{Mark, Round, Timeout};
+use mycelium_net::journal::Journal;
+use mycelium_net::proto::NetMsg;
+use mycelium_net::round::AggState;
+
+const ALL_TIMEOUTS: [Timeout; 4] = [
+    Timeout::Intake,
+    Timeout::CheckIn,
+    Timeout::Shares,
+    Timeout::Cert,
+];
+
+fn due(round: &Round<Parked>, expired: &[Timeout]) -> Option<Mark> {
+    round.due(|t| expired.contains(&t))
+}
+
+/// Asserts `Round::due` at `round`'s current state, one row per expired-set.
+fn expect(state: &str, round: &Round<Parked>, table: &[(&[Timeout], Option<Mark>)]) {
+    for (expired, want) in table {
+        assert_eq!(due(round, expired), *want, "{state}, expired {expired:?}");
+    }
+}
+
+#[test]
+fn the_phase_policy_is_a_table() {
+    use Timeout::{Cert, CheckIn, Intake as IntakeWait, Shares};
+    let setup = setup();
+    let (c, t) = (setup.committee_size, setup.threshold);
+    let mut rng = StdRng::seed_from_u64(8);
+    let tail = || CommitteeTail::new(c, t);
+    let all_but_intake = &ALL_TIMEOUTS[1..];
+
+    // Hub: nothing before the intake wait is over; the freeze precedes the seal.
+    let mut hub: Round<Parked> = Round::new(Intake::new(setup.slot_map(), |_| true), None, tail());
+    expect(
+        "hub, intake open",
+        &hub,
+        &[
+            (&[], None),
+            (all_but_intake, None),
+            (&[IntakeWait], Some(Mark::Commit)),
+        ],
+    );
+    hub.apply(&Mark::Commit, &ctx(&setup), &mut rng);
+    expect(
+        "hub, frozen",
+        &hub,
+        &[(&[], None), (&[IntakeWait], Some(Mark::Aggregate))],
+    );
+    hub.apply(&Mark::Aggregate, &ctx(&setup), &mut rng);
+    assert!(hub.aggregate.is_some() && hub.tree.is_some());
+
+    // A complete intake needs no deadline.
+    let one_origin = |v| v == 0;
+    let mut shard: Round<Parked> = Round::new(
+        Intake::new(setup.slot_map(), one_origin),
+        None,
+        CommitteeTail::new(0, 0),
+    );
+    expect("shard, intake open", &shard, &[(all_but_intake, None)]);
+    let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
+    let row = Ciphertext::encrypt(&setup.keys.public, &zero, &mut rng).unwrap();
+    assert_eq!(shard.intake.accept_submission(0, row), Ok(true));
+    expect(
+        "shard, intake complete",
+        &shard,
+        &[(&[], Some(Mark::Commit))],
+    );
+    shard.apply(&Mark::Commit, &ctx(&setup), &mut rng);
+    expect("shard, frozen", &shard, &[(&[], Some(Mark::Aggregate))]);
+    shard.apply(&Mark::Aggregate, &ctx(&setup), &mut rng);
+    // A shard's round ends at its root: it never selects.
+    expect(
+        "shard, sealed",
+        &shard,
+        &[(&[], None), (&ALL_TIMEOUTS, None)],
+    );
+    assert!(!shard.is_over(), "it lingers until the coordinator is done");
+
+    // Coordinator: waits for every root however late it is, then needs no deadline.
+    let mut coord: Round<Parked> = Round::new(
+        Intake::new(setup.slot_map(), |_| false),
+        Some(vec![None, None]),
+        tail(),
+    );
+    let root = shard.aggregate.clone().unwrap();
+    let landed = (coord.intake).accept_root(
+        coord.roots.as_mut().unwrap(),
+        0,
+        root.clone(),
+        vec![],
+        vec![],
+    );
+    assert_eq!(landed, Ok(true));
+    expect(
+        "coordinator, a root missing",
+        &coord,
+        &[(&[], None), (&ALL_TIMEOUTS, None)],
+    );
+    let roots = coord.roots.as_mut().unwrap();
+    assert_eq!(
+        coord.intake.accept_root(roots, 1, root, vec![], vec![]),
+        Ok(true)
+    );
+    expect(
+        "coordinator, every root in",
+        &coord,
+        &[(&[], Some(Mark::Commit))],
+    );
+
+    // Selection: on the last check-in, or when the check-in wait is over.
+    expect(
+        "hub, nobody checked in",
+        &hub,
+        &[
+            (&[], None),
+            (&[IntakeWait, Shares, Cert], None),
+            (&[CheckIn], Some(Mark::Select)),
+        ],
+    );
+    let aggregate = hub.aggregate.as_ref().expect("aggregated").ct();
+    let shares = select_and_share(&mut hub.tail, &setup, aggregate);
+    // `select_and_share` selected by hand; rewind to "all checked in".
+    let selected = std::mem::take(&mut hub.tail.participants);
+    expect("hub, all checked in", &hub, &[(&[], Some(Mark::Select))]);
+    hub.tail.participants = selected;
+
+    // Stragglers: one reselection, then the typed failure; never before the wait is over.
+    let unavailable = CoreError::CommitteeUnavailable {
+        alive: c,
+        need: t + 1,
+    };
+    expect(
+        "hub, shares outstanding",
+        &hub,
+        &[
+            (&[], None),
+            (&[IntakeWait, CheckIn, Cert], None),
+            (&[Shares], Some(Mark::Reselect)),
+        ],
+    );
+    hub.tail.reselected = true;
+    expect(
+        "hub, shares outstanding again",
+        &hub,
+        &[(&[], None), (&[Shares], Some(Mark::Fail(unavailable)))],
+    );
+    hub.tail.reselected = false;
+    let (last_member, last_share) = shares.last().cloned().unwrap();
+    for (m, share) in &shares[..shares.len() - 1] {
+        let round = hub.tail.share_round;
+        assert_eq!(
+            hub.accept_share(*m, round, share.clone(), &ctx(&setup)),
+            Ok(false)
+        );
+    }
+    hub.tail.shares[last_member as usize] = Some(last_share.clone());
+    expect(
+        "hub, every share in but undecided",
+        &hub,
+        &[(&ALL_TIMEOUTS, None)],
+    );
+    hub.tail.shares[last_member as usize] = None;
+
+    // The deciding share, then the seal: on the last signature or when the wait is over.
+    let round = hub.tail.share_round;
+    assert_eq!(
+        hub.accept_share(last_member, round, last_share, &ctx(&setup)),
+        Ok(true)
+    );
+    assert!(hub.outcome().is_some_and(|o| o.is_ok()) && hub.signing() && !hub.is_over());
+    expect(
+        "hub, signing",
+        &hub,
+        &[
+            (&[], None),
+            (&[IntakeWait, CheckIn, Shares], None),
+            (&[Cert], Some(Mark::Seal)),
+        ],
+    );
+    let transcript = hub.tail.cert.as_ref().unwrap().transcript;
+    for m in 1..=c as u64 {
+        let sig = sign_transcript(setup.spec.seed, m, &transcript);
+        assert_eq!(hub.tail.accept_sig(m, sig, setup.spec.seed), Ok(true));
+    }
+    expect("hub, all signed", &hub, &[(&[], Some(Mark::Seal))]);
+    hub.apply(&Mark::Seal, &ctx(&setup), &mut rng);
+    assert!(hub.is_over() && hub.tail.cert_bytes.is_some());
+    expect("hub, sealed", &hub, &[(&[], None), (&ALL_TIMEOUTS, None)]);
+
+    // Nothing is due after a failure, and a failure sticks.
+    let failed = CoreError::CommitteeUnavailable { alive: 1, need: 3 };
+    coord.apply(&Mark::Fail(failed.clone()), &ctx(&setup), &mut rng);
+    coord.apply(
+        &Mark::Fail(CoreError::Invalid("later".into())),
+        &ctx(&setup),
+        &mut rng,
+    );
+    assert_eq!(coord.outcome().and_then(Result::err), Some(&failed));
+    assert!(coord.is_over());
+    expect(
+        "coordinator, failed",
+        &coord,
+        &[(&[], None), (&ALL_TIMEOUTS, None)],
+    );
+}
+
+#[test]
+fn a_hub_journal_replays_onto_a_bare_round() {
+    // A journaled hub runs a whole round through the live path; then the
+    // journal's requests and marks — and nothing else: no clock, no
+    // `AggState` — are applied to a fresh `Round`, which must decide the
+    // same outcome and seal the same certificate (whose transcript binds
+    // the commitment plane, the aggregate, the selection and the release) as
+    // the live hub — the state journal recovery rebuilds, by `digest`.
+    let setup = std::sync::Arc::new(setup());
+    let dir = std::env::temp_dir().join(format!("mycelium-aggcore-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.bin");
+    let mut live = AggState::recover(setup.clone(), &path).unwrap();
+    let mut ask = |msg: NetMsg| {
+        let raw = msg.encode();
+        live.handle(NetMsg::decode(&raw, &setup.cc).unwrap(), &raw)
+            .unwrap()
+    };
+    let mut rng = StdRng::seed_from_u64(9);
+    let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
+    for origin in 0..setup.pop.graph.len() as u32 {
+        let ct = Ciphertext::encrypt(&setup.keys.public, &zero, &mut rng).unwrap();
+        let ct = Box::new(ct);
+        assert!(matches!(
+            ask(NetMsg::SubmitOrigin { origin, ct }),
+            NetMsg::Ack
+        ));
+    }
+    let members = 1..=setup.committee_size as u64;
+    for member in members.clone().chain(members.clone()).chain(members) {
+        let seed = [member as u8; 32];
+        match ask(NetMsg::CommitteeCheckIn { member, seed }) {
+            NetMsg::CommitteeShareTask {
+                round,
+                participants,
+                ct,
+            } => {
+                let (shares, t_pt) = (&setup.key_shares, setup.plan.t_pt as i64);
+                let share = decryption_share(&ct, shares, member, &participants, t_pt, &mut rng);
+                let share = Box::new(share.unwrap());
+                ask(NetMsg::PushShare {
+                    member,
+                    round,
+                    share,
+                });
+            }
+            NetMsg::CertSignTask { transcript } => {
+                let sig = sign_transcript(setup.spec.seed, member, &transcript);
+                ask(NetMsg::PushCertSig { member, sig });
+            }
+            _ => {}
+        }
+    }
+    let cert = live.certificate().expect("sealed on the last signature");
+    assert!(verify_bytes(cert).is_valid());
+
+    let binding = setup.spec.coordinator_binding_digest();
+    let (_, records) = Journal::open(&path, &binding).unwrap();
+    let hub = Intake::new(setup.slot_map(), |_| true);
+    let tail = CommitteeTail::new(setup.committee_size, setup.threshold);
+    let mut round: Round<Parked> = Round::new(hub, None, tail);
+    let mut marks = Vec::new();
+    for record in records.iter() {
+        let (tag, body) = record.split_first().unwrap();
+        // The journal's record tags (`mycelium_net::round`'s `rec`).
+        let mark = match tag {
+            1 => {
+                let landed = match NetMsg::decode(body, &setup.cc).unwrap() {
+                    NetMsg::SubmitOrigin { origin, ct } => {
+                        round.intake.accept_submission(origin, *ct)
+                    }
+                    NetMsg::CommitteeCheckIn { member, seed } => round.tail.check_in(member, seed),
+                    NetMsg::PushShare {
+                        member,
+                        round: share_round,
+                        share,
+                    } => round
+                        .accept_share(member, share_round, *share, &ctx(&setup))
+                        .map(|_| true),
+                    NetMsg::PushCertSig { member, sig } => {
+                        round.tail.accept_sig(member, sig, setup.spec.seed)
+                    }
+                    other => panic!("{} is not journaled", other.kind()),
+                };
+                assert_eq!(landed, Ok(true), "only mutating requests are journaled");
+                continue;
+            }
+            2 => Mark::Aggregate,
+            3 => Mark::Select,
+            7 => Mark::Commit,
+            8 => Mark::Seal,
+            6 => continue,
+            tag => panic!("unexpected record tag {tag}"),
+        };
+        round.apply(&mark, &ctx(&setup), &mut rng);
+        marks.push(mark);
+    }
+    let want = [Mark::Commit, Mark::Aggregate, Mark::Select, Mark::Seal];
+    assert_eq!(marks, want, "what the live hub found due, in order");
+    assert_eq!(round.tail.cert_bytes.as_deref(), Some(cert));
+    let Some(Ok(reported)) = live.outcome() else {
+        panic!("the live round released");
+    };
+    let (exact, released) = round.outcome().unwrap().unwrap();
+    assert_eq!(*exact, reported.exact);
+    assert_eq!(format!("{released:?}"), format!("{:?}", reported.released));
+    assert_eq!(round.intake.plane.rejected, reported.rejected);
+    assert!(round.is_over() && due(&round, &ALL_TIMEOUTS).is_none());
+    let recovered = AggState::recover(setup.clone(), &path).unwrap();
+    assert_eq!(recovered.digest(), live.digest());
+    assert_eq!(recovered.certificate(), Some(cert));
+    let _ = std::fs::remove_dir_all(&dir);
+}
