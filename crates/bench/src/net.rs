@@ -10,8 +10,13 @@
 //! be read off beside its socket cost. Two rows cover the serving plane's
 //! end-of-round and durability mechanisms: how long [`Server::shutdown`]
 //! takes with an idle session open, and what the journal's group commit
-//! makes of 1, 2 and 4 concurrent writers. The emitted `BENCH_net.json`
-//! has a fixed field order and precision so diffs stay readable.
+//! makes of 1, 2 and 4 concurrent writers. Two more cover the request
+//! path itself: one client pushing 96 KiB records at a journalling handler
+//! strictly one at a time and with a full window in flight (acks per
+//! second, and how many `fsync`s an ack costs once a burst shares one),
+//! and the minor page faults an exchange takes now that frames live in
+//! buffers their connection keeps. The emitted `BENCH_net.json` has a
+//! fixed field order and precision so diffs stay readable.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -22,9 +27,11 @@ use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
 use mycelium_net::journal::Journal;
+use mycelium_net::metrics::minor_faults;
 use mycelium_net::netchaos::{ChaosProxy, NetFaultPlan};
-use mycelium_net::round::role;
-use mycelium_net::server::{Handler, Server, ServerConfig};
+use mycelium_net::round::{role, WINDOW};
+use mycelium_net::server::{Handled, Handler, Server, ServerConfig};
+use mycelium_net::wire::Writer;
 use mycelium_net::Identity;
 use mycelium_simnet::PhaseSeries;
 
@@ -150,6 +157,119 @@ fn group_commit_sample(writers: usize, acks: u64) -> GroupCommitSample {
     sample
 }
 
+/// Requests in flight swept by the pipelined row: strict ping-pong, and
+/// the window a device keeps.
+pub const PIPELINE_WINDOWS: [usize; 2] = [1, WINDOW];
+
+/// One client pushing 96 KiB records at a handler that journals each
+/// before it acknowledges — the aggregator's intake path without its
+/// cryptography — with `window` of them in flight.
+pub struct PipelinedSample {
+    /// Requests the client keeps in flight.
+    pub window: usize,
+    /// Records pushed and acknowledged.
+    pub acks: u64,
+    /// Wall seconds for all of them.
+    pub secs: f64,
+    /// `fsync`s the journal issued for them.
+    pub syncs: u64,
+}
+
+/// Journals every request, acknowledges with one byte, and leaves the
+/// durability wait to the connection's worker.
+struct Journalling(Mutex<Journal>);
+
+impl Handler for Journalling {
+    fn handle_into(
+        &self,
+        _peer: [u8; 32],
+        request: &[u8],
+        reply: &mut Writer,
+        _may_wait: bool,
+    ) -> Result<Handled, NetError> {
+        let mut journal = self.0.lock().expect("no handler panics");
+        journal.append(request)?;
+        reply.put_u8(1);
+        Ok(Handled::Reply(Some(journal.pending())))
+    }
+}
+
+fn pipelined_sample(window: usize, acks: u64) -> PipelinedSample {
+    let path = std::env::temp_dir().join(format!(
+        "myc-bench-pipelined-{}-{window}.bin",
+        std::process::id()
+    ));
+    let journal = Journal::create(&path, &[0xbe; 32]).expect("bench journal");
+    let journalling = Arc::new(Journalling(Mutex::new(journal)));
+    let identity = Identity::derive(0xbe, 0);
+    let config = ClientConfig::new(Identity::derive(0xbe, 100), Some(identity.public));
+    let handler: Arc<dyn Handler> = journalling.clone();
+    let server = Server::spawn(
+        "127.0.0.1:0",
+        identity,
+        ServerConfig::default(),
+        handler,
+        0xbe,
+    )
+    .expect("bench server spawns");
+    let mut client = Client::new(server.local_addr(), config, StdRng::seed_from_u64(11));
+    let record = vec![0x5au8; 96 << 10];
+    client.request("warm", &record).expect("warm-up");
+    let syncs_before = journalling.0.lock().expect("idle").sync_stats().syncs;
+    let start = Instant::now();
+    for _ in 0..acks {
+        while client.in_flight() >= window {
+            client.recv().expect("ack");
+        }
+        client.send("push", |w| w.put_bytes(&record)).expect("push");
+    }
+    while client.in_flight() > 0 {
+        client.recv().expect("ack");
+    }
+    let secs = start.elapsed().as_secs_f64();
+    server.shutdown();
+    let syncs = journalling.0.lock().expect("idle").sync_stats().syncs - syncs_before;
+    let _ = std::fs::remove_file(&path);
+    PipelinedSample {
+        window,
+        acks,
+        secs,
+        syncs,
+    }
+}
+
+/// The minor page faults of 96 KiB echo exchanges, client and server both
+/// in this process: what the buffers of the request path cost to touch.
+pub struct AllocSample {
+    /// Payload bytes per direction.
+    pub payload: usize,
+    /// Exchanges measured (after a warm-up).
+    pub exchanges: u64,
+    /// Minor faults the process took over them.
+    pub minor_faults: u64,
+}
+
+fn alloc_sample(exchanges: u64) -> AllocSample {
+    let (server, server_pub) = echo_server();
+    let config = ClientConfig::new(Identity::derive(0xbe, 100), Some(server_pub));
+    let mut client = Client::new(server.local_addr(), config, StdRng::seed_from_u64(13));
+    let body = vec![0x5au8; 96 << 10];
+    for _ in 0..16 {
+        client.request("warm", &body).expect("warm-up");
+    }
+    let before = minor_faults().unwrap_or(0);
+    for _ in 0..exchanges {
+        client.request("bench", &body).expect("echo exchange");
+    }
+    let minor_faults = minor_faults().unwrap_or(0) - before;
+    server.shutdown();
+    AllocSample {
+        payload: body.len(),
+        exchanges,
+        minor_faults,
+    }
+}
+
 /// Times [`Server::shutdown`] of an echo server on which one client
 /// shook hands, exchanged a request and then went quiet — the state
 /// every role's connection is in when a round ends.
@@ -181,6 +301,10 @@ pub struct NetBench {
     pub shutdown_micros: PhaseSeries,
     /// The journal's group commit, one sample per writer count.
     pub group_commit: Vec<GroupCommitSample>,
+    /// One pushing client against a journalling handler, per window.
+    pub pipelined: Vec<PipelinedSample>,
+    /// Minor faults of the echo exchange.
+    pub alloc: AllocSample,
 }
 
 fn echo_server() -> (Server, [u8; 32]) {
@@ -313,10 +437,30 @@ pub fn run(smoke: bool) -> NetBench {
             g.syncs as f64 / g.acks as f64,
         );
     }
+    let pipelined: Vec<PipelinedSample> = PIPELINE_WINDOWS
+        .iter()
+        .map(|&window| pipelined_sample(window, if smoke { 128 } else { 512 }))
+        .collect();
+    for p in &pipelined {
+        eprintln!(
+            "  pipelined  window {}  {:>8.0} acks/s, {:.2} fsyncs/ack",
+            p.window,
+            p.acks as f64 / p.secs,
+            p.syncs as f64 / p.acks as f64,
+        );
+    }
+    let alloc = alloc_sample(if smoke { 200 } else { 1000 });
+    eprintln!(
+        "  alloc  {} B  {:.0} minor faults per 1000 exchanges",
+        alloc.payload,
+        1000.0 * alloc.minor_faults as f64 / alloc.exchanges as f64,
+    );
     NetBench {
         aead,
         shutdown_micros,
         group_commit,
+        pipelined,
+        alloc,
         samples,
         handshake_micros,
         proxy: ProxyOverhead {
@@ -398,7 +542,23 @@ pub fn to_json(bench: &NetBench) -> String {
             if i + 1 == bench.group_commit.len() { "" } else { "," },
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n  \"pipelined\": [\n");
+    for (i, p) in bench.pipelined.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"window\": {}, \"acks\": {}, \"acks_per_sec\": {:.0}, \"fsyncs_per_ack\": {:.2}}}{}\n",
+            p.window,
+            p.acks,
+            p.acks as f64 / p.secs,
+            p.syncs as f64 / p.acks as f64,
+            if i + 1 == bench.pipelined.len() { "" } else { "," },
+        ));
+    }
+    out.push_str(&format!(
+        "  ],\n  \"alloc\": {{\"bytes\": {}, \"exchanges\": {}, \"minor_faults_per_1000\": {:.0}}}\n}}\n",
+        bench.alloc.payload,
+        bench.alloc.exchanges,
+        1000.0 * bench.alloc.minor_faults as f64 / bench.alloc.exchanges as f64,
+    ));
     out
 }
 
@@ -444,6 +604,17 @@ mod tests {
                 secs: 0.05,
                 syncs: 60,
             }],
+            pipelined: vec![PipelinedSample {
+                window: 8,
+                acks: 100,
+                secs: 0.04,
+                syncs: 25,
+            }],
+            alloc: AllocSample {
+                payload: 98304,
+                exchanges: 200,
+                minor_faults: 30,
+            },
         };
         let json = to_json(&bench);
         assert!(json.contains("\"bytes\": 1024"));
@@ -456,8 +627,11 @@ mod tests {
         assert!(json.contains(
             "  ]},\n  \"shutdown\": {\"iters\": 1, \"p50_micros\": 900, \"p99_micros\": 900},\n"
         ));
+        assert!(json.contains(
+            "  \"group_commit\": [\n    {\"writers\": 2, \"acks\": 100, \"acks_per_sec\": 2000, \"fsyncs_per_ack\": 0.60}\n  ],\n"
+        ));
         assert!(json.ends_with(
-            "  \"group_commit\": [\n    {\"writers\": 2, \"acks\": 100, \"acks_per_sec\": 2000, \"fsyncs_per_ack\": 0.60}\n  ]\n}\n"
+            "  \"pipelined\": [\n    {\"window\": 8, \"acks\": 100, \"acks_per_sec\": 2500, \"fsyncs_per_ack\": 0.25}\n  ],\n  \"alloc\": {\"bytes\": 98304, \"exchanges\": 200, \"minor_faults_per_1000\": 150}\n}\n"
         ));
     }
 }

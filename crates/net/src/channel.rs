@@ -32,6 +32,16 @@
 //! use distinct keys, and the receiver insists on strictly sequential
 //! sequence numbers, so replayed, reordered, or cross-spliced frames are
 //! rejected with a typed error.
+//!
+//! A channel owns the two buffers its frames live in and keeps them for
+//! the life of the connection. A frame is received into the *inbox* and
+//! decrypted there ([`SecureChannel::recv`] lends the payload out); a
+//! frame to send is encoded behind its header's place in the *outbox*,
+//! sealed where it lies, and written from there. Several sealed frames
+//! can wait in the outbox for one write ([`SecureChannel::answer`],
+//! [`SecureChannel::flush`]) — how a server answers a burst of requests
+//! in order after one durability wait. Once a connection has seen its
+//! largest frame, an exchange allocates nothing.
 
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -44,9 +54,10 @@ use mycelium_crypto::sha256;
 use mycelium_math::rng::{Rng, StdRng};
 
 use crate::error::NetError;
-use crate::frame::{header_bytes, read_frame, write_frame, FrameType, HEADER_LEN};
+use crate::frame::{header_bytes, read_frame, read_frame_into, write_frame, FrameType, HEADER_LEN};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
+use crate::wire::Writer;
 
 /// An endpoint's long-term X25519 identity.
 #[derive(Clone)]
@@ -135,6 +146,12 @@ pub struct SecureChannel {
     peer: [u8; 32],
     max_payload: usize,
     metrics: Arc<Mutex<NetMetrics>>,
+    /// The payload of the frame last received, decrypted where it was read.
+    inbox: Vec<u8>,
+    /// Sealed frames not yet written, in sequence order.
+    outbox: Vec<u8>,
+    /// How many frames the outbox holds.
+    queued: u64,
 }
 
 impl SecureChannel {
@@ -152,24 +169,24 @@ impl SecureChannel {
 
     /// Seals and writes one application payload.
     pub fn send(&mut self, payload: &[u8]) -> Result<(), NetError> {
-        let seq = self.send_seq;
-        let wire = sealed_frame(&self.send_key, FrameType::Data, seq, payload);
-        self.stream.write_frame_bytes(&wire)?;
-        self.send_seq += 1;
-        let mut m = lock_recover(&self.metrics);
-        m.frames_sent += 1;
-        m.bytes_sent += wire.len() as u64;
-        Ok(())
+        self.seal(FrameType::Data, |_, w| {
+            w.put_bytes(payload);
+            Ok(true)
+        })?;
+        self.flush()
     }
 
-    /// Reads, authenticates, and decrypts one application payload.
+    /// Reads, authenticates, and decrypts one application payload, lent
+    /// out of the channel's own buffer until the next call (also
+    /// [`received`](Self::received)).
     ///
     /// A sealed [`FrameType::Busy`] frame authenticates like data but
     /// surfaces as [`NetError::Overloaded`]: the server refused the
     /// request under load, and the channel stays frame-aligned so the
     /// client can back off and re-send on the same connection.
-    pub fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        let (header, mut payload) = read_frame(&mut &self.stream, self.max_payload + OVERHEAD)?;
+    pub fn recv(&mut self) -> Result<&[u8], NetError> {
+        let limit = self.max_payload + OVERHEAD;
+        let header = read_frame_into(&mut &self.stream, limit, &mut self.inbox)?;
         if header.frame_type != FrameType::Data && header.frame_type != FrameType::Busy {
             return Err(NetError::Handshake(
                 "non-data frame on established channel".into(),
@@ -182,7 +199,7 @@ impl SecureChannel {
             });
         }
         let aad = header_bytes(header.frame_type, header.seq, header.len);
-        if let Err(e) = open_in_place(&self.recv_key, header.seq, &aad, &mut payload) {
+        if let Err(e) = open_in_place(&self.recv_key, header.seq, &aad, &mut self.inbox) {
             lock_recover(&self.metrics).aead_rejects += 1;
             return Err(e.into());
         }
@@ -193,7 +210,52 @@ impl SecureChannel {
         if header.frame_type == FrameType::Busy {
             return Err(NetError::Overloaded);
         }
-        Ok(payload)
+        Ok(&self.inbox)
+    }
+
+    /// The payload the last successful [`recv`](Self::recv) returned.
+    pub fn received(&self) -> &[u8] {
+        &self.inbox
+    }
+
+    /// Whether the peer's next frame has begun to arrive: a
+    /// [`recv`](Self::recv) now would find its first bytes without
+    /// waiting for the peer to send them.
+    pub fn request_waiting(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let arrived = matches!(self.stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+        let _ = self.stream.set_nonblocking(false);
+        arrived
+    }
+
+    /// The server's half of an exchange: hands `answer` the request last
+    /// received and a writer for its reply, and — when `answer` says so
+    /// with `Ok(true)` — seals what it wrote as the next frame, queued
+    /// behind those already waiting for [`flush`](Self::flush). On
+    /// `Ok(false)` or an error nothing is queued.
+    pub fn answer(
+        &mut self,
+        answer: impl FnOnce(&[u8], &mut Writer) -> Result<bool, NetError>,
+    ) -> Result<bool, NetError> {
+        self.seal(FrameType::Data, answer)
+    }
+
+    /// Writes every queued frame, in order, with one `write`.
+    pub fn flush(&mut self) -> Result<(), NetError> {
+        if self.outbox.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_frame_bytes(&self.outbox);
+        let (frames, bytes) = (self.queued, self.outbox.len() as u64);
+        self.outbox.clear();
+        self.queued = 0;
+        written?;
+        let mut m = lock_recover(&self.metrics);
+        m.frames_sent += frames;
+        m.bytes_sent += bytes;
+        Ok(())
     }
 
     /// Seals and writes one overload rejection (empty [`FrameType::Busy`]
@@ -201,14 +263,25 @@ impl SecureChannel {
     /// a real reply; authenticated so only the real server can apply
     /// backpressure.
     pub fn send_busy(&mut self) -> Result<(), NetError> {
-        let seq = self.send_seq;
-        let wire = sealed_frame(&self.send_key, FrameType::Busy, seq, &[]);
-        self.stream.write_frame_bytes(&wire)?;
-        self.send_seq += 1;
-        let mut m = lock_recover(&self.metrics);
-        m.frames_sent += 1;
-        m.bytes_sent += wire.len() as u64;
-        Ok(())
+        self.seal(FrameType::Busy, |_, _| Ok(true))?;
+        self.flush()
+    }
+
+    /// Queues one sealed frame of type `ty` whose payload `fill` writes.
+    fn seal(
+        &mut self,
+        ty: FrameType,
+        fill: impl FnOnce(&[u8], &mut Writer) -> Result<bool, NetError>,
+    ) -> Result<bool, NetError> {
+        let inbox = &self.inbox;
+        let sealed = seal_frame(&mut self.outbox, &self.send_key, ty, self.send_seq, |w| {
+            fill(inbox, w)
+        })?;
+        if sealed {
+            self.send_seq += 1;
+            self.queued += 1;
+        }
+        Ok(sealed)
     }
 
     /// Wire bytes one [`send`](Self::send) of `payload_len` bytes costs.
@@ -230,17 +303,33 @@ impl WriteFrameBytes for TcpStream {
     }
 }
 
-/// Builds a complete sealed frame (header ‖ ciphertext ‖ tag) in the one
-/// buffer that goes to the socket.
-fn sealed_frame(key: &[u8; 32], ty: FrameType, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = (payload.len() + OVERHEAD) as u32;
+/// Appends one complete sealed frame (header ‖ ciphertext ‖ tag) to
+/// `wire`, the buffer that goes to the socket: `fill` writes the payload
+/// behind the header's place, and it is sealed where it lies. When `fill`
+/// declines (`Ok(false)`) or fails, `wire` is left as it was.
+fn seal_frame(
+    wire: &mut Vec<u8>,
+    key: &[u8; 32],
+    ty: FrameType,
+    seq: u64,
+    fill: impl FnOnce(&mut Writer) -> Result<bool, NetError>,
+) -> Result<bool, NetError> {
+    let start = wire.len();
+    let mut w = Writer::over(std::mem::take(wire));
+    w.put_bytes(&[0u8; HEADER_LEN]);
+    let kept = fill(&mut w);
+    *wire = w.finish();
+    if !matches!(kept, Ok(true)) {
+        wire.truncate(start);
+        return kept;
+    }
+    let body = start + HEADER_LEN;
+    let len = (wire.len() - body + OVERHEAD) as u32;
     let header = header_bytes(ty, seq, len);
-    let mut wire = Vec::with_capacity(HEADER_LEN + len as usize);
-    wire.extend_from_slice(&header);
-    wire.extend_from_slice(payload);
-    let tag = seal_in_place(key, seq, &header, &mut wire[HEADER_LEN..]);
+    wire[start..body].copy_from_slice(&header);
+    let tag = seal_in_place(key, seq, &header, &mut wire[body..]);
     wire.extend_from_slice(&tag);
-    wire
+    Ok(true)
 }
 
 fn confirm_exchange(
@@ -250,7 +339,11 @@ fn confirm_exchange(
     client_side: bool,
 ) -> Result<(), NetError> {
     let send_confirm = |stream: &mut TcpStream, key: &[u8; 32]| -> Result<(), NetError> {
-        let wire = sealed_frame(key, FrameType::Confirm, 0, transcript);
+        let mut wire = Vec::with_capacity(HEADER_LEN + 32 + OVERHEAD);
+        seal_frame(&mut wire, key, FrameType::Confirm, 0, |w| {
+            w.put_bytes(transcript);
+            Ok(true)
+        })?;
         stream.write_frame_bytes(&wire)
     };
     let recv_confirm = |stream: &mut TcpStream, key: &[u8; 32]| -> Result<(), NetError> {
@@ -302,6 +395,9 @@ fn finish_channel(
         peer: keys.peer,
         max_payload,
         metrics,
+        inbox: Vec::new(),
+        outbox: Vec::new(),
+        queued: 0,
     }
 }
 

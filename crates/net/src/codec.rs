@@ -72,6 +72,8 @@ pub fn ciphertext_encoded_bytes(nparts: usize, level: usize, degree: usize) -> u
 
 /// Serializes one `RnsPoly`.
 pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
+    let words: usize = p.residues().iter().map(Vec::len).sum();
+    w.reserve(2 + 8 * words);
     w.put_u8(match p.representation() {
         Representation::Coefficient => 0,
         Representation::Ntt => 1,
@@ -149,8 +151,8 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
     Ok(Ciphertext::from_parts(parts, noise_log2, cc.params.clone()))
 }
 
-/// Serializes an `Option<Ciphertext>` (the aggregator's per-slot state).
-pub fn encode_opt_ciphertext(w: &mut Writer, ct: &Option<Ciphertext>) {
+/// Serializes an optional ciphertext (the aggregator's per-slot state).
+pub fn encode_opt_ciphertext(w: &mut Writer, ct: Option<&Ciphertext>) {
     match ct {
         None => w.put_u8(0),
         Some(ct) => {

@@ -142,16 +142,30 @@ fn mid_frame_kind(kind: std::io::ErrorKind, what: &str) -> NetError {
 }
 
 /// Reads one frame, returning its header and payload.
+pub fn read_frame(
+    r: &mut impl Read,
+    max_payload: usize,
+) -> Result<(FrameHeader, Vec<u8>), NetError> {
+    let mut payload = Vec::new();
+    let header = read_frame_into(r, max_payload, &mut payload)?;
+    Ok((header, payload))
+}
+
+/// Reads one frame's payload into `payload` — resized to fit, whatever it
+/// held, so a caller that keeps the buffer between frames allocates (and
+/// faults in) nothing once it has seen its largest frame — and returns
+/// the header.
 ///
 /// A clean EOF or read timeout *before the first header byte* maps to
 /// the benign [`NetError::PeerClosed`] / [`NetError::Timeout`] (the
 /// connection is still frame-aligned); the same conditions mid-frame are
 /// hard [`NetError::Io`] errors — the stream is desynced and must be
 /// dropped.
-pub fn read_frame(
+pub fn read_frame_into(
     r: &mut impl Read,
     max_payload: usize,
-) -> Result<(FrameHeader, Vec<u8>), NetError> {
+    payload: &mut Vec<u8>,
+) -> Result<FrameHeader, NetError> {
     let mut header = [0u8; HEADER_LEN];
     // The header is read by hand so a between-frames EOF/timeout is
     // distinguishable from a truncated frame.
@@ -177,7 +191,9 @@ pub fn read_frame(
             max: max_payload,
         });
     }
-    let mut payload = vec![0u8; len];
+    // Only growth past the previous frame's length is zero-filled: the
+    // rest is about to be overwritten.
+    payload.resize(len, 0);
     let mut read = 0usize;
     while read < len {
         match r.read(&mut payload[read..]) {
@@ -190,7 +206,7 @@ pub fn read_frame(
             Err(e) => return Err(e.into()),
         }
     }
-    Ok((parsed, payload))
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -206,6 +222,25 @@ mod tests {
         assert_eq!(h.frame_type, FrameType::Data);
         assert_eq!(h.seq, 9);
         assert_eq!(p, b"payload");
+    }
+
+    #[test]
+    fn a_kept_buffer_is_resized_to_each_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameType::Data, 1, &[7u8; 300]).unwrap();
+        write_frame(&mut wire, FrameType::Data, 2, b"short").unwrap();
+        let mut r = wire.as_slice();
+        let mut buf = Vec::new();
+        assert_eq!(read_frame_into(&mut r, 1024, &mut buf).unwrap().seq, 1);
+        assert_eq!(buf, [7u8; 300]);
+        let held = buf.capacity();
+        assert_eq!(read_frame_into(&mut r, 1024, &mut buf).unwrap().seq, 2);
+        assert_eq!(buf, b"short");
+        assert_eq!(
+            buf.capacity(),
+            held,
+            "the second frame reused the first's buffer"
+        );
     }
 
     #[test]

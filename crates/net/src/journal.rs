@@ -39,7 +39,9 @@
 //!   yet on disk becomes the leader and issues one `sync_all`, which
 //!   covers every record appended before it started; the waiters queued
 //!   behind it find their records covered and return without touching
-//!   the disk. The aggregator waits before every reply, so an
+//!   the disk. Claims are cumulative — a later one covers every earlier
+//!   one — so a connection's worker that handled a burst of requests
+//!   waits once, on the last. No reply is written before that wait, so an
 //!   acknowledged mutation is always on disk and no reply exposes state
 //!   that is not. [`Journal::commit`] is append-then-wait in one call.
 
@@ -245,6 +247,9 @@ impl Pending {
 #[derive(Debug)]
 pub struct Journal {
     sync: Arc<Syncer>,
+    /// The record being written (length ‖ payload ‖ checksum), kept
+    /// between appends.
+    rec: Vec<u8>,
     /// When `Some(n)`, the next append writes only the first `n` bytes
     /// of the encoded record and then reports success — a deterministic
     /// stand-in for a crash mid-`write(2)`, used by the chaos drill to
@@ -283,6 +288,7 @@ impl Journal {
                 durable: AtomicU64::new(0),
                 leader: Mutex::default(),
             }),
+            rec: Vec::new(),
             torn_write: None,
         }
     }
@@ -387,16 +393,19 @@ impl Journal {
     }
 
     /// [`Journal::append`] of the record whose payload is `parts`
-    /// concatenated: they are copied once, straight into the bytes written.
+    /// concatenated: they are copied once, straight into the bytes written
+    /// (a buffer the journal keeps from one append to the next).
     pub fn append_parts(&mut self, parts: &[&[u8]]) -> Result<(), JournalError> {
         let len: usize = parts.iter().map(|p| p.len()).sum();
         assert!(len <= MAX_RECORD_BYTES, "record too large");
-        let mut rec = Vec::with_capacity(RECORD_OVERHEAD + len);
+        let seq = self.record_count();
+        let rec = &mut self.rec;
+        rec.clear();
+        rec.reserve(RECORD_OVERHEAD + len);
         rec.extend_from_slice(&(len as u32).to_le_bytes());
         for part in parts {
             rec.extend_from_slice(part);
         }
-        let seq = self.record_count();
         let sum = record_checksum(seq, &rec[4..]);
         rec.extend_from_slice(&sum);
         let mut file = &self.sync.file;
@@ -408,7 +417,7 @@ impl Journal {
             let _ = file.sync_all();
             return Ok(());
         }
-        file.write_all(&rec)?;
+        file.write_all(rec)?;
         self.sync.appended.store(seq + 1, Ordering::Release);
         Ok(())
     }

@@ -16,7 +16,9 @@
 //!   with strictly sequential per-direction nonces (replay/reorder
 //!   rejection for free).
 //! * [`server`] / [`client`] — a thread-per-connection request/response
-//!   server with a bounded worker pool, and a reconnecting client that
+//!   server with a bounded worker pool that answers the requests a
+//!   connection has pipelined as one burst behind one durability wait, and
+//!   a reconnecting client that keeps a window of requests in flight and
 //!   reuses the simulated transport's [`BackoffPolicy`] schedule.
 //! * [`codec`] / [`proto`] — validated wire codecs for ciphertexts,
 //!   proofs, and decryption shares, and the query-round message set.

@@ -18,6 +18,17 @@ use mycelium_simnet::PhaseSeries;
 use crate::error::NetError;
 use crate::wire::{Reader, Writer};
 
+/// Minor page faults this process has taken so far, from
+/// `/proc/self/stat` (`None` off Linux): what fresh large allocations
+/// cost, each page of one being faulted in on first touch.
+pub fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // `(comm)` may hold spaces: count from its `)`, after which `state`
+    // is field 3 and `minflt` field 10.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_ascii_whitespace();
+    fields.nth(7)?.parse().ok()
+}
+
 /// Traffic attributed to one message kind (request or response label).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindCounters {

@@ -573,10 +573,15 @@ impl ProxyCtx {
 }
 
 /// A deterministic link-fault proxy in front of one server. Every
-/// connection is relayed on a single thread — the transport is strict
-/// ping-pong at every phase (handshake and data), so a frame-at-a-time
-/// relay can never deadlock — with the link's scheduled faults applied
-/// at their request ordinals.
+/// connection is relayed on a single thread, one exchange at a time — a
+/// request in, its reply out, then the next request — with the link's
+/// scheduled faults applied at their request ordinals. A client that
+/// pipelines finds its further requests waiting in the socket buffers
+/// until their turn (behind the proxy a window is a queue), and since the
+/// relay only ever owes the client the one reply it is about to read for
+/// it, it cannot deadlock against a client that follows the transport's
+/// one rule (no large write while a large reply is outstanding). A request
+/// the relay never took off the socket consumed no ordinal.
 pub struct ChaosProxy {
     addr: SocketAddr,
     ctx: Arc<ProxyCtx>,
@@ -1027,6 +1032,91 @@ mod tests {
         );
         proxy.shutdown();
         server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_dropped_under_a_window_costs_one_retry_and_one_duplicate() {
+        use crate::proto::NetMsg;
+        use crate::round::{AggFaults, AggState, SharedAgg};
+        // A device link with eight pushes in flight; the proxy swallows the
+        // third one's Ack and cuts the connection.
+        let spec = RoundSpec {
+            n: 12,
+            device_shards: 1,
+            origin_shards: 1,
+            io_timeout: Duration::from_secs(5),
+            ..RoundSpec::default()
+        };
+        let setup = Arc::new(build_setup(&spec).unwrap());
+        let pushes: Vec<NetMsg> = (setup.duties.iter().enumerate())
+            .flat_map(|(v, duties)| duties.iter().map(move |duty| (v as u32, duty)))
+            .take(8)
+            .map(|(v, duty)| {
+                let mut rng = StdRng::seed_from_u64(1000 + v as u64);
+                let (plan, keys) = (&setup.plan, &setup.keys);
+                let sc = plan.build_contribution(keys, v, duty.exp, false, &mut rng);
+                NetMsg::PushContrib {
+                    origin: duty.origin,
+                    slot: duty.slot,
+                    sc: Box::new(sc.unwrap()),
+                }
+            })
+            .collect();
+        assert_eq!(pushes.len(), 8);
+        let shared = SharedAgg::new(
+            AggState::new(Arc::clone(&setup)),
+            &setup,
+            &AggFaults::default(),
+        );
+        let handler: Arc<dyn Handler> = shared.clone();
+        let identity = setup.aggregator_identity();
+        let config = ServerConfig::default();
+        let server = Server::spawn("127.0.0.1:0", identity, config, handler, 7).unwrap();
+        let mut plan = NetFaultPlan::default();
+        let link = (role::AGGREGATOR, role::DEVICE_BASE);
+        plan.links.entry(link).or_default().faults = vec![LinkFault {
+            ordinal: 3,
+            kind: FaultKind::DropReply,
+        }];
+        let roster = setup.link_roster();
+        let proxy =
+            ChaosProxy::spawn(server.local_addr(), role::AGGREGATOR, &plan, &roster).unwrap();
+        let device = Identity::derive(spec.seed, role::DEVICE_BASE);
+        let mut config = ClientConfig::new(device, Some(setup.aggregator_identity().public));
+        config.backoff = mycelium_simnet::BackoffPolicy::new(1, 4);
+        let mut client = Client::new(proxy.local_addr(), config, StdRng::seed_from_u64(3));
+
+        for push in &pushes {
+            client.send(push.kind(), |w| push.encode_into(w)).unwrap();
+        }
+        for _ in &pushes {
+            let reply = NetMsg::decode(client.recv().unwrap(), &setup.cc).unwrap();
+            assert!(matches!(reply, NetMsg::Ack));
+        }
+
+        // Exact: the state holds what eight plain deliveries leave.
+        let mut plain = AggState::new(Arc::clone(&setup));
+        for push in &pushes {
+            let raw = push.encode();
+            let msg = NetMsg::decode(&raw, &setup.cc).unwrap();
+            plain.handle(msg, &raw).unwrap();
+        }
+        assert_eq!(shared.lock().digest(), plain.digest());
+        assert_eq!(shared.lock().duplicates_suppressed(), 1);
+
+        // And the run reconciles as the matrix reconciles its rounds.
+        let dir = std::env::temp_dir().join(format!("myc-netchaos-window-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut merged = lock_recover(&client.metrics()).clone();
+        assert_eq!((merged.retries, merged.handshakes), (1, 2));
+        merged.duplicates_suppressed = shared.lock().duplicates_suppressed();
+        std::fs::write(dir.join(files::METRICS_MERGED), merged.encode()).unwrap();
+        server.shutdown();
+        let ledger = proxy.shutdown();
+        assert_eq!(ledger.reply_drops, 1);
+        std::fs::write(dir.join(files::netfaults("aggregator")), ledger.to_json()).unwrap();
+        assert_eq!(reconcile(&dir, &spec, &plan), "ok");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

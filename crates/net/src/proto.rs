@@ -156,15 +156,35 @@ impl NetMsg {
         }
     }
 
-    /// Serializes the message.
+    /// Serializes the message into a buffer of its own.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Writes an `OriginJob` over `slots` — the row as whoever holds it
+    /// holds it, so the aggregator encodes its parked ciphertexts where
+    /// they lie.
+    pub fn put_origin_job<'a>(
+        w: &mut Writer,
+        slots: impl ExactSizeIterator<Item = Option<&'a Ciphertext>>,
+    ) {
+        w.put_u8(18);
+        w.put_u32(slots.len() as u32);
+        for ct in slots {
+            encode_opt_ciphertext(w, ct);
+        }
+    }
+
+    /// Serializes the message behind whatever `w` already holds.
+    pub fn encode_into(&self, w: &mut Writer) {
         match self {
             NetMsg::PushContrib { origin, slot, sc } => {
                 w.put_u8(1);
                 w.put_u32(*origin);
                 w.put_u32(*slot);
-                encode_contribution(&mut w, sc);
+                encode_contribution(w, sc);
             }
             NetMsg::PullOrigin { origin } => {
                 w.put_u8(2);
@@ -173,7 +193,7 @@ impl NetMsg {
             NetMsg::SubmitOrigin { origin, ct } => {
                 w.put_u8(3);
                 w.put_u32(*origin);
-                encode_ciphertext(&mut w, ct);
+                encode_ciphertext(w, ct);
             }
             NetMsg::CommitteeCheckIn { member, seed } => {
                 w.put_u8(4);
@@ -188,7 +208,7 @@ impl NetMsg {
                 w.put_u8(5);
                 w.put_u64(*member);
                 w.put_u32(*round);
-                encode_share(&mut w, share);
+                encode_share(w, share);
             }
             NetMsg::PullStatus => w.put_u8(6),
             NetMsg::ShardRoot {
@@ -207,7 +227,7 @@ impl NetMsg {
                     w.put_u32(c.accepted);
                     w.put_u32(c.rejected);
                 }
-                encode_ciphertext(&mut w, root);
+                encode_ciphertext(w, root);
             }
             NetMsg::PullShardStatus { shard } => {
                 w.put_u8(8);
@@ -225,11 +245,7 @@ impl NetMsg {
                 w.put_u32(*need);
             }
             NetMsg::OriginJob { cts } => {
-                w.put_u8(18);
-                w.put_u32(cts.len() as u32);
-                for ct in cts {
-                    encode_opt_ciphertext(&mut w, ct);
-                }
+                NetMsg::put_origin_job(w, cts.iter().map(Option::as_ref));
             }
             NetMsg::CommitteeWait => w.put_u8(19),
             NetMsg::CommitteeShareTask {
@@ -240,7 +256,7 @@ impl NetMsg {
                 w.put_u8(20);
                 w.put_u32(*round);
                 w.put_u64_slice(participants);
-                encode_ciphertext(&mut w, ct);
+                encode_ciphertext(w, ct);
             }
             NetMsg::CertSignTask { transcript } => {
                 w.put_u8(22);
@@ -248,7 +264,6 @@ impl NetMsg {
             }
             NetMsg::Finished => w.put_u8(21),
         }
-        w.finish()
     }
 
     /// Deserializes a message, validating every field.

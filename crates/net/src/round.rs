@@ -16,10 +16,13 @@
 //! by the server ([`PARK`]) until the answer exists.
 //!
 //! * **Device processes** shard the per-vertex contribution duties and
-//!   push each (`PushContrib`) until acked, then exit.
+//!   push each (`PushContrib`), up to [`WINDOW`] in flight per link while
+//!   the next is being encrypted, until all are acked, then exit.
 //! * **Origin processes** shard the per-vertex origin work: `PullOrigin`
 //!   hands over the verified slot ciphertexts (with holes once the
-//!   contribution deadline passed, §4.4); they combine and submit.
+//!   contribution deadline passed, §4.4); they combine and submit — the
+//!   next vertex's row asked for before this one is combined, a
+//!   submission's `Ack` read only when the next row arrives behind it.
 //! * **Committee processes** ask `CommitteeCheckIn` (carrying their
 //!   joint-noise seed) and are handed a `CommitteeShareTask` once the
 //!   participant set is agreed, then a `CertSignTask`.
@@ -67,7 +70,7 @@ use mycelium::params::SystemParams;
 use mycelium::plan::{OriginWork, QueryPlan};
 use mycelium::roles;
 use mycelium::streams as stream;
-use mycelium_bgv::KeySet;
+use mycelium_bgv::{Ciphertext, KeySet};
 use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
 use mycelium_cert::{render_json, RoundCertificate, SlotStatus};
 use mycelium_crypto::sha256::{sha256, Digest};
@@ -91,7 +94,7 @@ use crate::journal::{Journal, JournalError, Pending, SyncStats};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
 use crate::proto::NetMsg;
-use crate::server::{Handler, Server, ServerConfig};
+use crate::server::{Handled, Handler, Server, ServerConfig};
 use crate::wire::{Reader, Writer};
 
 /// Transport role ids (feed [`Identity::derive`]).
@@ -590,6 +593,10 @@ const TICK: Duration = Duration::from_millis(20);
 /// at once and never sleeps. Also how long a client that lost its server
 /// waits, at most, before it redials.
 pub const PARK: Duration = Duration::from_millis(50);
+/// How many contributions a device keeps in flight on one link (sent, not
+/// yet acknowledged) while it encrypts the next — and so how many encoded
+/// contributions, rather than one, it holds in memory per link.
+pub const WINDOW: usize = 8;
 
 /// Deterministic fault injection knobs for [`run_aggregator`] — the
 /// chaos drill's way of dying at an exact protocol step.
@@ -695,6 +702,16 @@ fn mark_of(tag: u8, body: &[u8]) -> Option<Mark> {
         Mark::Seal,
     ];
     marks.into_iter().find(|mark| mark_tag(mark) == tag)
+}
+
+/// A reply as the state hands it over. An origin's job is named, not
+/// copied out: its wire encoding reads the parked row where it lies
+/// ([`AggState::encode_reply`]); only a caller that wants the message
+/// itself pays for the ciphertexts ([`AggState::handle_deferred`]).
+enum Reply {
+    Msg(NetMsg),
+    /// `OriginJob` over this origin's row as it stands.
+    Job(u32),
 }
 
 /// The core's view of the round: immutable inputs derived from the setup.
@@ -1411,19 +1428,19 @@ impl AggState {
     /// protocol logic: no journaling, no wall-clock reads — this is the
     /// function journal replay re-runs. Range and composition checks are
     /// the core's typed errors.
-    fn apply(&mut self, msg: NetMsg) -> Result<NetMsg, NetError> {
+    fn apply(&mut self, msg: NetMsg) -> Result<Reply, NetError> {
         let setup = Arc::clone(&self.setup);
         let ctx = round_ctx(&setup, self.charged_epsilon);
         let done = self.round.is_over();
         let round = &mut self.round;
         let (intake, tail) = (&mut round.intake, &mut round.tail);
-        Ok(match msg {
+        Ok(Reply::Msg(match msg {
             NetMsg::PushContrib { origin, slot, sc } => {
                 intake.contribution_slot(origin, slot)?;
                 // A decided round (including a budget-refused one)
                 // takes no more intake: tell the client to stand down.
                 if done {
-                    return Ok(NetMsg::Finished);
+                    return Ok(Reply::Msg(NetMsg::Finished));
                 }
                 let verified =
                     intake.accept_contribution(origin, slot, *sc, &ctx, &mut self.rng)?;
@@ -1437,26 +1454,22 @@ impl AggState {
             NetMsg::PullOrigin { origin } => {
                 intake.submission_slot(origin)?;
                 if done {
-                    return Ok(NetMsg::Finished);
+                    return Ok(Reply::Msg(NetMsg::Finished));
                 }
                 let slots = &self.contribs[origin as usize];
                 let have = slots.iter().filter(|s| s.is_some()).count();
                 if have == slots.len() || (!self.replaying && self.expired(None)) {
-                    let ct = |s: &Option<Parked>| s.as_ref().map(|p| p.ct().clone());
-                    NetMsg::OriginJob {
-                        cts: slots.iter().map(ct).collect(),
-                    }
-                } else {
-                    NetMsg::OriginPending {
-                        have: have as u32,
-                        need: slots.len() as u32,
-                    }
+                    return Ok(Reply::Job(origin));
+                }
+                NetMsg::OriginPending {
+                    have: have as u32,
+                    need: slots.len() as u32,
                 }
             }
             NetMsg::SubmitOrigin { origin, ct } => {
                 intake.submission_slot(origin)?;
                 if done {
-                    return Ok(NetMsg::Finished);
+                    return Ok(Reply::Msg(NetMsg::Finished));
                 }
                 intake.accept_submission(origin, *ct)?;
                 NetMsg::Ack
@@ -1544,7 +1557,22 @@ impl AggState {
                 self.shard_status(shard, NetMsg::CommitteeWait)
             }
             _ => return Err(NetError::Decode("request expected, got a reply".into())),
-        })
+        }))
+    }
+
+    /// Origin `origin`'s row as `PullOrigin` hands it over: a hole where
+    /// nothing was verified in time.
+    fn job_row(&self, origin: u32) -> impl ExactSizeIterator<Item = Option<&Ciphertext>> {
+        let row = self.contribs[origin as usize].iter();
+        row.map(|slot| slot.as_ref().map(Parked::ct))
+    }
+
+    /// Writes `reply`'s wire encoding into `w`.
+    fn encode_reply(&self, reply: &Reply, w: &mut Writer) {
+        match reply {
+            Reply::Msg(msg) => msg.encode_into(w),
+            Reply::Job(origin) => NetMsg::put_origin_job(w, self.job_row(*origin)),
+        }
     }
 
     /// `Finished` (noting that shard `shard` observed it) once the round
@@ -1582,6 +1610,21 @@ impl AggState {
         msg: NetMsg,
         raw: &[u8],
     ) -> Result<(NetMsg, Option<Pending>), NetError> {
+        let (reply, pending) = self.handle_reply(msg, raw)?;
+        let reply = match reply {
+            Reply::Msg(msg) => msg,
+            Reply::Job(origin) => NetMsg::OriginJob {
+                cts: self.job_row(origin).map(|ct| ct.cloned()).collect(),
+            },
+        };
+        Ok((reply, pending))
+    }
+
+    fn handle_reply(
+        &mut self,
+        msg: NetMsg,
+        raw: &[u8],
+    ) -> Result<(Reply, Option<Pending>), NetError> {
         self.tick()?;
         if self.mutates(&msg) {
             self.append_record(rec::REQ, raw)?;
@@ -1760,12 +1803,14 @@ pub fn read_addr_file(out_dir: &Path) -> Option<SocketAddr> {
 /// transitions and sleeps until the round reaches the point it waits for.
 ///
 /// As a [`Handler`] it decodes a request, handles it under the state lock
-/// (journal → apply → checkpoint), lets the lock go, and only then waits
-/// for the journal's group commit — so other requests are verified,
-/// applied and answered during the disk wait — before it encodes the
-/// reply. Under the `die_after` chaos knob a request is handled, made
-/// durable and then *not* answered, so the client must retry into the
-/// respawned process's idempotent path.
+/// (journal → apply → checkpoint), encodes the reply into the connection's
+/// frame buffer — an origin's job straight from the parked row — and lets
+/// the lock go. The claim it returns is waited on by the connection's
+/// worker, once per burst of requests and outside the lock, so other
+/// requests are verified, applied and answered during the disk wait; no
+/// reply leaves before it. Under the `die_after` chaos knob a request is
+/// handled, made durable and then *not* answered, so the client must
+/// retry into the respawned process's idempotent path.
 pub struct SharedAgg {
     state: Mutex<AggState>,
     /// Notified when a handled request moved one of
@@ -1834,38 +1879,49 @@ impl SharedAgg {
 }
 
 impl Handler for SharedAgg {
-    fn handle(&self, _peer: [u8; 32], request: &[u8]) -> Result<Vec<u8>, NetError> {
+    fn handle_into(
+        &self,
+        _peer: [u8; 32],
+        request: &[u8],
+        reply: &mut Writer,
+        may_wait: bool,
+    ) -> Result<Handled, NetError> {
         let mut msg = NetMsg::decode(request, &self.setup.cc)?;
         let kind = msg.kind();
         let asked = Instant::now();
         let mut s = self.lock();
         // A reply that says "not yet" is held (the state unlocked) and the
         // request handled again whenever a milestone moves, until its answer
-        // exists or one park period has passed.
-        let (reply, pending) = loop {
-            let handled = self.observe(&mut s, |s| s.handle_deferred(msg, request))?;
+        // exists or one park period has passed — but never in front of
+        // replies the connection has not written yet.
+        let pending = loop {
+            let (answer, pending) = self.observe(&mut s, |s| s.handle_reply(msg, request))?;
             let left = PARK.saturating_sub(asked.elapsed());
             let not_yet = matches!(
-                handled.0,
-                NetMsg::OriginPending { .. } | NetMsg::CommitteeWait
+                answer,
+                Reply::Msg(NetMsg::OriginPending { .. } | NetMsg::CommitteeWait)
             );
             if !not_yet || left.is_zero() {
-                break handled;
+                s.encode_reply(&answer, reply);
+                break pending;
+            }
+            if !may_wait {
+                return Ok(Handled::WouldWait);
             }
             s = self.wait(s, left);
             msg = NetMsg::decode(request, &self.setup.cc)?;
         };
         drop(s);
-        settle(pending)?;
         if let Some((k, n)) = self.die_after.as_ref().filter(|(k, _)| kind == k.as_str()) {
             let mut count = lock_recover(&self.die_count);
             *count += 1;
             if *count == *n {
+                settle(pending)?;
                 eprintln!("{}: chaos kill after {n} {k}", self.lock().who());
                 std::process::abort();
             }
         }
-        Ok(reply.encode())
+        Ok(Handled::Reply(pending))
     }
 }
 
@@ -1967,6 +2023,13 @@ impl Served {
         metrics.wal_syncs += stats.syncs;
         let waits = &mut metrics.sync_wait_micros.completions;
         waits.extend(stats.wait_micros);
+        eprintln!(
+            "{}: {} fsyncs for {} journal records, {} minor faults",
+            self.name,
+            stats.syncs,
+            s.journal_records(),
+            crate::metrics::minor_faults().unwrap_or(0)
+        );
         write_metrics(out_dir, &self.name, &metrics)
     }
 }
@@ -2132,16 +2195,12 @@ pub fn run_shard(
     result
 }
 
-/// A role's transport client, accumulating into `metrics` — the
-/// [`HubClient`] replaces its inner client on every address re-resolution
-/// and must not lose the counters (retries, deadline expiries) gathered so
-/// far.
+/// A role's transport client.
 fn round_client(
     setup: &RoundSetup,
     role_id: u32,
     addr: SocketAddr,
     server_pub: [u8; 32],
-    metrics: Arc<Mutex<NetMetrics>>,
 ) -> Client {
     let identity = Identity::derive(setup.spec.seed, role_id);
     let mut config = ClientConfig::new(identity, Some(server_pub));
@@ -2150,12 +2209,8 @@ fn round_client(
     // crash the address changes, so burning the full schedule against
     // the dead port only delays the HubClient's re-resolution.
     config.backoff = crate::BackoffPolicy::new(50, 4);
-    Client::with_metrics(
-        addr,
-        config,
-        StdRng::seed_from_u64(setup.spec.seed ^ 0xd1a1).with_stream(role_id as u64),
-        metrics,
-    )
+    let rng = StdRng::seed_from_u64(setup.spec.seed ^ 0xd1a1).with_stream(role_id as u64);
+    Client::new(addr, config, rng)
 }
 
 /// A reply `request` cannot be answered with.
@@ -2176,14 +2231,13 @@ fn request_msg(client: &mut Client, cc: &CodecCtx, msg: &NetMsg) -> Result<NetMs
 /// A client of the aggregator hub that survives aggregator respawns:
 /// when the inner [`Client`]'s retries exhaust, it re-reads the
 /// `agg.addr` file — a respawned aggregator binds a fresh port and
-/// republishes it there — and redials, bounded by the round timeout so
-/// a dead hub is a typed [`NetError`], never a hang.
+/// republishes it there — and redials, every unanswered request re-sent,
+/// bounded by the round timeout so a dead hub is a typed [`NetError`],
+/// never a hang.
 pub(crate) struct HubClient {
     client: Client,
-    role_id: u32,
     out_dir: PathBuf,
     addr_file: String,
-    server_pub: [u8; 32],
     addr: SocketAddr,
     deadline: Instant,
     // One retry budget *spanning* reconnects and address re-resolutions
@@ -2248,11 +2302,9 @@ impl HubClient {
         deadline: Instant,
     ) -> Self {
         HubClient {
-            client: round_client(setup, role_id, addr, server_pub, NetMetrics::shared()),
-            role_id,
+            client: round_client(setup, role_id, addr, server_pub),
             out_dir: out_dir.to_path_buf(),
             addr_file,
-            server_pub,
             addr,
             deadline,
             span_attempts: 0,
@@ -2277,35 +2329,37 @@ impl HubClient {
     ) -> Result<NetMsg, NetError> {
         let reply = request_msg(&mut self.client, &setup.cc, msg);
         if reply.is_err() {
-            self.re_resolve(setup);
+            self.re_resolve();
         }
         reply
     }
 
-    /// After a failed exchange: re-reads the published address. If the
-    /// server moved, replaces the inner client (its metrics carried over)
-    /// and says so; otherwise only drops the broken connection.
-    fn re_resolve(&mut self, setup: &RoundSetup) -> bool {
+    /// After a failed exchange: hangs up and re-reads the published
+    /// address. If the server moved, the client dials the new address from
+    /// now on — whatever it holds unanswered goes with it — and says so.
+    fn re_resolve(&mut self) -> bool {
         let published = read_named_addr_file(&self.out_dir, &self.addr_file);
         let moved = published.filter(|addr| *addr != self.addr);
         match moved {
             Some(addr) => {
-                let metrics = self.client.metrics();
                 self.addr = addr;
-                self.client = round_client(setup, self.role_id, addr, self.server_pub, metrics);
+                self.client.redirect(addr);
             }
             None => self.client.disconnect(),
         }
         moved.is_some()
     }
 
-    fn request_msg(&mut self, setup: &RoundSetup, msg: &NetMsg) -> Result<NetMsg, NetError> {
+    /// Runs `op` on the inner client until it succeeds, re-resolving the
+    /// server's address after every attempt its own retry schedule gave
+    /// up on — under the one budget spanning them all.
+    fn span<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Client) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         loop {
-            match request_msg(&mut self.client, &setup.cc, msg) {
-                Ok(reply) => {
-                    self.span_attempts = 0;
-                    return Ok(reply);
-                }
+            match op(&mut self.client) {
+                Ok(done) => return Ok(done),
                 Err(e) if e.is_retryable() || matches!(e, NetError::RetriesExhausted { .. }) => {
                     if Instant::now() >= self.deadline {
                         return Err(e);
@@ -2317,7 +2371,7 @@ impl HubClient {
                         });
                     }
                     self.span_attempts += 1;
-                    if !self.re_resolve(setup) {
+                    if !self.re_resolve() {
                         // Full jitter over the park period decorrelates
                         // the re-poll storm when every client loses the
                         // same server at once.
@@ -2328,6 +2382,46 @@ impl HubClient {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// One exchange: `msg` sent, its reply waited for.
+    fn request_msg(&mut self, setup: &RoundSetup, msg: &NetMsg) -> Result<NetMsg, NetError> {
+        let reply = self.span(|client| request_msg(client, &setup.cc, msg))?;
+        self.span_attempts = 0;
+        Ok(reply)
+    }
+
+    /// Puts `msg` in flight behind the requests not yet answered; its
+    /// reply is a later [`recv`](Self::recv)'s.
+    fn send(&mut self, msg: &NetMsg) -> Result<(), NetError> {
+        self.client.enqueue(msg.kind(), |w| msg.encode_into(w));
+        self.span(Client::flush)
+    }
+
+    /// The reply to the oldest request in flight.
+    fn recv(&mut self, setup: &RoundSetup) -> Result<NetMsg, NetError> {
+        let reply = self.span(|client| NetMsg::decode(client.recv()?, &setup.cc))?;
+        self.span_attempts = 0;
+        Ok(reply)
+    }
+
+    /// The reply to the oldest request in flight, a write: whether it says
+    /// the round is over (possibly refused by the budget ledger before
+    /// any intake), so that there is nothing left to send.
+    fn recv_ack(&mut self, setup: &RoundSetup) -> Result<bool, NetError> {
+        match self.recv(setup)? {
+            NetMsg::Ack => Ok(false),
+            NetMsg::Finished => Ok(true),
+            other => Err(unexpected("write", &other)),
+        }
+    }
+
+    /// Reads the replies to everything still in flight, all of it writes.
+    fn drain(&mut self, setup: &RoundSetup) -> Result<(), NetError> {
+        while self.client.in_flight() > 0 {
+            self.recv_ack(setup)?;
+        }
+        Ok(())
     }
 
     pub(crate) fn metrics(&self) -> NetMetrics {
@@ -2368,6 +2462,11 @@ impl ShardedHub {
         Ok(self.hubs.get_mut(&target).expect("just inserted"))
     }
 
+    /// Reads the replies to every write still in flight, on every link.
+    fn drain(&mut self, setup: &RoundSetup) -> Result<(), NetError> {
+        self.hubs.values_mut().try_for_each(|hub| hub.drain(setup))
+    }
+
     fn metrics(&self) -> NetMetrics {
         let mut merged = NetMetrics::default();
         for hub in self.hubs.values() {
@@ -2379,7 +2478,8 @@ impl ShardedHub {
 
 /// Runs one device process: encrypts and pushes the contribution duties
 /// of every vertex in its shard (each duty to the aggregation shard
-/// owning its destination origin), then exits.
+/// owning its destination origin), up to [`WINDOW`] of them in flight per
+/// link, then exits once every one is acknowledged.
 pub fn run_device(
     spec: &RoundSpec,
     shard: usize,
@@ -2399,21 +2499,49 @@ pub fn run_device(
                 sc: Box::new(sc.map_err(|e| role_failed("contribution encryption", e))?),
             };
             let hub = hubs.for_origin(&setup, duty.origin)?;
-            match hub.request_msg(&setup, &msg)? {
-                NetMsg::Ack => {}
-                // The round is over (possibly refused by the budget
-                // ledger before any intake): nothing left to push.
-                NetMsg::Finished => break 'vertices,
-                other => return Err(unexpected("PushContrib", &other)),
+            // The link's window is full: the oldest push's reply first.
+            while hub.client.in_flight() >= WINDOW {
+                if hub.recv_ack(&setup)? {
+                    break 'vertices;
+                }
             }
+            hub.send(&msg)?;
         }
     }
+    hubs.drain(&setup)?;
     write_metrics(out_dir, &format!("device-{shard}"), &hubs.metrics())
 }
 
-/// Runs one origin process: for each vertex in its shard, polls the
+/// Receives on `hub`, past the `Ack`s of this process's earlier
+/// submissions, the row `PullOrigin` for `origin` was asked for — asking
+/// again at once whenever the server, having held the request for a park
+/// period, says the row is still incomplete. `None`: the round is over
+/// (possibly refused by the budget ledger), no origin work is left.
+fn pulled_row(
+    hub: &mut HubClient,
+    setup: &RoundSetup,
+    origin: u32,
+) -> Result<Option<Vec<Option<Ciphertext>>>, NetError> {
+    loop {
+        match hub.recv(setup)? {
+            NetMsg::Ack => {}
+            NetMsg::OriginJob { cts } => return Ok(Some(cts)),
+            NetMsg::OriginPending { .. } => hub.send(&NetMsg::PullOrigin { origin })?,
+            NetMsg::Finished => return Ok(None),
+            other => return Err(unexpected("PullOrigin", &other)),
+        }
+    }
+}
+
+/// Runs one origin process: for each vertex in its shard, asks the
 /// aggregator for the verified slot ciphertexts, substitutes the neutral
 /// `Enc(x^0)` for slots that never arrived, combines, and submits.
+///
+/// The link is kept busy: the next vertex's row is asked for before this
+/// one is combined, and a submission's `Ack` is not waited for — it is
+/// read when the next row arrives behind it. A row is received *before*
+/// the submission ahead of it is written, so a large request is never
+/// written while a large reply is outstanding.
 ///
 /// `crash_after`: exit with code 17 after that many vertices have been
 /// submitted — the driver's watchdog respawns the shard, which recovers
@@ -2427,40 +2555,48 @@ pub fn run_origin(
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
     let mut hubs = ShardedHub::new(role::ORIGIN_BASE + shard as u32, addr, out_dir);
-    let mine = (shard..setup.pop.graph.len()).step_by(spec.origin_shards);
-    'vertices: for (submitted, v) in mine.enumerate() {
+    let mine: Vec<u32> = (shard..setup.pop.graph.len())
+        .step_by(spec.origin_shards)
+        .map(|v| v as u32)
+        .collect();
+    // Asks for `origin`'s row; `pulled_row` receives it.
+    let pull = |hubs: &mut ShardedHub, origin: u32| {
+        let hub = hubs.for_origin(&setup, origin)?;
+        hub.send(&NetMsg::PullOrigin { origin })
+    };
+    let mut row = match mine.first() {
+        Some(&v) => {
+            pull(&mut hubs, v)?;
+            pulled_row(hubs.for_origin(&setup, v)?, &setup, v)?
+        }
+        None => None,
+    };
+    for (submitted, &v) in mine.iter().enumerate() {
+        let Some(slots) = row.take() else { break };
         if crash_after == Some(submitted) {
+            hubs.drain(&setup)?;
             std::process::exit(17);
         }
-        let hub = hubs.for_origin(&setup, v as VertexId)?;
-        let slots = loop {
-            // Held by the server until the row is complete (or one park
-            // period passed): a pending reply is followed by the next ask.
-            match hub.request_msg(&setup, &NetMsg::PullOrigin { origin: v as u32 })? {
-                NetMsg::OriginJob { cts } => break cts,
-                NetMsg::OriginPending { .. } => {}
-                // The round is over (possibly refused by the budget
-                // ledger): no origin work left to do.
-                NetMsg::Finished => break 'vertices,
-                other => return Err(unexpected("PullOrigin", &other)),
-            }
-        };
-        let work = &setup.works[v];
+        let next = mine.get(submitted + 1).copied();
+        if let Some(next) = next {
+            pull(&mut hubs, next)?;
+        }
+        let work = &setup.works[v as usize];
         if slots.len() != work.requests.len() {
             return Err(NetError::Decode("origin job slot count mismatch".into()));
         }
         let out = roles::submission(&setup.plan, &setup.keys, spec.seed, work, slots)
             .map_err(|e| role_failed("origin combine", e))?;
+        if let Some(next) = next {
+            row = pulled_row(hubs.for_origin(&setup, next)?, &setup, next)?;
+        }
         let msg = NetMsg::SubmitOrigin {
-            origin: v as u32,
+            origin: v,
             ct: Box::new(out),
         };
-        match hub.request_msg(&setup, &msg)? {
-            NetMsg::Ack => {}
-            NetMsg::Finished => break 'vertices,
-            other => return Err(unexpected("SubmitOrigin", &other)),
-        }
+        hubs.for_origin(&setup, v)?.send(&msg)?;
     }
+    hubs.drain(&setup)?;
     write_metrics(out_dir, &format!("origin-{shard}"), &hubs.metrics())
 }
 

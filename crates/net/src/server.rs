@@ -9,10 +9,20 @@
 //! backs off (with jitter) and re-sends instead of giving up. Each
 //! worker runs the server handshake under a deadline (a peer that
 //! connects and then goes silent is reaped, not parked forever) and
-//! then a request/response loop: read one sealed frame, call the
-//! handler, write one sealed reply. Handlers must therefore be
-//! *idempotent* — a client that times out re-sends the same request over
-//! a fresh connection, so the server may see a request twice.
+//! then serves the session in *bursts*. Clients pipeline: a worker that
+//! has handled a request handles every further one that has already
+//! arrived on its connection (at most [`MAX_BURST`]), each reply sealed
+//! into the channel's outbox behind the last, then waits **once**, on the
+//! durability claim of the last request handled — the journal's claims are
+//! cumulative, so it covers the whole burst — and only then writes the
+//! replies, in order, with one `write`. "An acknowledged mutation is on
+//! disk" and "no reply exposes state that is not yet durable" hold per
+//! reply exactly as if each had been waited for alone. A request whose
+//! handler would have to wait for something other than the disk (a parked
+//! poll) is not handled behind queued replies: the worker flushes them
+//! first ([`Handled::WouldWait`]). Handlers must be *idempotent* — a client
+//! that loses its connection re-sends every unanswered request over a
+//! fresh one, so the server may see a request twice.
 //!
 //! Nothing here waits out a timer to stop. The server keeps a second
 //! handle on every connection a worker holds, and
@@ -35,26 +45,73 @@ use std::time::{Duration, Instant};
 
 use mycelium_math::rng::{SeedableRng, StdRng};
 
-use crate::channel::{server_handshake, Identity};
+use crate::channel::{server_handshake, Identity, SecureChannel};
 use crate::error::NetError;
+use crate::journal::Pending;
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
+use crate::wire::Writer;
 
-/// A request handler: sealed request payload in, sealed reply payload out.
+/// What a [`Handler`] made of one request.
+pub enum Handled {
+    /// The reply is written. It may leave the process once the claim (if
+    /// there is one) is durable; a later claim on the same connection
+    /// covers every earlier one.
+    Reply(Option<Pending>),
+    /// Nothing is written: the answer does not exist yet and the handler
+    /// was not allowed to wait for it. Asked again with `may_wait`, it
+    /// holds the request until the answer exists.
+    WouldWait,
+}
+
+/// A request handler: authenticated request payload in, reply payload out.
 ///
 /// The handler sees only authenticated plaintext; `peer` is the client's
-/// verified static public key, usable for authorization decisions.
+/// verified static public key, usable for authorization decisions. A
+/// closure `Fn(peer, &[u8]) -> Result<Vec<u8>, NetError>` is a handler
+/// that never waits and claims nothing.
 pub trait Handler: Send + Sync + 'static {
-    /// Handles one request.
-    fn handle(&self, peer: [u8; 32], request: &[u8]) -> Result<Vec<u8>, NetError>;
+    /// Handles one request, writing the reply payload into `reply` — the
+    /// connection's frame buffer, behind the header's place. `may_wait` is
+    /// false while earlier replies of the connection are still queued: a
+    /// handler that would have to hold the request then says
+    /// [`Handled::WouldWait`] instead, and is asked again once they are
+    /// out.
+    fn handle_into(
+        &self,
+        peer: [u8; 32],
+        request: &[u8],
+        reply: &mut Writer,
+        may_wait: bool,
+    ) -> Result<Handled, NetError>;
+
+    /// One request from start to finish, for a caller without a
+    /// connection (tests, tools): held while its answer is "not yet",
+    /// durable before it is returned.
+    fn handle(&self, peer: [u8; 32], request: &[u8]) -> Result<Vec<u8>, NetError> {
+        let mut reply = Writer::new();
+        match self.handle_into(peer, request, &mut reply, true)? {
+            Handled::Reply(Some(pending)) => pending.wait()?,
+            Handled::Reply(None) => {}
+            Handled::WouldWait => return Err(NetError::Timeout),
+        }
+        Ok(reply.finish())
+    }
 }
 
 impl<F> Handler for F
 where
     F: Fn([u8; 32], &[u8]) -> Result<Vec<u8>, NetError> + Send + Sync + 'static,
 {
-    fn handle(&self, peer: [u8; 32], request: &[u8]) -> Result<Vec<u8>, NetError> {
-        self(peer, request)
+    fn handle_into(
+        &self,
+        peer: [u8; 32],
+        request: &[u8],
+        reply: &mut Writer,
+        _may_wait: bool,
+    ) -> Result<Handled, NetError> {
+        reply.put_bytes(&self(peer, request)?);
+        Ok(Handled::Reply(None))
     }
 }
 
@@ -91,6 +148,11 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// The most requests one burst answers: what bounds the replies a worker
+/// holds sealed but unwritten, and how long the first of them waits for
+/// the last.
+pub const MAX_BURST: usize = 16;
 
 /// Concurrent overflow responders (threads answering `Busy` while the
 /// worker queue is full); beyond this the connection is simply dropped
@@ -279,6 +341,7 @@ fn reject_overloaded(
     let conn = conn_counter.fetch_add(1, Ordering::SeqCst);
     let responders = Arc::clone(responders);
     std::thread::spawn(move || {
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(config.handshake_timeout));
         let _ = stream.set_write_timeout(Some(config.handshake_timeout));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_c0de).with_stream(conn);
@@ -327,6 +390,10 @@ fn worker_loop(
             return;
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_c0de).with_stream(conn);
+        // Replies are small and follow one another while the client sends
+        // nothing: under Nagle the second would wait out the client's
+        // delayed ACK of the first (40 ms).
+        let _ = stream.set_nodelay(true);
         // A peer that connects and then stalls mid-handshake must not
         // park this worker: the handshake runs under its own deadline.
         let _ = stream.set_read_timeout(Some(config.handshake_timeout));
@@ -349,15 +416,13 @@ fn worker_loop(
         let mut idle_since = Instant::now();
         loop {
             match channel.recv() {
-                Ok(request) => {
+                Ok(_) => {
                     idle_since = Instant::now();
-                    let reply = match handler.handle(channel.peer(), &request) {
-                        Ok(r) => r,
-                        Err(_) => break,
-                    };
                     // A peer that keeps sending must not keep this worker
                     // from a shutdown that began meanwhile.
-                    if channel.send(&reply).is_err() || shutdown.load(Ordering::SeqCst) {
+                    if serve_burst(&mut channel, handler).is_err()
+                        || shutdown.load(Ordering::SeqCst)
+                    {
                         break;
                     }
                 }
@@ -383,6 +448,61 @@ fn worker_loop(
             }
         }
     }
+}
+
+/// Answers the request `channel` has just received and every further one
+/// that has arrived by the time it is handled (see the module docs): one
+/// durability wait, then the replies in order. Whatever ends the burst
+/// early — a request the handler refuses, a frame that fails to
+/// authenticate — the requests handled before it are still made durable and
+/// answered; the error then ends the session.
+fn serve_burst(channel: &mut SecureChannel, handler: &dyn Handler) -> Result<(), NetError> {
+    let peer = channel.peer();
+    let mut claim: Option<Pending> = None;
+    let mut queued = 0;
+    let ended = loop {
+        let answered = channel.answer(|request, reply| {
+            Ok(
+                match handler.handle_into(peer, request, reply, queued == 0)? {
+                    Handled::Reply(pending) => {
+                        // The later claim covers the earlier.
+                        claim = pending.or(claim.take());
+                        true
+                    }
+                    Handled::WouldWait => false,
+                },
+            )
+        });
+        match answered {
+            Ok(true) => queued += 1,
+            // A handler with leave to wait has no reason to decline.
+            Ok(false) if queued == 0 => break Err(NetError::Timeout),
+            // The request is still the one last received: out with the
+            // replies before it, then it may be held.
+            Ok(false) => {
+                settle(channel, claim.take())?;
+                queued = 0;
+                continue;
+            }
+            Err(e) => break Err(e),
+        }
+        if queued >= MAX_BURST || !channel.request_waiting() {
+            break Ok(());
+        }
+        if let Err(e) = channel.recv() {
+            break Err(e);
+        }
+    };
+    settle(channel, claim)?;
+    ended
+}
+
+/// Waits until `claim` is durable, then writes the queued replies.
+fn settle(channel: &mut SecureChannel, claim: Option<Pending>) -> Result<(), NetError> {
+    if let Some(claim) = claim {
+        claim.wait()?;
+    }
+    channel.flush()
 }
 
 #[cfg(test)]
@@ -419,6 +539,121 @@ mod tests {
         assert_eq!(channel.recv().unwrap(), b"cba");
         channel.send(b"xyz").unwrap();
         assert_eq!(channel.recv().unwrap(), b"zyx");
+        drop(channel);
+        server.shutdown();
+    }
+
+    /// Echoes, but never behind a queued reply: the worker has to write
+    /// each reply on its own.
+    struct OneAtATime;
+
+    impl Handler for OneAtATime {
+        fn handle_into(
+            &self,
+            _peer: [u8; 32],
+            request: &[u8],
+            reply: &mut Writer,
+            may_wait: bool,
+        ) -> Result<Handled, NetError> {
+            if !may_wait {
+                return Ok(Handled::WouldWait);
+            }
+            reply.put_bytes(request);
+            Ok(Handled::Reply(None))
+        }
+    }
+
+    fn connect(addr: SocketAddr, server_pub: [u8; 32], seed: u64) -> SecureChannel {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let id = Identity::derive(seed, 100);
+        let metrics = NetMetrics::shared();
+        client_handshake(stream, &id, Some(server_pub), &mut rng, 1 << 20, metrics).unwrap()
+    }
+
+    #[test]
+    fn two_small_replies_do_not_wait_out_a_delayed_ack() {
+        // Two small replies written one after the other to a client that
+        // sends nothing in between: with Nagle on the accepted socket the
+        // second waits for the client's (delayed, 40 ms) ACK of the first.
+        let identity = Identity::derive(17, 0);
+        let server_pub = identity.public;
+        let handler: Arc<dyn Handler> = Arc::new(OneAtATime);
+        let config = ServerConfig::default();
+        let server = Server::spawn("127.0.0.1:0", identity, config, handler, 17).unwrap();
+        let mut channel = connect(server.local_addr(), server_pub, 17);
+        // A client that has been answering at once is taken for interactive,
+        // and its ACKs are delayed from then on.
+        for _ in 0..8 {
+            channel.send(b"warm").unwrap();
+            assert_eq!(channel.recv().unwrap(), b"warm");
+        }
+        let started = Instant::now();
+        channel.send(b"one").unwrap();
+        channel.send(b"two").unwrap();
+        assert_eq!(channel.recv().unwrap(), b"one");
+        assert_eq!(channel.recv().unwrap(), b"two");
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(10),
+            "two replies took {took:?}"
+        );
+        drop(channel);
+        server.shutdown();
+    }
+
+    /// Echoes, noting for each request whether it was handled behind
+    /// queued replies; the first is held until `go`.
+    struct Noting {
+        go: Mutex<Receiver<()>>,
+        behind_queued: Mutex<Vec<bool>>,
+    }
+
+    impl Handler for Noting {
+        fn handle_into(
+            &self,
+            _peer: [u8; 32],
+            request: &[u8],
+            reply: &mut Writer,
+            may_wait: bool,
+        ) -> Result<Handled, NetError> {
+            if request == b"0" {
+                lock_recover(&self.go).recv().unwrap();
+            }
+            lock_recover(&self.behind_queued).push(!may_wait);
+            reply.put_bytes(request);
+            Ok(Handled::Reply(None))
+        }
+    }
+
+    #[test]
+    fn requests_that_have_arrived_are_answered_as_one_bounded_burst() {
+        let identity = Identity::derive(19, 0);
+        let server_pub = identity.public;
+        // The first request is held in the handler until all are sent, so
+        // the worker finds the rest arrived when it looks.
+        let (go, held) = std::sync::mpsc::channel::<()>();
+        let noting = Arc::new(Noting {
+            go: Mutex::new(held),
+            behind_queued: Mutex::default(),
+        });
+        let handler: Arc<dyn Handler> = noting.clone();
+        let config = ServerConfig::default();
+        let server = Server::spawn("127.0.0.1:0", identity, config, handler, 19).unwrap();
+        let mut channel = connect(server.local_addr(), server_pub, 19);
+        let requests: Vec<String> = (0..MAX_BURST + 2).map(|i| i.to_string()).collect();
+        for r in &requests {
+            channel.send(r.as_bytes()).unwrap();
+        }
+        go.send(()).unwrap();
+        for r in &requests {
+            assert_eq!(channel.recv().unwrap(), r.as_bytes());
+        }
+        // One full burst, then the two requests it left behind.
+        let mut bursts = vec![true; requests.len()];
+        (bursts[0], bursts[MAX_BURST]) = (false, false);
+        assert_eq!(*lock_recover(&noting.behind_queued), bursts);
         drop(channel);
         server.shutdown();
     }

@@ -29,9 +29,21 @@ impl Writer {
         }
     }
 
+    /// A writer that appends behind what `buf` already holds — how a
+    /// message is encoded straight into a buffer its owner reuses (take the
+    /// buffer, write, [`finish`](Self::finish) it back).
+    pub fn over(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Finishes and returns the buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Makes room for `additional` more bytes in one step.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Bytes written so far.

@@ -738,3 +738,142 @@ fn held_check_in_wakes_on_selection() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Bursts: pipelined requests on one connection of a served, journalled state
+// ---------------------------------------------------------------------------
+
+use mycelium_net::channel::{client_handshake, SecureChannel};
+use mycelium_net::server::{Server, ServerConfig};
+use mycelium_net::{Identity, NetMetrics};
+
+/// Serves `shared` on loopback and opens one client connection to it.
+fn served(shared: &Arc<SharedAgg>, setup: &RoundSetup) -> (Server, SecureChannel) {
+    let identity = setup.aggregator_identity();
+    let server_pub = identity.public;
+    let handler: Arc<dyn Handler> = shared.clone();
+    let config = ServerConfig::default();
+    let server = Server::spawn("127.0.0.1:0", identity, config, handler, 7).unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let (id, mut rng) = (Identity::derive(7, 100), StdRng::seed_from_u64(11));
+    let metrics = NetMetrics::shared();
+    let channel = client_handshake(stream, &id, Some(server_pub), &mut rng, 1 << 20, metrics);
+    (server, channel.unwrap())
+}
+
+/// Writes `requests` back to back while the state is locked, so that the
+/// worker — held at the first of them — finds the rest arrived when it
+/// looks. Returns when the state was let go: once everything is written,
+/// or (socket buffers smaller than the burst, so that the worker has to
+/// read on for the writes to finish) after 200 ms.
+fn write_burst(shared: &SharedAgg, channel: &mut SecureChannel, requests: &[Vec<u8>]) -> Instant {
+    std::thread::scope(|scope| {
+        let held = shared.lock();
+        let writer = scope.spawn(|| requests.iter().for_each(|raw| channel.send(raw).unwrap()));
+        let patience = Instant::now() + Duration::from_millis(200);
+        while !writer.is_finished() && Instant::now() < patience {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(held);
+        Instant::now()
+    })
+}
+
+#[test]
+fn a_burst_of_pushes_shares_one_durable_wait_and_no_ack_precedes_it() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("burst");
+    let path = dir.join(files::JOURNAL);
+    let st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let (server, mut channel) = served(&shared, &setup);
+
+    let raws = mutating_requests(&setup, 8, 0);
+    write_burst(&shared, &mut channel, &raws);
+    let ack = channel.recv().unwrap().to_vec();
+    assert!(matches!(
+        NetMsg::decode(&ack, &setup.cc).unwrap(),
+        NetMsg::Ack
+    ));
+    // The first Ack is out: all eight pushes (and the checkpoint behind the
+    // eighth) were journalled before it, and are on disk.
+    {
+        let st = shared.lock();
+        assert_eq!(st.journal_records(), 9);
+        assert_eq!(st.durable_records(), st.journal_records());
+        assert!(st.sync_stats().syncs < 8, "{:?}", st.sync_stats().syncs);
+    }
+    for _ in 1..8 {
+        let ack = channel.recv().unwrap().to_vec();
+        assert!(matches!(
+            NetMsg::decode(&ack, &setup.cc).unwrap(),
+            NetMsg::Ack
+        ));
+    }
+    drop(channel);
+    server.shutdown();
+
+    // What the burst left on disk replays to the state that answered it.
+    let live = shared.lock().digest();
+    drop(shared);
+    let recovered = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    assert_eq!(recovered.journal_records(), 9);
+    assert_eq!(recovered.digest(), live);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_ack_is_not_held_behind_a_poll_that_parks() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("ack-then-park");
+    let st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let (server, mut channel) = served(&shared, &setup);
+
+    // One contribution of a row that needs several, then the origin's
+    // pull: the pull has nothing to hand over and is held.
+    let work = setup.works.iter().find(|w| w.requests.len() >= 2).unwrap();
+    let (device, exp) = work.requests[0];
+    let sc = setup
+        .plan
+        .build_contribution(
+            &setup.keys,
+            device,
+            exp,
+            false,
+            &mut StdRng::seed_from_u64(4000),
+        )
+        .unwrap();
+    let push = NetMsg::PushContrib {
+        origin: work.origin,
+        slot: 0,
+        sc: Box::new(sc),
+    };
+    let pull = NetMsg::PullOrigin {
+        origin: work.origin,
+    };
+    let released = write_burst(&shared, &mut channel, &[push.encode(), pull.encode()]);
+
+    let ack = channel.recv().unwrap().to_vec();
+    let acked = released.elapsed();
+    assert!(matches!(
+        NetMsg::decode(&ack, &setup.cc).unwrap(),
+        NetMsg::Ack
+    ));
+    assert!(acked < PARK / 4, "the Ack took {acked:?}");
+    // It was durable when it left.
+    let st = shared.lock();
+    assert_eq!(st.durable_records(), st.journal_records());
+    drop(st);
+    let pending = channel.recv().unwrap().to_vec();
+    let held = released.elapsed();
+    assert!(matches!(
+        NetMsg::decode(&pending, &setup.cc).unwrap(),
+        NetMsg::OriginPending { have: 1, .. }
+    ));
+    assert!(held >= PARK, "the pull was held {held:?}");
+    drop(channel);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
