@@ -20,6 +20,11 @@ use crate::codec::{
 use crate::error::NetError;
 use crate::wire::{Reader, Writer};
 
+/// One origin's neighbourhood row as it is handed over: a ciphertext per
+/// contribution slot, `None` for a slot whose device never delivered (the
+/// origin substitutes a neutral ciphertext).
+pub type OriginRow = Vec<Option<Ciphertext>>;
+
 /// One protocol message (request or reply).
 pub enum NetMsg {
     /// Device → aggregator: a contribution for one slot of one origin's
@@ -36,6 +41,14 @@ pub enum NetMsg {
     PullOrigin {
         /// The asking origin's index.
         origin: u32,
+    },
+    /// Origin process → aggregator: whichever of these origins' rows can be
+    /// handed over now. `want` names every origin the process still owes a
+    /// submission for and holds no row of; the reply is [`NetMsg::ReadyRows`],
+    /// or `OriginPending` when some are owed and none is ready.
+    PullReady {
+        /// The origins asked about.
+        want: Vec<u32>,
     },
     /// Origin → aggregator: my combined row ciphertext.
     SubmitOrigin {
@@ -107,7 +120,15 @@ pub enum NetMsg {
     /// ciphertext).
     OriginJob {
         /// Per-slot contribution ciphertexts.
-        cts: Vec<Option<Ciphertext>>,
+        cts: OriginRow,
+    },
+    /// Reply to `PullReady`: the wanted rows that are ready (every slot
+    /// resolved, as in `OriginJob`), a bounded number of them, each under its
+    /// origin's index. Empty: the aggregator already holds a submission for
+    /// every origin named, so nothing is owed.
+    ReadyRows {
+        /// `(origin, per-slot contribution ciphertexts)`.
+        rows: Vec<(u32, OriginRow)>,
     },
     /// Reply to committee polls: nothing to do yet.
     CommitteeWait,
@@ -133,12 +154,33 @@ pub enum NetMsg {
 
 const MAX_SLOTS: usize = 1 << 16;
 
+/// The one encoding of a row, whichever reply carries it.
+fn put_row<'a>(w: &mut Writer, slots: impl ExactSizeIterator<Item = Option<&'a Ciphertext>>) {
+    w.put_u32(slots.len() as u32);
+    for ct in slots {
+        encode_opt_ciphertext(w, ct);
+    }
+}
+
+fn get_row(r: &mut Reader, cc: &CodecCtx) -> Result<OriginRow, NetError> {
+    let n = r.get_u32()? as usize;
+    if n > MAX_SLOTS {
+        return Err(NetError::Decode(format!("origin row with {n} slots")));
+    }
+    let mut cts = Vec::with_capacity(n);
+    for _ in 0..n {
+        cts.push(decode_opt_ciphertext(r, cc)?);
+    }
+    Ok(cts)
+}
+
 impl NetMsg {
     /// Stable label for metrics attribution.
     pub fn kind(&self) -> &'static str {
         match self {
             NetMsg::PushContrib { .. } => "PushContrib",
             NetMsg::PullOrigin { .. } => "PullOrigin",
+            NetMsg::PullReady { .. } => "PullReady",
             NetMsg::SubmitOrigin { .. } => "SubmitOrigin",
             NetMsg::CommitteeCheckIn { .. } => "CommitteeCheckIn",
             NetMsg::PushShare { .. } => "PushShare",
@@ -149,6 +191,7 @@ impl NetMsg {
             NetMsg::Ack => "Ack",
             NetMsg::OriginPending { .. } => "OriginPending",
             NetMsg::OriginJob { .. } => "OriginJob",
+            NetMsg::ReadyRows { .. } => "ReadyRows",
             NetMsg::CommitteeWait => "CommitteeWait",
             NetMsg::CommitteeShareTask { .. } => "CommitteeShareTask",
             NetMsg::CertSignTask { .. } => "CertSignTask",
@@ -171,9 +214,20 @@ impl NetMsg {
         slots: impl ExactSizeIterator<Item = Option<&'a Ciphertext>>,
     ) {
         w.put_u8(18);
-        w.put_u32(slots.len() as u32);
-        for ct in slots {
-            encode_opt_ciphertext(w, ct);
+        put_row(w, slots);
+    }
+
+    /// Writes a `ReadyRows` over `rows`, each row as in
+    /// [`put_origin_job`](Self::put_origin_job).
+    pub fn put_ready_rows<'a, R>(w: &mut Writer, rows: impl ExactSizeIterator<Item = (u32, R)>)
+    where
+        R: ExactSizeIterator<Item = Option<&'a Ciphertext>>,
+    {
+        w.put_u8(23);
+        w.put_u32(rows.len() as u32);
+        for (origin, slots) in rows {
+            w.put_u32(origin);
+            put_row(w, slots);
         }
     }
 
@@ -189,6 +243,10 @@ impl NetMsg {
             NetMsg::PullOrigin { origin } => {
                 w.put_u8(2);
                 w.put_u32(*origin);
+            }
+            NetMsg::PullReady { want } => {
+                w.put_u8(10);
+                w.put_u32_slice(want);
             }
             NetMsg::SubmitOrigin { origin, ct } => {
                 w.put_u8(3);
@@ -246,6 +304,11 @@ impl NetMsg {
             }
             NetMsg::OriginJob { cts } => {
                 NetMsg::put_origin_job(w, cts.iter().map(Option::as_ref));
+            }
+            NetMsg::ReadyRows { rows } => {
+                let rows = rows.iter();
+                let rows = rows.map(|(origin, cts)| (*origin, cts.iter().map(Option::as_ref)));
+                NetMsg::put_ready_rows(w, rows);
             }
             NetMsg::CommitteeWait => w.put_u8(19),
             NetMsg::CommitteeShareTask {
@@ -328,22 +391,21 @@ impl NetMsg {
                 member: r.get_u64()?,
                 sig: r.get_bytes(64)?.try_into().expect("64 bytes"),
             },
+            10 => {
+                let want = r.get_u32_vec()?;
+                if want.len() > MAX_SLOTS {
+                    return Err(NetError::Decode("oversized want list".into()));
+                }
+                NetMsg::PullReady { want }
+            }
             16 => NetMsg::Ack,
             17 => NetMsg::OriginPending {
                 have: r.get_u32()?,
                 need: r.get_u32()?,
             },
-            18 => {
-                let n = r.get_u32()? as usize;
-                if n > MAX_SLOTS {
-                    return Err(NetError::Decode(format!("origin job with {n} slots")));
-                }
-                let mut cts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cts.push(decode_opt_ciphertext(&mut r, cc)?);
-                }
-                NetMsg::OriginJob { cts }
-            }
+            18 => NetMsg::OriginJob {
+                cts: get_row(&mut r, cc)?,
+            },
             19 => NetMsg::CommitteeWait,
             20 => {
                 let round = r.get_u32()?;
@@ -362,6 +424,17 @@ impl NetMsg {
             22 => NetMsg::CertSignTask {
                 transcript: r.get_array32()?,
             },
+            23 => {
+                let n = r.get_u32()? as usize;
+                if n > MAX_SLOTS {
+                    return Err(NetError::Decode(format!("{n} ready rows")));
+                }
+                let mut rows = Vec::with_capacity(n);
+                for _ in 0..n {
+                    rows.push((r.get_u32()?, get_row(&mut r, cc)?));
+                }
+                NetMsg::ReadyRows { rows }
+            }
             tag => return Err(NetError::Decode(format!("unknown message tag {tag}"))),
         };
         r.expect_end()?;
@@ -442,7 +515,7 @@ mod tests {
             rng.fill(&mut buf[..]);
             if round % 4 == 0 && !buf.is_empty() {
                 // Bias toward real tags so deep field decoders get hit.
-                buf[0] = [1, 3, 4, 5, 7, 9, 18, 20, 22][round % 9];
+                buf[0] = [1, 3, 4, 5, 7, 9, 10, 18, 20, 22, 23][round % 11];
             }
             match NetMsg::decode(&buf, &cc) {
                 Ok(_) => {}
@@ -470,5 +543,92 @@ mod tests {
             NetMsg::decode(&[200], &cc),
             Err(NetError::Decode(_))
         ));
+    }
+
+    #[test]
+    fn ready_row_pull_and_its_rows_roundtrip_field_exact() {
+        use mycelium_bgv::{KeySet, Plaintext};
+        use mycelium_math::rng::{SeedableRng, StdRng};
+        let params = BgvParams::test_small();
+        let mut rng = StdRng::seed_from_u64(5);
+        let keys = KeySet::generate(&params, &mut rng);
+        let cc = CodecCtx::with_context(std::sync::Arc::clone(keys.public.context()), &params);
+
+        let pull = NetMsg::PullReady {
+            want: vec![7, 0, 93],
+        };
+        match NetMsg::decode(&pull.encode(), &cc).unwrap() {
+            NetMsg::PullReady { want } => assert_eq!(want, [7, 0, 93]),
+            other => panic!("wrong decode: {}", other.kind()),
+        }
+
+        let pt = Plaintext::zero(params.n, params.plaintext_modulus);
+        let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
+        let rows = NetMsg::ReadyRows {
+            rows: vec![(93, vec![Some(ct.clone()), None]), (7, vec![])],
+        };
+        let bytes = rows.encode();
+        let NetMsg::ReadyRows { rows: back } = NetMsg::decode(&bytes, &cc).unwrap() else {
+            panic!("wrong decode");
+        };
+        let shape = |rows: &[(u32, OriginRow)]| -> Vec<(u32, Vec<bool>)> {
+            let filled = |cts: &OriginRow| cts.iter().map(Option::is_some).collect();
+            rows.iter().map(|(o, cts)| (*o, filled(cts))).collect()
+        };
+        assert_eq!(shape(&back), [(93, vec![true, false]), (7, vec![])]);
+        // Re-encoding is the identity, so the ciphertext came back whole.
+        assert_eq!(NetMsg::ReadyRows { rows: back }.encode(), bytes);
+        // A row is the same bytes whichever reply carries it: `OriginJob` is
+        // its tag and the row, `ReadyRows` tag, count, origin and the row.
+        let row = vec![Some(ct), None];
+        let one = NetMsg::ReadyRows {
+            rows: vec![(93, row.clone())],
+        };
+        let job = NetMsg::OriginJob { cts: row };
+        assert_eq!(job.encode()[1..], one.encode()[9..]);
+        // The empty batch is a message of its own, not a missing reply.
+        let empty = NetMsg::ReadyRows { rows: Vec::new() };
+        assert!(matches!(
+            NetMsg::decode(&empty.encode(), &cc).unwrap(),
+            NetMsg::ReadyRows { rows } if rows.is_empty()
+        ));
+    }
+
+    #[test]
+    fn oversized_want_and_row_counts_are_typed_decode_errors() {
+        let cc = CodecCtx::new(&BgvParams::test_small());
+        // A `want` list one past the cap, every word present.
+        let mut w = Writer::new();
+        w.put_u8(10);
+        w.put_u32_slice(&vec![0u32; MAX_SLOTS + 1]);
+        assert!(matches!(
+            NetMsg::decode(&w.finish(), &cc),
+            Err(NetError::Decode(_))
+        ));
+        // At the cap it decodes.
+        let at_cap = NetMsg::PullReady {
+            want: vec![0; MAX_SLOTS],
+        };
+        assert!(NetMsg::decode(&at_cap.encode(), &cc).is_ok());
+        // A `want` list that claims more words than the frame holds.
+        let mut w = Writer::new();
+        w.put_u8(10);
+        w.put_u32(3);
+        w.put_u32(1);
+        assert!(matches!(
+            NetMsg::decode(&w.finish(), &cc),
+            Err(NetError::Decode(_))
+        ));
+        // A row count past the cap is refused before anything is allocated
+        // for it, and so is a row's slot count.
+        for body in [vec![MAX_SLOTS as u32 + 1], vec![1, 0, MAX_SLOTS as u32 + 1]] {
+            let mut w = Writer::new();
+            w.put_u8(23);
+            body.iter().for_each(|&word| w.put_u32(word));
+            assert!(matches!(
+                NetMsg::decode(&w.finish(), &cc),
+                Err(NetError::Decode(_))
+            ));
+        }
     }
 }

@@ -18,17 +18,24 @@
 //! * **Device processes** shard the per-vertex contribution duties and
 //!   push each (`PushContrib`), up to [`WINDOW`] in flight per link while
 //!   the next is being encrypted, until all are acked, then exit.
-//! * **Origin processes** shard the per-vertex origin work: `PullOrigin`
-//!   hands over the verified slot ciphertexts (with holes once the
-//!   contribution deadline passed, §4.4); they combine and submit — the
-//!   next vertex's row asked for before this one is combined, a
-//!   submission's `Ack` read only when the next row arrives behind it.
+//! * **Origin processes** shard the per-vertex origin work. A process does
+//!   not walk its vertices in order: `PullReady` names every origin it
+//!   still owes, and the server hands over whichever of their rows are
+//!   ready — the verified slot ciphertexts, with holes once the
+//!   contribution deadline passed (§4.4) — a [`BATCH`] at the most, holding
+//!   the request while none is. The process combines and submits: the next
+//!   batch asked for before this one is combined, a submission's `Ack` read
+//!   only when the next batch arrives behind it, one such loop per intake
+//!   shard. So origins combine while devices still push, and the round ends
+//!   with intake instead of a queue of rows behind it. (`PullOrigin`, one
+//!   named row, is the same routine's one-origin case.)
 //! * **Committee processes** ask `CommitteeCheckIn` (carrying their
 //!   joint-noise seed) and are handed a `CommitteeShareTask` once the
 //!   participant set is agreed, then a `CertSignTask`.
 //! * **The driver** spawns everyone, watches child exits (respawning a
 //!   crashed origin once — all protocol state lives at the aggregator,
-//!   so a respawned origin recovers by re-pulling), asks `PullStatus`,
+//!   so a respawned origin recovers by pulling, and is handed only the
+//!   rows nobody has submitted), asks `PullStatus`,
 //!   and merges every process's wire metrics into one JSON artifact.
 //!
 //! ## Durability
@@ -59,6 +66,7 @@
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -93,7 +101,7 @@ use crate::error::NetError;
 use crate::journal::{Journal, JournalError, Pending, SyncStats};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::proto::NetMsg;
+use crate::proto::{NetMsg, OriginRow};
 use crate::server::{Handled, Handler, Server, ServerConfig};
 use crate::wire::{Reader, Writer};
 
@@ -597,6 +605,12 @@ pub const PARK: Duration = Duration::from_millis(50);
 /// yet acknowledged) while it encrypts the next — and so how many encoded
 /// contributions, rather than one, it holds in memory per link.
 pub const WINDOW: usize = 8;
+/// How many rows the aggregation plane hands an origin process at a time, at
+/// the most: the hub all of them in one reply, each of `S` intake shards —
+/// the process asks them all at once — `BATCH / S` (one at the least). And
+/// so how many rows, rather than one, a reply and the buffers either end
+/// keeps for it hold.
+pub const BATCH: usize = 4;
 
 /// Deterministic fault injection knobs for [`run_aggregator`] — the
 /// chaos drill's way of dying at an exact protocol step.
@@ -636,8 +650,8 @@ pub struct AggState {
     // state holds, each sits beside the digest taken when it was accepted,
     // which is what `digest()` reads.
     contribs: Vec<Vec<Option<Parked>>>,
-    // How many rows of `contribs` are full (derived; what a held
-    // `PullOrigin` waits for).
+    // How many rows of `contribs` are full (derived; what a held pull
+    // waits for).
     rows_complete: usize,
     share_deadline: Option<Instant>,
     cert_since: Option<Instant>,
@@ -659,6 +673,11 @@ pub struct AggState {
     // first-write-wins rule). Reconciled against the injected fault
     // plan by the net-chaos harness.
     duplicates_suppressed: u64,
+    // Liveness bookkeeping, not journaled: which rows have been handed to
+    // an origin, and how many had been when the last contribution arrived —
+    // how far combining overlapped intake.
+    rows_handed: BTreeSet<u32>,
+    handed_before_last_push: usize,
     rng: StdRng,
     // Durability.
     journal: Option<Journal>,
@@ -704,14 +723,16 @@ fn mark_of(tag: u8, body: &[u8]) -> Option<Mark> {
     marks.into_iter().find(|mark| mark_tag(mark) == tag)
 }
 
-/// A reply as the state hands it over. An origin's job is named, not
-/// copied out: its wire encoding reads the parked row where it lies
+/// A reply as the state hands it over. Rows are named, not copied out:
+/// their wire encoding reads the parked ciphertexts where they lie
 /// ([`AggState::encode_reply`]); only a caller that wants the message
-/// itself pays for the ciphertexts ([`AggState::handle_deferred`]).
+/// itself pays for them ([`AggState::handle_deferred`]).
 enum Reply {
     Msg(NetMsg),
     /// `OriginJob` over this origin's row as it stands.
     Job(u32),
+    /// `ReadyRows` over these origins' rows as they stand.
+    Rows(Vec<u32>),
 }
 
 /// The core's view of the round: immutable inputs derived from the setup.
@@ -789,6 +810,8 @@ impl AggState {
             finished_shards: BTreeSet::new(),
             driver_seen: false,
             duplicates_suppressed: 0,
+            rows_handed: BTreeSet::new(),
+            handed_before_last_push: 0,
             rng: StdRng::seed_from_u64(setup.spec.seed).with_stream(rng_stream),
             journal: None,
             replaying: false,
@@ -1424,6 +1447,16 @@ impl AggState {
         self.duplicates_suppressed
     }
 
+    /// How far combining overlapped intake: of the rows this process owns
+    /// (the second number), how many an origin had been handed when the last
+    /// contribution arrived.
+    pub fn rows_handed_early(&self) -> (usize, usize) {
+        let intake = &self.round.intake;
+        let owned = |v: &u32| intake.submission_slot(*v).is_ok();
+        let origins = 0..self.setup.works.len() as u32;
+        (self.handed_before_last_push, origins.filter(owned).count())
+    }
+
     /// Applies one request to the state and computes the reply. Pure
     /// protocol logic: no journaling, no wall-clock reads — this is the
     /// function journal replay re-runs. Range and composition checks are
@@ -1448,24 +1481,19 @@ impl AggState {
                     let row = &mut self.contribs[origin as usize];
                     row[slot as usize] = Some(parked);
                     self.rows_complete += row.iter().all(Option::is_some) as usize;
+                    self.handed_before_last_push = self.rows_handed.len();
                 }
                 NetMsg::Ack
             }
+            // The one-origin pull: its row under the same rule, and — what
+            // a ready-row pull leaves out — again after its submission.
             NetMsg::PullOrigin { origin } => {
-                intake.submission_slot(origin)?;
-                if done {
-                    return Ok(Reply::Msg(NetMsg::Finished));
-                }
-                let slots = &self.contribs[origin as usize];
-                let have = slots.iter().filter(|s| s.is_some()).count();
-                if have == slots.len() || (!self.replaying && self.expired(None)) {
-                    return Ok(Reply::Job(origin));
-                }
-                NetMsg::OriginPending {
-                    have: have as u32,
-                    need: slots.len() as u32,
-                }
+                return Ok(match self.ready_rows(&[origin])? {
+                    Reply::Rows(_) => Reply::Job(origin),
+                    not_ready => not_ready,
+                })
             }
+            NetMsg::PullReady { want } => return self.ready_rows(&want),
             NetMsg::SubmitOrigin { origin, ct } => {
                 intake.submission_slot(origin)?;
                 if done {
@@ -1560,8 +1588,48 @@ impl AggState {
         }))
     }
 
-    /// Origin `origin`'s row as `PullOrigin` hands it over: a hole where
-    /// nothing was verified in time.
+    /// The one routine that serves rows. Of the origins in `want` (each
+    /// must be this process's, the core's typed error otherwise) that still
+    /// owe a submission, the first few — this server's share of a [`BATCH`] —
+    /// whose rows can be handed over: every slot verified, or — live only,
+    /// §4.4 — the contribution deadline passed. None of them ready is
+    /// `OriginPending`, counted in slots over the rows owed; none of them
+    /// owed is the empty batch.
+    fn ready_rows(&mut self, want: &[u32]) -> Result<Reply, NetError> {
+        let intake = &self.round.intake;
+        let mut owed = Vec::with_capacity(want.len());
+        for &origin in want {
+            if intake.submission_slot(origin)? == Slot::Open {
+                owed.push(origin);
+            }
+        }
+        if self.round.is_over() {
+            return Ok(Reply::Msg(NetMsg::Finished));
+        }
+        let expired = !self.replaying && self.expired(None);
+        let limit = (BATCH / self.setup.spec.agg_shards.max(1)).max(1);
+        let (mut ready, mut have, mut need) = (Vec::new(), 0, 0);
+        for &origin in &owed {
+            let slots = &self.contribs[origin as usize];
+            let filled = slots.iter().flatten().count();
+            if filled == slots.len() || expired {
+                ready.push(origin);
+                if ready.len() == limit {
+                    break;
+                }
+            }
+            have += filled as u32;
+            need += slots.len() as u32;
+        }
+        if ready.is_empty() && !owed.is_empty() {
+            return Ok(Reply::Msg(NetMsg::OriginPending { have, need }));
+        }
+        self.rows_handed.extend(&ready);
+        Ok(Reply::Rows(ready))
+    }
+
+    /// Origin `origin`'s row as a pull hands it over: a hole where nothing
+    /// was verified in time.
     fn job_row(&self, origin: u32) -> impl ExactSizeIterator<Item = Option<&Ciphertext>> {
         let row = self.contribs[origin as usize].iter();
         row.map(|slot| slot.as_ref().map(Parked::ct))
@@ -1572,6 +1640,10 @@ impl AggState {
         match reply {
             Reply::Msg(msg) => msg.encode_into(w),
             Reply::Job(origin) => NetMsg::put_origin_job(w, self.job_row(*origin)),
+            Reply::Rows(origins) => {
+                let rows = origins.iter().map(|&o| (o, self.job_row(o)));
+                NetMsg::put_ready_rows(w, rows);
+            }
         }
     }
 
@@ -1611,10 +1683,14 @@ impl AggState {
         raw: &[u8],
     ) -> Result<(NetMsg, Option<Pending>), NetError> {
         let (reply, pending) = self.handle_reply(msg, raw)?;
+        let cloned = |origin| self.job_row(origin).map(|ct| ct.cloned()).collect();
         let reply = match reply {
             Reply::Msg(msg) => msg,
             Reply::Job(origin) => NetMsg::OriginJob {
-                cts: self.job_row(origin).map(|ct| ct.cloned()).collect(),
+                cts: cloned(origin),
+            },
+            Reply::Rows(origins) => NetMsg::ReadyRows {
+                rows: origins.into_iter().map(|o| (o, cloned(o))).collect(),
             },
         };
         Ok((reply, pending))
@@ -1639,8 +1715,8 @@ impl AggState {
 
     /// What a thread sleeping on this state can be waiting for. The main
     /// loop: the sealed root or aggregate, the end of the round, and who
-    /// has observed it. A held request: an origin's row completing
-    /// (`PullOrigin`), the share round opening or the certificate awaiting
+    /// has observed it. A held request: a row completing (`PullReady`,
+    /// `PullOrigin`), the share round opening or the certificate awaiting
     /// signatures (`CommitteeCheckIn`), the end of the round (every poll).
     /// [`SharedAgg`] wakes its sleepers when any of them moves — never per
     /// request.
@@ -2023,8 +2099,10 @@ impl Served {
         metrics.wal_syncs += stats.syncs;
         let waits = &mut metrics.sync_wait_micros.completions;
         waits.extend(stats.wait_micros);
+        let (early, owned) = s.rows_handed_early();
         eprintln!(
-            "{}: {} fsyncs for {} journal records, {} minor faults",
+            "{}: {} fsyncs for {} journal records, {} minor faults, \
+             rows handed out before the last contribution: {early} of {owned}",
             self.name,
             stats.syncs,
             s.journal_records(),
@@ -2290,6 +2368,22 @@ impl HubClient {
         ))
     }
 
+    /// A client of the intake server for aggregation shard `target`'s
+    /// origins: the hub itself (at `addr`) at one shard, that shard above it.
+    fn to_intake(
+        setup: &RoundSetup,
+        role_id: u32,
+        target: usize,
+        addr: SocketAddr,
+        out_dir: &Path,
+    ) -> Result<Self, NetError> {
+        if setup.spec.agg_shards > 1 {
+            Self::new_to_shard(setup, role_id, target, out_dir)
+        } else {
+            Ok(Self::new(setup, role_id, addr, out_dir))
+        }
+    }
+
     /// A client of the server at `addr` (identity `server_pub`) that
     /// re-resolves `addr_file` in `out_dir` when its retries exhaust.
     fn connect(
@@ -2453,11 +2547,8 @@ impl ShardedHub {
     fn for_origin(&mut self, setup: &RoundSetup, v: VertexId) -> Result<&mut HubClient, NetError> {
         let target = shard_of(v, setup.spec.agg_shards);
         if let std::collections::btree_map::Entry::Vacant(e) = self.hubs.entry(target) {
-            e.insert(if setup.spec.agg_shards > 1 {
-                HubClient::new_to_shard(setup, self.role_id, target, &self.out_dir)?
-            } else {
-                HubClient::new(setup, self.role_id, self.addr, &self.out_dir)
-            });
+            let (role_id, addr, out_dir) = (self.role_id, self.addr, &self.out_dir);
+            e.insert(HubClient::to_intake(setup, role_id, target, addr, out_dir)?);
         }
         Ok(self.hubs.get_mut(&target).expect("just inserted"))
     }
@@ -2512,40 +2603,102 @@ pub fn run_device(
     write_metrics(out_dir, &format!("device-{shard}"), &hubs.metrics())
 }
 
+/// Asks on `hub` for whichever rows of `want` are ready; [`pulled_rows`]
+/// receives them.
+fn pull_ready(hub: &mut HubClient, want: &[u32]) -> Result<(), NetError> {
+    let want = want.to_vec();
+    hub.send(&NetMsg::PullReady { want })
+}
+
 /// Receives on `hub`, past the `Ack`s of this process's earlier
-/// submissions, the row `PullOrigin` for `origin` was asked for — asking
+/// submissions, the batch the `PullReady` over `want` was asked for — asking
 /// again at once whenever the server, having held the request for a park
-/// period, says the row is still incomplete. `None`: the round is over
-/// (possibly refused by the budget ledger), no origin work is left.
-fn pulled_row(
+/// period, says that none of the rows is ready. Empty: nothing is left to
+/// do on this link — the aggregator holds a submission for every origin in
+/// `want` (this process is a respawn and its predecessor got that far), or
+/// the round is over (possibly refused by the budget ledger).
+fn pulled_rows(
     hub: &mut HubClient,
     setup: &RoundSetup,
-    origin: u32,
-) -> Result<Option<Vec<Option<Ciphertext>>>, NetError> {
+    want: &[u32],
+) -> Result<Vec<(u32, OriginRow)>, NetError> {
     loop {
         match hub.recv(setup)? {
             NetMsg::Ack => {}
-            NetMsg::OriginJob { cts } => return Ok(Some(cts)),
-            NetMsg::OriginPending { .. } => hub.send(&NetMsg::PullOrigin { origin })?,
-            NetMsg::Finished => return Ok(None),
-            other => return Err(unexpected("PullOrigin", &other)),
+            NetMsg::ReadyRows { rows } => {
+                if !rows.iter().all(|(origin, _)| want.contains(origin)) {
+                    return Err(NetError::Decode("a row nobody asked for".into()));
+                }
+                return Ok(rows);
+            }
+            NetMsg::OriginPending { .. } => pull_ready(hub, want)?,
+            NetMsg::Finished => return Ok(Vec::new()),
+            other => return Err(unexpected("PullReady", &other)),
         }
     }
 }
 
-/// Runs one origin process: for each vertex in its shard, asks the
-/// aggregator for the verified slot ciphertexts, substitutes the neutral
-/// `Enc(x^0)` for slots that never arrived, combines, and submits.
+/// One link of an origin process: serves the origins in `want` — those of
+/// the process's vertices whose rows the server behind `hub` holds — in
+/// whatever order their rows become ready. Each batch of rows is combined
+/// (the neutral `Enc(x^0)` substituted for slots that never arrived) and
+/// submitted.
 ///
-/// The link is kept busy: the next vertex's row is asked for before this
-/// one is combined, and a submission's `Ack` is not waited for — it is
-/// read when the next row arrives behind it. A row is received *before*
-/// the submission ahead of it is written, so a large request is never
-/// written while a large reply is outstanding.
+/// The link is kept busy: the next batch is asked for before this one is
+/// combined, and a submission's `Ack` is not waited for — it is read when
+/// the next batch arrives behind it. A batch is received *before* the
+/// submissions of the one ahead of it are written, so a large request is
+/// never written while a large reply is outstanding.
+///
+/// `submit` is handed each submission to put on the wire (the process-wide
+/// crash drill sits there).
+fn serve_origins(
+    setup: &RoundSetup,
+    hub: &mut HubClient,
+    mut want: Vec<u32>,
+    mut submit: impl FnMut(&mut HubClient, NetMsg) -> Result<(), NetError>,
+) -> Result<(), NetError> {
+    pull_ready(hub, &want)?;
+    let mut batch = pulled_rows(hub, setup, &want)?;
+    while !batch.is_empty() {
+        want.retain(|v| batch.iter().all(|(origin, _)| origin != v));
+        if !want.is_empty() {
+            pull_ready(hub, &want)?;
+        }
+        let mut combined = Vec::with_capacity(batch.len());
+        for (origin, slots) in batch {
+            let work = &setup.works[origin as usize];
+            if slots.len() != work.requests.len() {
+                return Err(NetError::Decode("origin row slot count mismatch".into()));
+            }
+            let out = roles::submission(&setup.plan, &setup.keys, setup.spec.seed, work, slots)
+                .map_err(|e| role_failed("origin combine", e))?;
+            combined.push(NetMsg::SubmitOrigin {
+                origin,
+                ct: Box::new(out),
+            });
+        }
+        batch = if want.is_empty() {
+            Vec::new()
+        } else {
+            pulled_rows(hub, setup, &want)?
+        };
+        for msg in combined {
+            submit(hub, msg)?;
+        }
+    }
+    hub.drain(setup)
+}
+
+/// Runs one origin process: every vertex of its shard is asked for, combined
+/// and submitted by [`serve_origins`] — one such loop per aggregation shard
+/// that holds rows of the process, each on a thread and a link of its own, so
+/// that rows filling slowly at one shard keep nothing waiting at another.
 ///
 /// `crash_after`: exit with code 17 after that many vertices have been
-/// submitted — the driver's watchdog respawns the shard, which recovers
-/// by re-pulling (all protocol state lives at the aggregator).
+/// submitted — the driver's watchdog respawns the shard, which is handed
+/// only the rows nobody has submitted yet (all protocol state lives at the
+/// aggregator).
 pub fn run_origin(
     spec: &RoundSpec,
     shard: usize,
@@ -2554,50 +2707,46 @@ pub fn run_origin(
     crash_after: Option<usize>,
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
-    let mut hubs = ShardedHub::new(role::ORIGIN_BASE + shard as u32, addr, out_dir);
-    let mine: Vec<u32> = (shard..setup.pop.graph.len())
-        .step_by(spec.origin_shards)
-        .map(|v| v as u32)
-        .collect();
-    // Asks for `origin`'s row; `pulled_row` receives it.
-    let pull = |hubs: &mut ShardedHub, origin: u32| {
-        let hub = hubs.for_origin(&setup, origin)?;
-        hub.send(&NetMsg::PullOrigin { origin })
-    };
-    let mut row = match mine.first() {
-        Some(&v) => {
-            pull(&mut hubs, v)?;
-            pulled_row(hubs.for_origin(&setup, v)?, &setup, v)?
-        }
-        None => None,
-    };
-    for (submitted, &v) in mine.iter().enumerate() {
-        let Some(slots) = row.take() else { break };
-        if crash_after == Some(submitted) {
-            hubs.drain(&setup)?;
+    let role_id = role::ORIGIN_BASE + shard as u32;
+    let mut links: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
+    for v in (shard..setup.pop.graph.len()).step_by(spec.origin_shards) {
+        let target = shard_of(v as u32, spec.agg_shards);
+        links.entry(target).or_default().push(v as u32);
+    }
+    let submitted = AtomicUsize::new(0);
+    let submit = |hub: &mut HubClient, msg: NetMsg| {
+        if crash_after == Some(submitted.fetch_add(1, Ordering::SeqCst)) {
+            // What the aggregator acknowledged is what the respawn is spared;
+            // what this process sent is still part of the round's traffic.
+            hub.drain(&setup)?;
+            write_metrics(out_dir, &format!("origin-{shard}-crashed"), &hub.metrics())?;
             std::process::exit(17);
         }
-        let next = mine.get(submitted + 1).copied();
-        if let Some(next) = next {
-            pull(&mut hubs, next)?;
-        }
-        let work = &setup.works[v as usize];
-        if slots.len() != work.requests.len() {
-            return Err(NetError::Decode("origin job slot count mismatch".into()));
-        }
-        let out = roles::submission(&setup.plan, &setup.keys, spec.seed, work, slots)
-            .map_err(|e| role_failed("origin combine", e))?;
-        if let Some(next) = next {
-            row = pulled_row(hubs.for_origin(&setup, next)?, &setup, next)?;
-        }
-        let msg = NetMsg::SubmitOrigin {
-            origin: v,
-            ct: Box::new(out),
-        };
-        hubs.for_origin(&setup, v)?.send(&msg)?;
+        hub.send(&msg)
+    };
+    let per_link = std::thread::scope(|scope| {
+        let serving: Vec<_> = links
+            .into_iter()
+            .map(|(target, want)| {
+                let (setup, submit) = (&setup, &submit);
+                scope.spawn(move || {
+                    let mut hub = HubClient::to_intake(setup, role_id, target, addr, out_dir)?;
+                    serve_origins(setup, &mut hub, want, submit)?;
+                    Ok::<_, NetError>(hub.metrics())
+                })
+            })
+            .collect();
+        let joined = serving.into_iter().map(|link| {
+            link.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        joined.collect::<Result<Vec<NetMetrics>, NetError>>()
+    })?;
+    let mut metrics = NetMetrics::default();
+    for link in &per_link {
+        metrics.merge(link);
     }
-    hubs.drain(&setup)?;
-    write_metrics(out_dir, &format!("origin-{shard}"), &hubs.metrics())
+    write_metrics(out_dir, &format!("origin-{shard}"), &metrics)
 }
 
 /// Runs one committee member: polls check-ins (carrying its joint-noise

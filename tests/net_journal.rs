@@ -877,3 +877,281 @@ fn an_ack_is_not_held_behind_a_poll_that_parks() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Ready-row pulls: whichever wanted rows are complete, a batch at a time
+// ---------------------------------------------------------------------------
+
+use mycelium_net::round::BATCH;
+
+/// The pushes that fill origin `origin`'s row, slot by slot.
+fn row_pushes(setup: &RoundSetup, origin: u32) -> Vec<NetMsg> {
+    let requests = &setup.works[origin as usize].requests;
+    let pushes = requests.iter().enumerate().map(|(slot, &(device, exp))| {
+        let mut rng = StdRng::seed_from_u64(5000 + 16 * origin as u64 + slot as u64);
+        let sc = setup
+            .plan
+            .build_contribution(&setup.keys, device, exp, false, &mut rng)
+            .unwrap();
+        NetMsg::PushContrib {
+            origin,
+            slot: slot as u32,
+            sc: Box::new(sc),
+        }
+    });
+    pushes.collect()
+}
+
+fn fill_row(st: &mut AggState, setup: &RoundSetup, origin: u32) {
+    for push in row_pushes(setup, origin) {
+        assert!(matches!(request(st, setup, &push), NetMsg::Ack));
+    }
+}
+
+/// A stand-in submission (what the origin combined does not matter here).
+fn submission(setup: &RoundSetup, origin: u32) -> NetMsg {
+    let mut rng = StdRng::seed_from_u64(2000 + origin as u64);
+    let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
+    let ct = Ciphertext::encrypt(&setup.keys.public, &zero, &mut rng).unwrap();
+    NetMsg::SubmitOrigin {
+        origin,
+        ct: Box::new(ct),
+    }
+}
+
+/// The first `count` origins (in vertex order) whose rows wait for at least
+/// one contribution — an empty row is ready from the start.
+fn waiting_origins(setup: &RoundSetup, count: usize) -> Vec<u32> {
+    let waiting = setup.works.iter().filter(|w| !w.requests.is_empty());
+    let origins: Vec<u32> = waiting.map(|w| w.origin).take(count).collect();
+    assert_eq!(
+        origins.len(),
+        count,
+        "population has enough waiting origins"
+    );
+    origins
+}
+
+/// The origins a ready-row pull over `want` is handed right now, each row
+/// checked to be whole; `None` for `OriginPending`.
+fn pull_ready(st: &mut AggState, setup: &RoundSetup, want: &[u32]) -> Option<Vec<u32>> {
+    let pull = NetMsg::PullReady {
+        want: want.to_vec(),
+    };
+    match request(st, setup, &pull) {
+        NetMsg::ReadyRows { rows } => {
+            for (origin, cts) in &rows {
+                let need = setup.works[*origin as usize].requests.len();
+                assert_eq!(cts.iter().flatten().count(), need, "row {origin} is whole");
+            }
+            Some(rows.into_iter().map(|(origin, _)| origin).collect())
+        }
+        NetMsg::OriginPending { .. } => None,
+        other => panic!("unexpected pull reply {}", other.kind()),
+    }
+}
+
+#[test]
+fn a_pull_hands_over_whichever_wanted_rows_are_ready_and_journals_nothing() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("ready-rows");
+    let path = dir.join(files::JOURNAL);
+    let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    let want = waiting_origins(&setup, 3);
+    let (a, b, c) = (want[0], want[1], want[2]);
+
+    // Rows complete in reverse vertex order: each pull returns what is
+    // ready, not what comes first.
+    assert_eq!(pull_ready(&mut st, &setup, &want), None);
+    fill_row(&mut st, &setup, c);
+    assert_eq!(pull_ready(&mut st, &setup, &want), Some(vec![c]));
+    fill_row(&mut st, &setup, b);
+    assert_eq!(pull_ready(&mut st, &setup, &[a, b]), Some(vec![b]));
+    // A row handed over and not yet submitted is handed over again (its
+    // origin process may have died holding it), in the order asked.
+    assert_eq!(pull_ready(&mut st, &setup, &want), Some(vec![b, c]));
+    assert_eq!(pull_ready(&mut st, &setup, &[c, a, b]), Some(vec![c, b]));
+
+    // None of that was journaled, and the journal replays to this state.
+    let records = st.journal_records();
+    for _ in 0..3 {
+        pull_ready(&mut st, &setup, &want);
+    }
+    assert_eq!(st.journal_records(), records);
+    let twin = dir.join("twin.bin");
+    std::fs::copy(&path, &twin).unwrap();
+    let recovered = AggState::recover(Arc::clone(&setup), &twin).unwrap();
+    assert_eq!(recovered.journal_records(), records);
+    assert_eq!(recovered.digest(), st.digest());
+
+    // A submitted origin is no longer owed: the pull leaves it out, and a
+    // pull over nothing but submitted origins is the empty batch — not
+    // `OriginPending`, which says "owed, not ready" (`a` still is).
+    let submit = submission(&setup, c);
+    assert!(matches!(request(&mut st, &setup, &submit), NetMsg::Ack));
+    assert_eq!(pull_ready(&mut st, &setup, &want), Some(vec![b]));
+    assert_eq!(pull_ready(&mut st, &setup, &[c]), Some(vec![]));
+    assert_eq!(pull_ready(&mut st, &setup, &[a, c]), None);
+    let submit = submission(&setup, b);
+    assert!(matches!(request(&mut st, &setup, &submit), NetMsg::Ack));
+    fill_row(&mut st, &setup, a);
+    assert_eq!(pull_ready(&mut st, &setup, &want), Some(vec![a]));
+    let submit = submission(&setup, a);
+    assert!(matches!(request(&mut st, &setup, &submit), NetMsg::Ack));
+    assert_eq!(pull_ready(&mut st, &setup, &want), Some(vec![]));
+    // The one-origin pull still hands a submitted origin its row.
+    let again = request(&mut st, &setup, &NetMsg::PullOrigin { origin: c });
+    assert!(matches!(again, NetMsg::OriginJob { .. }));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_pull_hands_over_a_batch_at_the_most() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let mut st = AggState::new(Arc::clone(&setup));
+    let want = waiting_origins(&setup, BATCH + 2);
+    for &origin in &want {
+        fill_row(&mut st, &setup, origin);
+    }
+    let first = pull_ready(&mut st, &setup, &want).unwrap();
+    assert_eq!(first, want[..BATCH]);
+    // What the process holds it stops asking for.
+    let rest = pull_ready(&mut st, &setup, &want[BATCH..]).unwrap();
+    assert_eq!(rest, want[BATCH..]);
+}
+
+#[test]
+fn one_origin_pulls_encode_the_row_alike_and_a_shard_refuses_both_alike() {
+    let spec = RoundSpec {
+        agg_shards: 4,
+        ..test_spec()
+    };
+    let setup = Arc::new(build_setup(&spec).unwrap());
+    let mut st = AggState::new_shard(Arc::clone(&setup), 0);
+    let owned = |v: &u32| mycelium_net::round::shard_of(*v, 4) == 0;
+    let all = waiting_origins(&setup, setup.works.len().min(12));
+    let (mine, foreign): (Vec<u32>, Vec<u32>) = all.into_iter().partition(owned);
+    assert!(mine.len() >= 2 && !foreign.is_empty());
+    for &origin in &mine[..2] {
+        fill_row(&mut st, &setup, origin);
+    }
+
+    // The row's bytes are the same under either reply: `OriginJob` is tag ‖
+    // row, a one-origin `ReadyRows` tag ‖ count ‖ origin ‖ row.
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let origin = mine[0];
+    let job = shared
+        .handle([0; 32], &NetMsg::PullOrigin { origin }.encode())
+        .unwrap();
+    let want = vec![origin];
+    let rows = shared
+        .handle([0; 32], &NetMsg::PullReady { want }.encode())
+        .unwrap();
+    assert_eq!(
+        rows[..9],
+        [&[23, 1, 0, 0, 0][..], &origin.to_le_bytes()].concat()
+    );
+    assert_eq!(job[0], 18);
+    assert!(job.len() > 90_000, "a row of real ciphertexts");
+    assert_eq!(job[1..], rows[9..]);
+
+    // Together the plane's four shards hand a process a batch: this one a
+    // quarter of it, however many of its rows are ready.
+    let mut st = shared.lock();
+    let handed = pull_ready(&mut st, &setup, &mine).unwrap();
+    assert_eq!(handed, mine[..BATCH / 4]);
+
+    // An origin of another shard is refused with the one typed error,
+    // wherever in `want` it stands and whatever else is ready.
+    let refusal = |st: &mut AggState, msg: NetMsg| {
+        let raw = msg.encode();
+        match st.handle(NetMsg::decode(&raw, &setup.cc).unwrap(), &raw) {
+            Err(e @ NetError::Decode(_)) => e.to_string(),
+            Err(e) => panic!("untyped refusal {e:?}"),
+            Ok(reply) => panic!("a foreign origin was answered {}", reply.kind()),
+        }
+    };
+    let origin = foreign[0];
+    let one = refusal(&mut st, NetMsg::PullOrigin { origin });
+    let want = vec![mine[0], origin];
+    assert_eq!(refusal(&mut st, NetMsg::PullReady { want }), one);
+    assert!(one.contains("out of range"), "{one}");
+}
+
+#[test]
+fn held_ready_row_pull_wakes_on_the_push_that_completes_a_wanted_row() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("held-ready");
+    let mut st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+    // Two wanted rows, the later one a single contribution short.
+    let want = waiting_origins(&setup, 2);
+    let mut row = row_pushes(&setup, want[1]);
+    let last = row.pop().unwrap();
+    for msg in &row {
+        assert!(matches!(request(&mut st, &setup, msg), NetMsg::Ack));
+    }
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let pull = NetMsg::PullReady { want: want.clone() };
+
+    // Nothing lands: held for one park period, then "owed, not ready".
+    let asked = Instant::now();
+    let reply = ask(&shared, &setup, &pull);
+    let held = asked.elapsed();
+    assert!(matches!(reply, NetMsg::OriginPending { .. }));
+    assert!(held >= PARK && held < 3 * PARK, "held {held:?}");
+
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| ask_until_answered(&shared, &setup, &pull));
+        std::thread::sleep(PARK / 8);
+        assert!(matches!(ask(&shared, &setup, &last), NetMsg::Ack));
+        let landed = Instant::now();
+        let (reply, answered) = parked.join().unwrap();
+        let NetMsg::ReadyRows { rows } = reply else {
+            panic!("expected the ready row, got {}", reply.kind());
+        };
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0, want[1]);
+        let lag = answered.saturating_duration_since(landed);
+        assert!(lag < PARK / 4, "answered {lag:?} after the row completed");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_ack_is_not_held_behind_a_ready_row_pull_that_parks() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("ack-then-ready-park");
+    let st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let (server, mut channel) = served(&shared, &setup);
+
+    // A push that completes nothing, then the pull: it has nothing to hand
+    // over and is held — the push's Ack is not.
+    let work = setup.works.iter().find(|w| w.requests.len() >= 2).unwrap();
+    let push = row_pushes(&setup, work.origin).swap_remove(0);
+    let pull = NetMsg::PullReady {
+        want: waiting_origins(&setup, 3),
+    };
+    let released = write_burst(&shared, &mut channel, &[push.encode(), pull.encode()]);
+
+    let ack = channel.recv().unwrap().to_vec();
+    let acked = released.elapsed();
+    assert!(matches!(
+        NetMsg::decode(&ack, &setup.cc).unwrap(),
+        NetMsg::Ack
+    ));
+    assert!(acked < PARK / 4, "the Ack took {acked:?}");
+    let st = shared.lock();
+    assert_eq!(st.durable_records(), st.journal_records());
+    drop(st);
+    let pending = channel.recv().unwrap().to_vec();
+    let held = released.elapsed();
+    assert!(matches!(
+        NetMsg::decode(&pending, &setup.cc).unwrap(),
+        NetMsg::OriginPending { .. }
+    ));
+    assert!(held >= PARK, "the pull was held {held:?}");
+    drop(channel);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

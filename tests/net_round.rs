@@ -20,7 +20,7 @@ use mycelium_net::client::FRAME_OVERHEAD;
 use mycelium_net::codec::ciphertext_encoded_bytes;
 use mycelium_net::metrics::NetMetrics;
 use mycelium_net::round::{
-    build_population, build_setup, decode_outcome, files, BudgetCfg, RoundSpec,
+    build_population, build_setup, decode_outcome, files, BudgetCfg, RoundSpec, BATCH,
 };
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::paper_query;
@@ -408,11 +408,11 @@ fn budget_session_spans_drivers_and_refuses_the_over_budget_round() {
 fn crashed_origin_is_respawned_and_round_still_exact() {
     let spec = test_spec();
     let dir = out_dir("crash");
-    // Origin shard 1 kills itself (exit 17) after one submitted vertex;
-    // the driver's watchdog must detect the death and respawn it, and
-    // the respawned process recovers purely by re-pulling from the
+    // Origin shard 1 kills itself (exit 17) after half its vertices are
+    // submitted; the driver's watchdog must detect the death and respawn
+    // it, and the respawned process recovers purely by re-pulling from the
     // aggregator — the round must converge to the identical histogram.
-    let out = run_driver(&spec, &dir, &["--crash-origin", "1", "--crash-after", "1"]);
+    let out = run_driver(&spec, &dir, &["--crash-origin", "1", "--crash-after", "6"]);
     assert!(
         out.status.success(),
         "driver failed:\n{}",
@@ -436,6 +436,19 @@ fn crashed_origin_is_respawned_and_round_still_exact() {
     for (a, b) in outcome.exact.groups.iter().zip(&oracle.groups) {
         assert_eq!(a.histogram, b.histogram, "group {} diverged", a.label);
     }
+    // The respawn is not handed work that is already done: what its
+    // predecessor got acknowledged it neither pulls nor submits again (six
+    // rows here: walking its vertices from index 0 again would put 30
+    // submissions on the wire for 24 origins), and the most that can go out
+    // twice is a batch the predecessor died holding.
+    let merged =
+        NetMetrics::decode(&std::fs::read(dir.join(files::METRICS_MERGED)).unwrap()).unwrap();
+    let submits = merged.sent["SubmitOrigin"].frames;
+    let n = pop.graph.len() as u64;
+    assert!(
+        (n..=n + BATCH as u64).contains(&submits),
+        "{submits} submissions for {n} origins"
+    );
     // Even with a crashed-and-respawned origin the round must still
     // seal a certificate that verifies offline.
     let cert = read_valid_certificate(&dir);

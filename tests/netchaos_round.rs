@@ -36,7 +36,7 @@ fn run_driver(spec: &RoundSpec, dir: &Path) -> std::process::Output {
 
 /// The message kinds whose counts are fully determined by the round
 /// spec — exactly the ones the `costs.rs` reconciliation prices. The
-/// remaining kinds are polls (`PullStatus`, `PullOrigin`,
+/// remaining kinds are polls (`PullStatus`, `PullReady`,
 /// `CommitteeCheckIn`), whose counts float with scheduling even between
 /// two unproxied runs.
 const DETERMINISTIC_KINDS: [&str; 4] = ["PushContrib", "SubmitOrigin", "PushShare", "PushCertSig"];
