@@ -57,7 +57,7 @@ use crate::error::NetError;
 use crate::frame::HEADER_LEN;
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::round::{files, role, shard_of, RoundSetup, RoundSpec};
+use crate::round::{files, role, shard_of, RoundSetup, RoundSpec, BATCH};
 
 // ---------------------------------------------------------------------------
 // Profiles and plans
@@ -158,9 +158,13 @@ struct LinkInfo {
 
 /// Enumerates every client→server link of the round with its guaranteed
 /// request floor. Device links: one request per duty addressed to that
-/// server. Origin links: a pull and a submit per owned vertex. Committee
-/// links: the check-in poll loop (floor 3). Shard→coordinator links: the
-/// sealed root push (floor 1). The driver link is left alone.
+/// server. Origin links: a submit per owned vertex, and the fewest
+/// ready-row pulls that can hand those rows over — one per full
+/// [`BATCH`] (a pull is handed fewer rows whenever fewer are ready, and an
+/// intake shard never more than its share of a batch, so a run only ever
+/// makes more). Committee links: the check-in poll loop (floor 3).
+/// Shard→coordinator links: the sealed root push (floor 1). The driver
+/// link is left alone.
 fn link_inventory(setup: &RoundSetup) -> Vec<LinkInfo> {
     let spec = &setup.spec;
     let n = setup.pop.graph.len();
@@ -193,13 +197,13 @@ fn link_inventory(setup: &RoundSetup) -> Vec<LinkInfo> {
     for j in 0..spec.origin_shards {
         let mut per_server: BTreeMap<u32, u64> = BTreeMap::new();
         for v in (0..n).filter(|v| v % spec.origin_shards == j) {
-            *per_server.entry(server_of(v)).or_insert(0) += 2;
+            *per_server.entry(server_of(v)).or_insert(0) += 1;
         }
-        for (server, count) in per_server {
+        for (server, owned) in per_server {
             links.push(LinkInfo {
                 server,
                 client: role::ORIGIN_BASE + j as u32,
-                min_requests: count,
+                min_requests: owned + owned.div_ceil(BATCH as u64),
                 device: false,
             });
         }

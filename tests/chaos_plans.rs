@@ -84,12 +84,12 @@ fn link_fault_plans_are_pinned() {
     for (shards, want_seeded, want_drill) in [
         (
             1,
-            "1ef9bd0f4721e0caa82e6f2088c1d7e2a2be195019a90c5c22abc11c7c258a3d",
+            "8195a5f8eabc92e958879c66ac1540a79afa5324819e5a55bd1ef4b062a0d7f2",
             "687c69f2cd37d9d29317a3f0b26f2761dfb605a5a0fa547d5e01390f34325ce7",
         ),
         (
             4,
-            "1492a0b279ef0472afeec6d2b51daa876062178068a39f47902bcb94f45e0ebd",
+            "bb0b28ba690dbcc935e55639f005c400fde953cf064f1681b18c1757a2712362",
             "03ea5f817f04bb0fef5f373478bccb471d01827c87a1a66caeb128835e618156",
         ),
     ] {
