@@ -1,5 +1,5 @@
-//! The fault-injection plane of the transport: supervision, launch,
-//! runners and report.
+//! The fault-injection plane of the transport: kill schedules, runners
+//! and report.
 //!
 //! Runs the full multi-process loopback round under two fault sources
 //! — scheduled process kills (a [`ChaosPlan`], this module) and link
@@ -23,13 +23,11 @@
 //!   scheduled wall-clock offsets.
 //!
 //! [`Supervised`] is the *single* restart mechanism and [`RoundTree`]
-//! the single launcher: the ordinary driver and the chaos supervisor
-//! both spawn, name and respawn the round's children through them.
+//! the single launcher (both [`crate::round`]'s): the ordinary driver and
+//! the chaos supervisor both spawn, name and respawn the round's children
+//! through them.
 
-use std::io::BufRead;
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use mycelium::exec::NoisyGroup;
@@ -42,244 +40,10 @@ use mycelium_sharing::threshold::derive_joint_noise;
 use crate::error::NetError;
 use crate::netchaos::{reconcile, FaultLedger, NetFaultPlan, NetProfile};
 use crate::proto::NetMsg;
-use crate::round::{build_setup, decode_outcome, files, role, HubClient, RoundSetup, RoundSpec};
-
-// ---------------------------------------------------------------------------
-// Supervised children
-// ---------------------------------------------------------------------------
-
-/// A supervised child process: spawn, non-blocking crash detection, and
-/// budgeted respawn. This is the one restart mechanism in the transport
-/// plane — the round driver's origin watchdog and the chaos supervisor
-/// both go through it.
-pub struct Supervised {
-    /// Role label used in supervision messages (`origin-1`, …).
-    pub name: String,
-    exe: PathBuf,
-    child: Child,
-    piped: bool,
-    respawn_args: Vec<String>,
-    budget: u32,
-    done: bool,
-}
-
-impl Supervised {
-    /// Spawns `exe args...` (stdout piped if `piped`) with the
-    /// single-threaded compute-plane setting every round child uses.
-    pub fn spawn(exe: &Path, name: &str, args: Vec<String>, piped: bool) -> Result<Self, NetError> {
-        let child = Self::launch(exe, &args, piped)?;
-        Ok(Supervised {
-            name: name.to_string(),
-            exe: exe.to_path_buf(),
-            child,
-            piped,
-            respawn_args: Vec::new(),
-            budget: 0,
-            done: false,
-        })
-    }
-
-    fn launch(exe: &Path, args: &[String], piped: bool) -> Result<Child, NetError> {
-        let mut cmd = Command::new(exe);
-        cmd.args(args).env("MYC_THREADS", "1");
-        if piped {
-            cmd.stdout(Stdio::piped());
-        }
-        Ok(cmd.spawn()?)
-    }
-
-    /// Arms automatic respawn: a crashed (nonzero-exit) child is
-    /// relaunched with `args`, at most `budget` times.
-    pub fn with_respawn(mut self, args: Vec<String>, budget: u32) -> Self {
-        self.respawn_args = args;
-        self.budget = budget;
-        self
-    }
-
-    /// Reads the `LISTENING <addr>` banner from a piped server child
-    /// and keeps draining the pipe so the child can never block on
-    /// stdout.
-    pub fn read_banner(&mut self) -> Result<SocketAddr, NetError> {
-        let stdout =
-            self.child.stdout.take().ok_or_else(|| {
-                NetError::Supervision(format!("{} stdout was not piped", self.name))
-            })?;
-        let mut reader = std::io::BufReader::new(stdout);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let addr: SocketAddr = line
-            .trim()
-            .strip_prefix("LISTENING ")
-            .ok_or_else(|| NetError::Decode(format!("bad {} banner: {line:?}", self.name)))?
-            .parse()
-            .map_err(|e| NetError::Decode(format!("bad {} address: {e}", self.name)))?;
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        });
-        Ok(addr)
-    }
-
-    /// Non-blocking exit probe of the current incarnation.
-    pub fn try_exit(&mut self) -> Result<Option<ExitStatus>, NetError> {
-        Ok(self.child.try_wait()?)
-    }
-
-    /// Replaces the current incarnation (killing it if still alive)
-    /// with a fresh launch under different arguments. The chaos
-    /// supervisor uses this to arm each server incarnation with the
-    /// next scheduled kill.
-    pub fn respawn_with_args(&mut self, args: Vec<String>) -> Result<(), NetError> {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        self.child = Self::launch(&self.exe, &args, self.piped)?;
-        self.done = false;
-        Ok(())
-    }
-
-    /// Delivers `SIGKILL` to a still-running child and reaps it.
-    /// Returns whether there was anything to kill.
-    pub fn kill(&mut self) -> Result<bool, NetError> {
-        if self.done || self.child.try_wait()?.is_some() {
-            return Ok(false);
-        }
-        self.child.kill()?;
-        self.child.wait()?;
-        Ok(true)
-    }
-
-    /// One watchdog poll: respawns a crashed child within its budget.
-    /// An exited child's status is collected by [`Supervised::wait`].
-    pub fn watch(&mut self) -> Result<(), NetError> {
-        if self.done {
-            return Ok(());
-        }
-        let Some(status) = self.child.try_wait()? else {
-            return Ok(());
-        };
-        if status.success() || self.budget == 0 {
-            self.done = true;
-            return Ok(());
-        }
-        self.budget -= 1;
-        eprintln!(
-            "driver: {} exited with {status}, respawning once",
-            self.name
-        );
-        self.child = Self::launch(&self.exe, &self.respawn_args, self.piped)?;
-        Ok(())
-    }
-
-    /// Blocks until the current incarnation exits (cached status if it
-    /// already has).
-    pub fn wait(&mut self) -> Result<ExitStatus, NetError> {
-        Ok(self.child.wait()?)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The process tree
-// ---------------------------------------------------------------------------
-
-/// The round's client children — device shards, origin shards,
-/// committee members — by name, in launch order.
-fn client_names(spec: &RoundSpec, committee_size: usize) -> Vec<String> {
-    let devices = (0..spec.device_shards).map(|i| format!("device-{i}"));
-    let origins = (0..spec.origin_shards).map(|j| format!("origin-{j}"));
-    let committee = (1..=committee_size).map(|m| format!("committee-{m}"));
-    devices.chain(origins).chain(committee).collect()
-}
-
-/// Spells the driver → child command lines.
-pub(crate) struct ChildArgs {
-    /// What every command line ends with: the spec, then `--out DIR`.
-    tail: Vec<String>,
-    /// The aggregator's address, once its banner has announced it.
-    addr: Option<SocketAddr>,
-}
-
-impl ChildArgs {
-    /// The command line of child `name` (`aggregator`, `shard-2`,
-    /// `device-0`, `committee-3`, …) followed by `extra`: the role word,
-    /// for an indexed child its index under its role's flag and the
-    /// aggregator address it dials, and the shared tail.
-    pub fn of(&self, name: &str, extra: Vec<String>) -> Vec<String> {
-        let (role, index) = name.split_once('-').unwrap_or((name, ""));
-        let mut args = vec![role.to_string()];
-        if !index.is_empty() {
-            let flag = if role == "committee" {
-                "--member"
-            } else {
-                "--shard"
-            };
-            let addr = self.addr.expect("the aggregator is launched first");
-            args.extend([flag, index, "--addr", &addr.to_string()].map(String::from));
-        }
-        args.extend(self.tail.iter().cloned());
-        args.extend(extra);
-        args
-    }
-}
-
-/// The round's process tree: the one place that names the children of
-/// a [`RoundSpec`] and spawns them.
-pub(crate) struct RoundTree {
-    /// The children's command lines (for respawns under new arguments).
-    pub cmd: ChildArgs,
-    /// The aggregator's banner address, which every other child dials.
-    pub addr: SocketAddr,
-    /// The journaled servers: the aggregator (hub or coordinator)
-    /// first, then the intake shards of a sharded layout — which
-    /// publish their own addresses via `shard-N.addr` files that device
-    /// and origin clients wait on, so everyone can start concurrently.
-    pub servers: Vec<Supervised>,
-    /// Device shards, origin shards and committee members.
-    pub clients: Vec<Supervised>,
-}
-
-impl RoundTree {
-    /// Spawns the whole tree, the aggregator first: its stdout announces
-    /// the bound port. `first(name)` gives a child's extra first-launch
-    /// arguments and how often [`Supervised::watch`] may respawn a
-    /// crashed incarnation without them.
-    pub fn launch(
-        exe: &Path,
-        setup: &RoundSetup,
-        out_dir: &Path,
-        first: impl Fn(&str) -> (Vec<String>, u32),
-    ) -> Result<Self, NetError> {
-        let spec = &setup.spec;
-        let mut tail = spec.to_args();
-        tail.extend(["--out".to_string(), out_dir.display().to_string()]);
-        let mut cmd = ChildArgs { tail, addr: None };
-        let spawn = |cmd: &ChildArgs, name: &str, piped: bool| -> Result<Supervised, NetError> {
-            let (extra, budget) = first(name);
-            let child = Supervised::spawn(exe, name, cmd.of(name, extra), piped)?;
-            Ok(child.with_respawn(cmd.of(name, Vec::new()), budget))
-        };
-        let mut agg = spawn(&cmd, "aggregator", true)?;
-        let addr = agg.read_banner()?;
-        cmd.addr = Some(addr);
-        let mut servers = vec![agg];
-        if spec.agg_shards > 1 {
-            for s in 0..spec.agg_shards {
-                servers.push(spawn(&cmd, &format!("shard-{s}"), false)?);
-            }
-        }
-        let clients = client_names(spec, setup.committee_size)
-            .iter()
-            .map(|name| spawn(&cmd, name, false))
-            .collect::<Result<_, _>>()?;
-        Ok(RoundTree {
-            cmd,
-            addr,
-            servers,
-            clients,
-        })
-    }
-}
+use crate::round::{
+    build_setup, client_names, decode_outcome, files, role, HubClient, RoundSetup, RoundSpec,
+    RoundTree, Supervised,
+};
 
 // ---------------------------------------------------------------------------
 // Kill schedules

@@ -28,10 +28,9 @@
 //!   the exact pre-crash state.
 //! * [`round`] — the multi-process round itself: aggregator server,
 //!   device/origin/committee client roles, and the driver that spawns
-//!   and supervises them.
+//!   and supervises them ([`Supervised`]).
 //! * [`chaos`] — the fault-injection plane behind the `chaos_round`
-//!   binary: the process-tree launcher and kill/respawn supervisor
-//!   ([`Supervised`], [`ChaosPlan`]), the runners for both fault
+//!   binary: the kill schedules ([`ChaosPlan`]), the runners for both fault
 //!   sources, and the one verdict and report ([`ChaosOutcome`]) that
 //!   check the round still ends in a bit-identical histogram or a typed
 //!   failure.
@@ -62,13 +61,13 @@ pub mod server;
 pub mod wire;
 
 pub use channel::{Identity, SecureChannel, HANDSHAKE_WIRE_BYTES};
-pub use chaos::{ChaosOutcome, ChaosPlan, Supervised};
+pub use chaos::{ChaosOutcome, ChaosPlan};
 pub use client::{Client, ClientConfig, FRAME_OVERHEAD};
 pub use error::NetError;
 pub use journal::{Journal, JournalError};
 pub use metrics::NetMetrics;
 pub use netchaos::{ChaosProxy, NetFaultPlan, NetProfile};
-pub use round::{RoundSetup, RoundSpec};
+pub use round::{RoundSetup, RoundSpec, Supervised};
 pub use server::{Handler, Server, ServerConfig};
 
 // Re-exported so doc links and downstream users name one source of truth.

@@ -59,20 +59,11 @@ use crate::lock_recover;
 use crate::metrics::NetMetrics;
 use crate::round::{files, role, shard_of, RoundSetup, RoundSpec, BATCH};
 
+pub use crate::round::NetProfile;
+
 // ---------------------------------------------------------------------------
 // Profiles and plans
 // ---------------------------------------------------------------------------
-
-/// Which fault plan a round runs under (`RoundSpec::net`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetProfile {
-    /// Seed-derived plan; `Seeded(0)` is the empty (pass-through) plan.
-    Seeded(u64),
-    /// The fixed three-phase drill: a partition and a bit flip during
-    /// contribution intake, a request stall during origin summation,
-    /// and a reset storm during committee decryption.
-    Drill,
-}
 
 /// One scheduled fault on a link, keyed by the 1-based *ordinal* of the
 /// data request it fires on (cumulative across reconnects — a retry of
