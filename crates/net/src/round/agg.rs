@@ -93,8 +93,8 @@ pub struct AggFaults {
 /// and [`AggState::recover`] rebuilds an identical state from the journal.
 pub struct AggState {
     setup: Arc<RoundSetup>,
-    pub(super) round: Round<Parked>,
-    pub(super) shard: Option<u32>,
+    round: Round<Parked>,
+    shard: Option<u32>,
     who: String,
     started: Instant,
     // Verified per-(origin, slot) ciphertexts, parked until the origin
@@ -116,10 +116,10 @@ pub struct AggState {
     charged_epsilon: f64,
     // The core's decision as this plane reports it, rendered when it was
     // made: the reject list is the one known then.
-    pub(super) outcome: Option<Result<RoundOutcome, String>>,
-    pub(super) finished_seen: BTreeSet<u64>,
-    pub(super) finished_shards: BTreeSet<u32>,
-    pub(super) driver_seen: bool,
+    outcome: Option<Result<RoundOutcome, String>>,
+    finished_seen: BTreeSet<u64>,
+    finished_shards: BTreeSet<u32>,
+    driver_seen: bool,
     // Liveness bookkeeping, not journaled: how many already-applied
     // writes arrived again (at-least-once redelivery absorbed by the
     // first-write-wins rule). Reconciled against the injected fault
@@ -138,6 +138,11 @@ pub struct AggState {
     digest_due: bool,
     mutating_appends: u32,
     die_mid_journal: Option<u32>,
+}
+
+/// The one place this state asks what time it is.
+fn now() -> Instant {
+    Instant::now()
 }
 
 /// Waits until the records `pending` claims are on disk (at once where
@@ -247,7 +252,7 @@ impl AggState {
             round,
             shard,
             who,
-            started: Instant::now(),
+            started: now(),
             contribs,
             rows_complete: 0,
             share_deadline: None,
@@ -311,9 +316,9 @@ impl AggState {
         st.journal = Some(journal);
         // Wall-clock deadlines do not survive a crash: restart them so
         // straggler detection (and the one reselect) still fires.
-        st.started = Instant::now();
+        st.started = now();
         if !st.round.tail.participants.is_empty() && st.outcome.is_none() {
-            st.share_deadline = Some(Instant::now() + st.share_wait());
+            st.share_deadline = Some(now() + st.share_wait());
         }
         if replayed > 0 {
             eprintln!("{}: replayed {replayed} journal records", st.who);
@@ -595,7 +600,7 @@ impl AggState {
         let tail = &self.round.tail;
         match mark {
             Mark::Select | Mark::Reselect if self.round.failed.is_none() => {
-                self.share_deadline = Some(Instant::now() + self.share_wait());
+                self.share_deadline = Some(now() + self.share_wait());
             }
             Mark::Seal if tail.cert.is_some() && tail.cert_bytes.is_none() && !self.replaying => {
                 eprintln!(
@@ -633,11 +638,10 @@ impl AggState {
         }
     }
 
-    /// The one function in which this state asks what time it is: whether
-    /// the core's `timeout` has passed or — `None`, a matter between this
-    /// driver and its origins (§4.4) — the contribution deadline.
+    /// Whether the core's `timeout` has passed or — `None`, a matter between
+    /// this driver and its origins (§4.4) — the contribution deadline.
     fn expired(&self, timeout: Option<Timeout>) -> bool {
-        let now = Instant::now();
+        let now = now();
         let wait = self.setup.spec.contrib_deadline;
         let since = |t0: Option<Instant>, wait| t0.is_some_and(|t0| now >= t0 + wait);
         match timeout {
@@ -664,7 +668,7 @@ impl AggState {
         loop {
             self.settle_budget()?;
             if self.cert_since.is_none() && self.round.signing() {
-                self.cert_since = Some(Instant::now());
+                self.cert_since = Some(now());
             }
             let Some(mark) = self.round.due(|t| self.expired(Some(t))) else {
                 return Ok(());
@@ -1022,6 +1026,32 @@ impl AggState {
             self.round.tail.share_round,
             self.round.tail.cert.is_some(),
         )
+    }
+
+    /// Whether the round is over for its clients: decided, and no
+    /// certificate signature still wanted.
+    pub(super) fn is_over(&self) -> bool {
+        self.round.is_over()
+    }
+
+    /// Whether everyone who must observe `Finished` has done so: the
+    /// driver, and — unless the process goes `without_stragglers` — every
+    /// committee member and, at a coordinator, every shard.
+    pub(super) fn finished_observed(&self, without_stragglers: bool) -> bool {
+        let spec = &self.setup.spec;
+        let shards_expected = if spec.agg_shards > 1 {
+            spec.agg_shards
+        } else {
+            0
+        };
+        let all_observed = self.finished_seen.len() == self.setup.committee_size
+            && self.finished_shards.len() == shards_expected;
+        self.driver_seen && (all_observed || without_stragglers)
+    }
+
+    /// Takes the outcome, for the process to write as it exits.
+    pub(super) fn take_outcome(&mut self) -> Option<Result<RoundOutcome, String>> {
+        self.outcome.take()
     }
 
     /// Whether the round has produced an outcome (success or typed

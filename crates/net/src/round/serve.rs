@@ -165,11 +165,13 @@ struct Served {
 }
 
 impl Served {
-    /// Serves `st` under the transport identity its composition implies.
+    /// Serves `st` — intake shard `shard`'s state, or the hub's or
+    /// coordinator's — under the transport identity that implies.
     /// Publishes the dialable address via the role's address file and a
     /// `LISTENING` banner on stdout.
     fn spawn(
         st: AggState,
+        shard: Option<u32>,
         setup: &Arc<RoundSetup>,
         faults: &AggFaults,
         out_dir: &Path,
@@ -178,7 +180,7 @@ impl Served {
         // One worker per intake client, plus slack; the aggregator also
         // serves the committee and the shards.
         let intake_workers = spec.device_shards + spec.origin_shards + 3;
-        let (name, role_id, workers, server_seed, addr_file) = match st.shard {
+        let (name, role_id, workers, server_seed, addr_file) = match shard {
             None => (
                 "aggregator".to_string(),
                 role::AGGREGATOR,
@@ -285,7 +287,7 @@ pub fn run_aggregator(
             .unwrap_or_else(|| out_dir.join(files::BUDGET_WAL));
         st.install_budget(&wal_path)?;
     }
-    let served = Served::spawn(st, &setup, faults, out_dir)?;
+    let served = Served::spawn(st, None, &setup, faults, out_dir)?;
 
     let started = Instant::now();
     let mut outcome_since: Option<Instant> = None;
@@ -293,27 +295,20 @@ pub fn run_aggregator(
     let mut s = shared.lock();
     let (result, cert_json) = loop {
         shared.tick(&mut s);
-        if s.round.is_over() {
+        if s.is_over() {
             let since = *outcome_since.get_or_insert_with(Instant::now);
             // Committee members (and shards) that died after the
             // outcome formed can never poll `Finished`; a grace period
             // keeps their absence from wedging the exit.
-            let shards_expected = if spec.agg_shards > 1 {
-                spec.agg_shards
-            } else {
-                0
-            };
-            let all_observed = s.finished_seen.len() == setup.committee_size
-                && s.finished_shards.len() == shards_expected;
-            if s.driver_seen && (all_observed || since.elapsed() >= FINISH_GRACE) {
+            if s.finished_observed(since.elapsed() >= FINISH_GRACE) {
                 let json = s.certificate_json();
-                break (s.outcome.take().expect("checked"), json);
+                break (s.take_outcome().expect("checked"), json);
             }
         }
         if started.elapsed() >= spec.round_timeout {
             let json = s.certificate_json();
             break (
-                s.outcome.take().unwrap_or_else(|| {
+                s.take_outcome().unwrap_or_else(|| {
                     Err(format!(
                         "round did not converge within {:?}",
                         spec.round_timeout
@@ -360,7 +355,7 @@ pub fn run_shard(
         &out_dir.join(files::shard_journal(shard)),
     )?;
     st.set_faults(faults);
-    let served = Served::spawn(st, &setup, faults, out_dir)?;
+    let served = Served::spawn(st, Some(shard as u32), &setup, faults, out_dir)?;
 
     // Client half towards the coordinator.
     let role_id = role::SHARD_BASE + shard as u32;
