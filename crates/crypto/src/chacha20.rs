@@ -65,10 +65,10 @@ pub fn active_tier() -> Tier {
     static ACTIVE: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
     *ACTIVE.get_or_init(|| {
         let tiers = tiers();
-        if crate::simd_allowed() {
-            *tiers.last().expect("the portable tier is always there")
-        } else {
+        if mycelium_math::simd::simd_disabled_by_env() {
             tiers[0]
+        } else {
+            *tiers.last().expect("the portable tier is always there")
         }
     })
 }

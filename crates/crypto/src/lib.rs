@@ -35,12 +35,6 @@ pub mod poly1305;
 pub mod sha256;
 pub mod sha512;
 
-/// Whether kernels may use the SIMD the CPU offers: always, unless the
-/// environment says `MYC_NO_SIMD=1`. Read by each kernel's one-time dispatch.
-pub(crate) fn simd_allowed() -> bool {
-    std::env::var("MYC_NO_SIMD").map(|v| v.trim() == "1") != Ok(true)
-}
-
 pub use aead::{open, seal, AeadError};
 pub use merkle::{InclusionProof, MerkleTree};
 pub use penc::{KeyPair, PublicKey};

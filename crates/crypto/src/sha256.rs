@@ -119,7 +119,7 @@ fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
         use std::sync::OnceLock;
         static SHA_NI: OnceLock<bool> = OnceLock::new();
         let enabled = *SHA_NI.get_or_init(|| {
-            crate::simd_allowed()
+            !mycelium_math::simd::simd_disabled_by_env()
                 && std::is_x86_feature_detected!("sha")
                 && std::is_x86_feature_detected!("ssse3")
                 && std::is_x86_feature_detected!("sse4.1")

@@ -248,12 +248,17 @@ pub fn detected_features() -> Vec<&'static str> {
     feats
 }
 
-/// True when the `MYC_NO_SIMD` override forces the scalar tier.
+/// Whether `MYC_NO_SIMD` set to `value` forces the scalar tier: any value
+/// does but the empty one and `0`, blanks around it aside.
+fn no_simd(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !matches!(v.trim(), "" | "0"))
+}
+
+/// True when the `MYC_NO_SIMD` override forces the scalar tier. The one
+/// reader of the variable: the AEAD's ChaCha20 and the SHA-256 dispatch
+/// ask here too.
 pub fn simd_disabled_by_env() -> bool {
-    match std::env::var("MYC_NO_SIMD") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
+    no_simd(std::env::var("MYC_NO_SIMD").ok().as_deref())
 }
 
 fn select() -> &'static Kernels {
@@ -1952,5 +1957,15 @@ mod tests {
         assert_eq!(tiers[0].name, "scalar");
         // The active tier must be one of the available tiers.
         assert!(tiers.iter().any(|t| t.name == kernels().name));
+    }
+
+    #[test]
+    fn myc_no_simd_is_off_only_when_unset_empty_or_zero() {
+        for off in [None, Some(""), Some("0"), Some(" 0 ")] {
+            assert!(!no_simd(off), "{off:?}");
+        }
+        for on in ["1", " 1 ", "true"] {
+            assert!(no_simd(Some(on)), "{on:?}");
+        }
     }
 }

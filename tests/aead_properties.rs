@@ -218,7 +218,7 @@ fn every_keystream_tier_matches_the_portable_one() {
 
 #[test]
 fn myc_no_simd_forces_the_portable_tier() {
-    let forced = std::env::var("MYC_NO_SIMD").is_ok_and(|v| v.trim() == "1");
+    let forced = mycelium_math::simd::simd_disabled_by_env();
     let widest = chacha20::tiers().last().unwrap().name;
     let want = if forced { "portable" } else { widest };
     assert_eq!(chacha20::active_tier().name, want);
