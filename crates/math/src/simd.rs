@@ -36,10 +36,11 @@
 //!   the same `(2l+1)·q` bound, not lane-for-lane equal to it; they are
 //!   equal after [`crate::ew::reduce_lazy_pow2`] — the NTT tiers' contract.
 //! * The Barrett product kernels (`mul_assign`, `tensor3`, …) are
-//!   replaced by Montgomery REDC in the vector tiers (64-bit Barrett
-//!   needs a 128-bit high product per element; REDC needs only 64-bit
-//!   mulhi/mullo, which SIMD has). Each output is canonicalized before it
-//!   is stored.
+//!   Montgomery REDC at radix 2^52 on the IFMA tier, each output
+//!   canonicalized before it is stored. The 64-bit tiers run the scalar
+//!   oracle for them and for the inverse transform: a 64-bit high product
+//!   emulated from 32×32 partials loses to scalar there (`BENCH_bgv.json`
+//!   `tiers`), and IFMA hands them every modulus above its `2^50`.
 //! * The NTT is canonical-in, canonical-out: both drivers end with a full
 //!   `mod q` canonicalization (a vector pass of the tier — a scalar
 //!   compare-and-branch loop there mispredicts on every fresh input and
@@ -59,7 +60,7 @@
 //! | `mul_shoup_*` | canonical | `[0, 2q)` | canonical |
 //! | `mul_shoup_add_lazy2` | canonical | `[0, (2l+1)q)` | caller reduces |
 //! | `rescale_step` | canonical, `|d|, |w| < q` | `[0, 3q)` | canonical |
-//! | Montgomery products | canonical | `[0, 2q)` | canonical |
+//! | Montgomery products (IFMA) | canonical | `[0, 2q)` | canonical |
 //!
 //! Debug builds assert the stage ranges (see `debug_check_range`), so a
 //! domain violation fails loudly in `cargo test` instead of wrapping
@@ -431,7 +432,7 @@ pub(crate) mod scalar {
         fwd_driver(s, a, fwd_pass, ew::reduce_lazy_pow2_scalar);
     }
 
-    fn ntt_inv(s: &NttShape, a: &mut [u64]) {
+    pub(crate) fn ntt_inv(s: &NttShape, a: &mut [u64]) {
         inv_driver(s, a, inv_pass, ew::scale_assign_scalar);
     }
 
@@ -914,14 +915,22 @@ macro_rules! shoup_family {
 }
 
 // ---------------------------------------------------------------------------
-// Vector tiers. Each ISA module defines nine primitive ops (splat / loadv /
-// storev / addv / subv / mullo64 / mulhi64 / cond_sub / carry_nonzero) and
-// this macro expands the identical kernel bodies against them, so the
-// arithmetic lives in exactly one place.
+// Vector tiers. Each ISA module defines eight primitive ops (splat / loadv /
+// storev / addv / subv / mullo64 / mulhi64 / cond_sub) and this macro
+// expands the identical kernel bodies against them, so the arithmetic lives
+// in exactly one place.
 // ---------------------------------------------------------------------------
 
 macro_rules! vector_tier_body {
     ($name:literal, $feat:literal) => {
+        // The rows on which the emulated 64-bit multiplier loses to scalar
+        // (BENCH_bgv.json `tiers`): the inverse transform and the products.
+        use crate::ew::{
+            mul_add_assign_scalar as mul_add_assign, mul_assign_scalar as mul_assign,
+            mul_into_scalar as mul_into, tensor3_scalar as tensor3,
+        };
+        use crate::simd::scalar::ntt_inv;
+
         /// `a·w − ⌊a·w_s/2^64⌋·q` (wrapping) — the Harvey/Shoup lazy
         /// product, lane-parallel. Same integer formula as
         /// `Modulus::mul_shoup_lazy`, so lazy intermediates match the
@@ -930,24 +939,6 @@ macro_rules! vector_tier_body {
         #[inline]
         unsafe fn shoup_lazy_v(a: V, w: V, ws: V, qv: V) -> V {
             subv(mullo64(a, w), mullo64(mulhi64(a, ws), qv))
-        }
-
-        /// Montgomery REDC of the 128-bit value `(hi, lo)`: returns
-        /// `x·2^{-64} mod q`, lazy in `[0, 2q)` provided `x < q·2^64`.
-        /// Same formula as `Modulus::mont_redc_lazy`.
-        #[target_feature(enable = $feat)]
-        #[inline]
-        unsafe fn mont_redc_v(lo: V, hi: V, qv: V, qinv: V) -> V {
-            let m = mullo64(lo, qinv);
-            addv(addv(hi, mulhi64(m, qv)), carry_nonzero(lo))
-        }
-
-        /// `a·b·2^{-64} mod q`, lazy in `[0, 2q)`; sound while
-        /// `a·b < q·2^64` (holds for `a < 2q`, `b < q`).
-        #[target_feature(enable = $feat)]
-        #[inline]
-        unsafe fn mont_mul_lazy(a: V, b: V, qv: V, qinv: V) -> V {
-            mont_redc_v(mullo64(a, b), mulhi64(a, b), qv, qinv)
         }
 
         #[target_feature(enable = $feat)]
@@ -981,191 +972,17 @@ macro_rules! vector_tier_body {
             }
         }
 
-        #[target_feature(enable = $feat)]
-        unsafe fn inv_pass_impl(
-            s: &NttShape,
-            a: &mut [u64],
-            root_base: usize,
-            chunks: usize,
-            t: usize,
-        ) {
-            debug_assert_eq!(a.len(), chunks * 2 * t);
-            if t < LANES {
-                return crate::simd::scalar::inv_pass(s, a, root_base, chunks, t);
-            }
-            let qv = splat(s.q);
-            let tqv = splat(s.q << 1);
-            for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
-                let wv = splat(s.roots[root_base + i]);
-                let wsv = splat(s.shoup[root_base + i]);
-                let (lo, hi) = chunk.split_at_mut(t);
-                let mut j = 0usize;
-                while j < t {
-                    // GS butterfly, [0,2q) → [0,2q).
-                    let u = loadv(lo.as_ptr().add(j));
-                    let v = loadv(hi.as_ptr().add(j));
-                    storev(lo.as_mut_ptr().add(j), cond_sub(addv(u, v), tqv));
-                    let d = addv(u, subv(tqv, v)); // < 4q
-                    storev(hi.as_mut_ptr().add(j), shoup_lazy_v(d, wv, wsv, qv));
-                    j += LANES;
-                }
-            }
-        }
-
         shoup_family!($feat, |_q: u64| true, crate::simd::scalar::KERNELS);
 
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64]) {
-            debug_assert_eq!(a.len(), b.len());
-            let qinv = m.mont_qinv_neg();
-            if qinv == 0 {
-                // Even modulus: no Montgomery domain; scalar Barrett.
-                return crate::ew::mul_assign_scalar(m, a, b);
-            }
-            let qv = splat(m.value());
-            let qiv = splat(qinv);
-            let r2v = splat(m.mont_r2());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let ar = mont_mul_lazy(loadv(a.as_ptr().add(i)), r2v, qv, qiv); // a·2^64, < 2q
-                let p = mont_mul_lazy(ar, loadv(b.as_ptr().add(i)), qv, qiv); // a·b, < 2q
-                storev(a.as_mut_ptr().add(i), cond_sub(p, qv));
-                i += LANES;
-            }
-            crate::ew::mul_assign_scalar(m, &mut a[head..], &b[head..]);
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_into_impl(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-            debug_assert_eq!(out.len(), a.len());
-            debug_assert_eq!(a.len(), b.len());
-            let qinv = m.mont_qinv_neg();
-            if qinv == 0 {
-                return crate::ew::mul_into_scalar(m, out, a, b);
-            }
-            let qv = splat(m.value());
-            let qiv = splat(qinv);
-            let r2v = splat(m.mont_r2());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let ar = mont_mul_lazy(loadv(a.as_ptr().add(i)), r2v, qv, qiv);
-                let p = mont_mul_lazy(ar, loadv(b.as_ptr().add(i)), qv, qiv);
-                storev(out.as_mut_ptr().add(i), cond_sub(p, qv));
-                i += LANES;
-            }
-            crate::ew::mul_into_scalar(m, &mut out[head..], &a[head..], &b[head..]);
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_add_assign_impl(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-            debug_assert_eq!(acc.len(), a.len());
-            debug_assert_eq!(a.len(), b.len());
-            let qinv = m.mont_qinv_neg();
-            if qinv == 0 {
-                return crate::ew::mul_add_assign_scalar(m, acc, a, b);
-            }
-            let qv = splat(m.value());
-            let qiv = splat(qinv);
-            let r2v = splat(m.mont_r2());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let ar = mont_mul_lazy(loadv(a.as_ptr().add(i)), r2v, qv, qiv);
-                let p = cond_sub(mont_mul_lazy(ar, loadv(b.as_ptr().add(i)), qv, qiv), qv);
-                let s = addv(loadv(acc.as_ptr().add(i)), p); // both < q
-                storev(acc.as_mut_ptr().add(i), cond_sub(s, qv));
-                i += LANES;
-            }
-            crate::ew::mul_add_assign_scalar(m, &mut acc[head..], &a[head..], &b[head..]);
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn tensor3_impl(
-            m: &Modulus,
-            x: (&[u64], &[u64]),
-            y: (&[u64], &[u64]),
-            out: (&mut [u64], &mut [u64], &mut [u64]),
-        ) {
-            let qinv = m.mont_qinv_neg();
-            if qinv == 0 {
-                return crate::ew::tensor3_scalar(m, x, y, out);
-            }
-            let (x0, x1) = x;
-            let (y0, y1) = y;
-            let (r0, r1, r2) = out;
-            let n = x0.len();
-            debug_assert_eq!(n, x1.len());
-            debug_assert_eq!(n, y0.len());
-            debug_assert_eq!(n, y1.len());
-            debug_assert_eq!(n, r0.len());
-            debug_assert_eq!(n, r1.len());
-            debug_assert_eq!(n, r2.len());
-            let qv = splat(m.value());
-            let tqv = splat(m.value() << 1);
-            let qiv = splat(qinv);
-            let r2c = splat(m.mont_r2());
-            let head = n / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                // Convert the x operands into the Montgomery domain once,
-                // then the four partial products stay lazy in [0, 2q);
-                // each output is canonicalized exactly once.
-                let a0 = mont_mul_lazy(loadv(x0.as_ptr().add(i)), r2c, qv, qiv);
-                let a1 = mont_mul_lazy(loadv(x1.as_ptr().add(i)), r2c, qv, qiv);
-                let b0 = loadv(y0.as_ptr().add(i));
-                let b1 = loadv(y1.as_ptr().add(i));
-                let p00 = mont_mul_lazy(a0, b0, qv, qiv);
-                let p01 = mont_mul_lazy(a0, b1, qv, qiv);
-                let p10 = mont_mul_lazy(a1, b0, qv, qiv);
-                let p11 = mont_mul_lazy(a1, b1, qv, qiv);
-                storev(r0.as_mut_ptr().add(i), cond_sub(p00, qv));
-                let mid = addv(p01, p10); // < 4q < 2^64
-                storev(r1.as_mut_ptr().add(i), cond_sub(cond_sub(mid, tqv), qv));
-                storev(r2.as_mut_ptr().add(i), cond_sub(p11, qv));
-                i += LANES;
-            }
-            crate::ew::tensor3_scalar(
-                m,
-                (&x0[head..], &x1[head..]),
-                (&y0[head..], &y1[head..]),
-                (&mut r0[head..], &mut r1[head..], &mut r2[head..]),
-            );
-        }
-
-        // SAFETY (all wrappers below): these function pointers are only
-        // published through `select()` / `all_available()`, which gate
-        // this module behind runtime detection of exactly the features
-        // named in the `#[target_feature]` attributes above.
+        // SAFETY: this function pointer is only published through
+        // `select()` / `all_available()`, which gate this module behind
+        // runtime detection of exactly the features named in the
+        // `#[target_feature]` attribute above.
         fn fwd_pass(s: &NttShape, a: &mut [u64], root_base: usize, chunks: usize, t: usize) {
             unsafe { fwd_pass_impl(s, a, root_base, chunks, t) }
         }
-        fn inv_pass(s: &NttShape, a: &mut [u64], root_base: usize, chunks: usize, t: usize) {
-            unsafe { inv_pass_impl(s, a, root_base, chunks, t) }
-        }
         fn ntt_fwd(s: &NttShape, a: &mut [u64]) {
             crate::simd::fwd_driver(s, a, fwd_pass, reduce_lazy_pow2)
-        }
-        fn ntt_inv(s: &NttShape, a: &mut [u64]) {
-            crate::simd::inv_driver(s, a, inv_pass, scale_assign)
-        }
-        fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
-            unsafe { mul_assign_impl(m, a, b) }
-        }
-        fn mul_into(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-            unsafe { mul_into_impl(m, out, a, b) }
-        }
-        fn mul_add_assign(m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-            unsafe { mul_add_assign_impl(m, acc, a, b) }
-        }
-        fn tensor3(
-            m: &Modulus,
-            x: (&[u64], &[u64]),
-            y: (&[u64], &[u64]),
-            out: (&mut [u64], &mut [u64], &mut [u64]),
-        ) {
-            unsafe { tensor3_impl(m, x, y, out) }
         }
 
         pub(crate) static KERNELS: Kernels = tier_kernels!($name);
@@ -1250,13 +1067,6 @@ pub(crate) mod avx2 {
         let lt = _mm256_cmpgt_epi64(_mm256_xor_si256(b, bias), _mm256_xor_si256(x, bias));
         _mm256_sub_epi64(x, _mm256_andnot_si256(lt, b))
     }
-    /// `1` where `lo != 0`, else `0` — the REDC round-up carry.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn carry_nonzero(lo: V) -> V {
-        let one = _mm256_set1_epi64x(1);
-        _mm256_andnot_si256(_mm256_cmpeq_epi64(lo, _mm256_setzero_si256()), one)
-    }
 
     vector_tier_body!("avx2", "avx2");
 }
@@ -1331,11 +1141,6 @@ pub(crate) mod avx512 {
     #[inline]
     unsafe fn cond_sub(x: V, b: V) -> V {
         _mm512_min_epu64(x, _mm512_sub_epi64(x, b))
-    }
-    #[target_feature(enable = "avx512f,avx512dq")]
-    #[inline]
-    unsafe fn carry_nonzero(lo: V) -> V {
-        _mm512_min_epu64(lo, _mm512_set1_epi64(1))
     }
 
     vector_tier_body!("avx512", "avx512f,avx512dq");
@@ -1936,11 +1741,6 @@ pub(crate) mod neon {
     #[inline]
     unsafe fn cond_sub(x: V, b: V) -> V {
         vsubq_u64(x, vandq_u64(vcgeq_u64(x, b), b))
-    }
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn carry_nonzero(lo: V) -> V {
-        vbicq_u64(vdupq_n_u64(1), vceqzq_u64(lo))
     }
 
     vector_tier_body!("neon", "neon");

@@ -28,11 +28,6 @@ pub struct Modulus {
     /// where no Montgomery inverse exists; the SIMD kernels never see an
     /// even modulus because every chain prime is odd).
     mont_qinv_neg: u64,
-    /// `2^128 mod q` — converts one operand into the Montgomery domain
-    /// (`a·R mod q` via one REDC of `a · r2`), letting the vectorized
-    /// product kernels replace the 128-bit Barrett reduction with two
-    /// word-sized multiply/high-half pairs per element.
-    mont_r2: u64,
 }
 
 impl Modulus {
@@ -57,7 +52,7 @@ impl Modulus {
         // For powers of two the difference is 1, which Barrett tolerates.
         let full = u128::MAX / q as u128;
         let _ = hi;
-        let (mont_qinv_neg, mont_r2) = if q & 1 == 1 {
+        let mont_qinv_neg = if q & 1 == 1 {
             // Newton–Hensel lifting: each step doubles the number of
             // correct low bits of q^{-1} mod 2^64 (q·q ≡ 1 mod 8 seeds 3).
             let mut inv = q;
@@ -65,17 +60,15 @@ impl Modulus {
                 inv = inv.wrapping_mul(2u64.wrapping_sub(q.wrapping_mul(inv)));
             }
             debug_assert_eq!(q.wrapping_mul(inv), 1);
-            let r2 = ((u128::MAX % q as u128 + 1) % q as u128) as u64;
-            (inv.wrapping_neg(), r2)
+            inv.wrapping_neg()
         } else {
-            (0, 0)
+            0
         };
         Some(Self {
             q,
             barrett_hi: (full >> 64) as u64,
             barrett_lo: full as u64,
             mont_qinv_neg,
-            mont_r2,
         })
     }
 
@@ -292,13 +285,6 @@ impl Modulus {
         self.mont_qinv_neg
     }
 
-    /// The Montgomery conversion constant `2^128 mod q` (odd `q` only).
-    #[inline]
-    pub(crate) fn mont_r2(&self) -> u64 {
-        debug_assert!(self.q & 1 == 1, "Montgomery needs an odd modulus");
-        self.mont_r2
-    }
-
     /// The radix-2^52 Montgomery REDC constant `-q^{-1} mod 2^52` (odd `q`
     /// only) — the low 52 bits of [`Modulus::mont_qinv_neg`], for the IFMA
     /// kernel tier whose multiplier is 52×52→104 bits.
@@ -323,9 +309,10 @@ impl Modulus {
     /// model of the vectorized product kernels: `m = x_lo · (-q^{-1})`,
     /// then `(x + m·q) / 2^64 = x_hi + hi(m·q) + (x_lo != 0)`.
     ///
-    /// Only the unit test calls this directly — the vector tiers in
-    /// [`crate::simd`] inline the same formula lane-parallel — but it is
-    /// the executable specification they are tested against.
+    /// Only the unit test calls this directly — the IFMA tier in
+    /// [`crate::simd`] inlines the same formula lane-parallel at radix
+    /// `2^52`, on the low 52 bits of the same constant — but it is the
+    /// executable specification of that constant.
     #[cfg_attr(not(test), allow(dead_code))]
     #[inline(always)]
     pub(crate) fn mont_redc_lazy(&self, x: u128) -> u64 {
@@ -558,11 +545,8 @@ mod tests {
             (1 << 61) + 33,
         ] {
             let q = Modulus::new(qv).unwrap();
-            let r2 = q.mont_r2();
-            assert_eq!(
-                r2 as u128,
-                (1u128 << 64) % qv as u128 * ((1u128 << 64) % qv as u128) % qv as u128
-            );
+            let r = (1u128 << 64) % qv as u128;
+            let r2 = (r * r % qv as u128) as u64;
             let mut x = 1u64;
             for i in 1..300u64 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
