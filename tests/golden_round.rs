@@ -217,48 +217,48 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
 
 const HUB_CERT: &str = "81fd3bae81d342cdb1adab6fb0e6ae54761d0bf76e0453279ea69a8863dfdf10";
 const HUB: [&str; 2] = [
-    "4da7782ab26c383b12f1a4e16cfc567e8d8663369d2ddb8941e17ac1041a01e1",
-    "fa27108e910ce80d4cfb3452433cbdfee39e182c56f6bd4bd97eb6dac359333c",
+    "5be5d386fa3fbd1e615eacd3e9ea2b61ae69e39efc456ffb46cd8edeea384813",
+    "2d4919474541b109bb1918b4ac709891f753253c132834d8c9631e02a773bf87",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
 const SHARDED_CERT: &str = "f9bf7709b3e14c8cacb7edbffb3b9887418907264979ae793c64d1c7984a173f";
 const COORD: [&str; 2] = [
-    "f975f01fe4237beea348f1283d43de9bef787b812c173a881f9ba773f7aca82f",
-    "1b55cbb0f51e9234c7398969c906e81e74a4e39a57dfeef55f999e3779e2d8fe",
+    "e42ae806af43bb7af16303f50dbb0a3f645e2c93402f1d3f9f454d08cd9410b7",
+    "7572ab525ab76d8060ca5b880efa42272724f94f1e63e8b1e73035157daee772",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "2731cc88f5cd321bcafee4bea88ed5a0cd0ffbb7b8bdc00a56c68787dfdbec05",
+        "28670ba71b4f7a5aba0072593b6ea72953370852e089f9a3e589ba63c3651d5b",
         "da4fca6ee87f66d26321ab78dbeae1823a52f27f2d9f4b7885f4866a044b0cf6",
     ],
     [
-        "f7046ee6153018ffa67e782dd85967feb1d4ff00d8ad902aa1588ce91b1aea79",
+        "6db651588b0b3c50213f7b9f77dc4c6e9e553cee2de7c9b5bc46c5baf6f915f0",
         "4a5c73d3b36ee9ce66eb73f39215de98edaeae49d65df6e551d3b984c6e82d70",
     ],
     [
-        "d88b979199e901882e7608e8e0aa532eb42702ab971bad35aa92ffb5c34a102a",
+        "8e4d42e1b4464bbb9eb7b4badc4d112a57ad187b4fa55ea418f00f9843470726",
         "548e1a8e88cec9c917c35a4445115deab9f0158ba32a1ecb338fb2a5ebc96581",
     ],
     [
-        "0fdd4b8ee022f8e9f5369b103be4655bc38204fa52d6e4b41c1f0e589a74dbc3",
+        "31c13a3b323fe546f5b2158b72da19da9eea810d3ccdaa28d5df3e8708e91637",
         "2f2c3cf4284e631b9bb4af7565f5e8f1f7c8cd5a9d017dffc1e4fd56b2725a31",
     ],
 ];
 const LATE_HUB_CERT: &str = "3c07a9a5440f0aed6ca54241d01a2c42dc5d182acfa460dd4c4bd88c1d7c2621";
 const LATE_HUB: [&str; 2] = [
-    "7483dd6f6ebac4a229cb19be1993c3909ada5157b3358c41193b83842cd85369",
-    "72a495a0cab474227d60fbfd62b6ff4fd8d3e5cab6d779aab0e48c663a912a51",
+    "571760e7ae58591023865992dab919fae69d0841e4b513fa72ea98391569005e",
+    "fb25f297a4e7977eb72a9ae612d588b2d38e046e32a77f4dbfb353071735fbf8",
 ];
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
         "ee4ee1dec67e0d8006f11cb6db73a71aa5a7b02ab906614720f7f2c9897b3dd9",
-        "7f9f7ef42aa5a15ea8f5ff1381bb075d01e33d08af451f473c63861b7f1d5f2c",
+        "b35f7ac905740686a3133e87f5e6733fd43358ba1fa2767361967859f91e64bf",
     ],
     [
         "5c6eb2867c5bf72f49bc983c1246e886d461ad61d8fd01bcdb453bccffa5246c",
-        "d5affde53e3010fc0af6a5769e32182edcc813ffcff55e44830ac39c09519cef",
+        "c5050ea108fefcc212ecdec801f389a0c10ea98afa0ad2596921272ba696c7a8",
     ],
 ];
 
