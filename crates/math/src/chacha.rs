@@ -13,6 +13,9 @@ pub const BLOCK: usize = 64;
 const NARROW: usize = 4;
 /// Blocks the AVX2 kernel computes together.
 pub const WIDE: usize = 8;
+/// Blocks the AVX-512 kernel computes together.
+#[cfg(target_arch = "x86_64")]
+const WIDEST: usize = 16;
 
 /// The four constant words every input state starts with.
 pub const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -20,7 +23,7 @@ pub const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]
 /// One implementation of the keystream.
 #[derive(Clone, Copy)]
 pub struct Tier {
-    /// `"portable"` or `"avx2"`.
+    /// `"portable"`, `"avx2"` or `"avx512"`.
     pub name: &'static str,
     /// XORs `data` with the keystream that starts at the block counter in
     /// `state[12]`, and advances that counter (mod 2^32) past every block
@@ -33,14 +36,19 @@ const PORTABLE: Tier = Tier {
     xor: portable::xor,
 };
 
-/// Every tier this host can run, the portable one first — regardless of
-/// `MYC_NO_SIMD`. Differential tests compare each against the first.
+/// Every tier this host can run, the portable one first and each wider
+/// than the one before — regardless of `MYC_NO_SIMD`. Differential tests
+/// compare each against the first.
 pub fn tiers() -> Vec<Tier> {
     #[allow(unused_mut)]
     let mut tiers = vec![PORTABLE];
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         tiers.push(avx2::TIER);
+        // The AVX-512 kernel hands its ragged tail to the AVX2 one.
+        if std::is_x86_feature_detected!("avx512f") {
+            tiers.push(avx512::TIER);
+        }
     }
     tiers
 }
@@ -131,7 +139,7 @@ mod avx2 {
 
     pub(super) const TIER: Tier = Tier { name: "avx2", xor };
 
-    fn xor(state: &mut [u32; 16], data: &mut [u8]) {
+    pub(super) fn xor(state: &mut [u32; 16], data: &mut [u8]) {
         let bulk = data.len() / (WIDE * BLOCK) * (WIDE * BLOCK);
         let (groups, tail) = data.split_at_mut(bulk);
         // SAFETY: this tier is only handed out (`tiers`) after AVX2 was detected.
@@ -234,6 +242,117 @@ mod avx2 {
                 }
             }
             state[12] = state[12].wrapping_add(WIDE as u32);
+        }
+    }
+}
+
+/// The AVX-512F kernel: [`WIDEST`] blocks at a time, one state word of all
+/// of them per 512-bit register, every rotation one `vprold`, then one
+/// 16×16 word transpose to put each block's sixteen words back next to each
+/// other. What is left behind the last whole group goes to the AVX2 kernel
+/// (and from there to the portable one).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{avx2, Tier, BLOCK, WIDEST};
+    use core::arch::x86_64::*;
+
+    pub(super) const TIER: Tier = Tier {
+        name: "avx512",
+        xor,
+    };
+
+    fn xor(state: &mut [u32; 16], data: &mut [u8]) {
+        let bulk = data.len() / (WIDEST * BLOCK) * (WIDEST * BLOCK);
+        let (groups, tail) = data.split_at_mut(bulk);
+        // SAFETY: this tier is only handed out (`tiers`) after AVX-512F was
+        // detected — and AVX2, which the tail's kernel needs.
+        unsafe { xor_groups(state, groups) };
+        avx2::xor(state, tail);
+    }
+
+    #[inline(always)]
+    unsafe fn quarter_round(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    }
+
+    /// Rows in (`r[i]` = word `i` of blocks 0..16), columns out (`[j]` =
+    /// words 0..16 of block `j`).
+    #[inline(always)]
+    unsafe fn transpose(r: &[__m512i; 16]) -> [__m512i; 16] {
+        // a: pairs of rows interleaved by word; b: fours of rows by pair of
+        // words. b[4g + k] holds, in 128-bit lane l, rows 4g..4g+4 of
+        // column 4l + k.
+        let mut a = [_mm512_setzero_si512(); 16];
+        for i in 0..8 {
+            a[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
+            a[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
+        }
+        let mut b = [_mm512_setzero_si512(); 16];
+        for g in 0..4 {
+            b[4 * g] = _mm512_unpacklo_epi64(a[4 * g], a[4 * g + 2]);
+            b[4 * g + 1] = _mm512_unpackhi_epi64(a[4 * g], a[4 * g + 2]);
+            b[4 * g + 2] = _mm512_unpacklo_epi64(a[4 * g + 1], a[4 * g + 3]);
+            b[4 * g + 3] = _mm512_unpackhi_epi64(a[4 * g + 1], a[4 * g + 3]);
+        }
+        // Two rounds of 128-bit lane shuffles gather the four row groups of
+        // one column into one register.
+        let mut out = [_mm512_setzero_si512(); 16];
+        for k in 0..4 {
+            // c0: lanes 0, 2 of row groups 0 and 1; c1: lanes 1, 3 of them.
+            let c0 = _mm512_shuffle_i32x4::<0x88>(b[k], b[4 + k]);
+            let c1 = _mm512_shuffle_i32x4::<0xdd>(b[k], b[4 + k]);
+            let c2 = _mm512_shuffle_i32x4::<0x88>(b[8 + k], b[12 + k]);
+            let c3 = _mm512_shuffle_i32x4::<0xdd>(b[8 + k], b[12 + k]);
+            out[k] = _mm512_shuffle_i32x4::<0x88>(c0, c2);
+            out[8 + k] = _mm512_shuffle_i32x4::<0xdd>(c0, c2);
+            out[4 + k] = _mm512_shuffle_i32x4::<0x88>(c1, c3);
+            out[12 + k] = _mm512_shuffle_i32x4::<0xdd>(c1, c3);
+        }
+        out
+    }
+
+    /// # Safety
+    /// The CPU must support AVX-512F. `data` must be whole [`WIDEST`]-block
+    /// groups.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn xor_groups(state: &mut [u32; 16], data: &mut [u8]) {
+        debug_assert_eq!(data.len() % (WIDEST * BLOCK), 0);
+        let mut init = [_mm512_setzero_si512(); 16];
+        for (v, &w) in init.iter_mut().zip(state.iter()) {
+            *v = _mm512_set1_epi32(w as i32);
+        }
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        for group in data.chunks_exact_mut(WIDEST * BLOCK) {
+            init[12] = _mm512_add_epi32(_mm512_set1_epi32(state[12] as i32), lane);
+            let mut x = init;
+            for _ in 0..10 {
+                quarter_round(&mut x, 0, 4, 8, 12);
+                quarter_round(&mut x, 1, 5, 9, 13);
+                quarter_round(&mut x, 2, 6, 10, 14);
+                quarter_round(&mut x, 3, 7, 11, 15);
+                quarter_round(&mut x, 0, 5, 10, 15);
+                quarter_round(&mut x, 1, 6, 11, 12);
+                quarter_round(&mut x, 2, 7, 8, 13);
+                quarter_round(&mut x, 3, 4, 9, 14);
+            }
+            for (x, init) in x.iter_mut().zip(&init) {
+                *x = _mm512_add_epi32(*x, *init);
+            }
+            let ks = transpose(&x);
+            for (block, ks) in group.chunks_exact_mut(BLOCK).zip(ks) {
+                // SAFETY: `block` is 64 bytes; the unaligned load/store forms
+                // are used.
+                let p = block.as_mut_ptr().cast::<__m512i>();
+                _mm512_storeu_si512(p, _mm512_xor_si512(_mm512_loadu_si512(p), ks));
+            }
+            state[12] = state[12].wrapping_add(WIDEST as u32);
         }
     }
 }

@@ -502,6 +502,92 @@ pub fn reduce_lazy_pow2_scalar(q: u64, a: &mut [u64], k: u32) {
     }
 }
 
+/// Lanes of one pack group: eight residues of `w` bits are `w` whole bytes.
+pub const PACK_LANES: usize = 8;
+
+/// Bytes that `lanes` residues take packed `bits` bits apiece — the one
+/// size rule of the wire, the journal and the cost models.
+pub const fn packed_len(bits: u32, lanes: usize) -> usize {
+    (lanes * bits as usize).div_ceil(8)
+}
+
+/// The shape [`pack`] and [`unpack`] ask for: whole pack groups, and
+/// exactly the bytes they take at the width of `m`.
+fn check_packed_shape(m: &Modulus, lanes: usize, bytes: usize) -> usize {
+    let w = m.bits() as usize;
+    assert_eq!(lanes % PACK_LANES, 0, "residues pack eight at a time");
+    assert_eq!(bytes, packed_len(m.bits(), lanes), "packed row length");
+    w
+}
+
+/// Writes the canonical residues `src` at the bit width `w` of their
+/// modulus: residue `i` is bits `i·w .. (i+1)·w` of `out` read as one
+/// little-endian number. `src` is whole groups of [`PACK_LANES`], `out`
+/// exactly [`packed_len`] bytes.
+#[inline]
+pub fn pack(m: &Modulus, out: &mut [u8], src: &[u64]) {
+    (simd::kernels().pack)(m, out, src)
+}
+
+/// Scalar oracle for [`pack`].
+pub fn pack_scalar(m: &Modulus, out: &mut [u8], src: &[u64]) {
+    let w = check_packed_shape(m, src.len(), out.len());
+    for (lanes, bytes) in src.chunks_exact(PACK_LANES).zip(out.chunks_exact_mut(w)) {
+        // Bits not yet written, lowest first.
+        let (mut acc, mut have) = (0u128, 0usize);
+        let mut words = bytes.chunks_exact_mut(8);
+        for &x in lanes {
+            debug_assert!(x < m.value());
+            acc |= (x as u128) << have;
+            have += w;
+            if have >= 64 {
+                let word = words.next().expect("eight lanes fill w / 8 words");
+                word.copy_from_slice(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                have -= 64;
+            }
+        }
+        let rest = words.into_remainder();
+        rest.copy_from_slice(&acc.to_le_bytes()[..rest.len()]);
+    }
+}
+
+/// Inverse of [`pack`]: fills `out` from exactly [`packed_len`] bytes and
+/// says whether every residue read is canonical (`< q`). On `false` the
+/// contents of `out` are unspecified values below `2^w`.
+#[inline]
+#[must_use = "a residue at or above q must not reach ring arithmetic"]
+pub fn unpack(m: &Modulus, out: &mut [u64], src: &[u8]) -> bool {
+    (simd::kernels().unpack)(m, out, src)
+}
+
+/// Scalar oracle for [`unpack`].
+pub fn unpack_scalar(m: &Modulus, out: &mut [u64], src: &[u8]) -> bool {
+    let w = check_packed_shape(m, out.len(), src.len());
+    let mask = u64::MAX >> (64 - w);
+    let mut largest = 0u64;
+    for (lanes, bytes) in out.chunks_exact_mut(PACK_LANES).zip(src.chunks_exact(w)) {
+        // Bits read and not yet handed out, lowest first.
+        let (mut acc, mut have) = (0u128, 0usize);
+        let mut rest = bytes;
+        for x in lanes {
+            if have < w {
+                let (taken, after) = rest.split_at(rest.len().min(8));
+                let mut word = [0u8; 8];
+                word[..taken.len()].copy_from_slice(taken);
+                acc |= (u64::from_le_bytes(word) as u128) << have;
+                have += 8 * taken.len();
+                rest = after;
+            }
+            *x = acc as u64 & mask;
+            largest = largest.max(*x);
+            acc >>= w;
+            have -= w;
+        }
+    }
+    largest < m.value()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

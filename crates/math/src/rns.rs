@@ -170,6 +170,16 @@ impl RnsContext {
     pub fn log_q(&self, level: usize) -> f64 {
         self.level(level).big_q.log2()
     }
+
+    /// Bytes of one ring element at `level` with every residue row packed
+    /// at the bit width of its prime ([`ew::packed_len`]): what the codec
+    /// writes, the journal stores and the simulator meters.
+    pub fn packed_bytes(&self, level: usize) -> usize {
+        self.moduli[..level]
+            .iter()
+            .map(|m| ew::packed_len(m.bits(), self.n))
+            .sum()
+    }
 }
 
 /// A ring element stored in RNS form at some level of the chain.
@@ -297,6 +307,11 @@ impl RnsPoly {
     #[inline]
     pub fn residues(&self) -> &[Vec<u64>] {
         &self.residues
+    }
+
+    /// [`RnsContext::packed_bytes`] at this element's level.
+    pub fn packed_bytes(&self) -> usize {
+        self.ctx.packed_bytes(self.level)
     }
 
     /// Converts to NTT representation (no-op if already there).

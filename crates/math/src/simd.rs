@@ -48,6 +48,11 @@
 //!   every butterfly formula used here is congruent to the reference
 //!   butterfly mod `q` with lazy bounds that never overflow.
 //!
+//! * `pack` / `unpack` (the codec's residue rows) move bits and compare,
+//!   nothing else: the AVX-512 tiers do eight lanes per step with
+//!   per-lane variable shifts, the other tiers' rows are the scalar
+//!   functions.
+//!
 //! Non-multiple-of-lane-width tails always fall back to the scalar oracle
 //! for the remaining elements.
 //!
@@ -137,6 +142,11 @@ pub struct Kernels {
     pub neg_assign: fn(&Modulus, &mut [u64]),
     /// `out[i] = src[i] mod q` for signed `|src[i]| < q`.
     pub lift_signed: fn(&Modulus, &mut [u64], &[i64]),
+    /// Residues to bytes at the modulus's bit width; see [`crate::ew::pack`].
+    pub pack: fn(&Modulus, &mut [u8], &[u64]),
+    /// Bytes to residues, and whether all are canonical; see
+    /// [`crate::ew::unpack`].
+    pub unpack: fn(&Modulus, &mut [u64], &[u8]) -> bool,
     /// `out[i] = src[i] mod q` for `src[i] < 2q`.
     pub reduce_once_into: fn(&Modulus, &mut [u64], &[u64]),
     /// `a[i] = a[i]·b[i] mod q`.
@@ -444,6 +454,8 @@ pub(crate) mod scalar {
         sub_assign: ew::sub_assign_scalar,
         neg_assign: ew::neg_assign_scalar,
         lift_signed: ew::lift_signed_scalar,
+        pack: ew::pack_scalar,
+        unpack: ew::unpack_scalar,
         reduce_once_into: ew::reduce_once_into_scalar,
         mul_assign: ew::mul_assign_scalar,
         mul_into: ew::mul_into_scalar,
@@ -476,6 +488,8 @@ macro_rules! tier_kernels {
             sub_assign,
             neg_assign,
             lift_signed,
+            pack,
+            unpack,
             reduce_once_into,
             mul_assign,
             mul_into,
@@ -995,7 +1009,7 @@ macro_rules! vector_tier_body {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use super::{Kernels, NttShape};
-    use crate::ew::ShoupRow;
+    use crate::ew::{pack_scalar as pack, unpack_scalar as unpack, ShoupRow};
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
 
@@ -1077,7 +1091,7 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use super::{Kernels, NttShape};
-    use crate::ew::ShoupRow;
+    use crate::ew::{packed_len, ShoupRow};
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
 
@@ -1144,6 +1158,131 @@ pub(crate) mod avx512 {
     }
 
     vector_tier_body!("avx512", "avx512f,avx512dq");
+
+    /// Bytes one vector load or store spans.
+    const SPAN: usize = 8 * LANES;
+    // One vector is one pack group.
+    const _: () = assert!(LANES == crate::ew::PACK_LANES);
+
+    /// How many leading pack groups of `w` bytes can be moved with whole
+    /// [`SPAN`]-byte accesses inside a row of `len` bytes: group `g` starts
+    /// at byte `g·w` and its access must end by `len`.
+    fn whole_span_groups(len: usize, w: usize) -> usize {
+        len.checked_sub(SPAN).map_or(0, |room| room / w + 1)
+    }
+
+    /// Per-lane indices and shift counts as a vector.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
+    unsafe fn lanes(x: [u64; LANES]) -> V {
+        loadv(x.as_ptr())
+    }
+
+    /// Eight residues in, `w` bytes out. Word `k` of a group's bytes is
+    /// bits `64k..64k + 64` of the eight residues laid end to end: the rest
+    /// of the residue that straddles its start, shifted down, and the next
+    /// two, shifted up (`w ≥ 32`, so a third never fits) — a shift count of
+    /// 64 or more leaves nothing, which is how a term that falls outside
+    /// the word, or the group, drops out. Each store spans [`SPAN`] bytes;
+    /// what it writes past the group's `w` belongs to the groups behind it,
+    /// which are written next. Returns how many groups it wrote: those
+    /// whose store fits inside `out`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F+DQ. (Every access is bounded by the
+    /// slices' own lengths.)
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn pack_impl(w: usize, out: &mut [u8], src: &[u64]) -> usize {
+        let (mut idx, mut shift) = ([[0u64; LANES]; 3], [[64u64; LANES]; 3]);
+        for k in 0..LANES {
+            let first = 64 * k / w;
+            let consumed = 64 * k - first * w;
+            for t in 0..3 {
+                idx[t][k] = ((first + t) % LANES) as u64;
+                if first + t < LANES {
+                    // Term 0 shifts right by `consumed`; term t > 0 left by
+                    // t·w − consumed, which is positive.
+                    shift[t][k] = (t * w).abs_diff(consumed) as u64;
+                }
+            }
+        }
+        let (idx, shift) = (idx.map(|x| lanes(x)), shift.map(|x| lanes(x)));
+        let groups = whole_span_groups(out.len(), w).min(src.len() / LANES);
+        for g in 0..groups {
+            let x = loadv(src.as_ptr().add(g * LANES));
+            let word = _mm512_or_si512(
+                _mm512_srlv_epi64(_mm512_permutexvar_epi64(idx[0], x), shift[0]),
+                _mm512_or_si512(
+                    _mm512_sllv_epi64(_mm512_permutexvar_epi64(idx[1], x), shift[1]),
+                    _mm512_sllv_epi64(_mm512_permutexvar_epi64(idx[2], x), shift[2]),
+                ),
+            );
+            // SAFETY: g < whole_span_groups, so g·w + SPAN ≤ out.len().
+            _mm512_storeu_si512(out.as_mut_ptr().add(g * w).cast(), word);
+        }
+        groups
+    }
+
+    /// `w` bytes in, eight residues out. Lane `i` starts at bit `i·w`: the rest of the word that bit
+    /// is in, shifted down, under the start of the next word, shifted up
+    /// (by 64, i.e. to nothing, when the lane starts on a word boundary),
+    /// masked to `w` bits. Returns how many groups it read — those whose
+    /// load fits inside `src` — and whether all of their lanes are below `q`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F+DQ. (Every access is bounded by the
+    /// slices' own lengths.)
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn unpack_impl(q: u64, w: usize, out: &mut [u64], src: &[u8]) -> (usize, bool) {
+        let (mut word, mut down) = ([0u64; LANES], [0u64; LANES]);
+        for i in 0..LANES {
+            word[i] = (i * w / 64) as u64;
+            down[i] = (i * w % 64) as u64;
+        }
+        let next = lanes(word.map(|k| (k + 1) % LANES as u64));
+        let up = lanes(down.map(|s| 64 - s));
+        let (word, down) = (lanes(word), lanes(down));
+        let mask = splat(u64::MAX >> (64 - w));
+        let qv = splat(q);
+        let groups = whole_span_groups(src.len(), w).min(out.len() / LANES);
+        let mut over = 0u8;
+        for g in 0..groups {
+            // SAFETY: g < whole_span_groups, so g·w + SPAN ≤ src.len().
+            let bytes = _mm512_loadu_si512(src.as_ptr().add(g * w).cast());
+            let x = _mm512_and_si512(
+                _mm512_or_si512(
+                    _mm512_srlv_epi64(_mm512_permutexvar_epi64(word, bytes), down),
+                    _mm512_sllv_epi64(_mm512_permutexvar_epi64(next, bytes), up),
+                ),
+                mask,
+            );
+            over |= _mm512_cmpge_epu64_mask(x, qv);
+            storev(out.as_mut_ptr().add(g * LANES), x);
+        }
+        (groups, over == 0)
+    }
+
+    // SAFETY (both wrappers): published only through `select()` /
+    // `all_available()` behind runtime detection of avx512f+dq. A row of
+    // the wrong shape goes to the scalar oracle whole, which refuses it.
+    pub(super) fn pack(m: &Modulus, out: &mut [u8], src: &[u64]) {
+        let w = m.bits() as usize;
+        let shaped =
+            src.len().is_multiple_of(LANES) && out.len() == packed_len(m.bits(), src.len());
+        if w < 32 || !shaped {
+            return crate::ew::pack_scalar(m, out, src);
+        }
+        let done = unsafe { pack_impl(w, out, src) };
+        crate::ew::pack_scalar(m, &mut out[done * w..], &src[done * LANES..]);
+    }
+    pub(super) fn unpack(m: &Modulus, out: &mut [u64], src: &[u8]) -> bool {
+        let w = m.bits() as usize;
+        if !out.len().is_multiple_of(LANES) || src.len() != packed_len(m.bits(), out.len()) {
+            return crate::ew::unpack_scalar(m, out, src);
+        }
+        let (done, canonical) = unsafe { unpack_impl(m.value(), w, out, src) };
+        crate::ew::unpack_scalar(m, &mut out[done * LANES..], &src[done * w..]) && canonical
+    }
 }
 
 /// AVX-512 IFMA tier: 8 × u64 lanes on the 52×52→104-bit fused
@@ -1167,6 +1306,7 @@ pub(crate) mod avx512 {
 /// `w_s = ⌊w·2^64/q⌋` is `w_s >> 12`, exactly `⌊w·2^52/q⌋`.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512ifma {
+    use super::avx512::{pack, unpack};
     use super::{Kernels, NttShape};
     use crate::ew::ShoupRow;
     use crate::zq::Modulus;
@@ -1673,7 +1813,7 @@ pub(crate) mod avx512ifma {
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
     use super::{Kernels, NttShape};
-    use crate::ew::ShoupRow;
+    use crate::ew::{pack_scalar as pack, unpack_scalar as unpack, ShoupRow};
     use crate::zq::Modulus;
     use core::arch::aarch64::*;
 

@@ -298,3 +298,83 @@ fn lazy_accumulation_budget_worst_case() {
         }
     }
 }
+
+/// The packed layout, stated independently of every kernel: bit `b` of
+/// residue `i` is bit `i·w + b` of the row read as one little-endian number.
+fn pack_by_the_bit(w: usize, src: &[u64]) -> Vec<u8> {
+    let mut out = vec![0u8; (src.len() * w).div_ceil(8)];
+    for (i, &x) in src.iter().enumerate() {
+        for b in (0..w).filter(|&b| x >> b & 1 == 1) {
+            out[(i * w + b) / 8] |= 1 << ((i * w + b) % 8);
+        }
+    }
+    out
+}
+
+#[test]
+fn pack_tiers_match_the_bit_layout_and_round_trip() {
+    let mut rng = StdRng::seed_from_u64(0x9AC4);
+    // 20 and 30 bits take the vector tiers' narrow-width fallback, 61 is
+    // the widest prime the workspace generates.
+    for &bits in &[20u32, 30, 32, 33, 40, 45, 50, 55, 61] {
+        let q = Modulus::new_prime(ntt_primes(bits, 16, 1)[0]).unwrap();
+        let (qv, w) = (q.value(), bits as usize);
+        // One group, the last that fits no whole vector access, rows with
+        // a scalar tail behind the vector groups, and a ring-sized row.
+        for &lanes in &[0usize, 8, 16, 24, 72, 1024] {
+            let mut cases = vec![rand_poly(&mut rng, qv, lanes), vec![qv - 1; lanes]];
+            // 0 and q − 1 in every lane position of a pack group, against
+            // the other in the rest.
+            for at in 0..8.min(lanes) {
+                for (fill, odd) in [(0, qv - 1), (qv - 1, 0)] {
+                    let mut row = vec![fill; lanes];
+                    row.iter_mut().skip(at).step_by(8).for_each(|x| *x = odd);
+                    cases.push(row);
+                }
+            }
+            for src in &cases {
+                let want = pack_by_the_bit(w, src);
+                assert_eq!(want.len(), ew::packed_len(bits, lanes));
+                for k in simd::all_available() {
+                    let tag = format!("{} bits={bits} lanes={lanes}", k.name);
+                    let mut bytes = vec![0xa5u8; want.len()];
+                    (k.pack)(&q, &mut bytes, src);
+                    assert_eq!(bytes, want, "pack {tag}");
+                    let mut back = vec![u64::MAX; lanes];
+                    assert!((k.unpack)(&q, &mut back, &want), "unpack {tag}");
+                    assert_eq!(back, *src, "unpack {tag}");
+                }
+            }
+            // A residue at q, and one with every bit of the width set, in
+            // each lane position of the first and the last group: every
+            // tier says so, and agrees with scalar on what it read.
+            for at in (0..8.min(lanes)).chain(lanes.saturating_sub(8)..lanes) {
+                for bad in [qv, (1u64 << w) - 1] {
+                    let mut src = rand_poly(&mut rng, qv, lanes);
+                    src[at] = bad;
+                    let bytes = pack_by_the_bit(w, &src);
+                    for k in simd::all_available() {
+                        let mut back = vec![0u64; lanes];
+                        let ok = (k.unpack)(&q, &mut back, &bytes);
+                        assert!(!ok, "{} bits={bits} lanes={lanes} at={at}", k.name);
+                        assert_eq!(back, src, "{} reads what was written", k.name);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "packed row length")]
+fn pack_refuses_a_row_of_the_wrong_length() {
+    let q = Modulus::new_prime(ntt_primes(40, 16, 1)[0]).unwrap();
+    ew::pack(&q, &mut [0u8; 79], &[0u64; 16]);
+}
+
+#[test]
+#[should_panic(expected = "packed row length")]
+fn unpack_refuses_a_row_of_the_wrong_length() {
+    let q = Modulus::new_prime(ntt_primes(40, 16, 1)[0]).unwrap();
+    let _ = ew::unpack(&q, &mut [0u64; 16], &[0u8; 81]);
+}
