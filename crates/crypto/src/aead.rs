@@ -5,8 +5,8 @@
 //! instead, the monotonically increasing C-round number serves as the nonce,
 //! which both endpoints know out of band.
 
-use crate::chacha20::{chacha20_block, chacha20_xor, round_nonce, KEY_LEN, NONCE_LEN};
-use crate::poly1305::{tags_equal, Poly1305, TAG_LEN};
+use crate::chacha20::{self, round_nonce, KEY_LEN, NONCE_LEN};
+use crate::poly1305::{self, tags_equal, Poly1305, TAG_LEN};
 
 /// Authenticated-encryption failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +28,117 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-/// RFC 8439 §2.8: the tag, under the one-time key that keystream block 0
-/// yields, of `aad ‖ pad16 ‖ ct ‖ pad16 ‖ len(aad) ‖ len(ct)`.
-fn tag(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
-    let block = chacha20_block(key, 0, nonce);
-    let mut mac = Poly1305::new(block[..32].try_into().expect("half a block"));
-    mac.update_padded(aad);
-    mac.update_padded(ct);
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ct.len() as u64).to_le_bytes());
-    mac.finalize()
+/// The kernels a seal or an open runs on. Every pairing produces the same
+/// bytes; the free functions of this module run on [`active_tier`].
+#[derive(Clone, Copy)]
+pub struct Tier {
+    /// The keystream's.
+    pub cipher: chacha20::Tier,
+    /// The authenticator's.
+    pub mac: poly1305::Tier,
+}
+
+/// The portable keystream under the scalar authenticator: the oracle, and
+/// the row the benches compare [`active_tier`] against.
+pub fn scalar_tier() -> Tier {
+    Tier {
+        cipher: chacha20::tiers()[0],
+        mac: poly1305::tiers()[0],
+    }
+}
+
+/// What the process dispatched to: the widest kernels the CPU offers, or
+/// [`scalar_tier`] under `MYC_NO_SIMD=1`.
+pub fn active_tier() -> Tier {
+    Tier {
+        cipher: chacha20::active_tier(),
+        mac: poly1305::active_tier(),
+    }
+}
+
+impl Tier {
+    /// RFC 8439 §2.8: the tag, under the one-time key that keystream block
+    /// 0 yields, of `aad ‖ pad16 ‖ ct ‖ pad16 ‖ len(aad) ‖ len(ct)`.
+    fn tag(
+        &self,
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        ct: &[u8],
+    ) -> [u8; TAG_LEN] {
+        let mut block = [0u8; 64];
+        self.cipher.xor(key, 0, nonce, &mut block);
+        let otk = block[..32].try_into().expect("half a block");
+        let mut mac = Poly1305::with_tier(&self.mac, otk);
+        mac.update_padded(aad);
+        mac.update_padded(ct);
+        mac.update(&(aad.len() as u64).to_le_bytes());
+        mac.update(&(ct.len() as u64).to_le_bytes());
+        mac.finalize()
+    }
+
+    /// [`seal_in_place`] on this tier.
+    pub fn seal_in_place(
+        &self,
+        key: &[u8; KEY_LEN],
+        round: u64,
+        aad: &[u8],
+        data: &mut [u8],
+    ) -> [u8; TAG_LEN] {
+        let nonce = round_nonce(round);
+        self.cipher.xor(key, 1, &nonce, data);
+        self.tag(key, &nonce, aad, data)
+    }
+
+    /// [`seal_with_aad`] on this tier.
+    pub fn seal_with_aad(
+        &self,
+        key: &[u8; KEY_LEN],
+        round: u64,
+        aad: &[u8],
+        plaintext: &[u8],
+    ) -> Vec<u8> {
+        let mut sealed = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        sealed.extend_from_slice(plaintext);
+        let tag = self.seal_in_place(key, round, aad, &mut sealed);
+        sealed.extend_from_slice(&tag);
+        sealed
+    }
+
+    /// [`open_in_place`] on this tier.
+    pub fn open_in_place(
+        &self,
+        key: &[u8; KEY_LEN],
+        round: u64,
+        aad: &[u8],
+        sealed: &mut Vec<u8>,
+    ) -> Result<(), AeadError> {
+        let Some(ct_len) = sealed.len().checked_sub(TAG_LEN) else {
+            return Err(AeadError::TooShort);
+        };
+        let nonce = round_nonce(round);
+        let (ct, expect) = sealed.split_at_mut(ct_len);
+        let expect: &[u8; TAG_LEN] = (&*expect).try_into().expect("split length checked");
+        if !tags_equal(&self.tag(key, &nonce, aad, ct), expect) {
+            return Err(AeadError::TagMismatch);
+        }
+        self.cipher.xor(key, 1, &nonce, ct);
+        sealed.truncate(ct_len);
+        Ok(())
+    }
+
+    /// [`open_with_aad`] on this tier.
+    pub fn open_with_aad(
+        &self,
+        key: &[u8; KEY_LEN],
+        round: u64,
+        aad: &[u8],
+        sealed: &[u8],
+    ) -> Result<Vec<u8>, AeadError> {
+        let mut plain = sealed.to_vec();
+        self.open_in_place(key, round, aad, &mut plain)?;
+        Ok(plain)
+    }
 }
 
 /// Encrypts `data` in place under `key` with the implicit round-number
@@ -48,19 +149,13 @@ pub fn seal_in_place(
     aad: &[u8],
     data: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    let nonce = round_nonce(round);
-    chacha20_xor(key, 1, &nonce, data);
-    tag(key, &nonce, aad, data)
+    active_tier().seal_in_place(key, round, aad, data)
 }
 
 /// Encrypts and authenticates `plaintext` under `key` with the implicit
 /// round-number nonce. The output is `ciphertext || tag` (no nonce).
 pub fn seal_with_aad(key: &[u8; KEY_LEN], round: u64, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut sealed = Vec::with_capacity(plaintext.len() + TAG_LEN);
-    sealed.extend_from_slice(plaintext);
-    let tag = seal_in_place(key, round, aad, &mut sealed);
-    sealed.extend_from_slice(&tag);
-    sealed
+    active_tier().seal_with_aad(key, round, aad, plaintext)
 }
 
 /// Verifies a `ciphertext || tag` buffer against `aad`, then decrypts it
@@ -72,18 +167,7 @@ pub fn open_in_place(
     aad: &[u8],
     sealed: &mut Vec<u8>,
 ) -> Result<(), AeadError> {
-    let Some(ct_len) = sealed.len().checked_sub(TAG_LEN) else {
-        return Err(AeadError::TooShort);
-    };
-    let nonce = round_nonce(round);
-    let (ct, expect) = sealed.split_at_mut(ct_len);
-    let expect: &[u8; TAG_LEN] = (&*expect).try_into().expect("split length checked");
-    if !tags_equal(&tag(key, &nonce, aad, ct), expect) {
-        return Err(AeadError::TagMismatch);
-    }
-    chacha20_xor(key, 1, &nonce, ct);
-    sealed.truncate(ct_len);
-    Ok(())
+    active_tier().open_in_place(key, round, aad, sealed)
 }
 
 /// Decrypts and verifies a `ciphertext || tag` produced by
@@ -94,9 +178,7 @@ pub fn open_with_aad(
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>, AeadError> {
-    let mut plain = sealed.to_vec();
-    open_in_place(key, round, aad, &mut plain)?;
-    Ok(plain)
+    active_tier().open_with_aad(key, round, aad, sealed)
 }
 
 /// [`seal_with_aad`] with empty associated data.
@@ -180,9 +262,9 @@ mod tests {
         ];
         let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
         let mut ct = plaintext.to_vec();
-        chacha20_xor(&key, 1, &nonce, &mut ct);
+        chacha20::chacha20_xor(&key, 1, &nonce, &mut ct);
         assert_eq!(&ct[..8], &[0xd3, 0x1a, 0x8d, 0x34, 0x64, 0x8e, 0x60, 0xdb]);
-        let tag = tag(&key, &nonce, &aad, &ct);
+        let tag = active_tier().tag(&key, &nonce, &aad, &ct);
         let expect_tag: [u8; 16] = [
             0x1a, 0xe1, 0x0b, 0x59, 0x4f, 0x09, 0xe2, 0x6a, 0x7e, 0x90, 0x2e, 0xcb, 0xd0, 0x60,
             0x06, 0x91,

@@ -34,7 +34,7 @@ fn initial_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> 
 /// selected.
 #[derive(Clone, Copy)]
 pub struct Tier {
-    /// `"portable"` or `"avx2"`.
+    /// `"portable"`, `"avx2"` or `"avx512"`.
     pub name: &'static str,
     kernel: fn(&mut [u32; 16], &mut [u8]),
 }

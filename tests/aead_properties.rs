@@ -12,7 +12,7 @@ use std::net::{TcpListener, TcpStream};
 
 use mycelium_crypto::aead::{open_in_place, open_with_aad, seal_in_place, seal_with_aad, OVERHEAD};
 use mycelium_crypto::chacha20::{self, chacha20_block, chacha20_xor, round_nonce, Tier};
-use mycelium_crypto::poly1305::{poly1305, Poly1305};
+use mycelium_crypto::poly1305::{self, poly1305, Poly1305};
 use mycelium_crypto::sha256::Sha256;
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_net::channel::{client_handshake, server_handshake, Identity};
@@ -98,14 +98,15 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 /// The payload lengths the kernels are compared at: everything up to two
-/// AVX2 groups and a ragged tail, then the frame sizes the transport bench
-/// sweeps, one byte either side of the 64 KiB one.
+/// AVX-512 keystream groups and a ragged tail, then the frame sizes the
+/// transport bench sweeps, one byte either side of the 64 KiB one.
 fn matrix_lengths() -> impl Iterator<Item = usize> {
-    (0..=1100).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1, 1 << 20])
+    (0..=2048 + 77).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1, 1 << 20])
 }
 
-/// RFC 8439 §2.8 written out from the one-shot primitives on `tier`: what
-/// `seal_with_aad` must produce whatever kernel the process dispatched to.
+/// RFC 8439 §2.8 written out from the one-shot primitives — the keystream
+/// of `tier`, the scalar authenticator: what `seal_with_aad` must produce
+/// whatever kernels the process dispatched to.
 fn seal_by_the_book(
     tier: &Tier,
     key: &[u8; 32],
@@ -123,7 +124,7 @@ fn seal_by_the_book(
     mac.resize(mac.len().next_multiple_of(16), 0);
     mac.extend_from_slice(&(aad.len() as u64).to_le_bytes());
     mac.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-    ct.extend_from_slice(&poly1305(otk[..32].try_into().unwrap(), &mac));
+    ct.extend_from_slice(&poly1305::tiers()[0].mac(otk[..32].try_into().unwrap(), &mac));
     ct
 }
 
@@ -145,8 +146,15 @@ fn rfc8439_vectors() {
         0xa8, 0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
         0xf5, 0x1b,
     ];
-    let tag = poly1305(&key, b"Cryptographic Forum Research Group");
-    assert_eq!(hex(&tag), "a8061dc1305136c6c22b8baf0c0127a9");
+    for tier in poly1305::tiers() {
+        let tag = tier.mac(&key, b"Cryptographic Forum Research Group");
+        assert_eq!(
+            hex(&tag),
+            "a8061dc1305136c6c22b8baf0c0127a9",
+            "{}",
+            tier.name
+        );
+    }
     // §2.8.2 (its nonce has a constant part the round-number nonce cannot
     // carry, so the composition is the written-out one).
     let key: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
@@ -164,6 +172,22 @@ fn rfc8439_vectors() {
             "{}",
             tier.name
         );
+    }
+    // The same message to authenticate — aad, pad, ciphertext, pad, lengths
+    // — under the same one-time key, on every authenticator tier.
+    let sealed = seal_by_the_book(&chacha20::tiers()[0], &key, &nonce, &aad, sunscreen);
+    let (ct, tag) = sealed.split_at(sunscreen.len());
+    let mut otk = [0u8; 64];
+    chacha20::tiers()[0].xor(&key, 0, &nonce, &mut otk);
+    let mut mac = aad.to_vec();
+    mac.resize(16, 0);
+    mac.extend_from_slice(ct);
+    mac.resize(mac.len().next_multiple_of(16), 0);
+    mac.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+    mac.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+    for tier in poly1305::tiers() {
+        let got = tier.mac(otk[..32].try_into().unwrap(), &mac);
+        assert_eq!(got[..], *tag, "{}", tier.name);
     }
 }
 
@@ -218,10 +242,94 @@ fn every_keystream_tier_matches_the_portable_one() {
 
 #[test]
 fn myc_no_simd_forces_the_portable_tier() {
-    let forced = mycelium_math::simd::simd_disabled_by_env();
+    use mycelium_math::simd;
+    let forced = simd::simd_disabled_by_env();
     let widest = chacha20::tiers().last().unwrap().name;
     let want = if forced { "portable" } else { widest };
     assert_eq!(chacha20::active_tier().name, want);
+    let widest = poly1305::tiers().last().unwrap().name;
+    let want = if forced { "scalar" } else { widest };
+    assert_eq!(poly1305::active_tier().name, want);
+    // The codec's pack rows are rows of the one kernel table.
+    let (active, scalar) = (simd::kernels(), simd::scalar_kernels());
+    if forced {
+        assert_eq!(active.name, "scalar");
+        assert!(std::ptr::fn_addr_eq(active.pack, scalar.pack));
+        assert!(std::ptr::fn_addr_eq(active.unpack, scalar.unpack));
+    } else {
+        assert_eq!(active.name, simd::all_available().last().unwrap().name);
+    }
+}
+
+/// Eight blocks: what the lane-parallel authenticator absorbs per step.
+const GROUP: usize = 8 * 16;
+
+/// The lengths the authenticator tiers are compared at: everything up to
+/// six lane groups and a ragged tail (the vector path takes four groups at
+/// the least, so: none of it, the least of it, and more behind every tail),
+/// then a few frames' worth.
+fn mac_lengths() -> impl Iterator<Item = usize> {
+    (0..=6 * GROUP + 17).chain([4096 + 77, 62_247, 99_111])
+}
+
+#[test]
+fn every_authenticator_tier_matches_the_scalar_one() {
+    let tiers = poly1305::tiers();
+    assert_eq!(tiers[0].name, "scalar");
+    // A patterned key; every clamped bit of r set (the largest limbs and
+    // powers); r = 0 and r = 1, whose powers are degenerate.
+    let mut top = [0xffu8; 32];
+    top[16..].copy_from_slice(&pattern(16, 0x21));
+    let mut one = [0u8; 32];
+    one[0] = 1;
+    let keys: [[u8; 32]; 4] = [pattern(32, 0x77).try_into().unwrap(), top, [0u8; 32], one];
+    for key in &keys {
+        for len in mac_lengths() {
+            // All-ones blocks are the largest the accumulator meets.
+            for msg in [pattern(len, len as u8), vec![0xff; len]] {
+                let want = tiers[0].mac(key, &msg);
+                for tier in &tiers[1..] {
+                    assert_eq!(
+                        tier.mac(key, &msg),
+                        want,
+                        "{} differs: r[0] {:#04x}, len {len}, msg[0] {:?}",
+                        tier.name,
+                        key[0],
+                        msg.first()
+                    );
+                }
+                assert_eq!(poly1305(key, &msg), want, "dispatched, len {len}");
+            }
+        }
+    }
+}
+
+#[test]
+fn streaming_equals_one_shot_on_every_authenticator_tier() {
+    let otk: [u8; 32] = pattern(32, 0x3c).try_into().unwrap();
+    let msg = pattern(12 * GROUP + 9, 6);
+    let want = poly1305::tiers()[0].mac(&otk, &msg);
+    for tier in poly1305::tiers() {
+        // Split at every offset of the first two groups and of the last
+        // two: the long piece takes the vector path behind (or ahead of)
+        // whatever partial block the short one left.
+        for split in (0..=2 * GROUP).chain(msg.len() - 2 * GROUP..=msg.len()) {
+            let mut mac = Poly1305::with_tier(&tier, &otk);
+            mac.update(&msg[..split]);
+            mac.update(&msg[split..]);
+            assert_eq!(mac.finalize(), want, "{} split {split}", tier.name);
+        }
+        // Pieces of every size class in one message.
+        let mut mac = Poly1305::with_tier(&tier, &otk);
+        let mut rest = &msg[..];
+        for take in [1, 4 * GROUP, 15, 5 * GROUP + 16, 7, GROUP - 1] {
+            let (piece, after) = rest.split_at(take);
+            mac.update(piece);
+            rest = after;
+        }
+        mac.update(rest);
+        assert_eq!(mac.finalize(), want, "{} uneven pieces", tier.name);
+    }
 }
 
 #[test]
