@@ -258,7 +258,7 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<String
                 let work = origin_work(&plan, &query, &params, &pop, v);
                 intake_bytes_per_device(
                     work.requests.len(),
-                    params.bgv.n,
+                    &params.bgv,
                     fresh,
                     submission_level(&plan, &work, fresh),
                 )

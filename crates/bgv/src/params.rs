@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use mycelium_math::ew::packed_len;
 use mycelium_math::rns::RnsContext;
 use mycelium_math::zq;
 
@@ -104,12 +105,21 @@ impl BgvParams {
         RnsContext::new(self.n, &primes).expect("parameter set must yield a valid RNS context")
     }
 
+    /// Size of one ring element at `level` residue rows, each row `n`
+    /// residues packed at [`prime_bits`](Self::prime_bits) — the size rule
+    /// of the wire codec ([`RnsContext::packed_bytes`] on the context this
+    /// parameter set builds), without building the context.
+    pub fn poly_bytes(&self, level: usize) -> usize {
+        level * packed_len(self.prime_bits, self.n)
+    }
+
     /// Size of one ciphertext in bytes (two ring elements at the top level).
     ///
-    /// For the paper-sized preset this is ≈4.5 MB, matching the paper's
-    /// reported 4.3 MB per ciphertext (§6.4).
+    /// For the paper-sized preset this is 4.51 MB — 10 rows of 32 768
+    /// 55-bit residues per element — against the paper's reported 4.3 MB
+    /// per ciphertext (§6.4).
     pub fn ciphertext_bytes(&self) -> usize {
-        2 * self.n * self.levels * 8
+        2 * self.poly_bytes(self.levels)
     }
 
     /// `log2` of the full ciphertext modulus.
@@ -188,11 +198,25 @@ mod tests {
     #[test]
     fn paper_sized_ciphertext_matches_reported_size() {
         let p = BgvParams::paper_sized();
+        // Two 32768-coefficient polynomials of 10 rows at 55 bits a
+        // residue; the paper reports 4.3 MB.
+        assert_eq!(p.ciphertext_bytes(), 2 * 10 * 32768 * 55 / 8);
         let mb = p.ciphertext_bytes() as f64 / 1e6;
-        // The paper reports 4.3 MB; two 32768-coefficient polynomials at
-        // 550 bits (stored as 10×64-bit words) are ≈5.2 MB raw / ≈4.5 MB at
-        // 55-bit packing. Accept the 4–6 MB range.
-        assert!((4.0..6.0).contains(&mb), "ciphertext size {mb} MB");
+        assert!((4.3..4.6).contains(&mb), "ciphertext size {mb} MB");
+    }
+
+    #[test]
+    fn the_size_rule_is_the_contexts() {
+        // Every chain prime has exactly `prime_bits` bits, so the size
+        // computed from the parameters is the one the context packs to.
+        for p in [BgvParams::test_small(), BgvParams::test_medium()] {
+            let ctx = p.build_context();
+            assert!(ctx.moduli().iter().all(|m| m.bits() == p.prime_bits));
+            for level in 1..=p.levels {
+                assert_eq!(p.poly_bytes(level), ctx.packed_bytes(level));
+            }
+            assert_eq!(p.ciphertext_bytes(), 2 * ctx.packed_bytes(p.levels));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! ≈430 MB expected per device, ≈350 MB aggregator traffic per device,
 //! 10⁵–10⁶ aggregator cores at 10⁹ users).
 
+use mycelium_bgv::BgvParams;
 use mycelium_query::analyze::GroupKind;
 use mycelium_zkp::cost::Groth16Model;
 
@@ -174,14 +175,14 @@ pub fn submission_level(plan: &QueryPlan, work: &OriginWork, fresh_level: usize)
 /// multi-kilobyte ciphertexts; the bench gate allows 5% for them.
 ///
 /// A ciphertext with 2 parts at `level` residue rows carries
-/// `2 · level · n · 8` bytes.
+/// `2 ·` [`BgvParams::poly_bytes`]`(level)` bytes.
 pub fn intake_bytes_per_device(
     duties: usize,
-    ring_degree: usize,
+    bgv: &BgvParams,
     fresh_level: usize,
     submission_level: usize,
 ) -> u64 {
-    let ct = |level: usize| (2 * level * ring_degree * 8) as u64;
+    let ct = |level: usize| 2 * bgv.poly_bytes(level) as u64;
     duties as u64 * ct(fresh_level) + ct(submission_level)
 }
 

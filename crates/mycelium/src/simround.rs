@@ -309,12 +309,10 @@ pub enum RoundMsg {
     },
 }
 
-/// Declared wire size of a ciphertext: its full RNS representation.
-fn ct_wire_bytes(ct: &Ciphertext) -> usize {
-    ct.parts()
-        .iter()
-        .map(|p| p.residues().iter().map(|r| r.len() * 8).sum::<usize>())
-        .sum()
+/// Declared wire size of a ciphertext: its RNS representation, each
+/// residue at the width of its prime — what the net codec writes.
+pub fn ct_wire_bytes(ct: &Ciphertext) -> usize {
+    ct.parts().iter().map(|p| p.packed_bytes()).sum()
 }
 
 impl Payload for RoundMsg {
@@ -332,18 +330,8 @@ impl Payload for RoundMsg {
             RoundMsg::ShareRequest {
                 participants, ct, ..
             } => HDR + participants.len() * 8 + ct_wire_bytes(ct),
-            RoundMsg::Share { share, .. } => {
-                // One RNS polynomial (coarse: degree × level unknown here,
-                // so meter the share as one ciphertext part would be —
-                // this is reporting, not protocol state).
-                HDR + 32
-                    + share
-                        .d
-                        .residues()
-                        .iter()
-                        .map(|r| r.len() * 8)
-                        .sum::<usize>()
-            }
+            // One RNS polynomial, metered as a ciphertext part is.
+            RoundMsg::Share { share, .. } => HDR + 32 + share.d.packed_bytes(),
             RoundMsg::ShardRootMsg {
                 rejected,
                 commits,

@@ -1,5 +1,16 @@
 //! Binary codecs for the cryptographic payloads the round exchanges.
 //!
+//! [`encode_poly`] / [`decode_poly`] are the one place residues are
+//! serialized, and journal records store request bodies as they arrived, so
+//! their layout is the wire's, the journal's and replay's at once: a
+//! representation tag, a level, then one row per active prime — the ring's
+//! `n` residues packed at the bit width `w` of that prime (residue `i` is
+//! bits `i·w .. (i+1)·w` of the row read as one little-endian number;
+//! [`mycelium_math::ew::pack`]). Both sides hold the chain, so no width
+//! travels; `n` is a power of two ≥ 8, so a row is `n·w / 8` whole bytes
+//! and there is no padding to define; and a canonical residue has exactly
+//! one encoding, so `encode(decode(bytes)) == bytes`.
+//!
 //! `RnsPoly` construction panics on malformed input by design (its
 //! callers are trusted in-process code), so these decoders validate
 //! *everything* — level bounds, residue ranges, part counts — and return
@@ -14,6 +25,7 @@ use mycelium::plan::SignedContribution;
 use mycelium_bgv::{BgvParams, Ciphertext};
 use mycelium_crypto::merkle::InclusionProof;
 use mycelium_crypto::sha256::Digest;
+use mycelium_math::ew;
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly};
 use mycelium_query::eval::{GroupResult, PlainResult};
 use mycelium_sharing::DecryptionShare;
@@ -60,29 +72,27 @@ const MAX_OPENINGS: usize = 1 << 16;
 /// Upper bound on Merkle path length accepted off the wire (2^48 leaves).
 const MAX_SIBLINGS: usize = 48;
 
-/// Encoded size of one polynomial at `level` residue rows.
-pub fn poly_encoded_bytes(level: usize, degree: usize) -> usize {
-    2 + level * degree * 8
+/// Encoded size of one polynomial of `ctx` at `level` residue rows.
+pub fn poly_encoded_bytes(ctx: &RnsContext, level: usize) -> usize {
+    2 + ctx.packed_bytes(level)
 }
 
-/// Encoded size of a ciphertext with `nparts` parts at `level`.
-pub fn ciphertext_encoded_bytes(nparts: usize, level: usize, degree: usize) -> usize {
-    1 + 8 + nparts * poly_encoded_bytes(level, degree)
+/// Encoded size of a ciphertext of `ctx` with `nparts` parts at `level`.
+pub fn ciphertext_encoded_bytes(ctx: &RnsContext, nparts: usize, level: usize) -> usize {
+    1 + 8 + nparts * poly_encoded_bytes(ctx, level)
 }
 
 /// Serializes one `RnsPoly`.
 pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
-    let words: usize = p.residues().iter().map(Vec::len).sum();
-    w.reserve(2 + 8 * words);
+    let ctx = p.context();
+    w.reserve(poly_encoded_bytes(ctx, p.level()));
     w.put_u8(match p.representation() {
         Representation::Coefficient => 0,
         Representation::Ntt => 1,
     });
     w.put_u8(p.level() as u8);
-    for row in p.residues() {
-        for &x in row {
-            w.put_u64(x);
-        }
+    for (m, row) in ctx.moduli().iter().zip(p.residues()) {
+        ew::pack(m, w.put_zeroed(ew::packed_len(m.bits(), row.len())), row);
     }
 }
 
@@ -102,17 +112,14 @@ pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
     }
     let degree = cc.ctx.degree();
     let mut residues = Vec::with_capacity(level);
-    for i in 0..level {
-        let q = cc.ctx.moduli()[i].value();
-        let mut row = Vec::with_capacity(degree);
-        for _ in 0..degree {
-            let x = r.get_u64()?;
-            if x >= q {
-                return Err(NetError::Decode(format!(
-                    "residue {x} out of range for modulus {q}"
-                )));
-            }
-            row.push(x);
+    for m in &cc.ctx.moduli()[..level] {
+        let packed = r.get_bytes(ew::packed_len(m.bits(), degree))?;
+        let mut row = vec![0u64; degree];
+        if !ew::unpack(m, &mut row, packed) {
+            return Err(NetError::Decode(format!(
+                "residue out of range for modulus {}",
+                m.value()
+            )));
         }
         residues.push(row);
     }
@@ -326,7 +333,7 @@ mod tests {
         let bytes = w.finish();
         assert_eq!(
             bytes.len(),
-            ciphertext_encoded_bytes(ct.parts().len(), ct.level(), cc.params.n)
+            ciphertext_encoded_bytes(&cc.ctx, ct.parts().len(), ct.level())
         );
         let mut r = Reader::new(&bytes);
         let back = decode_ciphertext(&mut r, &cc).unwrap();
@@ -344,15 +351,130 @@ mod tests {
         let mut w = Writer::new();
         encode_ciphertext(&mut w, &ct);
         let mut bytes = w.finish();
-        // Overwrite the first residue word with u64::MAX — must be a
-        // typed decode error, never a panic inside RnsPoly.
+        // Set every bit of the first residue — the first 40 bits behind
+        // the tags — which no 40-bit prime reaches: must be a typed decode
+        // error, never a panic inside RnsPoly.
+        assert_eq!(cc.params.prime_bits, 40);
         let off = 1 + 8 + 2; // nparts + noise + rep/level tags
-        bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[off..off + 5].fill(0xff);
         let mut r = Reader::new(&bytes);
         assert!(matches!(
             decode_ciphertext(&mut r, &cc),
             Err(NetError::Decode(_))
         ));
+    }
+
+    /// A context over the first three chain primes of each preset — widths
+    /// 40, 45 and 55 — at degree 16, where the preset's own is large.
+    fn preset_contexts() -> Vec<CodecCtx> {
+        [
+            BgvParams::test_small(),
+            BgvParams::test_medium(),
+            BgvParams::paper_sized(),
+        ]
+        .iter()
+        .map(|params| {
+            let primes = params.chain_primes();
+            let ctx =
+                RnsContext::new(16, &primes[..3]).expect("chain primes suit any smaller ring");
+            assert!(ctx.moduli().iter().all(|m| m.bits() == params.prime_bits));
+            CodecCtx::with_context(ctx, params)
+        })
+        .collect()
+    }
+
+    fn encoded(p: &RnsPoly) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode_poly(&mut w, p);
+        w.finish()
+    }
+
+    /// Overwrites residue `lane` of row `row` in an encoded polynomial of
+    /// `cc`'s context, bit by bit.
+    fn poke(bytes: &mut [u8], cc: &CodecCtx, row: usize, lane: usize, value: u64) {
+        let w = cc.ctx.moduli()[row].bits() as usize;
+        let start = 8 * (2 + cc.ctx.packed_bytes(row)) + lane * w;
+        for b in 0..w {
+            let (byte, bit) = ((start + b) / 8, (start + b) % 8);
+            bytes[byte] = bytes[byte] & !(1 << bit) | ((value >> b & 1) as u8) << bit;
+        }
+    }
+
+    #[test]
+    fn packed_rows_round_trip_at_the_presets_widths() {
+        for cc in preset_contexts() {
+            let (ctx, n) = (&cc.ctx, cc.ctx.degree());
+            let width = ctx.moduli()[0].bits();
+            // 0 and q − 1 in every lane position of a pack group, against
+            // the other in the rest; and a row of distinct values.
+            for at in 0..8 {
+                for flip in [false, true] {
+                    let residues: Vec<Vec<u64>> = ctx
+                        .moduli()
+                        .iter()
+                        .map(|m| {
+                            let (fill, odd) = if flip {
+                                (m.value() - 1, 0)
+                            } else {
+                                (0, m.value() - 1)
+                            };
+                            (0..n)
+                                .map(|i| if i % 8 == at { odd } else { fill })
+                                .collect()
+                        })
+                        .collect();
+                    let p = RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, residues);
+                    let bytes = encoded(&p);
+                    assert_eq!(bytes.len(), poly_encoded_bytes(ctx, 3), "width {width}");
+                    assert_eq!(bytes.len(), 2 + 3 * n * width as usize / 8);
+                    let mut r = Reader::new(&bytes);
+                    let back = decode_poly(&mut r, &cc).unwrap();
+                    r.expect_end().unwrap();
+                    assert_eq!(back, p, "width {width} lane {at}");
+                    // One canonical form: what decodes encodes to the same bytes.
+                    assert_eq!(encoded(&back), bytes);
+                }
+            }
+            let counting: Vec<u64> = (0..n as u64).map(|i| i * 0x0123_4567_89ab % 1000).collect();
+            let p = RnsPoly::from_u64(Arc::clone(ctx), 2, &counting);
+            let back = decode_poly(&mut Reader::new(&encoded(&p)), &cc).unwrap();
+            assert_eq!(back, p);
+            assert_eq!(back.level(), 2);
+        }
+    }
+
+    #[test]
+    fn short_rows_and_noncanonical_residues_are_typed_errors() {
+        for cc in preset_contexts() {
+            let p = RnsPoly::from_u64(Arc::clone(&cc.ctx), 3, &[5; 16]);
+            let bytes = encoded(&p);
+            let decode = |bytes: &[u8]| decode_poly(&mut Reader::new(bytes), &cc);
+            assert_eq!(decode(&bytes).unwrap(), p);
+            // The last row one byte short; a message one byte long; nothing.
+            for cut in [bytes.len() - 1, 1, 0] {
+                assert!(matches!(decode(&bytes[..cut]), Err(NetError::Decode(_))));
+            }
+            // q itself, and every bit of the width, in each lane position
+            // of a pack group, first row and last.
+            for row in [0, 2] {
+                let m = cc.ctx.moduli()[row];
+                for lane in 0..8 {
+                    for bad in [m.value(), (1 << m.bits()) - 1] {
+                        let mut mauled = bytes.clone();
+                        poke(&mut mauled, &cc, row, 8 + lane, bad);
+                        assert!(
+                            matches!(decode(&mauled), Err(NetError::Decode(_))),
+                            "row {row} lane {lane} value {bad}"
+                        );
+                        // The neighbours were left alone: q − 1 there decodes.
+                        poke(&mut mauled, &cc, row, 8 + lane, m.value() - 1);
+                        let ok = decode(&mauled).unwrap();
+                        assert_eq!(ok.residues()[row][8 + lane], m.value() - 1);
+                        assert_eq!(ok.residues()[row][7 + lane], 5);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,11 @@ use crate::error::NetError;
 
 /// Protocol magic (first four bytes of every frame).
 pub const MAGIC: [u8; 4] = *b"MYCN";
-/// Protocol version this build speaks.
-pub const VERSION: u16 = 1;
+/// Protocol version this build speaks. Version 2 carries residues packed
+/// at the width of their prime ([`crate::codec`]); a version 1 peer, whose
+/// payloads held one 64-bit word per residue, is refused at its first
+/// header with [`NetError::VersionMismatch`].
+pub const VERSION: u16 = 2;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 20;
 /// Default cap on a single frame's payload (handshake + query-round
@@ -65,7 +68,7 @@ impl FrameType {
 pub struct FrameHeader {
     /// Frame discriminator.
     pub frame_type: FrameType,
-    /// Reserved (must be zero in version 1).
+    /// Reserved (zero in version 2).
     pub flags: u8,
     /// Per-direction sequence number (and implicit AEAD nonce).
     pub seq: u64,
@@ -261,7 +264,19 @@ mod tests {
         buf[4] = 9;
         assert!(matches!(
             read_frame(&mut buf.as_slice(), 1024),
-            Err(NetError::VersionMismatch { got: 9, want: 1 })
+            Err(NetError::VersionMismatch { got: 9, want: 2 })
+        ));
+    }
+
+    #[test]
+    fn a_version_1_header_is_refused() {
+        // What a build from before the packed residue rows sends first.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameType::ClientHello, 0, b"hello").unwrap();
+        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut buf.as_slice(), 1024),
+            Err(NetError::VersionMismatch { got: 1, want: 2 })
         ));
     }
 

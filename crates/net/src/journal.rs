@@ -12,13 +12,18 @@
 //!
 //! ```text
 //! ┌──────────────────────── header (44 bytes) ────────────────────────┐
-//! │ magic "MYCWALv1" (8) │ format version u32 (4) │ binding (32)      │
+//! │ magic "MYCWALv2" (8) │ format version u32 (4) │ binding (32)      │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ┌──────────────────────── record (40 + len) ────────────────────────┐
 //! │ len u32 (4) │ payload (len) │ sha256(seq_le ‖ payload) (32) │ ... │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! * Records hold request bodies as the wire carried them, so format
+//!   version 2 is the version of the codec that packs residues at the
+//!   width of their prime ([`crate::codec`]); a `MYCWALv1` file, whose
+//!   records held 64-bit words, is a typed [`JournalError::BadHeader`] —
+//!   never replayed, never truncated.
 //! * The **binding digest** ties a journal to one round configuration
 //!   (we use a digest of the `RoundSpec` wire encoding), so a restart
 //!   with different parameters cannot silently replay a stale journal.
@@ -56,10 +61,10 @@ use mycelium_crypto::sha256::{sha256_concat, Digest};
 
 use crate::lock_recover;
 
-/// File magic: identifies a Mycelium write-ahead log, version 1.
-pub const MAGIC: &[u8; 8] = b"MYCWALv1";
+/// File magic: identifies a Mycelium write-ahead log, version 2.
+pub const MAGIC: &[u8; 8] = b"MYCWALv2";
 /// Format version inside the header (bumped on incompatible changes).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Header length: magic + version + binding digest.
 pub const HEADER_BYTES: usize = 8 + 4 + 32;
 /// Fixed per-record overhead: length prefix + checksum.
@@ -691,6 +696,37 @@ mod tests {
             Journal::open(&path, &binding()),
             Err(JournalError::BadHeader { .. })
         ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_version_1_file_is_a_bad_header_and_is_left_alone() {
+        let path = tmp("v1");
+        {
+            let mut j = Journal::create(&path, &binding()).unwrap();
+            j.append(b"a record").unwrap();
+            j.commit().unwrap();
+        }
+        let v2 = std::fs::read(&path).unwrap();
+        // The magic of the old format, then its version word under the
+        // new magic: each is refused by name.
+        let mut old_magic = v2.clone();
+        old_magic[..8].copy_from_slice(b"MYCWALv1");
+        old_magic[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let mut old_version = v2;
+        old_version[8..12].copy_from_slice(&1u32.to_le_bytes());
+        for (bytes, what) in [(old_magic, "magic"), (old_version, "format version 1")] {
+            std::fs::write(&path, &bytes).unwrap();
+            match Journal::open(&path, &binding()) {
+                Err(JournalError::BadHeader { why }) => assert!(why.contains(what), "{why}"),
+                other => panic!("expected BadHeader, got {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "refused, not rewritten"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -91,6 +91,13 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends `n` zero bytes and lends them out to be filled in place.
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
+
     /// Appends a `u32` length prefix followed by the bytes.
     pub fn put_vec(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);

@@ -531,6 +531,41 @@ fn journal_bound_to_a_different_round_is_rejected() {
 }
 
 #[test]
+fn a_version_1_journal_is_refused_not_replayed() {
+    // A journal of the format before residues were packed: the same round
+    // (so the binding matches), the old magic and version word, and a
+    // record that was a valid PushContrib then — a 64-bit word per
+    // residue. Replaying it would misread every row; recovery must stop at
+    // the header with a typed error and leave the file as it found it.
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("v1");
+    let path = dir.join(files::JOURNAL);
+    let raws = mutating_requests(&setup, 1, 0);
+    let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    feed(&mut st, &setup, &raws[0]);
+    drop(st);
+
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(&bytes[..8], b"MYCWALv2");
+    bytes[..8].copy_from_slice(b"MYCWALv1");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = AggState::recover(Arc::clone(&setup), &path)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(err, NetError::Journal(JournalError::BadHeader { .. })),
+        "expected BadHeader, got {err}"
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "refused, not rewritten"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn handle_returns_only_after_its_records_are_durable() {
     let setup = Arc::new(build_setup(&test_spec()).unwrap());
     let dir = journal_dir("durable");

@@ -174,7 +174,7 @@ fn full_round_matches_in_process_executor_and_wire_costs_reconcile() {
     // rep/level tags = 13).
     let pc = &merged.sent["PushContrib"];
     assert_eq!(pc.frames, total_duties);
-    let ct_encoded = ciphertext_encoded_bytes(2, params.bgv.levels, params.bgv.n) as u64;
+    let ct_encoded = ciphertext_encoded_bytes(&setup.cc.ctx, 2, params.bgv.levels) as u64;
     assert_eq!(ct_encoded, params.bgv.ciphertext_bytes() as u64 + 13);
     assert_eq!(pc.payload_bytes, total_duties * (ct_encoded + 14));
     let analytical = total_duties * params.bgv.ciphertext_bytes() as u64;
@@ -267,7 +267,7 @@ fn sharded_round_matches_oracle_and_root_handoff_reconciles_to_the_byte() {
     // aggregation level before shipping — the sealed ciphertext size is
     // topology-independent by construction (that same canonicalization
     // is what makes hub and sharded certificates byte-identical).
-    let ct_encoded = ciphertext_encoded_bytes(2, mycelium::plan::AGGREGATION_LEVEL, params.bgv.n);
+    let ct_encoded = ciphertext_encoded_bytes(&setup.cc.ctx, 2, mycelium::plan::AGGREGATION_LEVEL);
     // A sealed root carries one origin commitment per owned origin
     // (nothing was rejected in this fault-free round).
     let owned = |shard: usize| -> usize {

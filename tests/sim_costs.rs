@@ -94,11 +94,8 @@ fn shard_root_sim_mirror_matches_the_actual_meter() {
     let keys = KeySet::generate(&params.bgv, &mut rng);
     let pt = Plaintext::zero(params.bgv.n, params.bgv.plaintext_modulus);
     let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
-    let ct_bytes: usize = ct
-        .parts()
-        .iter()
-        .map(|p| p.residues().iter().map(|r| r.len() * 8).sum::<usize>())
-        .sum();
+    let ct_bytes = mycelium::simround::ct_wire_bytes(&ct);
+    assert_eq!(ct_bytes, params.bgv.ciphertext_bytes(), "one size rule");
 
     for rejected in [vec![], vec![3u32], vec![1, 2, 9]] {
         for n_commits in [0usize, 1, 5] {
