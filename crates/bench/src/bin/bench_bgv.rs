@@ -239,7 +239,9 @@ fn micros(mut op: impl FnMut()) -> f64 {
 
 /// The per-tier table: every kernel of every available tier on 1024 lanes
 /// of a 40-bit chain prime (the `test_small` shape). Transforms run on the
-/// previous transform's output, i.e. on fresh data every call.
+/// previous transform's output, i.e. on fresh data every call. The codec's
+/// `pack` / `unpack` rows are taken at 55 bits (`paper_sized`) as well:
+/// their cost follows the width.
 fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
     let n = 1024;
     let q = Modulus::new_prime(ntt_primes(40, n, 1)[0]).unwrap();
@@ -252,11 +254,14 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
     let cs: Vec<u64> = c.iter().map(|&w| q.shoup(w)).collect();
     let small: Vec<i64> = a.iter().map(|&x| (x % 41) as i64 - 20).collect();
     let (w, ws) = (b[0], bs[0]);
+    let q55 = Modulus::new_prime(ntt_primes(55, n, 1)[0]).unwrap();
+    let a55: Vec<u64> = a.iter().map(|&x| x * 0x7fff % q55.value()).collect();
+    let (mut packed40, mut packed55) = (vec![0u8; n * 40 / 8], vec![0u8; n * 55 / 8]);
     simd::all_available()
         .into_iter()
         .map(|k: &'static Kernels| {
             let (mut x, mut y) = (a.clone(), c.clone());
-            let rows = vec![
+            let mut rows = vec![
                 ("ntt_forward", micros(|| table.forward_with(k, &mut x))),
                 ("ntt_inverse", micros(|| table.inverse_with(k, &mut x))),
                 ("add_assign", micros(|| (k.add_assign)(&q, &mut x, &b))),
@@ -296,6 +301,18 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
                     micros(|| (k.reduce_lazy_pow2)(qv, &mut x, 4)),
                 ),
             ];
+            rows.extend([
+                ("pack40", micros(|| (k.pack)(&q, &mut packed40, &a))),
+                (
+                    "unpack40",
+                    micros(|| assert!((k.unpack)(&q, &mut x, &packed40))),
+                ),
+                ("pack55", micros(|| (k.pack)(&q55, &mut packed55, &a55))),
+                (
+                    "unpack55",
+                    micros(|| assert!((k.unpack)(&q55, &mut x, &packed55))),
+                ),
+            ]);
             eprintln!(
                 "  {:<12} fwd {:>5.2} us  inv {:>5.2} us",
                 k.name, rows[0].1, rows[1].1

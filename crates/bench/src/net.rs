@@ -21,8 +21,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mycelium_crypto::aead::{open_with_aad, seal_with_aad};
-use mycelium_crypto::chacha20::active_tier;
+use mycelium_crypto::aead;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
@@ -71,7 +70,8 @@ pub struct ProxyOverhead {
 }
 
 /// The AEAD alone on one payload size: what sealing and opening one frame
-/// of it costs, sockets and framing aside.
+/// of it costs, sockets and framing aside — on the kernels the process
+/// dispatched to, and on the scalar ones they are tested against.
 pub struct AeadSample {
     /// Plaintext bytes.
     pub payload: usize,
@@ -79,10 +79,14 @@ pub struct AeadSample {
     pub seal_mbytes_per_sec: f64,
     /// `open_with_aad` throughput (plaintext MB/s).
     pub open_mbytes_per_sec: f64,
+    /// `seal_with_aad` on [`aead::scalar_tier`].
+    pub scalar_seal_mbytes_per_sec: f64,
+    /// `open_with_aad` on [`aead::scalar_tier`].
+    pub scalar_open_mbytes_per_sec: f64,
 }
 
 /// Seals and opens `payload`-byte frames (20-byte header as associated
-/// data, like the channel's) for `budget_secs` each.
+/// data, like the channel's) for `budget_secs` each, on each tier.
 fn aead_sample(payload: usize, budget_secs: f64) -> AeadSample {
     let (key, header, body) = ([0xbe; 32], [0x5a; 20], vec![0x5au8; payload]);
     let mbytes_per_sec = |op: &mut dyn FnMut()| {
@@ -93,17 +97,34 @@ fn aead_sample(payload: usize, budget_secs: f64) -> AeadSample {
         }
         (payload as u64 * ops) as f64 / start.elapsed().as_secs_f64() / 1e6
     };
-    let sealed = seal_with_aad(&key, 1, &header, &body);
+    let sealed = aead::seal_with_aad(&key, 1, &header, &body);
+    let seal_and_open = |tier: aead::Tier| {
+        let seal = mbytes_per_sec(&mut || {
+            let sealed = tier.seal_with_aad(&key, 1, &header, std::hint::black_box(&body));
+            std::hint::black_box(sealed);
+        });
+        let open = mbytes_per_sec(&mut || {
+            let plain = tier.open_with_aad(&key, 1, &header, std::hint::black_box(&sealed));
+            std::hint::black_box(plain.expect("own seal opens"));
+        });
+        (seal, open)
+    };
+    let (seal_mbytes_per_sec, open_mbytes_per_sec) = seal_and_open(aead::active_tier());
+    let (scalar_seal_mbytes_per_sec, scalar_open_mbytes_per_sec) =
+        seal_and_open(aead::scalar_tier());
     AeadSample {
         payload,
-        seal_mbytes_per_sec: mbytes_per_sec(&mut || {
-            std::hint::black_box(seal_with_aad(&key, 1, &header, std::hint::black_box(&body)));
-        }),
-        open_mbytes_per_sec: mbytes_per_sec(&mut || {
-            let plain = open_with_aad(&key, 1, &header, std::hint::black_box(&sealed));
-            std::hint::black_box(plain.expect("own seal opens"));
-        }),
+        seal_mbytes_per_sec,
+        open_mbytes_per_sec,
+        scalar_seal_mbytes_per_sec,
+        scalar_open_mbytes_per_sec,
     }
+}
+
+/// The active AEAD tier as `keystream+authenticator` kernel names.
+fn aead_tier_name() -> String {
+    let tier = aead::active_tier();
+    format!("{}+{}", tier.cipher.name, tier.mac.name)
 }
 
 /// Concurrent writers swept by the group-commit row.
@@ -412,11 +433,13 @@ pub fn run(smoke: bool) -> NetBench {
         .collect();
     for s in &aead {
         eprintln!(
-            "  aead ({})  {:>8} B  seal {:>8.2} MB/s, open {:>8.2} MB/s",
-            active_tier().name,
+            "  aead ({})  {:>8} B  seal {:>8.2} MB/s, open {:>8.2} MB/s  (scalar: {:.2}, {:.2})",
+            aead_tier_name(),
             s.payload,
             s.seal_mbytes_per_sec,
             s.open_mbytes_per_sec,
+            s.scalar_seal_mbytes_per_sec,
+            s.scalar_open_mbytes_per_sec,
         );
     }
     let shutdown_micros = shutdown_micros(if smoke { 5 } else { 20 });
@@ -514,14 +537,16 @@ pub fn to_json(bench: &NetBench) -> String {
     ));
     out.push_str(&format!(
         "}},\n  \"aead\": {{\"tier\": \"{}\", \"payloads\": [\n",
-        active_tier().name
+        aead_tier_name()
     ));
     for (i, s) in bench.aead.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"bytes\": {}, \"seal_mbytes_per_sec\": {:.2}, \"open_mbytes_per_sec\": {:.2}}}{}\n",
+            "    {{\"bytes\": {}, \"seal_mbytes_per_sec\": {:.2}, \"open_mbytes_per_sec\": {:.2}, \"scalar_seal_mbytes_per_sec\": {:.2}, \"scalar_open_mbytes_per_sec\": {:.2}}}{}\n",
             s.payload,
             s.seal_mbytes_per_sec,
             s.open_mbytes_per_sec,
+            s.scalar_seal_mbytes_per_sec,
+            s.scalar_open_mbytes_per_sec,
             if i + 1 == bench.aead.len() { "" } else { "," },
         ));
     }
@@ -596,6 +621,8 @@ mod tests {
                 payload: 1024,
                 seal_mbytes_per_sec: 1234.5,
                 open_mbytes_per_sec: 1200.0,
+                scalar_seal_mbytes_per_sec: 400.25,
+                scalar_open_mbytes_per_sec: 410.0,
             }],
             shutdown_micros,
             group_commit: vec![GroupCommitSample {
@@ -623,7 +650,7 @@ mod tests {
         assert!(json.contains("\"idle_proxy\": {\"bytes\": 65536, \"iters\": 1"));
         assert!(json.contains("\"overhead_p50_micros\": 15"));
         assert!(json.contains("\"overhead_p50_micros\": 15},\n  \"aead\": {\"tier\": \""));
-        assert!(json.contains("{\"bytes\": 1024, \"seal_mbytes_per_sec\": 1234.50, \"open_mbytes_per_sec\": 1200.00}\n"));
+        assert!(json.contains("{\"bytes\": 1024, \"seal_mbytes_per_sec\": 1234.50, \"open_mbytes_per_sec\": 1200.00, \"scalar_seal_mbytes_per_sec\": 400.25, \"scalar_open_mbytes_per_sec\": 410.00}\n"));
         assert!(json.contains(
             "  ]},\n  \"shutdown\": {\"iters\": 1, \"p50_micros\": 900, \"p99_micros\": 900},\n"
         ));
