@@ -264,9 +264,14 @@ mod avx512 {
     fn xor(state: &mut [u32; 16], data: &mut [u8]) {
         let bulk = data.len() / (WIDEST * BLOCK) * (WIDEST * BLOCK);
         let (groups, tail) = data.split_at_mut(bulk);
-        // SAFETY: this tier is only handed out (`tiers`) after AVX-512F was
-        // detected — and AVX2, which the tail's kernel needs.
-        unsafe { xor_groups(state, groups) };
+        // A request below one group — every `StdRng` refill — is the AVX2
+        // kernel's call and nothing else.
+        if !groups.is_empty() {
+            // SAFETY: this tier is only handed out (`tiers`) after AVX-512F
+            // was detected.
+            unsafe { xor_groups(state, groups) };
+        }
+        // `tiers` hands this tier out only where AVX2 was detected too.
         avx2::xor(state, tail);
     }
 
