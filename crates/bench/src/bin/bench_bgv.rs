@@ -261,7 +261,7 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
         .into_iter()
         .map(|k: &'static Kernels| {
             let (mut x, mut y) = (a.clone(), c.clone());
-            let mut rows = vec![
+            let rows = vec![
                 ("ntt_forward", micros(|| table.forward_with(k, &mut x))),
                 ("ntt_inverse", micros(|| table.inverse_with(k, &mut x))),
                 ("add_assign", micros(|| (k.add_assign)(&q, &mut x, &b))),
@@ -300,8 +300,6 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
                     "reduce_lazy_pow2",
                     micros(|| (k.reduce_lazy_pow2)(qv, &mut x, 4)),
                 ),
-            ];
-            rows.extend([
                 ("pack40", micros(|| (k.pack)(&q, &mut packed40, &a))),
                 (
                     "unpack40",
@@ -312,7 +310,7 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
                     "unpack55",
                     micros(|| assert!((k.unpack)(&q55, &mut x, &packed55))),
                 ),
-            ]);
+            ];
             eprintln!(
                 "  {:<12} fwd {:>5.2} us  inv {:>5.2} us",
                 k.name, rows[0].1, rows[1].1

@@ -511,9 +511,10 @@ pub const fn packed_len(bits: u32, lanes: usize) -> usize {
     (lanes * bits as usize).div_ceil(8)
 }
 
-/// The shape [`pack`] and [`unpack`] ask for: whole pack groups, and
-/// exactly the bytes they take at the width of `m`.
-fn check_packed_shape(m: &Modulus, lanes: usize, bytes: usize) -> usize {
+/// The shape [`pack`] and [`unpack`] ask for — whole pack groups, and
+/// exactly the bytes they take at the width of `m`, which is returned —
+/// or a panic.
+pub(crate) fn check_packed_shape(m: &Modulus, lanes: usize, bytes: usize) -> usize {
     let w = m.bits() as usize;
     assert_eq!(lanes % PACK_LANES, 0, "residues pack eight at a time");
     assert_eq!(bytes, packed_len(m.bits(), lanes), "packed row length");

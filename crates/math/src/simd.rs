@@ -1091,7 +1091,7 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use super::{Kernels, NttShape};
-    use crate::ew::{packed_len, ShoupRow};
+    use crate::ew::{check_packed_shape, ShoupRow};
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
 
@@ -1263,23 +1263,17 @@ pub(crate) mod avx512 {
     }
 
     // SAFETY (both wrappers): published only through `select()` /
-    // `all_available()` behind runtime detection of avx512f+dq. A row of
-    // the wrong shape goes to the scalar oracle whole, which refuses it.
+    // `all_available()` behind runtime detection of avx512f+dq.
     pub(super) fn pack(m: &Modulus, out: &mut [u8], src: &[u64]) {
-        let w = m.bits() as usize;
-        let shaped =
-            src.len().is_multiple_of(LANES) && out.len() == packed_len(m.bits(), src.len());
-        if w < 32 || !shaped {
+        let w = check_packed_shape(m, src.len(), out.len());
+        if w < 32 {
             return crate::ew::pack_scalar(m, out, src);
         }
         let done = unsafe { pack_impl(w, out, src) };
         crate::ew::pack_scalar(m, &mut out[done * w..], &src[done * LANES..]);
     }
     pub(super) fn unpack(m: &Modulus, out: &mut [u64], src: &[u8]) -> bool {
-        let w = m.bits() as usize;
-        if !out.len().is_multiple_of(LANES) || src.len() != packed_len(m.bits(), out.len()) {
-            return crate::ew::unpack_scalar(m, out, src);
-        }
+        let w = check_packed_shape(m, out.len(), src.len());
         let (done, canonical) = unsafe { unpack_impl(m.value(), w, out, src) };
         crate::ew::unpack_scalar(m, &mut out[done * LANES..], &src[done * w..]) && canonical
     }
