@@ -3,11 +3,12 @@
 //! the BGV stack uses, including the all-`(q−1)` lazy-domain worst case
 //! and non-multiple-of-lane-width tails.
 //!
-//! The scalar tier is itself pitted against the strict-Barrett reference
-//! transforms, so the chain `vector tier == scalar Harvey == strict
-//! Barrett` is closed here for every tier the host can execute.
+//! The scalar tier is itself pitted against the transform's definition
+//! (the input evaluated at each slot's root), so the chain `vector tier ==
+//! scalar Harvey == definition` is closed here for every tier the host can
+//! execute.
 
-use mycelium_math::ntt::NttTable;
+use mycelium_math::ntt::{evaluate_naive, NttTable};
 use mycelium_math::rng::RngCore;
 use mycelium_math::simd;
 use mycelium_math::zq::{ntt_primes, Modulus};
@@ -59,13 +60,12 @@ fn scalar_tier_matches_strict_barrett_reference() {
             let q = Modulus::new_prime(ntt_primes(bits, n, 1)[0]).unwrap();
             let table = NttTable::new(q, n).unwrap();
             let a = rand_poly(&mut rng, q.value(), n);
-            let (mut lazy, mut strict) = (a.clone(), a.clone());
+            let mut lazy = a.clone();
             table.forward_scalar(&mut lazy);
-            table.forward_reference(&mut strict);
-            assert_eq!(lazy, strict, "forward n={n} bits={bits}");
+            let want = evaluate_naive(&table, &a, 0..n);
+            assert_eq!(lazy, want, "forward n={n} bits={bits}");
             table.inverse_scalar(&mut lazy);
-            table.inverse_reference(&mut strict);
-            assert_eq!(lazy, strict, "inverse n={n} bits={bits}");
+            assert_eq!(lazy, a, "inverse n={n} bits={bits}");
         }
     }
 }
@@ -74,14 +74,23 @@ fn scalar_tier_matches_strict_barrett_reference() {
 fn cache_blocked_transform_matches_at_large_degree() {
     // 16384 elements exceeds NTT_BLOCK (4096), so this degree actually
     // exercises the global-pass → per-region completion split on every
-    // tier (the grid above stays within one block).
+    // tier (the grid above stays within one block). The definition is
+    // evaluated at sampled slots (both ends and every 61st), the tiers
+    // compared with the scalar one everywhere.
     let n = 16384;
     let mut rng = StdRng::seed_from_u64(0xB10C);
     let q = Modulus::new_prime(ntt_primes(45, n, 1)[0]).unwrap();
     let table = NttTable::new(q, n).unwrap();
+    let sampled: Vec<usize> = (0..n).step_by(61).chain([n - 1]).collect();
     for a in [rand_poly(&mut rng, q.value(), n), vec![q.value() - 1; n]] {
         let mut want = a.clone();
-        table.forward_reference(&mut want);
+        table.forward_scalar(&mut want);
+        let at_samples: Vec<u64> = sampled.iter().map(|&i| want[i]).collect();
+        assert_eq!(
+            at_samples,
+            evaluate_naive(&table, &a, sampled.iter().copied()),
+            "scalar blocked forward"
+        );
         for k in simd::all_available() {
             let mut got = a.clone();
             table.forward_with(k, &mut got);

@@ -8,7 +8,7 @@ use mycelium_bgv::encoding::encode_monomial;
 use mycelium_bgv::{BgvParams, Ciphertext, KeySet, Plaintext};
 use mycelium_crypto::merkle::MerkleTree;
 use mycelium_crypto::{aead, sha256::sha256};
-use mycelium_math::ntt::{negacyclic_mul_naive, NttTable};
+use mycelium_math::ntt::{evaluate_naive, negacyclic_mul_naive, NttTable};
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_math::rns::RnsContext;
 use mycelium_math::zq::{ntt_primes, Modulus};
@@ -42,10 +42,12 @@ fn ntt_multiply_matches_schoolbook() {
 
 #[test]
 fn lazy_ntt_matches_strict_barrett_reference() {
-    // The Harvey lazy-reduction kernels must be value-identical to the
-    // strict-Barrett reference transforms for every degree and modulus
-    // bit-width the parameter sets use — including the worst-case input
-    // of all coefficients at q-1, which maximizes the lazy ranges.
+    // The Harvey lazy-reduction kernels must compute the transform's
+    // definition — the input evaluated at each slot's root — for every
+    // degree and modulus bit-width the parameter sets use, including the
+    // worst-case input of all coefficients at q-1, which maximizes the lazy
+    // ranges; the inverse must undo the forward transform and be undone by
+    // it.
     for n in [16usize, 256, 1024, 4096] {
         for bits in [30u32, 40, 45, 55] {
             let q = Modulus::new_prime(ntt_primes(bits, n, 1)[0]).unwrap();
@@ -54,14 +56,15 @@ fn lazy_ntt_matches_strict_barrett_reference() {
             let check = |input: &[u64], seed: u64| {
                 let mut fwd = input.to_vec();
                 table.forward(&mut fwd);
-                let mut fwd_ref = input.to_vec();
-                table.forward_reference(&mut fwd_ref);
-                assert_eq!(fwd, fwd_ref, "forward n={n} bits={bits} seed {seed}");
+                let want = evaluate_naive(&table, input, 0..n);
+                assert_eq!(fwd, want, "forward n={n} bits={bits} seed {seed}");
                 let mut inv = input.to_vec();
                 table.inverse(&mut inv);
-                let mut inv_ref = input.to_vec();
-                table.inverse_reference(&mut inv_ref);
-                assert_eq!(inv, inv_ref, "inverse n={n} bits={bits} seed {seed}");
+                let mut back = inv.clone();
+                table.forward(&mut back);
+                assert_eq!(back, input, "inverse n={n} bits={bits} seed {seed}");
+                table.inverse(&mut fwd);
+                assert_eq!(fwd, input, "roundtrip n={n} bits={bits} seed {seed}");
             };
 
             check(&vec![q.value() - 1; n], u64::MAX);
