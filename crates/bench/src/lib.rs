@@ -1,13 +1,15 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§6).
 //!
-//! Each `fig*` binary prints the same rows/series the paper reports plus a
+//! The `paper` binary's subcommands (`fig5` … `fig9`, `device_costs`, …,
+//! `all`) print the same rows/series the paper reports plus a
 //! paper-vs-measured comparison; `EXPERIMENTS.md` records the outputs.
 //! The `bench_bgv` binary measures the underlying component costs (NTT,
 //! BGV multiply, relinearization, end-to-end query) with plain
-//! `std::time::Instant` at `MYC_THREADS ∈ {1, ncores}` and writes
-//! `BENCH_bgv.json` — the numbers the §6 cost models extrapolate from,
-//! exactly as the paper extrapolates from its component benchmarks (§6.1).
+//! `std::time::Instant` at `MYC_THREADS ∈ {1, 2, 4, 8}` capped at the
+//! host's core count and writes `BENCH_bgv.json` — the numbers the §6 cost
+//! models extrapolate from, exactly as the paper extrapolates from its
+//! component benchmarks (§6.1).
 
 pub mod net;
 pub mod queries;

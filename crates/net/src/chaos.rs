@@ -1,5 +1,5 @@
-//! The fault-injection plane of the transport: kill schedules, runners
-//! and report.
+//! The fault-injection plane of the transport: kill schedules, the
+//! runner, the verdict and the report.
 //!
 //! Runs the full multi-process loopback round under two fault sources
 //! — scheduled process kills (a [`ChaosPlan`], this module) and link
@@ -8,7 +8,8 @@
 //! server) — and checks the paper's robustness invariant: every run
 //! must end in the bit-identical released histogram with a valid
 //! certificate, or a typed failure. Never a hang, never a silently
-//! wrong answer. Both sources report through one [`ChaosOutcome`].
+//! wrong answer. Both sources run through one [`run_chaos`] and report
+//! through one [`ChaosOutcome`].
 //!
 //! Three kill mechanisms cover the interesting crash points:
 //!
@@ -22,13 +23,12 @@
 //! * plain `SIGKILL` of device / origin / committee processes at
 //!   scheduled wall-clock offsets.
 //!
-//! [`Supervised`] is the *single* restart mechanism and [`RoundTree`]
-//! the single launcher (both [`crate::round`]'s): the ordinary driver and
-//! the chaos supervisor both spawn, name and respawn the round's children
-//! through them.
+//! This module only plans and judges: the round is launched, supervised
+//! and relaunched by [`crate::round`]'s one supervision loop — the one
+//! the ordinary driver runs — which takes the plan as plain data.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mycelium::exec::NoisyGroup;
 use mycelium::params::SystemParams;
@@ -39,10 +39,9 @@ use mycelium_sharing::threshold::derive_joint_noise;
 
 use crate::error::NetError;
 use crate::netchaos::{reconcile, FaultLedger, NetFaultPlan, NetProfile};
-use crate::proto::NetMsg;
 use crate::round::{
-    build_setup, client_names, decode_outcome, files, role, HubClient, RoundSetup, RoundSpec,
-    RoundTree, Supervised,
+    build_setup, client_names, decode_outcome, files, supervise, End, KillSchedule, RoundSetup,
+    RoundSpec,
 };
 
 // ---------------------------------------------------------------------------
@@ -101,8 +100,8 @@ pub struct RoleKill {
     pub at: Duration,
 }
 
-/// A full kill schedule for one chaos run.
-#[derive(Debug, Clone)]
+/// A full kill schedule for one chaos run (the default kills nothing).
+#[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     /// The seed the schedule was derived from (reported, for replay).
     pub seed: u64,
@@ -249,15 +248,26 @@ impl ChaosPlan {
         }
     }
 
-    /// The deaths scheduled for child `name`, in arming order: none
-    /// unless it is a journaled server (`aggregator`, `shard-N`).
-    fn kills_for(&self, name: &str) -> Vec<AggKill> {
-        if name == "aggregator" {
-            return self.agg_kills.clone();
+    /// The plan as the supervision loop takes it: each journaled server's
+    /// deaths as the arguments its successive incarnations launch with,
+    /// each role kill as a `SIGKILL` offset of its child.
+    fn schedule(&self) -> KillSchedule {
+        let mut schedule = KillSchedule::new();
+        let mut arm = |name: String, kill: &AggKill| {
+            let armed = &mut schedule.entry(name).or_default().armed;
+            armed.push((kill.to_args(), kill.to_string()));
+        };
+        self.agg_kills
+            .iter()
+            .for_each(|kill| arm("aggregator".into(), kill));
+        for (s, kill) in &self.shard_kills {
+            arm(format!("shard-{s}"), kill);
         }
-        let shard = name.strip_prefix("shard-").and_then(|s| s.parse().ok());
-        let on_shard = self.shard_kills.iter().filter(|(s, _)| Some(*s) == shard);
-        on_shard.map(|(_, kill)| kill.clone()).collect()
+        for kill in &self.role_kills {
+            let planned = schedule.entry(kill.name.clone()).or_default();
+            planned.sigkill_at.push(kill.at);
+        }
+        schedule
     }
 }
 
@@ -412,20 +422,16 @@ fn judge_outcome(out_dir: &Path, setup: &RoundSetup) -> ChaosVerdict {
         return ChaosVerdict::TypedFailure;
     };
     let (want_exact, want_released) = reference_result(setup);
-    let exact_ok = outcome.exact.groups.len() == want_exact.groups.len()
-        && outcome
-            .exact
-            .groups
-            .iter()
-            .zip(&want_exact.groups)
-            .all(|(a, b)| a.label == b.label && a.histogram == b.histogram);
-    let released_ok = outcome.released.len() == want_released.len()
-        && outcome
-            .released
-            .iter()
-            .zip(&want_released)
-            .all(|(a, b)| a.label == b.label && a.histogram == b.histogram);
-    if !(exact_ok && released_ok) {
+    // Bit-identical: each group's label and histogram, in order.
+    let exact = outcome
+        .exact
+        .groups
+        .iter()
+        .map(|g| (&g.label, &g.histogram));
+    let released = outcome.released.iter().map(|g| (&g.label, &g.histogram));
+    let want_exact = want_exact.groups.iter().map(|g| (&g.label, &g.histogram));
+    let want_released = want_released.iter().map(|g| (&g.label, &g.histogram));
+    if !exact.eq(want_exact) || !released.eq(want_released) {
         return ChaosVerdict::WrongAnswer;
     }
     // A successful round must also carry its proof: the certificate
@@ -443,18 +449,14 @@ fn judge_outcome(out_dir: &Path, setup: &RoundSetup) -> ChaosVerdict {
     ChaosVerdict::Exact
 }
 
-/// The link-fault plan the spec's profile stands for (the empty plan
-/// without one) — what every server's proxy replays.
-fn link_plan(setup: &RoundSetup) -> NetFaultPlan {
-    let profile = setup.spec.net.unwrap_or(NetProfile::Seeded(0));
-    NetFaultPlan::derive(&profile, setup)
-}
-
-/// Runs one chaos round: executes the full multi-process round under
-/// the plan's kill schedule, respawning every victim (a server recovers
-/// by journal replay; other roles recover by re-pulling and idempotent
-/// re-pushing), and judges the end state against the fault-free
-/// reference.
+/// Runs one chaos round through the round's one supervision loop: the
+/// full multi-process round under `plan`'s kill schedule (the empty plan
+/// for a link-fault run) and `spec.net`'s link faults (`None` for a kill
+/// run). Every victim is relaunched by the one respawn rule — a server
+/// recovers by journal replay, the other roles by re-pulling and
+/// idempotent re-pushing — and the end state is judged against the
+/// fault-free reference; an exact run without kills then reconciles its
+/// fired link faults against the transport counters.
 pub fn run_chaos(
     exe: &Path,
     spec: &RoundSpec,
@@ -467,221 +469,30 @@ pub fn run_chaos(
     let _ = std::fs::remove_dir_all(out_dir);
     std::fs::create_dir_all(out_dir)?;
     let setup = build_setup(spec)?;
-    let started = Instant::now();
-    let mut kills: Vec<String> = Vec::new();
-
-    // Each server's incarnation i (1-based) is armed with its i-th
-    // planned kill; every other crashed role is respawned clean.
-    let mut tree = RoundTree::launch(exe, &setup, out_dir, |name| {
-        let first_kill = plan.kills_for(name).first().map(AggKill::to_args);
-        (first_kill.unwrap_or_default(), 8)
-    })?;
-    // How the kill log names a server's incarnations: bare for the
-    // aggregator, `shard N ` for a shard.
-    let log_prefix = |server: &str| match server.strip_prefix("shard-") {
-        Some(shard) => format!("shard {shard} "),
-        None => String::new(),
+    let schedule = plan.schedule();
+    let run = supervise(exe, &setup, out_dir, &schedule)?;
+    let verdict = match run.end {
+        End::Timeout => ChaosVerdict::Hang,
+        End::GaveUp => ChaosVerdict::TypedFailure,
+        End::Over => judge_outcome(out_dir, &setup),
     };
-    let mut armed: Vec<(Vec<AggKill>, u32)> = Vec::new();
-    for server in &tree.servers {
-        let planned = plan.kills_for(&server.name);
-        if let Some(kill) = planned.first() {
-            let who = log_prefix(&server.name);
-            kills.push(format!("{who}incarnation 1 armed: {kill}"));
-        }
-        armed.push((planned, 1));
-    }
-
-    enum Exit {
-        AggDone,
-        GaveUp,
-        Timeout,
-    }
-
-    let mut role_fired = vec![false; plan.role_kills.len()];
-    let mut driver = HubClient::new(&setup, role::DRIVER, tree.addr, out_dir);
-    let mut finished = false;
-    let exit = 'round: loop {
-        if started.elapsed() >= spec.round_timeout {
-            break Exit::Timeout;
-        }
-        // Scheduled role SIGKILLs.
-        for (idx, rk) in plan.role_kills.iter().enumerate() {
-            if !role_fired[idx] && started.elapsed() >= rk.at {
-                role_fired[idx] = true;
-                if let Some(cp) = tree.clients.iter_mut().find(|c| c.name == rk.name) {
-                    if cp.kill()? {
-                        kills.push(format!("SIGKILL {} at {:?}", rk.name, rk.at));
-                    } else {
-                        kills.push(format!("{} already exited before {:?}", rk.name, rk.at));
-                    }
-                }
-            }
-        }
-        // Server supervision: a dead incarnation — coordinator or shard
-        // — is respawned with its next scheduled kill armed (clean once
-        // its plan runs out) and recovers by replaying its own journal.
-        // A shard that exits cleanly stays down: the coordinator
-        // already holds its sealed root.
-        for (server, (planned, incarnations)) in tree.servers.iter_mut().zip(&mut armed) {
-            let Some(status) = server.try_exit()? else {
-                continue;
-            };
-            let is_agg = server.name == "aggregator";
-            if status.success() {
-                if is_agg {
-                    break 'round Exit::AggDone;
-                }
-                continue;
-            }
-            let who = log_prefix(&server.name);
-            // An incarnation that keeps dying on recovery (a typed
-            // replay failure, say) must not respawn forever: a small
-            // allowance past the scheduled kills turns persistent death
-            // into a typed verdict.
-            if *incarnations >= planned.len() as u32 + 4 {
-                kills.push(format!(
-                    "giving up: {who}incarnation {incarnations} died with {status}"
-                ));
-                break 'round Exit::GaveUp;
-            }
-            let next = planned.get(*incarnations as usize);
-            *incarnations += 1;
-            let arming = next.map_or("clean".to_string(), |kill| format!("armed: {kill}"));
-            kills.push(format!(
-                "{who}incarnation {incarnations} respawned after {status}, {arming}"
-            ));
-            let kill_args = next.map(AggKill::to_args).unwrap_or_default();
-            server.respawn_with_args(tree.cmd.of(&server.name, kill_args))?;
-            if is_agg {
-                server.read_banner()?;
-                // `driver_seen` is liveness state, not journaled: a
-                // fresh incarnation needs to observe our poll again
-                // before it can exit.
-                finished = false;
-            }
-        }
-        // Every other crashed role is respawned through the same
-        // mechanism the ordinary driver uses.
-        for cp in tree.clients.iter_mut() {
-            cp.watch()?;
-        }
-        // Single-attempt status poll (a live aggregator holds it for at
-        // most a poll period, a dead one fails it: this loop must keep
-        // supervising while the aggregator is down). Once the round
-        // reports finished the poller goes quiet; the aggregator closes
-        // the idle session when it exits.
-        if !finished {
-            if let Ok(NetMsg::Finished) = driver.poll_once(&setup, &NetMsg::PullStatus) {
-                finished = true;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(30));
-    };
-
-    // Drain: give children a grace window to exit on their own, then
-    // reap whatever is left so the run never leaks processes.
-    let grace = Instant::now() + Duration::from_secs(15);
-    let abandon = matches!(exit, Exit::Timeout | Exit::GaveUp);
-    loop {
-        let mut alive = false;
-        for cp in tree.clients.iter_mut().chain(&mut tree.servers[1..]) {
-            alive |= cp.try_exit()?.is_none();
-        }
-        if !alive || Instant::now() >= grace || abandon {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    for cp in tree.clients.iter_mut().chain(tree.servers.iter_mut().rev()) {
-        let _ = cp.kill();
-    }
-
-    let verdict = match exit {
-        Exit::Timeout => ChaosVerdict::Hang,
-        Exit::GaveUp => ChaosVerdict::TypedFailure,
-        Exit::AggDone => judge_outcome(out_dir, &setup),
+    // What every server's proxy replays: the empty plan without a profile.
+    let links = NetFaultPlan::derive(&spec.net.unwrap_or(NetProfile::Seeded(0)), &setup);
+    // Kills cost retries of their own, so the link-fault identities only
+    // hold on runs without them.
+    let reconciled = if verdict == ChaosVerdict::Exact && schedule.is_empty() {
+        reconcile(out_dir, spec, &links)
+    } else {
+        "skipped".into()
     };
     Ok(ChaosOutcome {
         seed: plan.seed,
         drill,
         shards: spec.agg_shards,
         verdict,
-        agg_incarnations: armed[0].1,
-        kills,
-        injected: link_plan(&setup).injected(),
-        // Kills cost retries of their own, so the link-fault identities
-        // only hold on runs without them.
-        reconciled: "skipped".into(),
-    })
-}
-
-/// Runs one net-chaos round: spawns the ordinary driver (every server
-/// self-wraps in a [`ChaosProxy`](crate::netchaos::ChaosProxy) because
-/// the profile rides in the spec's CLI rendering), watchdogs it against
-/// the round timeout, and judges the end state exactly as
-/// [`run_chaos`] does — then reconciles fired faults against transport
-/// counters on exact runs. `spec.net` must be set.
-pub fn run_netchaos(
-    exe: &Path,
-    spec: &RoundSpec,
-    out_dir: &Path,
-) -> Result<ChaosOutcome, NetError> {
-    let profile = spec
-        .net
-        .ok_or_else(|| NetError::Supervision("run_netchaos needs spec.net".into()))?;
-    // Always a fresh round: stale journals or address files would be
-    // replayed as protocol state.
-    let _ = std::fs::remove_dir_all(out_dir);
-    std::fs::create_dir_all(out_dir)?;
-    let setup = build_setup(spec)?;
-    let plan = link_plan(&setup);
-
-    let mut args = vec!["driver".to_string()];
-    args.extend(spec.to_args());
-    args.extend(["--out".to_string(), out_dir.display().to_string()]);
-    let mut driver = Supervised::spawn(exe, "net-driver", args, false)?;
-    let deadline = Instant::now() + spec.round_timeout + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = driver.try_exit()? {
-            break Some(status);
-        }
-        if Instant::now() >= deadline {
-            let _ = driver.kill();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    let verdict = match status {
-        None => ChaosVerdict::Hang,
-        Some(status) => {
-            let v = judge_outcome(out_dir, &setup);
-            if v == ChaosVerdict::Hang && !status.success() {
-                // The driver exited nonzero before an outcome landed:
-                // a typed failure surfaced through the process tree,
-                // not a hang.
-                ChaosVerdict::TypedFailure
-            } else {
-                v
-            }
-        }
-    };
-    let reconciled = if verdict == ChaosVerdict::Exact {
-        reconcile(out_dir, spec, &plan)
-    } else {
-        "skipped".into()
-    };
-    Ok(ChaosOutcome {
-        seed: match profile {
-            NetProfile::Seeded(seed) => seed,
-            NetProfile::Drill => spec.seed,
-        },
-        drill: profile == NetProfile::Drill,
-        shards: spec.agg_shards,
-        verdict,
-        agg_incarnations: 1,
-        kills: Vec::new(),
-        injected: plan.injected(),
+        agg_incarnations: run.agg_incarnations,
+        kills: run.log,
+        injected: links.injected(),
         reconciled,
     })
 }
@@ -692,11 +503,21 @@ mod tests {
 
     #[test]
     fn only_journaled_servers_are_armed_with_kills() {
-        let plan = ChaosPlan::drill_sharded();
-        assert_eq!(plan.kills_for("aggregator").len(), 2);
-        assert_eq!(plan.kills_for("shard-0").len(), 1);
-        assert!(plan.kills_for("shard-1").is_empty());
-        assert!(plan.kills_for("device-0").is_empty());
+        let schedule = ChaosPlan::drill_sharded().schedule();
+        assert_eq!(schedule["aggregator"].armed.len(), 2);
+        assert_eq!(schedule["shard-0"].armed.len(), 1);
+        assert!(!schedule.contains_key("shard-1"));
+        assert!(!schedule.contains_key("device-0"));
+        // A role kill is a `SIGKILL` offset, never launch arguments.
+        let at = Duration::from_millis(700);
+        let name = "device-3".to_string();
+        let plan = ChaosPlan {
+            role_kills: vec![RoleKill { name, at }],
+            ..ChaosPlan::default()
+        };
+        let schedule = plan.schedule();
+        assert!(schedule["device-3"].armed.is_empty());
+        assert_eq!(schedule["device-3"].sigkill_at, [at]);
     }
 
     #[test]

@@ -21,15 +21,19 @@
 //!
 //! Role flags: `--out DIR --shard I --member M --addr HOST:PORT`.
 //!
-//! Fault-injection flags: `--crash-after K --crash-origin J` (origin
-//! self-crash, driver watchdog respawn), `--die-after KIND:N` and
-//! `--die-mid-journal N` (aggregator/shard chaos kills), `--seeds a,b,c`
-//! (chaos seed matrix).
+//! Fault-injection flags: `--crash-after K --crash-origin J` (the driver
+//! arms origin shard J to exit after K submissions and relaunches it
+//! clean), `--die-after KIND:N` and `--die-mid-journal N` (an aggregator or
+//! shard aborts after its `N`th handled `KIND` request or mid-write of its
+//! `N`th journal record; `N` counts from 1 and `KIND` is one of
+//! [`NetMsg::REQUEST_KINDS`] — a kill that could never fire is refused),
+//! `--seeds a,b,c` (chaos seed matrix).
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use crate::proto::NetMsg;
 use crate::round::{
     run_aggregator, run_committee, run_device, run_driver, run_origin, run_shard, AggFaults,
     BudgetCfg, DriverOpts, RoundSpec,
@@ -52,10 +56,9 @@ pub struct Args {
     pub crash_after: Option<usize>,
     /// Which origin shard the driver arms with `--crash-after`.
     pub crash_origin: Option<usize>,
-    /// Aggregator: abort after the Nth handled message of a kind.
-    pub die_after: Option<(String, u32)>,
-    /// Aggregator: abort mid-write of the Nth journal record.
-    pub die_mid_journal: Option<u32>,
+    /// Aggregator / shard: the chaos kills `--die-after` and
+    /// `--die-mid-journal` arm.
+    pub faults: AggFaults,
     /// Chaos seed matrix.
     pub seeds: Vec<u64>,
 }
@@ -70,8 +73,7 @@ pub fn parse_args(rest: &[String]) -> Result<Args, String> {
         addr: None,
         crash_after: None,
         crash_origin: None,
-        die_after: None,
-        die_mid_journal: None,
+        faults: AggFaults::default(),
         seeds: Vec::new(),
     };
     let mut it = rest.iter();
@@ -129,9 +131,15 @@ pub fn parse_args(rest: &[String]) -> Result<Args, String> {
                 let (kind, count) = v
                     .split_once(':')
                     .ok_or_else(|| format!("--die-after wants KIND:N, got {v:?}"))?;
-                args.die_after = Some((kind.to_string(), parse(count)?));
+                if !NetMsg::REQUEST_KINDS.contains(&kind) {
+                    return Err(DeadKill::UnknownKind(kind.to_string()).to_string());
+                }
+                args.faults.die_after = Some((kind.to_string(), kill_count("--die-after", count)?));
             }
-            "--die-mid-journal" => args.die_mid_journal = Some(parse(value("--die-mid-journal")?)?),
+            "--die-mid-journal" => {
+                let count = value("--die-mid-journal")?;
+                args.faults.die_mid_journal = Some(kill_count("--die-mid-journal", count)?);
+            }
             "--seeds" => {
                 args.seeds = value("--seeds")?
                     .split(',')
@@ -142,6 +150,39 @@ pub fn parse_args(rest: &[String]) -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// A kill flag that could never fire.
+#[derive(Debug)]
+enum DeadKill {
+    /// A count of 0 under this flag: counts are incremented before they
+    /// are compared.
+    Zero(&'static str),
+    /// A `--die-after` kind that no server handles.
+    UnknownKind(String),
+}
+
+impl std::fmt::Display for DeadKill {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeadKill::Zero(flag) => write!(f, "{flag} counts from 1: a count of 0 never fires"),
+            DeadKill::UnknownKind(kind) => {
+                let kinds = NetMsg::REQUEST_KINDS.join(", ");
+                write!(
+                    f,
+                    "--die-after: no server handles {kind:?} (kinds: {kinds})"
+                )
+            }
+        }
+    }
+}
+
+/// A kill flag's count, which must be able to fire.
+fn kill_count(flag: &'static str, s: &str) -> Result<u32, String> {
+    match parse(s)? {
+        0 => Err(DeadKill::Zero(flag).to_string()),
+        n => Ok(n),
+    }
 }
 
 /// The `--budget-*` flags arrive piecemeal; the first one materializes
@@ -162,54 +203,64 @@ where
     s.parse().map_err(|e| format!("bad value {s:?}: {e}"))
 }
 
-fn addr_of(args: &Args) -> Result<SocketAddr, String> {
-    args.addr.ok_or_else(|| "--addr is required".into())
-}
-
 /// Runs one of the standard roles. Returns `None` for an unknown
 /// role word so the calling binary can layer its own modes on top.
 pub fn dispatch(role: &str, args: &Args) -> Option<Result<(), String>> {
-    let result = match role {
+    match role {
+        "driver" | "aggregator" | "shard" | "device" | "origin" | "committee" => {
+            Some(run_role(role, args))
+        }
+        _ => None,
+    }
+}
+
+fn run_role(role: &str, args: &Args) -> Result<(), String> {
+    let (spec, out) = (&args.spec, &args.out);
+    let addr = || args.addr.ok_or_else(|| "--addr is required".to_string());
+    let ran = match role {
         "driver" => {
-            let exe = match std::env::current_exe() {
-                Ok(exe) => exe,
-                Err(e) => return Some(Err(e.to_string())),
-            };
+            let exe = std::env::current_exe().map_err(|e| e.to_string())?;
             let opts = DriverOpts {
                 crash_origin: args.crash_origin.zip(args.crash_after.or(Some(0))),
             };
-            run_driver(&exe, &args.spec, &args.out, &opts)
+            run_driver(&exe, spec, out, &opts)
         }
-        "aggregator" => {
-            let faults = AggFaults {
-                die_after: args.die_after.clone(),
-                die_mid_journal: args.die_mid_journal,
-            };
-            run_aggregator(&args.spec, &args.out, &faults)
-        }
-        "shard" => {
-            let faults = AggFaults {
-                die_after: args.die_after.clone(),
-                die_mid_journal: args.die_mid_journal,
-            };
-            match addr_of(args) {
-                Ok(addr) => run_shard(&args.spec, args.shard, addr, &args.out, &faults),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        "device" => match addr_of(args) {
-            Ok(addr) => run_device(&args.spec, args.shard, addr, &args.out),
-            Err(e) => return Some(Err(e)),
-        },
-        "origin" => match addr_of(args) {
-            Ok(addr) => run_origin(&args.spec, args.shard, addr, &args.out, args.crash_after),
-            Err(e) => return Some(Err(e)),
-        },
-        "committee" => match addr_of(args) {
-            Ok(addr) => run_committee(&args.spec, args.member, addr, &args.out),
-            Err(e) => return Some(Err(e)),
-        },
-        _ => return None,
+        "aggregator" => run_aggregator(spec, out, &args.faults),
+        "shard" => run_shard(spec, args.shard, addr()?, out, &args.faults),
+        "device" => run_device(spec, args.shard, addr()?, out),
+        "origin" => run_origin(spec, args.shard, addr()?, out, args.crash_after),
+        "committee" => run_committee(spec, args.member, addr()?, out),
+        other => unreachable!("dispatch checked the role word {other:?}"),
     };
-    Some(result.map_err(|e| e.to_string()))
+    ran.map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(flags: &[&str]) -> Result<Args, String> {
+        parse_args(&flags.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn kill_flags_that_could_never_fire_are_refused() {
+        for flags in [["--die-after", "PushContrib:0"], ["--die-mid-journal", "0"]] {
+            let zero = DeadKill::Zero(flags[0]).to_string();
+            assert_eq!(parsed(&flags).err(), Some(zero));
+        }
+        for kind in ["PushContrb", "Ack", ""] {
+            let unknown = DeadKill::UnknownKind(kind.into()).to_string();
+            assert!(NetMsg::REQUEST_KINDS.iter().all(|k| unknown.contains(k)));
+            let flags = ["--die-after", &format!("{kind}:3")];
+            assert_eq!(parsed(&flags).err(), Some(unknown));
+        }
+        // Every request kind, and a count from 1, arms a kill.
+        for kind in NetMsg::REQUEST_KINDS {
+            let args = parsed(&["--die-after", &format!("{kind}:2")]).expect("a live kill");
+            assert_eq!(args.faults.die_after, Some((kind.to_string(), 2)));
+        }
+        let args = parsed(&["--die-mid-journal", "1"]).expect("a live kill");
+        assert_eq!(args.faults.die_mid_journal, Some(1));
+    }
 }

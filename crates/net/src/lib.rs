@@ -28,10 +28,10 @@
 //!   the exact pre-crash state.
 //! * [`round`] — the multi-process round itself: aggregator server,
 //!   device/origin/committee client roles, and the driver that spawns
-//!   and supervises them ([`Supervised`]).
+//!   them and runs the one loop that supervises them.
 //! * [`chaos`] — the fault-injection plane behind the `chaos_round`
-//!   binary: the kill schedules ([`ChaosPlan`]), the runners for both fault
-//!   sources, and the one verdict and report ([`ChaosOutcome`]) that
+//!   binary: the kill schedules ([`ChaosPlan`]), the one runner for both
+//!   fault sources, and the one verdict and report ([`ChaosOutcome`]) that
 //!   check the round still ends in a bit-identical histogram or a typed
 //!   failure.
 //! * [`cli`] — flag parsing and role dispatch shared by the
@@ -67,7 +67,7 @@ pub use error::NetError;
 pub use journal::{Journal, JournalError};
 pub use metrics::NetMetrics;
 pub use netchaos::{ChaosProxy, NetFaultPlan, NetProfile};
-pub use round::{RoundSetup, RoundSpec, Supervised};
+pub use round::{RoundSetup, RoundSpec};
 pub use server::{Handler, Server, ServerConfig};
 
 // Re-exported so doc links and downstream users name one source of truth.

@@ -175,6 +175,21 @@ fn get_row(r: &mut Reader, cc: &CodecCtx) -> Result<OriginRow, NetError> {
 }
 
 impl NetMsg {
+    /// The [`kind`](Self::kind)s a server handles: the requests (every
+    /// other kind is a reply).
+    pub const REQUEST_KINDS: [&'static str; 10] = [
+        "PushContrib",
+        "PullOrigin",
+        "PullReady",
+        "SubmitOrigin",
+        "CommitteeCheckIn",
+        "PushShare",
+        "PullStatus",
+        "ShardRoot",
+        "PullShardStatus",
+        "PushCertSig",
+    ];
+
     /// Stable label for metrics attribution.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -473,6 +488,9 @@ mod tests {
             let kind = msg.kind();
             let back = NetMsg::decode(&msg.encode(), &cc).unwrap();
             assert_eq!(back.kind(), kind);
+            // Requests are tagged below 16 on the wire, replies from 16.
+            let request = msg.encode()[0] < 16;
+            assert_eq!(NetMsg::REQUEST_KINDS.contains(&kind), request, "{kind}");
         }
     }
 

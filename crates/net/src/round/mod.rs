@@ -32,11 +32,13 @@
 //! * **Committee processes** ask `CommitteeCheckIn` (carrying their
 //!   joint-noise seed) and are handed a `CommitteeShareTask` once the
 //!   participant set is agreed, then a `CertSignTask`.
-//! * **The driver** spawns everyone, watches child exits (respawning a
-//!   crashed origin once — all protocol state lives at the aggregator,
-//!   so a respawned origin recovers by pulling, and is handed only the
-//!   rows nobody has submitted), asks `PullStatus`,
-//!   and merges every process's wire metrics into one JSON artifact.
+//! * **The driver** spawns everyone and runs the one supervision loop:
+//!   a child that dies before the round's outcome is written is relaunched
+//!   (all protocol state lives at the aggregator, so a respawned origin
+//!   recovers by pulling, and is handed only the rows nobody has
+//!   submitted; a respawned server replays its journal), it asks
+//!   `PullStatus`, and merges every process's wire metrics into one JSON
+//!   artifact.
 //!
 //! ## Durability
 //!
@@ -48,8 +50,9 @@
 //! aggregator replays the journal, rebuilds bit-identical state
 //! (verified against embedded state-digest checkpoints), rebinds a
 //! fresh port, and publishes it via the `agg.addr` file; clients
-//! re-resolve the address whenever their retries exhaust. The chaos
-//! supervisor in [`super::chaos`] exercises exactly this path.
+//! re-resolve the address whenever their retries exhaust. The
+//! fault-injection harness in [`super::chaos`] exercises exactly this path
+//! through the driver's own supervision loop.
 //!
 //! ## Determinism
 //!
@@ -72,7 +75,8 @@
 //!   replies), [`run_aggregator`] and [`run_shard`].
 //! * `clients` — the links to it, [`run_device`] / [`run_origin`] /
 //!   [`run_committee`]; they name no server state.
-//! * `driver` — the process tree ([`Supervised`]) and [`run_driver`].
+//! * `driver` — the process tree, the one supervision loop and
+//!   [`run_driver`].
 //!
 //! `spec ← agg ← serve` and `spec ← clients ← driver`; a shard is also the
 //! coordinator's client, so `serve` uses `clients`. No edge runs back.
@@ -86,10 +90,9 @@ mod serve;
 mod spec;
 
 pub use agg::{AggFaults, AggState};
-pub(crate) use clients::HubClient;
 pub use clients::{run_committee, run_device, run_origin};
-pub(crate) use driver::{client_names, RoundTree};
-pub use driver::{run_driver, DriverOpts, Supervised};
+pub(crate) use driver::{client_names, supervise, End, KillSchedule};
+pub use driver::{run_driver, DriverOpts};
 pub use serve::{run_aggregator, run_shard, SharedAgg};
 pub use spec::{
     build_population, build_setup, decode_outcome, encode_outcome, files, read_addr_file,

@@ -1,4 +1,4 @@
-//! Chaos supervisor for the multi-process query round.
+//! Fault-injection matrices for the multi-process query round.
 //!
 //! ```text
 //! chaos_round chaos [round args] --out DIR --seeds 1,2,3,...
@@ -34,17 +34,20 @@
 //! summation, reset storm during committee decryption — and must end
 //! exact.
 //!
-//! All four are one matrix loop over one report shape (DESIGN.md
-//! "Fault injection"); wall-clock durations go to stderr, never into
-//! the artifacts.
+//! All four are one matrix loop over one runner
+//! ([`run_chaos`](mycelium_net::chaos::run_chaos), in this process, on the
+//! round's one supervision loop — the ordinary driver's) and one report
+//! shape (DESIGN.md "Fault injection"); the fault source only picks the
+//! plan (process kills, or none with `spec.net` set) and the report file.
+//! Wall-clock durations go to stderr, never into the artifacts.
 //!
 //! Any other role word (`aggregator`, `device`, …) dispatches through
-//! the shared CLI layer — the supervisor re-execs this same binary for
-//! every child process.
+//! the shared CLI layer — the supervision loop re-execs this same binary
+//! for every child process.
 
 use std::time::{Duration, Instant};
 
-use mycelium_net::chaos::{report_json, run_chaos, run_netchaos, ChaosPlan, ChaosVerdict};
+use mycelium_net::chaos::{report_json, run_chaos, ChaosPlan, ChaosVerdict};
 use mycelium_net::cli::{self, Args};
 use mycelium_net::netchaos::NetProfile;
 use mycelium_net::round::files;
@@ -84,7 +87,7 @@ fn run_matrix(args: &Args, source: Source, drill: bool) -> Result<(), String> {
     for &seed in &seeds {
         let mut spec = base.clone();
         let started = Instant::now();
-        let outcome = match source {
+        let (plan, dir) = match source {
             Source::Kills => {
                 spec.seed = seed;
                 let plan = match (drill, spec.agg_shards > 1) {
@@ -105,13 +108,7 @@ fn run_matrix(args: &Args, source: Source, drill: bool) -> Result<(), String> {
                     plan.role_kills.len(),
                     plan.shard_kills.len()
                 );
-                run_chaos(
-                    &exe,
-                    &spec,
-                    &args.out.join(format!("seed-{seed}")),
-                    &plan,
-                    drill,
-                )
+                (plan, format!("seed-{seed}"))
             }
             Source::Links => {
                 let (profile, dir) = if drill {
@@ -124,10 +121,15 @@ fn run_matrix(args: &Args, source: Source, drill: bool) -> Result<(), String> {
                     "chaos_round: {dir} ({} shard(s)): {:?}",
                     spec.agg_shards, profile
                 );
-                run_netchaos(&exe, &spec, &args.out.join(dir))
+                let plan = ChaosPlan {
+                    seed,
+                    ..ChaosPlan::default()
+                };
+                (plan, dir)
             }
-        }
-        .map_err(|e| e.to_string())?;
+        };
+        let outcome =
+            run_chaos(&exe, &spec, &args.out.join(dir), &plan, drill).map_err(|e| e.to_string())?;
         eprintln!(
             "chaos_round: seed {seed}: verdict {} after {} aggregator incarnation(s) in {} ms, \
              reconciled {}",

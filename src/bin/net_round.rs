@@ -18,7 +18,7 @@
 //! proves the chaos plane costs zero bytes when idle.
 //!
 //! Flag parsing and role dispatch live in `mycelium_net::cli`, shared
-//! with the `chaos_round` supervisor binary.
+//! with the `chaos_round` binary.
 
 use mycelium_net::cli;
 

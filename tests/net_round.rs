@@ -9,6 +9,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::Duration;
 
 use mycelium::params::SystemParams;
 use mycelium::{run_query_encrypted, run_query_simulated, SimNetConfig};
@@ -20,8 +21,9 @@ use mycelium_net::client::FRAME_OVERHEAD;
 use mycelium_net::codec::ciphertext_encoded_bytes;
 use mycelium_net::metrics::NetMetrics;
 use mycelium_net::round::{
-    build_population, build_setup, decode_outcome, files, BudgetCfg, RoundSpec, BATCH,
+    build_population, build_setup, decode_outcome, files, BudgetCfg, DriverOpts, RoundSpec, BATCH,
 };
+use mycelium_net::NetError;
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::evaluate;
@@ -457,5 +459,32 @@ fn crashed_origin_is_respawned_and_round_still_exact() {
         sim_certificate(&spec),
         "crash recovery must not perturb the certificate"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_driver_past_its_round_timeout_fails_typed_and_leaves_no_process() {
+    // A round timeout that passes while the tree is still being launched:
+    // the one supervision loop ends the run with a typed `Supervision`
+    // error, and has killed and reaped the whole tree by the time it
+    // returns.
+    let spec = RoundSpec {
+        round_timeout: Duration::from_millis(1),
+        ..test_spec()
+    };
+    let dir = out_dir("timeout");
+    let exe = Path::new(env!("CARGO_BIN_EXE_net_round"));
+    match mycelium_net::round::run_driver(exe, &spec, &dir, &DriverOpts::default()) {
+        Err(NetError::Supervision(why)) => assert!(why.contains("did not end"), "{why}"),
+        other => panic!("expected a Supervision error, got {other:?}"),
+    }
+    let named = dir.to_str().unwrap();
+    let alive: Vec<String> = std::fs::read_dir("/proc")
+        .unwrap()
+        .filter_map(|entry| std::fs::read(entry.ok()?.path().join("cmdline")).ok())
+        .map(|cmdline| String::from_utf8_lossy(&cmdline).replace('\0', " "))
+        .filter(|cmdline| cmdline.contains(named))
+        .collect();
+    assert!(alive.is_empty(), "processes left behind: {alive:#?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
