@@ -409,4 +409,35 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(NetMetrics::decode(&[1, 2, 3]).is_err());
     }
+
+    #[test]
+    fn map_keys_out_of_order_or_repeated_are_not_canonical() {
+        let mut m = NetMetrics::default();
+        m.note_sent("Ack", 1, 37);
+        m.note_sent("Bye", 2, 38);
+        m.note_latency("Ack", 5);
+        m.note_latency("Bye", 6);
+        let bytes = m.encode();
+        assert_eq!(NetMetrics::decode(&bytes).unwrap().encode(), bytes);
+        let with_keys = |first: &[u8], second: &[u8]| {
+            let (mut out, mut rest) = (Vec::new(), &bytes[..]);
+            for (old, new) in [(b"Ack", first), (b"Bye", second)].into_iter().cycle().take(4) {
+                let at = rest.windows(3).position(|w| w == old).unwrap();
+                out.extend_from_slice(&rest[..at]);
+                out.extend_from_slice(new);
+                rest = &rest[at + 3..];
+            }
+            out.extend_from_slice(rest);
+            out
+        };
+        assert_eq!(with_keys(b"Ack", b"Bye"), bytes);
+        // Swapped keys would decode into the same maps and re-encode sorted;
+        // a repeated key would overwrite its first value.
+        for mauled in [with_keys(b"Bye", b"Ack"), with_keys(b"Ack", b"Ack")] {
+            assert!(matches!(
+                NetMetrics::decode(&mauled),
+                Err(NetError::Decode(_))
+            ));
+        }
+    }
 }

@@ -587,3 +587,47 @@ pub fn read_named_addr_file(out_dir: &Path, name: &str) -> Option<SocketAddr> {
 pub fn read_addr_file(out_dir: &Path) -> Option<SocketAddr> {
     read_named_addr_file(out_dir, files::AGG_ADDR)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mycelium_query::eval::GroupResult;
+
+    #[test]
+    fn outcome_counts_are_bounded_and_trailing_bytes_rejected() {
+        let ok = Ok(RoundOutcome {
+            exact: PlainResult {
+                groups: vec![GroupResult {
+                    label: "all".into(),
+                    histogram: vec![3, 1],
+                    total_pairs: 4,
+                    total_clipped_sum: 1,
+                }],
+            },
+            released: vec![NoisyGroup {
+                label: "all".into(),
+                histogram: vec![2, -1],
+            }],
+            rejected: vec![5],
+        });
+        for out in [ok, Err("refused".to_string())] {
+            let bytes = encode_outcome(&out);
+            let back = decode_outcome(&bytes).unwrap();
+            assert_eq!(encode_outcome(&back), bytes);
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(matches!(decode_outcome(&longer), Err(NetError::Decode(_))));
+        }
+        // Tag `Ok`, an empty exact result, then each count as `u32::MAX` in
+        // turn: a typed error, never an allocation sized by the claim.
+        // (Released groups, one group's histogram, rejected devices.)
+        let (ok_no_groups, max) = ([1u8, 0, 0, 0, 0], u32::MAX.to_le_bytes());
+        for claim in [
+            [&ok_no_groups[..], &max].concat(),
+            [&ok_no_groups[..], &[1, 0, 0, 0], &[0; 4], &max].concat(),
+            [&ok_no_groups[..], &[0; 4], &max].concat(),
+        ] {
+            assert!(matches!(decode_outcome(&claim), Err(NetError::Decode(_))));
+        }
+    }
+}
