@@ -2,7 +2,8 @@
 
 use mycelium_dp::composition::advanced_composition;
 
-use crate::codec::{Dec, Enc};
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
+
 use crate::{BudgetError, QueryCost};
 
 /// How a ledger composes the epsilons of its live (reserved or charged)
@@ -36,22 +37,24 @@ impl Composition {
     }
 
     /// Canonical encoding (part of the ledger digest).
-    pub fn encode(&self, e: &mut Enc) {
+    pub fn encode(&self, w: &mut Writer) {
         match self {
-            Composition::Basic => e.u8(0),
+            Composition::Basic => w.put_u8(0),
             Composition::Advanced { delta } => {
-                e.u8(1);
-                e.f64(*delta);
+                w.put_u8(1);
+                w.put_f64(*delta);
             }
         }
     }
 
     /// Strict decoding.
-    pub fn decode(d: &mut Dec) -> Result<Self, BudgetError> {
-        match d.u8()? {
+    pub fn decode(r: &mut Reader) -> Result<Self, BudgetError> {
+        match r.u8("composition")? {
             0 => Ok(Composition::Basic),
-            1 => Ok(Composition::Advanced { delta: d.f64()? }),
-            t => Err(BudgetError::Codec(format!("unknown composition tag {t}"))),
+            1 => Ok(Composition::Advanced {
+                delta: r.f64("delta")?,
+            }),
+            tag => CodecError::bad_tag("composition", tag),
         }
     }
 }
@@ -134,14 +137,19 @@ mod tests {
             .is_err());
         assert!(Composition::Basic.validate().is_ok());
         for c in [Composition::Basic, Composition::Advanced { delta: 1e-9 }] {
-            let mut e = Enc::new();
-            c.encode(&mut e);
-            let bytes = e.finish();
-            let mut d = Dec::new(&bytes);
-            assert_eq!(Composition::decode(&mut d).unwrap(), c);
-            d.end().unwrap();
+            let mut w = Writer::new();
+            c.encode(&mut w);
+            let bytes = w.finish();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(Composition::decode(&mut r).unwrap(), c);
+            r.end().unwrap();
         }
-        let mut d = Dec::new(&[9]);
-        assert!(Composition::decode(&mut d).is_err());
+        assert_eq!(
+            Composition::decode(&mut Reader::new(&[9])),
+            Err(BudgetError::Codec(CodecError::BadTag {
+                field: "composition",
+                tag: 9
+            }))
+        );
     }
 }

@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_crypto::sha256::{sha256, Digest};
 use mycelium_query::CostReport;
 
-use crate::codec::{Dec, Enc};
 use crate::compose::{composed_epsilon, Composition};
 use crate::BudgetError;
 
@@ -13,6 +13,8 @@ use crate::BudgetError;
 /// `1.0` charges despite floating-point summation (mirrors
 /// `PrivacyBudget::charge`).
 const EPS_TOLERANCE: f64 = 1e-12;
+/// Longest query name a record may carry (names, not payloads).
+const MAX_QUERY: usize = 1 << 16;
 
 /// The `(ε, δ, sensitivity)` price of one query release.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,17 +50,17 @@ impl QueryCost {
         Ok(())
     }
 
-    fn encode(&self, e: &mut Enc) {
-        e.f64(self.epsilon);
-        e.f64(self.delta);
-        e.f64(self.sensitivity);
+    fn encode(&self, w: &mut Writer) {
+        w.put_f64(self.epsilon);
+        w.put_f64(self.delta);
+        w.put_f64(self.sensitivity);
     }
 
-    fn decode(d: &mut Dec) -> Result<Self, BudgetError> {
+    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
         Ok(QueryCost {
-            epsilon: d.f64()?,
-            delta: d.f64()?,
-            sensitivity: d.f64()?,
+            epsilon: r.f64("epsilon")?,
+            delta: r.f64("delta")?,
+            sensitivity: r.f64("sensitivity")?,
         })
     }
 }
@@ -90,17 +92,17 @@ impl LedgerEntry {
         }
     }
 
-    fn encode(&self, e: &mut Enc) {
-        e.u32(self.round);
-        e.str(&self.query);
-        self.cost.encode(e);
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(self.round);
+        w.put_str(&self.query);
+        self.cost.encode(w);
     }
 
-    fn decode(d: &mut Dec) -> Result<Self, BudgetError> {
+    fn decode(r: &mut Reader) -> Result<Self, CodecError> {
         Ok(LedgerEntry {
-            round: d.u32()?,
-            query: d.str()?,
-            cost: QueryCost::decode(d)?,
+            round: r.u32("round")?,
+            query: r.str("query", MAX_QUERY)?,
+            cost: QueryCost::decode(r)?,
         })
     }
 }
@@ -164,43 +166,47 @@ impl LedgerOp {
 
     /// Canonical byte encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut w = Writer::new();
         match self {
             LedgerOp::Admit(entry) => {
-                e.u8(1);
-                entry.encode(&mut e);
+                w.put_u8(1);
+                entry.encode(&mut w);
             }
             LedgerOp::Charge { round } => {
-                e.u8(2);
-                e.u32(*round);
+                w.put_u8(2);
+                w.put_u32(*round);
             }
             LedgerOp::Refund { round } => {
-                e.u8(3);
-                e.u32(*round);
+                w.put_u8(3);
+                w.put_u32(*round);
             }
             LedgerOp::Refuse { entry, remaining } => {
-                e.u8(4);
-                entry.encode(&mut e);
-                e.f64(*remaining);
+                w.put_u8(4);
+                entry.encode(&mut w);
+                w.put_f64(*remaining);
             }
         }
-        e.finish()
+        w.finish()
     }
 
     /// Strict decoding (trailing bytes rejected).
     pub fn decode(bytes: &[u8]) -> Result<Self, BudgetError> {
-        let mut d = Dec::new(bytes);
-        let op = match d.u8()? {
-            1 => LedgerOp::Admit(LedgerEntry::decode(&mut d)?),
-            2 => LedgerOp::Charge { round: d.u32()? },
-            3 => LedgerOp::Refund { round: d.u32()? },
-            4 => LedgerOp::Refuse {
-                entry: LedgerEntry::decode(&mut d)?,
-                remaining: d.f64()?,
+        let mut r = Reader::new(bytes);
+        let op = match r.u8("ledger op")? {
+            1 => LedgerOp::Admit(LedgerEntry::decode(&mut r)?),
+            2 => LedgerOp::Charge {
+                round: r.u32("round")?,
             },
-            t => return Err(BudgetError::Codec(format!("unknown ledger op tag {t}"))),
+            3 => LedgerOp::Refund {
+                round: r.u32("round")?,
+            },
+            4 => LedgerOp::Refuse {
+                entry: LedgerEntry::decode(&mut r)?,
+                remaining: r.f64("remaining")?,
+            },
+            tag => return CodecError::bad_tag("ledger op", tag),
         };
-        d.end()?;
+        r.end()?;
         Ok(op)
     }
 }
@@ -435,21 +441,21 @@ impl Ledger {
     /// and every refusal. Two ledgers with the same digest priced the
     /// same history identically.
     pub fn digest(&self) -> Digest {
-        let mut e = Enc::new();
-        e.str("myc-budget-ledger-v1");
-        e.str(&self.dataset);
-        e.f64(self.capacity);
-        self.composition.encode(&mut e);
-        e.u32(self.entries.len() as u32);
+        let mut w = Writer::new();
+        w.put_str("myc-budget-ledger-v1");
+        w.put_str(&self.dataset);
+        w.put_f64(self.capacity);
+        self.composition.encode(&mut w);
+        w.put_u32(self.entries.len() as u32);
         for (entry, st) in self.entries.values() {
-            entry.encode(&mut e);
-            e.u8(st.tag());
+            entry.encode(&mut w);
+            w.put_u8(st.tag());
         }
-        e.u32(self.refused.len() as u32);
+        w.put_u32(self.refused.len() as u32);
         for entry in self.refused.values() {
-            entry.encode(&mut e);
+            entry.encode(&mut w);
         }
-        sha256(&e.finish())
+        sha256(&w.finish())
     }
 }
 

@@ -31,7 +31,6 @@
 //! this one accounting brain, which is what makes their refusal decisions
 //! — and their ledger digests — bit-identical.
 
-pub mod codec;
 pub mod compose;
 pub mod ledger;
 pub mod schedule;
@@ -40,6 +39,7 @@ pub use compose::{composed_epsilon, Composition};
 pub use ledger::{EntryState, Ledger, LedgerEntry, LedgerOp, QueryCost};
 pub use schedule::Decision;
 
+use mycelium_crypto::codec::CodecError;
 use mycelium_dp::DpError;
 
 /// Ledger and scheduling failures. Every path is typed; the ledger never
@@ -63,7 +63,7 @@ pub enum BudgetError {
         what: &'static str,
     },
     /// A ledger record failed to decode.
-    Codec(String),
+    Codec(CodecError),
 }
 
 impl std::fmt::Display for BudgetError {
@@ -88,5 +88,11 @@ impl std::error::Error for BudgetError {}
 impl From<DpError> for BudgetError {
     fn from(e: DpError) -> Self {
         BudgetError::Dp(e)
+    }
+}
+
+impl From<CodecError> for BudgetError {
+    fn from(e: CodecError) -> Self {
+        BudgetError::Codec(e)
     }
 }

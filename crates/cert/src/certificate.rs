@@ -1,10 +1,12 @@
 //! The serializable `RoundCertificate` and its binding digests.
 
+use std::fmt;
+
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_crypto::sha256::{sha256_concat, Digest};
 use mycelium_crypto::{eddsa, sha256};
 
 use crate::commit::SegmentSummary;
-use crate::wire::{CertError, Reader, Writer};
 
 /// Leading magic of a serialized certificate.
 pub const CERT_MAGIC: &[u8; 8] = b"MYCCERT1";
@@ -16,12 +18,43 @@ const TRANSCRIPT_TAG: &[u8] = b"myc-cert-transcript";
 const KEY_TAG: &[u8] = b"myc-cert-key";
 const NOISE_TAG: &[u8] = b"myc-noise-commit";
 
-const MAX_QUERY: u64 = 1 << 16;
-const MAX_COMMITTEE: u64 = 1 << 16;
-const MAX_ORIGINS: u64 = 1 << 24;
-const MAX_SEGMENTS: u64 = 64;
-const MAX_GROUPS: u64 = 1 << 12;
-const MAX_HIST: u64 = 1 << 20;
+const MAX_QUERY: usize = 1 << 16;
+const MAX_COMMITTEE: usize = 1 << 16;
+const MAX_ORIGINS: usize = 1 << 24;
+const MAX_SEGMENTS: usize = 64;
+const MAX_GROUPS: usize = 1 << 12;
+const MAX_HIST: usize = 1 << 20;
+
+/// Typed decode failure for certificate bytes: not a certificate of this
+/// format, or bytes the one codec refuses (see
+/// [`mycelium_crypto::codec`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CertError {
+    /// The leading magic was not `MYCCERT1`.
+    BadMagic,
+    /// Unknown format version.
+    BadVersion(u32),
+    /// Truncated, oversized, non-canonical or trailing bytes.
+    Codec(CodecError),
+}
+
+impl fmt::Display for CertError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::BadMagic => write!(f, "not a round certificate (bad magic)"),
+            Self::BadVersion(v) => write!(f, "unsupported certificate version {v}"),
+            Self::Codec(e) => write!(f, "malformed certificate: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CertError {}
+
+impl From<CodecError> for CertError {
+    fn from(e: CodecError) -> Self {
+        Self::Codec(e)
+    }
+}
 
 /// The round parameters a certificate is bound to.
 ///
@@ -166,79 +199,64 @@ impl RoundCertificate {
             *mark = w.len();
         };
 
-        w.bytes(CERT_MAGIC);
+        w.put_bytes(CERT_MAGIC);
         section(&w, "magic", &mut sections, &mut mark);
-        w.u32(CERT_VERSION);
+        w.put_u32(CERT_VERSION);
         section(&w, "version", &mut sections, &mut mark);
 
-        w.u64(self.spec.seed);
-        w.u32(self.spec.devices);
-        w.str(&self.spec.query);
-        w.u8(self.spec.with_proofs as u8);
+        w.put_u64(self.spec.seed);
+        w.put_u32(self.spec.devices);
+        w.put_str(&self.spec.query);
+        w.put_bool(self.spec.with_proofs);
         section(&w, "spec", &mut sections, &mut mark);
 
-        w.bytes(&self.spec_digest);
+        w.put_bytes(&self.spec_digest);
         section(&w, "spec_digest", &mut sections, &mut mark);
 
-        w.u32(self.committee);
-        w.u32(self.threshold);
-        w.u32(self.share_round);
-        w.u32(self.participants.len() as u32);
-        for &p in &self.participants {
-            w.u32(p);
-        }
+        w.put_u32(self.committee);
+        w.put_u32(self.threshold);
+        w.put_u32(self.share_round);
+        w.put_u32_slice(&self.participants);
         section(&w, "committee_meta", &mut sections, &mut mark);
 
-        w.u32(self.leaves.len() as u32);
-        for leaf in &self.leaves {
-            w.bytes(leaf);
-        }
+        w.put_seq(&self.leaves, |w, leaf| w.put_bytes(leaf));
         section(&w, "leaves", &mut sections, &mut mark);
 
-        w.u32(self.segments.len() as u32);
-        for s in &self.segments {
-            w.bytes(&s.root);
-            w.u32(s.origins);
-            w.u32(s.accepted);
-            w.u32(s.rejected);
-        }
+        w.put_seq(&self.segments, |w, s| {
+            w.put_bytes(&s.root);
+            w.put_u32(s.origins);
+            w.put_u32(s.accepted);
+            w.put_u32(s.rejected);
+        });
         section(&w, "segments", &mut sections, &mut mark);
 
-        w.bytes(&self.contrib_root);
+        w.put_bytes(&self.contrib_root);
         section(&w, "contrib_root", &mut sections, &mut mark);
 
-        w.u32(self.rejected.len() as u32);
-        for &d in &self.rejected {
-            w.u32(d);
-        }
+        w.put_u32_slice(&self.rejected);
         section(&w, "rejected", &mut sections, &mut mark);
 
-        w.bytes(&self.aggregate_digest);
+        w.put_bytes(&self.aggregate_digest);
         section(&w, "aggregate_digest", &mut sections, &mut mark);
-        w.bytes(&self.noise_commitment);
+        w.put_bytes(&self.noise_commitment);
         section(&w, "noise_commitment", &mut sections, &mut mark);
 
-        w.u64(self.charged_epsilon_bits);
+        w.put_u64(self.charged_epsilon_bits);
         section(&w, "charged_epsilon", &mut sections, &mut mark);
 
-        w.u32(self.released.len() as u32);
-        for g in &self.released {
-            w.str(&g.label);
-            w.u32(g.histogram.len() as u32);
-            for &v in &g.histogram {
-                w.i64(v);
-            }
-        }
+        w.put_seq(&self.released, |w, g| {
+            w.put_str(&g.label);
+            w.put_seq(&g.histogram, |w, &v| w.put_i64(v));
+        });
         section(&w, "released", &mut sections, &mut mark);
 
-        w.bytes(&self.transcript);
+        w.put_bytes(&self.transcript);
         section(&w, "transcript", &mut sections, &mut mark);
 
-        w.u32(self.signatures.len() as u32);
-        for s in &self.signatures {
-            w.u64(s.member);
-            w.bytes(&s.sig);
-        }
+        w.put_seq(&self.signatures, |w, s| {
+            w.put_u64(s.member);
+            w.put_bytes(&s.sig);
+        });
         section(&w, "signatures", &mut sections, &mut mark);
 
         (w.finish(), CertLayout { sections })
@@ -247,8 +265,7 @@ impl RoundCertificate {
     /// Deserializes a certificate; every failure is a typed [`CertError`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CertError> {
         let mut r = Reader::new(bytes);
-        let magic = r.u64("magic")?;
-        if magic.to_le_bytes() != *CERT_MAGIC {
+        if r.array("magic")? != *CERT_MAGIC {
             return Err(CertError::BadMagic);
         }
         let version = r.u32("version")?;
@@ -256,111 +273,52 @@ impl RoundCertificate {
             return Err(CertError::BadVersion(version));
         }
 
-        let seed = r.u64("seed")?;
-        let devices = r.u32("devices")?;
-        let query = r.str("query", MAX_QUERY)?;
-        let with_proofs = match r.u8("with_proofs")? {
-            0 => false,
-            1 => true,
-            // Any other byte would re-encode as 0/1 and sail past the
-            // transcript binding — reject it at the decode layer.
-            _ => {
-                return Err(CertError::NonCanonical {
-                    field: "with_proofs",
+        // Fields in encoding order: a struct expression evaluates in the
+        // order it is written.
+        let cert = Self {
+            spec: CertSpec {
+                seed: r.u64("seed")?,
+                devices: r.u32("devices")?,
+                query: r.str("query", MAX_QUERY)?,
+                // Any byte but 0 / 1 would re-encode as 0 / 1 and sail past
+                // the transcript binding: the canonical bool refuses it.
+                with_proofs: r.bool("with_proofs")?,
+            },
+            spec_digest: r.array("spec_digest")?,
+            committee: r.u32("committee")?,
+            threshold: r.u32("threshold")?,
+            share_round: r.u32("share_round")?,
+            participants: r.u32s("participants", MAX_COMMITTEE)?,
+            leaves: r.seq("leaves", MAX_ORIGINS, |r| r.array("leaf"))?,
+            segments: r.seq("segments", MAX_SEGMENTS, |r| -> Result<_, CodecError> {
+                Ok(SegmentSummary {
+                    root: r.array("segment root")?,
+                    origins: r.u32("segment origins")?,
+                    accepted: r.u32("segment accepted")?,
+                    rejected: r.u32("segment rejected")?,
                 })
-            }
+            })?,
+            contrib_root: r.array("contrib_root")?,
+            rejected: r.u32s("rejected", MAX_ORIGINS)?,
+            aggregate_digest: r.array("aggregate_digest")?,
+            noise_commitment: r.array("noise_commitment")?,
+            charged_epsilon_bits: r.u64("charged_epsilon")?,
+            released: r.seq("released", MAX_GROUPS, |r| -> Result<_, CodecError> {
+                Ok(ReleasedGroup {
+                    label: r.str("group label", MAX_QUERY)?,
+                    histogram: r.seq("histogram", MAX_HIST, |r| r.i64("histogram value"))?,
+                })
+            })?,
+            transcript: r.array("transcript")?,
+            signatures: r.seq("signatures", MAX_COMMITTEE, |r| -> Result<_, CodecError> {
+                Ok(CommitteeSig {
+                    member: r.u64("signature member")?,
+                    sig: r.array("signature bytes")?,
+                })
+            })?,
         };
-        let spec = CertSpec {
-            seed,
-            devices,
-            query,
-            with_proofs,
-        };
-        let spec_digest = r.digest("spec_digest")?;
-
-        let committee = r.u32("committee")?;
-        let threshold = r.u32("threshold")?;
-        let share_round = r.u32("share_round")?;
-        let n_part = r.count("participants", MAX_COMMITTEE)?;
-        let mut participants = Vec::with_capacity(n_part);
-        for _ in 0..n_part {
-            participants.push(r.u32("participant")?);
-        }
-
-        let n_leaves = r.count("leaves", MAX_ORIGINS)?;
-        let mut leaves = Vec::with_capacity(n_leaves);
-        for _ in 0..n_leaves {
-            leaves.push(r.digest("leaf")?);
-        }
-
-        let n_segs = r.count("segments", MAX_SEGMENTS)?;
-        let mut segments = Vec::with_capacity(n_segs);
-        for _ in 0..n_segs {
-            let root = r.digest("segment root")?;
-            let origins = r.u32("segment origins")?;
-            let accepted = r.u32("segment accepted")?;
-            let rejected = r.u32("segment rejected")?;
-            segments.push(SegmentSummary {
-                root,
-                origins,
-                accepted,
-                rejected,
-            });
-        }
-
-        let contrib_root = r.digest("contrib_root")?;
-
-        let n_rej = r.count("rejected", MAX_ORIGINS)?;
-        let mut rejected = Vec::with_capacity(n_rej);
-        for _ in 0..n_rej {
-            rejected.push(r.u32("rejected device")?);
-        }
-
-        let aggregate_digest = r.digest("aggregate_digest")?;
-        let noise_commitment = r.digest("noise_commitment")?;
-        let charged_epsilon_bits = r.u64("charged_epsilon")?;
-
-        let n_groups = r.count("released", MAX_GROUPS)?;
-        let mut released = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let label = r.str("group label", MAX_QUERY)?;
-            let n_hist = r.count("histogram", MAX_HIST)?;
-            let mut histogram = Vec::with_capacity(n_hist);
-            for _ in 0..n_hist {
-                histogram.push(r.i64("histogram value")?);
-            }
-            released.push(ReleasedGroup { label, histogram });
-        }
-
-        let transcript = r.digest("transcript")?;
-
-        let n_sigs = r.count("signatures", MAX_COMMITTEE)?;
-        let mut signatures = Vec::with_capacity(n_sigs);
-        for _ in 0..n_sigs {
-            let member = r.u64("signature member")?;
-            let sig = r.sig("signature bytes")?;
-            signatures.push(CommitteeSig { member, sig });
-        }
-
-        r.expect_end()?;
-        Ok(Self {
-            spec,
-            spec_digest,
-            committee,
-            threshold,
-            share_round,
-            participants,
-            leaves,
-            segments,
-            contrib_root,
-            rejected,
-            aggregate_digest,
-            noise_commitment,
-            charged_epsilon_bits,
-            released,
-            transcript,
-            signatures,
-        })
+        r.end()?;
+        Ok(cert)
     }
 }
 

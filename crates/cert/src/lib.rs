@@ -29,12 +29,11 @@ pub mod certificate;
 pub mod commit;
 pub mod json;
 pub mod verify;
-pub mod wire;
 
 pub use certificate::{
     cert_fingerprint, committee_public_key, committee_signing_secret, noise_commitment,
-    sign_transcript, verify_transcript_sig, CertLayout, CertSpec, CommitteeSig, ReleasedGroup,
-    RoundCertificate, CERT_MAGIC, CERT_VERSION,
+    sign_transcript, verify_transcript_sig, CertError, CertLayout, CertSpec, CommitteeSig,
+    ReleasedGroup, RoundCertificate, CERT_MAGIC, CERT_VERSION,
 };
 pub use commit::{
     build_segments, commit_origin, origin_leaf, segment_of, segment_range, segment_root,
@@ -42,7 +41,6 @@ pub use commit::{
 };
 pub use json::{extract_cert_hex, from_hex, render_json, to_hex};
 pub use verify::{verify, verify_bytes, Verdict};
-pub use wire::CertError;
 
 #[cfg(test)]
 pub(crate) mod test_support {

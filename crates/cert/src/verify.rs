@@ -11,9 +11,8 @@ use std::fmt;
 
 use mycelium_crypto::merkle::MerkleTree;
 
-use crate::certificate::{verify_transcript_sig, RoundCertificate};
+use crate::certificate::{verify_transcript_sig, CertError, RoundCertificate};
 use crate::commit::{segment_range, segment_root, CERT_SEGMENTS};
-use crate::wire::CertError;
 
 /// Typed outcome of certificate verification.
 #[derive(Debug, Clone, PartialEq, Eq)]

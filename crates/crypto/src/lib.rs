@@ -23,9 +23,13 @@
 //! * [`sha512`] — FIPS 180-4 SHA-512, the hash Ed25519 is defined over.
 //! * [`eddsa`] — Ed25519 signatures (RFC 8032), used by round
 //!   certificates for committee attestations.
+//! * [`codec`] — the workspace's one canonical little-endian byte codec
+//!   (writer, bounds-checked reader, one error), shared by the wire,
+//!   the round certificate and the budget ledger.
 
 pub mod aead;
 pub mod chacha20;
+pub mod codec;
 pub mod ed25519;
 pub mod eddsa;
 pub mod kdf;

@@ -48,6 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mycelium_crypto::aead::{open_in_place, seal_in_place, OVERHEAD};
+use mycelium_crypto::codec::Writer;
 use mycelium_crypto::ed25519::{x25519, x25519_public_key};
 use mycelium_crypto::kdf::{hkdf_expand, hkdf_extract};
 use mycelium_crypto::sha256;
@@ -57,7 +58,6 @@ use crate::error::NetError;
 use crate::frame::{header_bytes, read_frame, read_frame_into, write_frame, FrameType, HEADER_LEN};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::wire::Writer;
 
 /// An endpoint's long-term X25519 identity.
 #[derive(Clone)]

@@ -33,6 +33,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mycelium_crypto::codec::Writer;
 use mycelium_math::rng::StdRng;
 use mycelium_simnet::BackoffPolicy;
 
@@ -41,7 +42,6 @@ use crate::error::NetError;
 use crate::frame::HEADER_LEN;
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::wire::Writer;
 
 /// Client tuning knobs.
 #[derive(Clone)]

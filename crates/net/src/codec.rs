@@ -14,7 +14,9 @@
 //! `RnsPoly` construction panics on malformed input by design (its
 //! callers are trusted in-process code), so these decoders validate
 //! *everything* — level bounds, residue ranges, part counts — and return
-//! [`NetError::Decode`] before any constructor runs. A peer can never
+//! [`NetError::Decode`] before any constructor runs; payloads with nothing
+//! to validate beyond their framing (proofs, plaintext results) fail with
+//! the workspace codec's [`CodecError`]. A peer can never
 //! panic this process with bytes, only earn a typed rejection. (In the
 //! deployed protocol a tampered frame already dies at the AEAD; these
 //! checks guard against version skew and honest bugs.)
@@ -23,8 +25,8 @@ use std::sync::Arc;
 
 use mycelium::plan::SignedContribution;
 use mycelium_bgv::{BgvParams, Ciphertext};
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_crypto::merkle::InclusionProof;
-use mycelium_crypto::sha256::Digest;
 use mycelium_math::ew;
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly};
 use mycelium_query::eval::{GroupResult, PlainResult};
@@ -32,7 +34,6 @@ use mycelium_sharing::DecryptionShare;
 use mycelium_zkp::argument::{Opening, Proof};
 
 use crate::error::NetError;
-use crate::wire::{Reader, Writer};
 
 /// Everything a decoder needs to rebuild ring elements.
 pub struct CodecCtx {
@@ -71,6 +72,12 @@ const MAX_CT_PARTS: usize = 8;
 const MAX_OPENINGS: usize = 1 << 16;
 /// Upper bound on Merkle path length accepted off the wire (2^48 leaves).
 const MAX_SIBLINGS: usize = 48;
+/// Upper bound on the groups of a query result.
+pub(crate) const MAX_GROUPS: usize = 1 << 16;
+/// Upper bound on a group label (labels, not payloads).
+pub(crate) const MAX_LABEL: usize = 1 << 16;
+/// Upper bound on a histogram's bins.
+pub(crate) const MAX_HIST: usize = 1 << 20;
 
 /// Encoded size of one polynomial of `ctx` at `level` residue rows.
 pub fn poly_encoded_bytes(ctx: &RnsContext, level: usize) -> usize {
@@ -98,12 +105,12 @@ pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
 
 /// Deserializes one `RnsPoly`, validating level and residue ranges.
 pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
-    let rep = match r.get_u8()? {
+    let rep = match r.u8("representation")? {
         0 => Representation::Coefficient,
         1 => Representation::Ntt,
-        v => return Err(NetError::Decode(format!("bad representation tag {v}"))),
+        tag => return CodecError::bad_tag("representation", tag),
     };
-    let level = r.get_u8()? as usize;
+    let level = r.u8("level")? as usize;
     if level < 1 || level > cc.ctx.max_level() {
         return Err(NetError::Decode(format!(
             "polynomial level {level} outside 1..={}",
@@ -113,7 +120,7 @@ pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
     let degree = cc.ctx.degree();
     let mut residues = Vec::with_capacity(level);
     for m in &cc.ctx.moduli()[..level] {
-        let packed = r.get_bytes(ew::packed_len(m.bits(), degree))?;
+        let packed = r.bytes("residue row", ew::packed_len(m.bits(), degree))?;
         let mut row = vec![0u64; degree];
         if !ew::unpack(m, &mut row, packed) {
             return Err(NetError::Decode(format!(
@@ -137,13 +144,13 @@ pub fn encode_ciphertext(w: &mut Writer, ct: &Ciphertext) {
 
 /// Deserializes a ciphertext.
 pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, NetError> {
-    let nparts = r.get_u8()? as usize;
+    let nparts = r.u8("ciphertext parts")? as usize;
     if !(1..=MAX_CT_PARTS).contains(&nparts) {
         return Err(NetError::Decode(format!(
             "bad ciphertext part count {nparts}"
         )));
     }
-    let noise_log2 = r.get_f64()?;
+    let noise_log2 = r.f64("noise bound")?;
     if !noise_log2.is_finite() {
         return Err(NetError::Decode("non-finite noise bound".into()));
     }
@@ -160,13 +167,7 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
 
 /// Serializes an optional ciphertext (the aggregator's per-slot state).
 pub fn encode_opt_ciphertext(w: &mut Writer, ct: Option<&Ciphertext>) {
-    match ct {
-        None => w.put_u8(0),
-        Some(ct) => {
-            w.put_u8(1);
-            encode_ciphertext(w, ct);
-        }
-    }
+    w.put_opt(ct, encode_ciphertext);
 }
 
 /// Deserializes an `Option<Ciphertext>`.
@@ -174,65 +175,34 @@ pub fn decode_opt_ciphertext(
     r: &mut Reader,
     cc: &CodecCtx,
 ) -> Result<Option<Ciphertext>, NetError> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_ciphertext(r, cc)?)),
-        v => Err(NetError::Decode(format!("bad option tag {v}"))),
-    }
-}
-
-fn encode_digest(w: &mut Writer, d: &Digest) {
-    w.put_bytes(d);
-}
-
-fn decode_digest(r: &mut Reader) -> Result<Digest, NetError> {
-    r.get_array32()
+    r.opt("slot", |r| decode_ciphertext(r, cc))
 }
 
 /// Serializes a ZKP spot-check proof.
 pub fn encode_proof(w: &mut Writer, p: &Proof) {
-    encode_digest(w, &p.witness_root);
+    w.put_bytes(&p.witness_root);
     w.put_u32(p.checks as u32);
-    w.put_u32(p.openings.len() as u32);
-    for o in &p.openings {
+    w.put_seq(&p.openings, |w, o| {
         w.put_u64(o.var as u64);
         w.put_u64(o.value);
-        encode_digest(w, &o.salt);
-        w.put_u32(o.proof.siblings.len() as u32);
-        for s in &o.proof.siblings {
-            encode_digest(w, s);
-        }
-    }
+        w.put_bytes(&o.salt);
+        w.put_seq(&o.proof.siblings, |w, s| w.put_bytes(s));
+    });
 }
 
 /// Deserializes a ZKP spot-check proof.
-pub fn decode_proof(r: &mut Reader) -> Result<Proof, NetError> {
-    let witness_root = decode_digest(r)?;
-    let checks = r.get_u32()? as usize;
-    let n = r.get_u32()? as usize;
-    if n > MAX_OPENINGS {
-        return Err(NetError::Decode(format!("proof claims {n} openings")));
-    }
-    let mut openings = Vec::with_capacity(n);
-    for _ in 0..n {
-        let var = r.get_u64()? as usize;
-        let value = r.get_u64()?;
-        let salt = decode_digest(r)?;
-        let ns = r.get_u32()? as usize;
-        if ns > MAX_SIBLINGS {
-            return Err(NetError::Decode(format!("merkle path of {ns} siblings")));
-        }
-        let mut siblings = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            siblings.push(decode_digest(r)?);
-        }
-        openings.push(Opening {
-            var,
-            value,
-            salt,
-            proof: InclusionProof { siblings },
-        });
-    }
+pub fn decode_proof(r: &mut Reader) -> Result<Proof, CodecError> {
+    let (witness_root, checks) = (r.array("witness root")?, r.u32("checks")? as usize);
+    let openings = r.seq("openings", MAX_OPENINGS, |r| -> Result<_, CodecError> {
+        Ok(Opening {
+            var: r.u64("opening var")? as usize,
+            value: r.u64("opening value")?,
+            salt: r.array("opening salt")?,
+            proof: InclusionProof {
+                siblings: r.seq("siblings", MAX_SIBLINGS, |r| r.array("sibling"))?,
+            },
+        })
+    })?;
     Ok(Proof {
         witness_root,
         openings,
@@ -244,25 +214,16 @@ pub fn decode_proof(r: &mut Reader) -> Result<Proof, NetError> {
 pub fn encode_contribution(w: &mut Writer, sc: &SignedContribution) {
     w.put_u32(sc.device);
     encode_ciphertext(w, &sc.ct);
-    match &sc.proof {
-        None => w.put_u8(0),
-        Some(p) => {
-            w.put_u8(1);
-            encode_proof(w, p);
-        }
-    }
+    w.put_opt(sc.proof.as_ref(), encode_proof);
 }
 
 /// Deserializes a device contribution.
 pub fn decode_contribution(r: &mut Reader, cc: &CodecCtx) -> Result<SignedContribution, NetError> {
-    let device = r.get_u32()?;
-    let ct = decode_ciphertext(r, cc)?;
-    let proof = match r.get_u8()? {
-        0 => None,
-        1 => Some(decode_proof(r)?),
-        v => return Err(NetError::Decode(format!("bad option tag {v}"))),
-    };
-    Ok(SignedContribution { device, ct, proof })
+    Ok(SignedContribution {
+        device: r.u32("device")?,
+        ct: decode_ciphertext(r, cc)?,
+        proof: r.opt("proof", decode_proof)?,
+    })
 }
 
 /// Serializes a threshold decryption share.
@@ -273,37 +234,32 @@ pub fn encode_share(w: &mut Writer, s: &DecryptionShare) {
 
 /// Deserializes a threshold decryption share.
 pub fn decode_share(r: &mut Reader, cc: &CodecCtx) -> Result<DecryptionShare, NetError> {
-    let member = r.get_u64()?;
-    let d = decode_poly(r, cc)?;
-    Ok(DecryptionShare { member, d })
+    Ok(DecryptionShare {
+        member: r.u64("share member")?,
+        d: decode_poly(r, cc)?,
+    })
 }
 
 /// Serializes a decoded plaintext query result.
 pub fn encode_plain_result(w: &mut Writer, pr: &PlainResult) {
-    w.put_u32(pr.groups.len() as u32);
-    for g in &pr.groups {
+    w.put_seq(&pr.groups, |w, g| {
         w.put_str(&g.label);
         w.put_u64_slice(&g.histogram);
         w.put_u64(g.total_pairs);
         w.put_u64(g.total_clipped_sum);
-    }
+    });
 }
 
 /// Deserializes a decoded plaintext query result.
-pub fn decode_plain_result(r: &mut Reader) -> Result<PlainResult, NetError> {
-    let n = r.get_u32()? as usize;
-    if n > 1 << 16 {
-        return Err(NetError::Decode(format!("result claims {n} groups")));
-    }
-    let mut groups = Vec::with_capacity(n);
-    for _ in 0..n {
-        groups.push(GroupResult {
-            label: r.get_str()?,
-            histogram: r.get_u64_vec()?,
-            total_pairs: r.get_u64()?,
-            total_clipped_sum: r.get_u64()?,
-        });
-    }
+pub fn decode_plain_result(r: &mut Reader) -> Result<PlainResult, CodecError> {
+    let groups = r.seq("result groups", MAX_GROUPS, |r| -> Result<_, CodecError> {
+        Ok(GroupResult {
+            label: r.str("group label", MAX_LABEL)?,
+            histogram: r.u64s("histogram", MAX_HIST)?,
+            total_pairs: r.u64("total pairs")?,
+            total_clipped_sum: r.u64("total clipped sum")?,
+        })
+    })?;
     Ok(PlainResult { groups })
 }
 
@@ -337,7 +293,7 @@ mod tests {
         );
         let mut r = Reader::new(&bytes);
         let back = decode_ciphertext(&mut r, &cc).unwrap();
-        r.expect_end().unwrap();
+        r.end().unwrap();
         assert_eq!(back.decrypt(&keys.secret).coeffs(), pt.coeffs());
     }
 
@@ -429,7 +385,7 @@ mod tests {
                     assert_eq!(bytes.len(), 2 + 3 * n * width as usize / 8);
                     let mut r = Reader::new(&bytes);
                     let back = decode_poly(&mut r, &cc).unwrap();
-                    r.expect_end().unwrap();
+                    r.end().unwrap();
                     assert_eq!(back, p, "width {width} lane {at}");
                     // One canonical form: what decodes encodes to the same bytes.
                     assert_eq!(encoded(&back), bytes);
@@ -512,7 +468,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = Reader::new(&bytes);
         let back = decode_proof(&mut r).unwrap();
-        r.expect_end().unwrap();
+        r.end().unwrap();
         assert_eq!(back.witness_root, p.witness_root);
         assert_eq!(back.checks, 80);
         assert_eq!(back.openings.len(), 1);

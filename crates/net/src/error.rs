@@ -6,6 +6,7 @@
 //! typed rejection the caller can retry around.
 
 use crate::journal::JournalError;
+use mycelium_crypto::codec::CodecError;
 use mycelium_crypto::AeadError;
 
 /// Transport-plane failure.
@@ -147,6 +148,14 @@ impl From<AeadError> for NetError {
 /// carrying the core's canonical message.
 impl From<mycelium::aggcore::CoreError> for NetError {
     fn from(e: mycelium::aggcore::CoreError) -> Self {
+        NetError::Decode(e.to_string())
+    }
+}
+
+/// A payload the one codec refuses is a typed decode failure naming the
+/// field.
+impl From<CodecError> for NetError {
+    fn from(e: CodecError) -> Self {
         NetError::Decode(e.to_string())
     }
 }

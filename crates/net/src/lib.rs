@@ -21,7 +21,8 @@
 //!   a reconnecting client that keeps a window of requests in flight and
 //!   reuses the simulated transport's [`BackoffPolicy`] schedule.
 //! * [`codec`] / [`proto`] — validated wire codecs for ciphertexts,
-//!   proofs, and decryption shares, and the query-round message set.
+//!   proofs, and decryption shares, and the query-round message set, all
+//!   written with the workspace's one byte codec ([`wire`]).
 //! * [`journal`] — the aggregator's append-only, checksummed,
 //!   fsync'd write-ahead journal: every accepted mutation is durable
 //!   before the reply, and a respawned aggregator replays it back to
@@ -58,7 +59,12 @@ pub mod netchaos;
 pub mod proto;
 pub mod round;
 pub mod server;
-pub mod wire;
+
+/// The workspace's one byte codec ([`mycelium_crypto::codec`]), under the
+/// path callers of the transport have always named it by.
+pub mod wire {
+    pub use mycelium_crypto::codec::{Reader, Writer};
+}
 
 pub use channel::{Identity, SecureChannel, HANDSHAKE_WIRE_BYTES};
 pub use chaos::{ChaosOutcome, ChaosPlan};

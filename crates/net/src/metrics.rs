@@ -13,10 +13,14 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_simnet::PhaseSeries;
 
 use crate::error::NetError;
-use crate::wire::{Reader, Writer};
+
+/// Samples and map entries carry no limit of their own: the bytes that
+/// hold them bound them.
+const UNBOUNDED: usize = u32::MAX as usize;
 
 /// Minor page faults this process has taken so far, from
 /// `/proc/self/stat` (`None` off Linux): what fresh large allocations
@@ -187,71 +191,54 @@ impl NetMetrics {
         w.put_u64(self.frames_recv);
         w.put_u64(self.bytes_sent);
         w.put_u64(self.bytes_recv);
-        for map in [&self.sent, &self.recv] {
-            w.put_u32(map.len() as u32);
-            for (k, c) in map {
-                w.put_str(k);
-                w.put_u64(c.frames);
-                w.put_u64(c.payload_bytes);
-                w.put_u64(c.wire_bytes);
-            }
-        }
-        w.put_u32(self.latency.len() as u32);
-        for (k, p) in &self.latency {
-            w.put_str(k);
-            w.put_u64_slice(&p.completions);
-        }
+        let put_counters = |w: &mut Writer, c: &KindCounters| {
+            w.put_u64(c.frames);
+            w.put_u64(c.payload_bytes);
+            w.put_u64(c.wire_bytes);
+        };
+        w.put_map(&self.sent, put_counters);
+        w.put_map(&self.recv, put_counters);
+        w.put_map(&self.latency, |w, p| w.put_u64_slice(&p.completions));
         w.finish()
     }
 
-    /// Inverse of [`encode`](Self::encode).
+    /// Inverse of [`encode`](Self::encode); map keys must ascend strictly,
+    /// as `encode` writes them.
     pub fn decode(bytes: &[u8]) -> Result<NetMetrics, NetError> {
         let mut r = Reader::new(bytes);
-        let mut m = NetMetrics {
-            handshakes: r.get_u64()?,
-            handshake_micros: PhaseSeries {
-                completions: r.get_u64_vec()?,
-            },
-            reconnects: r.get_u64()?,
-            aead_rejects: r.get_u64()?,
-            retries: r.get_u64()?,
-            deadline_expiries: r.get_u64()?,
-            duplicates_suppressed: r.get_u64()?,
-            overload_rejections: r.get_u64()?,
-            overload_backoffs: r.get_u64()?,
-            sessions_reaped: r.get_u64()?,
-            wal_syncs: r.get_u64()?,
-            sync_wait_micros: PhaseSeries {
-                completions: r.get_u64_vec()?,
-            },
-            frames_sent: r.get_u64()?,
-            frames_recv: r.get_u64()?,
-            bytes_sent: r.get_u64()?,
-            bytes_recv: r.get_u64()?,
-            ..NetMetrics::default()
+        let samples = |r: &mut Reader, field| -> Result<_, CodecError> {
+            let completions = r.u64s(field, UNBOUNDED)?;
+            Ok(PhaseSeries { completions })
         };
-        for which in 0..2 {
-            let n = r.get_u32()?;
-            for _ in 0..n {
-                let k = r.get_str()?;
-                let c = KindCounters {
-                    frames: r.get_u64()?,
-                    payload_bytes: r.get_u64()?,
-                    wire_bytes: r.get_u64()?,
-                };
-                let map = if which == 0 { &mut m.sent } else { &mut m.recv };
-                map.insert(k, c);
-            }
-        }
-        let n = r.get_u32()?;
-        for _ in 0..n {
-            let k = r.get_str()?;
-            let p = PhaseSeries {
-                completions: r.get_u64_vec()?,
-            };
-            m.latency.insert(k, p);
-        }
-        r.expect_end()?;
+        let counters = |r: &mut Reader| -> Result<_, CodecError> {
+            Ok(KindCounters {
+                frames: r.u64("frames")?,
+                payload_bytes: r.u64("payload bytes")?,
+                wire_bytes: r.u64("wire bytes")?,
+            })
+        };
+        let m = NetMetrics {
+            handshakes: r.u64("handshakes")?,
+            handshake_micros: samples(&mut r, "handshake micros")?,
+            reconnects: r.u64("reconnects")?,
+            aead_rejects: r.u64("aead rejects")?,
+            retries: r.u64("retries")?,
+            deadline_expiries: r.u64("deadline expiries")?,
+            duplicates_suppressed: r.u64("duplicates suppressed")?,
+            overload_rejections: r.u64("overload rejections")?,
+            overload_backoffs: r.u64("overload backoffs")?,
+            sessions_reaped: r.u64("sessions reaped")?,
+            wal_syncs: r.u64("wal syncs")?,
+            sync_wait_micros: samples(&mut r, "sync wait micros")?,
+            frames_sent: r.u64("frames sent")?,
+            frames_recv: r.u64("frames recv")?,
+            bytes_sent: r.u64("bytes sent")?,
+            bytes_recv: r.u64("bytes recv")?,
+            sent: r.map("sent", UNBOUNDED, counters)?,
+            recv: r.map("recv", UNBOUNDED, counters)?,
+            latency: r.map("latency", UNBOUNDED, |r| samples(r, "latency micros"))?,
+        };
+        r.end()?;
         Ok(m)
     }
 
@@ -419,21 +406,22 @@ mod tests {
         m.note_latency("Bye", 6);
         let bytes = m.encode();
         assert_eq!(NetMetrics::decode(&bytes).unwrap().encode(), bytes);
-        let with_keys = |first: &[u8], second: &[u8]| {
-            let (mut out, mut rest) = (Vec::new(), &bytes[..]);
-            for (old, new) in [(b"Ack", first), (b"Bye", second)].into_iter().cycle().take(4) {
-                let at = rest.windows(3).position(|w| w == old).unwrap();
-                out.extend_from_slice(&rest[..at]);
-                out.extend_from_slice(new);
-                rest = &rest[at + 3..];
+        // Rewrite every key of the two maps: `Ack` to `first`, `Bye` to `second`.
+        let with_keys = |first: &[u8; 3], second: &[u8; 3]| {
+            let mut out = bytes.clone();
+            for at in 0..bytes.len() - 2 {
+                match &bytes[at..at + 3] {
+                    b"Ack" => out[at..at + 3].copy_from_slice(first),
+                    b"Bye" => out[at..at + 3].copy_from_slice(second),
+                    _ => {}
+                }
             }
-            out.extend_from_slice(rest);
             out
         };
-        assert_eq!(with_keys(b"Ack", b"Bye"), bytes);
         // Swapped keys would decode into the same maps and re-encode sorted;
         // a repeated key would overwrite its first value.
         for mauled in [with_keys(b"Bye", b"Ack"), with_keys(b"Ack", b"Ack")] {
+            assert_ne!(mauled, bytes);
             assert!(matches!(
                 NetMetrics::decode(&mauled),
                 Err(NetError::Decode(_))

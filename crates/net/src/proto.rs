@@ -11,6 +11,7 @@
 use mycelium::plan::SignedContribution;
 use mycelium_bgv::Ciphertext;
 use mycelium_cert::OriginCommit;
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_sharing::DecryptionShare;
 
 use crate::codec::{
@@ -18,7 +19,6 @@ use crate::codec::{
     encode_contribution, encode_opt_ciphertext, encode_share, CodecCtx,
 };
 use crate::error::NetError;
-use crate::wire::{Reader, Writer};
 
 /// One origin's neighbourhood row as it is handed over: a ciphertext per
 /// contribution slot, `None` for a slot whose device never delivered (the
@@ -163,15 +163,7 @@ fn put_row<'a>(w: &mut Writer, slots: impl ExactSizeIterator<Item = Option<&'a C
 }
 
 fn get_row(r: &mut Reader, cc: &CodecCtx) -> Result<OriginRow, NetError> {
-    let n = r.get_u32()? as usize;
-    if n > MAX_SLOTS {
-        return Err(NetError::Decode(format!("origin row with {n} slots")));
-    }
-    let mut cts = Vec::with_capacity(n);
-    for _ in 0..n {
-        cts.push(decode_opt_ciphertext(r, cc)?);
-    }
-    Ok(cts)
+    r.seq("row slots", MAX_SLOTS, |r| decode_opt_ciphertext(r, cc))
 }
 
 impl NetMsg {
@@ -293,13 +285,12 @@ impl NetMsg {
                 w.put_u8(7);
                 w.put_u32(*shard);
                 w.put_u32_slice(rejected);
-                w.put_u32(commits.len() as u32);
-                for c in commits {
+                w.put_seq(commits, |w, c| {
                     w.put_u32(c.origin);
                     w.put_bytes(&c.leaf);
                     w.put_u32(c.accepted);
                     w.put_u32(c.rejected);
-                }
+                });
                 encode_ciphertext(w, root);
             }
             NetMsg::PullShardStatus { shard } => {
@@ -347,112 +338,78 @@ impl NetMsg {
     /// Deserializes a message, validating every field.
     pub fn decode(bytes: &[u8], cc: &CodecCtx) -> Result<NetMsg, NetError> {
         let mut r = Reader::new(bytes);
-        let msg = match r.get_u8()? {
+        let msg = match r.u8("message")? {
             1 => NetMsg::PushContrib {
-                origin: r.get_u32()?,
-                slot: r.get_u32()?,
+                origin: r.u32("origin")?,
+                slot: r.u32("slot")?,
                 sc: Box::new(decode_contribution(&mut r, cc)?),
             },
             2 => NetMsg::PullOrigin {
-                origin: r.get_u32()?,
+                origin: r.u32("origin")?,
             },
             3 => NetMsg::SubmitOrigin {
-                origin: r.get_u32()?,
+                origin: r.u32("origin")?,
                 ct: Box::new(decode_ciphertext(&mut r, cc)?),
             },
             4 => NetMsg::CommitteeCheckIn {
-                member: r.get_u64()?,
-                seed: r.get_array32()?,
+                member: r.u64("member")?,
+                seed: r.array("noise seed")?,
             },
             5 => NetMsg::PushShare {
-                member: r.get_u64()?,
-                round: r.get_u32()?,
+                member: r.u64("member")?,
+                round: r.u32("share round")?,
                 share: Box::new(decode_share(&mut r, cc)?),
             },
             6 => NetMsg::PullStatus,
-            7 => {
-                let shard = r.get_u32()?;
-                let rejected = r.get_u32_vec()?;
-                if rejected.len() > MAX_SLOTS {
-                    return Err(NetError::Decode("oversized rejected set".into()));
-                }
-                let n_commits = r.get_u32()? as usize;
-                if n_commits > MAX_SLOTS {
-                    return Err(NetError::Decode(format!(
-                        "shard root with {n_commits} origin commits"
-                    )));
-                }
-                let mut commits = Vec::with_capacity(n_commits);
-                for _ in 0..n_commits {
-                    commits.push(OriginCommit {
-                        origin: r.get_u32()?,
-                        leaf: r.get_array32()?,
-                        accepted: r.get_u32()?,
-                        rejected: r.get_u32()?,
-                    });
-                }
-                let root = Box::new(decode_ciphertext(&mut r, cc)?);
-                NetMsg::ShardRoot {
-                    shard,
-                    rejected,
-                    commits,
-                    root,
-                }
-            }
+            7 => NetMsg::ShardRoot {
+                shard: r.u32("shard")?,
+                rejected: r.u32s("rejected", MAX_SLOTS)?,
+                commits: r.seq("origin commits", MAX_SLOTS, |r| -> Result<_, CodecError> {
+                    Ok(OriginCommit {
+                        origin: r.u32("commit origin")?,
+                        leaf: r.array("commit leaf")?,
+                        accepted: r.u32("commit accepted")?,
+                        rejected: r.u32("commit rejected")?,
+                    })
+                })?,
+                root: Box::new(decode_ciphertext(&mut r, cc)?),
+            },
             8 => NetMsg::PullShardStatus {
-                shard: r.get_u32()?,
+                shard: r.u32("shard")?,
             },
             9 => NetMsg::PushCertSig {
-                member: r.get_u64()?,
-                sig: r.get_bytes(64)?.try_into().expect("64 bytes"),
+                member: r.u64("member")?,
+                sig: r.array("certificate signature")?,
             },
-            10 => {
-                let want = r.get_u32_vec()?;
-                if want.len() > MAX_SLOTS {
-                    return Err(NetError::Decode("oversized want list".into()));
-                }
-                NetMsg::PullReady { want }
-            }
+            10 => NetMsg::PullReady {
+                want: r.u32s("want", MAX_SLOTS)?,
+            },
             16 => NetMsg::Ack,
             17 => NetMsg::OriginPending {
-                have: r.get_u32()?,
-                need: r.get_u32()?,
+                have: r.u32("slots filled")?,
+                need: r.u32("slots required")?,
             },
             18 => NetMsg::OriginJob {
                 cts: get_row(&mut r, cc)?,
             },
             19 => NetMsg::CommitteeWait,
-            20 => {
-                let round = r.get_u32()?;
-                let participants = r.get_u64_vec()?;
-                if participants.len() > MAX_SLOTS {
-                    return Err(NetError::Decode("oversized participant set".into()));
-                }
-                let ct = Box::new(decode_ciphertext(&mut r, cc)?);
-                NetMsg::CommitteeShareTask {
-                    round,
-                    participants,
-                    ct,
-                }
-            }
+            20 => NetMsg::CommitteeShareTask {
+                round: r.u32("share round")?,
+                participants: r.u64s("participants", MAX_SLOTS)?,
+                ct: Box::new(decode_ciphertext(&mut r, cc)?),
+            },
             21 => NetMsg::Finished,
             22 => NetMsg::CertSignTask {
-                transcript: r.get_array32()?,
+                transcript: r.array("transcript")?,
             },
-            23 => {
-                let n = r.get_u32()? as usize;
-                if n > MAX_SLOTS {
-                    return Err(NetError::Decode(format!("{n} ready rows")));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push((r.get_u32()?, get_row(&mut r, cc)?));
-                }
-                NetMsg::ReadyRows { rows }
-            }
-            tag => return Err(NetError::Decode(format!("unknown message tag {tag}"))),
+            23 => NetMsg::ReadyRows {
+                rows: r.seq("ready rows", MAX_SLOTS, |r| -> Result<_, NetError> {
+                    Ok((r.u32("row origin")?, get_row(r, cc)?))
+                })?,
+            },
+            tag => return CodecError::bad_tag("message", tag),
         };
-        r.expect_end()?;
+        r.end()?;
         Ok(msg)
     }
 }

@@ -17,6 +17,7 @@ use mycelium::streams as stream;
 use mycelium_bgv::Ciphertext;
 use mycelium_budget::{Ledger, LedgerOp};
 use mycelium_cert::{render_json, RoundCertificate, SlotStatus};
+use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::{sha256, Digest};
 use mycelium_graph::graph::VertexId;
 use mycelium_math::rng::{SeedableRng, StdRng};
@@ -27,7 +28,6 @@ use crate::codec::encode_share;
 use crate::error::NetError;
 use crate::journal::{Journal, JournalError, Pending, SyncStats};
 use crate::proto::NetMsg;
-use crate::wire::Writer;
 
 /// Journal record tags (first payload byte of every record). The six
 /// wall-clock transitions are the core's [`Mark`]s ([`mark_tag`], [`mark_of`]).
@@ -349,12 +349,6 @@ impl AggState {
         // A written slot appears three times: digest, key, status (82 bytes).
         let slots: usize = self.contribs.iter().map(Vec::len).sum();
         let mut w = Writer::with_capacity(4096 + 82 * slots);
-        fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
-            w.put_u8(v.is_some() as u8);
-            if let Some(v) = v {
-                put(w, v);
-            }
-        }
         let put_ct = |w: &mut Writer, ct: &Parked| w.put_bytes(ct.digest());
         // A shard (a committee of zero) digests as the round's idle committee:
         // that is what its checkpoints have always recorded.
@@ -369,7 +363,7 @@ impl AggState {
         let (statuses, rejected) = (&intake.statuses, &plane.rejected);
         let rows = roots.as_ref().unwrap_or(&intake.submissions);
         for s in self.contribs.iter().flatten() {
-            put_opt(&mut w, s, put_ct);
+            w.put_opt(s.as_ref(), put_ct);
         }
         // The set of written slots (once kept as a separate `seen` set).
         w.put_u32(statuses.len() as u32);
@@ -382,23 +376,20 @@ impl AggState {
             w.put_u32(v);
         }
         for s in rows {
-            put_opt(&mut w, s, put_ct);
+            w.put_opt(s.as_ref(), put_ct);
         }
         w.put_u64(rows.iter().flatten().count() as u64);
-        put_opt(&mut w, &self.round.aggregate, put_ct);
+        w.put_opt(self.round.aggregate.as_ref(), put_ct);
         for p in &tail.pongs {
-            put_opt(&mut w, p, |w, seed| w.put_bytes(seed));
+            w.put_opt(p.as_ref(), |w, seed| w.put_bytes(seed));
         }
         w.put_u32(tail.share_round);
-        w.put_u32(tail.participants.len() as u32);
-        for &m in &tail.participants {
-            w.put_u64(m);
-        }
-        w.put_u8(tail.reselected as u8);
+        w.put_u64_slice(&tail.participants);
+        w.put_bool(tail.reselected);
         for s in &tail.shares {
-            put_opt(&mut w, s, encode_share);
+            w.put_opt(s.as_ref(), encode_share);
         }
-        put_opt(&mut w, &self.outcome, |w, out| {
+        w.put_opt(self.outcome.as_ref(), |w, out| {
             w.put_bytes(&encode_outcome(out))
         });
         w.put_u32(statuses.len() as u32);
@@ -414,14 +405,14 @@ impl AggState {
                 }
             }
         }
-        w.put_u8(plane.frozen.is_some() as u8);
+        w.put_bool(plane.frozen.is_some());
         w.put_bytes(&self.commit_digest());
-        put_opt(&mut w, &tail.cert, |w, cert| w.put_bytes(&cert.transcript));
+        w.put_opt(tail.cert.as_ref(), |w, cert| w.put_bytes(&cert.transcript));
         for s in &tail.cert_sigs {
-            put_opt(&mut w, s, |w, sig| w.put_bytes(sig));
+            w.put_opt(s.as_ref(), |w, sig| w.put_bytes(sig));
         }
-        w.put_u8(tail.sealed as u8);
-        put_opt(&mut w, &tail.cert_bytes, |w, bytes| {
+        w.put_bool(tail.sealed);
+        w.put_opt(tail.cert_bytes.as_ref(), |w, bytes| {
             w.put_bytes(&sha256(bytes))
         });
         // Ledger state rides the same digest chain: a replay that
@@ -444,16 +435,12 @@ impl AggState {
         let mut w = Writer::with_capacity(4 + 45 * commits.len());
         w.put_u32(commits.len() as u32);
         for cmt in commits {
-            match cmt {
-                None => w.put_u8(0),
-                Some(cm) => {
-                    w.put_u8(1);
-                    w.put_u32(cm.origin);
-                    w.put_bytes(&cm.leaf);
-                    w.put_u32(cm.accepted);
-                    w.put_u32(cm.rejected);
-                }
-            }
+            w.put_opt(cmt.as_ref(), |w, cm| {
+                w.put_u32(cm.origin);
+                w.put_bytes(&cm.leaf);
+                w.put_u32(cm.accepted);
+                w.put_u32(cm.rejected);
+            });
         }
         sha256(&w.finish())
     }

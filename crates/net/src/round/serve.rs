@@ -6,6 +6,8 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use mycelium_crypto::codec::Writer;
+
 use super::agg::{settle, AggFaults, AggState, Reply};
 use super::clients::HubClient;
 use super::spec::{
@@ -18,7 +20,6 @@ use crate::lock_recover;
 use crate::metrics::NetMetrics;
 use crate::proto::NetMsg;
 use crate::server::{Handled, Handler, Server, ServerConfig};
-use crate::wire::Writer;
 
 /// How long a finished aggregator waits for committee members to observe
 /// `Finished` before giving up on stragglers and exiting anyway.

@@ -14,6 +14,7 @@ use mycelium::roles;
 use mycelium::streams as stream;
 use mycelium_bgv::KeySet;
 use mycelium_budget::{BudgetError, Composition, Ledger};
+use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_crypto::sha256::{sha256, Digest};
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
@@ -26,10 +27,11 @@ use mycelium_query::eval::PlainResult;
 use mycelium_sharing::threshold::KeyShareSet;
 
 use crate::channel::Identity;
-use crate::codec::{decode_plain_result, encode_plain_result, CodecCtx};
+use crate::codec::{
+    decode_plain_result, encode_plain_result, CodecCtx, MAX_GROUPS, MAX_HIST, MAX_LABEL,
+};
 use crate::error::NetError;
 use crate::metrics::NetMetrics;
-use crate::wire::{Reader, Writer};
 
 /// Transport role ids (feed [`Identity::derive`]).
 pub mod role {
@@ -89,7 +91,7 @@ impl BudgetCfg {
         w.put_str(&self.dataset);
         w.put_u64(self.capacity.to_bits());
         w.put_u64(self.delta.to_bits());
-        w.put_u8(self.advanced as u8);
+        w.put_bool(self.advanced);
         sha256(&w.finish())
     }
 }
@@ -238,7 +240,7 @@ impl RoundSpec {
         w.put_str(&self.query);
         w.put_u64(self.device_shards as u64);
         w.put_u64(self.origin_shards as u64);
-        w.put_u8(self.with_proofs as u8);
+        w.put_bool(self.with_proofs);
         // Budget-session extension. A plain round 0 without a budget
         // appends nothing, so pre-budget journals stay byte-compatible.
         if self.round != 0 || self.budget.is_some() {
@@ -250,7 +252,7 @@ impl RoundSpec {
                     w.put_str(&b.dataset);
                     w.put_u64(b.capacity.to_bits());
                     w.put_u64(b.delta.to_bits());
-                    w.put_u8(b.advanced as u8);
+                    w.put_bool(b.advanced);
                 }
             }
         }
@@ -428,6 +430,9 @@ pub struct RoundOutcome {
     pub rejected: Vec<VertexId>,
 }
 
+/// Upper bound on the rejected devices an outcome may list.
+const MAX_DEVICES: usize = 1 << 24;
+
 /// Serializes an outcome (the aggregator → driver/test file format).
 pub fn encode_outcome(out: &Result<RoundOutcome, String>) -> Vec<u8> {
     let mut w = Writer::new();
@@ -439,18 +444,11 @@ pub fn encode_outcome(out: &Result<RoundOutcome, String>) -> Vec<u8> {
         Ok(out) => {
             w.put_u8(1);
             encode_plain_result(&mut w, &out.exact);
-            w.put_u32(out.released.len() as u32);
-            for g in &out.released {
+            w.put_seq(&out.released, |w, g| {
                 w.put_str(&g.label);
-                w.put_u32(g.histogram.len() as u32);
-                for &v in &g.histogram {
-                    w.put_i64(v);
-                }
-            }
-            w.put_u32(out.rejected.len() as u32);
-            for &v in &out.rejected {
-                w.put_u32(v);
-            }
+                w.put_seq(&g.histogram, |w, &v| w.put_i64(v));
+            });
+            w.put_u32_slice(&out.rejected);
         }
     }
     w.finish()
@@ -459,34 +457,22 @@ pub fn encode_outcome(out: &Result<RoundOutcome, String>) -> Vec<u8> {
 /// Deserializes an outcome file.
 pub fn decode_outcome(bytes: &[u8]) -> Result<Result<RoundOutcome, String>, NetError> {
     let mut r = Reader::new(bytes);
-    match r.get_u8()? {
-        0 => Ok(Err(r.get_str()?)),
-        1 => {
-            let exact = decode_plain_result(&mut r)?;
-            let ng = r.get_u32()? as usize;
-            let mut released = Vec::with_capacity(ng);
-            for _ in 0..ng {
-                let label = r.get_str()?;
-                let nh = r.get_u32()? as usize;
-                let mut histogram = Vec::with_capacity(nh);
-                for _ in 0..nh {
-                    histogram.push(r.get_i64()?);
-                }
-                released.push(NoisyGroup { label, histogram });
-            }
-            let nr = r.get_u32()? as usize;
-            let mut rejected = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                rejected.push(r.get_u32()?);
-            }
-            Ok(Ok(RoundOutcome {
-                exact,
-                released,
-                rejected,
-            }))
-        }
-        v => Err(NetError::Decode(format!("bad outcome tag {v}"))),
-    }
+    let out = match r.u8("outcome")? {
+        0 => Err(r.str("outcome error", MAX_LABEL)?),
+        1 => Ok(RoundOutcome {
+            exact: decode_plain_result(&mut r)?,
+            released: r.seq("released", MAX_GROUPS, |r| -> Result<_, CodecError> {
+                Ok(NoisyGroup {
+                    label: r.str("released label", MAX_LABEL)?,
+                    histogram: r.seq("released histogram", MAX_HIST, |r| r.i64("bin"))?,
+                })
+            })?,
+            rejected: r.u32s("rejected devices", MAX_DEVICES)?,
+        }),
+        tag => return CodecError::bad_tag("outcome", tag),
+    };
+    r.end()?;
+    Ok(out)
 }
 
 /// The one way to wait: how long a server holds a request whose answer is

@@ -43,6 +43,7 @@ use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mycelium_crypto::codec::Writer;
 use mycelium_math::rng::{SeedableRng, StdRng};
 
 use crate::channel::{server_handshake, Identity, SecureChannel};
@@ -50,7 +51,6 @@ use crate::error::NetError;
 use crate::journal::Pending;
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::wire::Writer;
 
 /// What a [`Handler`] made of one request.
 pub enum Handled {

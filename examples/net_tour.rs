@@ -77,7 +77,7 @@ fn main() {
         move |_peer: [u8; 32], req: &[u8]| -> Result<Vec<u8>, NetError> {
             let mut r = Reader::new(req);
             let ct = decode_ciphertext(&mut r, &cc2)?;
-            r.expect_end()?;
+            r.end()?;
             let mut acc = acc2.lock().unwrap();
             *acc = Some(match acc.take() {
                 None => ct,
