@@ -358,9 +358,10 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
-    /// Reads a map written by [`Writer::put_map`] of at most `max` entries;
-    /// a key that does not strictly follow the one before it is
-    /// [`CodecError::NonCanonical`], never a silent overwrite or reorder.
+    /// Reads a map written by [`Writer::put_map`] of at most `max` entries
+    /// (a key's length is bounded by the bytes alone); a key that does not
+    /// strictly follow the one before it is [`CodecError::NonCanonical`],
+    /// never a silent overwrite or reorder.
     pub fn map<V, E: From<CodecError>>(
         &mut self,
         field: &'static str,
