@@ -568,3 +568,32 @@ fn main() {
         std::process::exit(1);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed `BENCH_bgv.json`: every serial row the regression
+    /// gate compares against, at the values the file holds. (A refreshed
+    /// file refreshes these numbers.)
+    #[test]
+    fn committed_baseline_yields_every_serial_row() {
+        let rows = baseline_ops(include_str!("../../../../BENCH_bgv.json"));
+        let want = [
+            ("test_medium/ntt", 3657.4874),
+            ("test_medium/encrypt", 1010.2784),
+            ("test_medium/bgv_mul", 1864.0119),
+            ("test_medium/relinearize", 294.8222),
+            ("test_medium/mod_switch_down", 1247.8077),
+            ("test_medium/mod_switch_to", 852.7243),
+            ("test_medium/e2e_query", 53.9197),
+            ("test_small/ntt", 37463.9151),
+            ("test_small/encrypt", 12366.2692),
+            ("test_small/bgv_mul", 87650.9191),
+            ("test_small/relinearize", 6780.9172),
+            ("test_small/mod_switch_down", 21717.5908),
+            ("test_small/mod_switch_to", 14183.0458),
+        ];
+        assert_eq!(rows, want.map(|(key, ops)| (key.to_string(), ops)));
+    }
+}

@@ -138,6 +138,38 @@ mod tests {
         assert_eq!(extract_cert_hex(&json).unwrap(), bytes);
     }
 
+    /// Every byte of the artifact; the certificate's own hex, thousands of
+    /// digits, stands in as `CERT_HEX`.
+    #[test]
+    fn artifact_text_is_pinned() {
+        let cert = sample_certificate();
+        let bytes = cert.encode();
+        let pinned = r#"{
+  "seed": 42,
+  "devices": 24,
+  "query": "Q4",
+  "with_proofs": true,
+  "committee": 5,
+  "threshold": 2,
+  "share_round": 0,
+  "signatures": 3,
+  "charged_epsilon": 1,
+  "rejected": [7],
+  "contrib_root": "9bd2ec389c310ad7011b21a0c5b3de347ad0a4aa568c6d5711a6d27996184a75",
+  "aggregate_digest": "0303030303030303030303030303030303030303030303030303030303030303",
+  "noise_commitment": "6d6bf598963faa8d4e148168d2e9ba72711a26bb356b3eac484200fad79848b8",
+  "transcript": "564e88ee242fe3b13da168449bd26e540e42799323081f91d5d2ab0429ef2819",
+  "released": {
+    "infected": [5, -1, 0]
+  },
+  "cert_sha256": "c4e7f1d6053d850c2306263f475c6b4a6c33bda2ca3f9a47d4d79c450accf8c6",
+  "cert_hex": "CERT_HEX"
+}
+"#;
+        let text = render_json(&cert, &bytes);
+        assert_eq!(text, pinned.replace("CERT_HEX", &to_hex(&bytes)));
+    }
+
     #[test]
     fn extraction_survives_missing_or_mangled_keys() {
         assert!(extract_cert_hex("{}").is_none());

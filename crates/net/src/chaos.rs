@@ -546,4 +546,64 @@ mod tests {
         };
         assert!(report_json(&[bad]).contains("\"invariant_violations\": 1"));
     }
+
+    #[test]
+    fn report_text_is_pinned() {
+        let clean = ChaosOutcome {
+            seed: 3,
+            drill: false,
+            shards: 1,
+            verdict: ChaosVerdict::Exact,
+            agg_incarnations: 1,
+            kills: Vec::new(),
+            injected: FaultLedger {
+                resets: 2,
+                reply_drops: 1,
+                ..FaultLedger::default()
+            },
+            reconciled: "ok".into(),
+        };
+        let killed = ChaosOutcome {
+            seed: 9,
+            drill: true,
+            shards: 4,
+            verdict: ChaosVerdict::TypedFailure,
+            agg_incarnations: 3,
+            kills: vec![
+                "aggregator: died \"after PushContrib:3\"".into(),
+                "device-1: SIGKILL at 700 ms".into(),
+            ],
+            injected: FaultLedger::default(),
+            reconciled: "mismatch: \"retries\" 3 != 2".into(),
+        };
+        assert_eq!(
+            report_json(&[clean, killed]),
+            r#"{
+  "runs": [
+    {
+      "seed": 3,
+      "plan": "seeded",
+      "shards": 1,
+      "verdict": "exact",
+      "agg_incarnations": 1,
+      "kills": [],
+      "injected": {"flips": 0, "latency_injections": 0, "partition_rejects": 0, "reply_drops": 1, "resets": 2, "stall_replies": 0, "stall_requests": 0},
+      "reconciled": "ok"
+    },
+    {
+      "seed": 9,
+      "plan": "drill",
+      "shards": 4,
+      "verdict": "typed_failure",
+      "agg_incarnations": 3,
+      "kills": ["aggregator: died \"after PushContrib:3\"", "device-1: SIGKILL at 700 ms"],
+      "injected": {"flips": 0, "latency_injections": 0, "partition_rejects": 0, "reply_drops": 0, "resets": 0, "stall_replies": 0, "stall_requests": 0},
+      "reconciled": "mismatch: \"retries\" 3 != 2"
+    }
+  ],
+  "invariant_violations": 1
+}
+"#
+        );
+    }
 }

@@ -392,6 +392,52 @@ mod tests {
         assert_eq!(m.to_json(0), m.clone().to_json(0));
     }
 
+    /// The text `NET_round.json` holds, less its final newline.
+    fn rendered(m: &NetMetrics) -> String {
+        m.to_json(0)
+    }
+
+    #[test]
+    fn json_text_is_pinned() {
+        assert_eq!(
+            rendered(&sample()),
+            r#"{
+  "handshakes": 2,
+  "handshake_p50_micros": 120,
+  "handshake_p99_micros": 120,
+  "reconnects": 1,
+  "aead_rejects": 0,
+  "retries": 3,
+  "deadline_expiries": 1,
+  "duplicates_suppressed": 2,
+  "overload_rejections": 4,
+  "overload_backoffs": 4,
+  "sessions_reaped": 1,
+  "wal_syncs": 5,
+  "sync_waits": 1,
+  "sync_wait_p50_micros": 480,
+  "sync_wait_p99_micros": 480,
+  "frames_sent": 10,
+  "frames_recv": 0,
+  "bytes_sent": 4096,
+  "bytes_recv": 0,
+  "sent": {
+    "PushContrib": {"frames": 1, "payload_bytes": 1000, "wire_bytes": 1036}
+  },
+  "recv": {
+    "Ack": {"frames": 1, "payload_bytes": 1, "wire_bytes": 37}
+  },
+  "latency_micros": {
+    "PushContrib": {"count": 1, "p50": 250, "p99": 250, "max": 250}
+  }
+}"#
+        );
+        let empty = rendered(&NetMetrics::default());
+        assert!(empty.ends_with(
+            "  \"bytes_recv\": 0,\n  \"sent\": {},\n  \"recv\": {},\n  \"latency_micros\": {}\n}"
+        ));
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert!(NetMetrics::decode(&[1, 2, 3]).is_err());

@@ -977,6 +977,25 @@ mod tests {
         assert_eq!(read.partition_rejects, 17);
     }
 
+    /// The text of a `netfaults-<server>.json` ledger, less its final newline.
+    #[test]
+    fn ledger_text_is_pinned() {
+        let ledger = FaultLedger {
+            flips: 1,
+            latency_injections: 12,
+            partition_rejects: 3,
+            reply_drops: 2,
+            resets: 4,
+            stall_replies: 0,
+            stall_requests: 5,
+        };
+        assert_eq!(
+            ledger.to_json().to_string(),
+            "{\"flips\": 1, \"latency_injections\": 12, \"partition_rejects\": 3, \
+             \"reply_drops\": 2, \"resets\": 4, \"stall_replies\": 0, \"stall_requests\": 5}"
+        );
+    }
+
     /// An echo server and a driver-role client dialing it through a
     /// proxy replaying `faults` on that one link.
     fn proxied_echo(seed: u64, faults: Vec<LinkFault>) -> (Server, ChaosProxy, Client) {

@@ -220,6 +220,54 @@ mod tests {
         assert!(a.contains("\"messages_sent\": 4"));
     }
 
+    /// The rendered text, as the `golden_round` pins hash it.
+    fn rendered(m: &RoundMetrics) -> String {
+        m.to_json(0)
+    }
+
+    #[test]
+    fn json_text_is_pinned() {
+        let mut m = RoundMetrics::new(2);
+        m.actors[0] = ActorCounters {
+            sent_msgs: 4,
+            sent_bytes: 256,
+            recv_msgs: 1,
+            recv_bytes: 64,
+            retries: 1,
+        };
+        m.actors[1].sent_msgs = 2;
+        m.actors[1].sent_bytes = 100;
+        m.actors[1].retries = 2;
+        m.dropped_msgs = 1;
+        m.dropped_bytes = 64;
+        m.dead_letters = 2;
+        m.timer_fires = 7;
+        m.restarts = 1;
+        for t in [30, 10, 20] {
+            m.phase_done("submit", t);
+        }
+        m.phase_done("aggregate", 45);
+        let head = r#"{
+  "messages_sent": 6,
+  "bytes_sent": 356,
+  "retries": 3,
+  "dropped_msgs": 1,
+  "dropped_bytes": 64,
+  "dead_letters": 2,
+  "tampered_msgs": 0,
+  "timer_fires": 7,
+  "restarts": 1,
+"#;
+        let phases = r#"  "phases": {
+    "aggregate": {"count": 1, "min_ticks": 45, "p50_ticks": 45, "mean_ticks": 45, "max_ticks": 45},
+    "submit": {"count": 3, "min_ticks": 10, "p50_ticks": 20, "mean_ticks": 20, "max_ticks": 30}
+  }
+}"#;
+        assert_eq!(rendered(&m), format!("{head}{phases}"));
+        m.phases.clear();
+        assert_eq!(rendered(&m), format!("{head}  \"phases\": {{}}\n}}"));
+    }
+
     #[test]
     fn empty_series_are_zero() {
         let p = PhaseSeries::default();
