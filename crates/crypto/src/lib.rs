@@ -41,5 +41,6 @@ pub mod sha512;
 
 pub use aead::{open, seal, AeadError};
 pub use merkle::{InclusionProof, MerkleTree};
+pub use mycelium_math::json;
 pub use penc::{KeyPair, PublicKey};
 pub use sha256::{hmac_sha256, sha256, Digest};

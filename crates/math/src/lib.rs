@@ -26,10 +26,15 @@
 //!   [`rns::RnsPoly`] operation.
 //! * [`scratch`] — a process-wide pool of reusable coefficient buffers that
 //!   keeps the RNS/BGV hot path allocation-free.
+//! * [`json`] — the workspace's one JSON value, writer and strict reader:
+//!   every artifact a round or a benchmark writes is built with it. It
+//!   lives here because every crate that writes one already depends on
+//!   this one.
 
 pub mod bigint;
 pub mod chacha;
 pub mod ew;
+pub mod json;
 pub mod ntt;
 pub mod par;
 pub mod poly;
