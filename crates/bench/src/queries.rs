@@ -73,6 +73,11 @@ fn deep_population(n: usize, seed: u64) -> Population {
     )
 }
 
+/// The cell of a round the session did not run.
+fn failed_round(query: &str, error: &str) -> String {
+    format!("{{\"query\": \"{query}\", \"admitted\": false, \"error\": \"{error}\"}}")
+}
+
 /// Runs the full sweep.
 pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
     let n_pop = if cfg.smoke { 24 } else { 40 };
@@ -126,9 +131,7 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
             }
             Err(e) => {
                 all_exact = false;
-                round_cells.push(format!(
-                    "{{\"query\": \"{name}\", \"admitted\": false, \"error\": \"{e}\"}}"
-                ));
+                round_cells.push(failed_round(name, &e.to_string()));
             }
         }
     }
@@ -207,6 +210,18 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mycelium_math::json::{self, Json};
+
+    /// What an error renders can hold anything: `SessionError::Sim` shows
+    /// its cause with `{:?}`.
+    const ERROR: &str = "Sim(\"quoted\") at C:\\sweep\nsecond line";
+
+    #[test]
+    fn a_failed_round_is_valid_json_whatever_its_error_says() {
+        let cell = failed_round("SEIR", ERROR).to_string();
+        let cell = json::parse(&cell).expect("a failed round's cell parses");
+        assert_eq!(cell.get("error").and_then(Json::as_str), Some(ERROR));
+    }
 
     #[test]
     fn smoke_sweep_is_exact_and_deterministic() {

@@ -16,6 +16,7 @@ use mycelium::{run_query_simulated, SimNetConfig};
 use mycelium_bgv::KeySet;
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
+use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_mixnet::simtransport::{run_mixnet_simulated, MixSimConfig};
 use mycelium_query::builtin::paper_query;
@@ -44,6 +45,12 @@ pub struct RoundsReport {
 
 fn drop_label(p: f64) -> String {
     format!("{p:.2}")
+}
+
+/// A sweep cell that did not converge: where it sits, and why.
+fn failed_cell(coords: [(&str, Json); 2], error: &str) -> String {
+    let [(a, x), (b, y)] = coords;
+    format!("{{\"{a}\": {x}, \"{b}\": {y}, \"converged\": false, \"error\": \"{error}\"}}")
 }
 
 /// Runs the full sweep.
@@ -118,12 +125,11 @@ pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
                 }
                 Err(e) => {
                     all_converged = false;
-                    format!(
-                        "{{\"drop\": {}, \"committee_crashes\": {}, \"converged\": false, \
-                         \"error\": \"{e}\"}}",
-                        drop_label(drop),
-                        crashes,
-                    )
+                    let coords = [
+                        ("drop", Json::fixed(drop, 2)),
+                        ("committee_crashes", crashes.into()),
+                    ];
+                    failed_cell(coords, &e.to_string())
                 }
             };
             query_cells.push(cell);
@@ -330,14 +336,28 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<String
                 }
                 Err(e) => {
                     *all_converged = false;
-                    format!(
-                        "{{\"n\": {n}, \"shards\": {shards}, \"converged\": false, \
-                         \"error\": \"{e}\"}}"
-                    )
+                    failed_cell([("n", n.into()), ("shards", shards.into())], &e.to_string())
                 }
             };
             cells.push(cell);
         }
     }
     cells
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mycelium_math::json;
+
+    /// What an error renders can hold anything.
+    const ERROR: &str = "Decode(\"bad \\\"frame\\\"\")\nat C:\\sweep";
+
+    #[test]
+    fn a_failed_cell_is_valid_json_whatever_its_error_says() {
+        let cell = failed_cell([("n", 24u64.into()), ("shards", 4u64.into())], ERROR).to_string();
+        let cell = json::parse(&cell).expect("a failed cell parses");
+        assert_eq!(cell.get("error").and_then(Json::as_str), Some(ERROR));
+        assert_eq!(cell.get("shards").and_then(Json::as_u64), Some(4));
+    }
 }
