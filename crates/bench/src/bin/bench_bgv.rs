@@ -27,24 +27,28 @@
 //!   `relinearize` or `mod_switch_down` at `test_small` exceeds
 //!   [`FLOOR_RATIO_GATE`].
 //!
-//! Before overwriting `BENCH_bgv.json`, the committed copy is re-read as
-//! the *baseline*: the emitted `speedup` section is the measured new/old
-//! ops-per-sec ratio per kernel (at `MYC_THREADS=1`), and the process
-//! exits nonzero if any kernel regressed by more than 10% — which is what
-//! lets CI run this binary as a perf gate. Under `MYC_NO_SIMD=1` the run
-//! only prints (the committed numbers are the auto tier's: it neither
-//! compares against them nor overwrites them). Thread-count scaling is
-//! reported separately under `thread_scaling`. Built on
-//! `std::time::Instant` only; run with `--release`.
+//! Before overwriting `BENCH_bgv.json`, the committed copy is re-read (by
+//! `json::parse`) as the *baseline*: the emitted `speedup` section is the
+//! measured new/old ops-per-sec ratio per kernel (at `MYC_THREADS=1`), and
+//! the process exits nonzero if any kernel regressed by more than 10% —
+//! which is what lets CI run this binary as a perf gate — or if the file is
+//! there but is no baseline (it does not parse, or holds no serial suite).
+//! Both gates read the document the run writes ([`checks`]). Under
+//! `MYC_NO_SIMD=1` the run only prints (the committed numbers are the auto
+//! tier's: it neither compares against them nor overwrites them).
+//! Thread-count scaling is reported separately under `thread_scaling`.
+//! Built on `std::time::Instant` only; run with `--release`.
 
 use std::time::Instant;
 
 use mycelium::params::SystemParams;
 use mycelium::run_query_encrypted;
+use mycelium_bench::{finish, Args};
 use mycelium_bgv::encoding::encode_monomial;
 use mycelium_bgv::{BgvParams, Ciphertext, KeySet};
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
+use mycelium_math::json::{self, Json};
 use mycelium_math::ntt::NttTable;
 use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
 use mycelium_math::simd::{self, Kernels};
@@ -320,72 +324,87 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
         .collect()
 }
 
-fn json_results(samples: &[Sample]) -> String {
-    let fields: Vec<String> = samples
+/// The `(params/kernel, ops_per_sec)` rows of the serial (`threads: 1`)
+/// suites of a `BENCH_bgv.json`, in file order: the baseline the speedup
+/// section and the regression gate compare against. A text that does not
+/// parse, or holds no serial row, is no baseline.
+fn baseline_ops(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let suites = doc
+        .get("suites")
+        .and_then(Json::as_array)
+        .unwrap_or_default();
+    let serial = suites
         .iter()
-        .map(|s| {
-            format!(
-                "      \"{}\": {{\"ops_per_sec\": {:.4}, \"iters\": {}, \"secs\": {:.4}}}",
-                s.name,
-                s.ops_per_sec(),
-                s.iters,
-                s.secs
-            )
+        .filter(|s| s.get("threads").and_then(Json::as_u64) == Some(1));
+    let rows: Vec<_> = serial
+        .flat_map(|suite| {
+            let params = suite
+                .get("params")
+                .and_then(Json::as_str)
+                .unwrap_or_default();
+            let results = suite.get("results").and_then(Json::as_object);
+            results
+                .unwrap_or_default()
+                .iter()
+                .filter_map(move |(name, row)| {
+                    let ops = row.get("ops_per_sec")?.as_f64()?;
+                    Some((format!("{params}/{name}"), ops))
+                })
         })
         .collect();
-    fields.join(",\n")
+    if rows.is_empty() {
+        return Err("no threads: 1 suite".into());
+    }
+    Ok(rows)
 }
 
-/// Extracts `(params/kernel, ops_per_sec)` pairs from the `MYC_THREADS=1`
-/// suites of a previously written `BENCH_bgv.json`, without a JSON
-/// library: the file is our own output, one suite header, kernel or
-/// closing brace per line. (A file from before the `params` key existed
-/// has one serial suite, at `test_medium`.)
-fn baseline_ops(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    // The parameter set of the serial suite the cursor is inside, if any.
-    let mut suite: Option<&str> = None;
-    for line in json.lines().map(str::trim) {
-        if line.contains("\"results\": {") {
-            let params = line
-                .split("\"params\": \"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .unwrap_or("test_medium");
-            suite = line.contains("\"threads\": 1,").then_some(params);
-        } else if line.starts_with("}}") {
-            suite = None;
-        } else if let (Some(params), Some((name, rest))) = (
-            suite,
-            line.strip_prefix('"')
-                .and_then(|l| l.split_once("\": {\"ops_per_sec\": ")),
-        ) {
-            if let Some(v) = rest.split([',', '}']).next().and_then(|v| v.parse().ok()) {
-                out.push((format!("{params}/{name}"), v));
-            }
+/// The gates a `BENCH_bgv.json` document is held to, read back from its
+/// own (two-decimal) values: a serial row more than 10 % below the
+/// committed baseline (`speedup` under 0.90), and a gated operation at
+/// `test_small` above [`FLOOR_RATIO_GATE`] (or missing).
+fn checks(doc: &Json) -> Vec<String> {
+    let floor = doc.get("floor_ratio").and_then(|f| f.get("test_small"));
+    let over_floor = GATED_OPS.iter().filter_map(|op| {
+        let gate = format!("floor ratio of {op} at test_small");
+        match floor.and_then(|f| f.get(op)?.as_f64()) {
+            Some(ratio) if ratio <= FLOOR_RATIO_GATE => None,
+            Some(ratio) => Some(format!("{gate}: {ratio} > {FLOOR_RATIO_GATE}")),
+            None => Some(format!("{gate}: not in the document")),
         }
-    }
-    out
+    });
+    let speedup = doc
+        .get("speedup")
+        .and_then(Json::as_object)
+        .unwrap_or_default();
+    let regressions = speedup.iter().filter_map(|(key, ratio)| {
+        let ratio = ratio.as_f64().filter(|&r| r < 0.9)?;
+        Some(format!("{key}: {ratio}x the committed ops/s"))
+    });
+    over_floor.chain(regressions).collect()
 }
 
 fn main() {
+    let args = Args::parse("bench_bgv", 0, "BENCH_bgv.json");
     let ncores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let scalar_run = simd::simd_disabled_by_env();
     // Read the committed numbers *before* overwriting: they are the
     // baseline the speedup section and the regression gate compare against.
+    let mut failures = Vec::new();
     let baseline = if scalar_run {
         eprintln!("MYC_NO_SIMD: printing the scalar rows; no baseline compare, no file written");
         Vec::new()
+    } else if let Ok(text) = std::fs::read_to_string(&args.out) {
+        baseline_ops(&text).unwrap_or_else(|e| {
+            failures.push(format!("{} is no baseline: {e}", args.out));
+            Vec::new()
+        })
     } else {
-        std::fs::read_to_string("BENCH_bgv.json")
-            .map(|s| baseline_ops(&s))
-            .unwrap_or_default()
-    };
-    if baseline.is_empty() && !scalar_run {
         eprintln!("no committed BENCH_bgv.json baseline; speedups default to 1.00");
-    }
+        Vec::new()
+    };
 
     let sets = [
         ParamSet {
@@ -426,147 +445,85 @@ fn main() {
     let tiers = run_tiers();
     std::env::remove_var("MYC_THREADS");
 
-    let simd_active = simd::active_name();
-    let features_json: Vec<String> = simd::detected_features()
-        .iter()
-        .map(|f| format!("\"{f}\""))
-        .collect();
-    let mut json = format!(
-        "{{\n  \"ncores\": {ncores},\n  \"simd\": {{\"active\": \"{simd_active}\", \"features\": [{}]}},\n  \"suites\": [\n",
-        features_json.join(", ")
-    );
-    for (i, suite) in suites.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"params\": \"{}\", \"threads\": {}, \"results\": {{\n{}\n    }}}}{}\n",
-            suite.params,
-            suite.threads,
-            json_results(&suite.samples),
-            if i + 1 < suites.len() { "," } else { "" }
-        ));
-    }
     let serial: Vec<&Suite> = suites.iter().filter(|s| s.threads == 1).collect();
-
-    // Floor ratios of the serial suites, and their gate.
-    json.push_str("  ],\n  \"floor_ratio\": {\n");
-    let mut over_floor: Vec<String> = Vec::new();
-    let rows: Vec<String> = serial
-        .iter()
-        .map(|suite| {
-            let cells: Vec<String> = suite
-                .samples
-                .iter()
-                .filter_map(|s| {
-                    let ratio = s.floor_ratio?;
-                    if suite.params == "test_small"
-                        && GATED_OPS.contains(&s.name)
-                        && ratio > FLOOR_RATIO_GATE
-                    {
-                        over_floor.push(format!("{}: {ratio:.2}", s.name));
-                    }
-                    Some(format!("\"{}\": {ratio:.2}", s.name))
-                })
-                .collect();
-            format!("    \"{}\": {{{}}}", suite.params, cells.join(", "))
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-
+    let results = |samples: &[Sample]| {
+        Json::obj(samples.iter().map(|s| {
+            let row = Json::obj([
+                ("ops_per_sec", Json::fixed(s.ops_per_sec(), 4)),
+                ("iters", s.iters.into()),
+                ("secs", Json::fixed(s.secs, 4)),
+            ]);
+            (s.name, row)
+        }))
+    };
+    let suites_json = suites.iter().map(|suite| {
+        Json::obj([
+            ("params", suite.params.into()),
+            ("threads", suite.threads.into()),
+            ("results", results(&suite.samples)),
+        ])
+    });
+    // Floor ratios of the serial suites.
+    let floor_ratio = serial.iter().map(|suite| {
+        let ratios = suite
+            .samples
+            .iter()
+            .filter_map(|s| Some((s.name, Json::fixed(s.floor_ratio?, 2))));
+        (suite.params, Json::obj(ratios))
+    });
     // Per-tier kernel table.
-    json.push_str("\n  },\n  \"tiers\": {\n");
-    let rows: Vec<String> = tiers
-        .iter()
-        .map(|(name, kernels)| {
-            let cells: Vec<String> = kernels
-                .iter()
-                .map(|(kernel, us)| format!("\"{kernel}_us\": {us:.3}"))
-                .collect();
-            format!("    \"{name}\": {{{}}}", cells.join(", "))
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-
-    // Measured speedup vs the committed baseline (serial suite vs serial
-    // suite), and the >10% regression gate.
-    json.push_str("\n  },\n  \"speedup\": {\n");
-    let mut lines: Vec<String> = Vec::new();
-    let mut regressions: Vec<String> = Vec::new();
-    for suite in &serial {
-        for s in &suite.samples {
+    let tiers = tiers.iter().map(|(name, kernels)| {
+        let cells = kernels
+            .iter()
+            .map(|(kernel, us)| (format!("{kernel}_us"), Json::fixed(*us, 3)));
+        (*name, Json::obj(cells))
+    });
+    // Measured speedup vs the committed baseline, serial suite vs serial
+    // suite (1.00 where the baseline has no such row).
+    let speedup = serial.iter().flat_map(|suite| {
+        suite.samples.iter().map(|s| {
             let key = format!("{}/{}", suite.params, s.name);
-            let old = baseline
-                .iter()
-                .find(|(n, _)| *n == key)
-                .map(|&(_, v)| v)
-                .filter(|&v| v > 0.0);
-            let ratio = old.map(|o| s.ops_per_sec() / o).unwrap_or(1.0);
-            if ratio < 0.9 {
-                regressions.push(format!(
-                    "{key}: {:.2} -> {:.2} ops/s ({:.0}%)",
-                    old.unwrap_or(0.0),
-                    s.ops_per_sec(),
-                    ratio * 100.0
-                ));
-            }
-            lines.push(format!("    \"{key}\": {ratio:.2}"));
-        }
-    }
-    json.push_str(&lines.join(",\n"));
-
+            let old = baseline.iter().find(|(n, _)| *n == key).map(|&(_, v)| v);
+            let ratio = old
+                .filter(|&v| v > 0.0)
+                .map_or(1.0, |o| s.ops_per_sec() / o);
+            (key, Json::fixed(ratio, 2))
+        })
+    });
     // Thread-count scaling of this run: per-kernel ratio of each
     // multi-thread suite over the serial suite of the same parameters.
     // Empty on a 1-core host (the matrix is capped at real cores, so there
     // is nothing to compare).
-    json.push_str("\n  },\n  \"thread_scaling\": {\n");
-    let rows: Vec<String> = suites
-        .iter()
-        .filter(|s| s.threads > 1)
-        .map(|suite| {
-            let base = serial
-                .iter()
-                .find(|b| b.params == suite.params)
-                .expect("every parameter set has a serial suite");
-            let cells: Vec<String> = base
-                .samples
-                .iter()
-                .zip(&suite.samples)
-                .map(|(b, p)| format!("\"{}\": {:.2}", b.name, p.ops_per_sec() / b.ops_per_sec()))
-                .collect();
-            format!(
-                "    \"{}/{}\": {{{}}}",
-                suite.params,
-                suite.threads,
-                cells.join(", ")
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  }\n}\n");
-
-    println!("{json}");
-    if !scalar_run {
-        std::fs::write("BENCH_bgv.json", &json).expect("write BENCH_bgv.json");
-        eprintln!("wrote BENCH_bgv.json");
-    }
-    let mut failed = false;
-    if !over_floor.is_empty() {
-        eprintln!(
-            "FLOOR RATIO above {FLOOR_RATIO_GATE} at test_small (op time / transform floor):"
-        );
-        for r in &over_floor {
-            eprintln!("  {r}");
-        }
-        failed = true;
-    }
-    if !regressions.is_empty() {
-        eprintln!("PERFORMANCE REGRESSION (>10% below committed baseline):");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let thread_scaling = suites.iter().filter(|s| s.threads > 1).map(|suite| {
+        let base = serial
+            .iter()
+            .find(|b| b.params == suite.params)
+            .expect("every parameter set has a serial suite");
+        let cells = base
+            .samples
+            .iter()
+            .zip(&suite.samples)
+            .map(|(b, p)| (b.name, Json::fixed(p.ops_per_sec() / b.ops_per_sec(), 2)));
+        (
+            format!("{}/{}", suite.params, suite.threads),
+            Json::obj(cells),
+        )
+    });
+    let simd = Json::obj([
+        ("active", simd::active_name().into()),
+        ("features", simd::detected_features().into_iter().collect()),
+    ]);
+    let doc = Json::obj([
+        ("ncores", ncores.into()),
+        ("simd", simd),
+        ("suites", suites_json.collect()),
+        ("floor_ratio", Json::obj(floor_ratio)),
+        ("tiers", Json::obj(tiers)),
+        ("speedup", Json::obj(speedup)),
+        ("thread_scaling", Json::obj(thread_scaling)),
+    ]);
+    failures.extend(checks(&doc));
+    finish((!scalar_run).then_some(args.out.as_str()), &doc, &failures);
 }
 
 #[cfg(test)]
@@ -578,7 +535,7 @@ mod tests {
     /// file refreshes these numbers.)
     #[test]
     fn committed_baseline_yields_every_serial_row() {
-        let rows = baseline_ops(include_str!("../../../../BENCH_bgv.json"));
+        let rows = baseline_ops(include_str!("../../../../BENCH_bgv.json")).unwrap();
         let want = [
             ("test_medium/ntt", 3657.4874),
             ("test_medium/encrypt", 1010.2784),
@@ -595,5 +552,59 @@ mod tests {
             ("test_small/mod_switch_to", 14183.0458),
         ];
         assert_eq!(rows, want.map(|(key, ops)| (key.to_string(), ops)));
+    }
+
+    #[test]
+    fn a_file_that_is_no_baseline_fails_the_run() {
+        let serial_at = |threads: u64| {
+            let row = Json::obj([("ops_per_sec", Json::fixed(12.5, 4))]);
+            let suite = Json::obj([
+                ("params", "test_small".into()),
+                ("threads", threads.into()),
+                ("results", Json::obj([("ntt", row)])),
+            ]);
+            Json::obj([("suites", Json::Arr(vec![suite]))]).to_string()
+        };
+        let rows = baseline_ops(&serial_at(1)).unwrap();
+        assert_eq!(rows, [("test_small/ntt".to_string(), 12.5)]);
+        for text in [
+            serial_at(2),
+            "{}".into(),
+            "{\"suites\": [".into(),
+            String::new(),
+        ] {
+            assert!(baseline_ops(&text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn each_gate_fails_a_document_that_breaks_it() {
+        let doc = |encrypt: f64, speedup: f64| {
+            let floor = GATED_OPS.map(|op| {
+                (
+                    op,
+                    Json::fixed(if op == "encrypt" { encrypt } else { 2.0 }, 2),
+                )
+            });
+            Json::obj([
+                ("floor_ratio", Json::obj([("test_small", Json::obj(floor))])),
+                (
+                    "speedup",
+                    Json::obj([("test_small/ntt", Json::fixed(speedup, 2))]),
+                ),
+            ])
+        };
+        assert_eq!(checks(&doc(2.5, 0.9)), Vec::<String>::new());
+        let failed = checks(&doc(2.51, 0.9));
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].starts_with("floor ratio of encrypt"),
+            "{failed:?}"
+        );
+        let failed = checks(&doc(1.9, 0.89));
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].starts_with("test_small/ntt: 0.89x"), "{failed:?}");
+        // Every gated operation must be in the document.
+        assert_eq!(checks(&Json::obj::<&str>([])).len(), GATED_OPS.len());
     }
 }

@@ -1,13 +1,17 @@
 //! Transport-plane benchmark: loopback throughput, per-exchange
 //! latency, and handshake cost over the authenticated-encryption TCP
-//! channel. Writes `BENCH_net.json` (fixed field order). `--smoke`
-//! shrinks the time budget for CI.
+//! channel. Writes `BENCH_net.json` (fixed field order) and exits 1 if it
+//! fails one of [`mycelium_bench::net::checks`]. `--smoke` shrinks the
+//! time budget for CI.
+
+use mycelium_bench::{finish, net, Args};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    eprintln!("bench_net: payload sweep over loopback (smoke={smoke})");
-    let bench = mycelium_bench::net::run(smoke);
-    let json = mycelium_bench::net::to_json(&bench);
-    std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
-    print!("{json}");
+    let args = Args::parse("bench_net [--smoke]", 0, "BENCH_net.json");
+    eprintln!(
+        "bench_net: payload sweep over loopback (smoke={})",
+        args.smoke
+    );
+    let doc = net::to_json(&net::run(args.smoke));
+    finish(Some(&args.out), &doc, &net::checks(&doc));
 }

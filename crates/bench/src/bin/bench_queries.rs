@@ -11,55 +11,35 @@
 //!
 //! Usage: `bench_queries [--smoke] [--seed N] [--out PATH]`
 
-use std::io::Write;
 use std::time::Instant;
 
 use mycelium_bench::queries::{run_queries, QueriesConfig};
+use mycelium_bench::{finish, Args};
 
 fn main() {
-    let mut cfg = QueriesConfig {
-        seed: 3,
-        smoke: false,
+    let usage = "bench_queries [--smoke] [--seed N] [--out PATH]";
+    let args = Args::parse(usage, 3, "BENCH_queries.json");
+    let cfg = QueriesConfig {
+        seed: args.seed,
+        smoke: args.smoke,
     };
-    let mut out_path = String::from("BENCH_queries.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--seed" => {
-                cfg.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_queries [--smoke] [--seed N] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
     eprintln!(
         "bench_queries: seed {} {} -> {}",
         cfg.seed,
         if cfg.smoke { "(smoke)" } else { "(full)" },
-        out_path,
+        args.out,
     );
     let started = Instant::now();
     let report = run_queries(&cfg);
-    let elapsed = started.elapsed();
-
-    let mut file = std::fs::File::create(&out_path).expect("create output file");
-    file.write_all(report.json.as_bytes()).expect("write JSON");
     eprintln!(
         "bench_queries: all_exact={} in {:.1}s",
         report.all_exact,
-        elapsed.as_secs_f64()
+        started.elapsed().as_secs_f64()
     );
-    if !report.all_exact {
-        eprintln!("bench_queries: FAILED — see {out_path}");
-        std::process::exit(1);
-    }
+    let failures = if report.all_exact {
+        vec![]
+    } else {
+        vec!["a round left the oracle, the sixth was not refused, or a protocol cell missed the fault-free digest".into()]
+    };
+    finish(Some(&args.out), &report.json, &failures);
 }

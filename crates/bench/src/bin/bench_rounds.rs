@@ -10,10 +10,11 @@
 //!
 //! Usage: `bench_rounds [--smoke] [--seed N] [--out PATH]`
 
-use std::io::Write;
 use std::time::Instant;
 
 use mycelium_bench::rounds::{run_rounds, RoundsConfig};
+use mycelium_bench::{finish, Args};
+use mycelium_math::json::Json;
 
 /// Peak resident set size in kB from `/proc/self/status` (`VmHWM`), or
 /// 0 where the procfs field is unavailable.
@@ -33,30 +34,12 @@ fn peak_rss_kb() -> u64 {
 }
 
 fn main() {
-    let mut cfg = RoundsConfig {
-        seed: 1,
-        smoke: false,
+    let usage = "bench_rounds [--smoke] [--seed N] [--out PATH]";
+    let args = Args::parse(usage, 1, "BENCH_rounds.json");
+    let cfg = RoundsConfig {
+        seed: args.seed,
+        smoke: args.smoke,
     };
-    let mut out_path = String::from("BENCH_rounds.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--seed" => {
-                cfg.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_rounds [--smoke] [--seed N] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
     eprintln!(
         "bench_rounds: seed {} ({} sweep)",
         cfg.seed,
@@ -67,18 +50,14 @@ fn main() {
     let wall_ms = started.elapsed().as_millis() as u64;
     let rss_kb = peak_rss_kb();
 
-    let mut f = std::fs::File::create(&out_path).expect("create output file");
-    f.write_all(report.json.as_bytes()).expect("write report");
-    let host_path = format!("{out_path}.host.json");
-    std::fs::write(
-        &host_path,
-        format!("{{\n  \"wall_ms\": {wall_ms},\n  \"peak_rss_kb\": {rss_kb}\n}}\n"),
-    )
-    .expect("write host report");
-    eprintln!("wrote {out_path} and {host_path} (wall {wall_ms} ms, peak RSS {rss_kb} kB)");
-    print!("{}", report.json);
-    if !report.all_converged {
-        eprintln!("FAIL: at least one sweep cell did not converge or drifted from the byte model");
-        std::process::exit(1);
-    }
+    let host_path = format!("{}.host.json", args.out);
+    let host = Json::obj([("wall_ms", wall_ms.into()), ("peak_rss_kb", rss_kb.into())]);
+    std::fs::write(&host_path, format!("{host}\n")).expect("write host report");
+    eprintln!("wrote {host_path} (wall {wall_ms} ms, peak RSS {rss_kb} kB)");
+    let failures = if report.all_converged {
+        vec![]
+    } else {
+        vec!["a sweep cell did not converge or drifted from the byte model".into()]
+    };
+    finish(Some(&args.out), &report.json, &failures);
 }

@@ -16,12 +16,14 @@
 //! second, and how many `fsync`s an ack costs once a burst shares one),
 //! and the minor page faults an exchange takes now that frames live in
 //! buffers their connection keeps. The emitted `BENCH_net.json` has a
-//! fixed field order and precision so diffs stay readable.
+//! fixed field order and precision so diffs stay readable, and
+//! [`checks`] holds it to the gates `bench_net` exits on.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mycelium_crypto::aead;
+use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_net::client::{Client, ClientConfig};
 use mycelium_net::error::NetError;
@@ -494,137 +496,166 @@ pub fn run(smoke: bool) -> NetBench {
     }
 }
 
-/// Renders the fixed-order JSON document.
-pub fn to_json(bench: &NetBench) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"handshake\": {");
-    out.push_str(&format!(
-        "\"iters\": {}, \"p50_micros\": {}, \"p99_micros\": {}",
-        bench.handshake_micros.count(),
-        bench.handshake_micros.p50(),
-        bench.handshake_micros.p99(),
-    ));
-    out.push_str("},\n  \"payloads\": [\n");
-    for (i, s) in bench.samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bytes\": {}, \"exchanges\": {}, \"mbytes_per_sec\": {:.2}, \
-             \"p50_micros\": {}, \"p99_micros\": {}}}{}\n",
-            s.payload,
-            s.exchanges,
-            s.mbytes_per_sec(),
-            s.latency_micros.p50(),
-            s.latency_micros.p99(),
-            if i + 1 == bench.samples.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
+/// The `BENCH_net.json` document, its fields in a fixed order.
+pub fn to_json(bench: &NetBench) -> Json {
+    let mb = |mbytes_per_sec| Json::fixed(mbytes_per_sec, 2);
+    let series = |p: &PhaseSeries| {
+        Json::obj([
+            ("iters", p.count().into()),
+            ("p50_micros", p.p50().into()),
+            ("p99_micros", p.p99().into()),
+        ])
+    };
+    let payloads = bench.samples.iter().map(|s| {
+        Json::obj([
+            ("bytes", s.payload.into()),
+            ("exchanges", s.exchanges.into()),
+            ("mbytes_per_sec", mb(s.mbytes_per_sec())),
+            ("p50_micros", s.latency_micros.p50().into()),
+            ("p99_micros", s.latency_micros.p99().into()),
+        ])
+    });
+    let (direct, proxied) = (bench.proxy.direct_micros.p50(), &bench.proxy.proxied_micros);
+    let idle_proxy = Json::obj([
+        ("bytes", bench.proxy.payload.into()),
+        ("iters", proxied.count().into()),
+        ("direct_p50_micros", direct.into()),
+        ("proxied_p50_micros", proxied.p50().into()),
+        (
+            "overhead_p50_micros",
+            proxied.p50().saturating_sub(direct).into(),
+        ),
+    ]);
+    let aead = bench.aead.iter().map(|s| {
+        Json::obj([
+            ("bytes", s.payload.into()),
+            ("seal_mbytes_per_sec", mb(s.seal_mbytes_per_sec)),
+            ("open_mbytes_per_sec", mb(s.open_mbytes_per_sec)),
+            (
+                "scalar_seal_mbytes_per_sec",
+                mb(s.scalar_seal_mbytes_per_sec),
+            ),
+            (
+                "scalar_open_mbytes_per_sec",
+                mb(s.scalar_open_mbytes_per_sec),
+            ),
+        ])
+    });
+    // Acks per second and fsyncs per ack of a journalling row.
+    let acks = |acks: u64, secs: f64, syncs: u64| {
+        [
+            ("acks", acks.into()),
+            ("acks_per_sec", Json::fixed(acks as f64 / secs, 0)),
+            ("fsyncs_per_ack", Json::fixed(syncs as f64 / acks as f64, 2)),
+        ]
+    };
+    let group_commit = bench.group_commit.iter().map(|g| {
+        let writers = ("writers", g.writers.into());
+        Json::obj([writers].into_iter().chain(acks(g.acks, g.secs, g.syncs)))
+    });
+    let pipelined = bench.pipelined.iter().map(|p| {
+        let window = ("window", p.window.into());
+        Json::obj([window].into_iter().chain(acks(p.acks, p.secs, p.syncs)))
+    });
+    let aead = Json::obj([
+        ("tier", aead_tier_name().into()),
+        ("payloads", aead.collect()),
+    ]);
+    let a = &bench.alloc;
+    let alloc = Json::obj([
+        ("bytes", a.payload.into()),
+        ("exchanges", a.exchanges.into()),
+        (
+            "minor_faults_per_1000",
+            Json::fixed(1000.0 * a.minor_faults as f64 / a.exchanges as f64, 0),
+        ),
+    ]);
+    Json::obj([
+        ("handshake", series(&bench.handshake_micros)),
+        ("payloads", payloads.collect()),
+        ("idle_proxy", idle_proxy),
+        ("aead", aead),
+        ("shutdown", series(&bench.shutdown_micros)),
+        ("group_commit", group_commit.collect()),
+        ("pipelined", pipelined.collect()),
+        ("alloc", alloc),
+    ])
+}
+
+/// The gates a `BENCH_net.json` document is held to, read back from the
+/// document itself: one line per gate it fails, a gate whose field is
+/// missing included.
+pub fn checks(doc: &Json) -> Vec<String> {
+    let num = |v: Option<&Json>, key: &str| v?.get(key)?.as_f64();
+    /// The row of an array whose `key` is `value`.
+    fn row<'a>(rows: Option<&'a Json>, key: &str, value: usize) -> Option<&'a Json> {
+        let rows = rows?.as_array()?;
+        rows.iter()
+            .find(|r| r.get(key).and_then(Json::as_u64) == Some(value as u64))
     }
-    out.push_str("  ],\n  \"idle_proxy\": {");
-    out.push_str(&format!(
-        "\"bytes\": {}, \"iters\": {}, \"direct_p50_micros\": {}, \
-         \"proxied_p50_micros\": {}, \"overhead_p50_micros\": {}",
-        bench.proxy.payload,
-        bench.proxy.proxied_micros.count(),
-        bench.proxy.direct_micros.p50(),
-        bench.proxy.proxied_micros.p50(),
-        bench
-            .proxy
-            .proxied_micros
-            .p50()
-            .saturating_sub(bench.proxy.direct_micros.p50()),
-    ));
-    out.push_str(&format!(
-        "}},\n  \"aead\": {{\"tier\": \"{}\", \"payloads\": [\n",
-        aead_tier_name()
-    ));
-    for (i, s) in bench.aead.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bytes\": {}, \"seal_mbytes_per_sec\": {:.2}, \"open_mbytes_per_sec\": {:.2}, \"scalar_seal_mbytes_per_sec\": {:.2}, \"scalar_open_mbytes_per_sec\": {:.2}}}{}\n",
-            s.payload,
-            s.seal_mbytes_per_sec,
-            s.open_mbytes_per_sec,
-            s.scalar_seal_mbytes_per_sec,
-            s.scalar_open_mbytes_per_sec,
-            if i + 1 == bench.aead.len() { "" } else { "," },
-        ));
-    }
-    out.push_str(&format!(
-        "  ]}},\n  \"shutdown\": {{\"iters\": {}, \"p50_micros\": {}, \"p99_micros\": {}}},\n",
-        bench.shutdown_micros.count(),
-        bench.shutdown_micros.p50(),
-        bench.shutdown_micros.p99(),
-    ));
-    out.push_str("  \"group_commit\": [\n");
-    for (i, g) in bench.group_commit.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"writers\": {}, \"acks\": {}, \"acks_per_sec\": {:.0}, \"fsyncs_per_ack\": {:.2}}}{}\n",
-            g.writers,
-            g.acks,
-            g.acks as f64 / g.secs,
-            g.syncs as f64 / g.acks as f64,
-            if i + 1 == bench.group_commit.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"pipelined\": [\n");
-    for (i, p) in bench.pipelined.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"window\": {}, \"acks\": {}, \"acks_per_sec\": {:.0}, \"fsyncs_per_ack\": {:.2}}}{}\n",
-            p.window,
-            p.acks,
-            p.acks as f64 / p.secs,
-            p.syncs as f64 / p.acks as f64,
-            if i + 1 == bench.pipelined.len() { "" } else { "," },
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"alloc\": {{\"bytes\": {}, \"exchanges\": {}, \"minor_faults_per_1000\": {:.0}}}\n}}\n",
-        bench.alloc.payload,
-        bench.alloc.exchanges,
-        1000.0 * bench.alloc.minor_faults as f64 / bench.alloc.exchanges as f64,
-    ));
-    out
+    let at_most = |x: Option<f64>, limit: f64| x.map(|x| (x.to_string(), x <= limit));
+    let shutdown = num(doc.get("shutdown"), "p50_micros");
+    // The pushing row at the window a device keeps (`WINDOW`).
+    let pipelined = row(doc.get("pipelined"), "window", 8);
+    let pipelined = num(pipelined, "fsyncs_per_ack");
+    let faults = num(doc.get("alloc"), "minor_faults_per_1000");
+    let aead = doc.get("aead").and_then(|a| a.get("payloads"));
+    let aead = row(aead, "bytes", 64 << 10);
+    let seals = num(aead, "seal_mbytes_per_sec").zip(num(aead, "scalar_seal_mbytes_per_sec"));
+    let seals = seals.map(|(active, scalar)| (format!("{active} vs {scalar}"), active >= scalar));
+    let gates = [
+        ("shutdown p50 <= 50 ms (us)", at_most(shutdown, 50_000.0)),
+        ("fsyncs per ack at window 8 <= 0.5", at_most(pipelined, 0.5)),
+        (
+            "minor faults per 1000 exchanges <= 40000",
+            at_most(faults, 40_000.0),
+        ),
+        ("active AEAD seal >= scalar at 64 KiB (MB/s)", seals),
+    ];
+    gates
+        .into_iter()
+        .filter_map(|(gate, measured)| match measured {
+            Some((_, true)) => None,
+            Some((value, false)) => Some(format!("{gate}: {value}")),
+            None => Some(format!("{gate}: not in the document")),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mycelium_math::json;
 
-    #[test]
-    fn json_shape_is_stable() {
-        let mut latency = PhaseSeries::default();
-        latency.record(10);
-        latency.record(30);
-        let mut handshake_micros = PhaseSeries::default();
-        handshake_micros.record(100);
-        let mut direct_micros = PhaseSeries::default();
-        direct_micros.record(40);
-        let mut proxied_micros = PhaseSeries::default();
-        proxied_micros.record(55);
-        let mut shutdown_micros = PhaseSeries::default();
-        shutdown_micros.record(900);
-        let bench = NetBench {
+    /// A bench that passes every gate.
+    fn sample() -> NetBench {
+        let series = |samples: &[u64]| {
+            let mut p = PhaseSeries::default();
+            samples.iter().for_each(|&s| p.record(s));
+            p
+        };
+        let aead = |payload, seal_mbytes_per_sec| AeadSample {
+            payload,
+            seal_mbytes_per_sec,
+            open_mbytes_per_sec: 1200.0,
+            scalar_seal_mbytes_per_sec: 400.25,
+            scalar_open_mbytes_per_sec: 410.0,
+        };
+        NetBench {
             samples: vec![NetSample {
                 payload: 1024,
                 exchanges: 2,
                 secs: 0.5,
-                latency_micros: latency,
+                latency_micros: series(&[10, 30]),
             }],
-            handshake_micros,
+            handshake_micros: series(&[100]),
             proxy: ProxyOverhead {
                 payload: 65536,
-                direct_micros,
-                proxied_micros,
+                direct_micros: series(&[40]),
+                proxied_micros: series(&[55]),
             },
-            aead: vec![AeadSample {
-                payload: 1024,
-                seal_mbytes_per_sec: 1234.5,
-                open_mbytes_per_sec: 1200.0,
-                scalar_seal_mbytes_per_sec: 400.25,
-                scalar_open_mbytes_per_sec: 410.0,
-            }],
-            shutdown_micros,
+            aead: vec![aead(1024, 1234.5), aead(65536, 2200.0)],
+            shutdown_micros: series(&[900]),
             group_commit: vec![GroupCommitSample {
                 writers: 2,
                 acks: 100,
@@ -632,7 +663,7 @@ mod tests {
                 syncs: 60,
             }],
             pipelined: vec![PipelinedSample {
-                window: 8,
+                window: WINDOW,
                 acks: 100,
                 secs: 0.04,
                 syncs: 25,
@@ -642,23 +673,60 @@ mod tests {
                 exchanges: 200,
                 minor_faults: 30,
             },
-        };
-        let json = to_json(&bench);
-        assert!(json.contains("\"bytes\": 1024"));
-        assert!(json.contains("\"mbytes_per_sec\": 0.01"));
-        assert!(json.contains("\"p99_micros\": 30"));
-        assert!(json.contains("\"idle_proxy\": {\"bytes\": 65536, \"iters\": 1"));
-        assert!(json.contains("\"overhead_p50_micros\": 15"));
-        assert!(json.contains("\"overhead_p50_micros\": 15},\n  \"aead\": {\"tier\": \""));
-        assert!(json.contains("{\"bytes\": 1024, \"seal_mbytes_per_sec\": 1234.50, \"open_mbytes_per_sec\": 1200.00, \"scalar_seal_mbytes_per_sec\": 400.25, \"scalar_open_mbytes_per_sec\": 410.00}\n"));
-        assert!(json.contains(
-            "  ]},\n  \"shutdown\": {\"iters\": 1, \"p50_micros\": 900, \"p99_micros\": 900},\n"
+        }
+    }
+
+    #[test]
+    fn json_shape_is_stable() {
+        let doc = to_json(&sample());
+        let text = doc.to_string();
+        assert_eq!(json::parse(&text), Ok(doc));
+        assert!(text.starts_with(
+            "{\n  \"handshake\": {\"iters\": 1, \"p50_micros\": 100, \"p99_micros\": 100},\n  \
+             \"payloads\": [\n    {\"bytes\": 1024, \"exchanges\": 2, \"mbytes_per_sec\": 0.01, \
+             \"p50_micros\": 30, \"p99_micros\": 30}\n  ],\n  \"idle_proxy\": {\"bytes\": 65536, \
+             \"iters\": 1, \"direct_p50_micros\": 40, \"proxied_p50_micros\": 55, \
+             \"overhead_p50_micros\": 15},\n  \"aead\": {\n    \"tier\": \""
         ));
-        assert!(json.contains(
-            "  \"group_commit\": [\n    {\"writers\": 2, \"acks\": 100, \"acks_per_sec\": 2000, \"fsyncs_per_ack\": 0.60}\n  ],\n"
+        assert!(text.contains(
+            "\",\n    \"payloads\": [\n      {\"bytes\": 1024, \"seal_mbytes_per_sec\": 1234.50, \
+             \"open_mbytes_per_sec\": 1200.00, \"scalar_seal_mbytes_per_sec\": 400.25, \
+             \"scalar_open_mbytes_per_sec\": 410.00},\n"
         ));
-        assert!(json.ends_with(
-            "  \"pipelined\": [\n    {\"window\": 8, \"acks\": 100, \"acks_per_sec\": 2500, \"fsyncs_per_ack\": 0.25}\n  ],\n  \"alloc\": {\"bytes\": 98304, \"exchanges\": 200, \"minor_faults_per_1000\": 150}\n}\n"
+        assert!(text.ends_with(
+            "  \"shutdown\": {\"iters\": 1, \"p50_micros\": 900, \"p99_micros\": 900},\n  \
+             \"group_commit\": [\n    {\"writers\": 2, \"acks\": 100, \"acks_per_sec\": 2000, \
+             \"fsyncs_per_ack\": 0.60}\n  ],\n  \"pipelined\": [\n    {\"window\": 8, \"acks\": 100, \
+             \"acks_per_sec\": 2500, \"fsyncs_per_ack\": 0.25}\n  ],\n  \"alloc\": {\"bytes\": 98304, \
+             \"exchanges\": 200, \"minor_faults_per_1000\": 150}\n}"
         ));
+    }
+
+    #[test]
+    fn each_gate_fails_a_document_that_breaks_it() {
+        assert_eq!(checks(&to_json(&sample())), Vec::<String>::new());
+        // A gate's name, and how to break it.
+        type Break = (&'static str, fn(&mut NetBench));
+        let breaks: [Break; 4] = [
+            ("shutdown p50", |b| {
+                b.shutdown_micros.completions = vec![60_000]
+            }),
+            ("fsyncs per ack", |b| b.pipelined[0].syncs = 100),
+            ("minor faults", |b| b.alloc.minor_faults = 10_000),
+            ("active AEAD seal", |b| {
+                b.aead[1].seal_mbytes_per_sec = 399.0
+            }),
+        ];
+        for (gate, break_it) in breaks {
+            let mut bench = sample();
+            break_it(&mut bench);
+            let failed = checks(&to_json(&bench));
+            assert_eq!(failed.len(), 1, "{gate}: {failed:?}");
+            assert!(failed[0].starts_with(gate), "{gate}: {failed:?}");
+        }
+        // A document without the fields fails every gate.
+        let failed = checks(&Json::obj::<&str>([]));
+        assert_eq!(failed.len(), 4);
+        assert!(failed.iter().all(|f| f.ends_with("not in the document")));
     }
 }

@@ -20,6 +20,7 @@ use mycelium_dp::DpError;
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
 };
+use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::{paper_query, CONFORMANCE_QUERY_TEXT};
@@ -40,8 +41,8 @@ pub struct QueriesConfig {
 /// The rendered report.
 #[derive(Debug)]
 pub struct QueriesReport {
-    /// Deterministic JSON.
-    pub json: String,
+    /// The document.
+    pub json: Json,
     /// Whether every admitted round matched the oracle, the sixth round
     /// was refused, and every protocol sweep cell converged to the
     /// fault-free ledger digest.
@@ -73,9 +74,19 @@ fn deep_population(n: usize, seed: u64) -> Population {
     )
 }
 
+/// An epsilon as the report has always written it: a string at four
+/// decimals.
+fn epsilon(x: f64) -> Json {
+    format!("{x:.4}").into()
+}
+
 /// The cell of a round the session did not run.
-fn failed_round(query: &str, error: &str) -> String {
-    format!("{{\"query\": \"{query}\", \"admitted\": false, \"error\": \"{error}\"}}")
+fn failed_round(query: &str, error: &str) -> Json {
+    Json::obj([
+        ("query", query.into()),
+        ("admitted", false.into()),
+        ("error", error.into()),
+    ])
 }
 
 /// Runs the full sweep.
@@ -116,18 +127,16 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
                     });
                 all_exact &= matches;
                 let pairs: u64 = exact.groups.iter().map(|g| g.total_pairs).sum();
-                round_cells.push(format!(
-                    "{{\"query\": \"{}\", \"round\": {}, \"admitted\": true, \
-                     \"charged_epsilon\": \"{:.4}\", \"remaining_after\": \"{:.4}\", \
-                     \"groups\": {}, \"total_pairs\": {}, \"matches_oracle\": {}}}",
-                    round.query,
-                    round.round,
-                    round.charged_epsilon,
-                    round.remaining_after,
-                    exact.groups.len(),
-                    pairs,
-                    matches,
-                ));
+                round_cells.push(Json::obj([
+                    ("query", round.query.as_str().into()),
+                    ("round", round.round.into()),
+                    ("admitted", true.into()),
+                    ("charged_epsilon", epsilon(round.charged_epsilon)),
+                    ("remaining_after", epsilon(round.remaining_after)),
+                    ("groups", exact.groups.len().into()),
+                    ("total_pairs", pairs.into()),
+                    ("matches_oracle", matches.into()),
+                ]));
             }
             Err(e) => {
                 all_exact = false;
@@ -148,17 +157,24 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
                     requested,
                     remaining,
                 },
-        }) => format!(
-            "{{\"query\": \"{query}\", \"round\": {round}, \"admitted\": false, \
-             \"refused\": true, \"requested\": \"{requested:.4}\", \
-             \"remaining\": \"{remaining:.4}\"}}"
-        ),
+        }) => Json::obj([
+            ("query", query.into()),
+            ("round", round.into()),
+            ("admitted", false.into()),
+            ("refused", true.into()),
+            ("requested", epsilon(requested)),
+            ("remaining", epsilon(remaining)),
+        ]),
         other => {
             all_exact = false;
-            format!(
-                "{{\"refused\": false, \"error\": \"expected a typed refusal, got {:?}\"}}",
-                other.map(|r| (r.round, r.query))
-            )
+            let got = other.map(|r| (r.round, r.query));
+            Json::obj([
+                ("refused", false.into()),
+                (
+                    "error",
+                    format!("expected a typed refusal, got {got:?}").into(),
+                ),
+            ])
         }
     };
 
@@ -168,42 +184,33 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
     let mut protocol_cells = Vec::new();
     for &drop in &DROP_RATES {
         let r = run_budget_scenario(&BudgetScenario::refusal(cfg.seed).with_drop_prob(drop));
-        let refused: Vec<String> = r
-            .verdicts
-            .iter()
-            .filter_map(|v| match v {
-                RoundVerdict::Refused { round, .. } => Some(round.to_string()),
-                _ => None,
-            })
-            .collect();
+        let refused = r.verdicts.iter().filter_map(|v| match v {
+            RoundVerdict::Refused { round, .. } => Some(*round),
+            _ => None,
+        });
         let digest_matches = r.digest == clean_digest;
         all_exact &= r.converged && digest_matches;
-        protocol_cells.push(format!(
-            "{{\"drop\": \"{drop:.2}\", \"converged\": {}, \"refused_rounds\": [{}], \
-             \"retries\": {}, \"spent\": \"{:.4}\", \"digest_matches_fault_free\": {}}}",
-            r.converged,
-            refused.join(", "),
-            r.retries,
-            r.spent,
-            digest_matches,
-        ));
+        protocol_cells.push(Json::obj([
+            ("drop", format!("{drop:.2}").into()),
+            ("converged", r.converged.into()),
+            ("refused_rounds", refused.collect()),
+            ("retries", r.retries.into()),
+            ("spent", epsilon(r.spent)),
+            ("digest_matches_fault_free", digest_matches.into()),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"seed\": {},\n  \"smoke\": {},\n  \"population\": {},\n  \
-         \"capacity\": \"{:.4}\",\n  \"all_exact\": {},\n  \
-         \"ledger_digest\": \"{}\",\n  \"rounds\": [\n    {}\n  ],\n  \
-         \"refusal\": {},\n  \"admission_protocol\": [\n    {}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.smoke,
-        n_pop,
-        capacity,
-        all_exact,
-        hex(&session.ledger().digest()),
-        round_cells.join(",\n    "),
-        refusal_cell,
-        protocol_cells.join(",\n    "),
-    );
+    let json = Json::obj([
+        ("seed", cfg.seed.into()),
+        ("smoke", cfg.smoke.into()),
+        ("population", n_pop.into()),
+        ("capacity", epsilon(capacity)),
+        ("all_exact", all_exact.into()),
+        ("ledger_digest", hex(&session.ledger().digest()).into()),
+        ("rounds", Json::Arr(round_cells)),
+        ("refusal", refusal_cell),
+        ("admission_protocol", Json::Arr(protocol_cells)),
+    ]);
     QueriesReport { json, all_exact }
 }
 
@@ -231,7 +238,8 @@ mod tests {
         };
         let a = run_queries(&cfg);
         assert!(a.all_exact, "sweep not exact:\n{}", a.json);
-        assert!(a.json.contains("\"refused\": true"));
+        let refused = a.json.get("refusal").and_then(|r| r.get("refused"));
+        assert_eq!(refused, Some(&Json::Bool(true)));
         let b = run_queries(&cfg);
         assert_eq!(a.json, b.json, "same seed must render identical JSON");
     }

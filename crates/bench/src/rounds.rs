@@ -15,7 +15,9 @@ use mycelium::params::SystemParams;
 use mycelium::{run_query_simulated, SimNetConfig};
 use mycelium_bgv::KeySet;
 use mycelium_dp::PrivacyBudget;
-use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
+use mycelium_graph::generate::{
+    epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
+};
 use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_mixnet::simtransport::{run_mixnet_simulated, MixSimConfig};
@@ -37,42 +39,53 @@ pub struct RoundsConfig {
 /// The rendered report.
 #[derive(Debug)]
 pub struct RoundsReport {
-    /// Deterministic JSON (integers and fixed-format rates only).
-    pub json: String,
+    /// The document (integers and fixed-format rates only).
+    pub json: Json,
     /// Whether every cell of the sweep converged.
     pub all_converged: bool,
 }
 
-fn drop_label(p: f64) -> String {
-    format!("{p:.2}")
+/// A sweep cell: where it sits, then what it measured.
+fn cell<'a>(
+    coords: [(&'a str, Json); 2],
+    fields: impl IntoIterator<Item = (&'a str, Json)>,
+) -> Json {
+    Json::obj(coords.into_iter().chain(fields))
 }
 
 /// A sweep cell that did not converge: where it sits, and why.
-fn failed_cell(coords: [(&str, Json); 2], error: &str) -> String {
-    let [(a, x), (b, y)] = coords;
-    format!("{{\"{a}\": {x}, \"{b}\": {y}, \"converged\": false, \"error\": \"{error}\"}}")
+fn failed_cell(coords: [(&str, Json); 2], error: &str) -> Json {
+    cell(
+        coords,
+        [("converged", false.into()), ("error", error.into())],
+    )
+}
+
+/// A sweep's parameters, keys and `n`-device epidemic population, all
+/// derived from `seed`.
+fn setup(n: usize, seed: u64) -> (SystemParams, KeySet, Population) {
+    let params = SystemParams::simulation();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let keys = KeySet::generate(&params.bgv, &mut rng);
+    let graph = ContactGraphConfig {
+        n,
+        degree_bound: 4,
+        days: 13,
+        ..ContactGraphConfig::default()
+    };
+    let epidemic = EpidemicConfig {
+        days: 13,
+        seed_fraction: 0.1,
+        ..EpidemicConfig::default()
+    };
+    let pop = epidemic_population(&graph, &epidemic, &mut rng);
+    (params, keys, pop)
 }
 
 /// Runs the full sweep.
 pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
     let n_pop = if cfg.smoke { 30 } else { 60 };
-    let params = SystemParams::simulation();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let keys = KeySet::generate(&params.bgv, &mut rng);
-    let pop = epidemic_population(
-        &ContactGraphConfig {
-            n: n_pop,
-            degree_bound: 4,
-            days: 13,
-            ..ContactGraphConfig::default()
-        },
-        &EpidemicConfig {
-            days: 13,
-            seed_fraction: 0.1,
-            ..EpidemicConfig::default()
-        },
-        &mut rng,
-    );
+    let (params, keys, pop) = setup(n_pop, cfg.seed);
     let query = paper_query("Q4").expect("builtin query");
     let n = pop.graph.len();
     let t = params.committee_size / 2;
@@ -104,35 +117,30 @@ pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
                 &mut budget,
                 &sim_cfg,
             );
-            let cell = match result {
+            let coords = [
+                ("drop", Json::fixed(drop, 2)),
+                ("committee_crashes", crashes.into()),
+            ];
+            query_cells.push(match result {
                 Ok(out) => {
                     let m = &out.metrics;
-                    format!(
-                        "{{\"drop\": {}, \"committee_crashes\": {}, \"converged\": true, \
-                         \"elapsed_ticks\": {}, \"sent_msgs\": {}, \"sent_bytes\": {}, \
-                         \"dropped_msgs\": {}, \"retries\": {}, \"timer_fires\": {}, \
-                         \"rejected\": {}}}",
-                        drop_label(drop),
-                        crashes,
-                        out.elapsed,
-                        m.total_sent_msgs(),
-                        m.total_sent_bytes(),
-                        m.dropped_msgs,
-                        m.total_retries(),
-                        m.timer_fires,
-                        out.rejected_devices.len(),
-                    )
+                    let fields = [
+                        ("converged", true.into()),
+                        ("elapsed_ticks", out.elapsed.into()),
+                        ("sent_msgs", m.total_sent_msgs().into()),
+                        ("sent_bytes", m.total_sent_bytes().into()),
+                        ("dropped_msgs", m.dropped_msgs.into()),
+                        ("retries", m.total_retries().into()),
+                        ("timer_fires", m.timer_fires.into()),
+                        ("rejected", out.rejected_devices.len().into()),
+                    ];
+                    cell(coords, fields)
                 }
                 Err(e) => {
                     all_converged = false;
-                    let coords = [
-                        ("drop", Json::fixed(drop, 2)),
-                        ("committee_crashes", crashes.into()),
-                    ];
                     failed_cell(coords, &e.to_string())
                 }
-            };
-            query_cells.push(cell);
+            });
         }
     }
 
@@ -172,40 +180,36 @@ pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
             if crashes == 0 {
                 all_converged &= r.delivered == r.expected;
             }
-            mix_cells.push(format!(
-                "{{\"drop\": {}, \"crashed_relays\": {}, \"converged\": {}, \
-                 \"elapsed_ticks\": {}, \"expected\": {}, \"delivered\": {}, \"failed\": {}, \
-                 \"sent_msgs\": {}, \"sent_bytes\": {}, \"dropped_msgs\": {}, \"retries\": {}}}",
-                drop_label(drop),
-                crashes,
-                r.converged,
-                r.elapsed,
-                r.expected,
-                r.delivered,
-                r.failed,
-                r.metrics.total_sent_msgs(),
-                r.metrics.total_sent_bytes(),
-                r.metrics.dropped_msgs,
-                r.metrics.total_retries(),
-            ));
+            let coords = [
+                ("drop", Json::fixed(drop, 2)),
+                ("crashed_relays", crashes.into()),
+            ];
+            let fields = [
+                ("converged", r.converged.into()),
+                ("elapsed_ticks", r.elapsed.into()),
+                ("expected", r.expected.into()),
+                ("delivered", r.delivered.into()),
+                ("failed", r.failed.into()),
+                ("sent_msgs", r.metrics.total_sent_msgs().into()),
+                ("sent_bytes", r.metrics.total_sent_bytes().into()),
+                ("dropped_msgs", r.metrics.dropped_msgs.into()),
+                ("retries", r.metrics.total_retries().into()),
+            ];
+            mix_cells.push(cell(coords, fields));
         }
     }
 
     let shard_cells = shard_sweep_cells(cfg, &mut all_converged);
 
-    let json = format!(
-        "{{\n  \"seed\": {},\n  \"smoke\": {},\n  \"population\": {},\n  \
-         \"all_converged\": {},\n  \"query_round\": [\n    {}\n  ],\n  \
-         \"shard_sweep\": [\n    {}\n  ],\n  \
-         \"mixnet\": [\n    {}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.smoke,
-        n_pop,
-        all_converged,
-        query_cells.join(",\n    "),
-        shard_cells.join(",\n    "),
-        mix_cells.join(",\n    "),
-    );
+    let json = Json::obj([
+        ("seed", cfg.seed.into()),
+        ("smoke", cfg.smoke.into()),
+        ("population", n_pop.into()),
+        ("all_converged", all_converged.into()),
+        ("query_round", Json::Arr(query_cells)),
+        ("shard_sweep", Json::Arr(shard_cells)),
+        ("mixnet", Json::Arr(mix_cells)),
+    ]);
     RoundsReport {
         json,
         all_converged,
@@ -226,7 +230,7 @@ pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
 /// Everything reported here is a pure function of the seed (wall-clock
 /// and peak-RSS measurements live in the `bench_rounds` binary, outside
 /// this deterministic artifact).
-fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<String> {
+fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<Json> {
     use mycelium::costs::{intake_bytes_per_device, submission_level};
     use mycelium::plan::{origin_work, QueryPlan};
 
@@ -234,23 +238,7 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<String
     let device_counts: &[usize] = if cfg.smoke { &[24] } else { &[24, 40] };
     let mut cells = Vec::new();
     for &n_pop in device_counts {
-        let params = SystemParams::simulation();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let keys = KeySet::generate(&params.bgv, &mut rng);
-        let pop = epidemic_population(
-            &ContactGraphConfig {
-                n: n_pop,
-                degree_bound: 4,
-                days: 13,
-                ..ContactGraphConfig::default()
-            },
-            &EpidemicConfig {
-                days: 13,
-                seed_fraction: 0.1,
-                ..EpidemicConfig::default()
-            },
-            &mut rng,
-        );
+        let (params, keys, pop) = setup(n_pop, cfg.seed);
         let query = paper_query("Q4").expect("builtin query");
         let n = pop.graph.len();
 
@@ -289,7 +277,8 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<String
                 &mut budget,
                 &sim_cfg,
             );
-            let cell = match result {
+            let coords = || [("n", n.into()), ("shards", shards.into())];
+            cells.push(match result {
                 Ok(out) => {
                     let device_bytes: u64 = (0..n).map(|v| out.metrics.actors[v].sent_bytes).sum();
                     let delta = (device_bytes as f64 - predicted_total as f64).abs()
@@ -311,35 +300,30 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<String
                         }
                     };
                     *all_converged &= within_gate && matches_hub;
-                    let cell = format!(
-                        "{{\"n\": {}, \"shards\": {}, \"converged\": true, \
-                         \"elapsed_ticks\": {}, \"sent_bytes\": {}, \
-                         \"device_bytes\": {}, \"bytes_per_device\": {}, \
-                         \"predicted_bytes_per_device\": {}, \
-                         \"model_delta_pct\": {:.2}, \"model_within_5pct\": {}, \
-                         \"matches_hub\": {}}}",
-                        n,
-                        shards,
-                        out.elapsed,
-                        out.metrics.total_sent_bytes(),
-                        device_bytes,
-                        device_bytes / n as u64,
-                        predicted_total / n as u64,
-                        delta * 100.0,
-                        within_gate,
-                        matches_hub,
-                    );
+                    let fields = [
+                        ("converged", true.into()),
+                        ("elapsed_ticks", out.elapsed.into()),
+                        ("sent_bytes", out.metrics.total_sent_bytes().into()),
+                        ("device_bytes", device_bytes.into()),
+                        ("bytes_per_device", (device_bytes / n as u64).into()),
+                        (
+                            "predicted_bytes_per_device",
+                            (predicted_total / n as u64).into(),
+                        ),
+                        ("model_delta_pct", Json::fixed(delta * 100.0, 2)),
+                        ("model_within_5pct", within_gate.into()),
+                        ("matches_hub", matches_hub.into()),
+                    ];
                     if shards == 1 {
                         hub_baseline = Some(out);
                     }
-                    cell
+                    cell(coords(), fields)
                 }
                 Err(e) => {
                     *all_converged = false;
-                    failed_cell([("n", n.into()), ("shards", shards.into())], &e.to_string())
+                    failed_cell(coords(), &e.to_string())
                 }
-            };
-            cells.push(cell);
+            });
         }
     }
     cells

@@ -4,8 +4,9 @@
 //! and the tamper tests are defined over. The JSON artifact wraps it as a
 //! hex string (`cert_hex`) next to a human-readable summary, so CI logs
 //! and people can skim a round's outcome while `myc_verify` re-extracts
-//! the exact bytes. Extraction is a plain string scan: the verifier must
-//! not depend on a JSON parser (or anything else) trusting the artifact.
+//! the exact bytes.
+
+use mycelium_crypto::json::Json;
 
 use crate::certificate::{cert_fingerprint, RoundCertificate};
 
@@ -25,88 +26,40 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the artifact: summary fields plus the authoritative `cert_hex`.
 pub fn render_json(cert: &RoundCertificate, bytes: &[u8]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", cert.spec.seed));
-    out.push_str(&format!("  \"devices\": {},\n", cert.spec.devices));
-    out.push_str(&format!("  \"query\": \"{}\",\n", escape(&cert.spec.query)));
-    out.push_str(&format!("  \"with_proofs\": {},\n", cert.spec.with_proofs));
-    out.push_str(&format!("  \"committee\": {},\n", cert.committee));
-    out.push_str(&format!("  \"threshold\": {},\n", cert.threshold));
-    out.push_str(&format!("  \"share_round\": {},\n", cert.share_round));
-    out.push_str(&format!("  \"signatures\": {},\n", cert.signatures.len()));
-    out.push_str(&format!(
-        "  \"charged_epsilon\": {},\n",
-        cert.charged_epsilon()
-    ));
-    out.push_str(&format!(
-        "  \"rejected\": [{}],\n",
-        cert.rejected
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"contrib_root\": \"{}\",\n",
-        to_hex(&cert.contrib_root)
-    ));
-    out.push_str(&format!(
-        "  \"aggregate_digest\": \"{}\",\n",
-        to_hex(&cert.aggregate_digest)
-    ));
-    out.push_str(&format!(
-        "  \"noise_commitment\": \"{}\",\n",
-        to_hex(&cert.noise_commitment)
-    ));
-    out.push_str(&format!(
-        "  \"transcript\": \"{}\",\n",
-        to_hex(&cert.transcript)
-    ));
-    out.push_str("  \"released\": {\n");
-    for (i, g) in cert.released.iter().enumerate() {
-        let comma = if i + 1 == cert.released.len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "    \"{}\": [{}]{}\n",
-            escape(&g.label),
-            g.histogram
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            comma
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"cert_sha256\": \"{}\",\n",
-        to_hex(&cert_fingerprint(bytes))
-    ));
-    out.push_str(&format!("  \"cert_hex\": \"{}\"\n", to_hex(bytes)));
-    out.push_str("}\n");
-    out
+    let hex = |bytes: &[u8]| Json::from(to_hex(bytes));
+    let released = cert.released.iter().map(|g| {
+        let histogram = g.histogram.iter().copied().collect();
+        (g.label.as_str(), histogram)
+    });
+    let doc = Json::obj([
+        ("seed", cert.spec.seed.into()),
+        ("devices", cert.spec.devices.into()),
+        ("query", cert.spec.query.as_str().into()),
+        ("with_proofs", cert.spec.with_proofs.into()),
+        ("committee", cert.committee.into()),
+        ("threshold", cert.threshold.into()),
+        ("share_round", cert.share_round.into()),
+        ("signatures", cert.signatures.len().into()),
+        ("charged_epsilon", cert.charged_epsilon().into()),
+        ("rejected", cert.rejected.iter().copied().collect()),
+        ("contrib_root", hex(&cert.contrib_root)),
+        ("aggregate_digest", hex(&cert.aggregate_digest)),
+        ("noise_commitment", hex(&cert.noise_commitment)),
+        ("transcript", hex(&cert.transcript)),
+        ("released", Json::obj(released)),
+        ("cert_sha256", hex(&cert_fingerprint(bytes))),
+        ("cert_hex", hex(bytes)),
+    ]);
+    format!("{doc}\n")
 }
 
-/// Pulls the certificate bytes back out of an artifact by string scan.
+/// Pulls the certificate bytes back out of an artifact by string scan,
+/// not by [`json::parse`](mycelium_crypto::json::parse): the summary
+/// around `cert_hex` is trusted for nothing, so the verifier reads only
+/// that one field — from a whole artifact or from any fragment holding
+/// it — and the bytes carry every check themselves.
 pub fn extract_cert_hex(text: &str) -> Option<Vec<u8>> {
     let key = "\"cert_hex\"";
     let at = text.find(key)? + key.len();

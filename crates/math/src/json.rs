@@ -1,26 +1,17 @@
-//! The workspace's one JSON value, writer and reader. Every artifact a
-//! round or a benchmark leaves on disk is built as a [`Json`] and written
-//! by its `Display`; whatever is read back goes through [`parse`].
+//! The workspace's one JSON value, writer and reader: every artifact a
+//! round or a benchmark leaves on disk is a [`Json`] written by its
+//! `Display`, and whatever reads one back goes through [`parse`].
 //!
-//! **Layout.** A container holding only scalars sits on one line;
-//! otherwise each member goes on its own line, two spaces deeper than its
-//! container. Empty containers are `{}` and `[]`. Objects keep their
-//! members in the order they were built, so a document's text is a
-//! function of its value alone.
-//!
-//! **Escapes** (RFC 8259): `"` and `\` are escaped, a newline is `\n`, and
-//! every other control character is `\u00XX`.
-//!
-//! **Numbers** are kept as their text: an integer as written, an `f64`
-//! in full (its shortest round-tripping decimal, never an exponent) or at
-//! a stated number of decimals. A value that is not finite has no JSON
-//! form and is written as `null`.
-//!
-//! **Reading** is strict: the RFC 8259 grammar and nothing else, no key
-//! twice in one object, containers nested at most [`MAX_DEPTH`] deep.
-//! Every failure is a [`ParseError`] naming its byte offset, and a
-//! document the writer produced parses back to the value it was rendered
-//! from.
+//! The layout: a container holding only scalars sits on one line,
+//! otherwise each member goes on its own line two spaces deeper; empty
+//! containers are `{}` and `[]`; objects keep the order they were built
+//! in. Strings escape `"`, `\` and every control character (RFC 8259). A
+//! number keeps its text: an integer as written, an `f64` in full (the
+//! shortest decimal that reads back as it, never an exponent) or at a
+//! stated number of decimals, `null` if it is not finite. [`parse`] reads
+//! the RFC 8259 grammar and nothing else, at most [`MAX_DEPTH`] containers
+//! deep, fails with a [`ParseError`] naming the byte offset, and reads
+//! what the writer wrote back to the value it was rendered from.
 
 use std::fmt::{self, Display, Write};
 
@@ -44,8 +35,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// A number as its JSON text. Only the [`Json`] constructors and [`parse`]
-/// make one, so the text is always in the grammar.
+/// A number as its JSON text; only the constructors and [`parse`] make one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Number(String);
 
@@ -55,122 +45,96 @@ impl Json {
         Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// `x` at exactly `places` decimals (`null` if it is not finite).
+    /// `x` at exactly `places` decimals.
     pub fn fixed(x: f64, places: usize) -> Json {
         finite(x, || format!("{x:.places$}"))
     }
 
     /// The member `key` of an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_object()?
-            .iter()
-            .find_map(|(k, v)| (k == key).then_some(v))
+        let members = self.as_object()?;
+        members.iter().find_map(|(k, v)| (k == key).then_some(v))
     }
 
     /// A whole number that fits a `u64`.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => n.0.parse().ok(),
-            _ => None,
-        }
+        self.number()?.parse().ok()
     }
 
     /// Any number, as the nearest `f64`.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => n.0.parse().ok(),
-            _ => None,
-        }
+        self.number()?.parse().ok()
+    }
+
+    fn number(&self) -> Option<&str> {
+        let Json::Num(Number(n)) = self else {
+            return None;
+        };
+        Some(n)
     }
 
     /// A string's contents.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+        let Json::Str(s) = self else { return None };
+        Some(s)
     }
 
     /// An array's items.
     pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+        let Json::Arr(items) = self else { return None };
+        Some(items)
     }
 
     /// An object's members, in order.
     pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
-
-    fn is_container(&self) -> bool {
-        matches!(self, Json::Arr(_) | Json::Obj(_))
+        let Json::Obj(m) = self else { return None };
+        Some(m)
     }
 
     fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => f.write_str(&n.0),
+            Json::Num(Number(n)) => f.write_str(n),
             Json::Str(s) => write_str(f, s),
-            Json::Arr(items) => {
-                write_members(f, depth, ['[', ']'], items.iter().map(|v| (None, v)))
-            }
+            Json::Arr(items) => write_members(f, depth, "[]", items.iter().map(|v| (None, v))),
             Json::Obj(members) => {
                 let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
-                write_members(f, depth, ['{', '}'], members)
+                write_members(f, depth, "{}", members)
             }
         }
     }
 }
 
+/// `null` for an `x` that is not finite, which has no JSON form.
 fn finite(x: f64, text: impl FnOnce() -> String) -> Json {
-    if x.is_finite() {
-        Json::Num(Number(text()))
-    } else {
-        Json::Null
+    if !x.is_finite() {
+        return Json::Null;
     }
+    Json::Num(Number(text()))
 }
 
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Json {
-        Json::Str(s.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(s: String) -> Json {
-        Json::Str(s)
-    }
-}
-
-/// In full: the shortest decimal that reads back as the same `f64`.
-impl From<f64> for Json {
-    fn from(x: f64) -> Json {
-        finite(x, || x.to_string())
-    }
-}
-
-macro_rules! integers {
-    ($($t:ty),*) => {$(
+macro_rules! from {
+    ($($t:ty => |$x:ident| $value:expr),* $(,)?) => {$(
         impl From<$t> for Json {
-            fn from(x: $t) -> Json {
-                Json::Num(Number(x.to_string()))
+            fn from($x: $t) -> Json {
+                $value
             }
         }
     )*};
 }
-integers!(u32, u64, usize, i64);
+
+from! {
+    bool => |b| Json::Bool(b),
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+    // In full: the shortest decimal that reads back as the same `f64`.
+    f64 => |x| finite(x, || x.to_string()),
+    u32 => |x| Json::Num(Number(x.to_string())),
+    u64 => |x| Json::Num(Number(x.to_string())),
+    usize => |x| Json::Num(Number(x.to_string())),
+    i64 => |x| Json::Num(Number(x.to_string())),
+}
 
 /// An array of the items.
 impl<T: Into<Json>> FromIterator<T> for Json {
@@ -179,7 +143,7 @@ impl<T: Into<Json>> FromIterator<T> for Json {
     }
 }
 
-/// The layout rule; no final newline.
+/// The layout rule, without a final newline.
 impl Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write(f, 0)
@@ -189,31 +153,24 @@ impl Display for Json {
 fn write_members<'a>(
     f: &mut fmt::Formatter<'_>,
     depth: usize,
-    [open, close]: [char; 2],
+    brackets: &str,
     members: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
 ) -> fmt::Result {
-    // One line unless a member is a container (so never when empty).
-    let lines = members.clone().any(|(_, v)| v.is_container());
-    f.write_char(open)?;
+    // One line unless a member is a container (so always when empty).
+    let lines = (members.clone()).any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let (newline, width, comma) = if lines { ("\n", 2, ",") } else { ("", 0, ", ") };
+    f.write_str(&brackets[..1])?;
     for (i, (key, value)) in members.enumerate() {
-        if i > 0 {
-            f.write_char(',')?;
-        }
-        if lines {
-            write!(f, "\n{:1$}", "", 2 * (depth + 1))?;
-        } else if i > 0 {
-            f.write_char(' ')?;
-        }
+        let comma = if i == 0 { "" } else { comma };
+        write!(f, "{comma}{newline}{:pad$}", "", pad = width * (depth + 1))?;
         if let Some(key) = key {
             write_str(f, key)?;
             f.write_str(": ")?;
         }
         value.write(f, depth + 1)?;
     }
-    if lines {
-        write!(f, "\n{:1$}", "", 2 * depth)?;
-    }
-    f.write_char(close)
+    let close = &brackets[1..];
+    write!(f, "{newline}{:pad$}{close}", "", pad = width * depth)
 }
 
 fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -230,7 +187,7 @@ fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_char('"')
 }
 
-/// Why [`parse`] refused a text, and the byte offset it refused at.
+/// Where [`parse`] refused a text, and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the text.
@@ -252,8 +209,6 @@ pub enum ErrorKind {
     String,
     /// Containers nested deeper than [`MAX_DEPTH`].
     TooDeep,
-    /// An object naming a key twice.
-    DuplicateKey,
     /// Something other than whitespace after the value.
     Trailing,
 }
@@ -271,10 +226,10 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser { text, at: 0 };
     let value = p.value(0)?;
     p.skip_ws();
-    match p.peek() {
-        None => Ok(value),
-        Some(_) => Err(p.fail(ErrorKind::Trailing)),
+    if p.at < text.len() {
+        return Err(p.fail(ErrorKind::Trailing));
     }
+    Ok(value)
 }
 
 struct Parser<'a> {
@@ -287,19 +242,23 @@ impl Parser<'_> {
         self.text.as_bytes().get(self.at).copied()
     }
 
+    fn eat(&mut self, byte: u8) -> bool {
+        let here = self.peek() == Some(byte);
+        self.at += usize::from(here);
+        here
+    }
+
     fn fail(&self, kind: ErrorKind) -> ParseError {
-        ParseError {
-            offset: self.at,
-            kind,
-        }
+        let offset = self.at;
+        ParseError { offset, kind }
     }
 
     /// `End` at the end of the text, `Unexpected` anywhere else.
     fn unexpected(&self) -> ParseError {
-        match self.peek() {
-            None => self.fail(ErrorKind::End),
-            Some(_) => self.fail(ErrorKind::Unexpected),
-        }
+        self.fail(match self.peek() {
+            None => ErrorKind::End,
+            Some(_) => ErrorKind::Unexpected,
+        })
     }
 
     fn skip_ws(&mut self) {
@@ -308,135 +267,101 @@ impl Parser<'_> {
         }
     }
 
-    fn eat(&mut self, byte: u8) -> bool {
-        let here = self.peek() == Some(byte);
-        self.at += usize::from(here);
-        here
-    }
-
     /// A value inside `depth` containers.
     fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.peek() {
             Some(b'[' | b'{') if depth == MAX_DEPTH => Err(self.fail(ErrorKind::TooDeep)),
-            Some(b'[') => self.array(depth + 1),
-            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.members(b']', |p| p.value(depth + 1)).map(Json::Arr),
+            Some(b'{') => self.members(b'}', |p| p.member(depth + 1)).map(Json::Obj),
             Some(b'"') => self.string().map(Json::Str),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b't') => self.word("true", Json::Bool(true)),
-            Some(b'f') => self.word("false", Json::Bool(false)),
-            Some(b'n') => self.word("null", Json::Null),
-            _ => Err(self.unexpected()),
+            _ => {
+                let words = [
+                    ("true", Json::Bool(true)),
+                    ("false", false.into()),
+                    ("null", Json::Null),
+                ];
+                let rest = &self.text[self.at..];
+                let found = words.into_iter().find(|(word, _)| rest.starts_with(word));
+                let (word, value) = found.ok_or(self.unexpected())?;
+                self.at += word.len();
+                Ok(value)
+            }
         }
     }
 
-    fn word(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.text[self.at..].starts_with(word) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(self.unexpected())
-        }
-    }
-
-    /// Whether the container at the cursor closes with `close` after its
-    /// last member (consuming the `,` or the `close`).
-    fn next_member(&mut self, close: u8) -> Result<bool, ParseError> {
+    /// A `"key": value` member of an object, its value inside `depth`
+    /// containers.
+    fn member(&mut self, depth: usize) -> Result<(String, Json), ParseError> {
         self.skip_ws();
-        if self.eat(b',') {
-            Ok(true)
-        } else if self.eat(close) {
-            Ok(false)
-        } else {
-            Err(self.unexpected())
+        let key = self.string()?;
+        self.skip_ws();
+        if !self.eat(b':') {
+            return Err(self.unexpected());
         }
+        Ok((key, self.value(depth)?))
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// The comma-separated members of the container at the cursor, up to
+    /// its `close`.
+    fn members<T>(
+        &mut self,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
         self.at += 1;
-        let mut items = Vec::new();
+        let mut out = Vec::new();
         self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Json::Arr(items));
+        if self.eat(close) {
+            return Ok(out);
         }
         loop {
-            items.push(self.value(depth)?);
-            if !self.next_member(b']')? {
-                return Ok(Json::Arr(items));
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.at += 1;
-        let mut members: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Json::Obj(members));
-        }
-        loop {
+            out.push(member(self)?);
             self.skip_ws();
-            let key_at = self.at;
-            if self.peek() != Some(b'"') {
+            if self.eat(close) {
+                return Ok(out);
+            }
+            if !self.eat(b',') {
                 return Err(self.unexpected());
-            }
-            let key = self.string()?;
-            if members.iter().any(|(k, _)| *k == key) {
-                return Err(ParseError {
-                    offset: key_at,
-                    kind: ErrorKind::DuplicateKey,
-                });
-            }
-            self.skip_ws();
-            if !self.eat(b':') {
-                return Err(self.unexpected());
-            }
-            members.push((key, self.value(depth)?));
-            if !self.next_member(b'}')? {
-                return Ok(Json::Obj(members));
             }
         }
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.at += 1;
+        if !self.eat(b'"') {
+            return Err(self.unexpected());
+        }
         let mut out = String::new();
         loop {
-            // A run of plain characters; it stops only at ASCII bytes, so on
-            // a character boundary.
+            // A run of plain characters stops only at an ASCII byte, so on a
+            // character boundary.
             let run = self.at;
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= b' ') {
+            while matches!(self.peek(), Some(b) if b >= b' ' && b != b'"' && b != b'\\') {
                 self.at += 1;
             }
             out.push_str(&self.text[run..self.at]);
             match self.peek() {
-                None => return Err(self.fail(ErrorKind::End)),
                 Some(b'"') => {
                     self.at += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    let c = self.escape()?;
-                    out.push(c);
-                }
+                Some(b'\\') => out.push(self.escape()?),
                 Some(_) => return Err(self.fail(ErrorKind::String)),
+                None => return Err(self.fail(ErrorKind::End)),
             }
         }
     }
 
-    /// The character the escape at the cursor (its `\`) stands for.
+    /// The character the escape at the cursor stands for.
     fn escape(&mut self) -> Result<char, ParseError> {
-        let at = self.at;
-        let bad = ParseError {
-            offset: at,
-            kind: ErrorKind::String,
-        };
+        let bad = self.fail(ErrorKind::String);
         self.at += 1;
         let Some(byte) = self.peek() else {
             return Err(self.fail(ErrorKind::End));
         };
         self.at += 1;
-        Ok(match byte {
+        let c = match byte {
             b'"' => '"',
             b'\\' => '\\',
             b'/' => '/',
@@ -446,39 +371,30 @@ impl Parser<'_> {
             b'r' => '\r',
             b't' => '\t',
             b'u' => {
-                let high = self.hex4()?;
-                let code = if (0xd800..0xdc00).contains(&high) {
-                    // A high surrogate stands only in front of a low one.
-                    if !self.text[self.at..].starts_with("\\u") {
-                        return Err(bad);
-                    }
+                // One UTF-16 unit, or a surrogate pair written as two.
+                let mut units = vec![self.hex4().ok_or(bad)?];
+                if (0xd800..0xdc00).contains(&units[0]) && self.text[self.at..].starts_with("\\u") {
                     self.at += 2;
-                    let low = self.hex4()?;
-                    if !(0xdc00..0xe000).contains(&low) {
-                        return Err(bad);
-                    }
-                    0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
-                } else {
-                    high
-                };
-                // A lone low surrogate is no character.
-                char::from_u32(code).ok_or(bad)?
+                    units.push(self.hex4().ok_or(bad)?);
+                }
+                let mut chars = char::decode_utf16(units);
+                match (chars.next(), chars.next()) {
+                    (Some(Ok(c)), None) => c,
+                    _ => return Err(bad),
+                }
             }
             _ => return Err(bad),
-        })
+        };
+        Ok(c)
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let mut code = 0;
-        for _ in 0..4 {
-            let digit = match self.peek() {
-                None => return Err(self.fail(ErrorKind::End)),
-                Some(b) => (b as char).to_digit(16),
-            };
-            code = code * 16 + digit.ok_or(self.fail(ErrorKind::String))?;
-            self.at += 1;
+    fn hex4(&mut self) -> Option<u16> {
+        let digits = self.text.as_bytes().get(self.at..self.at + 4)?;
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return None;
         }
-        Ok(code)
+        self.at += 4;
+        u16::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()
     }
 
     fn digits(&mut self) -> bool {
@@ -493,18 +409,17 @@ impl Parser<'_> {
         let start = self.at;
         self.eat(b'-');
         // Integer part, then an optional fraction and exponent; the first
-        // part that is missing its digits fails.
+        // part without its digits fails.
         let whole = (self.eat(b'0') || self.digits())
             && (!self.eat(b'.') || self.digits())
             && (!(self.eat(b'e') || self.eat(b'E')) || {
                 let _sign = self.eat(b'+') || self.eat(b'-');
                 self.digits()
             });
-        if whole {
-            Ok(Json::Num(Number(self.text[start..self.at].to_string())))
-        } else {
-            Err(self.fail(ErrorKind::Number))
+        if !whole {
+            return Err(self.fail(ErrorKind::Number));
         }
+        Ok(Json::Num(Number(self.text[start..self.at].to_string())))
     }
 }
 
@@ -623,12 +538,14 @@ mod tests {
             ("1e+", 3, Number),
             ("\"a\nb\"", 2, String),
             ("\"\\x\"", 1, String),
-            ("\"\\u12g4\"", 5, String),
+            ("\"\\u12g4\"", 1, String),
+            ("\"\\u12", 1, String),
             ("\"\\ud800\"", 1, String),
             ("\"\\ud800\\u0041\"", 1, String),
             ("\"\\udc00\"", 1, String),
             ("\"abc", 4, End),
-            ("{\"a\": 1, \"a\": 2}", 9, DuplicateKey),
+            ("{\"a\": 1, \"a\"", 12, End),
+            ("\"\\", 2, End),
             (&deep, MAX_DEPTH, TooDeep),
         ] {
             assert_eq!(parse(text), Err(ParseError { offset, kind }), "{text:?}");

@@ -640,6 +640,6 @@ mod tests {
         let b = run_mixnet_simulated(&base_cfg(42, 0.03));
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.metrics.to_json(0), b.metrics.to_json(0));
+        assert_eq!(a.metrics.to_json(), b.metrics.to_json());
     }
 }

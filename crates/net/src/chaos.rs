@@ -33,6 +33,7 @@ use std::time::Duration;
 use mycelium::exec::NoisyGroup;
 use mycelium::params::SystemParams;
 use mycelium::roles::Member;
+use mycelium_math::json::Json;
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_query::eval::{evaluate, PlainResult};
 use mycelium_sharing::threshold::derive_joint_noise;
@@ -350,38 +351,30 @@ impl ChaosOutcome {
         self.verdict.ok() && !self.reconciled.starts_with("mismatch")
     }
 
-    /// Renders one run as a JSON object.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let quote = |s: &String| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
-        let kills: Vec<String> = self.kills.iter().map(quote).collect();
-        format!(
-            "{pad}{{\n{pad}  \"seed\": {},\n{pad}  \"plan\": \"{}\",\n\
-             {pad}  \"shards\": {},\n{pad}  \"verdict\": \"{}\",\n\
-             {pad}  \"agg_incarnations\": {},\n{pad}  \"kills\": [{}],\n\
-             {pad}  \"injected\": {},\n{pad}  \"reconciled\": {}\n{pad}}}",
-            self.seed,
-            if self.drill { "drill" } else { "seeded" },
-            self.shards,
-            self.verdict,
-            self.agg_incarnations,
-            kills.join(", "),
-            self.injected.to_json(),
-            quote(&self.reconciled),
-        )
+    /// One run as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("seed", self.seed.into()),
+            ("plan", if self.drill { "drill" } else { "seeded" }.into()),
+            ("shards", self.shards.into()),
+            ("verdict", self.verdict.as_str().into()),
+            ("agg_incarnations", self.agg_incarnations.into()),
+            ("kills", self.kills.iter().cloned().collect()),
+            ("injected", self.injected.to_json()),
+            ("reconciled", self.reconciled.as_str().into()),
+        ])
     }
 }
 
 /// Renders a full matrix report (the `CHAOS_report.json` and
 /// `CHAOS_net.json` artifacts).
 pub fn report_json(outcomes: &[ChaosOutcome]) -> String {
-    let runs: Vec<String> = outcomes.iter().map(|o| o.to_json(4)).collect();
     let violations = outcomes.iter().filter(|o| !o.ok()).count();
-    format!(
-        "{{\n  \"runs\": [\n{}\n  ],\n  \"invariant_violations\": {}\n}}\n",
-        runs.join(",\n"),
-        violations
-    )
+    let report = Json::obj([
+        ("runs", outcomes.iter().map(ChaosOutcome::to_json).collect()),
+        ("invariant_violations", violations.into()),
+    ]);
+    format!("{report}\n")
 }
 
 // ---------------------------------------------------------------------------

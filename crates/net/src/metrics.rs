@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mycelium_crypto::codec::{CodecError, Reader, Writer};
+use mycelium_math::json::Json;
 use mycelium_simnet::PhaseSeries;
 
 use crate::error::NetError;
@@ -242,84 +243,52 @@ impl NetMetrics {
         Ok(m)
     }
 
-    /// Deterministic JSON: every value is an integer, every map is a
-    /// `BTreeMap`, so the same traffic renders byte-identically.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let item = " ".repeat(indent + 4);
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{pad}{{\n{inner}\"handshakes\": {},\n{inner}\"handshake_p50_micros\": {},\n\
-             {inner}\"handshake_p99_micros\": {},\n{inner}\"reconnects\": {},\n\
-             {inner}\"aead_rejects\": {},\n{inner}\"retries\": {},\n\
-             {inner}\"deadline_expiries\": {},\n{inner}\"duplicates_suppressed\": {},\n\
-             {inner}\"overload_rejections\": {},\n{inner}\"overload_backoffs\": {},\n\
-             {inner}\"sessions_reaped\": {},\n{inner}\"wal_syncs\": {},\n\
-             {inner}\"sync_waits\": {},\n{inner}\"sync_wait_p50_micros\": {},\n\
-             {inner}\"sync_wait_p99_micros\": {},\n{inner}\"frames_sent\": {},\n\
-             {inner}\"frames_recv\": {},\n{inner}\"bytes_sent\": {},\n\
-             {inner}\"bytes_recv\": {},\n",
-            self.handshakes,
-            self.handshake_micros.p50(),
-            self.handshake_micros.p99(),
-            self.reconnects,
-            self.aead_rejects,
-            self.retries,
-            self.deadline_expiries,
-            self.duplicates_suppressed,
-            self.overload_rejections,
-            self.overload_backoffs,
-            self.sessions_reaped,
-            self.wal_syncs,
-            self.sync_wait_micros.count(),
-            self.sync_wait_micros.p50(),
-            self.sync_wait_micros.p99(),
-            self.frames_sent,
-            self.frames_recv,
-            self.bytes_sent,
-            self.bytes_recv,
-        ));
-        for (label, map) in [("sent", &self.sent), ("recv", &self.recv)] {
-            s.push_str(&format!("{inner}\"{label}\": {{"));
-            let entries: Vec<String> = map
-                .iter()
-                .map(|(k, c)| {
-                    format!(
-                        "\n{item}\"{k}\": {{\"frames\": {}, \"payload_bytes\": {}, \
-                         \"wire_bytes\": {}}}",
-                        c.frames, c.payload_bytes, c.wire_bytes
-                    )
-                })
-                .collect();
-            s.push_str(&entries.join(","));
-            if !entries.is_empty() {
-                s.push('\n');
-                s.push_str(&inner);
-            }
-            s.push_str("},\n");
-        }
-        s.push_str(&format!("{inner}\"latency_micros\": {{"));
-        let entries: Vec<String> = self
-            .latency
-            .iter()
-            .map(|(k, p)| {
-                format!(
-                    "\n{item}\"{k}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-                    p.count(),
-                    p.p50(),
-                    p.p99(),
-                    p.max()
-                )
-            })
-            .collect();
-        s.push_str(&entries.join(","));
-        if !entries.is_empty() {
-            s.push('\n');
-            s.push_str(&inner);
-        }
-        s.push_str(&format!("}}\n{pad}}}"));
-        s
+    /// The `NET_round.json` document: every value is an integer and every
+    /// map a `BTreeMap`, so the same traffic renders byte-identically.
+    pub fn to_json(&self) -> Json {
+        let kinds = |map: &BTreeMap<String, KindCounters>| {
+            Json::obj(map.iter().map(|(kind, c)| {
+                let counters = Json::obj([
+                    ("frames", c.frames.into()),
+                    ("payload_bytes", c.payload_bytes.into()),
+                    ("wire_bytes", c.wire_bytes.into()),
+                ]);
+                (kind.as_str(), counters)
+            }))
+        };
+        let latency = self.latency.iter().map(|(kind, p)| {
+            let summary = Json::obj([
+                ("count", p.count().into()),
+                ("p50", p.p50().into()),
+                ("p99", p.p99().into()),
+                ("max", p.max().into()),
+            ]);
+            (kind.as_str(), summary)
+        });
+        Json::obj([
+            ("handshakes", self.handshakes.into()),
+            ("handshake_p50_micros", self.handshake_micros.p50().into()),
+            ("handshake_p99_micros", self.handshake_micros.p99().into()),
+            ("reconnects", self.reconnects.into()),
+            ("aead_rejects", self.aead_rejects.into()),
+            ("retries", self.retries.into()),
+            ("deadline_expiries", self.deadline_expiries.into()),
+            ("duplicates_suppressed", self.duplicates_suppressed.into()),
+            ("overload_rejections", self.overload_rejections.into()),
+            ("overload_backoffs", self.overload_backoffs.into()),
+            ("sessions_reaped", self.sessions_reaped.into()),
+            ("wal_syncs", self.wal_syncs.into()),
+            ("sync_waits", self.sync_wait_micros.count().into()),
+            ("sync_wait_p50_micros", self.sync_wait_micros.p50().into()),
+            ("sync_wait_p99_micros", self.sync_wait_micros.p99().into()),
+            ("frames_sent", self.frames_sent.into()),
+            ("frames_recv", self.frames_recv.into()),
+            ("bytes_sent", self.bytes_sent.into()),
+            ("bytes_recv", self.bytes_recv.into()),
+            ("sent", kinds(&self.sent)),
+            ("recv", kinds(&self.recv)),
+            ("latency_micros", Json::obj(latency)),
+        ])
     }
 }
 
@@ -368,7 +337,7 @@ mod tests {
         assert_eq!(d.sent, m.sent);
         assert_eq!(d.recv, m.recv);
         assert_eq!(d.latency["PushContrib"].completions, vec![250]);
-        assert_eq!(d.to_json(0), m.to_json(0));
+        assert_eq!(d.to_json(), m.to_json());
     }
 
     #[test]
@@ -389,12 +358,12 @@ mod tests {
     #[test]
     fn json_is_deterministic() {
         let m = sample();
-        assert_eq!(m.to_json(0), m.clone().to_json(0));
+        assert_eq!(m.to_json().to_string(), m.clone().to_json().to_string());
     }
 
     /// The text `NET_round.json` holds, less its final newline.
     fn rendered(m: &NetMetrics) -> String {
-        m.to_json(0)
+        m.to_json().to_string()
     }
 
     #[test]

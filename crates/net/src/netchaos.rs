@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use mycelium_math::json::{self, Json};
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_simnet::{LinkModel, Partition};
 
@@ -474,24 +475,16 @@ impl FaultLedger {
         self.reply_drops + self.stall_replies
     }
 
-    /// Renders the ledger as a flat, key-sorted JSON object.
-    pub fn to_json(mut self) -> String {
-        let fields = self
-            .fields()
-            .map(|(key, count)| format!("\"{key}\": {count}"));
-        format!("{{{}}}", fields.join(", "))
+    /// The ledger as a flat, key-sorted JSON object.
+    pub fn to_json(mut self) -> Json {
+        Json::obj(self.fields().map(|(key, count)| (key, Json::from(*count))))
     }
 
-    /// Adds every counter of a rendered ledger to this one (a key the
-    /// text lacks adds nothing).
-    fn absorb(&mut self, text: &str) {
-        let body = text.trim().trim_start_matches('{').trim_end_matches('}');
-        for (key, value) in body.split(',').filter_map(|pair| pair.split_once(':')) {
-            let key = key.trim().trim_matches('"');
-            let slot = self.fields().into_iter().find(|(k, _)| *k == key);
-            if let (Some((_, slot)), Ok(count)) = (slot, value.trim().parse::<u64>()) {
-                *slot += count;
-            }
+    /// Adds every counter of a ledger document to this one (a key the
+    /// document lacks adds nothing).
+    fn absorb(&mut self, doc: &Json) {
+        for (key, count) in self.fields() {
+            *count += doc.get(key).and_then(Json::as_u64).unwrap_or(0);
         }
     }
 }
@@ -504,8 +497,9 @@ fn read_ledgers(out_dir: &Path, spec: &RoundSpec) -> FaultLedger {
     }
     let mut sum = FaultLedger::default();
     for name in names {
-        if let Ok(text) = std::fs::read_to_string(out_dir.join(files::netfaults(&name))) {
-            sum.absorb(&text);
+        let text = std::fs::read_to_string(out_dir.join(files::netfaults(&name)));
+        if let Some(doc) = text.ok().and_then(|text| json::parse(&text).ok()) {
+            sum.absorb(&doc);
         }
     }
     sum
@@ -968,11 +962,11 @@ mod tests {
             ..FaultLedger::default()
         };
         let mut read = FaultLedger::default();
-        read.absorb(&ledger.to_json());
+        read.absorb(&json::parse(&ledger.to_json().to_string()).unwrap());
         assert_eq!(read, ledger);
         assert_eq!(read.reply_drops, 0);
         // Ledgers sum; absent and unknown keys add nothing.
-        read.absorb("{\"resets\": 2, \"missing_key\": 9}\n");
+        read.absorb(&json::parse("{\"resets\": 2, \"missing_key\": 9}\n").unwrap());
         assert_eq!(read.resets, 5);
         assert_eq!(read.partition_rejects, 17);
     }
@@ -1040,7 +1034,7 @@ mod tests {
         assert_eq!(m.handshakes, 1);
         drop(m);
         assert_eq!(
-            proxy.ledger().to_json(),
+            proxy.ledger().to_json().to_string(),
             "{\"flips\": 0, \"latency_injections\": 0, \"partition_rejects\": 0, \
              \"reply_drops\": 0, \"resets\": 0, \"stall_replies\": 0, \"stall_requests\": 0}"
         );
@@ -1128,7 +1122,8 @@ mod tests {
         server.shutdown();
         let ledger = proxy.shutdown();
         assert_eq!(ledger.reply_drops, 1);
-        std::fs::write(dir.join(files::netfaults("aggregator")), ledger.to_json()).unwrap();
+        let ledger = ledger.to_json().to_string();
+        std::fs::write(dir.join(files::netfaults("aggregator")), ledger).unwrap();
         assert_eq!(reconcile(&dir, &spec, &plan), "ok");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -445,7 +445,8 @@ pub(crate) fn supervise(
         }
     }
     std::fs::write(out_dir.join(files::METRICS_MERGED), merged.encode())?;
-    std::fs::write(out_dir.join(files::METRICS_JSON), merged.to_json(0) + "\n")?;
+    let json = format!("{}\n", merged.to_json());
+    std::fs::write(out_dir.join(files::METRICS_JSON), json)?;
     let agg_incarnations = tree.children[0].incarnations;
     Ok(Supervision {
         end,

@@ -242,7 +242,7 @@ impl Served {
         let server_metrics = self.server.metrics();
         self.server.shutdown();
         if let Some(p) = self.proxy {
-            let ledger = p.shutdown().to_json() + "\n";
+            let ledger = format!("{}\n", p.shutdown().to_json());
             std::fs::write(out_dir.join(files::netfaults(&self.name)), ledger)?;
         }
         let mut metrics = lock_recover(&server_metrics).clone();

@@ -8,6 +8,8 @@
 
 use std::collections::BTreeMap;
 
+use mycelium_math::json::Json;
+
 use crate::sim::Tick;
 
 /// Per-actor traffic counters.
@@ -138,51 +140,31 @@ impl RoundMetrics {
             .push(now);
     }
 
-    /// Deterministic JSON rendering: totals plus per-phase virtual-time
-    /// summaries. All values are integers, phase order is lexicographic.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let phase_pad = " ".repeat(indent + 4);
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{pad}{{\n{inner}\"messages_sent\": {},\n{inner}\"bytes_sent\": {},\n\
-             {inner}\"retries\": {},\n{inner}\"dropped_msgs\": {},\n\
-             {inner}\"dropped_bytes\": {},\n{inner}\"dead_letters\": {},\n\
-             {inner}\"tampered_msgs\": {},\n{inner}\"timer_fires\": {},\n\
-             {inner}\"restarts\": {},\n{inner}\"phases\": {{",
-            self.total_sent_msgs(),
-            self.total_sent_bytes(),
-            self.total_retries(),
-            self.dropped_msgs,
-            self.dropped_bytes,
-            self.dead_letters,
-            self.tampered_msgs,
-            self.timer_fires,
-            self.restarts,
-        ));
-        let entries: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(name, p)| {
-                format!(
-                    "\n{phase_pad}\"{name}\": {{\"count\": {}, \"min_ticks\": {}, \
-                     \"p50_ticks\": {}, \"mean_ticks\": {}, \"max_ticks\": {}}}",
-                    p.count(),
-                    p.min(),
-                    p.p50(),
-                    p.mean(),
-                    p.max()
-                )
-            })
-            .collect();
-        s.push_str(&entries.join(","));
-        if !entries.is_empty() {
-            s.push('\n');
-            s.push_str(&inner);
-        }
-        s.push_str(&format!("}}\n{pad}}}"));
-        s
+    /// Totals plus per-phase virtual-time summaries: all integers, phases
+    /// in lexicographic order, so a run renders byte-identically.
+    pub fn to_json(&self) -> Json {
+        let phases = self.phases.iter().map(|(name, p)| {
+            let summary = Json::obj([
+                ("count", p.count().into()),
+                ("min_ticks", p.min().into()),
+                ("p50_ticks", p.p50().into()),
+                ("mean_ticks", p.mean().into()),
+                ("max_ticks", p.max().into()),
+            ]);
+            (name.as_str(), summary)
+        });
+        Json::obj([
+            ("messages_sent", self.total_sent_msgs().into()),
+            ("bytes_sent", self.total_sent_bytes().into()),
+            ("retries", self.total_retries().into()),
+            ("dropped_msgs", self.dropped_msgs.into()),
+            ("dropped_bytes", self.dropped_bytes.into()),
+            ("dead_letters", self.dead_letters.into()),
+            ("tampered_msgs", self.tampered_msgs.into()),
+            ("timer_fires", self.timer_fires.into()),
+            ("restarts", self.restarts.into()),
+            ("phases", Json::obj(phases)),
+        ])
     }
 }
 
@@ -211,8 +193,8 @@ mod tests {
         m.actors[0].sent_bytes = 256;
         m.phase_done("zeta", 5);
         m.phase_done("alpha", 7);
-        let a = m.to_json(0);
-        let b = m.clone().to_json(0);
+        let a = m.to_json().to_string();
+        let b = m.clone().to_json().to_string();
         assert_eq!(a, b);
         let alpha = a.find("\"alpha\"").unwrap();
         let zeta = a.find("\"zeta\"").unwrap();
@@ -222,7 +204,7 @@ mod tests {
 
     /// The rendered text, as the `golden_round` pins hash it.
     fn rendered(m: &RoundMetrics) -> String {
-        m.to_json(0)
+        m.to_json().to_string()
     }
 
     #[test]

@@ -512,7 +512,7 @@ mod tests {
             (
                 report.elapsed,
                 report.events,
-                sim.metrics.to_json(0),
+                sim.metrics.to_json(),
                 delivered,
             )
         };

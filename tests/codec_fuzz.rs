@@ -13,6 +13,12 @@
 //! input the decoder must not panic, must fail only with its crate's typed
 //! codec error, and whatever it accepts must re-encode to exactly the bytes
 //! it was given.
+//!
+//! The JSON artifacts a round writes (`NET_round.json`, the simulator's
+//! metrics, a `netfaults` ledger, a chaos report and `ROUND_cert.json`) go
+//! through the same mutator into `json::parse`: it must never panic, it
+//! fails only with its typed `ParseError`, and every value it accepts must
+//! render to text that parses back to that value.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -22,20 +28,24 @@ use mycelium::plan::SignedContribution;
 use mycelium_bgv::{BgvParams, Ciphertext};
 use mycelium_budget::{BudgetError, Composition, LedgerEntry, LedgerOp, QueryCost};
 use mycelium_cert::{
-    build_segments, noise_commitment, origin_leaf, sign_transcript, CertSpec, CommitteeSig,
-    OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
+    build_segments, noise_commitment, origin_leaf, render_json, sign_transcript, CertSpec,
+    CommitteeSig, OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
 };
 use mycelium_crypto::codec::{Reader, Writer};
 use mycelium_crypto::merkle::InclusionProof;
+use mycelium_math::json;
 use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly};
+use mycelium_net::chaos::{report_json, ChaosOutcome, ChaosVerdict};
 use mycelium_net::codec::CodecCtx;
 use mycelium_net::error::NetError;
 use mycelium_net::metrics::NetMetrics;
+use mycelium_net::netchaos::FaultLedger;
 use mycelium_net::proto::NetMsg;
 use mycelium_net::round::{decode_outcome, encode_outcome, RoundOutcome};
 use mycelium_query::eval::{GroupResult, PlainResult};
 use mycelium_sharing::DecryptionShare;
+use mycelium_simnet::RoundMetrics;
 use mycelium_zkp::argument::{Opening, Proof};
 
 /// Decodes bytes of one format and re-encodes what it got, or renders the
@@ -351,6 +361,37 @@ fn sealed_certificate() -> Vec<u8> {
     cert.encode()
 }
 
+/// Every JSON artifact of a round, as its file holds it.
+fn json_corpus() -> Vec<Vec<u8>> {
+    let metrics = NetMetrics::decode(&metrics_corpus()[0]).expect("a valid encoding");
+    let mut sim = RoundMetrics::new(2);
+    sim.actors[0].sent_msgs = 3;
+    sim.phase_done("submit", 40);
+    sim.phase_done("submit", 12);
+    let ledger = FaultLedger {
+        resets: 2,
+        flips: 1,
+        ..FaultLedger::default()
+    };
+    let run = ChaosOutcome {
+        seed: 4,
+        drill: false,
+        shards: 4,
+        verdict: ChaosVerdict::Exact,
+        agg_incarnations: 2,
+        kills: vec!["aggregator: \"abort\"\tafter\n2 PushShare \\ é".into()],
+        injected: ledger,
+        reconciled: "ok".into(),
+    };
+    let cert = sealed_certificate();
+    let decoded = RoundCertificate::decode(&cert).expect("a sealed certificate");
+    let docs = [metrics.to_json(), sim.to_json(), ledger.to_json()];
+    let mut corpus: Vec<Vec<u8>> = docs.iter().map(|d| format!("{d}\n").into()).collect();
+    corpus.push(report_json(&[run]).into());
+    corpus.push(render_json(&decoded, &cert).into());
+    corpus
+}
+
 /// Every input the mutator derives from `corpus`, each with a label.
 fn mutations(corpus: &[Vec<u8>], rng: &mut StdRng) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
@@ -451,4 +492,41 @@ fn every_format_decodes_canonically_or_fails_typed() {
     for (name, corpus, roundtrip) in &formats {
         fuzz(name, corpus, roundtrip, &mut rng);
     }
+}
+
+#[test]
+fn every_json_artifact_parses_back_or_fails_typed() {
+    let mut rng = StdRng::seed_from_u64(0x150A);
+    let corpus = json_corpus();
+    for (k, doc) in corpus.iter().enumerate() {
+        // Each artifact is exactly what the writer renders of what the
+        // reader reads from it.
+        let text = std::str::from_utf8(doc).expect("artifacts are UTF-8");
+        let value = json::parse(text).unwrap_or_else(|e| panic!("corpus #{k}: {e}"));
+        assert_eq!(format!("{value}\n"), text, "corpus #{k}");
+    }
+    let inputs = mutations(&corpus, &mut rng);
+    let mut parsed = 0;
+    for (what, b) in &inputs {
+        // A mutant that is no longer UTF-8 never reaches a `&str` reader.
+        let Ok(text) = std::str::from_utf8(b) else {
+            continue;
+        };
+        // The error type is `ParseError`; a panic is the only other exit.
+        match catch_unwind(|| json::parse(text)) {
+            Err(_) => panic!("{what} panicked the reader"),
+            Ok(Ok(value)) => {
+                let again = json::parse(&value.to_string());
+                assert_eq!(
+                    again,
+                    Ok(value),
+                    "{what}: rendered, it reads back otherwise"
+                );
+                parsed += 1;
+            }
+            Ok(Err(_typed)) => {}
+        }
+    }
+    let n = inputs.len();
+    assert!(0 < parsed && parsed < n, "JSON: {parsed} of {n} parsed");
 }

@@ -407,7 +407,7 @@ fn simulated_round_matches_the_pinned_bytes() {
             out.released,
             out.rejected_devices,
             out.elapsed,
-            out.metrics.to_json(0)
+            out.metrics.to_json()
         );
         pin(&format!("sim{shards}.cert"), &sha256(cert), SIM[i][0]);
         pin(

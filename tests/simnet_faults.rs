@@ -208,7 +208,7 @@ fn simulated_round_is_thread_count_invariant() {
             out.exact.groups[0].histogram.clone(),
             out.released[0].histogram.clone(),
             out.elapsed,
-            out.metrics.to_json(0),
+            out.metrics.to_json(),
         )
     };
     let serial = with_threads(1, run);
@@ -344,7 +344,7 @@ fn aggregator_blackout_recovery_is_thread_count_invariant() {
             out.exact.groups[0].histogram.clone(),
             out.released[0].histogram.clone(),
             out.elapsed,
-            out.metrics.to_json(0),
+            out.metrics.to_json(),
         )
     };
     let serial = with_threads(1, run);
