@@ -12,8 +12,8 @@
 //! seed produce byte-identical JSON, the determinism contract CI relies
 //! on when it archives the artifact.
 
+use mycelium::deep_simulation_params;
 use mycelium::simbudget::{run_budget_scenario, BudgetScenario, RoundVerdict};
-use mycelium::{deep_simulation_params, QuerySession, SessionError};
 use mycelium_bgv::KeySet;
 use mycelium_budget::Composition;
 use mycelium_dp::DpError;
@@ -22,6 +22,7 @@ use mycelium_graph::generate::{
 };
 use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
+use mycelium_net::{QuerySession, SessionError};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::{paper_query, CONFORMANCE_QUERY_TEXT};
 use mycelium_query::eval::evaluate;
@@ -219,9 +220,11 @@ mod tests {
     use super::*;
     use mycelium_math::json::{self, Json};
 
-    /// What an error renders can hold anything: `SessionError::Sim` shows
-    /// its cause with `{:?}`.
-    const ERROR: &str = "Sim(\"quoted\") at C:\\sweep\nsecond line";
+    /// What an error renders can hold anything: a simulated round's cause
+    /// as its `Display` writes it, quotes, backslashes and line breaks
+    /// included.
+    const ERROR: &str =
+        "simulated round failed (charge refunded): \"quoted\" at C:\\sweep\nsecond line";
 
     #[test]
     fn a_failed_round_is_valid_json_whatever_its_error_says() {

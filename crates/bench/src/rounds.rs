@@ -1,7 +1,7 @@
 //! The round-convergence benchmark behind `BENCH_rounds.json`.
 //!
 //! Sweeps the two simnet-hosted protocol phases — the encrypted query
-//! round ([`mycelium::simround`]) and mixnet circuit setup + onion
+//! round ([`mycelium_net::run_query_simulated`]) and mixnet circuit setup + onion
 //! forwarding ([`mycelium_mixnet::simtransport`]) — over message-drop
 //! rates {0, 1%, 5%} and crash counts, and reports per-cell convergence,
 //! virtual time, traffic, and retry counts.
@@ -12,7 +12,7 @@
 //! determinism contract CI relies on when it archives the artifact.
 
 use mycelium::params::SystemParams;
-use mycelium::{run_query_simulated, SimNetConfig};
+
 use mycelium_bgv::KeySet;
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::{
@@ -21,6 +21,7 @@ use mycelium_graph::generate::{
 use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_mixnet::simtransport::{run_mixnet_simulated, MixSimConfig};
+use mycelium_net::{run_query_simulated, SimNetConfig, SimRoundOutcome};
 use mycelium_query::builtin::paper_query;
 use mycelium_simnet::FaultPlan;
 
@@ -259,7 +260,7 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<Json> 
             })
             .sum();
 
-        let mut hub_baseline: Option<mycelium::SimRoundOutcome> = None;
+        let mut hub_baseline: Option<SimRoundOutcome> = None;
         for shards in SHARD_COUNTS {
             let sim_cfg = SimNetConfig {
                 seed: cfg.seed,

@@ -2,12 +2,13 @@
 //! substitute `Enc(x^0)` for offenders, sum the origins in a verifiable tree with `Enc(0)`
 //! for the missing, pick `t + 1` live committee members, threshold-decrypt, add joint
 //! noise, certify. Plain state and transitions — randomness, plan and keys passed in; no
-//! clock, file, socket, thread, journal or simulator — driven by [`crate::simround`] and
-//! `mycelium_net::round`. A process's [`Round`] is composed of the parts: hub = [`Intake`]
-//! over every origin + [`CommitteeTail`]; shard = [`Intake`] over its origins + a committee
-//! of zero; coordinator = shard-root slots ([`Intake::accept_root`]) + the tail. Every write
-//! is first-write-wins beside a non-mutating [`Slot`] predicate; *when* a phase transition
-//! fires is [`Round::due`], told only which [`Timeout`]s have passed.
+//! clock, file, socket, thread, journal or simulator — driven by `mycelium_net::round`'s
+//! `AggState` in the processes and on the simulator alike. A process's [`Round`] is composed
+//! of the parts: hub = [`Intake`] over every origin + [`CommitteeTail`]; shard = [`Intake`]
+//! over its origins + a committee of zero; coordinator = shard-root slots
+//! ([`Intake::accept_root`]) + the tail. Every write is first-write-wins beside a
+//! non-mutating [`Slot`] predicate; *when* a phase transition fires is [`Round::due`], told
+//! only which [`Timeout`]s have passed.
 
 use std::collections::BTreeMap;
 
@@ -25,9 +26,8 @@ use mycelium_sharing::threshold::{combine, derive_joint_noise, DecryptionShare, 
 
 use crate::decode::decode_aggregate;
 use crate::exec::{release_noisy, ExecError, NoisyGroup};
-use crate::plan::{aggregate_and_audit, ciphertext_digest, combine_shard_roots, seal_shard_root};
+use crate::plan::{aggregate_and_audit, ciphertext_digest, seal_shard_root, PartialRoot};
 use crate::plan::{QueryPlan, SignedContribution};
-use crate::summation::PartialRoot;
 
 /// The core's one typed failure; `Display` is the canonical message.
 #[derive(Debug, Clone, PartialEq)]
@@ -572,47 +572,24 @@ pub enum Mark {
     Seal,
 }
 
-/// A sealed shard root as a driver's wire carries it: the simulated message has room
-/// for the shard tree's commitment, the real one ships the bare sum.
-pub trait ShardRoot: Clone {
-    /// The global aggregate over every shard's root.
-    fn combine(roots: Vec<Self>) -> Result<Ciphertext, ExecError>;
-}
-
-impl ShardRoot for PartialRoot {
-    fn combine(roots: Vec<Self>) -> Result<Ciphertext, ExecError> {
-        combine_shard_roots(roots)
-    }
-}
-
-impl ShardRoot for Parked {
-    fn combine(roots: Vec<Self>) -> Result<Ciphertext, ExecError> {
-        aggregate_and_audit(roots.into_iter().map(Parked::into_ct).collect())
-    }
-}
-
 /// One aggregation-plane process's round: its parts, and the one statement of when each
 /// phase transition fires ([`Round::due`]) and what it does ([`Round::apply`]).
-pub struct Round<R> {
+pub struct Round {
     pub intake: Intake,
     /// The shards' sealed roots (`Some` on the coordinator only).
-    pub roots: Option<Vec<Option<R>>>,
+    pub roots: Option<Vec<Option<Parked>>>,
     pub aggregate: Option<Parked>,
-    /// Commitment and leaf count of the tree [`Mark::Aggregate`] sealed over the owned
-    /// origins: what a shard's root message carries beside the sum, where it has room.
-    pub tree: Option<([u8; 32], usize)>,
     pub tail: CommitteeTail,
     /// The typed failure the round ended in.
     pub failed: Option<CoreError>,
 }
 
-impl<R: ShardRoot> Round<R> {
-    pub fn new(intake: Intake, roots: Option<Vec<Option<R>>>, tail: CommitteeTail) -> Self {
+impl Round {
+    pub fn new(intake: Intake, roots: Option<Vec<Option<Parked>>>, tail: CommitteeTail) -> Self {
         Round {
             intake,
             roots,
             aggregate: None,
-            tree: None,
             tail,
             failed: None,
         }
@@ -705,15 +682,12 @@ impl<R: ShardRoot> Round<R> {
             return Ok(());
         }
         let sum = match &self.roots {
-            None => {
-                let root = self.intake.seal(ctx, rng)?;
-                self.tree = Some((root.commitment, root.leaf_count));
-                root.sum
-            }
+            None => self.intake.seal(ctx, rng)?.sum,
             Some(roots) => {
-                let roots: Option<Vec<R>> = roots.iter().cloned().collect();
+                let roots = roots.iter().map(|r| r.clone().map(Parked::into_ct));
+                let roots: Option<Vec<Ciphertext>> = roots.collect();
                 let roots = roots.ok_or_else(|| CoreError::Invalid("shard root missing".into()))?;
-                R::combine(roots).map_err(|e| CoreError::Exec("aggregation", e))?
+                aggregate_and_audit(roots).map_err(|e| CoreError::Exec("aggregation", e))?
             }
         };
         self.aggregate = Some(Parked::new(sum));

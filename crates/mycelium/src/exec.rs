@@ -18,7 +18,7 @@
 //!
 //! The per-role building blocks (contribution building/verification, the
 //! origin combine, the summation tree audit) live in [`crate::plan`] and
-//! are shared with the message-passing execution in [`crate::simround`];
+//! are shared with the message-passing execution in `mycelium_net::round`;
 //! this module wires them into the direct, in-process pipeline.
 //!
 //! The decoded (pre-noise) result is exposed so integration tests can

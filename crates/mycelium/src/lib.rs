@@ -30,16 +30,13 @@
 //!   aggregator logic) with Byzantine-behaviour injection.
 //! * [`aggcore`] — the aggregation plane's protocol state and transitions
 //!   (intake, shard roots, committee tail, certificate), written once with
-//!   no I/O; the simulated and the real-process round both drive it.
+//!   no I/O; `mycelium_net::round` drives it, in real processes and on the
+//!   deterministic simnet alike (`run_query_simulated`, with fault injection
+//!   and round metrics).
 //! * [`roles`] — the client half, written once the same way: what a device,
 //!   an origin and a committee member compute, and the order each draws its
 //!   randomness in.
-//! * [`simround`] — the same round re-hosted as message-passing actors on
-//!   the deterministic simnet, with fault injection and round metrics.
-//! * [`session`] — the multi-query session: a privacy-budget ledger
-//!   (`mycelium-budget`) admitting, charging, and refusing rounds across
-//!   both executors.
-//! * [`simbudget`] — the same ledger behind a message boundary: a simnet
+//! * [`simbudget`] — the privacy-budget ledger behind a message boundary: a simnet
 //!   `BudgetActor` with seeded refusal scenarios under drops, duplicate
 //!   delivery, and crash windows.
 //! * [`decode`] — decoding the decrypted global plaintext back into
@@ -64,15 +61,11 @@ pub mod exec;
 pub mod params;
 pub mod plan;
 pub mod roles;
-pub mod session;
 pub mod simbudget;
 pub mod simcost;
-pub mod simround;
 pub mod streams;
 pub mod summation;
 
 pub use exec::{run_query_encrypted, EncryptedOutcome, ExecError, MaliciousBehavior};
-pub use params::SystemParams;
+pub use params::{deep_simulation_params, SystemParams};
 pub use plan::QueryPlan;
-pub use session::{deep_simulation_params, QuerySession, SessionError, SessionRound};
-pub use simround::{run_query_simulated, SimNetConfig, SimRoundError, SimRoundOutcome};

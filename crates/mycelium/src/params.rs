@@ -86,6 +86,19 @@ impl SystemParams {
     }
 }
 
+/// The deepened simulation preset the conformance session runs at: the
+/// BGV chain is extended to 14 levels so the two-hop `KHOP` query fits
+/// the multiplication budget (at [`SystemParams::simulation`]'s 6
+/// levels it reproduces the §6.2 infeasibility result), and the degree
+/// bound drops to 3 to keep `d^k` chains short.
+pub fn deep_simulation_params() -> SystemParams {
+    let mut params = SystemParams::simulation();
+    params.bgv.levels = 14;
+    params.degree_bound = 3;
+    params.schema.degree_bound = 3;
+    params
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,9 @@
 //! Query planning and the per-role protocol building blocks.
 //!
 //! [`run_query_encrypted`](crate::exec::run_query_encrypted) executes the
-//! whole round as one in-process pipeline; the simnet round
-//! ([`crate::simround`]) executes the same round as message-passing actors
-//! over a faulty network. Both are built from the pieces here, so the two
-//! paths cannot drift apart:
+//! whole round as one in-process pipeline; `mycelium_net::round` executes
+//! the same round as processes, or as actors on the simnet. Both are built
+//! from the pieces here, so the two paths cannot drift apart:
 //!
 //! * [`QueryPlan`] — the feasibility-checked compilation of a query:
 //!   semantic analysis, span/noise-budget checks, and the shared
@@ -546,14 +545,25 @@ pub fn aggregate_and_audit(origin_cts: Vec<Ciphertext>) -> Result<Ciphertext, Ex
     Ok(seal_shard_root(origin_cts)?.sum)
 }
 
+/// A sealed (partial) summation-tree root: the sum, and how many leaves it
+/// covers. Only the sum travels from an aggregation shard to the
+/// coordinator.
+#[derive(Debug, Clone)]
+pub struct PartialRoot {
+    /// The homomorphic (partial) sum.
+    pub sum: Ciphertext,
+    /// How many leaves the tree summed.
+    pub leaf_count: usize,
+}
+
 /// Aligns the origin ciphertexts to [`AGGREGATION_LEVEL`] (the one
 /// canonical level, so a partition into shards never shows in the bytes),
 /// builds the verifiable summation tree, audits inclusion paths and random
 /// interior nodes, and seals the root — the hub's global aggregate, or a
-/// shard's partial root for shipment to the coordinator.
-pub fn seal_shard_root(
-    origin_cts: Vec<Ciphertext>,
-) -> Result<crate::summation::PartialRoot, ExecError> {
+/// shard's partial root for shipment to the coordinator, which sums the
+/// shards' roots the same way: addition mod q is exact, so the bits are
+/// those of one tree over every origin.
+pub fn seal_shard_root(origin_cts: Vec<Ciphertext>) -> Result<PartialRoot, ExecError> {
     let aligned: Vec<Ciphertext> =
         par::map(&origin_cts, |_, ct| ct.mod_switch_to(AGGREGATION_LEVEL))
             .into_iter()
@@ -568,29 +578,6 @@ pub fn seal_shard_root(
     }
     tree.spot_check_random(0xA0D1, 8)
         .expect("honest aggregator's partial sums verify");
-    Ok(tree.seal_root())
-}
-
-/// Coordinator side of the sharded aggregation plane: grafts the sealed
-/// shard roots (all already at [`AGGREGATION_LEVEL`]) into the top
-/// summation tree ([`SummationTree::combine_partials`](crate::summation::SummationTree::combine_partials)),
-/// audits it, and returns the global root sum. Homomorphic addition is
-/// exact coefficient-wise addition mod q and every leaf was switched to
-/// the canonical level *before* any summation, so for any shard count the
-/// returned ciphertext is bit-identical to [`aggregate_and_audit`] over
-/// the concatenated origin ciphertexts.
-pub fn combine_shard_roots(
-    parts: Vec<crate::summation::PartialRoot>,
-) -> Result<Ciphertext, ExecError> {
-    let aligned: Vec<crate::summation::PartialRoot> = parts
-        .into_iter()
-        .map(|mut p| {
-            p.sum = p.sum.mod_switch_to(AGGREGATION_LEVEL)?;
-            Ok::<_, mycelium_bgv::BgvError>(p)
-        })
-        .collect::<Result<_, _>>()?;
-    let tree = crate::summation::SummationTree::combine_partials(&aligned)?;
-    tree.spot_check_random(0xC0DE, 8)
-        .expect("honest coordinator's top tree verifies");
-    Ok(tree.root().sum.clone())
+    let (sum, leaf_count) = (tree.root().sum.clone(), tree.leaf_count());
+    Ok(PartialRoot { sum, leaf_count })
 }

@@ -1,10 +1,10 @@
 //! The client half of the round (§4.4), written once: what a device, an
 //! origin and a committee member *compute*, with no transport. The
-//! simulated round ([`crate::simround`]) and the real-process round
-//! (`mycelium_net::round`) are messaging around these calls, which is what
-//! makes their ciphertexts — and so their sealed certificates —
-//! byte-identical for one spec. Each role draws from its own [`streams`]
-//! base in the one order fixed here; [`crate::aggcore`] is the server half.
+//! simulated and the real-process round (`mycelium_net::round`) are
+//! messaging around these calls, which is what makes their ciphertexts —
+//! and so their sealed certificates — byte-identical for one spec. Each
+//! role draws from its own [`streams`] base in the one order fixed here;
+//! [`crate::aggcore`] is the server half.
 
 use mycelium_bgv::{Ciphertext, KeySet};
 use mycelium_cert::sign_transcript;

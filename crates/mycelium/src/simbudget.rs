@@ -2,7 +2,7 @@
 //! owning a [`Ledger`] answers analyst proposals over a lossy,
 //! fault-injected link.
 //!
-//! The in-process session ([`QuerySession`](crate::session::QuerySession))
+//! The in-process session (`mycelium_net::QuerySession`)
 //! and the TCP service (`mycelium-net`'s `--budget-*` flags) both talk to
 //! the ledger through function calls; this module puts the same
 //! accountant behind a message boundary so the admission protocol itself

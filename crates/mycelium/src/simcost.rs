@@ -92,34 +92,6 @@ pub struct CostSimReport {
     pub metrics: RoundMetrics,
 }
 
-/// Exact simnet wire size of one shard → coordinator `ShardRootMsg` as
-/// the simround meter declares it: header (16) + shard id (4) +
-/// rejected ids (4 each) + root commitment (32) + leaf count (4) +
-/// per-origin certificate commitments (count prefix 4, then origin 4 +
-/// leaf 32 + accepted 4 + rejected 4 = 44 each) + the ciphertext's full
-/// RNS representation (`ct_bytes`).
-///
-/// `tests/sim_costs.rs` pins this mirror against the actual
-/// [`crate::simround::RoundMsg`] payload accounting, and the sharded
-/// round tests reconcile metered shard traffic against it; the analytic
-/// counterpart for the encrypted transport is
-/// [`crate::costs::shard_root_payload_bytes`].
-pub fn shard_root_sim_bytes(ct_bytes: usize, rejected: usize, commits: usize) -> usize {
-    16 + 4 + 4 * rejected + 32 + 4 + 4 + 44 * commits + ct_bytes
-}
-
-/// Exact simnet wire size of an aggregator → member `CertSignReq`:
-/// header (16) + transcript digest (32).
-pub fn cert_sign_req_sim_bytes() -> usize {
-    16 + 32
-}
-
-/// Exact simnet wire size of a member → aggregator `CertSig`: header
-/// (16) + member id (8) + Ed25519 signature (64).
-pub fn cert_sig_sim_bytes() -> usize {
-    16 + 72
-}
-
 /// Predicted key-switch operation counts of one aggregation round that
 /// relinearizes `deg2_leaves` degree-2 summation-tree leaves at chain
 /// level `level`.

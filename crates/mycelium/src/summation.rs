@@ -100,25 +100,6 @@ fn node_commitment(ct: &Ciphertext, left: &Digest, right: &Digest) -> Digest {
     sha256_concat(&[b"sum-node", &ciphertext_digest(ct), left, right])
 }
 
-fn graft_commitment(ct: &Ciphertext, partial: &Digest) -> Digest {
-    sha256_concat(&[b"sum-graft", &ciphertext_digest(ct), partial])
-}
-
-/// A shard's sealed partial summation-tree root: what travels from an
-/// aggregation shard to the coordinator. The commitment transitively
-/// binds every leaf the shard summed, so the coordinator's published
-/// global root commits every origin ciphertext without any shard's
-/// interior nodes crossing the wire.
-#[derive(Debug, Clone)]
-pub struct PartialRoot {
-    /// The shard's homomorphic partial sum.
-    pub sum: Ciphertext,
-    /// The shard tree's root commitment.
-    pub commitment: Digest,
-    /// How many leaves the shard summed.
-    pub leaf_count: usize,
-}
-
 impl SummationTree {
     /// Builds the tree over the origins' ciphertexts (all at one level).
     ///
@@ -160,7 +141,7 @@ impl SummationTree {
             }
         }
         let leaf_commitments = par::map(&leaves, |_, ct| leaf_commitment(ct));
-        let nodes: Vec<SummationNode> = leaves
+        let mut nodes: Vec<SummationNode> = leaves
             .into_iter()
             .zip(leaf_commitments)
             .map(|(ct, commitment)| SummationNode {
@@ -169,44 +150,6 @@ impl SummationTree {
                 children: None,
             })
             .collect();
-        Self::build_levels(nodes)
-    }
-
-    /// Builds the coordinator's top tree over sealed shard roots. Each
-    /// top-level leaf commitment binds the shard's partial-root
-    /// commitment, so the published global root transitively commits
-    /// every origin ciphertext in every shard. Because homomorphic
-    /// addition is exact coefficient-wise addition mod q — associative
-    /// and commutative — the combined root's ciphertext is bit-identical
-    /// to the root of one tree built over the concatenated leaves, for
-    /// any partition of the leaves into shards.
-    pub fn combine_partials(parts: &[PartialRoot]) -> Result<Self, BgvError> {
-        assert!(!parts.is_empty(), "combine needs at least one partial root");
-        let nodes: Vec<SummationNode> = parts
-            .iter()
-            .map(|p| SummationNode {
-                commitment: graft_commitment(&p.sum, &p.commitment),
-                sum: p.sum.clone(),
-                children: None,
-            })
-            .collect();
-        Self::build_levels(nodes)
-    }
-
-    /// Seals this tree's root for shipment to a coordinator.
-    pub fn seal_root(&self) -> PartialRoot {
-        let root = self.root();
-        PartialRoot {
-            sum: root.sum.clone(),
-            commitment: root.commitment,
-            leaf_count: self.leaf_count,
-        }
-    }
-
-    /// The shared level-building loop: `nodes` are the leaves (with
-    /// their commitments already assigned); interior levels are summed
-    /// and appended until one root remains.
-    fn build_levels(mut nodes: Vec<SummationNode>) -> Result<Self, BgvError> {
         let leaf_count = nodes.len();
         let mut level: Vec<usize> = (0..nodes.len()).collect();
         // The sums within one tree level are independent: compute each
@@ -457,7 +400,8 @@ mod tests {
         // Homomorphic addition is exact mod-q addition of RNS residues,
         // so the root sum must be bit-identical for *any* partition of
         // the leaves into shards — the invariant the sharded
-        // aggregation plane rests on.
+        // aggregation plane rests on: the coordinator sums the shards'
+        // bare roots in a tree of its own.
         let (_, cts, _) = leaves(9);
         let flat = SummationTree::build(cts.clone()).unwrap();
         for shards in [1usize, 2, 4, 8] {
@@ -465,14 +409,15 @@ mod tests {
             for (i, ct) in cts.iter().enumerate() {
                 buckets[i % shards].push(ct.clone());
             }
-            let parts: Vec<PartialRoot> = buckets
+            let parts: Vec<SummationTree> = buckets
                 .into_iter()
                 .filter(|b| !b.is_empty())
-                .map(|b| SummationTree::build(b).unwrap().seal_root())
+                .map(|b| SummationTree::build(b).unwrap())
                 .collect();
-            let total_leaves: usize = parts.iter().map(|p| p.leaf_count).sum();
+            let total_leaves: usize = parts.iter().map(SummationTree::leaf_count).sum();
             assert_eq!(total_leaves, 9);
-            let top = SummationTree::combine_partials(&parts).unwrap();
+            let top = SummationTree::build(parts.iter().map(|p| p.root().sum.clone()).collect());
+            let top = top.unwrap();
             assert_eq!(
                 top.root().sum.parts(),
                 flat.root().sum.parts(),
@@ -481,22 +426,6 @@ mod tests {
             // The top tree's interior nodes audit like any other tree.
             top.spot_check_random(17, 16).unwrap();
         }
-    }
-
-    #[test]
-    fn tampered_partial_root_breaks_top_commitment() {
-        let (_, cts, _) = leaves(6);
-        let mut parts: Vec<PartialRoot> = cts
-            .chunks(3)
-            .map(|c| SummationTree::build(c.to_vec()).unwrap().seal_root())
-            .collect();
-        let honest = SummationTree::combine_partials(&parts).unwrap();
-        // A shard lies about its partial sum: the grafted leaf
-        // commitment changes, so the global root commitment changes —
-        // devices comparing against the published root catch it.
-        parts[0].sum = parts[1].sum.clone();
-        let forged = SummationTree::combine_partials(&parts).unwrap();
-        assert_ne!(honest.root().commitment, forged.root().commitment);
     }
 
     #[test]

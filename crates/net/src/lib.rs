@@ -1,12 +1,12 @@
 //! `mycelium-net`: the real-network transport plane.
 //!
 //! Everything the repository runs elsewhere as function calls
-//! ([`mycelium::run_query_encrypted`]) or as simulated actors
-//! ([`mycelium::run_query_simulated`]) runs here across real OS
+//! ([`mycelium::run_query_encrypted`]) runs here across real OS
 //! processes over loopback TCP — same planning, same cryptography, same
-//! bit-exact decoded histogram. Hermetic like the rest of the
-//! workspace: built on `std::net` and the in-repo crypto, no external
-//! dependencies.
+//! bit-exact decoded histogram — and, on the deterministic simnet, as
+//! actors driving the same aggregation state ([`run_query_simulated`]).
+//! Hermetic like the rest of the workspace: built on `std::net` and the
+//! in-repo crypto, no external dependencies.
 //!
 //! Layers, bottom up:
 //!
@@ -29,7 +29,11 @@
 //!   the exact pre-crash state.
 //! * [`round`] — the multi-process round itself: aggregator server,
 //!   device/origin/committee client roles, and the driver that spawns
-//!   them and runs the one loop that supervises them.
+//!   them and runs the one loop that supervises them; and the same round
+//!   on the simnet, under a fault plan ([`SimNetConfig`]).
+//! * [`session`] — the multi-query session: a privacy-budget ledger
+//!   (`mycelium-budget`) admitting, charging, and refusing rounds across
+//!   the direct and the simulated executor.
 //! * [`chaos`] — the fault-injection plane behind the `chaos_round`
 //!   binary: the kill schedules ([`ChaosPlan`]), the one runner for both
 //!   fault sources, and the one verdict and report ([`ChaosOutcome`]) that
@@ -59,6 +63,7 @@ pub mod netchaos;
 pub mod proto;
 pub mod round;
 pub mod server;
+pub mod session;
 
 /// The workspace's one byte codec ([`mycelium_crypto::codec`]), under the
 /// path callers of the transport have always named it by. Every
@@ -208,8 +213,11 @@ pub use error::NetError;
 pub use journal::{Journal, JournalError};
 pub use metrics::NetMetrics;
 pub use netchaos::{ChaosProxy, NetFaultPlan, NetProfile};
-pub use round::{RoundSetup, RoundSpec};
+pub use round::{
+    run_query_simulated, RoundSetup, RoundSpec, SimNetConfig, SimRoundError, SimRoundOutcome,
+};
 pub use server::{Handler, Server, ServerConfig};
+pub use session::{QuerySession, SessionError, SessionRound};
 
 // Re-exported so doc links and downstream users name one source of truth.
 pub use mycelium_simnet::BackoffPolicy;

@@ -26,6 +26,7 @@ use crate::error::NetError;
 pub type OriginRow = Vec<Option<Ciphertext>>;
 
 /// One protocol message (request or reply).
+#[derive(Clone)]
 pub enum NetMsg {
     /// Device → aggregator: a contribution for one slot of one origin's
     /// neighbourhood row.

@@ -19,7 +19,6 @@ use mycelium_budget::{Ledger, LedgerOp};
 use mycelium_cert::{render_json, RoundCertificate, SlotStatus};
 use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::{sha256, Digest};
-use mycelium_graph::graph::VertexId;
 use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_query::eval::PlainResult;
 
@@ -87,16 +86,18 @@ pub struct AggFaults {
 /// * coordinator — shard roots, committee tail; its intake owns no origin
 ///   but holds the commitment plane the roots fill.
 ///
-/// This type adds what the real-process driver needs on top: `NetMsg` ⇄
-/// transition mapping, which wall-clock deadline has passed, the budget
-/// ledger, and durability — every mutation is journaled before the reply,
-/// and [`AggState::recover`] rebuilds an identical state from the journal.
+/// This type adds what both drivers need on top: `NetMsg` ⇄ transition
+/// mapping, which deadline has passed on its clock, the budget ledger,
+/// and durability — every mutation is journaled before the reply, and
+/// [`AggState::recover`] rebuilds an identical state from the journal.
+/// The simulator runs it unjournaled, on its virtual ticks.
 pub struct AggState {
     setup: Arc<RoundSetup>,
-    round: Round<Parked>,
+    round: Round,
     shard: Option<u32>,
     who: String,
-    started: Instant,
+    clock: Clock,
+    started: Duration,
     // Verified per-(origin, slot) ciphertexts, parked until the origin
     // pulls them (empty on the coordinator). Like every ciphertext this
     // state holds, each sits beside the digest taken when it was accepted,
@@ -105,8 +106,8 @@ pub struct AggState {
     // How many rows of `contribs` are full (derived; what a held pull
     // waits for).
     rows_complete: usize,
-    share_deadline: Option<Instant>,
-    cert_since: Option<Instant>,
+    share_deadline: Option<Duration>,
+    cert_since: Option<Duration>,
     // Privacy budget (None when the round runs unmetered or on a shard,
     // which never meters).
     ledger: Option<Ledger>,
@@ -140,9 +141,14 @@ pub struct AggState {
     die_mid_journal: Option<u32>,
 }
 
-/// The one place this state asks what time it is.
-fn now() -> Instant {
-    Instant::now()
+/// Where an [`AggState`] reads the time: how long since its clock started —
+/// the wall clock ([`wall_clock`]) or a simulation's virtual ticks.
+pub(super) type Clock = Box<dyn Fn() -> Duration + Send>;
+
+/// The wall clock, started now: the one place this state asks it the time.
+fn wall_clock() -> Clock {
+    let start = Instant::now();
+    Box::new(move || start.elapsed())
 }
 
 /// Waits until the records `pending` claims are on disk (at once where
@@ -210,24 +216,23 @@ impl AggState {
     /// process: the classic single hub at one shard, the coordinator
     /// above that.
     pub fn new(setup: Arc<RoundSetup>) -> Self {
-        let shards = setup.spec.agg_shards;
-        let roots = (shards > 1).then(|| vec![None; shards]);
-        Self::compose(setup, |_| shards <= 1, roots, None)
+        Self::with_clock(setup, None, wall_clock())
     }
 
     /// Fresh (empty) state for aggregation shard `shard`.
     pub fn new_shard(setup: Arc<RoundSetup>, shard: u32) -> Self {
-        let shards = setup.spec.agg_shards;
-        let owns = |v| shard_of(v, shards) == shard as usize;
-        Self::compose(setup, owns, None, Some(shard))
+        Self::with_clock(setup, Some(shard), wall_clock())
     }
 
-    fn compose(
-        setup: Arc<RoundSetup>,
-        owns: impl Fn(VertexId) -> bool,
-        roots: Option<Vec<Option<Parked>>>,
-        shard: Option<u32>,
-    ) -> Self {
+    /// Fresh state for the hub (`None`) or intake shard `shard`, on
+    /// `clock` — the simulator's is its virtual ticks.
+    pub(super) fn with_clock(setup: Arc<RoundSetup>, shard: Option<u32>, clock: Clock) -> Self {
+        let shards = setup.spec.agg_shards;
+        let owns = |v| match shard {
+            Some(s) => shard_of(v, shards) == s as usize,
+            None => shards <= 1,
+        };
+        let roots = (shard.is_none() && shards > 1).then(|| vec![None; shards]);
         // A shard draws from its own stream and seats a committee of zero.
         let (who, rng_stream, c, t) = match shard {
             Some(s) => (
@@ -252,7 +257,8 @@ impl AggState {
             round,
             shard,
             who,
-            started: now(),
+            started: clock(),
+            clock,
             contribs,
             rows_complete: 0,
             share_deadline: None,
@@ -316,9 +322,9 @@ impl AggState {
         st.journal = Some(journal);
         // Wall-clock deadlines do not survive a crash: restart them so
         // straggler detection (and the one reselect) still fires.
-        st.started = now();
+        st.started = (st.clock)();
         if !st.round.tail.participants.is_empty() && st.outcome.is_none() {
-            st.share_deadline = Some(now() + st.share_wait());
+            st.share_deadline = Some(st.started + st.share_wait());
         }
         if replayed > 0 {
             eprintln!("{}: replayed {replayed} journal records", st.who);
@@ -338,7 +344,7 @@ impl AggState {
 
     /// Digest of the protocol state: everything replay must reproduce.
     ///
-    /// Wall-clock fields (`started`, `share_deadline`) and liveness
+    /// Clock fields (`started`, `share_deadline`) and liveness
     /// bookkeeping (`finished_seen`, `driver_seen`) are excluded — they
     /// are legitimately different after a restart. The field order is the
     /// journal's checkpoint format and must not change.
@@ -587,7 +593,7 @@ impl AggState {
         let tail = &self.round.tail;
         match mark {
             Mark::Select | Mark::Reselect if self.round.failed.is_none() => {
-                self.share_deadline = Some(now() + self.share_wait());
+                self.share_deadline = Some((self.clock)() + self.share_wait());
             }
             Mark::Seal if tail.cert.is_some() && tail.cert_bytes.is_none() && !self.replaying => {
                 eprintln!(
@@ -628,9 +634,9 @@ impl AggState {
     /// Whether the core's `timeout` has passed or — `None`, a matter between
     /// this driver and its origins (§4.4) — the contribution deadline.
     fn expired(&self, timeout: Option<Timeout>) -> bool {
-        let now = now();
+        let now = (self.clock)();
         let wait = self.setup.spec.contrib_deadline;
-        let since = |t0: Option<Instant>, wait| t0.is_some_and(|t0| now >= t0 + wait);
+        let since = |t0: Option<Duration>, wait| t0.is_some_and(|t0| now >= t0 + wait);
         match timeout {
             None => since(Some(self.started), wait),
             // Origins substitute at the contribution deadline, then combine
@@ -642,12 +648,12 @@ impl AggState {
         }
     }
 
-    /// Lazy wall-clock phase transitions, run around every request and by
-    /// the server's idle loop: while the core says a transition is due, it
-    /// is journaled as a mark record *before* it is applied, so replay
-    /// re-applies it at the same point in the event order instead of
-    /// re-evaluating wall-clock conditions. A decision settles the budget
-    /// before anything else is journaled.
+    /// Lazy time-driven phase transitions, run around every request and by
+    /// the server's idle loop (the simulator's tick): while the core says a
+    /// transition is due, it is journaled as a mark record *before* it is
+    /// applied, so replay re-applies it at the same point in the event order
+    /// instead of re-evaluating clock conditions. A decision settles the
+    /// budget before anything else is journaled.
     pub(super) fn tick(&mut self) -> Result<(), NetError> {
         if self.replaying {
             return Ok(());
@@ -655,7 +661,7 @@ impl AggState {
         loop {
             self.settle_budget()?;
             if self.cert_since.is_none() && self.round.signing() {
-                self.cert_since = Some(now());
+                self.cert_since = Some((self.clock)());
             }
             let Some(mark) = self.round.due(|t| self.expired(Some(t))) else {
                 return Ok(());
@@ -705,7 +711,7 @@ impl AggState {
     /// journal-before-reply predicate. Liveness bookkeeping
     /// (`finished_seen`, `finished_shards`, `driver_seen`) does not
     /// count: it is not replayed state.
-    fn mutates(&self, msg: &NetMsg) -> bool {
+    pub(super) fn mutates(&self, msg: &NetMsg) -> bool {
         let wanted = match msg {
             NetMsg::PushContrib { .. } | NetMsg::SubmitOrigin { .. } | NetMsg::ShardRoot { .. } => {
                 !self.round.is_over()
@@ -740,7 +746,7 @@ impl AggState {
     }
 
     /// Applies one request to the state and computes the reply. Pure
-    /// protocol logic: no journaling, no wall-clock reads — this is the
+    /// protocol logic: no journaling, no clock reads — this is the
     /// function journal replay re-runs. Range and composition checks are
     /// the core's typed errors.
     fn apply(&mut self, msg: NetMsg) -> Result<Reply, NetError> {
@@ -1105,5 +1111,153 @@ impl AggState {
     /// A typed terminal failure, if the round recorded one.
     pub fn failure(&self) -> Option<String> {
         self.outcome()?.as_ref().err().cloned()
+    }
+
+    /// The core's typed error the round ended in, if it failed.
+    pub(super) fn core_error(&self) -> Option<&CoreError> {
+        self.round.failed.as_ref()
+    }
+
+    /// Whether the aggregate (a shard's root) has formed.
+    pub(super) fn aggregated(&self) -> bool {
+        self.round.aggregate.is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::spec::{build_setup, RoundSpec};
+    use super::*;
+    use mycelium::roles::Member;
+    use mycelium_bgv::encoding::encode_constant;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The contribution deadline `D`, in milliseconds of the test's clock.
+    const D: u64 = 1_000;
+
+    /// A hub of an `n = 16` round with deadline `D`, on a clock the test sets.
+    fn hub() -> (AggState, Arc<AtomicU64>) {
+        let spec = RoundSpec {
+            n: 16,
+            contrib_deadline: Duration::from_millis(D),
+            ..RoundSpec::default()
+        };
+        let ticks = Arc::new(AtomicU64::new(0));
+        let setup = Arc::new(build_setup(&spec).unwrap());
+        let clock = Arc::clone(&ticks);
+        let clock = Box::new(move || Duration::from_millis(clock.load(Ordering::Relaxed)));
+        (AggState::with_clock(setup, None, clock), ticks)
+    }
+
+    fn ask(st: &mut AggState, msg: NetMsg) -> NetMsg {
+        st.handle_deferred(msg, &[]).unwrap().0
+    }
+
+    /// Runs the due transitions at `ms`.
+    fn at(st: &mut AggState, ticks: &AtomicU64, ms: u64) {
+        ticks.store(ms, Ordering::Relaxed);
+        st.tick().unwrap();
+    }
+
+    /// `moved` turns true at `ms` and not 1 ms earlier.
+    fn fires_at(st: &mut AggState, ticks: &AtomicU64, ms: u64, moved: impl Fn(&AggState) -> bool) {
+        at(st, ticks, ms - 1);
+        assert!(!moved(st), "fired 1 ms before {ms}");
+        at(st, ticks, ms);
+        assert!(moved(st), "did not fire at {ms}");
+    }
+
+    #[test]
+    fn a_row_is_handed_over_with_holes_at_the_contribution_deadline() {
+        let (mut st, ticks) = hub();
+        let origin = st.setup.works.iter().position(|w| !w.requests.is_empty());
+        let origin = origin.expect("an origin with neighbours") as u32;
+        let slots = st.setup.works[origin as usize].requests.len();
+        let pull = NetMsg::PullOrigin { origin };
+        ticks.store(D - 1, Ordering::Relaxed);
+        assert!(matches!(
+            ask(&mut st, pull.clone()),
+            NetMsg::OriginPending { have: 0, .. }
+        ));
+        ticks.store(D, Ordering::Relaxed);
+        let NetMsg::OriginJob { cts } = ask(&mut st, pull) else {
+            panic!("no row at the deadline");
+        };
+        assert_eq!(cts.len(), slots);
+        assert!(cts.iter().all(Option::is_none), "every slot a hole");
+    }
+
+    #[test]
+    fn the_aggregate_forms_at_twice_the_deadline_with_enc_zero_for_the_missing() {
+        let (mut st, ticks) = hub();
+        let (keys, plan) = (&st.setup.keys, &st.setup.plan);
+        let one = encode_constant(1, plan.n_ring, plan.t_pt).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let ct = Box::new(Ciphertext::encrypt(&keys.public, &one, &mut rng).unwrap());
+        assert!(matches!(
+            ask(&mut st, NetMsg::SubmitOrigin { origin: 0, ct }),
+            NetMsg::Ack
+        ));
+        fires_at(&mut st, &ticks, 2 * D, AggState::aggregated);
+        // Every other origin added an Enc(0).
+        let aggregate = st.round.aggregate.as_ref().unwrap().ct();
+        assert_eq!(
+            aggregate.decrypt(&st.setup.keys.secret).coeffs(),
+            one.coeffs()
+        );
+    }
+
+    #[test]
+    fn selection_reselection_and_seal_fire_at_their_offsets() {
+        let (mut st, ticks) = hub();
+        let setup = Arc::clone(&st.setup);
+        let mut members: Vec<Member> = (1..=5).map(|m| Member::new(setup.spec.seed, m)).collect();
+        at(&mut st, &ticks, 2 * D);
+        // Member 5 never checks in: selection waits out the check-in wait.
+        for m in 1..=4u64 {
+            let seed = members[m as usize - 1].noise_seed();
+            ask(&mut st, NetMsg::CommitteeCheckIn { member: m, seed });
+        }
+        let selected = 2 * D + 5_000;
+        let round = |st: &AggState| st.round.tail.share_round;
+        fires_at(&mut st, &ticks, selected, |st| round(st) == 1);
+        assert_eq!(st.round.tail.participants, [1, 2, 3]);
+        let aggregate = st.round.aggregate.as_ref().unwrap().ct().clone();
+        let mut share = |st: &mut AggState, m: u64| {
+            let (round, participants) = (round(st), st.round.tail.participants.clone());
+            let member = &mut members[m as usize - 1];
+            let share = member.share(&setup.key_shares, round, &participants, &aggregate);
+            let share = Box::new(share.unwrap());
+            ask(
+                st,
+                NetMsg::PushShare {
+                    member: m,
+                    round,
+                    share,
+                },
+            );
+        };
+        // Member 3 straggles: it is reselected away `share_wait` later.
+        share(&mut st, 1);
+        share(&mut st, 2);
+        let share_wait = st.share_wait().as_millis() as u64;
+        let reselected = selected + share_wait;
+        fires_at(&mut st, &ticks, reselected, |st| round(st) == 2);
+        assert_eq!(st.round.tail.participants, [1, 2, 4]);
+        for m in [1, 2, 4] {
+            share(&mut st, m);
+        }
+        assert!(
+            matches!(st.outcome(), Some(Ok(_))),
+            "the last share decides"
+        );
+        // Three of five sign: the seal waits out the signature wait.
+        let transcript = st.round.tail.cert.as_ref().unwrap().transcript;
+        for m in [1u64, 2, 4] {
+            let sig = members[m as usize - 1].sign(&transcript);
+            ask(&mut st, NetMsg::PushCertSig { member: m, sig });
+        }
+        fires_at(&mut st, &ticks, reselected + share_wait, |st| st.is_over());
+        assert!(st.certificate().is_some(), "three signatures are a quorum");
     }
 }

@@ -1,11 +1,13 @@
-//! The encrypted query round across real OS processes.
+//! The encrypted query round across real OS processes — and, unjournaled
+//! on a virtual clock, across simnet actors ([`run_query_simulated`]).
 //!
 //! [`mycelium::run_query_encrypted`] executes the round as function
-//! calls and [`mycelium::run_query_simulated`] as actors on a virtual
-//! clock; this module executes the *same* round (same planning and
+//! calls; this module executes the *same* round (same planning and
 //! cryptographic building blocks from `mycelium::plan`) as separate
 //! processes exchanging BGV ciphertexts, ZKP transcripts, and threshold
-//! decryption shares over encrypted loopback TCP channels.
+//! decryption shares over encrypted loopback TCP channels. The simulator
+//! runs the same [`AggState`] and the same requests over a faulty
+//! simulated network.
 //!
 //! ## Topology
 //!
@@ -77,9 +79,12 @@
 //!   [`run_committee`]; they name no server state.
 //! * `driver` — the process tree, the one supervision loop and
 //!   [`run_driver`].
+//! * `sim` — the round on the simnet: the same state on virtual ticks, its
+//!   clients as actors ([`run_query_simulated`]).
 //!
-//! `spec ← agg ← serve` and `spec ← clients ← driver`; a shard is also the
-//! coordinator's client, so `serve` uses `clients`. No edge runs back.
+//! `spec ← agg ← serve`, `spec ← agg ← sim` and `spec ← clients ← driver`;
+//! a shard is also the coordinator's client, so `serve` uses `clients`. No
+//! edge runs back.
 //!
 //! [`Journal`]: crate::Journal
 
@@ -87,6 +92,7 @@ mod agg;
 mod clients;
 mod driver;
 mod serve;
+mod sim;
 mod spec;
 
 pub use agg::{AggFaults, AggState};
@@ -94,6 +100,7 @@ pub use clients::{run_committee, run_device, run_origin};
 pub(crate) use driver::{client_names, supervise, End, KillSchedule};
 pub use driver::{run_driver, DriverOpts};
 pub use serve::{run_aggregator, run_shard, SharedAgg};
+pub use sim::{run_query_simulated, SimNetConfig, SimRoundError, SimRoundOutcome};
 pub use spec::{
     build_population, build_setup, decode_outcome, encode_outcome, files, read_addr_file,
     read_named_addr_file, role, shard_of, BudgetCfg, NetProfile, RoundOutcome, RoundSetup,

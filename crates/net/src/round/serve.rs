@@ -12,7 +12,7 @@ use super::agg::{settle, AggFaults, AggState, Reply};
 use super::clients::HubClient;
 use super::spec::{
     build_setup, encode_outcome, files, role, write_metrics, write_named_addr_file, RoundSetup,
-    RoundSpec, PARK,
+    RoundSpec, PARK, TICK,
 };
 use crate::channel::Identity;
 use crate::error::NetError;
@@ -24,9 +24,6 @@ use crate::server::{Handled, Handler, Server, ServerConfig};
 /// How long a finished aggregator waits for committee members to observe
 /// `Finished` before giving up on stragglers and exiting anyway.
 const FINISH_GRACE: Duration = Duration::from_secs(10);
-/// How often a serving process's main loop re-runs the wall-clock
-/// transitions when no handled request wakes it first.
-const TICK: Duration = Duration::from_millis(20);
 
 /// An [`AggState`] as its process shares it: the server's workers handle
 /// requests on it, and the process's main loop runs its wall-clock

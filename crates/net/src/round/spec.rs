@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mycelium::exec::NoisyGroup;
+use mycelium::exec::{ExecError, NoisyGroup};
 use mycelium::params::SystemParams;
 use mycelium::plan::{OriginWork, QueryPlan};
 use mycelium::roles;
@@ -320,6 +320,42 @@ pub struct RoundSetup {
 }
 
 impl RoundSetup {
+    /// The setup of `spec`'s round over these parts: the key shares dealt
+    /// off [`stream::DEAL`], the query planned, every vertex's work and
+    /// duties derived.
+    pub fn from_parts(
+        spec: RoundSpec,
+        params: SystemParams,
+        pop: Population,
+        query: Query,
+        keys: KeySet,
+    ) -> Result<Self, ExecError> {
+        let c = params.committee_size;
+        let t = c / 2;
+        let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
+        let key_shares = KeyShareSet::deal(&keys.secret, t, c, &mut deal_rng);
+        let plan = QueryPlan::new(&query, &pop, &params, spec.with_proofs)?;
+        let works = roles::works(&plan, &query, &params, &pop);
+        let duties = roles::duties(&works);
+        // The codec must decode into the *same* RNS context the keys carry:
+        // `RnsPoly` arithmetic requires pointer-identical contexts.
+        let cc = CodecCtx::with_context(Arc::clone(keys.public.context()), &params.bgv);
+        Ok(RoundSetup {
+            spec,
+            params,
+            pop,
+            query,
+            keys,
+            key_shares,
+            plan,
+            works,
+            duties,
+            cc,
+            committee_size: c,
+            threshold: t,
+        })
+    }
+
     /// The aggregator's transport identity.
     pub fn aggregator_identity(&self) -> Identity {
         Identity::derive(self.spec.seed, role::AGGREGATOR)
@@ -393,31 +429,8 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
         .ok_or_else(|| NetError::Decode(format!("unknown paper query {}", spec.query)))?;
     let mut keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
     let keys = KeySet::generate(&params.bgv, &mut keys_rng);
-    let c = params.committee_size;
-    let t = c / 2;
-    let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
-    let key_shares = KeyShareSet::deal(&keys.secret, t, c, &mut deal_rng);
-    let plan = QueryPlan::new(&query, &pop, &params, spec.with_proofs)
-        .map_err(|e| NetError::Decode(format!("query planning failed: {e}")))?;
-    let works = roles::works(&plan, &query, &params, &pop);
-    let duties = roles::duties(&works);
-    // The codec must decode into the *same* RNS context the keys carry:
-    // `RnsPoly` arithmetic requires pointer-identical contexts.
-    let cc = CodecCtx::with_context(Arc::clone(keys.public.context()), &params.bgv);
-    Ok(RoundSetup {
-        spec: spec.clone(),
-        params,
-        pop,
-        query,
-        keys,
-        key_shares,
-        plan,
-        works,
-        duties,
-        cc,
-        committee_size: c,
-        threshold: t,
-    })
+    RoundSetup::from_parts(spec.clone(), params, pop, query, keys)
+        .map_err(|e| NetError::Decode(format!("query planning failed: {e}")))
 }
 
 /// What the aggregator releases at the end of the round.
@@ -481,6 +494,9 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<Result<RoundOutcome, String>, NetE
 /// at once and never sleeps. Also how long a client that lost its server
 /// waits, at most, before it redials.
 pub const PARK: Duration = Duration::from_millis(50);
+/// How often an aggregation-plane process re-runs its time-driven
+/// transitions when no request runs them first.
+pub(super) const TICK: Duration = Duration::from_millis(20);
 /// How many contributions a device keeps in flight on one link (sent, not
 /// yet acknowledged) while it encrypts the next — and so how many encoded
 /// contributions, rather than one, it holds in memory per link.

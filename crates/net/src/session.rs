@@ -16,10 +16,10 @@
 //! Two execution paths share the accountant: [`QuerySession::run`]
 //! drives [`run_query_encrypted`] (bit-identical to the plaintext
 //! oracle, pre-noise), and [`QuerySession::run_certified`] drives
-//! [`run_query_simulated`](crate::simround::run_query_simulated), whose
+//! [`run_query_simulated`], whose
 //! sealed [`RoundCertificate`](mycelium_cert::RoundCertificate) carries
 //! the round's charged epsilon in its signed transcript. The TCP
-//! executor's session lives in `mycelium-net` (`--round`/`--budget-*`),
+//! executor's session lives in the round's aggregator (`--round`/`--budget-*`),
 //! journaled crash-durably; this module is the in-process mirror.
 
 use mycelium_bgv::KeySet;
@@ -32,9 +32,10 @@ use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
 use mycelium_query::analyze::{cost_report, ReportError};
 use mycelium_query::ast::Query;
 
-use crate::exec::{run_query_encrypted, EncryptedOutcome, ExecError, MaliciousBehavior};
-use crate::params::SystemParams;
-use crate::simround::{run_query_simulated, SimNetConfig, SimRoundError, SimRoundOutcome};
+use mycelium::exec::{run_query_encrypted, EncryptedOutcome, ExecError, MaliciousBehavior};
+use mycelium::params::SystemParams;
+
+use crate::round::{run_query_simulated, SimNetConfig, SimRoundError, SimRoundOutcome};
 
 /// Session errors: every refusal and failure is typed.
 #[derive(Debug)]
@@ -72,7 +73,7 @@ impl std::fmt::Display for SessionError {
             SessionError::Budget(e) => write!(f, "ledger failure: {e}"),
             SessionError::Cost(e) => write!(f, "query pricing failed: {e}"),
             SessionError::Exec(e) => write!(f, "execution failed (charge refunded): {e}"),
-            SessionError::Sim(e) => write!(f, "simulated round failed (charge refunded): {e:?}"),
+            SessionError::Sim(e) => write!(f, "simulated round failed (charge refunded): {e}"),
         }
     }
 }
@@ -276,17 +277,4 @@ impl QuerySession {
             }
         }
     }
-}
-
-/// The deepened simulation preset the conformance session runs at: the
-/// BGV chain is extended to 14 levels so the two-hop `KHOP` query fits
-/// the multiplication budget (at [`SystemParams::simulation`]'s 6
-/// levels it reproduces the §6.2 infeasibility result), and the degree
-/// bound drops to 3 to keep `d^k` chains short.
-pub fn deep_simulation_params() -> SystemParams {
-    let mut params = SystemParams::simulation();
-    params.bgv.levels = 14;
-    params.degree_bound = 3;
-    params.schema.degree_bound = 3;
-    params
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use mycelium_math::json::Json;
 
-use crate::sim::Tick;
+use crate::sim::{ActorId, Tick};
 
 /// Per-actor traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,6 +91,9 @@ impl PhaseSeries {
 pub struct RoundMetrics {
     /// Per-actor counters, indexed by actor id.
     pub actors: Vec<ActorCounters>,
+    /// Messages and bytes each actor handed to the network, per message
+    /// kind: `(sender, kind) → (messages, bytes)`.
+    pub sent_kinds: BTreeMap<(ActorId, &'static str), (u64, u64)>,
     /// Transmissions the fault plan destroyed (drops + partitions).
     pub dropped_msgs: u64,
     /// Bytes destroyed with them.

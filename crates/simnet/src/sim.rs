@@ -32,6 +32,12 @@ pub trait Payload: Clone {
     fn wire_bytes(&self) -> usize {
         0
     }
+
+    /// The message's kind, under which its sender's traffic is also
+    /// metered ([`RoundMetrics::sent_kinds`]).
+    fn kind(&self) -> &'static str {
+        ""
+    }
 }
 
 impl Payload for Vec<u8> {
@@ -304,6 +310,10 @@ impl<M: Payload> Simulation<M> {
                 let bytes = msg.wire_bytes() as u64;
                 self.metrics.actors[src].sent_msgs += 1;
                 self.metrics.actors[src].sent_bytes += bytes;
+                let kind = self.metrics.sent_kinds.entry((src, msg.kind()));
+                let (msgs, kind_bytes) = kind.or_default();
+                *msgs += 1;
+                *kind_bytes += bytes;
                 let severed = self.fault.partitioned(src, dst, self.clock);
                 let dropped = severed
                     || (self.fault.drop_prob > 0.0 && self.net_rng.gen_bool(self.fault.drop_prob));

@@ -12,13 +12,14 @@
 //! over a lossy simnet link to show that at-least-once delivery plus an
 //! idempotent ledger is exactly-once accounting.
 
+use mycelium::deep_simulation_params;
 use mycelium::simbudget::{run_budget_scenario, BudgetScenario, RoundVerdict};
-use mycelium::{deep_simulation_params, QuerySession, SessionError, SimNetConfig};
 use mycelium_bgv::KeySet;
 use mycelium_budget::Composition;
 use mycelium_cert::{verify_bytes, RoundCertificate};
 use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
 use mycelium_math::rng::{SeedableRng, StdRng};
+use mycelium_net::{QuerySession, SessionError, SimNetConfig};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::{paper_query, CONFORMANCE_QUERY_TEXT};
 use mycelium_query::eval::evaluate;

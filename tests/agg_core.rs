@@ -402,12 +402,12 @@ const ALL_TIMEOUTS: [Timeout; 4] = [
     Timeout::Cert,
 ];
 
-fn due(round: &Round<Parked>, expired: &[Timeout]) -> Option<Mark> {
+fn due(round: &Round, expired: &[Timeout]) -> Option<Mark> {
     round.due(|t| expired.contains(&t))
 }
 
 /// Asserts `Round::due` at `round`'s current state, one row per expired-set.
-fn expect(state: &str, round: &Round<Parked>, table: &[(&[Timeout], Option<Mark>)]) {
+fn expect(state: &str, round: &Round, table: &[(&[Timeout], Option<Mark>)]) {
     for (expired, want) in table {
         assert_eq!(due(round, expired), *want, "{state}, expired {expired:?}");
     }
@@ -423,7 +423,7 @@ fn the_phase_policy_is_a_table() {
     let all_but_intake = &ALL_TIMEOUTS[1..];
 
     // Hub: nothing before the intake wait is over; the freeze precedes the seal.
-    let mut hub: Round<Parked> = Round::new(Intake::new(setup.slot_map(), |_| true), None, tail());
+    let mut hub: Round = Round::new(Intake::new(setup.slot_map(), |_| true), None, tail());
     expect(
         "hub, intake open",
         &hub,
@@ -440,11 +440,11 @@ fn the_phase_policy_is_a_table() {
         &[(&[], None), (&[IntakeWait], Some(Mark::Aggregate))],
     );
     hub.apply(&Mark::Aggregate, &ctx(&setup), &mut rng);
-    assert!(hub.aggregate.is_some() && hub.tree.is_some());
+    assert!(hub.aggregate.is_some());
 
     // A complete intake needs no deadline.
     let one_origin = |v| v == 0;
-    let mut shard: Round<Parked> = Round::new(
+    let mut shard: Round = Round::new(
         Intake::new(setup.slot_map(), one_origin),
         None,
         CommitteeTail::new(0, 0),
@@ -470,7 +470,7 @@ fn the_phase_policy_is_a_table() {
     assert!(!shard.is_over(), "it lingers until the coordinator is done");
 
     // Coordinator: waits for every root however late it is, then needs no deadline.
-    let mut coord: Round<Parked> = Round::new(
+    let mut coord: Round = Round::new(
         Intake::new(setup.slot_map(), |_| false),
         Some(vec![None, None]),
         tail(),
@@ -658,7 +658,7 @@ fn a_hub_journal_replays_onto_a_bare_round() {
     let (_, records) = Journal::open(&path, &binding).unwrap();
     let hub = Intake::new(setup.slot_map(), |_| true);
     let tail = CommitteeTail::new(setup.committee_size, setup.threshold);
-    let mut round: Round<Parked> = Round::new(hub, None, tail);
+    let mut round: Round = Round::new(hub, None, tail);
     let mut marks = Vec::new();
     for record in records.iter() {
         let (tag, body) = record.split_first().unwrap();

@@ -20,13 +20,14 @@ use std::time::Duration;
 use mycelium::exec::ExecStats;
 use mycelium::plan::combine_origin;
 use mycelium::streams;
-use mycelium::{run_query_simulated, MaliciousBehavior, SimNetConfig};
+use mycelium::MaliciousBehavior;
 use mycelium_cert::{sign_transcript, to_hex, verify_bytes};
 use mycelium_crypto::sha256::sha256;
 use mycelium_dp::PrivacyBudget;
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_net::proto::NetMsg;
 use mycelium_net::round::{build_setup, files, shard_of, AggState, RoundSetup, RoundSpec};
+use mycelium_net::{run_query_simulated, SimNetConfig};
 use mycelium_sharing::threshold::decryption_share;
 use mycelium_simnet::FaultPlan;
 

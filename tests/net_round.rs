@@ -12,7 +12,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use mycelium::params::SystemParams;
-use mycelium::{run_query_encrypted, run_query_simulated, SimNetConfig};
+use mycelium::run_query_encrypted;
 use mycelium_bgv::KeySet;
 use mycelium_cert::{extract_cert_hex, verify_bytes};
 use mycelium_dp::PrivacyBudget;
@@ -23,7 +23,7 @@ use mycelium_net::metrics::NetMetrics;
 use mycelium_net::round::{
     build_population, build_setup, decode_outcome, files, BudgetCfg, DriverOpts, RoundSpec, BATCH,
 };
-use mycelium_net::NetError;
+use mycelium_net::{run_query_simulated, NetError, SimNetConfig};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::evaluate;

@@ -9,8 +9,8 @@
 //! executor must stay bit-identical to the plaintext oracle for every
 //! admitted round, and refusals must be deterministic and permanent.
 
+use mycelium::deep_simulation_params;
 use mycelium::params::SystemParams;
-use mycelium::{deep_simulation_params, QuerySession, SessionError, SimNetConfig};
 use mycelium_bgv::KeySet;
 use mycelium_budget::Composition;
 use mycelium_cert::{verify_bytes, RoundCertificate};
@@ -19,6 +19,7 @@ use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
 };
 use mycelium_math::rng::{SeedableRng, StdRng};
+use mycelium_net::{QuerySession, SessionError, SimNetConfig};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::{paper_query, CONFORMANCE_QUERY_TEXT};
 use mycelium_query::eval::evaluate;

@@ -7,7 +7,6 @@
 //! `Valid`.
 
 use mycelium::params::SystemParams;
-use mycelium::{run_query_simulated, SimNetConfig, SimRoundOutcome};
 use mycelium_bgv::KeySet;
 use mycelium_cert::{verify_bytes, RoundCertificate, Verdict};
 use mycelium_dp::PrivacyBudget;
@@ -15,6 +14,7 @@ use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
 };
 use mycelium_math::rng::{Rng, RngCore, SeedableRng, StdRng};
+use mycelium_net::{run_query_simulated, SimNetConfig, SimRoundOutcome};
 use mycelium_query::builtin::paper_query;
 
 fn setup(n: usize, graph_seed: u64) -> (SystemParams, KeySet, Population) {

@@ -10,13 +10,13 @@
 //! equals the single-hub result and the plaintext reference exactly.
 
 use mycelium::params::SystemParams;
-use mycelium::{run_query_simulated, SimNetConfig};
 use mycelium_bgv::KeySet;
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
 };
 use mycelium_math::rng::{SeedableRng, StdRng};
+use mycelium_net::{run_query_simulated, SimNetConfig, SimRoundOutcome};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::{evaluate, PlainResult};
@@ -55,7 +55,7 @@ fn run_at(
     params: &SystemParams,
     keys: &KeySet,
     pop: &Population,
-) -> mycelium::SimRoundOutcome {
+) -> SimRoundOutcome {
     let query = paper_query("Q4").unwrap();
     let mut budget = PrivacyBudget::new(1000.0);
     let cfg = SimNetConfig {
@@ -118,36 +118,42 @@ fn every_shard_carries_intake_and_seals_a_root() {
     // Fault-free run at 4 shards: each shard actor handles real intake
     // (contributions + submissions routed by `shard_of`) and hands the
     // coordinator one sealed root; the coordinator drives the committee
-    // exactly as the hub does. The byte-exact wire reconciliation of the
-    // root handoff lives in the net-plane test (tests/net_round.rs)
-    // against `costs::shard_root_payload_bytes`; here we pin the simnet
-    // lower bound from the simcost mirror.
-    use mycelium::simcost::shard_root_sim_bytes;
+    // exactly as the hub does. Each root handoff is metered at the bytes
+    // the wire carries — `costs::shard_root_payload_bytes` in a sealed
+    // frame — as tests/net_round.rs reconciles the processes.
+    use mycelium::costs::shard_root_payload_bytes;
+    use mycelium::plan::AGGREGATION_LEVEL;
+    use mycelium::summation::shard_of;
+    use mycelium_net::codec::ciphertext_encoded_bytes;
+    use mycelium_net::SecureChannel;
 
     let (params, keys, pop) = setup(24, 42);
     let shards = 4usize;
     let out = run_at(shards, 3, &params, &keys, &pop);
     let n = pop.graph.len();
     let c = params.committee_size;
+    let ct_encoded = ciphertext_encoded_bytes(&params.bgv.build_context(), 2, AGGREGATION_LEVEL);
 
     // Shard actor ids come after devices (0..n), the coordinator (n),
     // and the committee (n+1 ..= n+c) — the classic actors keep their
     // ids so their rng streams (and the DP noise) never move.
     let shard_base = n + c + 1;
+    let mut roots = 0;
     for s in 0..shards {
-        let a = &out.metrics.actors[shard_base + s];
-        // One sealed root at minimum (envelope alone is 56 bytes), plus
-        // acks and forwarded intake on top.
-        assert!(
-            a.sent_bytes >= shard_root_sim_bytes(0, 0, 0) as u64,
-            "shard {s} sent {} bytes — no root handoff?",
-            a.sent_bytes
+        // One commitment per owned origin; nothing was rejected.
+        let owned = (0..n as u32).filter(|&v| shard_of(v, shards) == s).count();
+        let root = SecureChannel::wire_cost(shard_root_payload_bytes(ct_encoded, 0, owned)) as u64;
+        assert_eq!(
+            out.metrics.sent_kinds.get(&(shard_base + s, "ShardRoot")),
+            Some(&(1, root)),
+            "shard {s}: one sealed root, at the bytes the wire carries"
         );
+        roots += root;
+        let a = &out.metrics.actors[shard_base + s];
         assert!(a.recv_msgs > 0, "shard {s} received no intake at all");
     }
     // The coordinator took in all four roots.
-    let coord = &out.metrics.actors[n];
-    assert!(coord.recv_bytes >= (shards * shard_root_sim_bytes(0, 0, 0)) as u64);
+    assert!(out.metrics.actors[n].recv_bytes >= roots);
     assert_eq!(
         out.exact.groups[0].histogram,
         run_at(1, 3, &params, &keys, &pop).exact.groups[0].histogram

@@ -78,65 +78,6 @@ fn figure7_model_matches_metered_simulation() {
 }
 
 #[test]
-fn shard_root_sim_mirror_matches_the_actual_meter() {
-    // simcost::shard_root_sim_bytes is the analytic mirror of the
-    // simround meter; the two must agree byte-for-byte so the sharded
-    // round tests can reconcile metered shard traffic against it.
-    use mycelium::simcost::{cert_sig_sim_bytes, cert_sign_req_sim_bytes, shard_root_sim_bytes};
-    use mycelium::simround::RoundMsg;
-    use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
-    use mycelium_cert::{commit_origin, SlotStatus};
-    use mycelium_math::rng::{SeedableRng, StdRng};
-    use mycelium_simnet::Payload;
-
-    let params = SystemParams::simulation();
-    let mut rng = StdRng::seed_from_u64(7);
-    let keys = KeySet::generate(&params.bgv, &mut rng);
-    let pt = Plaintext::zero(params.bgv.n, params.bgv.plaintext_modulus);
-    let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
-    let ct_bytes = mycelium::simround::ct_wire_bytes(&ct);
-    assert_eq!(ct_bytes, params.bgv.ciphertext_bytes(), "one size rule");
-
-    for rejected in [vec![], vec![3u32], vec![1, 2, 9]] {
-        for n_commits in [0usize, 1, 5] {
-            let commits: Vec<_> = (0..n_commits as u32)
-                .map(|o| commit_origin(o, &[(o, SlotStatus::Missing)]))
-                .collect();
-            let msg = RoundMsg::ShardRootMsg {
-                msg_id: 1,
-                shard: 2,
-                rejected: rejected.clone(),
-                commitment: [0u8; 32],
-                leaves: 5,
-                commits,
-                ct: ct.clone(),
-            };
-            assert_eq!(
-                msg.wire_bytes(),
-                shard_root_sim_bytes(ct_bytes, rejected.len(), n_commits),
-                "mirror drifted at {} rejected ids, {n_commits} commits",
-                rejected.len()
-            );
-        }
-        let ack = RoundMsg::ShardRootAck { msg_id: 1 };
-        assert_eq!(ack.wire_bytes(), 16, "acks are header-only");
-    }
-
-    // The certificate-signing exchange is metered too.
-    let req = RoundMsg::CertSignReq {
-        msg_id: 1,
-        transcript: [0u8; 32],
-    };
-    assert_eq!(req.wire_bytes(), cert_sign_req_sim_bytes());
-    let sig = RoundMsg::CertSig {
-        msg_id: 1,
-        member: 3,
-        sig: [0u8; 64],
-    };
-    assert_eq!(sig.wire_bytes(), cert_sig_sim_bytes());
-}
-
-#[test]
 fn simulated_contribution_is_metered_at_the_bytes_the_wire_carries() {
     // In a fault-free simulated round, a device's proof-carrying
     // contributions cost what the codec writes plus the sealed frame
@@ -146,13 +87,12 @@ fn simulated_contribution_is_metered_at_the_bytes_the_wire_carries() {
     use mycelium::exec::MaliciousBehavior;
     use mycelium::plan::QueryPlan;
     use mycelium::roles;
-    use mycelium::{run_query_simulated, SimNetConfig};
     use mycelium_bgv::KeySet;
     use mycelium_dp::PrivacyBudget;
     use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
     use mycelium_math::rng::{SeedableRng, StdRng};
     use mycelium_net::proto::NetMsg;
-    use mycelium_net::SecureChannel;
+    use mycelium_net::{run_query_simulated, SecureChannel, SimNetConfig};
     use mycelium_query::builtin::paper_query;
 
     let (params, seed) = (SystemParams::simulation(), 7);

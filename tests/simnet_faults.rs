@@ -8,13 +8,14 @@
 //! result or a typed, clean failure.
 
 use mycelium::params::SystemParams;
-use mycelium::{run_query_simulated, MaliciousBehavior, SimNetConfig, SimRoundError};
+use mycelium::MaliciousBehavior;
 use mycelium_bgv::KeySet;
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
 };
 use mycelium_math::rng::{SeedableRng, StdRng};
+use mycelium_net::{run_query_simulated, SimNetConfig, SimRoundError};
 use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::{evaluate, PlainResult};
