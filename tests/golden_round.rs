@@ -254,12 +254,12 @@ const LATE_HUB: [&str; 2] = [
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
-        "ee4ee1dec67e0d8006f11cb6db73a71aa5a7b02ab906614720f7f2c9897b3dd9",
-        "b35f7ac905740686a3133e87f5e6733fd43358ba1fa2767361967859f91e64bf",
+        "22eccf64b4f0774bf3e285ca0d6748c64687f334be46cf038dd1780615e1bcb1",
+        "38143b04cef802ef8fe88ae6880d8b964dd2b3400e810ea7212cb0b9dd297f2a",
     ],
     [
-        "5c6eb2867c5bf72f49bc983c1246e886d461ad61d8fd01bcdb453bccffa5246c",
-        "c5050ea108fefcc212ecdec801f389a0c10ea98afa0ad2596921272ba696c7a8",
+        "4017eccdee91a9bd3d14d4a444d83cc42b4924b2350db7014882cdc2001ce290",
+        "9b389a4f84b4a7e04b6051c2923691d77f7f987e63be08071adb1a72bb81d7b2",
     ],
 ];
 
