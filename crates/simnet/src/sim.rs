@@ -182,12 +182,13 @@ enum Call<M> {
     Restart,
 }
 
-/// The deterministic discrete-event simulator.
-pub struct Simulation<M: Payload> {
+/// The deterministic discrete-event simulator. Its actors may borrow what
+/// outlives it (`'a`).
+pub struct Simulation<'a, M: Payload> {
     clock: Tick,
     next_seq: u64,
     queue: BinaryHeap<Reverse<Event<M>>>,
-    actors: Vec<Option<Box<dyn Process<M>>>>,
+    actors: Vec<Option<Box<dyn Process<M> + 'a>>>,
     rngs: Vec<StdRng>,
     crashed: Vec<bool>,
     net_rng: StdRng,
@@ -202,7 +203,7 @@ pub struct Simulation<M: Payload> {
     pub metrics: RoundMetrics,
 }
 
-impl<M: Payload> Simulation<M> {
+impl<'a, M: Payload> Simulation<'a, M> {
     /// Creates an empty simulation reproducible from `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
@@ -251,7 +252,7 @@ impl<M: Payload> Simulation<M> {
     /// Actor `i` draws from keystream `i + 1` of the simulation seed, so
     /// its randomness is independent of every other actor's and of the
     /// network's (stream 0 — the [`StdRng`] default).
-    pub fn add_actor(&mut self, actor: Box<dyn Process<M>>) -> ActorId {
+    pub fn add_actor(&mut self, actor: Box<dyn Process<M> + 'a>) -> ActorId {
         let id = self.actors.len();
         self.actors.push(Some(actor));
         self.rngs
@@ -478,7 +479,7 @@ mod tests {
         }
     }
 
-    fn ping_sim(seed: u64, fault: FaultPlan) -> (Simulation<u64>, Rc<RefCell<Vec<Tick>>>) {
+    fn ping_sim(seed: u64, fault: FaultPlan) -> (Simulation<'static, u64>, Rc<RefCell<Vec<Tick>>>) {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulation::new(seed).with_fault_plan(fault);
         sim.add_actor(Box::new(Pinger {
