@@ -1,59 +1,27 @@
 //! The client side of the round: links that survive a server's respawn,
-//! and the device, origin and committee processes that talk over them.
+//! and the device, origin and committee processes — each its role's
+//! machine ([`super::machine`]) run over them by the one [`drive`].
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use mycelium::roles;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 
+use super::machine::{Device, Member, Next, Origin, Role, To};
 use super::spec::{
     build_setup, files, read_addr_file, read_named_addr_file, role, shard_of, write_metrics,
     RoundSetup, RoundSpec, PARK, WINDOW,
 };
 use crate::channel::Identity;
 use crate::client::{Client, ClientConfig};
-use crate::codec::CodecCtx;
 use crate::error::NetError;
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
-use crate::proto::{NetMsg, OriginRow};
-
-/// A role's transport client.
-fn round_client(
-    setup: &RoundSetup,
-    role_id: u32,
-    addr: SocketAddr,
-    server_pub: [u8; 32],
-) -> Client {
-    let identity = Identity::derive(setup.spec.seed, role_id);
-    let mut config = ClientConfig::new(identity, Some(server_pub));
-    config.read_timeout = setup.spec.io_timeout;
-    // Short inner budget (~0.75 s of backoff): after an aggregator
-    // crash the address changes, so burning the full schedule against
-    // the dead port only delays the HubClient's re-resolution.
-    config.backoff = crate::BackoffPolicy::new(50, 4);
-    let rng = StdRng::seed_from_u64(setup.spec.seed ^ 0xd1a1).with_stream(role_id as u64);
-    Client::new(addr, config, rng)
-}
-
-/// A reply `request` cannot be answered with.
-fn unexpected(request: &str, reply: &NetMsg) -> NetError {
-    NetError::Decode(format!("unexpected {request} reply {}", reply.kind()))
-}
-
-/// A step of [`mycelium::roles`] that failed on well-formed input.
-fn role_failed(step: &str, e: impl std::fmt::Display) -> NetError {
-    NetError::Decode(format!("{step}: {e}"))
-}
-
-fn request_msg(client: &mut Client, cc: &CodecCtx, msg: &NetMsg) -> Result<NetMsg, NetError> {
-    let reply = client.request(msg.kind(), &msg.encode())?;
-    NetMsg::decode(&reply, cc)
-}
+use crate::proto::NetMsg;
 
 /// A client of the aggregator hub that survives aggregator respawns:
 /// when the inner [`Client`]'s retries exhaust, it re-reads the
@@ -92,7 +60,7 @@ impl HubClient {
     /// address only through the `shard-N.addr` file (they have no
     /// spawning parent reading a banner), so this waits — bounded by
     /// the round timeout — for the file to appear.
-    pub(crate) fn new_to_shard(
+    fn new_to_shard(
         setup: &RoundSetup,
         role_id: u32,
         shard: usize,
@@ -117,22 +85,6 @@ impl HubClient {
         ))
     }
 
-    /// A client of the intake server for aggregation shard `target`'s
-    /// origins: the hub itself (at `addr`) at one shard, that shard above it.
-    fn to_intake(
-        setup: &RoundSetup,
-        role_id: u32,
-        target: usize,
-        addr: SocketAddr,
-        out_dir: &Path,
-    ) -> Result<Self, NetError> {
-        if setup.spec.agg_shards > 1 {
-            Self::new_to_shard(setup, role_id, target, out_dir)
-        } else {
-            Ok(Self::new(setup, role_id, addr, out_dir))
-        }
-    }
-
     /// A client of the server at `addr` (identity `server_pub`) that
     /// re-resolves `addr_file` in `out_dir` when its retries exhaust.
     fn connect(
@@ -144,8 +96,16 @@ impl HubClient {
         out_dir: &Path,
         deadline: Instant,
     ) -> Self {
+        let identity = Identity::derive(setup.spec.seed, role_id);
+        let mut config = ClientConfig::new(identity, Some(server_pub));
+        config.read_timeout = setup.spec.io_timeout;
+        // Short inner budget (~0.75 s of backoff): after an aggregator
+        // crash the address changes, so burning the full schedule against
+        // the dead port only delays the HubClient's re-resolution.
+        config.backoff = crate::BackoffPolicy::new(50, 4);
+        let rng = StdRng::seed_from_u64(setup.spec.seed ^ 0xd1a1).with_stream(role_id as u64);
         HubClient {
-            client: round_client(setup, role_id, addr, server_pub),
+            client: Client::new(addr, config, rng),
             out_dir: out_dir.to_path_buf(),
             addr_file,
             addr,
@@ -170,7 +130,8 @@ impl HubClient {
         setup: &RoundSetup,
         msg: &NetMsg,
     ) -> Result<NetMsg, NetError> {
-        let reply = request_msg(&mut self.client, &setup.cc, msg);
+        let reply = self.client.request(msg.kind(), &msg.encode());
+        let reply = reply.and_then(|reply| NetMsg::decode(&reply, &setup.cc));
         if reply.is_err() {
             self.re_resolve();
         }
@@ -227,17 +188,6 @@ impl HubClient {
         }
     }
 
-    /// One exchange: `msg` sent, its reply waited for.
-    pub(super) fn request_msg(
-        &mut self,
-        setup: &RoundSetup,
-        msg: &NetMsg,
-    ) -> Result<NetMsg, NetError> {
-        let reply = self.span(|client| request_msg(client, &setup.cc, msg))?;
-        self.span_attempts = 0;
-        Ok(reply)
-    }
-
     /// Puts `msg` in flight behind the requests not yet answered; its
     /// reply is a later [`recv`](Self::recv)'s.
     fn send(&mut self, msg: &NetMsg) -> Result<(), NetError> {
@@ -252,63 +202,68 @@ impl HubClient {
         Ok(reply)
     }
 
-    /// The reply to the oldest request in flight, a write: whether it says
-    /// the round is over (possibly refused by the budget ledger before
-    /// any intake), so that there is nothing left to send.
-    fn recv_ack(&mut self, setup: &RoundSetup) -> Result<bool, NetError> {
-        match self.recv(setup)? {
-            NetMsg::Ack => Ok(false),
-            NetMsg::Finished => Ok(true),
-            other => Err(unexpected("write", &other)),
-        }
-    }
-
-    /// Reads the replies to everything still in flight, all of it writes.
-    fn drain(&mut self, setup: &RoundSetup) -> Result<(), NetError> {
-        while self.client.in_flight() > 0 {
-            self.recv_ack(setup)?;
-        }
-        Ok(())
-    }
-
     pub(crate) fn metrics(&self) -> NetMetrics {
         lock_recover(&self.client.metrics()).clone()
     }
 }
 
-/// Lazily-built per-aggregation-shard clients for one worker process.
-/// At one shard every target resolves to the classic hub client; above
-/// that, entry `s` dials shard `s` via its published address file.
-struct ShardedHub {
-    hubs: std::collections::BTreeMap<usize, HubClient>,
+/// A client process's links: one [`HubClient`] per server its role asks,
+/// dialled at the first request — the hub (or coordinator), or the intake
+/// server of an origin's row, which at one shard is the hub too.
+struct Links {
+    hubs: BTreeMap<Option<usize>, HubClient>,
     role_id: u32,
     addr: SocketAddr,
     out_dir: PathBuf,
 }
 
-impl ShardedHub {
+impl Links {
     fn new(role_id: u32, addr: SocketAddr, out_dir: &Path) -> Self {
-        ShardedHub {
-            hubs: std::collections::BTreeMap::new(),
+        Links {
+            hubs: BTreeMap::new(),
             role_id,
             addr,
             out_dir: out_dir.to_path_buf(),
         }
     }
 
-    /// The client for the aggregation shard owning origin `v`.
-    fn for_origin(&mut self, setup: &RoundSetup, v: VertexId) -> Result<&mut HubClient, NetError> {
-        let target = shard_of(v, setup.spec.agg_shards);
-        if let std::collections::btree_map::Entry::Vacant(e) = self.hubs.entry(target) {
+    /// The link to the server `to` names: an intake shard above one shard,
+    /// the hub otherwise.
+    fn link(&mut self, setup: &RoundSetup, to: To) -> Result<&mut HubClient, NetError> {
+        let shards = setup.spec.agg_shards;
+        let shard = match to {
+            To::Intake(v) if shards > 1 => Some(shard_of(v, shards)),
+            _ => None,
+        };
+        if let std::collections::btree_map::Entry::Vacant(e) = self.hubs.entry(shard) {
             let (role_id, addr, out_dir) = (self.role_id, self.addr, &self.out_dir);
-            e.insert(HubClient::to_intake(setup, role_id, target, addr, out_dir)?);
+            e.insert(match shard {
+                Some(s) => HubClient::new_to_shard(setup, role_id, s, out_dir)?,
+                None => HubClient::new(setup, role_id, addr, out_dir),
+            });
         }
-        Ok(self.hubs.get_mut(&target).expect("just inserted"))
+        Ok(self.hubs.get_mut(&shard).expect("just inserted"))
     }
 
-    /// Reads the replies to every write still in flight, on every link.
-    fn drain(&mut self, setup: &RoundSetup) -> Result<(), NetError> {
-        self.hubs.values_mut().try_for_each(|hub| hub.drain(setup))
+    /// The reply to the oldest request in flight on the first link that has
+    /// one.
+    fn recv(&mut self, setup: &RoundSetup) -> Result<NetMsg, NetError> {
+        let mut busy = self.hubs.values_mut().filter(|h| h.client.in_flight() > 0);
+        let hub = busy
+            .next()
+            .ok_or_else(|| NetError::Decode("no request in flight".into()))?;
+        hub.recv(setup)
+    }
+
+    /// Hands `role` the replies to everything still in flight, on every
+    /// link.
+    fn drain(&mut self, setup: &RoundSetup, role: &mut dyn Role) -> Result<(), NetError> {
+        for hub in self.hubs.values_mut() {
+            while hub.client.in_flight() > 0 {
+                role.reply(hub.recv(setup)?)?;
+            }
+        }
+        Ok(())
     }
 
     fn metrics(&self) -> NetMetrics {
@@ -317,6 +272,41 @@ impl ShardedHub {
             merged.merge(&hub.metrics());
         }
         merged
+    }
+}
+
+/// Runs `role` over `links` until it has nothing left to ask, then hands it
+/// the replies to everything still in flight. What this adds is transport
+/// policy: at most [`WINDOW`] requests in flight per link — when one is full
+/// the oldest reply is read first, and a role that reply ends sends nothing
+/// more — and a re-ask sent at once, since the server held the request for
+/// a park period before it said "not yet". `before_send` sees every request
+/// before it goes (the crash drill sits there).
+fn drive(
+    setup: &RoundSetup,
+    role: &mut dyn Role,
+    links: &mut Links,
+    mut before_send: impl FnMut(&mut Links, &mut dyn Role, &NetMsg) -> Result<(), NetError>,
+) -> Result<(), NetError> {
+    loop {
+        let (to, msg) = match role.next()? {
+            Next::Ask(to, msg) | Next::Again(to, msg) => (to, msg),
+            Next::Wait => {
+                let reply = links.recv(setup)?;
+                role.reply(reply)?;
+                continue;
+            }
+            Next::Done => return links.drain(setup, role),
+        };
+        let link = links.link(setup, to)?;
+        while link.client.in_flight() >= WINDOW {
+            role.reply(link.recv(setup)?)?;
+        }
+        if role.over() {
+            return links.drain(setup, role);
+        }
+        before_send(links, role, &msg)?;
+        links.link(setup, to)?.send(&msg)?;
     }
 }
 
@@ -331,122 +321,17 @@ pub fn run_device(
     out_dir: &Path,
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
-    let mut hubs = ShardedHub::new(role::DEVICE_BASE + shard as u32, addr, out_dir);
-    let (plan, keys) = (&setup.plan, &setup.keys);
-    'vertices: for v in (shard..setup.pop.graph.len()).step_by(spec.device_shards) {
-        let duties = &setup.duties[v];
-        let built = roles::contributions(plan, keys, spec.seed, v as VertexId, duties, false);
-        for (duty, sc) in duties.iter().zip(built) {
-            let msg = NetMsg::PushContrib {
-                origin: duty.origin,
-                slot: duty.slot,
-                sc: Box::new(sc.map_err(|e| role_failed("contribution encryption", e))?),
-            };
-            let hub = hubs.for_origin(&setup, duty.origin)?;
-            // The link's window is full: the oldest push's reply first.
-            while hub.client.in_flight() >= WINDOW {
-                if hub.recv_ack(&setup)? {
-                    break 'vertices;
-                }
-            }
-            hub.send(&msg)?;
-        }
-    }
-    hubs.drain(&setup)?;
-    write_metrics(out_dir, &format!("device-{shard}"), &hubs.metrics())
+    let vertices = (shard..setup.pop.graph.len()).step_by(spec.device_shards);
+    let mut device = Device::new(&setup, vertices.map(|v| v as VertexId), false);
+    let mut links = Links::new(role::DEVICE_BASE + shard as u32, addr, out_dir);
+    drive(&setup, &mut device, &mut links, |_, _, _| Ok(()))?;
+    write_metrics(out_dir, &format!("device-{shard}"), &links.metrics())
 }
 
-/// Asks on `hub` for whichever rows of `want` are ready; [`pulled_rows`]
-/// receives them.
-fn pull_ready(hub: &mut HubClient, want: &[u32]) -> Result<(), NetError> {
-    let want = want.to_vec();
-    hub.send(&NetMsg::PullReady { want })
-}
-
-/// Receives on `hub`, past the `Ack`s of this process's earlier
-/// submissions, the batch the `PullReady` over `want` was asked for — asking
-/// again at once whenever the server, having held the request for a park
-/// period, says that none of the rows is ready. Empty: nothing is left to
-/// do on this link — the aggregator holds a submission for every origin in
-/// `want` (this process is a respawn and its predecessor got that far), or
-/// the round is over (possibly refused by the budget ledger).
-fn pulled_rows(
-    hub: &mut HubClient,
-    setup: &RoundSetup,
-    want: &[u32],
-) -> Result<Vec<(u32, OriginRow)>, NetError> {
-    loop {
-        match hub.recv(setup)? {
-            NetMsg::Ack => {}
-            NetMsg::ReadyRows { rows } => {
-                if !rows.iter().all(|(origin, _)| want.contains(origin)) {
-                    return Err(NetError::Decode("a row nobody asked for".into()));
-                }
-                return Ok(rows);
-            }
-            NetMsg::OriginPending { .. } => pull_ready(hub, want)?,
-            NetMsg::Finished => return Ok(Vec::new()),
-            other => return Err(unexpected("PullReady", &other)),
-        }
-    }
-}
-
-/// One link of an origin process: serves the origins in `want` — those of
-/// the process's vertices whose rows the server behind `hub` holds — in
-/// whatever order their rows become ready. Each batch of rows is combined
-/// (the neutral `Enc(x^0)` substituted for slots that never arrived) and
-/// submitted.
-///
-/// The link is kept busy: the next batch is asked for before this one is
-/// combined, and a submission's `Ack` is not waited for — it is read when
-/// the next batch arrives behind it. A batch is received *before* the
-/// submissions of the one ahead of it are written, so a large request is
-/// never written while a large reply is outstanding.
-///
-/// `submit` is handed each submission to put on the wire (the process-wide
-/// crash drill sits there).
-fn serve_origins(
-    setup: &RoundSetup,
-    hub: &mut HubClient,
-    mut want: Vec<u32>,
-    mut submit: impl FnMut(&mut HubClient, NetMsg) -> Result<(), NetError>,
-) -> Result<(), NetError> {
-    pull_ready(hub, &want)?;
-    let mut batch = pulled_rows(hub, setup, &want)?;
-    while !batch.is_empty() {
-        want.retain(|v| batch.iter().all(|(origin, _)| origin != v));
-        if !want.is_empty() {
-            pull_ready(hub, &want)?;
-        }
-        let mut combined = Vec::with_capacity(batch.len());
-        for (origin, slots) in batch {
-            let work = &setup.works[origin as usize];
-            if slots.len() != work.requests.len() {
-                return Err(NetError::Decode("origin row slot count mismatch".into()));
-            }
-            let out = roles::submission(&setup.plan, &setup.keys, setup.spec.seed, work, slots)
-                .map_err(|e| role_failed("origin combine", e))?;
-            combined.push(NetMsg::SubmitOrigin {
-                origin,
-                ct: Box::new(out),
-            });
-        }
-        batch = if want.is_empty() {
-            Vec::new()
-        } else {
-            pulled_rows(hub, setup, &want)?
-        };
-        for msg in combined {
-            submit(hub, msg)?;
-        }
-    }
-    hub.drain(setup)
-}
-
-/// Runs one origin process: every vertex of its shard is asked for, combined
-/// and submitted by [`serve_origins`] — one such loop per aggregation shard
-/// that holds rows of the process, each on a thread and a link of its own, so
-/// that rows filling slowly at one shard keep nothing waiting at another.
+/// Runs one origin process: its vertices are served by one [`Origin`] role
+/// per aggregation shard that holds rows of them, each on a thread and a
+/// link of its own, so that rows filling slowly at one shard keep nothing
+/// waiting at another.
 ///
 /// `crash_after`: exit with code 17 after that many vertices have been
 /// submitted — the driver's watchdog respawns the shard, which is handed
@@ -461,31 +346,32 @@ pub fn run_origin(
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
     let role_id = role::ORIGIN_BASE + shard as u32;
-    let mut links: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
+    let mut links: BTreeMap<usize, Vec<u32>> = Default::default();
     for v in (shard..setup.pop.graph.len()).step_by(spec.origin_shards) {
         let target = shard_of(v as u32, spec.agg_shards);
         links.entry(target).or_default().push(v as u32);
     }
     let submitted = AtomicUsize::new(0);
-    let submit = |hub: &mut HubClient, msg: NetMsg| {
-        if crash_after == Some(submitted.fetch_add(1, Ordering::SeqCst)) {
+    let crash = |link: &mut Links, origin: &mut dyn Role, msg: &NetMsg| {
+        let submission = matches!(msg, NetMsg::SubmitOrigin { .. });
+        if submission && crash_after == Some(submitted.fetch_add(1, Ordering::SeqCst)) {
             // What the aggregator acknowledged is what the respawn is spared;
             // what this process sent is still part of the round's traffic.
-            hub.drain(&setup)?;
-            write_metrics(out_dir, &format!("origin-{shard}-crashed"), &hub.metrics())?;
+            link.drain(&setup, origin)?;
+            write_metrics(out_dir, &format!("origin-{shard}-crashed"), &link.metrics())?;
             std::process::exit(17);
         }
-        hub.send(&msg)
+        Ok(())
     };
     let per_link = std::thread::scope(|scope| {
         let serving: Vec<_> = links
-            .into_iter()
-            .map(|(target, want)| {
-                let (setup, submit) = (&setup, &submit);
+            .into_values()
+            .map(|want| {
+                let (setup, crash) = (&setup, &crash);
                 scope.spawn(move || {
-                    let mut hub = HubClient::to_intake(setup, role_id, target, addr, out_dir)?;
-                    serve_origins(setup, &mut hub, want, submit)?;
-                    Ok::<_, NetError>(hub.metrics())
+                    let mut link = Links::new(role_id, addr, out_dir);
+                    drive(setup, &mut Origin::new(setup, want), &mut link, crash)?;
+                    Ok::<_, NetError>(link.metrics())
                 })
             })
             .collect();
@@ -502,9 +388,9 @@ pub fn run_origin(
     write_metrics(out_dir, &format!("origin-{shard}"), &metrics)
 }
 
-/// Runs one committee member: polls check-ins (carrying its joint-noise
-/// seed), answers share tasks, and exits once the aggregator reports the
-/// round finished.
+/// Runs one committee member: checks in (carrying its joint-noise seed),
+/// answers share and signing tasks, and exits once the aggregator reports
+/// the round finished.
 pub fn run_committee(
     spec: &RoundSpec,
     member: u64,
@@ -512,39 +398,12 @@ pub fn run_committee(
     out_dir: &Path,
 ) -> Result<(), NetError> {
     let setup = build_setup(spec)?;
-    let mut hub = HubClient::new(&setup, role::COMMITTEE_BASE + member as u32, addr, out_dir);
-    let mut me = roles::Member::new(spec.seed, member);
-    let seed = me.noise_seed();
-    loop {
-        // Held by the server while there is nothing for this member to do.
-        let push = match hub.request_msg(&setup, &NetMsg::CommitteeCheckIn { member, seed })? {
-            NetMsg::Finished => break,
-            NetMsg::CommitteeWait => continue,
-            NetMsg::CommitteeShareTask {
-                round,
-                participants,
-                ct,
-            } => {
-                let share = me
-                    .share(&setup.key_shares, round, &participants, &ct)
-                    .map_err(|e| role_failed("share computation", e))?;
-                let share = Box::new(share);
-                NetMsg::PushShare {
-                    member,
-                    round,
-                    share,
-                }
-            }
-            NetMsg::CertSignTask { transcript } => {
-                let sig = me.sign(&transcript);
-                NetMsg::PushCertSig { member, sig }
-            }
-            other => return Err(unexpected("check-in", &other)),
-        };
-        match hub.request_msg(&setup, &push)? {
-            NetMsg::Ack => {}
-            other => return Err(unexpected(push.kind(), &other)),
-        }
-    }
-    write_metrics(out_dir, &format!("committee-{member}"), &hub.metrics())
+    let mut links = Links::new(role::COMMITTEE_BASE + member as u32, addr, out_dir);
+    drive(
+        &setup,
+        &mut Member::new(&setup, member),
+        &mut links,
+        |_, _, _| Ok(()),
+    )?;
+    write_metrics(out_dir, &format!("committee-{member}"), &links.metrics())
 }

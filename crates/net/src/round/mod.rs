@@ -13,7 +13,9 @@
 //!
 //! The **aggregator** is the only server (a hub). Devices, origins,
 //! committee members, and the driver are its clients; what each role
-//! computes is [`mycelium::roles`], this module is the messaging. A client
+//! computes is [`mycelium::roles`], what it asks and in which order is its
+//! machine (`machine`), the same in the processes and on the simulator,
+//! and this module is the messaging. A client
 //! never sleeps between asks: a request whose answer is "not yet" is held
 //! by the server ([`PARK`]) until the answer exists.
 //!
@@ -27,8 +29,8 @@
 //!   contribution deadline passed (§4.4) — a [`BATCH`] at the most, holding
 //!   the request while none is. The process combines and submits: the next
 //!   batch asked for before this one is combined, a submission's `Ack` read
-//!   only when the next batch arrives behind it, one such loop per intake
-//!   shard. So origins combine while devices still push, and the round ends
+//!   only when the next batch arrives behind it, one such machine per
+//!   intake shard. So origins combine while devices still push, and the round ends
 //!   with intake instead of a queue of rows behind it. (`PullOrigin`, one
 //!   named row, is the same routine's one-origin case.)
 //! * **Committee processes** ask `CommitteeCheckIn` (carrying their
@@ -73,24 +75,30 @@
 //! * `spec` — what a round is: [`RoundSpec`], [`build_setup`], the outcome
 //!   and file formats, [`PARK`] / [`WINDOW`] / [`BATCH`].
 //! * `agg` — one aggregation process's state and journal ([`AggState`]).
+//! * `machine` — the client roles without a transport: a device, an
+//!   origin, a committee member and a shard's uplink, each saying what it
+//!   asks next and taking the replies; the only caller of
+//!   [`mycelium::roles`] here.
 //! * `serve` — that state behind a server ([`SharedAgg`]: parking, row
-//!   replies), [`run_aggregator`] and [`run_shard`].
-//! * `clients` — the links to it, [`run_device`] / [`run_origin`] /
-//!   [`run_committee`]; they name no server state.
+//!   replies), [`run_aggregator`] and [`run_shard`] (which asks its uplink).
+//! * `clients` — the links to it and the one driver of the machines over
+//!   them, [`run_device`] / [`run_origin`] / [`run_committee`]; they name no
+//!   server state.
 //! * `driver` — the process tree, the one supervision loop and
 //!   [`run_driver`].
-//! * `sim` — the round on the simnet: the same state on virtual ticks, its
-//!   clients as actors ([`run_query_simulated`]).
+//! * `sim` — the round on the simnet: the same state on virtual ticks, the
+//!   same machines in one generic client actor ([`run_query_simulated`]).
 //!
-//! `spec ← agg ← serve`, `spec ← agg ← sim` and `spec ← clients ← driver`;
-//! a shard is also the coordinator's client, so `serve` uses `clients`. No
-//! edge runs back.
+//! `spec ← agg ← serve`, `spec ← agg ← sim`, `spec ← machine ← sim` and
+//! `spec ← machine ← clients ← driver`; a shard is also the coordinator's
+//! client, so `serve` uses `machine` and `clients`. No edge runs back.
 //!
 //! [`Journal`]: crate::Journal
 
 mod agg;
 mod clients;
 mod driver;
+mod machine;
 mod serve;
 mod sim;
 mod spec;

@@ -10,6 +10,7 @@ use mycelium_crypto::codec::Writer;
 
 use super::agg::{settle, AggFaults, AggState, Reply};
 use super::clients::HubClient;
+use super::machine::{Next, Role, Uplink};
 use super::spec::{
     build_setup, encode_outcome, files, role, write_metrics, write_named_addr_file, RoundSetup,
     RoundSpec, PARK, TICK,
@@ -355,12 +356,14 @@ pub fn run_shard(
     st.set_faults(faults);
     let served = Served::spawn(st, Some(shard as u32), &setup, faults, out_dir)?;
 
-    // Client half towards the coordinator.
+    // Client half towards the coordinator: the shard's uplink, one request
+    // per pass of the loop; a request whose exchange failed goes again on
+    // the next.
     let role_id = role::SHARD_BASE + shard as u32;
     let mut coord = HubClient::new(&setup, role_id, addr, out_dir);
+    let mut uplink = Uplink::new(shard as u32);
+    let mut unanswered = None;
     let started = Instant::now();
-    let mut root_msg: Option<NetMsg> = None;
-    let mut root_acked = false;
     // The loop sleeps on the state: the request that seals the root wakes
     // it, so the root goes to the coordinator at once; a failed push and
     // the linger poll after the ack repeat every [`TICK`].
@@ -372,37 +375,40 @@ pub fn run_shard(
             if let Some(e) = s.failure() {
                 break Err(NetError::Decode(format!("shard {shard} failed: {e}")));
             }
-            if root_msg.is_none() && !root_acked {
-                root_msg = s.shard_root_msg();
+            if !uplink.sealed() {
+                if let Some(root) = s.shard_root_msg() {
+                    uplink.seal(root);
+                }
             }
-            if root_msg.is_some() || root_acked {
+            let ask = match unanswered.take() {
+                Some(msg) => Some(msg),
+                None => match uplink.next() {
+                    Ok(Next::Ask(_, msg) | Next::Again(_, msg)) => Some(msg),
+                    Ok(Next::Wait) => None,
+                    Ok(Next::Done) => break Ok(()),
+                    Err(e) => break Err(e.into()),
+                },
+            };
+            if let Some(msg) = ask {
                 // Talk to the coordinator with the state unlocked, and only
                 // about a root that is on disk.
                 if let Err(e) = shared.sync(s) {
                     break Err(e);
                 }
-                if let Some(msg) = &root_msg {
-                    match coord.poll_once(&setup, msg) {
-                        Ok(NetMsg::Ack) => {
-                            root_acked = true;
-                            root_msg = None;
+                let polled = matches!(msg, NetMsg::PullShardStatus { .. });
+                match coord.poll_once(&setup, &msg) {
+                    Ok(reply) => {
+                        if let Err(e) = uplink.reply(reply) {
+                            break Err(e.into());
                         }
-                        Ok(NetMsg::Finished) => break Ok(()),
-                        _ => {}
                     }
-                } else {
-                    let status = NetMsg::PullShardStatus {
-                        shard: shard as u32,
-                    };
-                    if let Ok(NetMsg::Finished) = coord.poll_once(&setup, &status) {
-                        break Ok(());
-                    }
-                    // The coordinator may have exited (finish grace elapsed)
-                    // before this shard's poll saw Finished; the outcome file
-                    // is the durable end-of-round signal.
-                    if out_dir.join(files::OUTCOME).exists() {
-                        break Ok(());
-                    }
+                    Err(_) => unanswered = Some(msg),
+                }
+                // The coordinator may have exited (finish grace elapsed)
+                // before this shard's poll saw Finished; the outcome file is
+                // the durable end-of-round signal.
+                if uplink.over() || (polled && out_dir.join(files::OUTCOME).exists()) {
+                    break Ok(());
                 }
                 s = shared.lock();
             }

@@ -1,16 +1,16 @@
 //! The round on the deterministic simnet ([`run_query_simulated`]). The
 //! aggregation plane is the [`AggState`] the processes run — without a
-//! journal, on the simulation's virtual clock — and every actor asks what
-//! the processes ask, in [`NetMsg`]:
+//! journal, on the simulation's virtual clock — and every client is the
+//! role machine the processes run (`machine`), in one generic actor:
 //!
-//! * a vertex (ids `0..n`) pushes its contributions (`PushContrib`) and, as
-//!   an origin, pulls its row (`PullReady`), combines it and submits
-//!   (`SubmitOrigin`);
+//! * a vertex (ids `0..n`) is a device pushing its contributions
+//!   (`PushContrib`) and an origin pulling its row (`PullReady`), combining
+//!   it and submitting (`SubmitOrigin`);
 //! * the hub or coordinator is actor `n`; a committee member (`n+1..=n+c`)
 //!   polls `CommitteeCheckIn` and is handed share and sign tasks;
 //! * an intake shard (after the committee, so every other actor keeps its id
 //!   and rng stream at any shard count) pushes its sealed `ShardRoot` to the
-//!   coordinator, then polls `PullShardStatus`.
+//!   coordinator, then polls `PullShardStatus` — its uplink, the same actor.
 //!
 //! A request travels under an id its reply echoes, as a frame's sequence
 //! number does on a socket; a [`Retrier`] sends an unanswered one again, and
@@ -35,7 +35,6 @@ use mycelium::aggcore::CoreError;
 use mycelium::committee::CommitteeError;
 use mycelium::exec::{ExecError, MaliciousBehavior, NoisyGroup};
 use mycelium::params::SystemParams;
-use mycelium::roles;
 use mycelium::streams;
 use mycelium_bgv::KeySet;
 use mycelium_dp::PrivacyBudget;
@@ -50,6 +49,7 @@ use mycelium_simnet::{
 };
 
 use super::agg::AggState;
+use super::machine::{Device, Member, Next, Origin, Role, RoleError, To, Uplink};
 use super::spec::{shard_of, RoundSetup, RoundSpec, PARK, TICK};
 use crate::channel::SecureChannel;
 use crate::proto::NetMsg;
@@ -201,30 +201,37 @@ impl Layout {
         self.n
     }
 
-    /// The server that takes origin `v`'s intake: the hub, or its shard.
-    fn intake(self, v: VertexId) -> ActorId {
-        match self.shards {
-            1 => self.hub(),
-            s => self.n + self.c + 1 + shard_of(v, s),
+    /// The server `to` names: the hub, or — for origin `v`'s intake — the
+    /// hub or `v`'s shard.
+    fn server(self, to: To) -> ActorId {
+        match (to, self.shards) {
+            (To::Hub, _) | (To::Intake(_), 1) => self.hub(),
+            (To::Intake(v), s) => self.n + self.c + 1 + shard_of(v, s),
         }
     }
 }
 
-/// A client's requests: each under a fresh id, sent again by the
-/// [`Retrier`] until its reply comes; and the one to ask again after a
-/// "not yet".
-struct Asks {
+/// A client of the plane: one role's machine, its requests each under a
+/// fresh id, sent again by the [`Retrier`] until their replies come, and the
+/// one to ask again after a "not yet".
+struct Client<R> {
+    role: R,
     retrier: Retrier<Wire>,
     next_id: u64,
     again: Option<(ActorId, NetMsg)>,
+    layout: Layout,
 }
 
-impl Asks {
-    fn new(cfg: &SimNetConfig) -> Self {
-        Asks {
-            retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-            next_id: 0,
-            again: None,
+impl<R: Role> Client<R> {
+    fn new(role: R, cfg: &SimNetConfig, layout: Layout) -> Self {
+        let retrier = Retrier::new(cfg.base_timeout, cfg.max_retries);
+        let (next_id, again) = (0, None);
+        Client {
+            role,
+            retrier,
+            next_id,
+            again,
+            layout,
         }
     }
 
@@ -234,15 +241,40 @@ impl Asks {
         self.retrier.send(ctx, id, dst, Wire { id, msg });
     }
 
-    /// The reply `wire` holds, if it answers a request still unanswered.
-    fn answer(&mut self, wire: Wire) -> Option<NetMsg> {
-        self.retrier.ack(wire.id).then_some(wire.msg)
+    /// Sends what the role asks until it waits for a reply: a re-ask after a
+    /// park period — the rate a held request gives on a socket — the rest at
+    /// once.
+    fn pump(&mut self, ctx: &mut Ctx<Wire>) {
+        loop {
+            match self.role.next().expect("a simulated client's next request") {
+                Next::Ask(to, msg) => {
+                    if let NetMsg::SubmitOrigin { .. } = msg {
+                        ctx.phase_done("contrib");
+                    }
+                    self.send(ctx, self.layout.server(to), msg);
+                }
+                Next::Again(to, msg) => {
+                    self.again = Some((self.layout.server(to), msg));
+                    ctx.set_timer(ticks(PARK), ASK_AGAIN);
+                }
+                Next::Wait | Next::Done => return,
+            }
+        }
+    }
+}
+
+impl<R: Role> Process<Wire> for Client<R> {
+    fn on_start(&mut self, ctx: &mut Ctx<Wire>) {
+        self.pump(ctx);
     }
 
-    /// Asks `msg` of `dst` again after a park period.
-    fn later(&mut self, ctx: &mut Ctx<Wire>, dst: ActorId, msg: NetMsg) {
-        self.again = Some((dst, msg));
-        ctx.set_timer(ticks(PARK), ASK_AGAIN);
+    /// A reply to a request still unanswered goes to the role.
+    fn on_message(&mut self, ctx: &mut Ctx<Wire>, _from: ActorId, wire: Wire) {
+        if self.retrier.ack(wire.id) {
+            let taken = self.role.reply(wire.msg);
+            taken.expect("a reply of the simulated plane");
+            self.pump(ctx);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Wire>, key: u64) {
@@ -256,7 +288,7 @@ impl Asks {
 
     /// After a crash window, whose timers died with it: sends every
     /// unanswered request again and re-arms the pending ask.
-    fn restart(&mut self, ctx: &mut Ctx<Wire>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<Wire>) {
         self.retrier.resend_all(ctx);
         if self.again.is_some() {
             ctx.set_timer(ticks(PARK), ASK_AGAIN);
@@ -266,125 +298,28 @@ impl Asks {
 
 /// Vertex `v`: a device pushing its contributions, and an origin pulling its
 /// row, combining and submitting it — each at the server owning the origin.
-struct VertexActor {
-    v: VertexId,
-    setup: Arc<RoundSetup>,
-    layout: Layout,
-    cheating: bool,
-    dropped_out: bool,
-    asks: Asks,
+struct Vertex<'a> {
+    device: Device<'a>,
+    origin: Origin<'a>,
 }
 
-impl VertexActor {
-    /// The origin's ask for its row, and whom it asks.
-    fn pull(&self) -> (ActorId, NetMsg) {
-        let want = vec![self.v];
-        (self.layout.intake(self.v), NetMsg::PullReady { want })
-    }
-}
-
-impl Process<Wire> for VertexActor {
-    fn on_start(&mut self, ctx: &mut Ctx<Wire>) {
-        if !self.dropped_out {
-            let (setup, v) = (&self.setup, self.v);
-            let duties = &setup.duties[v as usize];
-            let (plan, keys, seed) = (&setup.plan, &setup.keys, setup.spec.seed);
-            let built = roles::contributions(plan, keys, seed, v, duties, self.cheating);
-            for (duty, sc) in duties.iter().zip(built) {
-                let sc = Box::new(sc.expect("contribution encryption"));
-                let (origin, slot) = (duty.origin, duty.slot);
-                let msg = NetMsg::PushContrib { origin, slot, sc };
-                self.asks.send(ctx, self.layout.intake(origin), msg);
-            }
-        }
-        let (dst, msg) = self.pull();
-        self.asks.send(ctx, dst, msg);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<Wire>, _from: ActorId, wire: Wire) {
-        match self.asks.answer(wire) {
-            Some(NetMsg::ReadyRows { rows }) => {
-                let (setup, layout) = (&self.setup, self.layout);
-                for (origin, slots) in rows {
-                    let work = &setup.works[origin as usize];
-                    let (plan, keys, seed) = (&setup.plan, &setup.keys, setup.spec.seed);
-                    let ct = roles::submission(plan, keys, seed, work, slots);
-                    let ct = Box::new(ct.expect("origin combine"));
-                    ctx.phase_done("contrib");
-                    let msg = NetMsg::SubmitOrigin { origin, ct };
-                    self.asks.send(ctx, layout.intake(origin), msg);
-                }
-            }
-            Some(NetMsg::OriginPending { .. }) => {
-                let (dst, msg) = self.pull();
-                self.asks.later(ctx, dst, msg);
-            }
-            _ => {}
+impl Role for Vertex<'_> {
+    fn next(&mut self) -> Result<Next, RoleError> {
+        match self.device.next()? {
+            Next::Done => self.origin.next(),
+            push => Ok(push),
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<Wire>, key: u64) {
-        self.asks.on_timer(ctx, key);
+    /// The device pushes everything as the vertex starts (nothing windows
+    /// it here), so every reply is the origin's to take — a push's `Ack`
+    /// included.
+    fn reply(&mut self, reply: NetMsg) -> Result<(), RoleError> {
+        self.origin.reply(reply)
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<Wire>) {
-        self.asks.restart(ctx);
-    }
-}
-
-/// Committee member `m`: checks in with its noise seed until it is handed a
-/// share or a sign task, answers it, and checks in again.
-struct MemberActor {
-    me: roles::Member,
-    member: u64,
-    check_in: NetMsg,
-    setup: Arc<RoundSetup>,
-    hub: ActorId,
-    asks: Asks,
-}
-
-impl Process<Wire> for MemberActor {
-    fn on_start(&mut self, ctx: &mut Ctx<Wire>) {
-        self.asks.send(ctx, self.hub, self.check_in.clone());
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<Wire>, _from: ActorId, wire: Wire) {
-        let member = self.member;
-        let next = match self.asks.answer(wire) {
-            Some(NetMsg::CommitteeShareTask {
-                round,
-                participants,
-                ct,
-            }) => {
-                let share = self
-                    .me
-                    .share(&self.setup.key_shares, round, &participants, &ct);
-                let share = Box::new(share.expect("share of the relinearized aggregate"));
-                NetMsg::PushShare {
-                    member,
-                    round,
-                    share,
-                }
-            }
-            Some(NetMsg::CertSignTask { transcript }) => {
-                let sig = self.me.sign(&transcript);
-                NetMsg::PushCertSig { member, sig }
-            }
-            Some(NetMsg::CommitteeWait) => {
-                return self.asks.later(ctx, self.hub, self.check_in.clone());
-            }
-            Some(NetMsg::Ack) => self.check_in.clone(),
-            _ => return,
-        };
-        self.asks.send(ctx, self.hub, next);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<Wire>, key: u64) {
-        self.asks.on_timer(ctx, key);
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<Wire>) {
-        self.asks.restart(ctx);
+    fn over(&self) -> bool {
+        self.origin.over()
     }
 }
 
@@ -395,10 +330,8 @@ impl Process<Wire> for MemberActor {
 struct PlaneActor {
     st: Rc<RefCell<AggState>>,
     ticks: Arc<AtomicU64>,
-    hub: ActorId,
-    shard: Option<u32>,
-    /// A shard's requests to the coordinator.
-    asks: Asks,
+    /// A shard's client half towards the coordinator.
+    uplink: Option<Client<Uplink>>,
     aggregated: bool,
     decided: bool,
 }
@@ -411,11 +344,12 @@ impl PlaneActor {
         let st = self.st.borrow();
         if !self.aggregated && st.aggregated() {
             self.aggregated = true;
-            match self.shard {
-                Some(_) => {
+            match &mut self.uplink {
+                Some(uplink) => {
                     ctx.phase_done("seal");
                     let root = st.shard_root_msg().expect("a sealed shard has a root");
-                    self.asks.send(ctx, self.hub, root);
+                    uplink.role.seal(root);
+                    uplink.pump(ctx);
                 }
                 None => ctx.phase_done("aggregate"),
             }
@@ -423,7 +357,7 @@ impl PlaneActor {
         if st.core_error().is_some() {
             return ctx.halt();
         }
-        if self.shard.is_some() || st.outcome().is_none() {
+        if self.uplink.is_some() || st.outcome().is_none() {
             return;
         }
         if !std::mem::replace(&mut self.decided, true) {
@@ -434,18 +368,6 @@ impl PlaneActor {
             ctx.halt();
         }
     }
-
-    /// A shard's replies from the coordinator: once its root is taken, it
-    /// polls until the round is over.
-    fn on_reply(&mut self, ctx: &mut Ctx<Wire>, wire: Wire) {
-        let shard = self.shard.expect("only a shard asks the coordinator");
-        let status = NetMsg::PullShardStatus { shard };
-        match self.asks.answer(wire) {
-            Some(NetMsg::Ack) => self.asks.send(ctx, self.hub, status),
-            Some(NetMsg::CommitteeWait) => self.asks.later(ctx, self.hub, status),
-            _ => {}
-        }
-    }
 }
 
 impl Process<Wire> for PlaneActor {
@@ -454,8 +376,8 @@ impl Process<Wire> for PlaneActor {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Wire>, from: ActorId, wire: Wire) {
-        if self.shard.is_some() && from == self.hub {
-            return self.on_reply(ctx, wire);
+        if let Some(uplink) = self.uplink.as_mut().filter(|u| from == u.layout.hub()) {
+            return uplink.on_message(ctx, from, wire);
         }
         self.ticks.store(ctx.now(), Ordering::Relaxed);
         let Wire { id, msg } = wire;
@@ -476,7 +398,10 @@ impl Process<Wire> for PlaneActor {
 
     fn on_timer(&mut self, ctx: &mut Ctx<Wire>, key: u64) {
         if key != TICK_KEY {
-            return self.asks.on_timer(ctx, key);
+            if let Some(uplink) = &mut self.uplink {
+                uplink.on_timer(ctx, key);
+            }
+            return;
         }
         self.ticks.store(ctx.now(), Ordering::Relaxed);
         let ticked = self.st.borrow_mut().tick();
@@ -486,7 +411,9 @@ impl Process<Wire> for PlaneActor {
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<Wire>) {
-        self.asks.restart(ctx);
+        if let Some(uplink) = &mut self.uplink {
+            uplink.on_restart(ctx);
+        }
         self.on_timer(ctx, TICK_KEY);
     }
 }
@@ -583,14 +510,12 @@ pub fn run_query_simulated(
         });
     }
     for v in 0..n as VertexId {
-        sim.add_actor(Box::new(VertexActor {
-            v,
-            setup: Arc::clone(&setup),
-            layout,
-            cheating: MaliciousBehavior::is_cheater(behaviors, v),
-            dropped_out: MaliciousBehavior::dropped_out(behaviors, v),
-            asks: Asks::new(cfg),
-        }));
+        let pushing = (!MaliciousBehavior::dropped_out(behaviors, v)).then_some(v);
+        let cheating = MaliciousBehavior::is_cheater(behaviors, v);
+        let device = Device::new(&setup, pushing.into_iter(), cheating);
+        let origin = Origin::new(&setup, vec![v]);
+        let vertex = Vertex { device, origin };
+        sim.add_actor(Box::new(Client::new(vertex, cfg, layout)));
     }
     let ticks = Arc::new(AtomicU64::new(0));
     let mut planes = Vec::new();
@@ -604,25 +529,15 @@ pub fn run_query_simulated(
         sim.add_actor(Box::new(PlaneActor {
             st,
             ticks: Arc::clone(&ticks),
-            hub: layout.hub(),
-            shard,
-            asks: Asks::new(cfg),
+            uplink: shard.map(|s| Client::new(Uplink::new(s), cfg, layout)),
             aggregated: false,
             decided: false,
         }));
     };
     plane(&mut sim, None);
     for member in 1..=c as u64 {
-        let me = roles::Member::new(cfg.seed, member);
-        let seed = me.noise_seed();
-        sim.add_actor(Box::new(MemberActor {
-            me,
-            member,
-            check_in: NetMsg::CommitteeCheckIn { member, seed },
-            setup: Arc::clone(&setup),
-            hub: layout.hub(),
-            asks: Asks::new(cfg),
-        }));
+        let member = Member::new(&setup, member);
+        sim.add_actor(Box::new(Client::new(member, cfg, layout)));
     }
     let intake_shards = if shards > 1 { shards as u32 } else { 0 };
     for s in 0..intake_shards {

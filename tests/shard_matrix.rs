@@ -5,8 +5,8 @@
 //! associative and commutative — so partitioning the origin ciphertexts
 //! over N shards, summing per shard, and folding the sealed roots must
 //! produce the *bit-identical* aggregate the single hub computes over
-//! the flat list. These tests pin that invariant end-to-end at the
-//! simround layer: for every seed and shard count, the decoded histogram
+//! the flat list. These tests pin that invariant end-to-end through the
+//! simulated round: for every seed and shard count, the decoded histogram
 //! equals the single-hub result and the plaintext reference exactly.
 
 use mycelium::params::SystemParams;
