@@ -92,27 +92,6 @@ pub struct CostSimReport {
     pub metrics: RoundMetrics,
 }
 
-/// Predicted key-switch operation counts of one aggregation round that
-/// relinearizes `deg2_leaves` degree-2 summation-tree leaves at chain
-/// level `level`.
-///
-/// Degree-2 nodes only exist at tree level 0 (interior nodes sum
-/// already-reduced children), so the batched plane pays exactly one
-/// decomposition pass per round; the serial baseline pays one per leaf.
-/// `tests/sim_costs.rs` reconciles this prediction against the live
-/// kernel counters in `mycelium_math::rns::ks_stats`.
-pub fn round_key_switch_ops(
-    deg2_leaves: u64,
-    level: u64,
-    batched: bool,
-) -> crate::costs::KeySwitchOps {
-    if batched {
-        crate::costs::key_switch_ops_batched(deg2_leaves, level)
-    } else {
-        crate::costs::key_switch_ops_serial(deg2_leaves, level)
-    }
-}
-
 /// A ciphertext in transit: a declared size and the hops still ahead.
 #[derive(Clone)]
 struct CostMsg {

@@ -178,7 +178,7 @@ fn key_switch_model_matches_live_kernel_counters() {
     // pass per relinearization) and the batched path (one pass per
     // summation-tree level). Serial because ks_stats counters are
     // process-global.
-    use mycelium::simcost::round_key_switch_ops;
+    use mycelium::costs::{key_switch_ops_batched, key_switch_ops_serial};
     use mycelium::summation::SummationTree;
     use mycelium_bgv::{BgvParams, Ciphertext, KeySet};
     use mycelium_math::rng::{SeedableRng, StdRng};
@@ -206,7 +206,7 @@ fn key_switch_model_matches_live_kernel_counters() {
         ct.relinearize(&keys.relin).unwrap();
     }
     let got = ks_stats::snapshot();
-    let want = round_key_switch_ops(nodes, level, false);
+    let want = key_switch_ops_serial(nodes, level);
     assert_eq!(got.decompose_passes, want.decompose_passes);
     assert_eq!(got.digit_ntts, want.digit_ntts);
     assert_eq!(got.accumulates, want.accumulates);
@@ -216,7 +216,7 @@ fn key_switch_model_matches_live_kernel_counters() {
     ks_stats::reset();
     let tree = SummationTree::build_relinearized(deg2, Some(&keys.relin)).unwrap();
     let got = ks_stats::snapshot();
-    let want = round_key_switch_ops(nodes, level, true);
+    let want = key_switch_ops_batched(nodes, level);
     assert_eq!(got.batch_calls, 1);
     assert_eq!(got.decompose_passes, want.decompose_passes);
     assert_eq!(got.digit_ntts, want.digit_ntts);
@@ -225,7 +225,7 @@ fn key_switch_model_matches_live_kernel_counters() {
 
     // Identical NTT/accumulate work either way — batching only removes
     // the redundant decomposition passes.
-    let serial = round_key_switch_ops(nodes, level, false);
+    let serial = key_switch_ops_serial(nodes, level);
     assert_eq!(want.digit_ntts, serial.digit_ntts);
     assert_eq!(want.accumulates, serial.accumulates);
     assert!(want.decompose_passes < serial.decompose_passes);
