@@ -711,3 +711,41 @@ fn a_hub_journal_replays_onto_a_bare_round() {
     assert_eq!(recovered.certificate(), Some(cert));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_hub_answers_a_submission_it_could_not_sum_with_a_typed_error() {
+    // A ciphertext is two parts, both in NTT representation: the shape the
+    // summation tree adds. A submission carrying a degree-2 product or a
+    // coefficient-representation part must fail typed at decode, never be
+    // acknowledged and left for the tree to trip over at aggregation.
+    use mycelium_net::error::NetError;
+    let setup = std::sync::Arc::new(setup());
+    let mut hub = AggState::new(setup.clone());
+    let mut rng = StdRng::seed_from_u64(11);
+    let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
+    let mut fresh = || Ciphertext::encrypt(&setup.keys.public, &zero, &mut rng).unwrap();
+    let (a, b) = (fresh(), fresh());
+    let product = a.mul(&b).unwrap();
+    assert_eq!(product.parts().len(), 3);
+    let mut parts = a.parts().to_vec();
+    parts[1] = parts[1].coeff();
+    let coefficient = Ciphertext::from_parts(parts, a.noise_log2(), a.params().clone());
+    let mut submit = |ct: Ciphertext| {
+        let raw = NetMsg::SubmitOrigin {
+            origin: 0,
+            ct: Box::new(ct),
+        }
+        .encode();
+        let reply = NetMsg::decode(&raw, &setup.cc).and_then(|msg| hub.handle(msg, &raw));
+        reply.map(|msg| msg.kind())
+    };
+    for (what, ct) in [("a product", product), ("a coefficient part", coefficient)] {
+        let reply = submit(ct);
+        assert!(
+            matches!(reply, Err(NetError::Decode(_))),
+            "{what}: {reply:?}"
+        );
+    }
+    // Nothing landed: the origin's slot still takes a well-formed submission.
+    assert_eq!(submit(a).unwrap(), "Ack");
+}
