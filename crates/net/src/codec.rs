@@ -13,7 +13,8 @@
 //!
 //! `RnsPoly` construction panics on malformed input by design (its
 //! callers are trusted in-process code), so these decoders validate
-//! *everything* — level bounds, residue ranges, part counts — and return
+//! *everything* — representation, level bounds, residue ranges, part
+//! counts — and return
 //! [`NetError::Decode`] before any constructor runs; payloads with nothing
 //! to validate beyond their framing (proofs, plaintext results) fail with
 //! the workspace codec's [`CodecError`]. A peer can never
@@ -65,9 +66,9 @@ impl CodecCtx {
     }
 }
 
-/// Upper bound on ciphertext parts accepted off the wire (fresh = 2,
-/// pre-relinearization products go to 3; 8 leaves headroom).
-const MAX_CT_PARTS: usize = 8;
+/// The parts of every ciphertext that travels: origins relinearize each
+/// product, so nothing a round exchanges is of higher degree.
+const CT_PARTS: usize = 2;
 /// Upper bound on proof openings accepted off the wire.
 const MAX_OPENINGS: usize = 1 << 16;
 /// Upper bound on Merkle path length accepted off the wire (2^48 leaves).
@@ -103,13 +104,20 @@ pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
     }
 }
 
-/// Deserializes one `RnsPoly`, validating level and residue ranges.
+/// Deserializes one `RnsPoly`, validating representation, level and
+/// residue ranges. Every polynomial a round exchanges — ciphertext part or
+/// decryption share — is in NTT representation, the one the arithmetic
+/// that consumes it requires; a coefficient tag is a typed error.
 pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
-    let rep = match r.u8("representation")? {
-        0 => Representation::Coefficient,
-        1 => Representation::Ntt,
+    match r.u8("representation")? {
+        1 => {}
+        0 => {
+            return Err(NetError::Decode(
+                "coefficient-representation polynomial".into(),
+            ))
+        }
         tag => return CodecError::bad_tag("representation", tag),
-    };
+    }
     let level = r.u8("level")? as usize;
     if level < 1 || level > cc.ctx.max_level() {
         return Err(NetError::Decode(format!(
@@ -130,7 +138,11 @@ pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
         }
         residues.push(row);
     }
-    Ok(RnsPoly::from_residues(Arc::clone(&cc.ctx), rep, residues))
+    Ok(RnsPoly::from_residues(
+        Arc::clone(&cc.ctx),
+        Representation::Ntt,
+        residues,
+    ))
 }
 
 /// Serializes a ciphertext.
@@ -142,10 +154,10 @@ pub fn encode_ciphertext(w: &mut Writer, ct: &Ciphertext) {
     }
 }
 
-/// Deserializes a ciphertext.
+/// Deserializes a ciphertext: exactly two parts at one level.
 pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, NetError> {
     let nparts = r.u8("ciphertext parts")? as usize;
-    if !(1..=MAX_CT_PARTS).contains(&nparts) {
+    if nparts != CT_PARTS {
         return Err(NetError::Decode(format!(
             "bad ciphertext part count {nparts}"
         )));
@@ -158,8 +170,7 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
     for _ in 0..nparts {
         parts.push(decode_poly(r, cc)?);
     }
-    let level = parts[0].level();
-    if parts.iter().any(|p| p.level() != level) {
+    if parts[0].level() != parts[1].level() {
         return Err(NetError::Decode("mixed-level ciphertext parts".into()));
     }
     Ok(Ciphertext::from_parts(parts, noise_log2, cc.params.clone()))
@@ -392,7 +403,7 @@ mod tests {
                 }
             }
             let counting: Vec<u64> = (0..n as u64).map(|i| i * 0x0123_4567_89ab % 1000).collect();
-            let p = RnsPoly::from_u64(Arc::clone(ctx), 2, &counting);
+            let p = RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, vec![counting; 2]);
             let back = decode_poly(&mut Reader::new(&encoded(&p)), &cc).unwrap();
             assert_eq!(back, p);
             assert_eq!(back.level(), 2);
@@ -402,7 +413,11 @@ mod tests {
     #[test]
     fn short_rows_and_noncanonical_residues_are_typed_errors() {
         for cc in preset_contexts() {
-            let p = RnsPoly::from_u64(Arc::clone(&cc.ctx), 3, &[5; 16]);
+            let p = RnsPoly::from_residues(
+                Arc::clone(&cc.ctx),
+                Representation::Ntt,
+                vec![vec![5; 16]; 3],
+            );
             let bytes = encoded(&p);
             let decode = |bytes: &[u8]| decode_poly(&mut Reader::new(bytes), &cc);
             assert_eq!(decode(&bytes).unwrap(), p);

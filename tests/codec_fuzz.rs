@@ -51,6 +51,8 @@ use mycelium_zkp::argument::{Opening, Proof};
 /// Decodes bytes of one format and re-encodes what it got, or renders the
 /// crate's typed codec error. Any other failure panics.
 type Roundtrip<'a> = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, String> + 'a>;
+/// A format's encodings: the corpus it must round-trip, or those it refuses.
+type Encodings = Vec<Vec<u8>>;
 
 /// Splice points drawn per ordered pair of a format's encodings.
 const SPLICES_PER_PAIR: usize = 32;
@@ -145,6 +147,26 @@ fn poly(cc: &CodecCtx, level: usize, rng: &mut StdRng) -> RnsPoly {
 fn ciphertext(cc: &CodecCtx, level: usize, rng: &mut StdRng) -> Ciphertext {
     let parts = (0..2).map(|_| poly(cc, level, rng)).collect();
     Ciphertext::from_parts(parts, 17.25, cc.params.clone())
+}
+
+/// Submissions of ciphertexts no round sums — a three-part product, and a
+/// part in coefficient representation — whose decoding must fail typed.
+fn misshapen_corpus(cc: &CodecCtx, rng: &mut StdRng) -> Encodings {
+    let product: Vec<RnsPoly> = (0..3).map(|_| poly(cc, 2, rng)).collect();
+    let mut coefficient: Vec<RnsPoly> = (0..2).map(|_| poly(cc, 2, rng)).collect();
+    let rows = coefficient[1].residues().to_vec();
+    coefficient[1] = RnsPoly::from_residues(Arc::clone(&cc.ctx), Representation::Coefficient, rows);
+    [product, coefficient]
+        .into_iter()
+        .map(|parts| {
+            let ct = Ciphertext::from_parts(parts, 17.25, cc.params.clone());
+            NetMsg::SubmitOrigin {
+                origin: 4,
+                ct: Box::new(ct),
+            }
+            .encode()
+        })
+        .collect()
 }
 
 fn proof() -> Proof {
@@ -422,14 +444,23 @@ fn mutations(corpus: &[Vec<u8>], rng: &mut StdRng) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Runs one format: its corpus must round-trip, and every mutation must
-/// fail typed or round-trip. Some mutations must land on each side, or the
-/// mutator explored nothing.
-fn fuzz(name: &str, corpus: &[Vec<u8>], roundtrip: &Roundtrip, rng: &mut StdRng) {
+/// Runs one format: its corpus must round-trip, its refused encodings must
+/// fail typed, and every mutation of either must fail typed or round-trip.
+/// Some mutations must land on each side, or the mutator explored nothing.
+fn fuzz(
+    name: &str,
+    corpus: &[Vec<u8>],
+    refused: &[Vec<u8>],
+    roundtrip: &Roundtrip,
+    rng: &mut StdRng,
+) {
     for (k, b) in corpus.iter().enumerate() {
         assert_eq!(roundtrip(b).as_ref(), Ok(b), "{name} corpus #{k}");
     }
-    let inputs = mutations(corpus, rng);
+    for (k, b) in refused.iter().enumerate() {
+        assert!(roundtrip(b).is_err(), "{name} refused #{k} decoded");
+    }
+    let inputs = mutations(&[corpus, refused].concat(), rng);
     let mut decoded = 0;
     for (what, b) in &inputs {
         match catch_unwind(AssertUnwindSafe(|| roundtrip(b))) {
@@ -461,9 +492,10 @@ fn every_format_decodes_canonically_or_fails_typed() {
         ("NetMsg at paper_sized", BgvParams::paper_sized()),
     ];
     let ccs = presets.map(|(name, params)| (name, codec_ctx(&params)));
-    let mut formats: Vec<(&str, Vec<Vec<u8>>, Roundtrip)> = Vec::new();
+    let mut formats: Vec<(&str, Encodings, Encodings, Roundtrip)> = Vec::new();
     for (name, cc) in &ccs {
-        formats.push((name, net_corpus(cc, &mut rng), net_msg(cc)));
+        let (corpus, refused) = (net_corpus(cc, &mut rng), misshapen_corpus(cc, &mut rng));
+        formats.push((name, corpus, refused, net_msg(cc)));
     }
     let cc = &ccs[0].1;
     let (push, submit) = (&formats[0].1[0], &formats[0].1[4]);
@@ -479,18 +511,21 @@ fn every_format_decodes_canonically_or_fails_typed() {
         c.encode(&mut w);
         w.finish()
     });
-    formats.push(("journal record", records, journal_record(cc)));
-    formats.push(("NetMetrics", metrics_corpus(), Box::new(metrics)));
-    formats.push(("outcome", outcome_corpus(), Box::new(outcome)));
+    let none = Vec::new;
+    formats.push(("journal record", records, none(), journal_record(cc)));
+    formats.push(("NetMetrics", metrics_corpus(), none(), Box::new(metrics)));
+    formats.push(("outcome", outcome_corpus(), none(), Box::new(outcome)));
     formats.push((
         "certificate",
         vec![sealed_certificate()],
+        none(),
         Box::new(certificate),
     ));
-    formats.push(("LedgerOp", ops, Box::new(ledger_op)));
-    formats.push(("Composition", compositions.to_vec(), Box::new(composition)));
-    for (name, corpus, roundtrip) in &formats {
-        fuzz(name, corpus, roundtrip, &mut rng);
+    formats.push(("LedgerOp", ops, none(), Box::new(ledger_op)));
+    let compositions = compositions.to_vec();
+    formats.push(("Composition", compositions, none(), Box::new(composition)));
+    for (name, corpus, refused, roundtrip) in &formats {
+        fuzz(name, corpus, refused, roundtrip, &mut rng);
     }
 }
 
