@@ -8,16 +8,14 @@
 //! prime, dividing the noise by `≈ q_l` — the leveled-BGV noise-management
 //! strategy.
 //!
-//! Mycelium defers relinearization to the aggregator (§5): devices multiply
-//! and forward degree-2 ciphertexts; the aggregator performs a one-time
-//! relinearization before the committee decrypts. Both flows are supported.
+//! The paper defers relinearization to the aggregator (§5). This prototype
+//! does not: an origin relinearizes after every multiplication, so only
+//! degree-1 ciphertexts ever leave it and the aggregator never key-switches.
 
 use std::sync::Arc;
 
 use mycelium_math::rng::Rng;
-use mycelium_math::rns::{
-    key_switch_assign, key_switch_batch, Representation, RnsContext, RnsPoly, ShoupPrecomp,
-};
+use mycelium_math::rns::{key_switch_assign, Representation, RnsContext, RnsPoly, ShoupPrecomp};
 use mycelium_math::{ew, sample, scratch};
 
 use crate::keys::{PublicKey, RelinKey, SecretKey};
@@ -596,71 +594,6 @@ impl Ciphertext {
         })
     }
 
-    /// Relinearizes a batch of same-level degree-2 ciphertexts in one
-    /// [`key_switch_batch`] call: the RNS digit decomposition runs once
-    /// per ciphertext, but all digit NTTs and multiply-accumulates for
-    /// the whole batch stream through a single parallel region, so the
-    /// `MYC_THREADS` workers stay saturated even when each individual
-    /// key switch has fewer digits than workers.
-    ///
-    /// Degree-1 inputs pass through unchanged. Every degree-2 input must
-    /// sit at the same level (callers batch per summation-tree level).
-    /// Results are bit-identical to per-ciphertext
-    /// [`Ciphertext::relinearize`] calls.
-    pub fn relinearize_batch(cts: &[Self], rk: &RelinKey) -> Result<Vec<Self>, BgvError> {
-        let mut out: Vec<Option<Self>> = vec![None; cts.len()];
-        // (input index, c0, c1) for each degree-2 input.
-        let mut work: Vec<(usize, RnsPoly, RnsPoly)> = Vec::new();
-        let mut level: Option<usize> = None;
-        for (idx, ct) in cts.iter().enumerate() {
-            match ct.parts.len() {
-                2 => out[idx] = Some(ct.clone()),
-                3 => {
-                    match level {
-                        None => level = Some(ct.level()),
-                        Some(l) if l != ct.level() => {
-                            return Err(BgvError::LevelMismatch {
-                                left: l,
-                                right: ct.level(),
-                            })
-                        }
-                        Some(_) => {}
-                    }
-                    work.push((idx, ct.parts[0].clone(), ct.parts[1].clone()));
-                }
-                parts => return Err(BgvError::UnexpectedDegree { parts }),
-            }
-        }
-        if let Some(level) = level {
-            let keys = rk
-                .at_level(level)
-                .ok_or(BgvError::MissingRelinKey { level })?;
-            let mut jobs: Vec<(&mut RnsPoly, &mut RnsPoly, &RnsPoly)> = work
-                .iter_mut()
-                .map(|(idx, c0, c1)| (&mut *c0, &mut *c1, &cts[*idx].parts[2]))
-                .collect();
-            key_switch_batch(&mut jobs, keys);
-            for (idx, c0, c1) in work {
-                let src = &cts[idx];
-                let p = &src.params;
-                // Same bound as `relinearize`: t · L · (q/2) · 6σ · N.
-                let ks_noise = (p.plaintext_modulus as f64).log2()
-                    + p.prime_bits as f64
-                    + (level as f64).log2().max(0.0)
-                    + (6.0 * p.sigma * p.n as f64).log2();
-                out[idx] = Some(Self {
-                    parts: vec![c0, c1],
-                    noise_log2: log2_sum(src.noise_log2, ks_noise),
-                    params: src.params.clone(),
-                });
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|c| c.expect("every slot filled"))
-            .collect())
-    }
-
     /// Drops the last chain prime (BGV modulus switching), dividing the
     /// noise by `≈ q_l`.
     pub fn mod_switch_down(&self) -> Result<Self, BgvError> {
@@ -1173,30 +1106,6 @@ mod tests {
                         .map(|p| rotate_negacyclic(&p.coeff(), k).ntt())
                         .collect();
                     assert_eq!(ct.mul_monomial(k).parts(), &want[..], "level {level} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn relinearize_batch_matches_single_at_every_level() {
-        let (params, ks, mut rng) = setup();
-        let pt = monomial(params.n, params.plaintext_modulus, 2);
-        for level in 1..=params.levels {
-            let prods: Vec<Ciphertext> = (0..3)
-                .map(|_| {
-                    let a = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
-                    let b = Ciphertext::encrypt_at_level(&ks.public, &pt, level, &mut rng).unwrap();
-                    a.mul(&b).unwrap()
-                })
-                .collect();
-            let batch = Ciphertext::relinearize_batch(&prods, &ks.relin).unwrap();
-            for (ct, got) in prods.iter().zip(&batch) {
-                let want = ct.relinearize(&ks.relin).unwrap();
-                assert_eq!(got.parts(), want.parts(), "level {level}");
-                if level == params.levels {
-                    // (A product has no noise budget left at the low levels.)
-                    assert_eq!(got.decrypt(&ks.secret).coeffs()[4], 1);
                 }
             }
         }

@@ -66,7 +66,8 @@ pub struct KeySet {
     /// Public encryption key (distributed to every device).
     pub public: PublicKey,
     /// Relinearization keys (published; needed by whoever relinearizes —
-    /// in Mycelium, the aggregator, since relinearization is deferred, §5).
+    /// here each origin, after every multiplication; the paper defers it to
+    /// the aggregator, §5).
     pub relin: RelinKey,
 }
 
@@ -204,13 +205,6 @@ impl RelinKey {
     /// The key-switching key pairs for `level`, if generated.
     pub fn at_level(&self, level: usize) -> Option<&[(ShoupPrecomp, ShoupPrecomp)]> {
         self.keys.get(&level).map(|v| v.as_slice())
-    }
-
-    /// Whether key-switching keys exist for `level` (what batch callers
-    /// check before committing a whole level to
-    /// [`Ciphertext::relinearize_batch`](crate::Ciphertext::relinearize_batch)).
-    pub fn has_level(&self, level: usize) -> bool {
-        self.keys.contains_key(&level)
     }
 
     /// Levels for which keys are available.

@@ -318,7 +318,7 @@ pub fn mul_shoup_add2_scalar(
 /// for both output rows. The caller owns the overflow budget: after `l`
 /// accumulates into an accumulator that started `< q`, the values are below
 /// `(2l+1)·q`, so this is only sound while `(2l+1)·q < 2^64` (checked by
-/// the caller; see `rns::key_switch_batch`). Finish with
+/// the caller; see `rns::key_switch_assign`). Finish with
 /// [`reduce_lazy_pow2`] to canonicalize.
 ///
 /// Which representative of `a[i]·k[i]` a tier adds is its own business

@@ -717,7 +717,7 @@ impl RnsPoly {
     ///
     /// The operand must be in coefficient representation. This is the
     /// materializing form, kept as the oracle the fused
-    /// [`key_switch_batch`] is tested against.
+    /// [`key_switch_assign`] is tested against.
     pub fn rns_decompose(&self) -> Vec<Self> {
         assert_eq!(
             self.rep,
@@ -908,39 +908,18 @@ fn lift_digit(mi: &Modulus, qj: u64, out: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Fused RNS-gadget key switch: `(c0, c1) += Σ_j NTT(d_j) ⊙ keys[j]` where
-/// `d_j` is the `j`-th gadget digit of `c2`. See [`key_switch_batch`], of
-/// which this is the one-job case.
-///
-/// # Panics
-///
-/// Panics if `c0`/`c1`/`c2` are not NTT-domain polynomials at the same
-/// level and context, or if `keys.len()` differs from the level.
-pub fn key_switch_assign(
-    c0: &mut RnsPoly,
-    c1: &mut RnsPoly,
-    c2: &RnsPoly,
-    keys: &[(ShoupPrecomp, ShoupPrecomp)],
-) {
-    key_switch_batch(&mut [(c0, c1, c2)], keys)
-}
-
-/// Batched fused key switch: for every job `(c0, c1, c2)`, all three in
-/// NTT representation, `(c0, c1) += Σ_j NTT(d_j) ⊙ keys[j]` with
-/// `d_j = [c2 · (Q/q_j)^{-1}]_{q_j}` the `j`-th gadget digit of that job's
-/// `c2`, lifted to every limb. Bit-identical to
+/// Fused RNS-gadget key switch: `(c0, c1) += Σ_j NTT(d_j) ⊙ keys[j]`, all
+/// three operands in NTT representation, with `d_j = [c2 · (Q/q_j)^{-1}]_{q_j}`
+/// the `j`-th gadget digit of `c2`, lifted to every limb. Bit-identical to
 /// [`RnsPoly::rns_decompose`] + per-digit `mul_add_assign`.
 ///
-/// All jobs must share one context, level, and key set — exactly the shape
-/// of one summation-tree level, where every degree-2 node relinearizes
-/// against the same relinearization key. Relinearization's inner loop runs
-/// limb-major, each `(job, limb)` one unit of parallel work over `l²`
-/// transforms per job instead of the `l + l²` of "inverse everything, then
-/// transform every lifted digit":
+/// Relinearization's inner loop runs limb-major, each limb one unit of
+/// parallel work, over `l²` transforms instead of the `l + l²` of "inverse
+/// everything, then transform every lifted digit":
 ///
 /// * **digits straight from the NTT domain**: `d_j` is the inverse
 ///   transform of `ĉ2_j · (Q/q_j)^{-1}` (one fused scalar pass, then `l`
-///   inverse transforms per job, in one parallel region for the batch);
+///   inverse transforms, in one parallel region);
 /// * **no transform on the diagonal**: at its own limb `j`, `NTT(d_j)` *is*
 ///   `ĉ2_j · (Q/q_j)^{-1}` — the transform is linear and canonical — so
 ///   only the `l·(l−1)` off-diagonal digits are lifted
@@ -955,77 +934,55 @@ pub fn key_switch_assign(
 ///   unique canonical representative, so results are bit-identical at any
 ///   thread count, SIMD on or off.
 ///
-/// Live counters for every batch are recorded in [`ks_stats`] so the
-/// analytical cost model can be reconciled against actual kernel traffic.
-///
 /// # Panics
 ///
-/// Panics under the same conditions as [`key_switch_assign`], applied to
-/// every job, or if the jobs disagree on context/level.
-pub fn key_switch_batch(
-    jobs: &mut [(&mut RnsPoly, &mut RnsPoly, &RnsPoly)],
+/// Panics if `c0`/`c1`/`c2` are not NTT-domain polynomials at the same
+/// level and context, or if `keys.len()` differs from the level.
+pub fn key_switch_assign(
+    c0: &mut RnsPoly,
+    c1: &mut RnsPoly,
+    c2: &RnsPoly,
     keys: &[(ShoupPrecomp, ShoupPrecomp)],
 ) {
-    if jobs.is_empty() {
-        return;
-    }
-    let l = jobs[0].0.level;
-    let ctx = jobs[0].0.ctx.clone();
+    c0.check_compat(c1);
+    c0.check_compat(c2);
+    assert_eq!(
+        c0.rep,
+        Representation::Ntt,
+        "key switch runs in NTT representation"
+    );
+    let l = c2.level;
     assert_eq!(keys.len(), l, "one key pair per active prime");
-    for (c0, c1, c2) in jobs.iter() {
-        c0.check_compat(c1);
-        c0.check_compat(c2);
-        assert_eq!(
-            c0.rep,
-            Representation::Ntt,
-            "key switch runs in NTT representation"
-        );
-        assert_eq!(c0.level, l, "all batch jobs must share one level");
-        assert!(Arc::ptr_eq(&c0.ctx, &ctx), "context mismatch");
-    }
+    let ctx = &c2.ctx;
     let n = ctx.degree();
     let pre = ctx.level(l);
-    ks_stats::record(jobs.len() as u64, l as u64);
-    let c2s: Vec<&RnsPoly> = jobs.iter().map(|(_, _, c2)| *c2).collect();
     // The diagonal digit transform ĉ2_j · (Q/q_j)^{-1}, which at limb j is
     // NTT(d_j) itself.
-    let diagonal = |job: usize, j: usize, out: &mut [u64]| {
+    let diagonal = |j: usize, out: &mut [u64]| {
         ew::mul_shoup_scalar_into(
             &ctx.moduli[j],
             out,
-            &c2s[job].residues[j],
+            &c2.residues[j],
             pre.qhat_inv[j],
             pre.qhat_inv_shoup[j],
         );
     };
-    // One decomposition pass for the whole batch: base digits d_j in
-    // [0, q_j), coefficient domain, pooled, indexed [job · l + digit]. (At
-    // level 1 the only digit is diagonal: nothing to lift.)
+    // One decomposition pass: base digits d_j in [0, q_j), coefficient
+    // domain, pooled. (At level 1 the only digit is diagonal: nothing to
+    // lift.)
     let digits: Vec<scratch::ScratchBuf> = if l == 1 {
         Vec::new()
     } else {
-        par::map_indices(jobs.len() * l, |u| {
-            let j = u % l;
+        par::map_indices(l, |j| {
             let mut buf = scratch::take(n);
-            diagonal(u / l, j, &mut buf);
+            diagonal(j, &mut buf);
             ctx.tables[j].inverse(&mut buf);
             buf
         })
     };
-    // Flatten (job, limb) into one parallel region; rows are moved out and
-    // back to satisfy the borrow checker.
-    let mut rows: Vec<(Vec<u64>, Vec<u64>)> = jobs
-        .iter_mut()
-        .flat_map(|(c0, c1, _)| {
-            c0.residues
-                .iter_mut()
-                .zip(c1.residues.iter_mut())
-                .map(|(r0, r1)| (std::mem::take(r0), std::mem::take(r1)))
-        })
-        .collect();
-    par::for_each_mut(&mut rows, |u, (r0, r1)| {
-        let job = u / l;
-        let i = u % l;
+    let mut rows: Vec<(&mut Vec<u64>, &mut Vec<u64>)> =
+        c0.residues.iter_mut().zip(c1.residues.iter_mut()).collect();
+    par::for_each_mut(&mut rows, |i, (r0, r1)| {
         let mi = &ctx.moduli[i];
         // Lazy budget: each accumulator starts < q and gains l products
         // < 2q each, so values stay < (2l+1)·q. Stream wrapping-lazily
@@ -1035,9 +992,9 @@ pub fn key_switch_batch(
         let mut tmp = scratch::take(n);
         for (j, (kb, ka)) in keys.iter().enumerate() {
             if i == j {
-                diagonal(job, i, &mut tmp);
+                diagonal(i, &mut tmp);
             } else {
-                lift_digit(mi, ctx.moduli[j].value(), &mut tmp, &digits[job * l + j]);
+                lift_digit(mi, ctx.moduli[j].value(), &mut tmp, &digits[j]);
                 ctx.tables[i].forward(&mut tmp);
             }
             let kb = (kb.residue(i), kb.shoup_residue(i));
@@ -1054,77 +1011,6 @@ pub fn key_switch_batch(
             ew::reduce_lazy_pow2(mi, r1, kbits);
         }
     });
-    let mut it = rows.into_iter();
-    for (c0, c1, _) in jobs.iter_mut() {
-        for i in 0..l {
-            let (s0, s1) = it.next().expect("row count mismatch");
-            c0.residues[i] = s0;
-            c1.residues[i] = s1;
-        }
-    }
-}
-
-/// Live counters for the batched key-switch plane, reconciled against the
-/// analytical cost model in `tests/sim_costs.rs`. Process-wide atomics
-/// (relaxed; exact under any interleaving because each batch does one
-/// `record`).
-pub mod ks_stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
-    static JOBS: AtomicU64 = AtomicU64::new(0);
-    static DECOMPOSE_PASSES: AtomicU64 = AtomicU64::new(0);
-    static DIGIT_NTTS: AtomicU64 = AtomicU64::new(0);
-    static ACCUMULATES: AtomicU64 = AtomicU64::new(0);
-
-    /// Snapshot of the counters since process start or the last [`reset`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct KsStats {
-        /// Number of `key_switch_batch` invocations (== decompose passes).
-        pub batch_calls: u64,
-        /// Total key-switch jobs across all batches.
-        pub jobs: u64,
-        /// Digit-decomposition passes (one per batch, however many jobs).
-        pub decompose_passes: u64,
-        /// Forward NTTs of lifted digits (`jobs · level · (level − 1)`: the
-        /// diagonal digit of every limb needs none).
-        pub digit_ntts: u64,
-        /// Two-row Shoup multiply-accumulate passes (`jobs · level²`: one
-        /// per limb and digit, feeding both output rows).
-        pub accumulates: u64,
-    }
-
-    pub(crate) fn record(jobs: u64, level: u64) {
-        BATCH_CALLS.fetch_add(1, Ordering::Relaxed);
-        JOBS.fetch_add(jobs, Ordering::Relaxed);
-        DECOMPOSE_PASSES.fetch_add(1, Ordering::Relaxed);
-        DIGIT_NTTS.fetch_add(jobs * level * (level - 1), Ordering::Relaxed);
-        ACCUMULATES.fetch_add(jobs * level * level, Ordering::Relaxed);
-    }
-
-    /// Zeroes all counters (test setup).
-    pub fn reset() {
-        for c in [
-            &BATCH_CALLS,
-            &JOBS,
-            &DECOMPOSE_PASSES,
-            &DIGIT_NTTS,
-            &ACCUMULATES,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads all counters.
-    pub fn snapshot() -> KsStats {
-        KsStats {
-            batch_calls: BATCH_CALLS.load(Ordering::Relaxed),
-            jobs: JOBS.load(Ordering::Relaxed),
-            decompose_passes: DECOMPOSE_PASSES.load(Ordering::Relaxed),
-            digit_ntts: DIGIT_NTTS.load(Ordering::Relaxed),
-            accumulates: ACCUMULATES.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Modular inverse for word-sized (not necessarily prime) moduli via the
@@ -1346,38 +1232,22 @@ mod tests {
     }
 
     #[test]
-    fn key_switch_matches_decompose_oracle_at_every_level_and_batch_size() {
+    fn key_switch_matches_decompose_oracle_at_every_level() {
         let c = ctx(16, 6);
         for level in 1..=6 {
             let keys = pseudo_keys(&c, level);
-            for batch in [1usize, 3] {
-                let c2: Vec<RnsPoly> = (0..batch as u64)
-                    .map(|b| pseudo_poly(&c, level, 10 + b))
-                    .collect();
-                let mut want: Vec<(RnsPoly, RnsPoly)> = (0..batch as u64)
-                    .map(|b| {
-                        (
-                            pseudo_poly(&c, level, 60 + b).ntt(),
-                            pseudo_poly(&c, level, 70 + b).ntt(),
-                        )
-                    })
-                    .collect();
-                let mut got = want.clone();
+            for seed in [0u64, 1, 2] {
+                let c2 = pseudo_poly(&c, level, 10 + seed);
+                let mut want0 = pseudo_poly(&c, level, 60 + seed).ntt();
+                let mut want1 = pseudo_poly(&c, level, 70 + seed).ntt();
+                let (mut got0, mut got1) = (want0.clone(), want1.clone());
                 // Oracle: decompose into digit polynomials, then mul-add.
-                for ((w0, w1), c2) in want.iter_mut().zip(&c2) {
-                    for (d, (kb, ka)) in c2.rns_decompose().iter().zip(&keys) {
-                        w0.mul_add_assign(d, kb.poly());
-                        w1.mul_add_assign(d, ka.poly());
-                    }
+                for (d, (kb, ka)) in c2.rns_decompose().iter().zip(&keys) {
+                    want0.mul_add_assign(d, kb.poly());
+                    want1.mul_add_assign(d, ka.poly());
                 }
-                let c2_ntt: Vec<RnsPoly> = c2.iter().map(RnsPoly::ntt).collect();
-                let mut jobs: Vec<(&mut RnsPoly, &mut RnsPoly, &RnsPoly)> = got
-                    .iter_mut()
-                    .zip(&c2_ntt)
-                    .map(|((g0, g1), c2)| (g0, g1, c2))
-                    .collect();
-                key_switch_batch(&mut jobs, &keys);
-                assert_eq!(got, want, "level {level} batch {batch}");
+                key_switch_assign(&mut got0, &mut got1, &c2.ntt(), &keys);
+                assert_eq!((got0, got1), (want0, want1), "level {level} seed {seed}");
             }
         }
     }

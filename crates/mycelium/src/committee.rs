@@ -3,8 +3,9 @@
 //!
 //! A fresh committee is elected per query from the device population using
 //! the public beacon. The committee holds the decryption key as a Shamir
-//! sharing (received from the previous committee via VSR — exercised in
-//! the `vsr` integration tests); for a query it:
+//! sharing (in the paper, received from the previous committee via VSR;
+//! `mycelium_sharing::vsr` is exercised by its unit tests only); for a
+//! query it:
 //!
 //! 1. receives the aggregated ciphertext from the aggregator,
 //! 2. computes `t+1` decryption shares (with smudging noise),
@@ -161,7 +162,8 @@ mod tests {
 
     #[test]
     fn degree_two_aggregate_rejected() {
-        // The aggregator must relinearize before the committee decrypts.
+        // Only a degree-1 aggregate decrypts; origins relinearize every
+        // product, so a degree-2 one never reaches the committee.
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(93);
         let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);

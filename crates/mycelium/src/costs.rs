@@ -288,66 +288,6 @@ pub fn sharded_aggregator_cores(
     }
 }
 
-/// Analytic operation counts for the batched RNS key switch — the
-/// aggregator-side cost of relinearizing a summation-tree level in one
-/// [`Ciphertext::relinearize_batch`](mycelium_bgv::Ciphertext::relinearize_batch)
-/// call.
-///
-/// A key switch at chain level `l` decomposes the degree-2 component
-/// into `l` gadget digits, lifts each digit to the `l − 1` other limbs
-/// (`l·(l−1)` forward NTTs per node: at its own limb a digit's transform
-/// is the NTT-domain input times a scalar) and multiply-accumulates each
-/// lifted digit against both key components in one fused two-row pass
-/// (`l²` kernel calls per node). Batching
-/// shares the *decomposition pass*: one pass covers every node in the
-/// level instead of one pass per node. The live counters in
-/// `mycelium_math::rns::ks_stats` meter the real kernels;
-/// `tests/sim_costs.rs` pins this model against them exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KeySwitchOps {
-    /// Digit-decomposition passes over the inputs.
-    pub decompose_passes: u64,
-    /// Forward NTTs of lifted digits.
-    pub digit_ntts: u64,
-    /// Two-row Shoup multiply-accumulate kernel invocations.
-    pub accumulates: u64,
-}
-
-impl KeySwitchOps {
-    /// Component-wise sum (accumulating several tree levels or rounds).
-    pub fn merge(self, other: Self) -> Self {
-        Self {
-            decompose_passes: self.decompose_passes + other.decompose_passes,
-            digit_ntts: self.digit_ntts + other.digit_ntts,
-            accumulates: self.accumulates + other.accumulates,
-        }
-    }
-}
-
-/// One batched key switch over `nodes` same-level ciphertexts at chain
-/// level `level`: a single shared decomposition pass,
-/// `nodes·level·(level−1)` digit NTTs, `nodes·level²` two-row accumulates.
-/// Zero nodes cost nothing.
-pub fn key_switch_ops_batched(nodes: u64, level: u64) -> KeySwitchOps {
-    if nodes == 0 {
-        return KeySwitchOps::default();
-    }
-    KeySwitchOps {
-        decompose_passes: 1,
-        digit_ntts: nodes * level * (level - 1),
-        accumulates: nodes * level * level,
-    }
-}
-
-/// Per-node key switching (the pre-batching baseline): identical NTT
-/// and accumulate work, but one decomposition pass *per node*.
-pub fn key_switch_ops_serial(nodes: u64, level: u64) -> KeySwitchOps {
-    KeySwitchOps {
-        decompose_passes: nodes,
-        ..key_switch_ops_batched(nodes, level)
-    }
-}
-
 /// Committee costs (§6.5), calibrated to the paper's EC2 measurements at
 /// `c = 10`: ≈3 minutes of MPC and ≈4.5 GB per member, scaling with the
 /// number of pairwise channels (`c - 1`) per member.
@@ -503,25 +443,6 @@ mod tests {
             // The coordinator's serial fold stays negligible.
             assert!(s.coordinator_seconds < 10.0);
         }
-    }
-
-    #[test]
-    fn batched_key_switch_shares_the_decompose_pass() {
-        let (nodes, level) = (64u64, 6u64);
-        let serial = key_switch_ops_serial(nodes, level);
-        let batched = key_switch_ops_batched(nodes, level);
-        // NTT and accumulate work is per node either way …
-        assert_eq!(batched.digit_ntts, serial.digit_ntts);
-        assert_eq!(batched.digit_ntts, nodes * level * (level - 1));
-        assert_eq!(batched.accumulates, nodes * level * level);
-        // … but the decomposition pass amortizes across the batch.
-        assert_eq!(serial.decompose_passes, nodes);
-        assert_eq!(batched.decompose_passes, 1);
-        assert_eq!(key_switch_ops_batched(0, level), KeySwitchOps::default());
-        // Summing per-tree-level batches composes component-wise.
-        let two = key_switch_ops_batched(3, 4).merge(key_switch_ops_batched(5, 4));
-        assert_eq!(two.decompose_passes, 2);
-        assert_eq!(two.digit_ntts, (3 + 5) * 12);
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!   of any device whose proof fails with the neutral `Enc(x^0)` (§4.6 /
 //!   §4.7: Byzantine inputs are discarded, bounding their influence).
 //! * **Origins** multiply contributions together (selecting sequence
-//!   positions for cross clauses), apply their `self` clauses (failing →
-//!   `Enc(0)`), shift into their `GROUP BY` window, and submit.
-//! * **The aggregator** aligns levels, sums every origin's ciphertext, and
-//!   relinearizes; the **committee** threshold-decrypts and adds noise.
+//!   positions for cross clauses), relinearizing after every product,
+//!   apply their `self` clauses (failing → `Enc(0)`), shift into their
+//!   `GROUP BY` window, and submit.
+//! * **The aggregator** aligns levels and sums every origin's ciphertext;
+//!   it never relinearizes (the paper defers relinearization to it, §5 —
+//!   a deviation of this prototype). The **committee** threshold-decrypts
+//!   and adds noise.
 //!
 //! The per-role building blocks (contribution building/verification, the
 //! origin combine, the summation tree audit) live in [`crate::plan`] and

@@ -12,7 +12,7 @@
 //! growing in the number of checks, while no single party ever has to
 //! re-sum everything.
 
-use mycelium_bgv::{BgvError, Ciphertext, RelinKey};
+use mycelium_bgv::{BgvError, Ciphertext};
 use mycelium_crypto::sha256::{sha256_concat, Digest};
 use mycelium_graph::graph::VertexId;
 use mycelium_math::par;
@@ -109,37 +109,7 @@ impl SummationTree {
     ///
     /// Panics on an empty input.
     pub fn build(leaves: Vec<Ciphertext>) -> Result<Self, BgvError> {
-        Self::build_relinearized(leaves, None)
-    }
-
-    /// Builds the tree over leaves that may still be degree 2 (fresh
-    /// homomorphic products the origins never relinearized).
-    ///
-    /// Degree-2 leaves only ever exist at tree level 0 — every interior
-    /// node is a sum of already-reduced children — so the whole tree
-    /// needs exactly one batched key switch:
-    /// [`Ciphertext::relinearize_batch`] runs the RNS digit
-    /// decomposition once per leaf and streams all digit NTTs and
-    /// multiply-accumulates for the level through a single parallel
-    /// region. Leaf commitments bind the *relinearized* ciphertexts, so
-    /// inclusion proofs and spot checks work unchanged.
-    ///
-    /// With `rk: None` (or no degree-2 leaves) this is exactly
-    /// [`SummationTree::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty input.
-    pub fn build_relinearized(
-        mut leaves: Vec<Ciphertext>,
-        rk: Option<&RelinKey>,
-    ) -> Result<Self, BgvError> {
         assert!(!leaves.is_empty(), "summation tree needs at least one leaf");
-        if let Some(rk) = rk {
-            if leaves.iter().any(|ct| ct.parts().len() > 2) {
-                leaves = Ciphertext::relinearize_batch(&leaves, rk)?;
-            }
-        }
         let leaf_commitments = par::map(&leaves, |_, ct| leaf_commitment(ct));
         let mut nodes: Vec<SummationNode> = leaves
             .into_iter()
@@ -426,43 +396,6 @@ mod tests {
             // The top tree's interior nodes audit like any other tree.
             top.spot_check_random(17, 16).unwrap();
         }
-    }
-
-    #[test]
-    fn batch_relinearized_tree_matches_per_leaf_relinearize() {
-        // Degree-2 leaves relinearized as one batch at tree level 0 must
-        // produce a tree bit-identical to relinearizing each leaf
-        // individually first — same root sum, same commitments, and the
-        // audits (which re-add degree-1 children) still pass.
-        let params = BgvParams::test_small();
-        let mut rng = StdRng::seed_from_u64(727);
-        let keys = KeySet::generate(&params, &mut rng);
-        let deg2: Vec<Ciphertext> = (0..5)
-            .map(|i| {
-                let a = encode_monomial(i % 3, params.n, params.plaintext_modulus).unwrap();
-                let b = encode_monomial(i % 2, params.n, params.plaintext_modulus).unwrap();
-                let ca = Ciphertext::encrypt(&keys.public, &a, &mut rng).unwrap();
-                let cb = Ciphertext::encrypt(&keys.public, &b, &mut rng).unwrap();
-                ca.mul(&cb).unwrap()
-            })
-            .collect();
-        assert!(deg2.iter().all(|ct| ct.parts().len() == 3));
-        assert!(keys.relin.has_level(deg2[0].level()));
-        let serial: Vec<Ciphertext> = deg2
-            .iter()
-            .map(|ct| ct.relinearize(&keys.relin).unwrap())
-            .collect();
-        let want = SummationTree::build(serial).unwrap();
-        let got = SummationTree::build_relinearized(deg2, Some(&keys.relin)).unwrap();
-        assert_eq!(got.nodes.len(), want.nodes.len());
-        for (g, w) in got.nodes.iter().zip(&want.nodes) {
-            assert_eq!(g.commitment, w.commitment);
-            assert_eq!(g.sum.parts(), w.sum.parts());
-        }
-        got.spot_check_random(5, 16).unwrap();
-        let pt = got.root().sum.decrypt(&keys.secret);
-        // Σ x^{i%3} · x^{i%2} over i=0..5: exponents 0,2,2,1,4.
-        assert_eq!(pt.coeffs().iter().sum::<u64>(), 5);
     }
 
     #[test]

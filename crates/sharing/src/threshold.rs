@@ -76,7 +76,7 @@ pub struct DecryptionShare {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThresholdError {
     /// Threshold decryption requires a degree-1 (2-component) ciphertext;
-    /// relinearize first (the aggregator's job, §5).
+    /// relinearize first (here each origin does, after every product).
     WrongDegree { parts: usize },
     /// Fewer shares than `threshold + 1`, or inconsistent member sets.
     NotEnoughShares { got: usize, need: usize },

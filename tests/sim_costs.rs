@@ -170,71 +170,6 @@ fn simulated_contribution_is_metered_at_the_bytes_the_wire_carries() {
 }
 
 #[test]
-fn key_switch_model_matches_live_kernel_counters() {
-    // The analytic model in `costs::key_switch_ops_*` predicts the
-    // batched key switch's operation counts; the live counters in
-    // `mycelium_math::rns::ks_stats` meter what the kernels actually
-    // executed. Reconcile them over both the serial path (one decompose
-    // pass per relinearization) and the batched path (one pass per
-    // summation-tree level). Serial because ks_stats counters are
-    // process-global.
-    use mycelium::costs::{key_switch_ops_batched, key_switch_ops_serial};
-    use mycelium::summation::SummationTree;
-    use mycelium_bgv::{BgvParams, Ciphertext, KeySet};
-    use mycelium_math::rng::{SeedableRng, StdRng};
-    use mycelium_math::rns::ks_stats;
-
-    let params = BgvParams::test_small();
-    let mut rng = StdRng::seed_from_u64(31);
-    let keys = KeySet::generate(&params, &mut rng);
-    let deg2: Vec<Ciphertext> = (0..6)
-        .map(|i| {
-            let pt =
-                mycelium_bgv::encoding::encode_monomial(i % 4, params.n, params.plaintext_modulus)
-                    .unwrap();
-            let ca = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
-            let cb = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
-            ca.mul(&cb).unwrap()
-        })
-        .collect();
-    let level = deg2[0].level() as u64;
-    let nodes = deg2.len() as u64;
-
-    // Serial baseline: every relinearize is its own single-job batch.
-    ks_stats::reset();
-    for ct in &deg2 {
-        ct.relinearize(&keys.relin).unwrap();
-    }
-    let got = ks_stats::snapshot();
-    let want = key_switch_ops_serial(nodes, level);
-    assert_eq!(got.decompose_passes, want.decompose_passes);
-    assert_eq!(got.digit_ntts, want.digit_ntts);
-    assert_eq!(got.accumulates, want.accumulates);
-    assert_eq!(got.jobs, nodes);
-
-    // Batched plane: the whole tree level shares one decompose pass.
-    ks_stats::reset();
-    let tree = SummationTree::build_relinearized(deg2, Some(&keys.relin)).unwrap();
-    let got = ks_stats::snapshot();
-    let want = key_switch_ops_batched(nodes, level);
-    assert_eq!(got.batch_calls, 1);
-    assert_eq!(got.decompose_passes, want.decompose_passes);
-    assert_eq!(got.digit_ntts, want.digit_ntts);
-    assert_eq!(got.accumulates, want.accumulates);
-    assert_eq!(got.jobs, nodes);
-
-    // Identical NTT/accumulate work either way — batching only removes
-    // the redundant decomposition passes.
-    let serial = key_switch_ops_serial(nodes, level);
-    assert_eq!(want.digit_ntts, serial.digit_ntts);
-    assert_eq!(want.accumulates, serial.accumulates);
-    assert!(want.decompose_passes < serial.decompose_passes);
-    // And the tree the batched path built decrypts like any other.
-    let pt = tree.root().sum.decrypt(&keys.secret);
-    assert_eq!(pt.coeffs().iter().sum::<u64>(), nodes);
-}
-
-#[test]
 fn headline_bytes_at_paper_parameters() {
     // The metered run reproduces §6.4's headline numbers: ≈170 MB for a
     // non-forwarder, ≈1030 MB for a forwarder (1030 counts the batch
