@@ -1,13 +1,11 @@
 //! Query-service benchmark: the five conformance query classes driven
 //! through one budgeted session, each admitted round checked exactly
-//! against the plaintext oracle, the sixth round refused, and the
-//! simnet budget-admission protocol swept over drop rates.
+//! against the plaintext oracle, and the sixth round refused.
 //!
 //! Writes `BENCH_queries.json` (byte-identical across runs with the
 //! same seed) and exits non-zero if any admitted round diverges from
-//! the oracle, the over-budget round is not refused, or any protocol
-//! sweep cell fails to reach the fault-free ledger digest — the
-//! properties CI gates on. Wall-clock timing goes to stderr only.
+//! the oracle or the over-budget round is not refused — the properties
+//! CI gates on. Wall-clock timing goes to stderr only.
 //!
 //! Usage: `bench_queries [--smoke] [--seed N] [--out PATH]`
 
@@ -39,7 +37,7 @@ fn main() {
     let failures = if report.all_exact {
         vec![]
     } else {
-        vec!["a round left the oracle, the sixth was not refused, or a protocol cell missed the fault-free digest".into()]
+        vec!["a round left the oracle or the sixth was not refused".into()]
     };
     finish(Some(&args.out), &report.json, &failures);
 }

@@ -3,9 +3,8 @@
 //! Drives the five conformance query classes (`SEIR`, `DEGREE`, `KHOP`,
 //! `CLIPGB`, `CROSSEVAL`) through one budgeted [`QuerySession`] at the
 //! deepened simulation parameters, checks each admitted round's exact
-//! (pre-noise) result against the plaintext oracle, records the sixth
-//! round's typed refusal, and sweeps the simnet budget-admission
-//! protocol over message-drop rates.
+//! (pre-noise) result against the plaintext oracle, and records the sixth
+//! round's typed refusal.
 //!
 //! Everything in the report is a pure function of the seed — counters,
 //! fixed-format epsilons, and ledger digests — so two runs with the same
@@ -13,7 +12,6 @@
 //! on when it archives the artifact.
 
 use mycelium::deep_simulation_params;
-use mycelium::simbudget::{run_budget_scenario, BudgetScenario, RoundVerdict};
 use mycelium_bgv::KeySet;
 use mycelium_budget::Composition;
 use mycelium_dp::DpError;
@@ -27,15 +25,12 @@ use mycelium_query::analyze::analyze;
 use mycelium_query::builtin::{paper_query, CONFORMANCE_QUERY_TEXT};
 use mycelium_query::eval::evaluate;
 
-/// Swept drop rates for the budget-admission protocol.
-pub const DROP_RATES: [f64; 3] = [0.0, 0.1, 0.3];
-
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
 pub struct QueriesConfig {
     /// Seed for the population and the session randomness stream.
     pub seed: u64,
-    /// Smoke mode: smaller population, same sweep structure (for CI).
+    /// Smoke mode: smaller population, same rounds (for CI).
     pub smoke: bool,
 }
 
@@ -44,9 +39,8 @@ pub struct QueriesConfig {
 pub struct QueriesReport {
     /// The document.
     pub json: Json,
-    /// Whether every admitted round matched the oracle, the sixth round
-    /// was refused, and every protocol sweep cell converged to the
-    /// fault-free ledger digest.
+    /// Whether every admitted round matched the oracle and the sixth round
+    /// was refused.
     pub all_exact: bool,
 }
 
@@ -179,28 +173,6 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
         }
     };
 
-    // Budget-admission protocol sweep: the same seeded refusal scenario
-    // over increasingly lossy links must reach the identical ledger.
-    let clean_digest = run_budget_scenario(&BudgetScenario::refusal(cfg.seed)).digest;
-    let mut protocol_cells = Vec::new();
-    for &drop in &DROP_RATES {
-        let r = run_budget_scenario(&BudgetScenario::refusal(cfg.seed).with_drop_prob(drop));
-        let refused = r.verdicts.iter().filter_map(|v| match v {
-            RoundVerdict::Refused { round, .. } => Some(*round),
-            _ => None,
-        });
-        let digest_matches = r.digest == clean_digest;
-        all_exact &= r.converged && digest_matches;
-        protocol_cells.push(Json::obj([
-            ("drop", format!("{drop:.2}").into()),
-            ("converged", r.converged.into()),
-            ("refused_rounds", refused.collect()),
-            ("retries", r.retries.into()),
-            ("spent", epsilon(r.spent)),
-            ("digest_matches_fault_free", digest_matches.into()),
-        ]));
-    }
-
     let json = Json::obj([
         ("seed", cfg.seed.into()),
         ("smoke", cfg.smoke.into()),
@@ -210,7 +182,6 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
         ("ledger_digest", hex(&session.ledger().digest()).into()),
         ("rounds", Json::Arr(round_cells)),
         ("refusal", refusal_cell),
-        ("admission_protocol", Json::Arr(protocol_cells)),
     ]);
     QueriesReport { json, all_exact }
 }

@@ -549,12 +549,24 @@ mod tests {
             }
             op => panic!("expected refusal, got {op:?}"),
         }
-        // A refund frees room again.
+        // A refund frees room again — for a new round; the refused one,
+        // re-decided, stays refused.
         l.apply(&LedgerOp::Refund { round: 1 }).unwrap();
+        assert!(matches!(
+            l.decide(&entry(2, 1.0)).unwrap(),
+            LedgerOp::Refuse { .. }
+        ));
         assert!(matches!(
             l.decide(&entry(3, 1.0)).unwrap(),
             LedgerOp::Admit(_)
         ));
+        // Re-admitting an admitted round re-proposes its admission and
+        // charges nothing twice.
+        let spent = l.spent();
+        let again = l.decide(&entry(0, 1.0)).unwrap();
+        assert_eq!(again, LedgerOp::Admit(entry(0, 1.0)));
+        l.apply(&again).unwrap();
+        assert_eq!(l.spent(), spent, "re-admission must not double-charge");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The privacy-budget ledger and round scheduler (§4.4's accountant,
-//! made crash-durable).
+//! The privacy-budget ledger (§4.4's accountant, made crash-durable).
 //!
 //! The paper's prototype charges each query its full `ε` against one
 //! global budget and stops there; nothing persists the account, nothing
@@ -17,33 +16,30 @@
 //!   [`Composition::Advanced`] which prices a homogeneous run of charges
 //!   with `dp::composition::advanced_composition` and takes the tighter
 //!   of the two bounds (both are valid DP guarantees).
-//! * [`schedule`] — [`Ledger::schedule`]: `Admitted` reserves the charge,
-//!   [`Decision::Refused`] carries the typed
-//!   [`DpError::BudgetExhausted`](mycelium_dp::DpError) a caller needs to
-//!   tell "over budget" from "failed". Admission is a *reservation*; the
-//!   round later settles with a charge (success) or a refund (typed
-//!   failure), so a crashed round never leaks budget.
+//!
+//! Admitting a round is [`Ledger::decide`] then [`Ledger::apply`]: an
+//! `Admit` *reserves* the charge, a `Refuse` records a permanent refusal.
+//! The round later settles with a `Charge` (success) or a `Refund` (typed
+//! failure), so a crashed round never leaks budget.
 //!
 //! The crate deliberately knows nothing about journals, sockets, or
-//! executors: `mycelium-net` wires [`LedgerOp`]s into its WAL record
-//! stream, `mycelium` drives the in-process session, and the simnet
-//! mirror replays the same ops over a lossy network. All of them share
-//! this one accounting brain, which is what makes their refusal decisions
-//! — and their ledger digests — bit-identical.
+//! executors. `mycelium-net` drives it twice: the aggregator journals each
+//! [`LedgerOp`] between `decide` and `apply`, and the in-process
+//! `QuerySession` applies them directly. Both share this one accounting
+//! brain, which is what makes their refusal decisions — and their ledger
+//! digests — bit-identical.
 
 pub mod compose;
 pub mod ledger;
-pub mod schedule;
 
 pub use compose::{composed_epsilon, Composition};
 pub use ledger::{EntryState, Ledger, LedgerEntry, LedgerOp, QueryCost};
-pub use schedule::Decision;
 
 use mycelium_crypto::codec::CodecError;
 use mycelium_dp::DpError;
 
-/// Ledger and scheduling failures. Every path is typed; the ledger never
-/// panics on replayed bytes or adversarial schedules.
+/// Ledger failures. Every path is typed; the ledger never panics on
+/// replayed bytes or adversarial sequences of ops.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BudgetError {
     /// An underlying DP-accounting failure (including the typed

@@ -10,15 +10,17 @@
 //! flooding ───────► every vertex learns upstream + distance (mycelium-graph)
 //!                   │
 //!                   ▼
-//! local phase ────► neighbors encrypt x^a contributions (mycelium-bgv),
+//! local phase ────► neighbors encrypt x^a contributions (mycelium-bgv)
+//!                   and attach well-formedness proofs (mycelium-zkp);
 //!                   origins multiply them along the spanning tree,
-//!                   attach well-formedness proofs (mycelium-zkp);
-//!                   messages travel through the mix network
-//!                   (mycelium-mixnet)
+//!                   relinearizing after every product (the paper defers
+//!                   that to the aggregator, §5); in the paper messages
+//!                   travel through the mix network, which no executor
+//!                   here sends through yet (mycelium-mixnet)
 //!                   │
 //!                   ▼
-//! global phase ───► the aggregator verifies proofs, sums ciphertexts,
-//!                   relinearizes once; the committee threshold-decrypts
+//! global phase ───► the aggregator verifies proofs and sums degree-1
+//!                   ciphertexts; the committee threshold-decrypts
 //!                   (mycelium-sharing) and adds Laplace noise
 //!                   (mycelium-dp) before releasing to the analyst
 //! ```
@@ -36,9 +38,6 @@
 //! * [`roles`] — the client half, written once the same way: what a device,
 //!   an origin and a committee member compute, and the order each draws its
 //!   randomness in.
-//! * [`simbudget`] — the privacy-budget ledger behind a message boundary: a simnet
-//!   `BudgetActor` with seeded refusal scenarios under drops, duplicate
-//!   delivery, and crash windows.
 //! * [`decode`] — decoding the decrypted global plaintext back into
 //!   per-group histograms (the inverse of the window layout).
 //! * [`committee`] — committee orchestration: election, threshold
@@ -61,7 +60,6 @@ pub mod exec;
 pub mod params;
 pub mod plan;
 pub mod roles;
-pub mod simbudget;
 pub mod simcost;
 pub mod streams;
 pub mod summation;

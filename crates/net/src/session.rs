@@ -23,9 +23,7 @@
 //! journaled crash-durably; this module is the in-process mirror.
 
 use mycelium_bgv::KeySet;
-use mycelium_budget::{
-    BudgetError, Composition, Decision, Ledger, LedgerEntry, LedgerOp, QueryCost,
-};
+use mycelium_budget::{BudgetError, Composition, Ledger, LedgerEntry, LedgerOp, QueryCost};
 use mycelium_dp::{DpError, PrivacyBudget};
 use mycelium_graph::generate::Population;
 use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
@@ -163,15 +161,19 @@ impl QuerySession {
         let report = cost_report(query, &self.params.schema, self.params.epsilon, 0.0)
             .map_err(SessionError::Cost)?;
         let entry = LedgerEntry::from_report(round, &report);
-        let decision = self.ledger.schedule(&entry)?;
+        let op = self.ledger.decide(&entry)?;
+        self.ledger.apply(&op)?;
         self.next_round = round + 1;
-        match decision {
-            Decision::Admitted { .. } => Ok(entry),
-            Decision::Refused(refusal) => Err(SessionError::Refused {
+        match op {
+            LedgerOp::Refuse { remaining, .. } => Err(SessionError::Refused {
                 round,
                 query: query.name.clone(),
-                refusal,
+                refusal: DpError::BudgetExhausted {
+                    requested: entry.cost.epsilon,
+                    remaining,
+                },
             }),
+            _ => Ok(entry),
         }
     }
 

@@ -8,12 +8,9 @@
 //! ```
 //!
 //! Every admitted round is checked bit-for-bit against the plaintext
-//! oracle, and the final section replays the session's refusal scenario
-//! over a lossy simnet link to show that at-least-once delivery plus an
-//! idempotent ledger is exactly-once accounting.
+//! oracle.
 
 use mycelium::deep_simulation_params;
-use mycelium::simbudget::{run_budget_scenario, BudgetScenario, RoundVerdict};
 use mycelium_bgv::KeySet;
 use mycelium_budget::Composition;
 use mycelium_cert::{verify_bytes, RoundCertificate};
@@ -149,36 +146,4 @@ fn main() {
         verify_bytes(bytes),
     );
     assert_eq!(cert.charged_epsilon(), round.charged_epsilon);
-
-    println!("\n=== The admission protocol over a lossy link ===\n");
-    println!(
-        "{:<6} {:>9} {:>8} {:>15} {:>8}",
-        "drop", "converged", "retries", "refused rounds", "digest"
-    );
-    let clean = run_budget_scenario(&BudgetScenario::refusal(7));
-    for drop in [0.0, 0.1, 0.3] {
-        let r = run_budget_scenario(&BudgetScenario::refusal(7).with_drop_prob(drop));
-        let refused: Vec<String> = r
-            .verdicts
-            .iter()
-            .filter_map(|v| match v {
-                RoundVerdict::Refused { round, .. } => Some(round.to_string()),
-                _ => None,
-            })
-            .collect();
-        println!(
-            "{:<6.2} {:>9} {:>8} {:>15} {:>8}",
-            drop,
-            r.converged,
-            r.retries,
-            refused.join(","),
-            if r.digest == clean.digest {
-                "same"
-            } else {
-                "DRIFT"
-            },
-        );
-        assert_eq!(r.digest, clean.digest);
-    }
-    println!("\nat-least-once delivery + idempotent ledger = exactly-once accounting.");
 }
