@@ -252,7 +252,7 @@ impl ChaosPlan {
     /// The plan as the supervision loop takes it: each journaled server's
     /// deaths as the arguments its successive incarnations launch with,
     /// each role kill as a `SIGKILL` offset of its child.
-    fn schedule(&self) -> KillSchedule {
+    fn kill_schedule(&self) -> KillSchedule {
         let mut schedule = KillSchedule::new();
         let mut arm = |name: String, kill: &AggKill| {
             let armed = &mut schedule.entry(name).or_default().armed;
@@ -462,7 +462,7 @@ pub fn run_chaos(
     let _ = std::fs::remove_dir_all(out_dir);
     std::fs::create_dir_all(out_dir)?;
     let setup = build_setup(spec)?;
-    let schedule = plan.schedule();
+    let schedule = plan.kill_schedule();
     let run = supervise(exe, &setup, out_dir, &schedule)?;
     let verdict = match run.end {
         End::Timeout => ChaosVerdict::Hang,
@@ -496,7 +496,7 @@ mod tests {
 
     #[test]
     fn only_journaled_servers_are_armed_with_kills() {
-        let schedule = ChaosPlan::drill_sharded().schedule();
+        let schedule = ChaosPlan::drill_sharded().kill_schedule();
         assert_eq!(schedule["aggregator"].armed.len(), 2);
         assert_eq!(schedule["shard-0"].armed.len(), 1);
         assert!(!schedule.contains_key("shard-1"));
@@ -508,7 +508,7 @@ mod tests {
             role_kills: vec![RoleKill { name, at }],
             ..ChaosPlan::default()
         };
-        let schedule = plan.schedule();
+        let schedule = plan.kill_schedule();
         assert!(schedule["device-3"].armed.is_empty());
         assert_eq!(schedule["device-3"].sigkill_at, [at]);
     }
