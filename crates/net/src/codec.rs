@@ -107,15 +107,10 @@ pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
 /// Deserializes one `RnsPoly`, validating representation, level and
 /// residue ranges. Every polynomial a round exchanges — ciphertext part or
 /// decryption share — is in NTT representation, the one the arithmetic
-/// that consumes it requires; a coefficient tag is a typed error.
+/// that consumes it requires; the coefficient tag (0) is a bad tag.
 pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
     match r.u8("representation")? {
         1 => {}
-        0 => {
-            return Err(NetError::Decode(
-                "coefficient-representation polynomial".into(),
-            ))
-        }
         tag => return CodecError::bad_tag("representation", tag),
     }
     let level = r.u8("level")? as usize;
