@@ -107,28 +107,77 @@ impl Sha256 {
     }
 }
 
+/// Absorbs `x` into `a` and `y` into `b` — the same as `a.update(x);
+/// b.update(y)`. When both hashers sit at the same offset into their block
+/// and `x.len() == y.len()` (two parts of one ciphertext always do), their
+/// whole blocks run through the SHA extensions as two interleaved chains:
+/// one chain of `sha256rnds2` waits on its own latency, two keep the unit
+/// busy. Any other shape, or no SHA-NI, is the two updates.
+pub fn update_pair(a: &mut Sha256, x: &[u8], b: &mut Sha256, y: &[u8]) {
+    pair_update(sha_ni_active(), a, x, b, y);
+}
+
+/// [`update_pair`] with the dispatch decided by the caller (`ni` only where
+/// [`sha_ni_available`]), so tests drive both paths in one process.
+fn pair_update(ni: bool, a: &mut Sha256, x: &[u8], b: &mut Sha256, y: &[u8]) {
+    if !ni || a.buffer_len != b.buffer_len || x.len() != y.len() {
+        a.update(x);
+        b.update(y);
+        return;
+    }
+    // Top both buffers up to a block boundary (or take all the input):
+    // they fill, and compress, in step.
+    let head = ((64 - a.buffer_len) % 64).min(x.len());
+    a.update(&x[..head]);
+    b.update(&y[..head]);
+    let (x, y) = (&x[head..], &y[head..]);
+    let bulk = x.len() / 64 * 64;
+    if bulk > 0 {
+        debug_assert!(a.buffer_len == 0 && b.buffer_len == 0);
+        a.total_len = a.total_len.wrapping_add(bulk as u64);
+        b.total_len = b.total_len.wrapping_add(bulk as u64);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `ni` is only ever true when `sha_ni_available()` held.
+        unsafe {
+            ni::compress_blocks_pair(&mut a.state, &x[..bulk], &mut b.state, &y[..bulk])
+        };
+    }
+    a.update(&x[bulk..]);
+    b.update(&y[bulk..]);
+}
+
+/// Whether the CPU has the SHA extensions (and the SSE levels their kernel
+/// uses), whatever `MYC_NO_SIMD` says.
+fn sha_ni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Whether the compression function runs on the SHA extensions: decided
+/// once per process — the CPU has them and `MYC_NO_SIMD=1` is not set.
+/// Both paths compute the identical FIPS 180-4 function, so no digest
+/// depends on the answer.
+pub fn sha_ni_active() -> bool {
+    static SHA_NI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *SHA_NI.get_or_init(|| !mycelium_math::simd::simd_disabled_by_env() && sha_ni_available())
+}
+
 /// Runs the compression function over `data` (a whole number of 64-byte
-/// blocks), dispatching once per process to the SHA-NI accelerated path
-/// when the CPU has it (and `MYC_NO_SIMD=1` is not set), the portable
-/// scalar rounds otherwise. Both compute the identical FIPS 180-4
-/// function, so the digest does not depend on the dispatch.
+/// blocks) on the SHA extensions when [`sha_ni_active`], the portable
+/// scalar rounds otherwise.
 fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % 64, 0);
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static SHA_NI: OnceLock<bool> = OnceLock::new();
-        let enabled = *SHA_NI.get_or_init(|| {
-            !mycelium_math::simd::simd_disabled_by_env()
-                && std::is_x86_feature_detected!("sha")
-                && std::is_x86_feature_detected!("ssse3")
-                && std::is_x86_feature_detected!("sse4.1")
-        });
-        if enabled {
-            // SAFETY: feature presence checked above.
-            unsafe { ni::compress_blocks(state, data) };
-            return;
-        }
+    if sha_ni_active() {
+        // SAFETY: feature presence checked by `sha_ni_active`.
+        unsafe { ni::compress_blocks(state, data) };
+        return;
     }
     for block in data.chunks_exact(64) {
         compress_scalar(state, block.try_into().expect("exact chunk"));
@@ -143,61 +192,102 @@ fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
 mod ni {
     use core::arch::x86_64::*;
 
+    /// # Safety
+    ///
+    /// The CPU has the enabled features; `data` is whole 64-byte blocks.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+        compress_lanes([state], [data]);
+    }
+
+    /// Two independent streams at once.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has the enabled features; `x` and `y` are whole 64-byte
+    /// blocks, as many of each.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks_pair(
+        a: &mut [u32; 8],
+        x: &[u8],
+        b: &mut [u32; 8],
+        y: &[u8],
+    ) {
+        assert_eq!(x.len(), y.len(), "both lanes read as many blocks");
+        compress_lanes([a, b], [x, y]);
+    }
+
+    /// The rounds of `L` independent `(state, blocks)` streams of one
+    /// length, in lockstep: each step issues every lane's instructions
+    /// before the next step, so the lanes' dependency chains overlap.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has the enabled features; every `data[l]` is whole 64-byte
+    /// blocks, as many as `data[0]`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    #[inline]
+    unsafe fn compress_lanes<const L: usize>(states: [&mut [u32; 8]; L], data: [&[u8]; L]) {
         // Byte shuffle turning a little-endian 16-byte load into the four
         // big-endian message words of the block.
         let mask = _mm_set_epi64x(
             0x0c0d_0e0f_0809_0a0bu64 as i64,
             0x0405_0607_0001_0203u64 as i64,
         );
+        let zero = _mm_setzero_si128();
         // Pack [a,b,c,d] / [e,f,g,h] into the ABEF / CDGH lane layout the
         // sha256rnds2 instruction consumes.
-        let tmp = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().cast()), 0xB1);
-        let mut cdgh = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().add(4).cast()), 0x1B);
-        let mut abef = _mm_alignr_epi8(tmp, cdgh, 8);
-        cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
-
-        for block in data.chunks_exact(64) {
-            let abef_save = abef;
-            let cdgh_save = cdgh;
-            let mut msg: [__m128i; 4] = [
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast()), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16).cast()), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(32).cast()), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(48).cast()), mask),
-            ];
-            for i in 0..16 {
-                let wk = _mm_add_epi32(
-                    msg[i & 3],
-                    _mm_loadu_si128(super::K.as_ptr().add(i * 4).cast()),
-                );
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-                if i < 12 {
-                    // w[j..j+4] for the round group four ahead:
-                    // msg2(msg1(w0,w1) + alignr(w3,w2,4), w3).
-                    let m0 = msg[i & 3];
-                    let m1 = msg[(i + 1) & 3];
-                    let m2 = msg[(i + 2) & 3];
-                    let m3 = msg[(i + 3) & 3];
-                    msg[i & 3] = _mm_sha256msg2_epu32(
-                        _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8(m3, m2, 4)),
-                        m3,
-                    );
-                }
-            }
-            abef = _mm_add_epi32(abef, abef_save);
-            cdgh = _mm_add_epi32(cdgh, cdgh_save);
+        let (mut abef, mut cdgh) = ([zero; L], [zero; L]);
+        for l in 0..L {
+            let tmp = _mm_shuffle_epi32(_mm_loadu_si128(states[l].as_ptr().cast()), 0xB1);
+            let c = _mm_shuffle_epi32(_mm_loadu_si128(states[l].as_ptr().add(4).cast()), 0x1B);
+            abef[l] = _mm_alignr_epi8(tmp, c, 8);
+            cdgh[l] = _mm_blend_epi16(c, tmp, 0xF0);
         }
 
-        let tmp = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(tmp, dchg, 0xF0));
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4).cast(),
-            _mm_alignr_epi8(dchg, tmp, 8),
-        );
+        for block in 0..data[0].len() / 64 {
+            let (abef_save, cdgh_save) = (abef, cdgh);
+            let mut msg = [[zero; 4]; L];
+            for l in 0..L {
+                let p = data[l].as_ptr().add(64 * block);
+                for (j, m) in msg[l].iter_mut().enumerate() {
+                    *m = _mm_shuffle_epi8(_mm_loadu_si128(p.add(16 * j).cast()), mask);
+                }
+            }
+            for i in 0..16 {
+                let k = _mm_loadu_si128(super::K.as_ptr().add(i * 4).cast());
+                for l in 0..L {
+                    let msg = &mut msg[l];
+                    let wk = _mm_add_epi32(msg[i & 3], k);
+                    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+                    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(wk, 0x0E));
+                    if i < 12 {
+                        // w[j..j+4] for the round group four ahead:
+                        // msg2(msg1(w0,w1) + alignr(w3,w2,4), w3).
+                        let m0 = msg[i & 3];
+                        let m1 = msg[(i + 1) & 3];
+                        let m2 = msg[(i + 2) & 3];
+                        let m3 = msg[(i + 3) & 3];
+                        msg[i & 3] = _mm_sha256msg2_epu32(
+                            _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8(m3, m2, 4)),
+                            m3,
+                        );
+                    }
+                }
+            }
+            for l in 0..L {
+                abef[l] = _mm_add_epi32(abef[l], abef_save[l]);
+                cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_save[l]);
+            }
+        }
+
+        for l in 0..L {
+            let tmp = _mm_shuffle_epi32(abef[l], 0x1B);
+            let dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
+            let state = states[l].as_mut_ptr();
+            _mm_storeu_si128(state.cast(), _mm_blend_epi16(tmp, dchg, 0xF0));
+            _mm_storeu_si128(state.add(4).cast(), _mm_alignr_epi8(dchg, tmp, 8));
+        }
     }
 }
 
@@ -359,6 +449,79 @@ mod tests {
             )),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    /// Both dispatches of [`pair_update`] this host can run: the two
+    /// updates always, the pair kernel where the CPU has SHA-NI — whatever
+    /// `MYC_NO_SIMD` says, so one run checks both.
+    fn pair_paths() -> Vec<bool> {
+        let mut paths = vec![false];
+        if sha_ni_available() {
+            paths.push(true);
+        }
+        paths
+    }
+
+    /// `pair_update` from hashers that already absorbed `pre_a` / `pre_b`
+    /// against two independent hashers, on the same inputs.
+    fn check_pair(ni: bool, pre_a: &[u8], x: &[u8], pre_b: &[u8], y: &[u8]) {
+        let (mut a, mut b) = (Sha256::new(), Sha256::new());
+        a.update(pre_a);
+        b.update(pre_b);
+        pair_update(ni, &mut a, x, &mut b, y);
+        let what = format!(
+            "ni {ni}, offsets {} / {}, lengths {} / {}",
+            pre_a.len(),
+            pre_b.len(),
+            x.len(),
+            y.len()
+        );
+        assert_eq!(a.finalize(), sha256_concat(&[pre_a, x]), "{what}");
+        assert_eq!(b.finalize(), sha256_concat(&[pre_b, y]), "{what}");
+    }
+
+    fn bytes(len: usize, salt: u32) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13 ^ salt) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn update_pair_matches_two_hashers_at_every_length() {
+        let (x, y) = (bytes(65 << 10, 1), bytes(65 << 10, 2));
+        let lengths = (0..=300).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]);
+        for ni in pair_paths() {
+            for len in lengths.clone() {
+                check_pair(ni, b"", &x[..len], b"", &y[..len]);
+            }
+        }
+    }
+
+    #[test]
+    fn update_pair_matches_two_hashers_at_equal_offsets() {
+        let (x, y) = (bytes(1000, 3), bytes(1000, 4));
+        let (pre_a, pre_b) = (bytes(130, 5), bytes(130, 6));
+        for ni in pair_paths() {
+            for offset in [1, 2, 31, 63, 64, 65, 127, 130] {
+                for len in [0, 1, 62, 63, 64, 65, 127, 128, 129, 500, 1000] {
+                    check_pair(ni, &pre_a[..offset], &x[..len], &pre_b[..offset], &y[..len]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_pair_falls_back_on_unequal_shapes() {
+        let (x, y) = (bytes(700, 7), bytes(700, 8));
+        let pre = bytes(64, 9);
+        for ni in pair_paths() {
+            // Unequal lengths, at equal offsets and at unequal ones.
+            check_pair(ni, b"", &x[..640], b"", &y[..641]);
+            check_pair(ni, &pre[..3], &x[..200], &pre[..3], &y[..0]);
+            // Equal lengths at unequal offsets.
+            check_pair(ni, &pre[..5], &x[..640], &pre[..6], &y[..640]);
+            check_pair(ni, b"", &x[..700], &pre, &y[..700]);
+        }
     }
 
     #[test]
