@@ -19,11 +19,13 @@
 use mycelium_bgv::encoding::{encode_constant, encode_monomial};
 use mycelium_bgv::noise::plan_chain;
 use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
-use mycelium_crypto::sha256::{Digest, Sha256};
+use mycelium_crypto::sha256::{update_pair, Digest, Sha256};
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
+use mycelium_math::ew;
 use mycelium_math::par;
 use mycelium_math::rng::Rng;
+use mycelium_math::rns::{Representation, RnsPoly};
 use mycelium_math::zq::Modulus;
 use mycelium_query::analyze::{Analysis, ClauseSite, GroupKind};
 use mycelium_query::ast::Query;
@@ -35,26 +37,63 @@ use mycelium_zkp::{argument, Proof};
 use crate::exec::{ExecError, ExecStats};
 use crate::params::SystemParams;
 
-/// Digest of a ciphertext's full RNS representation (used to bind proofs
-/// and summation-tree commitments to concrete ciphertexts).
+/// Digest of a ciphertext — what binds proofs, summation-tree commitments
+/// and the certificate to concrete ciphertexts:
+/// `SHA-256("myc-ct-v2" ‖ nparts as u8 ‖ D_0 ‖ … ‖ D_{n−1})`, where the part
+/// digest `D_j` is SHA-256 of exactly the bytes the wire codec writes for
+/// part `j` — its representation tag, its level, and each residue row
+/// packed at the width of its prime. What travels is what is hashed; a
+/// canonical residue has exactly one packed form, so the digest is as
+/// injective as the encoding.
 pub fn ciphertext_digest(ct: &Ciphertext) -> Digest {
-    // Serialize residues in kilobyte-scale chunks instead of one 8-byte
-    // hasher update per coefficient; the stream (and thus the digest) is
-    // unchanged, but the SHA-256 block pipeline stays full.
-    const CHUNK: usize = 1024;
+    let parts = ct.parts();
     let mut h = Sha256::new();
-    let mut buf = [0u8; CHUNK * 8];
-    for part in ct.parts() {
-        for res in part.residues() {
-            for chunk in res.chunks(CHUNK) {
-                for (dst, &x) in buf.chunks_exact_mut(8).zip(chunk) {
-                    dst.copy_from_slice(&x.to_le_bytes());
-                }
-                h.update(&buf[..chunk.len() * 8]);
-            }
+    h.update(b"myc-ct-v2");
+    h.update(&[parts.len() as u8]);
+    for pair in parts.chunks(2) {
+        // A lone last part (a degree-2 product, which no round digests)
+        // rides beside itself.
+        let digests = part_digests(&pair[0], pair.last().expect("chunks are nonempty"));
+        for d in &digests[..pair.len()] {
+            h.update(d);
         }
     }
     h.finalize()
+}
+
+/// The part digests of [`ciphertext_digest`] for two parts of one
+/// ciphertext, hashed side by side ([`update_pair`]): both streams have
+/// the same shape, so the SHA rounds of one overlap the other's.
+fn part_digests(a: &RnsPoly, b: &RnsPoly) -> [Digest; 2] {
+    /// Lanes packed per hasher update: whole pack groups, into buffers on
+    /// the stack.
+    const CHUNK: usize = 1024;
+    assert_eq!(
+        a.level(),
+        b.level(),
+        "parts of one ciphertext share a level"
+    );
+    let header = |p: &RnsPoly| {
+        let tag = match p.representation() {
+            Representation::Coefficient => 0,
+            Representation::Ntt => 1,
+        };
+        [tag, p.level() as u8]
+    };
+    let (mut ha, mut hb) = (Sha256::new(), Sha256::new());
+    update_pair(&mut ha, &header(a), &mut hb, &header(b));
+    let mut bufs = [[0u8; ew::packed_len(64, CHUNK)]; 2];
+    let rows = a.residues().iter().zip(b.residues());
+    for (m, (row_a, row_b)) in a.context().moduli().iter().zip(rows) {
+        for (xa, xb) in row_a.chunks(CHUNK).zip(row_b.chunks(CHUNK)) {
+            let len = ew::packed_len(m.bits(), xa.len());
+            let [pa, pb] = &mut bufs;
+            ew::pack(m, &mut pa[..len], xa);
+            ew::pack(m, &mut pb[..len], xb);
+            update_pair(&mut ha, &pa[..len], &mut hb, &pb[..len]);
+        }
+    }
+    [ha.finalize(), hb.finalize()]
 }
 
 /// The feasibility-checked compilation of one query against one
@@ -580,4 +619,77 @@ pub fn seal_shard_root(origin_cts: Vec<Ciphertext>) -> Result<PartialRoot, ExecE
         .expect("honest aggregator's partial sums verify");
     let (sum, leaf_count) = (tree.root().sum.clone(), tree.leaf_count());
     Ok(PartialRoot { sum, leaf_count })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    use mycelium_bgv::BgvParams;
+    use mycelium_math::rns::RnsContext;
+
+    use super::*;
+
+    /// A two-part ciphertext over three 45-bit primes at degree 2048 — two
+    /// 1024-lane pack chunks per row.
+    fn ciphertext(rep: Representation, parts: [Vec<Vec<u64>>; 2]) -> Ciphertext {
+        let params = BgvParams::test_medium();
+        let ctx = RnsContext::new(2048, &params.chain_primes()[..3]).unwrap();
+        let parts = parts.map(|rows| RnsPoly::from_residues(Arc::clone(&ctx), rep, rows));
+        Ciphertext::from_parts(parts.into(), 1.0, params)
+    }
+
+    fn residues(salt: u64) -> Vec<Vec<u64>> {
+        let primes = BgvParams::test_medium().chain_primes();
+        let row = |q: u64| {
+            let draw = |i: u64| (i << 8 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) % q;
+            (0..2048u64).map(draw).collect()
+        };
+        primes[..3].iter().map(|&q| row(q)).collect()
+    }
+
+    #[test]
+    fn every_residue_of_every_part_moves_the_digest() {
+        let base = [residues(1), residues(2)];
+        let primes = BgvParams::test_medium().chain_primes();
+        let mut seen = HashSet::from([ciphertext_digest(&ciphertext(
+            Representation::Ntt,
+            base.clone(),
+        ))]);
+        // Every lane position of the first pack group and of the last, in
+        // every row of both parts.
+        let lanes = (0..ew::PACK_LANES).chain(2048 - ew::PACK_LANES..2048);
+        for part in 0..2 {
+            for (row, &q) in primes[..3].iter().enumerate() {
+                for lane in lanes.clone() {
+                    let mut parts = base.clone();
+                    let x = &mut parts[part][row][lane];
+                    *x = (*x + 1) % q;
+                    let d = ciphertext_digest(&ciphertext(Representation::Ntt, parts));
+                    assert!(seen.insert(d), "part {part} row {row} lane {lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn part_order_level_and_representation_are_bound() {
+        let [c0, c1] = [residues(1), residues(2)];
+        let digest = |rep, parts| ciphertext_digest(&ciphertext(rep, parts));
+        let base = digest(Representation::Ntt, [c0.clone(), c1.clone()]);
+        // c0 and c1 swapped.
+        assert_ne!(digest(Representation::Ntt, [c1.clone(), c0.clone()]), base);
+        // The same residues in coefficient form.
+        assert_ne!(
+            digest(Representation::Coefficient, [c0.clone(), c1.clone()]),
+            base
+        );
+        // One level down: the same leading rows, the last prime dropped.
+        let drop = |mut rows: Vec<Vec<u64>>| {
+            rows.pop();
+            rows
+        };
+        assert_ne!(digest(Representation::Ntt, [drop(c0), drop(c1)]), base);
+    }
 }

@@ -272,7 +272,9 @@ pub fn decode_plain_result(r: &mut Reader) -> Result<PlainResult, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mycelium::plan::ciphertext_digest;
     use mycelium_bgv::{KeySet, Plaintext};
+    use mycelium_crypto::sha256::sha256;
     use mycelium_math::rng::{SeedableRng, StdRng};
 
     fn cc() -> CodecCtx {
@@ -483,6 +485,55 @@ mod tests {
         assert_eq!(back.checks, 80);
         assert_eq!(back.openings.len(), 1);
         assert_eq!(back.openings[0].proof.siblings.len(), 2);
+    }
+
+    /// `plan::ciphertext_digest` by its definition, from this codec's bytes:
+    /// SHA-256 over `"myc-ct-v2"`, the part count, and each part's digest
+    /// of what `encode_poly` writes for it.
+    fn digest_of_the_encoding(ct: &Ciphertext) -> [u8; 32] {
+        let parts: Vec<[u8; 32]> = ct.parts().iter().map(|p| sha256(&encoded(p))).collect();
+        let mut stream = b"myc-ct-v2".to_vec();
+        stream.push(parts.len() as u8);
+        stream.extend(parts.concat());
+        sha256(&stream)
+    }
+
+    #[test]
+    fn ciphertext_digest_hashes_what_the_codec_writes() {
+        let params = BgvParams::test_small();
+        let mut rng = StdRng::seed_from_u64(3);
+        let keys = KeySet::generate(&params, &mut rng);
+        let pt = Plaintext::zero(params.n, params.plaintext_modulus);
+        let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
+        for level in (1..=ct.level()).rev() {
+            let at = ct.mod_switch_to(level).unwrap();
+            assert_eq!(
+                ciphertext_digest(&at),
+                digest_of_the_encoding(&at),
+                "level {level}"
+            );
+        }
+        // Widths 40, 45 and 55; rows of one pack chunk (degree 16) and of
+        // several (degree 4096 spans four 1024-lane chunks).
+        let wide = {
+            let primes = BgvParams::test_medium().chain_primes();
+            CodecCtx::with_context(
+                RnsContext::new(4096, &primes[..2]).unwrap(),
+                &BgvParams::test_medium(),
+            )
+        };
+        for cc in preset_contexts().into_iter().chain([wide]) {
+            let ctx = &cc.ctx;
+            let part = |salt: u64| {
+                let rows = ctx.moduli().iter().map(|m| {
+                    let draw = |i: u64| (i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) % m.value();
+                    (0..ctx.degree() as u64).map(draw).collect()
+                });
+                RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, rows.collect())
+            };
+            let ct = Ciphertext::from_parts(vec![part(1), part(2)], 1.0, cc.params.clone());
+            assert_eq!(ciphertext_digest(&ct), digest_of_the_encoding(&ct));
+        }
     }
 
     #[test]

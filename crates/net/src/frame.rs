@@ -21,11 +21,14 @@ use crate::error::NetError;
 
 /// Protocol magic (first four bytes of every frame).
 pub const MAGIC: [u8; 4] = *b"MYCN";
-/// Protocol version this build speaks. Version 2 carries residues packed
-/// at the width of their prime ([`crate::codec`]); a version 1 peer, whose
-/// payloads held one 64-bit word per residue, is refused at its first
-/// header with [`NetError::VersionMismatch`].
-pub const VERSION: u16 = 2;
+/// Protocol version this build speaks. Version 3 proves contributions
+/// against `plan::ciphertext_digest` of the packed wire bytes; version 2
+/// carried the same packed residues ([`crate::codec`]) but proved against
+/// a digest of one 64-bit word per residue, and version 1 carried those
+/// words. An older peer — whose proofs would fail here, and be replaced by
+/// `Enc(x^0)` instead of failing typed — is refused at its first header
+/// with [`NetError::VersionMismatch`].
+pub const VERSION: u16 = 3;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 20;
 /// Default cap on a single frame's payload (handshake + query-round
@@ -68,7 +71,7 @@ impl FrameType {
 pub struct FrameHeader {
     /// Frame discriminator.
     pub frame_type: FrameType,
-    /// Reserved (zero in version 2).
+    /// Reserved (zero since version 2).
     pub flags: u8,
     /// Per-direction sequence number (and implicit AEAD nonce).
     pub seq: u64,
@@ -264,20 +267,29 @@ mod tests {
         buf[4] = 9;
         assert!(matches!(
             read_frame(&mut buf.as_slice(), 1024),
-            Err(NetError::VersionMismatch { got: 9, want: 2 })
+            Err(NetError::VersionMismatch {
+                got: 9,
+                want: VERSION
+            })
         ));
     }
 
     #[test]
     fn a_version_1_header_is_refused() {
-        // What a build from before the packed residue rows sends first.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameType::ClientHello, 0, b"hello").unwrap();
-        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut buf.as_slice(), 1024),
-            Err(NetError::VersionMismatch { got: 1, want: 2 })
-        ));
+        // What a build of any earlier version, version 1 the first, sends
+        // first.
+        for old in 1..VERSION {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, FrameType::ClientHello, 0, b"hello").unwrap();
+            buf[4..6].copy_from_slice(&old.to_le_bytes());
+            assert!(
+                matches!(
+                    read_frame(&mut buf.as_slice(), 1024),
+                    Err(NetError::VersionMismatch { got, want: VERSION }) if got == old
+                ),
+                "version {old}"
+            );
+        }
     }
 
     #[test]

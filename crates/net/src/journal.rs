@@ -12,17 +12,20 @@
 //!
 //! ```text
 //! ┌──────────────────────── header (44 bytes) ────────────────────────┐
-//! │ magic "MYCWALv2" (8) │ format version u32 (4) │ binding (32)      │
+//! │ magic "MYCWALv3" (8) │ format version u32 (4) │ binding (32)      │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ┌──────────────────────── record (40 + len) ────────────────────────┐
 //! │ len u32 (4) │ payload (len) │ sha256(seq_le ‖ payload) (32) │ ... │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! * Records hold request bodies as the wire carried them, so format
-//!   version 2 is the version of the codec that packs residues at the
-//!   width of their prime ([`crate::codec`]); a `MYCWALv1` file, whose
-//!   records held 64-bit words, is a typed [`JournalError::BadHeader`] —
+//! * Records hold request bodies as the wire carried them, so the format
+//!   version follows the frame version ([`crate::frame::VERSION`]):
+//!   version 3 records hold residues packed at the width of their prime
+//!   ([`crate::codec`]) under proofs of `plan::ciphertext_digest` over
+//!   those bytes. A file of an earlier version — `MYCWALv2`, whose proofs
+//!   were made against a digest of 64-bit words, or `MYCWALv1`, whose
+//!   records held those words — is a typed [`JournalError::BadHeader`]:
 //!   never replayed, never truncated.
 //! * The **binding digest** ties a journal to one round configuration
 //!   (we use a digest of the `RoundSpec` wire encoding), so a restart
@@ -61,10 +64,10 @@ use mycelium_crypto::sha256::{sha256_concat, Digest};
 
 use crate::lock_recover;
 
-/// File magic: identifies a Mycelium write-ahead log, version 2.
-pub const MAGIC: &[u8; 8] = b"MYCWALv2";
+/// File magic: identifies a Mycelium write-ahead log, version 3.
+pub const MAGIC: &[u8; 8] = b"MYCWALv3";
 /// Format version inside the header (bumped on incompatible changes).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Header length: magic + version + binding digest.
 pub const HEADER_BYTES: usize = 8 + 4 + 32;
 /// Fixed per-record overhead: length prefix + checksum.
@@ -707,25 +710,29 @@ mod tests {
             j.append(b"a record").unwrap();
             j.commit().unwrap();
         }
-        let v2 = std::fs::read(&path).unwrap();
-        // The magic of the old format, then its version word under the
-        // new magic: each is refused by name.
-        let mut old_magic = v2.clone();
-        old_magic[..8].copy_from_slice(b"MYCWALv1");
-        old_magic[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let mut old_version = v2;
-        old_version[8..12].copy_from_slice(&1u32.to_le_bytes());
-        for (bytes, what) in [(old_magic, "magic"), (old_version, "format version 1")] {
-            std::fs::write(&path, &bytes).unwrap();
-            match Journal::open(&path, &binding()) {
-                Err(JournalError::BadHeader { why }) => assert!(why.contains(what), "{why}"),
-                other => panic!("expected BadHeader, got {other:?}"),
+        let current = std::fs::read(&path).unwrap();
+        // For every earlier version, version 1 the first: its magic and
+        // version word, then its version word under the current magic —
+        // each is refused by name.
+        for old in 1..FORMAT_VERSION {
+            let mut old_magic = current.clone();
+            old_magic[..8].copy_from_slice(format!("MYCWALv{old}").as_bytes());
+            old_magic[8..12].copy_from_slice(&old.to_le_bytes());
+            let mut old_version = current.clone();
+            old_version[8..12].copy_from_slice(&old.to_le_bytes());
+            let version = format!("format version {old}");
+            for (bytes, what) in [(old_magic, "magic"), (old_version, version.as_str())] {
+                std::fs::write(&path, &bytes).unwrap();
+                match Journal::open(&path, &binding()) {
+                    Err(JournalError::BadHeader { why }) => assert!(why.contains(what), "{why}"),
+                    other => panic!("expected BadHeader, got {other:?}"),
+                }
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    bytes,
+                    "refused, not rewritten"
+                );
             }
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                bytes,
-                "refused, not rewritten"
-            );
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -19,7 +19,7 @@ use mycelium_net::round::{
     build_setup, files, AggFaults, AggState, BudgetCfg, RoundSetup, RoundSpec, SharedAgg, PARK,
 };
 use mycelium_net::server::Handler;
-use mycelium_net::{JournalError, NetError};
+use mycelium_net::{journal, JournalError, NetError};
 use mycelium_sharing::threshold::decryption_share;
 
 use mycelium_math::rng::{SeedableRng, StdRng};
@@ -532,11 +532,12 @@ fn journal_bound_to_a_different_round_is_rejected() {
 
 #[test]
 fn a_version_1_journal_is_refused_not_replayed() {
-    // A journal of the format before residues were packed: the same round
-    // (so the binding matches), the old magic and version word, and a
-    // record that was a valid PushContrib then — a 64-bit word per
-    // residue. Replaying it would misread every row; recovery must stop at
-    // the header with a typed error and leave the file as it found it.
+    // A journal of an earlier format: the same round (so the binding
+    // matches) under an old magic and version word. Replaying one would
+    // misread every row (version 1 held a 64-bit word per residue) or
+    // check every proof against the wrong digest (version 2) and neutralise
+    // each contribution; recovery must stop at the header with a typed
+    // error and leave the file as it found it.
     let setup = Arc::new(build_setup(&test_spec()).unwrap());
     let dir = journal_dir("v1");
     let path = dir.join(files::JOURNAL);
@@ -545,23 +546,27 @@ fn a_version_1_journal_is_refused_not_replayed() {
     feed(&mut st, &setup, &raws[0]);
     drop(st);
 
-    let mut bytes = std::fs::read(&path).unwrap();
-    assert_eq!(&bytes[..8], b"MYCWALv2");
-    bytes[..8].copy_from_slice(b"MYCWALv1");
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    let err = AggState::recover(Arc::clone(&setup), &path)
-        .map(|_| ())
-        .unwrap_err();
-    assert!(
-        matches!(err, NetError::Journal(JournalError::BadHeader { .. })),
-        "expected BadHeader, got {err}"
-    );
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        bytes,
-        "refused, not rewritten"
-    );
+    let current = std::fs::read(&path).unwrap();
+    assert_eq!(&current[..8], journal::MAGIC);
+    // Every earlier version, version 1 the first.
+    for old in 1..journal::FORMAT_VERSION {
+        let mut bytes = current.clone();
+        bytes[..8].copy_from_slice(format!("MYCWALv{old}").as_bytes());
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = AggState::recover(Arc::clone(&setup), &path)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, NetError::Journal(JournalError::BadHeader { .. })),
+            "version {old}: expected BadHeader, got {err}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "version {old}: refused, not rewritten"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
