@@ -216,49 +216,49 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
     pin(&format!("{name}.digest"), &st.digest(), want[1]);
 }
 
-const HUB_CERT: &str = "81fd3bae81d342cdb1adab6fb0e6ae54761d0bf76e0453279ea69a8863dfdf10";
+const HUB_CERT: &str = "961426c808bf2fa4a124ba4e8f3f6fc35141e016d83dda9ccd0d8e44045dc4c6";
 const HUB: [&str; 2] = [
-    "5be5d386fa3fbd1e615eacd3e9ea2b61ae69e39efc456ffb46cd8edeea384813",
-    "2d4919474541b109bb1918b4ac709891f753253c132834d8c9631e02a773bf87",
+    "f61e150e9dd7ebe84389de2da13009e2f3d483a4d2596aadf84436a777a8743f",
+    "c9612c8e1de56963540c9e9d4e5e131cc2b818b0904e68c7ccc97311fdab28e1",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
-const SHARDED_CERT: &str = "f9bf7709b3e14c8cacb7edbffb3b9887418907264979ae793c64d1c7984a173f";
+const SHARDED_CERT: &str = "4f3c0a948c8dc575c3447ca755eebe7b72157971dfb343a89247a9980b0e23ae";
 const COORD: [&str; 2] = [
-    "e42ae806af43bb7af16303f50dbb0a3f645e2c93402f1d3f9f454d08cd9410b7",
-    "7572ab525ab76d8060ca5b880efa42272724f94f1e63e8b1e73035157daee772",
+    "c32e0d75fa0d90b7a19ec04801dce455fe1f4626cadf312f43fc785af1bf710f",
+    "78169737b36db271df52c58a890c0a5f9d9c47337e9bf5419d468fe8dd94e04f",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "28670ba71b4f7a5aba0072593b6ea72953370852e089f9a3e589ba63c3651d5b",
-        "da4fca6ee87f66d26321ab78dbeae1823a52f27f2d9f4b7885f4866a044b0cf6",
+        "7b86142f29bdbe3c58c83e1430b3e75e8e4a1197463cc86f5f4690eeee16ce37",
+        "d14a6858e9613056294b30ec2ce8312e3a9cc39f2f2a0f7366be065e6aa1b614",
     ],
     [
-        "6db651588b0b3c50213f7b9f77dc4c6e9e553cee2de7c9b5bc46c5baf6f915f0",
-        "4a5c73d3b36ee9ce66eb73f39215de98edaeae49d65df6e551d3b984c6e82d70",
+        "6c36ba2e403679a7a4d0620344d37a82705f7306610a68fabbcd70956f21da69",
+        "9e7cdc16d4fde60bfc53b3fa38b58cce6f8e16517e6b2856321ec209527e3958",
     ],
     [
-        "8e4d42e1b4464bbb9eb7b4badc4d112a57ad187b4fa55ea418f00f9843470726",
-        "548e1a8e88cec9c917c35a4445115deab9f0158ba32a1ecb338fb2a5ebc96581",
+        "2c5b08c6c5c2e9d1ff40a920c27e74daee0429900bbafd912be64857e9173f58",
+        "b2aac2c53268baea9600c9b71307e8e590d99e3316d415094e70bb946ee9c704",
     ],
     [
-        "31c13a3b323fe546f5b2158b72da19da9eea810d3ccdaa28d5df3e8708e91637",
-        "2f2c3cf4284e631b9bb4af7565f5e8f1f7c8cd5a9d017dffc1e4fd56b2725a31",
+        "f5abaa2bef8ff88a33e924da1b11d5f0d160401cfbfb21285bc1c33e4ba85a26",
+        "eb4ecc492d88286aaa705352aed3d97a59e2cee125c1e4cf0fc7d3f0cd279f3e",
     ],
 ];
-const LATE_HUB_CERT: &str = "3c07a9a5440f0aed6ca54241d01a2c42dc5d182acfa460dd4c4bd88c1d7c2621";
+const LATE_HUB_CERT: &str = "71f9eaf9825c265872fbc9e205a99f91aff95da437ead1bcee1c9db9f7c6d06d";
 const LATE_HUB: [&str; 2] = [
-    "571760e7ae58591023865992dab919fae69d0841e4b513fa72ea98391569005e",
-    "fb25f297a4e7977eb72a9ae612d588b2d38e046e32a77f4dbfb353071735fbf8",
+    "992d4f3d4209e5db559ed0bfc7c3ce97446faa30df81e33d40a89791745f5d59",
+    "a15b452c321ef50ae347be16378346cefa39af028c6278dbb5bf33800a06a6f1",
 ];
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
-        "22eccf64b4f0774bf3e285ca0d6748c64687f334be46cf038dd1780615e1bcb1",
+        "23d03ddf4f9f105fcc42fcff0214213e0bdf82a49d4b6848683c833a44b505f5",
         "38143b04cef802ef8fe88ae6880d8b964dd2b3400e810ea7212cb0b9dd297f2a",
     ],
     [
-        "4017eccdee91a9bd3d14d4a444d83cc42b4924b2350db7014882cdc2001ce290",
+        "ac426f4d98825480f97b1f27fa94d8501f90d1e4f2a8a3c0d4f6c0dca27d0ccb",
         "9b389a4f84b4a7e04b6051c2923691d77f7f987e63be08071adb1a72bb81d7b2",
     ],
 ];
