@@ -71,28 +71,13 @@ impl MerkleTree {
     /// completed with the public [`pad_hash`] constant, which rules out
     /// phantom-leaf proofs at positions past the end.
     pub fn build(leaves: &[Vec<u8>]) -> Self {
-        let leaf_count = leaves.len().max(1);
-        let mut level: Vec<Digest> = if leaves.is_empty() {
-            vec![leaf_hash(b"")]
-        } else {
-            leaves.iter().map(|l| leaf_hash(l)).collect()
-        };
-        let mut levels = vec![level.clone()];
-        while level.len() > 1 {
-            if level.len() % 2 == 1 {
-                level.push(pad_hash());
-            }
-            let mut next = Vec::with_capacity(level.len() / 2);
-            for pair in level.chunks(2) {
-                next.push(node_hash(&pair[0], &pair[1]));
-            }
-            levels.push(next.clone());
-            level = next;
-        }
-        Self { levels, leaf_count }
+        Self::from_leaf_hashes(leaves.iter().map(|l| leaf_hash(l)).collect())
     }
 
-    /// Builds a tree directly over precomputed leaf digests.
+    /// Builds a tree directly over precomputed leaf digests: [`build`] over
+    /// leaves whose [`leaf_hash`]es these are.
+    ///
+    /// [`build`]: MerkleTree::build
     pub fn from_leaf_hashes(hashes: Vec<Digest>) -> Self {
         let leaf_count = hashes.len().max(1);
         let mut level = if hashes.is_empty() {

@@ -204,7 +204,7 @@ impl QueryPlan {
         let proof = self.circuit.as_ref().map(|c| {
             let witness = well_formed_witness(c, &coeffs[..self.analysis.total_span]);
             let statement = ciphertext_digest(&ct);
-            argument::prove_unchecked(&c.cs, &witness, &statement, 48)
+            argument::prove_unchecked(&c.cs, &witness, &statement, argument::DEFAULT_CHECKS)
         });
         Ok(SignedContribution { device, ct, proof })
     }

@@ -274,8 +274,12 @@ mod tests {
     use super::*;
     use mycelium::plan::ciphertext_digest;
     use mycelium_bgv::{KeySet, Plaintext};
-    use mycelium_crypto::sha256::sha256;
+    use mycelium_crypto::merkle::MerkleTree;
+    use mycelium_crypto::sha256::{sha256, sha256_concat};
     use mycelium_math::rng::{SeedableRng, StdRng};
+    use mycelium_zkp::argument;
+    use mycelium_zkp::r1cs::ConstraintSystem;
+    use mycelium_zkp::wellformed::{well_formed_circuit, well_formed_witness};
 
     fn cc() -> CodecCtx {
         CodecCtx::new(&BgvParams::test_small())
@@ -533,6 +537,99 @@ mod tests {
             };
             let ct = Ciphertext::from_parts(vec![part(1), part(2)], 1.0, cc.params.clone());
             assert_eq!(ciphertext_digest(&ct), digest_of_the_encoding(&ct));
+        }
+    }
+
+    /// The spot-check prover before `challenge_indices` took a circuit its
+    /// checks cover without hashing, and before it derived each leaf salt
+    /// once — frozen, so the current prover's proof bytes are pinned to it.
+    fn frozen_prove(
+        cs: &ConstraintSystem,
+        witness: &[u64],
+        statement: &[u8; 32],
+        checks: usize,
+    ) -> Proof {
+        let words: Vec<u8> = witness.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let master = sha256_concat(&[b"zkp-salt", statement, &words]);
+        let salt =
+            |v: usize| sha256_concat(&[b"zkp-leaf-salt", &master, &(v as u64).to_le_bytes()]);
+        let leaf = |v: usize| {
+            [
+                &(v as u64).to_le_bytes()[..],
+                &witness[v].to_le_bytes(),
+                &salt(v),
+            ]
+            .concat()
+        };
+        let tree = MerkleTree::build(&(0..witness.len()).map(leaf).collect::<Vec<_>>());
+        let (root, total) = (tree.root(), cs.constraints.len());
+        let mut indices = Vec::new();
+        let mut ctr = 0u64;
+        while indices.len() < checks.min(total) {
+            let d = sha256_concat(&[b"zkp-challenge", &root, statement, &ctr.to_le_bytes()]);
+            ctr += 1;
+            let idx = (u64::from_le_bytes(d[..8].try_into().unwrap()) % total as u64) as usize;
+            if !indices.contains(&idx) {
+                indices.push(idx);
+            }
+        }
+        let mut vars: Vec<usize> = Vec::new();
+        for &i in &indices {
+            let con = &cs.constraints[i];
+            for v in con.a.vars().chain(con.b.vars()).chain(con.c.vars()) {
+                if v != 0 && !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        }
+        vars.sort_unstable();
+        let openings = vars
+            .into_iter()
+            .map(|v| Opening {
+                var: v,
+                value: witness[v],
+                salt: salt(v),
+                proof: tree.prove(v).unwrap(),
+            })
+            .collect();
+        Proof {
+            witness_root: root,
+            openings,
+            checks,
+        }
+    }
+
+    #[test]
+    fn proof_bytes_are_the_frozen_provers() {
+        let field = mycelium_math::zq::Modulus::new_prime(2_147_483_647).unwrap();
+        let encode = |p: &Proof| {
+            let mut w = Writer::new();
+            encode_proof(&mut w, p);
+            w.finish()
+        };
+        // Constraints below the checks (Q4's circuit: every one is checked)
+        // and above them (sampled), honest witnesses and a doubled one.
+        let cases = [
+            (8, 8, argument::DEFAULT_CHECKS),
+            (8, 8, 3),
+            (256, 16, argument::DEFAULT_CHECKS),
+            (256, 16, 20),
+        ];
+        for (len, window, checks) in cases {
+            let c = well_formed_circuit(field, len, window);
+            let below = c.cs.constraints.len() <= checks;
+            for (hot, weight) in [(0, 1), (5, 1), (7, 2)] {
+                let mut coeffs = vec![0u64; len];
+                coeffs[hot] = weight;
+                let w = well_formed_witness(&c, &coeffs);
+                let statement = sha256(&[len as u8, hot as u8]);
+                let got = encode(&argument::prove_unchecked(&c.cs, &w, &statement, checks));
+                let want = encode(&frozen_prove(&c.cs, &w, &statement, checks));
+                assert_eq!(
+                    got, want,
+                    "len {len} checks {checks} (below: {below}) x^{hot}·{weight}"
+                );
+            }
         }
     }
 

@@ -17,13 +17,14 @@
 
 use std::collections::HashMap;
 
-use mycelium_crypto::merkle::{InclusionProof, MerkleTree};
+use mycelium_crypto::merkle::{leaf_hash, InclusionProof, MerkleTree};
 use mycelium_crypto::sha256::{sha256_concat, Digest};
 
 use crate::r1cs::{ConstraintSystem, Var};
 
-/// Default number of spot-checked constraints.
-pub const DEFAULT_CHECKS: usize = 80;
+/// Default number of spot-checked constraints — what a device's proof
+/// checks. A circuit of at most this many constraints is checked whole.
+pub const DEFAULT_CHECKS: usize = 48;
 
 /// A spot-check proof.
 #[derive(Debug, Clone)]
@@ -50,11 +51,11 @@ pub struct Opening {
     pub proof: InclusionProof,
 }
 
-fn leaf_bytes(var: Var, value: u64, salt: &Digest) -> Vec<u8> {
-    let mut v = Vec::with_capacity(8 + 8 + 32);
-    v.extend_from_slice(&(var as u64).to_le_bytes());
-    v.extend_from_slice(&value.to_le_bytes());
-    v.extend_from_slice(salt);
+fn leaf_bytes(var: Var, value: u64, salt: &Digest) -> [u8; 48] {
+    let mut v = [0u8; 48];
+    v[..8].copy_from_slice(&(var as u64).to_le_bytes());
+    v[8..16].copy_from_slice(&value.to_le_bytes());
+    v[16..].copy_from_slice(salt);
     v
 }
 
@@ -72,10 +73,18 @@ fn leaf_salt(master: &Digest, var: Var) -> Digest {
     sha256_concat(&[b"zkp-leaf-salt", master, &(var as u64).to_le_bytes()])
 }
 
+/// The `count` distinct constraint indices below `total` the challenge
+/// selects — all of them, with no hashing, when `count ≥ total`. (The
+/// rejection sampler would select the same set, in an order no caller
+/// reads: the prover sorts the variables it opens, the verifier checks
+/// every selected constraint.)
 fn challenge_indices(root: &Digest, statement: &Digest, count: usize, total: usize) -> Vec<usize> {
+    if count >= total {
+        return (0..total).collect();
+    }
     let mut out = Vec::with_capacity(count);
     let mut ctr = 0u64;
-    while out.len() < count.min(total) {
+    while out.len() < count {
         let d = sha256_concat(&[b"zkp-challenge", root, statement, &ctr.to_le_bytes()]);
         ctr += 1;
         let idx = (u64::from_le_bytes(d[..8].try_into().expect("8 bytes")) % total as u64) as usize;
@@ -112,12 +121,15 @@ pub fn prove_unchecked(
     checks: usize,
 ) -> Proof {
     let master = derive_master_salt(witness, statement);
-    let leaves: Vec<Vec<u8>> = witness
-        .iter()
-        .enumerate()
-        .map(|(v, &w)| leaf_bytes(v, w, &leaf_salt(&master, v)))
-        .collect();
-    let tree = MerkleTree::build(&leaves);
+    let salts: Vec<Digest> = (0..witness.len()).map(|v| leaf_salt(&master, v)).collect();
+    let tree = MerkleTree::from_leaf_hashes(
+        witness
+            .iter()
+            .zip(&salts)
+            .enumerate()
+            .map(|(v, (&w, salt))| leaf_hash(&leaf_bytes(v, w, salt)))
+            .collect(),
+    );
     let root = tree.root();
     let indices = challenge_indices(&root, statement, checks, cs.constraints.len());
     // Open every variable the selected constraints touch.
@@ -138,7 +150,7 @@ pub fn prove_unchecked(
         .map(|v| Opening {
             var: v,
             value: witness[v],
-            salt: leaf_salt(&master, v),
+            salt: salts[v],
             proof: tree.prove(v).expect("witness variable in tree"),
         })
         .collect();
@@ -255,11 +267,24 @@ mod tests {
     }
 
     #[test]
+    fn checks_that_cover_the_circuit_select_every_constraint() {
+        for total in [0, 1, 6, 33, DEFAULT_CHECKS] {
+            let got = challenge_indices(&statement(9), &statement(10), DEFAULT_CHECKS, total);
+            assert_eq!(got, (0..total).collect::<Vec<_>>(), "{total} constraints");
+        }
+        let sampled = challenge_indices(&statement(9), &statement(10), 20, 256);
+        let distinct: std::collections::HashSet<_> = sampled.iter().collect();
+        assert_eq!(distinct.len(), 20);
+        assert!(sampled.iter().all(|&i| i < 256));
+    }
+
+    #[test]
     fn detection_probability_scales_with_checks() {
         // With very few checks a sparse violation can slip through; with
         // DEFAULT_CHECKS on these circuit sizes it cannot (every constraint
         // is selected since t exceeds the count).
         let c = well_formed_circuit(field(), 32, 32);
+        assert!(c.cs.constraints.len() <= DEFAULT_CHECKS);
         let mut coeffs = vec![0u64; 32];
         coeffs[0] = 5;
         let w = well_formed_witness(&c, &coeffs);
