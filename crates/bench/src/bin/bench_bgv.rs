@@ -27,6 +27,13 @@
 //!   `relinearize` or `mod_switch_down` at `test_small` exceeds
 //!   [`FLOOR_RATIO_GATE`].
 //!
+//! The `digest` section times, per parameter set, `plan::ciphertext_digest`
+//! of one fresh ciphertext beside one SHA-256 lane over the same
+//! ciphertext's residues as 8-byte words (the digest it replaced),
+//! alternately in one run; the process exits nonzero if `ratio` at
+//! `test_small` exceeds [`DIGEST_RATIO_GATE`] where SHA-256 runs on the SHA
+//! extensions (`sha_ni`), which `MYC_NO_SIMD=1` turns off.
+//!
 //! Before overwriting `BENCH_bgv.json`, the committed copy is re-read (by
 //! `json::parse`) as the *baseline*: the emitted `speedup` section is the
 //! measured new/old ops-per-sec ratio per kernel (at `MYC_THREADS=1`), and
@@ -42,10 +49,12 @@
 use std::time::Instant;
 
 use mycelium::params::SystemParams;
+use mycelium::plan::ciphertext_digest;
 use mycelium::run_query_encrypted;
 use mycelium_bench::{finish, Args};
 use mycelium_bgv::encoding::encode_monomial;
 use mycelium_bgv::{BgvParams, Ciphertext, KeySet};
+use mycelium_crypto::sha256::{self, Sha256};
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
 use mycelium_math::json::{self, Json};
@@ -59,6 +68,11 @@ use mycelium_math::zq::{ntt_primes, Modulus};
 const FLOOR_RATIO_GATE: f64 = 2.5;
 /// The operations the floor-ratio gate covers.
 const GATED_OPS: [&str; 3] = ["encrypt", "relinearize", "mod_switch_down"];
+
+/// Largest `ciphertext_digest` time, over one SHA-256 lane across the
+/// 8-byte-word stream, at `test_small` on a SHA-NI host (0.50–0.54
+/// measured on a 2-vCPU Xeon with SHA-NI and AVX-512).
+const DIGEST_RATIO_GATE: f64 = 0.7;
 
 /// One kernel's measurement.
 struct Sample {
@@ -168,6 +182,49 @@ fn run_bgv_rows(params: &BgvParams, min_secs: f64) -> Vec<Sample> {
         mod_switch_down,
         mod_switch_to,
     ]
+}
+
+/// The digest `ciphertext_digest` replaced: one SHA-256 lane over every
+/// residue of every part as an 8-byte little-endian word.
+fn word_stream_digest(ct: &Ciphertext) -> [u8; 32] {
+    const CHUNK: usize = 1024;
+    let mut h = Sha256::new();
+    let mut buf = [0u8; CHUNK * 8];
+    for row in ct.parts().iter().flat_map(|p| p.residues()) {
+        for chunk in row.chunks(CHUNK) {
+            for (dst, &x) in buf.chunks_exact_mut(8).zip(chunk) {
+                dst.copy_from_slice(&x.to_le_bytes());
+            }
+            h.update(&buf[..chunk.len() * 8]);
+        }
+    }
+    h.finalize()
+}
+
+/// `(ciphertext_digest µs, word stream µs)` of one fresh ciphertext: five
+/// alternations of the two, the median of each, so both see the same
+/// stretch of the host's speed.
+fn run_digest(params: &BgvParams) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(0xD16E);
+    let keys = KeySet::generate(params, &mut rng);
+    let pt = encode_monomial(3, params.n, params.plaintext_modulus).unwrap();
+    let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
+    let (mut packed, mut words) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        packed.push(micros(|| {
+            std::hint::black_box(ciphertext_digest(std::hint::black_box(&ct)));
+        }));
+        words.push(micros(|| {
+            std::hint::black_box(word_stream_digest(std::hint::black_box(&ct)));
+        }));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (packed, words) = (median(packed), median(words));
+    eprintln!("  ciphertext_digest {packed:>8.2} us  word stream {words:>8.2} us");
+    (packed, words)
 }
 
 /// End-to-end: the paper's Q4 over a small epidemic population, full
@@ -373,6 +430,17 @@ fn checks(doc: &Json) -> Vec<String> {
             None => Some(format!("{gate}: not in the document")),
         }
     });
+    let digest_gate = doc
+        .get("digest")
+        .filter(|d| matches!(d.get("sha_ni"), Some(Json::Bool(true))))
+        .map(|d| {
+            let gate = "ciphertext_digest over the word stream at test_small";
+            match d.get("test_small").and_then(|r| r.get("ratio")?.as_f64()) {
+                Some(ratio) if ratio <= DIGEST_RATIO_GATE => None,
+                Some(ratio) => Some(format!("{gate}: {ratio} > {DIGEST_RATIO_GATE}")),
+                None => Some(format!("{gate}: not in the document")),
+            }
+        });
     let speedup = doc
         .get("speedup")
         .and_then(Json::as_object)
@@ -381,7 +449,10 @@ fn checks(doc: &Json) -> Vec<String> {
         let ratio = ratio.as_f64().filter(|&r| r < 0.9)?;
         Some(format!("{key}: {ratio}x the committed ops/s"))
     });
-    over_floor.chain(regressions).collect()
+    over_floor
+        .chain(digest_gate.flatten())
+        .chain(regressions)
+        .collect()
 }
 
 fn main() {
@@ -443,6 +514,11 @@ fn main() {
     std::env::set_var("MYC_THREADS", "1");
     eprintln!("== kernel tiers ==");
     let tiers = run_tiers();
+    eprintln!("== ciphertext digest ==");
+    let digests: Vec<_> = sets
+        .iter()
+        .map(|set| (set.name, run_digest(&set.params)))
+        .collect();
     std::env::remove_var("MYC_THREADS");
 
     let serial: Vec<&Suite> = suites.iter().filter(|s| s.threads == 1).collect();
@@ -513,12 +589,22 @@ fn main() {
         ("active", simd::active_name().into()),
         ("features", simd::detected_features().into_iter().collect()),
     ]);
+    let digest = digests.iter().map(|&(name, (packed, words))| {
+        let row = Json::obj([
+            ("ciphertext_digest_us", Json::fixed(packed, 2)),
+            ("word_stream_us", Json::fixed(words, 2)),
+            ("ratio", Json::fixed(packed / words, 2)),
+        ]);
+        (name, row)
+    });
+    let digest = std::iter::once(("sha_ni", sha256::sha_ni_active().into())).chain(digest);
     let doc = Json::obj([
         ("ncores", ncores.into()),
         ("simd", simd),
         ("suites", suites_json.collect()),
         ("floor_ratio", Json::obj(floor_ratio)),
         ("tiers", Json::obj(tiers)),
+        ("digest", Json::obj(digest)),
         ("speedup", Json::obj(speedup)),
         ("thread_scaling", Json::obj(thread_scaling)),
     ]);
@@ -537,19 +623,19 @@ mod tests {
     fn committed_baseline_yields_every_serial_row() {
         let rows = baseline_ops(include_str!("../../../../BENCH_bgv.json")).unwrap();
         let want = [
-            ("test_medium/ntt", 3657.4874),
-            ("test_medium/encrypt", 1010.2784),
-            ("test_medium/bgv_mul", 1864.0119),
-            ("test_medium/relinearize", 294.8222),
-            ("test_medium/mod_switch_down", 1247.8077),
-            ("test_medium/mod_switch_to", 852.7243),
-            ("test_medium/e2e_query", 53.9197),
-            ("test_small/ntt", 37463.9151),
-            ("test_small/encrypt", 12366.2692),
-            ("test_small/bgv_mul", 87650.9191),
-            ("test_small/relinearize", 6780.9172),
-            ("test_small/mod_switch_down", 21717.5908),
-            ("test_small/mod_switch_to", 14183.0458),
+            ("test_medium/ntt", 3873.3142),
+            ("test_medium/encrypt", 941.7089),
+            ("test_medium/bgv_mul", 1783.9166),
+            ("test_medium/relinearize", 254.952),
+            ("test_medium/mod_switch_down", 1230.3463),
+            ("test_medium/mod_switch_to", 869.8555),
+            ("test_medium/e2e_query", 54.6726),
+            ("test_small/ntt", 34152.4314),
+            ("test_small/encrypt", 12363.281),
+            ("test_small/bgv_mul", 67925.9802),
+            ("test_small/relinearize", 6864.3968),
+            ("test_small/mod_switch_down", 20014.2819),
+            ("test_small/mod_switch_to", 13298.7828),
         ];
         assert_eq!(rows, want.map(|(key, ops)| (key.to_string(), ops)));
     }
@@ -606,5 +692,27 @@ mod tests {
         assert!(failed[0].starts_with("test_small/ntt: 0.89x"), "{failed:?}");
         // Every gated operation must be in the document.
         assert_eq!(checks(&Json::obj::<&str>([])).len(), GATED_OPS.len());
+    }
+
+    #[test]
+    fn the_digest_gate_holds_only_where_sha_ni_runs() {
+        let floor = Json::obj(GATED_OPS.map(|op| (op, Json::fixed(2.0, 2))));
+        let doc = |sha_ni: bool, ratio: f64| {
+            let row = Json::obj([("ratio", Json::fixed(ratio, 2))]);
+            let digest = Json::obj([("sha_ni", sha_ni.into()), ("test_small", row)]);
+            Json::obj([
+                ("floor_ratio", Json::obj([("test_small", floor.clone())])),
+                ("digest", digest),
+            ])
+        };
+        assert_eq!(checks(&doc(true, 0.7)), Vec::<String>::new());
+        let failed = checks(&doc(true, 0.71));
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].starts_with("ciphertext_digest over"),
+            "{failed:?}"
+        );
+        // Scalar SHA-256 (no SHA-NI, or MYC_NO_SIMD=1): printed, not gated.
+        assert_eq!(checks(&doc(false, 0.9)), Vec::<String>::new());
     }
 }
