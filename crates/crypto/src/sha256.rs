@@ -137,7 +137,8 @@ fn pair_update(ni: bool, a: &mut Sha256, x: &[u8], b: &mut Sha256, y: &[u8]) {
         a.total_len = a.total_len.wrapping_add(bulk as u64);
         b.total_len = b.total_len.wrapping_add(bulk as u64);
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `ni` is only ever true when `sha_ni_available()` held.
+        // SAFETY: `ni` is only ever true where `sha_ni_available()` holds,
+        // and both slices are the same `bulk` bytes: whole blocks.
         unsafe {
             ni::compress_blocks_pair(&mut a.state, &x[..bulk], &mut b.state, &y[..bulk])
         };
