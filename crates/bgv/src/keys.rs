@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mycelium_math::deferred::Deferred;
 use mycelium_math::rng::Rng;
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly, ShoupPrecomp};
 use mycelium_math::sample;
@@ -48,14 +49,18 @@ pub struct PublicKey {
     ctx: Arc<RnsContext>,
 }
 
-/// Relinearization (key-switching) keys, indexed by level.
-#[derive(Debug, Clone, Default)]
+/// `keys[&l][j] = (b_{l,j}, a_{l,j})` at level `l`, NTT representation
+/// with Shoup constants (key switching multiply-accumulates decomposed
+/// digits against these on every relinearization), where
+/// `b_{l,j} = -(a·s) + t·e + ĝ_{l,j}·s²`.
+type LevelKeys = HashMap<usize, Vec<(ShoupPrecomp, ShoupPrecomp)>>;
+
+/// Relinearization (key-switching) keys, indexed by level. Clones share
+/// the keys; those of [`KeySet::generate_deferred`] are derived on the
+/// first read.
+#[derive(Debug, Clone)]
 pub struct RelinKey {
-    /// `keys[&l][j] = (b_{l,j}, a_{l,j})` at level `l`, NTT representation
-    /// with Shoup constants (key switching multiply-accumulates decomposed
-    /// digits against these on every relinearization), where
-    /// `b_{l,j} = -(a·s) + t·e + ĝ_{l,j}·s²`.
-    keys: HashMap<usize, Vec<(ShoupPrecomp, ShoupPrecomp)>>,
+    keys: Deferred<LevelKeys>,
 }
 
 /// A complete BGV key set.
@@ -137,6 +142,12 @@ impl SecretKey {
 
     /// Generates relinearization keys for the given levels.
     pub fn relin_keys<R: Rng + ?Sized>(&self, levels: &[usize], rng: &mut R) -> RelinKey {
+        RelinKey {
+            keys: Deferred::ready(self.level_keys(levels, rng)),
+        }
+    }
+
+    fn level_keys<R: Rng + ?Sized>(&self, levels: &[usize], rng: &mut R) -> LevelKeys {
         let mut keys = HashMap::new();
         for &l in levels {
             assert!(l >= 1 && l <= self.ctx.max_level(), "invalid level {l}");
@@ -174,13 +185,16 @@ impl SecretKey {
             }
             keys.insert(l, level_keys);
         }
-        RelinKey { keys }
+        keys
     }
 
     /// Generates relinearization keys for every level of the chain.
     pub fn relin_keys_all<R: Rng + ?Sized>(&self, rng: &mut R) -> RelinKey {
-        let levels: Vec<usize> = (1..=self.ctx.max_level()).collect();
-        self.relin_keys(&levels, rng)
+        self.relin_keys(&self.all_levels(), rng)
+    }
+
+    fn all_levels(&self) -> Vec<usize> {
+        (1..=self.ctx.max_level()).collect()
     }
 }
 
@@ -204,19 +218,20 @@ impl PublicKey {
 impl RelinKey {
     /// The key-switching key pairs for `level`, if generated.
     pub fn at_level(&self, level: usize) -> Option<&[(ShoupPrecomp, ShoupPrecomp)]> {
-        self.keys.get(&level).map(|v| v.as_slice())
+        self.keys.get().get(&level).map(|v| v.as_slice())
     }
 
     /// Levels for which keys are available.
     pub fn levels(&self) -> Vec<usize> {
-        let mut l: Vec<usize> = self.keys.keys().copied().collect();
+        let mut l: Vec<usize> = self.keys.get().keys().copied().collect();
         l.sort_unstable();
         l
     }
 
-    /// Merges another relin key's levels into this one.
-    pub fn merge(&mut self, other: RelinKey) {
-        self.keys.extend(other.keys);
+    /// Whether the keys have been derived (always, unless they are
+    /// [`KeySet::generate_deferred`]'s and nothing read them).
+    pub fn is_derived(&self) -> bool {
+        self.keys.is_derived()
     }
 }
 
@@ -224,15 +239,39 @@ impl KeySet {
     /// Generates a complete key set with relinearization keys at every
     /// level.
     pub fn generate<R: Rng + ?Sized>(params: &BgvParams, rng: &mut R) -> Self {
-        let ctx = params.build_context();
-        let secret = SecretKey::generate(params, &ctx, rng);
-        let public = secret.public_key(rng);
+        let (secret, public) = Self::secret_and_public(params, rng);
         let relin = secret.relin_keys_all(rng);
         Self {
             secret,
             public,
             relin,
         }
+    }
+
+    /// [`KeySet::generate`] off a stream nothing draws from afterwards, so
+    /// it can own it: the same keys, but the relinearization keys — the
+    /// last draw — are derived on their first read, and a process that
+    /// never relinearizes never derives them. Until then they hold a clone
+    /// of the secret and the stream.
+    pub fn generate_deferred<R: Rng + Send + 'static>(params: &BgvParams, mut rng: R) -> Self {
+        let (secret, public) = Self::secret_and_public(params, &mut rng);
+        let recipe = secret.clone();
+        let keys = Deferred::new(move || recipe.level_keys(&recipe.all_levels(), &mut rng));
+        Self {
+            secret,
+            public,
+            relin: RelinKey { keys },
+        }
+    }
+
+    fn secret_and_public<R: Rng + ?Sized>(
+        params: &BgvParams,
+        rng: &mut R,
+    ) -> (SecretKey, PublicKey) {
+        let ctx = params.build_context();
+        let secret = SecretKey::generate(params, &ctx, rng);
+        let public = secret.public_key(rng);
+        (secret, public)
     }
 
     /// Generates a key set with relinearization keys only at the specified
@@ -243,9 +282,7 @@ impl KeySet {
         levels: &[usize],
         rng: &mut R,
     ) -> Self {
-        let ctx = params.build_context();
-        let secret = SecretKey::generate(params, &ctx, rng);
-        let public = secret.public_key(rng);
+        let (secret, public) = Self::secret_and_public(params, rng);
         let relin = secret.relin_keys(levels, rng);
         Self {
             secret,
@@ -332,6 +369,28 @@ mod tests {
             let mod_t = te.crt_centered_mod(params.plaintext_modulus);
             assert!(mod_t.iter().all(|&x| x == 0), "key {j} is not well formed");
         }
+    }
+
+    #[test]
+    fn deferred_relin_keys_equal_eager_ones_at_every_level() {
+        let params = BgvParams::test_small();
+        let stream = StdRng::seed_from_u64(6).with_stream(3);
+        let eager = KeySet::generate(&params, &mut stream.clone());
+        let deferred = KeySet::generate_deferred(&params, stream);
+        assert!(eager.relin.is_derived());
+        assert!(!deferred.relin.is_derived());
+        let early_clone = deferred.relin.clone();
+        assert_eq!(
+            deferred.public.b().poly(),
+            eager.public.b().poly(),
+            "the public key is drawn before the deferred relinearization keys"
+        );
+        for l in 1..=params.levels {
+            let pairs = deferred.relin.at_level(l).unwrap();
+            assert_eq!(pairs, eager.relin.at_level(l).unwrap(), "level {l}");
+        }
+        assert!(early_clone.is_derived());
+        assert_eq!(deferred.relin.levels(), eager.relin.levels());
     }
 
     #[test]

@@ -30,9 +30,13 @@
 //!   every artifact a round or a benchmark writes is built with it. It
 //!   lives here because every crate that writes one already depends on
 //!   this one.
+//! * [`deferred`] — a value derived on its first read from the recipe it
+//!   holds (relinearization keys, the committee's key shares), for the
+//!   same reason.
 
 pub mod bigint;
 pub mod chacha;
+pub mod deferred;
 pub mod ew;
 pub mod json;
 pub mod ntt;

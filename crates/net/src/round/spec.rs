@@ -301,9 +301,11 @@ pub struct RoundSetup {
     pub pop: Population,
     /// The parsed query.
     pub query: Query,
-    /// BGV keys (every process derives the same set).
+    /// BGV keys (every process derives the same set; [`build_setup`]'s
+    /// relinearization keys on their first read, by an origin).
     pub keys: KeySet,
-    /// Shamir shares of the secret key.
+    /// Shamir shares of the secret key, dealt on the first read (by a
+    /// committee member).
     pub key_shares: KeyShareSet,
     /// The query plan.
     pub plan: QueryPlan,
@@ -320,9 +322,9 @@ pub struct RoundSetup {
 }
 
 impl RoundSetup {
-    /// The setup of `spec`'s round over these parts: the key shares dealt
-    /// off [`stream::DEAL`], the query planned, every vertex's work and
-    /// duties derived.
+    /// The setup of `spec`'s round over these parts: the key shares to be
+    /// dealt off [`stream::DEAL`] on their first read, the query planned,
+    /// every vertex's work and duties derived.
     pub fn from_parts(
         spec: RoundSpec,
         params: SystemParams,
@@ -332,8 +334,8 @@ impl RoundSetup {
     ) -> Result<Self, ExecError> {
         let c = params.committee_size;
         let t = c / 2;
-        let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
-        let key_shares = KeyShareSet::deal(&keys.secret, t, c, &mut deal_rng);
+        let deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
+        let key_shares = KeyShareSet::deal_deferred(&keys.secret, t, c, deal_rng);
         let plan = QueryPlan::new(&query, &pop, &params, spec.with_proofs)?;
         let works = roles::works(&plan, &query, &params, &pop);
         let duties = roles::duties(&works);
@@ -419,16 +421,18 @@ pub fn build_population(spec: &RoundSpec) -> Population {
     epidemic_population(&cfg, &epi, &mut StdRng::seed_from_u64(spec.seed))
 }
 
-/// Derives the full shared setup from a spec. Failures here are
-/// configuration errors (unknown query, query too large for the ring),
-/// not wire input, so they surface as [`NetError::Decode`].
+/// Derives the full shared setup from a spec. The relinearization keys are
+/// the last draw off [`stream::KEYS`], so they are derived on their first
+/// read, like the key shares. Failures here are configuration errors
+/// (unknown query, query too large for the ring), not wire input, so they
+/// surface as [`NetError::Decode`].
 pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     let params = SystemParams::simulation();
     let pop = build_population(spec);
     let query = paper_query(&spec.query)
         .ok_or_else(|| NetError::Decode(format!("unknown paper query {}", spec.query)))?;
-    let mut keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
-    let keys = KeySet::generate(&params.bgv, &mut keys_rng);
+    let keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
+    let keys = KeySet::generate_deferred(&params.bgv, keys_rng);
     RoundSetup::from_parts(spec.clone(), params, pop, query, keys)
         .map_err(|e| NetError::Decode(format!("query planning failed: {e}")))
 }

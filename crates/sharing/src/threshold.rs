@@ -21,30 +21,49 @@
 
 use mycelium_bgv::{Ciphertext, Plaintext, SecretKey};
 use mycelium_crypto::sha256::sha256_concat;
+use mycelium_math::deferred::Deferred;
 use mycelium_math::rng::Rng;
 use mycelium_math::rns::{Representation, RnsPoly};
 
 use crate::shamir::{lagrange_at_zero, share_rns};
 
-/// The committee's sharing of the BGV secret key.
+/// The committee's sharing of the BGV secret key. Clones share the
+/// shares; a set made by [`KeyShareSet::deal_deferred`] deals them on the
+/// first read.
 #[derive(Debug, Clone)]
 pub struct KeyShareSet {
     /// One share per member (members are `1..=n`), at the top level, in
     /// coefficient representation.
-    pub shares: Vec<RnsPoly>,
+    shares: Deferred<Vec<RnsPoly>>,
     /// Reconstruction threshold `t` (any `t + 1` members decrypt).
     pub threshold: usize,
+    members: usize,
 }
 
 impl KeyShareSet {
     /// Shares a secret key among `n` members with threshold `t`.
     pub fn deal<R: Rng + ?Sized>(sk: &SecretKey, t: usize, n: usize, rng: &mut R) -> Self {
-        let ctx = sk.context();
-        let s = RnsPoly::from_signed(ctx.clone(), ctx.max_level(), sk.coefficients());
-        let sharing = share_rns(&s, t, n, rng);
         Self {
-            shares: sharing.shares,
+            shares: Deferred::ready(dealt(sk, t, n, rng)),
             threshold: t,
+            members: n,
+        }
+    }
+
+    /// [`KeyShareSet::deal`] off `rng`, dealt on the first read: the same
+    /// shares, and a process that never makes a decryption share never
+    /// deals them. Until then the set holds a clone of `sk` and `rng`.
+    pub fn deal_deferred<R: Rng + Send + 'static>(
+        sk: &SecretKey,
+        t: usize,
+        n: usize,
+        mut rng: R,
+    ) -> Self {
+        let sk = sk.clone();
+        Self {
+            shares: Deferred::new(move || dealt(&sk, t, n, &mut rng)),
+            threshold: t,
+            members: n,
         }
     }
 
@@ -53,13 +72,26 @@ impl KeyShareSet {
     /// Truncation is sound because each chain prime's sharing is
     /// independent.
     pub fn share_for(&self, member: usize, level: usize) -> RnsPoly {
-        self.shares[member - 1].truncate_level(level)
+        self.shares.get()[member - 1].truncate_level(level)
     }
 
     /// Number of members.
     pub fn members(&self) -> usize {
-        self.shares.len()
+        self.members
     }
+
+    /// Whether the shares have been dealt (always, unless the set was
+    /// made by [`KeyShareSet::deal_deferred`] and nothing read a share).
+    pub fn is_derived(&self) -> bool {
+        self.shares.is_derived()
+    }
+}
+
+/// The `n` shares [`KeyShareSet::deal`] deals.
+fn dealt<R: Rng + ?Sized>(sk: &SecretKey, t: usize, n: usize, rng: &mut R) -> Vec<RnsPoly> {
+    let ctx = sk.context();
+    let s = RnsPoly::from_signed(ctx.clone(), ctx.max_level(), sk.coefficients());
+    share_rns(&s, t, n, rng).shares
 }
 
 /// One member's decryption share.
@@ -246,6 +278,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let ks = KeySet::generate_with_relin_levels(&params, &[params.levels], &mut rng);
         (params, ks, rng)
+    }
+
+    #[test]
+    fn deferred_deal_equals_the_eager_one() {
+        let (params, ks, rng) = setup();
+        let eager = KeyShareSet::deal(&ks.secret, 2, 5, &mut rng.clone());
+        let deferred = KeyShareSet::deal_deferred(&ks.secret, 2, 5, rng);
+        assert_eq!((deferred.members(), deferred.threshold), (5, 2));
+        assert!(!deferred.is_derived(), "members and threshold deal nothing");
+        let early_clone = deferred.clone();
+        for m in 1..=5 {
+            for level in [1, params.levels] {
+                assert_eq!(deferred.share_for(m, level), eager.share_for(m, level));
+            }
+        }
+        assert!(early_clone.is_derived());
     }
 
     #[test]
