@@ -84,17 +84,26 @@ impl Sha256 {
     }
 
     /// Finalizes and returns the digest.
-    pub fn finalize(mut self) -> Digest {
+    pub fn finalize(self) -> Digest {
+        self.finish(sha_ni_active())
+    }
+
+    /// [`Sha256::finalize`] with the dispatch decided by the caller (`ni`
+    /// only where [`sha_ni_available`]), so tests drive both paths in one
+    /// process. The padding — `0x80`, zeros, the bit length of the message
+    /// — is written into the buffer whole: one compression, or two when
+    /// the buffer holds 56 bytes or more and the length spills over.
+    fn finish(mut self, ni: bool) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            // Note: `update` keeps `total_len` moving, but we captured the
-            // bit length before padding, as the spec requires.
-            self.update(&[0]);
+        let len = self.buffer_len;
+        self.buffer[len] = 0x80;
+        self.buffer[len + 1..].fill(0);
+        if len >= 56 {
+            compress_on(ni, &mut self.state, &self.buffer);
+            self.buffer = [0; 64];
         }
-        let len_bytes = bit_len.to_be_bytes();
-        self.update(&len_bytes);
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_on(ni, &mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -173,10 +182,16 @@ pub fn sha_ni_active() -> bool {
 /// blocks) on the SHA extensions when [`sha_ni_active`], the portable
 /// scalar rounds otherwise.
 fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    compress_on(sha_ni_active(), state, data);
+}
+
+/// [`compress_blocks`] on the SHA extensions if `ni` (only ever true where
+/// [`sha_ni_available`]), on the scalar rounds if not.
+fn compress_on(ni: bool, state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % 64, 0);
     #[cfg(target_arch = "x86_64")]
-    if sha_ni_active() {
-        // SAFETY: feature presence checked by `sha_ni_active`.
+    if ni {
+        // SAFETY: callers pass `ni` only where `sha_ni_available()` holds.
         unsafe { ni::compress_blocks(state, data) };
         return;
     }
@@ -522,6 +537,37 @@ mod tests {
             // Equal lengths at unequal offsets.
             check_pair(ni, &pre[..5], &x[..640], &pre[..6], &y[..640]);
             check_pair(ni, b"", &x[..700], &pre, &y[..700]);
+        }
+    }
+
+    /// The reference padding: `0x80`, then one zero byte at a time up to
+    /// offset 56, then the bit length, each through `update`.
+    fn finalize_bytewise(mut h: Sha256) -> Digest {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffer_len != 56 {
+            h.update(&[0]);
+        }
+        h.update(&bit_len.to_be_bytes());
+        assert_eq!(h.buffer_len, 0);
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_bytewise_padding_at_every_length() {
+        let data = bytes((64 << 10) + 1, 10);
+        let lengths = (0..=200).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]);
+        for ni in pair_paths() {
+            for len in lengths.clone() {
+                let mut h = Sha256::new();
+                h.update(&data[..len]);
+                let want = finalize_bytewise(h.clone());
+                assert_eq!(h.finish(ni), want, "ni {ni}, length {len}");
+            }
         }
     }
 
