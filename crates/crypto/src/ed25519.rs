@@ -15,6 +15,16 @@ pub struct FieldElement(pub(crate) [u64; 5]);
 
 const MASK51: u64 = (1 << 51) - 1;
 
+// Limb bounds. `from_bytes` gives limbs below 2^51, and every operation
+// returns limbs below 2^52 - 38 (`add` / `sub` carry once, `mul` folds
+// once), so the two bounds below hold without a full carry anywhere but
+// `reduce_full`.
+
+/// `mul`'s inputs: below this, no 128-bit column overflows.
+const MUL_LIMB_BOUND: u64 = 1 << 60;
+/// `sub`'s subtrahend: below this, no limb of the 2p bias underflows.
+const SUB_LIMB_BOUND: u64 = (1 << 52) - 38;
+
 impl FieldElement {
     /// The additive identity.
     pub const ZERO: Self = Self([0; 5]);
@@ -59,18 +69,18 @@ impl FieldElement {
         out
     }
 
-    /// Addition (lazy; limbs stay below 2^52 + slack).
+    /// Addition, carried once.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, other: Self) -> Self {
-        let r = std::array::from_fn(|i| self.0[i] + other.0[i]);
-        Self(r).carry()
+        Self(std::array::from_fn(|i| self.0[i] + other.0[i])).carry_once()
     }
 
-    /// Subtraction.
+    /// Subtraction, carried once.
     #[allow(clippy::should_implement_trait)]
     pub fn sub(self, other: Self) -> Self {
         // Add 2p = [2^52 - 38, 2^52 - 2, ...] before subtracting so no limb
-        // underflows (operands are kept below 2^52 by `carry`).
+        // underflows: every operation's output limbs are below 2^52 - 38.
+        debug_assert!(other.0.iter().all(|&l| l < SUB_LIMB_BOUND));
         let two_p = [
             (1u64 << 52) - 38,
             (1u64 << 52) - 2,
@@ -78,16 +88,14 @@ impl FieldElement {
             (1u64 << 52) - 2,
             (1u64 << 52) - 2,
         ];
-        let mut r = [0u64; 5];
-        for i in 0..5 {
-            r[i] = self.0[i] + two_p[i] - other.0[i];
-        }
-        Self(r).carry()
+        Self(std::array::from_fn(|i| self.0[i] + two_p[i] - other.0[i])).carry_once()
     }
 
     /// Multiplication modulo `2^255 - 19`.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, other: Self) -> Self {
+        // Limbs below 2^60 keep every column below 77 · 2^120 < 2^127.
+        debug_assert!(self.0.iter().chain(&other.0).all(|&l| l < MUL_LIMB_BOUND));
         let [a0, a1, a2, a3, a4] = self.0.map(|x| x as u128);
         let [b0, b1, b2, b3, b4] = other.0.map(|x| x as u128);
         let r0 = a0 * b0 + 19 * (a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1);
@@ -103,20 +111,33 @@ impl FieldElement {
         self.mul(self)
     }
 
+    /// `self^(2^n)`.
+    fn square_n(self, n: u32) -> Self {
+        (0..n).fold(self, |x, _| x.square())
+    }
+
     /// Multiplication by a small constant.
     pub fn mul_small(self, k: u64) -> Self {
-        let k = k as u128;
-        let r: Vec<u128> = self.0.iter().map(|&x| x as u128 * k).collect();
-        Self::from_wide([r[0], r[1], r[2], r[3], r[4]])
+        Self::from_wide(self.0.map(|x| x as u128 * k as u128))
     }
 
     /// Multiplicative inverse via Fermat (`a^{p-2}`); returns zero for zero.
     pub fn invert(self) -> Self {
-        // p - 2 = 2^255 - 21; use an addition-chain-free square-and-multiply.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb; // 2^255 - 21 little-endian: ...eb ff ff .. 7f.
-        exp[31] = 0x7f;
-        self.pow(&exp)
+        // p - 2 = 2^255 - 21 by the standard addition chain: 254 squarings,
+        // 11 multiplications. `z_k` is `self^(2^k - 1)`.
+        let z2 = self.square();
+        let z9 = z2.square_n(2).mul(self);
+        let z11 = z9.mul(z2);
+        let z_5 = z11.square().mul(z9);
+        let z_10 = z_5.square_n(5).mul(z_5);
+        let z_20 = z_10.square_n(10).mul(z_10);
+        let z_40 = z_20.square_n(20).mul(z_20);
+        let z_50 = z_40.square_n(10).mul(z_10);
+        let z_100 = z_50.square_n(50).mul(z_50);
+        let z_200 = z_100.square_n(100).mul(z_100);
+        let z_250 = z_200.square_n(50).mul(z_50);
+        // 2^255 - 32 + 11.
+        z_250.square_n(5).mul(z11)
     }
 
     /// Exponentiation by a 256-bit little-endian exponent.
@@ -138,47 +159,52 @@ impl FieldElement {
         self.to_bytes() == [0u8; 32]
     }
 
-    fn from_wide(mut r: [u128; 5]) -> Self {
-        // Carry chain with 19-folding.
+    /// Reduces 128-bit columns to limbs: one carry chain, the top carry
+    /// folded into limb 0 (`2^255 = 19`), and limb 0's carry into limb 1.
+    /// From columns below 2^127 the limbs end below 2^51 + 2^31.
+    fn from_wide(r: [u128; 5]) -> Self {
         let mut out = [0u64; 5];
         let mut carry: u128 = 0;
         for i in 0..5 {
-            r[i] += carry;
-            out[i] = (r[i] & MASK51 as u128) as u64;
-            carry = r[i] >> 51;
+            let v = r[i] + carry;
+            out[i] = v as u64 & MASK51;
+            carry = v >> 51;
         }
-        // Fold the top carry back via *19.
-        let fold = carry * 19;
-        let mut v = out[0] as u128 + fold;
-        out[0] = (v & MASK51 as u128) as u64;
-        let mut c = (v >> 51) as u64;
-        for limb in out.iter_mut().skip(1) {
-            v = *limb as u128 + c as u128;
-            *limb = (v & MASK51 as u128) as u64;
-            c = (v >> 51) as u64;
-        }
-        out[0] += c * 19;
-        Self(out).carry()
+        let v = out[0] as u128 + carry * 19;
+        out[0] = v as u64 & MASK51;
+        out[1] += (v >> 51) as u64;
+        Self(out)
     }
 
-    fn carry(mut self) -> Self {
-        let mut c;
-        // Three passes guarantee every limb ends strictly below 2^51.
-        for _ in 0..3 {
-            c = self.0[0] >> 51;
-            self.0[0] &= MASK51;
-            for i in 1..5 {
-                self.0[i] += c;
-                c = self.0[i] >> 51;
-                self.0[i] &= MASK51;
-            }
-            self.0[0] += c * 19;
-        }
-        self
+    /// One carry from every limb into the next, the top one folded into
+    /// limb 0: limbs below 2^64 end below 2^51 + 19 · 2^13.
+    fn carry_once(self) -> Self {
+        let h = self.0;
+        let c = h.map(|l| l >> 51);
+        Self([
+            (h[0] & MASK51) + 19 * c[4],
+            (h[1] & MASK51) + c[0],
+            (h[2] & MASK51) + c[1],
+            (h[3] & MASK51) + c[2],
+            (h[4] & MASK51) + c[3],
+        ])
     }
 
+    /// The canonical representative: carried until every limb is below
+    /// 2^51, then `p` subtracted if the value is still `p` or more.
     fn reduce_full(self) -> Self {
-        let mut h = self.carry().0;
+        let mut h = self.0;
+        // Three passes leave every limb strictly below 2^51.
+        for _ in 0..3 {
+            let mut c = h[0] >> 51;
+            h[0] &= MASK51;
+            for limb in &mut h[1..] {
+                *limb += c;
+                c = *limb >> 51;
+                *limb &= MASK51;
+            }
+            h[0] += c * 19;
+        }
         // Conditionally subtract p = 2^255 - 19 (at most twice).
         for _ in 0..2 {
             let ge = h[0] >= (1u64 << 51) - 19
@@ -263,6 +289,7 @@ pub fn x25519_public_key(secret: &[u8; 32]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 
     fn from_hex(s: &str) -> [u8; 32] {
         let mut out = [0u8; 32];
@@ -280,6 +307,148 @@ mod tests {
             let inv = a.invert();
             let prod = a.mul(inv);
             assert_eq!(prod.to_bytes(), FieldElement::ONE.to_bytes(), "i={i}");
+        }
+    }
+
+    #[test]
+    fn invert_of_random_elements() {
+        let mut rng = StdRng::seed_from_u64(25519);
+        for _ in 0..200 {
+            let mut bytes = [0u8; 32];
+            rng.fill(&mut bytes);
+            let x = FieldElement::from_bytes(&bytes);
+            assert_eq!(x.mul(x.invert()).to_bytes(), FieldElement::ONE.to_bytes());
+        }
+        assert!(FieldElement::ZERO.invert().is_zero());
+    }
+
+    /// The reference ladder: the same formulas over field arithmetic that
+    /// runs a full three-pass carry after every operation and inverts by
+    /// square-and-multiply over `p - 2`.
+    mod frozen {
+        use super::super::{clamp_scalar, FieldElement, MASK51};
+
+        fn carry(mut h: [u64; 5]) -> [u64; 5] {
+            for _ in 0..3 {
+                let mut c = h[0] >> 51;
+                h[0] &= MASK51;
+                for limb in &mut h[1..] {
+                    *limb += c;
+                    c = *limb >> 51;
+                    *limb &= MASK51;
+                }
+                h[0] += c * 19;
+            }
+            h
+        }
+
+        fn add(a: [u64; 5], b: [u64; 5]) -> [u64; 5] {
+            carry(std::array::from_fn(|i| a[i] + b[i]))
+        }
+
+        fn sub(a: [u64; 5], b: [u64; 5]) -> [u64; 5] {
+            let two_p = |i: usize| (1u64 << 52) - if i == 0 { 38 } else { 2 };
+            carry(std::array::from_fn(|i| a[i] + two_p(i) - b[i]))
+        }
+
+        fn from_wide(mut r: [u128; 5]) -> [u64; 5] {
+            let mut out = [0u64; 5];
+            let mut carry_in: u128 = 0;
+            for i in 0..5 {
+                r[i] += carry_in;
+                out[i] = (r[i] & MASK51 as u128) as u64;
+                carry_in = r[i] >> 51;
+            }
+            let mut v = out[0] as u128 + carry_in * 19;
+            out[0] = (v & MASK51 as u128) as u64;
+            let mut c = (v >> 51) as u64;
+            for limb in out.iter_mut().skip(1) {
+                v = *limb as u128 + c as u128;
+                *limb = (v & MASK51 as u128) as u64;
+                c = (v >> 51) as u64;
+            }
+            out[0] += c * 19;
+            carry(out)
+        }
+
+        fn mul(a: [u64; 5], b: [u64; 5]) -> [u64; 5] {
+            let [a0, a1, a2, a3, a4] = a.map(|x| x as u128);
+            let [b0, b1, b2, b3, b4] = b.map(|x| x as u128);
+            from_wide([
+                a0 * b0 + 19 * (a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1),
+                a0 * b1 + a1 * b0 + 19 * (a2 * b4 + a3 * b3 + a4 * b2),
+                a0 * b2 + a1 * b1 + a2 * b0 + 19 * (a3 * b4 + a4 * b3),
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + 19 * (a4 * b4),
+                a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
+            ])
+        }
+
+        fn invert(a: [u64; 5]) -> [u64; 5] {
+            let mut exp = [0xffu8; 32];
+            exp[0] = 0xeb;
+            exp[31] = 0x7f;
+            let mut acc = FieldElement::ONE.0;
+            for byte in exp.iter().rev() {
+                for bit in (0..8).rev() {
+                    acc = mul(acc, acc);
+                    if (byte >> bit) & 1 == 1 {
+                        acc = mul(acc, a);
+                    }
+                }
+            }
+            acc
+        }
+
+        pub(super) fn x25519(scalar: &[u8; 32], u_point: &[u8; 32]) -> [u8; 32] {
+            let k = clamp_scalar(*scalar);
+            let x1 = FieldElement::from_bytes(u_point).0;
+            let (mut x2, mut z2) = (FieldElement::ONE.0, FieldElement::ZERO.0);
+            let (mut x3, mut z3) = (x1, FieldElement::ONE.0);
+            let mut swap = 0u8;
+            for t in (0..255).rev() {
+                let k_t = (k[t / 8] >> (t % 8)) & 1;
+                swap ^= k_t;
+                if swap == 1 {
+                    std::mem::swap(&mut x2, &mut x3);
+                    std::mem::swap(&mut z2, &mut z3);
+                }
+                swap = k_t;
+                let a = add(x2, z2);
+                let aa = mul(a, a);
+                let b = sub(x2, z2);
+                let bb = mul(b, b);
+                let e = sub(aa, bb);
+                let c = add(x3, z3);
+                let d = sub(x3, z3);
+                let da = mul(d, a);
+                let cb = mul(c, b);
+                let sum = add(da, cb);
+                x3 = mul(sum, sum);
+                let diff = sub(da, cb);
+                z3 = mul(x1, mul(diff, diff));
+                x2 = mul(aa, bb);
+                z2 = mul(e, add(aa, from_wide(e.map(|l| l as u128 * 121665))));
+            }
+            if swap == 1 {
+                std::mem::swap(&mut x2, &mut x3);
+                std::mem::swap(&mut z2, &mut z3);
+            }
+            FieldElement(mul(x2, invert(z2))).to_bytes()
+        }
+    }
+
+    #[test]
+    fn x25519_matches_the_frozen_ladder() {
+        let mut rng = StdRng::seed_from_u64(7748);
+        for i in 0..1000 {
+            let (mut scalar, mut point) = ([0u8; 32], [0u8; 32]);
+            rng.fill(&mut scalar);
+            rng.fill(&mut point);
+            assert_eq!(
+                x25519(&scalar, &point),
+                frozen::x25519(&scalar, &point),
+                "pair {i}"
+            );
         }
     }
 
