@@ -15,13 +15,18 @@
 //! strictly one at a time and with a full window in flight (acks per
 //! second, and how many `fsync`s an ack costs once a burst shares one),
 //! and the minor page faults an exchange takes now that frames live in
-//! buffers their connection keeps. The emitted `BENCH_net.json` has a
+//! buffers their connection keeps. The last row times what every process
+//! of a round pays before it serves, `build_setup`, against eager key
+//! generation in the same run. The emitted `BENCH_net.json` has a
 //! fixed field order and precision so diffs stay readable, and
 //! [`checks`] holds it to the gates `bench_net` exits on.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use mycelium::params::SystemParams;
+use mycelium::streams;
+use mycelium_bgv::KeySet;
 use mycelium_crypto::aead;
 use mycelium_math::json::Json;
 use mycelium_math::rng::{SeedableRng, StdRng};
@@ -30,7 +35,7 @@ use mycelium_net::error::NetError;
 use mycelium_net::journal::Journal;
 use mycelium_net::metrics::minor_faults;
 use mycelium_net::netchaos::{ChaosProxy, NetFaultPlan};
-use mycelium_net::round::{role, WINDOW};
+use mycelium_net::round::{build_setup, role, RoundSpec, WINDOW};
 use mycelium_net::server::{Handled, Handler, Server, ServerConfig};
 use mycelium_net::wire::Writer;
 use mycelium_net::Identity;
@@ -310,6 +315,47 @@ fn shutdown_micros(iters: u64) -> PhaseSeries {
     micros
 }
 
+/// What every process of a round pays before it serves: `build_setup` of
+/// the benchmark's round (`n` = 96, 2 device and 1 origin process,
+/// proofs on), against eager `KeySet::generate` of the same keys, timed
+/// in turn in one run.
+pub struct SetupSample {
+    /// `build_setup` (microseconds).
+    pub build_setup_micros: PhaseSeries,
+    /// `KeySet::generate`, relinearization keys included (microseconds).
+    pub keygen_micros: PhaseSeries,
+}
+
+fn setup_sample(iters: u64) -> SetupSample {
+    let spec = RoundSpec {
+        n: 96,
+        device_shards: 2,
+        origin_shards: 1,
+        with_proofs: true,
+        ..RoundSpec::default()
+    };
+    let bgv = SystemParams::simulation().bgv;
+    fn time<T>(series: &mut PhaseSeries, f: impl FnOnce() -> T) {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        series.record(start.elapsed().as_micros() as u64);
+    }
+    let (mut build_setup_micros, mut keygen_micros) = Default::default();
+    for _ in 0..iters {
+        time(&mut build_setup_micros, || {
+            build_setup(&spec).expect("the bench round plans")
+        });
+        time(&mut keygen_micros, || {
+            let rng = &mut StdRng::seed_from_u64(spec.seed).with_stream(streams::KEYS);
+            KeySet::generate(&bgv, rng)
+        });
+    }
+    SetupSample {
+        build_setup_micros,
+        keygen_micros,
+    }
+}
+
 /// The full benchmark result.
 pub struct NetBench {
     /// One sample per swept payload size.
@@ -328,6 +374,8 @@ pub struct NetBench {
     pub pipelined: Vec<PipelinedSample>,
     /// Minor faults of the echo exchange.
     pub alloc: AllocSample,
+    /// A round process's set-up against eager key generation.
+    pub setup: SetupSample,
 }
 
 fn echo_server() -> (Server, [u8; 32]) {
@@ -480,7 +528,14 @@ pub fn run(smoke: bool) -> NetBench {
         alloc.payload,
         1000.0 * alloc.minor_faults as f64 / alloc.exchanges as f64,
     );
+    let setup = setup_sample(if smoke { 5 } else { 20 });
+    eprintln!(
+        "  setup  build_setup p50 {} us, eager keygen p50 {} us",
+        setup.build_setup_micros.p50(),
+        setup.keygen_micros.p50(),
+    );
     NetBench {
+        setup,
         aead,
         shutdown_micros,
         group_commit,
@@ -570,6 +625,13 @@ pub fn to_json(bench: &NetBench) -> Json {
             Json::fixed(1000.0 * a.minor_faults as f64 / a.exchanges as f64, 0),
         ),
     ]);
+    let ms = |p: &PhaseSeries| Json::fixed(p.p50() as f64 / 1e3, 3);
+    let (build_setup, keygen) = (&bench.setup.build_setup_micros, &bench.setup.keygen_micros);
+    let setup = Json::obj([
+        ("iters", build_setup.count().into()),
+        ("build_setup_ms", ms(build_setup)),
+        ("keygen_ms", ms(keygen)),
+    ]);
     Json::obj([
         ("handshake", series(&bench.handshake_micros)),
         ("payloads", payloads.collect()),
@@ -579,6 +641,7 @@ pub fn to_json(bench: &NetBench) -> Json {
         ("group_commit", group_commit.collect()),
         ("pipelined", pipelined.collect()),
         ("alloc", alloc),
+        ("setup", setup),
     ])
 }
 
@@ -603,6 +666,9 @@ pub fn checks(doc: &Json) -> Vec<String> {
     let aead = row(aead, "bytes", 64 << 10);
     let seals = num(aead, "seal_mbytes_per_sec").zip(num(aead, "scalar_seal_mbytes_per_sec"));
     let seals = seals.map(|(active, scalar)| (format!("{active} vs {scalar}"), active >= scalar));
+    let setup = num(doc.get("setup"), "build_setup_ms").zip(num(doc.get("setup"), "keygen_ms"));
+    let setup =
+        setup.map(|(build, keygen)| (format!("{build} vs {keygen}"), build <= 0.5 * keygen));
     let gates = [
         ("shutdown p50 <= 50 ms (us)", at_most(shutdown, 50_000.0)),
         ("fsyncs per ack at window 8 <= 0.5", at_most(pipelined, 0.5)),
@@ -611,6 +677,7 @@ pub fn checks(doc: &Json) -> Vec<String> {
             at_most(faults, 40_000.0),
         ),
         ("active AEAD seal >= scalar at 64 KiB (MB/s)", seals),
+        ("build_setup <= 0.5x eager keygen (ms)", setup),
     ];
     gates
         .into_iter()
@@ -673,6 +740,10 @@ mod tests {
                 exchanges: 200,
                 minor_faults: 30,
             },
+            setup: SetupSample {
+                build_setup_micros: series(&[1250]),
+                keygen_micros: series(&[6000]),
+            },
         }
     }
 
@@ -698,7 +769,8 @@ mod tests {
              \"group_commit\": [\n    {\"writers\": 2, \"acks\": 100, \"acks_per_sec\": 2000, \
              \"fsyncs_per_ack\": 0.60}\n  ],\n  \"pipelined\": [\n    {\"window\": 8, \"acks\": 100, \
              \"acks_per_sec\": 2500, \"fsyncs_per_ack\": 0.25}\n  ],\n  \"alloc\": {\"bytes\": 98304, \
-             \"exchanges\": 200, \"minor_faults_per_1000\": 150}\n}"
+             \"exchanges\": 200, \"minor_faults_per_1000\": 150},\n  \"setup\": {\"iters\": 1, \
+             \"build_setup_ms\": 1.250, \"keygen_ms\": 6.000}\n}"
         ));
     }
 
@@ -707,7 +779,7 @@ mod tests {
         assert_eq!(checks(&to_json(&sample())), Vec::<String>::new());
         // A gate's name, and how to break it.
         type Break = (&'static str, fn(&mut NetBench));
-        let breaks: [Break; 4] = [
+        let breaks: [Break; 5] = [
             ("shutdown p50", |b| {
                 b.shutdown_micros.completions = vec![60_000]
             }),
@@ -715,6 +787,9 @@ mod tests {
             ("minor faults", |b| b.alloc.minor_faults = 10_000),
             ("active AEAD seal", |b| {
                 b.aead[1].seal_mbytes_per_sec = 399.0
+            }),
+            ("build_setup", |b| {
+                b.setup.build_setup_micros.completions = vec![3_100]
             }),
         ];
         for (gate, break_it) in breaks {
@@ -726,7 +801,7 @@ mod tests {
         }
         // A document without the fields fails every gate.
         let failed = checks(&Json::obj::<&str>([]));
-        assert_eq!(failed.len(), 4);
+        assert_eq!(failed.len(), 5);
         assert!(failed.iter().all(|f| f.ends_with("not in the document")));
     }
 }
