@@ -27,12 +27,17 @@
 //!   `relinearize` or `mod_switch_down` at `test_small` exceeds
 //!   [`FLOOR_RATIO_GATE`].
 //!
-//! The `digest` section times, per parameter set, `plan::ciphertext_digest`
-//! of one fresh ciphertext beside one SHA-256 lane over the same
-//! ciphertext's residues as 8-byte words (the digest it replaced),
-//! alternately in one run; the process exits nonzero if `ratio` at
-//! `test_small` exceeds [`DIGEST_RATIO_GATE`] where SHA-256 runs on the SHA
-//! extensions (`sha_ni`), which `MYC_NO_SIMD=1` turns off.
+//! The `digest` section records the [`sha256::Tier`] the striped hash runs
+//! on (`tier`) and times, per parameter set, `plan::ciphertext_digest` of
+//! one fresh ciphertext beside one SHA-256 lane over the same ciphertext's
+//! residues as 8-byte words (the digest it replaced), alternately in one
+//! run; and, as `journal_record`, the journal's checksum of a 62 kB record
+//! (`journal::record_checksum`, striped) beside one SHA-256 lane over the
+//! same record (the checksum it replaced). The process exits nonzero if
+//! the ciphertext `ratio` at `test_small` exceeds [`DIGEST_RATIO_GATE`]
+//! on the tier that runs, or the record's exceeds
+//! [`RECORD_RATIO_GATE`] where the AVX-512 tier runs. `MYC_NO_SIMD=1`
+//! runs the scalar tier, which neither gate holds.
 //!
 //! Before overwriting `BENCH_bgv.json`, the committed copy is re-read (by
 //! `json::parse`) as the *baseline*: the emitted `speedup` section is the
@@ -62,6 +67,7 @@ use mycelium_math::ntt::NttTable;
 use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
 use mycelium_math::simd::{self, Kernels};
 use mycelium_math::zq::{ntt_primes, Modulus};
+use mycelium_net::journal;
 
 /// Largest `floor_ratio` the gated operations may show at `test_small`
 /// (they sat at 3.8–4.0 before the limb-major pipelines; ≈ 2 since).
@@ -70,9 +76,20 @@ const FLOOR_RATIO_GATE: f64 = 2.5;
 const GATED_OPS: [&str; 3] = ["encrypt", "relinearize", "mod_switch_down"];
 
 /// Largest `ciphertext_digest` time, over one SHA-256 lane across the
-/// 8-byte-word stream, at `test_small` on a SHA-NI host (0.50–0.54
-/// measured on a 2-vCPU Xeon with SHA-NI and AVX-512).
-const DIGEST_RATIO_GATE: f64 = 0.7;
+/// 8-byte-word stream, at `test_small`, per striped-hash tier: ≈ 0.3 on
+/// the sixteen AVX-512 lanes, 0.50–0.54 on two SHA-NI chains (both
+/// measured on a 2-vCPU Xeon with SHA-NI and AVX-512). The scalar tier is
+/// not gated.
+const DIGEST_RATIO_GATE: [(&str, f64); 2] = [("avx512", 0.40), ("sha_ni", 0.7)];
+
+/// Largest striped journal-record checksum time over one SHA-256 lane
+/// across the same 62 kB record, where the AVX-512 tier runs (0.45–0.48
+/// measured on the same Xeon; two SHA-NI chains do not reach it).
+const RECORD_RATIO_GATE: f64 = 0.6;
+
+/// Payload bytes of the timed journal record: one contribution with its
+/// proof at the benchmark's parameters.
+const RECORD_BYTES: usize = 62_000;
 
 /// One kernel's measurement.
 struct Sample {
@@ -201,30 +218,59 @@ fn word_stream_digest(ct: &Ciphertext) -> [u8; 32] {
     h.finalize()
 }
 
-/// `(ciphertext_digest µs, word stream µs)` of one fresh ciphertext: five
-/// alternations of the two, the median of each, so both see the same
-/// stretch of the host's speed.
-fn run_digest(params: &BgvParams) -> (f64, f64) {
-    let mut rng = StdRng::seed_from_u64(0xD16E);
-    let keys = KeySet::generate(params, &mut rng);
-    let pt = encode_monomial(3, params.n, params.plaintext_modulus).unwrap();
-    let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
-    let (mut packed, mut words) = (Vec::new(), Vec::new());
+/// `(a µs, b µs)`: five alternations of the two, the median of each, so
+/// both see the same stretch of the host's speed.
+fn alternated(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for _ in 0..5 {
-        packed.push(micros(|| {
-            std::hint::black_box(ciphertext_digest(std::hint::black_box(&ct)));
-        }));
-        words.push(micros(|| {
-            std::hint::black_box(word_stream_digest(std::hint::black_box(&ct)));
-        }));
+        xs.push(micros(&mut a));
+        ys.push(micros(&mut b));
     }
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    let (packed, words) = (median(packed), median(words));
+    (median(xs), median(ys))
+}
+
+/// `(ciphertext_digest µs, word stream µs)` of one fresh ciphertext.
+fn run_digest(params: &BgvParams) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(0xD16E);
+    let keys = KeySet::generate(params, &mut rng);
+    let pt = encode_monomial(3, params.n, params.plaintext_modulus).unwrap();
+    let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
+    let (packed, words) = alternated(
+        || {
+            std::hint::black_box(ciphertext_digest(std::hint::black_box(&ct)));
+        },
+        || {
+            std::hint::black_box(word_stream_digest(std::hint::black_box(&ct)));
+        },
+    );
     eprintln!("  ciphertext_digest {packed:>8.2} us  word stream {words:>8.2} us");
     (packed, words)
+}
+
+/// `(striped checksum µs, one-lane checksum µs)` of one journal record of
+/// [`RECORD_BYTES`].
+fn run_record_checksum() -> (f64, f64) {
+    let mut payload = vec![0u8; RECORD_BYTES];
+    StdRng::seed_from_u64(0x3A1).fill_bytes(&mut payload);
+    let seq = 504u64;
+    let (striped, one_lane) = alternated(
+        || {
+            std::hint::black_box(journal::record_checksum(
+                seq,
+                std::hint::black_box(&payload),
+            ));
+        },
+        || {
+            let payload = std::hint::black_box(&payload[..]);
+            std::hint::black_box(sha256::sha256_concat(&[&seq.to_le_bytes(), payload]));
+        },
+    );
+    eprintln!("  record checksum   {striped:>8.2} us  one lane    {one_lane:>8.2} us");
+    (striped, one_lane)
 }
 
 /// End-to-end: the paper's Q4 over a small epidemic population, full
@@ -430,17 +476,28 @@ fn checks(doc: &Json) -> Vec<String> {
             None => Some(format!("{gate}: not in the document")),
         }
     });
-    let digest_gate = doc
-        .get("digest")
-        .filter(|d| matches!(d.get("sha_ni"), Some(Json::Bool(true))))
-        .map(|d| {
-            let gate = "ciphertext_digest over the word stream at test_small";
-            match d.get("test_small").and_then(|r| r.get("ratio")?.as_f64()) {
-                Some(ratio) if ratio <= DIGEST_RATIO_GATE => None,
-                Some(ratio) => Some(format!("{gate}: {ratio} > {DIGEST_RATIO_GATE}")),
-                None => Some(format!("{gate}: not in the document")),
-            }
+    let digest = doc.get("digest");
+    let tier = digest.and_then(|d| d.get("tier")?.as_str());
+    let ratio_gate = |gate: &str, row: &str, bound: f64| match digest
+        .and_then(|d| d.get(row)?.get("ratio")?.as_f64())
+    {
+        Some(ratio) if ratio <= bound => None,
+        Some(ratio) => Some(format!("{gate}: {ratio} > {bound}")),
+        None => Some(format!("{gate}: not in the document")),
+    };
+    let digest_gate = DIGEST_RATIO_GATE
+        .iter()
+        .find(|(t, _)| Some(*t) == tier)
+        .and_then(|&(tier, bound)| {
+            let gate = format!("ciphertext_digest over the word stream at test_small on {tier}");
+            ratio_gate(&gate, "test_small", bound)
         });
+    let record_gate = (tier == Some("avx512"))
+        .then(|| {
+            let gate = "striped journal-record checksum over one lane on avx512";
+            ratio_gate(gate, "journal_record", RECORD_RATIO_GATE)
+        })
+        .flatten();
     let speedup = doc
         .get("speedup")
         .and_then(Json::as_object)
@@ -450,7 +507,8 @@ fn checks(doc: &Json) -> Vec<String> {
         Some(format!("{key}: {ratio}x the committed ops/s"))
     });
     over_floor
-        .chain(digest_gate.flatten())
+        .chain(digest_gate)
+        .chain(record_gate)
         .chain(regressions)
         .collect()
 }
@@ -519,6 +577,7 @@ fn main() {
         .iter()
         .map(|set| (set.name, run_digest(&set.params)))
         .collect();
+    let record = run_record_checksum();
     std::env::remove_var("MYC_THREADS");
 
     let serial: Vec<&Suite> = suites.iter().filter(|s| s.threads == 1).collect();
@@ -597,7 +656,16 @@ fn main() {
         ]);
         (name, row)
     });
-    let digest = std::iter::once(("sha_ni", sha256::sha_ni_active().into())).chain(digest);
+    let (striped, one_lane) = record;
+    let record = Json::obj([
+        ("bytes", RECORD_BYTES.into()),
+        ("striped_us", Json::fixed(striped, 2)),
+        ("one_lane_us", Json::fixed(one_lane, 2)),
+        ("ratio", Json::fixed(striped / one_lane, 2)),
+    ]);
+    let digest = std::iter::once(("tier", sha256::striped_tier().name().into()))
+        .chain(digest)
+        .chain([("journal_record", record)]);
     let doc = Json::obj([
         ("ncores", ncores.into()),
         ("simd", simd),
@@ -695,24 +763,47 @@ mod tests {
     }
 
     #[test]
-    fn the_digest_gate_holds_only_where_sha_ni_runs() {
+    fn the_digest_gates_follow_the_striped_tier() {
         let floor = Json::obj(GATED_OPS.map(|op| (op, Json::fixed(2.0, 2))));
-        let doc = |sha_ni: bool, ratio: f64| {
-            let row = Json::obj([("ratio", Json::fixed(ratio, 2))]);
-            let digest = Json::obj([("sha_ni", sha_ni.into()), ("test_small", row)]);
+        let doc = |tier: &str, ratio: f64, record: f64| {
+            let row = |ratio| Json::obj([("ratio", Json::fixed(ratio, 2))]);
+            let digest = Json::obj([
+                ("tier", tier.into()),
+                ("test_small", row(ratio)),
+                ("journal_record", row(record)),
+            ]);
             Json::obj([
                 ("floor_ratio", Json::obj([("test_small", floor.clone())])),
                 ("digest", digest),
             ])
         };
-        assert_eq!(checks(&doc(true, 0.7)), Vec::<String>::new());
-        let failed = checks(&doc(true, 0.71));
+        let fails = |doc: Json| checks(&doc);
+        // Sixteen AVX-512 lanes: the ciphertext at 0.40, the record at 0.6.
+        assert_eq!(fails(doc("avx512", 0.4, 0.6)), Vec::<String>::new());
+        let failed = fails(doc("avx512", 0.41, 0.6));
         assert_eq!(failed.len(), 1);
         assert!(
             failed[0].starts_with("ciphertext_digest over"),
             "{failed:?}"
         );
-        // Scalar SHA-256 (no SHA-NI, or MYC_NO_SIMD=1): printed, not gated.
-        assert_eq!(checks(&doc(false, 0.9)), Vec::<String>::new());
+        let failed = fails(doc("avx512", 0.4, 0.61));
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].starts_with("striped journal-record"),
+            "{failed:?}"
+        );
+        // Two SHA-NI chains: the ciphertext at 0.7, the record not gated.
+        assert_eq!(fails(doc("sha_ni", 0.7, 0.9)), Vec::<String>::new());
+        let failed = fails(doc("sha_ni", 0.71, 0.9));
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].ends_with("on sha_ni: 0.71 > 0.7"), "{failed:?}");
+        // The scalar rounds (no SIMD, or MYC_NO_SIMD=1): printed, not gated.
+        assert_eq!(fails(doc("scalar", 1.2, 1.1)), Vec::<String>::new());
+        // A gated tier whose rows are missing fails by name.
+        let bare = Json::obj([
+            ("floor_ratio", Json::obj([("test_small", floor.clone())])),
+            ("digest", Json::obj([("tier", "avx512".into())])),
+        ]);
+        assert_eq!(fails(bare).len(), 2);
     }
 }

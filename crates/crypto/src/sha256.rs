@@ -90,25 +90,12 @@ impl Sha256 {
 
     /// [`Sha256::finalize`] with the dispatch decided by the caller (`ni`
     /// only where [`sha_ni_available`]), so tests drive both paths in one
-    /// process. The padding — `0x80`, zeros, the bit length of the message
-    /// — is written into the buffer whole: one compression, or two when
-    /// the buffer holds 56 bytes or more and the length spills over.
+    /// process. The padding is written after the buffered bytes whole
+    /// ([`final_blocks`]) and compressed in one call.
     fn finish(mut self, ni: bool) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        let len = self.buffer_len;
-        self.buffer[len] = 0x80;
-        self.buffer[len + 1..].fill(0);
-        if len >= 56 {
-            compress_on(ni, &mut self.state, &self.buffer);
-            self.buffer = [0; 64];
-        }
-        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress_on(ni, &mut self.state, &self.buffer);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        let (blocks, end) = final_blocks(&self.buffer[..self.buffer_len], self.total_len);
+        compress_on(ni, &mut self.state, &blocks[..end]);
+        to_digest(&self.state)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -116,44 +103,165 @@ impl Sha256 {
     }
 }
 
-/// Absorbs `x` into `a` and `y` into `b` — the same as `a.update(x);
-/// b.update(y)`. When both hashers sit at the same offset into their block
-/// and `x.len() == y.len()` (two parts of one ciphertext always do), their
-/// whole blocks run through the SHA extensions as two interleaved chains:
-/// one chain of `sha256rnds2` waits on its own latency, two keep the unit
-/// busy. Any other shape, or no SHA-NI, is the two updates.
-pub fn update_pair(a: &mut Sha256, x: &[u8], b: &mut Sha256, y: &[u8]) {
-    pair_update(sha_ni_active(), a, x, b, y);
+/// The last one or two blocks of a message of `len` bytes whose bytes past
+/// its last whole block are `rest`: `rest`, `0x80`, zeros, and the bit
+/// length — two blocks when `rest` holds 56 bytes or more and the length
+/// spills over. Returns the blocks and how many of their bytes to compress.
+fn final_blocks(rest: &[u8], len: u64) -> ([u8; 128], usize) {
+    debug_assert!(rest.len() < 64);
+    let mut blocks = [0u8; 128];
+    blocks[..rest.len()].copy_from_slice(rest);
+    blocks[rest.len()] = 0x80;
+    let end = if rest.len() >= 56 { 128 } else { 64 };
+    blocks[end - 8..end].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
+    (blocks, end)
 }
 
-/// [`update_pair`] with the dispatch decided by the caller (`ni` only where
-/// [`sha_ni_available`]), so tests drive both paths in one process.
-fn pair_update(ni: bool, a: &mut Sha256, x: &[u8], b: &mut Sha256, y: &[u8]) {
-    if !ni || a.buffer_len != b.buffer_len || x.len() != y.len() {
-        a.update(x);
-        b.update(y);
-        return;
+fn to_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
     }
-    // Top both buffers up to a block boundary (or take all the input):
-    // they fill, and compress, in step.
-    let head = ((64 - a.buffer_len) % 64).min(x.len());
-    a.update(&x[..head]);
-    b.update(&y[..head]);
-    let (x, y) = (&x[head..], &y[head..]);
-    let bulk = x.len() / 64 * 64;
-    if bulk > 0 {
-        debug_assert!(a.buffer_len == 0 && b.buffer_len == 0);
-        a.total_len = a.total_len.wrapping_add(bulk as u64);
-        b.total_len = b.total_len.wrapping_add(bulk as u64);
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `ni` is only ever true where `sha_ni_available()` holds,
-        // and both slices are the same `bulk` bytes: whole blocks.
-        unsafe {
-            ni::compress_blocks_pair(&mut a.state, &x[..bulk], &mut b.state, &y[..bulk])
-        };
+    out
+}
+
+/// SHA-256 of `lane` on one chain (the SHA extensions if `ni`, only ever
+/// true where [`sha_ni_available`]), from a `state` that has absorbed its
+/// first `done` bytes — whole blocks.
+fn lane_digest(ni: bool, mut state: [u32; 8], lane: &[u8], done: usize) -> Digest {
+    let whole = lane.len() / 64 * 64;
+    compress_on(ni, &mut state, &lane[done..whole]);
+    let (blocks, end) = final_blocks(&lane[whole..], lane.len() as u64);
+    compress_on(ni, &mut state, &blocks[..end]);
+    to_digest(&state)
+}
+
+/// Most stripes [`striped`] cuts its input into: one per lane of the widest
+/// kernel.
+const STRIPES: usize = 16;
+/// The shortest stripe: an input of this many bytes or fewer is one leaf.
+const MIN_STRIPE: usize = 1024;
+
+/// A digest of bulk `data` under `domain`, hashed up to sixteen lanes wide:
+///
+/// ```text
+/// S      = max(1024, ⌈len / 16⌉ rounded up to a multiple of 64)
+/// stripe i = data[i·S .. min((i+1)·S, len)]       (1 to 16 stripes)
+/// digest = SHA-256(domain ‖ len u64 LE ‖ stripe count u8 ‖ H(stripe 0) ‖ …)
+/// ```
+///
+/// where `H` is plain SHA-256 — an empty input is one empty stripe. The
+/// stripes are independent, so the leaves are computed side by side on the
+/// widest [`Tier`] this host has ([`striped_tier`]). Every tier computes the
+/// same FIPS 180-4 leaves, so the digest never depends on the host.
+pub fn striped(domain: &[u8], data: &[u8]) -> Digest {
+    striped_on(striped_tier(), domain, data)
+}
+
+/// [`striped`] with its leaves hashed on `tier`, so tests drive every tier
+/// in one process.
+fn striped_on(tier: Tier, domain: &[u8], data: &[u8]) -> Digest {
+    let stripe = data
+        .len()
+        .div_ceil(STRIPES)
+        .next_multiple_of(64)
+        .max(MIN_STRIPE);
+    // ⌈len / stripe⌉ ≤ 16, since stripe ≥ ⌈len / 16⌉.
+    let mut stripes = [&data[..0]; STRIPES];
+    let mut count = 1;
+    for (i, s) in data.chunks(stripe).enumerate() {
+        stripes[i] = s;
+        count = i + 1;
     }
-    a.update(&x[bulk..]);
-    b.update(&y[bulk..]);
+    let mut leaves = [[0u8; 32]; STRIPES];
+    hash_lanes(tier, &stripes[..count], &mut leaves[..count]);
+    let mut h = Sha256::new();
+    h.update(domain);
+    h.update(&(data.len() as u64).to_le_bytes());
+    h.update(&[count as u8]);
+    for leaf in &leaves[..count] {
+        h.update(leaf);
+    }
+    h.finalize()
+}
+
+/// The kernels [`striped`] hashes its stripes on, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// The portable rounds, one stripe at a time.
+    Scalar,
+    /// The SHA extensions, two stripes at a time as two interleaved chains.
+    ShaNi,
+    /// AVX-512F, sixteen stripes at once: one 32-bit lane each.
+    Avx512,
+}
+
+impl Tier {
+    /// The name the benchmarks record.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::ShaNi => "sha_ni",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
+/// Whether the CPU has AVX-512F, whatever `MYC_NO_SIMD` says.
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Every tier this host can run, narrowest first, whatever `MYC_NO_SIMD`
+/// says.
+fn tiers() -> Vec<Tier> {
+    let mut tiers = vec![Tier::Scalar];
+    if sha_ni_available() {
+        tiers.push(Tier::ShaNi);
+    }
+    if avx512_available() {
+        tiers.push(Tier::Avx512);
+    }
+    tiers
+}
+
+/// The tier [`striped`] runs on, decided once per process: AVX-512F where
+/// the CPU has it, else the SHA extensions, else — or under
+/// `MYC_NO_SIMD=1` — the scalar rounds.
+pub fn striped_tier() -> Tier {
+    static TIER: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+    *TIER.get_or_init(|| {
+        if mycelium_math::simd::simd_disabled_by_env() {
+            Tier::Scalar
+        } else {
+            *tiers().last().expect("the scalar tier is always there")
+        }
+    })
+}
+
+/// SHA-256 of each of up to sixteen lanes, `out[l]` of `lanes[l]`, on
+/// `tier` — or on the scalar rounds where the CPU lacks what `tier` needs,
+/// which gives the same digests.
+fn hash_lanes(tier: Tier, lanes: &[&[u8]], out: &mut [Digest]) {
+    assert!(lanes.len() <= STRIPES && out.len() == lanes.len());
+    #[cfg(target_arch = "x86_64")]
+    match tier {
+        // SAFETY: the guard checks the CPU has AVX-512F.
+        Tier::Avx512 if avx512_available() => return unsafe { x16::hash_lanes(lanes, out) },
+        // SAFETY: the guard checks the CPU has the SHA extensions.
+        Tier::ShaNi if sha_ni_available() => return unsafe { ni::hash_lanes(lanes, out) },
+        _ => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for (lane, d) in lanes.iter().zip(out) {
+        *d = lane_digest(false, H0, lane, 0);
+    }
 }
 
 /// Whether the CPU has the SHA extensions (and the SSE levels their kernel
@@ -169,11 +277,11 @@ fn sha_ni_available() -> bool {
     false
 }
 
-/// Whether the compression function runs on the SHA extensions: decided
-/// once per process — the CPU has them and `MYC_NO_SIMD=1` is not set.
-/// Both paths compute the identical FIPS 180-4 function, so no digest
-/// depends on the answer.
-pub fn sha_ni_active() -> bool {
+/// Whether the compression function of one chain runs on the SHA
+/// extensions: decided once per process — the CPU has them and
+/// `MYC_NO_SIMD=1` is not set. Both paths compute the identical FIPS 180-4
+/// function, so no digest depends on the answer.
+fn sha_ni_active() -> bool {
     static SHA_NI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *SHA_NI.get_or_init(|| !mycelium_math::simd::simd_disabled_by_env() && sha_ni_available())
 }
@@ -208,6 +316,8 @@ fn compress_on(ni: bool, state: &mut [u32; 8], data: &[u8]) {
 mod ni {
     use core::arch::x86_64::*;
 
+    use super::{lane_digest, Digest, H0};
+
     /// # Safety
     ///
     /// The CPU has the enabled features; `data` is whole 64-byte blocks.
@@ -216,21 +326,31 @@ mod ni {
         compress_lanes([state], [data]);
     }
 
-    /// Two independent streams at once.
+    /// SHA-256 of each lane, `out[l]` of `lanes[l]`, two lanes at a time:
+    /// the whole blocks a pair has in common run as two interleaved chains
+    /// (one chain of `sha256rnds2` waits on its own latency, two keep the
+    /// unit busy), the rest of each lane on its own.
     ///
     /// # Safety
     ///
-    /// The CPU has the enabled features; `x` and `y` are whole 64-byte
-    /// blocks, as many of each.
+    /// The CPU has the enabled features.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) unsafe fn compress_blocks_pair(
-        a: &mut [u32; 8],
-        x: &[u8],
-        b: &mut [u32; 8],
-        y: &[u8],
-    ) {
-        assert_eq!(x.len(), y.len(), "both lanes read as many blocks");
-        compress_lanes([a, b], [x, y]);
+    pub(super) unsafe fn hash_lanes(lanes: &[&[u8]], out: &mut [Digest]) {
+        for (pair, out) in lanes.chunks(2).zip(out.chunks_mut(2)) {
+            let mut states = [H0; 2];
+            let common = match pair {
+                [x, y] => {
+                    let common = x.len().min(y.len()) / 64 * 64;
+                    let [a, b] = &mut states;
+                    compress_lanes([a, b], [&x[..common], &y[..common]]);
+                    common
+                }
+                _ => 0,
+            };
+            for ((lane, state), d) in pair.iter().zip(states).zip(out) {
+                *d = lane_digest(true, state, lane, common);
+            }
+        }
     }
 
     /// The rounds of `L` independent `(state, blocks)` streams of one
@@ -304,6 +424,201 @@ mod ni {
             _mm_storeu_si128(state.cast(), _mm_blend_epi16(tmp, dchg, 0xF0));
             _mm_storeu_si128(state.add(4).cast(), _mm_alignr_epi8(dchg, tmp, 8));
         }
+    }
+}
+
+/// Sixteen SHA-256 chains in the sixteen 32-bit lanes of the AVX-512
+/// registers: lane `l` of `a`…`h` is the state of message `l`, lane `l` of
+/// message word `w[t]` is word `t` of its current block. Every step is one
+/// instruction for all sixteen: `vprord` rotates, `vpternlogd` folds the
+/// three-way XORs, `Ch` and `Maj`.
+#[cfg(target_arch = "x86_64")]
+mod x16 {
+    use core::arch::x86_64::*;
+
+    use super::{final_blocks, Digest, H0, K, STRIPES};
+
+    /// SHA-256 of each of up to sixteen lanes of any lengths, `out[l]` of
+    /// `lanes[l]`. A lane's whole blocks are read in place; its bytes past
+    /// them and the padding are staged by [`final_blocks`]. Once a lane's
+    /// blocks run out it reads a zero block and its state ignores the
+    /// result, so lanes of different lengths share one pass.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn hash_lanes(lanes: &[&[u8]], out: &mut [Digest]) {
+        assert!(lanes.len() <= STRIPES && out.len() == lanes.len());
+        let mut tails = [([0u8; 128], 0usize); STRIPES];
+        let mut whole = [0usize; STRIPES];
+        let mut blocks = [0usize; STRIPES];
+        for (l, lane) in lanes.iter().enumerate() {
+            whole[l] = lane.len() / 64;
+            tails[l] = final_blocks(&lane[64 * whole[l]..], lane.len() as u64);
+            blocks[l] = whole[l] + tails[l].1 / 64;
+        }
+        let zero = [0u8; 64];
+        let mut state = H0.map(|h| _mm512_set1_epi32(h as i32));
+        for b in 0..blocks.iter().copied().max().unwrap_or(0) {
+            let mut rows = [&zero; STRIPES];
+            let mut live = 0u16;
+            for (l, lane) in lanes.iter().enumerate() {
+                let block = if b < whole[l] {
+                    &lane[64 * b..64 * b + 64]
+                } else if b < blocks[l] {
+                    &tails[l].0[64 * (b - whole[l])..64 * (b - whole[l]) + 64]
+                } else {
+                    continue;
+                };
+                rows[l] = block.try_into().expect("a 64-byte slice");
+                live |= 1 << l;
+            }
+            let worked = rounds(state, load_transposed(&rows));
+            for (s, x) in state.iter_mut().zip(worked) {
+                *s = _mm512_mask_add_epi32(*s, live, *s, x);
+            }
+        }
+        let mut words = [[0u32; STRIPES]; 8];
+        for (w, s) in words.iter_mut().zip(state) {
+            _mm512_storeu_si512(w.as_mut_ptr().cast(), s);
+        }
+        for (l, d) in out.iter_mut().enumerate() {
+            for (i, w) in words.iter().enumerate() {
+                d[4 * i..4 * i + 4].copy_from_slice(&w[l].to_be_bytes());
+            }
+        }
+    }
+
+    /// The sixteen big-endian message words of sixteen blocks, transposed:
+    /// lane `l` of word `t` is word `t` of `rows[l]`. Two rounds of 32-bit
+    /// and 64-bit unpacks gather four rows' column within each 128-bit
+    /// quarter; two rounds of quarter shuffles put the quarters in row
+    /// order.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load_transposed(rows: &[&[u8; 64]; STRIPES]) -> [__m512i; 16] {
+        let zero = _mm512_setzero_si512();
+        let mut r = [zero; 16];
+        for (r, row) in r.iter_mut().zip(rows) {
+            *r = bswap(_mm512_loadu_si512(row.as_ptr().cast()));
+        }
+        // a[2i], a[2i+1]: rows 2i and 2i+1 interleaved, columns 4k, 4k+1
+        // and 4k+2, 4k+3 of quarter k.
+        let mut a = [zero; 16];
+        for i in 0..8 {
+            a[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
+            a[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
+        }
+        // c[4g + j], quarter k: rows 4g..4g+4 of column 4k + j.
+        let mut c = [zero; 16];
+        for g in 0..4 {
+            c[4 * g] = _mm512_unpacklo_epi64(a[4 * g], a[4 * g + 2]);
+            c[4 * g + 1] = _mm512_unpackhi_epi64(a[4 * g], a[4 * g + 2]);
+            c[4 * g + 2] = _mm512_unpacklo_epi64(a[4 * g + 1], a[4 * g + 3]);
+            c[4 * g + 3] = _mm512_unpackhi_epi64(a[4 * g + 1], a[4 * g + 3]);
+        }
+        // w[4k + j]: quarter k of c[j], c[4 + j], c[8 + j], c[12 + j].
+        let mut w = [zero; 16];
+        for j in 0..4 {
+            let lo0 = _mm512_shuffle_i32x4::<0x44>(c[j], c[4 + j]);
+            let hi0 = _mm512_shuffle_i32x4::<0xEE>(c[j], c[4 + j]);
+            let lo1 = _mm512_shuffle_i32x4::<0x44>(c[8 + j], c[12 + j]);
+            let hi1 = _mm512_shuffle_i32x4::<0xEE>(c[8 + j], c[12 + j]);
+            w[j] = _mm512_shuffle_i32x4::<0x88>(lo0, lo1);
+            w[4 + j] = _mm512_shuffle_i32x4::<0xDD>(lo0, lo1);
+            w[8 + j] = _mm512_shuffle_i32x4::<0x88>(hi0, hi1);
+            w[12 + j] = _mm512_shuffle_i32x4::<0xDD>(hi0, hi1);
+        }
+        w
+    }
+
+    /// Reverses the bytes of each 32-bit lane: bytes 0 and 2 of the result
+    /// come from the word rotated left by 8, bytes 1 and 3 from it rotated
+    /// right by 8.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn bswap(x: __m512i) -> __m512i {
+        let even = _mm512_set1_epi32(0x00FF_00FF);
+        _mm512_ternarylogic_epi32::<0xCA>(even, _mm512_rol_epi32::<8>(x), _mm512_ror_epi32::<8>(x))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn xor3(a: __m512i, b: __m512i, c: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi32::<0x96>(a, b, c)
+    }
+
+    /// The 64 rounds over one block per lane, the message schedule rolling
+    /// through `w`; returns the working variables, which the caller adds
+    /// into the state of the lanes that had a block. The sixteen rounds of
+    /// a group are written out, so every index into `w` is a constant and
+    /// the schedule stays in registers.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn rounds(state: [__m512i; 8], mut w: [__m512i; 16]) -> [__m512i; 8] {
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+        for (group, k) in K.chunks_exact(16).enumerate() {
+            macro_rules! round {
+                ($j:literal) => {
+                    if group > 0 {
+                        // w[i] = w[i−16] + σ0(w[i−15]) + w[i−7] + σ1(w[i−2]).
+                        let (w15, w2) = (w[($j + 1) % 16], w[($j + 14) % 16]);
+                        let s0 = xor3(
+                            _mm512_ror_epi32::<7>(w15),
+                            _mm512_ror_epi32::<18>(w15),
+                            _mm512_srli_epi32::<3>(w15),
+                        );
+                        let s1 = xor3(
+                            _mm512_ror_epi32::<17>(w2),
+                            _mm512_ror_epi32::<19>(w2),
+                            _mm512_srli_epi32::<10>(w2),
+                        );
+                        let sum = _mm512_add_epi32(_mm512_add_epi32(w[$j], s0), w[($j + 9) % 16]);
+                        w[$j] = _mm512_add_epi32(sum, s1);
+                    }
+                    let s1 = xor3(
+                        _mm512_ror_epi32::<6>(e),
+                        _mm512_ror_epi32::<11>(e),
+                        _mm512_ror_epi32::<25>(e),
+                    );
+                    let ch = _mm512_ternarylogic_epi32::<0xCA>(e, f, g);
+                    let kw = _mm512_add_epi32(_mm512_set1_epi32(k[$j] as i32), w[$j]);
+                    let t1 = _mm512_add_epi32(_mm512_add_epi32(h, s1), _mm512_add_epi32(ch, kw));
+                    let s0 = xor3(
+                        _mm512_ror_epi32::<2>(a),
+                        _mm512_ror_epi32::<13>(a),
+                        _mm512_ror_epi32::<22>(a),
+                    );
+                    let maj = _mm512_ternarylogic_epi32::<0xE8>(a, b, c);
+                    h = g;
+                    g = f;
+                    f = e;
+                    e = _mm512_add_epi32(d, t1);
+                    d = c;
+                    c = b;
+                    b = a;
+                    a = _mm512_add_epi32(t1, _mm512_add_epi32(s0, maj));
+                };
+            }
+            round!(0);
+            round!(1);
+            round!(2);
+            round!(3);
+            round!(4);
+            round!(5);
+            round!(6);
+            round!(7);
+            round!(8);
+            round!(9);
+            round!(10);
+            round!(11);
+            round!(12);
+            round!(13);
+            round!(14);
+            round!(15);
+        }
+        [a, b, c, d, e, f, g, h]
     }
 }
 
@@ -467,33 +782,15 @@ mod tests {
         );
     }
 
-    /// Both dispatches of [`pair_update`] this host can run: the two
-    /// updates always, the pair kernel where the CPU has SHA-NI — whatever
+    /// Both single-chain dispatches this host can run: the scalar rounds
+    /// always, the SHA extensions where the CPU has them — whatever
     /// `MYC_NO_SIMD` says, so one run checks both.
-    fn pair_paths() -> Vec<bool> {
+    fn ni_paths() -> Vec<bool> {
         let mut paths = vec![false];
         if sha_ni_available() {
             paths.push(true);
         }
         paths
-    }
-
-    /// `pair_update` from hashers that already absorbed `pre_a` / `pre_b`
-    /// against two independent hashers, on the same inputs.
-    fn check_pair(ni: bool, pre_a: &[u8], x: &[u8], pre_b: &[u8], y: &[u8]) {
-        let (mut a, mut b) = (Sha256::new(), Sha256::new());
-        a.update(pre_a);
-        b.update(pre_b);
-        pair_update(ni, &mut a, x, &mut b, y);
-        let what = format!(
-            "ni {ni}, offsets {} / {}, lengths {} / {}",
-            pre_a.len(),
-            pre_b.len(),
-            x.len(),
-            y.len()
-        );
-        assert_eq!(a.finalize(), sha256_concat(&[pre_a, x]), "{what}");
-        assert_eq!(b.finalize(), sha256_concat(&[pre_b, y]), "{what}");
     }
 
     fn bytes(len: usize, salt: u32) -> Vec<u8> {
@@ -502,41 +799,160 @@ mod tests {
             .collect()
     }
 
+    /// SHA-256 by the book: the padded message in a vector, one block at a
+    /// time through `compress_scalar`.
+    fn by_the_book(data: &[u8]) -> Digest {
+        let mut m = data.to_vec();
+        m.push(0x80);
+        while m.len() % 64 != 56 {
+            m.push(0);
+        }
+        m.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in m.chunks_exact(64) {
+            compress_scalar(&mut state, block.try_into().unwrap());
+        }
+        to_digest(&state)
+    }
+
+    /// `hash_lanes` on `tier` against `by_the_book`, lane by lane.
+    fn check_lanes(tier: Tier, lanes: &[&[u8]]) {
+        let mut out = vec![[0u8; 32]; lanes.len()];
+        hash_lanes(tier, lanes, &mut out);
+        for (l, (lane, got)) in lanes.iter().zip(&out).enumerate() {
+            let lengths: Vec<usize> = lanes.iter().map(|x| x.len()).collect();
+            assert_eq!(*got, by_the_book(lane), "{tier:?}, lane {l} of {lengths:?}");
+        }
+    }
+
     #[test]
-    fn update_pair_matches_two_hashers_at_every_length() {
-        let (x, y) = (bytes(65 << 10, 1), bytes(65 << 10, 2));
-        let lengths = (0..=300).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]);
-        for ni in pair_paths() {
-            for len in lengths.clone() {
-                check_pair(ni, b"", &x[..len], b"", &y[..len]);
+    fn every_tier_hashes_the_fips_vectors() {
+        let million = vec![b'a'; 1_000_000];
+        let lanes: [&[u8]; 4] = [
+            b"abc",
+            b"",
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            &million,
+        ];
+        let want = [
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        ];
+        for tier in tiers() {
+            let mut out = [[0u8; 32]; 4];
+            hash_lanes(tier, &lanes, &mut out);
+            assert_eq!(out.map(|d| hex(&d)), want, "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_the_scalar_rounds_at_every_lane_length_to_1_kib() {
+        let data: Vec<Vec<u8>> = (0..STRIPES as u32).map(|l| bytes(1024, l)).collect();
+        for tier in tiers() {
+            for len in 0..=1024 {
+                let lanes: Vec<&[u8]> = data.iter().map(|d| &d[..len]).collect();
+                check_lanes(tier, &lanes);
             }
         }
     }
 
     #[test]
-    fn update_pair_matches_two_hashers_at_equal_offsets() {
-        let (x, y) = (bytes(1000, 3), bytes(1000, 4));
-        let (pre_a, pre_b) = (bytes(130, 5), bytes(130, 6));
-        for ni in pair_paths() {
-            for offset in [1, 2, 31, 63, 64, 65, 127, 130] {
-                for len in [0, 1, 62, 63, 64, 65, 127, 128, 129, 500, 1000] {
-                    check_pair(ni, &pre_a[..offset], &x[..len], &pre_b[..offset], &y[..len]);
+    fn every_tier_matches_on_ragged_lanes_at_every_padding_boundary() {
+        let data: Vec<Vec<u8>> = (0..STRIPES as u32).map(|l| bytes(5000, 16 + l)).collect();
+        // Past a whole block: nothing, one byte, the last byte the length
+        // fits behind (55), the first it spills over (56), a full tail (63).
+        let past = [0, 1, 55, 56, 57, 63, 64, 65, 119, 120];
+        for tier in tiers() {
+            for blocks in [0, 1, 2, 16, 60] {
+                // Sixteen lanes, each a different distance past the block.
+                let lanes: Vec<&[u8]> = (0..STRIPES)
+                    .map(|l| &data[l][..64 * blocks + past[l % past.len()]])
+                    .collect();
+                check_lanes(tier, &lanes);
+                // Every lane count, the lanes in decreasing length.
+                for count in 1..=STRIPES {
+                    let lanes: Vec<&[u8]> = (0..count)
+                        .map(|l| &data[l][..64 * (blocks + count - l) + past[l % past.len()]])
+                        .collect();
+                    check_lanes(tier, &lanes);
                 }
             }
+            // Stripe shapes: fifteen whole stripes and a short last one, a
+            // lone empty lane, one long lane among empty ones.
+            let ragged: Vec<&[u8]> = (0..STRIPES)
+                .map(|l| &data[l][..if l < 15 { 3904 } else { 2884 }])
+                .collect();
+            check_lanes(tier, &ragged);
+            check_lanes(tier, &[b""]);
+            let mut lone: Vec<&[u8]> = vec![b""; STRIPES];
+            lone[7] = &data[7];
+            check_lanes(tier, &lone);
         }
     }
 
+    /// `striped` by its definition, from one-shot SHA-256 of each stripe.
+    fn striped_by_definition(domain: &[u8], data: &[u8]) -> Digest {
+        let stripe = (data.len().div_ceil(16).div_ceil(64) * 64).max(1024);
+        let mut leaves: Vec<Digest> = data.chunks(stripe).map(sha256).collect();
+        if leaves.is_empty() {
+            leaves.push(sha256(b""));
+        }
+        assert!(leaves.len() <= 16);
+        let len = (data.len() as u64).to_le_bytes();
+        sha256_concat(&[domain, &len, &[leaves.len() as u8], &leaves.concat()])
+    }
+
     #[test]
-    fn update_pair_falls_back_on_unequal_shapes() {
-        let (x, y) = (bytes(700, 7), bytes(700, 8));
-        let pre = bytes(64, 9);
-        for ni in pair_paths() {
-            // Unequal lengths, at equal offsets and at unequal ones.
-            check_pair(ni, b"", &x[..640], b"", &y[..641]);
-            check_pair(ni, &pre[..3], &x[..200], &pre[..3], &y[..0]);
-            // Equal lengths at unequal offsets.
-            check_pair(ni, &pre[..5], &x[..640], &pre[..6], &y[..640]);
-            check_pair(ni, b"", &x[..700], &pre, &y[..700]);
+    fn striped_is_its_definition_on_every_tier() {
+        let data = bytes((1 << 20) + 100, 40);
+        let lengths = [
+            0,
+            1,
+            1023,
+            1024,
+            1025,
+            2048,
+            16 * 1024 - 1,
+            16 * 1024,
+            16 * 1024 + 1,
+            16 * 1024 + 64,
+            16 * 1088 + 1,
+            61_444,
+            62 * 1024,
+            100_003,
+            (1 << 20) + 100,
+        ];
+        for tier in tiers() {
+            for len in lengths {
+                let (domain, data) = (b"myc-test-v1", &data[..len]);
+                let want = striped_by_definition(domain, data);
+                assert_eq!(
+                    striped_on(tier, domain, data),
+                    want,
+                    "{tier:?}, {len} bytes"
+                );
+            }
+        }
+        assert_eq!(
+            striped(b"d", &data[..5000]),
+            striped_by_definition(b"d", &data[..5000])
+        );
+    }
+
+    #[test]
+    fn striped_binds_its_domain_length_and_every_stripe() {
+        let data = bytes(40_000, 41);
+        let base = striped(b"domain", &data);
+        assert_ne!(striped(b"domaiN", &data), base);
+        // The same stripe count, one byte shorter.
+        assert_ne!(striped(b"domain", &data[..39_999]), base);
+        // One byte in each stripe (2560 bytes long at 40 000 bytes).
+        for stripe in 0..16 {
+            let mut moved = data.clone();
+            moved[2560 * stripe + 17] ^= 1;
+            assert_ne!(striped(b"domain", &moved), base, "stripe {stripe}");
         }
     }
 
@@ -561,7 +977,7 @@ mod tests {
     fn one_step_padding_matches_bytewise_padding_at_every_length() {
         let data = bytes((64 << 10) + 1, 10);
         let lengths = (0..=200).chain([(64 << 10) - 1, 64 << 10, (64 << 10) + 1]);
-        for ni in pair_paths() {
+        for ni in ni_paths() {
             for len in lengths.clone() {
                 let mut h = Sha256::new();
                 h.update(&data[..len]);

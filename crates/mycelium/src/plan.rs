@@ -16,10 +16,12 @@
 //! * [`SignedContribution`] — a device's wire message: ciphertext plus
 //!   optional well-formedness proof, verified by the aggregator.
 
+use std::cell::RefCell;
+
 use mycelium_bgv::encoding::{encode_constant, encode_monomial};
 use mycelium_bgv::noise::plan_chain;
 use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
-use mycelium_crypto::sha256::{update_pair, Digest, Sha256};
+use mycelium_crypto::sha256::{self, Digest};
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::ew;
@@ -39,61 +41,50 @@ use crate::params::SystemParams;
 
 /// Digest of a ciphertext — what binds proofs, summation-tree commitments
 /// and the certificate to concrete ciphertexts:
-/// `SHA-256("myc-ct-v2" ‖ nparts as u8 ‖ D_0 ‖ … ‖ D_{n−1})`, where the part
-/// digest `D_j` is SHA-256 of exactly the bytes the wire codec writes for
-/// part `j` — its representation tag, its level, and each residue row
-/// packed at the width of its prime. What travels is what is hashed; a
-/// canonical residue has exactly one packed form, so the digest is as
-/// injective as the encoding.
+/// `sha256::striped("myc-ct-v3" ‖ nparts as u8, bytes)`, where `bytes` is
+/// exactly what the wire codec writes for the parts, in order — each
+/// part's representation tag, its level, and each residue row packed at
+/// the width of its prime. What travels is what is hashed; a canonical
+/// residue has exactly one packed form, so the digest is as injective as
+/// the encoding. The bytes are packed into a buffer each thread keeps, so
+/// a digest allocates nothing once the thread has taken one of this size.
 pub fn ciphertext_digest(ct: &Ciphertext) -> Digest {
+    thread_local! {
+        static BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
     let parts = ct.parts();
-    let mut h = Sha256::new();
-    h.update(b"myc-ct-v2");
-    h.update(&[parts.len() as u8]);
-    for pair in parts.chunks(2) {
-        // A lone last part (a degree-2 product, which no round digests)
-        // rides beside itself.
-        let digests = part_digests(&pair[0], pair.last().expect("chunks are nonempty"));
-        for d in &digests[..pair.len()] {
-            h.update(d);
-        }
+    let mut domain = *b"myc-ct-v3\0";
+    domain[9] = parts.len() as u8;
+    /// Each residue row of `p` beside its modulus and its packed length.
+    fn rows(p: &RnsPoly) -> impl Iterator<Item = (&Modulus, &[u64], usize)> {
+        let moduli = p.context().moduli().iter();
+        moduli
+            .zip(p.residues())
+            .map(|(m, row)| (m, &row[..], ew::packed_len(m.bits(), row.len())))
     }
-    h.finalize()
-}
-
-/// The part digests of [`ciphertext_digest`] for two parts of one
-/// ciphertext, hashed side by side ([`update_pair`]): both streams have
-/// the same shape, so the SHA rounds of one overlap the other's.
-fn part_digests(a: &RnsPoly, b: &RnsPoly) -> [Digest; 2] {
-    /// Lanes packed per hasher update: whole pack groups, into buffers on
-    /// the stack.
-    const CHUNK: usize = 1024;
-    assert_eq!(
-        a.level(),
-        b.level(),
-        "parts of one ciphertext share a level"
-    );
-    let header = |p: &RnsPoly| {
-        let tag = match p.representation() {
-            Representation::Coefficient => 0,
-            Representation::Ntt => 1,
-        };
-        [tag, p.level() as u8]
-    };
-    let (mut ha, mut hb) = (Sha256::new(), Sha256::new());
-    update_pair(&mut ha, &header(a), &mut hb, &header(b));
-    let mut bufs = [[0u8; ew::packed_len(64, CHUNK)]; 2];
-    let rows = a.residues().iter().zip(b.residues());
-    for (m, (row_a, row_b)) in a.context().moduli().iter().zip(rows) {
-        for (xa, xb) in row_a.chunks(CHUNK).zip(row_b.chunks(CHUNK)) {
-            let len = ew::packed_len(m.bits(), xa.len());
-            let [pa, pb] = &mut bufs;
-            ew::pack(m, &mut pa[..len], xa);
-            ew::pack(m, &mut pb[..len], xb);
-            update_pair(&mut ha, &pa[..len], &mut hb, &pb[..len]);
+    let len: usize = parts
+        .iter()
+        .map(|p| 2 + rows(p).map(|r| r.2).sum::<usize>())
+        .sum();
+    BYTES.with_borrow_mut(|bytes| {
+        // Every byte below `len` is written before it is hashed: the
+        // buffer only grows, and only its growth is zeroed.
+        bytes.resize(len, 0);
+        let mut at = 0;
+        for p in parts {
+            bytes[at] = match p.representation() {
+                Representation::Coefficient => 0,
+                Representation::Ntt => 1,
+            };
+            bytes[at + 1] = p.level() as u8;
+            at += 2;
+            for (m, row, packed) in rows(p) {
+                ew::pack(m, &mut bytes[at..at + packed], row);
+                at += packed;
+            }
         }
-    }
-    [ha.finalize(), hb.finalize()]
+        sha256::striped(&domain, bytes)
+    })
 }
 
 /// The feasibility-checked compilation of one query against one

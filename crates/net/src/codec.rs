@@ -491,14 +491,20 @@ mod tests {
         assert_eq!(back.openings[0].proof.siblings.len(), 2);
     }
 
-    /// `plan::ciphertext_digest` by its definition, from this codec's bytes:
-    /// SHA-256 over `"myc-ct-v2"`, the part count, and each part's digest
-    /// of what `encode_poly` writes for it.
+    /// `plan::ciphertext_digest` by its version 3 definition, from this
+    /// codec's bytes: the bytes `encode_poly` writes for each part, in
+    /// order, cut into stripes of `S = max(1024, ⌈len / 16⌉ rounded up to
+    /// 64)` bytes, and SHA-256 over `"myc-ct-v3"`, the part count, the
+    /// length, the stripe count and each stripe's SHA-256.
     fn digest_of_the_encoding(ct: &Ciphertext) -> [u8; 32] {
-        let parts: Vec<[u8; 32]> = ct.parts().iter().map(|p| sha256(&encoded(p))).collect();
-        let mut stream = b"myc-ct-v2".to_vec();
-        stream.push(parts.len() as u8);
-        stream.extend(parts.concat());
+        let bytes: Vec<u8> = ct.parts().iter().flat_map(encoded).collect();
+        let stripe = (bytes.len().div_ceil(16).div_ceil(64) * 64).max(1024);
+        let leaves: Vec<[u8; 32]> = bytes.chunks(stripe).map(sha256).collect();
+        let mut stream = b"myc-ct-v3".to_vec();
+        stream.push(ct.parts().len() as u8);
+        stream.extend((bytes.len() as u64).to_le_bytes());
+        stream.push(leaves.len() as u8);
+        stream.extend(leaves.concat());
         sha256(&stream)
     }
 

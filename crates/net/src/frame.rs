@@ -21,14 +21,15 @@ use crate::error::NetError;
 
 /// Protocol magic (first four bytes of every frame).
 pub const MAGIC: [u8; 4] = *b"MYCN";
-/// Protocol version this build speaks. Version 3 proves contributions
-/// against `plan::ciphertext_digest` of the packed wire bytes; version 2
-/// carried the same packed residues ([`crate::codec`]) but proved against
-/// a digest of one 64-bit word per residue, and version 1 carried those
-/// words. An older peer — whose proofs would fail here, and be replaced by
-/// `Enc(x^0)` instead of failing typed — is refused at its first header
-/// with [`NetError::VersionMismatch`].
-pub const VERSION: u16 = 3;
+/// Protocol version this build speaks. Version 4 proves contributions
+/// against `plan::ciphertext_digest`, the striped SHA-256 of the packed
+/// wire bytes (`mycelium_crypto::sha256::striped`); version 3 proved
+/// against one SHA-256 per ciphertext part of the same bytes, version 2
+/// against a digest of one 64-bit word per residue, and version 1 carried
+/// those words. An older peer — whose proofs would fail here, and be
+/// replaced by `Enc(x^0)` instead of failing typed — is refused at its
+/// first header with [`NetError::VersionMismatch`].
+pub const VERSION: u16 = 4;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 20;
 /// Default cap on a single frame's payload (handshake + query-round
@@ -290,6 +291,19 @@ mod tests {
                 "version {old}"
             );
         }
+    }
+
+    #[test]
+    fn a_version_3_frame_is_refused() {
+        // The version before the striped digest: its proofs bind one
+        // SHA-256 per ciphertext part, so it must fail here by name.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameType::Data, 7, b"a contribution").unwrap();
+        buf[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut buf.as_slice(), 1024),
+            Err(NetError::VersionMismatch { got: 3, want: 4 })
+        ));
     }
 
     #[test]

@@ -12,21 +12,30 @@
 //!
 //! ```text
 //! ┌──────────────────────── header (44 bytes) ────────────────────────┐
-//! │ magic "MYCWALv3" (8) │ format version u32 (4) │ binding (32)      │
+//! │ magic "MYCWALv4" (8) │ format version u32 (4) │ binding (32)      │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ┌──────────────────────── record (40 + len) ────────────────────────┐
-//! │ len u32 (4) │ payload (len) │ sha256(seq_le ‖ payload) (32) │ ... │
+//! │ len u32 (4) │ payload (len) │ checksum (32) │ ...                  │
 //! └───────────────────────────────────────────────────────────────────┘
+//!
+//! checksum = sha256::striped("myc-wal-v4" ‖ seq u64 LE, payload)
+//!          = SHA-256("myc-wal-v4" ‖ seq ‖ len u64 LE ‖ stripe count u8
+//!                    ‖ SHA-256(stripe 0) ‖ … )
 //! ```
 //!
+//! * A payload is cut into at most sixteen stripes of at least 1 KiB
+//!   ([`sha256::striped`]) and the stripes are hashed side by side, so
+//!   replay checksums a record on every SHA-256 lane the host has.
 //! * Records hold request bodies as the wire carried them, so the format
 //!   version follows the frame version ([`crate::frame::VERSION`]):
-//!   version 3 records hold residues packed at the width of their prime
-//!   ([`crate::codec`]) under proofs of `plan::ciphertext_digest` over
-//!   those bytes. A file of an earlier version — `MYCWALv2`, whose proofs
-//!   were made against a digest of 64-bit words, or `MYCWALv1`, whose
-//!   records held those words — is a typed [`JournalError::BadHeader`]:
-//!   never replayed, never truncated.
+//!   version 4 records hold residues packed at the width of their prime
+//!   ([`crate::codec`]) under proofs of `plan::ciphertext_digest`, the
+//!   striped digest of those bytes, and carry striped checksums. A file of
+//!   an earlier version — `MYCWALv3`, whose proofs were made against one
+//!   SHA-256 per ciphertext part and whose checksums were one SHA-256 of
+//!   the record, `MYCWALv2`, whose proofs were made against a digest of
+//!   64-bit words, or `MYCWALv1`, whose records held those words — is a
+//!   typed [`JournalError::BadHeader`]: never replayed, never truncated.
 //! * The **binding digest** ties a journal to one round configuration
 //!   (we use a digest of the `RoundSpec` wire encoding), so a restart
 //!   with different parameters cannot silently replay a stale journal.
@@ -60,14 +69,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mycelium_crypto::sha256::{sha256_concat, Digest};
+use mycelium_crypto::sha256::{self, Digest};
 
 use crate::lock_recover;
 
-/// File magic: identifies a Mycelium write-ahead log, version 3.
-pub const MAGIC: &[u8; 8] = b"MYCWALv3";
+/// File magic: identifies a Mycelium write-ahead log, version 4.
+pub const MAGIC: &[u8; 8] = b"MYCWALv4";
 /// Format version inside the header (bumped on incompatible changes).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 /// Header length: magic + version + binding digest.
 pub const HEADER_BYTES: usize = 8 + 4 + 32;
 /// Fixed per-record overhead: length prefix + checksum.
@@ -161,8 +170,13 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-fn record_checksum(seq: u64, payload: &[u8]) -> Digest {
-    sha256_concat(&[&seq.to_le_bytes(), payload])
+/// The checksum a record carries: `sha256::striped("myc-wal-v4" ‖ seq u64
+/// LE, payload)`, so a record's bulk is hashed on every lane the host has.
+pub fn record_checksum(seq: u64, payload: &[u8]) -> Digest {
+    let mut domain = [0u8; 18];
+    domain[..10].copy_from_slice(b"myc-wal-v4");
+    domain[10..].copy_from_slice(&seq.to_le_bytes());
+    sha256::striped(&domain, payload)
 }
 
 /// The valid records of an opened journal, in order: slices of the one
@@ -735,6 +749,45 @@ mod tests {
             }
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_version_3_journal_is_a_bad_header_and_is_left_alone() {
+        // A journal as version 3 wrote it: its header, two records
+        // checksummed by one SHA-256 of `seq ‖ payload`, and a torn tail.
+        let path = tmp("v3");
+        let mut bytes = b"MYCWALv3".to_vec();
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        bytes.extend_from_slice(&binding());
+        for (seq, payload) in [b"first".as_slice(), &[5u8; 3000]].into_iter().enumerate() {
+            let seq = (seq as u64).to_le_bytes();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&sha256::sha256_concat(&[&seq, payload]));
+        }
+        bytes.extend_from_slice(&[9, 0, 0]);
+        std::fs::write(&path, &bytes).unwrap();
+        match Journal::open(&path, &binding()) {
+            Err(JournalError::BadHeader { why }) => assert!(why.contains("magic"), "{why}"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "neither replayed nor truncated"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_checksum_is_the_striped_digest_of_its_payload() {
+        let payload: Vec<u8> = (0..62_000u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let domain = |seq: u64| [&b"myc-wal-v4"[..], &seq.to_le_bytes()].concat();
+        for seq in [0, 1, 504] {
+            let want = sha256::striped(&domain(seq), &payload);
+            assert_eq!(record_checksum(seq, &payload), want, "seq {seq}");
+        }
+        assert_ne!(record_checksum(0, &payload), record_checksum(1, &payload));
     }
 
     #[test]
