@@ -51,11 +51,11 @@ fn build_setup_derives_no_relinearization_keys_and_deals_no_shares() {
 const PLANE_ONLY: [[&str; 2]; 2] = [
     [
         // The same certificate as `golden_round`'s deadline-substituted hub.
-        "71f9eaf9825c265872fbc9e205a99f91aff95da437ead1bcee1c9db9f7c6d06d",
+        "d656341f721832155a6d885afc7a124aab77e5d5627961431ea3659cc03b2929",
         "345fdcf60d21c31e75532a65c83007a2dd26449eb911164a61ce796e166aeeaa",
     ],
     [
-        "9269cbafef558486993f52b9642f56f7c95bc874885a466e53878f886d1ff497",
+        "b3ddd00d862db37ca27962ac78a09530bd172f28de58702d54ef531742c4ec1b",
         "36b2e8dd64dc365c1972d053e1fbdcb3c5dee4e77bf077f57d335c28479d7df0",
     ],
 ];

@@ -216,49 +216,49 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
     pin(&format!("{name}.digest"), &st.digest(), want[1]);
 }
 
-const HUB_CERT: &str = "961426c808bf2fa4a124ba4e8f3f6fc35141e016d83dda9ccd0d8e44045dc4c6";
+const HUB_CERT: &str = "311edd09cc5a9e0808d86dd717e5ad4598c837d16a8f5040caf0acd1d635fab2";
 const HUB: [&str; 2] = [
-    "f61e150e9dd7ebe84389de2da13009e2f3d483a4d2596aadf84436a777a8743f",
-    "c9612c8e1de56963540c9e9d4e5e131cc2b818b0904e68c7ccc97311fdab28e1",
+    "2315f1e6b502c91a6e88c7c1e8fd916c0229692f4c684f22a65690feb95d8f45",
+    "b35befd86360a73b9cd97d9b9792449a6ee7f0d1240ef28ebe5dcbae74215af5",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
-const SHARDED_CERT: &str = "4f3c0a948c8dc575c3447ca755eebe7b72157971dfb343a89247a9980b0e23ae";
+const SHARDED_CERT: &str = "7af41b6d430f481e3d81732da03415457d854a7b2f7a028deaed30656b14fac9";
 const COORD: [&str; 2] = [
-    "c32e0d75fa0d90b7a19ec04801dce455fe1f4626cadf312f43fc785af1bf710f",
-    "78169737b36db271df52c58a890c0a5f9d9c47337e9bf5419d468fe8dd94e04f",
+    "202bef6604ed70047d7553cf3e4a5f5a220e55dfd6c034a70d776ceedb778da1",
+    "4064b83343f7cbcc2b69730785dfb863c441981ef6809a038a8783839f71c3b9",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "7b86142f29bdbe3c58c83e1430b3e75e8e4a1197463cc86f5f4690eeee16ce37",
-        "d14a6858e9613056294b30ec2ce8312e3a9cc39f2f2a0f7366be065e6aa1b614",
+        "392f7217575024fabd29c30e74b2193d141959b7e5feead11f06120df565ddd9",
+        "5a4e80a30e170491da2f6cccea94e31ddd29801b6dfad3211f532fe1d9e0046f",
     ],
     [
-        "6c36ba2e403679a7a4d0620344d37a82705f7306610a68fabbcd70956f21da69",
-        "9e7cdc16d4fde60bfc53b3fa38b58cce6f8e16517e6b2856321ec209527e3958",
+        "24ad3fe3de4cbf097ad658525152dc93edc29a20d55f764116ebc8c5c4a970e1",
+        "af1564f3586e0f12fe67fd94e921c5641b2f01a3adcb9c33cd4a5e62889574fa",
     ],
     [
-        "2c5b08c6c5c2e9d1ff40a920c27e74daee0429900bbafd912be64857e9173f58",
-        "b2aac2c53268baea9600c9b71307e8e590d99e3316d415094e70bb946ee9c704",
+        "0d0e4b39cfd4af1f364e89b5455ae5f0ee9c17cc1c9ea2d7ea17a1ac3fb2e101",
+        "809b59695b084cbde0ce645fa0e8681e3f80f06466be298bed49eb90b6091113",
     ],
     [
-        "f5abaa2bef8ff88a33e924da1b11d5f0d160401cfbfb21285bc1c33e4ba85a26",
-        "eb4ecc492d88286aaa705352aed3d97a59e2cee125c1e4cf0fc7d3f0cd279f3e",
+        "3dcded6075266bfbef916eb1a26de5372ca2da4e3cbee6128bc056c5ba3cd5ad",
+        "91aa96e81b0c85318731f72897b57d985f371bd161e71461c1644777f162b92e",
     ],
 ];
-const LATE_HUB_CERT: &str = "71f9eaf9825c265872fbc9e205a99f91aff95da437ead1bcee1c9db9f7c6d06d";
+const LATE_HUB_CERT: &str = "d656341f721832155a6d885afc7a124aab77e5d5627961431ea3659cc03b2929";
 const LATE_HUB: [&str; 2] = [
-    "992d4f3d4209e5db559ed0bfc7c3ce97446faa30df81e33d40a89791745f5d59",
-    "a15b452c321ef50ae347be16378346cefa39af028c6278dbb5bf33800a06a6f1",
+    "d2e032920f29d726aad6fccdb22a01ef933849b35c655a28a53ce64ed5ff3d8a",
+    "94f7d5e529f3bdb46b0ed000dd1fd58416ec6815db7cbf23649bdb4f1ffc9ea9",
 ];
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
-        "23d03ddf4f9f105fcc42fcff0214213e0bdf82a49d4b6848683c833a44b505f5",
+        "92530e268854e937b0ecdf430b088a331643eb4e719c3472dba0f5065ee082f4",
         "38143b04cef802ef8fe88ae6880d8b964dd2b3400e810ea7212cb0b9dd297f2a",
     ],
     [
-        "ac426f4d98825480f97b1f27fa94d8501f90d1e4f2a8a3c0d4f6c0dca27d0ccb",
+        "02abc7abd366e053ada20518a07384d2a4382715d633175bf87e7473592ba0c8",
         "9b389a4f84b4a7e04b6051c2923691d77f7f987e63be08071adb1a72bb81d7b2",
     ],
 ];
