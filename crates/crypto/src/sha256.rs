@@ -2,6 +2,9 @@
 //!
 //! Used for Merkle-tree hashing, pseudonym derivation (`h_i = H(pk_i)`),
 //! the Fiat–Shamir transform in `mycelium-zkp`, and the hop-selection PRF.
+//! Bulk data — ciphertext digests, journal record checksums — goes through
+//! [`striped`], which hashes up to sixteen stripes of its input side by
+//! side on the widest [`Tier`] the CPU has.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
