@@ -622,8 +622,9 @@ mod tests {
 
     use super::*;
 
-    /// A two-part ciphertext over three 45-bit primes at degree 2048 — two
-    /// 1024-lane pack chunks per row.
+    /// A two-part ciphertext over three 45-bit primes at degree 2048 —
+    /// 69 124 encoded bytes, sixteen stripes of 4 352 whose boundaries fall
+    /// inside rows.
     fn ciphertext(rep: Representation, parts: [Vec<Vec<u64>>; 2]) -> Ciphertext {
         let params = BgvParams::test_medium();
         let ctx = RnsContext::new(2048, &params.chain_primes()[..3]).unwrap();

@@ -491,7 +491,7 @@ mod tests {
         assert_eq!(back.openings[0].proof.siblings.len(), 2);
     }
 
-    /// `plan::ciphertext_digest` by its version 3 definition, from this
+    /// `plan::ciphertext_digest` by its `myc-ct-v3` definition, from this
     /// codec's bytes: the bytes `encode_poly` writes for each part, in
     /// order, cut into stripes of `S = max(1024, ⌈len / 16⌉ rounded up to
     /// 64)` bytes, and SHA-256 over `"myc-ct-v3"`, the part count, the
