@@ -8,7 +8,7 @@
 //! instance — and keeps behaving identically afterwards. Corruption is
 //! always a typed [`JournalError`], never a silently divergent round.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -382,6 +382,114 @@ fn bit_flip_in_a_journal_record_is_a_typed_corruption_error() {
         matches!(err, NetError::Journal(JournalError::Corrupt { seq: 0 })),
         "expected Corrupt {{ seq: 0 }}, got {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hub journal at `path` holding all but the last of `raws` fed live,
+/// then a checksum-valid record that fails to apply (an unknown tag), then
+/// the last of `raws` as a request record. Returns the sequence number of the failing record and
+/// the file's length before the last record.
+fn journal_with_a_failing_record(
+    setup: &Arc<RoundSetup>,
+    path: &Path,
+    raws: &[Vec<u8>],
+) -> (u64, u64) {
+    let mut st = AggState::recover(Arc::clone(setup), path).unwrap();
+    for raw in &raws[..raws.len() - 1] {
+        feed(&mut st, setup, raw);
+    }
+    drop(st);
+    let binding = setup.spec.coordinator_binding_digest();
+    let (mut j, records) = journal::Journal::open(path, &binding).unwrap();
+    j.append(&[200]).unwrap();
+    j.commit().unwrap();
+    let before_last = std::fs::metadata(path).unwrap().len();
+    j.append_parts(&[&[1], raws.last().unwrap()]).unwrap();
+    j.commit().unwrap();
+    (records.len() as u64, before_last)
+}
+
+#[test]
+fn a_corrupt_record_after_one_that_fails_to_apply_is_reported_as_corrupt() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("fail-then-flip");
+    let path = dir.join(files::JOURNAL);
+    let raws = mutating_requests(&setup, 3, 0);
+    let (failing, before_last) = journal_with_a_failing_record(&setup, &path, &raws);
+
+    // As written, the failing record is the error.
+    let err = AggState::recover(Arc::clone(&setup), &path)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(&err, NetError::Journal(JournalError::Replay { seq, .. }) if *seq == failing),
+        "expected Replay {{ seq: {failing} }}, got {err}"
+    );
+    // A bit flipped in the record after it outranks it: the checksum scan
+    // covers the whole file before any replay error is reported.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[before_last as usize + 4 + 100] ^= 0x20;
+    std::fs::write(&path, &bytes).unwrap();
+    let err = AggState::recover(Arc::clone(&setup), &path)
+        .map(|_| ())
+        .unwrap_err();
+    let k = failing + 1;
+    assert!(
+        matches!(err, NetError::Journal(JournalError::Corrupt { seq }) if seq == k),
+        "expected Corrupt {{ seq: {k} }}, got {err}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "left as it was");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_tail_after_a_record_that_fails_to_apply_is_still_truncated() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("fail-then-torn");
+    let path = dir.join(files::JOURNAL);
+    let raws = mutating_requests(&setup, 3, 0);
+    let (failing, before_last) = journal_with_a_failing_record(&setup, &path, &raws);
+
+    // The last record loses its last checksum bytes, as if the process died
+    // mid-write(2).
+    let len = std::fs::metadata(&path).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(len - 3).unwrap();
+    drop(file);
+    let err = AggState::recover(Arc::clone(&setup), &path)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(&err, NetError::Journal(JournalError::Replay { seq, .. }) if *seq == failing),
+        "expected Replay {{ seq: {failing} }}, got {err}"
+    );
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().len(),
+        before_last,
+        "the torn record is cut away"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_clean_journal_replays_to_the_sealed_certificate() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("sealed");
+    let path = dir.join(files::JOURNAL);
+    let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    drive_to_outcome(&mut st, &setup);
+    for m in 1..=setup.committee_size as u64 {
+        push_cert_sig(&mut st, &setup, m);
+    }
+    let cert = st.certificate().expect("every member signed").to_vec();
+    let (digest, records) = (st.digest(), st.journal_records());
+    drop(st);
+
+    let recovered = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    assert_eq!(recovered.certificate(), Some(cert.as_slice()));
+    assert_eq!(recovered.digest(), digest);
+    assert_eq!(recovered.journal_records(), records);
+    assert!(verify_bytes(&cert).is_valid());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
