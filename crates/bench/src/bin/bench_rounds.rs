@@ -15,23 +15,7 @@ use std::time::Instant;
 use mycelium_bench::rounds::{run_rounds, RoundsConfig};
 use mycelium_bench::{finish, Args};
 use mycelium_math::json::Json;
-
-/// Peak resident set size in kB from `/proc/self/status` (`VmHWM`), or
-/// 0 where the procfs field is unavailable.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")?
-                    .trim()
-                    .trim_end_matches(" kB")
-                    .parse()
-                    .ok()
-            })
-        })
-        .unwrap_or(0)
-}
+use mycelium_net::metrics::peak_rss_kb;
 
 fn main() {
     let usage = "bench_rounds [--smoke] [--seed N] [--out PATH]";
@@ -48,7 +32,7 @@ fn main() {
     let started = Instant::now();
     let report = run_rounds(&cfg);
     let wall_ms = started.elapsed().as_millis() as u64;
-    let rss_kb = peak_rss_kb();
+    let rss_kb = peak_rss_kb().unwrap_or(0);
 
     let host_path = format!("{}.host.json", args.out);
     let host = Json::obj([("wall_ms", wall_ms.into()), ("peak_rss_kb", rss_kb.into())]);

@@ -11,8 +11,9 @@
 //! only which [`Timeout`]s have passed.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use mycelium_bgv::{BgvError, Ciphertext, KeySet, Plaintext};
+use mycelium_bgv::{BgvError, BgvParams, Ciphertext, KeySet, Plaintext};
 use mycelium_cert::{
     build_segments, commit_origin, noise_commitment, verify_transcript_sig, CertSpec, CommitteeSig,
     OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
@@ -20,14 +21,16 @@ use mycelium_cert::{
 use mycelium_crypto::sha256::Digest;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::rng::Rng;
+use mycelium_math::rns::RnsContext;
 use mycelium_query::ast::Query;
 use mycelium_query::eval::PlainResult;
 use mycelium_sharing::threshold::{combine, derive_joint_noise, DecryptionShare, ThresholdError};
 
 use crate::decode::decode_aggregate;
 use crate::exec::{release_noisy, ExecError, NoisyGroup};
-use crate::plan::{aggregate_and_audit, ciphertext_digest, seal_shard_root, PartialRoot};
-use crate::plan::{QueryPlan, SignedContribution};
+use crate::plan::SignedContribution;
+use crate::plan::{aggregate_and_audit, seal_shard_root, PartialRoot, QueryPlan};
+use crate::plan::{ciphertext_len, encoding_digest, read_ciphertext, write_ciphertext};
 
 /// The core's one typed failure; `Display` is the canonical message.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,34 +87,55 @@ impl Slot {
     }
 }
 
-/// A ciphertext the plane holds, beside its [`ciphertext_digest`] — taken
-/// once, when the ciphertext was accepted. Everything that later needs the
-/// digest (the proof check, the slot status, a driver's state checkpoint, the
-/// certificate) reads this one value, so holding more never costs more
-/// hashing. The fields are private: the digest is always the ciphertext's.
+/// A ciphertext the plane holds: the bytes its wire encoding is made of
+/// ([`write_ciphertext`]), beside their
+/// [`ciphertext_digest`](crate::plan::ciphertext_digest) — both taken
+/// once, when the ciphertext was accepted. The aggregator mostly relays:
+/// a row, the committee's aggregate and a shard's root leave as copies of
+/// these bytes, and everything that needs the digest (the proof check, the
+/// slot status, a driver's state checkpoint, the certificate) reads this
+/// one value, so holding more never costs more hashing or packing. Words
+/// come back ([`Parked::ct`]) only where the plane computes: the aggregate
+/// forming, and the combine. The fields are private: the bytes and the
+/// digest are always the ciphertext's.
 #[derive(Debug, Clone)]
 pub struct Parked {
-    ct: Ciphertext,
+    bytes: Box<[u8]>,
     digest: Digest,
+    ctx: Arc<RnsContext>,
+    params: BgvParams,
 }
 
 impl Parked {
-    /// Hashes `ct`; nothing downstream does again.
+    /// Packs `ct` into a buffer of exactly its encoding's size and hashes
+    /// that; nothing downstream does either again.
     pub fn new(ct: Ciphertext) -> Self {
-        let digest = ciphertext_digest(&ct);
-        Parked { ct, digest }
+        let mut bytes = vec![0u8; ciphertext_len(&ct)].into_boxed_slice();
+        write_ciphertext(&mut bytes, &ct);
+        let digest = encoding_digest(&bytes);
+        let ctx = Arc::clone(ct.parts()[0].context());
+        let params = ct.params().clone();
+        Parked {
+            bytes,
+            digest,
+            ctx,
+            params,
+        }
     }
 
-    pub fn ct(&self) -> &Ciphertext {
-        &self.ct
+    /// The ciphertext, unpacked bit for bit (residues, level and noise
+    /// bound) over the context it was accepted in.
+    pub fn ct(&self) -> Ciphertext {
+        read_ciphertext(&self.bytes, &self.ctx, &self.params)
+    }
+
+    /// The ciphertext's wire encoding, as the codec writes it.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     pub fn digest(&self) -> &Digest {
         &self.digest
-    }
-
-    pub fn into_ct(self) -> Ciphertext {
-        self.ct
     }
 }
 
@@ -275,7 +299,7 @@ impl Intake {
             rows.push(None);
         }
         let fill = |row: Option<&Parked>| match row {
-            Some(parked) => Ok(parked.ct().clone()),
+            Some(parked) => Ok(parked.ct()),
             None => Ciphertext::encrypt(&ctx.keys.public, &zero, &mut *rng).map_err(CoreError::Bgv),
         };
         let cts = rows.into_iter().map(fill).collect::<Result<Vec<_>, _>>()?;
@@ -450,7 +474,7 @@ impl CommitteeTail {
         let held = |m: &u64| self.shares[*m as usize].clone().expect("no stragglers");
         let got: Vec<DecryptionShare> = self.participants.iter().map(held).collect();
         let plaintext =
-            combine(aggregate.ct(), &got, self.threshold).map_err(CoreError::Threshold)?;
+            combine(&aggregate.ct(), &got, self.threshold).map_err(CoreError::Threshold)?;
         let exact = decode_aggregate(&plaintext, ctx.query, &ctx.plan.analysis);
         let seeds: Vec<[u8; 32]> = self.pongs.iter().flatten().copied().collect();
         let noise = derive_joint_noise(&seeds, ctx.noise_scale, ctx.plan.released_values());
@@ -684,7 +708,7 @@ impl Round {
         let sum = match &self.roots {
             None => self.intake.seal(ctx, rng)?.sum,
             Some(roots) => {
-                let roots = roots.iter().map(|r| r.clone().map(Parked::into_ct));
+                let roots = roots.iter().map(|r| r.as_ref().map(Parked::ct));
                 let roots: Option<Vec<Ciphertext>> = roots.collect();
                 let roots = roots.ok_or_else(|| CoreError::Invalid("shard root missing".into()))?;
                 aggregate_and_audit(roots).map_err(|e| CoreError::Exec("aggregation", e))?

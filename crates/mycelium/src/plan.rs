@@ -17,17 +17,18 @@
 //!   optional well-formedness proof, verified by the aggregator.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use mycelium_bgv::encoding::{encode_constant, encode_monomial};
 use mycelium_bgv::noise::plan_chain;
-use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
+use mycelium_bgv::{BgvParams, Ciphertext, KeySet, Plaintext};
 use mycelium_crypto::sha256::{self, Digest};
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::ew;
 use mycelium_math::par;
 use mycelium_math::rng::Rng;
-use mycelium_math::rns::{Representation, RnsPoly};
+use mycelium_math::rns::{Representation, RnsContext, RnsPoly};
 use mycelium_math::zq::Modulus;
 use mycelium_query::analyze::{Analysis, ClauseSite, GroupKind};
 use mycelium_query::ast::Query;
@@ -39,51 +40,107 @@ use mycelium_zkp::{argument, Proof};
 use crate::exec::{ExecError, ExecStats};
 use crate::params::SystemParams;
 
+/// Bytes [`write_part`] writes for `p`.
+pub fn part_len(p: &RnsPoly) -> usize {
+    2 + p.context().packed_bytes(p.level())
+}
+
+/// The one writer of a ciphertext part's bytes — what the wire codec
+/// writes for a ring element, what [`ciphertext_digest`] hashes and what a
+/// parked ciphertext ([`Parked`](crate::aggcore::Parked)) holds: the
+/// part's representation tag, its level, and each residue row packed at
+/// the width of its prime. `out` is exactly [`part_len`] bytes.
+pub fn write_part(out: &mut [u8], p: &RnsPoly) {
+    assert_eq!(out.len(), part_len(p), "part length");
+    out[0] = match p.representation() {
+        Representation::Coefficient => 0,
+        Representation::Ntt => 1,
+    };
+    out[1] = p.level() as u8;
+    let mut at = 2;
+    for (m, row) in p.context().moduli().iter().zip(p.residues()) {
+        let packed = ew::packed_len(m.bits(), row.len());
+        ew::pack(m, &mut out[at..at + packed], row);
+        at += packed;
+    }
+}
+
+/// Bytes [`write_ciphertext`] writes for `ct`.
+pub fn ciphertext_len(ct: &Ciphertext) -> usize {
+    9 + ct.parts().iter().map(part_len).sum::<usize>()
+}
+
+/// A ciphertext's encoding — the wire's, the journal's and a parked
+/// ciphertext's: its part count (one byte), its noise bound (the `f64`'s
+/// bits, little-endian), then each part as [`write_part`] writes it. `out`
+/// is exactly [`ciphertext_len`] bytes.
+pub fn write_ciphertext(out: &mut [u8], ct: &Ciphertext) {
+    assert_eq!(out.len(), ciphertext_len(ct), "ciphertext length");
+    out[0] = ct.parts().len() as u8;
+    out[1..9].copy_from_slice(&ct.noise_log2().to_bits().to_le_bytes());
+    let mut at = 9;
+    for p in ct.parts() {
+        let len = part_len(p);
+        write_part(&mut out[at..at + len], p);
+        at += len;
+    }
+}
+
+/// Inverse of [`write_ciphertext`], into ring elements of `ctx` — for
+/// bytes this process wrote itself, so malformed ones panic (the wire
+/// codec validates what a peer sends).
+pub fn read_ciphertext(bytes: &[u8], ctx: &Arc<RnsContext>, params: &BgvParams) -> Ciphertext {
+    let noise_log2 = f64::from_bits(u64::from_le_bytes(bytes[1..9].try_into().unwrap()));
+    let mut at = 9;
+    let mut parts = Vec::with_capacity(bytes[0] as usize);
+    for _ in 0..bytes[0] {
+        let rep = match bytes[at] {
+            0 => Representation::Coefficient,
+            _ => Representation::Ntt,
+        };
+        let level = bytes[at + 1] as usize;
+        at += 2;
+        let mut rows = Vec::with_capacity(level);
+        for m in &ctx.moduli()[..level] {
+            let packed = ew::packed_len(m.bits(), ctx.degree());
+            let mut row = vec![0u64; ctx.degree()];
+            let canonical = ew::unpack(m, &mut row, &bytes[at..at + packed]);
+            assert!(canonical, "a residue at or above its prime");
+            rows.push(row);
+            at += packed;
+        }
+        parts.push(RnsPoly::from_residues(Arc::clone(ctx), rep, rows));
+    }
+    assert_eq!(at, bytes.len(), "ciphertext length");
+    Ciphertext::from_parts(parts, noise_log2, params.clone())
+}
+
+/// [`ciphertext_digest`] of the ciphertext whose encoding
+/// ([`write_ciphertext`]) is `encoded`, hashing those bytes where they lie.
+pub fn encoding_digest(encoded: &[u8]) -> Digest {
+    let mut domain = *b"myc-ct-v3\0";
+    domain[9] = encoded[0];
+    sha256::striped(&domain, &encoded[9..])
+}
+
 /// Digest of a ciphertext — what binds proofs, summation-tree commitments
 /// and the certificate to concrete ciphertexts:
 /// `sha256::striped("myc-ct-v3" ‖ nparts as u8, bytes)`, where `bytes` is
-/// exactly what the wire codec writes for the parts, in order — each
-/// part's representation tag, its level, and each residue row packed at
-/// the width of its prime. What travels is what is hashed; a canonical
-/// residue has exactly one packed form, so the digest is as injective as
-/// the encoding. The bytes are packed into a buffer each thread keeps, so
-/// a digest allocates nothing once the thread has taken one of this size.
+/// exactly what the wire codec writes for the parts, in order
+/// ([`write_part`]). What travels is what is hashed; a canonical residue
+/// has exactly one packed form, so the digest is as injective as the
+/// encoding. The bytes are packed into a buffer each thread keeps, so a
+/// digest allocates nothing once the thread has taken one of this size.
 pub fn ciphertext_digest(ct: &Ciphertext) -> Digest {
     thread_local! {
         static BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     }
-    let parts = ct.parts();
-    let mut domain = *b"myc-ct-v3\0";
-    domain[9] = parts.len() as u8;
-    /// Each residue row of `p` beside its modulus and its packed length.
-    fn rows(p: &RnsPoly) -> impl Iterator<Item = (&Modulus, &[u64], usize)> {
-        let moduli = p.context().moduli().iter();
-        moduli
-            .zip(p.residues())
-            .map(|(m, row)| (m, &row[..], ew::packed_len(m.bits(), row.len())))
-    }
-    let len: usize = parts
-        .iter()
-        .map(|p| 2 + rows(p).map(|r| r.2).sum::<usize>())
-        .sum();
     BYTES.with_borrow_mut(|bytes| {
-        // Every byte below `len` is written before it is hashed: the
-        // buffer only grows, and only its growth is zeroed.
-        bytes.resize(len, 0);
-        let mut at = 0;
-        for p in parts {
-            bytes[at] = match p.representation() {
-                Representation::Coefficient => 0,
-                Representation::Ntt => 1,
-            };
-            bytes[at + 1] = p.level() as u8;
-            at += 2;
-            for (m, row, packed) in rows(p) {
-                ew::pack(m, &mut bytes[at..at + packed], row);
-                at += packed;
-            }
-        }
-        sha256::striped(&domain, bytes)
+        // Every byte is written before it is hashed: the buffer only
+        // grows, and only its growth is zeroed.
+        bytes.resize(ciphertext_len(ct), 0);
+        write_ciphertext(bytes, ct);
+        encoding_digest(bytes)
     })
 }
 
@@ -615,10 +672,6 @@ pub fn seal_shard_root(origin_cts: Vec<Ciphertext>) -> Result<PartialRoot, ExecE
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
-    use std::sync::Arc;
-
-    use mycelium_bgv::BgvParams;
-    use mycelium_math::rns::RnsContext;
 
     use super::*;
 

@@ -24,7 +24,8 @@
 
 use std::sync::Arc;
 
-use mycelium::plan::SignedContribution;
+use mycelium::aggcore::Parked;
+use mycelium::plan::{self, SignedContribution};
 use mycelium_bgv::{BgvParams, Ciphertext};
 use mycelium_crypto::codec::{CodecError, Reader, Writer};
 use mycelium_crypto::merkle::InclusionProof;
@@ -90,18 +91,9 @@ pub fn ciphertext_encoded_bytes(ctx: &RnsContext, nparts: usize, level: usize) -
     1 + 8 + nparts * poly_encoded_bytes(ctx, level)
 }
 
-/// Serializes one `RnsPoly`.
+/// Serializes one `RnsPoly` ([`plan::write_part`] writes its bytes).
 pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
-    let ctx = p.context();
-    w.reserve(poly_encoded_bytes(ctx, p.level()));
-    w.put_u8(match p.representation() {
-        Representation::Coefficient => 0,
-        Representation::Ntt => 1,
-    });
-    w.put_u8(p.level() as u8);
-    for (m, row) in ctx.moduli().iter().zip(p.residues()) {
-        ew::pack(m, w.put_zeroed(ew::packed_len(m.bits(), row.len())), row);
-    }
+    plan::write_part(w.put_zeroed(plan::part_len(p)), p);
 }
 
 /// Deserializes one `RnsPoly`, validating representation, level and
@@ -140,12 +132,27 @@ pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
     ))
 }
 
-/// Serializes a ciphertext.
+/// Serializes a ciphertext ([`plan::write_ciphertext`] writes its bytes).
 pub fn encode_ciphertext(w: &mut Writer, ct: &Ciphertext) {
-    w.put_u8(ct.parts().len() as u8);
-    w.put_f64(ct.noise_log2());
-    for p in ct.parts() {
-        encode_poly(w, p);
+    plan::write_ciphertext(w.put_zeroed(plan::ciphertext_len(ct)), ct);
+}
+
+/// A ciphertext as a message writes it: one in words is encoded, one held
+/// as its encoding ([`Parked`]) is copied.
+pub trait PutCiphertext {
+    /// Appends the ciphertext's encoding to `w`.
+    fn put_into(&self, w: &mut Writer);
+}
+
+impl PutCiphertext for Ciphertext {
+    fn put_into(&self, w: &mut Writer) {
+        encode_ciphertext(w, self);
+    }
+}
+
+impl PutCiphertext for Parked {
+    fn put_into(&self, w: &mut Writer) {
+        w.put_bytes(self.bytes());
     }
 }
 
@@ -172,8 +179,8 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
 }
 
 /// Serializes an optional ciphertext (the aggregator's per-slot state).
-pub fn encode_opt_ciphertext(w: &mut Writer, ct: Option<&Ciphertext>) {
-    w.put_opt(ct, encode_ciphertext);
+pub fn encode_opt_ciphertext<C: PutCiphertext + ?Sized>(w: &mut Writer, ct: Option<&C>) {
+    w.put_opt(ct, |w, ct| ct.put_into(w));
 }
 
 /// Deserializes an `Option<Ciphertext>`.

@@ -48,6 +48,12 @@
 //!   process died mid-write — recovering the longest valid prefix.
 //!   A *complete but corrupt* record (bit flip) is a typed
 //!   [`JournalError::Corrupt`], never a panic or silent divergence.
+//! * Replay is streamed ([`Journal::replay`]): each record is checksummed
+//!   as it is read, into one buffer reused record to record, and handed
+//!   to the caller at once, so recovery never holds the whole journal.
+//!   Its outcome is still that of checking every record first: once a
+//!   record fails to apply, the rest are checksummed, a later corrupt or
+//!   oversized record is the error reported, and a torn tail is cut.
 //! * Durability is a **group commit**. Appending needs the journal
 //!   (`&mut`, so the aggregator appends under its state lock); waiting
 //!   for the `fsync` does not: [`Journal::pending`] hands out a claim on
@@ -180,8 +186,8 @@ pub fn record_checksum(seq: u64, payload: &[u8]) -> Digest {
 }
 
 /// The valid records of an opened journal, in order: slices of the one
-/// buffer the file was read into. Drop it once replayed — it is the size
-/// of the journal.
+/// buffer they were read into. Drop it once replayed — it is the size of
+/// the journal.
 #[derive(Debug, Default)]
 pub struct Records {
     bytes: Vec<u8>,
@@ -202,6 +208,122 @@ impl Records {
     /// The record payloads, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
         self.payloads.iter().map(|at| &self.bytes[at.clone()])
+    }
+}
+
+/// A journal being read, record by record: the file past its checked
+/// header and the end of the valid prefix read so far.
+struct Scan {
+    file: File,
+    /// The file's length.
+    size: u64,
+    /// Where the next record starts.
+    pos: u64,
+    /// The next record's length prefix, when it was read with the record
+    /// before it.
+    ahead: Option<u32>,
+    /// The next record's sequence number.
+    seq: u64,
+}
+
+impl Scan {
+    /// Opens `path` and checks its header against `binding`.
+    fn open(path: &Path, binding: &Digest) -> Result<Self, JournalError> {
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let size = file.metadata()?.len();
+        if size < HEADER_BYTES as u64 {
+            return Err(JournalError::BadHeader {
+                why: format!("{size} bytes, header needs {HEADER_BYTES}"),
+            });
+        }
+        let mut header = [0u8; HEADER_BYTES];
+        file.read_exact(&mut header)?;
+        if &header[..8] != MAGIC {
+            return Err(JournalError::BadHeader {
+                why: format!("magic {:02x?}", &header[..8]),
+            });
+        }
+        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        if version != FORMAT_VERSION {
+            return Err(JournalError::BadHeader {
+                why: format!("format version {version}, expected {FORMAT_VERSION}"),
+            });
+        }
+        let got: Digest = header[12..].try_into().unwrap();
+        if &got != binding {
+            return Err(JournalError::BindingMismatch {
+                got,
+                want: *binding,
+            });
+        }
+        let (pos, ahead, seq) = (HEADER_BYTES as u64, None, 0);
+        Ok(Scan {
+            file,
+            size,
+            pos,
+            ahead,
+            seq,
+        })
+    }
+
+    /// Reads the next record behind what `buf` holds and checks it: its
+    /// payload's length once the checksum holds (the payload stays, the
+    /// checksum does not), `None` where the valid prefix ends — at the end
+    /// of the file, or at a torn tail.
+    fn next_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, JournalError> {
+        let left = self.size - self.pos;
+        let len = match self.ahead.take() {
+            Some(len) => len,
+            // A torn length prefix.
+            None if left < 4 => return Ok(None),
+            None => {
+                let mut prefix = [0u8; 4];
+                self.file.read_exact(&mut prefix)?;
+                u32::from_le_bytes(prefix)
+            }
+        } as usize;
+        let seq = self.seq;
+        if len > MAX_RECORD_BYTES {
+            // A length this absurd is corruption of the prefix itself,
+            // not a torn write: typed error, no truncation.
+            return Err(JournalError::RecordTooLarge { seq, len });
+        }
+        let whole = (4 + len + 32) as u64;
+        if left < whole {
+            // A torn payload or checksum.
+            return Ok(None);
+        }
+        // The next record's length prefix is read with this record.
+        let ahead = if left >= whole + 4 { 4 } else { 0 };
+        let (at, want) = (buf.len(), len + 32 + ahead);
+        buf.reserve(want);
+        if (&self.file).take(want as u64).read_to_end(buf)? != want {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
+        let sum: Digest = buf[at + len..at + len + 32].try_into().unwrap();
+        if ahead > 0 {
+            let prefix = buf[at + len + 32..].try_into().unwrap();
+            self.ahead = Some(u32::from_le_bytes(prefix));
+        }
+        buf.truncate(at + len);
+        if record_checksum(seq, &buf[at..]) != sum {
+            return Err(JournalError::Corrupt { seq });
+        }
+        self.seq += 1;
+        self.pos += whole;
+        Ok(Some(len))
+    }
+
+    /// The journal over the scanned file, appending after its valid prefix:
+    /// a torn tail is cut away so the next append starts on a record
+    /// boundary.
+    fn finish(mut self) -> Result<Journal, JournalError> {
+        if self.pos < self.size {
+            self.file.set_len(self.pos)?;
+            self.file.sync_all()?;
+        }
+        self.file.seek(SeekFrom::Start(self.pos))?;
+        Ok(Journal::over(self.file, self.seq))
     }
 }
 
@@ -317,75 +439,19 @@ impl Journal {
 
     /// Opens an existing journal, verifies the header against `binding`,
     /// and returns the journal positioned for appending plus every valid
-    /// record payload in order.
+    /// record payload in order, in one buffer ([`Journal::replay`] holds
+    /// one record at a time).
     ///
     /// A torn tail (incomplete final record) is truncated away; a
     /// complete record with a bad checksum is [`JournalError::Corrupt`].
     pub fn open(path: &Path, binding: &Digest) -> Result<(Self, Records), JournalError> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if bytes.len() < HEADER_BYTES {
-            return Err(JournalError::BadHeader {
-                why: format!("{} bytes, header needs {HEADER_BYTES}", bytes.len()),
-            });
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(JournalError::BadHeader {
-                why: format!("magic {:02x?}", &bytes[..8]),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(JournalError::BadHeader {
-                why: format!("format version {version}, expected {FORMAT_VERSION}"),
-            });
-        }
-        let got: Digest = bytes[12..HEADER_BYTES].try_into().unwrap();
-        if &got != binding {
-            return Err(JournalError::BindingMismatch {
-                got,
-                want: *binding,
-            });
-        }
-
+        let mut scan = Scan::open(path, binding)?;
+        let mut bytes = Vec::with_capacity(scan.size as usize - HEADER_BYTES);
         let mut payloads = Vec::new();
-        let mut pos = HEADER_BYTES;
-        let mut valid_end = pos;
-        loop {
-            // Torn length prefix → truncate.
-            if bytes.len() - pos < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let seq = payloads.len() as u64;
-            if len > MAX_RECORD_BYTES {
-                // A length this absurd is corruption of the prefix
-                // itself, not a torn write: typed error, no truncation.
-                return Err(JournalError::RecordTooLarge { seq, len });
-            }
-            // Torn payload or checksum → truncate.
-            if bytes.len() - pos < 4 + len + 32 {
-                break;
-            }
-            let payload = &bytes[pos + 4..pos + 4 + len];
-            let sum: Digest = bytes[pos + 4 + len..pos + 4 + len + 32].try_into().unwrap();
-            if record_checksum(seq, payload) != sum {
-                return Err(JournalError::Corrupt { seq });
-            }
-            payloads.push(pos + 4..pos + 4 + len);
-            pos += 4 + len + 32;
-            valid_end = pos;
+        while let Some(len) = scan.next_into(&mut bytes)? {
+            payloads.push(bytes.len() - len..bytes.len());
         }
-        if valid_end < bytes.len() {
-            // Drop the torn tail so the next append starts on a clean
-            // record boundary.
-            file.set_len(valid_end as u64)?;
-            file.sync_all()?;
-        }
-        file.seek(SeekFrom::Start(valid_end as u64))?;
-        let journal = Self::over(file, payloads.len() as u64);
-        Ok((journal, Records { bytes, payloads }))
+        Ok((scan.finish()?, Records { bytes, payloads }))
     }
 
     /// Opens `path` if it exists, otherwise creates it. Returns the
@@ -395,6 +461,44 @@ impl Journal {
             Self::open(path, binding)
         } else {
             Ok((Self::create(path, binding)?, Records::default()))
+        }
+    }
+
+    /// [`Journal::open`] that hands each valid record to `each` as `(seq,
+    /// payload)` as soon as its checksum holds, read into one buffer reused
+    /// from record to record, so a replay never holds the whole journal.
+    /// The outcome is that of opening first and replaying after: once
+    /// `each` fails, the records after are still checksummed, a
+    /// [`JournalError::Corrupt`] or [`JournalError::RecordTooLarge`] among
+    /// them is reported in place of its error, and a torn tail is cut away
+    /// either way.
+    pub fn replay<E: From<JournalError>>(
+        path: &Path,
+        binding: &Digest,
+        mut each: impl FnMut(u64, &[u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut scan = Scan::open(path, binding)?;
+        let (mut buf, mut failed) = (Vec::new(), None);
+        while scan.next_into(&mut buf)?.is_some() {
+            if failed.is_none() {
+                failed = each(scan.seq - 1, &buf).err();
+            }
+            buf.clear();
+        }
+        let journal = scan.finish()?;
+        failed.map_or(Ok(journal), Err)
+    }
+
+    /// [`Journal::replay`] if `path` exists, otherwise a fresh journal there.
+    pub fn replay_or_create<E: From<JournalError>>(
+        path: &Path,
+        binding: &Digest,
+        each: impl FnMut(u64, &[u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        if path.exists() {
+            Self::replay(path, binding, each)
+        } else {
+            Ok(Self::create(path, binding)?)
         }
     }
 

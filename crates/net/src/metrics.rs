@@ -34,6 +34,14 @@ pub fn minor_faults() -> Option<u64> {
     fields.nth(7)?.parse().ok()
 }
 
+/// This process's peak resident set so far, in kB: `VmHWM` of
+/// `/proc/self/status` (`None` off Linux).
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    hwm.trim().trim_end_matches(" kB").parse().ok()
+}
+
 /// Traffic attributed to one message kind (request or response label).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindCounters {

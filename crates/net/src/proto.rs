@@ -16,7 +16,7 @@ use mycelium_sharing::DecryptionShare;
 
 use crate::codec::{
     decode_ciphertext, decode_contribution, decode_opt_ciphertext, decode_share, encode_ciphertext,
-    encode_contribution, encode_opt_ciphertext, encode_share, CodecCtx,
+    encode_contribution, encode_opt_ciphertext, encode_share, CodecCtx, PutCiphertext,
 };
 use crate::error::NetError;
 
@@ -155,8 +155,12 @@ pub enum NetMsg {
 
 const MAX_SLOTS: usize = 1 << 16;
 
-/// The one encoding of a row, whichever reply carries it.
-fn put_row<'a>(w: &mut Writer, slots: impl ExactSizeIterator<Item = Option<&'a Ciphertext>>) {
+/// The one encoding of a row, whichever reply carries it and however its
+/// holder keeps the ciphertexts.
+fn put_row<'a, C: PutCiphertext + 'a>(
+    w: &mut Writer,
+    slots: impl ExactSizeIterator<Item = Option<&'a C>>,
+) {
     w.put_u32(slots.len() as u32);
     for ct in slots {
         encode_opt_ciphertext(w, ct);
@@ -215,11 +219,10 @@ impl NetMsg {
     }
 
     /// Writes an `OriginJob` over `slots` — the row as whoever holds it
-    /// holds it, so the aggregator encodes its parked ciphertexts where
-    /// they lie.
-    pub fn put_origin_job<'a>(
+    /// holds it, so the aggregator copies its parked ciphertexts' bytes.
+    pub fn put_origin_job<'a, C: PutCiphertext + 'a>(
         w: &mut Writer,
-        slots: impl ExactSizeIterator<Item = Option<&'a Ciphertext>>,
+        slots: impl ExactSizeIterator<Item = Option<&'a C>>,
     ) {
         w.put_u8(18);
         put_row(w, slots);
@@ -227,9 +230,10 @@ impl NetMsg {
 
     /// Writes a `ReadyRows` over `rows`, each row as in
     /// [`put_origin_job`](Self::put_origin_job).
-    pub fn put_ready_rows<'a, R>(w: &mut Writer, rows: impl ExactSizeIterator<Item = (u32, R)>)
+    pub fn put_ready_rows<'a, C, R>(w: &mut Writer, rows: impl ExactSizeIterator<Item = (u32, R)>)
     where
-        R: ExactSizeIterator<Item = Option<&'a Ciphertext>>,
+        C: PutCiphertext + 'a,
+        R: ExactSizeIterator<Item = Option<&'a C>>,
     {
         w.put_u8(23);
         w.put_u32(rows.len() as u32);
@@ -237,6 +241,20 @@ impl NetMsg {
             w.put_u32(origin);
             put_row(w, slots);
         }
+    }
+
+    /// Writes a `CommitteeShareTask` over `ct`, held as in
+    /// [`put_origin_job`](Self::put_origin_job).
+    pub fn put_share_task(
+        w: &mut Writer,
+        round: u32,
+        participants: &[u64],
+        ct: &(impl PutCiphertext + ?Sized),
+    ) {
+        w.put_u8(20);
+        w.put_u32(round);
+        w.put_u64_slice(participants);
+        ct.put_into(w);
     }
 
     /// Serializes the message behind whatever `w` already holds.
@@ -322,12 +340,7 @@ impl NetMsg {
                 round,
                 participants,
                 ct,
-            } => {
-                w.put_u8(20);
-                w.put_u32(*round);
-                w.put_u64_slice(participants);
-                encode_ciphertext(w, ct);
-            }
+            } => NetMsg::put_share_task(w, *round, participants, &**ct),
             NetMsg::CertSignTask { transcript } => {
                 w.put_u8(22);
                 w.put_bytes(transcript);

@@ -14,7 +14,6 @@ use mycelium::aggcore::{
 use mycelium::exec::NoisyGroup;
 use mycelium::roles;
 use mycelium::streams as stream;
-use mycelium_bgv::Ciphertext;
 use mycelium_budget::{Ledger, LedgerOp};
 use mycelium_cert::{render_json, RoundCertificate, SlotStatus};
 use mycelium_crypto::codec::Writer;
@@ -186,16 +185,18 @@ fn mark_of(tag: u8, body: &[u8]) -> Option<Mark> {
     marks.into_iter().find(|mark| mark_tag(mark) == tag)
 }
 
-/// A reply as the state hands it over. Rows are named, not copied out:
-/// their wire encoding reads the parked ciphertexts where they lie
+/// A reply as the state hands it over. Parked ciphertexts are named, not
+/// copied out: their wire encoding is a copy of the bytes they are held as
 /// ([`AggState::encode_reply`]); only a caller that wants the message
-/// itself pays for them ([`AggState::handle_deferred`]).
+/// itself unpacks them ([`AggState::handle_deferred`]).
 pub(super) enum Reply {
     Msg(NetMsg),
     /// `OriginJob` over this origin's row as it stands.
     Job(u32),
     /// `ReadyRows` over these origins' rows as they stand.
     Rows(Vec<u32>),
+    /// `CommitteeShareTask` over the aggregate and the selection as they stand.
+    ShareTask,
 }
 
 /// The core's view of the round: immutable inputs derived from the setup.
@@ -309,15 +310,10 @@ impl AggState {
     }
 
     fn recover_as(mut st: AggState, binding: &Digest, path: &Path) -> Result<Self, NetError> {
-        let (journal, records) = Journal::open_or_create(path, binding)?;
         st.replaying = true;
-        for (seq, record) in records.iter().enumerate() {
-            st.apply_record(record, seq as u64)?;
-        }
-        // The journal's bytes are replayed into state: do not also carry
-        // them through the round.
-        let replayed = records.len();
-        drop(records);
+        let replay = |seq, record: &[u8]| st.apply_record(record, seq);
+        let journal = Journal::replay_or_create(path, binding, replay)?;
+        let replayed = journal.record_count();
         st.replaying = false;
         st.journal = Some(journal);
         // Wall-clock deadlines do not survive a crash: restart them so
@@ -808,13 +804,7 @@ impl AggState {
                         NetMsg::CommitteeWait
                     }
                 } else if tail.stragglers().contains(&member) {
-                    let aggregate = round.aggregate.as_ref();
-                    let aggregate = aggregate.expect("selection implies aggregate");
-                    NetMsg::CommitteeShareTask {
-                        round: tail.share_round,
-                        participants: tail.participants.clone(),
-                        ct: Box::new(aggregate.ct().clone()),
-                    }
+                    return Ok(Reply::ShareTask);
                 } else {
                     NetMsg::CommitteeWait
                 }
@@ -918,9 +908,8 @@ impl AggState {
 
     /// Origin `origin`'s row as a pull hands it over: a hole where nothing
     /// was verified in time.
-    fn job_row(&self, origin: u32) -> impl ExactSizeIterator<Item = Option<&Ciphertext>> {
-        let row = self.contribs[origin as usize].iter();
-        row.map(|slot| slot.as_ref().map(Parked::ct))
+    fn job_row(&self, origin: u32) -> impl ExactSizeIterator<Item = Option<&Parked>> {
+        self.contribs[origin as usize].iter().map(Option::as_ref)
     }
 
     /// Writes `reply`'s wire encoding into `w`.
@@ -931,6 +920,11 @@ impl AggState {
             Reply::Rows(origins) => {
                 let rows = origins.iter().map(|&o| (o, self.job_row(o)));
                 NetMsg::put_ready_rows(w, rows);
+            }
+            Reply::ShareTask => {
+                let (tail, aggregate) = (&self.round.tail, self.round.aggregate.as_ref());
+                let aggregate = aggregate.expect("selection implies aggregate");
+                NetMsg::put_share_task(w, tail.share_round, &tail.participants, aggregate);
             }
         }
     }
@@ -971,15 +965,13 @@ impl AggState {
         raw: &[u8],
     ) -> Result<(NetMsg, Option<Pending>), NetError> {
         let (reply, pending) = self.handle_reply(msg, raw)?;
-        let cloned = |origin| self.job_row(origin).map(|ct| ct.cloned()).collect();
         let reply = match reply {
             Reply::Msg(msg) => msg,
-            Reply::Job(origin) => NetMsg::OriginJob {
-                cts: cloned(origin),
-            },
-            Reply::Rows(origins) => NetMsg::ReadyRows {
-                rows: origins.into_iter().map(|o| (o, cloned(o))).collect(),
-            },
+            parked => {
+                let mut w = Writer::new();
+                self.encode_reply(&parked, &mut w);
+                NetMsg::decode(&w.finish(), &self.setup.cc)?
+            }
         };
         Ok((reply, pending))
     }
@@ -1082,7 +1074,7 @@ impl AggState {
             shard,
             rejected,
             commits: plane.commits.iter().flatten().cloned().collect(),
-            root: Box::new(root.ct().clone()),
+            root: Box::new(root.ct()),
         })
     }
 
@@ -1130,6 +1122,7 @@ mod tests {
     use super::*;
     use mycelium::roles::Member;
     use mycelium_bgv::encoding::encode_constant;
+    use mycelium_bgv::Ciphertext;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The contribution deadline `D`, in milliseconds of the test's clock.
@@ -1222,7 +1215,7 @@ mod tests {
         let round = |st: &AggState| st.round.tail.share_round;
         fires_at(&mut st, &ticks, selected, |st| round(st) == 1);
         assert_eq!(st.round.tail.participants, [1, 2, 3]);
-        let aggregate = st.round.aggregate.as_ref().unwrap().ct().clone();
+        let aggregate = st.round.aggregate.as_ref().unwrap().ct();
         let mut share = |st: &mut AggState, m: u64| {
             let (round, participants) = (round(st), st.round.tail.participants.clone());
             let member = &mut members[m as usize - 1];

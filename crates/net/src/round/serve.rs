@@ -255,12 +255,13 @@ impl Served {
         waits.extend(stats.wait_micros);
         let (early, owned) = s.rows_handed_early();
         eprintln!(
-            "{}: {} fsyncs for {} journal records, {} minor faults, \
+            "{}: {} fsyncs for {} journal records, {} minor faults, peak RSS {} kB, \
              rows handed out before the last contribution: {early} of {owned}",
             self.name,
             stats.syncs,
             s.journal_records(),
-            crate::metrics::minor_faults().unwrap_or(0)
+            crate::metrics::minor_faults().unwrap_or(0),
+            crate::metrics::peak_rss_kb().unwrap_or(0)
         );
         write_metrics(out_dir, &self.name, &metrics)
     }

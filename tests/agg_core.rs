@@ -3,12 +3,17 @@
 //! simulator. Both executors are drivers over exactly this code, so what
 //! holds here holds for the simulated and the real-process round alike.
 
+use std::sync::Arc;
+
 use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
 use mycelium::plan::{aggregate_and_audit, ciphertext_digest, AGGREGATION_LEVEL};
-use mycelium_bgv::{Ciphertext, Plaintext};
+use mycelium_bgv::{BgvParams, Ciphertext, Plaintext};
 use mycelium_cert::{sign_transcript, verify_bytes, RoundCertificate, SlotStatus};
-use mycelium_math::rng::{SeedableRng, StdRng};
+use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
+use mycelium_math::rns::{Representation, RnsPoly};
+use mycelium_net::codec::{ciphertext_encoded_bytes, encode_ciphertext};
 use mycelium_net::round::{build_setup, RoundSetup, RoundSpec};
+use mycelium_net::wire::Writer;
 use mycelium_sharing::threshold::{decryption_share, DecryptionShare};
 
 fn setup() -> RoundSetup {
@@ -132,7 +137,7 @@ fn duplicate_contribution_is_first_write_wins() {
     assert_eq!(intake.contribution_slot(origin, slot), Ok(Slot::Open));
     let got = intake.accept_contribution(origin, slot, first, &ctx(&setup), &mut rng);
     let got = got.unwrap().unwrap();
-    assert_eq!(ciphertext_digest(got.ct()), digest);
+    assert_eq!(ciphertext_digest(&got.ct()), digest);
     assert_eq!(*got.digest(), digest, "parked beside its own digest");
     assert_eq!(intake.contribution_slot(origin, slot), Ok(Slot::Filled));
     // A different ciphertext for the same slot is a redelivery: ignored.
@@ -151,6 +156,73 @@ fn duplicate_contribution_is_first_write_wins() {
             Err(CoreError::Invalid(_))
         ));
     }
+}
+
+#[test]
+fn a_parked_ciphertext_is_its_encoding_and_unpacks_bit_for_bit() {
+    for params in [BgvParams::test_small(), BgvParams::test_medium()] {
+        let ctx = params.build_context();
+        let mut rng = StdRng::seed_from_u64(params.n as u64);
+        for level in 1..=6 {
+            let part = |rng: &mut StdRng| {
+                let moduli = &ctx.moduli()[..level];
+                let mut row = |q: u64| (0..ctx.degree()).map(|_| rng.next_u64() % q).collect();
+                let rows = moduli.iter().map(|m| row(m.value())).collect();
+                RnsPoly::from_residues(Arc::clone(&ctx), Representation::Ntt, rows)
+            };
+            let parts = vec![part(&mut rng), part(&mut rng)];
+            let ct = Ciphertext::from_parts(parts, 37.3 + level as f64 / 7.0, params.clone());
+            let parked = Parked::new(ct.clone());
+            assert_eq!(*parked.digest(), ciphertext_digest(&ct), "level {level}");
+            let mut w = Writer::new();
+            encode_ciphertext(&mut w, &ct);
+            assert_eq!(parked.bytes(), w.finish(), "level {level}");
+            assert_eq!(
+                parked.bytes().len(),
+                ciphertext_encoded_bytes(&ctx, 2, level)
+            );
+            let back = parked.ct();
+            assert_eq!(back.parts(), ct.parts(), "level {level}");
+            assert_eq!(back.level(), level);
+            assert_eq!(back.noise_log2().to_bits(), ct.noise_log2().to_bits());
+            assert!(Arc::ptr_eq(back.parts()[1].context(), &ctx));
+        }
+    }
+}
+
+#[test]
+fn after_a_full_intake_every_contribution_is_parked_as_its_encoding() {
+    let setup = setup();
+    let mut intake = Intake::new(setup.slot_map(), |_| true);
+    let mut rng = StdRng::seed_from_u64(5);
+    let (ctx_ring, top) = (&setup.cc.ctx, setup.cc.ctx.max_level());
+    let want = ciphertext_encoded_bytes(ctx_ring, 2, top);
+    let mut parked = 0;
+    for (v, duties) in setup.duties.iter().enumerate() {
+        // Every third device forges: its slots park a neutral substitute.
+        let forged = v % 3 == 0;
+        for duty in duties {
+            let plan = &setup.plan;
+            let sc = plan.build_contribution(&setup.keys, v as u32, duty.exp, forged, &mut rng);
+            let got = intake.accept_contribution(
+                duty.origin,
+                duty.slot,
+                sc.unwrap(),
+                &ctx(&setup),
+                &mut rng,
+            );
+            let got = got.unwrap().expect("first write lands");
+            assert_eq!(got.bytes().len(), want, "device {v} forged {forged}");
+            assert_eq!(*got.digest(), ciphertext_digest(&got.ct()));
+            parked += 1;
+        }
+    }
+    let slots: usize = setup.slot_map().iter().map(Vec::len).sum();
+    assert_eq!(
+        (parked, intake.statuses.len()),
+        (slots, slots),
+        "a full intake"
+    );
 }
 
 #[test]
@@ -175,7 +247,7 @@ fn forged_proof_is_rejected_neutralised_and_attributed_once() {
             .unwrap()
             .expect("a substitute is handed to the origin");
         assert_ne!(*handed.digest(), forged, "neutral Enc(x^0) substituted");
-        assert_eq!(*handed.digest(), ciphertext_digest(handed.ct()));
+        assert_eq!(*handed.digest(), ciphertext_digest(&handed.ct()));
         assert_eq!(intake.statuses[&at], SlotStatus::Rejected);
     }
     assert_eq!(
@@ -511,7 +583,7 @@ fn the_phase_policy_is_a_table() {
         ],
     );
     let aggregate = hub.aggregate.as_ref().expect("aggregated").ct();
-    let shares = select_and_share(&mut hub.tail, &setup, aggregate);
+    let shares = select_and_share(&mut hub.tail, &setup, &aggregate);
     // `select_and_share` selected by hand; rewind to "all checked in".
     let selected = std::mem::take(&mut hub.tail.participants);
     expect("hub, all checked in", &hub, &[(&[], Some(Mark::Select))]);

@@ -1227,6 +1227,47 @@ fn one_origin_pulls_encode_the_row_alike_and_a_shard_refuses_both_alike() {
 }
 
 #[test]
+fn replies_written_from_parked_bytes_are_the_messages_byte_for_byte() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let st = AggState::new(Arc::clone(&setup));
+    let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+    let origins = waiting_origins(&setup, 2);
+    for &origin in &origins {
+        fill_row(&mut shared.lock(), &setup, origin);
+    }
+    // What the server writes (the parked bytes, copied) against the message
+    // the state hands a caller that wants one, encoded.
+    let alike = |msg: NetMsg| {
+        let raw = msg.encode();
+        let (want, _) = shared.lock().handle_deferred(msg, &raw).unwrap();
+        let got = shared.handle([0; 32], &raw).unwrap();
+        assert_eq!(got, want.encode(), "{}", want.kind());
+        want.kind()
+    };
+    let origin = origins[0];
+    assert_eq!(alike(NetMsg::PullOrigin { origin }), "OriginJob");
+    let want = origins.clone();
+    assert_eq!(alike(NetMsg::PullReady { want }), "ReadyRows");
+    // The committee's copy of the aggregate, once every origin submitted
+    // and every member checked in.
+    for origin in 0..setup.works.len() as u32 {
+        let reply = shared.handle([0; 32], &submission(&setup, origin).encode());
+        assert_eq!(reply.unwrap(), NetMsg::Ack.encode());
+    }
+    for member in 1..=setup.committee_size as u64 {
+        let seed = [member as u8; 32];
+        shared
+            .handle([0; 32], &NetMsg::CommitteeCheckIn { member, seed }.encode())
+            .unwrap();
+    }
+    let task = NetMsg::CommitteeCheckIn {
+        member: 1,
+        seed: [1; 32],
+    };
+    assert_eq!(alike(task), "CommitteeShareTask");
+}
+
+#[test]
 fn held_ready_row_pull_wakes_on_the_push_that_completes_a_wanted_row() {
     let setup = Arc::new(build_setup(&test_spec()).unwrap());
     let dir = journal_dir("held-ready");
