@@ -18,6 +18,7 @@ use mycelium_cert::{
     build_segments, commit_origin, noise_commitment, verify_transcript_sig, CertSpec, CommitteeSig,
     OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
 };
+use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::Digest;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::rng::Rng;
@@ -30,7 +31,7 @@ use crate::decode::decode_aggregate;
 use crate::exec::{release_noisy, ExecError, NoisyGroup};
 use crate::plan::SignedContribution;
 use crate::plan::{aggregate_and_audit, seal_shard_root, PartialRoot, QueryPlan};
-use crate::plan::{ciphertext_len, encoding_digest, read_ciphertext, write_ciphertext};
+use crate::plan::{ciphertext_len, encoding_digest, put_ciphertext, read_ciphertext};
 
 /// The core's one typed failure; `Display` is the canonical message.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +89,7 @@ impl Slot {
 }
 
 /// A ciphertext the plane holds: the bytes its wire encoding is made of
-/// ([`write_ciphertext`]), beside their
+/// ([`put_ciphertext`]), beside their
 /// [`ciphertext_digest`](crate::plan::ciphertext_digest) — both taken
 /// once, when the ciphertext was accepted. The aggregator mostly relays:
 /// a row, the committee's aggregate and a shard's root leave as copies of
@@ -110,8 +111,9 @@ impl Parked {
     /// Packs `ct` into a buffer of exactly its encoding's size and hashes
     /// that; nothing downstream does either again.
     pub fn new(ct: Ciphertext) -> Self {
-        let mut bytes = vec![0u8; ciphertext_len(&ct)].into_boxed_slice();
-        write_ciphertext(&mut bytes, &ct);
+        let mut w = Writer::with_capacity(ciphertext_len(&ct));
+        put_ciphertext(&mut w, &ct);
+        let bytes = w.finish().into_boxed_slice();
         let digest = encoding_digest(&bytes);
         let ctx = Arc::clone(ct.parts()[0].context());
         let params = ct.params().clone();

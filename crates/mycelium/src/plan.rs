@@ -22,6 +22,7 @@ use std::sync::Arc;
 use mycelium_bgv::encoding::{encode_constant, encode_monomial};
 use mycelium_bgv::noise::plan_chain;
 use mycelium_bgv::{BgvParams, Ciphertext, KeySet, Plaintext};
+use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::{self, Digest};
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
@@ -40,53 +41,67 @@ use mycelium_zkp::{argument, Proof};
 use crate::exec::{ExecError, ExecStats};
 use crate::params::SystemParams;
 
-/// Bytes [`write_part`] writes for `p`.
+/// Where the encoding writers ([`put_part`], [`put_ciphertext`]) put bytes:
+/// each call lends the next `n` bytes, every one of which the writer fills —
+/// the codec's `Writer` (a row at a time, so each is zeroed and packed while
+/// it is in cache) or a buffer filled front to back.
+pub trait Sink {
+    fn lend(&mut self, n: usize) -> &mut [u8];
+}
+
+impl Sink for Writer {
+    fn lend(&mut self, n: usize) -> &mut [u8] {
+        self.put_zeroed(n)
+    }
+}
+
+impl Sink for &mut [u8] {
+    fn lend(&mut self, n: usize) -> &mut [u8] {
+        let (head, tail) = std::mem::take(self).split_at_mut(n);
+        *self = tail;
+        head
+    }
+}
+
+/// Bytes [`put_part`] writes for `p`.
 pub fn part_len(p: &RnsPoly) -> usize {
     2 + p.context().packed_bytes(p.level())
 }
 
-/// The one writer of a ciphertext part's bytes — what the wire codec
-/// writes for a ring element, what [`ciphertext_digest`] hashes and what a
-/// parked ciphertext ([`Parked`](crate::aggcore::Parked)) holds: the
-/// part's representation tag, its level, and each residue row packed at
-/// the width of its prime. `out` is exactly [`part_len`] bytes.
-pub fn write_part(out: &mut [u8], p: &RnsPoly) {
-    assert_eq!(out.len(), part_len(p), "part length");
-    out[0] = match p.representation() {
+/// The one writer of a ring element's bytes — what the wire codec writes
+/// for one, what [`ciphertext_digest`] hashes and what a parked ciphertext
+/// ([`Parked`](crate::aggcore::Parked)) holds: the representation tag, the
+/// level, and each residue row packed at the width of its prime.
+pub fn put_part(out: &mut impl Sink, p: &RnsPoly) {
+    let head = out.lend(2);
+    head[0] = match p.representation() {
         Representation::Coefficient => 0,
         Representation::Ntt => 1,
     };
-    out[1] = p.level() as u8;
-    let mut at = 2;
+    head[1] = p.level() as u8;
     for (m, row) in p.context().moduli().iter().zip(p.residues()) {
-        let packed = ew::packed_len(m.bits(), row.len());
-        ew::pack(m, &mut out[at..at + packed], row);
-        at += packed;
+        ew::pack(m, out.lend(ew::packed_len(m.bits(), row.len())), row);
     }
 }
 
-/// Bytes [`write_ciphertext`] writes for `ct`.
+/// Bytes [`put_ciphertext`] writes for `ct`.
 pub fn ciphertext_len(ct: &Ciphertext) -> usize {
     9 + ct.parts().iter().map(part_len).sum::<usize>()
 }
 
 /// A ciphertext's encoding — the wire's, the journal's and a parked
 /// ciphertext's: its part count (one byte), its noise bound (the `f64`'s
-/// bits, little-endian), then each part as [`write_part`] writes it. `out`
-/// is exactly [`ciphertext_len`] bytes.
-pub fn write_ciphertext(out: &mut [u8], ct: &Ciphertext) {
-    assert_eq!(out.len(), ciphertext_len(ct), "ciphertext length");
-    out[0] = ct.parts().len() as u8;
-    out[1..9].copy_from_slice(&ct.noise_log2().to_bits().to_le_bytes());
-    let mut at = 9;
+/// bits, little-endian), then each part as [`put_part`] writes it.
+pub fn put_ciphertext(out: &mut impl Sink, ct: &Ciphertext) {
+    let head = out.lend(9);
+    head[0] = ct.parts().len() as u8;
+    head[1..].copy_from_slice(&ct.noise_log2().to_bits().to_le_bytes());
     for p in ct.parts() {
-        let len = part_len(p);
-        write_part(&mut out[at..at + len], p);
-        at += len;
+        put_part(out, p);
     }
 }
 
-/// Inverse of [`write_ciphertext`], into ring elements of `ctx` — for
+/// Inverse of [`put_ciphertext`], into ring elements of `ctx` — for
 /// bytes this process wrote itself, so malformed ones panic (the wire
 /// codec validates what a peer sends).
 pub fn read_ciphertext(bytes: &[u8], ctx: &Arc<RnsContext>, params: &BgvParams) -> Ciphertext {
@@ -116,18 +131,24 @@ pub fn read_ciphertext(bytes: &[u8], ctx: &Arc<RnsContext>, params: &BgvParams) 
 }
 
 /// [`ciphertext_digest`] of the ciphertext whose encoding
-/// ([`write_ciphertext`]) is `encoded`, hashing those bytes where they lie.
+/// ([`put_ciphertext`]) is `encoded`, hashing those bytes where they lie.
 pub fn encoding_digest(encoded: &[u8]) -> Digest {
+    parts_digest(encoded[0], &encoded[9..])
+}
+
+/// [`ciphertext_digest`] of `nparts` parts whose bytes ([`put_part`]) are
+/// `parts`.
+fn parts_digest(nparts: u8, parts: &[u8]) -> Digest {
     let mut domain = *b"myc-ct-v3\0";
-    domain[9] = encoded[0];
-    sha256::striped(&domain, &encoded[9..])
+    domain[9] = nparts;
+    sha256::striped(&domain, parts)
 }
 
 /// Digest of a ciphertext — what binds proofs, summation-tree commitments
 /// and the certificate to concrete ciphertexts:
 /// `sha256::striped("myc-ct-v3" ‖ nparts as u8, bytes)`, where `bytes` is
 /// exactly what the wire codec writes for the parts, in order
-/// ([`write_part`]). What travels is what is hashed; a canonical residue
+/// ([`put_part`]). What travels is what is hashed; a canonical residue
 /// has exactly one packed form, so the digest is as injective as the
 /// encoding. The bytes are packed into a buffer each thread keeps, so a
 /// digest allocates nothing once the thread has taken one of this size.
@@ -138,9 +159,12 @@ pub fn ciphertext_digest(ct: &Ciphertext) -> Digest {
     BYTES.with_borrow_mut(|bytes| {
         // Every byte is written before it is hashed: the buffer only
         // grows, and only its growth is zeroed.
-        bytes.resize(ciphertext_len(ct), 0);
-        write_ciphertext(bytes, ct);
-        encoding_digest(bytes)
+        bytes.resize(ciphertext_len(ct) - 9, 0);
+        let mut out = &mut bytes[..];
+        for p in ct.parts() {
+            put_part(&mut out, p);
+        }
+        parts_digest(ct.parts().len() as u8, bytes)
     })
 }
 

@@ -91,9 +91,10 @@ pub fn ciphertext_encoded_bytes(ctx: &RnsContext, nparts: usize, level: usize) -
     1 + 8 + nparts * poly_encoded_bytes(ctx, level)
 }
 
-/// Serializes one `RnsPoly` ([`plan::write_part`] writes its bytes).
+/// Serializes one `RnsPoly` ([`plan::put_part`] writes its bytes).
 pub fn encode_poly(w: &mut Writer, p: &RnsPoly) {
-    plan::write_part(w.put_zeroed(plan::part_len(p)), p);
+    w.reserve(plan::part_len(p));
+    plan::put_part(w, p);
 }
 
 /// Deserializes one `RnsPoly`, validating representation, level and
@@ -132,9 +133,10 @@ pub fn decode_poly(r: &mut Reader, cc: &CodecCtx) -> Result<RnsPoly, NetError> {
     ))
 }
 
-/// Serializes a ciphertext ([`plan::write_ciphertext`] writes its bytes).
+/// Serializes a ciphertext ([`plan::put_ciphertext`] writes its bytes).
 pub fn encode_ciphertext(w: &mut Writer, ct: &Ciphertext) {
-    plan::write_ciphertext(w.put_zeroed(plan::ciphertext_len(ct)), ct);
+    w.reserve(plan::ciphertext_len(ct));
+    plan::put_ciphertext(w, ct);
 }
 
 /// A ciphertext as a message writes it: one in words is encoded, one held
@@ -179,7 +181,7 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
 }
 
 /// Serializes an optional ciphertext (the aggregator's per-slot state).
-pub fn encode_opt_ciphertext<C: PutCiphertext + ?Sized>(w: &mut Writer, ct: Option<&C>) {
+pub fn encode_opt_ciphertext<C: PutCiphertext>(w: &mut Writer, ct: Option<&C>) {
     w.put_opt(ct, |w, ct| ct.put_into(w));
 }
 

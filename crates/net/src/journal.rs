@@ -211,24 +211,35 @@ impl Records {
     }
 }
 
+/// What a streamed replay reads at a time (more when one record is longer):
+/// a few dozen contribution records per `read`, in a buffer that stays
+/// about this size.
+const READ_BLOCK: usize = 1 << 20;
+
 /// A journal being read, record by record: the file past its checked
-/// header and the end of the valid prefix read so far.
+/// header, and a window of bytes read from it that the next record starts in.
 struct Scan {
     file: File,
     /// The file's length.
     size: u64,
-    /// Where the next record starts.
+    /// Bytes of the file not read yet.
+    unread: u64,
+    /// What was read and is still held: the next record starts at
+    /// `window[next]`.
+    window: Vec<u8>,
+    next: usize,
+    /// Whether records stay in `window` once read ([`Journal::open`]) or are
+    /// dropped before more is read ([`Journal::replay`]).
+    keep: bool,
+    /// Where the valid prefix read so far ends in the file.
     pos: u64,
-    /// The next record's length prefix, when it was read with the record
-    /// before it.
-    ahead: Option<u32>,
     /// The next record's sequence number.
     seq: u64,
 }
 
 impl Scan {
     /// Opens `path` and checks its header against `binding`.
-    fn open(path: &Path, binding: &Digest) -> Result<Self, JournalError> {
+    fn open(path: &Path, binding: &Digest, keep: bool) -> Result<Self, JournalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let size = file.metadata()?.len();
         if size < HEADER_BYTES as u64 {
@@ -256,62 +267,78 @@ impl Scan {
                 want: *binding,
             });
         }
-        let (pos, ahead, seq) = (HEADER_BYTES as u64, None, 0);
+        let pos = HEADER_BYTES as u64;
         Ok(Scan {
             file,
             size,
+            unread: size - pos,
+            window: Vec::new(),
+            next: 0,
+            keep,
             pos,
-            ahead,
-            seq,
+            seq: 0,
         })
     }
 
-    /// Reads the next record behind what `buf` holds and checks it: its
-    /// payload's length once the checksum holds (the payload stays, the
-    /// checksum does not), `None` where the valid prefix ends — at the end
-    /// of the file, or at a torn tail.
-    fn next_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, JournalError> {
-        let left = self.size - self.pos;
-        let len = match self.ahead.take() {
-            Some(len) => len,
-            // A torn length prefix.
-            None if left < 4 => return Ok(None),
-            None => {
-                let mut prefix = [0u8; 4];
-                self.file.read_exact(&mut prefix)?;
-                u32::from_le_bytes(prefix)
+    /// Makes the `need` bytes from the next record's start readable in
+    /// `window`; `false` where the file ends first. Kept records are read
+    /// all at once; otherwise what was handed on is dropped first and at
+    /// least a [`READ_BLOCK`] is read.
+    fn fill(&mut self, need: usize) -> Result<bool, JournalError> {
+        let have = self.window.len() - self.next;
+        if have >= need {
+            return Ok(true);
+        }
+        if (need - have) as u64 > self.unread {
+            return Ok(false);
+        }
+        let want = match self.keep {
+            true => self.unread,
+            false => {
+                self.window.drain(..self.next);
+                self.next = 0;
+                ((need - have).max(READ_BLOCK) as u64).min(self.unread)
             }
-        } as usize;
-        let seq = self.seq;
+        };
+        self.window.reserve(want as usize);
+        if (&self.file).take(want).read_to_end(&mut self.window)? as u64 != want {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
+        self.unread -= want;
+        Ok(true)
+    }
+
+    /// The next record, once its checksum holds: where its payload lies in
+    /// `window`. `None` where the valid prefix ends — at the end of the
+    /// file, or at a torn tail.
+    fn next_record(&mut self) -> Result<Option<std::ops::Range<usize>>, JournalError> {
+        // A torn length prefix.
+        if !self.fill(4)? {
+            return Ok(None);
+        }
+        let prefix = &self.window[self.next..self.next + 4];
+        let (len, seq) = (
+            u32::from_le_bytes(prefix.try_into().unwrap()) as usize,
+            self.seq,
+        );
         if len > MAX_RECORD_BYTES {
             // A length this absurd is corruption of the prefix itself,
             // not a torn write: typed error, no truncation.
             return Err(JournalError::RecordTooLarge { seq, len });
         }
-        let whole = (4 + len + 32) as u64;
-        if left < whole {
-            // A torn payload or checksum.
+        // A torn payload or checksum.
+        if !self.fill(4 + len + 32)? {
             return Ok(None);
         }
-        // The next record's length prefix is read with this record.
-        let ahead = if left >= whole + 4 { 4 } else { 0 };
-        let (at, want) = (buf.len(), len + 32 + ahead);
-        buf.reserve(want);
-        if (&self.file).take(want as u64).read_to_end(buf)? != want {
-            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
-        }
-        let sum: Digest = buf[at + len..at + len + 32].try_into().unwrap();
-        if ahead > 0 {
-            let prefix = buf[at + len + 32..].try_into().unwrap();
-            self.ahead = Some(u32::from_le_bytes(prefix));
-        }
-        buf.truncate(at + len);
-        if record_checksum(seq, &buf[at..]) != sum {
+        let payload = self.next + 4..self.next + 4 + len;
+        let sum = &self.window[payload.end..payload.end + 32];
+        if record_checksum(seq, &self.window[payload.clone()]) != sum {
             return Err(JournalError::Corrupt { seq });
         }
+        self.next = payload.end + 32;
+        self.pos += (4 + len + 32) as u64;
         self.seq += 1;
-        self.pos += whole;
-        Ok(Some(len))
+        Ok(Some(payload))
     }
 
     /// The journal over the scanned file, appending after its valid prefix:
@@ -445,12 +472,12 @@ impl Journal {
     /// A torn tail (incomplete final record) is truncated away; a
     /// complete record with a bad checksum is [`JournalError::Corrupt`].
     pub fn open(path: &Path, binding: &Digest) -> Result<(Self, Records), JournalError> {
-        let mut scan = Scan::open(path, binding)?;
-        let mut bytes = Vec::with_capacity(scan.size as usize - HEADER_BYTES);
+        let mut scan = Scan::open(path, binding, true)?;
         let mut payloads = Vec::new();
-        while let Some(len) = scan.next_into(&mut bytes)? {
-            payloads.push(bytes.len() - len..bytes.len());
+        while let Some(payload) = scan.next_record()? {
+            payloads.push(payload);
         }
+        let bytes = std::mem::take(&mut scan.window);
         Ok((scan.finish()?, Records { bytes, payloads }))
     }
 
@@ -477,13 +504,12 @@ impl Journal {
         binding: &Digest,
         mut each: impl FnMut(u64, &[u8]) -> Result<(), E>,
     ) -> Result<Self, E> {
-        let mut scan = Scan::open(path, binding)?;
-        let (mut buf, mut failed) = (Vec::new(), None);
-        while scan.next_into(&mut buf)?.is_some() {
+        let mut scan = Scan::open(path, binding, false)?;
+        let mut failed = None;
+        while let Some(payload) = scan.next_record()? {
             if failed.is_none() {
-                failed = each(scan.seq - 1, &buf).err();
+                failed = each(scan.seq - 1, &scan.window[payload]).err();
             }
-            buf.clear();
         }
         let journal = scan.finish()?;
         failed.map_or(Ok(journal), Err)
@@ -592,21 +618,40 @@ mod tests {
         records.iter().collect()
     }
 
+    /// What [`Journal::replay`] hands on, in order, beside the journal it
+    /// leaves — which must be what [`Journal::open`] reads.
+    fn replayed(path: &Path) -> (Journal, Vec<Vec<u8>>) {
+        let mut got = Vec::new();
+        let each = |seq, payload: &[u8]| {
+            assert_eq!(seq, got.len() as u64);
+            got.push(payload.to_vec());
+            Ok::<_, JournalError>(())
+        };
+        let journal = Journal::replay(path, &binding(), each).unwrap();
+        (journal, got)
+    }
+
     #[test]
     fn round_trips_records_across_reopen() {
         let path = tmp("roundtrip");
-        let all: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![0xAB; 1000]];
+        // Records shorter and longer than a replay's read block, so blocks
+        // end inside length prefixes, payloads and checksums.
+        let mut all: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![0xAB; 1000]];
+        all.extend((1..=9u8).map(|i| vec![i; 350_001 * i as usize % 1_300_000]));
         {
             let mut j = Journal::create(&path, &binding()).unwrap();
             for p in &all {
                 j.append(p).unwrap();
             }
             j.commit().unwrap();
-            assert_eq!(j.record_count(), 3);
+            assert_eq!(j.record_count(), 12);
         }
         let (j, recovered) = Journal::open(&path, &binding()).unwrap();
         assert_eq!(payloads(&recovered), all);
-        assert_eq!(j.record_count(), 3);
+        assert_eq!(j.record_count(), 12);
+        let (j, streamed) = replayed(&path);
+        assert_eq!(streamed, all);
+        assert_eq!(j.record_count(), 12);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -713,6 +758,12 @@ mod tests {
             j.commit().unwrap();
             let (_, rec) = Journal::open(&path, &binding()).unwrap();
             assert_eq!(rec.len(), 2, "re-append after cut at {cut}");
+            // A streamed replay cuts the same tail.
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (j, streamed) = replayed(&path);
+            assert_eq!(streamed, [b"complete one"], "replay cut at {cut}");
+            assert_eq!(j.record_count(), 1);
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, rec2_start);
             std::fs::write(&path, &full).unwrap();
         }
         let _ = std::fs::remove_file(&path);

@@ -249,7 +249,7 @@ impl NetMsg {
         w: &mut Writer,
         round: u32,
         participants: &[u64],
-        ct: &(impl PutCiphertext + ?Sized),
+        ct: &impl PutCiphertext,
     ) {
         w.put_u8(20);
         w.put_u32(round);
@@ -340,7 +340,7 @@ impl NetMsg {
                 round,
                 participants,
                 ct,
-            } => NetMsg::put_share_task(w, *round, participants, &**ct),
+            } => NetMsg::put_share_task(w, *round, participants, ct.as_ref()),
             NetMsg::CertSignTask { transcript } => {
                 w.put_u8(22);
                 w.put_bytes(transcript);
