@@ -92,13 +92,14 @@ impl Slot {
 /// ([`put_ciphertext`]), beside their
 /// [`ciphertext_digest`](crate::plan::ciphertext_digest) — both taken
 /// once, when the ciphertext was accepted. The aggregator mostly relays:
-/// a row, the committee's aggregate and a shard's root leave as copies of
+/// a row and the committee's copy of the aggregate leave as copies of
 /// these bytes, and everything that needs the digest (the proof check, the
 /// slot status, a driver's state checkpoint, the certificate) reads this
 /// one value, so holding more never costs more hashing or packing. Words
-/// come back ([`Parked::ct`]) only where the plane computes: the aggregate
-/// forming, and the combine. The fields are private: the bytes and the
-/// digest are always the ciphertext's.
+/// come back ([`Parked::ct`]) where the plane computes — the aggregate
+/// forming, and the combine — and for a shard's one root message. The
+/// fields are private: the bytes and the digest are always the
+/// ciphertext's.
 #[derive(Debug, Clone)]
 pub struct Parked {
     bytes: Box<[u8]>,

@@ -46,6 +46,7 @@ use crate::params::SystemParams;
 /// the codec's `Writer` (a row at a time, so each is zeroed and packed while
 /// it is in cache) or a buffer filled front to back.
 pub trait Sink {
+    /// The next `n` bytes, to be filled whole.
     fn lend(&mut self, n: usize) -> &mut [u8];
 }
 

@@ -49,8 +49,9 @@
 //!   A *complete but corrupt* record (bit flip) is a typed
 //!   [`JournalError::Corrupt`], never a panic or silent divergence.
 //! * Replay is streamed ([`Journal::replay`]): each record is checksummed
-//!   as it is read, into one buffer reused record to record, and handed
-//!   to the caller at once, so recovery never holds the whole journal.
+//!   as it is read, through a window of about a megabyte the replay
+//!   reuses, and handed to the caller at once, so recovery never holds
+//!   the whole journal.
 //!   Its outcome is still that of checking every record first: once a
 //!   record fails to apply, the rest are checksummed, a later corrupt or
 //!   oversized record is the error reported, and a torn tail is cut.
@@ -492,8 +493,9 @@ impl Journal {
     }
 
     /// [`Journal::open`] that hands each valid record to `each` as `(seq,
-    /// payload)` as soon as its checksum holds, read into one buffer reused
-    /// from record to record, so a replay never holds the whole journal.
+    /// payload)` as soon as its checksum holds, read through one window of
+    /// about a megabyte reused from block to block, so a replay never
+    /// holds the whole journal.
     /// The outcome is that of opening first and replaying after: once
     /// `each` fails, the records after are still checksummed, a
     /// [`JournalError::Corrupt`] or [`JournalError::RecordTooLarge`] among
