@@ -216,34 +216,34 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
     pin(&format!("{name}.digest"), &st.digest(), want[1]);
 }
 
-const HUB_CERT: &str = "311edd09cc5a9e0808d86dd717e5ad4598c837d16a8f5040caf0acd1d635fab2";
+const HUB_CERT: &str = "3052bf8d016351667e9b59f403c02ce18434600e3b51ad9709b522a974d9266b";
 const HUB: [&str; 2] = [
-    "2315f1e6b502c91a6e88c7c1e8fd916c0229692f4c684f22a65690feb95d8f45",
-    "b35befd86360a73b9cd97d9b9792449a6ee7f0d1240ef28ebe5dcbae74215af5",
+    "09e36dc41dbf1f14bfb5013484c28768f1ae942edfeb226b1b5b3a5dc003ec0b",
+    "8177104014b3f48cf4ef9dc229ffb473954bc5bbf90ce2f6e1a169848770edb2",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
-const SHARDED_CERT: &str = "7af41b6d430f481e3d81732da03415457d854a7b2f7a028deaed30656b14fac9";
+const SHARDED_CERT: &str = "3b593f0c75bf2f439732a731586e63ab839fbe076c1089c9dedd1fa388d85d0e";
 const COORD: [&str; 2] = [
-    "202bef6604ed70047d7553cf3e4a5f5a220e55dfd6c034a70d776ceedb778da1",
-    "4064b83343f7cbcc2b69730785dfb863c441981ef6809a038a8783839f71c3b9",
+    "ee8566e37f7c08deb4149dc375b4266a0dd1d8b07923fc94961e8699236729af",
+    "2d2790f339720e5c324f8c96c699750188964c34f78983ee7c81536cfd16e7d0",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "392f7217575024fabd29c30e74b2193d141959b7e5feead11f06120df565ddd9",
-        "5a4e80a30e170491da2f6cccea94e31ddd29801b6dfad3211f532fe1d9e0046f",
+        "ee8ff6a82c9f6e3e8078d4cae30a9581ad3ab54855b407505b3315ccec32e142",
+        "32d3de0277cdf88499c6437e046f3fb239b2ab47d7f65b14b700157c1f6882d3",
     ],
     [
-        "24ad3fe3de4cbf097ad658525152dc93edc29a20d55f764116ebc8c5c4a970e1",
-        "af1564f3586e0f12fe67fd94e921c5641b2f01a3adcb9c33cd4a5e62889574fa",
+        "9a84ffd73ff18f484be80c6baafe15ad9ca1f6520dd816319589ae503eb8db27",
+        "1f093e4f1d7d416c9d5488390d78edf865b5cc32a39500836312825d3733a79a",
     ],
     [
-        "0d0e4b39cfd4af1f364e89b5455ae5f0ee9c17cc1c9ea2d7ea17a1ac3fb2e101",
-        "809b59695b084cbde0ce645fa0e8681e3f80f06466be298bed49eb90b6091113",
+        "200fd9db1c1567235324a60c26531346a8ba3a54c5b9666b5cc1beb08b573ea0",
+        "d237abdfb1730726768b9c9c6c28a61e2b51528f2aea33727d0bad95356333b7",
     ],
     [
-        "3dcded6075266bfbef916eb1a26de5372ca2da4e3cbee6128bc056c5ba3cd5ad",
-        "91aa96e81b0c85318731f72897b57d985f371bd161e71461c1644777f162b92e",
+        "046bd5d0a6b288f9551ae77232776edb58a5a6bdac7684f02401ff5815cdd16f",
+        "cf1d7659f4d184b41346cccac31efbc3ff25c575dfe2f81b24ad7347305e5a41",
     ],
 ];
 const LATE_HUB_CERT: &str = "d656341f721832155a6d885afc7a124aab77e5d5627961431ea3659cc03b2929";
@@ -254,12 +254,12 @@ const LATE_HUB: [&str; 2] = [
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
-        "92530e268854e937b0ecdf430b088a331643eb4e719c3472dba0f5065ee082f4",
-        "38143b04cef802ef8fe88ae6880d8b964dd2b3400e810ea7212cb0b9dd297f2a",
+        "34858257cd26d9c3f6f7d84fb69b5d8100d8d8172027b7fe3c3ee1897152ed5b",
+        "1a6efdb3615fd85e015b7fbc12fd80b43edaa0b96125c965d97548124aef7fa5",
     ],
     [
-        "02abc7abd366e053ada20518a07384d2a4382715d633175bf87e7473592ba0c8",
-        "9b389a4f84b4a7e04b6051c2923691d77f7f987e63be08071adb1a72bb81d7b2",
+        "863500a08ef4b682ddd91555a827a955c60c667fb1bc5e763fe8414658a171f0",
+        "e278d289eb55a93d8a5ce19404f05517e2c215c14110c09c4f55b0d04c76b48a",
     ],
 ];
 
