@@ -255,7 +255,7 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<Json> 
                     work.requests.len(),
                     &params.bgv,
                     fresh,
-                    submission_level(&plan, &work, fresh),
+                    submission_level(&plan, &work),
                 )
             })
             .sum();

@@ -19,6 +19,7 @@ use mycelium_math::rns::{key_switch_assign, Representation, RnsContext, RnsPoly,
 use mycelium_math::{ew, sample, scratch};
 
 use crate::keys::{PublicKey, RelinKey, SecretKey};
+use crate::noise::log2_sum;
 use crate::params::BgvParams;
 
 /// Errors from homomorphic operations.
@@ -697,12 +698,6 @@ impl Ciphertext {
         }
         Ok(())
     }
-}
-
-/// `log2(2^a + 2^b)` without overflow.
-fn log2_sum(a: f64, b: f64) -> f64 {
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (1.0 + 2f64.powf(lo - hi)).log2()
 }
 
 /// Negacyclic rotation: multiplies a coefficient-domain polynomial by `x^k`.

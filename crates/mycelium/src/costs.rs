@@ -13,7 +13,7 @@ use mycelium_query::analyze::GroupKind;
 use mycelium_zkp::cost::Groth16Model;
 
 use crate::params::SystemParams;
-use crate::plan::{OriginWork, QueryPlan, RowCombine};
+use crate::plan::{OriginWork, QueryPlan};
 
 /// Per-device bandwidth for one query (Figure 7).
 #[derive(Debug, Clone, Copy)]
@@ -129,41 +129,32 @@ pub fn aggregator_cores(
 
 /// Predicted BGV level of an origin's submitted ciphertext — the exact
 /// mirror of [`crate::plan::combine_origin`]'s level arithmetic, with no
-/// cryptography: an accumulator fed `f` times sits at
-/// `max(1, fresh − (f − 1))` (the first feed moves the fresh ciphertext
-/// in; every further feed multiplies, relinearizes, and drops one
-/// level), an unfed accumulator and the self-failed zero are born
-/// directly at [`crate::plan::AGGREGATION_LEVEL`], and `Cross` grouping
-/// aligns every accumulator to the minimum before summing.
-pub fn submission_level(plan: &QueryPlan, work: &OriginWork, fresh_level: usize) -> usize {
+/// cryptography: an accumulator fed `f` times ([`OriginWork::feeds`])
+/// starts at `s = plan.chain_start(f − 1)` (the first feed is switched
+/// there) and sits at `max(1, s − (f − 1))` (every further feed
+/// multiplies, relinearizes, and drops one level), an unfed accumulator
+/// and the self-failed zero are born directly at
+/// [`crate::plan::AGGREGATION_LEVEL`], and `Cross` grouping aligns every
+/// accumulator to the minimum before summing.
+pub fn submission_level(plan: &QueryPlan, work: &OriginWork) -> usize {
     use crate::plan::AGGREGATION_LEVEL;
     if !work.self_ok {
         return AGGREGATION_LEVEL;
-    }
-    let mut feeds = vec![0usize; work.acc_count];
-    for row in &work.rows {
-        match row {
-            RowCombine::Simple(_) => feeds[0] += 1,
-            RowCombine::Selected(groups) => {
-                for (g, _) in groups {
-                    feeds[*g] += 1;
-                }
-            }
-        }
     }
     let level_of = |f: usize| {
         if f == 0 {
             AGGREGATION_LEVEL
         } else {
-            fresh_level.saturating_sub(f - 1).max(1)
+            plan.chain_start(f - 1).saturating_sub(f - 1).max(1)
         }
     };
+    let feeds = work.feeds();
     match plan.analysis.group_kind {
         GroupKind::Cross => feeds
             .iter()
             .map(|&f| level_of(f))
             .min()
-            .unwrap_or(fresh_level),
+            .unwrap_or(AGGREGATION_LEVEL),
         _ => level_of(feeds[0]),
     }
 }

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use mycelium_bgv::encoding::{encode_constant, encode_monomial};
-use mycelium_bgv::noise::plan_chain;
+use mycelium_bgv::noise::{plan_chain, start_level};
 use mycelium_bgv::{BgvParams, Ciphertext, KeySet, Plaintext};
 use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::{self, Digest};
@@ -182,6 +182,11 @@ pub struct QueryPlan {
     pub circuit: Option<WellFormedCircuit>,
     /// Number of noisy values released per group.
     pub released_len: usize,
+    /// `chain_starts[m]`: the level an accumulator of `m` multiplications
+    /// starts at ([`start_level`]), for every count the plan admits.
+    chain_starts: Vec<usize>,
+    /// The top of the modulus chain, where fresh ciphertexts are born.
+    top_level: usize,
 }
 
 impl QueryPlan {
@@ -210,17 +215,25 @@ impl QueryPlan {
         }
         // §6.2 feasibility: the multiplication chain must fit the noise
         // budget.
-        let plan = plan_chain(
-            &params.bgv,
-            analysis
-                .muls
-                .min(pop.graph.max_degree().pow(query.hops as u32)),
-        );
-        if !plan.feasible {
+        let admitted = analysis
+            .muls
+            .min(pop.graph.max_degree().pow(query.hops as u32));
+        if !plan_chain(&params.bgv, admitted).feasible {
             return Err(ExecError::NoiseBudgetExceeded {
                 muls: analysis.muls,
             });
         }
+        // Every origin output (each group accumulator, under cross
+        // grouping) is one leaf of the global sum; a §4.5 feed adds up to
+        // one ciphertext per sequence position.
+        let leaves = pop.graph.len() * accumulators(&analysis);
+        let width = analysis
+            .sequence_column
+            .as_ref()
+            .map_or(1, |col| schema.column_range(col));
+        let chain_starts = (0..=admitted)
+            .map_while(|m| start_level(&params.bgv, m, leaves, width))
+            .collect();
         let field = Modulus::new_prime(2_147_483_647).expect("prime");
         let circuit = with_proofs
             .then(|| well_formed_circuit(field, analysis.total_span, analysis.total_span));
@@ -235,7 +248,18 @@ impl QueryPlan {
             t_pt: params.bgv.plaintext_modulus,
             circuit,
             released_len,
+            chain_starts,
+            top_level: params.bgv.levels,
         })
+    }
+
+    /// The level an accumulator of `muls` multiplications starts at: the
+    /// planned one, or the top of the chain for a count beyond the table.
+    pub fn chain_start(&self, muls: usize) -> usize {
+        self.chain_starts
+            .get(muls)
+            .copied()
+            .unwrap_or(self.top_level)
     }
 
     /// Total released (noisy) values across all groups.
@@ -371,6 +395,36 @@ pub struct OriginWork {
     pub self_shift: usize,
 }
 
+impl OriginWork {
+    /// How many times each accumulator is fed: one feed per `Simple` row
+    /// into accumulator 0, one per selected group of a `Selected` row.
+    /// An accumulator fed `f` times multiplies `f − 1` times.
+    pub fn feeds(&self) -> Vec<usize> {
+        let mut feeds = vec![0usize; self.acc_count];
+        for row in &self.rows {
+            match row {
+                RowCombine::Simple(_) => feeds[0] += 1,
+                RowCombine::Selected(groups) => {
+                    for (g, _) in groups {
+                        feeds[*g] += 1;
+                    }
+                }
+            }
+        }
+        feeds
+    }
+}
+
+/// Group accumulators per origin: one per group under cross grouping,
+/// else one.
+fn accumulators(analysis: &Analysis) -> usize {
+    if analysis.group_kind == GroupKind::Cross {
+        analysis.groups
+    } else {
+        1
+    }
+}
+
 /// One neighbor's contribution exponents: `(sequence position, exponent)`
 /// per active position, or a single `(0, exponent)` for non-sequence
 /// queries. Exponent 0 encodes "inactive" (the neutral `x^0`).
@@ -425,14 +479,17 @@ fn neighbor_exponents(
 }
 
 /// Multiplies `fresh` into the accumulator, relinearizing and dropping a
-/// level as the noise plan requires.
+/// level as the noise plan requires. The first feed only moves in,
+/// switched down to `start` ([`QueryPlan::chain_start`]).
 pub fn multiply_into(
     acc: &mut Option<Ciphertext>,
     fresh: Ciphertext,
+    start: usize,
     keys: &KeySet,
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
     match acc.take() {
+        None if fresh.level() > start => *acc = Some(fresh.mod_switch_to(start)?),
         None => *acc = Some(fresh),
         Some(a) => {
             let fresh = fresh.mod_switch_to(a.level())?;
@@ -459,11 +516,7 @@ pub fn origin_work(
     let schema = &params.schema;
     let analysis = &plan.analysis;
     let self_v = &pop.vertices[v as usize];
-    let acc_count = if analysis.group_kind == GroupKind::Cross {
-        analysis.groups
-    } else {
-        1
-    };
+    let acc_count = accumulators(analysis);
     let mut requests: Vec<(VertexId, usize)> = Vec::new();
     let mut rows: Vec<RowCombine> = Vec::new();
     for (w, edge) in mycelium_query::eval::khop_rows(pop, v, query.hops) {
@@ -577,11 +630,16 @@ pub fn combine_origin<R: Rng + ?Sized>(
             rng,
         )?);
     }
+    let starts: Vec<usize> = work
+        .feeds()
+        .iter()
+        .map(|&f| plan.chain_start(f.saturating_sub(1)))
+        .collect();
     let mut accs: Vec<Option<Ciphertext>> = vec![None; work.acc_count];
     for row in &work.rows {
         match row {
             RowCombine::Simple(slot) => {
-                multiply_into(&mut accs[0], cts[*slot].clone(), keys, stats)?;
+                multiply_into(&mut accs[0], cts[*slot].clone(), starts[0], keys, stats)?;
             }
             RowCombine::Selected(groups) => {
                 for (g, slots) in groups {
@@ -596,7 +654,7 @@ pub fn combine_origin<R: Rng + ?Sized>(
                     let combined = sum
                         .expect("nonempty subsequence")
                         .sub_plain(&encode_constant(ell - 1, n_ring, t_pt)?)?;
-                    multiply_into(&mut accs[*g], combined, keys, stats)?;
+                    multiply_into(&mut accs[*g], combined, starts[*g], keys, stats)?;
                 }
             }
         }
@@ -640,9 +698,10 @@ pub fn combine_origin<R: Rng + ?Sized>(
 /// mod-switched to the bottom of the chain *before* any summation.
 ///
 /// An origin's output level is data-dependent (one switch-down per
-/// homomorphic multiplication), so aligning to the *local* minimum would
-/// make the aggregate's bytes depend on which ciphertexts happen to share
-/// a summation tree. Mod-switching does not commute with addition at the
+/// homomorphic multiplication, from a start the population size can
+/// raise: [`QueryPlan::chain_start`]), so aligning to the *local* minimum
+/// would make the aggregate's bytes depend on which ciphertexts happen to
+/// share a summation tree. Mod-switching does not commute with addition at the
 /// byte level (the rounding differs), so a shard that sums at its local
 /// minimum and lets the coordinator switch the *sum* down would produce a
 /// different — equally decryptable — ciphertext than the hub. Pinning
