@@ -821,3 +821,75 @@ fn a_hub_answers_a_submission_it_could_not_sum_with_a_typed_error() {
     // Nothing landed: the origin's slot still takes a well-formed submission.
     assert_eq!(submit(a).unwrap(), "Ack");
 }
+
+#[test]
+fn a_proof_valid_contribution_below_its_slots_level_is_rejected_not_combined() {
+    // A device may encrypt at any level and prove the plaintext one-hot:
+    // the proof binds the ciphertext's level byte, not a required level. A
+    // contribution too low for the chain its origin runs must not reach
+    // the origin, whose combine could not switch it up: the hub takes it,
+    // rejects it and hands the origin a neutral substitute instead, so the
+    // submission is the product of the honest slots alone.
+    use mycelium::plan::SignedContribution;
+    use mycelium::roles;
+    use mycelium_zkp::argument;
+    use mycelium_zkp::wellformed::well_formed_witness;
+    let spec = RoundSpec {
+        query: "Q5".into(),
+        ..setup().spec
+    };
+    let setup = Arc::new(build_setup(&spec).unwrap());
+    let plan = &setup.plan;
+    let work = setup
+        .works
+        .iter()
+        .find(|w| w.self_ok && w.requests.len() >= 2)
+        .expect("an origin that multiplies");
+    let (origin, last) = (work.origin, work.requests.len() - 1);
+    let mut rng = StdRng::seed_from_u64(13);
+    let (device, exp) = work.requests[last];
+    let low = {
+        let c = plan.circuit.as_ref().expect("proofs on");
+        let mut coeffs = vec![0u64; plan.n_ring];
+        coeffs[exp] = 1;
+        let pt = Plaintext::new(coeffs.clone(), plan.t_pt).unwrap();
+        let ct = Ciphertext::encrypt_at_level(&setup.keys.public, &pt, 1, &mut rng).unwrap();
+        let witness = well_formed_witness(c, &coeffs[..plan.analysis.total_span]);
+        let statement = ciphertext_digest(&ct);
+        let checks = argument::DEFAULT_CHECKS;
+        let proof = argument::prove_unchecked(&c.cs, &witness, &statement, checks);
+        let proof = Some(proof);
+        SignedContribution { device, ct, proof }
+    };
+    assert!(plan.verify_contribution(&low), "the proof holds");
+    let mut hub = AggState::new(Arc::clone(&setup));
+    let mut ask = |msg: NetMsg| {
+        let raw = msg.encode();
+        hub.handle(NetMsg::decode(&raw, &setup.cc).unwrap(), &raw)
+            .unwrap()
+    };
+    for (slot, &(device, exp)) in work.requests.iter().enumerate() {
+        let sc = match slot == last {
+            true => low.clone(),
+            false => plan
+                .build_contribution(&setup.keys, device, exp, false, &mut rng)
+                .unwrap(),
+        };
+        let (slot, sc) = (slot as u32, Box::new(sc));
+        assert!(matches!(
+            ask(NetMsg::PushContrib { origin, slot, sc }),
+            NetMsg::Ack
+        ));
+    }
+    let NetMsg::OriginJob { cts } = ask(NetMsg::PullOrigin { origin }) else {
+        panic!("every slot was pushed: the job is ready");
+    };
+    let seed = setup.spec.seed;
+    let submit = |slots| roles::submission(plan, &setup.keys, seed, work, slots);
+    let got = submit(cts.clone()).expect("the origin combines its row");
+    let mut honest = cts;
+    honest[last] = None;
+    let want = submit(honest).unwrap();
+    let secret = &setup.keys.secret;
+    assert_eq!(got.decrypt(secret).coeffs(), want.decrypt(secret).coeffs());
+}
