@@ -216,34 +216,34 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
     pin(&format!("{name}.digest"), &st.digest(), want[1]);
 }
 
-const HUB_CERT: &str = "3052bf8d016351667e9b59f403c02ce18434600e3b51ad9709b522a974d9266b";
+const HUB_CERT: &str = "15846b589916abf0f6edb6e4854b750a37fe8e988774df3251018ef80e7e7ffa";
 const HUB: [&str; 2] = [
-    "09e36dc41dbf1f14bfb5013484c28768f1ae942edfeb226b1b5b3a5dc003ec0b",
-    "8177104014b3f48cf4ef9dc229ffb473954bc5bbf90ce2f6e1a169848770edb2",
+    "7d127a416235970f66f9bf4dc077024de3d26cfdc0fa869ff0dc80f948033920",
+    "d8cb2e56a9152acf61747ab3efe3c8640d81594a5a6f57b0a6f33221e18e6ded",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
-const SHARDED_CERT: &str = "3b593f0c75bf2f439732a731586e63ab839fbe076c1089c9dedd1fa388d85d0e";
+const SHARDED_CERT: &str = "5e110cf0af203188bcb311d552a670caa13783f59d428e7d796b96332ee7e542";
 const COORD: [&str; 2] = [
-    "ee8566e37f7c08deb4149dc375b4266a0dd1d8b07923fc94961e8699236729af",
-    "2d2790f339720e5c324f8c96c699750188964c34f78983ee7c81536cfd16e7d0",
+    "1bcaf91dab878822e60da55beb937d21f819f4f59ac49745a2ae9c76cb3a2959",
+    "a5d58b66d9f4d6a73a5b28eaa3c2ca3c1f6029a366156bcf24564ae6051025a7",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "ee8ff6a82c9f6e3e8078d4cae30a9581ad3ab54855b407505b3315ccec32e142",
-        "32d3de0277cdf88499c6437e046f3fb239b2ab47d7f65b14b700157c1f6882d3",
+        "8e9335f87184240c77f11ef19e654ba61b73a45edf9e6e0c5b9a976a039b79cb",
+        "115b792d7faebc5277d988dca3be56e289e65bce5fe690a5b6148864bd363f22",
     ],
     [
-        "9a84ffd73ff18f484be80c6baafe15ad9ca1f6520dd816319589ae503eb8db27",
-        "1f093e4f1d7d416c9d5488390d78edf865b5cc32a39500836312825d3733a79a",
+        "502b8fb8603394de1d8ffbff258581bc101beb3701d897dde71e3c4d7ed99157",
+        "c59fdef4ef38103084885dc4d7f1d16998b2fac35a111fa6ab97d68d58d79630",
     ],
     [
-        "200fd9db1c1567235324a60c26531346a8ba3a54c5b9666b5cc1beb08b573ea0",
-        "d237abdfb1730726768b9c9c6c28a61e2b51528f2aea33727d0bad95356333b7",
+        "052bfd01f5c7b1fdd99f34c5a5f17643efd1fb921db129d4ab2cac7694191f41",
+        "f33d6f328c9fe59e9da7ac5816f805e427217858adf21c1309e92afa29fd8c89",
     ],
     [
-        "046bd5d0a6b288f9551ae77232776edb58a5a6bdac7684f02401ff5815cdd16f",
-        "cf1d7659f4d184b41346cccac31efbc3ff25c575dfe2f81b24ad7347305e5a41",
+        "326e87a253e9a8243723bfd39cbce8b7ee52f181311369095c72bf5340c23e2a",
+        "911ba89a5d897526b35b402c347fa52cc7466eeb04716d2b540119b5e946ae7d",
     ],
 ];
 const LATE_HUB_CERT: &str = "d656341f721832155a6d885afc7a124aab77e5d5627961431ea3659cc03b2929";
@@ -254,12 +254,12 @@ const LATE_HUB: [&str; 2] = [
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
-        "34858257cd26d9c3f6f7d84fb69b5d8100d8d8172027b7fe3c3ee1897152ed5b",
-        "1a6efdb3615fd85e015b7fbc12fd80b43edaa0b96125c965d97548124aef7fa5",
+        "e1bf35fc2f65af040020a3136e57a623957403887dd377f3af75d75e0427f746",
+        "499f7379d2ad65d8c91ef388887823fb9122e5b57fed484fd7d2f9664200869d",
     ],
     [
-        "863500a08ef4b682ddd91555a827a955c60c667fb1bc5e763fe8414658a171f0",
-        "e278d289eb55a93d8a5ce19404f05517e2c215c14110c09c4f55b0d04c76b48a",
+        "7b4a6c68ac283bf61273bbee1357ec31b9fc144fbe4d3c9471a8dd26b82bff29",
+        "a6fdddc0b4435d9847c4594fd6624993a10c6aa2f20d16052cfac84dbd9cb73b",
     ],
 ];
 
