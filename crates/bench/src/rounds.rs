@@ -232,7 +232,7 @@ pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
 /// and peak-RSS measurements live in the `bench_rounds` binary, outside
 /// this deterministic artifact).
 fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<Json> {
-    use mycelium::costs::{intake_bytes_per_device, submission_level};
+    use mycelium::costs::intake_bytes_per_device;
     use mycelium::plan::{origin_work, QueryPlan};
 
     const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -247,16 +247,10 @@ fn shard_sweep_cells(cfg: &RoundsConfig, all_converged: &mut bool) -> Vec<Json> 
         // device's contribution duty, so summing per-origin work covers
         // the whole device plane exactly once.
         let plan = QueryPlan::new(&query, &pop, &params, false).expect("plan");
-        let fresh = params.bgv.levels;
         let predicted_total: u64 = (0..n as u32)
             .map(|v| {
                 let work = origin_work(&plan, &query, &params, &pop, v);
-                intake_bytes_per_device(
-                    work.requests.len(),
-                    &params.bgv,
-                    fresh,
-                    submission_level(&plan, &work),
-                )
+                intake_bytes_per_device(&plan, &work, &params.bgv)
             })
             .sum();
 

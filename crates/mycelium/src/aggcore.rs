@@ -142,6 +142,35 @@ impl Parked {
     }
 }
 
+/// Why the aggregator discards a contribution (§4.6–§4.7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rejection {
+    /// Encrypted at level `got`, below the `need` its slot's chain consumes
+    /// it at ([`QueryPlan::contribution_level`]): no origin could switch it
+    /// up. Its proof is not checked.
+    Level { got: usize, need: usize },
+    /// The well-formedness proof is missing or does not verify.
+    Proof,
+}
+
+/// The checks a contribution to `slot` must pass before an origin may
+/// combine it: at or above its slot's level (an origin switches a higher
+/// one down), then a proof that verifies against its digest. The
+/// contribution is hashed once; the proof check, the slot outcome and the
+/// parked pair all use that digest.
+pub fn screen(sc: SignedContribution, slot: u32, plan: &QueryPlan) -> Result<Parked, Rejection> {
+    let SignedContribution { ct, proof, .. } = sc;
+    let (got, need) = (ct.level(), plan.contribution_level(slot as usize));
+    if got < need {
+        return Err(Rejection::Level { got, need });
+    }
+    let parked = Parked::new(ct);
+    match plan.verify_proof(parked.digest(), proof.as_ref()) {
+        true => Ok(parked),
+        false => Err(Rejection::Proof),
+    }
+}
+
 /// The round's immutable inputs, borrowed by every transition.
 pub struct RoundCtx<'a> {
     /// The query plan (its circuit decides whether proofs are checked).
@@ -223,11 +252,10 @@ impl Intake {
         Ok(Slot::of(&self.statuses.get(&(origin, slot)), true))
     }
 
-    /// §4.6–§4.7: verifies the proof and returns what the origin gets: the
-    /// contribution (slot outcome: its digest *as verified*), or a neutral
-    /// `Enc(x^0)` for an offender, who joins the reject set. The contribution
-    /// is hashed once; the proof check, the slot outcome and the parked pair
-    /// all use that digest.
+    /// §4.6–§4.7: [`screen`]s the contribution and returns what the origin
+    /// gets: the contribution (slot outcome: its digest *as verified*), or a
+    /// neutral `Enc(x^0)` at the slot's level for an offender, who joins the
+    /// reject set.
     pub fn accept_contribution<R: Rng + ?Sized>(
         &mut self,
         origin: u32,
@@ -239,9 +267,8 @@ impl Intake {
         if self.contribution_slot(origin, slot)? != Slot::Open {
             return Ok(None);
         }
-        let SignedContribution { device, ct, proof } = sc;
-        let parked = Parked::new(ct);
-        if ctx.plan.verify_proof(parked.digest(), proof.as_ref()) {
+        let device = sc.device;
+        if let Ok(parked) = screen(sc, slot, ctx.plan) {
             let status = SlotStatus::Accepted(*parked.digest());
             self.statuses.insert((origin, slot), status);
             return Ok(Some(parked));
@@ -250,7 +277,8 @@ impl Intake {
         if !self.plane.rejected.contains(&device) {
             self.plane.rejected.push(device);
         }
-        let neutral = ctx.plan.neutral_ct(ctx.keys, rng);
+        let level = ctx.plan.contribution_level(slot as usize);
+        let neutral = ctx.plan.neutral_ct_at(ctx.keys, level, rng);
         let neutral = neutral.map_err(|e| CoreError::Exec("neutral encryption", e))?;
         Ok(Some(Parked::new(neutral)))
     }

@@ -159,22 +159,21 @@ pub fn submission_level(plan: &QueryPlan, work: &OriginWork) -> usize {
     }
 }
 
-/// Predicted aggregation-plane intake bytes one device *sends* per
-/// round: `duties` fresh contribution ciphertexts plus its origin
-/// submission at the noise plan's output level. Message headers and acks
-/// are deliberately excluded — they are tens of bytes against
+/// Predicted aggregation-plane intake bytes of one origin's row: each of
+/// its `work.requests` contributions, a fresh ciphertext at its slot's
+/// [`QueryPlan::contribution_level`] that some device sends, plus the
+/// origin's submission at its [`submission_level`]. Summed over every
+/// origin this covers each device's duties exactly once. Message headers
+/// and acks are deliberately excluded — they are tens of bytes against
 /// multi-kilobyte ciphertexts; the bench gate allows 5% for them.
 ///
 /// A ciphertext with 2 parts at `level` residue rows carries
 /// `2 ·` [`BgvParams::poly_bytes`]`(level)` bytes.
-pub fn intake_bytes_per_device(
-    duties: usize,
-    bgv: &BgvParams,
-    fresh_level: usize,
-    submission_level: usize,
-) -> u64 {
+pub fn intake_bytes_per_device(plan: &QueryPlan, work: &OriginWork, bgv: &BgvParams) -> u64 {
     let ct = |level: usize| 2 * bgv.poly_bytes(level) as u64;
-    duties as u64 * ct(fresh_level) + ct(submission_level)
+    let slots = 0..work.requests.len();
+    let contributions: u64 = slots.map(|slot| ct(plan.contribution_level(slot))).sum();
+    contributions + ct(submission_level(plan, work))
 }
 
 /// Wire bytes of one frozen per-origin commitment inside a `ShardRoot`

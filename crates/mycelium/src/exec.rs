@@ -5,7 +5,8 @@
 //!
 //! * **Neighbors** evaluate their `dest`/`edge` clauses exactly, encode
 //!   their contribution as a monomial `x^e` (with the group/ratio packing
-//!   from the analysis), encrypt under the system BGV key, and attach a
+//!   from the analysis), encrypt under the system BGV key at the level
+//!   their origin's product consumes the slot at, and attach a
 //!   well-formedness proof.
 //! * **The aggregator** verifies each proof and replaces the contribution
 //!   of any device whose proof fails with the neutral `Enc(x^0)` (§4.6 /
@@ -249,14 +250,15 @@ pub fn run_query_encrypted<R: Rng + ?Sized>(
             let rng = &mut origin_rng(v);
             let work = origin_work(&plan, query, params, pop, v);
             let mut cts: Vec<Ciphertext> = Vec::with_capacity(work.requests.len());
-            for &(w, exp) in &work.requests {
+            for (slot, &(w, exp)) in work.requests.iter().enumerate() {
+                let level = plan.contribution_level(slot);
                 if MaliciousBehavior::dropped_out(behaviors, w) {
                     // §4.4: dropped devices default to the neutral Enc(x^0).
-                    cts.push(plan.neutral_ct(keys, rng)?);
+                    cts.push(plan.neutral_ct_at(keys, level, rng)?);
                     continue;
                 }
                 let cheating = MaliciousBehavior::is_cheater(behaviors, w);
-                let sc = plan.build_contribution(keys, w, exp, cheating, rng)?;
+                let sc = plan.build_contribution_at(keys, w, exp, cheating, level, rng)?;
                 stats.neighbor_ciphertexts += 1;
                 if plan.circuit.is_some() {
                     stats.proofs_verified += 1;
@@ -265,7 +267,7 @@ pub fn run_query_encrypted<R: Rng + ?Sized>(
                         if !rejected.contains(&w) {
                             rejected.push(w);
                         }
-                        cts.push(plan.neutral_ct(keys, rng)?);
+                        cts.push(plan.neutral_ct_at(keys, level, rng)?);
                         continue;
                     }
                 }

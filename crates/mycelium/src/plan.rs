@@ -185,7 +185,10 @@ pub struct QueryPlan {
     /// `chain_starts[m]`: the level an accumulator of `m` multiplications
     /// starts at ([`start_level`]), for every count the plan admits.
     chain_starts: Vec<usize>,
-    /// The top of the modulus chain, where fresh ciphertexts are born.
+    /// `contribution_levels[slot]`: the level a contribution to `slot` is
+    /// encrypted at ([`QueryPlan::contribution_level`]).
+    contribution_levels: Vec<usize>,
+    /// The top of the modulus chain.
     top_level: usize,
 }
 
@@ -242,15 +245,56 @@ impl QueryPlan {
         } else {
             analysis.value_radix
         };
-        Ok(Self {
+        let mut plan = Self {
             analysis,
             n_ring,
             t_pt: params.bgv.plaintext_modulus,
             circuit,
             released_len,
             chain_starts,
+            contribution_levels: Vec::new(),
             top_level: params.bgv.levels,
-        })
+        };
+        // An origin's rows are its k-hop neighbourhood, at most
+        // `max_degree^hops` vertices, and each accumulator is fed at most
+        // once per row.
+        let most_feeds = pop.graph.max_degree().pow(query.hops as u32);
+        plan.contribution_levels = plan.slot_levels(most_feeds);
+        Ok(plan)
+    }
+
+    /// Per slot, the highest level at which [`combine_origin`]'s reversed
+    /// fold consumes that slot's operand, over every accumulator of up to
+    /// `most_feeds` feeds, and never below an earlier slot's. Of `f`
+    /// feeds, the last moves in first, at `s = chain_start(f − 1)`; feed
+    /// `j < f − 1` meets the accumulator after `f − 2 − j` products, at
+    /// `max(1, s − (f − 2 − j))`. A feed's slot index is at least its feed
+    /// index (a §4.5 row adds one slot per selected position), so slot `j`'s
+    /// level serves every feed it can be part of.
+    fn slot_levels(&self, most_feeds: usize) -> Vec<usize> {
+        let mut levels = vec![1; most_feeds];
+        for f in 1..=most_feeds {
+            let start = self.chain_start(f - 1);
+            levels[f - 1] = levels[f - 1].max(start);
+            for (j, level) in levels[..f - 1].iter_mut().enumerate() {
+                *level = (*level).max(start.saturating_sub(f - 2 - j));
+            }
+        }
+        for j in 1..most_feeds {
+            levels[j] = levels[j].max(levels[j - 1]);
+        }
+        levels
+    }
+
+    /// The level a contribution to `slot` is encrypted at: every chain this
+    /// population admits consumes the slot's operand at or below it, so an
+    /// origin only ever switches a contribution down. A function of the
+    /// slot index and the public plan alone — never of the origin's degree,
+    /// its `self` clauses or its §4.5 selections.
+    pub fn contribution_level(&self, slot: usize) -> usize {
+        let levels = &self.contribution_levels;
+        let level = levels.get(slot).or(levels.last());
+        level.copied().unwrap_or(self.top_level)
     }
 
     /// The level an accumulator of `muls` multiplications starts at: the
@@ -281,11 +325,7 @@ pub struct SignedContribution {
 }
 
 impl QueryPlan {
-    /// Device side: encrypts `x^exp` and attaches a well-formedness proof
-    /// when the plan requires one. A `cheating` device doubles its
-    /// coefficient (claiming twice its honest weight) and forges the
-    /// proof — which cannot verify, since the witness violates the
-    /// one-hot constraint system.
+    /// [`QueryPlan::build_contribution_at`] the top of the modulus chain.
     pub fn build_contribution<R: Rng + ?Sized>(
         &self,
         keys: &KeySet,
@@ -294,10 +334,28 @@ impl QueryPlan {
         cheating: bool,
         rng: &mut R,
     ) -> Result<SignedContribution, ExecError> {
+        self.build_contribution_at(keys, device, exp, cheating, self.top_level, rng)
+    }
+
+    /// Device side: encrypts `x^exp` at `level` (its slot's
+    /// [`QueryPlan::contribution_level`]) and attaches a well-formedness
+    /// proof when the plan requires one; the proof's statement binds the
+    /// level. A `cheating` device doubles its coefficient (claiming twice
+    /// its honest weight) and forges the proof — which cannot verify,
+    /// since the witness violates the one-hot constraint system.
+    pub fn build_contribution_at<R: Rng + ?Sized>(
+        &self,
+        keys: &KeySet,
+        device: VertexId,
+        exp: usize,
+        cheating: bool,
+        level: usize,
+        rng: &mut R,
+    ) -> Result<SignedContribution, ExecError> {
         let mut coeffs = vec![0u64; self.n_ring];
         coeffs[exp] = if cheating { 2 } else { 1 };
         let pt = Plaintext::new(coeffs.clone(), self.t_pt)?;
-        let ct = Ciphertext::encrypt(&keys.public, &pt, rng)?;
+        let ct = Ciphertext::encrypt_at_level(&keys.public, &pt, level, rng)?;
         let proof = self.circuit.as_ref().map(|c| {
             let witness = well_formed_witness(c, &coeffs[..self.analysis.total_span]);
             let statement = ciphertext_digest(&ct);
@@ -306,39 +364,29 @@ impl QueryPlan {
         Ok(SignedContribution { device, ct, proof })
     }
 
-    /// The neutral contribution `Enc(x^0)` — what a dropped-out device
-    /// defaults to (§4.4) and what the aggregator substitutes for a
-    /// rejected one (§4.7). Stays at the top level: a substituted
-    /// contribution flows through the same multiplicative combine as an
-    /// honest one.
+    /// [`QueryPlan::neutral_ct_at`] the top of the modulus chain.
     pub fn neutral_ct<R: Rng + ?Sized>(
         &self,
         keys: &KeySet,
         rng: &mut R,
     ) -> Result<Ciphertext, ExecError> {
-        let pt = encode_monomial(0, self.n_ring, self.t_pt)?;
-        Ok(Ciphertext::encrypt(&keys.public, &pt, rng)?)
+        self.neutral_ct_at(keys, self.top_level, rng)
     }
 
-    /// The neutral *accumulator* `Enc(x^0)`, born at
-    /// [`AGGREGATION_LEVEL`]: unlike [`QueryPlan::neutral_ct`], an empty
-    /// group accumulator is never multiplied — it is only shifted and
-    /// summed — and every origin output is mod-switched to the
-    /// aggregation level anyway, so encrypting at the top of the chain
-    /// would pay the full-chain NTTs and the whole switch ladder for
-    /// nothing.
-    pub fn neutral_acc<R: Rng + ?Sized>(
+    /// `Enc(x^0)` at `level`: what a dropped-out device defaults to (§4.4)
+    /// and what the aggregator substitutes for a rejected contribution
+    /// (§4.7), both at the slot's [`QueryPlan::contribution_level`], so a
+    /// substitute flows through the same combine as an honest
+    /// contribution; and, at [`AGGREGATION_LEVEL`], an accumulator no row
+    /// feeds — never multiplied, only shifted and summed.
+    pub fn neutral_ct_at<R: Rng + ?Sized>(
         &self,
         keys: &KeySet,
+        level: usize,
         rng: &mut R,
     ) -> Result<Ciphertext, ExecError> {
         let pt = encode_monomial(0, self.n_ring, self.t_pt)?;
-        Ok(Ciphertext::encrypt_at_level(
-            &keys.public,
-            &pt,
-            AGGREGATION_LEVEL,
-            rng,
-        )?)
+        Ok(Ciphertext::encrypt_at_level(&keys.public, &pt, level, rng)?)
     }
 
     /// Aggregator side: checks a contribution's well-formedness proof
@@ -609,7 +657,10 @@ pub fn origin_work(
 /// Origin side: folds the slot-indexed contributions into the submitted
 /// ciphertext, following the work's combine recipe (§4.4–§4.5).
 /// `cts[slot]` must hold the (verified or substituted) ciphertext for
-/// `work.requests[slot]`.
+/// `work.requests[slot]`, at or above its slot's
+/// [`QueryPlan::contribution_level`]. Rows fold last to first, so the low
+/// slots every origin fills meet the accumulator lowest in the chain and
+/// the top level is only ever needed by a high slot that few origins have.
 pub fn combine_origin<R: Rng + ?Sized>(
     plan: &QueryPlan,
     keys: &KeySet,
@@ -636,19 +687,24 @@ pub fn combine_origin<R: Rng + ?Sized>(
         .map(|&f| plan.chain_start(f.saturating_sub(1)))
         .collect();
     let mut accs: Vec<Option<Ciphertext>> = vec![None; work.acc_count];
-    for row in &work.rows {
+    for row in work.rows.iter().rev() {
         match row {
             RowCombine::Simple(slot) => {
                 multiply_into(&mut accs[0], cts[*slot].clone(), starts[0], keys, stats)?;
             }
             RowCombine::Selected(groups) => {
                 for (g, slots) in groups {
+                    // The selected slots are added where they meet the
+                    // accumulator (its level, or the start for the first
+                    // feed): each is switched there first.
+                    let level = accs[*g].as_ref().map_or(starts[*g], Ciphertext::level);
                     let ell = slots.len() as u64;
                     let mut sum: Option<Ciphertext> = None;
                     for &slot in slots {
+                        let ct = cts[slot].mod_switch_to(level)?;
                         match &mut sum {
-                            None => sum = Some(cts[slot].clone()),
-                            Some(s) => s.add_assign(&cts[slot])?,
+                            None => sum = Some(ct),
+                            Some(s) => s.add_assign(&ct)?,
                         }
                     }
                     let combined = sum
@@ -664,7 +720,7 @@ pub fn combine_origin<R: Rng + ?Sized>(
     for acc in accs {
         materialized.push(match acc {
             Some(c) => c,
-            None => plan.neutral_acc(keys, rng)?,
+            None => plan.neutral_ct_at(keys, AGGREGATION_LEVEL, rng)?,
         });
     }
     let out = match plan.analysis.group_kind {
@@ -757,7 +813,160 @@ pub fn seal_shard_root(origin_cts: Vec<Ciphertext>) -> Result<PartialRoot, ExecE
 mod tests {
     use std::collections::HashSet;
 
+    use mycelium_graph::generate::{epidemic_population, ContactGraphConfig, EpidemicConfig};
+    use mycelium_math::rng::{SeedableRng, StdRng};
+    use mycelium_query::builtin::paper_query;
+
     use super::*;
+
+    /// An epidemic population of `n` under `params`' degree bound.
+    fn population(params: &SystemParams, n: usize) -> Population {
+        let cfg = ContactGraphConfig {
+            n,
+            degree_bound: params.schema.degree_bound,
+            ..ContactGraphConfig::default()
+        };
+        let rng = &mut StdRng::seed_from_u64(7);
+        epidemic_population(&cfg, &EpidemicConfig::default(), rng)
+    }
+
+    /// `(slot, level)` for every operand [`combine_origin`] consumes, at
+    /// the level it meets its accumulator — the fold's level arithmetic,
+    /// with no cryptography.
+    fn consumed_levels(plan: &QueryPlan, work: &OriginWork) -> Vec<(usize, usize)> {
+        let feeds = work.feeds();
+        let mut at: Vec<Option<usize>> = vec![None; work.acc_count];
+        let mut consumed = Vec::new();
+        for row in work.rows.iter().rev() {
+            let groups = match row {
+                RowCombine::Simple(slot) => vec![(0, vec![*slot])],
+                RowCombine::Selected(groups) => groups.clone(),
+            };
+            for (g, slots) in groups {
+                let start = plan.chain_start(feeds[g] - 1);
+                let meet = at[g].unwrap_or(start);
+                consumed.extend(slots.iter().map(|&slot| (slot, meet)));
+                at[g] = Some(at[g].map_or(start, |l| l.saturating_sub(1).max(1)));
+            }
+        }
+        consumed
+    }
+
+    /// A plain work of `f` rows, slot `j` from device `j + 1`, each `x^1`.
+    fn plain_work(f: usize) -> OriginWork {
+        OriginWork {
+            origin: 0,
+            requests: (1..=f as VertexId).map(|w| (w, 1)).collect(),
+            rows: (0..f).map(RowCombine::Simple).collect(),
+            acc_count: 1,
+            self_ok: true,
+            self_shift: 0,
+        }
+    }
+
+    #[test]
+    fn the_reversed_fold_never_consumes_an_operand_above_its_slots_level() {
+        // Plain (Q4), §4.5-selected (Q3) and cross-grouped (Q10) queries
+        // under the simulation schema at every preset that computes, and
+        // under the paper's schema at the paper's preset: every feed count
+        // a population admits, and every origin's own work.
+        let mut presets: Vec<SystemParams> = [
+            BgvParams::test_small(),
+            BgvParams::test_medium(),
+            BgvParams::paper(),
+        ]
+        .into_iter()
+        .map(|bgv| SystemParams {
+            bgv,
+            ..SystemParams::simulation()
+        })
+        .collect();
+        presets.push(SystemParams::paper());
+        for params in &presets {
+            let pop = population(params, 40);
+            let most_feeds = pop.graph.max_degree();
+            for name in ["Q4", "Q3", "Q10"] {
+                let query = paper_query(name).unwrap();
+                let plan = QueryPlan::new(&query, &pop, params, false).unwrap();
+                let what = format!("{name} at {} levels", params.bgv.levels);
+                let works = (0..pop.graph.len() as VertexId)
+                    .map(|v| origin_work(&plan, &query, params, &pop, v))
+                    .chain((1..=most_feeds).map(plain_work));
+                for work in works {
+                    assert!(work.feeds().iter().all(|&f| f <= most_feeds));
+                    for (slot, level) in consumed_levels(&plan, &work) {
+                        let planned = plan.contribution_level(slot);
+                        assert!(
+                            level <= planned,
+                            "{what}: slot {slot} at {level} > {planned}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contribution_levels_at_test_small() {
+        // A chain of `f` feeds starts at level `f`, so slot `j` is consumed
+        // at `j + 2` at most, and the last slot of the longest chain at
+        // its start: 2, 3, 4, 4 for a population of degree 4.
+        let params = SystemParams::simulation();
+        let pop = population(&params, 40);
+        assert_eq!(pop.graph.max_degree(), 4);
+        let plan = QueryPlan::new(&paper_query("Q4").unwrap(), &pop, &params, false).unwrap();
+        let levels: Vec<usize> = (0..6).map(|slot| plan.contribution_level(slot)).collect();
+        assert_eq!(levels, [2, 3, 4, 4, 4, 4]);
+    }
+
+    /// Combines `f` feeds of `x^1`, each encrypted at its slot's level,
+    /// for every feed count up to the population's degree, and checks the
+    /// product decrypts to `x^f` exactly, within the noise
+    /// [`mycelium_bgv::noise::plan_chain_from`] plans from the chain's
+    /// start.
+    fn at_level_chains_decrypt_within_the_plan(bgv: BgvParams) {
+        let params = SystemParams {
+            bgv,
+            ..SystemParams::simulation()
+        };
+        let pop = population(&params, 40);
+        let plan = QueryPlan::new(&paper_query("Q4").unwrap(), &pop, &params, false).unwrap();
+        let rng = &mut StdRng::seed_from_u64(11);
+        let keys = KeySet::generate(&params.bgv, rng);
+        for f in 1..=pop.graph.max_degree() {
+            let work = plain_work(f);
+            let contribution = |(slot, &(w, exp)): (usize, &(VertexId, usize))| {
+                let level = plan.contribution_level(slot);
+                let sc = plan.build_contribution_at(&keys, w, exp, false, level, rng);
+                sc.unwrap().ct
+            };
+            let cts: Vec<_> = work.requests.iter().enumerate().map(contribution).collect();
+            let stats = &mut ExecStats::default();
+            let out = combine_origin(&plan, &keys, &work, &cts, stats, rng).unwrap();
+            let chain =
+                mycelium_bgv::noise::plan_chain_from(&params.bgv, f - 1, plan.chain_start(f - 1));
+            assert_eq!(out.level(), chain.final_level, "f {f}");
+            let (pt, measured, _) = out.decrypt_with_noise(&keys.secret);
+            let mut want = vec![0u64; params.bgv.n];
+            want[f] = 1;
+            assert_eq!(pt.coeffs(), want.as_slice(), "f {f}: x^{f}");
+            let planned = chain.final_noise_log2;
+            assert!(
+                measured <= planned,
+                "f {f}: measured {measured} > {planned}"
+            );
+        }
+    }
+
+    #[test]
+    fn at_level_chains_decrypt_within_the_plan_at_test_small() {
+        at_level_chains_decrypt_within_the_plan(BgvParams::test_small());
+    }
+
+    #[test]
+    fn at_level_chains_decrypt_within_the_plan_at_test_medium() {
+        at_level_chains_decrypt_within_the_plan(BgvParams::test_medium());
+    }
 
     /// A two-part ciphertext over three 45-bit primes at degree 2048 —
     /// 69 124 encoded bytes, sixteen stripes of 4 352 whose boundaries fall

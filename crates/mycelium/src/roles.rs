@@ -88,7 +88,8 @@ pub fn round_ctx<'a>(
     }
 }
 
-/// Device `v`: its contributions in duty order, each drawn (lazily, as the
+/// Device `v`: its contributions in duty order, each encrypted at its
+/// slot's [`QueryPlan::contribution_level`] and drawn (lazily, as the
 /// caller sends the one before) from the stream `CONTRIB + v` — so what a
 /// vertex encrypts does not depend on which process hosts it.
 pub fn contributions<'a>(
@@ -100,13 +101,16 @@ pub fn contributions<'a>(
     cheating: bool,
 ) -> impl Iterator<Item = Result<SignedContribution, ExecError>> + 'a {
     let mut rng = StdRng::seed_from_u64(seed).with_stream(streams::CONTRIB + v as u64);
-    let build = move |duty: &Duty| plan.build_contribution(keys, v, duty.exp, cheating, &mut rng);
+    let build = move |duty: &Duty| {
+        let level = plan.contribution_level(duty.slot as usize);
+        plan.build_contribution_at(keys, v, duty.exp, cheating, level, &mut rng)
+    };
     duties.iter().map(build)
 }
 
 /// Origin `v`: the ciphertext it submits. From the stream `ORIGIN + v`: a
-/// neutral `Enc(x^0)` for every slot that never arrived, in slot order
-/// (§4.4), then the combine.
+/// neutral `Enc(x^0)` at the slot's level for every slot that never
+/// arrived, in slot order (§4.4), then the combine.
 pub fn submission(
     plan: &QueryPlan,
     keys: &KeySet,
@@ -115,8 +119,12 @@ pub fn submission(
     slots: Vec<Option<Ciphertext>>,
 ) -> Result<Ciphertext, ExecError> {
     let mut rng = StdRng::seed_from_u64(seed).with_stream(streams::ORIGIN + work.origin as u64);
-    let fill = |slot: Option<Ciphertext>| slot.map_or_else(|| plan.neutral_ct(keys, &mut rng), Ok);
-    let cts = slots.into_iter().map(fill).collect::<Result<Vec<_>, _>>()?;
+    let fill = |(slot, ct): (usize, Option<Ciphertext>)| match ct {
+        Some(ct) => Ok(ct),
+        None => plan.neutral_ct_at(keys, plan.contribution_level(slot), &mut rng),
+    };
+    let cts = slots.into_iter().enumerate().map(fill);
+    let cts = cts.collect::<Result<Vec<_>, _>>()?;
     combine_origin(plan, keys, work, &cts, &mut ExecStats::default(), &mut rng)
 }
 

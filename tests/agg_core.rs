@@ -195,15 +195,17 @@ fn after_a_full_intake_every_contribution_is_parked_as_its_encoding() {
     let setup = setup();
     let mut intake = Intake::new(setup.slot_map(), |_| true);
     let mut rng = StdRng::seed_from_u64(5);
-    let (ctx_ring, top) = (&setup.cc.ctx, setup.cc.ctx.max_level());
-    let want = ciphertext_encoded_bytes(ctx_ring, 2, top);
     let mut parked = 0;
     for (v, duties) in setup.duties.iter().enumerate() {
-        // Every third device forges: its slots park a neutral substitute.
+        // Every third device forges: its slots park a neutral substitute,
+        // at the slot's level too.
         let forged = v % 3 == 0;
         for duty in duties {
             let plan = &setup.plan;
-            let sc = plan.build_contribution(&setup.keys, v as u32, duty.exp, forged, &mut rng);
+            let level = plan.contribution_level(duty.slot as usize);
+            let want = ciphertext_encoded_bytes(&setup.cc.ctx, 2, level);
+            let (device, exp) = (v as u32, duty.exp);
+            let sc = plan.build_contribution_at(&setup.keys, device, exp, forged, level, &mut rng);
             let got = intake.accept_contribution(
                 duty.origin,
                 duty.slot,
@@ -254,6 +256,60 @@ fn forged_proof_is_rejected_neutralised_and_attributed_once() {
         intake.plane.rejected,
         vec![cheater],
         "attributed once, not per slot"
+    );
+}
+
+#[test]
+fn a_contribution_below_its_slots_level_is_a_certified_reject_above_it_lands() {
+    use mycelium::aggcore::{screen, Rejection};
+    let setup = setup();
+    let plan = &setup.plan;
+    let (origin, slot, device, exp) = first_duty(&setup);
+    let need = plan.contribution_level(slot as usize);
+    assert!(need > 1, "test_small plans every slot above the bottom");
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut at = |level: usize| {
+        let sc = plan.build_contribution_at(&setup.keys, device, exp, false, level, &mut rng);
+        sc.unwrap()
+    };
+    // Screened alone: the level is checked before the proof, which holds.
+    let low = at(need - 1);
+    assert!(plan.verify_contribution(&low));
+    let got = need - 1;
+    assert_eq!(
+        screen(low.clone(), slot, plan).err(),
+        Some(Rejection::Level { got, need })
+    );
+    let top = at(setup.params.bgv.levels);
+    assert!(
+        screen(top.clone(), slot, plan).is_ok(),
+        "an origin switches it down"
+    );
+
+    let mut intake = Intake::new(setup.slot_map(), |_| true);
+    let handed = intake.accept_contribution(origin, slot, low, &ctx(&setup), &mut rng);
+    let handed = handed
+        .unwrap()
+        .expect("a substitute is handed to the origin");
+    assert_eq!(
+        handed.ct().level(),
+        need,
+        "the substitute sits at the slot's level"
+    );
+    assert_eq!(intake.statuses[&(origin, slot)], SlotStatus::Rejected);
+    assert_eq!(intake.plane.rejected, vec![device]);
+    intake.freeze_commits();
+    let commit = intake.plane.commits[origin as usize].as_ref().unwrap();
+    assert_eq!(commit.rejected, 1, "the reject is certified");
+
+    // The same slot of a fresh intake takes the contribution from above.
+    let mut intake = Intake::new(setup.slot_map(), |_| true);
+    let digest = ciphertext_digest(&top.ct);
+    let landed = intake.accept_contribution(origin, slot, top, &ctx(&setup), &mut rng);
+    assert_eq!(*landed.unwrap().unwrap().digest(), digest);
+    assert_eq!(
+        intake.statuses[&(origin, slot)],
+        SlotStatus::Accepted(digest)
     );
 }
 

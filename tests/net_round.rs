@@ -168,18 +168,27 @@ fn full_round_matches_in_process_executor_and_wire_costs_reconcile() {
         );
     }
 
-    // PushContrib: one fresh ciphertext per duty. The analytical model
-    // (`costs.rs` / `simcost.rs`) charges `params.bgv.ciphertext_bytes()`
-    // per contribution; on the wire each costs exactly that plus the
-    // codec envelope (message tag 1 + origin 4 + slot 4 + device 4 +
-    // proof flag 1 = 14, and the ciphertext's own part-count/noise/
-    // rep/level tags = 13).
+    // PushContrib: one fresh ciphertext per duty, at its slot's level. The
+    // analytical model (`costs::intake_bytes_per_device`) charges
+    // `2 · params.bgv.poly_bytes(level)` per contribution; on the wire
+    // each costs exactly that plus the codec envelope (message tag 1 +
+    // origin 4 + slot 4 + device 4 + proof flag 1 = 14, and the
+    // ciphertext's own part-count/noise/rep/level tags = 13).
     let pc = &merged.sent["PushContrib"];
     assert_eq!(pc.frames, total_duties);
-    let ct_encoded = ciphertext_encoded_bytes(&setup.cc.ctx, 2, params.bgv.levels) as u64;
-    assert_eq!(ct_encoded, params.bgv.ciphertext_bytes() as u64 + 13);
-    assert_eq!(pc.payload_bytes, total_duties * (ct_encoded + 14));
-    let analytical = total_duties * params.bgv.ciphertext_bytes() as u64;
+    let levels = setup.duties.iter().flatten();
+    let levels: Vec<usize> = levels
+        .map(|d| setup.plan.contribution_level(d.slot as usize))
+        .collect();
+    assert!(
+        levels.iter().all(|&l| l < params.bgv.levels),
+        "none at the top"
+    );
+    let sum = |bytes: &dyn Fn(usize) -> usize| levels.iter().map(|&l| bytes(l) as u64).sum::<u64>();
+    let analytical = sum(&|l| 2 * params.bgv.poly_bytes(l));
+    let ct_encoded = sum(&|l| ciphertext_encoded_bytes(&setup.cc.ctx, 2, l));
+    assert_eq!(ct_encoded, analytical + total_duties * 13);
+    assert_eq!(pc.payload_bytes, ct_encoded + total_duties * 14);
     assert_eq!(
         pc.wire_bytes - analytical,
         total_duties * (13 + 14 + FRAME_OVERHEAD as u64),
