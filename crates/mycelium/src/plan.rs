@@ -907,6 +907,22 @@ mod tests {
     }
 
     #[test]
+    fn planning_refuses_a_population_its_level_one_sum_cannot_hold() {
+        // At `test_small` a leaf born at the aggregation level carries
+        // ≈ 25.3 bits of fresh noise against a 39-bit budget, so the
+        // level-1 sum holds fewer than 2^13.7 of them: the ROADMAP sweep's
+        // largest cell (10^4) fits, 2^14 vertices do not.
+        let params = SystemParams::simulation();
+        let q4 = paper_query("Q4").unwrap();
+        let plan = |n| QueryPlan::new(&q4, &population(&params, n), &params, false);
+        assert!(plan(10_000).is_ok());
+        assert!(matches!(
+            plan(1 << 14),
+            Err(ExecError::NoiseBudgetExceeded { .. })
+        ));
+    }
+
+    #[test]
     fn contribution_levels_at_test_small() {
         // A chain of `f` feeds starts at level `f`, so slot `j` is consumed
         // at `j + 2` at most, and the last slot of the longest chain at
