@@ -234,6 +234,23 @@ impl QueryPlan {
             .sequence_column
             .as_ref()
             .map_or(1, |col| schema.column_range(col));
+        // An origin's rows are its k-hop neighbourhood, at most
+        // `max_degree^hops` vertices, and each accumulator is fed at most
+        // once per row.
+        let most_feeds = pop.graph.max_degree().pow(query.hops as u32);
+        // The level-1 sum must hold every leaf. The population's count of
+        // leaves born there with fresh noise (unfed accumulators,
+        // self-failed zeros) may not need a higher start than one such leaf
+        // does, and a chain of every feed count the population produces
+        // needs a start.
+        let bgv = &params.bgv;
+        let summable = start_level(bgv, 0, leaves, 1) == start_level(bgv, 0, 1, 1)
+            && (0..most_feeds).all(|m| start_level(bgv, m, leaves, width).is_some());
+        if !summable {
+            return Err(ExecError::NoiseBudgetExceeded {
+                muls: analysis.muls,
+            });
+        }
         let chain_starts = (0..=admitted)
             .map_while(|m| start_level(&params.bgv, m, leaves, width))
             .collect();
@@ -255,10 +272,6 @@ impl QueryPlan {
             contribution_levels: Vec::new(),
             top_level: params.bgv.levels,
         };
-        // An origin's rows are its k-hop neighbourhood, at most
-        // `max_degree^hops` vertices, and each accumulator is fed at most
-        // once per row.
-        let most_feeds = pop.graph.max_degree().pow(query.hops as u32);
         plan.contribution_levels = plan.slot_levels(most_feeds);
         Ok(plan)
     }
