@@ -380,10 +380,6 @@ fn run_tiers() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
                 ),
                 ("mul_assign", micros(|| (k.mul_assign)(&q, &mut x, &b))),
                 (
-                    "mul_shoup_assign",
-                    micros(|| (k.mul_shoup_assign)(&q, &mut x, &b, &bs)),
-                ),
-                (
                     "mul_shoup_add2",
                     micros(|| (k.mul_shoup_add2)(&q, &mut x, &mut y, &a, (&b, &bs), (&c, &cs))),
                 ),

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use mycelium_math::rng::Rng;
-use mycelium_math::rns::{key_switch_assign, Representation, RnsContext, RnsPoly, ShoupPrecomp};
+use mycelium_math::rns::{key_switch_assign, Representation, RnsPoly};
 use mycelium_math::{ew, sample, scratch};
 
 use crate::keys::{PublicKey, RelinKey, SecretKey};
@@ -117,48 +117,6 @@ impl Plaintext {
                 }
             })
             .collect()
-    }
-}
-
-/// A plaintext pre-encoded into NTT representation at a fixed level.
-///
-/// [`Ciphertext::mul_plain`] and [`Ciphertext::add_plain`] must lift the
-/// plaintext into `R_{Q_l}` and run a forward NTT on every call. When the
-/// same plaintext multiplies many ciphertexts (e.g. the same selection mask
-/// over every device's contribution), preparing it once amortizes that
-/// encoding away.
-#[derive(Debug, Clone)]
-pub struct PreparedPlaintext {
-    /// The centered lift of the plaintext, in NTT representation with Shoup
-    /// constants (the mask multiplies many ciphertexts pointwise).
-    ntt: ShoupPrecomp,
-    /// `|pt|_∞` of the centered lift, for noise accounting.
-    max_centered: u64,
-    modulus: u64,
-}
-
-impl PreparedPlaintext {
-    /// Encodes `pt` for ciphertexts at `level` over `ctx`.
-    pub fn prepare(pt: &Plaintext, ctx: &Arc<RnsContext>, level: usize) -> Result<Self, BgvError> {
-        if pt.coeffs().len() != ctx.degree() {
-            return Err(BgvError::PlaintextLength {
-                got: pt.coeffs().len(),
-                want: ctx.degree(),
-            });
-        }
-        let centered = pt.centered();
-        let ntt = ShoupPrecomp::new(RnsPoly::from_signed(Arc::clone(ctx), level, &centered));
-        let max_centered = centered.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
-        Ok(Self {
-            ntt,
-            max_centered,
-            modulus: pt.modulus(),
-        })
-    }
-
-    /// The level this encoding targets.
-    pub fn level(&self) -> usize {
-        self.ntt.level()
     }
 }
 
@@ -280,22 +238,6 @@ impl Ciphertext {
             noise_log2: pk.params.fresh_noise_log2(),
             params: pk.params.clone(),
         })
-    }
-
-    /// A "transparent" encryption of zero with no randomness — the neutral
-    /// element for homomorphic addition (used as the accumulator seed and as
-    /// the default value for dropped-out devices, §4.4).
-    pub fn zero(pk: &PublicKey) -> Self {
-        let ctx = pk.context();
-        let level = ctx.max_level();
-        Self {
-            parts: vec![
-                RnsPoly::zero(ctx.clone(), level, Representation::Ntt),
-                RnsPoly::zero(ctx.clone(), level, Representation::Ntt),
-            ],
-            noise_log2: 0.0,
-            params: pk.params.clone(),
-        }
     }
 
     /// Builds a ciphertext from raw components (used by the threshold
@@ -458,9 +400,7 @@ impl Ciphertext {
     /// multiply by the transform of `±x^{k mod N}`, whose values *and*
     /// Shoup constants are read off each limb's twiddle table
     /// ([`NttTable::monomial_shoup_into`](mycelium_math::ntt::NttTable::monomial_shoup_into))
-    /// — no transform and no division, where building a
-    /// [`ShoupPrecomp`] of the monomial cost one of each per value to
-    /// serve two or three products.
+    /// — no transform and no division.
     pub fn mul_monomial(&self, k: usize) -> Self {
         let ctx = self.parts[0].context().clone();
         let n = ctx.degree();
@@ -493,62 +433,23 @@ impl Ciphertext {
         }
     }
 
-    /// Multiplies by a plaintext polynomial.
-    ///
-    /// Noise grows by `log2(N · |pt|_∞ · |pt|_0)` in the worst case; we use
-    /// the standard `log2(N · |pt|_∞)` bound. Repeated multiplications by
-    /// the same plaintext should go through [`PreparedPlaintext`].
-    pub fn mul_plain(&self, pt: &Plaintext) -> Result<Self, BgvError> {
-        let prepared = PreparedPlaintext::prepare(pt, self.parts[0].context(), self.level())?;
-        self.mul_plain_prepared(&prepared)
-    }
-
-    /// Multiplies by a pre-encoded plaintext (skips the NTT re-encoding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prepared level differs from the ciphertext level.
-    pub fn mul_plain_prepared(&self, pt: &PreparedPlaintext) -> Result<Self, BgvError> {
-        assert_eq!(
-            pt.level(),
-            self.level(),
-            "prepared plaintext level mismatch"
-        );
-        let mut parts = self.parts.clone();
-        for p in parts.iter_mut() {
-            p.mul_shoup_assign(&pt.ntt);
-        }
-        let growth = ((self.params.n as f64) * (pt.max_centered.max(1) as f64)).log2();
-        Ok(Self {
-            parts,
-            noise_log2: self.noise_log2 + growth,
-            params: self.params.clone(),
-        })
-    }
-
     /// Adds a plaintext to the ciphertext (no key material needed: the
     /// centered lift is added to `c_0`).
     pub fn add_plain(&self, pt: &Plaintext) -> Result<Self, BgvError> {
-        let prepared = PreparedPlaintext::prepare(pt, self.parts[0].context(), self.level())?;
-        self.add_plain_prepared(&prepared)
-    }
-
-    /// Adds a pre-encoded plaintext (skips the NTT re-encoding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prepared level differs from the ciphertext level.
-    pub fn add_plain_prepared(&self, pt: &PreparedPlaintext) -> Result<Self, BgvError> {
-        assert_eq!(
-            pt.level(),
-            self.level(),
-            "prepared plaintext level mismatch"
-        );
+        let ctx = self.parts[0].context();
+        if pt.coeffs().len() != ctx.degree() {
+            return Err(BgvError::PlaintextLength {
+                got: pt.coeffs().len(),
+                want: ctx.degree(),
+            });
+        }
+        let mut lift = RnsPoly::from_signed(Arc::clone(ctx), self.level(), &pt.centered());
+        lift.to_ntt();
         let mut parts = self.parts.clone();
-        parts[0].add_assign(pt.ntt.poly());
+        parts[0].add_assign(&lift);
         Ok(Self {
             parts,
-            noise_log2: log2_sum(self.noise_log2, (pt.modulus as f64 / 2.0).log2()),
+            noise_log2: log2_sum(self.noise_log2, (pt.modulus() as f64 / 2.0).log2()),
             params: self.params.clone(),
         })
     }
@@ -885,12 +786,12 @@ mod tests {
         let (params, ks, mut rng) = setup();
         let t = params.plaintext_modulus;
         let values = [0usize, 1, 1, 2, 2, 2, 5];
-        let mut acc = Ciphertext::zero(&ks.public);
-        for &v in &values {
-            let ct = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, v), &mut rng).unwrap();
-            acc = acc.add(&ct).unwrap();
-        }
-        let hist = acc.decrypt(&ks.secret);
+        let hist = values
+            .iter()
+            .map(|&v| Ciphertext::encrypt(&ks.public, &monomial(params.n, t, v), &mut rng).unwrap())
+            .reduce(|acc, ct| acc.add(&ct).unwrap())
+            .unwrap()
+            .decrypt(&ks.secret);
         assert_eq!(hist.coeffs()[0], 1);
         assert_eq!(hist.coeffs()[1], 2);
         assert_eq!(hist.coeffs()[2], 3);
@@ -913,58 +814,6 @@ mod tests {
             .unwrap();
         let wrapped = top.mul_monomial(2).decrypt(&ks.secret);
         assert_eq!(wrapped.coeffs()[1], t - 1);
-    }
-
-    #[test]
-    fn mul_plain_scales() {
-        let (params, ks, mut rng) = setup();
-        let t = params.plaintext_modulus;
-        let ct = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 2), &mut rng).unwrap();
-        let mut scale = vec![0u64; params.n];
-        scale[0] = 3;
-        let scaled = ct
-            .mul_plain(&Plaintext::new(scale, t).unwrap())
-            .unwrap()
-            .decrypt(&ks.secret);
-        assert_eq!(scaled.coeffs()[2], 3);
-    }
-
-    #[test]
-    fn prepared_plaintext_matches_direct_ops() {
-        let (params, ks, mut rng) = setup();
-        let t = params.plaintext_modulus;
-        let ct = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 2), &mut rng).unwrap();
-        let mut coeffs = vec![0u64; params.n];
-        coeffs[0] = 3;
-        coeffs[1] = t - 1;
-        let pt = Plaintext::new(coeffs, t).unwrap();
-        let prepared =
-            PreparedPlaintext::prepare(&pt, ct.parts()[0].context(), ct.level()).unwrap();
-        // Prepared and direct paths must agree bit-for-bit.
-        let direct = ct.mul_plain(&pt).unwrap();
-        let via_prep = ct.mul_plain_prepared(&prepared).unwrap();
-        for (a, b) in direct.parts().iter().zip(via_prep.parts()) {
-            assert_eq!(a, b);
-        }
-        let direct = ct.add_plain(&pt).unwrap();
-        let via_prep = ct.add_plain_prepared(&prepared).unwrap();
-        for (a, b) in direct.parts().iter().zip(via_prep.parts()) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(
-            ct.mul_plain(&pt).unwrap().decrypt(&ks.secret).coeffs()[2],
-            3
-        );
-    }
-
-    #[test]
-    fn prepared_plaintext_rejects_bad_length() {
-        let (params, ks, _) = setup();
-        let pt = Plaintext::new(vec![1u64; params.n / 2], params.plaintext_modulus).unwrap();
-        assert!(matches!(
-            PreparedPlaintext::prepare(&pt, ks.public.context(), params.levels),
-            Err(BgvError::PlaintextLength { .. })
-        ));
     }
 
     #[test]
@@ -1120,6 +969,14 @@ mod tests {
     fn plaintext_validation() {
         assert!(Plaintext::new(vec![5], 4).is_err());
         assert!(Plaintext::new(vec![3], 4).is_ok());
+        let (params, ks, mut rng) = setup();
+        let t = params.plaintext_modulus;
+        let ct = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 0), &mut rng).unwrap();
+        let short = Plaintext::new(vec![1u64; params.n / 2], t).unwrap();
+        assert!(matches!(
+            ct.add_plain(&short),
+            Err(BgvError::PlaintextLength { .. })
+        ));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   (one RNS-gadget key-switching key per prime per level).
 //! * [`ciphertext`] — ciphertexts with homomorphic add/sub/mul,
 //!   relinearization, and BGV modulus switching.
-//! * [`encoding`] — the `x^a` monomial/histogram encoding, GROUP BY window
-//!   packing, and the §4.5 sequence encoding for cross-column comparisons.
+//! * [`encoding`] — the `x^a` monomial and constant plaintexts (the query
+//!   extensions built on them live in `mycelium-query` and `mycelium`).
 //! * [`noise`] — an analytic noise-bound tracker plus exact noise
 //!   measurement against the secret key (used to reproduce the §6.2
 //!   generality result: Q1's 100 multiplications exhaust the budget).
@@ -25,6 +25,6 @@ pub mod keys;
 pub mod noise;
 pub mod params;
 
-pub use ciphertext::{BgvError, Ciphertext, Plaintext, PreparedPlaintext};
+pub use ciphertext::{BgvError, Ciphertext, Plaintext};
 pub use keys::{KeySet, PublicKey, RelinKey, SecretKey};
 pub use params::BgvParams;

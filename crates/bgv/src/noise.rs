@@ -113,12 +113,6 @@ pub fn query_mul_count(degree_bound: usize, hops: usize) -> usize {
     degree_bound.pow(hops as u32)
 }
 
-/// Whether a `k`-hop query with degree bound `d` is feasible under the
-/// given parameters (the §6.2 generality check).
-pub fn query_feasible(params: &BgvParams, degree_bound: usize, hops: usize) -> bool {
-    plan_chain(params, query_mul_count(degree_bound, hops)).feasible
-}
-
 /// `log2(2^a + 2^b)` without overflow.
 pub(crate) fn log2_sum(a: f64, b: f64) -> f64 {
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
@@ -154,8 +148,9 @@ mod tests {
         // §6.2: every 1-hop query (≤ d = 10 multiplications) runs; the
         // 2-hop Q1 (100 multiplications) exceeds the noise budget.
         let p = BgvParams::paper();
-        assert!(query_feasible(&p, 10, 1), "1-hop queries must be feasible");
-        assert!(!query_feasible(&p, 10, 2), "Q1 must be infeasible");
+        let feasible = |hops| plan_chain(&p, query_mul_count(10, hops)).feasible;
+        assert!(feasible(1), "1-hop queries must be feasible");
+        assert!(!feasible(2), "Q1 must be infeasible");
     }
 
     #[test]

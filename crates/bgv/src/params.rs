@@ -127,29 +127,6 @@ impl BgvParams {
         self.prime_bits as f64 * self.levels as f64
     }
 
-    /// Rough upper bound on the number of *sequential* ciphertext
-    /// multiplications this parameter set supports (the §6.2 feasibility
-    /// check). Derived from the leveled noise-growth recurrence: each
-    /// multiply-then-switch step multiplies the noise by
-    /// `≈ N · ν_fresh / q` and consumes one level.
-    pub fn max_sequential_muls(&self) -> usize {
-        let fresh = self.fresh_noise_log2();
-        let growth = (self.n as f64).log2() + fresh - self.prime_bits as f64;
-        let mut depth = 0usize;
-        let mut noise = fresh;
-        // After `depth` multiplications we have dropped `depth` primes.
-        while depth + 1 < self.levels {
-            let next = noise + growth.max(0.5);
-            let remaining = self.prime_bits as f64 * (self.levels - depth - 1) as f64;
-            if next + 1.0 >= remaining {
-                break;
-            }
-            noise = next;
-            depth += 1;
-        }
-        depth
-    }
-
     /// `log2` of the fresh-encryption noise bound
     /// `t · (σ√N · (2N + 1) + small)` (coarse but monotone).
     pub fn fresh_noise_log2(&self) -> f64 {
@@ -224,13 +201,16 @@ mod tests {
         // The §6.2 result: the paper-scale preset supports the ≈10
         // sequential multiplications of a 1-hop query with degree bound 10
         // but nowhere near the 100 required by the 2-hop Q1.
-        let p = BgvParams::paper();
-        let depth = p.max_sequential_muls();
-        assert!(depth >= 10, "paper preset supports depth {depth}");
-        assert!(depth < 100, "Q1 must remain infeasible, got {depth}");
+        let depth = |p: &BgvParams| {
+            (0..100)
+                .take_while(|&m| crate::noise::plan_chain(p, m).feasible)
+                .count()
+        };
+        let full = depth(&BgvParams::paper());
+        assert!(full > 10, "paper preset supports depth {}", full - 1);
+        assert!(full < 100, "Q1 must remain infeasible");
         // The 550-bit (paper-sized) chain supports fewer.
-        let sized = BgvParams::paper_sized().max_sequential_muls();
-        assert!(sized < depth);
+        assert!(depth(&BgvParams::paper_sized()) < full);
     }
 
     #[test]

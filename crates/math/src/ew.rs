@@ -221,27 +221,9 @@ pub fn tensor3_scalar(
     }
 }
 
-/// `a[i] = (a[i] * b[i]) mod q` where `b` carries Shoup constants
+/// `out[i] = (a[i] * b[i]) mod q` where `b` carries Shoup constants
 /// `bs[i] = floor(b[i]·2^64/q)`, replacing the Barrett reduction with one
-/// high-half product per element. Used when `b` is a precomputed repeated
-/// operand (public key, relinearization key, prepared plaintext).
-#[inline]
-pub fn mul_shoup_assign(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-    (simd::kernels().mul_shoup_assign)(m, a, b, bs)
-}
-
-/// Scalar oracle for [`mul_shoup_assign`].
-#[inline]
-pub fn mul_shoup_assign_scalar(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(b.len(), bs.len());
-    for (x, (&y, &ys)) in a.iter_mut().zip(b.iter().zip(bs)) {
-        *x = m.mul_shoup(*x, y, ys);
-    }
-}
-
-/// `out[i] = (a[i] * b[i]) mod q` with Shoup constants for `b`, into a
-/// separate output slice.
+/// high-half product per element.
 #[inline]
 pub fn mul_shoup_into(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
     (simd::kernels().mul_shoup_into)(m, out, a, b, bs)
@@ -638,10 +620,6 @@ mod tests {
 
         let mut want = a0.clone();
         mul_assign_scalar(&m, &mut want, &b);
-        let mut got = a0.clone();
-        mul_shoup_assign(&m, &mut got, &b, &bs);
-        assert_eq!(got, want);
-
         let mut got_into = vec![0u64; 32];
         mul_shoup_into(&m, &mut got_into, &a0, &b, &bs);
         assert_eq!(got_into, want);

@@ -767,29 +767,6 @@ impl RnsPoly {
         acc
     }
 
-    /// In-place ring multiplication by a Shoup-precomputed operand; `self`
-    /// must be in NTT representation.
-    ///
-    /// Bit-identical to `mul_assign(precomp.poly())` but each pointwise
-    /// product costs one high-half multiply instead of a Barrett reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on level/representation/context mismatch or coefficient
-    /// representation.
-    pub fn mul_shoup_assign(&mut self, other: &ShoupPrecomp) {
-        self.check_compat(&other.poly);
-        assert_eq!(
-            self.rep,
-            Representation::Ntt,
-            "ring multiplication requires NTT representation"
-        );
-        for (i, r) in self.residues.iter_mut().enumerate() {
-            let m = &self.ctx.moduli[i];
-            ew::mul_shoup_assign(m, r, other.residue(i), other.shoup_residue(i));
-        }
-    }
-
     fn check_compat(&self, other: &Self) {
         assert_eq!(self.level, other.level, "RNS level mismatch");
         assert_eq!(self.rep, other.rep, "representation mismatch");
@@ -803,7 +780,7 @@ impl RnsPoly {
 /// An NTT-domain ring element packaged with per-residue Shoup constants.
 ///
 /// For a *repeated* pointwise operand — a public-key component, a
-/// key-switching key, a prepared plaintext mask — precomputing
+/// key-switching key — precomputing
 /// `floor(x·2^64/q)` for every evaluation once lets each later product use
 /// [`Modulus::mul_shoup`] (one high-half multiply) instead of the 128-bit
 /// Barrett path, roughly halving the pointwise cost. Results are canonical
@@ -1215,9 +1192,11 @@ mod tests {
         assert_eq!(bp.level(), 3);
 
         let want = a.mul(&b.ntt());
-        let mut got = a.clone();
-        got.mul_shoup_assign(&bp);
-        assert_eq!(got, want);
+        for (i, m) in c.moduli()[..3].iter().enumerate() {
+            let mut got = vec![0u64; c.degree()];
+            ew::mul_shoup_into(m, &mut got, &a.residues()[i], bp.residue(i), bp.shoup_residue(i));
+            assert_eq!(got, want.residues()[i]);
+        }
     }
 
     fn pseudo_keys(c: &Arc<RnsContext>, level: usize) -> Vec<(ShoupPrecomp, ShoupPrecomp)> {

@@ -159,8 +159,6 @@ pub struct Kernels {
     #[allow(clippy::type_complexity)]
     pub tensor3:
         fn(&Modulus, (&[u64], &[u64]), (&[u64], &[u64]), (&mut [u64], &mut [u64], &mut [u64])),
-    /// `a[i] = a[i]·b[i] mod q` with Shoup constants for `b`.
-    pub mul_shoup_assign: fn(&Modulus, &mut [u64], &[u64], &[u64]),
     /// `out[i] = a[i]·b[i] mod q` with Shoup constants for `b`.
     pub mul_shoup_into: ShoupTernaryFn,
     /// Two-row canonical accumulate; see [`crate::ew::mul_shoup_add2`].
@@ -461,7 +459,6 @@ pub(crate) mod scalar {
         mul_into: ew::mul_into_scalar,
         mul_add_assign: ew::mul_add_assign_scalar,
         tensor3: ew::tensor3_scalar,
-        mul_shoup_assign: ew::mul_shoup_assign_scalar,
         mul_shoup_into: ew::mul_shoup_into_scalar,
         mul_shoup_add2: ew::mul_shoup_add2_scalar,
         mul_shoup_add_lazy2: ew::mul_shoup_add_lazy2_scalar,
@@ -495,7 +492,6 @@ macro_rules! tier_kernels {
             mul_into,
             mul_add_assign,
             tensor3,
-            mul_shoup_assign,
             mul_shoup_into,
             mul_shoup_add2,
             mul_shoup_add_lazy2,
@@ -629,26 +625,6 @@ macro_rules! shoup_family {
                 i += LANES;
             }
             crate::ew::scale_assign_scalar(q, &mut a[head..], w, ws);
-        }
-
-        #[target_feature(enable = $feat)]
-        unsafe fn mul_shoup_assign_impl(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-            debug_assert_eq!(a.len(), b.len());
-            debug_assert_eq!(b.len(), bs.len());
-            let qv = splat(m.value());
-            let head = a.len() / LANES * LANES;
-            let mut i = 0usize;
-            while i < head {
-                let r = shoup_lazy_v(
-                    loadv(a.as_ptr().add(i)),
-                    loadv(b.as_ptr().add(i)),
-                    loadv(bs.as_ptr().add(i)),
-                    qv,
-                );
-                storev(a.as_mut_ptr().add(i), cond_sub(r, qv));
-                i += LANES;
-            }
-            crate::ew::mul_shoup_assign_scalar(m, &mut a[head..], &b[head..], &bs[head..]);
         }
 
         #[target_feature(enable = $feat)]
@@ -861,12 +837,6 @@ macro_rules! shoup_family {
                 return ($fallback.scale_assign)(q, a, w, ws);
             }
             unsafe { scale_assign_impl(q, a, w, ws) }
-        }
-        fn mul_shoup_assign(m: &Modulus, a: &mut [u64], b: &[u64], bs: &[u64]) {
-            if !($fits)(m.value()) {
-                return ($fallback.mul_shoup_assign)(m, a, b, bs);
-            }
-            unsafe { mul_shoup_assign_impl(m, a, b, bs) }
         }
         fn mul_shoup_into(m: &Modulus, out: &mut [u64], a: &[u64], b: &[u64], bs: &[u64]) {
             if !($fits)(m.value()) {
