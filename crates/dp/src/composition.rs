@@ -1,18 +1,11 @@
 //! Budget-stretching techniques (§4.4's "more sophisticated techniques").
 //!
 //! The prototype (like the paper's) charges each query its full `ε`.
-//! §4.4 points at two standard improvements, both implemented here:
-//!
-//! * **Advanced composition** (Dwork–Roth Thm 3.20): `k` queries at `ε`
-//!   each are `(ε', kδ' + δ)`-DP with
-//!   `ε' = ε·√(2k·ln(1/δ)) + k·ε·(e^ε − 1)` — for small `ε` the budget
-//!   grows as `√k` instead of `k`.
-//! * **The sparse-vector technique** (as used in Honeycrisp): answering
-//!   "is this noisy value above the threshold?" pays only when the answer
-//!   is *yes*; an arbitrary number of below-threshold probes is free.
-
-use mycelium_math::rng::Rng;
-use mycelium_math::sample::sample_laplace;
+//! §4.4 points at standard improvements; the budget ledger uses one,
+//! **advanced composition** (Dwork–Roth Thm 3.20): `k` queries at `ε`
+//! each are `(ε', kδ' + δ)`-DP with
+//! `ε' = ε·√(2k·ln(1/δ)) + k·ε·(e^ε − 1)` — for small `ε` the budget grows
+//! as `√k` instead of `k`.
 
 use crate::DpError;
 
@@ -39,92 +32,9 @@ pub fn advanced_composition(epsilon: f64, k: usize, delta: f64) -> Result<f64, D
     Ok(epsilon * (2.0 * k * (1.0 / delta).ln()).sqrt() + k * epsilon * (epsilon.exp() - 1.0))
 }
 
-/// How many `epsilon`-queries a total budget admits under basic vs
-/// advanced composition — the "budget stretch" §4.4 alludes to.
-///
-/// Rejects non-positive or non-finite `total`/`epsilon` and out-of-range
-/// `delta` with a typed [`DpError::InvalidParameter`] (the old signature
-/// silently cast `total / 0.0` through `floor() as usize`).
-pub fn queries_supported(total: f64, epsilon: f64, delta: f64) -> Result<(usize, usize), DpError> {
-    if !total.is_finite() || total <= 0.0 {
-        return Err(DpError::InvalidParameter);
-    }
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(DpError::InvalidParameter);
-    }
-    if !delta.is_finite() || delta <= 0.0 || delta >= 1.0 {
-        return Err(DpError::InvalidParameter);
-    }
-    let basic = (total / epsilon).floor() as usize;
-    let mut advanced = basic;
-    while advanced_composition(epsilon, advanced + 1, delta)
-        .map(|e| e <= total)
-        .unwrap_or(false)
-    {
-        advanced += 1;
-    }
-    Ok((basic, advanced.max(basic)))
-}
-
-/// The sparse-vector mechanism ("Above Threshold").
-///
-/// Initialized with a noisy threshold; each probe compares a noisy query
-/// value against it. Below-threshold answers are free; the first
-/// above-threshold answer consumes the mechanism (it must be re-armed,
-/// paying `ε` again).
-#[derive(Debug)]
-pub struct SparseVector {
-    epsilon: f64,
-    sensitivity: f64,
-    noisy_threshold: f64,
-    exhausted: bool,
-}
-
-impl SparseVector {
-    /// Arms the mechanism for a threshold query at cost `epsilon`.
-    pub fn arm<R: Rng + ?Sized>(
-        threshold: f64,
-        sensitivity: f64,
-        epsilon: f64,
-        rng: &mut R,
-    ) -> Result<Self, DpError> {
-        if epsilon <= 0.0 || sensitivity <= 0.0 {
-            return Err(DpError::InvalidParameter);
-        }
-        Ok(Self {
-            epsilon,
-            sensitivity,
-            noisy_threshold: threshold + sample_laplace(2.0 * sensitivity / epsilon, rng),
-            exhausted: false,
-        })
-    }
-
-    /// Probes one query value. Returns `Some(true)` when the (noisy) value
-    /// clears the threshold — which exhausts the mechanism — `Some(false)`
-    /// when it does not, and `None` when the mechanism is spent.
-    pub fn probe<R: Rng + ?Sized>(&mut self, value: f64, rng: &mut R) -> Option<bool> {
-        if self.exhausted {
-            return None;
-        }
-        let noisy = value + sample_laplace(4.0 * self.sensitivity / self.epsilon, rng);
-        if noisy >= self.noisy_threshold {
-            self.exhausted = true;
-            Some(true)
-        } else {
-            Some(false)
-        }
-    }
-
-    /// Whether the mechanism has fired.
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mycelium_math::rng::{SeedableRng, StdRng};
 
     #[test]
     fn advanced_beats_basic_for_many_queries() {
@@ -132,16 +42,6 @@ mod tests {
         let adv = advanced_composition(0.1, 100, 1e-6).unwrap();
         assert!(adv < 10.0, "advanced {adv}");
         assert!(adv > 0.1, "still more than one query");
-    }
-
-    #[test]
-    fn stretch_factor() {
-        let (basic, advanced) = queries_supported(1.0, 0.01, 1e-6).unwrap();
-        assert_eq!(basic, 100);
-        assert!(
-            advanced > 2 * basic,
-            "advanced composition should stretch the budget: {advanced}"
-        );
     }
 
     #[test]
@@ -172,92 +72,10 @@ mod tests {
             advanced_composition(0.1, 5, f64::INFINITY),
             Err(DpError::InvalidParameter)
         );
-        // queries_supported: zero/negative/non-finite budget or epsilon.
-        assert_eq!(
-            queries_supported(1.0, 0.0, 1e-6),
-            Err(DpError::InvalidParameter)
-        );
-        assert_eq!(
-            queries_supported(0.0, 0.1, 1e-6),
-            Err(DpError::InvalidParameter)
-        );
-        assert_eq!(
-            queries_supported(f64::INFINITY, 0.1, 1e-6),
-            Err(DpError::InvalidParameter)
-        );
-        assert_eq!(
-            queries_supported(1.0, 0.1, 1.0),
-            Err(DpError::InvalidParameter)
-        );
         // Every valid composition must come out finite.
         for k in [1usize, 2, 10, 1000] {
             let e = advanced_composition(0.5, k, 1e-9).unwrap();
             assert!(e.is_finite() && e > 0.0);
         }
-    }
-
-    /// Satellite property test: over a deterministic grid of
-    /// (total, epsilon, delta), advanced composition never reports a
-    /// *smaller* supported-query count than basic composition, and the
-    /// reported advanced count actually fits the budget.
-    #[test]
-    fn advanced_count_never_below_basic_property() {
-        let totals = [0.25f64, 1.0, 3.0, 5.0, 20.0];
-        let epsilons = [0.005f64, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0];
-        let deltas = [1e-9f64, 1e-6, 1e-3, 0.49];
-        for &total in &totals {
-            for &epsilon in &epsilons {
-                for &delta in &deltas {
-                    let (basic, advanced) = queries_supported(total, epsilon, delta)
-                        .unwrap_or_else(|e| {
-                            panic!("valid grid point ({total}, {epsilon}, {delta}): {e:?}")
-                        });
-                    assert!(
-                        advanced >= basic,
-                        "advanced ({advanced}) < basic ({basic}) at \
-                         total={total} eps={epsilon} delta={delta}"
-                    );
-                    assert_eq!(basic, (total / epsilon).floor() as usize);
-                    if advanced > basic {
-                        // The claimed count must genuinely fit the budget…
-                        let cost = advanced_composition(epsilon, advanced, delta).unwrap();
-                        assert!(
-                            cost <= total,
-                            "claimed k={advanced} costs {cost} > total {total}"
-                        );
-                        // …and be maximal: one more query must not fit.
-                        let next = advanced_composition(epsilon, advanced + 1, delta).unwrap();
-                        assert!(next > total, "k={} still fits", advanced + 1);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_vector_fires_once() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut sv = SparseVector::arm(100.0, 1.0, 2.0, &mut rng).unwrap();
-        // Far-below values: free probes, all false.
-        for _ in 0..50 {
-            assert_eq!(sv.probe(0.0, &mut rng), Some(false));
-        }
-        // A far-above value fires.
-        assert_eq!(sv.probe(1000.0, &mut rng), Some(true));
-        assert!(sv.is_exhausted());
-        assert_eq!(sv.probe(1000.0, &mut rng), None);
-    }
-
-    #[test]
-    fn sparse_vector_is_actually_noisy() {
-        // Near the threshold, answers vary across randomness.
-        let mut outcomes = std::collections::HashSet::new();
-        for seed in 0..64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut sv = SparseVector::arm(10.0, 1.0, 1.0, &mut rng).unwrap();
-            outcomes.insert(sv.probe(10.0, &mut rng));
-        }
-        assert!(outcomes.contains(&Some(true)));
-        assert!(outcomes.contains(&Some(false)));
     }
 }

@@ -1,17 +1,15 @@
-//! Differential privacy: the Laplace mechanism and budget accounting
-//! (§2.3, §4.4, §4.7).
+//! Differential privacy: budget accounting (§2.3, §4.4, §4.7).
 //!
 //! Mycelium's committee adds calibrated noise to every released statistic:
 //! for a query with sensitivity `s` released at privacy cost `ε`, each
-//! value gets independent Laplace noise of scale `s/ε`. The committee also
-//! maintains a *privacy budget* from which each query's `ε` is deducted;
-//! the prototype (like the paper's) deducts the full `ε` per query, which
-//! is safe but conservative.
+//! value gets independent discrete Laplace noise of scale `s/ε`, drawn by
+//! `mycelium_sharing::threshold::derive_joint_noise` and added by
+//! `mycelium::exec::release_noisy`. The committee also maintains a
+//! *privacy budget* from which each query's `ε` is deducted; the prototype
+//! (like the paper's) deducts the full `ε` per query, which is safe but
+//! conservative.
 
 pub mod composition;
-
-use mycelium_math::rng::Rng;
-use mycelium_math::sample::{sample_discrete_laplace, sample_laplace};
 
 /// Budget-accounting errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,62 +87,9 @@ impl PrivacyBudget {
     }
 }
 
-/// The Laplace mechanism: `value + Lap(sensitivity / epsilon)`.
-pub fn laplace_mechanism<R: Rng + ?Sized>(
-    value: f64,
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<f64, DpError> {
-    if sensitivity <= 0.0 || epsilon <= 0.0 {
-        return Err(DpError::InvalidParameter);
-    }
-    Ok(value + sample_laplace(sensitivity / epsilon, rng))
-}
-
-/// Integer-valued Laplace mechanism (two-sided geometric), the variant the
-/// committee computes inside the MPC where only integers exist.
-pub fn discrete_laplace_mechanism<R: Rng + ?Sized>(
-    value: i64,
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<i64, DpError> {
-    if sensitivity <= 0.0 || epsilon <= 0.0 {
-        return Err(DpError::InvalidParameter);
-    }
-    Ok(value + sample_discrete_laplace(sensitivity / epsilon, rng))
-}
-
-/// Releases a histogram under `ε`-DP: each bin gets independent Laplace
-/// noise of scale `sensitivity / epsilon` (HISTO sensitivity is 2, §4.7).
-pub fn release_histogram<R: Rng + ?Sized>(
-    counts: &[u64],
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<Vec<f64>, DpError> {
-    counts
-        .iter()
-        .map(|&c| laplace_mechanism(c as f64, sensitivity, epsilon, rng))
-        .collect()
-}
-
-/// Applies pre-sampled noise values (e.g. the committee's jointly-derived
-/// noise from `mycelium_sharing::threshold::derive_joint_noise`) to a
-/// histogram.
-pub fn apply_noise(counts: &[u64], noise: &[i64]) -> Vec<i64> {
-    counts
-        .iter()
-        .zip(noise)
-        .map(|(&c, &n)| c as i64 + n)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mycelium_math::rng::{SeedableRng, StdRng};
 
     #[test]
     fn budget_accounting() {
@@ -168,53 +113,6 @@ mod tests {
         let mut b = PrivacyBudget::new(1.0);
         assert_eq!(b.charge(0.0), Err(DpError::InvalidParameter));
         assert_eq!(b.charge(-1.0), Err(DpError::InvalidParameter));
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(laplace_mechanism(1.0, 0.0, 1.0, &mut rng).is_err());
-        assert!(laplace_mechanism(1.0, 1.0, 0.0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn noise_scale_tracks_sensitivity_over_epsilon() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let n = 20_000;
-        let collect = |sens: f64, eps: f64, rng: &mut StdRng| -> f64 {
-            let v: Vec<f64> = (0..n)
-                .map(|_| laplace_mechanism(0.0, sens, eps, rng).unwrap())
-                .collect();
-            let mean = v.iter().sum::<f64>() / n as f64;
-            (v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64).sqrt()
-        };
-        // Laplace std = b·√2 with b = s/ε.
-        let s1 = collect(2.0, 1.0, &mut rng);
-        assert!((s1 - 2.0 * 2f64.sqrt()).abs() < 0.15, "std {s1}");
-        let s2 = collect(2.0, 4.0, &mut rng);
-        assert!((s2 - 0.5 * 2f64.sqrt()).abs() < 0.05, "std {s2}");
-    }
-
-    #[test]
-    fn histogram_release_preserves_signal() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let counts = vec![1000u64, 0, 500, 2000];
-        let released = release_histogram(&counts, 2.0, 1.0, &mut rng).unwrap();
-        assert_eq!(released.len(), 4);
-        for (r, &c) in released.iter().zip(&counts) {
-            assert!((r - c as f64).abs() < 50.0, "noise too large: {r} vs {c}");
-        }
-    }
-
-    #[test]
-    fn discrete_mechanism_is_integer_and_centered() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let samples: Vec<i64> = (0..50_000)
-            .map(|_| discrete_laplace_mechanism(10, 2.0, 1.0, &mut rng).unwrap())
-            .collect();
-        let mean = samples.iter().sum::<i64>() as f64 / samples.len() as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn apply_noise_adds_elementwise() {
-        assert_eq!(apply_noise(&[5, 10], &[-2, 3]), vec![3, 13]);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Randomness: lattice samplers and differential-privacy noise.
+//! Randomness: the lattice samplers.
 //!
 //! Lattice cryptography needs three distributions — uniform over `R_Q`,
-//! ternary secrets, and discrete Gaussian noise — and the differential
-//! privacy layer needs Laplace noise (continuous and discrete/two-sided
-//! geometric). All samplers take a caller-supplied [`crate::rng::Rng`] so
-//! that tests can be deterministic.
+//! ternary secrets, and discrete Gaussian noise. All samplers take a
+//! caller-supplied [`crate::rng::Rng`] so that tests can be deterministic.
 
 use std::sync::Arc;
 
@@ -169,49 +167,6 @@ pub fn gaussian_rns<R: Rng + ?Sized>(
     RnsPoly::from_signed(ctx.clone(), level, &coeffs)
 }
 
-/// Samples continuous Laplace noise with scale `b` (density
-/// `exp(-|x|/b) / 2b`), the Laplace-mechanism primitive.
-///
-/// # Panics
-///
-/// Panics if `b <= 0`.
-pub fn sample_laplace<R: Rng + ?Sized>(b: f64, rng: &mut R) -> f64 {
-    assert!(b > 0.0, "Laplace scale must be positive");
-    // Inverse-CDF sampling: u uniform in (-1/2, 1/2).
-    let u: f64 = rng.gen::<f64>() - 0.5;
-    -b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
-}
-
-/// Samples discrete Laplace noise (two-sided geometric distribution) with
-/// parameter `alpha = exp(-1/b)`: `Pr[k] ∝ alpha^{|k|}`.
-///
-/// This is the integer-valued mechanism the committee uses inside the MPC,
-/// where only integer arithmetic is available.
-///
-/// # Panics
-///
-/// Panics if `b <= 0`.
-pub fn sample_discrete_laplace<R: Rng + ?Sized>(b: f64, rng: &mut R) -> i64 {
-    assert!(b > 0.0, "Laplace scale must be positive");
-    let alpha = (-1.0 / b).exp();
-    // Sample magnitude from geometric, then a sign; resample k=0 with sign
-    // fix to keep the distribution symmetric and correctly normalized.
-    loop {
-        let u: f64 = rng.gen::<f64>();
-        let k = if alpha <= f64::MIN_POSITIVE {
-            0
-        } else {
-            (u.ln() / alpha.ln()).floor() as i64
-        };
-        let sign = if rng.gen::<bool>() { 1 } else { -1 };
-        if k == 0 && sign < 0 {
-            // Reject to avoid double-counting zero.
-            continue;
-        }
-        return sign * k;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,49 +213,6 @@ mod tests {
         assert!((var.sqrt() - sigma).abs() < 0.2, "std {}", var.sqrt());
         let cut = (6.0 * sigma).ceil() as i64;
         assert!(c.iter().all(|&x| x.abs() <= cut));
-    }
-
-    #[test]
-    fn laplace_moments() {
-        let mut r = rng();
-        let b = 5.0;
-        let samples: Vec<f64> = (0..100_000).map(|_| sample_laplace(b, &mut r)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-        assert!(mean.abs() < 0.15, "mean {mean}");
-        // Laplace variance is 2 b^2 = 50.
-        assert!((var - 2.0 * b * b).abs() < 4.0, "var {var}");
-    }
-
-    #[test]
-    fn discrete_laplace_symmetry_and_scale() {
-        let mut r = rng();
-        let b = 3.0;
-        let samples: Vec<i64> = (0..100_000)
-            .map(|_| sample_discrete_laplace(b, &mut r))
-            .collect();
-        let mean = samples.iter().sum::<i64>() as f64 / samples.len() as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        // The two-sided geometric with alpha = e^{-1/b} has variance
-        // 2·alpha / (1-alpha)^2.
-        let alpha = (-1.0f64 / b).exp();
-        let expect_var = 2.0 * alpha / (1.0 - alpha).powi(2);
-        let var = samples
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / samples.len() as f64;
-        assert!(
-            (var - expect_var).abs() / expect_var < 0.1,
-            "var {var} vs {expect_var}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be positive")]
-    fn laplace_rejects_nonpositive_scale() {
-        let mut r = rng();
-        let _ = sample_laplace(0.0, &mut r);
     }
 
     #[test]
