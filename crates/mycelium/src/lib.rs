@@ -44,8 +44,6 @@
 //!   decryption, joint noise, release.
 //! * [`costs`] — the §6.4–§6.6 cost models (device bandwidth/compute,
 //!   committee, aggregator) behind Figures 7 and 9.
-//! * [`simcost`] — the Figure-7 messaging pattern executed and metered on
-//!   the simnet, reconciling measurement against the analytic model.
 //! * [`summation`] — the Orchard-style verifiable summation tree the
 //!   aggregator uses to prove each device's data is counted exactly once.
 //! * [`streams`] — the canonical rng stream bases both executors share, so
@@ -60,7 +58,6 @@ pub mod exec;
 pub mod params;
 pub mod plan;
 pub mod roles;
-pub mod simcost;
 pub mod streams;
 pub mod summation;
 

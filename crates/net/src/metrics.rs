@@ -3,8 +3,7 @@
 //! Each process accumulates one [`NetMetrics`]; the `net_round` driver
 //! collects the per-role metrics files, [`NetMetrics::merge`]s them and
 //! renders a single deterministic JSON artifact that the reconciliation
-//! test checks against the analytical cost model in
-//! `mycelium::costs` / `mycelium::simcost`.
+//! test checks against the analytical cost model in `mycelium::costs`.
 //!
 //! The latency series reuse [`PhaseSeries`] from `mycelium-simnet` — the
 //! same summary statistics over microseconds here and virtual ticks

@@ -1,81 +1,8 @@
-//! Reconciling the §6.4 analytic bandwidth model (Figure 7) against a
-//! metered simnet run of the same messaging pattern.
-//!
-//! The model in `mycelium::costs` *derives* per-device bytes; the
-//! accounting simulation in `mycelium::simcost` *measures* them by
-//! routing every contribution source → k forwarder hops → destination
-//! with declared ciphertext sizes. The two views must agree exactly (the
-//! schedule divides evenly), up to one known structural difference: the
-//! wire meters a forwarder's relayed batch twice (received + sent), the
-//! model counts it once.
+//! What the simulated round meters for a device's contributions, against
+//! the bytes the wire codec writes for them.
 
-use mycelium::costs::device_bandwidth;
 use mycelium::params::SystemParams;
-use mycelium::simcost::{run_cost_sim, CostSimConfig};
 use mycelium_bgv::BgvParams;
-
-fn paper_sized() -> SystemParams {
-    let mut p = SystemParams::paper();
-    p.bgv = BgvParams::paper_sized();
-    p
-}
-
-#[test]
-fn figure7_model_matches_metered_simulation() {
-    let params = paper_sized();
-    let (k, r, cq) = (3, 2, 1);
-    // n = 100 with f = 0.1, d = 10: class size 10, per-level load
-    // n·r·cq·d = 2000 → exactly 200 relays per forwarder, so the paper's
-    // expectation is realized without sampling variance.
-    let cfg = CostSimConfig::figure7(&params, k, r, cq, 100);
-    let measured = run_cost_sim(&cfg);
-    let model = device_bandwidth(&params, k, r, cq);
-
-    assert_eq!(measured.delivered, measured.expected);
-
-    // Non-forwarders: sent + received, both views in absolute bytes.
-    let rel = (measured.non_forwarder_bytes - model.non_forwarder).abs() / model.non_forwarder;
-    assert!(
-        rel < 1e-9,
-        "non-forwarder: measured {} vs model {}",
-        measured.non_forwarder_bytes,
-        model.non_forwarder
-    );
-
-    // Forwarders: the extra load over a non-forwarder is the relayed
-    // batch; the wire meters it twice, the model once.
-    let measured_batch = (measured.forwarder_bytes - measured.non_forwarder_bytes) / 2.0;
-    let model_batch = model.forwarder - model.non_forwarder;
-    let rel = (measured_batch - model_batch).abs() / model_batch;
-    assert!(
-        rel < 1e-9,
-        "batch: measured {measured_batch} vs model {model_batch}"
-    );
-
-    // The independently tracked relay meter agrees with both.
-    let rel = (measured.relayed_bytes_per_forwarder - model_batch).abs() / model_batch;
-    assert!(rel < 1e-9);
-
-    // Population expectation, with the batch counted once as the model
-    // does: kf·(non_fwd + batch) + (1 − kf)·non_fwd.
-    let kf = k as f64 * params.forwarder_fraction;
-    let expected_once = kf * (measured.non_forwarder_bytes + measured_batch)
-        + (1.0 - kf) * measured.non_forwarder_bytes;
-    let rel = (expected_once - model.expected).abs() / model.expected;
-    assert!(
-        rel < 1e-9,
-        "expected: measured {expected_once} vs model {}",
-        model.expected
-    );
-
-    // Message counts: a non-forwarder sends r·cq·d and receives r·cq·d.
-    let per_device = (r * cq * params.degree_bound) as f64;
-    assert_eq!(measured.non_forwarder_msgs, 2.0 * per_device);
-    // A forwarder additionally relays (and therefore also receives) the
-    // batch: + 2·(r·cq·d)/f messages.
-    let batch_msgs = per_device / params.forwarder_fraction;
-    assert_eq!(measured.forwarder_msgs, 2.0 * per_device + 2.0 * batch_msgs);
-}
 
 #[test]
 fn simulated_contribution_is_metered_at_the_bytes_the_wire_carries() {
@@ -166,27 +93,5 @@ fn simulated_contribution_is_metered_at_the_bytes_the_wire_carries() {
         "{count} contributions metered at {} bytes each, the wire carries {}",
         metered / count,
         wire / count
-    );
-}
-
-#[test]
-fn headline_bytes_at_paper_parameters() {
-    // The metered run reproduces §6.4's headline numbers: ≈170 MB for a
-    // non-forwarder, ≈1030 MB for a forwarder (1030 counts the batch
-    // once; the wire sees it twice).
-    let params = paper_sized();
-    let cfg = CostSimConfig::figure7(&params, 3, 2, 1, 100);
-    let measured = run_cost_sim(&cfg);
-    let mb = 1e6;
-    let non_fwd = measured.non_forwarder_bytes / mb;
-    assert!(
-        (80.0..260.0).contains(&non_fwd),
-        "non-forwarder {non_fwd} MB"
-    );
-    let batch = (measured.forwarder_bytes - measured.non_forwarder_bytes) / 2.0;
-    let forwarder_once = (measured.non_forwarder_bytes + batch) / mb;
-    assert!(
-        (700.0..1400.0).contains(&forwarder_once),
-        "forwarder {forwarder_once} MB"
     );
 }
