@@ -85,51 +85,6 @@ pub fn random_graph<R: Rng + ?Sized>(
     b.build()
 }
 
-/// Generates a preferential-attachment (Barabási–Albert-style) graph with
-/// bounded degree: each new vertex attaches to `m` existing vertices chosen
-/// proportionally to their degree (falling back to uniform when the
-/// preferred endpoint is saturated). Models the skewed contact
-/// distributions superspreading studies describe (§2.1).
-pub fn powerlaw_graph<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    degree_bound: usize,
-    rng: &mut R,
-) -> Graph {
-    assert!(
-        m >= 1 && degree_bound > m,
-        "need room above the attachment count"
-    );
-    let mut b = GraphBuilder::new(n, degree_bound);
-    // Endpoint multiset for preferential attachment.
-    let mut endpoints: Vec<VertexId> = Vec::new();
-    for v in 1..n {
-        let mut attached = 0usize;
-        let mut attempts = 0usize;
-        while attached < m.min(v) && attempts < 50 {
-            attempts += 1;
-            let target = if endpoints.is_empty() || rng.gen::<f64>() < 0.1 {
-                rng.gen_range(0..v) as VertexId
-            } else {
-                endpoints[rng.gen_range(0..endpoints.len())]
-            };
-            let data = EdgeData {
-                duration: rng.gen_range(5..300),
-                contacts: rng.gen_range(1..30),
-                last_contact: rng.gen_range(0..14),
-                setting: Setting::Social,
-                location: Location::Other,
-            };
-            if b.add_edge(v as VertexId, target, data) {
-                endpoints.push(target);
-                endpoints.push(v as VertexId);
-                attached += 1;
-            }
-        }
-    }
-    b.build()
-}
-
 /// Generates a household/community contact graph with ages and edge
 /// attributes.
 pub fn contact_graph<R: Rng + ?Sized>(cfg: &ContactGraphConfig, rng: &mut R) -> Population {
@@ -302,23 +257,6 @@ mod tests {
         assert_eq!(g.len(), 500);
         assert!(g.max_degree() <= 10);
         assert!(g.edge_count() > 500, "should be reasonably dense");
-    }
-
-    #[test]
-    fn powerlaw_graph_is_skewed() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = powerlaw_graph(2000, 2, 10, &mut rng);
-        assert_eq!(g.len(), 2000);
-        assert!(g.max_degree() <= 10);
-        // Degree distribution is right-skewed: far more low-degree vertices
-        // than saturated ones, but a non-trivial saturated tail exists.
-        let degrees: Vec<usize> = (0..2000u32).map(|v| g.degree(v)).collect();
-        let low = degrees.iter().filter(|&&d| d <= 3).count();
-        let high = degrees.iter().filter(|&&d| d >= 8).count();
-        assert!(low > 3 * high, "low {low} vs high {high}");
-        assert!(high > 0, "the hub tail must exist");
-        // Connectedness-ish: hardly any isolated vertices.
-        assert!(degrees.iter().filter(|&&d| d == 0).count() < 20);
     }
 
     #[test]

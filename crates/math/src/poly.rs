@@ -157,15 +157,6 @@ impl Poly {
         }
     }
 
-    /// Returns the infinity norm of the centered representation.
-    pub fn inf_norm(&self) -> u64 {
-        self.coeffs
-            .iter()
-            .map(|&c| self.modulus.to_signed(c).unsigned_abs())
-            .max()
-            .unwrap_or(0)
-    }
-
     fn check_compat(&self, other: &Self) {
         assert_eq!(self.degree(), other.degree(), "polynomial degree mismatch");
         assert_eq!(
@@ -217,9 +208,10 @@ mod tests {
     #[test]
     fn signed_roundtrip_and_norm() {
         let (q, _) = setup(8);
-        let a = Poly::from_signed(&[-3, 5, 0, -1, 2, 0, 0, 7], q);
-        assert_eq!(a.inf_norm(), 7);
-        assert_eq!(q.to_signed(a.coeffs()[0]), -3);
+        let signed = [-3, 5, 0, -1, 2, 0, 0, 7];
+        let a = Poly::from_signed(&signed, q);
+        let back: Vec<i64> = a.coeffs().iter().map(|&c| q.to_signed(c)).collect();
+        assert_eq!(back, signed);
     }
 
     #[test]

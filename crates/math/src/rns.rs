@@ -814,12 +814,6 @@ impl ShoupPrecomp {
         &self.poly
     }
 
-    /// Level of the underlying polynomial.
-    #[inline]
-    pub fn level(&self) -> usize {
-        self.poly.level
-    }
-
     /// The `i`-th residue values (NTT domain, canonical).
     #[inline]
     pub fn residue(&self, i: usize) -> &[u64] {
@@ -1189,12 +1183,17 @@ mod tests {
         let b = pseudo_poly(&c, 3, 2);
         let bp = ShoupPrecomp::new(b.clone());
         assert_eq!(bp.poly(), &b.ntt());
-        assert_eq!(bp.level(), 3);
 
         let want = a.mul(&b.ntt());
         for (i, m) in c.moduli()[..3].iter().enumerate() {
             let mut got = vec![0u64; c.degree()];
-            ew::mul_shoup_into(m, &mut got, &a.residues()[i], bp.residue(i), bp.shoup_residue(i));
+            ew::mul_shoup_into(
+                m,
+                &mut got,
+                &a.residues()[i],
+                bp.residue(i),
+                bp.shoup_residue(i),
+            );
             assert_eq!(got, want.residues()[i]);
         }
     }

@@ -29,13 +29,6 @@ pub struct ScratchBuf {
     buf: Vec<u64>,
 }
 
-impl ScratchBuf {
-    /// Consumes the guard and keeps the storage, bypassing the pool.
-    pub fn into_vec(mut self) -> Vec<u64> {
-        std::mem::take(&mut self.buf)
-    }
-}
-
 impl Deref for ScratchBuf {
     type Target = [u64];
     #[inline]
@@ -95,15 +88,6 @@ mod tests {
         // Re-checkout sees zeroes again even if the storage was reused.
         let b = take(64);
         assert!(b.iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn into_vec_detaches_storage() {
-        let mut s = take(8);
-        s[3] = 5;
-        let v = s.into_vec();
-        assert_eq!(v.len(), 8);
-        assert_eq!(v[3], 5);
     }
 
     #[test]

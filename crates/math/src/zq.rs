@@ -200,34 +200,6 @@ impl Modulus {
         }
     }
 
-    /// Lazy addition: operands and result live in `[0, 2q)`.
-    ///
-    /// Costs one conditional subtraction instead of the strict `[0, q)`
-    /// canonicalization; chains of lazy adds defer the final reduction to a
-    /// single [`Modulus::reduce_lazy`] at the end.
-    #[inline(always)]
-    pub fn add_lazy(&self, a: u64, b: u64) -> u64 {
-        debug_assert!(a < 2 * self.q && b < 2 * self.q);
-        let two_q = self.q << 1;
-        let s = a.wrapping_add(b);
-        if s >= two_q {
-            s - two_q
-        } else {
-            s
-        }
-    }
-
-    /// Canonicalizes a lazy `[0, 2q)` value into `[0, q)`.
-    #[inline(always)]
-    pub fn reduce_lazy(&self, a: u64) -> u64 {
-        debug_assert!(a < 2 * self.q);
-        if a >= self.q {
-            a - self.q
-        } else {
-            a
-        }
-    }
-
     /// Fused multiply-add: `a * b + c (mod q)`.
     #[inline]
     pub fn mul_add(&self, a: u64, b: u64, c: u64) -> u64 {
@@ -560,19 +532,6 @@ mod tests {
                 assert!(prod < 2 * qv);
                 assert_eq!(prod % qv, q.mul(a % qv, b), "q={qv} a={a} b={b}");
             }
-        }
-    }
-
-    #[test]
-    fn lazy_add_and_reduce() {
-        let q = Modulus::new(101).unwrap();
-        for a in 0..202u64 {
-            for b in 0..202u64 {
-                let s = q.add_lazy(a, b);
-                assert!(s < 202);
-                assert_eq!(s % 101, (a + b) % 101);
-            }
-            assert_eq!(q.reduce_lazy(a), a % 101);
         }
     }
 

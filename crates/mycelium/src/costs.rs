@@ -197,85 +197,10 @@ pub fn shard_root_payload_bytes(ct_encoded: usize, rejected: usize, commits: usi
     1 + 4 + 4 + 4 * rejected + 4 + ORIGIN_COMMIT_BYTES * commits + ct_encoded
 }
 
-/// Total shard → coordinator handoff payload for one round: every shard
-/// seals exactly one root, each rejected device id rides in exactly one
-/// shard's message, and every origin's frozen commitment rides in
-/// exactly one shard's message (`commits_total` is the population
-/// size). Zero at `shards ≤ 1` — the hub topology has no handoff.
-pub fn shard_plane_payload_bytes(
-    shards: usize,
-    ct_encoded: usize,
-    rejected_total: usize,
-    commits_total: usize,
-) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    shards * shard_root_payload_bytes(ct_encoded, 0, 0)
-        + 4 * rejected_total
-        + ORIGIN_COMMIT_BYTES * commits_total
-}
-
-/// Exact encoded payload of a `CertSignTask` reply: message tag (1) +
-/// the 32-byte certificate transcript digest.
-pub fn cert_sign_task_payload_bytes() -> usize {
-    1 + 32
-}
-
 /// Exact encoded payload of a `PushCertSig` request: message tag (1) +
 /// member id (8) + detached ed25519 signature (64).
 pub fn push_cert_sig_payload_bytes() -> usize {
     1 + 8 + 64
-}
-
-/// Figure 9(b) with the shard dimension: aggregation work split over
-/// `shards` equal partitions plus the coordinator's fold of the sealed
-/// roots.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedAggregatorCores {
-    /// Cores one shard needs for its `n / shards` devices.
-    pub per_shard: AggregatorCores,
-    /// Number of shards.
-    pub shards: usize,
-    /// Coordinator seconds to fold `shards` roots (`shards − 1`
-    /// ciphertext additions — serial, and negligible next to the fan-in).
-    pub coordinator_seconds: f64,
-}
-
-impl ShardedAggregatorCores {
-    /// Total cores across the plane (coordinator's fold is a single
-    /// core for `coordinator_seconds`, counted only when it matters).
-    pub fn total(&self) -> f64 {
-        self.shards as f64 * self.per_shard.total()
-    }
-}
-
-/// Computes Figure 9(b) for `n` participants spread over `shards`
-/// WAL-partitioned shards.
-///
-/// ZKP verification and partial summation are embarrassingly parallel
-/// over the device partition, so a shard carries exactly `1/shards` of
-/// the hub's load; the coordinator adds a serial `(shards − 1)`-addition
-/// fold. At `shards = 1` this degenerates to [`aggregator_cores`].
-pub fn sharded_aggregator_cores(
-    params: &SystemParams,
-    n: u64,
-    shards: usize,
-    deadline_seconds: f64,
-    add_seconds: f64,
-) -> ShardedAggregatorCores {
-    let shards = shards.max(1);
-    let per_shard = aggregator_cores(
-        params,
-        n.div_ceil(shards as u64),
-        deadline_seconds,
-        add_seconds,
-    );
-    ShardedAggregatorCores {
-        per_shard,
-        shards,
-        coordinator_seconds: (shards - 1) as f64 * add_seconds,
-    }
 }
 
 /// Committee costs (§6.5), calibrated to the paper's EC2 measurements at
@@ -382,57 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_plane_payload_degenerates_at_one_shard() {
-        // The hub topology has no shard → coordinator handoff.
-        assert_eq!(shard_plane_payload_bytes(1, 4_300_000, 5, 24), 0);
-        assert_eq!(shard_plane_payload_bytes(0, 4_300_000, 5, 24), 0);
-        // Four shards: four sealed roots plus the rejected ids and the
-        // frozen origin commitments, each counted exactly once wherever
-        // it landed.
-        let ct = 10_000;
-        assert_eq!(
-            shard_plane_payload_bytes(4, ct, 3, 24),
-            4 * (1 + 4 + 4 + 4 + ct) + 4 * 3 + ORIGIN_COMMIT_BYTES * 24
-        );
-        // Per-message form: the ids and commitments ride inside the
-        // shard's own message (here 3 rejects and 24 origins split 6+6+6+6).
-        assert_eq!(
-            shard_root_payload_bytes(ct, 3, 6) + 3 * shard_root_payload_bytes(ct, 0, 6),
-            shard_plane_payload_bytes(4, ct, 3, 24)
-        );
-    }
-
-    #[test]
     fn cert_payloads_match_the_proto_encoding() {
-        // CertSignTask: tag + transcript digest.
-        assert_eq!(cert_sign_task_payload_bytes(), 33);
         // PushCertSig: tag + member + 64-byte ed25519 signature.
         assert_eq!(push_cert_sig_payload_bytes(), 73);
-    }
-
-    #[test]
-    fn sharded_cores_split_the_hub_load() {
-        let p = paper_sized();
-        let (n, deadline, add) = (1_000_000_000u64, 10.0 * 3600.0, 0.05);
-        let hub = aggregator_cores(&p, n, deadline, add);
-        let s1 = sharded_aggregator_cores(&p, n, 1, deadline, add);
-        assert_eq!(s1.per_shard.total(), hub.total());
-        assert_eq!(s1.coordinator_seconds, 0.0);
-        // The partition is work-conserving: per-shard load is 1/shards
-        // of the hub's, so plane totals match to rounding.
-        for shards in [2usize, 8, 64] {
-            let s = sharded_aggregator_cores(&p, n, shards, deadline, add);
-            let rel = (s.total() - hub.total()).abs() / hub.total();
-            assert!(
-                rel < 1e-6,
-                "shards {shards}: {} vs {}",
-                s.total(),
-                hub.total()
-            );
-            assert!(s.per_shard.total() < hub.total());
-            // The coordinator's serial fold stays negligible.
-            assert!(s.coordinator_seconds < 10.0);
-        }
     }
 
     #[test]

@@ -66,24 +66,6 @@ impl SystemParams {
             epsilon: 1.0,
         }
     }
-
-    /// Renders the Figure 4 parameter table.
-    pub fn figure4_table(&self) -> String {
-        format!(
-            "Number of devices N      {:.1e}\n\
-             Onion routing hops k     {}\n\
-             Replicas of each msg r   {}\n\
-             Fraction of forwarders f {}\n\
-             Committee size c         {}\n\
-             Degree bound d           {}\n",
-            self.devices as f64,
-            self.hops,
-            self.replicas,
-            self.forwarder_fraction,
-            self.committee_size,
-            self.degree_bound
-        )
-    }
 }
 
 /// The deepened simulation preset the conformance session runs at: the
@@ -121,20 +103,5 @@ mod tests {
         let p = SystemParams::simulation();
         assert_eq!(p.schema.degree_bound, p.degree_bound);
         assert!(p.bgv.n >= 512);
-    }
-
-    #[test]
-    fn figure4_renders_all_rows() {
-        let t = SystemParams::paper().figure4_table();
-        for key in [
-            "devices N",
-            "hops k",
-            "msg r",
-            "forwarders f",
-            "size c",
-            "bound d",
-        ] {
-            assert!(t.contains(key), "missing {key}");
-        }
     }
 }

@@ -53,12 +53,6 @@ impl BackoffPolicy {
     pub fn exhausted(&self, attempts: u32) -> bool {
         attempts >= self.max_retries
     }
-
-    /// Total wait across the full retry schedule (the longest time a
-    /// caller can spend before giving up).
-    pub fn total_wait(&self) -> u64 {
-        (0..=self.max_retries).map(|a| self.wait(a)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +79,6 @@ mod tests {
         assert!(!p.exhausted(0));
         assert!(!p.exhausted(1));
         assert!(p.exhausted(2));
-        assert_eq!(p.total_wait(), 10 + 20 + 40);
     }
 
     #[test]

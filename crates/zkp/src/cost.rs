@@ -43,11 +43,6 @@ impl Groth16Model {
         self.verify_base_seconds + elements as f64 * self.verify_per_element_seconds
     }
 
-    /// Total proving time for a device submitting `proofs` proofs.
-    pub fn device_prove_seconds(&self, proofs: usize) -> f64 {
-        self.prove_seconds * proofs as f64
-    }
-
     /// Aggregator cores needed to verify `proofs` proofs (each with the
     /// given public-input size) within `deadline_seconds`.
     pub fn cores_for_verification(
@@ -101,7 +96,6 @@ mod tests {
     fn device_proving_time_matches_paper() {
         // §6.4: "ZKP proof generation takes around a minute".
         let m = Groth16Model::default();
-        let t = m.device_prove_seconds(1);
-        assert!((30.0..120.0).contains(&t));
+        assert!((30.0..120.0).contains(&m.prove_seconds));
     }
 }

@@ -74,16 +74,6 @@ pub fn well_formed_witness(circuit: &WellFormedCircuit, coeffs: &[u64]) -> Vec<u
     w
 }
 
-/// Convenience: is this coefficient vector well-formed (each window one-hot
-/// or empty)? Plain-code oracle used by tests and the aggregator's
-/// simulation-side cross-check.
-pub fn is_well_formed(coeffs: &[u64], window: usize) -> bool {
-    coeffs.chunks(window).all(|w| {
-        let nonzero: Vec<&u64> = w.iter().filter(|&&c| c != 0).collect();
-        nonzero.len() <= 1 && nonzero.iter().all(|&&c| c == 1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,19 +120,16 @@ mod tests {
     #[test]
     fn oracle_matches_circuit() {
         let c = well_formed_circuit(field(), 6, 3);
-        let cases: Vec<Vec<u64>> = vec![
-            vec![0, 0, 0, 0, 0, 0],
-            vec![1, 0, 0, 0, 1, 0],
-            vec![1, 1, 0, 0, 0, 0],
-            vec![0, 3, 0, 0, 0, 0],
+        // Each window of three one-hot or empty, or not.
+        let cases: [([u64; 6], bool); 4] = [
+            ([0, 0, 0, 0, 0, 0], true),
+            ([1, 0, 0, 0, 1, 0], true),
+            ([1, 1, 0, 0, 0, 0], false),
+            ([0, 3, 0, 0, 0, 0], false),
         ];
-        for coeffs in cases {
+        for (coeffs, well_formed) in cases {
             let w = well_formed_witness(&c, &coeffs);
-            assert_eq!(
-                c.cs.is_satisfied(&w),
-                is_well_formed(&coeffs, 3),
-                "{coeffs:?}"
-            );
+            assert_eq!(c.cs.is_satisfied(&w), well_formed, "{coeffs:?}");
         }
     }
 
