@@ -45,6 +45,14 @@ mod tests {
     }
 
     #[test]
+    fn stretch_factor() {
+        // A budget of 1 pays for 100 queries at ε = 0.01 under basic
+        // composition; advanced composition fits more than twice as many.
+        let basic = 100;
+        assert!(advanced_composition(0.01, 2 * basic + 1, 1e-6).unwrap() <= 1.0);
+    }
+
+    #[test]
     fn invalid_parameters() {
         assert!(advanced_composition(0.0, 5, 1e-6).is_err());
         assert!(advanced_composition(0.1, 5, 0.0).is_err());
