@@ -252,7 +252,7 @@ impl QueryPlan {
             });
         }
         let chain_starts = (0..=admitted)
-            .map_while(|m| start_level(&params.bgv, m, leaves, width))
+            .map_while(|m| start_level(bgv, m, leaves, width))
             .collect();
         let field = Modulus::new_prime(2_147_483_647).expect("prime");
         let circuit = with_proofs
@@ -923,8 +923,8 @@ mod tests {
     fn planning_refuses_a_population_its_level_one_sum_cannot_hold() {
         // At `test_small` a leaf born at the aggregation level carries
         // ≈ 25.3 bits of fresh noise against a 39-bit budget, so the
-        // level-1 sum holds fewer than 2^13.7 of them: the ROADMAP sweep's
-        // largest cell (10^4) fits, 2^14 vertices do not.
+        // level-1 sum holds fewer than 2^13.7 of them: a population of
+        // 10^4 fits, one of 2^14 does not.
         let params = SystemParams::simulation();
         let q4 = paper_query("Q4").unwrap();
         let plan = |n| QueryPlan::new(&q4, &population(&params, n), &params, false);
