@@ -969,14 +969,37 @@ mod tests {
     fn plaintext_validation() {
         assert!(Plaintext::new(vec![5], 4).is_err());
         assert!(Plaintext::new(vec![3], 4).is_ok());
+    }
+
+    #[test]
+    fn prepared_plaintext_rejects_bad_length() {
+        // Every operation that lifts a plaintext into the ring refuses one
+        // whose length is not the ring degree, at any level.
         let (params, ks, mut rng) = setup();
         let t = params.plaintext_modulus;
-        let ct = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 0), &mut rng).unwrap();
         let short = Plaintext::new(vec![1u64; params.n / 2], t).unwrap();
         assert!(matches!(
-            ct.add_plain(&short),
+            Ciphertext::encrypt(&ks.public, &short, &mut rng),
             Err(BgvError::PlaintextLength { .. })
         ));
+        assert!(matches!(
+            Ciphertext::encrypt_at_level(&ks.public, &short, 1, &mut rng),
+            Err(BgvError::PlaintextLength { .. })
+        ));
+        let top = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 0), &mut rng).unwrap();
+        let bottom =
+            Ciphertext::encrypt_at_level(&ks.public, &monomial(params.n, t, 0), 1, &mut rng)
+                .unwrap();
+        for ct in [&top, &bottom] {
+            assert!(matches!(
+                ct.add_plain(&short),
+                Err(BgvError::PlaintextLength { .. })
+            ));
+            assert!(matches!(
+                ct.sub_plain(&short),
+                Err(BgvError::PlaintextLength { .. })
+            ));
+        }
     }
 
     #[test]
