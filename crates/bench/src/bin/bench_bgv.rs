@@ -697,7 +697,7 @@ mod tests {
             ("test_medium/mod_switch_to", 869.8555),
             ("test_medium/e2e_query", 54.6726),
             ("test_small/ntt", 34152.4314),
-            ("test_small/encrypt", 12363.281),
+            ("test_small/encrypt", 12967.4573),
             ("test_small/bgv_mul", 67925.9802),
             ("test_small/relinearize", 6864.3968),
             ("test_small/mod_switch_down", 20014.2819),

@@ -464,25 +464,42 @@ impl Ciphertext {
     /// Relinearizes a degree-2 ciphertext back to degree 1 using the
     /// key-switching keys for the current level.
     pub fn relinearize(&self, rk: &RelinKey) -> Result<Self, BgvError> {
-        if self.parts.len() == 2 {
-            return Ok(self.clone());
+        match &self.parts[..] {
+            [_, _] => Ok(self.clone()),
+            [c0, c1, c2] => self.key_switched(c0.clone(), c1.clone(), c2, rk),
+            parts => Err(BgvError::UnexpectedDegree { parts: parts.len() }),
         }
-        if self.parts.len() != 3 {
-            return Err(BgvError::UnexpectedDegree {
-                parts: self.parts.len(),
-            });
-        }
-        let level = self.level();
+    }
+
+    /// `self.mul(other)?.relinearize(rk)`, bit for bit, without copying
+    /// the product's `c0` and `c1`: the key switch accumulates into them
+    /// in place.
+    pub fn mul_relinearize(&self, other: &Self, rk: &RelinKey) -> Result<Self, BgvError> {
+        let mut prod = self.mul(other)?;
+        let [c0, c1, c2]: [RnsPoly; 3] = std::mem::take(&mut prod.parts)
+            .try_into()
+            .expect("a product has three parts");
+        prod.key_switched(c0, c1, &c2, rk)
+    }
+
+    /// The relinearization of `(c0, c1, c2)`, with `self`'s noise and
+    /// parameters: `c2` key-switched into `c0` and `c1`.
+    fn key_switched(
+        &self,
+        mut c0: RnsPoly,
+        mut c1: RnsPoly,
+        c2: &RnsPoly,
+        rk: &RelinKey,
+    ) -> Result<Self, BgvError> {
+        let level = c2.level();
         let keys = rk
             .at_level(level)
             .ok_or(BgvError::MissingRelinKey { level })?;
-        let mut c0 = self.parts[0].clone();
-        let mut c1 = self.parts[1].clone();
         // Fused gadget key switch: decomposition digits are read off the
         // NTT-domain c2, lifted, transformed, and multiply-accumulated limb
         // by limb against the Shoup-precomputed keys without materializing
         // digit polynomials.
-        key_switch_assign(&mut c0, &mut c1, &self.parts[2], keys);
+        key_switch_assign(&mut c0, &mut c1, c2, keys);
         // Key-switching noise: t · Σ_j |d_j·e_j| ≤ t · L · (q/2) · 6σ · N.
         let p = &self.params;
         let ks_noise = (p.plaintext_modulus as f64).log2()
@@ -731,6 +748,9 @@ mod tests {
         let cb = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 4), &mut rng).unwrap();
         let prod = ca.mul(&cb).unwrap().relinearize(&ks.relin).unwrap();
         assert_eq!(prod.degree(), 1);
+        let fused = ca.mul_relinearize(&cb, &ks.relin).unwrap();
+        assert_eq!(fused.parts(), prod.parts());
+        assert_eq!(fused.noise_log2(), prod.noise_log2());
         let pt = prod.decrypt(&ks.secret);
         assert_eq!(pt.coeffs()[6], 1);
         let (_, _, budget) = prod.decrypt_with_noise(&ks.secret);

@@ -13,9 +13,9 @@ pub const BLOCK: usize = 64;
 const NARROW: usize = 4;
 /// Blocks the AVX2 kernel computes together.
 pub const WIDE: usize = 8;
-/// Blocks the AVX-512 kernel computes together.
-#[cfg(target_arch = "x86_64")]
-const WIDEST: usize = 16;
+/// Blocks the AVX-512 kernel computes together: one refill of
+/// [`crate::rng::StdRng`].
+pub const WIDEST: usize = 16;
 
 /// The four constant words every input state starts with.
 pub const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
@@ -264,8 +264,9 @@ mod avx512 {
     fn xor(state: &mut [u32; 16], data: &mut [u8]) {
         let bulk = data.len() / (WIDEST * BLOCK) * (WIDEST * BLOCK);
         let (groups, tail) = data.split_at_mut(bulk);
-        // A request below one group — every `StdRng` refill — is the AVX2
-        // kernel's call and nothing else.
+        // A `StdRng` refill is one whole group; only a request below one
+        // (a refill split where its low counter word wraps) or a ragged
+        // tail is the AVX2 kernel's call.
         if !groups.is_empty() {
             // SAFETY: this tier is only handed out (`tiers`) after AVX-512F
             // was detected.

@@ -22,6 +22,15 @@ pub trait RngCore {
 
     /// Fills `dest` with uniform bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]);
+
+    /// Fills `out` with the words `out.len()` calls of
+    /// [`RngCore::next_u64`] would return, in order, leaving the source
+    /// where they would.
+    fn fill_u64(&mut self, out: &mut [u64]) {
+        for w in out {
+            *w = self.next_u64();
+        }
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -30,6 +39,9 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
+    }
+    fn fill_u64(&mut self, out: &mut [u64]) {
+        (**self).fill_u64(out)
     }
 }
 
@@ -202,7 +214,7 @@ pub trait SeedableRng: Sized {
 }
 
 /// Blocks one refill computes: one group of the widest keystream kernel.
-const BUF_BLOCKS: usize = chacha::WIDE;
+const BUF_BLOCKS: usize = chacha::WIDEST;
 /// Bytes one refill buffers.
 const BUF_LEN: usize = BUF_BLOCKS * chacha::BLOCK;
 
@@ -317,6 +329,27 @@ impl RngCore for StdRng {
         let v = u64::from_le_bytes(self.buf[self.idx..self.idx + 8].try_into().unwrap());
         self.idx += 8;
         v
+    }
+
+    /// Copies whole words out of the buffer while the read offset is
+    /// 8-aligned: an aligned word never straddles a block. Elsewhere (after
+    /// a byte-wise read) it steps with `next_u64` until it is aligned.
+    fn fill_u64(&mut self, out: &mut [u64]) {
+        let mut done = 0;
+        while done < out.len() {
+            if !self.idx.is_multiple_of(8) || self.idx >= BUF_LEN {
+                out[done] = self.next_u64();
+                done += 1;
+                continue;
+            }
+            let words = self.buf[self.idx..].chunks_exact(8);
+            let take = words.len().min(out.len() - done);
+            for (w, bytes) in out[done..done + take].iter_mut().zip(words) {
+                *w = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+            }
+            self.idx += 8 * take;
+            done += take;
+        }
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
@@ -451,6 +484,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fill_u64_is_next_u64_repeated() {
+        // From every offset a byte-wise read of 0..=72 bytes leaves (most
+        // unaligned, some past the first block), on a fresh stream and on
+        // one whose low counter word wraps inside its first refill; the
+        // lengths together cross many refills.
+        let fresh = StdRng::seed_from_u64(0xF111).with_stream(3);
+        let mut wrapping = fresh.clone();
+        wrapping.counter = (1u64 << 32) - 5;
+        for (name, start) in [("fresh", fresh), ("wrapping", wrapping)] {
+            for skip in 0..=72usize {
+                let mut a = start.clone();
+                a.fill_bytes(&mut vec![0u8; skip]);
+                for k in [0usize, 1, 7, 128, 1000, 4096] {
+                    let mut b = a.clone();
+                    let mut got = vec![0u64; k];
+                    a.fill_u64(&mut got);
+                    let want: Vec<u64> = (0..k).map(|_| b.next_u64()).collect();
+                    assert_eq!(got, want, "{name}: fill_u64({k}) after {skip} bytes");
+                    assert_eq!(
+                        (a.idx, a.counter, a.buf),
+                        (b.idx, b.counter, b.buf),
+                        "{name}: state after fill_u64({k}) after {skip} bytes"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_u64_reaches_the_source_through_a_reference() {
+        struct Counting(usize);
+        impl RngCore for Counting {
+            fn next_u64(&mut self) -> u64 {
+                0
+            }
+            fn fill_bytes(&mut self, _: &mut [u8]) {}
+            fn fill_u64(&mut self, _: &mut [u64]) {
+                self.0 += 1;
+            }
+        }
+        fn generic<R: RngCore>(mut rng: R) {
+            rng.fill_u64(&mut [0; 4]);
+        }
+        let mut source = Counting(0);
+        generic(&mut source);
+        generic(&mut &mut source);
+        assert_eq!(source.0, 2, "the blanket impl must forward fill_u64");
     }
 
     #[test]

@@ -78,14 +78,21 @@ static TERNARY_BYTES: [(u8, [i8; 4]); 256] = {
 /// word, one guide-table lookup and a short scan per coefficient) rather
 /// than running Box–Muller per sample: the distribution is identical, but
 /// the hot encrypt path pays no transcendentals. Tables are cached per
-/// `sigma`.
+/// `sigma`. The `n` words come from one [`RngCore::fill_u64`] — the words
+/// `n` calls of `next_u64` would return — into the buffer that then
+/// holds the coefficients.
+///
+/// [`RngCore::fill_u64`]: crate::rng::RngCore::fill_u64
 pub fn gaussian_coeffs<R: Rng + ?Sized>(n: usize, sigma: f64, rng: &mut R) -> Vec<i64> {
     let table = gaussian_table(sigma);
     let cdf = &table.cdf[..];
     let cut = (cdf.len() as i64 - 1) / 2;
-    (0..n)
-        .map(|_| {
-            let r = rng.next_u64();
+    let mut words = vec![0u64; n];
+    rng.fill_u64(&mut words);
+    // Same size and alignment: the collect reuses the words' allocation.
+    words
+        .into_iter()
+        .map(|r| {
             // Smallest k with r < cdf[k], i.e. the number of thresholds
             // ≤ r: those at or below r's top byte come from the guide
             // table, the handful inside it (usually none) from a short
@@ -213,6 +220,95 @@ mod tests {
         assert!((var.sqrt() - sigma).abs() < 0.2, "std {}", var.sqrt());
         let cut = (6.0 * sigma).ceil() as i64;
         assert!(c.iter().all(|&x| x.abs() <= cut));
+    }
+
+    /// FIPS 180-4 SHA-256, one block at a time.
+    fn sha256(data: &[u8]) -> String {
+        const K: [u32; 64] = [
+            0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+            0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+            0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+            0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+            0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+            0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+            0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+            0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+            0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+            0xc67178f2,
+        ];
+        let mut h: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        msg.resize(msg.len().div_ceil(64) * 64, 0);
+        if msg.len() - data.len() < 9 {
+            msg.resize(msg.len() + 64, 0);
+        }
+        let bits = (data.len() as u64 * 8).to_be_bytes();
+        let at = msg.len() - 8;
+        msg[at..].copy_from_slice(&bits);
+        for block in msg.chunks_exact(64) {
+            let mut w = [0u32; 64];
+            for i in 0..64 {
+                w[i] = if i < 16 {
+                    u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap())
+                } else {
+                    let s0 =
+                        w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                    let s1 =
+                        w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                    w[i - 16]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[i - 7])
+                        .wrapping_add(s1)
+                };
+            }
+            let mut v = h;
+            for i in 0..64 {
+                let s1 = v[4].rotate_right(6) ^ v[4].rotate_right(11) ^ v[4].rotate_right(25);
+                let ch = (v[4] & v[5]) ^ (!v[4] & v[6]);
+                let t1 = v[7]
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = v[0].rotate_right(2) ^ v[0].rotate_right(13) ^ v[0].rotate_right(22);
+                let maj = (v[0] & v[1]) ^ (v[0] & v[2]) ^ (v[1] & v[2]);
+                v.rotate_right(1);
+                v[4] = v[4].wrapping_add(t1);
+                v[0] = t1.wrapping_add(s0).wrapping_add(maj);
+            }
+            for (x, y) in h.iter_mut().zip(v) {
+                *x = x.wrapping_add(y);
+            }
+        }
+        h.iter().map(|x| format!("{x:08x}")).collect()
+    }
+
+    #[test]
+    fn sampler_outputs_are_pinned() {
+        // The hash itself, on the FIPS 180-2 two-block vector.
+        assert_eq!(
+            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+        // A sampler change that moves a coefficient fails here, before it
+        // reaches a ciphertext golden.
+        let digest =
+            |c: &[i64]| sha256(&c.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
+        let mut r = StdRng::seed_from_u64(0x5A3D1E);
+        let gaussian = gaussian_coeffs(4096, 3.2, &mut r);
+        let ternary = ternary_coeffs(4096, &mut r);
+        assert_eq!(
+            digest(&gaussian),
+            "c7e4b2d2325ffc3dab434669fbe2e4f4508734550d9fc0cdb9a0999a1a70409d"
+        );
+        assert_eq!(
+            digest(&ternary),
+            "458315399403c2bcf8eaf8bd52ef011d0ad20765c797cd8c9f3e547cfe40c4c2"
+        );
     }
 
     #[test]

@@ -46,7 +46,10 @@
 //!   compare-and-branch loop there mispredicts on every fresh input and
 //!   once doubled the cost of a transform inside key switching), and
 //!   every butterfly formula used here is congruent to the reference
-//!   butterfly mod `q` with lazy bounds that never overflow.
+//!   butterfly mod `q` with lazy bounds that never overflow. The IFMA
+//!   tier runs no driver: its fused transforms do two stages per pass
+//!   and fold the canonicalization (and the inverse's `n^{-1}`) into the
+//!   last pass's stores.
 //!
 //! * `pack` / `unpack` (the codec's residue rows) move bits and compare,
 //!   nothing else: the AVX-512 tiers do eight lanes per step with
@@ -1271,7 +1274,7 @@ pub(crate) mod avx512 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512ifma {
     use super::avx512::{pack, unpack};
-    use super::{Kernels, NttShape};
+    use super::{Kernels, NttShape, NTT_BLOCK};
     use crate::ew::ShoupRow;
     use crate::zq::Modulus;
     use core::arch::x86_64::*;
@@ -1333,12 +1336,15 @@ pub(crate) mod avx512ifma {
     /// mod 2^52 and masked back. Exact (the true value is in `[0, 2q)`
     /// ⊂ `[0, 2^52)`) when `a < 2^52` and `ws52 = ⌊w·2^52/q⌋` (a 64-bit
     /// Shoup constant shifted right by 12) — every caller sits behind the
-    /// `4q ≤ 2^52` gate.
+    /// `4q ≤ 2^52` gate. The quotient's part is accumulated as
+    /// `+ hi·(2^52 − q)`, congruent to `− hi·q` mod 2^52, so no subtract:
+    /// the two 52-bit terms sum below 2^53 and the mask reduces them.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     #[inline]
     unsafe fn shoup52_lazy_v(a: V, w: V, ws52: V, qv: V, zero: V, m52: V) -> V {
         let hi = mad52hi(zero, a, ws52);
-        _mm512_and_si512(subv(mad52lo(zero, a, w), mad52lo(zero, hi, qv)), m52)
+        let neg_q = subv(splat(1 << 52), qv);
+        _mm512_and_si512(mad52lo(mad52lo(zero, a, w), hi, neg_q), m52)
     }
 
     /// Radix-2^52 Montgomery product: `a·b·2^{-52} mod q`, lazy in
@@ -1378,24 +1384,69 @@ pub(crate) mod avx512ifma {
         super::avx512::KERNELS
     );
 
-    /// Harvey CT butterfly on whole vectors: `[0,4q) → [0,4q)`.
-    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn fwd_bfly(x: V, y: V, w: V, ws: V, qv: V, tqv: V, zero: V, m52: V) -> (V, V) {
-        let u = cond_sub(x, tqv);
-        let v = shoup52_lazy_v(y, w, ws, qv, zero, m52);
-        (addv(u, v), addv(u, subv(tqv, v)))
+    /// The constants every butterfly of a pass uses, splatted once.
+    #[derive(Clone, Copy)]
+    struct Consts {
+        q: V,
+        tq: V,
+        zero: V,
+        m52: V,
+        /// `n^{-1}` and its 52-bit Shoup constant (inverse direction).
+        n_inv: V,
+        n_inv_s: V,
     }
 
-    /// GS butterfly on whole vectors: `[0,2q) → [0,2q)`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn inv_bfly(x: V, y: V, w: V, ws: V, qv: V, tqv: V, zero: V, m52: V) -> (V, V) {
-        let s = cond_sub(addv(x, y), tqv);
-        let d = addv(x, subv(tqv, y));
-        (s, shoup52_lazy_v(d, w, ws, qv, zero, m52))
+    unsafe fn consts(s: &NttShape) -> Consts {
+        Consts {
+            q: splat(s.q),
+            tq: splat(s.q << 1),
+            zero: _mm512_setzero_si512(),
+            m52: splat((1u64 << 52) - 1),
+            n_inv: splat(s.n_inv),
+            n_inv_s: splat(s.n_inv_shoup >> 12),
+        }
+    }
+
+    /// Twiddle `k` and its 52-bit Shoup constant, splatted.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    #[inline]
+    unsafe fn twiddle(s: &NttShape, k: usize) -> (V, V) {
+        (splat(s.roots[k]), splat(s.shoup[k] >> 12))
+    }
+
+    /// One butterfly on whole vectors, with `w = (w, ⌊w·2^52/q⌋)`: Harvey
+    /// CT (`[0,4q) → [0,4q)`) when `FWD`, else GS (`[0,2q) → [0,2q)`).
+    /// Either way the operand the 52-bit product sees is below `4q ≤ 2^52`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    #[inline]
+    unsafe fn bfly<const FWD: bool>(x: V, y: V, w: (V, V), c: &Consts) -> (V, V) {
+        if FWD {
+            let u = cond_sub(x, c.tq);
+            let v = shoup52_lazy_v(y, w.0, w.1, c.q, c.zero, c.m52);
+            (addv(u, v), addv(u, subv(c.tq, v)))
+        } else {
+            let d = addv(x, subv(c.tq, y));
+            let s = cond_sub(addv(x, y), c.tq);
+            (s, shoup52_lazy_v(d, w.0, w.1, c.q, c.zero, c.m52))
+        }
+    }
+
+    /// What the transform's last pass stores: forward values reduced from
+    /// `[0, 4q)`, inverse values scaled by `n^{-1}` — both canonical.
+    /// Every other pass stores its lazy values as they are.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    #[inline]
+    unsafe fn finish<const FWD: bool, const LAST: bool>(v: V, c: &Consts) -> V {
+        match (LAST, FWD) {
+            (false, _) => v,
+            (true, true) => cond_sub(cond_sub(v, c.tq), c.q),
+            (true, false) => cond_sub(
+                shoup52_lazy_v(v, c.n_inv, c.n_inv_s, c.q, c.zero, c.m52),
+                c.q,
+            ),
+        }
     }
 
     /// Broadcasts 2 consecutive twiddles to 4 lanes each: `[w0×4, w1×4]`.
@@ -1414,192 +1465,263 @@ pub(crate) mod avx512ifma {
         _mm512_permutexvar_epi64(_mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3), quad)
     }
 
-    /// The three sub-vector-length butterfly stages, vectorized by
-    /// regrouping lanes across two 8-lane vectors with `permutex2var`
-    /// instead of falling back to scalar. Each macro expansion handles one
-    /// `t` ∈ {4, 2, 1}: gather the `x`/`y` operands of 8 butterflies into
-    /// whole vectors, apply the identical butterfly formulas, and scatter
-    /// back. Lane regrouping cannot affect results — the butterflies are
-    /// lane-local and the driver's final canonicalization fixes the lazy
-    /// representative, so the transform stays bit-identical to scalar.
-    macro_rules! small_t_pass {
-        ($name:ident, $bfly:ident, $gx:expr, $gy:expr, $s0:expr, $s1:expr,
-         $tw:expr, $pitch:expr) => {
-            #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-            unsafe fn $name(s: &NttShape, a: &mut [u64], root_base: usize, chunks: usize) {
-                let qv = splat(s.q);
-                let tqv = splat(s.q << 1);
-                let zero = _mm512_setzero_si512();
-                let m52 = splat((1u64 << 52) - 1);
-                let idx_x: V = $gx;
-                let idx_y: V = $gy;
-                let idx_s0: V = $s0;
-                let idx_s1: V = $s1;
-                let mut c = 0usize;
-                while c < chunks {
-                    let p = a.as_mut_ptr().add(c * $pitch * 2);
-                    let v0 = loadv(p);
-                    let v1 = loadv(p.add(LANES));
-                    let x = _mm512_permutex2var_epi64(v0, idx_x, v1);
-                    let y = _mm512_permutex2var_epi64(v0, idx_y, v1);
-                    let w = $tw(s.roots.as_ptr().add(root_base + c));
-                    let ws = _mm512_srli_epi64::<12>($tw(s.shoup.as_ptr().add(root_base + c)));
-                    let (xo, yo) = $bfly(x, y, w, ws, qv, tqv, zero, m52);
-                    storev(p, _mm512_permutex2var_epi64(xo, idx_s0, yo));
-                    storev(p.add(LANES), _mm512_permutex2var_epi64(xo, idx_s1, yo));
-                    c += 16 / ($pitch * 2);
+    /// Stages `t` and `t/2` of one direction in one load and store, for
+    /// `t/2` at least one vector: the four coefficients `j`, `j + t/2`,
+    /// `j + t`, `j + 3t/2` of each `2t`-chunk, with the chunk's twiddle
+    /// `k` (stage `t`) and its children `2k`, `2k + 1` (stage `t/2`)
+    /// splatted once per chunk. Forward runs stage `t` first, inverse
+    /// stage `t/2`: the same butterflies as two separate passes.
+    ///
+    /// # Safety
+    ///
+    /// As [`ntt_fwd_impl`]; `a` is a stage's span of the transform:
+    /// whole chunks, whose twiddles (and their children's) are in `s`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn radix4<const FWD: bool, const LAST: bool>(
+        s: &NttShape,
+        a: &mut [u64],
+        k: usize,
+        t: usize,
+    ) {
+        let c = consts(s);
+        let h = t / 2;
+        for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
+            let w1 = twiddle(s, k + i);
+            let (w2, w3) = (twiddle(s, 2 * (k + i)), twiddle(s, 2 * (k + i) + 1));
+            let p = chunk.as_mut_ptr();
+            let mut j = 0usize;
+            while j < h {
+                let p = p.add(j);
+                let (mut x0, mut x1) = (loadv(p), loadv(p.add(h)));
+                let (mut x2, mut x3) = (loadv(p.add(t)), loadv(p.add(t + h)));
+                if FWD {
+                    (x0, x2) = bfly::<true>(x0, x2, w1, &c);
+                    (x1, x3) = bfly::<true>(x1, x3, w1, &c);
+                }
+                (x0, x1) = bfly::<FWD>(x0, x1, w2, &c);
+                (x2, x3) = bfly::<FWD>(x2, x3, w3, &c);
+                if !FWD {
+                    (x0, x2) = bfly::<false>(x0, x2, w1, &c);
+                    (x1, x3) = bfly::<false>(x1, x3, w1, &c);
+                }
+                storev(p, finish::<FWD, LAST>(x0, &c));
+                storev(p.add(h), finish::<FWD, LAST>(x1, &c));
+                storev(p.add(t), finish::<FWD, LAST>(x2, &c));
+                storev(p.add(t + h), finish::<FWD, LAST>(x3, &c));
+                j += LANES;
+            }
+        }
+    }
+
+    /// Stage `t` alone (`t` at least one vector), for a stage count of
+    /// odd parity: chunk `i` of `2t` coefficients takes twiddle `k + i`.
+    ///
+    /// # Safety
+    ///
+    /// As [`ntt_fwd_impl`]; `a` is a stage's span of the transform:
+    /// whole chunks, whose twiddles (and their children's) are in `s`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn radix2<const FWD: bool, const LAST: bool>(
+        s: &NttShape,
+        a: &mut [u64],
+        k: usize,
+        t: usize,
+    ) {
+        let c = consts(s);
+        for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
+            let w = twiddle(s, k + i);
+            let p = chunk.as_mut_ptr();
+            let mut j = 0usize;
+            while j < t {
+                let p = p.add(j);
+                let (x, y) = bfly::<FWD>(loadv(p), loadv(p.add(t)), w, &c);
+                storev(p, finish::<FWD, LAST>(x, &c));
+                storev(p.add(t), finish::<FWD, LAST>(y, &c));
+                j += LANES;
+            }
+        }
+    }
+
+    /// The 52-bit Shoup constants of 64-bit ones.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    #[inline]
+    unsafe fn shr12(v: V) -> V {
+        _mm512_srli_epi64::<12>(v)
+    }
+
+    /// Lanes `idx.0` and `idx.1` of the 16 in `v` (`permutex2var`).
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    #[inline]
+    unsafe fn regroup(v: (V, V), idx: (V, V)) -> (V, V) {
+        (
+            _mm512_permutex2var_epi64(v.0, idx.0, v.1),
+            _mm512_permutex2var_epi64(v.0, idx.1, v.1),
+        )
+    }
+
+    /// Stages `t` = 8, 4, 2, 1 (forward; 1, 2, 4, 8 inverse) of each
+    /// 16-coefficient block, held in two vectors from load to store;
+    /// block `b` starts at twiddle `k + b` for `t = 8`. Each stage leaves
+    /// its butterflies' `x` results in one vector and `y` in the other,
+    /// and the next stage's operands are regrouped straight from those:
+    /// two `permutex2var` per stage, and two more to put the block back in
+    /// order (forward) or take it apart (inverse). Regrouping lanes cannot
+    /// change a result, since every butterfly is lane-local.
+    ///
+    /// # Safety
+    ///
+    /// As [`ntt_fwd_impl`]; `a` is a stage's span of the transform:
+    /// whole chunks, whose twiddles (and their children's) are in `s`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn tail<const FWD: bool, const LAST: bool>(s: &NttShape, a: &mut [u64], k: usize) {
+        let c = consts(s);
+        let pair = |x: [i64; 8], y: [i64; 8]| {
+            let v = |l: [i64; 8]| _mm512_setr_epi64(l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]);
+            (v(x), v(y))
+        };
+        // Which lanes of the previous stage's (x ‖ y) results are the
+        // operands of the next stage, read toward t = 1; read toward t = 8
+        // they are the same three (the inverse walks them backwards).
+        let t8_t4 = pair([0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]);
+        let t4_t2 = pair([0, 1, 8, 9, 4, 5, 12, 13], [2, 3, 10, 11, 6, 7, 14, 15]);
+        let t2_t1 = pair([0, 8, 2, 10, 4, 12, 6, 14], [1, 9, 3, 11, 5, 13, 7, 15]);
+        // Coefficient order from t = 1's results, and t = 1's operands
+        // from coefficient order.
+        let merge = pair([0, 8, 1, 9, 2, 10, 3, 11], [4, 12, 5, 13, 6, 14, 7, 15]);
+        let split = pair([0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15]);
+        let (roots, shoup) = (s.roots.as_ptr(), s.shoup.as_ptr());
+        for (b, block) in a.chunks_exact_mut(16).enumerate() {
+            let kb = k + b;
+            // Each lane holds its butterfly's twiddle: one for the block at
+            // t = 8, two at t = 4, four at t = 2, eight at t = 1.
+            let w8 = twiddle(s, kb);
+            let w4 = (
+                spread2(roots.add(2 * kb)),
+                shr12(spread2(shoup.add(2 * kb))),
+            );
+            let w2 = (
+                spread4(roots.add(4 * kb)),
+                shr12(spread4(shoup.add(4 * kb))),
+            );
+            let w1 = (loadv(roots.add(8 * kb)), shr12(loadv(shoup.add(8 * kb))));
+            let p = block.as_mut_ptr();
+            let mut v = (loadv(p), loadv(p.add(LANES)));
+            if FWD {
+                v = bfly::<true>(v.0, v.1, w8, &c);
+                for (idx, w) in [(t8_t4, w4), (t4_t2, w2), (t2_t1, w1)] {
+                    let (x, y) = regroup(v, idx);
+                    v = bfly::<true>(x, y, w, &c);
+                }
+                v = regroup(v, merge);
+            } else {
+                let (x, y) = regroup(v, split);
+                v = bfly::<false>(x, y, w1, &c);
+                for (idx, w) in [(t2_t1, w2), (t4_t2, w4), (t8_t4, w8)] {
+                    let (x, y) = regroup(v, idx);
+                    v = bfly::<false>(x, y, w, &c);
                 }
             }
-        };
+            storev(p, finish::<FWD, LAST>(v.0, &c));
+            storev(p.add(LANES), finish::<FWD, LAST>(v.1, &c));
+        }
     }
 
-    // t = 4: two 8-element chunks per iteration; x/y are the chunk halves.
-    small_t_pass!(
-        fwd_t4,
-        fwd_bfly,
-        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-        spread2,
-        4
-    );
-    small_t_pass!(
-        inv_t4,
-        inv_bfly,
-        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-        spread2,
-        4
-    );
-    // t = 2: four 4-element chunks per iteration.
-    small_t_pass!(
-        fwd_t2,
-        fwd_bfly,
-        _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
-        _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
-        _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
-        _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
-        spread4,
-        2
-    );
-    small_t_pass!(
-        inv_t2,
-        inv_bfly,
-        _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
-        _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
-        _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
-        _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
-        spread4,
-        2
-    );
-    // t = 1: eight 2-element chunks per iteration; one twiddle per chunk,
-    // so the twiddles load directly as a contiguous vector.
-    small_t_pass!(
-        fwd_t1,
-        fwd_bfly,
-        _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
-        _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
-        _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
-        _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
-        loadv,
-        1
-    );
-    small_t_pass!(
-        inv_t1,
-        inv_bfly,
-        _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
-        _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
-        _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
-        _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
-        loadv,
-        1
-    );
-
+    /// The stages from `t_hi` down to `t_lo` (forward) or up (inverse) of
+    /// `a`, whose chunks at stage `t` start at twiddle `base·len/2t`: in
+    /// radix-4 passes, plus one radix-2 pass — the first forward, the
+    /// last inverse — when their count is odd. `LAST` folds the inverse
+    /// transform's closing scale into its last pass.
+    ///
+    /// # Safety
+    ///
+    /// As [`ntt_fwd_impl`]; `a` is a stage's span of the transform:
+    /// whole chunks, whose twiddles (and their children's) are in `s`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn fwd_pass_impl(
+    unsafe fn stages<const FWD: bool, const LAST: bool>(
         s: &NttShape,
         a: &mut [u64],
-        root_base: usize,
-        chunks: usize,
-        t: usize,
+        base: usize,
+        t_lo: usize,
+        t_hi: usize,
     ) {
-        debug_assert_eq!(a.len(), chunks * 2 * t);
-        debug_assert!(s.q <= MAX_Q, "IFMA pass needs 4q ≤ 2^52");
-        if t < LANES {
-            // Each specialized stage consumes 16 elements per iteration,
-            // so it needs the chunk count to cover whole vector pairs.
-            match t {
-                4 if chunks.is_multiple_of(2) => return fwd_t4(s, a, root_base, chunks),
-                2 if chunks.is_multiple_of(4) => return fwd_t2(s, a, root_base, chunks),
-                1 if chunks.is_multiple_of(8) => return fwd_t1(s, a, root_base, chunks),
-                _ => {}
-            }
-            return crate::simd::scalar::fwd_pass(s, a, root_base, chunks, t);
+        if t_hi < t_lo {
+            return;
         }
-        let qv = splat(s.q);
-        let tqv = splat(s.q << 1);
-        let zero = _mm512_setzero_si512();
-        let m52 = splat((1u64 << 52) - 1);
-        for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
-            let wv = splat(s.roots[root_base + i]);
-            let wsv = splat(s.shoup[root_base + i] >> 12);
-            let (lo, hi) = chunk.split_at_mut(t);
-            let mut j = 0usize;
-            while j < t {
-                // Harvey CT butterfly, [0,4q) → [0,4q); y < 4q ≤ 2^52
-                // keeps the 52-bit quotient estimate exact.
-                let u = cond_sub(loadv(lo.as_ptr().add(j)), tqv);
-                let v = shoup52_lazy_v(loadv(hi.as_ptr().add(j)), wv, wsv, qv, zero, m52);
-                storev(lo.as_mut_ptr().add(j), addv(u, v));
-                storev(hi.as_mut_ptr().add(j), addv(u, subv(tqv, v)));
-                j += LANES;
+        let odd = (t_hi / t_lo).trailing_zeros().is_multiple_of(2);
+        let len = a.len();
+        let k = |t: usize| base * len / (2 * t);
+        if FWD {
+            let mut t = t_hi;
+            if odd {
+                radix2::<true, false>(s, a, k(t), t);
+                t /= 2;
+            }
+            while t > t_lo {
+                radix4::<true, false>(s, a, k(t), t);
+                t /= 4;
+            }
+        } else {
+            let mut t = 2 * t_lo;
+            while t <= t_hi {
+                if LAST && t == t_hi {
+                    radix4::<false, true>(s, a, k(t), t);
+                } else {
+                    radix4::<false, false>(s, a, k(t), t);
+                }
+                t *= 4;
+            }
+            if odd {
+                radix2::<false, LAST>(s, a, k(t_hi), t_hi);
             }
         }
     }
 
+    /// The fused forward transform, `n ≥ 16`: the stages above `t = 8` in
+    /// radix-4 passes, then the register tail, which also canonicalizes.
+    /// Past [`NTT_BLOCK`] the stages whose chunks exceed a block run over
+    /// the whole array first, then each block runs to completion.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, DQ and IFMA; `a.len()` must be a
+    /// power of two of at least 16 with `s` the tables of that degree, and
+    /// `s.q ≤ 2^50`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn inv_pass_impl(
-        s: &NttShape,
-        a: &mut [u64],
-        root_base: usize,
-        chunks: usize,
-        t: usize,
-    ) {
-        debug_assert_eq!(a.len(), chunks * 2 * t);
-        debug_assert!(s.q <= MAX_Q, "IFMA pass needs 4q ≤ 2^52");
-        if t < LANES {
-            match t {
-                4 if chunks.is_multiple_of(2) => return inv_t4(s, a, root_base, chunks),
-                2 if chunks.is_multiple_of(4) => return inv_t2(s, a, root_base, chunks),
-                1 if chunks.is_multiple_of(8) => return inv_t1(s, a, root_base, chunks),
-                _ => {}
-            }
-            return crate::simd::scalar::inv_pass(s, a, root_base, chunks, t);
+    unsafe fn ntt_fwd_impl(s: &NttShape, a: &mut [u64]) {
+        let n = a.len();
+        let block = NTT_BLOCK.min(n);
+        stages::<true, false>(s, a, 1, block, n / 2);
+        for (r, region) in a.chunks_exact_mut(block).enumerate() {
+            let base = n / block + r;
+            stages::<true, false>(s, region, base, 16, block / 2);
+            tail::<true, true>(s, region, base * block / 16);
         }
-        let qv = splat(s.q);
-        let tqv = splat(s.q << 1);
-        let zero = _mm512_setzero_si512();
-        let m52 = splat((1u64 << 52) - 1);
-        for (i, chunk) in a.chunks_exact_mut(2 * t).enumerate() {
-            let wv = splat(s.roots[root_base + i]);
-            let wsv = splat(s.shoup[root_base + i] >> 12);
-            let (lo, hi) = chunk.split_at_mut(t);
-            let mut j = 0usize;
-            while j < t {
-                // GS butterfly, [0,2q) → [0,2q); d < 4q ≤ 2^52.
-                let u = loadv(lo.as_ptr().add(j));
-                let v = loadv(hi.as_ptr().add(j));
-                storev(lo.as_mut_ptr().add(j), cond_sub(addv(u, v), tqv));
-                let d = addv(u, subv(tqv, v));
-                storev(
-                    hi.as_mut_ptr().add(j),
-                    shoup52_lazy_v(d, wv, wsv, qv, zero, m52),
-                );
-                j += LANES;
+    }
+
+    /// The fused inverse transform, `n ≥ 16`: the mirror of
+    /// [`ntt_fwd_impl`], with the `n^{-1}` scale in the last pass.
+    ///
+    /// # Safety
+    ///
+    /// As [`ntt_fwd_impl`].
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn ntt_inv_impl(s: &NttShape, a: &mut [u64]) {
+        let n = a.len();
+        if n == 16 {
+            return tail::<false, true>(s, a, 1);
+        }
+        let block = NTT_BLOCK.min(n);
+        for (r, region) in a.chunks_exact_mut(block).enumerate() {
+            let base = n / block + r;
+            tail::<false, false>(s, region, base * block / 16);
+            if n > block {
+                stages::<false, false>(s, region, base, 16, block / 2);
+            } else {
+                stages::<false, true>(s, region, base, 16, block / 2);
             }
+        }
+        if n > block {
+            stages::<false, true>(s, a, 1, block, n / 2);
         }
     }
 
@@ -1721,23 +1843,24 @@ pub(crate) mod avx512ifma {
 
     // SAFETY (all wrappers): published only through `select()` /
     // `all_available()` behind runtime detection of avx512f+dq+ifma.
-    fn fwd_pass(s: &NttShape, a: &mut [u64], root_base: usize, chunks: usize, t: usize) {
-        unsafe { fwd_pass_impl(s, a, root_base, chunks, t) }
-    }
-    fn inv_pass(s: &NttShape, a: &mut [u64], root_base: usize, chunks: usize, t: usize) {
-        unsafe { inv_pass_impl(s, a, root_base, chunks, t) }
-    }
+    // The fused transforms need a 16-coefficient block and `4q ≤ 2^52`
+    // (the AVX-512F tier takes every other shape); `NttTable` hands them
+    // its own power-of-two degree and asserts the slice is that long.
     fn ntt_fwd(s: &NttShape, a: &mut [u64]) {
-        if s.q > MAX_Q {
+        if s.q > MAX_Q || a.len() < 16 {
             return (super::avx512::KERNELS.ntt_fwd)(s, a);
         }
-        crate::simd::fwd_driver(s, a, fwd_pass, reduce_lazy_pow2)
+        unsafe { ntt_fwd_impl(s, a) };
+        #[cfg(debug_assertions)]
+        super::debug_check_range(a, s.q, "fused forward output");
     }
     fn ntt_inv(s: &NttShape, a: &mut [u64]) {
-        if s.q > MAX_Q {
+        if s.q > MAX_Q || a.len() < 16 {
             return (super::avx512::KERNELS.ntt_inv)(s, a);
         }
-        crate::simd::inv_driver(s, a, inv_pass, scale_assign)
+        unsafe { ntt_inv_impl(s, a) };
+        #[cfg(debug_assertions)]
+        super::debug_check_range(a, s.q, "fused inverse output");
     }
     fn mul_assign(m: &Modulus, a: &mut [u64], b: &[u64]) {
         if !fits52(m) {

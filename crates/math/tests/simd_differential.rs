@@ -15,6 +15,12 @@ use mycelium_math::zq::{ntt_primes, Modulus};
 use mycelium_math::{ew, SeedableRng, StdRng};
 
 const DEGREES: [usize; 4] = [16, 256, 1024, 4096];
+/// The tier grid adds a degree of each parity beside every one above: the
+/// IFMA transform runs the stages past its four register stages as
+/// radix-4 pairs, plus a radix-2 pass when their count (log2 n − 4) is
+/// odd — 32, 512, 2048 and 8192 (past `NTT_BLOCK`, so that pass is one of
+/// the global stages there).
+const TIER_DEGREES: [usize; 8] = [16, 32, 256, 512, 1024, 2048, 4096, 8192];
 const BITS: [u32; 5] = [30, 40, 45, 50, 55];
 
 fn rand_poly(rng: &mut StdRng, q: u64, n: usize) -> Vec<u64> {
@@ -24,7 +30,7 @@ fn rand_poly(rng: &mut StdRng, q: u64, n: usize) -> Vec<u64> {
 #[test]
 fn ntt_tiers_match_scalar_over_grid() {
     let mut rng = StdRng::seed_from_u64(0x51D1);
-    for &n in &DEGREES {
+    for &n in &TIER_DEGREES {
         for &bits in &BITS {
             let q = Modulus::new_prime(ntt_primes(bits, n, 1)[0]).unwrap();
             let table = NttTable::new(q, n).unwrap();

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use mycelium_bgv::encoding::{encode_constant, encode_monomial};
 use mycelium_bgv::noise::{plan_chain, start_level};
-use mycelium_bgv::{BgvParams, Ciphertext, KeySet, Plaintext};
+use mycelium_bgv::{BgvError, BgvParams, Ciphertext, KeySet, Plaintext};
 use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::{self, Digest};
 use mycelium_graph::generate::Population;
@@ -553,8 +553,8 @@ pub fn multiply_into(
         None if fresh.level() > start => *acc = Some(fresh.mod_switch_to(start)?),
         None => *acc = Some(fresh),
         Some(a) => {
-            let fresh = fresh.mod_switch_to(a.level())?;
-            let mut prod = a.mul(&fresh)?.relinearize(&keys.relin)?;
+            let fresh = at_level(fresh, a.level())?;
+            let mut prod = a.mul_relinearize(&fresh, &keys.relin)?;
             if prod.level() > 1 {
                 prod = prod.mod_switch_down()?;
             }
@@ -563,6 +563,15 @@ pub fn multiply_into(
         }
     }
     Ok(())
+}
+
+/// `ct` switched down to `level`, or moved as it is when it is there.
+fn at_level(ct: Ciphertext, level: usize) -> Result<Ciphertext, BgvError> {
+    if ct.level() == level {
+        Ok(ct)
+    } else {
+        ct.mod_switch_to(level)
+    }
 }
 
 /// Computes one origin's [`OriginWork`] — pure clause evaluation, no
@@ -709,15 +718,22 @@ pub fn combine_origin<R: Rng + ?Sized>(
                 for (g, slots) in groups {
                     // The selected slots are added where they meet the
                     // accumulator (its level, or the start for the first
-                    // feed): each is switched there first.
+                    // feed): each above it is switched there first, each
+                    // at it is read in place.
                     let level = accs[*g].as_ref().map_or(starts[*g], Ciphertext::level);
                     let ell = slots.len() as u64;
                     let mut sum: Option<Ciphertext> = None;
                     for &slot in slots {
-                        let ct = cts[slot].mod_switch_to(level)?;
+                        let switched;
+                        let ct = if cts[slot].level() == level {
+                            &cts[slot]
+                        } else {
+                            switched = cts[slot].mod_switch_to(level)?;
+                            &switched
+                        };
                         match &mut sum {
-                            None => sum = Some(ct),
-                            Some(s) => s.add_assign(&ct)?,
+                            None => sum = Some(ct.clone()),
+                            Some(s) => s.add_assign(ct)?,
                         }
                     }
                     let combined = sum
@@ -749,9 +765,7 @@ pub fn combine_origin<R: Rng + ?Sized>(
                 .expect("nonempty");
             let mut sum: Option<Ciphertext> = None;
             for (g, ct) in materialized.into_iter().enumerate() {
-                let shifted = ct
-                    .mod_switch_to(min_level)?
-                    .mul_monomial(g * plan.analysis.group_window);
+                let shifted = at_level(ct, min_level)?.mul_monomial(g * plan.analysis.group_window);
                 match &mut sum {
                     None => sum = Some(shifted),
                     Some(s) => s.add_assign(&shifted)?,
@@ -803,12 +817,19 @@ pub struct PartialRoot {
 /// shard's partial root for shipment to the coordinator, which sums the
 /// shards' roots the same way: addition mod q is exact, so the bits are
 /// those of one tree over every origin.
-pub fn seal_shard_root(origin_cts: Vec<Ciphertext>) -> Result<PartialRoot, ExecError> {
-    let aligned: Vec<Ciphertext> =
-        par::map(&origin_cts, |_, ct| ct.mod_switch_to(AGGREGATION_LEVEL))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-    drop(origin_cts);
+pub fn seal_shard_root(mut aligned: Vec<Ciphertext>) -> Result<PartialRoot, ExecError> {
+    // Only the leaves above the level are switched (side by side); those
+    // at it enter the tree as they came.
+    let switched = par::map(&aligned, |_, ct| {
+        (ct.level() != AGGREGATION_LEVEL)
+            .then(|| ct.mod_switch_to(AGGREGATION_LEVEL))
+            .transpose()
+    });
+    for (ct, switched) in aligned.iter_mut().zip(switched) {
+        if let Some(switched) = switched? {
+            *ct = switched;
+        }
+    }
     let audit_copies: Vec<Ciphertext> = aligned.iter().take(3).cloned().collect();
     let tree = crate::summation::SummationTree::build(aligned)?;
     let root_commitment = tree.root().commitment;
