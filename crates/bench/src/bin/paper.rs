@@ -10,6 +10,7 @@ use mycelium::costs::{
     device_compute_paper,
 };
 use mycelium::params::SystemParams;
+use mycelium::roles::SMUDGE_BOUND;
 use mycelium_bench::mb;
 use mycelium_bgv::encoding::encode_monomial;
 use mycelium_bgv::noise::{plan_chain, query_mul_count};
@@ -23,7 +24,7 @@ use mycelium_mixnet::circuit::{MixnetConfig, Network};
 use mycelium_mixnet::forward::OutgoingMessage;
 use mycelium_query::analyze::{analyze, Schema};
 use mycelium_query::builtin::{paper_queries, PAPER_QUERY_TEXT};
-use mycelium_sharing::committee::{liveness_probability, privacy_failure_probability};
+use mycelium_sharing::committee::{liveness_probability, privacy_failure_probability, threshold};
 use mycelium_sharing::threshold::{combine, decryption_share, KeyShareSet};
 
 /// Every subcommand, in the order `all` runs them.
@@ -441,8 +442,8 @@ fn committee_costs() {
     let keys = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
     let pt = encode_monomial(7, params.n, params.plaintext_modulus).unwrap();
     let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
-    let c = 10;
-    let t = c / 2;
+    let c = SystemParams::paper().committee_size;
+    let t = threshold(c);
     let t0 = Instant::now();
     let shares_set = KeyShareSet::deal(&keys.secret, t, c, &mut rng);
     let deal_time = t0.elapsed().as_secs_f64();
@@ -450,7 +451,9 @@ fn committee_costs() {
     let t1 = Instant::now();
     let shares: Vec<_> = participants
         .iter()
-        .map(|&m| decryption_share(&ct, &shares_set, m, &participants, 1 << 10, &mut rng).unwrap())
+        .map(|&m| {
+            decryption_share(&ct, &shares_set, m, &participants, SMUDGE_BOUND, &mut rng).unwrap()
+        })
         .collect();
     let share_time = t1.elapsed().as_secs_f64() / participants.len() as f64;
     let t2 = Instant::now();

@@ -23,6 +23,7 @@ use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_mixnet::simtransport::{run_mixnet_simulated, MixSimConfig};
 use mycelium_net::{run_query_simulated, SimNetConfig, SimRoundOutcome};
 use mycelium_query::builtin::paper_query;
+use mycelium_sharing::committee::threshold;
 use mycelium_simnet::FaultPlan;
 
 /// Swept drop rates.
@@ -89,7 +90,7 @@ pub fn run_rounds(cfg: &RoundsConfig) -> RoundsReport {
     let (params, keys, pop) = setup(n_pop, cfg.seed);
     let query = paper_query("Q4").expect("builtin query");
     let n = pop.graph.len();
-    let t = params.committee_size / 2;
+    let t = threshold(params.committee_size);
 
     let mut all_converged = true;
     let mut query_cells = Vec::new();

@@ -7,9 +7,11 @@
 //!   `q_j` active at `l`, an encryption of `ĝ_{l,j} · s²` under `s`, where
 //!   `ĝ_{l,j} = Q_l / q_j` is the RNS gadget. Key-switching a degree-2
 //!   ciphertext term multiplies its RNS decomposition digits against these
-//!   keys (§4.2 / §5: Mycelium's committees generate *all* keys once,
-//!   including relinearization keys, and hand the decryption key between
-//!   committees with VSR instead of regenerating per query).
+//!   keys. In the paper (§4.2 / §5) a genesis committee generates *all*
+//!   keys once, including relinearization keys, and hands the decryption
+//!   key between committees with VSR. This reproduction does not: each
+//!   process derives a round's key set from the round seed, and each round
+//!   deals fresh Shamir shares of its secret key.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -3,9 +3,7 @@
 //! Mycelium's `PEnc` (public-key encryption used during path setup) is
 //! instantiated in the paper with RSA-PKCS1; this reproduction uses ECIES
 //! over X25519 instead (see [`crate::penc`]), which fills the same protocol
-//! role. Only the Montgomery ladder is needed — Feldman commitments in
-//! `mycelium-sharing` use word-sized Schnorr groups whose order matches the
-//! RNS primes.
+//! role. Only the Montgomery ladder is needed.
 //!
 //! The field `GF(2^255 - 19)` is represented with five 51-bit limbs.
 

@@ -13,8 +13,8 @@
 //!   lets forwarders substitute dummies for dropped onion layers).
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
 //! * [`aead`] — ChaCha20-Poly1305 AEAD (`AE`), with implicit nonces.
-//! * [`ed25519`] — the Curve25519 field and Edwards group: X25519-style
-//!   Diffie–Hellman and the group operations Feldman commitments need.
+//! * [`ed25519`] — the Curve25519 field and X25519-style Diffie–Hellman
+//!   (the field [`eddsa`] builds its Edwards group on).
 //! * [`penc`] — ECIES public-key encryption over the Edwards group
 //!   (the role RSA-PKCS1 plays in the paper).
 //! * [`kdf`] — HKDF-style key derivation and a PRF for hop selection.

@@ -2,9 +2,9 @@
 //! release (§4.2, §4.4).
 //!
 //! A fresh committee is elected per query from the device population using
-//! the public beacon. The committee holds the decryption key as a Shamir
-//! sharing (in the paper, received from the previous committee via VSR;
-//! `mycelium_sharing::vsr` is exercised by its unit tests only); for a
+//! the public beacon. In the paper it receives the decryption key from the
+//! previous committee by verifiable secret redistribution; here each run
+//! deals fresh Shamir shares of `secret` to the committee instead. For a
 //! query it:
 //!
 //! 1. receives the aggregated ciphertext from the aggregator,
@@ -15,10 +15,12 @@
 use mycelium_bgv::{Ciphertext, Plaintext, SecretKey};
 use mycelium_dp::PrivacyBudget;
 use mycelium_math::rng::Rng;
-use mycelium_sharing::committee::elect;
+use mycelium_sharing::committee::{elect, threshold};
 use mycelium_sharing::threshold::{
     combine, decryption_share, derive_joint_noise, DecryptionShare, KeyShareSet, ThresholdError,
 };
+
+use crate::roles::SMUDGE_BOUND;
 
 /// A committee decryption run.
 #[derive(Debug)]
@@ -72,15 +74,14 @@ pub fn run_committee<R: Rng + ?Sized>(
 ) -> Result<CommitteeRun, CommitteeError> {
     budget.charge(epsilon).map_err(CommitteeError::Budget)?;
     let members = elect(population, committee_size, beacon);
-    // Shamir threshold: t = ⌊c/2⌋ so a majority is needed (§5).
-    let t = committee_size / 2;
+    let t = threshold(committee_size);
     let key_shares = KeyShareSet::deal(secret, t, committee_size, rng);
     // The first t+1 members participate (member ids are 1-based points).
     let participants: Vec<u64> = (1..=t as u64 + 1).collect();
     let shares: Vec<DecryptionShare> = participants
         .iter()
         .map(|&m| {
-            decryption_share(aggregate, &key_shares, m, &participants, 1 << 10, rng)
+            decryption_share(aggregate, &key_shares, m, &participants, SMUDGE_BOUND, rng)
                 .map_err(CommitteeError::Threshold)
         })
         .collect::<Result<_, _>>()?;

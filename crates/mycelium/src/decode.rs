@@ -82,17 +82,6 @@ fn record(gr: &mut GroupResult, analysis: &Analysis, local: usize, count: u64, c
     }
 }
 
-/// Encodes one origin's per-group blocks into a combined per-edge exponent
-/// (the inverse direction, used by the executor).
-pub fn pack_per_edge(blocks: &[usize], group_window: usize) -> usize {
-    let mut e = 0usize;
-    for &b in blocks.iter().rev() {
-        debug_assert!(b < group_window);
-        e = e * group_window + b;
-    }
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,17 +94,6 @@ mod tests {
             duration_cap: 12,
             contacts_cap: 10,
             ..Schema::default()
-        }
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let gw = 25;
-        for blocks in [[0usize, 0], [3, 7], [24, 24], [1, 0]] {
-            let e = pack_per_edge(&blocks, gw);
-            assert!(e < gw * gw);
-            assert_eq!(e % gw, blocks[0]);
-            assert_eq!((e / gw) % gw, blocks[1]);
         }
     }
 
@@ -143,7 +121,7 @@ mod tests {
         assert_eq!(a.groups, 3);
         let gw = a.group_window;
         // One origin with blocks (1, 0, 2): combined e = 1 + 0·gw + 2·gw².
-        let e = pack_per_edge(&[1, 0, 2], gw);
+        let e = 1 + 2 * gw * gw;
         let mut coeffs = vec![0u64; 1024];
         coeffs[e] = 1;
         let pt = Plaintext::new(coeffs, 1 << 10).unwrap();

@@ -24,6 +24,7 @@ use mycelium_math::rng::{SeedableRng, StdRng};
 use mycelium_query::ast::Query;
 use mycelium_query::builtin::paper_query;
 use mycelium_query::eval::PlainResult;
+use mycelium_sharing::committee::threshold;
 use mycelium_sharing::threshold::KeyShareSet;
 
 use crate::channel::Identity;
@@ -333,7 +334,7 @@ impl RoundSetup {
         keys: KeySet,
     ) -> Result<Self, ExecError> {
         let c = params.committee_size;
-        let t = c / 2;
+        let t = threshold(c);
         let deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
         let key_shares = KeyShareSet::deal_deferred(&keys.secret, t, c, deal_rng);
         let plan = QueryPlan::new(&query, &pop, &params, spec.with_proofs)?;

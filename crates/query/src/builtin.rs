@@ -122,18 +122,6 @@ pub fn paper_queries() -> Vec<Query> {
         .collect()
 }
 
-/// Parses the five conformance queries in session order.
-///
-/// # Panics
-///
-/// Panics if any built-in query fails to parse (a bug, covered by tests).
-pub fn conformance_queries() -> Vec<Query> {
-    CONFORMANCE_QUERY_TEXT
-        .iter()
-        .map(|(name, _, text)| parse(name, text).expect("built-in query must parse"))
-        .collect()
-}
-
 /// Returns one named built-in query: a paper query (`"Q1"`–`"Q10"`) or a
 /// conformance query (`"SEIR"`, `"DEGREE"`, `"KHOP"`, `"CLIPGB"`,
 /// `"CROSSEVAL"`).
@@ -190,9 +178,8 @@ mod tests {
 
     #[test]
     fn conformance_queries_parse_and_cover_the_classes() {
-        let qs = conformance_queries();
-        assert_eq!(qs.len(), 5);
-        let by_name = |n: &str| qs.iter().find(|q| q.name == n).unwrap();
+        assert_eq!(CONFORMANCE_QUERY_TEXT.len(), 5);
+        let by_name = |n: &str| paper_query(n).filter(|q| q.name == n).unwrap();
         // SEIR: 1-hop histogram grouped by a self↔dest stage expression.
         let seir = by_name("SEIR");
         assert_eq!(seir.agg, Agg::Histo);

@@ -1,4 +1,5 @@
-//! Committee election and the Figure 8 probability curves.
+//! Committee election, the Shamir threshold, and the Figure 8 probability
+//! curves.
 //!
 //! Mycelium elects a small committee of user devices per query to hold the
 //! decryption key (§4.2). Figure 8 of the paper (whose equations come from
@@ -35,6 +36,12 @@ pub fn elect(n: u64, c: usize, seed: &[u8]) -> Vec<u64> {
     members
 }
 
+/// The Shamir threshold `t = ⌊c/2⌋` of a committee of `c` members: any
+/// `t + 1` of them, a majority, decrypt (§5).
+pub const fn threshold(c: usize) -> usize {
+    c / 2
+}
+
 /// Binomial probability mass `P[X = k]` for `X ~ Bin(n, p)`.
 pub fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
     if k > n {
@@ -67,14 +74,14 @@ pub fn binomial_tail_ge(n: usize, k: usize, p: f64) -> f64 {
 /// population with malicious fraction `malice`, contains enough malicious
 /// members (a majority, `⌊c/2⌋ + 1`) to reconstruct the secret key.
 pub fn privacy_failure_probability(c: usize, malice: f64) -> f64 {
-    binomial_tail_ge(c, c / 2 + 1, malice)
+    binomial_tail_ge(c, threshold(c) + 1, malice)
 }
 
 /// Figure 8(b): probability that at least `⌊c/2⌋ + 1` members are honest
 /// and online (each member is independently faulty — malicious or offline —
 /// with probability `fault`), so the decryption quorum can be met.
 pub fn liveness_probability(c: usize, fault: f64) -> f64 {
-    binomial_tail_ge(c, c / 2 + 1, 1.0 - fault)
+    binomial_tail_ge(c, threshold(c) + 1, 1.0 - fault)
 }
 
 #[cfg(test)]

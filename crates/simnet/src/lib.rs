@@ -2,11 +2,11 @@
 //! message-passing protocols.
 //!
 //! Every protocol in this repository — telescoping circuit setup (§3.4),
-//! onion forwarding (§3.5), the encrypted query round (§4.3–§4.6), the
-//! committee hand-off (§5) — is, in the real system, a *round protocol
-//! over an unreliable network of millions of devices*. This crate provides
-//! the runtime that lets the repo execute them that way instead of as
-//! direct function calls:
+//! onion forwarding (§3.5), the encrypted query round (§4.3–§4.6) and its
+//! committee's threshold decryption (§5) — is, in the real system, a
+//! *round protocol over an unreliable network of millions of devices*.
+//! This crate provides the runtime that lets the repo execute them that
+//! way instead of as direct function calls:
 //!
 //! * [`sim`] — the event loop: a virtual clock in abstract **ticks**, a
 //!   binary-heap event queue with deterministic tie-breaking, actor-style

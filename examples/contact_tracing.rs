@@ -46,7 +46,7 @@ fn main() {
         pop.vertices.len(),
         pop.vertices.iter().filter(|v| v.infected).count()
     );
-    println!("generating system keys (done once; later queries reuse them via VSR) ...\n");
+    println!("generating system keys (each query deals its committee fresh shares) ...\n");
     let keys = KeySet::generate(&params.bgv, &mut rng);
     let mut budget = PrivacyBudget::new(10.0);
 
