@@ -29,7 +29,7 @@
 //! compare it bit-for-bit against the plaintext oracle
 //! (`mycelium_query::eval::evaluate`).
 
-use mycelium_bgv::{BgvError, Ciphertext, KeySet};
+use mycelium_bgv::{BgvError, Ciphertext, KeySet, Plaintext};
 use mycelium_crypto::sha256::Sha256;
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::Population;
@@ -286,6 +286,11 @@ pub fn run_query_encrypted<R: Rng + ?Sized>(
             }
         }
         origin_cts.push(ct);
+    }
+    if origin_cts.is_empty() {
+        // No origin: the aggregate is one `Enc(0)`, as the aggregation plane seals it.
+        let zero = Plaintext::zero(plan.n_ring, plan.t_pt);
+        origin_cts.push(Ciphertext::encrypt(&keys.public, &zero, rng)?);
     }
     // Global aggregation (§4.2): align levels, build the verifiable
     // summation tree, and publish its root commitment; simulated devices
