@@ -276,7 +276,7 @@ fn run_record_checksum() -> (f64, f64) {
 }
 
 /// End-to-end: the paper's Q4 over a small epidemic population, full
-/// pipeline (encrypt, prove-free aggregate, summation tree, committee).
+/// pipeline (encrypt, prove-free aggregate, one sum, committee).
 fn run_e2e(min_secs: f64) -> Sample {
     let sys = SystemParams::simulation();
     let mut rng = StdRng::seed_from_u64(0xE2E);

@@ -1,6 +1,6 @@
 //! The aggregation plane's protocol core (§4.4–§4.7), written once: verify proofs and
-//! substitute `Enc(x^0)` for offenders, sum the origins in a verifiable tree with `Enc(0)`
-//! for the missing, pick `t + 1` live committee members, threshold-decrypt, add joint
+//! substitute `Enc(x^0)` for offenders, sum the origins with `Enc(0)` for the missing
+//! ([`aggregate_and_audit`]), pick `t + 1` live committee members, threshold-decrypt, add joint
 //! noise, certify. Plain state and transitions — randomness, plan and keys passed in; no
 //! clock, file, socket, thread, journal or simulator — driven by `mycelium_net::round`'s
 //! `AggState` in the processes and on the simulator alike. A process's [`Round`] is composed
@@ -30,7 +30,7 @@ use mycelium_sharing::threshold::{combine, derive_joint_noise, DecryptionShare, 
 use crate::decode::decode_aggregate;
 use crate::exec::{release_noisy, ExecError, NoisyGroup};
 use crate::plan::SignedContribution;
-use crate::plan::{aggregate_and_audit, seal_shard_root, PartialRoot, QueryPlan};
+use crate::plan::{aggregate_and_audit, QueryPlan};
 use crate::plan::{ciphertext_len, encoding_digest, put_ciphertext, read_ciphertext};
 
 /// The core's one typed failure; `Display` is the canonical message.
@@ -205,6 +205,27 @@ impl Commitments {
     }
 }
 
+/// Which aggregation shard owns vertex `v` (as origin *and* as the
+/// destination of every contribution addressed to it).
+///
+/// A splitmix64 finalizer rather than `v % shards`: the assignment is a
+/// *hash*, stable under any renumbering-adjacent reasoning and
+/// insensitive to stride patterns in vertex ids, and — being pure
+/// integer arithmetic on `(v, shards)` — identical across processes,
+/// platforms, and `MYC_THREADS` settings. Both aggregation planes (the
+/// simulated round and the real TCP round) route through this one
+/// function, so their shard topologies mirror each other exactly.
+pub fn shard_of(v: VertexId, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    let mut x = (v as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    (x % shards as u64) as usize
+}
+
 /// Per-origin intake: the hub owns every origin, a shard its own, the coordinator none.
 pub struct Intake {
     /// `slot_map[o]`: owned origin `o`'s slot devices (`None`: not owned).
@@ -316,13 +337,13 @@ impl Intake {
         self.plane.commits = commits;
     }
 
-    /// Commitment-then-seal: freezes, then sums the owned submissions in a
-    /// verifiable tree; a missing origin (or an empty intake) adds `Enc(0)`.
+    /// Commitment-then-seal: freezes, then sums the owned submissions
+    /// ([`aggregate_and_audit`]); a missing origin (or an empty intake) adds `Enc(0)`.
     pub fn seal<R: Rng + ?Sized>(
         &mut self,
         ctx: &RoundCtx,
         rng: &mut R,
-    ) -> Result<PartialRoot, CoreError> {
+    ) -> Result<Ciphertext, CoreError> {
         self.freeze_commits();
         let zero = Plaintext::zero(ctx.plan.n_ring, ctx.plan.t_pt);
         let mut rows: Vec<_> = self.rows().map(|(_, _, row)| row.as_ref()).collect();
@@ -334,7 +355,7 @@ impl Intake {
             None => Ciphertext::encrypt(&ctx.keys.public, &zero, &mut *rng).map_err(CoreError::Bgv),
         };
         let cts = rows.into_iter().map(fill).collect::<Result<Vec<_>, _>>()?;
-        seal_shard_root(cts).map_err(|e| CoreError::Exec("aggregation", e))
+        aggregate_and_audit(cts).map_err(|e| CoreError::Exec("aggregation", e))
     }
 
     /// Coordinator: state of `shard`'s slot among `roots` (`R`: the root as the
@@ -615,7 +636,7 @@ pub enum Timeout {
 pub enum Mark {
     /// Freeze the commitment plane (always before [`Mark::Aggregate`]).
     Commit,
-    /// Form the aggregate: the sealed tree over the owned origins, or the shard roots' sum.
+    /// Form the aggregate: the sealed sum of the owned origins, or of the shard roots.
     Aggregate,
     /// Pick the first `t + 1` live members.
     Select,
@@ -737,7 +758,7 @@ impl Round {
             return Ok(());
         }
         let sum = match &self.roots {
-            None => self.intake.seal(ctx, rng)?.sum,
+            None => self.intake.seal(ctx, rng)?,
             Some(roots) => {
                 let roots = roots.iter().map(|r| r.as_ref().map(Parked::ct));
                 let roots: Option<Vec<Ciphertext>> = roots.collect();

@@ -21,7 +21,7 @@
 //!   and adds noise.
 //!
 //! The per-role building blocks (contribution building/verification, the
-//! origin combine, the summation tree audit) live in [`crate::plan`] and
+//! origin combine, the aggregate's one sum) live in [`crate::plan`] and
 //! are shared with the message-passing execution in `mycelium_net::round`;
 //! this module wires them into the direct, in-process pipeline.
 //!
@@ -292,9 +292,7 @@ pub fn run_query_encrypted<R: Rng + ?Sized>(
         let zero = Plaintext::zero(plan.n_ring, plan.t_pt);
         origin_cts.push(Ciphertext::encrypt(&keys.public, &zero, rng)?);
     }
-    // Global aggregation (§4.2): align levels, build the verifiable
-    // summation tree, and publish its root commitment; simulated devices
-    // audit their inclusion paths and spot-check random interior nodes.
+    // Global aggregation (§4.2): align levels and sum once.
     let aggregate = crate::plan::aggregate_and_audit(origin_cts)?;
     stats.final_level = aggregate.level();
     stats.final_budget_bits = aggregate.noise_budget_bits();

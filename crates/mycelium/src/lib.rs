@@ -7,7 +7,8 @@
 //! analyst query ──► parse + analyze (mycelium-query)
 //!                   │
 //!                   ▼
-//! flooding ───────► every vertex learns upstream + distance (mycelium-graph)
+//! k-hop rows ─────► each origin's neighbours within k hops, with the first
+//!                   edge on each path (mycelium-query)
 //!                   │
 //!                   ▼
 //! local phase ────► neighbors encrypt x^a contributions (mycelium-bgv)
@@ -20,7 +21,7 @@
 //!                   │
 //!                   ▼
 //! global phase ───► the aggregator verifies proofs and sums degree-1
-//!                   ciphertexts; the committee threshold-decrypts
+//!                   ciphertexts once, pairwise; the committee threshold-decrypts
 //!                   (mycelium-sharing) and adds Laplace noise
 //!                   (mycelium-dp) before releasing to the analyst
 //! ```
@@ -44,8 +45,6 @@
 //!   decryption, joint noise, release.
 //! * [`costs`] — the §6.4–§6.6 cost models (device bandwidth/compute,
 //!   committee, aggregator) behind Figures 7 and 9.
-//! * [`summation`] — the Orchard-style verifiable summation tree the
-//!   aggregator uses to prove each device's data is counted exactly once.
 //! * [`streams`] — the canonical rng stream bases both executors share, so
 //!   the same round spec yields bit-identical ciphertexts (and
 //!   byte-identical round certificates) everywhere.
@@ -59,7 +58,6 @@ pub mod params;
 pub mod plan;
 pub mod roles;
 pub mod streams;
-pub mod summation;
 
 pub use exec::{run_query_encrypted, EncryptedOutcome, ExecError, MaliciousBehavior};
 pub use params::{deep_simulation_params, SystemParams};

@@ -145,8 +145,8 @@ fn parts_digest(nparts: u8, parts: &[u8]) -> Digest {
     sha256::striped(&domain, parts)
 }
 
-/// Digest of a ciphertext — what binds proofs, summation-tree commitments
-/// and the certificate to concrete ciphertexts:
+/// Digest of a ciphertext — what binds proofs and the certificate to
+/// concrete ciphertexts:
 /// `sha256::striped("myc-ct-v3" ‖ nparts as u8, bytes)`, where `bytes` is
 /// exactly what the wire codec writes for the parts, in order
 /// ([`put_part`]). What travels is what is hashed; a canonical residue
@@ -784,63 +784,57 @@ pub fn combine_origin<R: Rng + ?Sized>(
 /// homomorphic multiplication, from a start the population size can
 /// raise: [`QueryPlan::chain_start`]), so aligning to the *local* minimum
 /// would make the aggregate's bytes depend on which ciphertexts happen to
-/// share a summation tree. Mod-switching does not commute with addition at the
+/// be summed together. Mod-switching does not commute with addition at the
 /// byte level (the rounding differs), so a shard that sums at its local
 /// minimum and lets the coordinator switch the *sum* down would produce a
 /// different — equally decryptable — ciphertext than the hub. Pinning
-/// every leaf to level 1 makes the sealed aggregate a pure mod-q sum of
-/// partition-independent leaves: bit-identical for any shard layout, which
+/// every term to level 1 makes the sealed aggregate a pure mod-q sum of
+/// partition-independent terms: bit-identical for any shard layout, which
 /// is what lets the round certificate commit a canonical aggregate digest.
 pub const AGGREGATION_LEVEL: usize = 1;
 
-/// Aggregator side (§4.2): [`seal_shard_root`] over every origin, keeping
-/// only the root sum.
-pub fn aggregate_and_audit(origin_cts: Vec<Ciphertext>) -> Result<Ciphertext, ExecError> {
-    Ok(seal_shard_root(origin_cts)?.sum)
-}
-
-/// A sealed (partial) summation-tree root: the sum, and how many leaves it
-/// covers. Only the sum travels from an aggregation shard to the
-/// coordinator.
-#[derive(Debug, Clone)]
-pub struct PartialRoot {
-    /// The homomorphic (partial) sum.
-    pub sum: Ciphertext,
-    /// How many leaves the tree summed.
-    pub leaf_count: usize,
-}
-
-/// Aligns the origin ciphertexts to [`AGGREGATION_LEVEL`] (the one
-/// canonical level, so a partition into shards never shows in the bytes),
-/// builds the verifiable summation tree, audits inclusion paths and random
-/// interior nodes, and seals the root — the hub's global aggregate, or a
-/// shard's partial root for shipment to the coordinator, which sums the
-/// shards' roots the same way: addition mod q is exact, so the bits are
-/// those of one tree over every origin.
-pub fn seal_shard_root(mut aligned: Vec<Ciphertext>) -> Result<PartialRoot, ExecError> {
-    // Only the leaves above the level are switched (side by side); those
-    // at it enter the tree as they came.
-    let switched = par::map(&aligned, |_, ct| {
+/// Aggregator side (§4.2): the one place an aggregate is summed — the hub's
+/// global aggregate, a shard's partial root, or the coordinator's sum of
+/// the shards' roots. Every ciphertext is first aligned to
+/// [`AGGREGATION_LEVEL`] (only those above it are switched, side by side),
+/// then the list is reduced in place pairwise: at each pass neighbours are
+/// paired left to right and each right operand is added into its left one,
+/// an odd last element carried up unchanged. Addition mod q is exact, so
+/// the residues are those of any partition summed again; the order fixes
+/// the tracked `f64` noise bound, which the round's bytes carry. No party
+/// audits the additions (DESIGN.md, "Summation-tree audit"): the round
+/// certificate's aggregate digest binds the result.
+///
+/// # Panics
+///
+/// Panics on an empty input: every caller sums at least one `Enc(0)`.
+pub fn aggregate_and_audit(mut cts: Vec<Ciphertext>) -> Result<Ciphertext, ExecError> {
+    let switched = par::map(&cts, |_, ct| {
         (ct.level() != AGGREGATION_LEVEL)
             .then(|| ct.mod_switch_to(AGGREGATION_LEVEL))
             .transpose()
     });
-    for (ct, switched) in aligned.iter_mut().zip(switched) {
+    for (ct, switched) in cts.iter_mut().zip(switched) {
         if let Some(switched) = switched? {
             *ct = switched;
         }
     }
-    let audit_copies: Vec<Ciphertext> = aligned.iter().take(3).cloned().collect();
-    let tree = crate::summation::SummationTree::build(aligned)?;
-    let root_commitment = tree.root().commitment;
-    for (i, own) in audit_copies.iter().enumerate() {
-        tree.verify_inclusion(i, own, &root_commitment)
-            .expect("honest aggregator's summation tree verifies");
+    while cts.len() > 1 {
+        let mut pairs: Vec<_> = cts.chunks_exact_mut(2).map(|p| (p, Ok(()))).collect();
+        par::for_each_mut(&mut pairs, |_, (pair, added)| {
+            let (left, right) = pair.split_at_mut(1);
+            *added = left[0].add_assign(&right[0]);
+        });
+        pairs.into_iter().try_for_each(|(_, added)| added)?;
+        let mut i = 0;
+        cts.retain(|_| {
+            i += 1;
+            i % 2 == 1
+        });
     }
-    tree.spot_check_random(0xA0D1, 8)
-        .expect("honest aggregator's partial sums verify");
-    let (sum, leaf_count) = (tree.root().sum.clone(), tree.leaf_count());
-    Ok(PartialRoot { sum, leaf_count })
+    Ok(cts
+        .pop()
+        .expect("an aggregate needs at least one ciphertext"))
 }
 
 #[cfg(test)]
@@ -1079,5 +1073,84 @@ mod tests {
             rows
         };
         assert_ne!(digest(Representation::Ntt, [drop(c0), drop(c1)]), base);
+    }
+
+    /// `n` fresh encryptions at `test_small`, of `x^(i mod 7)` for the `i`-th.
+    fn monomials(n: usize) -> (KeySet, Vec<Ciphertext>) {
+        let params = BgvParams::test_small();
+        let mut rng = StdRng::seed_from_u64(313);
+        let keys = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let cts = (0..n)
+            .map(|i| {
+                let pt = encode_monomial(i % 7, params.n, params.plaintext_modulus).unwrap();
+                Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap()
+            })
+            .collect();
+        (keys, cts)
+    }
+
+    #[test]
+    fn root_is_the_full_sum() {
+        for n in [1usize, 2, 5, 8] {
+            let (keys, cts) = monomials(n);
+            let root = aggregate_and_audit(cts).unwrap();
+            assert_eq!(root.level(), AGGREGATION_LEVEL);
+            // One monomial per ciphertext: the coefficients add up to n.
+            let total: u64 = root.decrypt(&keys.secret).coeffs().iter().sum();
+            assert_eq!(total, n as u64, "n={n}");
+        }
+    }
+
+    #[test]
+    fn neighbours_pair_left_to_right_and_an_odd_last_one_is_carried_up() {
+        // The tracked noise bound is an `f64` the round's bytes carry, so
+        // the order of the additions is part of the result. Reference:
+        // each level out of place, pairs left to right, an odd last one
+        // carried up.
+        fn levels(mut level: Vec<Ciphertext>) -> Ciphertext {
+            while level.len() > 1 {
+                let pair = |p: &[Ciphertext]| match p {
+                    [l, r] => l.add(r).unwrap(),
+                    [odd] => odd.clone(),
+                    _ => unreachable!(),
+                };
+                level = level.chunks(2).map(pair).collect();
+            }
+            level.pop().unwrap()
+        }
+        let (_, cts) = monomials(16);
+        // Terms of unequal noise: the `i`-th is the sum of the first `i + 1`.
+        let mut terms: Vec<Ciphertext> = Vec::new();
+        for ct in &cts {
+            let ct = ct.mod_switch_to(AGGREGATION_LEVEL).unwrap();
+            terms.push(terms.last().map_or(ct.clone(), |t| t.add(&ct).unwrap()));
+        }
+        for n in 1..=terms.len() {
+            let want = levels(terms[..n].to_vec());
+            let got = aggregate_and_audit(terms[..n].to_vec()).unwrap();
+            assert_eq!(got.parts(), want.parts(), "n={n}");
+            let bits = |ct: &Ciphertext| ct.noise_log2().to_bits();
+            assert_eq!(bits(&got), bits(&want), "n={n}");
+        }
+    }
+
+    #[test]
+    fn combined_partials_root_bit_identical_to_flat_tree() {
+        // Homomorphic addition is exact mod-q addition of RNS residues,
+        // so the root sum must be bit-identical for *any* partition of
+        // the ciphertexts into shards — the invariant the sharded
+        // aggregation plane rests on: the coordinator sums the shards'
+        // roots the same way.
+        let (_, cts) = monomials(9);
+        let flat = aggregate_and_audit(cts.clone()).unwrap();
+        for shards in [1usize, 2, 4, 8] {
+            let mut buckets: Vec<Vec<Ciphertext>> = vec![Vec::new(); shards];
+            for (i, ct) in cts.iter().enumerate() {
+                buckets[i % shards].push(ct.clone());
+            }
+            let roots = buckets.into_iter().map(|b| aggregate_and_audit(b).unwrap());
+            let top = aggregate_and_audit(roots.collect()).unwrap();
+            assert_eq!(top.parts(), flat.parts(), "shards={shards}");
+        }
     }
 }

@@ -76,8 +76,8 @@ pub enum NetMsg {
     },
     /// Driver → aggregator: is the round finished?
     PullStatus,
-    /// Shard → coordinator: the shard's sealed partial summation-tree
-    /// root over its owned origins, plus the devices it rejected.
+    /// Shard → coordinator: the shard's sealed partial sum (its root) over
+    /// its owned origins, plus the devices it rejected.
     /// Idempotent: the coordinator keeps the first root per shard.
     ShardRoot {
         /// The sending shard's index.

@@ -1062,7 +1062,7 @@ impl AggState {
             .map_or_else(SyncStats::default, Journal::sync_stats)
     }
 
-    /// The shard's sealed `ShardRoot` message once the partial tree is
+    /// The shard's sealed `ShardRoot` message once the partial sum is
     /// formed (`None` before that, and always off a shard): the root plus
     /// the reject set and commitments frozen right before it sealed.
     pub fn shard_root_msg(&self) -> Option<NetMsg> {

@@ -290,7 +290,7 @@ impl RoundSpec {
     }
 }
 
-pub use mycelium::summation::shard_of;
+pub use mycelium::aggcore::shard_of;
 
 /// Deterministically derived shared state.
 pub struct RoundSetup {

@@ -333,7 +333,7 @@ fn rejection_after_the_freeze_is_reported_but_not_certified() {
     assert_eq!(intake.plane.certified(), [early]);
     let c = setup.committee_size as u64;
     let signers: Vec<u64> = (1..=c).collect();
-    let (_, bytes) = certify(&setup, &root.sum, &intake, &signers);
+    let (_, bytes) = certify(&setup, &root, &intake, &signers);
     let bytes = bytes.expect("full sign-off");
     assert!(verify_bytes(&bytes).is_valid());
     let cert = RoundCertificate::decode(&bytes).unwrap();
@@ -348,14 +348,13 @@ fn empty_intake_seals_exactly_one_enc_zero() {
     let root = intake
         .seal(&ctx(&setup), &mut StdRng::seed_from_u64(4))
         .unwrap();
-    assert_eq!(root.leaf_count, 1);
     // Exactly one draw off the stream: the same seed reproduces the root.
     let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
     let want = Ciphertext::encrypt(&setup.keys.public, &zero, &mut StdRng::seed_from_u64(4))
         .unwrap()
         .mod_switch_to(AGGREGATION_LEVEL)
         .unwrap();
-    assert_eq!(ciphertext_digest(&root.sum), ciphertext_digest(&want));
+    assert_eq!(ciphertext_digest(&root), ciphertext_digest(&want));
     assert_eq!(intake.plane.frozen, Some(0));
     assert!(intake.plane.commits.iter().all(Option::is_none));
     // It serves no origin: every per-origin request is the typed error.
@@ -423,7 +422,7 @@ fn forged_signature_is_not_counted_and_below_quorum_seals_no_bytes() {
         .seal(&ctx(&setup), &mut StdRng::seed_from_u64(5))
         .unwrap();
     // t = 2: two honest signatures are below the t + 1 quorum.
-    let (tail, bytes) = certify(&setup, &root.sum, &intake, &[]);
+    let (tail, bytes) = certify(&setup, &root, &intake, &[]);
     assert!(bytes.is_none(), "no signatures, no certificate bytes");
     assert!(tail.sealed && tail.cert.is_some(), "the result stands");
     let transcript = tail.cert.as_ref().unwrap().transcript;
@@ -431,8 +430,8 @@ fn forged_signature_is_not_counted_and_below_quorum_seals_no_bytes() {
     assert_eq!(tail.sig_slot(1, &late, setup.spec.seed), Ok(Slot::Closed));
 
     let mut tail = CommitteeTail::new(setup.committee_size, setup.threshold);
-    let shares = select_and_share(&mut tail, &setup, &root.sum);
-    let aggregate = Parked::new(root.sum.clone());
+    let shares = select_and_share(&mut tail, &setup, &root);
+    let aggregate = Parked::new(root.clone());
     for (m, share) in shares {
         let (round, plane) = (tail.share_round, &intake.plane);
         tail.accept_share(m, round, share, &aggregate, plane, &ctx(&setup))
@@ -477,7 +476,7 @@ fn hub_and_one_shard_plus_coordinator_seal_the_same_certificate() {
     let mut rng = StdRng::seed_from_u64(6);
     fill(&mut hub, &mut rng);
     let hub_root = hub.seal(&ctx(&setup), &mut rng).unwrap();
-    let (_, hub_cert) = certify(&setup, &hub_root.sum, &hub, &signers);
+    let (_, hub_cert) = certify(&setup, &hub_root, &hub, &signers);
 
     // One shard owning everything + a coordinator owning nothing.
     let mut shard = Intake::new(setup.slot_map(), |_| true);
@@ -493,7 +492,7 @@ fn hub_and_one_shard_plus_coordinator_seal_the_same_certificate() {
         Ok(Slot::Open)
     );
     assert!(coord.root_slot(&roots, 1, &rejected, &commits).is_err());
-    let root = shard_root.sum.clone();
+    let root = shard_root;
     let landed = coord.accept_root(
         &mut roots,
         0,
@@ -843,9 +842,9 @@ fn a_hub_journal_replays_onto_a_bare_round() {
 #[test]
 fn a_hub_answers_a_submission_it_could_not_sum_with_a_typed_error() {
     // A ciphertext is two parts, both in NTT representation: the shape the
-    // summation tree adds. A submission carrying a degree-2 product or a
+    // aggregation adds. A submission carrying a degree-2 product or a
     // coefficient-representation part must fail typed at decode, never be
-    // acknowledged and left for the tree to trip over at aggregation.
+    // acknowledged and left for the sum to trip over at aggregation.
     use mycelium_net::error::NetError;
     let setup = std::sync::Arc::new(setup());
     let mut hub = AggState::new(setup.clone());

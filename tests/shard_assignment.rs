@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mycelium::summation::shard_of;
+use mycelium::aggcore::shard_of;
 use mycelium_net::journal::Journal;
 use mycelium_net::proto::NetMsg;
 use mycelium_net::round::{build_setup, AggState, RoundSetup, RoundSpec};

@@ -121,9 +121,9 @@ fn every_shard_carries_intake_and_seals_a_root() {
     // exactly as the hub does. Each root handoff is metered at the bytes
     // the wire carries — `costs::shard_root_payload_bytes` in a sealed
     // frame — as tests/net_round.rs reconciles the processes.
+    use mycelium::aggcore::shard_of;
     use mycelium::costs::shard_root_payload_bytes;
     use mycelium::plan::AGGREGATION_LEVEL;
-    use mycelium::summation::shard_of;
     use mycelium_net::codec::ciphertext_encoded_bytes;
     use mycelium_net::SecureChannel;
 
