@@ -16,11 +16,11 @@
 //! * [`pregel`] — a plaintext Pregel-style vertex-program engine. This is
 //!   both the ground-truth oracle for the encrypted pipeline and the
 //!   "GraphX" baseline of §7 (plaintext query on a cleartext graph).
-//! * [`flood`] — the §4.4 flooding protocol: query-ID propagation that
-//!   gives every vertex its upstream neighbor and distance per origin.
+//!
+//! Origins find their `k`-hop neighbourhoods with `mycelium_query::eval::khop_rows`,
+//! a breadth-first search over this crate's [`Graph`].
 
 pub mod data;
-pub mod flood;
 pub mod generate;
 pub mod graph;
 pub mod pregel;
