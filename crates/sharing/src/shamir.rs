@@ -164,43 +164,43 @@ pub fn share_rns<R: Rng + ?Sized>(value: &RnsPoly, t: usize, n: usize, rng: &mut
     }
 }
 
-/// Reconstructs an RNS ring element from `(party_index, share)` pairs
-/// (1-based indices).
-///
-/// Returns `None` with fewer than `threshold + 1` shares or duplicate
-/// indices. `threshold` is the `t` used at sharing time.
-pub fn reconstruct_rns(indexed_shares: &[(u64, &RnsPoly)], threshold: usize) -> Option<RnsPoly> {
-    if indexed_shares.len() < threshold + 1 {
-        return None;
-    }
-    let ctx = indexed_shares[0].1.context().clone();
-    let level = indexed_shares[0].1.level();
-    let xs: Vec<u64> = indexed_shares.iter().map(|(x, _)| *x).collect();
-    let degree = ctx.degree();
-    let mut residues = Vec::with_capacity(level);
-    for prime_idx in 0..level {
-        let m = ctx.moduli()[prime_idx];
-        let lambda = lagrange_at_zero(&xs, m)?;
-        let mut res = vec![0u64; degree];
-        for ((_, sh), &l) in indexed_shares.iter().zip(&lambda) {
-            for (c, out) in sh.residues()[prime_idx].iter().zip(res.iter_mut()) {
-                *out = m.add(*out, m.mul(l, *c));
-            }
-        }
-        residues.push(res);
-    }
-    Some(RnsPoly::from_residues(
-        ctx,
-        Representation::Coefficient,
-        residues,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mycelium_math::rng::{SeedableRng, StdRng};
     use mycelium_math::rns::RnsContext;
+
+    /// The oracle for [`share_rns`]: reconstructs an RNS ring element from
+    /// `(party_index, share)` pairs (1-based indices).
+    ///
+    /// Returns `None` with fewer than `threshold + 1` shares or duplicate
+    /// indices. `threshold` is the `t` used at sharing time.
+    fn reconstruct_rns(indexed_shares: &[(u64, &RnsPoly)], threshold: usize) -> Option<RnsPoly> {
+        if indexed_shares.len() < threshold + 1 {
+            return None;
+        }
+        let ctx = indexed_shares[0].1.context().clone();
+        let level = indexed_shares[0].1.level();
+        let xs: Vec<u64> = indexed_shares.iter().map(|(x, _)| *x).collect();
+        let degree = ctx.degree();
+        let mut residues = Vec::with_capacity(level);
+        for prime_idx in 0..level {
+            let m = ctx.moduli()[prime_idx];
+            let lambda = lagrange_at_zero(&xs, m)?;
+            let mut res = vec![0u64; degree];
+            for ((_, sh), &l) in indexed_shares.iter().zip(&lambda) {
+                for (c, out) in sh.residues()[prime_idx].iter().zip(res.iter_mut()) {
+                    *out = m.add(*out, m.mul(l, *c));
+                }
+            }
+            residues.push(res);
+        }
+        Some(RnsPoly::from_residues(
+            ctx,
+            Representation::Coefficient,
+            residues,
+        ))
+    }
 
     fn field() -> Modulus {
         Modulus::new_prime(2_147_483_647).unwrap() // 2^31 - 1.
