@@ -218,48 +218,48 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
 
 const HUB_CERT: &str = "15846b589916abf0f6edb6e4854b750a37fe8e988774df3251018ef80e7e7ffa";
 const HUB: [&str; 2] = [
-    "7d127a416235970f66f9bf4dc077024de3d26cfdc0fa869ff0dc80f948033920",
+    "be3fd717b5edf8d55150ba3651f3a9d28afb5dcbc9e5860c72495fb46d46a685",
     "d8cb2e56a9152acf61747ab3efe3c8640d81594a5a6f57b0a6f33221e18e6ded",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
 const SHARDED_CERT: &str = "5e110cf0af203188bcb311d552a670caa13783f59d428e7d796b96332ee7e542";
 const COORD: [&str; 2] = [
-    "1bcaf91dab878822e60da55beb937d21f819f4f59ac49745a2ae9c76cb3a2959",
+    "bd43b5cdb43a72d88fd14301586e52f2f064f9821d9397b5073bbe18646025c5",
     "a5d58b66d9f4d6a73a5b28eaa3c2ca3c1f6029a366156bcf24564ae6051025a7",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "8e9335f87184240c77f11ef19e654ba61b73a45edf9e6e0c5b9a976a039b79cb",
+        "2326e00f38300603549dd54dcea0900474a63ccd7de7cdc58123e8f9112a1404",
         "115b792d7faebc5277d988dca3be56e289e65bce5fe690a5b6148864bd363f22",
     ],
     [
-        "502b8fb8603394de1d8ffbff258581bc101beb3701d897dde71e3c4d7ed99157",
+        "64eb2fe0e008a1e86687b2b281b9397c4608628fa52380eee4d087344e7080e8",
         "c59fdef4ef38103084885dc4d7f1d16998b2fac35a111fa6ab97d68d58d79630",
     ],
     [
-        "052bfd01f5c7b1fdd99f34c5a5f17643efd1fb921db129d4ab2cac7694191f41",
+        "85f0e0217130db0b433d8914a4f726b33150a5af8313f8c2b1bfc39c6a2c2380",
         "f33d6f328c9fe59e9da7ac5816f805e427217858adf21c1309e92afa29fd8c89",
     ],
     [
-        "326e87a253e9a8243723bfd39cbce8b7ee52f181311369095c72bf5340c23e2a",
+        "5e6613b42be426c68334c6b13fa00929abe8c31174806773671d98dd719286ff",
         "911ba89a5d897526b35b402c347fa52cc7466eeb04716d2b540119b5e946ae7d",
     ],
 ];
 const LATE_HUB_CERT: &str = "d656341f721832155a6d885afc7a124aab77e5d5627961431ea3659cc03b2929";
 const LATE_HUB: [&str; 2] = [
-    "d2e032920f29d726aad6fccdb22a01ef933849b35c655a28a53ce64ed5ff3d8a",
+    "4d1bbff356868a087844c052db94b5b211dd3f1c9f91847fa3ea84550ebee9b5",
     "94f7d5e529f3bdb46b0ed000dd1fd58416ec6815db7cbf23649bdb4f1ffc9ea9",
 ];
 /// `[certificate, outcome summary]` per shard count (1, 4).
 const SIM: [[&str; 2]; 2] = [
     [
         "e1bf35fc2f65af040020a3136e57a623957403887dd377f3af75d75e0427f746",
-        "499f7379d2ad65d8c91ef388887823fb9122e5b57fed484fd7d2f9664200869d",
+        "4a3afc6230c600d8bda6d238933e331ce9da6799cfda5318cf850e94105ec59d",
     ],
     [
         "7b4a6c68ac283bf61273bbee1357ec31b9fc144fbe4d3c9471a8dd26b82bff29",
-        "a6fdddc0b4435d9847c4594fd6624993a10c6aa2f20d16052cfac84dbd9cb73b",
+        "5c1aac0e9c1c84246fd72ed1183146534257dfbaaafc1269854f6387170472f9",
     ],
 ];
 
