@@ -19,7 +19,6 @@ use mycelium_math::rns::{key_switch_assign, Representation, RnsPoly};
 use mycelium_math::{ew, sample, scratch};
 
 use crate::keys::{PublicKey, RelinKey, SecretKey};
-use crate::noise::log2_sum;
 use crate::params::BgvParams;
 
 /// Errors from homomorphic operations.
@@ -125,8 +124,6 @@ impl Plaintext {
 pub struct Ciphertext {
     /// Components in NTT representation, all at the same level.
     parts: Vec<RnsPoly>,
-    /// Analytic `log2` bound on `|[Σ c_i s^i]_{Q_l}|_∞` (message + noise).
-    noise_log2: f64,
     params: BgvParams,
 }
 
@@ -235,20 +232,15 @@ impl Ciphertext {
                 RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, c0),
                 RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, c1),
             ],
-            noise_log2: pk.params.fresh_noise_log2(),
             params: pk.params.clone(),
         })
     }
 
     /// Builds a ciphertext from raw components (used by the threshold
     /// decryption layer and tests).
-    pub fn from_parts(parts: Vec<RnsPoly>, noise_log2: f64, params: BgvParams) -> Self {
+    pub fn from_parts(parts: Vec<RnsPoly>, params: BgvParams) -> Self {
         assert!(!parts.is_empty(), "a ciphertext needs at least one part");
-        Self {
-            parts,
-            noise_log2,
-            params,
-        }
+        Self { parts, params }
     }
 
     /// Ciphertext components (NTT representation).
@@ -271,18 +263,6 @@ impl Ciphertext {
         &self.params
     }
 
-    /// The tracked `log2` noise bound.
-    pub fn noise_log2(&self) -> f64 {
-        self.noise_log2
-    }
-
-    /// Remaining noise budget in bits: `log2(Q_l) - 1 - noise`.
-    ///
-    /// Decryption is guaranteed correct while this is positive.
-    pub fn noise_budget_bits(&self) -> f64 {
-        self.params.prime_bits as f64 * self.level() as f64 - 1.0 - self.noise_log2
-    }
-
     /// Homomorphic addition.
     pub fn add(&self, other: &Self) -> Result<Self, BgvError> {
         self.check_level(other)?;
@@ -299,7 +279,6 @@ impl Ciphertext {
         }
         Ok(Self {
             parts,
-            noise_log2: log2_sum(self.noise_log2, other.noise_log2),
             params: self.params.clone(),
         })
     }
@@ -317,29 +296,7 @@ impl Ciphertext {
                 self.parts.push(o.clone());
             }
         }
-        self.noise_log2 = log2_sum(self.noise_log2, other.noise_log2);
         Ok(())
-    }
-
-    /// Homomorphic subtraction.
-    pub fn sub(&self, other: &Self) -> Result<Self, BgvError> {
-        self.check_level(other)?;
-        let max_parts = self.parts.len().max(other.parts.len());
-        let ctx = self.parts[0].context().clone();
-        let level = self.level();
-        let parts = (0..max_parts)
-            .map(|i| match (self.parts.get(i), other.parts.get(i)) {
-                (Some(a), Some(b)) => a.sub(b),
-                (Some(a), None) => a.clone(),
-                (None, Some(b)) => b.neg(),
-                (None, None) => RnsPoly::zero(ctx.clone(), level, Representation::Ntt),
-            })
-            .collect();
-        Ok(Self {
-            parts,
-            noise_log2: log2_sum(self.noise_log2, other.noise_log2),
-            params: self.params.clone(),
-        })
     }
 
     /// Homomorphic multiplication (tensor product). Both operands must be
@@ -382,10 +339,8 @@ impl Ciphertext {
             RnsPoly::from_residues(ctx.clone(), Representation::Ntt, c1),
             RnsPoly::from_residues(ctx, Representation::Ntt, c2),
         ];
-        let noise = (self.params.n as f64).log2() + self.noise_log2 + other.noise_log2;
         Ok(Self {
             parts,
-            noise_log2: noise,
             params: self.params.clone(),
         })
     }
@@ -428,7 +383,6 @@ impl Ciphertext {
         };
         Self {
             parts,
-            noise_log2: self.noise_log2,
             params: self.params.clone(),
         }
     }
@@ -449,7 +403,6 @@ impl Ciphertext {
         parts[0].add_assign(&lift);
         Ok(Self {
             parts,
-            noise_log2: log2_sum(self.noise_log2, (pt.modulus() as f64 / 2.0).log2()),
             params: self.params.clone(),
         })
     }
@@ -482,8 +435,8 @@ impl Ciphertext {
         prod.key_switched(c0, c1, &c2, rk)
     }
 
-    /// The relinearization of `(c0, c1, c2)`, with `self`'s noise and
-    /// parameters: `c2` key-switched into `c0` and `c1`.
+    /// The relinearization of `(c0, c1, c2)`, with `self`'s parameters:
+    /// `c2` key-switched into `c0` and `c1`.
     fn key_switched(
         &self,
         mut c0: RnsPoly,
@@ -500,15 +453,8 @@ impl Ciphertext {
         // by limb against the Shoup-precomputed keys without materializing
         // digit polynomials.
         key_switch_assign(&mut c0, &mut c1, c2, keys);
-        // Key-switching noise: t · Σ_j |d_j·e_j| ≤ t · L · (q/2) · 6σ · N.
-        let p = &self.params;
-        let ks_noise = (p.plaintext_modulus as f64).log2()
-            + p.prime_bits as f64
-            + (level as f64).log2().max(0.0)
-            + (6.0 * p.sigma * p.n as f64).log2();
         Ok(Self {
             parts: vec![c0, c1],
-            noise_log2: log2_sum(self.noise_log2, ks_noise),
             params: self.params.clone(),
         })
     }
@@ -516,22 +462,7 @@ impl Ciphertext {
     /// Drops the last chain prime (BGV modulus switching), dividing the
     /// noise by `≈ q_l`.
     pub fn mod_switch_down(&self) -> Result<Self, BgvError> {
-        if self.level() <= 1 {
-            return Err(BgvError::BottomOfChain);
-        }
-        let t = self.params.plaintext_modulus;
-        // Each part rescales in the NTT domain: only the dropped limb is
-        // inverse-transformed.
-        let parts: Vec<RnsPoly> = self.parts.iter().map(|p| p.mod_switch_ntt(1, t)).collect();
-        // New noise: old/q_l plus the rounding term ≈ t·(1+N)/2 per part.
-        let p = &self.params;
-        let switched = self.noise_log2 - p.prime_bits as f64;
-        let rounding = (t as f64 * (1.0 + p.n as f64) / 2.0 * self.parts.len() as f64).log2();
-        Ok(Self {
-            parts,
-            noise_log2: log2_sum(switched, rounding),
-            params: self.params.clone(),
-        })
+        self.mod_switch_to(self.level() - 1)
     }
 
     /// Mod-switches down to the target level.
@@ -541,8 +472,7 @@ impl Ciphertext {
     /// corrections are combined per kept limb in the coefficient domain,
     /// and each kept limb pays a single forward transform — instead of a
     /// full inverse+forward round trip per dropped prime. The result is
-    /// bit-identical to chained [`Ciphertext::mod_switch_down`] calls; the
-    /// tracked noise bound replays the identical per-step f64 updates.
+    /// bit-identical to chained [`Ciphertext::mod_switch_down`] calls.
     pub fn mod_switch_to(&self, target: usize) -> Result<Self, BgvError> {
         if target < 1 || target > self.level() {
             return Err(BgvError::BottomOfChain);
@@ -553,16 +483,8 @@ impl Ciphertext {
         }
         let t = self.params.plaintext_modulus;
         let switch = |p: &RnsPoly| p.mod_switch_ntt(steps, t);
-        let parts: Vec<RnsPoly> = self.parts.iter().map(switch).collect();
-        let p = &self.params;
-        let rounding = (t as f64 * (1.0 + p.n as f64) / 2.0 * self.parts.len() as f64).log2();
-        let mut noise = self.noise_log2;
-        for _ in 0..steps {
-            noise = log2_sum(noise - p.prime_bits as f64, rounding);
-        }
         Ok(Self {
-            parts,
-            noise_log2: noise,
+            parts: self.parts.iter().map(switch).collect(),
             params: self.params.clone(),
         })
     }
@@ -579,9 +501,9 @@ impl Ciphertext {
 
     /// Measures the exact noise (`log2 |c(s) - m|_∞`) using the secret key.
     ///
-    /// Returns `(plaintext, noise_log2, budget_bits)`. Unlike the tracked
-    /// analytic bound, this is the ground truth used by the noise-budget
-    /// tests and the §6.2 generality experiment.
+    /// Returns the plaintext, the noise's `log2` and the remaining budget
+    /// in bits. This is the ground truth [`crate::noise`]'s plan is checked
+    /// against; no ciphertext carries a noise estimate of its own.
     pub fn decrypt_with_noise(&self, sk: &SecretKey) -> (Plaintext, f64, f64) {
         let phase = self.phase(sk);
         let t = self.params.plaintext_modulus;
@@ -676,12 +598,8 @@ mod tests {
         let pt = Plaintext::new(coeffs.clone(), params.plaintext_modulus).unwrap();
         let ct = Ciphertext::encrypt(&ks.public, &pt, &mut rng).unwrap();
         assert_eq!(ct.decrypt(&ks.secret).coeffs(), coeffs.as_slice());
-        let (_, noise, budget) = ct.decrypt_with_noise(&ks.secret);
+        let (_, _, budget) = ct.decrypt_with_noise(&ks.secret);
         assert!(budget > 100.0, "fresh budget {budget}");
-        assert!(
-            noise <= ct.noise_log2() + 1.0,
-            "tracked bound must dominate"
-        );
     }
 
     #[test]
@@ -714,7 +632,6 @@ mod tests {
         for (a, b) in want.parts().iter().zip(got.parts()) {
             assert_eq!(a, b);
         }
-        assert_eq!(want.noise_log2(), got.noise_log2());
         // Degree-2 into degree-1 accumulator extends the parts vector.
         let prod = ca.mul(&cb).unwrap();
         let want = ca.add(&prod).unwrap();
@@ -750,7 +667,6 @@ mod tests {
         assert_eq!(prod.degree(), 1);
         let fused = ca.mul_relinearize(&cb, &ks.relin).unwrap();
         assert_eq!(fused.parts(), prod.parts());
-        assert_eq!(fused.noise_log2(), prod.noise_log2());
         let pt = prod.decrypt(&ks.secret);
         assert_eq!(pt.coeffs()[6], 1);
         let (_, _, budget) = prod.decrypt_with_noise(&ks.secret);
@@ -947,7 +863,6 @@ mod tests {
                             ct.parts().len()
                         );
                         assert_eq!(direct.parts(), chained.parts());
-                        assert_eq!(direct.noise_log2(), chained.noise_log2());
                     }
                 }
             }
@@ -1019,34 +934,6 @@ mod tests {
                 ct.sub_plain(&short),
                 Err(BgvError::PlaintextLength { .. })
             ));
-        }
-    }
-
-    #[test]
-    fn noise_estimate_dominates_reality() {
-        // The analytic tracker must always upper-bound the measured noise.
-        let (params, ks, mut rng) = setup();
-        let t = params.plaintext_modulus;
-        let a = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 1), &mut rng).unwrap();
-        let b = Ciphertext::encrypt(&ks.public, &monomial(params.n, t, 2), &mut rng).unwrap();
-        let steps: Vec<Ciphertext> = vec![
-            a.add(&b).unwrap(),
-            a.mul(&b).unwrap(),
-            a.mul(&b).unwrap().relinearize(&ks.relin).unwrap(),
-            a.mul(&b)
-                .unwrap()
-                .relinearize(&ks.relin)
-                .unwrap()
-                .mod_switch_down()
-                .unwrap(),
-        ];
-        for (i, ct) in steps.iter().enumerate() {
-            let (_, measured, _) = ct.decrypt_with_noise(&ks.secret);
-            assert!(
-                measured <= ct.noise_log2() + 1.0,
-                "step {i}: measured {measured} > tracked {}",
-                ct.noise_log2()
-            );
         }
     }
 }

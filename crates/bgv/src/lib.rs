@@ -11,13 +11,15 @@
 //!   (`N = 32768`, `t = 2^30`) and smaller test presets.
 //! * [`keys`] — key generation: secret, public, and relinearization keys
 //!   (one RNS-gadget key-switching key per prime per level).
-//! * [`ciphertext`] — ciphertexts with homomorphic add/sub/mul,
-//!   relinearization, and BGV modulus switching.
+//! * [`ciphertext`] — ciphertexts with homomorphic add/mul, plaintext
+//!   add/subtract, relinearization, and BGV modulus switching.
 //! * [`encoding`] — the `x^a` monomial and constant plaintexts (the query
 //!   extensions built on them live in `mycelium-query` and `mycelium`).
-//! * [`noise`] — an analytic noise-bound tracker plus exact noise
-//!   measurement against the secret key (used to reproduce the §6.2
-//!   generality result: Q1's 100 multiplications exhaust the budget).
+//! * [`noise`] — the one noise model: it plans a multiplication chain's
+//!   noise before a query runs (used to reproduce the §6.2 generality
+//!   result: Q1's 100 multiplications exhaust the budget).
+//!   [`Ciphertext::decrypt_with_noise`] measures noise against the secret
+//!   key; no ciphertext carries an estimate.
 
 pub mod ciphertext;
 pub mod encoding;

@@ -3,9 +3,10 @@
 //! The query planner must decide *before* running a query whether the HE
 //! scheme can execute its multiplication chain — this is exactly the check
 //! that makes Q1 (a 2-hop query with `d² = 100` multiplications) infeasible
-//! in the paper while every other query runs. The model mirrors the noise
-//! bookkeeping in [`crate::ciphertext`] and is validated against measured
-//! noise in the tests there.
+//! in the paper while every other query runs. It is the only noise model:
+//! ciphertexts carry none, and the tests here check it against the noise
+//! [`Ciphertext::decrypt_with_noise`](crate::Ciphertext::decrypt_with_noise)
+//! measures.
 
 use crate::params::BgvParams;
 
@@ -88,11 +89,11 @@ fn switched(params: &BgvParams, noise: f64) -> f64 {
 ///
 /// From the returned level the chain is feasible, and its output, switched
 /// to level 1 (where every origin output is summed) and added to
-/// `leaves − 1` others like it, keeps a positive budget: the sum adds
-/// `log2(leaves)` bits, as [`Ciphertext::add`](crate::Ciphertext::add)
-/// tracks it. Each operand is a sum of up to `width` fresh ciphertexts (a
-/// §4.5 selected subsequence; 1 for a plain feed), so it is priced at
-/// fresh + `log2(width)`. More leaves raise the start level: a chain that
+/// `leaves − 1` others like it, keeps a positive budget: a sum of
+/// `leaves` terms has at most `leaves` times the noise of the largest,
+/// `log2(leaves)` bits more. Each operand is a sum of up to `width` fresh
+/// ciphertexts (a §4.5 selected subsequence; 1 for a plain feed), so it is
+/// priced at fresh + `log2(width)`. More leaves raise the start level: a chain that
 /// ends higher is switched down once more before the sum, which leaves it
 /// less noise.
 pub fn start_level(params: &BgvParams, muls: usize, leaves: usize, width: usize) -> Option<usize> {

@@ -127,8 +127,8 @@ impl BgvParams {
         self.prime_bits as f64 * self.levels as f64
     }
 
-    /// `log2` of the fresh-encryption noise bound
-    /// `t · (σ√N · (2N + 1) + small)` (coarse but monotone).
+    /// `log2` of the bound [`crate::noise`] plans a fresh encryption's
+    /// noise at: `t · (σ√N · (2N + 1) + small)` (coarse but monotone).
     pub fn fresh_noise_log2(&self) -> f64 {
         let t = self.plaintext_modulus as f64;
         let n = self.n as f64;

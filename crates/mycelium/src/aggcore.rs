@@ -126,8 +126,8 @@ impl Parked {
         }
     }
 
-    /// The ciphertext, unpacked bit for bit (residues, level and noise
-    /// bound) over the context it was accepted in.
+    /// The ciphertext, unpacked bit for bit (residues and level) over the
+    /// context it was accepted in.
     pub fn ct(&self) -> Ciphertext {
         read_ciphertext(&self.bytes, &self.ctx, &self.params)
     }

@@ -295,7 +295,7 @@ pub fn run_query_encrypted<R: Rng + ?Sized>(
     // Global aggregation (§4.2): align levels and sum once.
     let aggregate = crate::plan::aggregate_and_audit(origin_cts)?;
     stats.final_level = aggregate.level();
-    stats.final_budget_bits = aggregate.noise_budget_bits();
+    stats.final_budget_bits = aggregate.decrypt_with_noise(&keys.secret).2;
     // Committee phase.
     let run = run_committee(
         &aggregate,

@@ -87,16 +87,14 @@ pub fn put_part(out: &mut impl Sink, p: &RnsPoly) {
 
 /// Bytes [`put_ciphertext`] writes for `ct`.
 pub fn ciphertext_len(ct: &Ciphertext) -> usize {
-    9 + ct.parts().iter().map(part_len).sum::<usize>()
+    1 + ct.parts().iter().map(part_len).sum::<usize>()
 }
 
 /// A ciphertext's encoding — the wire's, the journal's and a parked
-/// ciphertext's: its part count (one byte), its noise bound (the `f64`'s
-/// bits, little-endian), then each part as [`put_part`] writes it.
+/// ciphertext's: its part count (one byte), then each part as
+/// [`put_part`] writes it.
 pub fn put_ciphertext(out: &mut impl Sink, ct: &Ciphertext) {
-    let head = out.lend(9);
-    head[0] = ct.parts().len() as u8;
-    head[1..].copy_from_slice(&ct.noise_log2().to_bits().to_le_bytes());
+    out.lend(1)[0] = ct.parts().len() as u8;
     for p in ct.parts() {
         put_part(out, p);
     }
@@ -106,8 +104,7 @@ pub fn put_ciphertext(out: &mut impl Sink, ct: &Ciphertext) {
 /// bytes this process wrote itself, so malformed ones panic (the wire
 /// codec validates what a peer sends).
 pub fn read_ciphertext(bytes: &[u8], ctx: &Arc<RnsContext>, params: &BgvParams) -> Ciphertext {
-    let noise_log2 = f64::from_bits(u64::from_le_bytes(bytes[1..9].try_into().unwrap()));
-    let mut at = 9;
+    let mut at = 1;
     let mut parts = Vec::with_capacity(bytes[0] as usize);
     for _ in 0..bytes[0] {
         let rep = match bytes[at] {
@@ -128,13 +125,13 @@ pub fn read_ciphertext(bytes: &[u8], ctx: &Arc<RnsContext>, params: &BgvParams) 
         parts.push(RnsPoly::from_residues(Arc::clone(ctx), rep, rows));
     }
     assert_eq!(at, bytes.len(), "ciphertext length");
-    Ciphertext::from_parts(parts, noise_log2, params.clone())
+    Ciphertext::from_parts(parts, params.clone())
 }
 
 /// [`ciphertext_digest`] of the ciphertext whose encoding
 /// ([`put_ciphertext`]) is `encoded`, hashing those bytes where they lie.
 pub fn encoding_digest(encoded: &[u8]) -> Digest {
-    parts_digest(encoded[0], &encoded[9..])
+    parts_digest(encoded[0], &encoded[1..])
 }
 
 /// [`ciphertext_digest`] of `nparts` parts whose bytes ([`put_part`]) are
@@ -160,7 +157,7 @@ pub fn ciphertext_digest(ct: &Ciphertext) -> Digest {
     BYTES.with_borrow_mut(|bytes| {
         // Every byte is written before it is hashed: the buffer only
         // grows, and only its growth is zeroed.
-        bytes.resize(ciphertext_len(ct) - 9, 0);
+        bytes.resize(ciphertext_len(ct) - 1, 0);
         let mut out = &mut bytes[..];
         for p in ct.parts() {
             put_part(&mut out, p);
@@ -797,13 +794,10 @@ pub const AGGREGATION_LEVEL: usize = 1;
 /// global aggregate, a shard's partial root, or the coordinator's sum of
 /// the shards' roots. Every ciphertext is first aligned to
 /// [`AGGREGATION_LEVEL`] (only those above it are switched, side by side),
-/// then the list is reduced in place pairwise: at each pass neighbours are
-/// paired left to right and each right operand is added into its left one,
-/// an odd last element carried up unchanged. Addition mod q is exact, so
-/// the residues are those of any partition summed again; the order fixes
-/// the tracked `f64` noise bound, which the round's bytes carry. No party
-/// audits the additions (DESIGN.md, "Summation-tree audit"): the round
-/// certificate's aggregate digest binds the result.
+/// then the list is folded into its first element. Addition mod q is
+/// exact, so the bytes are those of any order or partition summed again.
+/// No party audits the additions (DESIGN.md, "Summation-tree audit"): the
+/// round certificate's aggregate digest binds the result.
 ///
 /// # Panics
 ///
@@ -819,22 +813,14 @@ pub fn aggregate_and_audit(mut cts: Vec<Ciphertext>) -> Result<Ciphertext, ExecE
             *ct = switched;
         }
     }
-    while cts.len() > 1 {
-        let mut pairs: Vec<_> = cts.chunks_exact_mut(2).map(|p| (p, Ok(()))).collect();
-        par::for_each_mut(&mut pairs, |_, (pair, added)| {
-            let (left, right) = pair.split_at_mut(1);
-            *added = left[0].add_assign(&right[0]);
-        });
-        pairs.into_iter().try_for_each(|(_, added)| added)?;
-        let mut i = 0;
-        cts.retain(|_| {
-            i += 1;
-            i % 2 == 1
-        });
+    let mut cts = cts.into_iter();
+    let mut sum = cts
+        .next()
+        .expect("an aggregate needs at least one ciphertext");
+    for ct in cts {
+        sum.add_assign(&ct)?;
     }
-    Ok(cts
-        .pop()
-        .expect("an aggregate needs at least one ciphertext"))
+    Ok(sum)
 }
 
 #[cfg(test)]
@@ -1019,7 +1005,7 @@ mod tests {
         let params = BgvParams::test_medium();
         let ctx = RnsContext::new(2048, &params.chain_primes()[..3]).unwrap();
         let parts = parts.map(|rows| RnsPoly::from_residues(Arc::clone(&ctx), rep, rows));
-        Ciphertext::from_parts(parts.into(), 1.0, params)
+        Ciphertext::from_parts(parts.into(), params)
     }
 
     fn residues(salt: u64) -> Vec<Vec<u64>> {
@@ -1102,55 +1088,39 @@ mod tests {
     }
 
     #[test]
-    fn neighbours_pair_left_to_right_and_an_odd_last_one_is_carried_up() {
-        // The tracked noise bound is an `f64` the round's bytes carry, so
-        // the order of the additions is part of the result. Reference:
-        // each level out of place, pairs left to right, an odd last one
-        // carried up.
-        fn levels(mut level: Vec<Ciphertext>) -> Ciphertext {
-            while level.len() > 1 {
-                let pair = |p: &[Ciphertext]| match p {
-                    [l, r] => l.add(r).unwrap(),
-                    [odd] => odd.clone(),
-                    _ => unreachable!(),
-                };
-                level = level.chunks(2).map(pair).collect();
-            }
-            level.pop().unwrap()
-        }
+    fn combined_partials_root_bit_identical_to_flat_tree() {
+        // Homomorphic addition is exact mod-q addition of RNS residues,
+        // so the root's encoding must be bit-identical for *any* order and
+        // partition of the ciphertexts into shards — the invariant the
+        // sharded aggregation plane rests on: the coordinator sums the
+        // shards' roots the same way. The terms differ in noise (the
+        // `i`-th is the sum of the first `i + 1`), as origins' outputs do.
+        let encoding = |ct: &Ciphertext| {
+            let mut bytes = vec![0u8; ciphertext_len(ct)];
+            put_ciphertext(&mut &mut bytes[..], ct);
+            bytes
+        };
         let (_, cts) = monomials(16);
-        // Terms of unequal noise: the `i`-th is the sum of the first `i + 1`.
         let mut terms: Vec<Ciphertext> = Vec::new();
         for ct in &cts {
             let ct = ct.mod_switch_to(AGGREGATION_LEVEL).unwrap();
             terms.push(terms.last().map_or(ct.clone(), |t| t.add(&ct).unwrap()));
         }
         for n in 1..=terms.len() {
-            let want = levels(terms[..n].to_vec());
-            let got = aggregate_and_audit(terms[..n].to_vec()).unwrap();
-            assert_eq!(got.parts(), want.parts(), "n={n}");
-            let bits = |ct: &Ciphertext| ct.noise_log2().to_bits();
-            assert_eq!(bits(&got), bits(&want), "n={n}");
-        }
-    }
-
-    #[test]
-    fn combined_partials_root_bit_identical_to_flat_tree() {
-        // Homomorphic addition is exact mod-q addition of RNS residues,
-        // so the root sum must be bit-identical for *any* partition of
-        // the ciphertexts into shards — the invariant the sharded
-        // aggregation plane rests on: the coordinator sums the shards'
-        // roots the same way.
-        let (_, cts) = monomials(9);
-        let flat = aggregate_and_audit(cts.clone()).unwrap();
-        for shards in [1usize, 2, 4, 8] {
-            let mut buckets: Vec<Vec<Ciphertext>> = vec![Vec::new(); shards];
-            for (i, ct) in cts.iter().enumerate() {
-                buckets[i % shards].push(ct.clone());
+            let terms = &terms[..n];
+            let flat = encoding(&aggregate_and_audit(terms.to_vec()).unwrap());
+            let reversed = terms.iter().rev().cloned().collect();
+            let reversed = encoding(&aggregate_and_audit(reversed).unwrap());
+            assert!(reversed == flat, "n={n} reversed");
+            for shards in [2usize, 4, 8] {
+                let mut buckets: Vec<Vec<Ciphertext>> = vec![Vec::new(); shards.min(n)];
+                for (i, ct) in terms.iter().enumerate() {
+                    buckets[i % shards.min(n)].push(ct.clone());
+                }
+                let roots = buckets.into_iter().map(|b| aggregate_and_audit(b).unwrap());
+                let top = aggregate_and_audit(roots.collect()).unwrap();
+                assert!(encoding(&top) == flat, "n={n} shards={shards}");
             }
-            let roots = buckets.into_iter().map(|b| aggregate_and_audit(b).unwrap());
-            let top = aggregate_and_audit(roots.collect()).unwrap();
-            assert_eq!(top.parts(), flat.parts(), "shards={shards}");
         }
     }
 }

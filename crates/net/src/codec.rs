@@ -88,7 +88,7 @@ pub fn poly_encoded_bytes(ctx: &RnsContext, level: usize) -> usize {
 
 /// Encoded size of a ciphertext of `ctx` with `nparts` parts at `level`.
 pub fn ciphertext_encoded_bytes(ctx: &RnsContext, nparts: usize, level: usize) -> usize {
-    1 + 8 + nparts * poly_encoded_bytes(ctx, level)
+    1 + nparts * poly_encoded_bytes(ctx, level)
 }
 
 /// Serializes one `RnsPoly` ([`plan::put_part`] writes its bytes).
@@ -166,10 +166,6 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
             "bad ciphertext part count {nparts}"
         )));
     }
-    let noise_log2 = r.f64("noise bound")?;
-    if !noise_log2.is_finite() {
-        return Err(NetError::Decode("non-finite noise bound".into()));
-    }
     let mut parts = Vec::with_capacity(nparts);
     for _ in 0..nparts {
         parts.push(decode_poly(r, cc)?);
@@ -177,7 +173,7 @@ pub fn decode_ciphertext(r: &mut Reader, cc: &CodecCtx) -> Result<Ciphertext, Ne
     if parts[0].level() != parts[1].level() {
         return Err(NetError::Decode("mixed-level ciphertext parts".into()));
     }
-    Ok(Ciphertext::from_parts(parts, noise_log2, cc.params.clone()))
+    Ok(Ciphertext::from_parts(parts, cc.params.clone()))
 }
 
 /// Serializes an optional ciphertext (the aggregator's per-slot state).
@@ -332,7 +328,7 @@ mod tests {
         // the tags — which no 40-bit prime reaches: must be a typed decode
         // error, never a panic inside RnsPoly.
         assert_eq!(cc.params.prime_bits, 40);
-        let off = 1 + 8 + 2; // nparts + noise + rep/level tags
+        let off = 1 + 2; // nparts + rep/level tags
         bytes[off..off + 5].fill(0xff);
         let mut r = Reader::new(&bytes);
         assert!(matches!(
@@ -463,7 +459,6 @@ mod tests {
         let cc = cc();
         let mut w = Writer::new();
         w.put_u8(2); // parts
-        w.put_f64(1.0);
         w.put_u8(1); // rep = Ntt
         w.put_u8(200); // level far beyond the chain
         let bytes = w.finish();
@@ -550,7 +545,7 @@ mod tests {
                 });
                 RnsPoly::from_residues(Arc::clone(ctx), Representation::Ntt, rows.collect())
             };
-            let ct = Ciphertext::from_parts(vec![part(1), part(2)], 1.0, cc.params.clone());
+            let ct = Ciphertext::from_parts(vec![part(1), part(2)], cc.params.clone());
             assert_eq!(ciphertext_digest(&ct), digest_of_the_encoding(&ct));
         }
     }

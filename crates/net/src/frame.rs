@@ -21,7 +21,8 @@ use crate::error::NetError;
 
 /// Protocol magic (first four bytes of every frame).
 pub const MAGIC: [u8; 4] = *b"MYCN";
-/// Protocol version this build speaks. Version 4 proves contributions
+/// Protocol version this build speaks. Version 5 encodes a ciphertext
+/// without version 4's 8-byte noise estimate; both prove contributions
 /// against `plan::ciphertext_digest`, the striped SHA-256 of the packed
 /// wire bytes (`mycelium_crypto::sha256::striped`); version 3 proved
 /// against one SHA-256 per ciphertext part of the same bytes, version 2
@@ -29,7 +30,7 @@ pub const MAGIC: [u8; 4] = *b"MYCN";
 /// those words. An older peer — whose proofs would fail here, and be
 /// replaced by `Enc(x^0)` instead of failing typed — is refused at its
 /// first header with [`NetError::VersionMismatch`].
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 20;
 /// Default cap on a single frame's payload (handshake + query-round

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! ┌──────────────────────── header (44 bytes) ────────────────────────┐
-//! │ magic "MYCWALv4" (8) │ format version u32 (4) │ binding (32)      │
+//! │ magic "MYCWALv5" (8) │ format version u32 (4) │ binding (32)      │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ┌──────────────────────── record (40 + len) ────────────────────────┐
 //! │ len u32 (4) │ payload (len) │ checksum (32) │ ...                  │
@@ -28,10 +28,11 @@
 //!   replay checksums a record on every SHA-256 lane the host has.
 //! * Records hold request bodies as the wire carried them, so the format
 //!   version follows the frame version ([`crate::frame::VERSION`]):
-//!   version 4 records hold residues packed at the width of their prime
+//!   version 5 records hold residues packed at the width of their prime
 //!   ([`crate::codec`]) under proofs of `plan::ciphertext_digest`, the
 //!   striped digest of those bytes, and carry striped checksums. A file of
-//!   an earlier version — `MYCWALv3`, whose proofs were made against one
+//!   an earlier version — `MYCWALv4`, whose ciphertexts carried an 8-byte
+//!   noise estimate, `MYCWALv3`, whose proofs were made against one
 //!   SHA-256 per ciphertext part and whose checksums were one SHA-256 of
 //!   the record, `MYCWALv2`, whose proofs were made against a digest of
 //!   64-bit words, or `MYCWALv1`, whose records held those words — is a
@@ -80,10 +81,10 @@ use mycelium_crypto::sha256::{self, Digest};
 
 use crate::lock_recover;
 
-/// File magic: identifies a Mycelium write-ahead log, version 4.
-pub const MAGIC: &[u8; 8] = b"MYCWALv4";
+/// File magic: identifies a Mycelium write-ahead log, version 5.
+pub const MAGIC: &[u8; 8] = b"MYCWALv5";
 /// Format version inside the header (bumped on incompatible changes).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 /// Header length: magic + version + binding digest.
 pub const HEADER_BYTES: usize = 8 + 4 + 32;
 /// Fixed per-record overhead: length prefix + checksum.

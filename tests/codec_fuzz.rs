@@ -146,7 +146,7 @@ fn poly(cc: &CodecCtx, level: usize, rng: &mut StdRng) -> RnsPoly {
 
 fn ciphertext(cc: &CodecCtx, level: usize, rng: &mut StdRng) -> Ciphertext {
     let parts = (0..2).map(|_| poly(cc, level, rng)).collect();
-    Ciphertext::from_parts(parts, 17.25, cc.params.clone())
+    Ciphertext::from_parts(parts, cc.params.clone())
 }
 
 /// Submissions of ciphertexts no round sums — a three-part product, and a
@@ -159,7 +159,7 @@ fn misshapen_corpus(cc: &CodecCtx, rng: &mut StdRng) -> Encodings {
     [product, coefficient]
         .into_iter()
         .map(|parts| {
-            let ct = Ciphertext::from_parts(parts, 17.25, cc.params.clone());
+            let ct = Ciphertext::from_parts(parts, cc.params.clone());
             NetMsg::SubmitOrigin {
                 origin: 4,
                 ct: Box::new(ct),

@@ -52,7 +52,7 @@ fn deserialize(bytes: &[u8], template: &Ciphertext) -> Ciphertext {
             residues,
         ));
     }
-    Ciphertext::from_parts(parts, template.noise_log2(), template.params().clone())
+    Ciphertext::from_parts(parts, template.params().clone())
 }
 
 #[test]

@@ -173,7 +173,7 @@ fn full_round_matches_in_process_executor_and_wire_costs_reconcile() {
     // `2 · params.bgv.poly_bytes(level)` per contribution; on the wire
     // each costs exactly that plus the codec envelope (message tag 1 +
     // origin 4 + slot 4 + device 4 + proof flag 1 = 14, and the
-    // ciphertext's own part-count/noise/rep/level tags = 13).
+    // ciphertext's own part-count/rep/level tags = 5).
     let pc = &merged.sent["PushContrib"];
     assert_eq!(pc.frames, total_duties);
     let levels = setup.duties.iter().flatten();
@@ -187,11 +187,11 @@ fn full_round_matches_in_process_executor_and_wire_costs_reconcile() {
     let sum = |bytes: &dyn Fn(usize) -> usize| levels.iter().map(|&l| bytes(l) as u64).sum::<u64>();
     let analytical = sum(&|l| 2 * params.bgv.poly_bytes(l));
     let ct_encoded = sum(&|l| ciphertext_encoded_bytes(&setup.cc.ctx, 2, l));
-    assert_eq!(ct_encoded, analytical + total_duties * 13);
+    assert_eq!(ct_encoded, analytical + total_duties * 5);
     assert_eq!(pc.payload_bytes, ct_encoded + total_duties * 14);
     assert_eq!(
         pc.wire_bytes - analytical,
-        total_duties * (13 + 14 + FRAME_OVERHEAD as u64),
+        total_duties * (5 + 14 + FRAME_OVERHEAD as u64),
         "PushContrib delta over the analytical model must be exactly envelope + framing"
     );
 
