@@ -1112,7 +1112,7 @@ mod tests {
             let reversed = terms.iter().rev().cloned().collect();
             let reversed = encoding(&aggregate_and_audit(reversed).unwrap());
             assert!(reversed == flat, "n={n} reversed");
-            for shards in [2usize, 4, 8] {
+            for shards in [1usize, 2, 4, 8] {
                 let mut buckets: Vec<Vec<Ciphertext>> = vec![Vec::new(); shards.min(n)];
                 for (i, ct) in terms.iter().enumerate() {
                     buckets[i % shards.min(n)].push(ct.clone());
