@@ -1043,6 +1043,28 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_longer_than_any_endpoint_accepts_closes_the_link() {
+        use crate::frame::{header_bytes, FrameType, DEFAULT_MAX_PAYLOAD};
+        // A ClientHello header claiming one byte more than the largest
+        // sealed frame, and no payload: the proxy hangs up instead of
+        // allocating the claimed length and waiting for it.
+        let (server, proxy, _client) = proxied_echo(11, Vec::new());
+        let mut link = TcpStream::connect(proxy.local_addr()).unwrap();
+        let len = DEFAULT_MAX_PAYLOAD + mycelium_crypto::aead::OVERHEAD + 1;
+        let header = header_bytes(FrameType::ClientHello, 0, len as u32);
+        link.write_all(&header).unwrap();
+        link.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            link.read(&mut byte).unwrap(),
+            0,
+            "the proxy closed the link"
+        );
+        proxy.shutdown();
+        server.shutdown();
+    }
+
+    #[test]
     fn a_reply_dropped_under_a_window_costs_one_retry_and_one_duplicate() {
         use crate::proto::NetMsg;
         use crate::round::{AggFaults, AggState, SharedAgg};
