@@ -55,7 +55,7 @@ use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_simnet::{LinkModel, Partition};
 
 use crate::error::NetError;
-use crate::frame::HEADER_LEN;
+use crate::frame::{DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
 use crate::round::{files, role, shard_of, RoundSetup, RoundSpec, BATCH};
@@ -660,11 +660,20 @@ impl ChaosProxy {
     }
 }
 
-/// Reads one whole frame (header + payload) off a raw stream.
+/// The largest frame payload an endpoint accepts: a sealed
+/// [`DEFAULT_MAX_PAYLOAD`] plaintext (handshake frames are far smaller).
+const MAX_FRAME_PAYLOAD: usize = DEFAULT_MAX_PAYLOAD + mycelium_crypto::aead::OVERHEAD;
+
+/// Reads one whole frame (header + payload) off a raw stream; `None` on
+/// a read error or a length no endpoint would accept, so the caller
+/// closes the link rather than wait for a payload that size.
 fn read_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
     let mut header = [0u8; HEADER_LEN];
     stream.read_exact(&mut header).ok()?;
     let len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes")) as usize;
+    if len > MAX_FRAME_PAYLOAD {
+        return None;
+    }
     let mut frame = vec![0u8; HEADER_LEN + len];
     frame[..HEADER_LEN].copy_from_slice(&header);
     stream.read_exact(&mut frame[HEADER_LEN..]).ok()?;
