@@ -531,7 +531,7 @@ fn generality() {
 /// §7 — the plaintext "GraphX" baseline.
 ///
 /// The paper implemented Q1 (1-hop) in GraphX on a cleartext random
-/// billion-node graph: ≈5 seconds. Our plaintext Pregel engine runs the
+/// billion-node graph: ≈5 seconds. [`q1_plaintext_histogram`] runs the
 /// same query on a random graph here; the point of the comparison is the
 /// orders-of-magnitude gap between unprotected and private execution, not
 /// the absolute number.

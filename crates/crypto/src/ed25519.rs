@@ -222,9 +222,6 @@ impl FieldElement {
     }
 }
 
-/// Size of X25519 keys and shared secrets.
-pub const X25519_LEN: usize = 32;
-
 /// Clamps a 32-byte scalar per RFC 7748.
 pub fn clamp_scalar(mut s: [u8; 32]) -> [u8; 32] {
     s[0] &= 248;

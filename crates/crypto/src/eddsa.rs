@@ -17,11 +17,6 @@ use std::sync::OnceLock;
 use crate::ed25519::{clamp_scalar, FieldElement};
 use crate::sha512::sha512_concat;
 
-/// Byte length of a public key.
-pub const PUBLIC_KEY_LEN: usize = 32;
-/// Byte length of a signature.
-pub const SIGNATURE_LEN: usize = 64;
-
 /// `(p + 3) / 8 = 2^252 - 2`, the exponent of the square-root candidate.
 const SQRT_EXP: [u8; 32] = {
     let mut e = [0xffu8; 32];

@@ -101,9 +101,6 @@ impl EdgeData {
     }
 }
 
-/// Number of age groups used by `GROUP BY self.age`.
-pub const AGE_GROUPS: usize = 10;
-
 #[cfg(test)]
 mod tests {
     use super::*;

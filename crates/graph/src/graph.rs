@@ -126,29 +126,6 @@ impl Graph {
     pub fn edge(&self, a: VertexId, b: VertexId) -> Option<&EdgeData> {
         self.neighbors(a).find(|(v, _)| *v == b).map(|(_, d)| d)
     }
-
-    /// Collects the distinct vertices within `k` hops of `origin`
-    /// (excluding the origin itself), via BFS.
-    pub fn khop(&self, origin: VertexId, k: usize) -> Vec<VertexId> {
-        let mut dist = vec![usize::MAX; self.len()];
-        dist[origin as usize] = 0;
-        let mut frontier = vec![origin];
-        let mut out = Vec::new();
-        for hop in 1..=k {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for (w, _) in self.neighbors(v) {
-                    if dist[w as usize] == usize::MAX {
-                        dist[w as usize] = hop;
-                        next.push(w);
-                        out.push(w);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -200,35 +177,5 @@ mod tests {
         assert!(!b.add_edge(0, 1, ed()));
         assert!(!b.add_edge(1, 0, ed()), "reverse duplicate rejected");
         assert!(!b.add_edge(0, 5, ed()), "out of range rejected");
-    }
-
-    #[test]
-    fn khop_on_line() {
-        let g = line(7);
-        let mut h1 = g.khop(3, 1);
-        h1.sort_unstable();
-        assert_eq!(h1, vec![2, 4]);
-        let mut h2 = g.khop(3, 2);
-        h2.sort_unstable();
-        assert_eq!(h2, vec![1, 2, 4, 5]);
-        // Endpoints.
-        let mut h2e = g.khop(0, 2);
-        h2e.sort_unstable();
-        assert_eq!(h2e, vec![1, 2]);
-        // k = 0.
-        assert!(g.khop(3, 0).is_empty());
-    }
-
-    #[test]
-    fn khop_does_not_revisit() {
-        // Triangle: 2-hop neighborhood of a vertex is just the other two.
-        let mut b = GraphBuilder::new(3, 4);
-        b.add_edge(0, 1, ed());
-        b.add_edge(1, 2, ed());
-        b.add_edge(2, 0, ed());
-        let g = b.build();
-        let mut h = g.khop(0, 2);
-        h.sort_unstable();
-        assert_eq!(h, vec![1, 2]);
     }
 }

@@ -13,9 +13,8 @@
 //!   contact graphs, plus an SEIR-style epidemic simulation that produces
 //!   realistic infection timelines (the paper's GAEN-like data source is
 //!   substituted per DESIGN.md).
-//! * [`pregel`] — a plaintext Pregel-style vertex-program engine. This is
-//!   both the ground-truth oracle for the encrypted pipeline and the
-//!   "GraphX" baseline of §7 (plaintext query on a cleartext graph).
+//! * [`pregel`] — the §7 Q1 baseline, the paper's "GraphX" comparison
+//!   (plaintext Q1 on a cleartext graph).
 //!
 //! Origins find their `k`-hop neighbourhoods with `mycelium_query::eval::khop_rows`,
 //! a breadth-first search over this crate's [`Graph`].

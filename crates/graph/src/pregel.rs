@@ -1,76 +1,12 @@
-//! A plaintext Pregel-style vertex-program engine.
+//! The §7 plaintext baseline.
 //!
-//! Mycelium structures queries like Pregel (§2.5): discrete rounds, each
-//! with a communication step (messages to direct neighbors) and a
-//! computation step (state update from received messages). This plaintext
-//! engine serves two roles:
-//!
-//! 1. **Ground truth** — the encrypted pipeline's results are checked
-//!    against a plaintext execution of the same vertex program.
-//! 2. **The §7 baseline** — the paper compares against plaintext GraphX
-//!    running Q1 on a cleartext graph; [`q1_plaintext_histogram`] is that
-//!    baseline.
+//! The paper compares against plaintext GraphX (a Pregel-style engine)
+//! running Q1 on a cleartext graph; [`q1_plaintext_histogram`] is that
+//! baseline. The encrypted pipeline's oracle is
+//! `mycelium_query::eval::evaluate`.
 
 use crate::data::VertexData;
-use crate::generate::Population;
 use crate::graph::{Graph, VertexId};
-
-/// A Pregel-style vertex program.
-pub trait VertexProgram {
-    /// Per-vertex state.
-    type State: Clone;
-    /// Messages exchanged along edges.
-    type Message: Clone;
-
-    /// Initial state of vertex `v`; may emit round-0 messages via `send`.
-    fn init(
-        &self,
-        v: VertexId,
-        graph: &Graph,
-        send: &mut dyn FnMut(VertexId, Self::Message),
-    ) -> Self::State;
-
-    /// One computation step: update `state` from the messages received this
-    /// round and optionally send messages for the next round.
-    fn compute(
-        &self,
-        v: VertexId,
-        graph: &Graph,
-        state: &mut Self::State,
-        round: usize,
-        inbox: &[(VertexId, Self::Message)],
-        send: &mut dyn FnMut(VertexId, Self::Message),
-    );
-}
-
-/// Runs a vertex program for `rounds` rounds and returns the final states.
-pub fn run<P: VertexProgram>(graph: &Graph, program: &P, rounds: usize) -> Vec<P::State> {
-    let n = graph.len();
-    let mut inboxes: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); n];
-    let mut states: Vec<P::State> = Vec::with_capacity(n);
-    {
-        let mut next: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); n];
-        for v in 0..n as VertexId {
-            let mut send = |to: VertexId, msg: P::Message| {
-                next[to as usize].push((v, msg));
-            };
-            states.push(program.init(v, graph, &mut send));
-        }
-        inboxes = next;
-    }
-    for round in 1..=rounds {
-        let mut next: Vec<Vec<(VertexId, P::Message)>> = vec![Vec::new(); n];
-        for v in 0..n as VertexId {
-            let inbox = std::mem::take(&mut inboxes[v as usize]);
-            let mut send = |to: VertexId, msg: P::Message| {
-                next[to as usize].push((v, msg));
-            };
-            program.compute(v, graph, &mut states[v as usize], round, &inbox, &mut send);
-        }
-        inboxes = next;
-    }
-    states
-}
 
 /// The §7 plaintext baseline: Q1 over a 1-hop (or `k`-hop) neighborhood.
 ///
@@ -122,98 +58,11 @@ pub fn q1_plaintext_histogram(
     hist
 }
 
-/// Plaintext secondary-attack-rate computation (the Q8/Q9/Q10 shape):
-/// over all infected origins and their 1-hop contacts matching `pair_pred`,
-/// the fraction of contacts infected strictly later than the origin.
-pub fn plaintext_sar<F>(pop: &Population, pair_pred: F) -> f64
-where
-    F: Fn(&VertexData, &VertexData, &crate::data::EdgeData) -> bool,
-{
-    let mut pairs = 0u64;
-    let mut secondary = 0u64;
-    for v in 0..pop.graph.len() as VertexId {
-        let vd = pop.vertices[v as usize];
-        if !vd.infected {
-            continue;
-        }
-        for (w, e) in pop.graph.neighbors(v) {
-            let wd = pop.vertices[w as usize];
-            if !pair_pred(&vd, &wd, e) {
-                continue;
-            }
-            pairs += 1;
-            if wd.infected && wd.t_inf > vd.t_inf {
-                secondary += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        0.0
-    } else {
-        secondary as f64 / pairs as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::EdgeData;
-    use crate::generate::{contact_graph, run_epidemic, ContactGraphConfig, EpidemicConfig};
     use crate::graph::GraphBuilder;
-    use mycelium_math::rng::{SeedableRng, StdRng};
-
-    /// A vertex program computing each vertex's distance from vertex 0.
-    struct Distance;
-
-    impl VertexProgram for Distance {
-        type State = Option<usize>;
-        type Message = usize;
-
-        fn init(
-            &self,
-            v: VertexId,
-            _graph: &Graph,
-            send: &mut dyn FnMut(VertexId, usize),
-        ) -> Option<usize> {
-            if v == 0 {
-                // Announce distance 1 to neighbors in round 1.
-                let _ = send;
-                Some(0)
-            } else {
-                None
-            }
-        }
-
-        fn compute(
-            &self,
-            _v: VertexId,
-            graph: &Graph,
-            state: &mut Option<usize>,
-            _round: usize,
-            inbox: &[(VertexId, usize)],
-            send: &mut dyn FnMut(VertexId, usize),
-        ) {
-            if let Some(d) = *state {
-                // Already settled: propagate once, in the round after
-                // settling (round d+1).
-                if inbox.is_empty() && d == 0 || !inbox.is_empty() {
-                    // Handled below.
-                }
-                if _round == d + 1 {
-                    for (w, _) in graph.neighbors(_v) {
-                        send(w, d + 1);
-                    }
-                }
-                return;
-            }
-            if let Some(&(_, d)) = inbox.first() {
-                *state = Some(d);
-                for (w, _) in graph.neighbors(_v) {
-                    send(w, d + 1);
-                }
-            }
-        }
-    }
 
     fn line(n: usize) -> Graph {
         let mut b = GraphBuilder::new(n, 4);
@@ -221,15 +70,6 @@ mod tests {
             b.add_edge(i as u32, i as u32 + 1, EdgeData::household_contact(0));
         }
         b.build()
-    }
-
-    #[test]
-    fn bfs_vertex_program() {
-        let g = line(6);
-        let states = run(&g, &Distance, 6);
-        for (v, s) in states.iter().enumerate() {
-            assert_eq!(*s, Some(v), "vertex {v}");
-        }
     }
 
     #[test]
@@ -259,24 +99,5 @@ mod tests {
         // Window of 2 days excludes the day-3 diagnosis.
         let h2w = q1_plaintext_histogram(&g, &vd, 2, 2, 8);
         assert_eq!(h2w[0], 2);
-    }
-
-    #[test]
-    fn sar_on_epidemic() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut pop = contact_graph(&ContactGraphConfig::default(), &mut rng);
-        run_epidemic(&mut pop, &EpidemicConfig::default(), &mut rng);
-        let all = plaintext_sar(&pop, |_, _, _| true);
-        assert!((0.0..=1.0).contains(&all));
-        let household = plaintext_sar(&pop, |_, _, e| {
-            e.location == crate::data::Location::Household
-        });
-        let community = plaintext_sar(&pop, |_, _, e| {
-            e.location != crate::data::Location::Household
-        });
-        assert!(
-            household >= community,
-            "Q8 signal: {household} vs {community}"
-        );
     }
 }

@@ -8,14 +8,12 @@
 //!   precomputed multiplication and NTT-friendly prime generation.
 //! * [`ntt`] — the negacyclic number-theoretic transform over
 //!   `Z_q[X]/(X^N + 1)`.
-//! * [`poly`] — dense polynomials over a single prime modulus.
 //! * [`rns`] — residue-number-system (RNS) polynomial rings: one polynomial
 //!   per prime in a modulus chain, with CRT reconstruction.
 //! * [`bigint`] — a small arbitrary-precision unsigned integer used for CRT
 //!   reconstruction and exact modulus-switching.
 //! * [`sample`] — the samplers lattice cryptography needs (uniform, ternary,
-//!   discrete Gaussian) plus the Laplace samplers used for differential
-//!   privacy.
+//!   discrete Gaussian).
 //! * [`chacha`] — the ChaCha20 keystream kernels, shared by [`rng`] and
 //!   `mycelium-crypto`'s cipher.
 //! * [`rng`] — the in-tree deterministic random number generator (ChaCha20
@@ -41,7 +39,6 @@ pub mod ew;
 pub mod json;
 pub mod ntt;
 pub mod par;
-pub mod poly;
 pub mod rng;
 pub mod rns;
 pub mod sample;
@@ -50,7 +47,6 @@ pub mod simd;
 pub mod zq;
 
 pub use bigint::BigUint;
-pub use poly::Poly;
 pub use rng::{Rng, SeedableRng, StdRng};
 pub use rns::{RnsContext, RnsPoly, ShoupPrecomp};
 pub use zq::Modulus;

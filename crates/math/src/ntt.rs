@@ -227,37 +227,18 @@ impl NttTable {
         }
     }
 
-    /// In-place negacyclic convolution: `a ← a * b`.
-    ///
-    /// Both operands are transformed in place (`b` is left in the
-    /// evaluation domain afterwards — its contents are clobbered), so the
-    /// product costs zero allocations. This is the kernel behind
-    /// [`NttTable::multiply`] and [`crate::poly::Poly::mul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand's length differs from the ring degree.
-    pub fn multiply_into(&self, a: &mut [u64], b: &mut [u64]) {
-        self.forward(a);
-        self.forward(b);
-        crate::ew::mul_assign(&self.modulus, a, b);
-        self.inverse(a);
-    }
-
     /// Negacyclic convolution of `a` and `b`, returning the product
     /// polynomial's coefficients.
-    ///
-    /// Allocates copies of both operands; callers that can spare their
-    /// buffers should use [`NttTable::multiply_into`].
     ///
     /// # Panics
     ///
     /// Panics if the operand lengths differ from the ring degree.
     pub fn multiply(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut fa = a.to_vec();
-        let mut scratch = crate::scratch::take(b.len());
-        scratch.copy_from_slice(b);
-        self.multiply_into(&mut fa, &mut scratch);
+        let (mut fa, mut fb) = (a.to_vec(), b.to_vec());
+        self.forward(&mut fa);
+        self.forward(&mut fb);
+        crate::ew::mul_assign(&self.modulus, &mut fa, &fb);
+        self.inverse(&mut fa);
         fa
     }
 }
@@ -391,18 +372,6 @@ mod tests {
             let b = rand_poly(n, q.value(), 2);
             assert_eq!(t.multiply(&a, &b), negacyclic_mul_naive(&q, &a, &b));
         }
-    }
-
-    #[test]
-    fn multiply_into_matches_multiply() {
-        let n = 64;
-        let t = table(n);
-        let a = rand_poly(n, t.modulus().value(), 5);
-        let b = rand_poly(n, t.modulus().value(), 6);
-        let mut ia = a.clone();
-        let mut ib = b.clone();
-        t.multiply_into(&mut ia, &mut ib);
-        assert_eq!(ia, t.multiply(&a, &b));
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl BulletinBoard {
             .collect()
     }
 
-    /// The most recent beacon.
-    pub fn latest_beacon(&self) -> Option<&[u8]> {
-        self.entries.iter().rev().find_map(|e| match e {
-            Entry::Beacon(b) => Some(b.as_slice()),
-            _ => None,
-        })
-    }
-
     /// The committed C-round root for `round`, if posted.
     pub fn cround_root(&self, round: u64) -> Option<Digest> {
         self.entries.iter().rev().find_map(|e| match e {
@@ -136,15 +128,6 @@ mod tests {
         assert!(b.open_complaints(8).is_empty());
         b.post(Entry::ComplaintResponse { complaint_index: c });
         assert!(b.open_complaints(7).is_empty());
-    }
-
-    #[test]
-    fn latest_beacon_wins() {
-        let mut b = BulletinBoard::new();
-        b.post(Entry::Beacon(vec![1]));
-        b.post(Entry::M1Root([0u8; 32]));
-        b.post(Entry::Beacon(vec![2]));
-        assert_eq!(b.latest_beacon(), Some(&[2u8][..]));
     }
 
     #[test]

@@ -140,7 +140,8 @@ pub struct Network {
 
 impl Network {
     /// Initializes a network of `n` devices: key generation, registration,
-    /// map construction, root + beacon publication.
+    /// map construction, root + beacon publication. The beacon `B` is drawn
+    /// from `rng`, not flipped collectively as in the paper (§3.4).
     pub fn new<R: Rng + ?Sized>(n: usize, config: MixnetConfig, rng: &mut R) -> Self {
         let devices: Vec<DeviceState> = (0..n)
             .map(|_| DeviceState {
@@ -169,14 +170,7 @@ impl Network {
             config,
             maps,
             bulletin,
-            devices: (0..n)
-                .map(|i| DeviceState {
-                    keypair: devices[i].keypair.clone(),
-                    online: true,
-                    malicious_drop: false,
-                    routes: HashMap::new(),
-                })
-                .collect(),
+            devices,
             cround: 0,
             circuits: vec![Vec::new(); n],
             beacon,

@@ -30,7 +30,6 @@
 //!   duration, both closed-form and by Monte-Carlo simulation.
 
 pub mod analysis;
-pub mod beacon;
 pub mod bulletin;
 pub mod circuit;
 pub mod forward;

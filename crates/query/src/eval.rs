@@ -571,6 +571,48 @@ mod tests {
         }
     }
 
+    /// The vertices of `v`'s `k`-hop rows, sorted.
+    fn khop_vertices(graph: mycelium_graph::graph::Graph, v: VertexId, k: usize) -> Vec<VertexId> {
+        let pop = Population {
+            vertices: vec![VertexData::healthy(30, 0); graph.len()],
+            graph,
+        };
+        let mut hood: Vec<VertexId> = khop_rows(&pop, v, k).into_iter().map(|(w, _)| w).collect();
+        hood.sort_unstable();
+        hood
+    }
+
+    #[test]
+    fn khop_on_line() {
+        use mycelium_graph::data::EdgeData;
+        use mycelium_graph::graph::GraphBuilder;
+        let line = || {
+            let mut b = GraphBuilder::new(7, 4);
+            for i in 0..6 {
+                assert!(b.add_edge(i, i + 1, EdgeData::household_contact(1)));
+            }
+            b.build()
+        };
+        assert_eq!(khop_vertices(line(), 3, 1), vec![2, 4]);
+        assert_eq!(khop_vertices(line(), 3, 2), vec![1, 2, 4, 5]);
+        // Endpoints.
+        assert_eq!(khop_vertices(line(), 0, 2), vec![1, 2]);
+        // k = 0.
+        assert!(khop_vertices(line(), 3, 0).is_empty());
+    }
+
+    #[test]
+    fn khop_does_not_revisit() {
+        // Triangle: 2-hop neighborhood of a vertex is just the other two.
+        use mycelium_graph::data::EdgeData;
+        use mycelium_graph::graph::GraphBuilder;
+        let mut b = GraphBuilder::new(3, 4);
+        b.add_edge(0, 1, EdgeData::household_contact(1));
+        b.add_edge(1, 2, EdgeData::household_contact(1));
+        b.add_edge(2, 0, EdgeData::household_contact(1));
+        assert_eq!(khop_vertices(b.build(), 0, 2), vec![1, 2]);
+    }
+
     #[test]
     fn uninfected_t_inf_never_matches_ranges() {
         let schema = Schema::default();
