@@ -3,13 +3,14 @@
 //! One communication round of the vertex program costs `k + 1` C-rounds:
 //! sources deposit onion-encrypted messages into their first hops'
 //! mailboxes; in each subsequent C-round, every hop downloads its mailbox,
-//! verifies the aggregator's commitment, peels one layer, mixes, and
-//! re-deposits under the next path id. A hop that is missing an expected
-//! message (sender offline, upstream hop failed, or the message was
-//! maliciously dropped) uploads a **dummy** — uniformly random bytes of the
-//! same length — so the aggregator-visible communication pattern never
-//! changes. Destinations detect dummies (and any corruption) via the
-//! authenticated inner layer.
+//! peels one layer, mixes, and re-deposits under the next path id. Each
+//! C-round's mailboxes are committed and the root is posted to the bulletin
+//! board, but no hop checks a download against it yet. A hop that is
+//! missing an expected message (sender offline, upstream hop failed, or the
+//! message was maliciously dropped) uploads a **dummy** — uniformly random
+//! bytes of the same length — so the aggregator-visible communication
+//! pattern never changes. Destinations detect dummies (and any corruption)
+//! via the authenticated inner layer.
 
 use std::collections::HashMap;
 
@@ -17,7 +18,7 @@ use mycelium_math::rng::Rng;
 
 use crate::bulletin::Entry;
 use crate::circuit::{Network, NextHop};
-use crate::mailbox::{MailboxRound, RoundCommitment};
+use crate::mailbox::MailboxRound;
 use crate::onion::{build_onion, open_inner, peel_layer, random_dummy, PathId};
 
 /// A message to send in this vertex-program round.
@@ -181,7 +182,6 @@ impl Network {
                 round: base + 2 + level as u64,
                 root: commit.root(),
             });
-            let _: &RoundCommitment = &commit;
             current = next;
         }
         // Destinations open their mailboxes.
