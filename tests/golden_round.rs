@@ -218,37 +218,37 @@ fn pin_state(name: &str, st: &AggState, journal: &Path, want: [&str; 2]) {
 
 const HUB_CERT: &str = "15846b589916abf0f6edb6e4854b750a37fe8e988774df3251018ef80e7e7ffa";
 const HUB: [&str; 2] = [
-    "be3fd717b5edf8d55150ba3651f3a9d28afb5dcbc9e5860c72495fb46d46a685",
+    "7e72cac4760bfa75886de44af2c67c1d022fc37ae95bcb205510b4ef29973088",
     "d8cb2e56a9152acf61747ab3efe3c8640d81594a5a6f57b0a6f33221e18e6ded",
 ];
 // Not HUB_CERT: each shard neutralises the cheater's slots off its own
 // stream, so the origins combine different (equally valid) ciphertexts.
 const SHARDED_CERT: &str = "5e110cf0af203188bcb311d552a670caa13783f59d428e7d796b96332ee7e542";
 const COORD: [&str; 2] = [
-    "bd43b5cdb43a72d88fd14301586e52f2f064f9821d9397b5073bbe18646025c5",
+    "3a0f07c6b6137622edfd305eb755223043e205fa6c12931dcd8edcf6afb48a9b",
     "a5d58b66d9f4d6a73a5b28eaa3c2ca3c1f6029a366156bcf24564ae6051025a7",
 ];
 const SHARDS: [[&str; 2]; 4] = [
     [
-        "2326e00f38300603549dd54dcea0900474a63ccd7de7cdc58123e8f9112a1404",
+        "933353ee7a466bfc14851c9ca1feaf7fe2482998b4d1563d6f5f0b36f1fa5038",
         "115b792d7faebc5277d988dca3be56e289e65bce5fe690a5b6148864bd363f22",
     ],
     [
-        "64eb2fe0e008a1e86687b2b281b9397c4608628fa52380eee4d087344e7080e8",
+        "f73d0489e877e2d0628d862f72c8f9db774125ddff797bb3cfafbdb78d991b16",
         "c59fdef4ef38103084885dc4d7f1d16998b2fac35a111fa6ab97d68d58d79630",
     ],
     [
-        "85f0e0217130db0b433d8914a4f726b33150a5af8313f8c2b1bfc39c6a2c2380",
+        "b22ec15757375440cab02387f82ce918a4ac9137d8b0e271fc47fcdbc89e4298",
         "f33d6f328c9fe59e9da7ac5816f805e427217858adf21c1309e92afa29fd8c89",
     ],
     [
-        "5e6613b42be426c68334c6b13fa00929abe8c31174806773671d98dd719286ff",
+        "4fa8f28a4abde31466b49cada0aee5d688b4fc9a4f32356e7f61adb15405415d",
         "911ba89a5d897526b35b402c347fa52cc7466eeb04716d2b540119b5e946ae7d",
     ],
 ];
 const LATE_HUB_CERT: &str = "d656341f721832155a6d885afc7a124aab77e5d5627961431ea3659cc03b2929";
 const LATE_HUB: [&str; 2] = [
-    "4d1bbff356868a087844c052db94b5b211dd3f1c9f91847fa3ea84550ebee9b5",
+    "99591537b157a2f0578d6a7457788d6f6e03bd626402be3d04e3f4fc7eadb9e3",
     "94f7d5e529f3bdb46b0ed000dd1fd58416ec6815db7cbf23649bdb4f1ffc9ea9",
 ];
 /// `[certificate, outcome summary]` per shard count (1, 4).
