@@ -10,6 +10,7 @@
 //! non-mutating [`Slot`] predicate; *when* a phase transition fires is [`Round::due`], told
 //! only which [`Timeout`]s have passed.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -26,12 +27,12 @@ use mycelium_math::rns::RnsContext;
 use mycelium_query::ast::Query;
 use mycelium_query::eval::PlainResult;
 use mycelium_sharing::threshold::{combine, derive_joint_noise, DecryptionShare, ThresholdError};
+use mycelium_zkp::Proof;
 
 use crate::decode::decode_aggregate;
 use crate::exec::{release_noisy, ExecError, NoisyGroup};
-use crate::plan::SignedContribution;
 use crate::plan::{aggregate_and_audit, QueryPlan};
-use crate::plan::{ciphertext_len, encoding_digest, put_ciphertext, read_ciphertext};
+use crate::plan::{ciphertext_len, encoding_digest, put_ciphertext, read_ciphertext, Sink};
 
 /// The core's one typed failure; `Display` is the canonical message.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,22 +89,53 @@ impl Slot {
     }
 }
 
+/// Where a driver keeps bytes outside its memory — the journal it wrote them
+/// to — read back by position. The core does no I/O: the driver implements
+/// this over its file.
+pub trait Lot: Send + Sync + std::fmt::Debug {
+    /// Fills `out` with the bytes stored from position `at` on. A store that
+    /// cannot give back what it took has lost the round's durable state: the
+    /// implementation ends the process, as a crash would.
+    fn read_at(&self, at: u64, out: &mut [u8]);
+}
+
+/// Where a ciphertext's encoding lies in a [`Lot`]: the lot, and the
+/// position its first byte was written at.
+#[derive(Debug, Clone)]
+pub struct Stored {
+    pub lot: Arc<dyn Lot>,
+    pub at: u64,
+}
+
+/// Where a parked ciphertext's bytes are.
+#[derive(Debug, Clone)]
+enum Held {
+    /// In this process's memory.
+    Owned(Box<[u8]>),
+    /// `len` bytes of a lot, where the driver wrote them.
+    Stored(Stored, usize),
+}
+
 /// A ciphertext the plane holds: the bytes its wire encoding is made of
 /// ([`put_ciphertext`]), beside their
 /// [`ciphertext_digest`](crate::plan::ciphertext_digest) — both taken
-/// once, when the ciphertext was accepted. The aggregator mostly relays:
-/// a row and the committee's copy of the aggregate leave as copies of
-/// these bytes, and everything that needs the digest (the proof check, the
-/// slot status, a driver's state checkpoint, the certificate) reads this
-/// one value, so holding more never costs more hashing or packing. Words
-/// come back ([`Parked::ct`]) where the plane computes — the aggregate
-/// forming, and the combine — and for a shard's one root message. The
-/// fields are private: the bytes and the digest are always the
-/// ciphertext's.
+/// once, when the ciphertext arrived or was formed. The aggregator mostly
+/// relays: a row and the committee's copy of the aggregate leave as copies
+/// of these bytes ([`Parked::put`]), and everything that needs the digest
+/// (the proof check, the slot status, a driver's state checkpoint, the
+/// certificate) reads this one value, so holding more never costs more
+/// hashing or packing. A ciphertext a driver journalled is held where the
+/// journal holds it ([`Stored`]), so the process keeps one copy, on disk;
+/// the rest — neutral substitutes, the aggregate, everything a driver
+/// without a journal takes in — are held in memory. Words come back
+/// ([`Parked::ct`]) where the plane computes — the aggregate forming, and
+/// the combine — and for a shard's one root message. The fields are
+/// private: the bytes and the digest are always the ciphertext's.
 #[derive(Debug, Clone)]
 pub struct Parked {
-    bytes: Box<[u8]>,
+    held: Held,
     digest: Digest,
+    level: usize,
     ctx: Arc<RnsContext>,
     params: BgvParams,
 }
@@ -116,30 +148,93 @@ impl Parked {
         put_ciphertext(&mut w, &ct);
         let bytes = w.finish().into_boxed_slice();
         let digest = encoding_digest(&bytes);
-        let ctx = Arc::clone(ct.parts()[0].context());
-        let params = ct.params().clone();
         Parked {
-            bytes,
+            held: Held::Owned(bytes),
             digest,
-            ctx,
-            params,
+            level: ct.level(),
+            ctx: Arc::clone(ct.parts()[0].context()),
+            params: ct.params().clone(),
+        }
+    }
+
+    /// A ciphertext that arrived as its encoding `bytes` — validated by the
+    /// receiver, who took their [`encoding_digest`] once, as `digest` — over
+    /// `ctx` and `params`: held where `stored` says the receiver wrote those
+    /// bytes, or else as a copy of them.
+    pub fn received(
+        bytes: &[u8],
+        digest: Digest,
+        stored: Option<Stored>,
+        ctx: &Arc<RnsContext>,
+        params: &BgvParams,
+    ) -> Self {
+        let held = match stored {
+            Some(at) => Held::Stored(at, bytes.len()),
+            None => Held::Owned(bytes.into()),
+        };
+        Parked {
+            held,
+            digest,
+            // The part count, then the first part's representation and level.
+            level: bytes[2] as usize,
+            ctx: Arc::clone(ctx),
+            params: params.clone(),
         }
     }
 
     /// The ciphertext, unpacked bit for bit (residues and level) over the
     /// context it was accepted in.
     pub fn ct(&self) -> Ciphertext {
-        read_ciphertext(&self.bytes, &self.ctx, &self.params)
+        read_ciphertext(&self.bytes(), &self.ctx, &self.params)
     }
 
-    /// The ciphertext's wire encoding, as the codec writes it.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The ciphertext's wire encoding, as the codec writes it: borrowed
+    /// where it is held in memory, read back where it is stored.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        match &self.held {
+            Held::Owned(bytes) => Cow::Borrowed(bytes),
+            Held::Stored(at, len) => {
+                let mut bytes = vec![0; *len];
+                at.lot.read_at(at.at, &mut bytes);
+                Cow::Owned(bytes)
+            }
+        }
+    }
+
+    /// Writes the wire encoding straight into `out`.
+    pub fn put(&self, out: &mut impl Sink) {
+        match &self.held {
+            Held::Owned(bytes) => out.lend(bytes.len()).copy_from_slice(bytes),
+            Held::Stored(at, len) => at.lot.read_at(at.at, out.lend(*len)),
+        }
+    }
+
+    /// How many of its bytes this process holds in memory: all of them, or
+    /// none where they are stored.
+    pub fn resident(&self) -> usize {
+        match &self.held {
+            Held::Owned(bytes) => bytes.len(),
+            Held::Stored(..) => 0,
+        }
+    }
+
+    /// The level the ciphertext sits at.
+    pub fn level(&self) -> usize {
+        self.level
     }
 
     pub fn digest(&self) -> &Digest {
         &self.digest
     }
+}
+
+/// A device's contribution as the plane takes it in: the device, its
+/// ciphertext parked as it arrived, and the proof that comes with it.
+#[derive(Debug, Clone)]
+pub struct Received {
+    pub device: VertexId,
+    pub ct: Parked,
+    pub proof: Option<Proof>,
 }
 
 /// Why the aggregator discards a contribution (§4.6–§4.7).
@@ -155,18 +250,16 @@ pub enum Rejection {
 
 /// The checks a contribution to `slot` must pass before an origin may
 /// combine it: at or above its slot's level (an origin switches a higher
-/// one down), then a proof that verifies against its digest. The
-/// contribution is hashed once; the proof check, the slot outcome and the
-/// parked pair all use that digest.
-pub fn screen(sc: SignedContribution, slot: u32, plan: &QueryPlan) -> Result<Parked, Rejection> {
-    let SignedContribution { ct, proof, .. } = sc;
+/// one down), then a proof that verifies against its digest — the one
+/// taken when it arrived, which the slot outcome records too.
+pub fn screen(rc: Received, slot: u32, plan: &QueryPlan) -> Result<Parked, Rejection> {
+    let Received { ct, proof, .. } = rc;
     let (got, need) = (ct.level(), plan.contribution_level(slot as usize));
     if got < need {
         return Err(Rejection::Level { got, need });
     }
-    let parked = Parked::new(ct);
-    match plan.verify_proof(parked.digest(), proof.as_ref()) {
-        true => Ok(parked),
+    match plan.verify_proof(ct.digest(), proof.as_ref()) {
+        true => Ok(ct),
         false => Err(Rejection::Proof),
     }
 }
@@ -281,15 +374,15 @@ impl Intake {
         &mut self,
         origin: u32,
         slot: u32,
-        sc: SignedContribution,
+        rc: Received,
         ctx: &RoundCtx,
         rng: &mut R,
     ) -> Result<Option<Parked>, CoreError> {
         if self.contribution_slot(origin, slot)? != Slot::Open {
             return Ok(None);
         }
-        let device = sc.device;
-        if let Ok(parked) = screen(sc, slot, ctx.plan) {
+        let device = rc.device;
+        if let Ok(parked) = screen(rc, slot, ctx.plan) {
             let status = SlotStatus::Accepted(*parked.digest());
             self.statuses.insert((origin, slot), status);
             return Ok(Some(parked));
@@ -313,12 +406,9 @@ impl Intake {
     }
 
     /// Records `origin`'s combined ciphertext; `false` on a redelivery.
-    pub fn accept_submission(&mut self, origin: u32, ct: Ciphertext) -> Result<bool, CoreError> {
-        if self.submission_slot(origin)? != Slot::Open {
-            return Ok(false);
-        }
-        self.submissions[origin as usize] = Some(Parked::new(ct));
-        Ok(true)
+    pub fn accept_submission(&mut self, origin: u32, ct: Parked) -> Result<bool, CoreError> {
+        let slot = self.submission_slot(origin)?;
+        Ok(slot.fill(&mut self.submissions[origin as usize], ct))
     }
 
     /// Freezes the owned origins' commitments (unwritten slots: `Missing`).

@@ -140,7 +140,8 @@ pub fn encode_ciphertext(w: &mut Writer, ct: &Ciphertext) {
 }
 
 /// A ciphertext as a message writes it: one in words is encoded, one held
-/// as its encoding ([`Parked`]) is copied.
+/// as its encoding ([`Parked`]) is copied — from memory, or straight from
+/// the journal that holds it.
 pub trait PutCiphertext {
     /// Appends the ciphertext's encoding to `w`.
     fn put_into(&self, w: &mut Writer);
@@ -154,7 +155,7 @@ impl PutCiphertext for Ciphertext {
 
 impl PutCiphertext for Parked {
     fn put_into(&self, w: &mut Writer) {
-        w.put_bytes(self.bytes());
+        self.put(w);
     }
 }
 

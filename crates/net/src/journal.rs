@@ -12,31 +12,53 @@
 //!
 //! ```text
 //! ┌──────────────────────── header (44 bytes) ────────────────────────┐
-//! │ magic "MYCWALv5" (8) │ format version u32 (4) │ binding (32)      │
+//! │ magic "MYCWALv6" (8) │ format version u32 (4) │ binding (32)      │
 //! └───────────────────────────────────────────────────────────────────┘
-//! ┌──────────────────────── record (40 + len) ────────────────────────┐
-//! │ len u32 (4) │ payload (len) │ checksum (32) │ ...                  │
+//! ┌──────────────────────── record (44 + len) ────────────────────────┐
+//! │ len u32 │ off u32 │ span u32 │ payload (len) │ checksum (32) │ ... │
 //! └───────────────────────────────────────────────────────────────────┘
 //!
-//! checksum = sha256::striped("myc-wal-v4" ‖ seq u64 LE, payload)
-//!          = SHA-256("myc-wal-v4" ‖ seq ‖ len u64 LE ‖ stripe count u8
-//!                    ‖ SHA-256(stripe 0) ‖ … )
+//! with a ciphertext at payload[off .. off + span] (span > 0):
+//!   checksum = SHA-256("myc-wal-v6" ‖ seq u64 ‖ off u32 ‖ span u32
+//!                      ‖ payload[..off] ‖ plan::encoding_digest(ciphertext)
+//!                      ‖ payload[off + span..])
+//! without one (off = span = 0):
+//!   checksum = sha256::striped("myc-wal-v6" ‖ seq u64, payload)
 //! ```
 //!
-//! * A payload is cut into at most sixteen stripes of at least 1 KiB
-//!   ([`sha256::striped`]) and the stripes are hashed side by side, so
-//!   replay checksums a record on every SHA-256 lane the host has.
+//! * A request that carries a ciphertext (a contribution, a submission, a
+//!   shard's root) is journalled with a **span**: where that ciphertext's
+//!   encoding lies in the payload. Its checksum takes the ciphertext in
+//!   through [`encoding_digest`] — `plan::ciphertext_digest`, the very
+//!   digest its proof and the certificate bind — so the aggregator hashes a
+//!   ciphertext once, on arrival, for the proof check, the slot, the state
+//!   checkpoints and the record alike, and replay hands the digest it
+//!   checked to its caller ([`Entry::span`]), which needs no other. The
+//!   head and tail around the span are hashed whole with it, so every byte
+//!   of the record is covered.
+//! * A record **is the parking lot** of its ciphertext: [`Journal::append_parts`]
+//!   and [`Entry::stored`] say where the span lies in the file, and the
+//!   aggregator holds the ciphertext as that position
+//!   ([`mycelium::aggcore::Stored`]), reading its bytes back positioned
+//!   (`pread`) when a row, the aggregate or a root needs them, instead of
+//!   keeping a second copy in memory.
+//! * A span-less payload is cut into at most sixteen stripes of at least
+//!   1 KiB ([`sha256::striped`]) and the stripes are hashed side by side;
+//!   a span's digest is striped the same way, so replay checksums a record
+//!   on every SHA-256 lane the host has.
+//! * A span outside its payload, or an offset without a length, is
+//!   [`JournalError::Corrupt`] — never a panic.
 //! * Records hold request bodies as the wire carried them, so the format
-//!   version follows the frame version ([`crate::frame::VERSION`]):
-//!   version 5 records hold residues packed at the width of their prime
-//!   ([`crate::codec`]) under proofs of `plan::ciphertext_digest`, the
-//!   striped digest of those bytes, and carry striped checksums. A file of
-//!   an earlier version — `MYCWALv4`, whose ciphertexts carried an 8-byte
-//!   noise estimate, `MYCWALv3`, whose proofs were made against one
-//!   SHA-256 per ciphertext part and whose checksums were one SHA-256 of
-//!   the record, `MYCWALv2`, whose proofs were made against a digest of
-//!   64-bit words, or `MYCWALv1`, whose records held those words — is a
-//!   typed [`JournalError::BadHeader`]: never replayed, never truncated.
+//!   follows the frame version ([`crate::frame::VERSION`]): records hold
+//!   residues packed at the width of their prime ([`crate::codec`]) under
+//!   proofs of `plan::ciphertext_digest`. A file of an earlier version —
+//!   `MYCWALv5`, whose records had no span and whose checksums striped the
+//!   whole payload, `MYCWALv4`, whose ciphertexts carried an 8-byte noise
+//!   estimate, `MYCWALv3`, whose proofs were made against one SHA-256 per
+//!   ciphertext part and whose checksums were one SHA-256 of the record,
+//!   `MYCWALv2`, whose proofs were made against a digest of 64-bit words,
+//!   or `MYCWALv1`, whose records held those words — is a typed
+//!   [`JournalError::BadHeader`]: never replayed, never truncated.
 //! * The **binding digest** ties a journal to one round configuration
 //!   (we use a digest of the `RoundSpec` wire encoding), so a restart
 //!   with different parameters cannot silently replay a stale journal.
@@ -72,26 +94,35 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use mycelium::aggcore::{Lot, Stored};
+use mycelium::plan::encoding_digest;
 use mycelium_crypto::sha256::{self, Digest};
 
 use crate::lock_recover;
 
-/// File magic: identifies a Mycelium write-ahead log, version 5.
-pub const MAGIC: &[u8; 8] = b"MYCWALv5";
+/// File magic: identifies a Mycelium write-ahead log, version 6.
+pub const MAGIC: &[u8; 8] = b"MYCWALv6";
 /// Format version inside the header (bumped on incompatible changes).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 /// Header length: magic + version + binding digest.
 pub const HEADER_BYTES: usize = 8 + 4 + 32;
-/// Fixed per-record overhead: length prefix + checksum.
-pub const RECORD_OVERHEAD: usize = 4 + 32;
+/// A record's prefix: payload length, then the offset and length of its
+/// ciphertext span in the payload.
+pub const RECORD_PREFIX: usize = 4 + 4 + 4;
+/// Fixed per-record overhead: prefix + checksum.
+pub const RECORD_OVERHEAD: usize = RECORD_PREFIX + 32;
 /// Sanity bound on a single record (a full ciphertext push is ~1 MiB at
 /// simulation parameters; 64 MiB leaves headroom for paper-scale ones).
 pub const MAX_RECORD_BYTES: usize = 64 << 20;
+/// The checksum's domain.
+const DOMAIN: &[u8; 10] = b"myc-wal-v6";
 
 /// Typed journal failure — corruption is always *detected*, never
 /// silently replayed.
@@ -112,7 +143,8 @@ pub enum JournalError {
         want: Digest,
     },
     /// A complete record failed its checksum — a bit flip or an
-    /// out-of-place record, not a torn write.
+    /// out-of-place record, not a torn write — or names a ciphertext span
+    /// outside its payload.
     Corrupt {
         /// 0-based index of the bad record.
         seq: u64,
@@ -178,13 +210,42 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// The checksum a record carries: `sha256::striped("myc-wal-v4" ‖ seq u64
-/// LE, payload)`, so a record's bulk is hashed on every lane the host has.
+/// Where a record's ciphertext encoding lies in its payload, and the
+/// [`encoding_digest`] of those bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Span {
+    /// The encoding's bytes within the payload.
+    pub at: Range<usize>,
+    /// Their digest: the one proofs and certificates bind.
+    pub digest: Digest,
+}
+
+/// The checksum a record without a ciphertext span carries:
+/// `sha256::striped("myc-wal-v6" ‖ seq u64 LE, payload)`, so a record's
+/// bulk is hashed on every lane the host has.
 pub fn record_checksum(seq: u64, payload: &[u8]) -> Digest {
     let mut domain = [0u8; 18];
-    domain[..10].copy_from_slice(b"myc-wal-v4");
+    domain[..10].copy_from_slice(DOMAIN);
     domain[10..].copy_from_slice(&seq.to_le_bytes());
     sha256::striped(&domain, payload)
+}
+
+/// The checksum a record whose ciphertext lies at `span` carries:
+/// `SHA-256("myc-wal-v6" ‖ seq u64 ‖ offset u32 ‖ length u32 ‖ head ‖
+/// span.digest ‖ tail)`, the head and tail being the payload before and
+/// after the span. The ciphertext enters through its digest, so a record's
+/// bulk is hashed once, by whoever took the digest.
+pub fn span_checksum(seq: u64, payload: &[u8], span: &Span) -> Digest {
+    let (off, len) = (span.at.start as u32, span.at.len() as u32);
+    sha256::sha256_concat(&[
+        DOMAIN,
+        &seq.to_le_bytes(),
+        &off.to_le_bytes(),
+        &len.to_le_bytes(),
+        &payload[..span.at.start],
+        &span.digest,
+        &payload[span.at.end..],
+    ])
 }
 
 /// The valid records of an opened journal, in order: slices of the one
@@ -193,7 +254,7 @@ pub fn record_checksum(seq: u64, payload: &[u8]) -> Digest {
 #[derive(Debug, Default)]
 pub struct Records {
     bytes: Vec<u8>,
-    payloads: Vec<std::ops::Range<usize>>,
+    payloads: Vec<Range<usize>>,
 }
 
 impl Records {
@@ -213,15 +274,45 @@ impl Records {
     }
 }
 
+/// A record as [`Journal::replay`] hands it on, its checksum checked.
+pub struct Entry<'a> {
+    /// Its 0-based index.
+    pub seq: u64,
+    pub payload: &'a [u8],
+    /// Its ciphertext, where it has one: the digest is the one the checksum
+    /// was checked against.
+    pub span: Option<Span>,
+    /// Where the payload starts in the file.
+    pos: u64,
+    file: &'a Arc<Syncer>,
+}
+
+impl Entry<'_> {
+    /// Where the span's bytes lie in the journal, to be read back from
+    /// there for as long as the journal is open.
+    pub fn stored(&self) -> Option<Stored> {
+        let span = self.span.as_ref()?;
+        Some(stored(self.file, self.pos + span.at.start as u64))
+    }
+}
+
+fn stored(file: &Arc<Syncer>, at: u64) -> Stored {
+    let lot: Arc<dyn Lot> = Arc::clone(file) as _;
+    Stored { lot, at }
+}
+
 /// What a streamed replay reads at a time (more when one record is longer):
 /// a few dozen contribution records per `read`, in a buffer that stays
 /// about this size.
 const READ_BLOCK: usize = 1 << 20;
 
+/// A record's place in a scan's window: its payload, and its checked span.
+type Found = (Range<usize>, Option<Span>);
+
 /// A journal being read, record by record: the file past its checked
 /// header, and a window of bytes read from it that the next record starts in.
 struct Scan {
-    file: File,
+    sync: Arc<Syncer>,
     /// The file's length.
     size: u64,
     /// Bytes of the file not read yet.
@@ -271,7 +362,7 @@ impl Scan {
         }
         let pos = HEADER_BYTES as u64;
         Ok(Scan {
-            file,
+            sync: Syncer::over(file, 0),
             size,
             unread: size - pos,
             window: Vec::new(),
@@ -303,7 +394,8 @@ impl Scan {
             }
         };
         self.window.reserve(want as usize);
-        if (&self.file).take(want).read_to_end(&mut self.window)? as u64 != want {
+        let file = &self.sync.file;
+        if file.take(want).read_to_end(&mut self.window)? as u64 != want {
             return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
         }
         self.unread -= want;
@@ -311,53 +403,73 @@ impl Scan {
     }
 
     /// The next record, once its checksum holds: where its payload lies in
-    /// `window`. `None` where the valid prefix ends — at the end of the
-    /// file, or at a torn tail.
-    fn next_record(&mut self) -> Result<Option<std::ops::Range<usize>>, JournalError> {
-        // A torn length prefix.
-        if !self.fill(4)? {
+    /// `window`, and its span. `None` where the valid prefix ends — at the
+    /// end of the file, or at a torn tail.
+    fn next_record(&mut self) -> Result<Option<Found>, JournalError> {
+        // A torn prefix.
+        if !self.fill(RECORD_PREFIX)? {
             return Ok(None);
         }
-        let prefix = &self.window[self.next..self.next + 4];
-        let (len, seq) = (
-            u32::from_le_bytes(prefix.try_into().unwrap()) as usize,
-            self.seq,
-        );
+        let word = |i: usize| {
+            let at = self.next + 4 * i;
+            u32::from_le_bytes(self.window[at..at + 4].try_into().unwrap()) as usize
+        };
+        let (len, off, span_len, seq) = (word(0), word(1), word(2), self.seq);
         if len > MAX_RECORD_BYTES {
             // A length this absurd is corruption of the prefix itself,
             // not a torn write: typed error, no truncation.
             return Err(JournalError::RecordTooLarge { seq, len });
         }
         // A torn payload or checksum.
-        if !self.fill(4 + len + 32)? {
+        if !self.fill(RECORD_PREFIX + len + 32)? {
             return Ok(None);
         }
-        let payload = self.next + 4..self.next + 4 + len;
-        let sum = &self.window[payload.end..payload.end + 32];
-        if record_checksum(seq, &self.window[payload.clone()]) != sum {
+        let start = self.next + RECORD_PREFIX;
+        let payload = &self.window[start..start + len];
+        let sum = &self.window[start + len..start + len + 32];
+        // No span is offset 0, length 0; a span lies inside its payload.
+        let span = match (off, span_len) {
+            (0, 0) => None,
+            (_, 0) => return Err(JournalError::Corrupt { seq }),
+            _ if off + span_len > len => return Err(JournalError::Corrupt { seq }),
+            _ => {
+                let at = off..off + span_len;
+                let digest = encoding_digest(&payload[at.clone()]);
+                Some(Span { at, digest })
+            }
+        };
+        let want = match &span {
+            Some(span) => span_checksum(seq, payload, span),
+            None => record_checksum(seq, payload),
+        };
+        if want != sum {
             return Err(JournalError::Corrupt { seq });
         }
-        self.next = payload.end + 32;
-        self.pos += (4 + len + 32) as u64;
+        self.next = start + len + 32;
+        self.pos += (RECORD_OVERHEAD + len) as u64;
         self.seq += 1;
-        Ok(Some(payload))
+        Ok(Some((start..start + len, span)))
     }
 
     /// The journal over the scanned file, appending after its valid prefix:
     /// a torn tail is cut away so the next append starts on a record
     /// boundary.
-    fn finish(mut self) -> Result<Journal, JournalError> {
+    fn finish(self) -> Result<Journal, JournalError> {
+        let file = &self.sync.file;
         if self.pos < self.size {
-            self.file.set_len(self.pos)?;
-            self.file.sync_all()?;
+            file.set_len(self.pos)?;
+            file.sync_all()?;
         }
-        self.file.seek(SeekFrom::Start(self.pos))?;
-        Ok(Journal::over(self.file, self.seq))
+        (&*file).seek(SeekFrom::Start(self.pos))?;
+        self.sync.appended.store(self.seq, Ordering::Release);
+        Ok(Journal::over(self.sync, self.pos))
     }
 }
 
 /// The durability half of a journal, shared with every thread waiting
-/// on it. LSNs count records: LSN `n` is "the first `n` records".
+/// on it — and with every ciphertext parked in it, which reads its bytes
+/// back from this file ([`Lot`]). LSNs count records: LSN `n` is "the
+/// first `n` records".
 #[derive(Debug)]
 struct Syncer {
     file: File,
@@ -372,6 +484,30 @@ struct Syncer {
     /// Held by the leader across its `fsync`: followers queue here and
     /// re-check `durable` once they own it.
     leader: Mutex<SyncStats>,
+}
+
+impl Syncer {
+    /// The syncer of `file`, which holds `records` records. None of them
+    /// counts as durable yet: a predecessor that died may have written them
+    /// without syncing, so the first wait of this incarnation syncs them too.
+    fn over(file: File, records: u64) -> Arc<Self> {
+        Arc::new(Syncer {
+            file,
+            appended: AtomicU64::new(records),
+            durable: AtomicU64::new(0),
+            leader: Mutex::default(),
+        })
+    }
+}
+
+impl Lot for Syncer {
+    /// Reads positioned (`pread`), so it never moves the append position.
+    fn read_at(&self, at: u64, out: &mut [u8]) {
+        if let Err(e) = self.file.read_exact_at(out, at) {
+            eprintln!("journal: {} bytes at {at} unreadable: {e}", out.len());
+            std::process::abort();
+        }
+    }
 }
 
 /// What the group commit did so far (see [`Journal::sync_stats`]).
@@ -420,7 +556,9 @@ impl Pending {
 #[derive(Debug)]
 pub struct Journal {
     sync: Arc<Syncer>,
-    /// The record being written (length ‖ payload ‖ checksum), kept
+    /// Where the next record starts in the file.
+    end: u64,
+    /// The record being written (prefix ‖ payload ‖ checksum), kept
     /// between appends.
     rec: Vec<u8>,
     /// When `Some(n)`, the next append writes only the first `n` bytes
@@ -446,21 +584,15 @@ impl Journal {
         header.extend_from_slice(binding);
         file.write_all(&header)?;
         file.sync_all()?;
-        Ok(Self::over(file, 0))
+        Ok(Self::over(Syncer::over(file, 0), HEADER_BYTES as u64))
     }
 
-    /// A journal appending to `file`, which holds `records` records and
-    /// is positioned after the last. None of them counts as durable yet:
-    /// a predecessor that died may have written them without syncing, so
-    /// the first wait of this incarnation syncs them too.
-    fn over(file: File, records: u64) -> Self {
+    /// A journal appending at `end` of the file `sync` holds, positioned
+    /// there.
+    fn over(sync: Arc<Syncer>, end: u64) -> Self {
         Journal {
-            sync: Arc::new(Syncer {
-                file,
-                appended: AtomicU64::new(records),
-                durable: AtomicU64::new(0),
-                leader: Mutex::default(),
-            }),
+            sync,
+            end,
             rec: Vec::new(),
             torn_write: None,
         }
@@ -476,7 +608,7 @@ impl Journal {
     pub fn open(path: &Path, binding: &Digest) -> Result<(Self, Records), JournalError> {
         let mut scan = Scan::open(path, binding, true)?;
         let mut payloads = Vec::new();
-        while let Some(payload) = scan.next_record()? {
+        while let Some((payload, _)) = scan.next_record()? {
             payloads.push(payload);
         }
         let bytes = std::mem::take(&mut scan.window);
@@ -493,10 +625,11 @@ impl Journal {
         }
     }
 
-    /// [`Journal::open`] that hands each valid record to `each` as `(seq,
-    /// payload)` as soon as its checksum holds, read through one window of
-    /// about a megabyte reused from block to block, so a replay never
-    /// holds the whole journal.
+    /// [`Journal::open`] that hands each valid record to `each` as soon as
+    /// its checksum holds, read through one window of about a megabyte
+    /// reused from block to block, so a replay never holds the whole
+    /// journal. A record's ciphertext comes with its digest, taken once for
+    /// the checksum, and with where it lies in the file ([`Entry::stored`]).
     /// The outcome is that of opening first and replaying after: once
     /// `each` fails, the records after are still checksummed, a
     /// [`JournalError::Corrupt`] or [`JournalError::RecordTooLarge`] among
@@ -505,14 +638,23 @@ impl Journal {
     pub fn replay<E: From<JournalError>>(
         path: &Path,
         binding: &Digest,
-        mut each: impl FnMut(u64, &[u8]) -> Result<(), E>,
+        mut each: impl FnMut(Entry<'_>) -> Result<(), E>,
     ) -> Result<Self, E> {
         let mut scan = Scan::open(path, binding, false)?;
         let mut failed = None;
-        while let Some(payload) = scan.next_record()? {
+        let mut start = scan.pos;
+        while let Some((payload, span)) = scan.next_record()? {
             if failed.is_none() {
-                failed = each(scan.seq - 1, &scan.window[payload]).err();
+                let entry = Entry {
+                    seq: scan.seq - 1,
+                    payload: &scan.window[payload],
+                    span,
+                    pos: start + RECORD_PREFIX as u64,
+                    file: &scan.sync,
+                };
+                failed = each(entry).err();
             }
+            start = scan.pos;
         }
         let journal = scan.finish()?;
         failed.map_or(Ok(journal), Err)
@@ -522,7 +664,7 @@ impl Journal {
     pub fn replay_or_create<E: From<JournalError>>(
         path: &Path,
         binding: &Digest,
-        each: impl FnMut(u64, &[u8]) -> Result<(), E>,
+        each: impl FnMut(Entry<'_>) -> Result<(), E>,
     ) -> Result<Self, E> {
         if path.exists() {
             Self::replay(path, binding, each)
@@ -541,27 +683,44 @@ impl Journal {
         self.sync.durable.load(Ordering::Acquire)
     }
 
-    /// Appends one record. Not durable until [`Journal::commit`], or a
-    /// wait on a later [`Journal::pending`], returns.
+    /// Appends one record without a ciphertext span. Not durable until
+    /// [`Journal::commit`], or a wait on a later [`Journal::pending`],
+    /// returns.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        self.append_parts(&[payload])
+        self.append_parts(&[payload], None).map(drop)
     }
 
     /// [`Journal::append`] of the record whose payload is `parts`
     /// concatenated: they are copied once, straight into the bytes written
-    /// (a buffer the journal keeps from one append to the next).
-    pub fn append_parts(&mut self, parts: &[&[u8]]) -> Result<(), JournalError> {
+    /// (a buffer the journal keeps from one append to the next). Where a
+    /// `span` is given, the record carries it: its digest must be the
+    /// [`encoding_digest`] of those bytes of the payload, which the caller
+    /// took and the checksum folds in rather than hashing them again. Returns
+    /// where the span's bytes lie in the file.
+    pub fn append_parts(
+        &mut self,
+        parts: &[&[u8]],
+        span: Option<&Span>,
+    ) -> Result<Option<Stored>, JournalError> {
         let len: usize = parts.iter().map(|p| p.len()).sum();
         assert!(len <= MAX_RECORD_BYTES, "record too large");
+        let at = span.map_or(0..0, |span| span.at.clone());
+        assert!(at.end <= len, "span outside the payload");
         let seq = self.record_count();
         let rec = &mut self.rec;
         rec.clear();
         rec.reserve(RECORD_OVERHEAD + len);
-        rec.extend_from_slice(&(len as u32).to_le_bytes());
+        for word in [len, at.start, at.len()] {
+            rec.extend_from_slice(&(word as u32).to_le_bytes());
+        }
         for part in parts {
             rec.extend_from_slice(part);
         }
-        let sum = record_checksum(seq, &rec[4..]);
+        let payload = &rec[RECORD_PREFIX..];
+        let sum = match span {
+            Some(span) => span_checksum(seq, payload, span),
+            None => record_checksum(seq, payload),
+        };
         rec.extend_from_slice(&sum);
         let mut file = &self.sync.file;
         if let Some(n) = self.torn_write.take() {
@@ -570,11 +729,13 @@ impl Journal {
             let n = n.min(rec.len().saturating_sub(1)).max(1);
             file.write_all(&rec[..n])?;
             let _ = file.sync_all();
-            return Ok(());
+            return Ok(None);
         }
         file.write_all(rec)?;
+        let payload_at = self.end + RECORD_PREFIX as u64;
+        self.end += rec.len() as u64;
         self.sync.appended.store(seq + 1, Ordering::Release);
-        Ok(())
+        Ok(span.map(|span| stored(&self.sync, payload_at + span.at.start as u64)))
     }
 
     /// A claim on the durability of everything appended so far, for a
@@ -625,9 +786,9 @@ mod tests {
     /// leaves — which must be what [`Journal::open`] reads.
     fn replayed(path: &Path) -> (Journal, Vec<Vec<u8>>) {
         let mut got = Vec::new();
-        let each = |seq, payload: &[u8]| {
-            assert_eq!(seq, got.len() as u64);
-            got.push(payload.to_vec());
+        let each = |entry: Entry<'_>| {
+            assert_eq!(entry.seq, got.len() as u64);
+            got.push(entry.payload.to_vec());
             Ok::<_, JournalError>(())
         };
         let journal = Journal::replay(path, &binding(), each).unwrap();
@@ -703,7 +864,7 @@ mod tests {
         }
         // Flip one payload bit of record 1.
         let mut bytes = std::fs::read(&path).unwrap();
-        let rec1_payload = HEADER_BYTES + 4 + 15 + 32 + 4;
+        let rec1_payload = HEADER_BYTES + RECORD_OVERHEAD + 15 + RECORD_PREFIX;
         bytes[rec1_payload + 3] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         match Journal::open(&path, &binding()) {
@@ -725,7 +886,7 @@ mod tests {
             j.commit().unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
-        let rec_len = 4 + 4 + 32;
+        let rec_len = RECORD_OVERHEAD + 4;
         let (a, b) = (HEADER_BYTES, HEADER_BYTES + rec_len);
         let rec_a = bytes[a..a + rec_len].to_vec();
         let rec_b = bytes[b..b + rec_len].to_vec();
@@ -752,7 +913,7 @@ mod tests {
         // Chop the file at every byte offset inside the second record:
         // recovery must always yield exactly the first record and leave
         // the file appendable.
-        let rec2_start = HEADER_BYTES + 4 + 12 + 32;
+        let rec2_start = HEADER_BYTES + RECORD_OVERHEAD + 12;
         for cut in rec2_start + 1..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
             let (mut j, rec) = Journal::open(&path, &binding()).unwrap();
@@ -940,12 +1101,203 @@ mod tests {
     #[test]
     fn a_record_checksum_is_the_striped_digest_of_its_payload() {
         let payload: Vec<u8> = (0..62_000u32).map(|i| ((i * 31) >> 3) as u8).collect();
-        let domain = |seq: u64| [&b"myc-wal-v4"[..], &seq.to_le_bytes()].concat();
+        let domain = |seq: u64| [&b"myc-wal-v6"[..], &seq.to_le_bytes()].concat();
         for seq in [0, 1, 504] {
             let want = sha256::striped(&domain(seq), &payload);
             assert_eq!(record_checksum(seq, &payload), want, "seq {seq}");
         }
         assert_ne!(record_checksum(0, &payload), record_checksum(1, &payload));
+    }
+
+    #[test]
+    fn a_span_checksum_hashes_the_span_through_its_encoding_digest() {
+        let payload: Vec<u8> = (0..9_000u32).map(|i| ((i * 7) >> 2) as u8).collect();
+        let span = span_of(&payload, 20..8_500);
+        assert_eq!(span.digest, encoding_digest(&payload[20..8_500]));
+        let want = sha256::sha256_concat(&[
+            b"myc-wal-v6",
+            &504u64.to_le_bytes(),
+            &20u32.to_le_bytes(),
+            &8_480u32.to_le_bytes(),
+            &payload[..20],
+            &span.digest,
+            &payload[8_500..],
+        ]);
+        assert_eq!(span_checksum(504, &payload, &span), want);
+        assert_ne!(span_checksum(503, &payload, &span), want);
+    }
+
+    // --- ciphertext spans (format version 6) -------------------------------
+
+    /// The span `at` of `payload`, digested as a ciphertext encoding.
+    fn span_of(payload: &[u8], at: Range<usize>) -> Span {
+        let digest = encoding_digest(&payload[at.clone()]);
+        Span { at, digest }
+    }
+
+    /// A journal at `path` of a span-less record, then a record whose
+    /// payload is a head, a ciphertext-shaped span and a tail. Returns that
+    /// payload, its span, and where the record starts in the file.
+    fn spanned_journal(path: &Path) -> (Vec<u8>, Span, usize) {
+        let head = [1u8, 1, 7, 0, 0, 0, 3, 0, 0, 0];
+        let ct: Vec<u8> = (0..5_000u32).map(|i| (i * 13 % 251) as u8).collect();
+        let tail = [0xEEu8; 40];
+        let payload = [&head[..], &[2], &ct, &tail].concat();
+        let span = span_of(&payload, head.len()..head.len() + 1 + ct.len());
+        let mut j = Journal::create(path, &binding()).unwrap();
+        j.append(b"span-less").unwrap();
+        let stored = j.append_parts(&[&payload], Some(&span)).unwrap();
+        j.commit().unwrap();
+        let start = HEADER_BYTES + RECORD_OVERHEAD + 9;
+        let stored = stored.expect("a spanned record says where its span lies");
+        assert_eq!(stored.at as usize, start + RECORD_PREFIX + span.at.start);
+        let mut back = vec![0; span.at.len()];
+        stored.lot.read_at(stored.at, &mut back);
+        assert_eq!(back, payload[span.at.clone()], "read back from the file");
+        (payload, span, start)
+    }
+
+    #[test]
+    fn replay_hands_on_a_spans_digest_and_where_it_lies() {
+        let path = tmp("span");
+        let (payload, span, _) = spanned_journal(&path);
+        let (_, records) = Journal::open(&path, &binding()).unwrap();
+        assert_eq!(payloads(&records), [&b"span-less"[..], &payload]);
+        let mut seen = Vec::new();
+        let each = |entry: Entry<'_>| {
+            if let Some(stored) = entry.stored() {
+                let mut back = vec![0; span.at.len()];
+                stored.lot.read_at(stored.at, &mut back);
+                assert_eq!(back, entry.payload[span.at.clone()]);
+            }
+            seen.push((entry.seq, entry.payload.to_vec(), entry.span));
+            Ok::<_, JournalError>(())
+        };
+        let j = Journal::replay(&path, &binding(), each).unwrap();
+        assert_eq!(j.record_count(), 2);
+        assert_eq!(seen[0], (0, b"span-less".to_vec(), None));
+        assert_eq!(seen[1], (1, payload, Some(span)), "the digest of the span");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_flipped_byte_anywhere_in_a_spanned_record_is_corrupt() {
+        let path = tmp("span-flip");
+        let (payload, span, start) = spanned_journal(&path);
+        let full = std::fs::read(&path).unwrap();
+        let at = start + RECORD_PREFIX;
+        let places = [
+            ("offset", start + 4),
+            ("offset", start + 7),
+            ("length", start + 8),
+            ("length", start + 11),
+            ("head", at),
+            ("head", at + span.at.start - 1),
+            ("span", at + span.at.start),
+            ("span", at + span.at.start + 2),
+            ("span", at + span.at.end - 1),
+            ("tail", at + span.at.end),
+            ("tail", at + payload.len() - 1),
+            ("checksum", at + payload.len() + 31),
+        ];
+        for (what, byte) in places {
+            for bit in [0x01, 0x80] {
+                let mut bytes = full.clone();
+                bytes[byte] ^= bit;
+                std::fs::write(&path, &bytes).unwrap();
+                match Journal::open(&path, &binding()) {
+                    Err(JournalError::Corrupt { seq: 1 }) => {}
+                    other => panic!("{what} byte {byte} bit {bit:#x}: {other:?}"),
+                }
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    bytes,
+                    "{what}: left as it was"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_span_outside_its_payload_is_corrupt_not_a_panic() {
+        let path = tmp("span-out");
+        Journal::create(&path, &binding()).unwrap();
+        let header = std::fs::read(&path).unwrap();
+        let payload = [9u8; 64];
+        // Past the end, overflowing it, and an offset without a length: each
+        // checksummed as a span-less record, so only the span is wrong.
+        for (off, len) in [(60u32, 5u32), (0, 65), (u32::MAX, 2), (3, 0)] {
+            let mut bytes = header.clone();
+            for word in [payload.len() as u32, off, len] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&record_checksum(0, &payload));
+            std::fs::write(&path, &bytes).unwrap();
+            match Journal::open(&path, &binding()) {
+                Err(JournalError::Corrupt { seq: 0 }) => {}
+                other => panic!("span {off}+{len} of 64: {other:?}"),
+            }
+            let replayed = Journal::replay(&path, &binding(), |_| Ok::<_, JournalError>(()));
+            assert!(matches!(replayed, Err(JournalError::Corrupt { seq: 0 })));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_span_is_truncated_to_the_previous_record() {
+        let path = tmp("span-torn");
+        let (_, span, start) = spanned_journal(&path);
+        let full = std::fs::read(&path).unwrap();
+        let at = start + RECORD_PREFIX;
+        for cut in [
+            at + span.at.start + 1,
+            at + span.at.start + 2_500,
+            at + span.at.end - 1,
+        ] {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (j, streamed) = replayed(&path);
+            assert_eq!(streamed, [b"span-less"], "cut at {cut}");
+            assert_eq!(j.record_count(), 1);
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, start);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_version_5_journal_is_a_bad_header_and_is_left_alone() {
+        // A journal as version 5 wrote it: its header, two records behind
+        // a bare length prefix, checksummed by `sha256::striped("myc-wal-v4"
+        // ‖ seq, payload)`, and a torn tail.
+        let path = tmp("v5");
+        let mut bytes = b"MYCWALv5".to_vec();
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&binding());
+        for (seq, payload) in [b"first".as_slice(), &[5u8; 3000]].into_iter().enumerate() {
+            let domain = [&b"myc-wal-v4"[..], &(seq as u64).to_le_bytes()].concat();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&sha256::striped(&domain, payload));
+        }
+        bytes.extend_from_slice(&[9, 0, 0]);
+        std::fs::write(&path, &bytes).unwrap();
+        for replay in [false, true] {
+            let got = match replay {
+                false => Journal::open(&path, &binding()).map(drop),
+                true => Journal::replay(&path, &binding(), |_| Ok::<_, JournalError>(())).map(drop),
+            };
+            match got {
+                Err(JournalError::BadHeader { why }) => assert!(why.contains("magic"), "{why}"),
+                other => panic!("expected BadHeader, got {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "neither replayed nor cut"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! contribution, submission, or share twice is indistinguishable from
 //! pushing it once, so the client's at-least-once retry is safe.
 
-use mycelium::plan::SignedContribution;
+use std::ops::Range;
+
+use mycelium::plan::{ciphertext_len, SignedContribution};
 use mycelium_bgv::Ciphertext;
 use mycelium_cert::OriginCommit;
 use mycelium_crypto::codec::{CodecError, Reader, Writer};
@@ -209,6 +211,33 @@ impl NetMsg {
             NetMsg::CertSignTask { .. } => "CertSignTask",
             NetMsg::Finished => "Finished",
         }
+    }
+
+    /// Where the ciphertext a request carries lies in its encoding — a
+    /// device's contribution, an origin's submission, a shard's root — and
+    /// `None` for every other message. `NetMsg::decode` validated those
+    /// bytes, and the encoding is canonical, so they are the ciphertext's
+    /// own encoding.
+    pub fn ciphertext_span(&self) -> Option<Range<usize>> {
+        let (start, ct) = match self {
+            // Tag, origin, slot, device.
+            NetMsg::PushContrib { sc, .. } => (1 + 4 + 4 + 4, &sc.ct),
+            // Tag, origin.
+            NetMsg::SubmitOrigin { ct, .. } => (1 + 4, &**ct),
+            // Tag, shard, the reject list, then the commitments (origin,
+            // leaf, accepted, rejected), each list behind its count.
+            NetMsg::ShardRoot {
+                rejected,
+                commits,
+                root,
+                ..
+            } => (
+                1 + 4 + 4 + 4 * rejected.len() + 4 + 44 * commits.len(),
+                &**root,
+            ),
+            _ => return None,
+        };
+        Some(start..start + ciphertext_len(ct))
     }
 
     /// Serializes the message into a buffer of its own.
@@ -581,6 +610,60 @@ mod tests {
             NetMsg::decode(&empty.encode(), &cc).unwrap(),
             NetMsg::ReadyRows { rows } if rows.is_empty()
         ));
+    }
+
+    #[test]
+    fn a_ciphertext_span_is_where_the_encoding_puts_the_ciphertext() {
+        use crate::codec::encode_ciphertext;
+        use mycelium_bgv::{KeySet, Plaintext};
+        use mycelium_math::rng::{SeedableRng, StdRng};
+        let params = BgvParams::test_small();
+        let mut rng = StdRng::seed_from_u64(6);
+        let keys = KeySet::generate(&params, &mut rng);
+        let pt = Plaintext::zero(params.n, params.plaintext_modulus);
+        let ct = Ciphertext::encrypt_at_level(&keys.public, &pt, 3, &mut rng).unwrap();
+        let mut w = Writer::new();
+        encode_ciphertext(&mut w, &ct);
+        let want = w.finish();
+        let commit = |origin| OriginCommit {
+            origin,
+            leaf: [origin as u8; 32],
+            accepted: 2,
+            rejected: 1,
+        };
+        let sc = SignedContribution {
+            device: 9,
+            ct: ct.clone(),
+            proof: None,
+        };
+        for msg in [
+            NetMsg::PushContrib {
+                origin: 4,
+                slot: 1,
+                sc: Box::new(sc),
+            },
+            NetMsg::SubmitOrigin {
+                origin: 4,
+                ct: Box::new(ct.clone()),
+            },
+            NetMsg::ShardRoot {
+                shard: 2,
+                rejected: vec![5, 8, 13],
+                commits: vec![commit(3), commit(7)],
+                root: Box::new(ct.clone()),
+            },
+        ] {
+            let bytes = msg.encode();
+            let at = msg.ciphertext_span().expect("it carries a ciphertext");
+            let kind = msg.kind();
+            assert_eq!(bytes[at.clone()], want, "{kind}");
+            // Only a contribution has something behind it: its proof option.
+            let behind = bytes.len() - at.end;
+            assert_eq!(behind, (kind == "PushContrib") as usize, "{kind}");
+        }
+        for msg in [NetMsg::PullOrigin { origin: 4 }, NetMsg::Ack] {
+            assert_eq!(msg.ciphertext_span(), None, "{}", msg.kind());
+        }
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! glue around the core's transitions: journal, then apply, then checkpoint.
 
 mod budget;
+mod durable;
 
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mycelium::aggcore::{
-    CommitteeTail, CoreError, Intake, Mark, Parked, Round, RoundCtx, Slot, Timeout,
+    CommitteeTail, CoreError, Intake, Mark, Parked, Received, Round, RoundCtx, Slot, Timeout,
 };
 use mycelium::exec::NoisyGroup;
+use mycelium::plan::SignedContribution;
 use mycelium::roles;
 use mycelium::streams as stream;
-use mycelium_budget::{Ledger, LedgerOp};
+use mycelium_budget::Ledger;
 use mycelium_cert::{render_json, RoundCertificate, SlotStatus};
 use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::{sha256, Digest};
@@ -24,42 +25,9 @@ use mycelium_query::eval::PlainResult;
 use super::spec::{encode_outcome, shard_of, RoundOutcome, RoundSetup, BATCH};
 use crate::codec::encode_share;
 use crate::error::NetError;
-use crate::journal::{Journal, JournalError, Pending, SyncStats};
+use crate::journal::{Journal, Pending};
 use crate::proto::NetMsg;
-
-/// Journal record tags (first payload byte of every record). The six
-/// wall-clock transitions are the core's [`Mark`]s ([`mark_tag`], [`mark_of`]).
-mod rec {
-    /// An accepted state-mutating request (body = `NetMsg` encoding).
-    pub const REQ: u8 = 1;
-    /// Wall-clock transition: form the aggregate (missing → `Enc(0)`).
-    pub const AGGREGATE: u8 = 2;
-    /// Wall-clock transition: select the decryption participants.
-    pub const SELECT: u8 = 3;
-    /// Wall-clock transition: reselect after share stragglers.
-    pub const RESELECT: u8 = 4;
-    /// Terminal typed failure (body = UTF-8 message).
-    pub const FAIL: u8 = 5;
-    /// State-digest checkpoint (body = 32-byte [`AggState::digest`]).
-    pub const DIGEST: u8 = 6;
-    /// Wall-clock transition: freeze the per-origin certificate
-    /// commitments (body = 32-byte commitment-plane digest, so a replay
-    /// that re-derives a different tree is a typed divergence). Always
-    /// journaled *before* [`AGGREGATE`]: commitment-then-seal is the
-    /// ordering that makes late contributions unable to move the tree.
-    pub const COMMIT: u8 = 7;
-    /// Wall-clock transition: seal the round certificate with whatever
-    /// committee signatures arrived.
-    pub const SEAL: u8 = 8;
-    /// A privacy-budget ledger decision (body = canonical
-    /// [`LedgerOp`](mycelium_budget::LedgerOp) encoding). Replay
-    /// re-applies the op, so a recovered aggregator re-derives the
-    /// bit-identical ledger — including refusals.
-    pub const BUDGET: u8 = 9;
-}
-
-/// Append a digest checkpoint after this many undigested records.
-const DIGEST_EVERY: u32 = 8;
+use durable::{mark_tag, rec};
 
 /// Deterministic fault injection knobs for
 /// [`run_aggregator`](super::run_aggregator) — the chaos drill's way of
@@ -99,8 +67,9 @@ pub struct AggState {
     started: Duration,
     // Verified per-(origin, slot) ciphertexts, parked until the origin
     // pulls them (empty on the coordinator). Like every ciphertext this
-    // state holds, each sits beside the digest taken when it was accepted,
-    // which is what `digest()` reads.
+    // state holds, each sits beside the digest taken when it arrived, which
+    // is what `digest()` reads; one that arrived in a journalled request is
+    // held in its journal record.
     contribs: Vec<Vec<Option<Parked>>>,
     // How many rows of `contribs` are full (derived; what a held pull
     // waits for).
@@ -154,35 +123,6 @@ fn wall_clock() -> Clock {
 /// there is no journal to claim anything of).
 pub(super) fn settle(pending: Option<Pending>) -> Result<(), NetError> {
     pending.map_or(Ok(()), |pending| Ok(pending.wait()?))
-}
-
-/// The journal tag of a phase transition.
-fn mark_tag(mark: &Mark) -> u8 {
-    match mark {
-        Mark::Commit => rec::COMMIT,
-        Mark::Aggregate => rec::AGGREGATE,
-        Mark::Select => rec::SELECT,
-        Mark::Reselect => rec::RESELECT,
-        Mark::Fail(_) => rec::FAIL,
-        Mark::Seal => rec::SEAL,
-    }
-}
-
-/// The phase transition a replayed record of `tag` stands for; a failure
-/// comes back as its journaled rendering.
-fn mark_of(tag: u8, body: &[u8]) -> Option<Mark> {
-    let fail = Mark::Fail(CoreError::Invalid(
-        String::from_utf8_lossy(body).into_owned(),
-    ));
-    let marks = [
-        Mark::Commit,
-        Mark::Aggregate,
-        Mark::Select,
-        Mark::Reselect,
-        fail,
-        Mark::Seal,
-    ];
-    marks.into_iter().find(|mark| mark_tag(mark) == tag)
 }
 
 /// A reply as the state hands it over. Parked ciphertexts are named, not
@@ -285,47 +225,6 @@ impl AggState {
             die_mid_journal: None,
             setup,
         }
-    }
-
-    /// Opens (or creates) the journal at `path` and replays every
-    /// recorded event, rebuilding the exact pre-crash state. Embedded
-    /// digest checkpoints are verified along the way — a divergent
-    /// replay is a typed [`JournalError::StateDiverged`], never a
-    /// silently wrong round.
-    pub fn recover(setup: Arc<RoundSetup>, path: &Path) -> Result<Self, NetError> {
-        let binding = setup.spec.coordinator_binding_digest();
-        Self::recover_as(AggState::new(setup), &binding, path)
-    }
-
-    /// [`AggState::recover`] for aggregation shard `shard`: same replay
-    /// machinery against the shard's own WAL partition, whose binding
-    /// digest carries the shard id and shard count.
-    pub fn recover_shard(
-        setup: Arc<RoundSetup>,
-        shard: u32,
-        path: &Path,
-    ) -> Result<Self, NetError> {
-        let binding = setup.spec.shard_binding_digest(shard);
-        Self::recover_as(AggState::new_shard(setup, shard), &binding, path)
-    }
-
-    fn recover_as(mut st: AggState, binding: &Digest, path: &Path) -> Result<Self, NetError> {
-        st.replaying = true;
-        let replay = |seq, record: &[u8]| st.apply_record(record, seq);
-        let journal = Journal::replay_or_create(path, binding, replay)?;
-        let replayed = journal.record_count();
-        st.replaying = false;
-        st.journal = Some(journal);
-        // Wall-clock deadlines do not survive a crash: restart them so
-        // straggler detection (and the one reselect) still fires.
-        st.started = (st.clock)();
-        if !st.round.tail.participants.is_empty() && st.outcome.is_none() {
-            st.share_deadline = Some(st.started + st.share_wait());
-        }
-        if replayed > 0 {
-            eprintln!("{}: replayed {replayed} journal records", st.who);
-        }
-        Ok(st)
     }
 
     /// This process's log label (`aggregator` or `agg-shard-N`).
@@ -460,123 +359,6 @@ impl AggState {
         self.apply_mark(&Mark::Fail(CoreError::Invalid(msg)));
     }
 
-    // --- journaling ------------------------------------------------------
-
-    /// Appends the record `tag ‖ body` (not yet durable; see
-    /// [`AggState::pending`]).
-    fn append_record(&mut self, tag: u8, body: &[u8]) -> Result<(), NetError> {
-        if self.replaying {
-            return Ok(());
-        }
-        let Some(j) = self.journal.as_mut() else {
-            return Ok(());
-        };
-        self.mutating_appends += 1;
-        if self.die_mid_journal == Some(self.mutating_appends) {
-            // Chaos: die mid-write(2). Persist a record prefix, then
-            // abort without flushing anything else — the next
-            // incarnation must truncate the torn tail.
-            let record_len = 1 + body.len();
-            j.arm_torn_write(record_len / 2 + 2);
-            let _ = j.append_parts(&[&[tag], body]);
-            eprintln!(
-                "{}: chaos kill mid-journal-write (record {})",
-                self.who, self.mutating_appends
-            );
-            std::process::abort();
-        }
-        j.append_parts(&[&[tag], body])?;
-        self.undigested += 1;
-        Ok(())
-    }
-
-    /// Closes one handled request's run of records: appends a
-    /// state-digest checkpoint if a phase transition is among them or
-    /// [`DIGEST_EVERY`] records went by without one. (Both conditions are
-    /// only ever raised beside an append, so a request that appended
-    /// nothing checkpoints nothing.)
-    pub(super) fn checkpoint(&mut self) -> Result<(), NetError> {
-        if self.digest_due || self.undigested >= DIGEST_EVERY {
-            self.append_record(rec::DIGEST, &self.digest())?;
-            self.undigested = 0;
-            self.digest_due = false;
-        }
-        Ok(())
-    }
-
-    /// A claim on the durability of every record appended so far (`None`
-    /// without a journal). Taken under the state lock, waited on outside
-    /// it ([`settle`]).
-    pub(super) fn pending(&self) -> Option<Pending> {
-        self.journal.as_ref().map(Journal::pending)
-    }
-
-    /// Replays one journal record during [`AggState::recover`].
-    fn apply_record(&mut self, record: &[u8], seq: u64) -> Result<(), NetError> {
-        let Some((&tag, body)) = record.split_first() else {
-            return Err(JournalError::Replay {
-                seq,
-                why: "empty record".into(),
-            }
-            .into());
-        };
-        match tag {
-            rec::REQ => {
-                let msg = NetMsg::decode(body, &self.setup.cc)?;
-                self.apply(msg).map_err(|e| JournalError::Replay {
-                    seq,
-                    why: e.to_string(),
-                })?;
-            }
-            rec::BUDGET => {
-                let op = LedgerOp::decode(body).map_err(|e| JournalError::Replay {
-                    seq,
-                    why: format!("budget record: {e}"),
-                })?;
-                self.apply_budget_op(&op)
-                    .map_err(|e| JournalError::Replay {
-                        seq,
-                        why: format!("budget record: {e}"),
-                    })?;
-                self.round_budget_ops.push(body.to_vec());
-            }
-            // A checkpoint of the whole state, or — the freeze's record —
-            // of the commitment plane the replayed freeze must re-derive.
-            rec::DIGEST | rec::COMMIT => {
-                let want: Digest = body.try_into().map_err(|_| JournalError::Replay {
-                    seq,
-                    why: format!("digest record of {} bytes", body.len()),
-                })?;
-                let got = match tag {
-                    rec::DIGEST => self.digest(),
-                    _ => {
-                        self.apply_mark(&Mark::Commit);
-                        self.commit_digest()
-                    }
-                };
-                if got != want {
-                    return Err(JournalError::StateDiverged {
-                        at_records: seq,
-                        want,
-                        got,
-                    }
-                    .into());
-                }
-            }
-            tag => match mark_of(tag, body) {
-                Some(mark) => self.apply_mark(&mark),
-                None => {
-                    return Err(JournalError::Replay {
-                        seq,
-                        why: format!("unknown record tag {tag}"),
-                    }
-                    .into())
-                }
-            },
-        }
-        Ok(())
-    }
-
     // --- phase transitions ----------------------------------------------
 
     /// Applies a phase transition (live and in replay alike) and adds this
@@ -674,7 +456,7 @@ impl AggState {
                 _ => Vec::new(),
             };
             self.digest_due = true;
-            self.append_record(mark_tag(&mark), &body)?;
+            self.append_record(mark_tag(&mark), &body, None)?;
             self.apply_mark(&mark);
         }
     }
@@ -731,6 +513,19 @@ impl AggState {
         self.duplicates_suppressed
     }
 
+    /// How many bytes of the ciphertexts requests brought in — contributions,
+    /// submissions, shard roots — this state holds in memory: none that its
+    /// journal holds. (A rejected contribution's neutral substitute is the
+    /// state's own, held in memory.)
+    pub fn resident_request_bytes(&self) -> usize {
+        let Round { intake, roots, .. } = &self.round;
+        let contribs = self.contribs.iter().flatten();
+        let held = contribs
+            .chain(&intake.submissions)
+            .chain(roots.iter().flatten());
+        held.flatten().map(Parked::resident).sum()
+    }
+
     /// How far combining overlapped intake: of the rows this process owns
     /// (the second number), how many an origin had been handed when the last
     /// contribution arrived.
@@ -744,8 +539,10 @@ impl AggState {
     /// Applies one request to the state and computes the reply. Pure
     /// protocol logic: no journaling, no clock reads — this is the
     /// function journal replay re-runs. Range and composition checks are
-    /// the core's typed errors.
-    fn apply(&mut self, msg: NetMsg) -> Result<Reply, NetError> {
+    /// the core's typed errors. `ct` is the ciphertext the request carries,
+    /// parked, where it was taken in ([`AggState::take_in`]): a request that
+    /// mutates nothing leaves it `None` and its ciphertext unread.
+    fn apply(&mut self, msg: NetMsg, ct: Option<Parked>) -> Result<Reply, NetError> {
         let setup = Arc::clone(&self.setup);
         let ctx = round_ctx(&setup, self.charged_epsilon);
         let done = self.round.is_over();
@@ -759,8 +556,13 @@ impl AggState {
                 if done {
                     return Ok(Reply::Msg(NetMsg::Finished));
                 }
-                let verified =
-                    intake.accept_contribution(origin, slot, *sc, &ctx, &mut self.rng)?;
+                // Not taken in: a redelivery to a filled slot.
+                let Some(ct) = ct else {
+                    return Ok(Reply::Msg(NetMsg::Ack));
+                };
+                let SignedContribution { device, proof, .. } = *sc;
+                let rc = Received { device, ct, proof };
+                let verified = intake.accept_contribution(origin, slot, rc, &ctx, &mut self.rng)?;
                 if let Some(parked) = verified {
                     let row = &mut self.contribs[origin as usize];
                     row[slot as usize] = Some(parked);
@@ -778,12 +580,14 @@ impl AggState {
                 })
             }
             NetMsg::PullReady { want } => return self.ready_rows(&want),
-            NetMsg::SubmitOrigin { origin, ct } => {
+            NetMsg::SubmitOrigin { origin, .. } => {
                 intake.submission_slot(origin)?;
                 if done {
                     return Ok(Reply::Msg(NetMsg::Finished));
                 }
-                intake.accept_submission(origin, *ct)?;
+                if let Some(ct) = ct {
+                    intake.accept_submission(origin, ct)?;
+                }
                 NetMsg::Ack
             }
             NetMsg::CommitteeCheckIn { member, seed } => {
@@ -839,14 +643,14 @@ impl AggState {
                 shard,
                 rejected,
                 commits,
-                root,
+                ..
             } => {
                 let roots = round.roots.as_mut().ok_or_else(|| {
                     CoreError::Invalid("shard root pushed at a non-coordinator".into())
                 })?;
-                let slot = intake.root_slot(roots, shard, &rejected, &commits)?;
-                if !done && slot == Slot::Open {
-                    intake.accept_root(roots, shard, Parked::new(*root), rejected, commits)?;
+                intake.root_slot(roots, shard, &rejected, &commits)?;
+                if let Some(root) = ct {
+                    intake.accept_root(roots, shard, root, rejected, commits)?;
                 }
                 self.shard_status(shard, NetMsg::Ack)
             }
@@ -943,7 +747,9 @@ impl AggState {
 
     /// Handles one live request and makes it durable **before**
     /// returning the reply — an acknowledged mutation is always on disk.
-    /// `raw` is the request's wire encoding (what the journal stores).
+    /// `raw` is the request's wire encoding, which `msg` was decoded from:
+    /// what the journal stores, and where the state takes the ciphertext a
+    /// request carries from (`msg`'s own is never read).
     /// A caller sharing this state with other threads uses
     /// [`AggState::handle_deferred`] and waits outside its lock.
     pub fn handle(&mut self, msg: NetMsg, raw: &[u8]) -> Result<NetMsg, NetError> {
@@ -982,12 +788,13 @@ impl AggState {
         raw: &[u8],
     ) -> Result<(Reply, Option<Pending>), NetError> {
         self.tick()?;
+        let mut ct = None;
         if self.mutates(&msg) {
-            self.append_record(rec::REQ, raw)?;
+            ct = self.take_in(&msg, raw)?;
         } else if self.is_duplicate(&msg) {
             self.duplicates_suppressed += 1;
         }
-        let reply = self.apply(msg)?;
+        let reply = self.apply(msg, ct)?;
         self.tick()?;
         self.checkpoint()?;
         Ok((reply, self.pending()))
@@ -1043,23 +850,6 @@ impl AggState {
     /// failure).
     pub fn is_finished(&self) -> bool {
         self.outcome.is_some()
-    }
-
-    /// How many records the journal currently holds (tests).
-    pub fn journal_records(&self) -> u64 {
-        self.journal.as_ref().map_or(0, Journal::record_count)
-    }
-
-    /// How many of them this process has made durable (tests).
-    pub fn durable_records(&self) -> u64 {
-        self.journal.as_ref().map_or(0, Journal::durable_count)
-    }
-
-    /// The journal's group-commit counters.
-    pub fn sync_stats(&self) -> SyncStats {
-        self.journal
-            .as_ref()
-            .map_or_else(SyncStats::default, Journal::sync_stats)
     }
 
     /// The shard's sealed `ShardRoot` message once the partial sum is
@@ -1143,7 +933,8 @@ mod tests {
     }
 
     fn ask(st: &mut AggState, msg: NetMsg) -> NetMsg {
-        st.handle_deferred(msg, &[]).unwrap().0
+        let raw = msg.encode();
+        st.handle_deferred(msg, &raw).unwrap().0
     }
 
     /// Runs the due transitions at `ms`.

@@ -45,7 +45,7 @@ impl AggState {
     /// ledger is caught at the very next flush.
     fn record_budget_op(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.digest_due = true;
-        self.append_record(rec::BUDGET, bytes)?;
+        self.append_record(rec::BUDGET, bytes, None)?;
         self.round_budget_ops.push(bytes.to_vec());
         Ok(())
     }

@@ -383,10 +383,11 @@ impl Process<Wire> for PlaneActor {
         let Wire { id, msg } = wire;
         let mut st = self.st.borrow_mut();
         let submitted = matches!(msg, NetMsg::SubmitOrigin { .. }) && st.mutates(&msg);
-        // Without a journal the request's bytes are never read. A request
-        // the state refuses (out of range, or not this plane's) goes
-        // unanswered.
-        if let Ok((reply, _)) = st.handle_deferred(msg, &[]) {
+        // The state takes a request's ciphertext from its encoding, as it
+        // does off the wire. A request the state refuses (out of range, or
+        // not this plane's) goes unanswered.
+        let raw = msg.encode();
+        if let Ok((reply, _)) = st.handle_deferred(msg, &raw) {
             if submitted {
                 ctx.phase_done("submit");
             }

@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
-use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, RoundCtx, Slot};
-use mycelium::plan::{aggregate_and_audit, ciphertext_digest, AGGREGATION_LEVEL};
+use mycelium::aggcore::{CommitteeTail, CoreError, Intake, Parked, Received, RoundCtx, Slot};
+use mycelium::plan::SignedContribution;
+use mycelium::plan::{aggregate_and_audit, ciphertext_digest, encoding_digest, AGGREGATION_LEVEL};
 use mycelium_bgv::{BgvParams, Ciphertext, Plaintext};
 use mycelium_cert::{sign_transcript, verify_bytes, RoundCertificate, SlotStatus};
 use mycelium_math::rng::{RngCore, SeedableRng, StdRng};
@@ -38,6 +39,18 @@ fn ctx(setup: &RoundSetup) -> RoundCtx<'_> {
     }
 }
 
+/// A device's contribution as a hub takes it in: its ciphertext parked from
+/// its encoding, under the digest of those bytes.
+fn received(setup: &RoundSetup, sc: SignedContribution) -> Received {
+    let mut w = Writer::new();
+    encode_ciphertext(&mut w, &sc.ct);
+    let bytes = w.finish();
+    let cc = &setup.cc;
+    let ct = Parked::received(&bytes, encoding_digest(&bytes), None, &cc.ctx, &cc.params);
+    let (device, proof) = (sc.device, sc.proof);
+    Received { device, ct, proof }
+}
+
 /// The first `(origin, slot, device, exponent)` duty of the population.
 fn first_duty(setup: &RoundSetup) -> (u32, u32, u32, usize) {
     let (device, duties) = setup
@@ -61,6 +74,7 @@ fn push_device(intake: &mut Intake, setup: &RoundSetup, v: u32, forged: bool, rn
             .plan
             .build_contribution(&setup.keys, v, duty.exp, forged, rng)
             .unwrap();
+        let sc = received(setup, sc);
         let got = intake.accept_contribution(duty.origin, duty.slot, sc, &ctx(setup), rng);
         assert!(got.unwrap().is_some(), "first write lands");
     }
@@ -134,6 +148,7 @@ fn duplicate_contribution_is_first_write_wins() {
     };
     let (first, second) = (build(&mut rng), build(&mut rng));
     let digest = ciphertext_digest(&first.ct);
+    let (first, second) = (received(&setup, first), received(&setup, second));
     assert_eq!(intake.contribution_slot(origin, slot), Ok(Slot::Open));
     let got = intake.accept_contribution(origin, slot, first, &ctx(&setup), &mut rng);
     let got = got.unwrap().unwrap();
@@ -158,12 +173,37 @@ fn duplicate_contribution_is_first_write_wins() {
     }
 }
 
+/// Asserts `got` holds what `want` holds: the same encoding (read out and
+/// written out), digest and level, and the same ciphertext unpacked.
+fn assert_parked_alike(got: &Parked, want: &Parked, what: &str) {
+    assert_eq!(got.bytes(), want.bytes(), "{what}");
+    let mut w = Writer::new();
+    got.put(&mut w);
+    assert_eq!(w.finish(), *want.bytes(), "{what}: written out");
+    assert_eq!(got.digest(), want.digest(), "{what}");
+    assert_eq!(got.level(), want.level(), "{what}");
+    let (back, ct) = (got.ct(), want.ct());
+    assert_eq!(back.parts(), ct.parts(), "{what}");
+    assert!(Arc::ptr_eq(
+        back.parts()[1].context(),
+        ct.parts()[1].context()
+    ));
+}
+
 #[test]
 fn a_parked_ciphertext_is_its_encoding_and_unpacks_bit_for_bit() {
+    use mycelium_net::journal::Span;
+    let dir = std::env::temp_dir().join(format!("mycelium-parked-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     for params in [BgvParams::test_small(), BgvParams::test_medium()] {
         let ctx = params.build_context();
         let mut rng = StdRng::seed_from_u64(params.n as u64);
-        for level in 1..=6 {
+        let path = dir.join(format!("n{}.bin", params.n));
+        let binding = [params.levels as u8; 32];
+        let mut journal = Journal::create(&path, &binding).unwrap();
+        let mut packed = Vec::new();
+        for level in 1..=params.levels {
             let part = |rng: &mut StdRng| {
                 let moduli = &ctx.moduli()[..level];
                 let mut row = |q: u64| (0..ctx.degree()).map(|_| rng.next_u64() % q).collect();
@@ -176,17 +216,57 @@ fn a_parked_ciphertext_is_its_encoding_and_unpacks_bit_for_bit() {
             assert_eq!(*parked.digest(), ciphertext_digest(&ct), "level {level}");
             let mut w = Writer::new();
             encode_ciphertext(&mut w, &ct);
-            assert_eq!(parked.bytes(), w.finish(), "level {level}");
+            let bytes = w.finish();
+            assert_eq!(*parked.bytes(), bytes, "level {level}");
             assert_eq!(
                 parked.bytes().len(),
                 ciphertext_encoded_bytes(&ctx, 2, level)
             );
+            assert_eq!(parked.resident(), bytes.len());
             let back = parked.ct();
             assert_eq!(back.parts(), ct.parts(), "level {level}");
-            assert_eq!(back.level(), level);
+            assert_eq!((back.level(), parked.level()), (level, level));
             assert!(Arc::ptr_eq(back.parts()[1].context(), &ctx));
+
+            // The same ciphertext as a request brings it: its encoding, hashed
+            // once, parked as a copy, or where a journal record holds it
+            // between a head and a tail.
+            let digest = encoding_digest(&bytes);
+            let copy = Parked::received(&bytes, digest, None, &ctx, &params);
+            assert_parked_alike(&copy, &parked, &format!("copy, level {level}"));
+            let span = Span {
+                at: 3..3 + bytes.len(),
+                digest,
+            };
+            let stored = journal.append_parts(&[&[1, 2, 3], &bytes, &[4]], Some(&span));
+            let stored = Parked::received(&bytes, digest, stored.unwrap(), &ctx, &params);
+            assert_eq!(stored.resident(), 0, "level {level}: held on disk");
+            assert_parked_alike(&stored, &parked, &format!("journal, level {level}"));
+            packed.push(parked);
+        }
+        journal.commit().unwrap();
+        drop(journal);
+        // Reopened, the journal hands each span on with its digest, and
+        // parks it where it lies.
+        let mut replayed = Vec::new();
+        let each = |entry: mycelium_net::journal::Entry<'_>| {
+            let span = entry
+                .span
+                .clone()
+                .expect("every record spans its ciphertext");
+            let bytes = &entry.payload[span.at];
+            let stored = entry.stored();
+            replayed.push(Parked::received(bytes, span.digest, stored, &ctx, &params));
+            Ok::<_, mycelium_net::JournalError>(())
+        };
+        Journal::replay(&path, &binding, each).unwrap();
+        assert_eq!(replayed.len(), params.levels);
+        for (level, (got, want)) in replayed.iter().zip(&packed).enumerate() {
+            assert_eq!(got.resident(), 0);
+            assert_parked_alike(got, want, &format!("reopened, level {}", level + 1));
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -208,7 +288,7 @@ fn after_a_full_intake_every_contribution_is_parked_as_its_encoding() {
             let got = intake.accept_contribution(
                 duty.origin,
                 duty.slot,
-                sc.unwrap(),
+                received(&setup, sc.unwrap()),
                 &ctx(&setup),
                 &mut rng,
             );
@@ -243,6 +323,7 @@ fn forged_proof_is_rejected_neutralised_and_attributed_once() {
             .unwrap();
         let forged = ciphertext_digest(&sc.ct);
         let at = (duty.origin, duty.slot);
+        let sc = received(&setup, sc);
         let handed = intake.accept_contribution(at.0, at.1, sc, &ctx(&setup), &mut rng);
         let handed = handed
             .unwrap()
@@ -276,16 +357,17 @@ fn a_contribution_below_its_slots_level_is_a_certified_reject_above_it_lands() {
     assert!(plan.verify_contribution(&low));
     let got = need - 1;
     assert_eq!(
-        screen(low.clone(), slot, plan).err(),
+        screen(received(&setup, low.clone()), slot, plan).err(),
         Some(Rejection::Level { got, need })
     );
     let top = at(setup.params.bgv.levels);
     assert!(
-        screen(top.clone(), slot, plan).is_ok(),
+        screen(received(&setup, top.clone()), slot, plan).is_ok(),
         "an origin switches it down"
     );
 
     let mut intake = Intake::new(setup.slot_map(), |_| true);
+    let low = received(&setup, low);
     let handed = intake.accept_contribution(origin, slot, low, &ctx(&setup), &mut rng);
     let handed = handed
         .unwrap()
@@ -304,6 +386,7 @@ fn a_contribution_below_its_slots_level_is_a_certified_reject_above_it_lands() {
     // The same slot of a fresh intake takes the contribution from above.
     let mut intake = Intake::new(setup.slot_map(), |_| true);
     let digest = ciphertext_digest(&top.ct);
+    let top = received(&setup, top);
     let landed = intake.accept_contribution(origin, slot, top, &ctx(&setup), &mut rng);
     assert_eq!(*landed.unwrap().unwrap().digest(), digest);
     assert_eq!(
@@ -578,7 +661,10 @@ fn the_phase_policy_is_a_table() {
     expect("shard, intake open", &shard, &[(all_but_intake, None)]);
     let zero = Plaintext::zero(setup.plan.n_ring, setup.plan.t_pt);
     let row = Ciphertext::encrypt(&setup.keys.public, &zero, &mut rng).unwrap();
-    assert_eq!(shard.intake.accept_submission(0, row), Ok(true));
+    assert_eq!(
+        shard.intake.accept_submission(0, Parked::new(row)),
+        Ok(true)
+    );
     expect(
         "shard, intake complete",
         &shard,
@@ -793,7 +879,7 @@ fn a_hub_journal_replays_onto_a_bare_round() {
             1 => {
                 let landed = match NetMsg::decode(body, &setup.cc).unwrap() {
                     NetMsg::SubmitOrigin { origin, ct } => {
-                        round.intake.accept_submission(origin, *ct)
+                        round.intake.accept_submission(origin, Parked::new(*ct))
                     }
                     NetMsg::CommitteeCheckIn { member, seed } => round.tail.check_in(member, seed),
                     NetMsg::PushShare {

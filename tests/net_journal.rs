@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mycelium::plan::encoding_digest;
 use mycelium_bgv::{Ciphertext, Plaintext};
 use mycelium_cert::{sign_transcript, verify_bytes};
 use mycelium_net::proto::NetMsg;
@@ -369,10 +370,10 @@ fn bit_flip_in_a_journal_record_is_a_typed_corruption_error() {
     }
     drop(st);
 
-    // Flip one bit inside record 0's payload (header + length prefix +
+    // Flip one bit inside record 0's payload (header + record prefix +
     // 2 bytes in).
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[mycelium_net::journal::HEADER_BYTES + 4 + 2] ^= 0x04;
+    bytes[journal::HEADER_BYTES + journal::RECORD_PREFIX + 2] ^= 0x04;
     std::fs::write(&path, &bytes).unwrap();
 
     let err = AggState::recover(Arc::clone(&setup), &path)
@@ -404,7 +405,14 @@ fn journal_with_a_failing_record(
     j.append(&[200]).unwrap();
     j.commit().unwrap();
     let before_last = std::fs::metadata(path).unwrap().len();
-    j.append_parts(&[&[1], raws.last().unwrap()]).unwrap();
+    // A request record as the aggregator writes one: spanning its ciphertext.
+    let raw = raws.last().unwrap();
+    let msg = NetMsg::decode(raw, &setup.cc).unwrap();
+    let at = msg.ciphertext_span().expect("a contribution");
+    let digest = encoding_digest(&raw[at.clone()]);
+    let at = at.start + 1..at.end + 1;
+    let span = journal::Span { at, digest };
+    j.append_parts(&[&[1], raw], Some(&span)).unwrap();
     j.commit().unwrap();
     (records.len() as u64, before_last)
 }
@@ -428,7 +436,7 @@ fn a_corrupt_record_after_one_that_fails_to_apply_is_reported_as_corrupt() {
     // A bit flipped in the record after it outranks it: the checksum scan
     // covers the whole file before any replay error is reported.
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[before_last as usize + 4 + 100] ^= 0x20;
+    bytes[before_last as usize + journal::RECORD_PREFIX + 100] ^= 0x20;
     std::fs::write(&path, &bytes).unwrap();
     let err = AggState::recover(Arc::clone(&setup), &path)
         .map(|_| ())
@@ -1224,6 +1232,62 @@ fn one_origin_pulls_encode_the_row_alike_and_a_shard_refuses_both_alike() {
     let want = vec![mine[0], origin];
     assert_eq!(refusal(&mut st, NetMsg::PullReady { want }), one);
     assert!(one.contains("out of range"), "{one}");
+}
+
+#[test]
+fn a_journalled_hub_holds_no_request_bytes_and_serves_a_row_as_it_was_sent() {
+    let setup = Arc::new(build_setup(&test_spec()).unwrap());
+    let dir = journal_dir("resident");
+    let path = dir.join(files::JOURNAL);
+    let origin = waiting_origins(&setup, 1)[0];
+    let mut requests: Vec<Vec<u8>> = row_pushes(&setup, origin)
+        .iter()
+        .map(NetMsg::encode)
+        .collect();
+    requests.push(submission(&setup, origin).encode());
+    // A request's ciphertext, as its sender wrote it.
+    let sent = |raw: &[u8]| {
+        let at = NetMsg::decode(raw, &setup.cc).unwrap().ciphertext_span();
+        raw[at.expect("a ciphertext")].to_vec()
+    };
+    let in_memory = AggState::new(Arc::clone(&setup));
+    let journalled = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    let mut states = [in_memory, journalled];
+    for raw in &requests {
+        for st in &mut states {
+            feed(st, &setup, raw);
+        }
+    }
+    let [in_memory, journalled] = states;
+    let bytes: usize = requests.iter().map(|raw| sent(raw).len()).sum();
+    assert_eq!(in_memory.resident_request_bytes(), bytes, "held as copies");
+    assert_eq!(
+        journalled.resident_request_bytes(),
+        0,
+        "held in the journal"
+    );
+
+    // The row a pull is handed: its tag, its slot count, then each slot's
+    // ciphertext exactly as its device sent it.
+    let pushes = &requests[..requests.len() - 1];
+    let mut want = vec![NetMsg::OriginJob { cts: vec![] }.encode()[0]];
+    want.extend_from_slice(&(pushes.len() as u32).to_le_bytes());
+    for raw in pushes {
+        want.push(1);
+        want.extend_from_slice(&sent(raw));
+    }
+    let pull = NetMsg::PullOrigin { origin }.encode();
+    let served = |st: AggState| {
+        let shared = SharedAgg::new(st, &setup, &AggFaults::default());
+        shared.handle([0; 32], &pull).unwrap()
+    };
+    assert_eq!(served(in_memory), want);
+    assert_eq!(served(journalled), want, "read back from the journal");
+    // A recovered hub holds them where its journal does, and serves them alike.
+    let recovered = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    assert_eq!(recovered.resident_request_bytes(), 0);
+    assert_eq!(served(recovered), want, "after a restart");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
