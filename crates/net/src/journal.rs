@@ -362,7 +362,7 @@ impl Scan {
         }
         let pos = HEADER_BYTES as u64;
         Ok(Scan {
-            sync: Syncer::over(file, 0),
+            sync: Syncer::over(file),
             size,
             unread: size - pos,
             window: Vec::new(),
@@ -461,6 +461,9 @@ impl Scan {
             file.sync_all()?;
         }
         (&*file).seek(SeekFrom::Start(self.pos))?;
+        // None of the records counts as durable yet: a predecessor that died
+        // may have written them without syncing, so the first wait of this
+        // incarnation syncs them too.
         self.sync.appended.store(self.seq, Ordering::Release);
         Ok(Journal::over(self.sync, self.pos))
     }
@@ -487,13 +490,11 @@ struct Syncer {
 }
 
 impl Syncer {
-    /// The syncer of `file`, which holds `records` records. None of them
-    /// counts as durable yet: a predecessor that died may have written them
-    /// without syncing, so the first wait of this incarnation syncs them too.
-    fn over(file: File, records: u64) -> Arc<Self> {
+    /// The syncer of `file`, nothing appended or durable yet.
+    fn over(file: File) -> Arc<Self> {
         Arc::new(Syncer {
             file,
-            appended: AtomicU64::new(records),
+            appended: AtomicU64::new(0),
             durable: AtomicU64::new(0),
             leader: Mutex::default(),
         })
@@ -584,7 +585,7 @@ impl Journal {
         header.extend_from_slice(binding);
         file.write_all(&header)?;
         file.sync_all()?;
-        Ok(Self::over(Syncer::over(file, 0), HEADER_BYTES as u64))
+        Ok(Self::over(Syncer::over(file), HEADER_BYTES as u64))
     }
 
     /// A journal appending at `end` of the file `sync` holds, positioned
