@@ -316,7 +316,7 @@ fn fig9() {
     // Measure one paper-scale homomorphic addition.
     println!("\nmeasuring one paper-scale ciphertext addition ...");
     let mut rng = StdRng::seed_from_u64(9);
-    let keys = KeySet::generate_with_relin_levels(&params.bgv, &[], &mut rng);
+    let keys = KeySet::generate_deferred(&params.bgv, &mut rng);
     let pt = encode_monomial(1, params.bgv.n, params.bgv.plaintext_modulus).unwrap();
     let a = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
     let b = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
@@ -439,7 +439,7 @@ fn committee_costs() {
         "measuring threshold decryption share arithmetic at N={} ...",
         params.n
     );
-    let keys = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+    let keys = KeySet::generate_deferred(&params, &mut rng);
     let pt = encode_monomial(7, params.n, params.plaintext_modulus).unwrap();
     let ct = Ciphertext::encrypt(&keys.public, &pt, &mut rng).unwrap();
     let c = SystemParams::paper().committee_size;

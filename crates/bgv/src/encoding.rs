@@ -60,7 +60,7 @@ mod tests {
         // Enc(2) leaves exactly Enc(x^m).
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(11);
-        let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut rng);
         let t = params.plaintext_modulus;
         let m = 9usize;
         let cts: Vec<Ciphertext> = [0, m, 0]
@@ -87,7 +87,7 @@ mod tests {
         // window [8, 16); the aggregate splits back per group.
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(12);
-        let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut rng);
         let t = params.plaintext_modulus;
         let window = 8;
         let local = encode_monomial(3, params.n, t).unwrap();

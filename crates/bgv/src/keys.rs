@@ -13,11 +13,10 @@
 //!   process derives a round's key set from the round seed, and each round
 //!   deals fresh Shamir shares of its secret key.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use mycelium_math::deferred::Deferred;
-use mycelium_math::rng::Rng;
+use mycelium_math::rng::{Rng, StdRng};
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly, ShoupPrecomp};
 use mycelium_math::sample;
 
@@ -51,18 +50,42 @@ pub struct PublicKey {
     ctx: Arc<RnsContext>,
 }
 
-/// `keys[&l][j] = (b_{l,j}, a_{l,j})` at level `l`, NTT representation
-/// with Shoup constants (key switching multiply-accumulates decomposed
-/// digits against these on every relinearization), where
+/// One level's keys: `[j] = (b_{l,j}, a_{l,j})`, NTT representation with
+/// Shoup constants (key switching multiply-accumulates decomposed digits
+/// against these on every relinearization), where
 /// `b_{l,j} = -(a·s) + t·e + ĝ_{l,j}·s²`.
-type LevelKeys = HashMap<usize, Vec<(ShoupPrecomp, ShoupPrecomp)>>;
+type LevelKeys = Vec<(ShoupPrecomp, ShoupPrecomp)>;
 
-/// Relinearization (key-switching) keys, indexed by level. Clones share
-/// the keys; those of [`KeySet::generate_deferred`] are derived on the
-/// first read.
-#[derive(Debug, Clone)]
+/// Relinearization (key-switching) keys, one set per level `1..=max`.
+/// Clones share the keys. Those of [`KeySet::generate`] are all derived;
+/// those of [`KeySet::generate_deferred`] are derived a level at a time, on
+/// that level's first read, so a process holds only the levels it
+/// relinearizes at.
+#[derive(Clone)]
 pub struct RelinKey {
-    keys: Deferred<LevelKeys>,
+    inner: Arc<Levels>,
+}
+
+struct Levels {
+    /// `cells[l - 1]`: level `l`'s keys, once derived. A derived level is
+    /// read without a lock: this is on every relinearization.
+    cells: Vec<OnceLock<LevelKeys>>,
+    /// What derives the levels not yet derived; `None` once none is left.
+    /// Held while deriving, so two threads reading different underived
+    /// levels derive them one after the other, each once.
+    walk: Mutex<Option<Walk>>,
+}
+
+/// Where eager derivation of every level would stand at each level's
+/// start. Level `l`'s draws (for each of its `l` digits, `uniform_rns`
+/// then `gaussian_rns` at `l` residues) follow those of levels `1..l`
+/// off one stream, so reaching level `l` first replays the draws of the
+/// levels below it — samples only: no transforms, products or Shoup
+/// tables — and remembers the stream at each start it passes.
+struct Walk {
+    secret: SecretKey,
+    /// `starts[i]`: the stream where level `i + 1`'s draws start.
+    starts: Vec<StdRng>,
 }
 
 /// A complete BGV key set.
@@ -142,28 +165,19 @@ impl SecretKey {
         }
     }
 
-    /// Generates relinearization keys for the given levels.
-    pub fn relin_keys<R: Rng + ?Sized>(&self, levels: &[usize], rng: &mut R) -> RelinKey {
-        RelinKey {
-            keys: Deferred::ready(self.level_keys(levels, rng)),
-        }
-    }
-
-    fn level_keys<R: Rng + ?Sized>(&self, levels: &[usize], rng: &mut R) -> LevelKeys {
-        let mut keys = HashMap::new();
-        for &l in levels {
-            assert!(l >= 1 && l <= self.ctx.max_level(), "invalid level {l}");
-            let s = self.s_at_level(l);
-            let s2 = s.mul(&s);
-            let pre = self.ctx.level(l);
-            let mut level_keys = Vec::with_capacity(l);
-            for j in 0..l {
+    /// Level `l`'s relinearization keys, drawn from `rng`.
+    fn level_keys<R: Rng + ?Sized>(&self, l: usize, rng: &mut R) -> LevelKeys {
+        let s = self.s_at_level(l);
+        let s2 = s.mul(&s);
+        let pre = self.ctx.level(l);
+        let n = self.ctx.degree();
+        (0..l)
+            .map(|j| {
                 let mut a = sample::uniform_rns(&self.ctx, l, rng);
                 a.to_ntt();
                 let mut e = sample::gaussian_rns(&self.ctx, l, self.params.sigma, rng);
                 e.to_ntt();
                 // Gadget constant ĝ_{l,j} = Q_l/q_j as an RNS scalar.
-                let n = self.ctx.degree();
                 let gadget_res: Vec<Vec<u64>> = (0..l)
                     .map(|i| {
                         let mut v = vec![0u64; n];
@@ -183,20 +197,21 @@ impl SecretKey {
                     .neg()
                     .add(&e.scalar_mul(self.params.plaintext_modulus))
                     .add(&s2.mul(&g));
-                level_keys.push((ShoupPrecomp::new(b), ShoupPrecomp::new(a)));
+                (ShoupPrecomp::new(b), ShoupPrecomp::new(a))
+            })
+            .collect()
+    }
+
+    /// Draws what [`SecretKey::level_keys`] draws at level `l`, and nothing
+    /// else.
+    fn skip_level_keys<R: Rng + ?Sized>(&self, l: usize, rng: &mut R) {
+        let mut residue = vec![0u64; self.ctx.degree()];
+        for _ in 0..l {
+            for m in &self.ctx.moduli()[..l] {
+                sample::uniform_below(m.value(), &mut residue, rng);
             }
-            keys.insert(l, level_keys);
+            sample::gaussian_coeffs(residue.len(), self.params.sigma, rng);
         }
-        keys
-    }
-
-    /// Generates relinearization keys for every level of the chain.
-    pub fn relin_keys_all<R: Rng + ?Sized>(&self, rng: &mut R) -> RelinKey {
-        self.relin_keys(&self.all_levels(), rng)
-    }
-
-    fn all_levels(&self) -> Vec<usize> {
-        (1..=self.ctx.max_level()).collect()
     }
 }
 
@@ -217,32 +232,82 @@ impl PublicKey {
     }
 }
 
+impl Walk {
+    fn derive(&mut self, level: usize) -> LevelKeys {
+        while self.starts.len() < level {
+            let below = self.starts.len();
+            let mut rng = self.starts[below - 1].clone();
+            self.secret.skip_level_keys(below, &mut rng);
+            self.starts.push(rng);
+        }
+        self.secret
+            .level_keys(level, &mut self.starts[level - 1].clone())
+    }
+}
+
 impl RelinKey {
-    /// The key-switching key pairs for `level`, if generated.
+    fn new(levels: usize, walk: Option<Walk>) -> Self {
+        let inner = Levels {
+            cells: (0..levels).map(|_| OnceLock::new()).collect(),
+            walk: Mutex::new(walk),
+        };
+        Self {
+            inner: Arc::new(inner),
+        }
+    }
+
+    /// The key-switching key pairs for `level`, derived now if this is the
+    /// level's first read; `None` outside `1..=max`.
     pub fn at_level(&self, level: usize) -> Option<&[(ShoupPrecomp, ShoupPrecomp)]> {
-        self.keys.get().get(&level).map(|v| v.as_slice())
+        let cell = self.inner.cells.get(level.checked_sub(1)?)?;
+        if let Some(keys) = cell.get() {
+            return Some(keys);
+        }
+        let mut walk = self.inner.walk.lock().expect("relinearization walk lock");
+        let keys = cell.get_or_init(|| {
+            let walk = walk.as_mut().expect("an underived level has its walk");
+            walk.derive(level)
+        });
+        if self.inner.cells.iter().all(|c| c.get().is_some()) {
+            *walk = None;
+        }
+        Some(keys)
     }
 
-    /// Levels for which keys are available.
-    pub fn levels(&self) -> Vec<usize> {
-        let mut l: Vec<usize> = self.keys.get().keys().copied().collect();
-        l.sort_unstable();
-        l
+    /// The levels derived so far, in increasing order.
+    pub fn derived_levels(&self) -> Vec<usize> {
+        let cells = self.inner.cells.iter().enumerate();
+        cells
+            .filter(|(_, c)| c.get().is_some())
+            .map(|(i, _)| i + 1)
+            .collect()
     }
 
-    /// Whether the keys have been derived (always, unless they are
+    /// Whether any level has been derived (always, unless the keys are
     /// [`KeySet::generate_deferred`]'s and nothing read them).
     pub fn is_derived(&self) -> bool {
-        self.keys.is_derived()
+        self.inner.cells.iter().any(|c| c.get().is_some())
+    }
+}
+
+impl fmt::Debug for RelinKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RelinKey")
+            .field("levels", &self.inner.cells.len())
+            .field("derived", &self.derived_levels())
+            .finish()
     }
 }
 
 impl KeySet {
     /// Generates a complete key set with relinearization keys at every
-    /// level.
+    /// level, drawn from `rng` level by level, 1 to max.
     pub fn generate<R: Rng + ?Sized>(params: &BgvParams, rng: &mut R) -> Self {
         let (secret, public) = Self::secret_and_public(params, rng);
-        let relin = secret.relin_keys_all(rng);
+        let relin = RelinKey::new(params.levels, None);
+        for (l, cell) in (1..).zip(&relin.inner.cells) {
+            let _ = cell.set(secret.level_keys(l, rng));
+        }
         Self {
             secret,
             public,
@@ -250,19 +315,25 @@ impl KeySet {
         }
     }
 
-    /// [`KeySet::generate`] off a stream nothing draws from afterwards, so
-    /// it can own it: the same keys, but the relinearization keys — the
-    /// last draw — are derived on their first read, and a process that
-    /// never relinearizes never derives them. Until then they hold a clone
-    /// of the secret and the stream.
-    pub fn generate_deferred<R: Rng + Send + 'static>(params: &BgvParams, mut rng: R) -> Self {
-        let (secret, public) = Self::secret_and_public(params, &mut rng);
-        let recipe = secret.clone();
-        let keys = Deferred::new(move || recipe.level_keys(&recipe.all_levels(), &mut rng));
+    /// [`KeySet::generate`], but each level's relinearization keys are
+    /// derived on that level's first read, from where `generate` draws
+    /// them: the same keys, and a level nothing reads is never derived.
+    ///
+    /// The secret and public keys are drawn from `rng`, which is left
+    /// where the relinearization keys start; the keys draw from a copy of
+    /// it. So draw on from `rng` only if the keys are never read — the
+    /// stream should be one nothing draws from afterwards, as `build_setup`'s
+    /// key stream is.
+    pub fn generate_deferred(params: &BgvParams, rng: &mut StdRng) -> Self {
+        let (secret, public) = Self::secret_and_public(params, rng);
+        let walk = Walk {
+            secret: secret.clone(),
+            starts: vec![rng.clone()],
+        };
         Self {
             secret,
             public,
-            relin: RelinKey { keys },
+            relin: RelinKey::new(params.levels, Some(walk)),
         }
     }
 
@@ -274,23 +345,6 @@ impl KeySet {
         let secret = SecretKey::generate(params, &ctx, rng);
         let public = secret.public_key(rng);
         (secret, public)
-    }
-
-    /// Generates a key set with relinearization keys only at the specified
-    /// levels (cheaper for large parameter sets where only the top level is
-    /// exercised).
-    pub fn generate_with_relin_levels<R: Rng + ?Sized>(
-        params: &BgvParams,
-        levels: &[usize],
-        rng: &mut R,
-    ) -> Self {
-        let (secret, public) = Self::secret_and_public(params, rng);
-        let relin = secret.relin_keys(levels, rng);
-        Self {
-            secret,
-            public,
-            relin,
-        }
     }
 }
 
@@ -304,7 +358,7 @@ mod tests {
         // b + a·s must equal t·e (small when reduced centered).
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(1);
-        let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut rng);
         let s = ks.secret.s_at_level(params.levels);
         let te = ks
             .public
@@ -334,25 +388,23 @@ mod tests {
     #[test]
     fn relin_key_levels() {
         let params = BgvParams::test_small();
-        let ctx = params.build_context();
-        let mut rng = StdRng::seed_from_u64(3);
-        let sk = SecretKey::generate(&params, &ctx, &mut rng);
-        let rk = sk.relin_keys(&[6, 4], &mut rng);
-        assert_eq!(rk.levels(), vec![4, 6]);
+        let rk = KeySet::generate_deferred(&params, &mut StdRng::seed_from_u64(3)).relin;
         assert_eq!(rk.at_level(6).unwrap().len(), 6);
         assert_eq!(rk.at_level(4).unwrap().len(), 4);
-        assert!(rk.at_level(5).is_none());
+        assert_eq!(rk.derived_levels(), vec![4, 6]);
+        // Outside the chain there are no keys, and asking derives nothing.
+        assert!(rk.at_level(0).is_none() && rk.at_level(7).is_none());
+        assert_eq!(rk.derived_levels(), vec![4, 6]);
     }
 
     #[test]
     fn relin_key_encrypts_gadget_times_s_squared() {
         // b_{l,j} + a·s - ĝ_j·s² must be ≡ 0 (mod t) and small.
         let params = BgvParams::test_small();
-        let ctx = params.build_context();
-        let mut rng = StdRng::seed_from_u64(4);
-        let sk = SecretKey::generate(&params, &ctx, &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut StdRng::seed_from_u64(4));
+        let (sk, rk) = (&ks.secret, &ks.relin);
+        let ctx = sk.context();
         let l = 3;
-        let rk = sk.relin_keys(&[l], &mut rng);
         let s = sk.s_at_level(l);
         let s2 = s.mul(&s);
         let pre = ctx.level(l);
@@ -378,8 +430,12 @@ mod tests {
         let params = BgvParams::test_small();
         let stream = StdRng::seed_from_u64(6).with_stream(3);
         let eager = KeySet::generate(&params, &mut stream.clone());
-        let deferred = KeySet::generate_deferred(&params, stream);
+        let deferred = KeySet::generate_deferred(&params, &mut stream.clone());
         assert!(eager.relin.is_derived());
+        assert_eq!(
+            eager.relin.derived_levels(),
+            (1..=params.levels).collect::<Vec<_>>()
+        );
         assert!(!deferred.relin.is_derived());
         let early_clone = deferred.relin.clone();
         assert_eq!(
@@ -392,7 +448,59 @@ mod tests {
             assert_eq!(pairs, eager.relin.at_level(l).unwrap(), "level {l}");
         }
         assert!(early_clone.is_derived());
-        assert_eq!(deferred.relin.levels(), eager.relin.levels());
+        assert_eq!(
+            deferred.relin.derived_levels(),
+            eager.relin.derived_levels()
+        );
+        // Read out of order, each level is still the eager one, and only
+        // the levels read are derived.
+        for order in [&[6, 2, 4, 1][..], &[3], &[5, 5, 1, 6, 2, 4, 3]] {
+            let deferred = KeySet::generate_deferred(&params, &mut stream.clone()).relin;
+            for &l in order {
+                let pairs = deferred.at_level(l).unwrap();
+                assert_eq!(
+                    pairs,
+                    eager.relin.at_level(l).unwrap(),
+                    "{order:?}: level {l}"
+                );
+            }
+            let mut read = order.to_vec();
+            read.sort_unstable();
+            read.dedup();
+            assert_eq!(deferred.derived_levels(), read, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn threads_racing_for_levels_derive_each_once() {
+        let params = BgvParams::test_small();
+        let stream = StdRng::seed_from_u64(7).with_stream(3);
+        let eager = KeySet::generate(&params, &mut stream.clone()).relin;
+        let deferred = KeySet::generate_deferred(&params, &mut stream.clone()).relin;
+        // Two threads per level for levels 5, 2 and 4: every read sees the
+        // one derivation of its level (a level derived twice would be
+        // handed out from two addresses).
+        let barrier = std::sync::Barrier::new(6);
+        let seen: Vec<(usize, usize)> = std::thread::scope(|s| {
+            let threads: Vec<_> = [5, 2, 4, 5, 2, 4]
+                .into_iter()
+                .map(|l| {
+                    let (rk, barrier) = (deferred.clone(), &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let keys = rk.at_level(l).unwrap();
+                        (l, keys.as_ptr() as usize)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (l, at) in &seen {
+            let keys = deferred.at_level(*l).unwrap();
+            assert_eq!(keys.as_ptr() as usize, *at, "level {l} was derived twice");
+            assert_eq!(keys, eager.at_level(*l).unwrap(), "level {l}");
+        }
+        assert_eq!(deferred.derived_levels(), vec![2, 4, 5]);
     }
 
     #[test]

@@ -260,8 +260,9 @@ mod tests {
         let start = start_level(p, muls, 1, 1).expect("feasible");
         let plan = plan_chain_from(p, muls, start);
         let mut rng = StdRng::seed_from_u64(f as u64);
-        let levels: Vec<usize> = (2..=start).collect();
-        let keys = KeySet::generate_with_relin_levels(p, &levels, &mut rng);
+        // The keys get a stream of their own: they draw on after the
+        // secret and public keys, and only at the levels the chain reads.
+        let keys = KeySet::generate_deferred(p, &mut rng.clone().with_stream(1));
         let mut x = vec![0u64; p.n];
         x[1] = 1;
         let x = Plaintext::new(x, p.plaintext_modulus).unwrap();

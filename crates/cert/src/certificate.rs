@@ -360,7 +360,18 @@ pub fn sign_transcript(seed: u64, member: u64, transcript: &Digest) -> [u8; 64] 
 
 /// Verifies one member's transcript signature.
 pub fn verify_transcript_sig(seed: u64, member: u64, transcript: &Digest, sig: &[u8; 64]) -> bool {
-    eddsa::verify(&committee_public_key(seed, member), transcript, sig)
+    verify_transcript_sig_by(&committee_public_key(seed, member), transcript, sig)
+}
+
+/// [`verify_transcript_sig`] against a member's public key derived
+/// already ([`committee_public_key`]), for a verifier that checks many of
+/// one member's signatures.
+pub fn verify_transcript_sig_by(
+    public_key: &[u8; 32],
+    transcript: &Digest,
+    sig: &[u8; 64],
+) -> bool {
+    eddsa::verify(public_key, transcript, sig)
 }
 
 /// Convenience digest of an entire encoded certificate (for logs/tests).

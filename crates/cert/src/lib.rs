@@ -32,8 +32,8 @@ pub mod verify;
 
 pub use certificate::{
     cert_fingerprint, committee_public_key, committee_signing_secret, noise_commitment,
-    sign_transcript, verify_transcript_sig, CertError, CertLayout, CertSpec, CommitteeSig,
-    ReleasedGroup, RoundCertificate, CERT_MAGIC, CERT_VERSION,
+    sign_transcript, verify_transcript_sig, verify_transcript_sig_by, CertError, CertLayout,
+    CertSpec, CommitteeSig, ReleasedGroup, RoundCertificate, CERT_MAGIC, CERT_VERSION,
 };
 pub use commit::{
     build_segments, commit_origin, origin_leaf, segment_of, segment_range, segment_root,

@@ -239,14 +239,12 @@ pub fn x25519(scalar: &[u8; 32], u_point: &[u8; 32]) -> [u8; 32] {
     let mut z2 = FieldElement::ZERO;
     let mut x3 = x1;
     let mut z3 = FieldElement::ONE;
-    let mut swap = 0u8;
+    let mut swap = 0u64;
     for t in (0..255).rev() {
-        let k_t = (k[t / 8] >> (t % 8)) & 1;
+        let k_t = u64::from((k[t / 8] >> (t % 8)) & 1);
         swap ^= k_t;
-        if swap == 1 {
-            std::mem::swap(&mut x2, &mut x3);
-            std::mem::swap(&mut z2, &mut z3);
-        }
+        cswap(swap, &mut x2, &mut x3);
+        cswap(swap, &mut z2, &mut z3);
         swap = k_t;
         let a = x2.add(z2);
         let aa = a.square();
@@ -262,11 +260,21 @@ pub fn x25519(scalar: &[u8; 32], u_point: &[u8; 32]) -> [u8; 32] {
         x2 = aa.mul(bb);
         z2 = e.mul(aa.add(e.mul_small(121665)));
     }
-    if swap == 1 {
-        std::mem::swap(&mut x2, &mut x3);
-        std::mem::swap(&mut z2, &mut z3);
-    }
+    cswap(swap, &mut x2, &mut x3);
+    cswap(swap, &mut z2, &mut z3);
     x2.mul(z2.invert()).to_bytes()
+}
+
+/// RFC 7748 §5's `cswap`: swaps `a` and `b` when `swap` is 1, leaves them
+/// when it is 0, by masking rather than branching, so the ladder takes the
+/// same path whatever the secret scalar's bits.
+fn cswap(swap: u64, a: &mut FieldElement, b: &mut FieldElement) {
+    let mask = swap.wrapping_neg();
+    for (x, y) in a.0.iter_mut().zip(b.0.iter_mut()) {
+        let t = mask & (*x ^ *y);
+        *x ^= t;
+        *y ^= t;
+    }
 }
 
 /// The X25519 base point (`u = 9`).
@@ -476,6 +484,21 @@ mod tests {
         let point = from_hex("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
         let expect = from_hex("95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
         assert_eq!(x25519(&scalar, &point), expect);
+    }
+
+    #[test]
+    fn rfc7748_iterated_vector() {
+        // §5.2: k = u = 9, then (k, u) ← (X25519(k, u), k).
+        let (mut k, mut u) = (basepoint(), basepoint());
+        for i in 1..=1000 {
+            (k, u) = (x25519(&k, &u), k);
+            if i == 1 {
+                let one = "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079";
+                assert_eq!(k, from_hex(one));
+            }
+        }
+        let thousand = "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51";
+        assert_eq!(k, from_hex(thousand));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! A value derived on its first read, from a recipe it holds until then.
 //!
 //! Some state every process of a round could derive is read by only a few
-//! of them: relinearization keys by whoever relinearizes, the committee's
-//! key shares by whoever makes a decryption share. [`Deferred`] holds the
+//! of them: the committee's key shares by whoever makes a decryption share
+//! (relinearization keys, by whoever relinearizes, are deferred a level at
+//! a time by `mycelium_bgv`'s `RelinKey`). [`Deferred`] holds the
 //! recipe — the closure eager derivation would have run, owning what it
 //! reads (a key, the seeded stream it draws from) — and runs it the first
 //! time the value is read, so the value is the one eager derivation gives

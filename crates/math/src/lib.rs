@@ -29,8 +29,7 @@
 //!   lives here because every crate that writes one already depends on
 //!   this one.
 //! * [`deferred`] — a value derived on its first read from the recipe it
-//!   holds (relinearization keys, the committee's key shares), for the
-//!   same reason.
+//!   holds (the committee's key shares), for the same reason.
 
 pub mod bigint;
 pub mod chacha;

@@ -17,9 +17,60 @@ pub fn uniform_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, level: usize, rng: &m
     let n = ctx.degree();
     let residues: Vec<Vec<u64>> = ctx.moduli()[..level]
         .iter()
-        .map(|m| (0..n).map(|_| rng.gen_range(0..m.value())).collect())
+        .map(|m| {
+            let mut residue = vec![0u64; n];
+            uniform_below(m.value(), &mut residue, rng);
+            residue
+        })
         .collect();
     RnsPoly::from_residues(ctx.clone(), Representation::Coefficient, residues)
+}
+
+/// Fills `out` with uniform values below `q` (`q > 0`): the values of
+/// `out.len()` calls of `rng.gen_range(0..q)`, leaving the stream where
+/// they would.
+///
+/// `gen_range` rejects a word above the largest multiple of `q` that fits
+/// (`zone`) and draws the next one for the same value. Here the words come
+/// in blocks through [`RngCore::fill_u64`], each as long as the values
+/// still missing — never a word more than the loop would take — and are
+/// kept, in order, where they pass the same test: a rejected word's
+/// replacement is the next word, as there. The reduction is a Barrett
+/// step on `floor(2^64 / q)` instead of a division.
+///
+/// [`RngCore::fill_u64`]: crate::rng::RngCore::fill_u64
+pub fn uniform_below<R: Rng + ?Sized>(q: u64, out: &mut [u64], rng: &mut R) {
+    assert!(q > 0, "cannot sample below 0");
+    if q.is_power_of_two() {
+        rng.fill_u64(out);
+        out.iter_mut().for_each(|v| *v &= q - 1);
+        return;
+    }
+    let zone = u64::MAX - (u64::MAX - q + 1) % q;
+    // floor((2^64 - 1) / q) = floor(2^64 / q) when q is no power of two.
+    let ratio = u64::MAX / q;
+    // The estimate is the quotient or one below it: one correction.
+    let reduce = |v: u64| {
+        let r = v - ((v as u128 * ratio as u128) >> 64) as u64 * q;
+        if r >= q {
+            r - q
+        } else {
+            r
+        }
+    };
+    let mut filled = 0;
+    while filled < out.len() {
+        rng.fill_u64(&mut out[filled..]);
+        let mut kept = filled;
+        for read in filled..out.len() {
+            let v = out[read];
+            if v <= zone {
+                out[kept] = reduce(v);
+                kept += 1;
+            }
+        }
+        filled = kept;
+    }
 }
 
 /// Samples ternary coefficients in `{-1, 0, 1}` (each with probability 1/3),
@@ -177,7 +228,7 @@ pub fn gaussian_rns<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{SeedableRng, StdRng};
+    use crate::rng::{RngCore, SeedableRng, StdRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xC0FFEE)
@@ -309,6 +360,28 @@ mod tests {
             digest(&ternary),
             "458315399403c2bcf8eaf8bd52ef011d0ad20765c797cd8c9f3e547cfe40c4c2"
         );
+    }
+
+    #[test]
+    fn bulk_uniform_equals_the_gen_range_loop() {
+        // `test_small`'s first chain prime (40 bits, ≡ 1 mod 2048;
+        // rejection ≈ 2^-24) and a modulus just above 2^63 (rejection
+        // ≈ 1/2), on lengths that end mid-block and after byte-wise reads
+        // that leave the stream unaligned.
+        let prime = crate::zq::primes_congruent(40, 2048, 1)[0];
+        for q in [prime, (1 << 63) + 29, 1 << 20, 3] {
+            for (len, skew) in [(0, 0), (1, 0), (7, 3), (1024, 0), (4099, 5)] {
+                let mut bulk = rng();
+                let mut looped = rng();
+                bulk.fill(&mut vec![0u8; skew]);
+                looped.fill(&mut vec![0u8; skew]);
+                let mut got = vec![0u64; len];
+                uniform_below(q, &mut got, &mut bulk);
+                let want: Vec<u64> = (0..len).map(|_| looped.gen_range(0..q)).collect();
+                assert_eq!(got, want, "q {q} len {len}");
+                assert_eq!(bulk.next_u64(), looped.next_u64(), "q {q} len {len}");
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,13 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mycelium_bgv::{BgvError, BgvParams, Ciphertext, KeySet, Plaintext};
 use mycelium_cert::{
-    build_segments, commit_origin, noise_commitment, verify_transcript_sig, CertSpec, CommitteeSig,
-    OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
+    build_segments, commit_origin, committee_public_key, noise_commitment,
+    verify_transcript_sig_by, CertSpec, CommitteeSig, OriginCommit, ReleasedGroup,
+    RoundCertificate, SlotStatus,
 };
 use mycelium_crypto::codec::Writer;
 use mycelium_crypto::sha256::Digest;
@@ -428,7 +429,8 @@ impl Intake {
     }
 
     /// Commitment-then-seal: freezes, then sums the owned submissions
-    /// ([`aggregate_and_audit`]); a missing origin (or an empty intake) adds `Enc(0)`.
+    /// ([`aggregate_and_audit`]), each unpacked as the fold reaches it; a
+    /// missing origin (or an empty intake) adds `Enc(0)`.
     pub fn seal<R: Rng + ?Sized>(
         &mut self,
         ctx: &RoundCtx,
@@ -436,16 +438,18 @@ impl Intake {
     ) -> Result<Ciphertext, CoreError> {
         self.freeze_commits();
         let zero = Plaintext::zero(ctx.plan.n_ring, ctx.plan.t_pt);
-        let mut rows: Vec<_> = self.rows().map(|(_, _, row)| row.as_ref()).collect();
-        if rows.is_empty() {
-            rows.push(None);
-        }
-        let fill = |row: Option<&Parked>| match row {
+        let mut fill = |row: Option<&Parked>| match row {
             Some(parked) => Ok(parked.ct()),
             None => Ciphertext::encrypt(&ctx.keys.public, &zero, &mut *rng).map_err(CoreError::Bgv),
         };
-        let cts = rows.into_iter().map(fill).collect::<Result<Vec<_>, _>>()?;
-        aggregate_and_audit(cts).map_err(|e| CoreError::Exec("aggregation", e))
+        let mut rows = self.rows().map(|(_, _, row)| row.as_ref());
+        // An empty intake sums one `Enc(0)`.
+        let first = fill(rows.next().flatten())?;
+        let mut failed = Ok(());
+        let rest = rows.map_while(|row| fill(row).map_err(|e| failed = Err(e)).ok());
+        let sum = aggregate_and_audit(std::iter::once(first).chain(rest));
+        failed?;
+        sum.map_err(|e| CoreError::Exec("aggregation", e))
     }
 
     /// Coordinator: state of `shard`'s slot among `roots` (`R`: the root as the
@@ -518,6 +522,9 @@ pub struct CommitteeTail {
     pub sealed: bool,
     /// The sealed certificate's canonical bytes (quorum reached).
     pub cert_bytes: Option<Vec<u8>>,
+    /// `member_keys[m]`: the round seed and member `m`'s public key under
+    /// it, derived on the first signature `m` sends.
+    member_keys: Vec<OnceLock<(u64, [u8; 32])>>,
 }
 
 impl CommitteeTail {
@@ -528,6 +535,7 @@ impl CommitteeTail {
             pongs: vec![None; c],
             shares: vec![None; c + 1],
             cert_sigs: vec![None; c + 1],
+            member_keys: vec![OnceLock::new(); c + 1],
             ..Default::default()
         }
     }
@@ -675,17 +683,38 @@ impl CommitteeTail {
     }
 
     /// State of `member`'s signature slot for `sig`; forged is `Closed`.
+    /// Verifies `sig` only if the slot would otherwise take it.
     pub fn sig_slot(&self, member: u64, sig: &[u8; 64], seed: u64) -> Result<Slot, CoreError> {
-        let held = &self.cert_sigs[self.member(member)?];
-        let valid = |c: &RoundCertificate| verify_transcript_sig(seed, member, &c.transcript, sig);
+        let m = self.member(member)?;
+        let held = &self.cert_sigs[m];
+        let valid = |c: &RoundCertificate| {
+            verify_transcript_sig_by(&self.member_key(seed, m), &c.transcript, sig)
+        };
         let wanted = held.is_none() && !self.sealed && self.cert.as_ref().is_some_and(valid);
         Ok(Slot::of(held, wanted))
+    }
+
+    /// Member `m`'s public key under `seed`: derived once per tail.
+    fn member_key(&self, seed: u64, m: usize) -> [u8; 32] {
+        let derive = || (seed, committee_public_key(seed, m as u64));
+        match self.member_keys.get(m).map(|key| *key.get_or_init(derive)) {
+            Some((derived_for, key)) if derived_for == seed => key,
+            _ => derive().1,
+        }
     }
 
     /// Records `member`'s transcript signature; `true` if it counted.
     pub fn accept_sig(&mut self, member: u64, sig: [u8; 64], seed: u64) -> Result<bool, CoreError> {
         let slot = self.sig_slot(member, &sig, seed)?;
-        Ok(slot.fill(&mut self.cert_sigs[member as usize], sig))
+        self.fill_sig(member, slot, sig)
+    }
+
+    /// [`CommitteeTail::accept_sig`] with the verdict `slot` that
+    /// [`CommitteeTail::sig_slot`] gave for this very signature, in this
+    /// state: the signature is not verified again.
+    pub fn fill_sig(&mut self, member: u64, slot: Slot, sig: [u8; 64]) -> Result<bool, CoreError> {
+        let m = self.member(member)?;
+        Ok(slot.fill(&mut self.cert_sigs[m], sig))
     }
 
     /// Whether every member signed.
@@ -850,9 +879,10 @@ impl Round {
         let sum = match &self.roots {
             None => self.intake.seal(ctx, rng)?,
             Some(roots) => {
-                let roots = roots.iter().map(|r| r.as_ref().map(Parked::ct));
-                let roots: Option<Vec<Ciphertext>> = roots.collect();
-                let roots = roots.ok_or_else(|| CoreError::Invalid("shard root missing".into()))?;
+                if roots.iter().any(Option::is_none) {
+                    return Err(CoreError::Invalid("shard root missing".into()));
+                }
+                let roots = roots.iter().flatten().map(Parked::ct);
                 aggregate_and_audit(roots).map_err(|e| CoreError::Exec("aggregation", e))?
             }
         };

@@ -113,7 +113,7 @@ mod tests {
     fn committee_decrypts_correctly() {
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(91);
-        let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut rng);
         let pt = encode_monomial(4, params.n, params.plaintext_modulus).unwrap();
         let ct = Ciphertext::encrypt(&ks.public, &pt, &mut rng).unwrap();
         let mut budget = PrivacyBudget::new(10.0);
@@ -140,7 +140,7 @@ mod tests {
     fn exhausted_budget_blocks_release() {
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(92);
-        let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut rng);
         let pt = encode_monomial(0, params.n, params.plaintext_modulus).unwrap();
         let ct = Ciphertext::encrypt(&ks.public, &pt, &mut rng).unwrap();
         let mut budget = PrivacyBudget::new(0.5);
@@ -167,7 +167,7 @@ mod tests {
         // product, so a degree-2 one never reaches the committee.
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(93);
-        let ks = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let ks = KeySet::generate_deferred(&params, &mut rng);
         let pt = encode_monomial(1, params.n, params.plaintext_modulus).unwrap();
         let a = Ciphertext::encrypt(&ks.public, &pt, &mut rng).unwrap();
         let prod = a.mul(&a).unwrap();

@@ -27,7 +27,6 @@ use mycelium_crypto::sha256::{self, Digest};
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
 use mycelium_math::ew;
-use mycelium_math::par;
 use mycelium_math::rng::Rng;
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly};
 use mycelium_math::zq::Modulus;
@@ -792,33 +791,31 @@ pub const AGGREGATION_LEVEL: usize = 1;
 
 /// Aggregator side (§4.2): the one place an aggregate is summed — the hub's
 /// global aggregate, a shard's partial root, or the coordinator's sum of
-/// the shards' roots. Every ciphertext is first aligned to
-/// [`AGGREGATION_LEVEL`] (only those above it are switched, side by side),
-/// then the list is folded into its first element. Addition mod q is
-/// exact, so the bytes are those of any order or partition summed again.
-/// No party audits the additions (DESIGN.md, "Summation-tree audit"): the
-/// round certificate's aggregate digest binds the result.
+/// the shards' roots. A running fold: each ciphertext is aligned to
+/// [`AGGREGATION_LEVEL`] (switched down if above it) and added to the sum
+/// as it comes, so the caller can make the terms one at a time and no more
+/// than the sum and one term are held. Addition mod q is exact, so the
+/// bytes are those of any order or partition summed again. No party
+/// audits the additions (DESIGN.md, "Summation-tree audit"): the round
+/// certificate's aggregate digest binds the result.
 ///
 /// # Panics
 ///
 /// Panics on an empty input: every caller sums at least one `Enc(0)`.
-pub fn aggregate_and_audit(mut cts: Vec<Ciphertext>) -> Result<Ciphertext, ExecError> {
-    let switched = par::map(&cts, |_, ct| {
-        (ct.level() != AGGREGATION_LEVEL)
-            .then(|| ct.mod_switch_to(AGGREGATION_LEVEL))
-            .transpose()
-    });
-    for (ct, switched) in cts.iter_mut().zip(switched) {
-        if let Some(switched) = switched? {
-            *ct = switched;
-        }
-    }
+pub fn aggregate_and_audit(
+    cts: impl IntoIterator<Item = Ciphertext>,
+) -> Result<Ciphertext, ExecError> {
+    let aligned = |ct: Ciphertext| match ct.level() {
+        AGGREGATION_LEVEL => Ok(ct),
+        _ => ct.mod_switch_to(AGGREGATION_LEVEL),
+    };
     let mut cts = cts.into_iter();
-    let mut sum = cts
+    let first = cts
         .next()
         .expect("an aggregate needs at least one ciphertext");
+    let mut sum = aligned(first)?;
     for ct in cts {
-        sum.add_assign(&ct)?;
+        sum.add_assign(&aligned(ct)?)?;
     }
     Ok(sum)
 }
@@ -1061,11 +1058,18 @@ mod tests {
         assert_ne!(digest(Representation::Ntt, [drop(c0), drop(c1)]), base);
     }
 
+    /// `ct`'s wire encoding.
+    fn encoding(ct: &Ciphertext) -> Vec<u8> {
+        let mut bytes = vec![0u8; ciphertext_len(ct)];
+        put_ciphertext(&mut &mut bytes[..], ct);
+        bytes
+    }
+
     /// `n` fresh encryptions at `test_small`, of `x^(i mod 7)` for the `i`-th.
     fn monomials(n: usize) -> (KeySet, Vec<Ciphertext>) {
         let params = BgvParams::test_small();
         let mut rng = StdRng::seed_from_u64(313);
-        let keys = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+        let keys = KeySet::generate_deferred(&params, &mut rng);
         let cts = (0..n)
             .map(|i| {
                 let pt = encode_monomial(i % 7, params.n, params.plaintext_modulus).unwrap();
@@ -1095,11 +1099,6 @@ mod tests {
         // sharded aggregation plane rests on: the coordinator sums the
         // shards' roots the same way. The terms differ in noise (the
         // `i`-th is the sum of the first `i + 1`), as origins' outputs do.
-        let encoding = |ct: &Ciphertext| {
-            let mut bytes = vec![0u8; ciphertext_len(ct)];
-            put_ciphertext(&mut &mut bytes[..], ct);
-            bytes
-        };
         let (_, cts) = monomials(16);
         let mut terms: Vec<Ciphertext> = Vec::new();
         for ct in &cts {
@@ -1109,7 +1108,7 @@ mod tests {
         for n in 1..=terms.len() {
             let terms = &terms[..n];
             let flat = encoding(&aggregate_and_audit(terms.to_vec()).unwrap());
-            let reversed = terms.iter().rev().cloned().collect();
+            let reversed: Vec<Ciphertext> = terms.iter().rev().cloned().collect();
             let reversed = encoding(&aggregate_and_audit(reversed).unwrap());
             assert!(reversed == flat, "n={n} reversed");
             for shards in [1usize, 2, 4, 8] {
@@ -1118,9 +1117,39 @@ mod tests {
                     buckets[i % shards.min(n)].push(ct.clone());
                 }
                 let roots = buckets.into_iter().map(|b| aggregate_and_audit(b).unwrap());
-                let top = aggregate_and_audit(roots.collect()).unwrap();
+                let top = aggregate_and_audit(roots.collect::<Vec<_>>()).unwrap();
                 assert!(encoding(&top) == flat, "n={n} shards={shards}");
             }
+        }
+    }
+    #[test]
+    fn the_running_fold_equals_the_aligned_sum_at_mixed_levels() {
+        // Terms at every level of the chain, folded one at a time off a
+        // lazy iterator in shuffled orders: the bytes are those of every
+        // term switched to the aggregation level first and then summed,
+        // as the sum over a `Vec` was formed.
+        let (keys, cts) = monomials(12);
+        let top = keys.public.context().max_level();
+        let terms: Vec<Ciphertext> = cts
+            .iter()
+            .enumerate()
+            .map(|(i, ct)| ct.mod_switch_to(1 + i % top).unwrap())
+            .collect();
+        let aligned = terms
+            .iter()
+            .map(|ct| ct.mod_switch_to(AGGREGATION_LEVEL).unwrap());
+        let want = aligned.reduce(|a, b| a.add(&b).unwrap()).unwrap();
+        assert!(encoding(&aggregate_and_audit(terms.clone()).unwrap()) == encoding(&want));
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..4 {
+            let mut order: Vec<usize> = (0..terms.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let lazy = order.iter().map(|&i| terms[i].clone());
+            let folded = aggregate_and_audit(lazy).unwrap();
+            assert_eq!(folded.level(), AGGREGATION_LEVEL);
+            assert!(encoding(&folded) == encoding(&want), "order {order:?}");
         }
     }
 }

@@ -490,6 +490,11 @@ impl AggState {
     /// (`finished_seen`, `finished_shards`, `driver_seen`) does not
     /// count: it is not replayed state.
     pub(super) fn mutates(&self, msg: &NetMsg) -> bool {
+        self.mutates_at(msg, self.slot(msg))
+    }
+
+    /// [`AggState::mutates`], given the slot `msg` targets.
+    fn mutates_at(&self, msg: &NetMsg, slot: Option<Slot>) -> bool {
         let wanted = match msg {
             NetMsg::PushContrib { .. } | NetMsg::SubmitOrigin { .. } | NetMsg::ShardRoot { .. } => {
                 !self.round.is_over()
@@ -497,15 +502,15 @@ impl AggState {
             NetMsg::PushShare { .. } => self.round.outcome().is_none(),
             _ => true,
         };
-        wanted && self.slot(msg) == Some(Slot::Open)
+        wanted && slot == Some(Slot::Open)
     }
 
-    /// Whether `msg` is a *redelivery* of a write this state already
-    /// holds. Out-of-range or invalid requests are not duplicates;
-    /// neither are the always-idempotent polls — `CommitteeCheckIn`
-    /// included: members re-poll it by design.
-    fn is_duplicate(&self, msg: &NetMsg) -> bool {
-        !matches!(msg, NetMsg::CommitteeCheckIn { .. }) && self.slot(msg) == Some(Slot::Filled)
+    /// Whether `msg`, targeting `slot`, is a *redelivery* of a write this
+    /// state already holds. Out-of-range or invalid requests are not
+    /// duplicates; neither are the always-idempotent polls —
+    /// `CommitteeCheckIn` included: members re-poll it by design.
+    fn is_duplicate(msg: &NetMsg, slot: Option<Slot>) -> bool {
+        !matches!(msg, NetMsg::CommitteeCheckIn { .. }) && slot == Some(Slot::Filled)
     }
 
     /// Duplicate writes absorbed so far (see `duplicates_suppressed`).
@@ -541,8 +546,16 @@ impl AggState {
     /// function journal replay re-runs. Range and composition checks are
     /// the core's typed errors. `ct` is the ciphertext the request carries,
     /// parked, where it was taken in ([`AggState::take_in`]): a request that
-    /// mutates nothing leaves it `None` and its ciphertext unread.
-    fn apply(&mut self, msg: NetMsg, ct: Option<Parked>) -> Result<Reply, NetError> {
+    /// mutates nothing leaves it `None` and its ciphertext unread. `screen`
+    /// is the slot a live request was found to target ([`AggState::slot`]),
+    /// `None` in replay: a certificate signature the screen verified is not
+    /// verified again, and replay verifies each once.
+    fn apply(
+        &mut self,
+        msg: NetMsg,
+        ct: Option<Parked>,
+        screen: Option<Slot>,
+    ) -> Result<Reply, NetError> {
         let setup = Arc::clone(&self.setup);
         let ctx = round_ctx(&setup, self.charged_epsilon);
         let done = self.round.is_over();
@@ -636,7 +649,10 @@ impl AggState {
             NetMsg::PushCertSig { member, sig } => {
                 // A forged or corrupted signature is simply not counted;
                 // the seal grace decides the quorum.
-                tail.accept_sig(member, sig, setup.spec.seed)?;
+                match screen {
+                    Some(slot) => tail.fill_sig(member, slot, sig)?,
+                    None => tail.accept_sig(member, sig, setup.spec.seed)?,
+                };
                 NetMsg::Ack
             }
             NetMsg::ShardRoot {
@@ -788,13 +804,16 @@ impl AggState {
         raw: &[u8],
     ) -> Result<(Reply, Option<Pending>), NetError> {
         self.tick()?;
+        // The request's one screen: a certificate signature is verified
+        // here and `apply` takes the verdict.
+        let slot = self.slot(&msg);
         let mut ct = None;
-        if self.mutates(&msg) {
+        if self.mutates_at(&msg, slot) {
             ct = self.take_in(&msg, raw)?;
-        } else if self.is_duplicate(&msg) {
+        } else if Self::is_duplicate(&msg, slot) {
             self.duplicates_suppressed += 1;
         }
-        let reply = self.apply(msg, ct)?;
+        let reply = self.apply(msg, ct, slot)?;
         self.tick()?;
         self.checkpoint()?;
         Ok((reply, self.pending()))

@@ -239,10 +239,11 @@ impl AggState {
                     let bytes = &entry.payload[span.at];
                     self.park(bytes, span.digest, stored)
                 });
-                self.apply(msg, ct).map_err(|e| JournalError::Replay {
-                    seq,
-                    why: e.to_string(),
-                })?;
+                self.apply(msg, ct, None)
+                    .map_err(|e| JournalError::Replay {
+                        seq,
+                        why: e.to_string(),
+                    })?;
             }
             rec::BUDGET => {
                 let op = LedgerOp::decode(body).map_err(|e| JournalError::Replay {

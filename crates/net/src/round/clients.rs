@@ -385,6 +385,14 @@ pub fn run_origin(
     for link in &per_link {
         metrics.merge(link);
     }
+    // The origin is where relinearization keys live: it derives a level's
+    // keys when it first relinearizes there.
+    let levels = setup.keys.relin.derived_levels();
+    eprintln!(
+        "origin-{shard}: {} minor faults, peak RSS {} kB, relinearization keys derived at levels {levels:?}",
+        crate::metrics::minor_faults().unwrap_or(0),
+        crate::metrics::peak_rss_kb().unwrap_or(0)
+    );
     write_metrics(out_dir, &format!("origin-{shard}"), &metrics)
 }
 

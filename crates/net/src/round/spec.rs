@@ -303,7 +303,8 @@ pub struct RoundSetup {
     /// The parsed query.
     pub query: Query,
     /// BGV keys (every process derives the same set; [`build_setup`]'s
-    /// relinearization keys on their first read, by an origin).
+    /// relinearization keys a level at a time, on that level's first read,
+    /// by an origin).
     pub keys: KeySet,
     /// Shamir shares of the secret key, dealt on the first read (by a
     /// committee member).
@@ -423,8 +424,9 @@ pub fn build_population(spec: &RoundSpec) -> Population {
 }
 
 /// Derives the full shared setup from a spec. The relinearization keys are
-/// the last draw off [`stream::KEYS`], so they are derived on their first
-/// read, like the key shares. Failures here are configuration errors
+/// the last draw off [`stream::KEYS`], so each level's is derived on its
+/// first read ([`KeySet::generate_deferred`]), as the key shares are.
+/// Failures here are configuration errors
 /// (unknown query, query too large for the ring), not wire input, so they
 /// surface as [`NetError::Decode`].
 pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
@@ -432,8 +434,8 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     let pop = build_population(spec);
     let query = paper_query(&spec.query)
         .ok_or_else(|| NetError::Decode(format!("unknown paper query {}", spec.query)))?;
-    let keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
-    let keys = KeySet::generate_deferred(&params.bgv, keys_rng);
+    let mut keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
+    let keys = KeySet::generate_deferred(&params.bgv, &mut keys_rng);
     RoundSetup::from_parts(spec.clone(), params, pop, query, keys)
         .map_err(|e| NetError::Decode(format!("query planning failed: {e}")))
 }

@@ -275,9 +275,10 @@ mod tests {
 
     fn setup() -> (BgvParams, KeySet, StdRng) {
         let params = BgvParams::test_small();
-        let mut rng = StdRng::seed_from_u64(41);
-        let ks = KeySet::generate_with_relin_levels(&params, &[params.levels], &mut rng);
-        (params, ks, rng)
+        // The keys draw from a stream of their own: the tests draw on from
+        // `rng`, and one of them relinearizes.
+        let ks = KeySet::generate_deferred(&params, &mut StdRng::seed_from_u64(41).with_stream(1));
+        (params, ks, StdRng::seed_from_u64(41))
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Key material a round process derives on first use: `build_setup`
 //! derives neither the relinearization keys nor the committee's key
 //! shares, and the aggregation plane reads neither — so a process that
-//! only aggregates never derives them, yet every byte it produces is the
-//! one eager derivation gave (`golden_round` pins the rounds that do read
+//! only aggregates never derives them, an origin derives the keys of only
+//! the levels it relinearizes at, yet every byte each produces is the one
+//! eager derivation gave (`golden_round` pins the rounds that do read
 //! them).
 
 use std::sync::Arc;
@@ -165,6 +166,25 @@ fn the_aggregation_plane_reads_no_key_material_in_a_full_round() {
             };
             assert!(matches!(ask(st, &plane, &clients, msg), NetMsg::Ack));
         }
+        // The origins derived relinearization keys at exactly the levels
+        // their chains multiply at: an accumulator fed `f` times starts at
+        // `chain_start(f − 1)` and drops a level after each of its `f − 1`
+        // products, down to 1.
+        let mut chain_levels = std::collections::BTreeSet::new();
+        for work in clients.works.iter().filter(|w| w.self_ok) {
+            for f in work.feeds() {
+                let start = clients.plan.chain_start(f.saturating_sub(1));
+                let products = 0..f.saturating_sub(1);
+                chain_levels.extend(products.map(|k| start.saturating_sub(k).max(1)));
+            }
+        }
+        let derived = clients.keys.relin.derived_levels();
+        assert_eq!(derived, Vec::from_iter(chain_levels), "shards {shards}");
+        assert!(
+            derived.len() < clients.params.bgv.levels,
+            "shards {shards}: {derived:?}"
+        );
+        assert!(!plane.keys.relin.is_derived(), "shards {shards}");
         let mut hub = match shards {
             1 => intake.pop().unwrap(),
             _ => {

@@ -195,10 +195,22 @@ fn drive_committee(st: &mut AggState, setup: &RoundSetup) {
                 member: m,
                 sig: forged,
             };
+            let records = st.journal_records();
             assert!(matches!(request(st, setup, &msg), NetMsg::Ack));
+            assert_eq!(
+                st.journal_records(),
+                records,
+                "a forged signature was journalled"
+            );
         }
+        // The slot is still open: the forged signature did not count.
+        let records = st.journal_records();
         let msg = NetMsg::PushCertSig { member: m, sig };
         assert!(matches!(request(st, setup, &msg), NetMsg::Ack));
+        assert!(
+            st.journal_records() > records,
+            "member {m}'s signature was not taken"
+        );
     }
     assert!(matches!(
         request(st, setup, &NetMsg::PullStatus),

@@ -30,7 +30,7 @@ fn bgv_ciphertexts_survive_the_mixnet() {
         levels: 2,
         sigma: 3.2,
     };
-    let keys = KeySet::generate_with_relin_levels(&params, &[], &mut rng);
+    let keys = KeySet::generate_deferred(&params, &mut rng);
     let t = params.plaintext_modulus;
 
     // Two neighbors contribute x^2 and x^3 to origin device 0.

@@ -167,7 +167,7 @@ fn parser_never_panics() {
 fn bgv_homomorphism() {
     let params = BgvParams::test_small();
     let mut key_rng = StdRng::seed_from_u64(0xB64);
-    let keys = KeySet::generate_with_relin_levels(&params, &[params.levels], &mut key_rng);
+    let keys = KeySet::generate_deferred(&params, &mut key_rng);
     let t = params.plaintext_modulus;
     for_cases(8, |seed, rng| {
         let a = rng.gen_range(0usize..500);
@@ -196,7 +196,7 @@ fn bgv_homomorphism() {
 fn bgv_random_plaintext_roundtrip() {
     let params = BgvParams::test_small();
     for_cases(8, |seed, rng| {
-        let keys = KeySet::generate_with_relin_levels(&params, &[], rng);
+        let keys = KeySet::generate_deferred(&params, rng);
         let coeffs: Vec<u64> = (0..params.n)
             .map(|_| rng.gen_range(0..params.plaintext_modulus))
             .collect();

@@ -69,7 +69,7 @@ const PINS: [[&str; 3]; 6] = [
 fn sub_plain_bytes_are_pinned_at_every_level() {
     let params = BgvParams::test_small();
     let (n, t) = (params.n, params.plaintext_modulus);
-    let keys = KeySet::generate_with_relin_levels(&params, &[], &mut StdRng::seed_from_u64(5));
+    let keys = KeySet::generate_deferred(&params, &mut StdRng::seed_from_u64(5));
     let x3 = encode_monomial(3, n, t).unwrap();
     let print = std::env::var_os("GOLDEN_PRINT").is_some();
     assert_eq!(PINS.len(), params.levels);
